@@ -12,7 +12,7 @@
 
 use super::trace::HotIl;
 use crate::state;
-use ipf::inst::{Op, Reg, Unit};
+use ipf::inst::{LatClass, Op, Reg, Unit};
 use ipf::regs::{Fr, Gr, Pr, P0};
 use std::collections::HashMap;
 
@@ -34,31 +34,14 @@ fn is_arch_state_def(r: Reg) -> bool {
     }
 }
 
-fn latency(op: &Op) -> u32 {
-    match op {
-        Op::Ld { .. } => 2,
-        Op::Ldf { .. } => 6,
-        Op::Setf { .. } | Op::Getf { .. } => 5,
-        Op::Fma { .. }
-        | Op::Fms { .. }
-        | Op::Fnma { .. }
-        | Op::Fmin { .. }
-        | Op::Fmax { .. }
-        | Op::FcvtFx { .. }
-        | Op::FcvtXf { .. }
-        | Op::FmergeS { .. }
-        | Op::FmergeNs { .. }
-        | Op::Frcpa { .. }
-        | Op::Frsqrta { .. }
-        | Op::Fsqrt { .. }
-        | Op::FnormS { .. }
-        | Op::Fpma { .. }
-        | Op::Fpms { .. }
-        | Op::Fpmin { .. }
-        | Op::Fpmax { .. }
-        | Op::Fpdiv { .. }
-        | Op::Xma { .. } => 4,
-        _ => 1,
+/// Latency the critical-path heights are weighted with: the machine's
+/// default result latencies, except that the fixed two-cycle class
+/// (`mov` to/from a branch register, `fcmp`) counts as one — a
+/// rounding the schedules in every checked-in figure were chosen under.
+fn height_latency(op: &Op) -> u32 {
+    match op.lat_class() {
+        LatClass::Two => 1,
+        class => ipf::Timing::default().latency(class),
     }
 }
 
@@ -183,7 +166,7 @@ fn build_order(insts: &[ipf::Inst], is_state: &dyn Fn(Reg) -> bool) -> Vec<usize
     // signify the relative importance of scheduling them early").
     let mut height = vec![0u32; n];
     for i in (0..n).rev() {
-        let lat = latency(&insts[i].op);
+        let lat = height_latency(&insts[i].op);
         for &s in &succs[i] {
             height[i] = height[i].max(height[s] + lat);
         }
@@ -490,81 +473,23 @@ pub(super) fn schedule_allocated(
 }
 
 /// Statically evaluates a stop-bit-delimited instruction stream under
-/// the machine's group-issue model: a group issues when all its read
-/// operands are ready (`read_ready_max`), occupies `max` of the unit
-/// width caps, and its writes become ready `latency` cycles after
-/// issue. Used to compare compiled variants of the same trace — the
-/// list scheduler's `earliest` is latency-blind, so two correct
-/// schedules of equivalent code can differ in real issue stalls that
-/// only this walk (or the machine itself) sees.
+/// the machine's own group-issue model ([`ipf::IssueModel`], default
+/// timing, every operand ready at cycle 0): the cycles a [`ipf::Machine`]
+/// would spend on the same slots run straight through. Used to compare
+/// compiled variants of the same trace — the list scheduler's
+/// `earliest` is latency-blind, so two correct schedules of equivalent
+/// code can differ in real issue stalls that only this walk (or the
+/// machine itself) sees.
 pub(super) fn static_cost(code: &[(ipf::Inst, bool, Option<usize>)]) -> u64 {
-    // Machine latencies (default timing), including the cases the
-    // scheduler's height heuristic rounds down to 1.
-    fn lat(op: &Op) -> u32 {
-        match op {
-            Op::MovToBr { .. } | Op::MovFromBr { .. } | Op::Fcmp { .. } => 2,
-            _ => latency(op),
+    let mut model = ipf::IssueModel::new(&ipf::Timing::default());
+    for (inst, stop, _) in code {
+        model.account(&inst.slot_meta(), 0);
+        if *stop {
+            model.close(0);
         }
     }
-    let mut ready: HashMap<(u8, u16), u64> = HashMap::new();
-    let mut next_cycle = 0u64;
-    let mut k = 0usize;
-    while k < code.len() {
-        let mut reads_max = 0u64;
-        let (mut m, mut iu, mut f, mut b, mut slots) = (0u32, 0u32, 0u32, 0u32, 0u32);
-        let mut writes: Vec<((u8, u16), u32)> = Vec::new();
-        loop {
-            let (inst, stop, _) = &code[k];
-            if inst.qp != P0 {
-                if let Some(&t) = ready.get(&reg_slot(Reg::P(inst.qp))) {
-                    reads_max = reads_max.max(t);
-                }
-            }
-            inst.op.visit_regs(&mut |r, is_def| {
-                let key = reg_slot(r);
-                if is_def {
-                    writes.push((key, lat(&inst.op)));
-                } else if let Some(&t) = ready.get(&key) {
-                    reads_max = reads_max.max(t);
-                }
-            });
-            match inst.op.unit() {
-                Unit::M => m += 1,
-                Unit::I | Unit::L => iu += 1,
-                Unit::F => f += 1,
-                Unit::B => b += 1,
-                Unit::A => {
-                    if m <= iu {
-                        m += 1;
-                    } else {
-                        iu += 1;
-                    }
-                }
-            }
-            slots += 1;
-            k += 1;
-            if *stop || k >= code.len() {
-                break;
-            }
-        }
-        let issue = next_cycle.max(reads_max);
-        let width = [
-            m.div_ceil(2),
-            iu.div_ceil(2),
-            f.div_ceil(2),
-            b.div_ceil(3),
-            slots.div_ceil(6),
-            1,
-        ]
-        .into_iter()
-        .max()
-        .unwrap() as u64;
-        for (key, l) in writes {
-            ready.insert(key, issue + l as u64);
-        }
-        next_cycle = issue + width;
-    }
-    next_cycle
+    model.close(0);
+    model.now()
 }
 
 #[cfg(test)]
@@ -697,6 +622,161 @@ mod tests {
         ];
         let order = schedule(&ils);
         assert_eq!(order, vec![0, 1]);
+    }
+
+    /// The scheduler prices code with the machine's own issue model,
+    /// so its cost of a straight-line sequence is exactly what the
+    /// machine spends running the same slots — load-use and FP stalls,
+    /// oversubscribed ports, a write to `p0` delaying the next
+    /// unpredicated group, and the 8-write cap included.
+    #[test]
+    fn static_cost_equals_machine_cycles() {
+        use ipf::inst::{CmpRel, FXfer};
+        use ipf::machine::{CodeArena, Machine, StopReason, VecBus};
+        use ipf::regs::{Br, F1};
+        let (g, f, p) = (|n: u16| Gr(32 + n), |n: u16| Fr(32 + n), |n: u16| Pr(1 + n));
+        let mut code: Vec<(ipf::Inst, bool)> = Vec::new();
+        let mut push = |inst: ipf::Inst, stop: bool| code.push((inst, stop));
+        // Load-use chain with a dependent compare and predicated ops.
+        push(
+            ipf::Inst::new(Op::Ld {
+                sz: 8,
+                d: g(0),
+                addr: R0,
+                spec: false,
+            }),
+            true,
+        );
+        push(
+            ipf::Inst::new(Op::AddImm {
+                d: g(1),
+                imm: 1,
+                a: g(0),
+            }),
+            false,
+        );
+        push(
+            ipf::Inst::new(Op::Cmp {
+                rel: CmpRel::Eq,
+                pt: p(0),
+                pf: P0,
+                a: g(0),
+                b: R0,
+            }),
+            true,
+        );
+        push(
+            ipf::Inst::pred(
+                p(0),
+                Op::AddImm {
+                    d: g(2),
+                    imm: 2,
+                    a: g(1),
+                },
+            ),
+            false,
+        );
+        push(
+            ipf::Inst::pred(
+                p(1),
+                Op::AddImm {
+                    d: g(3),
+                    imm: 3,
+                    a: g(1),
+                },
+            ),
+            true,
+        );
+        // Cross-file transfers, FP latency, `fcmp` writing `p0`.
+        push(
+            ipf::Inst::new(Op::Setf {
+                kind: FXfer::Sig,
+                f: f(0),
+                r: g(1),
+            }),
+            true,
+        );
+        push(
+            ipf::Inst::new(Op::Fma {
+                d: f(1),
+                a: f(0),
+                b: F1,
+                c: f(0),
+            }),
+            true,
+        );
+        push(
+            ipf::Inst::new(Op::Fcmp {
+                rel: ipf::inst::FcmpRel::Lt,
+                pt: P0,
+                pf: p(2),
+                a: f(1),
+                b: f(0),
+            }),
+            true,
+        );
+        push(
+            ipf::Inst::new(Op::Getf {
+                kind: FXfer::Sig,
+                d: g(4),
+                f: f(1),
+            }),
+            true,
+        );
+        push(ipf::Inst::new(Op::MovToBr { b: Br(1), r: g(4) }), true);
+        push(ipf::Inst::new(Op::MovFromBr { d: g(5), b: Br(1) }), true);
+        // One wide group: 12 A-type slots oversubscribe M/I and write
+        // more registers than a group records; the reader of the last
+        // one therefore does not wait for it.
+        for n in 0..12 {
+            push(
+                ipf::Inst::new(Op::Ld {
+                    sz: 8,
+                    d: g(10 + n),
+                    addr: R0,
+                    spec: false,
+                }),
+                n == 11,
+            );
+        }
+        push(
+            ipf::Inst::new(Op::AddImm {
+                d: g(6),
+                imm: 0,
+                a: g(21),
+            }),
+            true,
+        );
+        push(
+            ipf::Inst::new(Op::St {
+                sz: 8,
+                addr: R0,
+                val: g(6),
+            }),
+            false,
+        );
+        for _ in 0..2 {
+            push(ipf::Inst::new(Op::Nop { unit: Unit::I }), false);
+        }
+        assert_eq!(code.len() % 3, 0, "whole bundles");
+
+        let priced: Vec<_> = code.iter().map(|&(i, s)| (i, s, None)).collect();
+        let bundles: Vec<ipf::Bundle> = code
+            .chunks(3)
+            .map(|c| ipf::Bundle {
+                slots: [c[0].0, c[1].0, c[2].0],
+                stops: [c[0].1, c[1].1, c[2].1],
+                ..ipf::Bundle::nops()
+            })
+            .collect();
+        let mut arena = CodeArena::new(0x1_0000);
+        arena.append(bundles, 0);
+        let mut m = Machine::new(arena, ipf::Timing::default());
+        m.set_ip(0x1_0000, 0);
+        let stop = m.run(&mut VecBus::new(64), code.len() as u64);
+        assert_eq!(stop, StopReason::InstLimit);
+        assert_eq!(static_cost(&priced), m.cycles);
+        assert!(m.cycles > code.len() as u64 / 2, "the sequence stalls");
     }
 
     #[test]

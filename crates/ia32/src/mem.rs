@@ -11,11 +11,13 @@
 //! self-modifying code.
 
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Page size (4 KiB, like both IA-32 and IPF base pages).
 pub const PAGE_SIZE: u64 = 4096;
 
 const PAGE_MASK: u64 = PAGE_SIZE - 1;
+const PAGE_SHIFT: u32 = PAGE_SIZE.trailing_zeros();
 
 /// Page protection attributes.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -111,9 +113,72 @@ struct Page {
     prot: Prot,
 }
 
+impl Page {
+    fn zeroed(prot: Prot) -> Page {
+        Page {
+            data: Box::new([0; PAGE_SIZE as usize]),
+            prot,
+        }
+    }
+}
+
+/// Hashes a page base address with one multiply of the page number.
+/// Every simulated load and store pays this lookup, and SipHash was
+/// most of its cost. The multiplier is odd, so page numbers that
+/// differ in their low bits (neighbouring pages) land in different
+/// buckets; a guest is confined to 2^20 page numbers, which bounds the
+/// longest chain it can build by mapping same-bucket pages to ~2^10.
+#[derive(Default)]
+struct PageHasher(u64);
+
+impl Hasher for PageHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, page_base: u64) {
+        self.0 = (self.0 ^ (page_base >> PAGE_SHIFT)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
 /// The sparse guest address space.
 pub struct GuestMem {
-    pages: HashMap<u64, Page>,
+    pages: HashMap<u64, Page, BuildHasherDefault<PageHasher>>,
+}
+
+/// The part of `[addr, addr + left)` that lies in `addr`'s page, as
+/// `(offset in page, length)`.
+fn page_run(addr: u64, left: usize) -> (usize, usize) {
+    let off = (addr & PAGE_MASK) as usize;
+    (off, left.min(PAGE_SIZE as usize - off))
+}
+
+/// Checks that a store may touch the byte at `addr`, whose page has
+/// protection `prot`.
+fn check_store(prot: Prot, addr: u64) -> Result<(), MemFault> {
+    let kind = if prot.write_protect_code {
+        MemFaultKind::SmcWrite
+    } else if !prot.write {
+        MemFaultKind::NoWrite
+    } else {
+        return Ok(());
+    };
+    Err(MemFault {
+        addr,
+        kind,
+        write: true,
+    })
+}
+
+/// True if the `len` bytes at `addr` (1 ≤ `len`) lie inside one page.
+fn in_one_page(addr: u64, len: u32) -> bool {
+    len != 0 && (addr & PAGE_MASK) + len as u64 <= PAGE_SIZE
 }
 
 impl Default for GuestMem {
@@ -132,7 +197,7 @@ impl GuestMem {
     /// An empty address space.
     pub fn new() -> GuestMem {
         GuestMem {
-            pages: HashMap::new(),
+            pages: HashMap::default(),
         }
     }
 
@@ -147,10 +212,7 @@ impl GuestMem {
             self.pages
                 .entry(p)
                 .and_modify(|pg| pg.prot = prot)
-                .or_insert_with(|| Page {
-                    data: Box::new([0; PAGE_SIZE as usize]),
-                    prot,
-                });
+                .or_insert_with(|| Page::zeroed(prot));
             if p == last {
                 break;
             }
@@ -198,47 +260,73 @@ impl GuestMem {
         })
     }
 
-    /// Reads `N` bytes (`N` ≤ 8 in practice). Accesses may span pages.
+    /// The page containing `addr`, if a load may touch it.
+    fn readable_page(&self, addr: u64) -> Result<&Page, MemFault> {
+        let p = self.page(addr, false)?;
+        if !p.prot.read {
+            return Err(MemFault {
+                addr,
+                kind: MemFaultKind::NoRead,
+                write: false,
+            });
+        }
+        Ok(p)
+    }
+
+    /// Reads `len` bytes (≤ 8), little-endian. Accesses may span pages.
     pub fn read(&self, addr: u64, len: u32) -> Result<u64, MemFault> {
         debug_assert!(len as usize <= 8);
+        if !in_one_page(addr, len) {
+            return self.read_bytewise(addr, len);
+        }
+        // One page: its lookup and permission decide for every byte,
+        // and the first byte is the one a fault names.
+        let p = self.readable_page(addr)?;
+        let off = (addr & PAGE_MASK) as usize;
+        let mut bytes = [0u8; 8];
+        bytes[..len as usize].copy_from_slice(&p.data[off..off + len as usize]);
+        Ok(u64::from_le_bytes(bytes))
+    }
+
+    /// [`GuestMem::read`] one byte at a time: the path of accesses that
+    /// straddle a page edge, and the reference the one-page path is
+    /// tested against.
+    fn read_bytewise(&self, addr: u64, len: u32) -> Result<u64, MemFault> {
         let mut v = 0u64;
         for i in 0..len as u64 {
             let a = addr.wrapping_add(i);
-            let p = self.page(a, false)?;
-            if !p.prot.read {
-                return Err(MemFault {
-                    addr: a,
-                    kind: MemFaultKind::NoRead,
-                    write: false,
-                });
-            }
+            let p = self.readable_page(a)?;
             v |= (p.data[(a & PAGE_MASK) as usize] as u64) << (i * 8);
         }
         Ok(v)
     }
 
-    /// Writes the low `len` bytes of `v` at `addr`.
+    /// Writes the low `len` bytes of `v` at `addr`. A faulting store
+    /// changes nothing (stores must be atomic with respect to faults
+    /// for precise-exception tests).
     pub fn write(&mut self, addr: u64, len: u32, v: u64) -> Result<(), MemFault> {
         debug_assert!(len as usize <= 8);
-        // Validate all pages before mutating (stores must be atomic with
-        // respect to faults for precise-exception tests).
+        if !in_one_page(addr, len) {
+            return self.write_bytewise(addr, len, v);
+        }
+        let page = self.pages.get_mut(&(addr & !PAGE_MASK)).ok_or(MemFault {
+            addr,
+            kind: MemFaultKind::Unmapped,
+            write: true,
+        })?;
+        check_store(page.prot, addr)?;
+        let off = (addr & PAGE_MASK) as usize;
+        page.data[off..off + len as usize].copy_from_slice(&v.to_le_bytes()[..len as usize]);
+        Ok(())
+    }
+
+    /// [`GuestMem::write`] one byte at a time (see
+    /// [`GuestMem::read_bytewise`]): validates every byte's page before
+    /// mutating any.
+    fn write_bytewise(&mut self, addr: u64, len: u32, v: u64) -> Result<(), MemFault> {
         for i in 0..len as u64 {
             let a = addr.wrapping_add(i);
-            let p = self.page(a, true)?;
-            if p.prot.write_protect_code {
-                return Err(MemFault {
-                    addr: a,
-                    kind: MemFaultKind::SmcWrite,
-                    write: true,
-                });
-            }
-            if !p.prot.write {
-                return Err(MemFault {
-                    addr: a,
-                    kind: MemFaultKind::NoWrite,
-                    write: true,
-                });
-            }
+            check_store(self.page(a, true)?.prot, a)?;
         }
         for i in 0..len as u64 {
             let a = addr.wrapping_add(i);
@@ -254,18 +342,23 @@ impl GuestMem {
     /// Writes bytes even to write-protected code pages (used by the
     /// loader and by the translator's own data structures).
     pub fn write_forced(&mut self, addr: u64, bytes: &[u8]) {
-        for (i, &b) in bytes.iter().enumerate() {
-            let a = addr.wrapping_add(i as u64);
-            let page = self.pages.entry(a & !PAGE_MASK).or_insert_with(|| Page {
-                data: Box::new([0; PAGE_SIZE as usize]),
-                prot: Prot::rw(),
-            });
-            page.data[(a & PAGE_MASK) as usize] = b;
+        let mut a = addr;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let (off, n) = page_run(a, rest.len());
+            let page = self
+                .pages
+                .entry(a & !PAGE_MASK)
+                .or_insert_with(|| Page::zeroed(Prot::rw()));
+            page.data[off..off + n].copy_from_slice(&rest[..n]);
+            rest = &rest[n..];
+            a = a.wrapping_add(n as u64);
         }
     }
 
     /// Fetches up to `len` instruction bytes for decode; requires exec
-    /// permission on the first byte's page.
+    /// permission on the first byte's page. The result is shorter than
+    /// `len` where the readable mapping ends first.
     pub fn fetch(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemFault> {
         let p = self.page(addr, false)?;
         if !p.prot.exec {
@@ -276,12 +369,14 @@ impl GuestMem {
             });
         }
         let mut out = Vec::with_capacity(len);
-        for i in 0..len as u64 {
-            let a = addr.wrapping_add(i);
-            match self.page(a, false) {
-                Ok(p) if p.prot.read => out.push(p.data[(a & PAGE_MASK) as usize]),
-                _ => break, // shorter fetch near an unmapped boundary
-            }
+        let mut a = addr;
+        while out.len() < len {
+            let Some(p) = self.pages.get(&(a & !PAGE_MASK)).filter(|p| p.prot.read) else {
+                break; // shorter fetch near an unmapped boundary
+            };
+            let (off, n) = page_run(a, len - out.len());
+            out.extend_from_slice(&p.data[off..off + n]);
+            a = a.wrapping_add(n as u64);
         }
         if out.is_empty() {
             return Err(MemFault {
@@ -296,8 +391,12 @@ impl GuestMem {
     /// Copies a byte range out (reads must all succeed).
     pub fn read_bytes(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemFault> {
         let mut out = Vec::with_capacity(len);
-        for i in 0..len as u64 {
-            out.push(self.read(addr.wrapping_add(i), 1)? as u8);
+        let mut a = addr;
+        while out.len() < len {
+            let p = self.readable_page(a)?;
+            let (off, n) = page_run(a, len - out.len());
+            out.extend_from_slice(&p.data[off..off + n]);
+            a = a.wrapping_add(n as u64);
         }
         Ok(out)
     }
@@ -381,6 +480,114 @@ mod tests {
         assert_eq!(e.kind, MemFaultKind::NoExec);
         m.map(0x1000, 0x1000, Prot::rx());
         assert_eq!(m.fetch(0x1000, 4).unwrap().len(), 4);
+    }
+
+    /// Bulk accessors copy per page run; their edge cases are part of
+    /// the contract.
+    #[test]
+    fn bulk_accessors_cross_pages() {
+        let mut m = GuestMem::new();
+        m.map(0x1000, 0x2000, Prot::rx());
+        let pattern: Vec<u8> = (0..0x1800u32).map(|i| (i * 7 + 3) as u8).collect();
+        m.write_forced(0x1400, &pattern); // lands in both mapped pages
+        assert_eq!(m.read_bytes(0x1400, 0x1800).unwrap(), pattern);
+        assert_eq!(m.fetch(0x1400, 0x1800).unwrap(), pattern);
+        for (i, &b) in pattern.iter().enumerate() {
+            assert_eq!(m.read(0x1400 + i as u64, 1).unwrap(), b as u64);
+        }
+        // write_forced maps what is missing, read/write, and creates
+        // nothing for an empty slice.
+        m.write_forced(0x2FFE, &[1, 2, 3, 4]);
+        assert_eq!(m.prot_of(0x3000), Some(Prot::rw()));
+        assert_eq!(m.prot_of(0x2000), Some(Prot::rx()), "existing page kept");
+        m.write_forced(0x9000, &[]);
+        assert!(!m.is_mapped(0x9000));
+        // fetch: shorter at the end of the readable mapping, exec
+        // checked on the first page only.
+        m.unmap(0x3000, 1);
+        assert_eq!(m.fetch(0x2FF0, 64).unwrap().len(), 16);
+        m.map(0x3000, 0x1000, Prot::rw());
+        assert_eq!(m.fetch(0x2FF0, 64).unwrap().len(), 64);
+        assert_eq!(m.fetch(0x3000, 4).unwrap_err().kind, MemFaultKind::NoExec);
+        assert_eq!(m.fetch(0x2000, 0).unwrap_err().kind, MemFaultKind::Unmapped);
+        // read_bytes names the first unreadable byte.
+        m.unmap(0x3000, 1);
+        let e = m.read_bytes(0x2FF0, 64).unwrap_err();
+        assert_eq!(
+            (e.addr, e.kind, e.write),
+            (0x3000, MemFaultKind::Unmapped, false)
+        );
+    }
+
+    /// The one-lookup path of `read`/`write` against the byte-wise
+    /// reference: same value, same fault (address, kind, direction),
+    /// and a faulting store mutates nothing — over every access size,
+    /// every offset within 8 bytes of a page edge, and every mix of
+    /// neighbouring-page states.
+    #[test]
+    fn one_page_path_matches_bytewise_reference() {
+        const LO: u64 = 0x7000;
+        const HI: u64 = 0x8000;
+        let states: [Option<Prot>; 5] = [
+            None,
+            Some(Prot::rw()),
+            Some(Prot::rx()), // no write
+            Some(Prot {
+                read: false,
+                ..Prot::rw()
+            }),
+            Some(Prot {
+                write_protect_code: true,
+                ..Prot::rwx()
+            }),
+        ];
+        let build = |lo: Option<Prot>, hi: Option<Prot>| {
+            let mut m = GuestMem::new();
+            for (base, st) in [(LO, lo), (HI, hi)] {
+                if let Some(prot) = st {
+                    let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (base + i * 13) as u8).collect();
+                    m.write_forced(base, &fill);
+                    m.map(base, PAGE_SIZE, prot);
+                }
+            }
+            m
+        };
+        let snapshot = |m: &GuestMem| {
+            let mut pages: Vec<(u64, Vec<u8>)> =
+                m.pages.iter().map(|(&b, p)| (b, p.data.to_vec())).collect();
+            pages.sort();
+            pages
+        };
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let mut checked = 0u32;
+        for lo in states {
+            for hi in states {
+                for len in 1..=8u32 {
+                    for delta in -8i64..=8 {
+                        let addr = HI.wrapping_add_signed(delta);
+                        x ^= x << 13;
+                        x ^= x >> 7;
+                        x ^= x << 17;
+                        let (mut fast, mut slow) = (build(lo, hi), build(lo, hi));
+                        assert_eq!(
+                            fast.read(addr, len),
+                            slow.read_bytewise(addr, len),
+                            "read {len}@{addr:#x} lo={lo:?} hi={hi:?}"
+                        );
+                        let before = snapshot(&fast);
+                        let (rf, rs) =
+                            (fast.write(addr, len, x), slow.write_bytewise(addr, len, x));
+                        assert_eq!(rf, rs, "write {len}@{addr:#x} lo={lo:?} hi={hi:?}");
+                        assert_eq!(snapshot(&fast), snapshot(&slow));
+                        if rf.is_err() {
+                            assert_eq!(snapshot(&fast), before, "faulting store mutated memory");
+                        }
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 25 * 8 * 17);
     }
 
     #[test]

@@ -6,7 +6,7 @@
 //! def/use walker ([`Op::visit_regs`]) drives the dependency graph,
 //! renaming, and bundling.
 
-use crate::regs::{Br, Fr, Gr, Pr};
+use crate::regs::{Br, Fr, Gr, Pr, NUM_BR, NUM_FR, NUM_GR, NUM_PR};
 use std::fmt;
 
 /// Integer comparison relations for `cmp`.
@@ -167,6 +167,107 @@ pub enum Reg {
     B(Br),
 }
 
+// The cycle model keeps one flat operand-ready array,
+// `GR | FR | PR | BR | NONE`; these are the first entries of each file.
+const SB_GR: u16 = 0;
+const SB_FR: u16 = SB_GR + NUM_GR;
+const SB_PR: u16 = SB_FR + NUM_FR;
+const SB_BR: u16 = SB_PR + NUM_PR;
+/// A scoreboard entry nothing ever writes: pads the unused read slots
+/// of a [`SlotMeta`] so the reader needs no count.
+pub(crate) const SB_NONE: u16 = SB_BR + NUM_BR as u16;
+/// Number of scoreboard entries.
+pub(crate) const SB_LEN: usize = SB_NONE as usize + 1;
+// `SlotMeta::key` gives an entry 9 bits.
+const _: () = assert!(SB_LEN <= 1 << 9);
+
+impl Reg {
+    /// This register's entry in the flat scoreboard.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the register is virtual.
+    pub(crate) fn sb_index(self) -> u16 {
+        match self {
+            Reg::G(r) => SB_GR + r.phys() as u16,
+            Reg::F(r) => SB_FR + r.phys() as u16,
+            Reg::P(r) => SB_PR + r.phys() as u16,
+            Reg::B(r) => SB_BR + r.phys() as u16,
+        }
+    }
+}
+
+/// Result-latency class of an operation. A class, not a cycle count:
+/// code is installed before the machine (and its `Timing`) exists, so
+/// the machine resolves classes to cycles itself.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum LatClass {
+    /// Single-cycle integer/predicate result.
+    One,
+    /// Fixed two-cycle result (`mov` to/from a branch register, `fcmp`).
+    Two,
+    /// Integer load-to-use.
+    Ld,
+    /// FP load-to-use.
+    Ldf,
+    /// FP arithmetic (and `xma`).
+    Fp,
+    /// `getf`/`setf` cross-file transfer.
+    Xfer,
+}
+
+impl LatClass {
+    /// Every class, in discriminant order (`ALL[c as usize] == c`).
+    pub const ALL: [LatClass; 6] = [
+        LatClass::One,
+        LatClass::Two,
+        LatClass::Ld,
+        LatClass::Ldf,
+        LatClass::Fp,
+        LatClass::Xfer,
+    ];
+}
+
+/// Everything the cycle model needs to know about one slot — a pure
+/// function of the instruction ([`Inst::slot_meta`]), so the code arena
+/// computes it once at install time and the machine never re-derives
+/// it per executed slot. Opaque outside this crate: derive it, hand it
+/// to [`crate::IssueModel::account`], compare it.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct SlotMeta {
+    /// Scoreboard entries read: the qualifying predicate first, then
+    /// the source operands; unused slots hold [`SB_NONE`].
+    pub(crate) reads: [u16; 4],
+    /// Scoreboard entries written, in operand order (the first
+    /// `nwrites` are valid).
+    pub(crate) writes: [u16; 2],
+    /// Number of valid `writes`.
+    pub(crate) nwrites: u8,
+    /// Latency class of every write.
+    pub(crate) lat: LatClass,
+    /// Dispersal unit.
+    pub(crate) unit: Unit,
+    /// A taken branch from this slot pays the indirect-branch bubble
+    /// (`br.ret`, `br` through a register) rather than the plain one.
+    pub(crate) indirect: bool,
+}
+
+impl SlotMeta {
+    /// The metadata packed into one word (9 bits per scoreboard entry,
+    /// 2 + 3 + 3 + 1 for the rest) — an injective key for interning.
+    pub(crate) fn key(&self) -> u64 {
+        let mut k = 0u64;
+        for &r in self.reads.iter().chain(&self.writes) {
+            debug_assert!((r as usize) < SB_LEN);
+            k = k << 9 | r as u64;
+        }
+        k = k << 2 | self.nwrites as u64;
+        k = k << 3 | self.lat as u64;
+        k = k << 3 | self.unit as u64;
+        k << 1 | self.indirect as u64
+    }
+}
+
 /// One Itanium instruction: a qualifying predicate plus an operation.
 #[derive(Clone, Copy, PartialEq, Debug)]
 pub struct Inst {
@@ -189,6 +290,44 @@ impl Inst {
     /// A predicated instruction.
     pub fn pred(qp: Pr, op: Op) -> Inst {
         Inst { qp, op }
+    }
+
+    /// Derives this slot's issue metadata. This is the one definition
+    /// of what a slot reads, writes, occupies and costs: the code arena
+    /// caches its result per slot, the machine consumes the cache, and
+    /// the hot scheduler prices candidate code with it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a register is virtual.
+    pub fn slot_meta(&self) -> SlotMeta {
+        let mut m = SlotMeta {
+            reads: [SB_NONE; 4],
+            writes: [SB_NONE; 2],
+            nwrites: 0,
+            lat: self.op.lat_class(),
+            unit: self.op.unit(),
+            indirect: matches!(
+                self.op,
+                Op::BrRet { .. }
+                    | Op::Br {
+                        target: Target::Reg(_)
+                    }
+            ),
+        };
+        // The qualifying predicate is a read (of `p0` too).
+        m.reads[0] = Reg::P(self.qp).sb_index();
+        let mut nreads = 1;
+        self.op.visit_regs(&mut |reg, is_def| {
+            if is_def {
+                m.writes[m.nwrites as usize] = reg.sb_index();
+                m.nwrites += 1;
+            } else {
+                m.reads[nreads] = reg.sb_index();
+                nreads += 1;
+            }
+        });
+        m
     }
 }
 
@@ -875,6 +1014,36 @@ impl Op {
         }
     }
 
+    /// The latency class of this operation's results.
+    pub fn lat_class(&self) -> LatClass {
+        match self {
+            Op::Ld { .. } => LatClass::Ld,
+            Op::Ldf { .. } => LatClass::Ldf,
+            Op::Setf { .. } | Op::Getf { .. } => LatClass::Xfer,
+            Op::Fma { .. }
+            | Op::Fms { .. }
+            | Op::Fnma { .. }
+            | Op::Fmin { .. }
+            | Op::Fmax { .. }
+            | Op::FcvtFx { .. }
+            | Op::FcvtXf { .. }
+            | Op::FmergeS { .. }
+            | Op::FmergeNs { .. }
+            | Op::Frcpa { .. }
+            | Op::Frsqrta { .. }
+            | Op::Fsqrt { .. }
+            | Op::FnormS { .. }
+            | Op::Fpma { .. }
+            | Op::Fpms { .. }
+            | Op::Fpmin { .. }
+            | Op::Fpmax { .. }
+            | Op::Fpdiv { .. }
+            | Op::Xma { .. } => LatClass::Fp,
+            Op::MovToBr { .. } | Op::MovFromBr { .. } | Op::Fcmp { .. } => LatClass::Two,
+            _ => LatClass::One,
+        }
+    }
+
     /// True if this is any branch (including `chk.s`, which transfers
     /// control on failure).
     pub fn is_branch(&self) -> bool {
@@ -1491,6 +1660,69 @@ mod tests {
             Unit::B
         );
         assert_eq!(Op::Movl { d: Gr(3), imm: 0 }.unit(), Unit::L);
+    }
+
+    #[test]
+    fn slot_meta_names_operands_latency_and_unit() {
+        let fma = Inst::pred(
+            Pr(6),
+            Op::Fma {
+                d: Fr(9),
+                a: Fr(2),
+                b: Fr(3),
+                c: Fr(4),
+            },
+        )
+        .slot_meta();
+        let f = |n| Reg::F(Fr(n)).sb_index();
+        assert_eq!(fma.reads, [Reg::P(Pr(6)).sb_index(), f(2), f(3), f(4)]);
+        assert_eq!((fma.writes[0], fma.nwrites), (f(9), 1));
+        assert_eq!(
+            (fma.lat, fma.unit, fma.indirect),
+            (LatClass::Fp, Unit::F, false)
+        );
+
+        // Unpredicated slots still read `p0`; unused reads are padded.
+        let cmp = Inst::new(Op::CmpImm {
+            rel: CmpRel::Eq,
+            pt: Pr(1),
+            pf: Pr(2),
+            imm: 0,
+            b: Gr(7),
+        })
+        .slot_meta();
+        let p = |n| Reg::P(Pr(n)).sb_index();
+        assert_eq!(
+            cmp.reads,
+            [p(0), Reg::G(Gr(7)).sb_index(), SB_NONE, SB_NONE]
+        );
+        assert_eq!((cmp.writes, cmp.nwrites), ([p(1), p(2)], 2));
+        assert_eq!((cmp.lat, cmp.unit), (LatClass::One, Unit::A));
+
+        // Only `br.ret` and register-indirect `br` pay the indirect
+        // bubble (an indirect `br.call` does not — part of the model).
+        let indirect = |op: Op| Inst::new(op).slot_meta().indirect;
+        assert!(indirect(Op::BrRet { b: Br(0) }));
+        assert!(indirect(Op::Br {
+            target: Target::Reg(Br(6))
+        }));
+        assert!(!indirect(Op::Br {
+            target: Target::Abs(0x40)
+        }));
+        assert!(!indirect(Op::BrCall {
+            b_save: Br(0),
+            target: Target::Reg(Br(6))
+        }));
+
+        // Distinct metadata, distinct keys; all four files are disjoint.
+        assert_ne!(fma.key(), cmp.key());
+        let files = [Reg::G(Gr(5)), Reg::F(Fr(5)), Reg::P(Pr(5)), Reg::B(Br(5))];
+        for (i, a) in files.iter().enumerate() {
+            for b in &files[i + 1..] {
+                assert_ne!(a.sb_index(), b.sb_index());
+            }
+            assert!((a.sb_index() as usize) < SB_LEN - 1);
+        }
     }
 
     #[test]

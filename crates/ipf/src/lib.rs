@@ -46,6 +46,6 @@ pub mod machine;
 pub mod regs;
 
 pub use bundle::{Bundle, Template};
-pub use inst::{Inst, Op, Target, Unit};
-pub use machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason, Timing};
+pub use inst::{Inst, LatClass, Op, SlotMeta, Target, Unit};
+pub use machine::{Bus, BusError, CodeArena, IssueModel, MachFault, Machine, StopReason, Timing};
 pub use regs::{Br, Fr, Gr, Pr};

@@ -12,9 +12,10 @@
 //! machinery builds on this.
 
 use crate::bundle::Bundle;
-use crate::inst::{FFmt, FXfer, Op, Target, Unit};
+use crate::inst::{FFmt, FXfer, Inst, LatClass, Op, SlotMeta, Target, Unit, SB_LEN};
 use crate::regs::{NUM_BR, NUM_FR, NUM_GR, NUM_PR};
 use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Errors a [`Bus`] access can produce.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -149,6 +150,142 @@ impl Default for Timing {
     }
 }
 
+impl Timing {
+    /// Result latency in cycles of a latency class.
+    pub fn latency(&self, class: LatClass) -> u32 {
+        match class {
+            LatClass::One => 1,
+            LatClass::Two => 2,
+            LatClass::Ld => self.lat_ld,
+            LatClass::Ldf => self.lat_ldf,
+            LatClass::Fp => self.lat_fp,
+            LatClass::Xfer => self.lat_xfer,
+        }
+    }
+}
+
+/// Hashes an already well-spread [`SlotMeta::key`] with one multiply.
+#[derive(Default)]
+struct KeyHasher(u64);
+
+impl Hasher for KeyHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        for &b in bytes {
+            self.write_u64(b as u64);
+        }
+    }
+
+    fn write_u64(&mut self, k: u64) {
+        // Fold the high half down: the table indexes by the low bits,
+        // where a bare multiply carries nothing of the key's top fields.
+        let h = (self.0 ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// Id a slot carries once the intern table is full: its metadata is
+/// derived when needed instead of looked up.
+const META_UNINTERNED: u16 = u16::MAX;
+
+/// The distinct [`SlotMeta`] values of an arena's code. Installed code
+/// is highly repetitive (a few thousand distinct values across millions
+/// of slots), so slots store a 2-byte id into this table rather than
+/// the 16-byte value.
+#[derive(Debug, Default)]
+struct MetaTable {
+    metas: Vec<SlotMeta>,
+    ids: HashMap<u64, u16, BuildHasherDefault<KeyHasher>>,
+}
+
+impl MetaTable {
+    fn intern(&mut self, inst: &Inst) -> u16 {
+        let meta = inst.slot_meta();
+        let key = meta.key();
+        if let Some(&id) = self.ids.get(&key) {
+            return id;
+        }
+        if self.metas.len() >= META_UNINTERNED as usize {
+            return META_UNINTERNED;
+        }
+        let id = self.metas.len() as u16;
+        self.metas.push(meta);
+        self.ids.insert(key, id);
+        id
+    }
+
+    fn intern_bundle(&mut self, b: &Bundle) -> [u16; 3] {
+        b.slots.each_ref().map(|inst| self.intern(inst))
+    }
+
+    /// The metadata behind `id`, which was interned for `inst`.
+    #[inline]
+    fn get(&self, id: u16, inst: &Inst) -> SlotMeta {
+        match id {
+            META_UNINTERNED => inst.slot_meta(),
+            id => self.metas[id as usize],
+        }
+    }
+}
+
+/// What the arena keeps per bundle beside the bundle itself.
+#[derive(Clone, Copy, Debug, Default)]
+struct BundleTag {
+    /// Cycle-attribution region.
+    region: u32,
+    /// Per slot, the id of its issue metadata in the [`MetaTable`].
+    meta: [u16; 3],
+}
+
+/// Tags per page of a [`TagTable`].
+const TAG_PAGE: usize = 1024;
+
+/// The per-bundle tags, parallel to the bundles, in fixed-size pages.
+/// Growing a paged table never moves what it holds. A `Vec` of this
+/// size does, and the copies it leaves behind in the allocator (and
+/// the allocator's reaction to freeing so large a block) cost the
+/// 600k-bundle arena of the benchmark more resident memory than the
+/// tags themselves.
+#[derive(Debug, Default)]
+struct TagTable {
+    pages: Vec<Box<[BundleTag; TAG_PAGE]>>,
+    len: usize,
+}
+
+impl TagTable {
+    fn push(&mut self, tag: BundleTag) {
+        if self.len == self.pages.len() * TAG_PAGE {
+            self.pages.push(Box::new([BundleTag::default(); TAG_PAGE]));
+        }
+        self.pages[self.len / TAG_PAGE][self.len % TAG_PAGE] = tag;
+        self.len += 1;
+    }
+
+    fn truncate(&mut self, len: usize) {
+        self.len = self.len.min(len);
+        self.pages.truncate(self.len.div_ceil(TAG_PAGE));
+    }
+}
+
+impl std::ops::Index<usize> for TagTable {
+    type Output = BundleTag;
+
+    fn index(&self, i: usize) -> &BundleTag {
+        assert!(i < self.len, "tag index past the arena");
+        &self.pages[i / TAG_PAGE][i % TAG_PAGE]
+    }
+}
+
+impl std::ops::IndexMut<usize> for TagTable {
+    fn index_mut(&mut self, i: usize) -> &mut BundleTag {
+        assert!(i < self.len, "tag index past the arena");
+        &mut self.pages[i / TAG_PAGE][i % TAG_PAGE]
+    }
+}
+
 /// A contiguous region of bundles at a base address, with a per-bundle
 /// *region id* used for cycle attribution (the translator tags bundles
 /// as cold code, hot code, stubs, …).
@@ -158,11 +295,19 @@ impl Default for Timing {
 /// of flushing wholesale: [`CodeArena::release`] returns an extent to
 /// the free list, [`CodeArena::alloc`] carves a hole back out, and
 /// [`CodeArena::place`] installs fresh bundles into it.
+///
+/// Beside the bundles the arena caches each slot's issue metadata
+/// ([`Inst::slot_meta`]) so the machine decodes a slot once, not once
+/// per execution. `bundles` is private and written at exactly five
+/// places — `append`, `place`, `release`, `truncate`, `patch_slot` —
+/// each of which updates `tags` in the same breath.
 #[derive(Debug, Default)]
 pub struct CodeArena {
     base: u64,
     bundles: Vec<Bundle>,
-    region: Vec<u32>,
+    /// Region and metadata ids per bundle (parallel to `bundles`).
+    tags: TagTable,
+    metas: MetaTable,
     /// Free extents as `(bundle_index, bundle_count)`, kept sorted by
     /// index and coalesced.
     free: Vec<(usize, usize)>,
@@ -174,9 +319,7 @@ impl CodeArena {
         assert_eq!(base % Bundle::SIZE, 0, "arena base must be bundle-aligned");
         CodeArena {
             base,
-            bundles: Vec::new(),
-            region: Vec::new(),
-            free: Vec::new(),
+            ..CodeArena::default()
         }
     }
 
@@ -194,8 +337,10 @@ impl CodeArena {
     /// address.
     pub fn append(&mut self, bundles: Vec<Bundle>, region: u32) -> u64 {
         let addr = self.end();
-        self.region
-            .extend(std::iter::repeat_n(region, bundles.len()));
+        for b in &bundles {
+            let meta = self.metas.intern_bundle(b);
+            self.tags.push(BundleTag { region, meta });
+        }
         self.bundles.extend(bundles);
         addr
     }
@@ -211,7 +356,7 @@ impl CodeArena {
         assert!(addr >= self.base && addr <= self.end());
         let n = ((addr - self.base) / Bundle::SIZE) as usize;
         self.bundles.truncate(n);
-        self.region.truncate(n);
+        self.tags.truncate(n);
         self.free.clear();
     }
 
@@ -231,12 +376,15 @@ impl CodeArena {
         assert_eq!((end - start) % Bundle::SIZE, 0, "misaligned extent end");
         let count = ((end - start) / Bundle::SIZE) as usize;
         assert!(idx + count <= self.bundles.len(), "extent past arena end");
-        for b in &mut self.bundles[idx..idx + count] {
-            *b = Bundle::nops();
+        let nops = Bundle::nops();
+        let freed = BundleTag {
+            region: 0,
+            meta: self.metas.intern_bundle(&nops),
+        };
+        for i in idx..idx + count {
+            self.tags[i] = freed;
         }
-        for r in &mut self.region[idx..idx + count] {
-            *r = 0;
-        }
+        self.bundles[idx..idx + count].fill(nops);
         let pos = self.free.partition_point(|&(i, _)| i < idx);
         debug_assert!(
             self.free.get(pos).is_none_or(|&(i, _)| idx + count <= i)
@@ -295,8 +443,9 @@ impl CodeArena {
             "placed code overruns the arena"
         );
         for (k, b) in bundles.into_iter().enumerate() {
+            let meta = self.metas.intern_bundle(&b);
+            self.tags[idx + k] = BundleTag { region, meta };
             self.bundles[idx + k] = b;
-            self.region[idx + k] = region;
         }
         addr
     }
@@ -332,7 +481,9 @@ impl CodeArena {
     /// Panics if `addr` is outside the arena.
     pub fn patch_slot(&mut self, addr: u64, slot: usize, op: Op) {
         let idx = self.index_of(addr).expect("patch address inside arena");
-        self.bundles[idx].slots[slot].op = op;
+        let inst = &mut self.bundles[idx].slots[slot];
+        inst.op = op;
+        self.tags[idx].meta[slot] = self.metas.intern(inst);
     }
 
     /// FNV-1a checksum over the bundles in `[start, end)`, in their
@@ -362,13 +513,9 @@ impl CodeArena {
     pub fn is_empty(&self) -> bool {
         self.bundles.is_empty()
     }
-
-    fn region_of(&self, idx: usize) -> u32 {
-        self.region.get(idx).copied().unwrap_or(0)
-    }
 }
 
-#[derive(Clone, Copy, Default)]
+#[derive(Clone, Copy, Debug, Default)]
 struct GroupAcc {
     read_ready_max: u64,
     m: u32,
@@ -376,10 +523,136 @@ struct GroupAcc {
     f: u32,
     b: u32,
     slots: u32,
-    writes: [(u8, u16, u32); 8], // (class, reg, latency)
     nwrites: usize,
     region: u32,
     active: bool,
+}
+
+/// The cycle model proper: in-order issue of stop-bit-delimited groups
+/// against an operand-ready scoreboard. A group issues once every
+/// operand it reads is ready, occupies as many cycles as its most
+/// oversubscribed port class needs (2M/2I/2F/3B, 6 slots), and its
+/// writes become ready their latency after issue.
+///
+/// [`Machine`] drives one of these from the arena's cached metadata;
+/// the translator's hot scheduler drives its own to price candidate
+/// code, which is what keeps the two from disagreeing.
+///
+/// Two properties are part of the model and deliberately kept:
+/// a group records at most 8 scoreboard writes (later ones are
+/// dropped), and a predicated-off slot is accounted like any other.
+#[derive(Clone, Debug)]
+pub struct IssueModel {
+    ready: [u64; SB_LEN],
+    lat: [u32; LatClass::ALL.len()],
+    next_cycle: u64,
+    group: GroupAcc,
+    /// `(scoreboard entry, latency)` of the open group's first
+    /// `group.nwrites` register writes.
+    writes: [(u16, u32); 8],
+}
+
+impl IssueModel {
+    /// An idle model at cycle 0 with every operand ready.
+    pub fn new(timing: &Timing) -> IssueModel {
+        IssueModel {
+            ready: [0; SB_LEN],
+            lat: LatClass::ALL.map(|class| timing.latency(class)),
+            next_cycle: 0,
+            group: GroupAcc::default(),
+            writes: [(0, 0); 8],
+        }
+    }
+
+    /// Cycles elapsed up to the last closed group.
+    pub fn now(&self) -> u64 {
+        self.next_cycle
+    }
+
+    /// Lets `cycles` pass outside any group.
+    pub fn advance(&mut self, cycles: u64) {
+        self.next_cycle += cycles;
+    }
+
+    /// Adds one slot to the open issue group, opening one (attributed
+    /// to `region`) if none is open.
+    #[inline]
+    pub fn account(&mut self, meta: &SlotMeta, region: u32) {
+        let g = &mut self.group;
+        if !g.active {
+            *g = GroupAcc {
+                region,
+                active: true,
+                ..GroupAcc::default()
+            };
+        }
+        let ready = &self.ready;
+        let [r0, r1, r2, r3] = meta.reads;
+        let t = (ready[r0 as usize].max(ready[r1 as usize]))
+            .max(ready[r2 as usize].max(ready[r3 as usize]));
+        if t > g.read_ready_max {
+            g.read_ready_max = t;
+        }
+        if meta.nwrites != 0 {
+            let lat = self.lat[meta.lat as usize];
+            for &w in &meta.writes[..meta.nwrites as usize] {
+                if g.nwrites < self.writes.len() {
+                    self.writes[g.nwrites] = (w, lat);
+                    g.nwrites += 1;
+                }
+            }
+        }
+        match meta.unit {
+            Unit::M => g.m += 1,
+            Unit::I | Unit::L => g.i += 1,
+            Unit::F => g.f += 1,
+            Unit::B => g.b += 1,
+            Unit::A => {
+                // Disperse A-type to the less-loaded of M/I.
+                if g.m <= g.i {
+                    g.m += 1;
+                } else {
+                    g.i += 1;
+                }
+            }
+        }
+        g.slots += 1;
+    }
+
+    /// Closes the open group, followed by `extra_bubble` dead cycles;
+    /// returns the region the elapsed cycles belong to and their count.
+    #[inline]
+    pub fn close(&mut self, extra_bubble: u32) -> (u32, u64) {
+        let g = &self.group;
+        if !g.active {
+            // A bubble landing on an already-closed group must still be
+            // attributed to a region, or the per-region cycles would
+            // drift below the total.
+            self.next_cycle += extra_bubble as u64;
+            return (g.region, extra_bubble as u64);
+        }
+        let issue = self.next_cycle.max(g.read_ready_max);
+        let width = [
+            g.m.div_ceil(2),
+            g.i.div_ceil(2),
+            g.f.div_ceil(2),
+            g.b.div_ceil(3),
+            g.slots.div_ceil(6),
+            1,
+        ]
+        .into_iter()
+        .max()
+        .unwrap() as u64;
+        for &(entry, lat) in &self.writes[..g.nwrites] {
+            self.ready[entry as usize] = issue + lat as u64;
+        }
+        let after = issue + width + extra_bubble as u64;
+        let spent = after - self.next_cycle;
+        let region = g.region;
+        self.next_cycle = after;
+        self.group = GroupAcc::default();
+        (region, spent)
+    }
 }
 
 /// The Itanium machine state and executor.
@@ -410,13 +683,12 @@ pub struct Machine {
     /// Cycles attributed per region id.
     pub region_cycles: HashMap<u32, u64>,
     timing: Timing,
-    // Scoreboard.
-    gr_ready: [u64; NUM_GR as usize],
-    fr_ready: [u64; NUM_FR as usize],
-    pr_ready: [u64; NUM_PR as usize],
-    br_ready: [u64; NUM_BR as usize],
-    next_cycle: u64,
-    group: GroupAcc,
+    issue: IssueModel,
+    /// `(region, cycles)` spent since the region last changed, not yet
+    /// added to `region_cycles`: consecutive groups almost always share
+    /// a region, so the map is touched on region changes and before
+    /// `run` returns rather than once per group.
+    region_pending: (u32, u64),
 }
 
 impl std::fmt::Debug for Machine {
@@ -428,11 +700,6 @@ impl std::fmt::Debug for Machine {
         )
     }
 }
-
-const CLASS_G: u8 = 0;
-const CLASS_F: u8 = 1;
-const CLASS_P: u8 = 2;
-const CLASS_B: u8 = 3;
 
 impl Machine {
     /// A fresh machine with the given arena and timing.
@@ -451,12 +718,8 @@ impl Machine {
             inst_count: 0,
             region_cycles: HashMap::new(),
             timing,
-            gr_ready: [0; NUM_GR as usize],
-            fr_ready: [0; NUM_FR as usize],
-            pr_ready: [0; NUM_PR as usize],
-            br_ready: [0; NUM_BR as usize],
-            next_cycle: 0,
-            group: GroupAcc::default(),
+            issue: IssueModel::new(&timing),
+            region_pending: (0, 0),
         };
         m.fr[1] = 1.0f64.to_bits();
         m.pr[0] = true;
@@ -472,7 +735,7 @@ impl Machine {
     /// own translation overhead this way).
     pub fn charge(&mut self, region: u32, cycles: u64) {
         self.cycles += cycles;
-        self.next_cycle += cycles;
+        self.issue.advance(cycles);
         *self.region_cycles.entry(region).or_default() += cycles;
     }
 
@@ -539,143 +802,37 @@ impl Machine {
 
     // ---- timing ---------------------------------------------------------
 
-    fn latency_of(&self, op: &Op) -> u32 {
-        match op {
-            Op::Ld { .. } => self.timing.lat_ld,
-            Op::Ldf { .. } => self.timing.lat_ldf,
-            Op::Setf { .. } | Op::Getf { .. } => self.timing.lat_xfer,
-            Op::Fma { .. }
-            | Op::Fms { .. }
-            | Op::Fnma { .. }
-            | Op::Fmin { .. }
-            | Op::Fmax { .. }
-            | Op::FcvtFx { .. }
-            | Op::FcvtXf { .. }
-            | Op::FmergeS { .. }
-            | Op::FmergeNs { .. }
-            | Op::Frcpa { .. }
-            | Op::Frsqrta { .. }
-            | Op::Fsqrt { .. }
-            | Op::FnormS { .. }
-            | Op::Fpma { .. }
-            | Op::Fpms { .. }
-            | Op::Fpmin { .. }
-            | Op::Fpmax { .. }
-            | Op::Fpdiv { .. }
-            | Op::Xma { .. } => self.timing.lat_fp,
-            Op::MovToBr { .. } | Op::MovFromBr { .. } => 2,
-            Op::Fcmp { .. } => 2,
-            _ => 1,
-        }
-    }
-
-    fn account_slot(&mut self, inst: &crate::inst::Inst, bundle_idx: usize) {
-        if !self.group.active {
-            self.group = GroupAcc {
-                region: self.arena.region_of(bundle_idx),
-                active: true,
-                ..GroupAcc::default()
-            };
-        }
-        let lat = self.latency_of(&inst.op);
-        // Qualifying predicate is a read.
-        let qp_ready = self.pr_ready[inst.qp.phys()];
-        let mut reads_max = self.group.read_ready_max.max(qp_ready);
-        let mut writes: Vec<(u8, u16)> = Vec::with_capacity(2);
-        inst.op.visit_regs(&mut |reg, is_def| {
-            use crate::inst::Reg;
-            let (class, idx) = match reg {
-                Reg::G(r) => (CLASS_G, r.phys()),
-                Reg::F(r) => (CLASS_F, r.phys()),
-                Reg::P(r) => (CLASS_P, r.phys()),
-                Reg::B(r) => (CLASS_B, r.phys()),
-            };
-            if is_def {
-                writes.push((class, idx as u16));
-            } else {
-                let t = match class {
-                    CLASS_G => self.gr_ready[idx],
-                    CLASS_F => self.fr_ready[idx],
-                    CLASS_P => self.pr_ready[idx],
-                    _ => self.br_ready[idx],
-                };
-                if t > reads_max {
-                    reads_max = t;
-                }
-            }
-        });
-        let g = &mut self.group;
-        g.read_ready_max = reads_max;
-        for (class, idx) in writes {
-            if g.nwrites < g.writes.len() {
-                g.writes[g.nwrites] = (class, idx, lat);
-                g.nwrites += 1;
-            }
-        }
-        match inst.op.unit() {
-            Unit::M => g.m += 1,
-            Unit::I | Unit::L => g.i += 1,
-            Unit::F => g.f += 1,
-            Unit::B => g.b += 1,
-            Unit::A => {
-                // Disperse A-type to the less-loaded of M/I.
-                if g.m <= g.i {
-                    g.m += 1;
-                } else {
-                    g.i += 1;
-                }
-            }
-        }
-        g.slots += 1;
-    }
-
     fn close_group(&mut self, extra_bubble: u32) {
-        if !self.group.active {
-            // A bubble landing on an already-closed group must still be
-            // attributed to a region, or sum(region_cycles) would drift
-            // below `cycles`.
-            if extra_bubble > 0 {
-                *self.region_cycles.entry(self.group.region).or_default() += extra_bubble as u64;
-            }
-            self.next_cycle += extra_bubble as u64;
-            self.cycles = self.next_cycle;
+        let (region, spent) = self.issue.close(extra_bubble);
+        self.cycles = self.issue.now();
+        if spent == 0 {
             return;
         }
-        let g = self.group;
-        let issue = self.next_cycle.max(g.read_ready_max);
-        let width = [
-            g.m.div_ceil(2),
-            g.i.div_ceil(2),
-            g.f.div_ceil(2),
-            g.b.div_ceil(3),
-            g.slots.div_ceil(6),
-            1,
-        ]
-        .into_iter()
-        .max()
-        .unwrap() as u64;
-        for k in 0..g.nwrites {
-            let (class, idx, lat) = g.writes[k];
-            let ready = issue + lat as u64;
-            match class {
-                CLASS_G => self.gr_ready[idx as usize] = ready,
-                CLASS_F => self.fr_ready[idx as usize] = ready,
-                CLASS_P => self.pr_ready[idx as usize] = ready,
-                _ => self.br_ready[idx as usize] = ready,
-            }
+        if region != self.region_pending.0 {
+            self.flush_region_cycles();
+            self.region_pending.0 = region;
         }
-        let after = issue + width + extra_bubble as u64;
-        let spent = after - self.next_cycle;
-        *self.region_cycles.entry(g.region).or_default() += spent;
-        self.next_cycle = after;
-        self.cycles = after;
-        self.group = GroupAcc::default();
+        self.region_pending.1 += spent;
+    }
+
+    fn flush_region_cycles(&mut self) {
+        let (region, cycles) = self.region_pending;
+        if cycles > 0 {
+            *self.region_cycles.entry(region).or_default() += cycles;
+            self.region_pending.1 = 0;
+        }
     }
 
     // ---- execution ------------------------------------------------------
 
     /// Runs until an external branch, fault, or `max_insts` slots.
     pub fn run(&mut self, bus: &mut dyn Bus, max_insts: u64) -> StopReason {
+        let stop = self.run_slots(bus, max_insts);
+        self.flush_region_cycles();
+        stop
+    }
+
+    fn run_slots(&mut self, bus: &mut dyn Bus, max_insts: u64) -> StopReason {
         let mut executed = 0u64;
         loop {
             let bundle_idx = match self.arena.index_of(self.ip) {
@@ -686,61 +843,77 @@ impl Machine {
                     return StopReason::ExternalBranch { target: t, from: t };
                 }
             };
-            let inst = self.arena.bundles[bundle_idx].slots[self.slot as usize];
-            let stop = self.arena.bundles[bundle_idx].stops[self.slot as usize];
-            self.inst_count += 1;
-            executed += 1;
-            self.account_slot(&inst, bundle_idx);
+            let tag = self.arena.tags[bundle_idx];
+            // The slots of this bundle, until control leaves it.
+            loop {
+                let slot = self.slot as usize;
+                let bundle = &self.arena.bundles[bundle_idx];
+                let inst = bundle.slots[slot];
+                let stop = bundle.stops[slot];
+                let meta = self.arena.metas.get(tag.meta[slot], &inst);
+                debug_assert_eq!(
+                    meta,
+                    inst.slot_meta(),
+                    "stale issue metadata at {:#x}.{slot}",
+                    self.ip
+                );
+                self.inst_count += 1;
+                executed += 1;
+                // Accounted before the predicate is looked at: a
+                // predicated-off slot still occupies its port.
+                self.issue.account(&meta, tag.region);
 
-            let taken = if self.pr[inst.qp.phys()] {
-                match self.exec_op(bus, &inst.op) {
-                    Ok(t) => t,
-                    Err(fault) => {
-                        self.close_group(0);
-                        return StopReason::Fault {
-                            fault,
-                            ip: self.ip,
-                            slot: self.slot,
-                        };
+                let taken = if self.pr[inst.qp.phys()] {
+                    match self.exec_op(bus, &inst.op) {
+                        Ok(t) => t,
+                        Err(fault) => {
+                            self.close_group(0);
+                            return StopReason::Fault {
+                                fault,
+                                ip: self.ip,
+                                slot: self.slot,
+                            };
+                        }
                     }
-                }
-            } else {
-                None
-            };
+                } else {
+                    None
+                };
 
-            match taken {
-                Some(target) => {
-                    let bubble = match inst.op {
-                        Op::BrRet { .. } => self.timing.indirect_branch,
-                        Op::Br {
-                            target: Target::Reg(_),
-                        } => self.timing.indirect_branch,
-                        _ => self.timing.taken_branch,
-                    };
-                    self.close_group(bubble);
-                    if self.arena.index_of(target).is_none() {
+                let left_bundle = match taken {
+                    Some(target) => {
+                        let bubble = if meta.indirect {
+                            self.timing.indirect_branch
+                        } else {
+                            self.timing.taken_branch
+                        };
+                        self.close_group(bubble);
                         let from = self.ip;
                         self.ip = target;
                         self.slot = 0;
-                        return StopReason::ExternalBranch { target, from };
+                        if self.arena.index_of(target).is_none() {
+                            return StopReason::ExternalBranch { target, from };
+                        }
+                        true
                     }
-                    self.ip = target;
-                    self.slot = 0;
+                    None => {
+                        if stop {
+                            self.close_group(0);
+                        }
+                        self.slot += 1;
+                        if self.slot == 3 {
+                            self.slot = 0;
+                            self.ip += Bundle::SIZE;
+                        }
+                        self.slot == 0
+                    }
+                };
+                if executed >= max_insts {
+                    self.close_group(0);
+                    return StopReason::InstLimit;
                 }
-                None => {
-                    if stop {
-                        self.close_group(0);
-                    }
-                    self.slot += 1;
-                    if self.slot == 3 {
-                        self.slot = 0;
-                        self.ip += Bundle::SIZE;
-                    }
+                if left_bundle {
+                    break;
                 }
-            }
-            if executed >= max_insts {
-                self.close_group(0);
-                return StopReason::InstLimit;
             }
         }
     }
@@ -1993,6 +2166,218 @@ mod tests {
                 ..
             }
         ));
+    }
+
+    /// Asserts the arena's cached issue metadata equals a fresh
+    /// derivation for every slot it holds.
+    fn assert_meta_coherent(arena: &CodeArena) {
+        assert_eq!(arena.tags.len, arena.bundles.len());
+        for (idx, b) in arena.bundles.iter().enumerate() {
+            for (slot, inst) in b.slots.iter().enumerate() {
+                assert_eq!(
+                    arena.metas.get(arena.tags[idx].meta[slot], inst),
+                    inst.slot_meta(),
+                    "bundle {idx} slot {slot}: {inst:?}"
+                );
+            }
+        }
+    }
+
+    /// A pseudo-random physical-register instruction covering every
+    /// unit, latency class and operand shape the metadata encodes.
+    fn random_inst(x: &mut u64) -> Inst {
+        let mut next = |n: u64| {
+            *x ^= *x << 13;
+            *x ^= *x >> 7;
+            *x ^= *x << 17;
+            (*x % n) as u16
+        };
+        let (g, f, p, b) = (next(128), next(128), next(64), next(8) as u8);
+        let (g2, f2, p2) = (next(128), next(128), next(64));
+        let op = match next(12) {
+            0 => Op::Add {
+                d: Gr(g),
+                a: Gr(g2),
+                b: Gr(next(128)),
+            },
+            1 => Op::Cmp {
+                rel: CmpRel::Ltu,
+                pt: Pr(p),
+                pf: Pr(p2),
+                a: Gr(g),
+                b: Gr(g2),
+            },
+            2 => Op::Ld {
+                sz: 4,
+                d: Gr(g),
+                addr: Gr(g2),
+                spec: false,
+            },
+            3 => Op::Stf {
+                fmt: FFmt::D,
+                f: Fr(f),
+                addr: Gr(g),
+            },
+            4 => Op::Fma {
+                d: Fr(f),
+                a: Fr(f2),
+                b: Fr(next(128)),
+                c: Fr(next(128)),
+            },
+            5 => Op::Frcpa {
+                d: Fr(f),
+                p: Pr(p),
+                a: Fr(f2),
+                b: Fr(next(128)),
+            },
+            6 => Op::Getf {
+                kind: FXfer::Sig,
+                d: Gr(g),
+                f: Fr(f),
+            },
+            7 => Op::MovToBr { b: Br(b), r: Gr(g) },
+            8 => Op::Br {
+                target: Target::Reg(Br(b)),
+            },
+            9 => Op::BrCall {
+                b_save: Br(b),
+                target: Target::Abs(0x4000),
+            },
+            10 => Op::Movl {
+                d: Gr(g),
+                imm: g2 as u64,
+            },
+            _ => Op::Nop { unit: Unit::F },
+        };
+        Inst::pred(Pr(next(64)), op)
+    }
+
+    fn random_bundles(x: &mut u64, n: usize) -> Vec<Bundle> {
+        (0..n)
+            .map(|_| Bundle {
+                slots: [random_inst(x), random_inst(x), random_inst(x)],
+                ..Bundle::nops()
+            })
+            .collect()
+    }
+
+    #[test]
+    fn cached_metadata_survives_every_arena_mutation() {
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        let mut arena = CodeArena::new(BASE);
+        // Live extents as (start address, bundle count).
+        let mut live: Vec<(u64, usize)> = Vec::new();
+        for step in 0..600 {
+            let n = 1 + (step * 7 + 3) % 9;
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            match x % 16 {
+                0..=4 => {
+                    let code = random_bundles(&mut x, n);
+                    live.push((arena.append(code, step as u32), n));
+                }
+                5..=7 => {
+                    if let Some(addr) = arena.alloc(n) {
+                        let code = random_bundles(&mut x, n);
+                        live.push((arena.place(addr, code, step as u32), n));
+                    }
+                }
+                8..=10 if !live.is_empty() => {
+                    let (start, n) = live.swap_remove(x as usize % live.len());
+                    arena.release(start, start + n as u64 * Bundle::SIZE);
+                }
+                11..=14 if !live.is_empty() => {
+                    let (start, n) = live[x as usize % live.len()];
+                    let addr = start + (x >> 8) % n as u64 * Bundle::SIZE;
+                    let slot = (x >> 20) as usize % 3;
+                    arena.patch_slot(addr, slot, random_inst(&mut x).op);
+                }
+                15 if arena.len() > 4 => {
+                    // Cuts the last quarter at most, so code accumulates.
+                    let keep = arena.len() as u64 - (x >> 8) % (arena.len() as u64 / 4);
+                    let cut = arena.base() + keep * Bundle::SIZE;
+                    arena.truncate(cut);
+                    live.retain(|&(start, n)| start + n as u64 * Bundle::SIZE <= cut);
+                }
+                _ => {}
+            }
+            assert_meta_coherent(&arena);
+        }
+        assert!(arena.len() > 100, "the walk must leave real code behind");
+        assert!(arena.metas.metas.len() > 100);
+    }
+
+    #[test]
+    fn full_intern_table_falls_back_to_derivation() {
+        // More distinct metadata values than ids: the overflow slots
+        // carry the sentinel and still read back exactly.
+        let distinct = META_UNINTERNED as usize + 3000;
+        let code: Vec<Bundle> = (0..distinct.div_ceil(3))
+            .map(|k| {
+                let slot = |j: usize| {
+                    let v = k * 3 + j;
+                    Inst::new(Op::Add {
+                        d: Gr((v & 127) as u16),
+                        a: Gr((v >> 7 & 127) as u16),
+                        b: Gr((v >> 14 & 127) as u16),
+                    })
+                };
+                Bundle {
+                    slots: [slot(0), slot(1), slot(2)],
+                    ..Bundle::nops()
+                }
+            })
+            .collect();
+        let mut arena = CodeArena::new(BASE);
+        arena.append(code, 0);
+        assert_eq!(arena.metas.metas.len(), META_UNINTERNED as usize);
+        let last = arena.tags[arena.len() - 1];
+        assert!(last.meta.contains(&META_UNINTERNED));
+        assert_meta_coherent(&arena);
+    }
+
+    #[test]
+    fn region_cycles_are_complete_when_run_returns() {
+        // Two regions, alternating through a loop: whatever the lazy
+        // accumulation holds back must be in the map after every `run`,
+        // including runs cut short by the instruction limit.
+        let mut cb = CodeBuilder::new();
+        for _ in 0..4 {
+            cb.push(Op::AddImm {
+                d: Gr(32),
+                imm: 1,
+                a: Gr(32),
+            });
+            cb.stop();
+        }
+        let (b0, _) = cb.assemble(BASE);
+        let second = BASE + b0.len() as u64 * Bundle::SIZE;
+        let mut cb = CodeBuilder::new();
+        cb.push(Op::AddImm {
+            d: Gr(33),
+            imm: 1,
+            a: Gr(33),
+        });
+        cb.stop();
+        cb.push(Op::Br {
+            target: Target::Abs(BASE),
+        });
+        let (b1, _) = cb.assemble(second);
+        let mut arena = CodeArena::new(BASE);
+        arena.append(b0, 5);
+        arena.append(b1, 9);
+        let mut m = Machine::new(arena, Timing::default());
+        m.set_ip(BASE, 0);
+        let mut bus = VecBus::new(16);
+        for limit in [1, 2, 7, 50, 333] {
+            assert_eq!(m.run(&mut bus, limit), StopReason::InstLimit);
+            assert_eq!(m.region_cycles.values().sum::<u64>(), m.cycles);
+        }
+        m.charge(2, 10);
+        assert_eq!(m.region_cycles.values().sum::<u64>(), m.cycles);
+        assert!(m.region_cycles[&5] > 0 && m.region_cycles[&9] > 0);
+        assert_eq!(m.region_cycles[&2], 10);
     }
 
     #[test]
