@@ -8,26 +8,34 @@
 //! compares machine cycles, slot count, per-region cycles, the native
 //! baseline's cycles and the full `Stats` debug rendering against
 //! `tests/golden/sim_golden.txt`, which was generated on the commit
-//! *before* the change under test.
+//! *before* the change under test. The same 15 kernels then run under
+//! the seeded fault storm (`FaultPlan::storm`, seeds 11/22/33) with the
+//! chaos configuration `bench` uses, so the recovery ladder's numbers
+//! are pinned across commits too, not merely compared with themselves.
 //!
 //! A deliberate cycle-model or translator change regenerates the file:
 //! on mismatch the test writes what it measured next to the test
 //! binary's scratch directory and names the path in its panic message;
 //! copy that over the golden file and say why in the commit.
 
+use btgeneric::chaos::FaultPlan;
 use btgeneric::engine::{Config, Outcome};
-use btlib::{Process, SimOs};
+use btlib::{Process, SimOs, SimOsFaults};
 use std::fmt::Write as _;
 use workloads::harness::{build_image, run_native};
 
 const GOLDEN: &str = include_str!("golden/sim_golden.txt");
 
-fn measure() -> String {
+fn kernels() -> Vec<workloads::Workload> {
     let mut kernels = workloads::spec_int();
     kernels.extend(workloads::indirect_kernels());
     assert_eq!(kernels.len(), 15, "the suite covers all 15 kernels");
+    kernels
+}
+
+fn measure() -> String {
     let mut out = String::new();
-    for w in &kernels {
+    for w in &kernels() {
         let scale = (w.scale / 8).max(2048);
         let img = build_image(w, scale);
         let mut p = Process::launch_with(&img, SimOs::new(), Config::default()).expect("launch");
@@ -55,7 +63,49 @@ fn measure() -> String {
         writeln!(out, "regions={regions:?}").unwrap();
         writeln!(out, "stats={:?}", p.engine.stats).unwrap();
     }
+    measure_chaos(&mut out);
     out
+}
+
+/// The 15 kernels x 3 storm seeds: hot promotion on a short fuse,
+/// integrity checking armed, the hot optimizer under its watchdog —
+/// `bench`'s chaos configuration, at its chaos-suite scale.
+fn measure_chaos(out: &mut String) {
+    let cfg = Config {
+        heat_threshold: 64,
+        hot_candidates: 1,
+        verify_on_dispatch: true,
+        hot_session_budget: 400_000,
+        ..Config::default()
+    };
+    for w in &kernels() {
+        let scale = (w.scale / 400).max(512);
+        let img = build_image(w, scale);
+        for seed in [11u64, 22, 33] {
+            let plan = FaultPlan::storm(seed);
+            let os = SimOs::with_faults(SimOsFaults {
+                fail_allocs: plan.os_alloc_failures,
+                fail_syscalls: 0,
+            });
+            let mut p = Process::launch_with(&img, os, cfg.clone()).expect("launch");
+            p.engine.chaos = Some(plan);
+            match p.run(u64::MAX / 2) {
+                Outcome::Halted(_) => {}
+                other => panic!("{} seed {seed}: storm run did not halt: {other:?}", w.name),
+            }
+            let m = &p.engine.machine;
+            let result = p.engine.mem.read(workloads::RESULT as u64, 8).unwrap_or(0);
+            let injected = p.engine.chaos.as_ref().expect("plan stays attached").injected;
+            writeln!(out, "== chaos {} seed={seed} scale={scale}", w.name).unwrap();
+            writeln!(
+                out,
+                "cycles={} insts={} result={result:#x} injected={injected:?}",
+                m.cycles, m.inst_count
+            )
+            .unwrap();
+            writeln!(out, "stats={:?}", p.engine.stats).unwrap();
+        }
+    }
 }
 
 #[test]
