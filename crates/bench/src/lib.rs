@@ -444,9 +444,9 @@ pub fn chaos_run(w: &Workload, scale: u32, seed: u64) -> ChaosRun {
     chaos_run_cfg(w, scale, seed, chaos_cfg())
 }
 
-/// [`chaos_run`] under an explicit engine configuration — the hot-IR
-/// determinism suite runs the same storm with `enable_hot_ir` on and
-/// off and demands byte-identical statistics per configuration.
+/// [`chaos_run`] under an explicit engine configuration — the
+/// determinism suites run the same storm twice and demand byte-identical
+/// statistics per configuration.
 pub fn chaos_run_cfg(w: &Workload, scale: u32, seed: u64, cfg: Config) -> ChaosRun {
     chaos_run_plan(w, scale, FaultPlan::storm(seed), cfg)
 }
@@ -592,16 +592,6 @@ impl HostileRun {
     }
 }
 
-/// The hostile-guest configuration: the chaos config with the typed-IR
-/// hot pipeline on, so mid-trace delivery exercises the IR recovery
-/// maps.
-fn hostile_cfg() -> Config {
-    Config {
-        enable_hot_ir: true,
-        ..chaos_cfg()
-    }
-}
-
 /// One engine run of the hostile storm: returns (survived, result,
 /// cycles, stats, sigreturns, sig_deferrals).
 fn hostile_once(w: &Workload, scale: u32, seed: u64) -> (bool, u64, u64, Stats, u64, u64) {
@@ -615,7 +605,7 @@ fn hostile_once(w: &Workload, scale: u32, seed: u64) -> (bool, u64, u64, Stats, 
         fail_syscalls: 0,
     })
     .with_signals(signals);
-    let mut p = Process::launch_with(&img, os, hostile_cfg()).expect("launch");
+    let mut p = Process::launch_with(&img, os, chaos_cfg()).expect("launch");
     p.engine.chaos = Some(plan);
     let survived = matches!(p.run(u64::MAX / 2), Outcome::Halted(_));
     let result = p.engine.mem.read(RESULT as u64, 8).unwrap_or(0);
@@ -632,7 +622,7 @@ fn hostile_once(w: &Workload, scale: u32, seed: u64) -> (bool, u64, u64, Stats, 
 /// Runs one hostile trial (twice, for the determinism check).
 pub fn hostile_run(w: &Workload, scale: u32, seed: u64) -> HostileRun {
     let oracle = run_sim_oracle(w, scale);
-    let (_, clean) = run_el_keep(w, scale, hostile_cfg());
+    let (_, clean) = run_el_keep(w, scale, chaos_cfg());
     let clean_cycles = clean.engine.machine.cycles.max(1);
     let a = hostile_once(w, scale, seed);
     let b = hostile_once(w, scale, seed);
@@ -1651,12 +1641,11 @@ impl Templates {
 
 /// Engine configuration for the superinstruction experiment: a short
 /// hot fuse (mining runs at the first hot session, so the table must
-/// exist early enough to matter) with the typed-IR hot pipeline on.
+/// exist early enough to matter).
 fn templates_cfg(superinst: bool) -> Config {
     Config {
         heat_threshold: 64,
         hot_candidates: 2,
-        enable_hot_ir: true,
         enable_superinst: superinst,
         ..Config::default()
     }
@@ -1902,18 +1891,15 @@ mod tests {
     /// `chaos::indirect_accel_chaos_is_deterministic_and_oracle_correct`
     /// at workload scale): every kernel — the twelve Figure-5 INT
     /// kernels plus the three call-heavy indirect kernels — under a
-    /// seeded fault storm with `enable_hot_ir` on must halt with the
-    /// hardware-model result, and two runs of the same (kernel, seed)
-    /// pair must produce byte-identical statistics and cycle counts.
+    /// seeded fault storm must halt with the hardware-model result, and
+    /// two runs of the same (kernel, seed) pair must produce
+    /// byte-identical statistics and cycle counts.
     #[test]
     fn hot_ir_chaos_is_deterministic_and_oracle_correct() {
         let mut kernels = workloads::spec_int();
         kernels.extend(workloads::indirect_kernels());
         assert_eq!(kernels.len(), 15, "the suite covers all 15 kernels");
-        let cfg = Config {
-            enable_hot_ir: true,
-            ..chaos_cfg()
-        };
+        let cfg = chaos_cfg();
         let mut ir_traces = 0u64;
         for w in &kernels {
             let scale = (w.scale / 400).max(512);
@@ -1960,7 +1946,6 @@ mod tests {
         kernels.extend(workloads::indirect_kernels());
         assert_eq!(kernels.len(), 15, "the suite covers all 15 kernels");
         let cfg = Config {
-            enable_hot_ir: true,
             enable_superinst: true,
             ..chaos_cfg()
         };
@@ -2010,7 +1995,6 @@ mod tests {
     #[test]
     fn template_synth_chaos_is_caught_by_validation_gate() {
         let cfg = Config {
-            enable_hot_ir: true,
             enable_superinst: true,
             ..chaos_cfg()
         };

@@ -101,14 +101,6 @@ pub struct Config {
     /// shared direct-mapped table exactly (the before/after baseline
     /// for `figures indirect`).
     pub enable_indirect_accel: bool,
-    /// Hot-phase typed-IR pipeline: traces are lowered to the explicit
-    /// IR (`hot/ir.rs`) and run through const/copy propagation,
-    /// cross-block EFlags elimination, liveness, and constraint-driven
-    /// register allocation. Also lets traces end *through* an
-    /// unpredictable indirect terminator with inline dispatch instead
-    /// of failing promotion. Off = the original template-stitching
-    /// path (the degradation ladder's demote rung).
-    pub enable_hot_ir: bool,
     /// Inline-cache hit count at which a site is considered stable
     /// enough for hot-trace devirtualization.
     pub devirt_threshold: u64,
@@ -214,7 +206,6 @@ impl Default for Config {
             integrity_check_cycles: 35,
             hot_session_budget: 0,
             enable_indirect_accel: true,
-            enable_hot_ir: true,
             devirt_threshold: 16,
             megamorphic_demote_uses: 32,
             shadow_demote_misses: 8,
@@ -3944,6 +3935,148 @@ mod tests {
         assert!(
             engine.stats.superinst_hits > 0,
             "the installed idiom never fused — the test exercised nothing"
+        );
+    }
+
+    /// The hot phase's only failure mode is "the block stays cold".
+    /// Fourteen independent `frcpa` division chains (seven `divss`,
+    /// seven `fdiv`) keep more Newton-Raphson temporaries live than the
+    /// floating pool holds, and floating registers have no spill path,
+    /// so `regalloc::allocate` refuses the trace. A refused promotion
+    /// must leave the cache exactly as it found it, the loop must keep
+    /// running its cold code to the interpreter's result, and nothing
+    /// may retry beyond the cold code's own heat re-registrations.
+    #[test]
+    fn unallocatable_trace_stays_cold_and_matches_the_interpreter() {
+        use ia32::flags::Cond;
+        use ia32::inst::{Addr, FpArithForm, FpArithOp, FpOperand, Inst, Rm, SseOp, XmmM};
+        use ia32::regs::{Xmm, EAX, ECX};
+
+        const DATA: u32 = 0x50_0000;
+        const ITERS: u64 = 40;
+        const THRESHOLD: u64 = 8;
+        let mut a = ia32::asm::Asm::new(0x40_0000);
+        // xmm_k = k + 2 (xmm7 = 9 divides the rest); ST(0) = 3 over
+        // seven 1.0s.
+        for k in 0..8u8 {
+            a.mov_ri(EAX, k as i32 + 2);
+            a.inst(Inst::Cvtsi2ss {
+                dst: Xmm::new(k),
+                src: Rm::Reg(EAX),
+            });
+            a.inst(Inst::Fld1);
+        }
+        a.mov_mi(Addr::abs(DATA), 3);
+        a.inst(Inst::Fst {
+            dst: FpOperand::St(0),
+            pop: true,
+        });
+        a.inst(Inst::Fild {
+            src: Addr::abs(DATA),
+        });
+        a.mov_ri(ECX, ITERS as i32);
+        let top = a.label();
+        a.bind(top);
+        let loop_eip = a.here();
+        for k in 0..7u8 {
+            a.inst(Inst::SseArith {
+                op: SseOp::Div,
+                scalar: true,
+                dst: Xmm::new(k),
+                src: XmmM::Reg(Xmm::new(7)),
+            });
+        }
+        for i in 1..8u8 {
+            a.inst(Inst::Farith {
+                op: FpArithOp::Div,
+                form: FpArithForm::StiSt0 { i, pop: false },
+            });
+        }
+        a.dec(ECX);
+        a.jcc(Cond::Ne, top);
+        for k in 0..7u8 {
+            a.inst(Inst::Movss {
+                xmm: Xmm::new(k),
+                rm: XmmM::Mem(Addr::abs(DATA + 4 * k as u32)),
+                to_xmm: false,
+            });
+        }
+        for i in 0..8u32 {
+            a.inst(Inst::Fst {
+                dst: FpOperand::M64(Addr::abs(DATA + 32 + 8 * i)),
+                pop: true,
+            });
+        }
+        a.hlt();
+        let image = ia32::asm::Image::from_asm(&a).with_bss(DATA, 0x1000);
+
+        // The oracle: the reference interpreter on its own memory.
+        let mut omem = ia32::mem::GuestMem::new();
+        let mut interp = Interp::new();
+        interp.cpu = image.load(&mut omem);
+        while interp.step(&mut omem).expect("oracle traps nowhere") != Event::Halt {}
+
+        let mut mem = ia32::mem::GuestMem::new();
+        let cpu = image.load(&mut mem);
+        let cfg = Config {
+            heat_threshold: THRESHOLD,
+            hot_candidates: 1,
+            ..Config::default()
+        };
+        let mut engine = Engine::new(mem, cfg);
+        let mut os = NullOs;
+        // Stop mid-loop, after the cold code has heated at least once.
+        assert_eq!(engine.run(&mut os, cpu, 6_000), Outcome::InstLimit);
+        assert!(engine.stats.heat_events > 0, "the loop never heated");
+        let id = engine.cache.by_eip[&loop_eip];
+
+        let snapshot = |e: &Engine| {
+            let b = &e.cache.blocks[id as usize];
+            let table: Vec<u64> = (layout::LOOKUP_BASE..layout::SHADOW_BASE)
+                .step_by(8)
+                .map(|addr| e.mem.read(addr, 8).unwrap())
+                .collect();
+            (
+                (b.kind, b.entry, b.range, b.extents.clone(), b.hot.is_some()),
+                (e.cache.blocks.len(), e.cache.by_eip.clone()),
+                (
+                    e.cache.links_into.clone(),
+                    e.cache.candidates.clone(),
+                    table,
+                ),
+                (e.machine.arena.end(), e.machine.cycles, e.stats.clone()),
+            )
+        };
+        let before = snapshot(&engine);
+        assert!(
+            !crate::hot::promote(&mut engine, id),
+            "a trace over the floating pool must be refused"
+        );
+        assert!(
+            before == snapshot(&engine),
+            "a refused promotion changed the cache"
+        );
+
+        match engine.resume(&mut os, u64::MAX / 2) {
+            Outcome::Halted(c) => {
+                assert_eq!(c.gpr, interp.cpu.gpr);
+            }
+            other => panic!("expected halt, got {other:?}"),
+        }
+        for off in (0..96).step_by(4) {
+            let addr = (DATA + off) as u64;
+            assert_eq!(
+                engine.mem.read(addr, 4).unwrap(),
+                omem.read(addr, 4).unwrap(),
+                "result word at +{off} differs from the interpreter's"
+            );
+        }
+        assert_eq!(engine.stats.hot_traces, 0);
+        assert!(engine.cache.blocks.iter().all(|b| b.kind != BlockKind::Hot));
+        assert!(
+            engine.stats.heat_events <= ITERS / THRESHOLD,
+            "promotion churn: {} heat events",
+            engine.stats.heat_events
         );
     }
 }

@@ -10,7 +10,6 @@
 //! traces ending *through* an indirect terminator) without pattern
 //! matching on template shapes.
 
-use super::trace::HotIl;
 use crate::layout::StubKind;
 use crate::state::{self, GR_EFLAGS, GR_GUEST, GR_STATE};
 use crate::templates::{IlItem, Sink};
@@ -114,13 +113,13 @@ pub(super) struct IrInst {
 }
 
 impl IrInst {
-    /// Drops the effect annotation (for passes shared with the
-    /// template path, which operate on [`HotIl`]).
-    pub fn into_hotil(self) -> HotIl {
-        HotIl {
-            inst: self.inst,
-            ia32_ip: self.ia32_ip,
-            rec: self.rec,
+    /// Lifts one micro-op into the IR, computing its effects.
+    pub fn new(inst: ipf::Inst, ia32_ip: u32) -> IrInst {
+        IrInst {
+            inst,
+            ia32_ip,
+            rec: None,
+            fx: Effects::of(&inst),
         }
     }
 }
@@ -153,75 +152,44 @@ pub(super) fn is_state_phys(r: Reg) -> bool {
     }
 }
 
-/// Collects a trace body's sink items into the flat IL list both
-/// compilation paths start from: rejects shapes the trace compiler
-/// cannot handle (in-body label binds, branches to unknown labels) and
-/// injects the IA-32 state register before fault-raising stub branches.
-pub(super) fn collect(body: &Sink, exit_labels: &HashSet<u32>) -> Option<Vec<HotIl>> {
-    let mut ils: Vec<HotIl> = Vec::new();
-    for item in &body.items {
-        match item {
-            IlItem::Bind(_) => return None,
-            IlItem::Inst(e) => {
-                if let Some(Target::Label(l)) = e.inst.op.target() {
-                    if !exit_labels.contains(&l) {
-                        return None;
-                    }
-                }
-                ils.push(HotIl {
-                    inst: e.inst,
-                    ia32_ip: e.meta.ia32_ip,
-                    rec: None,
-                });
-            }
-        }
-    }
+/// Collects a trace body's sink items into the typed IR the hot
+/// compiler starts from: rejects shapes the trace compiler cannot
+/// handle (in-body label binds, branches to unknown labels) and injects
+/// the IA-32 state register before fault-raising stub branches.
+pub(super) fn collect(body: &Sink, exit_labels: &HashSet<u32>) -> Option<Vec<IrInst>> {
     // Fault-raising stub branches need the state register set.
     let fault_stubs = [
         StubKind::DivZero.addr(),
         StubKind::FpStackFault.addr(),
         StubKind::InterpStep.addr(),
     ];
-    let mut with_state: Vec<HotIl> = Vec::with_capacity(ils.len() + 4);
-    for il in ils {
-        if let Op::Br {
-            target: Target::Abs(t),
-        } = il.inst.op
-        {
-            if fault_stubs.contains(&t) {
-                with_state.push(HotIl {
-                    inst: ipf::Inst::pred(
-                        il.inst.qp,
-                        Op::Movl {
-                            d: GR_STATE,
-                            imm: il.ia32_ip as u64,
-                        },
-                    ),
-                    ia32_ip: il.ia32_ip,
-                    rec: None,
-                });
+    let mut irs: Vec<IrInst> = Vec::with_capacity(body.items.len() + 4);
+    for item in &body.items {
+        let IlItem::Inst(e) = item else {
+            return None;
+        };
+        let ip = e.meta.ia32_ip;
+        match e.inst.op {
+            Op::Br {
+                target: Target::Abs(t),
+            } if fault_stubs.contains(&t) => {
+                let set_state = Op::Movl {
+                    d: GR_STATE,
+                    imm: ip as u64,
+                };
+                irs.push(IrInst::new(ipf::Inst::pred(e.inst.qp, set_state), ip));
+            }
+            op => {
+                if let Some(Target::Label(l)) = op.target() {
+                    if !exit_labels.contains(&l) {
+                        return None;
+                    }
+                }
             }
         }
-        with_state.push(il);
+        irs.push(IrInst::new(e.inst, ip));
     }
-    Some(with_state)
-}
-
-/// Lifts flat ILs into the typed IR, computing each op's effects.
-pub(super) fn annotate(ils: &[HotIl]) -> Vec<IrInst> {
-    ils.iter()
-        .map(|il| IrInst {
-            inst: il.inst,
-            ia32_ip: il.ia32_ip,
-            rec: il.rec,
-            fx: Effects::of(&il.inst),
-        })
-        .collect()
-}
-
-/// Re-lifts ILs that came back from a shared (template-path) pass.
-pub(super) fn annotate_owned(ils: Vec<HotIl>) -> Vec<IrInst> {
-    annotate(&ils)
+    Some(irs)
 }
 
 #[cfg(test)]
@@ -306,10 +274,10 @@ mod tests {
         s.emit(Op::Br {
             target: Target::Abs(StubKind::DivZero.addr()),
         });
-        let ils = collect(&s, &HashSet::new()).unwrap();
-        assert_eq!(ils.len(), 2);
+        let irs = collect(&s, &HashSet::new()).unwrap();
+        assert_eq!(irs.len(), 2);
         assert!(matches!(
-            ils[0].inst.op,
+            irs[0].inst.op,
             Op::Movl {
                 d: GR_STATE,
                 imm: 0x40_1234

@@ -117,23 +117,13 @@ pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hot::ir;
-    use crate::hot::trace::HotIl;
     use crate::layout::StubKind;
     use crate::state::{guest_gpr, GR_EFLAGS};
     use ipf::inst::{Op, Target};
     use ipf::regs::{Gr, Pr, R0};
 
-    fn ils_to_ir(ops: Vec<ipf::Inst>) -> Vec<super::super::ir::IrInst> {
-        ir::annotate(
-            &ops.into_iter()
-                .map(|inst| HotIl {
-                    inst,
-                    ia32_ip: 0,
-                    rec: None,
-                })
-                .collect::<Vec<_>>(),
-        )
+    fn ils_to_ir(ops: Vec<ipf::Inst>) -> Vec<IrInst> {
+        ops.into_iter().map(|inst| IrInst::new(inst, 0)).collect()
     }
 
     #[test]

@@ -4,12 +4,12 @@
 //! with renaming and commit points, and recovery maps for precise
 //! exceptions.
 //!
-//! With `Config::enable_hot_ir` (the default) selected traces compile
-//! through a typed IR (`ir`) with explicit per-op effects, per-op
-//! liveness (`liveness`), constraint-driven register allocation with
-//! spilling (`regalloc`), and a backend scheduling pass over the
-//! allocated code; the original template-stitching pipeline remains as
-//! the off-state and in-promotion fallback.
+//! Selected traces compile through one pipeline: a typed IR (`ir`)
+//! with explicit per-op effects, the optimization passes (`opt`),
+//! per-op liveness (`liveness`), constraint-driven register allocation
+//! with spilling (`regalloc`), and a backend scheduling pass over the
+//! allocated code (`sched`). A trace the pipeline cannot compile is not
+//! installed — the block stays cold.
 
 mod commit;
 mod ir;

@@ -1,10 +1,13 @@
-//! Hot IL optimizations (paper §2 hot-phase list): local value
+//! Hot IR optimizations (paper §2 hot-phase list): local value
 //! numbering (covering compound-address CSE, register-value tracking,
-//! copy propagation, and redundant-load elimination) and dead-code
+//! copy propagation, and redundant-load elimination), constant/copy
+//! propagation, cross-block EFLAGS elimination, and dead-code
 //! elimination.
 
-use super::trace::HotIl;
-use ipf::inst::{Op, Reg, Target};
+use super::ir::{Effects, IrInst, MemEffect};
+use super::liveness;
+use crate::state::GR_EFLAGS;
+use ipf::inst::{Op, Reg};
 use ipf::regs::{Gr, P0};
 use std::collections::HashMap;
 
@@ -19,8 +22,9 @@ fn is_state_reg(r: Reg) -> bool {
 
 /// Local value numbering over the trace. Pure integer ops (and loads,
 /// versioned by the store count) with identical canonicalized operands
-/// are deduplicated; uses are rewritten through a substitution map.
-pub(super) fn lvn(ils: &mut Vec<HotIl>) {
+/// are deduplicated; uses are rewritten through a substitution map (so
+/// effects are recomputed afterwards).
+pub(super) fn lvn(ils: &mut Vec<IrInst>) {
     // Only virtuals with a single definition participate (deleting one
     // of several defs, or replacing uses with a later-redefined holder,
     // would be wrong).
@@ -152,6 +156,14 @@ pub(super) fn lvn(ils: &mut Vec<HotIl>) {
         idx += 1;
         k
     });
+    recompute_effects(ils);
+}
+
+/// Re-derives every op's [`Effects`] after a pass rewrote operands.
+fn recompute_effects(irs: &mut [IrInst]) {
+    for x in irs.iter_mut() {
+        x.fx = Effects::of(&x.inst);
+    }
 }
 
 /// Whether an op is a pure, deduplicable computation; returns its single
@@ -191,7 +203,7 @@ fn lvn_candidate(op: &Op) -> (bool, Option<Gr>) {
 
 /// Dead-code elimination: drops ops whose only effects are writes to
 /// virtual registers that nothing reads.
-pub(super) fn dce(ils: &mut Vec<HotIl>) {
+pub(super) fn dce(ils: &mut Vec<IrInst>) {
     let n = ils.len();
     let mut keep = vec![false; n];
     let mut live: std::collections::HashSet<(u8, u16)> = std::collections::HashSet::new();
@@ -249,8 +261,6 @@ pub(super) fn dce(ils: &mut Vec<HotIl>) {
         idx += 1;
         k
     });
-    // Labels in targets are unaffected.
-    let _ = Target::Abs(0);
 }
 
 fn reg_key(r: Reg) -> Option<(u8, u16)> {
@@ -260,30 +270,6 @@ fn reg_key(r: Reg) -> Option<(u8, u16)> {
         Reg::P(p) if p.is_virtual() => Some((2, p.0)),
         _ => None,
     }
-}
-
-// ---------------------------------------------------------------------------
-// Typed-IR passes (the `enable_hot_ir` pipeline).
-// ---------------------------------------------------------------------------
-
-use super::ir::{self, IrInst, MemEffect};
-use super::liveness;
-use crate::state::GR_EFLAGS;
-
-/// Runs local value numbering on typed IR (shared with the template
-/// path); effects are recomputed afterwards.
-pub(super) fn lvn_ir(irs: &mut Vec<IrInst>) {
-    let mut ils: Vec<HotIl> = irs.drain(..).map(IrInst::into_hotil).collect();
-    lvn(&mut ils);
-    *irs = ir::annotate_owned(ils);
-}
-
-/// Runs dead-code elimination on typed IR (shared with the template
-/// path); effects are recomputed afterwards.
-pub(super) fn dce_ir(irs: &mut Vec<IrInst>) {
-    let mut ils: Vec<HotIl> = irs.drain(..).map(IrInst::into_hotil).collect();
-    dce(&mut ils);
-    *irs = ir::annotate_owned(ils);
 }
 
 /// The `addl` long-immediate range templates use for `mov_imm`; folds
@@ -428,9 +414,7 @@ pub(super) fn propagate(irs: &mut [IrInst]) {
             }
         }
     }
-    for x in irs.iter_mut() {
-        x.fx = ir::Effects::of(&x.inst);
-    }
+    recompute_effects(irs);
 }
 
 /// Cross-block EFLAGS elimination: deletes lazy-flags materializations
@@ -587,12 +571,8 @@ mod tests {
     use crate::templates::Sink;
     use ipf::regs::R0;
 
-    fn il(inst: ipf::Inst) -> HotIl {
-        HotIl {
-            inst,
-            ia32_ip: 0,
-            rec: None,
-        }
+    fn il(inst: ipf::Inst) -> IrInst {
+        IrInst::new(inst, 0)
     }
 
     #[test]
@@ -783,7 +763,7 @@ mod tests {
         let mut s = Sink::new();
         let (v1, v2, v3) = (s.vg(), s.vg(), s.vg());
         let g = crate::state::guest_gpr(0);
-        let mut irs = ir::annotate(&[
+        let mut irs = vec![
             il(ipf::Inst::new(Op::Movl { d: v1, imm: 0x1000 })),
             il(ipf::Inst::new(Op::AddImm {
                 d: v2,
@@ -796,14 +776,14 @@ mod tests {
                 addr: v3,
                 val: g,
             })),
-        ]);
+        ];
         propagate(&mut irs);
         assert!(
             matches!(irs[2].inst.op, Op::AddImm { imm: 0x1008, a, .. } if a == g),
             "constant chain folded into the add: {:?}",
             irs[2].inst.op
         );
-        dce_ir(&mut irs);
+        dce(&mut irs);
         assert_eq!(irs.len(), 2, "dead constant producers cleaned up");
     }
 
@@ -812,7 +792,7 @@ mod tests {
         let mut s = Sink::new();
         let (v1, v2) = (s.vg(), s.vg());
         let g = crate::state::guest_gpr(0);
-        let mut irs = ir::annotate(&[
+        let mut irs = vec![
             il(ipf::Inst::new(Op::AddImm {
                 d: v1,
                 imm: 3,
@@ -828,7 +808,7 @@ mod tests {
                 addr: v2,
                 val: g,
             })),
-        ]);
+        ];
         propagate(&mut irs);
         assert!(
             matches!(irs[2].inst.op, Op::St { addr, .. } if addr == v1),
@@ -840,7 +820,7 @@ mod tests {
     fn eflags_elim_drops_overwritten_materializations() {
         use crate::state::GR_EFLAGS;
         let g = crate::state::guest_gpr(0);
-        let mut irs = ir::annotate(&[
+        let mut irs = vec![
             // Dead: overwritten before any observer.
             il(ipf::Inst::new(Op::AddImm {
                 d: GR_EFLAGS,
@@ -864,7 +844,7 @@ mod tests {
                 imm: 3,
                 a: R0,
             })),
-        ]);
+        ];
         eflags_elim(&mut irs);
         assert_eq!(irs.len(), 3, "only the unobserved write is deleted");
         assert!(
@@ -879,7 +859,7 @@ mod tests {
         let mut s = Sink::new();
         let v1 = s.vg();
         let g = crate::state::guest_gpr(0);
-        let mut irs = ir::annotate(&[
+        let mut irs = vec![
             // A lazy-flags RMW chain: compute a flag bit, merge it in.
             il(ipf::Inst::new(Op::AddImm {
                 d: v1,
@@ -899,9 +879,9 @@ mod tests {
                 imm: 0,
                 a: R0,
             })),
-        ]);
+        ];
         eflags_elim(&mut irs);
-        dce_ir(&mut irs);
+        dce(&mut irs);
         assert_eq!(irs.len(), 1, "merge deleted, then its input is dead");
         assert!(matches!(irs[0].inst.op, Op::AddImm { d, .. } if d == GR_EFLAGS));
     }

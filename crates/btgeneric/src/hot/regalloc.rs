@@ -8,8 +8,7 @@
 //! active value with the farthest next reference to a small
 //! always-mapped slot area ([`crate::layout::SPILL_BASE`]); floating
 //! and predicate registers have no spill path, so exhausting those
-//! pools fails the allocation and the trace falls back to the template
-//! pipeline (and ultimately stays cold).
+//! pools fails the allocation and the trace stays cold.
 
 use super::ir::IrInst;
 use super::liveness::{self, virt_key, Liveness, VirtKey};
@@ -268,22 +267,12 @@ pub(super) fn allocate(ir: &[IrInst]) -> Option<Vec<AllocInst>> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::hot::ir;
-    use crate::hot::trace::HotIl;
     use crate::state::{guest_gpr, GR_POOL, GR_SCRATCH, NUM_POOL};
     use ipf::regs::R0;
     use std::collections::HashMap;
 
     fn lift(ops: Vec<ipf::Inst>) -> Vec<IrInst> {
-        ir::annotate(
-            &ops.into_iter()
-                .map(|inst| HotIl {
-                    inst,
-                    ia32_ip: 0,
-                    rec: None,
-                })
-                .collect::<Vec<_>>(),
-        )
+        ops.into_iter().map(|inst| IrInst::new(inst, 0)).collect()
     }
 
     /// Evaluates an allocated instruction stream over a register file

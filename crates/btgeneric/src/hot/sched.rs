@@ -1,8 +1,8 @@
 //! The hot-code scheduler (paper §2: "builds a data-dependency graph
 //! ... the scheduler reorders the instructions in the hot block. ILs
 //! are ordered and bundled according to architectural and
-//! microarchitectural limitations"), plus the post-scheduling register
-//! allocator for the renaming pool.
+//! microarchitectural limitations"): list scheduling over the still
+//! virtual IR, then stop-bit insertion over the allocated code.
 //!
 //! Commit-point discipline (§4): faulty micro-ops and branches act as
 //! barriers for architectural-state writes — state defined before a
@@ -10,10 +10,8 @@
 //! recovery maps stay valid under arbitrary reordering of the pure
 //! computation in between.
 
-use super::trace::HotIl;
-use crate::state;
 use ipf::inst::{LatClass, Op, Reg, Unit};
-use ipf::regs::{Fr, Gr, Pr, P0};
+use ipf::regs::P0;
 use std::collections::HashMap;
 
 fn reg_slot(r: Reg) -> (u8, u16) {
@@ -45,20 +43,16 @@ fn height_latency(op: &Op) -> u32 {
     }
 }
 
-/// Computes a schedule: a permutation of IL indices respecting
-/// dependences, with priorities by critical-path height.
-pub(super) fn schedule(ils: &[HotIl]) -> Vec<usize> {
-    let insts: Vec<ipf::Inst> = ils.iter().map(|il| il.inst).collect();
-    build_order(&insts, &is_arch_state_def)
-}
-
-/// The dependence-graph construction and list scheduling shared by the
-/// virtual-IL frontend ([`schedule`]) and the allocated-IR backend
-/// ([`schedule_allocated`]). `is_state` classifies which register defs
-/// the commit-barrier discipline pins: before allocation every
-/// non-virtual register is architectural state, afterwards the renaming
-/// pools are physical but still exempt.
-fn build_order(insts: &[ipf::Inst], is_state: &dyn Fn(Reg) -> bool) -> Vec<usize> {
+/// Pre-allocation scheduling: builds the dependence graph over the
+/// still-virtual code and returns a permutation of op indices
+/// respecting it, prioritized by critical-path height. Reordering
+/// happens here, where renaming has not yet introduced false WAR/WAW
+/// dependences between unrelated computations that happen to share a
+/// pool register — the allocator then assigns registers in this order,
+/// and [`schedule_allocated`] only has spill traffic left to place.
+/// Before allocation every non-virtual register def is architectural
+/// state, which the commit-barrier discipline pins.
+pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
     let n = insts.len();
     let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
     let mut npreds: Vec<u32> = vec![0; n];
@@ -145,7 +139,7 @@ fn build_order(insts: &[ipf::Inst], is_state: &dyn Fn(Reg) -> bool) -> Vec<usize
             last_barrier = Some(i);
             state_writes_since.clear();
         }
-        let writes_state = op.defs().iter().any(|r| is_state(*r));
+        let writes_state = op.defs().iter().any(|r| is_arch_state_def(*r));
         if writes_state {
             if let Some(b) = last_barrier {
                 edge(b, i, &mut succs, &mut npreds);
@@ -182,7 +176,6 @@ fn build_order(insts: &[ipf::Inst], is_state: &dyn Fn(Reg) -> bool) -> Vec<usize
     while order.len() < n {
         // Pick ops for this cycle.
         let (mut m, mut iu, mut f, mut b, mut total) = (0u32, 0u32, 0u32, 0u32, 0u32);
-        let mut picked_any = false;
         loop {
             // Highest-height eligible op whose earliest cycle has come.
             let mut best: Option<(usize, usize)> = None; // (ready idx, il idx)
@@ -212,7 +205,6 @@ fn build_order(insts: &[ipf::Inst], is_state: &dyn Fn(Reg) -> bool) -> Vec<usize
             ready.swap_remove(ri);
             order.push(i);
             cycle_of[i] = cycle;
-            picked_any = true;
             match insts[i].op.unit() {
                 Unit::M => m += 1,
                 Unit::I | Unit::L => iu += 1,
@@ -240,7 +232,6 @@ fn build_order(insts: &[ipf::Inst], is_state: &dyn Fn(Reg) -> bool) -> Vec<usize
                 break;
             }
         }
-        let _ = picked_any;
         cycle += 1;
     }
 
@@ -250,179 +241,7 @@ fn build_order(insts: &[ipf::Inst], is_state: &dyn Fn(Reg) -> bool) -> Vec<usize
     order
 }
 
-/// Allocates virtual registers of the scheduled ILs onto the hot pools,
-/// returning the final instructions with stop bits at cycle boundaries.
-/// Returns `None` when a pool is exhausted (the trace stays cold).
-pub(super) fn allocate(ils: &[HotIl], order: &[usize]) -> Option<Vec<(ipf::Inst, bool)>> {
-    // Last use position per virtual, in scheduled order.
-    let mut last_ref: HashMap<(u8, u16), usize> = HashMap::new();
-    for (pos, &i) in order.iter().enumerate() {
-        let il = &ils[i];
-        let mut note = |r: Reg| {
-            let (c, n) = reg_slot(r);
-            let virt = match r {
-                Reg::G(g) => g.is_virtual(),
-                Reg::F(f) => f.is_virtual(),
-                Reg::P(p) => p.is_virtual(),
-                Reg::B(_) => false,
-            };
-            if virt {
-                last_ref.insert((c, n), pos);
-            }
-        };
-        if il.inst.qp.is_virtual() {
-            note(Reg::P(il.inst.qp));
-        }
-        il.inst.op.visit_regs(&mut |r, _| note(r));
-    }
-
-    // Pools: scratch + renaming banks; f63 is reserved for exit blocks.
-    // FIFO pools: recently-freed registers are reused last, which
-    // avoids false WAW dependences between unrelated computations.
-    let mut gr_free: Vec<u16> = (state::GR_SCRATCH..state::GR_POOL + state::NUM_POOL).collect();
-    let mut fr_free: Vec<u16> =
-        (state::FR_SCRATCH..state::FR_SCRATCH + state::NUM_FR_SCRATCH - 1).collect();
-    let mut pr_free: Vec<u16> = (state::PR_POOL..state::PR_POOL + state::NUM_PR_POOL).collect();
-    let mut map: HashMap<(u8, u16), u16> = HashMap::new();
-
-    // Recompute cycle boundaries by replaying the schedule function's
-    // grouping: a stop is needed between dependent instructions; we put
-    // one wherever the scheduler advanced the cycle, which it encoded in
-    // the order (we re-derive by checking dependences greedily).
-    // Simpler and always-correct: insert a stop when the next
-    // instruction reads or writes a register defined since the last
-    // stop (same rule as the cold backend).
-    let mut out: Vec<(ipf::Inst, bool)> = Vec::with_capacity(order.len());
-    let mut group_defs: Vec<(u8, u16)> = Vec::new();
-    for (pos, &i) in order.iter().enumerate() {
-        let mut inst = ils[i].inst;
-        let mut failed = false;
-        if inst.qp.is_virtual() {
-            let k = (2u8, inst.qp.0);
-            let p = match map.get(&k) {
-                Some(&p) => p,
-                None => {
-                    if pr_free.is_empty() {
-                        return None;
-                    }
-                    let p = pr_free.remove(0);
-                    map.insert(k, p);
-                    p
-                }
-            };
-            inst.qp = Pr(p);
-        }
-        inst.op.map_regs(&mut |r, _| {
-            let (c, n) = reg_slot(r);
-            let virt = match r {
-                Reg::G(g) => g.is_virtual(),
-                Reg::F(f) => f.is_virtual(),
-                Reg::P(p) => p.is_virtual(),
-                Reg::B(_) => false,
-            };
-            if !virt {
-                return r;
-            }
-            let k = (c, n);
-            let p = match map.get(&k) {
-                Some(&p) => p,
-                None => {
-                    let pool = match c {
-                        0 => &mut gr_free,
-                        1 => &mut fr_free,
-                        _ => &mut pr_free,
-                    };
-                    if pool.is_empty() {
-                        failed = true;
-                        0
-                    } else {
-                        let p = pool.remove(0);
-                        map.insert(k, p);
-                        p
-                    }
-                }
-            };
-            match r {
-                Reg::G(_) => Reg::G(Gr(p)),
-                Reg::F(_) => Reg::F(Fr(p)),
-                Reg::P(_) => Reg::P(Pr(p)),
-                Reg::B(b) => Reg::B(b),
-            }
-        });
-        if failed {
-            return None;
-        }
-        // Stop-bit insertion (dependence-driven, on physical numbers).
-        let mut conflict = false;
-        let mut regs: Vec<(u8, u16)> = Vec::new();
-        inst.op.visit_regs(&mut |r, _| regs.push(reg_slot(r)));
-        regs.push(reg_slot(Reg::P(inst.qp)));
-        for k in &regs {
-            if group_defs.contains(k) {
-                conflict = true;
-            }
-        }
-        if conflict {
-            if let Some(prev) = out.last_mut() {
-                prev.1 = true;
-            }
-            group_defs.clear();
-        }
-        inst.op.visit_regs(&mut |r, is_def| {
-            if is_def {
-                group_defs.push(reg_slot(r));
-            }
-        });
-        let is_branch = inst.op.is_branch();
-        out.push((inst, false));
-        if is_branch {
-            out.last_mut().expect("pushed").1 = true;
-            group_defs.clear();
-        }
-        // Release virtuals whose last (scheduled) reference this was.
-        let original = &ils[i].inst;
-        let mut release = |r: Reg| {
-            let (c, n) = reg_slot(r);
-            let virt = match r {
-                Reg::G(g) => g.is_virtual(),
-                Reg::F(f) => f.is_virtual(),
-                Reg::P(p) => p.is_virtual(),
-                Reg::B(_) => false,
-            };
-            if virt && last_ref.get(&(c, n)) == Some(&pos) {
-                if let Some(p) = map.remove(&(c, n)) {
-                    match c {
-                        0 => gr_free.push(p),
-                        1 => fr_free.push(p),
-                        _ => pr_free.push(p),
-                    }
-                }
-            }
-        };
-        if original.qp.is_virtual() {
-            release(Reg::P(original.qp));
-        }
-        original.op.visit_regs(&mut |r, _| release(r));
-    }
-    // Terminate the final group.
-    if let Some(last) = out.last_mut() {
-        last.1 = true;
-    }
-    Some(out)
-}
-
-/// Pre-allocation scheduling for the typed-IR pipeline: the same
-/// dependence graph and list scheduling as the template frontend, run
-/// over still-virtual code. Reordering happens here, where renaming
-/// has not yet introduced false WAR/WAW dependences between unrelated
-/// computations that happen to share a pool register — the allocator
-/// then assigns registers in this order, and the backend pass below
-/// only has spill traffic left to place.
-pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
-    build_order(insts, &is_arch_state_def)
-}
-
-/// Backend pass for the typed-IR pipeline: inserts stop bits over
+/// Backend pass: inserts stop bits over
 /// fully allocated IR (physical registers, spill traffic included).
 /// The instruction order is kept exactly as the allocator produced it
 /// — reordering already happened in [`schedule_ir`], before renaming;
@@ -496,15 +315,7 @@ pub(super) fn static_cost(code: &[(ipf::Inst, bool, Option<usize>)]) -> u64 {
 mod tests {
     use super::*;
     use crate::templates::Sink;
-    use ipf::regs::R0;
-
-    fn il(inst: ipf::Inst) -> HotIl {
-        HotIl {
-            inst,
-            ia32_ip: 0,
-            rec: None,
-        }
-    }
+    use ipf::regs::{Fr, Gr, Pr, R0};
 
     #[test]
     fn schedule_respects_raw() {
@@ -512,18 +323,18 @@ mod tests {
         let v1 = s.vg();
         let g = crate::state::guest_gpr(0);
         let ils = vec![
-            il(ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::AddImm {
                 d: v1,
                 imm: 1,
                 a: R0,
-            })),
-            il(ipf::Inst::new(Op::AddImm {
+            }),
+            ipf::Inst::new(Op::AddImm {
                 d: g,
                 imm: 0,
                 a: v1,
-            })),
+            }),
         ];
-        let order = schedule(&ils);
+        let order = schedule_ir(&ils);
         let p0 = order.iter().position(|&i| i == 0).unwrap();
         let p1 = order.iter().position(|&i| i == 1).unwrap();
         assert!(p0 < p1);
@@ -538,40 +349,40 @@ mod tests {
         let (v1, v2) = (s.vg(), s.vg());
         let (g0, g1) = (crate::state::guest_gpr(0), crate::state::guest_gpr(1));
         let ils = vec![
-            il(ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::AddImm {
                 d: a1,
                 imm: 16,
                 a: g0,
-            })),
-            il(ipf::Inst::new(Op::Ld {
+            }),
+            ipf::Inst::new(Op::Ld {
                 sz: 4,
                 d: v1,
                 addr: a1,
                 spec: false,
-            })),
-            il(ipf::Inst::new(Op::AddImm {
+            }),
+            ipf::Inst::new(Op::AddImm {
                 d: g0,
                 imm: 0,
                 a: v1,
-            })),
-            il(ipf::Inst::new(Op::AddImm {
+            }),
+            ipf::Inst::new(Op::AddImm {
                 d: a2,
                 imm: 32,
                 a: g1,
-            })),
-            il(ipf::Inst::new(Op::Ld {
+            }),
+            ipf::Inst::new(Op::Ld {
                 sz: 4,
                 d: v2,
                 addr: a2,
                 spec: false,
-            })),
-            il(ipf::Inst::new(Op::AddImm {
+            }),
+            ipf::Inst::new(Op::AddImm {
                 d: g1,
                 imm: 0,
                 a: v2,
-            })),
+            }),
         ];
-        let order = schedule(&ils);
+        let order = schedule_ir(&ils);
         // The second chain's address computation should be scheduled
         // before the first chain's final use (cycle overlap).
         let pos_a2 = order.iter().position(|&i| i == 3).unwrap();
@@ -589,18 +400,18 @@ mod tests {
         let g = crate::state::guest_gpr(0);
         let h = crate::state::guest_gpr(1);
         let ils = vec![
-            il(ipf::Inst::new(Op::St {
+            ipf::Inst::new(Op::St {
                 sz: 4,
                 addr: g,
                 val: h,
-            })),
-            il(ipf::Inst::new(Op::St {
+            }),
+            ipf::Inst::new(Op::St {
                 sz: 4,
                 addr: h,
                 val: g,
-            })),
+            }),
         ];
-        let order = schedule(&ils);
+        let order = schedule_ir(&ils);
         assert_eq!(order, vec![0, 1]);
     }
 
@@ -613,14 +424,14 @@ mod tests {
         let g = crate::state::guest_gpr(0);
         let h = crate::state::guest_gpr(1);
         let ils = vec![
-            il(ipf::Inst::new(Op::St {
+            ipf::Inst::new(Op::St {
                 sz: 4,
                 addr: g,
                 val: h,
-            })),
-            il(ipf::Inst::new(Op::AddImm { d: g, imm: 1, a: g })),
+            }),
+            ipf::Inst::new(Op::AddImm { d: g, imm: 1, a: g }),
         ];
-        let order = schedule(&ils);
+        let order = schedule_ir(&ils);
         assert_eq!(order, vec![0, 1]);
     }
 
@@ -777,41 +588,5 @@ mod tests {
         assert_eq!(stop, StopReason::InstLimit);
         assert_eq!(static_cost(&priced), m.cycles);
         assert!(m.cycles > code.len() as u64 / 2, "the sequence stalls");
-    }
-
-    #[test]
-    fn allocate_maps_virtuals_and_emits_stops() {
-        let mut s = Sink::new();
-        let v1 = s.vg();
-        let g = crate::state::guest_gpr(0);
-        let ils = vec![
-            il(ipf::Inst::new(Op::AddImm {
-                d: v1,
-                imm: 1,
-                a: R0,
-            })),
-            il(ipf::Inst::new(Op::AddImm {
-                d: g,
-                imm: 0,
-                a: v1,
-            })),
-        ];
-        let order = schedule(&ils);
-        let out = allocate(&ils, &order).unwrap();
-        assert_eq!(out.len(), 2);
-        // No virtual registers remain.
-        for (inst, _) in &out {
-            inst.op.visit_regs(&mut |r, _| {
-                let virt = match r {
-                    Reg::G(g) => g.is_virtual(),
-                    Reg::F(f) => f.is_virtual(),
-                    Reg::P(p) => p.is_virtual(),
-                    Reg::B(_) => false,
-                };
-                assert!(!virt);
-            });
-        }
-        // Dependent pair carries a stop.
-        assert!(out[0].1);
     }
 }

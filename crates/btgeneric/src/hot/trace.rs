@@ -72,7 +72,7 @@ pub(super) enum Step {
         ic_slot: u64,
     },
     /// A non-devirtualizable indirect terminator the trace ends
-    /// *through* (typed-IR pipeline only): the terminator's target
+    /// *through*: the terminator's target
     /// computation and stack effects run on the trace, followed by an
     /// inline dispatch. A `ret` (and any plain site) goes straight to
     /// the shared 2-way table probe — return addresses are typically
@@ -124,8 +124,6 @@ pub(super) struct Trace {
     pub main_exit: u32,
     /// Cold blocks the trace covers, in order (misalignment data).
     pub blocks: Vec<u32>,
-    /// Whether a loop back to the head was unrolled once.
-    pub unrolled: bool,
 }
 
 /// Instructions we refuse to put on a trace (internal control flow or
@@ -382,17 +380,15 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 continue 'outer;
                             }
                             // Not devirtualizable (megamorphic site or
-                            // unmatched ret): with the typed-IR pipeline
-                            // the trace ends *through* the terminator —
-                            // its work plus the inline dispatch run hot,
-                            // and promotion succeeds instead of churning
-                            // through megamorphic demotion.
-                            if engine.cfg.enable_hot_ir
-                                && matches!(
-                                    inst,
-                                    I32::JmpInd { .. } | I32::CallInd { .. } | I32::Ret { .. }
-                                )
-                            {
+                            // unmatched ret): the trace ends *through*
+                            // the terminator — its work plus the inline
+                            // dispatch run hot, and promotion succeeds
+                            // instead of churning through megamorphic
+                            // demotion.
+                            if matches!(
+                                inst,
+                                I32::JmpInd { .. } | I32::CallInd { .. } | I32::Ret { .. }
+                            ) {
                                 // A jmp/call site with no allocated IC
                                 // slot dispatches like a demoted one.
                                 // A site the profile already proves
@@ -453,30 +449,21 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
     // anything else needs at least two steps to beat cold chaining.
     let ends_indirect = matches!(steps.last(), Some(Step::IndirectEnd { .. }));
     if total < 2 && !ends_indirect {
-        if std::env::var_os("EL_DEBUG_HOT").is_some() {
-            eprintln!(
-                "select {}: too short ({} steps, stopped at {:#x})",
-                block_id, total, main_exit
-            );
-        }
         return None;
     }
     // Loop unrolling (paper: "If a loop is identified, it may be
     // unrolled"). A trace ending in an inline dispatch has no
     // fallthrough to duplicate into.
-    let mut unrolled = false;
     if !ends_indirect && main_exit == start && total * 2 <= budget + 4 {
         let copy = steps.clone();
         let bcopy = blocks.clone();
         steps.extend(copy);
         blocks.extend(bcopy);
-        unrolled = true;
     }
     Some(Trace {
         steps,
         main_exit,
         blocks,
-        unrolled,
     })
 }
 
@@ -508,17 +495,6 @@ fn misalign_overrides(engine: &Engine, trace: &Trace) -> HashMap<u16, AccessMode
     overrides
 }
 
-/// A hot IL: an instruction plus provenance for recovery.
-#[derive(Clone, Debug)]
-pub(super) struct HotIl {
-    /// The micro-op (virtual registers allowed).
-    pub inst: ipf::Inst,
-    /// Originating IA-32 instruction.
-    pub ia32_ip: u32,
-    /// Recovery index (assigned to faulty micro-ops).
-    pub rec: Option<u32>,
-}
-
 struct ExitInfo {
     label: u32,
     target: u32,
@@ -540,9 +516,6 @@ struct DevirtExit {
 /// simply stays cold.
 pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
     let Some(trace) = select(engine, block_id) else {
-        if std::env::var_os("EL_DEBUG_HOT").is_some() {
-            eprintln!("promote {}: selection failed", block_id);
-        }
         return false;
     };
     // A ret-terminated trace only earns its translation charge when the
@@ -561,9 +534,6 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
         })
     ) && engine.block(block_id).registrations < 2
     {
-        if std::env::var_os("EL_DEBUG_HOT").is_some() {
-            eprintln!("promote {block_id}: ret trace deferred to re-registration");
-        }
         return false;
     }
     engine.trace_emit(EventData::TraceSelected {
@@ -571,16 +541,7 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
         eip: engine.block(block_id).eip,
         steps: trace.steps.len() as u32,
     });
-    let built = build_and_install(engine, block_id, &trace).is_some();
-    if !built && std::env::var_os("EL_DEBUG_HOT").is_some() {
-        eprintln!(
-            "promote {}: build failed ({} steps, exit {:#x})",
-            block_id,
-            trace.steps.len(),
-            trace.main_exit
-        );
-    }
-    built
+    build_and_install(engine, block_id, &trace).is_some()
 }
 
 #[allow(clippy::too_many_lines)]
@@ -1087,32 +1048,19 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         return None;
     }
 
-    // Collect ILs (validation + fault-stub state injection, shared with
-    // the IR path).
+    // Collect the IR (validation + fault-stub state injection).
     let exit_label_ids: HashSet<u32> = exits
         .iter()
         .map(|e| e.label)
         .chain(devirt_exits.iter().map(|e| e.label))
         .collect();
-    let ils = ir::collect(&body, &exit_label_ids)?;
+    let irs = ir::collect(&body, &exit_label_ids)?;
 
-    // Compile. The typed-IR pipeline (propagation, EFLAGS elimination,
-    // per-op liveness, constraint-driven allocation with spilling,
-    // backend scheduling) falls back to the template pipeline within
-    // the same promotion when a constraint cannot be satisfied; with
-    // `enable_hot_ir` off only the template pipeline runs.
-    let mut used_ir = false;
-    let (compiled, recovery) = if engine.cfg.enable_hot_ir {
-        match compile_ir(&ils, &perm_by_ip, si_table.is_some()) {
-            Some(r) => {
-                used_ir = true;
-                r
-            }
-            None => compile_template(ils, &perm_by_ip)?,
-        }
-    } else {
-        compile_template(ils, &perm_by_ip)?
-    };
+    // Compile (propagation, EFLAGS elimination, per-op liveness,
+    // constraint-driven allocation with spilling, backend scheduling).
+    // A constraint that cannot be satisfied — a no-spill register class
+    // over its pool — leaves the block cold.
+    let (compiled, recovery) = compile_ir(irs, &perm_by_ip, si_table.is_some())?;
 
     // Head: speculation checks.
     let mut head = Sink::new();
@@ -1247,39 +1195,10 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         (ia32_count.max(1) * full).saturating_sub(si_absorbed * full / 2),
     );
     engine.stats.hot_traces += 1;
-    if used_ir {
-        engine.stats.hot_ir_traces += 1;
-    }
+    engine.stats.hot_ir_traces += 1;
     engine.stats.hot_ia32_insts += ia32_count;
     engine.stats.hot_native_insts += compiled.len() as u64;
     engine.stats.hot_commit_points += hot.recovery.len() as u64;
-    if std::env::var_os("EL_DEBUG_HOT").is_some() {
-        let shape: Vec<String> = trace
-            .steps
-            .iter()
-            .map(|s| match s {
-                Step::Inst { ip, .. } => format!("i{ip:#x}"),
-                Step::Guard { ip, .. } => format!("g{ip:#x}"),
-                Step::SideExit { ip, .. } => format!("x{ip:#x}"),
-                Step::Terminator { ip, predicted, .. } => format!("T{ip:#x}->{predicted:#x}"),
-                Step::IndirectEnd {
-                    ip, inst, plain, ..
-                } => {
-                    format!("E{ip:#x}:{inst:?}(plain={plain})")
-                }
-            })
-            .collect();
-        eprintln!(
-            "install blk{} eip={:#x} exit={:#x} native={} groups={} bundles={} [{}]",
-            block_id,
-            engine.block(block_id).eip,
-            trace.main_exit,
-            compiled.len(),
-            compiled.iter().filter(|(_, s, _)| *s).count(),
-            n_bundles,
-            shape.join(" ")
-        );
-    }
     engine.install_hot(
         block_id,
         entry,
@@ -1287,24 +1206,18 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         hot,
         ia32_count as usize,
     );
-    let _ = trace.unrolled;
     Some(())
 }
 
 /// Assigns recovery indices (commit points) to faulty ops: one
 /// [`RecEntry`] per faulting IA-32 instruction, carrying the FP
 /// rotation captured at emission time.
-fn assign_recovery<T>(
-    items: &mut [T],
-    get: impl Fn(&T) -> (bool, u32),
-    set: impl Fn(&mut T, u32),
-    perm_by_ip: &HashMap<u32, [u8; 8]>,
-) -> Vec<RecEntry> {
+fn assign_recovery(irs: &mut [ir::IrInst], perm_by_ip: &HashMap<u32, [u8; 8]>) -> Vec<RecEntry> {
     let mut recovery: Vec<RecEntry> = Vec::new();
     let mut rec_index: HashMap<u32, u32> = HashMap::new();
-    for it in items.iter_mut() {
-        let (faulty, ip) = get(it);
-        if faulty {
+    for x in irs.iter_mut() {
+        if x.fx.can_fault {
+            let ip = x.ia32_ip;
             let idx = *rec_index.entry(ip).or_insert_with(|| {
                 let idx = recovery.len() as u32;
                 recovery.push(RecEntry {
@@ -1316,7 +1229,7 @@ fn assign_recovery<T>(
                 });
                 idx
             });
-            set(it, idx);
+            x.rec = Some(idx);
         }
     }
     recovery
@@ -1326,54 +1239,21 @@ fn assign_recovery<T>(
 /// index)` triple per emitted slot.
 type CompiledCode = Vec<(ipf::Inst, bool, Option<u32>)>;
 
-/// The original template-stitching pipeline: shared LVN/DCE, recovery
-/// assignment, dependency scheduling over virtual ILs, then FIFO pool
-/// allocation with stop bits. Kept bit-for-bit as the `enable_hot_ir`
-/// off-state (the degradation ladder's known-good rung) and as the
-/// in-promotion fallback when the IR pipeline's constraints fail.
-fn compile_template(
-    mut ils: Vec<HotIl>,
-    perm_by_ip: &HashMap<u32, [u8; 8]>,
-) -> Option<(CompiledCode, Vec<RecEntry>)> {
-    // Optimization passes (paper: value tracking, address CSE,
-    // dead-code elimination).
-    opt::lvn(&mut ils);
-    opt::dce(&mut ils);
-    let recovery = assign_recovery(
-        &mut ils,
-        |il| (il.inst.op.can_fault(), il.ia32_ip),
-        |il, idx| il.rec = Some(idx),
-        perm_by_ip,
-    );
-    let order = sched::schedule(&ils);
-    let scheduled = sched::allocate(&ils, &order)?;
-    Some((
-        scheduled
-            .iter()
-            .enumerate()
-            .map(|(k, &(inst, stop))| (inst, stop, ils[order[k]].rec))
-            .collect(),
-        recovery,
-    ))
-}
-
-/// The typed-IR pipeline: constant/copy propagation, shared LVN,
-/// cross-block EFLAGS elimination, shared DCE, recovery assignment,
-/// per-op liveness with constraint-driven allocation (spilling under
-/// general-register pressure), and the backend scheduler over the
-/// allocated code. `None` when a constraint cannot be satisfied.
+/// The hot compiler: constant/copy propagation, LVN, cross-block
+/// EFLAGS elimination, DCE, recovery assignment, per-op liveness with
+/// constraint-driven allocation (spilling under general-register
+/// pressure), and the backend scheduler over the allocated code. `None`
+/// when a constraint cannot be satisfied.
 fn compile_ir(
-    ils: &[HotIl],
+    base: Vec<ir::IrInst>,
     perm_by_ip: &HashMap<u32, [u8; 8]>,
     superinst: bool,
 ) -> Option<(CompiledCode, Vec<RecEntry>)> {
-    let base = ir::annotate(ils);
     // Const/copy propagation rewrites the value graph, which reshapes
     // the dependence heights the list scheduler packs by — sometimes
     // into groups that stall longer at issue than the unpropagated
     // code's. Compile both variants and keep the one the machine's
-    // issue model prices cheaper; ties go to the unpropagated schedule
-    // (bit-identical to what the template pipeline would pick).
+    // issue model prices cheaper; ties go to the unpropagated schedule.
     let propagated = {
         let mut irs = base.clone();
         opt::propagate(&mut irs);
@@ -1396,18 +1276,13 @@ fn compile_ir_variant(
     perm_by_ip: &HashMap<u32, [u8; 8]>,
     superinst: bool,
 ) -> Option<(u64, CompiledCode, Vec<RecEntry>)> {
-    opt::lvn_ir(&mut irs);
+    opt::lvn(&mut irs);
     opt::eflags_elim(&mut irs);
     if superinst {
         opt::elide_dead_guest_writes(&mut irs);
     }
-    opt::dce_ir(&mut irs);
-    let recovery = assign_recovery(
-        &mut irs,
-        |x| (x.fx.can_fault, x.ia32_ip),
-        |x, idx| x.rec = Some(idx),
-        perm_by_ip,
-    );
+    opt::dce(&mut irs);
+    let recovery = assign_recovery(&mut irs, perm_by_ip);
     // Reorder while still virtual (no false dependences), then allocate
     // in the scheduled order — the new program order for liveness and
     // every later pass.

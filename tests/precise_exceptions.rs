@@ -301,9 +301,8 @@ fn interp_visited_eips(img: &Image, max_steps: u64) -> std::collections::HashSet
 }
 
 /// The exhaustive commit-point sweep (hostile-guest PR acceptance):
-/// for every hot trace the 15-kernel suite promotes — under both the
-/// template hot phase and the typed-IR pipeline — every recovery entry
-/// must round-trip `reconstruct_at` into a state the interpreter
+/// for every hot trace the 15-kernel suite promotes, every recovery
+/// entry must round-trip `reconstruct_at` into a state the interpreter
 /// oracle could actually have been in: a `Some` reconstruction whose
 /// EIP the oracle executed, a well-formed FXCHG permutation, and every
 /// `by_slot` index in range. Signals interrupt hot traces exactly at
@@ -313,58 +312,52 @@ fn recovery_map_sweep_covers_every_commit_point() {
     let mut kernels = workloads::spec_int();
     kernels.extend(workloads::indirect_kernels());
     assert_eq!(kernels.len(), 15, "the suite covers all 15 kernels");
-    let ir_cfg = btgeneric::engine::Config {
-        enable_hot_ir: true,
-        ..hot_config()
-    };
     let mut traces = 0usize;
     let mut points = 0usize;
     for w in &kernels {
         let scale = (w.scale / 400).max(512);
         let img = workloads::harness::build_image(w, scale);
         let visited = interp_visited_eips(&img, 500_000_000);
-        for (cfgname, cfg) in [("hot", hot_config()), ("hot-ir", ir_cfg.clone())] {
-            let (trans, p) = run_translated(&img, cfg, 400_000_000);
-            assert_eq!(
-                trans.end,
-                ia32el::testkit::RunEnd::Halt,
-                "{}/{cfgname}: must halt",
-                w.name
-            );
-            for (eip, hot) in p.engine.hot_recovery_maps() {
-                traces += 1;
-                let what = format!("{}/{cfgname} trace @{eip:#x}", w.name);
-                // A trace whose micro-ops can none of them fault keeps
-                // an empty map; the sweep is vacuous for it.
-                for (&(ip, slot), &idx) in &hot.by_slot {
-                    assert!(
-                        (idx as usize) < hot.recovery.len(),
-                        "{what}: by_slot ({ip:#x},{slot}) -> {idx} out of range"
-                    );
+        let (trans, p) = run_translated(&img, hot_config(), 400_000_000);
+        assert_eq!(
+            trans.end,
+            ia32el::testkit::RunEnd::Halt,
+            "{}: must halt",
+            w.name
+        );
+        for (eip, hot) in p.engine.hot_recovery_maps() {
+            traces += 1;
+            let what = format!("{} trace @{eip:#x}", w.name);
+            // A trace whose micro-ops can none of them fault keeps
+            // an empty map; the sweep is vacuous for it.
+            for (&(ip, slot), &idx) in &hot.by_slot {
+                assert!(
+                    (idx as usize) < hot.recovery.len(),
+                    "{what}: by_slot ({ip:#x},{slot}) -> {idx} out of range"
+                );
+            }
+            for idx in 0..hot.recovery.len() as u32 {
+                points += 1;
+                let e = hot.recovery[idx as usize];
+                let cpu = hot
+                    .reconstruct_at(&p.engine.machine, idx)
+                    .unwrap_or_else(|| panic!("{what}: entry {idx} failed to reconstruct"));
+                assert_eq!(cpu.eip, e.ia32_ip, "{what}: entry {idx} EIP");
+                let mut seen = [false; 8];
+                for &b in &e.perm {
+                    assert!(b < 8, "{what}: entry {idx} perm byte {b} out of range");
+                    seen[b as usize] = true;
                 }
-                for idx in 0..hot.recovery.len() as u32 {
-                    points += 1;
-                    let e = hot.recovery[idx as usize];
-                    let cpu = hot
-                        .reconstruct_at(&p.engine.machine, idx)
-                        .unwrap_or_else(|| panic!("{what}: entry {idx} failed to reconstruct"));
-                    assert_eq!(cpu.eip, e.ia32_ip, "{what}: entry {idx} EIP");
-                    let mut seen = [false; 8];
-                    for &b in &e.perm {
-                        assert!(b < 8, "{what}: entry {idx} perm byte {b} out of range");
-                        seen[b as usize] = true;
-                    }
-                    assert!(
-                        seen.iter().all(|&s| s),
-                        "{what}: entry {idx} perm {:?} is not a permutation",
-                        e.perm
-                    );
-                    assert!(
-                        visited.contains(&e.ia32_ip),
-                        "{what}: entry {idx} EIP {:#x} never executed by the oracle",
-                        e.ia32_ip
-                    );
-                }
+                assert!(
+                    seen.iter().all(|&s| s),
+                    "{what}: entry {idx} perm {:?} is not a permutation",
+                    e.perm
+                );
+                assert!(
+                    visited.contains(&e.ia32_ip),
+                    "{what}: entry {idx} EIP {:#x} never executed by the oracle",
+                    e.ia32_ip
+                );
             }
         }
     }

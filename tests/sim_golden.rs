@@ -95,7 +95,12 @@ fn measure_chaos(out: &mut String) {
             }
             let m = &p.engine.machine;
             let result = p.engine.mem.read(workloads::RESULT as u64, 8).unwrap_or(0);
-            let injected = p.engine.chaos.as_ref().expect("plan stays attached").injected;
+            let injected = p
+                .engine
+                .chaos
+                .as_ref()
+                .expect("plan stays attached")
+                .injected;
             writeln!(out, "== chaos {} seed={seed} scale={scale}", w.name).unwrap();
             writeln!(
                 out,
