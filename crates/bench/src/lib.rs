@@ -264,21 +264,70 @@ pub fn cache_pressure(scale_div: u32, max_cache_bundles: usize) -> CachePressure
     }
 }
 
+/// What the pre-acceleration engine (one shared direct-mapped lookup
+/// table, no inline caches, no shadow stack, traces ending at every
+/// call) measured on one call-heavy kernel.
+#[derive(Clone, Copy, Debug)]
+pub struct LegacyIndirect {
+    /// Benchmark name.
+    pub name: &'static str,
+    /// Total simulated cycles.
+    pub cycles: u64,
+    /// `IndirectMiss` dispatcher round-trips.
+    pub indirect_misses: u64,
+}
+
+/// Iteration-count divisor the frozen [`LEGACY_INDIRECT`] rows were
+/// measured at; [`indirect_pressure`] always runs at it.
+pub const LEGACY_INDIRECT_SCALE_DIV: u32 = 5;
+
+/// The before/after baseline of the indirect-acceleration experiment,
+/// kept as data: the last commit that still carried the legacy lookup
+/// design (c270f99, acceleration switched off, hot fuse 64/4) ran
+/// `figures indirect` to exactly these rows, which are also the
+/// `cycles_off`/`misses_off` columns of the checked-in
+/// `BENCH_indirect.json`. The legacy engine is deterministic and gone,
+/// so the rows never move; only the live accelerated run does.
+pub const LEGACY_INDIRECT: [LegacyIndirect; 3] = [
+    LegacyIndirect {
+        name: "eon",
+        cycles: 624_595,
+        indirect_misses: 5,
+    },
+    LegacyIndirect {
+        name: "vcall_mono",
+        cycles: 983_790,
+        indirect_misses: 12_002,
+    },
+    LegacyIndirect {
+        name: "callret",
+        cycles: 2_564_553,
+        indirect_misses: 4,
+    },
+];
+
 /// One before/after pair of the indirect-acceleration experiment.
 #[derive(Clone, Debug)]
 pub struct IndirectRow {
     /// Benchmark name.
     pub name: &'static str,
-    /// Run with `enable_indirect_accel` off — byte-identical to the
-    /// pre-acceleration engine (legacy direct-mapped lookup, no inline
-    /// caches, no shadow stack, traces end at every call).
-    pub before: ElRun,
-    /// Run with the acceleration on (everything else identical).
+    /// The frozen legacy-engine measurement.
+    pub before: LegacyIndirect,
+    /// The live run of the current engine.
     pub after: ElRun,
+    /// The live run matched the IA-32 hardware model's checksum.
+    pub oracle_ok: bool,
 }
 
-/// The `indirect_pressure` experiment: the call-heavy kernels run with
-/// indirect acceleration off and on.
+impl IndirectRow {
+    /// Speedup of the live engine over the legacy row (> 1 = faster).
+    pub fn ratio(&self) -> f64 {
+        self.before.cycles as f64 / self.after.cycles.max(1) as f64
+    }
+}
+
+/// The `indirect_pressure` experiment: the call-heavy kernels, live,
+/// against the frozen legacy rows.
 #[derive(Clone, Debug)]
 pub struct IndirectPressure {
     /// Per-workload pairs.
@@ -289,11 +338,7 @@ impl IndirectPressure {
     /// Fractional reduction in `IndirectMiss` dispatcher round-trips
     /// across the suite (1.0 = all misses eliminated).
     pub fn miss_reduction(&self) -> f64 {
-        let before: u64 = self
-            .rows
-            .iter()
-            .map(|r| r.before.stats.indirect_misses)
-            .sum();
+        let before: u64 = self.rows.iter().map(|r| r.before.indirect_misses).sum();
         let after: u64 = self
             .rows
             .iter()
@@ -306,48 +351,85 @@ impl IndirectPressure {
     /// > 1 means the acceleration pays).
     pub fn cycle_geomean(&self) -> f64 {
         let n = self.rows.len().max(1) as f64;
-        (self
-            .rows
-            .iter()
-            .map(|r| (r.before.cycles as f64 / r.after.cycles.max(1) as f64).ln())
-            .sum::<f64>()
-            / n)
-            .exp()
+        (self.rows.iter().map(|r| r.ratio().ln()).sum::<f64>() / n).exp()
+    }
+
+    /// Every breach of the acceleration contract, one line each (empty
+    /// = all gates hold): oracle-correct runs, >= 20% fewer
+    /// `IndirectMiss` round-trips and >= 1.05x cycle geomean across the
+    /// suite, every kernel at >= 0.95x of its legacy row (the aggregate
+    /// can hide a single losing kernel — the eon 0.92x regression
+    /// shipped exactly that way), eon winning outright with zero
+    /// demotions (demotion papering over the optimizer is the bug that
+    /// gate pins), and the hot phase actually compiling traces.
+    pub fn violations(&self) -> Vec<String> {
+        let mut out = Vec::new();
+        if self.miss_reduction() < 0.20 {
+            out.push(format!(
+                "IndirectMiss round-trips must drop >= 20%, got {:.1}%",
+                self.miss_reduction() * 100.0
+            ));
+        }
+        if self.cycle_geomean() < 1.05 {
+            out.push(format!(
+                "cycle geomean must improve >= 5%, got {:.3}x",
+                self.cycle_geomean()
+            ));
+        }
+        for r in &self.rows {
+            let (ratio, demotions) = (r.ratio(), r.after.stats.indirect_demotions);
+            if !r.oracle_ok {
+                out.push(format!("{} diverged from the IA-32 hardware model", r.name));
+            }
+            if ratio < 0.95 {
+                out.push(format!(
+                    "{} regressed to {ratio:.3}x of legacy (floor 0.95x)",
+                    r.name
+                ));
+            }
+            if r.name == "eon" && (ratio < 1.0 || demotions > 0) {
+                out.push(format!(
+                    "eon must win outright ({ratio:.3}x, {demotions} demotions)"
+                ));
+            }
+        }
+        if self.rows.iter().all(|r| r.after.stats.hot_ir_traces == 0) {
+            out.push("the hot phase never compiled a trace".to_string());
+        }
+        out
     }
 }
 
-/// Runs the call-heavy kernels (eon, vcall_mono, callret) twice each:
-/// acceleration off (the honest pre-acceleration baseline, including
-/// the legacy single-way lookup hash) and on. Hot promotion is on a
-/// short fuse so the devirtualizing trace selector participates.
-pub fn indirect_pressure(scale_div: u32) -> IndirectPressure {
-    indirect_pressure_with(scale_div, false)
-}
-
-/// [`indirect_pressure`] with learned superinstruction fusion switched
-/// on in *both* legs — the per-kernel regression floors behind
-/// `figures indirect` and `figures ir` are enforced with the knob on
-/// too, so fusion can never ship a hidden indirect-kernel regression.
-pub fn indirect_pressure_with(scale_div: u32, superinst: bool) -> IndirectPressure {
-    let on = Config {
+/// Runs the call-heavy kernels (eon, vcall_mono, callret) at
+/// [`LEGACY_INDIRECT_SCALE_DIV`] and pairs each with its frozen legacy
+/// row. Hot promotion is on a short fuse so the devirtualizing trace
+/// selector participates. `superinst` switches learned superinstruction
+/// fusion on for the live run — the contract is enforced with the knob
+/// on too, so fusion can never ship a hidden indirect-kernel
+/// regression.
+pub fn indirect_pressure(superinst: bool) -> IndirectPressure {
+    let cfg = Config {
         heat_threshold: 64,
         hot_candidates: 4,
         enable_superinst: superinst,
         ..Config::default()
     };
-    let off = Config {
-        enable_indirect_accel: false,
-        ..on.clone()
-    };
-    let mut rows = Vec::new();
-    for w in workloads::indirect_kernels() {
-        let scale = (w.scale / scale_div).max(512);
-        rows.push(IndirectRow {
-            name: w.name,
-            before: run_el(&w, scale, off.clone()),
-            after: run_el(&w, scale, on.clone()),
-        });
-    }
+    let rows = workloads::indirect_kernels()
+        .iter()
+        .zip(LEGACY_INDIRECT)
+        .map(|(w, before)| {
+            assert_eq!(w.name, before.name, "frozen rows follow kernel order");
+            let scale = (w.scale / LEGACY_INDIRECT_SCALE_DIV).max(512);
+            let after = run_el(w, scale, cfg.clone());
+            let hw = run_ia32_hw(w, scale, ia32::timing::Timing::default());
+            IndirectRow {
+                name: w.name,
+                before,
+                oracle_ok: after.result == hw.result,
+                after,
+            }
+        })
+        .collect();
     IndirectPressure { rows }
 }
 
@@ -1846,45 +1928,35 @@ mod tests {
         );
     }
 
-    /// The indirect-acceleration acceptance bar: both runs stay
-    /// oracle-correct, IndirectMiss round-trips drop at least 20%, and
-    /// total simulated cycles improve at least 5% geomean across the
-    /// call-heavy kernels.
+    /// The indirect-acceleration acceptance bar, against the frozen
+    /// legacy rows, with learned superinstructions off and on: the
+    /// live runs stay oracle-correct and every gate of
+    /// [`IndirectPressure::violations`] holds.
     #[test]
     fn indirect_acceleration_pays() {
-        let ip = indirect_pressure(20);
-        for r in &ip.rows {
-            let w = workloads::indirect_kernels()
-                .into_iter()
-                .find(|w| w.name == r.name)
-                .unwrap();
-            let scale = (w.scale / 20).max(512);
-            let hw = run_ia32_hw(&w, scale, ia32::timing::Timing::default());
-            assert_eq!(r.before.result, hw.result, "{}: accel-off diverged", r.name);
-            assert_eq!(r.after.result, hw.result, "{}: accel-on diverged", r.name);
-            eprintln!(
-                "{}: misses {} -> {}, cycles {} -> {} | {}",
-                r.name,
-                r.before.stats.indirect_misses,
-                r.after.stats.indirect_misses,
-                r.before.cycles,
-                r.after.cycles,
-                r.after.stats.indirect_summary()
+        for superinst in [false, true] {
+            let ip = indirect_pressure(superinst);
+            for r in &ip.rows {
+                eprintln!(
+                    "{}: misses {} -> {}, cycles {} -> {} | {}",
+                    r.name,
+                    r.before.indirect_misses,
+                    r.after.stats.indirect_misses,
+                    r.before.cycles,
+                    r.after.cycles,
+                    r.after.stats.indirect_summary()
+                );
+            }
+            let accel =
+                |f: fn(&Stats) -> u64| ip.rows.iter().map(|r| f(&r.after.stats)).sum::<u64>();
+            assert!(accel(|s| s.ic_hits) > 0, "inline caches never hit");
+            assert!(accel(|s| s.shadow_hits) > 0, "shadow stack never hit");
+            assert_eq!(
+                ip.violations(),
+                Vec::<String>::new(),
+                "superinst={superinst}"
             );
         }
-        let accel = |f: fn(&Stats) -> u64| ip.rows.iter().map(|r| f(&r.after.stats)).sum::<u64>();
-        assert!(accel(|s| s.ic_hits) > 0, "inline caches never hit");
-        assert!(accel(|s| s.shadow_hits) > 0, "shadow stack never hit");
-        assert!(
-            ip.miss_reduction() >= 0.20,
-            "IndirectMiss round-trips must drop >= 20%, got {:.1}%",
-            ip.miss_reduction() * 100.0
-        );
-        assert!(
-            ip.cycle_geomean() >= 1.05,
-            "cycle geomean must improve >= 5%, got {:.3}x",
-            ip.cycle_geomean()
-        );
     }
 
     /// The hot-IR acceptance gate (mirrors the engine-level

@@ -63,15 +63,10 @@ pub struct ColdGenInput<'a> {
     /// Per-site inline-cache slot `(pred_eip, pred_entry, hit_count)`
     /// used when the block ends in an indirect jmp/call.
     pub ic_slot: u64,
-    /// Enable the indirect-transfer acceleration layer (inline cache,
-    /// shadow stack, 2-way mixed-hash table). Off reproduces the
-    /// pre-acceleration direct-mapped lookup exactly.
-    pub accel: bool,
-    /// Demoted variant of the acceleration layer: the block was
-    /// observed to mispredict chronically (megamorphic call site or
-    /// shadow-stack-hostile ret), so emit only the plain 2-way table
-    /// probe — no inline cache, no shadow push/pop. Meaningless when
-    /// `accel` is off.
+    /// Demoted variant of the indirect-transfer acceleration layer:
+    /// the block was observed to mispredict chronically (megamorphic
+    /// call site or shadow-stack-hostile ret), so emit only the plain
+    /// 2-way table probe — no inline cache, no shadow push/pop.
     pub plain: bool,
     /// Mined superinstruction idiom table: enables the learned-template
     /// peephole over this block (see [`crate::superinst`]). `None`
@@ -1048,7 +1043,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             tail.emit(Op::Br { target: t });
         }
         (Some(Term::Call { target, ret }), _) => {
-            if input.accel && !input.plain {
+            if !input.plain {
                 emit_shadow_push(&mut tail, ret);
             }
             let t = branch_to(&mut tail, target, &mut tramp_reqs);
@@ -1071,7 +1066,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             let ft = branch_to(&mut tail, fallthrough, &mut tramp_reqs);
             tail.emit(Op::Br { target: ft });
         }
-        (Some(Term::Indirect { eip, kind }), _) if input.accel => {
+        (Some(Term::Indirect { eip, kind }), _) => {
             if input.plain {
                 // Demoted site: straight to the shared 2-way table (the
                 // table layout is process-wide, so a demoted block still
@@ -1099,79 +1094,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                     }
                 }
             }
-        }
-        (Some(Term::Indirect { eip, .. }), _) => {
-            // Inline lookup table (paper: "blocks ending with indirect
-            // branches ... use a fast lookup table").
-            let base = tail.vg();
-            tail.emit(Op::Movl {
-                d: base,
-                imm: crate::layout::LOOKUP_BASE,
-            });
-            let h = tail.vg();
-            tail.emit(Op::Extr {
-                d: h,
-                a: eip,
-                pos: 2,
-                len: 12,
-                signed: false,
-            });
-            let off = tail.vg();
-            tail.emit(Op::ShlImm {
-                d: off,
-                a: h,
-                count: 4,
-            });
-            let slot = tail.vg();
-            tail.emit(Op::Add {
-                d: slot,
-                a: base,
-                b: off,
-            });
-            let key = tail.vg();
-            tail.emit(Op::Ld {
-                sz: 8,
-                d: key,
-                addr: slot,
-                spec: false,
-            });
-            let (p_hit, p_miss) = (tail.vp(), tail.vp());
-            tail.emit(Op::Cmp {
-                rel: CmpRel::Eq,
-                pt: p_hit,
-                pf: p_miss,
-                a: key,
-                b: eip,
-            });
-            let slot2 = tail.vg();
-            tail.emit_pred(
-                p_hit,
-                Op::AddImm {
-                    d: slot2,
-                    imm: 8,
-                    a: slot,
-                },
-            );
-            let tgt = tail.vg();
-            tail.emit_pred(
-                p_hit,
-                Op::Ld {
-                    sz: 8,
-                    d: tgt,
-                    addr: slot2,
-                    spec: false,
-                },
-            );
-            tail.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tgt });
-            tail.emit_pred(p_hit, Op::BrRet { b: Br(1) });
-            tail.emit(Op::AddImm {
-                d: GR_PAYLOAD0,
-                imm: 0,
-                a: eip,
-            });
-            tail.emit(Op::Br {
-                target: Target::Abs(StubKind::IndirectMiss.addr()),
-            });
         }
         (Some(Term::Halt), _) => {
             tail.emit(Op::Br {
@@ -1296,7 +1218,6 @@ mod tests {
             inline_fp_checks: false,
             smc_check: None,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
-            accel: true,
             plain: false,
             superinst: None,
             base: crate::layout::TC_BASE,
@@ -1370,7 +1291,6 @@ mod tests {
             inline_fp_checks: false,
             smc_check: None,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
-            accel: true,
             plain: false,
             superinst: None,
             base: crate::layout::TC_BASE,
@@ -1426,7 +1346,6 @@ mod tests {
             inline_fp_checks: false,
             smc_check: smc,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
-            accel: true,
             plain: false,
             superinst: None,
             base: crate::layout::TC_BASE,

@@ -95,12 +95,6 @@ pub struct Config {
     /// the watchdog aborts the session past it and keeps the cold
     /// code. 0 = unbounded.
     pub hot_session_budget: u64,
-    /// Indirect control-transfer acceleration: per-site inline caches,
-    /// the return-address shadow stack, hot-trace devirtualization, and
-    /// the 2-way mixed-hash lookup table. Off reproduces the original
-    /// shared direct-mapped table exactly (the before/after baseline
-    /// for `figures indirect`).
-    pub enable_indirect_accel: bool,
     /// Inline-cache hit count at which a site is considered stable
     /// enough for hot-trace devirtualization.
     pub devirt_threshold: u64,
@@ -205,7 +199,6 @@ impl Default for Config {
             verify_on_dispatch: false,
             integrity_check_cycles: 35,
             hot_session_budget: 0,
-            enable_indirect_accel: true,
             devirt_threshold: 16,
             megamorphic_demote_uses: 32,
             shadow_demote_misses: 8,
@@ -908,28 +901,20 @@ impl Engine {
             self.cache.blocks[block_id as usize].checksum =
                 self.machine.arena.checksum_range(range.0, range.1);
         }
-        // Refresh the indirect-branch lookup entry (and, under
-        // acceleration, any inline cache predicting this EIP) if it
-        // pointed at the old version — the forward keeps stale entries
-        // correct, but direct is faster.
-        if self.cfg.enable_indirect_accel {
-            let s0 = layout::lookup_slot(eip);
-            for w in 0..layout::LOOKUP_WAYS {
-                let s = s0 + w * layout::LOOKUP_ENTRY_SIZE;
-                if self.mem.read(s, 8) == Ok(eip as u64) {
-                    let _ = self.mem.write(s + 8, 8, entry);
-                }
+        // Refresh the indirect-branch lookup entry and any inline
+        // cache predicting this EIP if it pointed at the old version —
+        // the forward keeps stale entries correct, but direct is faster.
+        let s0 = layout::lookup_slot(eip);
+        for w in 0..layout::LOOKUP_WAYS {
+            let s = s0 + w * layout::LOOKUP_ENTRY_SIZE;
+            if self.mem.read(s, 8) == Ok(eip as u64) {
+                let _ = self.mem.write(s + 8, 8, entry);
             }
-            for i in 0..self.cache.ic_slots.len() {
-                let s = self.cache.ic_slots[i];
-                if self.mem.read(s, 8) == Ok(eip as u64) {
-                    let _ = self.mem.write(s + 8, 8, entry);
-                }
-            }
-        } else {
-            let slot = layout::lookup_slot_legacy(eip);
-            if self.mem.read(slot, 8) == Ok(eip as u64) {
-                let _ = self.mem.write(slot + 8, 8, entry);
+        }
+        for i in 0..self.cache.ic_slots.len() {
+            let s = self.cache.ic_slots[i];
+            if self.mem.read(s, 8) == Ok(eip as u64) {
+                let _ = self.mem.write(s + 8, 8, entry);
             }
         }
         self.trace_emit(EventData::BlockPromoted {
@@ -1075,13 +1060,8 @@ impl Engine {
         // Purge lookup entries — only where the slot both keys on this
         // EIP and still targets the victim's code; a colliding or newer
         // entry in the same set must survive.
-        let (base_slot, ways) = if self.cfg.enable_indirect_accel {
-            (layout::lookup_slot(eip), layout::LOOKUP_WAYS)
-        } else {
-            (layout::lookup_slot_legacy(eip), 1)
-        };
-        for w in 0..ways {
-            let slot = base_slot + w * layout::LOOKUP_ENTRY_SIZE;
+        for w in 0..layout::LOOKUP_WAYS {
+            let slot = layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE;
             if self.mem.read(slot, 8) == Ok(eip as u64) {
                 let tgt = self.mem.read(slot + 8, 8).unwrap_or(0);
                 if in_extents(tgt, &extents) {
@@ -1090,26 +1070,24 @@ impl Engine {
                 }
             }
         }
-        if self.cfg.enable_indirect_accel {
-            // The victim's code must be unreachable through every
-            // acceleration path: null shadow-stack predictions and
-            // inline-cache entries that name it. (Forwarded old
-            // generations are kept alive until eviction precisely so
-            // this is the only purge point.)
-            for i in 0..layout::SHADOW_ENTRIES {
-                let ea = layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE;
-                let tgt = self.mem.read(ea + 8, 8).unwrap_or(0);
-                if in_extents(tgt, &extents) {
-                    let _ = self.mem.write(ea, 8, layout::LOOKUP_EMPTY_KEY);
-                }
+        // The victim's code must be unreachable through every
+        // acceleration path: null shadow-stack predictions and
+        // inline-cache entries that name it. (Forwarded old generations
+        // are kept alive until eviction precisely so this is the only
+        // purge point.)
+        for i in 0..layout::SHADOW_ENTRIES {
+            let ea = layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE;
+            let tgt = self.mem.read(ea + 8, 8).unwrap_or(0);
+            if in_extents(tgt, &extents) {
+                let _ = self.mem.write(ea, 8, layout::LOOKUP_EMPTY_KEY);
             }
-            for i in 0..self.cache.ic_slots.len() {
-                let s = self.cache.ic_slots[i];
-                let k = self.mem.read(s, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-                let tgt = self.mem.read(s + 8, 8).unwrap_or(0);
-                if k == eip as u64 || in_extents(tgt, &extents) {
-                    let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-                }
+        }
+        for i in 0..self.cache.ic_slots.len() {
+            let s = self.cache.ic_slots[i];
+            let k = self.mem.read(s, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
+            let tgt = self.mem.read(s + 8, 8).unwrap_or(0);
+            if k == eip as u64 || in_extents(tgt, &extents) {
+                let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
             }
         }
         // Patch sites inside the reclaimed extents may be reused for
@@ -1250,27 +1228,22 @@ impl Engine {
         let _ = self.mem.write(slot + 8, 8, entry);
     }
 
-    /// Purges every lookup way keyed on `eip` (SMC invalidation), and
-    /// under acceleration also empties inline caches predicting it so
-    /// the next transfer retrains through the dispatcher.
+    /// Purges every lookup way keyed on `eip` (SMC invalidation) and
+    /// empties inline caches predicting it so the next transfer
+    /// retrains through the dispatcher.
     fn lookup_purge_eip(&mut self, eip: u32) {
-        if self.cfg.enable_indirect_accel {
-            let s0 = layout::lookup_slot(eip);
-            for w in 0..layout::LOOKUP_WAYS {
-                let s = s0 + w * layout::LOOKUP_ENTRY_SIZE;
-                if self.mem.read(s, 8) == Ok(eip as u64) {
-                    let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-                }
+        let s0 = layout::lookup_slot(eip);
+        for w in 0..layout::LOOKUP_WAYS {
+            let s = s0 + w * layout::LOOKUP_ENTRY_SIZE;
+            if self.mem.read(s, 8) == Ok(eip as u64) {
+                let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
             }
-            for i in 0..self.cache.ic_slots.len() {
-                let s = self.cache.ic_slots[i];
-                if self.mem.read(s, 8) == Ok(eip as u64) {
-                    let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-                }
+        }
+        for i in 0..self.cache.ic_slots.len() {
+            let s = self.cache.ic_slots[i];
+            if self.mem.read(s, 8) == Ok(eip as u64) {
+                let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
             }
-        } else {
-            let slot = layout::lookup_slot_legacy(eip);
-            let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
         }
     }
 
@@ -1465,7 +1438,6 @@ impl Engine {
             inline_fp_checks: inline_fp || !self.cfg.enable_fp_spec,
             smc_check,
             ic_slot: profile + IC_OFFSET,
-            accel: self.cfg.enable_indirect_accel,
             plain: indirect_plain,
             superinst: superinst_table.as_ref(),
             base: self.machine.arena.end(),
@@ -1737,9 +1709,7 @@ impl Engine {
                     b.indirect_plain,
                 ) {
                     Ok(entry) => {
-                        if self.cfg.enable_indirect_accel {
-                            self.lookup_insert(eip, entry);
-                        }
+                        self.lookup_insert(eip, entry);
                         if self.cfg.restore_profiles {
                             if b.heat != 0 || b.edges != (0, 0) {
                                 self.restore_profile(eip, b.heat, b.edges);
@@ -1915,7 +1885,7 @@ impl Engine {
     /// restored too, so the hot phase's devirtualization gate sees the
     /// earned confidence instead of a cold counter.
     pub(crate) fn restore_ic_hint(&mut self, eip: u32, pred: u32, hits: u32) -> bool {
-        if !self.cfg.enable_indirect_accel || pred == 0 {
+        if pred == 0 {
             return false;
         }
         let Some(target_entry) = self.entry_of_existing(pred) else {
@@ -2380,15 +2350,11 @@ impl Engine {
             StubKind::IndirectMiss => {
                 let eip = payload as u32;
                 self.stats.indirect_misses += 1;
-                // Under acceleration, payload1 carries the missing
-                // site's inline-cache slot (0 for devirt guard exits
-                // without a site), or a `RET_MISS_TAG`-tagged block id
-                // for shadow-stack pop misses.
-                let mut site = if self.cfg.enable_indirect_accel {
-                    self.machine.gr[state::GR_PAYLOAD1.0 as usize]
-                } else {
-                    0
-                };
+                // Payload1 carries the missing site's inline-cache slot
+                // (0 for devirt guard exits without a site), or a
+                // `RET_MISS_TAG`-tagged block id for shadow-stack pop
+                // misses.
+                let mut site = self.machine.gr[state::GR_PAYLOAD1.0 as usize];
                 if site & layout::RET_MISS_TAG != 0 {
                     // A ret block's shadow pop missed. Count it; a
                     // chronically mispredicting ret block is demoted to
@@ -2408,24 +2374,17 @@ impl Engine {
                 }
                 match self.entry_of(os, eip) {
                     Ok(entry) => {
-                        if self.cfg.enable_indirect_accel {
-                            self.lookup_insert(eip, entry);
-                            if site != 0 {
-                                // Retrain the site's inline cache to
-                                // its newest observed target.
-                                let _ = self.mem.write(site, 8, eip as u64);
-                                let _ = self.mem.write(site + 8, 8, entry);
-                                self.stats.ic_retrains += 1;
-                                self.trace_emit(EventData::IndirectRetrain { eip, site });
-                                self.trace_profile(|t| {
-                                    t.profile_lifecycle(eip, EventKind::IndirectRetrain)
-                                });
-                            }
-                        } else {
-                            // Fill the direct-mapped table.
-                            let slot = layout::lookup_slot_legacy(eip);
-                            let _ = self.mem.write(slot, 8, eip as u64);
-                            let _ = self.mem.write(slot + 8, 8, entry);
+                        self.lookup_insert(eip, entry);
+                        if site != 0 {
+                            // Retrain the site's inline cache to its
+                            // newest observed target.
+                            let _ = self.mem.write(site, 8, eip as u64);
+                            let _ = self.mem.write(site + 8, 8, entry);
+                            self.stats.ic_retrains += 1;
+                            self.trace_emit(EventData::IndirectRetrain { eip, site });
+                            self.trace_profile(|t| {
+                                t.profile_lifecycle(eip, EventKind::IndirectRetrain)
+                            });
                         }
                         ExitAction::Continue(entry)
                     }
@@ -3104,8 +3063,7 @@ impl Engine {
                 self.stats.blacklist_hits += 1;
                 continue;
             }
-            let built = crate::hot::promote(self, id);
-            if !built && self.cfg.enable_indirect_accel {
+            if !crate::hot::promote(self, id) {
                 self.maybe_demote_megamorphic(os, id);
             }
             if budget > 0 && self.overhead_cycles() - start > budget {
@@ -3116,7 +3074,6 @@ impl Engine {
             }
         }
         self.trace_phase_exit(span);
-        let _ = os;
     }
 
     /// Mines the learned superinstruction idiom table (see

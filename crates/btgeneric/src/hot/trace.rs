@@ -323,103 +323,99 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                     // otherwise end the trace before the terminator (a
                     // cold block starting there runs it).
                     _ => {
-                        if engine.cfg.enable_indirect_accel {
-                            let next = ip + *len as u32;
-                            let devirt = match inst {
-                                // Direct call: static target, no guard.
-                                I32::Call { target } => {
-                                    ret_stack.push(next);
-                                    Some((*target, 0u64))
-                                }
-                                // Indirect jmp/call: trust the per-site
-                                // inline cache once it has proven
-                                // monomorphic — the IC must have hit on
-                                // a majority of the block's executions,
-                                // not just an absolute count (a site
-                                // rotating over k targets still hits
-                                // 1/k of the time and would eventually
-                                // cross any absolute threshold).
-                                I32::JmpInd { .. } | I32::CallInd { .. } => {
-                                    let slot = info.ic_slot;
-                                    let pred = engine
-                                        .mem
-                                        .read(slot, 8)
-                                        .unwrap_or(layout::LOOKUP_EMPTY_KEY);
-                                    let hits = engine.mem.read(slot + 16, 8).unwrap_or(0);
-                                    let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
-                                    if pred != layout::LOOKUP_EMPTY_KEY
-                                        && hits >= engine.cfg.devirt_threshold
-                                        && crate::engine::site_is_monomorphic(hits, uses)
-                                    {
-                                        if matches!(inst, I32::CallInd { .. }) {
-                                            ret_stack.push(next);
-                                        }
-                                        Some((pred as u32, slot))
-                                    } else {
-                                        None
+                        let next = ip + *len as u32;
+                        let devirt = match inst {
+                            // Direct call: static target, no guard.
+                            I32::Call { target } => {
+                                ret_stack.push(next);
+                                Some((*target, 0u64))
+                            }
+                            // Indirect jmp/call: trust the per-site
+                            // inline cache once it has proven
+                            // monomorphic — the IC must have hit on
+                            // a majority of the block's executions,
+                            // not just an absolute count (a site
+                            // rotating over k targets still hits
+                            // 1/k of the time and would eventually
+                            // cross any absolute threshold).
+                            I32::JmpInd { .. } | I32::CallInd { .. } => {
+                                let slot = info.ic_slot;
+                                let pred =
+                                    engine.mem.read(slot, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
+                                let hits = engine.mem.read(slot + 16, 8).unwrap_or(0);
+                                let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
+                                if pred != layout::LOOKUP_EMPTY_KEY
+                                    && hits >= engine.cfg.devirt_threshold
+                                    && crate::engine::site_is_monomorphic(hits, uses)
+                                {
+                                    if matches!(inst, I32::CallInd { .. }) {
+                                        ret_stack.push(next);
                                     }
+                                    Some((pred as u32, slot))
+                                } else {
+                                    None
                                 }
-                                // Return: exact prediction from the
-                                // selection-time stack, if a matching
-                                // call is on this trace.
-                                I32::Ret { .. } => ret_stack.pop().map(|r| (r, 0u64)),
-                                _ => None,
+                            }
+                            // Return: exact prediction from the
+                            // selection-time stack, if a matching
+                            // call is on this trace.
+                            I32::Ret { .. } => ret_stack.pop().map(|r| (r, 0u64)),
+                            _ => None,
+                        };
+                        if let Some((predicted, ic_slot)) = devirt {
+                            steps.push(Step::Terminator {
+                                ip: *ip,
+                                inst: *inst,
+                                len: *len,
+                                block: blk.start,
+                                idx: i,
+                                predicted,
+                                ic_slot,
+                            });
+                            total += 1;
+                            cur = predicted;
+                            continue 'outer;
+                        }
+                        // Not devirtualizable (megamorphic site or
+                        // unmatched ret): the trace ends *through*
+                        // the terminator — its work plus the inline
+                        // dispatch run hot, and promotion succeeds
+                        // instead of churning through megamorphic
+                        // demotion.
+                        if matches!(
+                            inst,
+                            I32::JmpInd { .. } | I32::CallInd { .. } | I32::Ret { .. }
+                        ) {
+                            // A jmp/call site with no allocated IC
+                            // slot dispatches like a demoted one.
+                            // A site the profile already proves
+                            // megamorphic gets the same treatment
+                            // up front: its inline cache would miss
+                            // on (k-1)/k of executions, so the
+                            // probe is pure overhead — go straight
+                            // to the 2-way table.
+                            let is_ret = matches!(inst, I32::Ret { .. });
+                            let megamorphic = !is_ret && info.ic_slot != 0 && {
+                                let hits = engine.mem.read(info.ic_slot + 16, 8).unwrap_or(0);
+                                let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
+                                uses >= engine.cfg.megamorphic_demote_uses
+                                    && !crate::engine::site_is_monomorphic(hits, uses)
                             };
-                            if let Some((predicted, ic_slot)) = devirt {
-                                steps.push(Step::Terminator {
-                                    ip: *ip,
-                                    inst: *inst,
-                                    len: *len,
-                                    block: blk.start,
-                                    idx: i,
-                                    predicted,
-                                    ic_slot,
-                                });
-                                total += 1;
-                                cur = predicted;
-                                continue 'outer;
-                            }
-                            // Not devirtualizable (megamorphic site or
-                            // unmatched ret): the trace ends *through*
-                            // the terminator — its work plus the inline
-                            // dispatch run hot, and promotion succeeds
-                            // instead of churning through megamorphic
-                            // demotion.
-                            if matches!(
-                                inst,
-                                I32::JmpInd { .. } | I32::CallInd { .. } | I32::Ret { .. }
-                            ) {
-                                // A jmp/call site with no allocated IC
-                                // slot dispatches like a demoted one.
-                                // A site the profile already proves
-                                // megamorphic gets the same treatment
-                                // up front: its inline cache would miss
-                                // on (k-1)/k of executions, so the
-                                // probe is pure overhead — go straight
-                                // to the 2-way table.
-                                let is_ret = matches!(inst, I32::Ret { .. });
-                                let megamorphic = !is_ret && info.ic_slot != 0 && {
-                                    let hits = engine.mem.read(info.ic_slot + 16, 8).unwrap_or(0);
-                                    let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
-                                    uses >= engine.cfg.megamorphic_demote_uses
-                                        && !crate::engine::site_is_monomorphic(hits, uses)
-                                };
-                                let plain = info.indirect_plain
-                                    || megamorphic
-                                    || (info.ic_slot == 0 && !is_ret);
-                                steps.push(Step::IndirectEnd {
-                                    ip: *ip,
-                                    inst: *inst,
-                                    len: *len,
-                                    block: blk.start,
-                                    idx: i,
-                                    ic_slot: info.ic_slot,
-                                    plain,
-                                });
-                                total += 1;
-                                main_exit = *ip;
-                                break 'outer;
-                            }
+                            let plain = info.indirect_plain
+                                || megamorphic
+                                || (info.ic_slot == 0 && !is_ret);
+                            steps.push(Step::IndirectEnd {
+                                ip: *ip,
+                                inst: *inst,
+                                len: *len,
+                                block: blk.start,
+                                idx: i,
+                                ic_slot: info.ic_slot,
+                                plain,
+                            });
+                            total += 1;
+                            main_exit = *ip;
+                            break 'outer;
                         }
                         main_exit = *ip;
                         break 'outer;

@@ -32,7 +32,7 @@ pub const LOOKUP_BASE: u64 = PROFILE_BASE;
 /// Total lookup-table entries (must be a power of 2).
 pub const LOOKUP_ENTRIES: u64 = 4096;
 
-/// Associativity of the lookup table when indirect acceleration is on.
+/// Associativity of the lookup table.
 pub const LOOKUP_WAYS: u64 = 2;
 
 /// Number of 2-way sets.
@@ -193,8 +193,8 @@ pub mod region {
 
 /// Set index for `eip` in the 2-way table. XOR-folding the high bits
 /// in keeps targets 2^14 bytes apart (common for page- or
-/// table-aligned function pointers) from aliasing, which the old
-/// `eip >> 2` index did.
+/// table-aligned function pointers) from aliasing, which a plain
+/// `eip >> 2` index would.
 pub fn lookup_hash(eip: u32) -> u64 {
     let e = eip as u64;
     (e ^ (e >> 12)) & (LOOKUP_SETS - 1)
@@ -204,12 +204,6 @@ pub fn lookup_hash(eip: u32) -> u64 {
 /// `+LOOKUP_ENTRY_SIZE`).
 pub fn lookup_slot(eip: u32) -> u64 {
     LOOKUP_BASE + lookup_hash(eip) * LOOKUP_WAYS * LOOKUP_ENTRY_SIZE
-}
-
-/// The pre-acceleration direct-mapped slot for `eip`, still used when
-/// `Config::enable_indirect_accel` is off (the before/after baseline).
-pub fn lookup_slot_legacy(eip: u32) -> u64 {
-    LOOKUP_BASE + ((eip as u64 >> 2) & (LOOKUP_ENTRIES - 1)) * LOOKUP_ENTRY_SIZE
 }
 
 #[cfg(test)]
@@ -228,27 +222,21 @@ mod tests {
 
     #[test]
     fn lookup_slots_in_region() {
-        // Each probe's actual footprint must stay inside the table:
-        // `lookup_slot` reads a whole set, the legacy slot is
-        // direct-mapped and reads one entry.
+        // The probe's footprint (a whole set) must stay inside the
+        // table.
         for eip in [0u32, 4, 0x40_0000, 0xFFFF_FFFF] {
-            for (s, probe) in [
-                (lookup_slot(eip), LOOKUP_WAYS * LOOKUP_ENTRY_SIZE),
-                (lookup_slot_legacy(eip), LOOKUP_ENTRY_SIZE),
-            ] {
-                assert!(s >= LOOKUP_BASE);
-                assert!(s + probe <= SHADOW_BASE);
-                assert_eq!(s % 16, 0);
-            }
+            let s = lookup_slot(eip);
+            assert!(s >= LOOKUP_BASE);
+            assert!(s + LOOKUP_WAYS * LOOKUP_ENTRY_SIZE <= SHADOW_BASE);
+            assert_eq!(s % 16, 0);
         }
     }
 
     #[test]
     fn lookup_hash_mixes_high_bits() {
-        // The legacy `>> 2` index aliases addresses exactly 16 KiB
-        // apart; the mixed hash must separate them.
+        // A plain `>> 2` index over 4096 entries aliases addresses
+        // exactly 16 KiB apart; the mixed hash must separate them.
         let (a, b) = (0x40_1000u32, 0x40_1000 + (1 << 14));
-        assert_eq!(lookup_slot_legacy(a), lookup_slot_legacy(b));
         assert_ne!(lookup_slot(a), lookup_slot(b));
     }
 

@@ -170,7 +170,6 @@ pub fn fingerprint(cfg: &Config) -> u64 {
         cfg.enable_fusion,
         cfg.enable_misalign_avoidance,
         cfg.enable_fp_spec,
-        cfg.enable_indirect_accel,
         cfg.enable_superinst,
     ] {
         bytes.push(flag as u8);
@@ -607,7 +606,6 @@ pub fn load(engine: &mut Engine, os: &mut dyn BtOs, bytes: &[u8]) -> LoadSummary
         }
     }
     let mut loaded = 0u64;
-    let accel = engine.cfg.enable_indirect_accel;
     // IC hints are installed in a second pass once every record has had
     // its chance to install: the predicted target must itself resolve
     // to a translated entry.
@@ -649,11 +647,9 @@ pub fn load(engine: &mut Engine, os: &mut dyn BtOs, bytes: &[u8]) -> LoadSummary
         ) {
             Ok(entry) => {
                 loaded += 1;
-                if accel {
-                    // Pre-seed the shared lookup table so indirect
-                    // transfers into loaded blocks hit immediately.
-                    engine.lookup_insert(b.eip, entry);
-                }
+                // Pre-seed the shared lookup table so indirect
+                // transfers into loaded blocks hit immediately.
+                engine.lookup_insert(b.eip, entry);
                 if engine.cfg.restore_profiles {
                     if b.heat != 0 || b.edges != (0, 0) {
                         engine.restore_profile(b.eip, b.heat, b.edges);
@@ -722,10 +718,8 @@ pub fn pretranslate(engine: &mut Engine, os: &mut dyn BtOs, entry: u32) -> u64 {
             && engine.translate_pre(os, eip, BlockKind::ColdV1).is_ok()
         {
             translated += 1;
-            if engine.cfg.enable_indirect_accel {
-                if let Some(e) = engine.entry_of_existing(eip) {
-                    engine.lookup_insert(eip, e);
-                }
+            if let Some(e) = engine.entry_of_existing(eip) {
+                engine.lookup_insert(eip, e);
             }
         }
     }
