@@ -7,7 +7,9 @@ use crate::chaos::{Blacklist, FaultKind, FaultPlan};
 use crate::cold::discover::discover;
 use crate::cold::gen::{generate, ColdGenInput, SpecSeed};
 use crate::cold::liveness::analyze;
+use crate::cost;
 use crate::layout::{self, region, StubKind};
+use crate::policy;
 use crate::state::{self, GR_PAYLOAD0, GR_STATE};
 use crate::stats::Stats;
 use crate::templates::{AccessMode, MisalignPlan};
@@ -20,6 +22,8 @@ use ipf::machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason};
 use std::collections::{HashMap, HashSet};
 
 /// Engine configuration — the knobs the benchmarks and ablations turn.
+/// Charges and thresholds nothing varies are constants in
+/// [`crate::cost`] and [`crate::policy`].
 ///
 /// No longer `Copy`: the warm-start fields (`save_image`,
 /// `load_image`) carry heap-allocated paths, so pass clones where a
@@ -48,33 +52,8 @@ pub struct Config {
     pub enable_misalign_avoidance: bool,
     /// FP TOS/tag/mode/format speculation (off = inline checks).
     pub enable_fp_spec: bool,
-    /// Synthetic translation cost charged per IA-32 instruction of cold
-    /// translation (simulated cycles).
-    pub cold_xlate_cycles: u64,
-    /// Hot translation costs this factor more per instruction (paper:
-    /// "about 20 times more").
-    pub hot_xlate_factor: u64,
-    /// Engine dispatch round-trip cost (simulated cycles) when the
-    /// target must be translated or looked up the slow way.
-    pub dispatch_cycles: u64,
-    /// Dispatch round-trip cost when the target block is already
-    /// translated (registry hit, no translation, minimal state
-    /// spill/fill): the chained-dispatch fast path.
-    pub dispatch_fast_cycles: u64,
-    /// OS-handled misalignment fault cost (paper: "on the order of
-    /// several thousand cycles").
-    pub misalign_fault_cycles: u64,
-    /// Engine-side speculation fix-up cost.
-    pub fix_cycles: u64,
-    /// Cost of single-stepping one instruction in the engine.
-    pub interp_step_cycles: u64,
     /// Machine timing parameters.
     pub timing: ipf::Timing,
-    /// Maximum IA-32 instructions in a hot trace (paper: ~20).
-    pub max_trace_insts: usize,
-    /// Misalignment faults tolerated in a hot block before it is
-    /// discarded and regenerated with avoidance.
-    pub hot_misalign_tolerance: u32,
     /// Translation-cache capacity in bundles. 0 = unbounded. Exceeding
     /// it evicts cold, low-use blocks incrementally (see
     /// `enable_eviction`), falling back to a full flush when nothing is
@@ -87,61 +66,20 @@ pub struct Config {
     /// Verify each block's arena checksum before dispatching into it;
     /// a mismatch (corrupted cache line) evicts and retranslates
     /// instead of executing garbage. Opt-in: costs
-    /// `integrity_check_cycles` per dispatch.
+    /// [`cost::INTEGRITY_CHECK_CYCLES`] per dispatch.
     pub verify_on_dispatch: bool,
-    /// Simulated cost of one verify-on-dispatch checksum check.
-    pub integrity_check_cycles: u64,
     /// Cycle budget (OVERHEAD region) for one hot optimization session;
     /// the watchdog aborts the session past it and keeps the cold
     /// code. 0 = unbounded.
     pub hot_session_budget: u64,
-    /// Inline-cache hit count at which a site is considered stable
-    /// enough for hot-trace devirtualization.
-    pub devirt_threshold: u64,
-    /// Executions after which a block whose inline cache hit on fewer
-    /// than half of them is declared megamorphic and demoted to the
-    /// plain table probe (checked when its promotion fails).
-    pub megamorphic_demote_uses: u64,
-    /// Shadow-stack pop misses (dispatcher round-trips) tolerated per
-    /// ret block before it is demoted to the plain table probe.
-    pub shadow_demote_misses: u32,
-    /// Degradation-ladder failures tolerated per block before it is
-    /// demoted (hot) or evicted (cold) and its EIP blacklisted.
-    pub block_failure_cap: u32,
-    /// Speculation (NaT-consumption) failures tolerated in a hot trace
-    /// before its retries are exhausted and it is rebuilt with inline
-    /// checks.
-    pub spec_retry_cap: u32,
     /// Base re-promotion backoff (simulated cycles) after a demotion;
     /// doubles per strike.
     pub blacklist_backoff_cycles: u64,
-    /// Native-instruction quantum used while asynchronous signals are
-    /// pending: the machine runs at most this many slots before the
-    /// engine re-checks the signal queue. Has no effect (and no cost)
-    /// when the OS layer reports no pending signals.
-    pub signal_quantum: u64,
-    /// Single-step budget for hunting the next recovery-mapped commit
-    /// point after a quantum expires inside a hot trace. Exhausting it
-    /// defers delivery to the next dispatch boundary.
-    pub signal_step_cap: u32,
-    /// Simulated cost of delivering one asynchronous signal (frame
-    /// push + state spill).
-    pub signal_deliver_cycles: u64,
     /// SMC-thrash governor: invalidation events tolerated per guest
-    /// code page within `smc_thrash_window` cycles before the page is
+    /// code page within [`policy::SMC_THRASH_WINDOW`] cycles before the page is
     /// blacklisted to interpret-only execution. 0 disables the
     /// governor.
     pub smc_thrash_threshold: u32,
-    /// Sliding window (simulated cycles) for the SMC-thrash counter.
-    pub smc_thrash_window: u64,
-    /// Base un-blacklist backoff (simulated cycles) for an SMC-thrashed
-    /// page; doubles per strike like the block blacklist.
-    pub smc_backoff_cycles: u64,
-    /// Hard floor for re-entrant recovery: when failures nest this deep
-    /// (an `EngineError` raised while already recovering), the ladder
-    /// stops retrying/demoting and single-steps through the
-    /// interpreter instead.
-    pub max_recovery_depth: u32,
     /// Observability knobs: lifecycle tracing and per-block profiling
     /// (off by default — zero cost when disabled).
     pub trace: TraceConfig,
@@ -158,10 +96,6 @@ pub struct Config {
     /// point before the first dispatch, merging with any loaded image
     /// (already-installed blocks are skipped).
     pub pretranslate: bool,
-    /// Simulated cost of validating and installing one block from a
-    /// warm-start image (replaces the per-instruction
-    /// `cold_xlate_cycles` charge — the whole point of warm start).
-    pub image_load_cycles: u64,
     /// Restore persisted hot-phase profiles (heat/edge counters,
     /// inline-cache hints) when loading a warm-start image or
     /// importing from a shared namespace. On (the default), a warm
@@ -184,39 +118,17 @@ impl Default for Config {
             enable_superinst: false,
             enable_misalign_avoidance: true,
             enable_fp_spec: true,
-            cold_xlate_cycles: 120,
-            hot_xlate_factor: 20,
-            dispatch_cycles: 60,
-            dispatch_fast_cycles: 18,
-            misalign_fault_cycles: 2500,
-            fix_cycles: 120,
-            interp_step_cycles: 150,
             timing: ipf::Timing::default(),
-            max_trace_insts: 24,
-            hot_misalign_tolerance: 8,
             max_cache_bundles: 0,
             enable_eviction: true,
             verify_on_dispatch: false,
-            integrity_check_cycles: 35,
             hot_session_budget: 0,
-            devirt_threshold: 16,
-            megamorphic_demote_uses: 32,
-            shadow_demote_misses: 8,
-            block_failure_cap: 3,
-            spec_retry_cap: 32,
             blacklist_backoff_cycles: 100_000,
-            signal_quantum: 4096,
-            signal_step_cap: 512,
-            signal_deliver_cycles: 400,
             smc_thrash_threshold: 8,
-            smc_thrash_window: 250_000,
-            smc_backoff_cycles: 150_000,
-            max_recovery_depth: 3,
             trace: TraceConfig::default(),
             save_image: None,
             load_image: None,
             pretranslate: false,
-            image_load_cycles: 30,
             restore_profiles: true,
         }
     }
@@ -323,8 +235,8 @@ pub struct BlockInfo {
     pub ic_slot: u64,
     /// Demoted to the plain table probe: the block's inline cache or
     /// shadow pop proved chronically wrong, so its translations carry
-    /// no per-site acceleration (see `Config::megamorphic_demote_uses`
-    /// and `Config::shadow_demote_misses`).
+    /// no per-site acceleration (see [`crate::policy::MEGAMORPHIC_DEMOTE_USES`]
+    /// and [`crate::policy::SHADOW_DEMOTE_MISSES`]).
     pub indirect_plain: bool,
     /// Shadow-stack pop misses observed by the dispatcher for this
     /// (ret-terminated) block.
@@ -385,7 +297,7 @@ pub(crate) enum XlateOrigin {
     Pretranslate,
     /// Materialization of a validated warm-start image record: reuse
     /// the saved FP speculation seed and indirect-dispatch shape, and
-    /// charge only the flat `Config::image_load_cycles`.
+    /// charge only the flat [`crate::cost::IMAGE_LOAD_CYCLES`].
     Image {
         /// FP speculation seed the block was originally generated under.
         spec: SpecSeed,
@@ -395,7 +307,7 @@ pub(crate) enum XlateOrigin {
     /// Materialization of a record imported from the shared
     /// multi-tenant namespace ([`crate::serving`]): mechanically the
     /// image path (saved seed and shape reused, flat
-    /// `Config::image_load_cycles` charge) — the record was published
+    /// [`crate::cost::IMAGE_LOAD_CYCLES`] charge) — the record was published
     /// by a peer tenant instead of loaded from disk.
     Shared {
         /// FP speculation seed the block was originally generated under.
@@ -592,7 +504,7 @@ impl Engine {
                 blocks_by_page: HashMap::new(),
                 smc_pages: HashSet::new(),
                 smc_window: HashMap::new(),
-                smc_blacklist: Blacklist::new(cfg.smc_backoff_cycles),
+                smc_blacklist: Blacklist::new(policy::SMC_BACKOFF_CYCLES),
                 interp_stubs: HashMap::new(),
                 protected_pages: Vec::new(),
                 profile_of: HashMap::new(),
@@ -1291,7 +1203,7 @@ impl Engine {
     /// position (this is the relocation mechanism — arena offsets, exit
     /// trampolines, and chain links all re-derive from the new base),
     /// the saved FP speculation seed and indirect-dispatch shape are
-    /// reused, and only `Config::image_load_cycles` is charged instead
+    /// reused, and only [`crate::cost::IMAGE_LOAD_CYCLES`] is charged instead
     /// of the full per-instruction translation cost.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn translate_image(
@@ -1465,7 +1377,7 @@ impl Engine {
         match origin {
             XlateOrigin::Image { .. } => {
                 self.machine
-                    .charge(region::OVERHEAD, self.cfg.image_load_cycles);
+                    .charge(region::OVERHEAD, cost::IMAGE_LOAD_CYCLES);
                 self.stats.image_blocks_loaded += 1;
             }
             XlateOrigin::Shared { .. } => {
@@ -1474,7 +1386,7 @@ impl Engine {
                 // this asymmetry vs the per-instruction cold charge is
                 // the multi-tenant dedup win.
                 self.machine
-                    .charge(region::OVERHEAD, self.cfg.image_load_cycles);
+                    .charge(region::OVERHEAD, cost::IMAGE_LOAD_CYCLES);
                 self.stats.shared_installs += 1;
             }
             _ => {
@@ -1484,7 +1396,7 @@ impl Engine {
                 // dispatch covers them — but still pay decode, so they
                 // are charged half the per-instruction cold walk.
                 let absorbed = gen0.superinst_absorbed_slots;
-                let full = self.cfg.cold_xlate_cycles;
+                let full = cost::COLD_XLATE_CYCLES;
                 self.machine.charge(
                     region::OVERHEAD,
                     ((gen0.ia32_insts as u64).max(1) * full).saturating_sub(absorbed * full / 2),
@@ -1632,7 +1544,7 @@ impl Engine {
     /// Materializes a block imported from the shared multi-tenant
     /// namespace: identical mechanics to [`Engine::translate_image`]
     /// (deterministic regeneration at this tenant's arena position,
-    /// saved seed/shape reused, flat `Config::image_load_cycles`
+    /// saved seed/shape reused, flat [`crate::cost::IMAGE_LOAD_CYCLES`]
     /// charge), with the record coming from a peer tenant's publish.
     #[allow(clippy::too_many_arguments)]
     fn translate_shared(
@@ -2016,7 +1928,7 @@ impl Engine {
             return true;
         };
         self.machine
-            .charge(region::OTHER, self.cfg.integrity_check_cycles);
+            .charge(region::OTHER, cost::INTEGRITY_CHECK_CYCLES);
         let b = &self.cache.blocks[id as usize];
         if self.machine.arena.checksum_range(b.range.0, b.range.1) == b.checksum {
             return true;
@@ -2180,11 +2092,11 @@ impl Engine {
                 };
                 let entry = if let Some(e) = fast {
                     self.machine
-                        .charge(region::OTHER, self.cfg.dispatch_fast_cycles);
+                        .charge(region::OTHER, cost::DISPATCH_FAST_CYCLES);
                     self.stats.dispatch_fast_hits += 1;
                     e
                 } else {
-                    self.machine.charge(region::OTHER, self.cfg.dispatch_cycles);
+                    self.machine.charge(region::OTHER, cost::DISPATCH_CYCLES);
                     match self.entry_of(os, eip) {
                         Ok(e) => e,
                         Err(exc) => match self.deliver(os, exc, None) {
@@ -2219,7 +2131,7 @@ impl Engine {
                 // near the arrival cycle instead of at the next natural
                 // exit (which a tight loop may never take).
                 let step = if os.signals_pending() {
-                    remaining.min(self.cfg.signal_quantum)
+                    remaining.min(policy::SIGNAL_QUANTUM)
                 } else {
                     remaining
                 };
@@ -2364,8 +2276,7 @@ impl Engine {
                     site = 0;
                     if (id as usize) < self.cache.blocks.len() {
                         self.cache.blocks[id as usize].pop_misses += 1;
-                        if self.cache.blocks[id as usize].pop_misses
-                            >= self.cfg.shadow_demote_misses
+                        if self.cache.blocks[id as usize].pop_misses >= policy::SHADOW_DEMOTE_MISSES
                             && !self.cache.blocks[id as usize].indirect_plain
                         {
                             self.demote_indirect(os, id);
@@ -2442,14 +2353,14 @@ impl Engine {
             StubKind::TosFix => {
                 let id = payload as u32;
                 self.stats.tos_fixes += 1;
-                self.machine.charge(region::OTHER, self.cfg.fix_cycles);
+                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 self.fix_tos(id);
                 ExitAction::Continue(self.cache.blocks[id as usize].entry)
             }
             StubKind::TagFix => {
                 let id = payload as u32;
                 self.stats.tag_fixes += 1;
-                self.machine.charge(region::OTHER, self.cfg.fix_cycles);
+                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 // Rebuild the "special block" with inline checks.
                 let eip = self.cache.blocks[id as usize].eip;
                 let overrides = self.cache.blocks[id as usize].misalign_overrides.clone();
@@ -2460,14 +2371,14 @@ impl Engine {
             StubKind::MmxFix => {
                 let id = payload as u32;
                 self.stats.mmx_fixes += 1;
-                self.machine.charge(region::OTHER, self.cfg.fix_cycles);
+                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 self.fix_mmx_mode(self.cache.blocks[id as usize].entry_mmx);
                 ExitAction::Continue(self.cache.blocks[id as usize].entry)
             }
             StubKind::XmmFix => {
                 let id = payload as u32;
                 self.stats.xmm_fixes += 1;
-                self.machine.charge(region::OTHER, self.cfg.fix_cycles);
+                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 self.fix_xmm_formats(id);
                 ExitAction::Continue(self.cache.blocks[id as usize].entry)
             }
@@ -2526,10 +2437,9 @@ impl Engine {
     /// rare-case escape hatch: 64/32-bit divides, pop-to-memory, …).
     fn interp_one(&mut self, os: &mut dyn BtOs, eip: u32) -> ExitAction {
         self.stats.interp_steps += 1;
-        self.stats.interp_cycles += self.cfg.interp_step_cycles;
-        self.machine
-            .charge(region::OTHER, self.cfg.interp_step_cycles);
-        let step_cycles = self.cfg.interp_step_cycles;
+        self.stats.interp_cycles += cost::INTERP_STEP_CYCLES;
+        self.machine.charge(region::OTHER, cost::INTERP_STEP_CYCLES);
+        let step_cycles = cost::INTERP_STEP_CYCLES;
         self.trace_profile(|t| t.profile_interp(eip, step_cycles));
         let cpu = state::machine_to_cpu(&self.machine, eip);
         let mut interp = Interp::new();
@@ -2593,12 +2503,12 @@ impl Engine {
             MachFault::Misalign { .. } => {
                 self.stats.misalign_faults += 1;
                 self.machine
-                    .charge(region::OTHER, self.cfg.misalign_fault_cycles);
+                    .charge(region::OTHER, cost::MISALIGN_FAULT_CYCLES);
                 if let Some(id) = self.block_at_addr(ip) {
                     let b = &mut self.cache.blocks[id as usize];
                     b.misalign_faults += 1;
                     if b.kind == BlockKind::Hot
-                        && b.misalign_faults > self.cfg.hot_misalign_tolerance
+                        && b.misalign_faults > policy::HOT_MISALIGN_TOLERANCE
                     {
                         // Discard the hot block; regenerate everything
                         // with detection and avoidance (paper §5 stage 3
@@ -2896,7 +2806,7 @@ impl Engine {
         }
         let now = self.machine.cycles;
         let w = self.cache.smc_window.entry(page).or_insert((now, 0));
-        if now.saturating_sub(w.0) > self.cfg.smc_thrash_window {
+        if now.saturating_sub(w.0) > policy::SMC_THRASH_WINDOW {
             *w = (now, 0);
         }
         w.1 += 1;
@@ -3202,13 +3112,13 @@ impl Engine {
     }
 
     /// The degradation ladder entry point, re-entrancy-guarded: at
-    /// `max_recovery_depth` nested failures the engine stops trusting
+    /// [`policy::MAX_RECOVERY_DEPTH`] nested failures the engine stops trusting
     /// translated code entirely and takes the interpret-only floor —
     /// one precisely reconstructed instruction through the safety net,
     /// which cannot itself raise an `EngineError`.
     fn degrade(&mut self, os: &mut dyn BtOs, err: EngineError) -> ExitAction {
         self.recovery_enter();
-        let act = if self.ctx.recovery_depth >= self.cfg.max_recovery_depth {
+        let act = if self.ctx.recovery_depth >= policy::MAX_RECOVERY_DEPTH {
             self.stats.ladder_recoveries += 1;
             self.stats.interp_fallbacks += 1;
             let (site, slot) = match err {
@@ -3263,7 +3173,7 @@ impl Engine {
                 // without the speculative assumptions (inline checks).
                 let b = &mut self.cache.blocks[id as usize];
                 b.spec_failures += 1;
-                if b.spec_failures > self.cfg.spec_retry_cap {
+                if b.spec_failures > policy::SPEC_RETRY_CAP {
                     b.inline_fp = true;
                     self.stats.spec_retry_exhaustions += 1;
                     self.demote_block(os, id);
@@ -3293,7 +3203,7 @@ impl Engine {
             return Rung::Retry;
         }
         b.failures += 1;
-        if b.failures <= self.cfg.block_failure_cap {
+        if b.failures <= policy::BLOCK_FAILURE_CAP {
             return Rung::Retry;
         }
         if b.kind == BlockKind::Hot {
@@ -3377,7 +3287,7 @@ impl Engine {
         }
         let uses = self.mem.read(counter, 8).unwrap_or(0);
         let hits = self.mem.read(slot + 16, 8).unwrap_or(0);
-        if uses >= self.cfg.megamorphic_demote_uses && !site_is_monomorphic(hits, uses) {
+        if uses >= policy::MEGAMORPHIC_DEMOTE_USES && !site_is_monomorphic(hits, uses) {
             self.demote_indirect(os, id);
         }
     }
@@ -3427,10 +3337,10 @@ impl Engine {
                 self.trace_emit(EventData::FaultInjected {
                     kind: FaultKind::MisalignStorm,
                 });
-                let n = self.cfg.hot_misalign_tolerance + 1;
+                let n = policy::HOT_MISALIGN_TOLERANCE + 1;
                 self.stats.misalign_faults += n as u64;
                 self.machine
-                    .charge(region::OTHER, self.cfg.misalign_fault_cycles * n as u64);
+                    .charge(region::OTHER, cost::MISALIGN_FAULT_CYCLES * n as u64);
                 self.cache.blocks[victim as usize].misalign_faults += n;
                 if self.cache.blocks[victim as usize].kind == BlockKind::Hot {
                     self.demote_block(os, victim);
@@ -3454,7 +3364,7 @@ impl Engine {
             self.trace_emit(EventData::FaultInjected {
                 kind: FaultKind::SmcInvalidate,
             });
-            self.machine.charge(region::OTHER, self.cfg.fix_cycles);
+            self.machine.charge(region::OTHER, cost::FIX_CYCLES);
             let ids = self
                 .cache
                 .blocks_by_page
@@ -3543,7 +3453,7 @@ impl Engine {
     /// arbitrary code, so the handler prologue cannot know what is live.
     fn deliver_signal(&mut self, handler: u32, mut cpu: Cpu) -> ExitAction {
         self.machine
-            .charge(region::OTHER, self.cfg.signal_deliver_cycles);
+            .charge(region::OTHER, cost::SIGNAL_DELIVER_CYCLES);
         let esp = cpu.esp().wrapping_sub(12);
         let ok = self.mem.write(esp as u64, 4, cpu.eip as u64).is_ok()
             && self.mem.write(esp as u64 + 4, 4, cpu.eflags as u64).is_ok()
@@ -3593,14 +3503,14 @@ impl Engine {
     }
 
     /// The signal quantum expired mid-trace with a signal due. Single-
-    /// step the machine (bounded by `signal_step_cap`) until it reaches
+    /// step the machine (bounded by [`policy::SIGNAL_STEP_CAP`]) until it reaches
     /// a site where precise IA-32 state exists — a hot-trace commit
     /// point, a chained block entry, or any dispatcher exit — and
     /// deliver there. Returns `None` if the cap ran out first (the
     /// caller resumes and hunts again next quantum) and `Some(action)`
     /// once the signal was delivered or execution left the trace.
     fn hunt_commit_point(&mut self, os: &mut dyn BtOs, remaining: &mut u64) -> Option<ExitAction> {
-        for _ in 0..self.cfg.signal_step_cap {
+        for _ in 0..policy::SIGNAL_STEP_CAP {
             if let Some(cpu) = self.commit_point_state() {
                 let handler = os.poll_signal(self.machine.cycles)?;
                 return Some(self.deliver_signal(handler, cpu));
@@ -3793,11 +3703,11 @@ mod tests {
         assert_eq!(engine.stats.reentrant_recoveries, 0);
         assert_eq!(engine.stats.recovery_depth_max, 1);
 
-        // A failure raised while already max_recovery_depth-1 deep in
+        // A failure raised while already MAX_RECOVERY_DEPTH-1 deep in
         // recovery scopes: the ladder must not recurse into another
         // rebuild; it interprets exactly one instruction (the hlt).
         let mut engine = halt_engine();
-        engine.ctx.recovery_depth = engine.cfg.max_recovery_depth - 1;
+        engine.ctx.recovery_depth = policy::MAX_RECOVERY_DEPTH - 1;
         let err = EngineError::NonStubBranch {
             target: 0xdead,
             from: 0xbeef,
@@ -3814,10 +3724,10 @@ mod tests {
         assert!(engine.stats.reentrant_recoveries > 0);
         assert_eq!(
             engine.stats.recovery_depth_max,
-            u64::from(engine.cfg.max_recovery_depth)
+            u64::from(policy::MAX_RECOVERY_DEPTH)
         );
         // The scope unwound: the faked outer depth is all that remains.
-        assert_eq!(engine.ctx.recovery_depth, engine.cfg.max_recovery_depth - 1);
+        assert_eq!(engine.ctx.recovery_depth, policy::MAX_RECOVERY_DEPTH - 1);
     }
 
     /// A fused `mov`+`alu` idiom whose ALU result flags are consumed

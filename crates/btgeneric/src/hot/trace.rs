@@ -10,8 +10,10 @@ use super::regalloc;
 use super::sched;
 use crate::cold::discover::{discover, BlockEnd};
 use crate::cold::liveness::{analyze, Liveness};
+use crate::cost;
 use crate::engine::Engine;
 use crate::layout::{self, region, StubKind};
+use crate::policy;
 use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_XMMFMT};
 use crate::templates::{
     self, AccessMode, AlignCache, EmitCtx, FpCtx, IlItem, MisalignPlan, Sink, Term, XmmCtx,
@@ -190,7 +192,7 @@ fn decode_hammock(mem: &ia32::GuestMem, from: u32, join: u32) -> Option<Vec<(u32
 /// Selects a trace starting at `block_id`'s EIP.
 pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
     let start = engine.block(block_id).eip;
-    let budget = engine.cfg.max_trace_insts;
+    let budget = policy::MAX_TRACE_INSTS;
     let mut steps = Vec::new();
     let mut blocks = Vec::new();
     let mut visited = HashSet::new();
@@ -345,7 +347,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 let hits = engine.mem.read(slot + 16, 8).unwrap_or(0);
                                 let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
                                 if pred != layout::LOOKUP_EMPTY_KEY
-                                    && hits >= engine.cfg.devirt_threshold
+                                    && hits >= policy::DEVIRT_THRESHOLD
                                     && crate::engine::site_is_monomorphic(hits, uses)
                                 {
                                     if matches!(inst, I32::CallInd { .. }) {
@@ -398,7 +400,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             let megamorphic = !is_ret && info.ic_slot != 0 && {
                                 let hits = engine.mem.read(info.ic_slot + 16, 8).unwrap_or(0);
                                 let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
-                                uses >= engine.cfg.megamorphic_demote_uses
+                                uses >= policy::MEGAMORPHIC_DEMOTE_USES
                                     && !crate::engine::site_is_monomorphic(hits, uses)
                             };
                             let plain = info.indirect_plain
@@ -1185,7 +1187,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     // trace walk (template selection, liveness and permission lookups,
     // guard bookkeeping) but still ride the optimizer with the rest of
     // the trace, so they pay half the per-instruction hot charge.
-    let full = engine.cfg.cold_xlate_cycles * engine.cfg.hot_xlate_factor;
+    let full = cost::COLD_XLATE_CYCLES * cost::HOT_XLATE_FACTOR;
     engine.machine.charge(
         region::OVERHEAD,
         (ia32_count.max(1) * full).saturating_sub(si_absorbed * full / 2),

@@ -12,10 +12,12 @@
 pub mod btos;
 pub mod chaos;
 pub mod cold;
+pub mod cost;
 pub mod engine;
 pub mod hot;
 pub mod layout;
 pub mod persist;
+pub mod policy;
 pub mod serving;
 pub mod state;
 pub mod stats;

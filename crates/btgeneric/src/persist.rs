@@ -30,7 +30,7 @@
 //! trampolines and chain links through the engine's ordinary
 //! `pending_exits`/`links_into` patching, and re-inserts lookup-table
 //! slots keyed by EIP. What is *charged* differs: an image block costs
-//! the flat `Config::image_load_cycles` instead of the per-instruction
+//! the flat [`crate::cost::IMAGE_LOAD_CYCLES`] instead of the per-instruction
 //! cold-translation cost — that asymmetry is the warm-start speedup.
 //!
 //! Hot trace *bodies* are **not** serialized: their recovery maps are
@@ -886,7 +886,7 @@ mod tests {
         b.enable_fusion = !b.enable_fusion;
         assert_ne!(fingerprint(&a), fingerprint(&b));
         let mut c = Config::default();
-        c.dispatch_cycles += 1; // timing-only knob: same code shape
+        c.blacklist_backoff_cycles += 1; // timing-only knob: same code shape
         assert_eq!(fingerprint(&a), fingerprint(&c));
     }
 }

@@ -9,7 +9,7 @@
 //! ([`crate::persist`]), sharing happens at the *generation metadata*
 //! level: a [`SharedCache`] stores validated [`ImageBlock`] records,
 //! and an importing tenant replays the deterministic cold generator at
-//! its own arena position, paying the flat `Config::image_load_cycles`
+//! its own arena position, paying the flat [`crate::cost::IMAGE_LOAD_CYCLES`]
 //! instead of the per-instruction translation cost.
 //!
 //! ## Namespaces

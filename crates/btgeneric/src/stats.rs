@@ -187,7 +187,7 @@ pub struct Stats {
     pub profile_ic_restored: u64,
     /// Blocks materialized from the shared multi-tenant namespace
     /// instead of being cold-translated locally (flat
-    /// `image_load_cycles` charge each — the dedup win).
+    /// [`crate::cost::IMAGE_LOAD_CYCLES`] charge each — the dedup win).
     pub shared_installs: u64,
     /// Translations this tenant published to the shared namespace.
     pub shared_publishes: u64,
