@@ -523,19 +523,12 @@ fn oracle_result(w: &Workload, scale: u32) -> u64 {
 /// Runs `w` once clean and once under [`FaultPlan::storm`], checking
 /// the storm run's final guest state against the IA-32 hardware model.
 pub fn chaos_run(w: &Workload, scale: u32, seed: u64) -> ChaosRun {
-    chaos_run_cfg(w, scale, seed, chaos_cfg())
+    chaos_run_plan(w, scale, FaultPlan::storm(seed), chaos_cfg())
 }
 
-/// [`chaos_run`] under an explicit engine configuration — the
-/// determinism suites run the same storm twice and demand byte-identical
-/// statistics per configuration.
-pub fn chaos_run_cfg(w: &Workload, scale: u32, seed: u64, cfg: Config) -> ChaosRun {
-    chaos_run_plan(w, scale, FaultPlan::storm(seed), cfg)
-}
-
-/// [`chaos_run_cfg`] under an explicit [`FaultPlan`] — targeted fault
-/// campaigns (e.g. template-synthesis corruption only) build their own
-/// plan instead of the full storm.
+/// [`chaos_run`] under an explicit [`FaultPlan`] and engine
+/// configuration — targeted fault campaigns (e.g. template-synthesis
+/// corruption only) build their own plan instead of the full storm.
 pub fn chaos_run_plan(w: &Workload, scale: u32, plan: FaultPlan, cfg: Config) -> ChaosRun {
     let img = build_image(w, scale);
     let oracle = oracle_result(w, scale);
@@ -1959,103 +1952,69 @@ mod tests {
         }
     }
 
-    /// The hot-IR acceptance gate (mirrors the engine-level
-    /// `chaos::indirect_accel_chaos_is_deterministic_and_oracle_correct`
-    /// at workload scale): every kernel — the twelve Figure-5 INT
-    /// kernels plus the three call-heavy indirect kernels — under a
-    /// seeded fault storm must halt with the hardware-model result, and
-    /// two runs of the same (kernel, seed) pair must produce
-    /// byte-identical statistics and cycle counts.
-    #[test]
-    fn hot_ir_chaos_is_deterministic_and_oracle_correct() {
+    /// Runs all 15 kernels — the twelve Figure-5 INT kernels plus the
+    /// three call-heavy indirect kernels — under the seeded fault storm
+    /// at seeds 11/22/33, twice each: every run must halt with the
+    /// hardware-model result, and the two runs of a (kernel, seed) pair
+    /// must produce byte-identical statistics, fault schedules and
+    /// cycle counts. Returns the first run of each pair.
+    fn storm_suite_replays(cfg: &Config) -> Vec<ChaosRun> {
         let mut kernels = workloads::spec_int();
         kernels.extend(workloads::indirect_kernels());
         assert_eq!(kernels.len(), 15, "the suite covers all 15 kernels");
-        let cfg = chaos_cfg();
-        let mut ir_traces = 0u64;
+        let mut runs = Vec::new();
         for w in &kernels {
             let scale = (w.scale / 400).max(512);
             for seed in [11u64, 22, 33] {
-                let a = chaos_run_cfg(w, scale, seed, cfg.clone());
-                let b = chaos_run_cfg(w, scale, seed, cfg.clone());
-                assert!(a.survived, "{} seed {seed}: storm run died", w.name);
-                assert!(
-                    a.oracle_ok,
-                    "{} seed {seed}: diverged from the oracle",
-                    w.name
-                );
-                assert_eq!(
-                    a.stats, b.stats,
-                    "{} seed {seed}: statistics must be byte-identical",
-                    w.name
-                );
-                assert_eq!(
-                    a.injected, b.injected,
-                    "{} seed {seed}: fault schedules must replay identically",
-                    w.name
-                );
+                let what = format!("{} seed {seed}", w.name);
+                let a = chaos_run_plan(w, scale, FaultPlan::storm(seed), cfg.clone());
+                let b = chaos_run_plan(w, scale, FaultPlan::storm(seed), cfg.clone());
+                assert!(a.survived, "{what}: storm run died");
+                assert!(a.oracle_ok, "{what}: diverged from the oracle");
+                assert_eq!(a.stats, b.stats, "{what}: statistics must replay");
+                assert_eq!(a.injected, b.injected, "{what}: faults must replay");
                 assert_eq!(
                     a.recovery_overhead.to_bits(),
                     b.recovery_overhead.to_bits(),
-                    "{} seed {seed}: cycle counts must be byte-identical",
-                    w.name
+                    "{what}: cycle counts must replay"
                 );
-                ir_traces += a.stats.hot_ir_traces;
+                runs.push(a);
             }
         }
-        assert!(ir_traces > 0, "the IR pipeline never compiled a trace");
+        runs
     }
 
-    /// The superinstruction acceptance gate: the full 15-kernel suite
-    /// under the seeded fault storm with `enable_superinst` on must
-    /// stay oracle-correct and replay byte-identically — mining,
-    /// validation, and both peepholes are all deterministic functions
-    /// of (kernel, seed) — and the idiom tables must actually fire
-    /// somewhere in the suite.
+    /// The hot-phase acceptance gate (mirrors the engine-level
+    /// `chaos::indirect_accel_chaos_is_deterministic_and_oracle_correct`
+    /// at workload scale): the storm suite replays under the chaos
+    /// configuration, and the hot compiler actually ran.
+    #[test]
+    fn hot_ir_chaos_is_deterministic_and_oracle_correct() {
+        let runs = storm_suite_replays(&chaos_cfg());
+        assert!(
+            runs.iter().any(|r| r.stats.hot_ir_traces > 0),
+            "the hot phase never compiled a trace"
+        );
+    }
+
+    /// The superinstruction acceptance gate: the storm suite replays
+    /// with `enable_superinst` on — mining, validation, and both
+    /// peepholes are all deterministic functions of (kernel, seed) —
+    /// and the idiom tables actually fire somewhere in the suite.
     #[test]
     fn superinst_chaos_is_deterministic_and_oracle_correct() {
-        let mut kernels = workloads::spec_int();
-        kernels.extend(workloads::indirect_kernels());
-        assert_eq!(kernels.len(), 15, "the suite covers all 15 kernels");
-        let cfg = Config {
+        let runs = storm_suite_replays(&Config {
             enable_superinst: true,
             ..chaos_cfg()
-        };
-        let mut hits = 0u64;
-        let mut mined = 0u64;
-        for w in &kernels {
-            let scale = (w.scale / 400).max(512);
-            for seed in [11u64, 22, 33] {
-                let a = chaos_run_cfg(w, scale, seed, cfg.clone());
-                let b = chaos_run_cfg(w, scale, seed, cfg.clone());
-                assert!(a.survived, "{} seed {seed}: storm run died", w.name);
-                assert!(
-                    a.oracle_ok,
-                    "{} seed {seed}: diverged from the oracle",
-                    w.name
-                );
-                assert_eq!(
-                    a.stats, b.stats,
-                    "{} seed {seed}: statistics must be byte-identical",
-                    w.name
-                );
-                assert_eq!(
-                    a.injected, b.injected,
-                    "{} seed {seed}: fault schedules must replay identically",
-                    w.name
-                );
-                assert_eq!(
-                    a.recovery_overhead.to_bits(),
-                    b.recovery_overhead.to_bits(),
-                    "{} seed {seed}: cycle counts must be byte-identical",
-                    w.name
-                );
-                hits += a.stats.superinst_hits;
-                mined += a.stats.superinst_mined_idioms;
-            }
-        }
-        assert!(mined > 0, "the miner never produced an idiom table");
-        assert!(hits > 0, "no fused template ever fired under chaos");
+        });
+        assert!(
+            runs.iter().any(|r| r.stats.superinst_mined_idioms > 0),
+            "the miner never produced an idiom table"
+        );
+        assert!(
+            runs.iter().any(|r| r.stats.superinst_hits > 0),
+            "no fused template ever fired under chaos"
+        );
     }
 
     /// Targeted [`FaultKind::TemplateSynth`] storm: every synthesized

@@ -816,18 +816,8 @@ impl Engine {
         // Refresh the indirect-branch lookup entry and any inline
         // cache predicting this EIP if it pointed at the old version —
         // the forward keeps stale entries correct, but direct is faster.
-        let s0 = layout::lookup_slot(eip);
-        for w in 0..layout::LOOKUP_WAYS {
-            let s = s0 + w * layout::LOOKUP_ENTRY_SIZE;
-            if self.mem.read(s, 8) == Ok(eip as u64) {
-                let _ = self.mem.write(s + 8, 8, entry);
-            }
-        }
-        for i in 0..self.cache.ic_slots.len() {
-            let s = self.cache.ic_slots[i];
-            if self.mem.read(s, 8) == Ok(eip as u64) {
-                let _ = self.mem.write(s + 8, 8, entry);
-            }
+        for s in self.predictions_of(eip) {
+            let _ = self.mem.write(s + 8, 8, entry);
         }
         self.trace_emit(EventData::BlockPromoted {
             id: block_id,
@@ -1140,22 +1130,22 @@ impl Engine {
         let _ = self.mem.write(slot + 8, 8, entry);
     }
 
+    /// Addresses of every `(eip, entry)` prediction currently keyed on
+    /// `eip`: its lookup-table ways, then the inline caches naming it.
+    fn predictions_of(&self, eip: u32) -> Vec<u64> {
+        let ways = (0..layout::LOOKUP_WAYS)
+            .map(|w| layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE);
+        ways.chain(self.cache.ic_slots.iter().copied())
+            .filter(|&s| self.mem.read(s, 8) == Ok(eip as u64))
+            .collect()
+    }
+
     /// Purges every lookup way keyed on `eip` (SMC invalidation) and
     /// empties inline caches predicting it so the next transfer
     /// retrains through the dispatcher.
     fn lookup_purge_eip(&mut self, eip: u32) {
-        let s0 = layout::lookup_slot(eip);
-        for w in 0..layout::LOOKUP_WAYS {
-            let s = s0 + w * layout::LOOKUP_ENTRY_SIZE;
-            if self.mem.read(s, 8) == Ok(eip as u64) {
-                let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-            }
-        }
-        for i in 0..self.cache.ic_slots.len() {
-            let s = self.cache.ic_slots[i];
-            if self.mem.read(s, 8) == Ok(eip as u64) {
-                let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-            }
+        for s in self.predictions_of(eip) {
+            let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
         }
     }
 

@@ -124,8 +124,20 @@ impl IrInst {
     }
 }
 
-/// Whether a *physical* register is architectural state. Unlike the
-/// pre-allocation classifier (any non-virtual register), this exempts
+/// Whether a register of still-virtual (pre-allocation) code is
+/// architectural state: anything that is not a virtual or a hardwired
+/// constant register.
+pub(super) fn is_state_prealloc(r: Reg) -> bool {
+    match r {
+        Reg::G(g) => !g.is_virtual() && g.0 != 0,
+        Reg::F(f) => !f.is_virtual() && f.0 > 1,
+        Reg::P(p) => !p.is_virtual() && p.0 != 0,
+        Reg::B(_) => true,
+    }
+}
+
+/// Whether a *physical* register is architectural state. Unlike
+/// [`is_state_prealloc`], this exempts
 /// the renaming pools and scratch banks by range, so a backend pass
 /// over allocated IR does not treat every pool register as a
 /// commit-barrier-pinned state write.

@@ -4,21 +4,12 @@
 //! propagation, cross-block EFLAGS elimination, and dead-code
 //! elimination.
 
-use super::ir::{Effects, IrInst, MemEffect};
+use super::ir::{is_state_prealloc, Effects, IrInst, MemEffect};
 use super::liveness;
 use crate::state::GR_EFLAGS;
 use ipf::inst::{Op, Reg};
 use ipf::regs::{Gr, P0};
 use std::collections::HashMap;
-
-fn is_state_reg(r: Reg) -> bool {
-    match r {
-        Reg::G(g) => !g.is_virtual() && g.0 != 0,
-        Reg::F(f) => !f.is_virtual() && f.0 > 1,
-        Reg::P(p) => !p.is_virtual() && p.0 != 0,
-        Reg::B(_) => true,
-    }
-}
 
 /// Local value numbering over the trace. Pure integer ops (and loads,
 /// versioned by the store count) with identical canonicalized operands
@@ -219,7 +210,7 @@ pub(super) fn dce(ils: &mut Vec<IrInst>) {
         let mut defines_live_virtual = false;
         op.visit_regs(&mut |r, is_def| {
             if is_def {
-                if is_state_reg(r) {
+                if is_state_prealloc(r) {
                     side_effect = true;
                 }
                 let key = reg_key(r);

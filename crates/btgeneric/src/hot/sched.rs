@@ -23,15 +23,6 @@ fn reg_slot(r: Reg) -> (u8, u16) {
     }
 }
 
-fn is_arch_state_def(r: Reg) -> bool {
-    match r {
-        Reg::G(g) => !g.is_virtual() && g.0 != 0,
-        Reg::F(f) => !f.is_virtual() && f.0 > 1,
-        Reg::P(p) => !p.is_virtual() && p.0 != 0,
-        Reg::B(_) => true,
-    }
-}
-
 /// Latency the critical-path heights are weighted with: the machine's
 /// default result latencies, except that the fixed two-cycle class
 /// (`mov` to/from a branch register, `fcmp`) counts as one — a
@@ -139,7 +130,7 @@ pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
             last_barrier = Some(i);
             state_writes_since.clear();
         }
-        let writes_state = op.defs().iter().any(|r| is_arch_state_def(*r));
+        let writes_state = op.defs().iter().any(|r| super::ir::is_state_prealloc(*r));
         if writes_state {
             if let Some(b) = last_barrier {
                 edge(b, i, &mut succs, &mut npreds);

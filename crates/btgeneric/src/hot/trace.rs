@@ -946,7 +946,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 // sit at its canonical entry configuration. Otherwise
                 // end the trace *before* the terminator instead —
                 // `trace.main_exit` already points at it, so the normal
-                // exit path below recreates the legacy behavior.
+                // exit path below hands the terminator to a cold block.
                 if fp.tos() != fp.entry_tos
                     || fp.perm != [0, 1, 2, 3, 4, 5, 6, 7]
                     || xmm.fmt != xmm.entry_fmt
@@ -977,38 +977,28 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 // path leaves through the IndirectMiss stub with the
                 // payload registers loaded.
                 body.set_ip(*ip);
-                match kind {
-                    // Rets (and plain sites) go straight to the 2-way
-                    // table: the return-address stream is low-degree in
-                    // practice, the probe hits inline, and this is the
-                    // state cold demotion converges to anyway — without
-                    // a cold block's dispatch and counter overhead.
-                    templates::IndKind::Ret => {
-                        crate::cold::gen::emit_table_probe2(&mut body, eip, 0);
-                    }
-                    templates::IndKind::Call { ret } if !*plain => {
-                        // The shadow push keeps a still-cold callee
-                        // ret's pop from underflowing while it warms.
-                        crate::cold::gen::emit_shadow_push(&mut body, ret);
-                        crate::cold::gen::emit_ic_probe(&mut body, eip, *ic_slot);
-                        crate::cold::gen::emit_table_probe2(&mut body, eip, *ic_slot);
-                    }
-                    templates::IndKind::Jump if !*plain => {
-                        crate::cold::gen::emit_ic_probe(&mut body, eip, *ic_slot);
-                        crate::cold::gen::emit_table_probe2(&mut body, eip, *ic_slot);
-                    }
-                    templates::IndKind::Call { ret } => {
-                        // Even a plain (megamorphic) call site keeps
-                        // seeding the shadow stack: its callees' rets
-                        // may still be cold and popping, and chronic
-                        // underflow would demote them for no reason.
-                        crate::cold::gen::emit_shadow_push(&mut body, ret);
-                        crate::cold::gen::emit_table_probe2(&mut body, eip, 0);
-                    }
-                    templates::IndKind::Jump => {
-                        crate::cold::gen::emit_table_probe2(&mut body, eip, 0);
-                    }
+                // Every call — even a plain (megamorphic) one — seeds
+                // the shadow stack: its callees' rets may still be cold
+                // and popping, and chronic underflow would demote them
+                // for no reason.
+                if let templates::IndKind::Call { ret } = kind {
+                    crate::cold::gen::emit_shadow_push(&mut body, ret);
                 }
+                // Rets and plain sites go straight to the 2-way table:
+                // the return-address stream is low-degree in practice,
+                // the probe hits inline, and this is the state cold
+                // demotion converges to anyway — without a cold block's
+                // dispatch and counter overhead. Other jmp/call sites
+                // probe their inline cache first.
+                let site = match kind {
+                    templates::IndKind::Ret => 0,
+                    _ if *plain => 0,
+                    _ => *ic_slot,
+                };
+                if site != 0 {
+                    crate::cold::gen::emit_ic_probe(&mut body, eip, site);
+                }
+                crate::cold::gen::emit_table_probe2(&mut body, eip, site);
                 ends_indirect = true;
                 ia32_count += 1;
                 i += 1;

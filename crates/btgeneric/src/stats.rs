@@ -20,8 +20,9 @@ pub struct Stats {
     pub cold_native_insts: u64,
     /// Hot traces generated.
     pub hot_traces: u64,
-    /// Hot traces compiled through the typed-IR pipeline (liveness +
-    /// constraint-driven regalloc) rather than the template path.
+    /// Hot traces compiled through the typed-IR pipeline. It is the only
+    /// hot compiler, so this always equals `hot_traces`; the counter
+    /// stays because `benchmark/` reads it.
     pub hot_ir_traces: u64,
     /// IA-32 instructions covered by hot traces.
     pub hot_ia32_insts: u64,

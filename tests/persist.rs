@@ -222,6 +222,73 @@ fn config_fingerprint_mismatch_rejects_wholesale() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// Images written before the indirect-acceleration switch was deleted
+/// hashed seven codegen flag bytes into their fingerprint (the switch
+/// sat between `enable_fp_spec` and `enable_superinst`); this build
+/// hashes six. An otherwise intact image carrying the old fingerprint
+/// must be refused wholesale, and the run must still be right.
+#[test]
+fn image_with_the_old_seven_flag_fingerprint_is_rejected_wholesale() {
+    use btgeneric::{layout, persist};
+
+    let img = chain_image();
+    let want = oracle(&img);
+    let path = scratch("old_fingerprint");
+    save_run(&img, &path);
+
+    let cfg = base_cfg();
+    let mut recipe = Vec::new();
+    recipe.extend_from_slice(&persist::VERSION.to_le_bytes());
+    for c in [
+        layout::TC_BASE,
+        layout::STUB_BASE,
+        layout::LOOKUP_BASE,
+        layout::SHADOW_BASE,
+        layout::COUNTERS_BASE,
+        layout::PROFILE_BASE,
+    ] {
+        recipe.extend_from_slice(&c.to_le_bytes());
+    }
+    recipe.extend_from_slice(&cfg.heat_threshold.to_le_bytes());
+    let new_flags = [
+        cfg.enable_hot,
+        cfg.enable_flag_liveness,
+        cfg.enable_fusion,
+        cfg.enable_misalign_avoidance,
+        cfg.enable_fp_spec,
+        cfg.enable_superinst,
+    ];
+    let mut new_recipe = recipe.clone();
+    new_recipe.extend(new_flags.map(u8::from));
+    assert_eq!(
+        persist::fnv64(&new_recipe),
+        persist::fingerprint(&cfg),
+        "this test must track the live fingerprint recipe"
+    );
+    let mut old_flags = new_flags.to_vec();
+    old_flags.insert(5, true); // the deleted switch, at its default
+    recipe.extend(old_flags.into_iter().map(u8::from));
+    let old_fingerprint = persist::fnv64(&recipe);
+
+    // Re-stamp the saved image as an old build would have written it:
+    // fingerprint at header bytes 16..24, header FNV over 0..32 at 32..40.
+    let mut bytes = std::fs::read(&path).expect("saved image");
+    bytes[16..24].copy_from_slice(&old_fingerprint.to_le_bytes());
+    let seal = persist::fnv64(&bytes[0..32]);
+    bytes[32..40].copy_from_slice(&seal.to_le_bytes());
+    std::fs::write(&path, &bytes).expect("write re-stamped image");
+
+    let warm = warm_run(&img, &path);
+    assert_eq!(guest_result(&warm), want);
+    assert!(
+        warm.engine.stats.image_rejects > 0,
+        "an old-recipe fingerprint must gate the load"
+    );
+    assert_eq!(warm.engine.stats.image_blocks_loaded, 0);
+
+    let _ = std::fs::remove_file(&path);
+}
+
 #[test]
 fn missing_image_is_a_clean_miss() {
     let img = chain_image();
