@@ -8,6 +8,7 @@ use crate::cold::discover::discover;
 use crate::cold::gen::{generate, ColdGenInput, SpecSeed};
 use crate::cold::liveness::analyze;
 use crate::cost;
+use crate::extents::ExtentIndex;
 use crate::layout::{self, region, StubKind};
 use crate::policy;
 use crate::state::{self, GR_PAYLOAD0, GR_STATE};
@@ -357,6 +358,11 @@ pub(crate) struct CodeCache {
     pub(crate) blocks: Vec<BlockInfo>,
     /// Live registry: guest EIP -> current block id.
     pub(crate) by_eip: HashMap<u32, u32>,
+    /// Arena address -> owning block, over every live extent of every
+    /// generation. Updated exactly where extents are born
+    /// (`translate_cold_inner`, `install_hot`) and die (`evict_block`,
+    /// `flush_cache`).
+    pub(crate) extents: ExtentIndex,
     /// Next free per-block profile slot.
     pub(crate) profile_cursor: u64,
     /// Blocks registered for hot promotion (never eviction victims).
@@ -499,6 +505,7 @@ impl Engine {
                 blacklist: Blacklist::new(cfg.blacklist_backoff_cycles),
                 blocks: Vec::new(),
                 by_eip: HashMap::new(),
+                extents: ExtentIndex::default(),
                 profile_cursor: layout::COUNTERS_BASE + PROFILE_STRIDE,
                 candidates: Vec::new(),
                 blocks_by_page: HashMap::new(),
@@ -617,6 +624,7 @@ impl Engine {
         self.machine.arena.truncate(layout::TC_BASE);
         self.cache.blocks.clear();
         self.cache.by_eip.clear();
+        self.cache.extents.clear();
         self.cache.candidates.clear();
         self.cache.blocks_by_page.clear();
         self.cache.pending_exits.clear();
@@ -789,6 +797,7 @@ impl Engine {
         b.entry = entry;
         b.range = range;
         b.extents.push(range);
+        self.cache.extents.insert(range, block_id);
         b.kind = BlockKind::Hot;
         b.hot = Some(hot);
         b.ia32_insts = ia32_insts;
@@ -908,14 +917,16 @@ impl Engine {
     fn evict_pass(&mut self, target: usize, include_hot: bool) {
         // Victims coldest-first: blocks orphaned by SMC invalidation (no
         // longer in the registry) count as use 0; live blocks sort by
-        // their profile use counter.
+        // their profile use counter. Every unevicted block has a live
+        // extent, so the extent index enumerates exactly those (once
+        // per live generation — deduplicated after the sort).
         let mut victims: Vec<(u64, u32)> = self
             .cache
-            .blocks
-            .iter()
+            .extents
+            .owners()
+            .map(|id| &self.cache.blocks[id as usize])
             .filter(|b| {
-                !b.evicted
-                    && (include_hot == (b.kind == BlockKind::Hot))
+                (include_hot == (b.kind == BlockKind::Hot))
                     && Some(b.id) != self.ctx.pinned_block
                     && !self.cache.candidates.contains(&b.id)
             })
@@ -929,6 +940,7 @@ impl Engine {
             })
             .collect();
         victims.sort_unstable();
+        victims.dedup();
         for (_, id) in victims {
             if self.machine.arena.live_len() <= target {
                 break;
@@ -1006,6 +1018,7 @@ impl Engine {
         for &(s, e) in &extents {
             freed += (e - s) / ipf::Bundle::SIZE;
             self.machine.arena.release(s, e);
+            self.cache.extents.remove(s);
         }
         if self.cache.by_eip.get(&eip) == Some(&id) {
             self.cache.by_eip.remove(&eip);
@@ -1044,19 +1057,17 @@ impl Engine {
     /// use-after-free in waiting: evicting the target releases — and
     /// eventually reuses — the arena space the branch still lands in.
     pub(crate) fn register_inbound_links(&mut self, start: u64, end: u64, skip: u32) {
-        let entry_to_id: HashMap<u64, u32> = self
-            .cache
-            .blocks
-            .iter()
-            .filter(|b| !b.evicted && b.id != skip)
-            .map(|b| (b.entry, b.id))
-            .collect();
         let mut addr = start;
         while addr < end {
             if let Some(b) = self.machine.arena.bundle_at(addr) {
                 for s in &b.slots {
                     if let Some(Target::Abs(t)) = s.op.target() {
-                        if let Some(&tid) = entry_to_id.get(&t) {
+                        // A block's entry lies in its own latest extent,
+                        // so the extent's owner is the only candidate.
+                        let tid = self.cache.extents.owner_of(t).filter(|&tid| {
+                            tid != skip && self.cache.blocks[tid as usize].entry == t
+                        });
+                        if let Some(tid) = tid {
                             self.cache.links_into.entry(tid).or_default().push(addr);
                         }
                     }
@@ -1446,6 +1457,7 @@ impl Engine {
             None => Vec::new(),
         };
         extents.push(range);
+        self.cache.extents.insert(range, id);
         let info = BlockInfo {
             id,
             eip,
@@ -1876,23 +1888,42 @@ impl Engine {
         self.note_patched(old_entry);
     }
 
-    /// Maps an arena address back to the owning block.
+    /// Maps an arena address back to the block whose *latest*
+    /// generation contains it (an address in a superseded generation
+    /// answers `None`).
     fn block_at_addr(&self, addr: u64) -> Option<u32> {
-        self.cache
-            .blocks
-            .iter()
-            .find(|b| addr >= b.range.0 && addr < b.range.1)
-            .map(|b| b.id)
+        let id = self.cache.extents.owner_of(addr).filter(|&id| {
+            let (s, e) = self.cache.blocks[id as usize].range;
+            addr >= s && addr < e
+        });
+        debug_assert_eq!(id, self.scan_for_owner(addr, false));
+        id
     }
 
     /// Maps an arena address back to the owning block, searching every
     /// live generation (the degradation ladder must attribute failures
     /// in superseded extents too — live extents are disjoint).
     fn block_at_addr_any(&self, addr: u64) -> Option<u32> {
+        let id = self.cache.extents.owner_of(addr);
+        debug_assert_eq!(id, self.scan_for_owner(addr, true));
+        id
+    }
+
+    /// The linear scan over every block ever translated that the extent
+    /// index replaces, kept as the reference `debug_assert!` (and the
+    /// index tests) compare each answer with.
+    fn scan_for_owner(&self, addr: u64, any_generation: bool) -> Option<u32> {
+        let within = |&(s, e): &(u64, u64)| addr >= s && addr < e;
         self.cache
             .blocks
             .iter()
-            .find(|b| !b.evicted && b.extents.iter().any(|&(s, e)| addr >= s && addr < e))
+            .find(|b| {
+                if any_generation {
+                    !b.evicted && b.extents.iter().any(within)
+                } else {
+                    within(&b.range)
+                }
+            })
             .map(|b| b.id)
     }
 

@@ -14,6 +14,7 @@ pub mod chaos;
 pub mod cold;
 pub mod cost;
 pub mod engine;
+mod extents;
 pub mod hot;
 pub mod layout;
 pub mod persist;
