@@ -7,7 +7,6 @@
 use ia32::decode::decode;
 use ia32::inst::Inst;
 use ia32::mem::GuestMem;
-use std::collections::HashMap;
 
 /// Default discovery limits (the paper: 1-20 basic blocks).
 pub const MAX_BLOCKS: usize = 20;
@@ -33,17 +32,50 @@ pub enum BlockEnd {
     Stop,
 }
 
-/// One discovered basic block.
+/// The direct successor EIPs of a block — none, one or two — held
+/// inline; reads as a `[u32]`.
+#[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
+pub struct Succs {
+    len: u8,
+    eips: [u32; 2],
+}
+
+impl Succs {
+    fn push(&mut self, eip: u32) {
+        self.eips[self.len as usize] = eip;
+        self.len += 1;
+    }
+}
+
+impl std::ops::Deref for Succs {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.eips[..self.len as usize]
+    }
+}
+
+/// One decoded instruction: `(ip, inst, length)`.
+pub type DiscInst = (u32, Inst, u8);
+
+/// One discovered basic block. Its decoded instructions live in the
+/// region: [`Region::insts`].
 #[derive(Clone, Debug)]
 pub struct DiscBlock {
     /// Start address.
     pub start: u32,
-    /// Decoded instructions: `(ip, inst, length)`.
-    pub insts: Vec<(u32, Inst, u8)>,
+    /// Where the block's instructions sit in the region's array.
+    insts: std::ops::Range<usize>,
+    /// The address one past the last instruction.
+    end_ip: u32,
     /// Terminator class.
     pub end: BlockEnd,
     /// Direct successor EIPs (for analysis only).
-    pub succs: Vec<u32>,
+    pub succs: Succs,
+    /// `succs`, each resolved to its index in [`Region::blocks`]:
+    /// `None` for a successor outside the discovered window (analysis
+    /// must assume everything live there).
+    pub succ_blocks: [Option<u8>; 2],
     /// True if some successor is unknown (indirect/stop): flag analysis
     /// must assume everything live.
     pub unknown_succ: bool,
@@ -52,74 +84,97 @@ pub struct DiscBlock {
 impl DiscBlock {
     /// The address one past the last instruction.
     pub fn end_ip(&self) -> u32 {
-        self.insts
-            .last()
-            .map(|(ip, _, len)| ip + *len as u32)
-            .unwrap_or(self.start)
+        self.end_ip
+    }
+
+    /// Number of instructions decoded.
+    pub fn len(&self) -> usize {
+        self.insts.len()
+    }
+
+    /// True if nothing decoded at the block's start.
+    pub fn is_empty(&self) -> bool {
+        self.insts.is_empty()
     }
 }
 
-/// A discovered region: blocks keyed by start address.
+/// A discovered region: at most [`MAX_BLOCKS`] blocks, found by start
+/// address with a scan (cheaper than hashing at this size), over one
+/// array of at most [`MAX_INSTS`] decoded instructions — a discovery
+/// allocates twice, not once or twice per block.
 #[derive(Clone, Debug, Default)]
 pub struct Region {
     /// Blocks in discovery order.
     pub blocks: Vec<DiscBlock>,
-    /// Map from start EIP to index in `blocks`.
-    pub by_start: HashMap<u32, usize>,
+    /// Every block's instructions, block after block.
+    insts: Vec<DiscInst>,
 }
 
 impl Region {
+    /// The decoded instructions of `block` (one of `self.blocks`).
+    pub fn insts(&self, block: &DiscBlock) -> &[DiscInst] {
+        &self.insts[block.insts.clone()]
+    }
+
+    /// Index in `blocks` of the block starting at `eip`, if discovered.
+    pub fn index_of(&self, eip: u32) -> Option<usize> {
+        self.blocks.iter().position(|b| b.start == eip)
+    }
+
     /// The block starting at `eip`, if discovered.
     pub fn block_at(&self, eip: u32) -> Option<&DiscBlock> {
-        self.by_start.get(&eip).map(|&i| &self.blocks[i])
+        self.index_of(eip).map(|i| &self.blocks[i])
     }
 }
 
 /// Discovers the region reachable from `entry` through direct edges.
 pub fn discover(mem: &GuestMem, entry: u32) -> Region {
-    let mut region = Region::default();
+    let mut region = Region {
+        blocks: Vec::with_capacity(MAX_BLOCKS),
+        insts: Vec::with_capacity(MAX_INSTS),
+    };
     let mut work = vec![entry];
     let mut total = 0usize;
     while let Some(start) = work.pop() {
-        if region.by_start.contains_key(&start)
+        if region.index_of(start).is_some()
             || region.blocks.len() >= MAX_BLOCKS
             || total >= MAX_INSTS
         {
             continue;
         }
+        let first = region.insts.len();
         let mut blk = DiscBlock {
             start,
-            insts: Vec::new(),
+            insts: first..first,
+            end_ip: start,
             end: BlockEnd::Stop,
-            succs: Vec::new(),
+            succs: Succs::default(),
+            succ_blocks: [None; 2],
             unknown_succ: false,
         };
         let mut ip = start;
         loop {
-            if blk.insts.len() >= MAX_BLOCK_INSTS || total >= MAX_INSTS {
+            if blk.len() >= MAX_BLOCK_INSTS || total >= MAX_INSTS {
                 blk.end = BlockEnd::FallThrough;
                 blk.succs.push(ip);
                 break;
             }
-            let bytes = match mem.fetch(ip as u64, 16) {
-                Ok(b) => b,
-                Err(_) => {
-                    blk.end = BlockEnd::Stop;
-                    blk.unknown_succ = true;
-                    break;
-                }
-            };
-            let (inst, len) = match decode(&bytes, ip) {
-                Ok(v) => v,
-                Err(_) => {
-                    // Undecodable: the generator emits a #UD exit here.
-                    blk.end = BlockEnd::Stop;
-                    blk.unknown_succ = true;
-                    break;
-                }
+            let mut window = [0u8; 16];
+            let decoded = mem
+                .fetch_into(ip as u64, &mut window)
+                .ok()
+                .and_then(|n| decode(&window[..n], ip).ok());
+            let Some((inst, len)) = decoded else {
+                // Unfetchable or undecodable: the generator emits a
+                // fault / #UD exit here.
+                blk.end = BlockEnd::Stop;
+                blk.unknown_succ = true;
+                break;
             };
             let next = ip.wrapping_add(len as u32);
-            blk.insts.push((ip, inst, len as u8));
+            region.insts.push((ip, inst, len as u8));
+            blk.insts.end += 1;
+            blk.end_ip = next;
             total += 1;
             if inst.ends_block() {
                 match inst {
@@ -150,18 +205,23 @@ pub fn discover(mem: &GuestMem, entry: u32) -> Region {
                 break;
             }
             // A known block boundary splits here.
-            if region.by_start.contains_key(&next) {
+            if region.index_of(next).is_some() {
                 blk.end = BlockEnd::FallThrough;
                 blk.succs.push(next);
                 break;
             }
             ip = next;
         }
-        for s in &blk.succs {
-            work.push(*s);
-        }
-        region.by_start.insert(start, region.blocks.len());
+        work.extend_from_slice(&blk.succs);
         region.blocks.push(blk);
+    }
+    // Every block is known now: resolve successor EIPs to indices once,
+    // for the analyses that walk the flow graph.
+    for i in 0..region.blocks.len() {
+        let succs = region.blocks[i].succs;
+        for (k, &s) in succs.iter().enumerate() {
+            region.blocks[i].succ_blocks[k] = region.index_of(s).map(|j| j as u8);
+        }
     }
     region
 }
@@ -244,6 +304,6 @@ mod tests {
         let r = discover(&mem, 0x1000);
         let b = r.block_at(0x1000).unwrap();
         assert_eq!(b.end, BlockEnd::Stop);
-        assert!(b.insts.is_empty());
+        assert!(b.is_empty());
     }
 }

@@ -4,7 +4,7 @@
 //! branches, misalignment probes, speculation head-checks, and the
 //! IA-32 state register updates that make cold exceptions precise.
 
-use super::discover::{BlockEnd, DiscBlock, Region};
+use super::discover::{BlockEnd, DiscInst, Region};
 use super::liveness::Liveness;
 use super::lower::{lower, LowerError};
 use crate::layout::{self, StubKind};
@@ -128,13 +128,10 @@ impl std::fmt::Display for ColdGenError {
 
 impl std::error::Error for ColdGenError {}
 
-/// Pre-scan: does the block touch x87 / MMX, and what mode does its
-/// first FP-class instruction need?
-fn prescan_fp(blk: &DiscBlock) -> (bool, bool, bool) {
-    let mut uses_fp = false;
-    let mut uses_mmx = false;
-    let mut first_mmx: Option<bool> = None;
-    for (_, inst, _) in &blk.insts {
+/// Pre-scan: does the block's first FP-class instruction need MMX mode
+/// (false for x87, and for a block that touches neither)?
+fn prescan_fp(insts: &[DiscInst]) -> bool {
+    for (_, inst, _) in insts {
         let is_mmx = matches!(
             inst,
             I32::Movd { .. } | I32::Movq { .. } | I32::PAlu { .. } | I32::Emms
@@ -154,16 +151,11 @@ fn prescan_fp(blk: &DiscBlock) -> (bool, bool, bool) {
                 | I32::Fldz
                 | I32::Fcomi { .. }
         );
-        if is_mmx {
-            uses_mmx = true;
-            first_mmx.get_or_insert(true);
-        }
-        if is_fp {
-            uses_fp = true;
-            first_mmx.get_or_insert(false);
+        if is_mmx || is_fp {
+            return is_mmx;
         }
     }
-    (uses_fp, uses_mmx, first_mmx.unwrap_or(false))
+    false
 }
 
 /// Emits a counter increment `[addr] += 1`, optionally under `qp`,
@@ -736,7 +728,9 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         .block_at(input.entry)
         .ok_or(ColdGenError::NoBlock)?;
 
-    let (uses_fp, uses_mmx, entry_mmx) = prescan_fp(blk);
+    let insts = input.region.insts(blk);
+
+    let entry_mmx = prescan_fp(insts);
     let mut fp = FpCtx::new(input.spec.tos, false);
     fp.entry_mmx = entry_mmx;
     fp.cur_mmx = entry_mmx;
@@ -757,8 +751,8 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     let mut si_absorbed = 0u64;
 
     let mut i = 0;
-    while i < blk.insts.len() {
-        let (ip, inst, len) = blk.insts[i];
+    while i < insts.len() {
+        let (ip, inst, len) = insts[i];
         let next_ip = ip + len as u32;
         term_ip = next_ip;
         let live_flags = if input.flag_liveness {
@@ -801,13 +795,13 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                     ia32::flags::STATUS | ia32::flags::DF
                 }
             };
-            match crate::superinst::match_at(table, &blk.insts, i, &mut live_after) {
+            match crate::superinst::match_at(table, &insts, i, &mut live_after) {
                 // CmpJcc is the terminal compare+branch fusion below —
                 // it fires (and is counted) there.
                 None | Some((crate::superinst::IdiomKind::CmpJcc, _)) => {}
                 Some((kind, n)) => {
                     let last = i + n - 1;
-                    let idiom_end = blk.insts[last].0 + blk.insts[last].2 as u32;
+                    let idiom_end = insts[last].0 + insts[last].2 as u32;
                     let live_idiom = live_after(last);
                     let mut ctx = EmitCtx {
                         ip,
@@ -822,7 +816,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                         &mut body,
                         &mut ctx,
                         kind,
-                        &blk.insts[i..i + n],
+                        &insts[i..i + n],
                     ) {
                         crate::superinst::FusedEmit::Plain => {
                             si_hits += 1;
@@ -835,7 +829,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                             continue;
                         }
                         crate::superinst::FusedEmit::Branch(pt) => {
-                            let (_, I32::Jcc { target, .. }, _) = blk.insts[last] else {
+                            let (_, I32::Jcc { target, .. }, _) = insts[last] else {
                                 unreachable!("matcher guarantees a jcc terminator");
                             };
                             si_hits += 1;
@@ -858,11 +852,11 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         }
 
         // Compare+branch fusion (paper: EFlags elimination).
-        if input.fuse && i + 1 < blk.insts.len() {
-            if let (_, I32::Jcc { cond, target }, jlen) = blk.insts[i + 1] {
+        if input.fuse && i + 1 < insts.len() {
+            if let (_, I32::Jcc { cond, target }, jlen) = insts[i + 1] {
                 let reads = cond.flags_read();
                 if inst.flags_written() & reads == reads {
-                    let jcc_ip = blk.insts[i + 1].0;
+                    let jcc_ip = insts[i + 1].0;
                     let j_next = jcc_ip + jlen as u32;
                     let live_after_jcc = if input.flag_liveness {
                         input.liveness.live_after(blk.start, i + 1)
@@ -967,7 +961,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             },
         );
     }
-    let _ = (uses_fp, uses_mmx);
     emit_spec_checks(&mut head, &fp, &xmm, input.block_id);
     // Use counter + heating trigger at every multiple of the threshold
     // (gives the paper's "registered twice" signal for free).
@@ -1162,7 +1155,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     let (bundles, label_addrs) = cb.assemble(input.base);
     let exits = tramp_labels
         .iter()
-        .map(|(eip, l)| (*eip, label_addrs[&tail_labels[*l as usize]]))
+        .map(|(eip, l)| (*eip, label_addrs[tail_labels[*l as usize]]))
         .collect();
 
     Ok(ColdBlock {

@@ -7,9 +7,8 @@
 //! syscalls, region exits) conservatively treat all status flags as
 //! live.
 
-use super::discover::Region;
+use super::discover::{DiscBlock, DiscInst, Region};
 use ia32::flags::{DF, STATUS};
-use std::collections::HashMap;
 
 /// All bits treated as conservatively live at unknown edges.
 const ALL: u32 = STATUS | DF;
@@ -17,49 +16,62 @@ const ALL: u32 = STATUS | DF;
 /// Per-block, per-instruction live-out flag masks.
 #[derive(Clone, Debug, Default)]
 pub struct Liveness {
-    /// `live[block_start][i]` = flags live *after* instruction `i`.
-    live: HashMap<u32, Vec<u32>>,
+    /// Per analyzed block, in region order: its start EIP and where its
+    /// instructions' masks begin in `after`.
+    blocks: Vec<(u32, usize)>,
+    /// Flags live *after* each instruction, block after block.
+    after: Vec<u32>,
 }
 
 impl Liveness {
     /// Flags live immediately after instruction `i` of the block at
     /// `start` (i.e. the bits instruction `i` must materialize).
     pub fn live_after(&self, start: u32, i: usize) -> u32 {
-        self.live
-            .get(&start)
-            .and_then(|v| v.get(i))
-            .copied()
-            .unwrap_or(ALL)
+        let Some(b) = self.blocks.iter().position(|&(s, _)| s == start) else {
+            return ALL;
+        };
+        let base = self.blocks[b].1;
+        let end = self.blocks.get(b + 1).map_or(self.after.len(), |&(_, e)| e);
+        self.after[base..end].get(i).copied().unwrap_or(ALL)
     }
+}
+
+/// Flags live out of `b`, given every block's live-in: the union over
+/// its successors, everything at an unknown edge or at a successor
+/// outside the discovered window.
+fn live_out(b: &DiscBlock, live_in: &[u32]) -> u32 {
+    let known = &b.succ_blocks[..b.succs.len()];
+    known
+        .iter()
+        .map(|s| s.map_or(ALL, |j| live_in[j as usize]))
+        .fold(if b.unknown_succ { ALL } else { 0 }, |a, b| a | b)
 }
 
 /// Computes flag liveness for every instruction in the region.
 pub fn analyze(region: &Region) -> Liveness {
-    // live-in per block, iterated to a fixpoint.
-    let mut live_in: HashMap<u32, u32> = HashMap::new();
-    for b in &region.blocks {
-        live_in.insert(b.start, ALL);
-    }
-    // Backward transfer through one block given live-out.
-    let transfer = |b: &super::discover::DiscBlock, live_out: u32| -> u32 {
-        let mut live = live_out;
-        for (_, inst, _) in b.insts.iter().rev() {
-            live = (live & !inst.flags_written()) | inst.flags_read();
-        }
-        live
-    };
-    // Fixpoint (region is tiny; a few iterations suffice).
+    // Each block's backward transfer, composed once over its
+    // instructions: live-in = (live-out & keep) | gen.
+    let transfer: Vec<(u32, u32)> = region
+        .blocks
+        .iter()
+        .map(|b| {
+            let through = |(keep, gen): (u32, u32), (_, inst, _): &DiscInst| {
+                let written = inst.flags_written();
+                (keep & !written, (gen & !written) | inst.flags_read())
+            };
+            region.insts(b).iter().rev().fold((!0, 0), through)
+        })
+        .collect();
+    // live-in per block (by index in the region), iterated to a fixpoint
+    // (region is tiny; a few iterations suffice).
+    let mut live_in = vec![ALL; region.blocks.len()];
     for _ in 0..region.blocks.len() + 2 {
         let mut changed = false;
-        for b in region.blocks.iter().rev() {
-            let mut out = if b.unknown_succ { ALL } else { 0 };
-            for s in &b.succs {
-                out |= live_in.get(s).copied().unwrap_or(ALL);
-            }
-            let inn = transfer(b, out);
-            let slot = live_in.get_mut(&b.start).expect("pre-seeded");
-            if *slot != inn {
-                *slot = inn;
+        for (i, b) in region.blocks.iter().enumerate().rev() {
+            let (keep, gen) = transfer[i];
+            let live = (live_out(b, &live_in) & keep) | gen;
+            if live_in[i] != live {
+                live_in[i] = live;
                 changed = true;
             }
         }
@@ -68,19 +80,20 @@ pub fn analyze(region: &Region) -> Liveness {
         }
     }
     // Record live-after per instruction.
-    let mut result = Liveness::default();
+    let total = region.blocks.iter().map(DiscBlock::len).sum();
+    let mut result = Liveness {
+        blocks: Vec::with_capacity(region.blocks.len()),
+        after: vec![0; total],
+    };
+    let mut base = 0;
     for b in &region.blocks {
-        let mut out = if b.unknown_succ { ALL } else { 0 };
-        for s in &b.succs {
-            out |= live_in.get(s).copied().unwrap_or(ALL);
-        }
-        let mut after = vec![0u32; b.insts.len()];
-        let mut live = out;
-        for (i, (_, inst, _)) in b.insts.iter().enumerate().rev() {
-            after[i] = live;
+        result.blocks.push((b.start, base));
+        let mut live = live_out(b, &live_in);
+        for (i, (_, inst, _)) in region.insts(b).iter().enumerate().rev() {
+            result.after[base + i] = live;
             live = (live & !inst.flags_written()) | inst.flags_read();
         }
-        result.live.insert(b.start, after);
+        base += b.len();
     }
     result
 }
@@ -155,6 +168,39 @@ mod tests {
         assert_ne!(after_add & flags::CF, 0, "CF escapes through the exit");
         let after_dec = l.live_after(0x1000, 1);
         assert_ne!(after_dec & flags::ZF, 0);
+    }
+
+    /// A successor beyond the discovery window is an unknown edge:
+    /// everything stays live there, even though the undiscovered block
+    /// would overwrite the flags.
+    #[test]
+    fn successor_outside_the_window_keeps_everything_live() {
+        use super::super::discover::MAX_BLOCKS;
+        let r = region_of(|a| {
+            // A chain of one-add blocks, longer than the window.
+            let labels: Vec<_> = (0..MAX_BLOCKS + 5).map(|_| a.label()).collect();
+            for l in labels {
+                a.jmp(l);
+                a.bind(l);
+                a.alu_rr(AluOp::Add, EAX, ECX);
+            }
+            a.hlt();
+        });
+        assert_eq!(r.blocks.len(), MAX_BLOCKS);
+        let l = analyze(&r);
+        // Block 0 is the entry jmp; blocks 1.. are `add; jmp`.
+        let inside = &r.blocks[MAX_BLOCKS - 2];
+        assert!(inside.succ_blocks[0].is_some());
+        assert_eq!(
+            l.live_after(inside.start, 0) & flags::STATUS,
+            0,
+            "the next block's add rewrites every status flag"
+        );
+        let last = &r.blocks[MAX_BLOCKS - 1];
+        assert_eq!(last.succs.len(), 1);
+        assert_eq!(last.succ_blocks[0], None, "successor is past the window");
+        assert_eq!(l.live_after(last.start, 0), ALL);
+        assert_eq!(l.live_after(last.start, 1), ALL);
     }
 
     #[test]

@@ -7,8 +7,8 @@ use crate::state;
 use crate::templates::{IlItem, Sink};
 use ipf::asm::{CodeBuilder, Label};
 use ipf::inst::{Reg, Target};
-use ipf::regs::{Br, Fr, Gr, Pr, VIRT_BASE};
-use std::collections::HashMap;
+use ipf::regs::{Fr, Gr, Pr, VIRT_BASE};
+use std::collections::VecDeque;
 
 /// Lowering failure (template exceeded a scratch bank — falls back to
 /// single-step interpretation).
@@ -23,36 +23,78 @@ impl std::fmt::Display for LowerError {
 
 impl std::error::Error for LowerError {}
 
+/// No physical register / never referenced.
+const NONE: u16 = u16::MAX;
+
+/// One virtual register's allocation state.
+#[derive(Clone, Copy)]
+struct Virt {
+    /// Index of the last sink item that references it.
+    last_ref: u32,
+    /// The scratch register it currently lives in, or [`NONE`].
+    phys: u16,
+}
+
+/// One scratch bank. A sink numbers its virtuals densely from
+/// [`VIRT_BASE`], so the virtual -> state map is an array.
 struct Bank {
-    free: Vec<u16>,
-    map: HashMap<u16, u16>, // virtual -> physical
+    /// Free scratch registers, reused first-in first-out: a freshly
+    /// freed register goes to the back, so new allocations avoid false
+    /// WAW dependences (fewer stop bits). The order is a contract — it
+    /// decides every physical register number and therefore every stop
+    /// bit of cold code.
+    free: VecDeque<u16>,
+    virts: Vec<Virt>,
 }
 
 impl Bank {
-    fn new(base: u16, count: u16) -> Bank {
+    fn new(base: u16, count: u16, virtuals: u16) -> Bank {
+        let unseen = Virt {
+            last_ref: 0,
+            phys: NONE,
+        };
         Bank {
             free: (base..base + count).collect(),
-            map: HashMap::new(),
+            virts: vec![unseen; virtuals as usize],
         }
+    }
+
+    fn virt(&mut self, v: u16) -> &mut Virt {
+        &mut self.virts[(v - VIRT_BASE) as usize]
     }
 
     fn get(&mut self, v: u16, what: &'static str) -> Result<u16, LowerError> {
-        if let Some(&p) = self.map.get(&v) {
-            return Ok(p);
+        if self.virt(v).phys == NONE {
+            self.virt(v).phys = self.free.pop_front().ok_or(LowerError(what))?;
         }
-        if self.free.is_empty() {
-            return Err(LowerError(what));
-        }
-        // FIFO reuse: recently-freed registers go to the back so fresh
-        // allocations avoid false WAW dependences (fewer stop bits).
-        let p = self.free.remove(0);
-        self.map.insert(v, p);
-        Ok(p)
+        Ok(self.virt(v).phys)
     }
 
-    fn release(&mut self, v: u16) {
-        if let Some(p) = self.map.remove(&v) {
-            self.free.push(p);
+    /// Frees `v`'s register if item `idx` was its last reference.
+    fn release_if_dead(&mut self, v: u16, idx: usize) {
+        let virt = *self.virt(v);
+        if virt.last_ref == idx as u32 && virt.phys != NONE {
+            self.free.push_back(virt.phys);
+            self.virt(v).phys = NONE;
+        }
+    }
+}
+
+/// The three scratch banks of one lowering pass.
+struct Banks {
+    gr: Bank,
+    fr: Bank,
+    pr: Bank,
+}
+
+impl Banks {
+    /// The bank and virtual number of `reg`, if it is a virtual.
+    fn of(&mut self, reg: Reg) -> Option<(&mut Bank, u16)> {
+        match reg {
+            Reg::G(r) if r.is_virtual() => Some((&mut self.gr, r.0)),
+            Reg::F(r) if r.is_virtual() => Some((&mut self.fr, r.0)),
+            Reg::P(r) if r.is_virtual() => Some((&mut self.pr, r.0)),
+            _ => None,
         }
     }
 }
@@ -68,29 +110,25 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
     // Pre-create labels for template-local control flow.
     let labels: Vec<Label> = (0..sink.label_count()).map(|_| cb.label()).collect();
 
+    let [vg, vf, vp] = sink.virtual_counts();
+    let mut banks = Banks {
+        gr: Bank::new(state::GR_SCRATCH, state::NUM_SCRATCH, vg),
+        fr: Bank::new(state::FR_SCRATCH, state::NUM_FR_SCRATCH, vf),
+        pr: Bank::new(state::PR_SCRATCH, state::NUM_PR_SCRATCH, vp),
+    };
+
     // Last reference index of every virtual register.
-    let mut last_ref: HashMap<(u8, u16), usize> = HashMap::new();
     for (idx, item) in sink.items.iter().enumerate() {
         if let IlItem::Inst(e) = item {
             let mut note = |reg: Reg| {
-                let key = match reg {
-                    Reg::G(r) if r.is_virtual() => (0u8, r.0),
-                    Reg::F(r) if r.is_virtual() => (1, r.0),
-                    Reg::P(r) if r.is_virtual() => (2, r.0),
-                    _ => return,
-                };
-                last_ref.insert(key, idx);
+                if let Some((bank, v)) = banks.of(reg) {
+                    bank.virt(v).last_ref = idx as u32;
+                }
             };
-            if e.inst.qp.is_virtual() {
-                note(Reg::P(e.inst.qp));
-            }
+            note(Reg::P(e.inst.qp));
             e.inst.op.visit_regs(&mut |r, _| note(r));
         }
     }
-
-    let mut grs = Bank::new(state::GR_SCRATCH, state::NUM_SCRATCH);
-    let mut frs = Bank::new(state::FR_SCRATCH, state::NUM_FR_SCRATCH);
-    let mut prs = Bank::new(state::PR_SCRATCH, state::NUM_PR_SCRATCH);
 
     // Registers defined since the last stop (for dependence stops).
     let mut group_defs: Vec<Reg> = Vec::new();
@@ -106,28 +144,32 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                 // Allocate virtuals.
                 let mut err: Option<LowerError> = None;
                 if inst.qp.is_virtual() {
-                    match prs.get(inst.qp.0, "predicate scratch exhausted") {
+                    match banks.pr.get(inst.qp.0, "predicate scratch exhausted") {
                         Ok(p) => inst.qp = Pr(p),
                         Err(e) => err = Some(e),
                     }
                 }
                 inst.op.map_regs(&mut |r, _is_def| match r {
-                    Reg::G(g) if g.is_virtual() => match grs.get(g.0, "GR scratch exhausted") {
-                        Ok(p) => Reg::G(Gr(p)),
-                        Err(e) => {
-                            err = Some(e);
-                            Reg::G(Gr(state::GR_SCRATCH))
+                    Reg::G(g) if g.is_virtual() => {
+                        match banks.gr.get(g.0, "GR scratch exhausted") {
+                            Ok(p) => Reg::G(Gr(p)),
+                            Err(e) => {
+                                err = Some(e);
+                                Reg::G(Gr(state::GR_SCRATCH))
+                            }
                         }
-                    },
-                    Reg::F(f) if f.is_virtual() => match frs.get(f.0, "FR scratch exhausted") {
-                        Ok(p) => Reg::F(Fr(p)),
-                        Err(e) => {
-                            err = Some(e);
-                            Reg::F(Fr(state::FR_SCRATCH))
+                    }
+                    Reg::F(f) if f.is_virtual() => {
+                        match banks.fr.get(f.0, "FR scratch exhausted") {
+                            Ok(p) => Reg::F(Fr(p)),
+                            Err(e) => {
+                                err = Some(e);
+                                Reg::F(Fr(state::FR_SCRATCH))
+                            }
                         }
-                    },
+                    }
                     Reg::P(p) if p.is_virtual() => {
-                        match prs.get(p.0, "predicate scratch exhausted") {
+                        match banks.pr.get(p.0, "predicate scratch exhausted") {
                             Ok(ph) => Reg::P(Pr(ph)),
                             Err(e) => {
                                 err = Some(e);
@@ -169,42 +211,24 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                         group_defs.push(r);
                     }
                 });
-                let _ = Br(0);
                 cb.push_inst(inst);
                 if is_branch {
                     cb.stop();
                     group_defs.clear();
                 }
 
-                // Release virtuals whose last reference this was.
-                let original = e.inst;
-                let mut dead: Vec<(u8, u16)> = Vec::new();
-                let mut note = |r: Reg| {
-                    let key = match r {
-                        Reg::G(g) if g.is_virtual() => (0u8, g.0),
-                        Reg::F(f) if f.is_virtual() => (1, f.0),
-                        Reg::P(p) if p.is_virtual() => (2, p.0),
-                        _ => return,
-                    };
-                    if last_ref.get(&key) == Some(&idx) {
-                        dead.push(key);
+                // Release virtuals whose last reference this was, in
+                // operand order (the order they rejoin the FIFO).
+                let mut release = |reg: Reg| {
+                    if let Some((bank, v)) = banks.of(reg) {
+                        bank.release_if_dead(v, idx);
                     }
                 };
-                if original.qp.is_virtual() {
-                    note(Reg::P(original.qp));
-                }
-                original.op.visit_regs(&mut |r, _| note(r));
-                for (kind, v) in dead {
-                    match kind {
-                        0 => grs.release(v),
-                        1 => frs.release(v),
-                        _ => prs.release(v),
-                    }
-                }
+                release(Reg::P(e.inst.qp));
+                e.inst.op.visit_regs(&mut |r, _| release(r));
             }
         }
     }
-    let _ = VIRT_BASE;
     Ok(labels)
 }
 
@@ -286,6 +310,121 @@ mod tests {
         }
         let mut cb = CodeBuilder::new();
         lower(&sink, &mut cb).expect("predicates recycle");
+    }
+
+    /// The FIFO reuse order of each scratch bank is a contract: it
+    /// decides every physical register and so every stop bit of cold
+    /// code. Pinned on a sink whose overlapping lifetimes recycle each
+    /// bank (16 GR, 24 FR, 15 PR) more than once, with releases of
+    /// several virtuals at one instruction and out of allocation order.
+    #[test]
+    fn fifo_reuse_pins_registers_and_stop_bits() {
+        let mut sink = Sink::new();
+        let mut carried = sink.vg();
+        sink.emit(Op::AddImm {
+            d: carried,
+            imm: 0,
+            a: R0,
+        });
+        let mut fcarried = sink.vf();
+        sink.emit(Op::FmergeS {
+            d: fcarried,
+            a: ipf::regs::F0,
+            b: ipf::regs::F0,
+        });
+        for i in 0..14 {
+            let (a, b) = (sink.vg(), sink.vg());
+            sink.emit(Op::AddImm { d: a, imm: i, a: R0 });
+            sink.emit(Op::AddImm {
+                d: b,
+                imm: i,
+                a: carried,
+            });
+            // `b` and `carried` die here, `b` first (operand order).
+            let next = sink.vg();
+            sink.emit(Op::Add {
+                d: next,
+                a: b,
+                b: carried,
+            });
+            let (pt, pf) = (sink.vp(), sink.vp());
+            // `pf` is never read: it dies at its definition.
+            sink.emit(Op::Cmp {
+                rel: CmpRel::Eq,
+                pt,
+                pf,
+                a,
+                b: next,
+            });
+            let (f, g, h) = (sink.vf(), sink.vf(), sink.vf());
+            sink.emit(Op::FmergeS {
+                d: f,
+                a: fcarried,
+                b: fcarried,
+            });
+            sink.emit_pred(pt, Op::FmergeS { d: g, a: f, b: f });
+            sink.emit(Op::Fma {
+                d: h,
+                a: g,
+                b: f,
+                c: fcarried,
+            });
+            // `a` outlives `b`, which was allocated after it.
+            sink.emit_pred(
+                pt,
+                Op::AddImm {
+                    d: state::guest_gpr(0),
+                    imm: 1,
+                    a,
+                },
+            );
+            carried = next;
+            fcarried = h;
+        }
+        let mut cb = CodeBuilder::new();
+        lower(&sink, &mut cb).expect("short lifetimes fit every bank");
+        let (bundles, _) = cb.assemble(0);
+        let (mut grs, mut frs, mut prs, mut stops) = (vec![], vec![], vec![], vec![]);
+        for (i, (inst, stop)) in bundles
+            .iter()
+            .flat_map(|b| b.slots.iter().zip(b.stops))
+            .enumerate()
+        {
+            if stop {
+                stops.push(i);
+            }
+            inst.op.visit_regs(&mut |r, is_def| match r {
+                Reg::G(g) if is_def && g.0 >= state::GR_SCRATCH => grs.push(g.0),
+                Reg::F(f) if is_def => frs.push(f.0),
+                Reg::P(p) if is_def => prs.push(p.0),
+                _ => {}
+            });
+        }
+        #[rustfmt::skip]
+        assert_eq!(grs, [
+            48, 49, 50, 51, 52, 53, 54, 55, 56, 57, 58, 59, 60, 61, 62, 63,
+            50, 48, 49, 53, 51, 52, 56, 54, 55, 59, 57, 58, 62, 60, 61, 48,
+            63, 50, 51, 49, 53, 54, 52, 56, 57, 55, 59,
+        ]);
+        #[rustfmt::skip]
+        assert_eq!(frs, [
+            40, 41, 42, 43, 44, 45, 46, 47, 48, 49, 50, 51, 52, 53, 54, 55,
+            56, 57, 58, 59, 60, 61, 62, 63, 42, 41, 40, 45, 44, 43, 48, 47,
+            46, 51, 50, 49, 54, 53, 52, 57, 56, 55, 60,
+        ]);
+        #[rustfmt::skip]
+        assert_eq!(prs, [
+            1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15,
+            2, 1, 4, 3, 6, 5, 8, 7, 10, 9, 12, 11, 14,
+        ]);
+        // Flat slot indices (bundle * 3 + slot) carrying a stop bit.
+        #[rustfmt::skip]
+        assert_eq!(stops, [
+            2, 3, 4, 7, 10, 16, 17, 19, 22, 28, 29, 31, 34, 40, 41, 43, 46,
+            52, 53, 55, 58, 64, 65, 67, 70, 76, 77, 79, 82, 88, 89, 91, 94,
+            100, 101, 103, 106, 112, 113, 115, 118, 124, 125, 127, 130, 136,
+            137, 139, 142, 148, 149, 151, 154, 160, 161, 163, 166,
+        ]);
     }
 
     #[test]

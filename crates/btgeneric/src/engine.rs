@@ -279,10 +279,19 @@ pub struct BlockInfo {
 /// key; same construction as the arena's bundle checksum).
 pub(crate) fn src_checksum(mem: &GuestMem, range: (u32, u32)) -> u64 {
     let mut h: u64 = 0xCBF2_9CE4_8422_2325;
-    for addr in range.0..range.1 {
-        let byte = mem.fetch(addr as u64, 1).map(|b| b[0]).unwrap_or(0);
-        h ^= byte as u64;
-        h = h.wrapping_mul(0x0000_0100_0000_01B3);
+    let mut addr = range.0 as u64;
+    while addr < range.1 as u64 {
+        // One page at a time: a page that cannot be fetched from hashes
+        // as zeros (the chunk stays as it was), whatever its neighbours.
+        let page_end = (addr | (ia32::mem::PAGE_SIZE - 1)) + 1;
+        let mut chunk = [0u8; 64];
+        let n = (page_end.min(range.1 as u64) - addr).min(chunk.len() as u64) as usize;
+        let _ = mem.fetch_into(addr, &mut chunk[..n]);
+        for &byte in &chunk[..n] {
+            h ^= byte as u64;
+            h = h.wrapping_mul(0x0000_0100_0000_01B3);
+        }
+        addr += n as u64;
     }
     h
 }
@@ -1878,8 +1887,7 @@ impl Engine {
         });
         let (bundles, _) = cb.assemble(old_entry);
         let b = bundles.into_iter().next().expect("one bundle");
-        if let Some(idx) = self.machine.arena.index_of(old_entry) {
-            let _ = idx;
+        if self.machine.arena.index_of(old_entry).is_some() {
             // Replace all three slots.
             for (slot, inst) in b.slots.iter().enumerate() {
                 self.machine.arena.patch_slot(old_entry, slot, inst.op);
@@ -2584,10 +2592,11 @@ impl Engine {
     }
 
     fn inst_writes_mem(&self, eip: u32) -> bool {
-        let Ok(bytes) = self.mem.fetch(eip as u64, 16) else {
+        let mut window = [0u8; 16];
+        let Ok(fetched) = self.mem.fetch_into(eip as u64, &mut window) else {
             return false;
         };
-        let Ok((inst, _)) = ia32::decode::decode(&bytes, eip) else {
+        let Ok((inst, _)) = ia32::decode::decode(&window[..fetched], eip) else {
             return false;
         };
         use ia32::inst::Inst as I;

@@ -178,8 +178,9 @@ fn decode_hammock(mem: &ia32::GuestMem, from: u32, join: u32) -> Option<Vec<(u32
     let mut out = Vec::new();
     let mut ip = from;
     while ip < join {
-        let bytes = mem.fetch(ip as u64, 16).ok()?;
-        let (inst, len) = ia32::decode::decode(&bytes, ip).ok()?;
+        let mut window = [0u8; 16];
+        let fetched = mem.fetch_into(ip as u64, &mut window).ok()?;
+        let (inst, len) = ia32::decode::decode(&window[..fetched], ip).ok()?;
         if !if_convertible(&inst) || out.len() >= 4 {
             return None;
         }
@@ -229,8 +230,8 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             break;
         };
         blocks.push(info.id);
-        let n = blk.insts.len();
-        for (i, (ip, inst, len)) in blk.insts.iter().enumerate() {
+        let n = blk.len();
+        for (i, (ip, inst, len)) in region_g.insts(blk).iter().enumerate() {
             if total >= budget || trace_hostile(inst) {
                 main_exit = *ip;
                 break 'outer;

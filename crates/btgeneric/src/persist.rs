@@ -710,7 +710,7 @@ pub fn pretranslate(engine: &mut Engine, os: &mut dyn BtOs, entry: u32) -> u64 {
             if blk.start != eip {
                 work.push(blk.start);
             }
-            for &s in &blk.succs {
+            for &s in blk.succs.iter() {
                 work.push(s);
             }
         }

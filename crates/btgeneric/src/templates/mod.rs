@@ -131,6 +131,12 @@ impl Sink {
         self.next_label
     }
 
+    /// Number of virtual general, FP and predicate registers allocated
+    /// (each file numbers them densely from `VIRT_BASE`).
+    pub fn virtual_counts(&self) -> [u16; 3] {
+        [self.next_vg, self.next_vf, self.next_vp].map(|next| next - VIRT_BASE)
+    }
+
     /// Number of guest memory accesses indexed so far.
     pub fn access_count(&self) -> u16 {
         self.next_acc

@@ -247,12 +247,15 @@ impl Interp {
     pub fn step(&mut self, mem: &mut GuestMem) -> Result<Event, Trap> {
         let eip = self.cpu.eip;
         let trap = |fault| Trap { fault, eip };
-        let bytes = mem.fetch(eip as u64, 16).map_err(|e| trap(Fault::Mem(e)))?;
-        let (inst, len) = match decode(&bytes, eip) {
+        let mut window = [0u8; 16];
+        let fetched = mem
+            .fetch_into(eip as u64, &mut window)
+            .map_err(|e| trap(Fault::Mem(e)))?;
+        let (inst, len) = match decode(&window[..fetched], eip) {
             Ok(v) => v,
             Err(DecodeError::Truncated) => {
                 return Err(trap(Fault::Mem(MemFault {
-                    addr: eip as u64 + bytes.len() as u64,
+                    addr: eip as u64 + fetched as u64,
                     kind: crate::mem::MemFaultKind::Unmapped,
                     write: false,
                 })))

@@ -356,35 +356,53 @@ impl GuestMem {
         }
     }
 
-    /// Fetches up to `len` instruction bytes for decode; requires exec
-    /// permission on the first byte's page. The result is shorter than
-    /// `len` where the readable mapping ends first.
-    pub fn fetch(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemFault> {
-        let p = self.page(addr, false)?;
-        if !p.prot.exec {
+    /// Fetches up to `buf.len()` instruction bytes for decode into the
+    /// caller's buffer (no allocation — the decoders pass a `[u8; 16]`
+    /// on their stack) and returns how many it wrote. Requires exec
+    /// permission on the first byte's page; the count is short of
+    /// `buf.len()` where the readable mapping ends first, and zero bytes
+    /// — an unreadable first page, or an empty buffer — is an
+    /// `Unmapped` fault.
+    pub fn fetch_into(&self, addr: u64, buf: &mut [u8]) -> Result<usize, MemFault> {
+        let first = self.page(addr, false)?;
+        if !first.prot.exec {
             return Err(MemFault {
                 addr,
                 kind: MemFaultKind::NoExec,
                 write: false,
             });
         }
-        let mut out = Vec::with_capacity(len);
+        let mut got = 0;
         let mut a = addr;
-        while out.len() < len {
-            let Some(p) = self.pages.get(&(a & !PAGE_MASK)).filter(|p| p.prot.read) else {
+        // The first page is already resolved; later ones are looked up.
+        let mut resolved = Some(first);
+        while got < buf.len() {
+            let page = resolved
+                .take()
+                .or_else(|| self.pages.get(&(a & !PAGE_MASK)));
+            let Some(p) = page.filter(|p| p.prot.read) else {
                 break; // shorter fetch near an unmapped boundary
             };
-            let (off, n) = page_run(a, len - out.len());
-            out.extend_from_slice(&p.data[off..off + n]);
+            let (off, n) = page_run(a, buf.len() - got);
+            buf[got..got + n].copy_from_slice(&p.data[off..off + n]);
+            got += n;
             a = a.wrapping_add(n as u64);
         }
-        if out.is_empty() {
+        if got == 0 {
             return Err(MemFault {
                 addr,
                 kind: MemFaultKind::Unmapped,
                 write: false,
             });
         }
+        Ok(got)
+    }
+
+    /// [`GuestMem::fetch_into`] a fresh `Vec` of up to `len` bytes.
+    pub fn fetch(&self, addr: u64, len: usize) -> Result<Vec<u8>, MemFault> {
+        let mut out = vec![0; len];
+        let got = self.fetch_into(addr, &mut out)?;
+        out.truncate(got);
         Ok(out)
     }
 
@@ -588,6 +606,84 @@ mod tests {
             }
         }
         assert_eq!(checked, 25 * 8 * 17);
+    }
+
+    /// `fetch_into` (and `fetch`, its `Vec` front-end) against a
+    /// byte-at-a-time reference: same bytes, same count where the
+    /// readable mapping ends, same fault — over page-straddling
+    /// windows, every mix of neighbouring-page states (unmapped,
+    /// no-exec, exec-only) and lengths from zero to past a decode
+    /// window. Bytes of the caller's buffer past the count stay as they
+    /// were.
+    #[test]
+    fn fetch_into_matches_bytewise_reference() {
+        const LO: u64 = 0x7000;
+        const HI: u64 = 0x8000;
+        let states: [Option<Prot>; 5] = [
+            None,
+            Some(Prot::rx()),
+            Some(Prot::rw()), // no exec
+            Some(Prot {
+                read: false,
+                ..Prot::rx()
+            }), // exec only
+            Some(Prot::rwx()),
+        ];
+        let reference = |m: &GuestMem, addr: u64, len: usize| -> Result<Vec<u8>, MemFault> {
+            let fault = |kind| MemFault {
+                addr,
+                kind,
+                write: false,
+            };
+            let first = m.prot_of(addr).ok_or(fault(MemFaultKind::Unmapped))?;
+            if !first.exec {
+                return Err(fault(MemFaultKind::NoExec));
+            }
+            let mut out = Vec::new();
+            for i in 0..len as u64 {
+                let a = addr.wrapping_add(i);
+                if !m.prot_of(a).is_some_and(|p| p.read) {
+                    break;
+                }
+                out.push(m.pages[&(a & !PAGE_MASK)].data[(a & PAGE_MASK) as usize]);
+            }
+            if out.is_empty() {
+                return Err(fault(MemFaultKind::Unmapped));
+            }
+            Ok(out)
+        };
+        let mut checked = 0u32;
+        for lo in states {
+            for hi in states {
+                let mut m = GuestMem::new();
+                for (base, st) in [(LO, lo), (HI, hi)] {
+                    if let Some(prot) = st {
+                        let fill: Vec<u8> = (0..PAGE_SIZE).map(|i| (base + i * 13) as u8).collect();
+                        m.write_forced(base, &fill);
+                        m.map(base, PAGE_SIZE, prot);
+                    }
+                }
+                for len in [0usize, 1, 2, 15, 16, 17] {
+                    for delta in -17i64..=1 {
+                        let addr = HI.wrapping_add_signed(delta);
+                        let want = reference(&m, addr, len);
+                        let mut buf = [0xAAu8; 17];
+                        let got = m.fetch_into(addr, &mut buf[..len]);
+                        assert_eq!(
+                            got,
+                            want.as_ref().map(Vec::len).map_err(|e| *e),
+                            "{len}@{addr:#x} lo={lo:?} hi={hi:?}"
+                        );
+                        let n = got.unwrap_or(0);
+                        assert_eq!(buf[..n], want.clone().unwrap_or_default()[..]);
+                        assert!(buf[n..].iter().all(|&b| b == 0xAA), "wrote past the count");
+                        assert_eq!(m.fetch(addr, len), want);
+                        checked += 1;
+                    }
+                }
+            }
+        }
+        assert_eq!(checked, 25 * 6 * 19);
     }
 
     #[test]

@@ -8,7 +8,6 @@
 use crate::bundle::{Bundle, SlotKind, Template};
 use crate::inst::{Inst, Op, Target, Unit};
 use crate::regs::P0;
-use std::collections::HashMap;
 
 /// A label naming a (future) bundle address.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
@@ -23,6 +22,35 @@ enum Item {
 /// Where each pushed instruction landed after bundling: indexed by push
 /// order, `(bundle_index, slot)`.
 pub type Placements = Vec<(usize, u8)>;
+
+/// The resolved address of every label of a [`CodeBuilder`], indexed by
+/// the label (labels are dense small integers, so this is an array).
+#[derive(Clone, Debug, Default)]
+pub struct LabelAddrs(Vec<u64>);
+
+impl LabelAddrs {
+    /// Address of a label that was allocated but never bound.
+    const UNBOUND: u64 = u64::MAX;
+
+    /// The address `label` was bound at, if it was bound.
+    pub fn get(&self, label: Label) -> Option<u64> {
+        let addr = *self.0.get(label.0 as usize)?;
+        (addr != Self::UNBOUND).then_some(addr)
+    }
+}
+
+impl std::ops::Index<Label> for LabelAddrs {
+    type Output = u64;
+
+    /// # Panics
+    ///
+    /// Panics if `label` was never bound.
+    fn index(&self, label: Label) -> &u64 {
+        let addr = &self.0[label.0 as usize];
+        assert_ne!(*addr, Self::UNBOUND, "unbound label L{}", label.0);
+        addr
+    }
+}
 
 /// Builds bundles from a stream of instructions, stops, and labels.
 ///
@@ -103,7 +131,7 @@ impl CodeBuilder {
     /// # Panics
     ///
     /// Panics if a referenced label was never bound.
-    pub fn assemble(&self, base: u64) -> (Vec<Bundle>, HashMap<Label, u64>) {
+    pub fn assemble(&self, base: u64) -> (Vec<Bundle>, LabelAddrs) {
         let (b, l, _) = self.assemble_with_placements(base);
         (b, l)
     }
@@ -115,13 +143,11 @@ impl CodeBuilder {
     /// # Panics
     ///
     /// Panics if a referenced label was never bound.
-    pub fn assemble_with_placements(
-        &self,
-        base: u64,
-    ) -> (Vec<Bundle>, HashMap<Label, u64>, Placements) {
-        let mut bundles: Vec<Bundle> = Vec::new();
+    pub fn assemble_with_placements(&self, base: u64) -> (Vec<Bundle>, LabelAddrs, Placements) {
+        let mut bundles: Vec<Bundle> = Vec::with_capacity(self.items.len() / 2 + 1);
         let mut packer = Packer::new();
-        let mut label_bundle: HashMap<Label, usize> = HashMap::new();
+        let mut labels = LabelAddrs(vec![LabelAddrs::UNBOUND; self.next_label as usize]);
+        let addr_of = |idx: usize| base + idx as u64 * Bundle::SIZE;
         let mut pending_binds: Vec<Label> = Vec::new();
         let mut seq = 0usize;
 
@@ -132,13 +158,10 @@ impl CodeBuilder {
                     pending_binds.push(*l);
                 }
                 Item::Inst { inst, stop_after } => {
-                    if !pending_binds.is_empty() {
-                        let idx = bundles.len() + usize::from(packer.has_partial());
-                        // Binding lands on the *next* bundle started.
-                        debug_assert!(!packer.has_partial());
-                        for l in pending_binds.drain(..) {
-                            label_bundle.insert(l, idx);
-                        }
+                    // A binding lands on the *next* bundle started.
+                    debug_assert!(pending_binds.is_empty() || !packer.has_partial());
+                    for l in pending_binds.drain(..) {
+                        labels.0[l.0 as usize] = addr_of(bundles.len());
                     }
                     packer.add_tracked(*inst, *stop_after, seq, &mut bundles);
                     seq += 1;
@@ -148,23 +171,14 @@ impl CodeBuilder {
         packer.flush(&mut bundles);
         // Trailing binds point one past the end.
         for l in pending_binds.drain(..) {
-            label_bundle.insert(l, bundles.len());
+            labels.0[l.0 as usize] = addr_of(bundles.len());
         }
-
-        let addr_of = |idx: usize| base + idx as u64 * Bundle::SIZE;
-        let labels: HashMap<Label, u64> = label_bundle
-            .iter()
-            .map(|(l, i)| (*l, addr_of(*i)))
-            .collect();
 
         // Patch label targets.
         for b in &mut bundles {
             for s in &mut b.slots {
                 if let Some(Target::Label(l)) = s.op.target() {
-                    let addr = *labels
-                        .get(&Label(l))
-                        .unwrap_or_else(|| panic!("unbound label L{l}"));
-                    s.op.set_target(Target::Abs(addr));
+                    s.op.set_target(Target::Abs(labels[Label(l)]));
                 }
             }
         }
@@ -178,8 +192,9 @@ impl CodeBuilder {
 
 /// Greedy template packer.
 struct Packer {
-    /// Candidate templates still consistent with the placed slots.
-    candidates: Vec<Template>,
+    /// Candidate templates still consistent with the placed slots, as a
+    /// bit per entry of [`Template::all`] (lowest bit = most preferred).
+    candidates: u16,
     placed: Vec<(Inst, bool, Option<usize>)>,
     /// Final placements: (seq, bundle_index, slot).
     placements: Vec<(usize, usize, u8)>,
@@ -189,7 +204,7 @@ struct Packer {
 impl Packer {
     fn new() -> Packer {
         Packer {
-            candidates: Vec::new(),
+            candidates: 0,
             placed: Vec::new(),
             placements: Vec::new(),
             cur_seq: None,
@@ -218,7 +233,7 @@ impl Packer {
                 self.placed
                     .push((Inst::new(Op::Nop { unit: Unit::M }), false, None));
             }
-            self.candidates = vec![Template::Mlx];
+            self.candidates = Self::templates_where(|t| t == Template::Mlx);
             self.placed.push((inst, false, self.cur_seq));
             // X placeholder slot carries the stop if requested.
             self.placed
@@ -229,22 +244,16 @@ impl Packer {
 
         let idx = self.placed.len();
         if idx == 0 {
-            self.candidates = Template::all()
-                .iter()
-                .copied()
-                .filter(|t| *t != Template::Mlx && t.slots()[0].accepts(unit))
-                .collect();
-            if self.candidates.is_empty() {
+            self.candidates =
+                Self::templates_where(|t| t != Template::Mlx && t.slots()[0].accepts(unit));
+            if self.candidates == 0 {
                 // e.g. an I- or F-type op cannot start slot 0 of any
                 // template: prepend an M nop and keep the templates that
                 // can still take this op in slot 1.
-                self.candidates = Template::all()
-                    .iter()
-                    .copied()
-                    .filter(|t| *t != Template::Mlx && t.slots()[1].accepts(unit))
-                    .collect();
+                self.candidates =
+                    Self::templates_where(|t| t != Template::Mlx && t.slots()[1].accepts(unit));
                 assert!(
-                    !self.candidates.is_empty(),
+                    self.candidates != 0,
                     "no template accepts unit {unit:?} in slot 1"
                 );
                 self.placed
@@ -256,13 +265,8 @@ impl Packer {
             return;
         }
 
-        let surviving: Vec<Template> = self
-            .candidates
-            .iter()
-            .copied()
-            .filter(|t| t.slots()[idx].accepts(unit))
-            .collect();
-        if surviving.is_empty() {
+        let surviving = self.candidates & Self::templates_where(|t| t.slots()[idx].accepts(unit));
+        if surviving == 0 {
             self.flush(out);
             return self.add(inst, stop_after, out);
         }
@@ -271,6 +275,12 @@ impl Packer {
         if self.placed.len() == 3 {
             self.flush(out);
         }
+    }
+
+    /// The templates satisfying `keep`, as a candidate mask.
+    fn templates_where(keep: impl Fn(Template) -> bool) -> u16 {
+        let bit = |(i, &t): (usize, &Template)| (keep(t) as u16) << i;
+        Template::all().iter().enumerate().map(bit).sum()
     }
 
     fn fits_mlx_slot0(&self) -> bool {
@@ -284,7 +294,8 @@ impl Packer {
         if self.placed.is_empty() {
             return;
         }
-        let template = self.candidates.first().copied().unwrap_or(Template::Mii);
+        let preferred = self.candidates.trailing_zeros() as usize;
+        let template = *Template::all().get(preferred).unwrap_or(&Template::Mii);
         let pattern = template.slots();
         let mut slots = [
             Inst::new(Op::Nop { unit: Unit::M }),
@@ -320,7 +331,7 @@ impl Packer {
             slots,
             stops,
         });
-        self.candidates.clear();
+        self.candidates = 0;
     }
 }
 
@@ -358,7 +369,7 @@ mod tests {
             target: Target::Label(l.0),
         });
         let (bundles, labels) = cb.assemble(0x1000);
-        assert_eq!(labels[&l], 0x1000);
+        assert_eq!(labels[l], 0x1000);
         let last = bundles.last().unwrap();
         // Branch occupies a B slot and targets the first bundle.
         let br = last
@@ -386,7 +397,7 @@ mod tests {
         });
         let (bundles, labels) = cb.assemble(0);
         assert_eq!(bundles.len(), 2);
-        assert_eq!(labels[&l], 16);
+        assert_eq!(labels[l], 16);
     }
 
     #[test]
