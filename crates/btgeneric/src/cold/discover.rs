@@ -87,6 +87,11 @@ impl DiscBlock {
         self.end_ip
     }
 
+    /// The block's instructions, as a range of `Region::all_insts`.
+    pub(crate) fn inst_range(&self) -> std::ops::Range<usize> {
+        self.insts.clone()
+    }
+
     /// Number of instructions decoded.
     pub fn len(&self) -> usize {
         self.insts.len()
@@ -113,11 +118,16 @@ pub struct Region {
 impl Region {
     /// The decoded instructions of `block` (one of `self.blocks`).
     pub fn insts(&self, block: &DiscBlock) -> &[DiscInst] {
-        &self.insts[block.insts.clone()]
+        &self.insts[block.inst_range()]
+    }
+
+    /// Every block's instructions, block after block in `blocks` order.
+    pub(crate) fn all_insts(&self) -> &[DiscInst] {
+        &self.insts
     }
 
     /// Index in `blocks` of the block starting at `eip`, if discovered.
-    pub fn index_of(&self, eip: u32) -> Option<usize> {
+    pub(crate) fn index_of(&self, eip: u32) -> Option<usize> {
         self.blocks.iter().position(|b| b.start == eip)
     }
 

@@ -795,7 +795,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                     ia32::flags::STATUS | ia32::flags::DF
                 }
             };
-            match crate::superinst::match_at(table, &insts, i, &mut live_after) {
+            match crate::superinst::match_at(table, insts, i, &mut live_after) {
                 // CmpJcc is the terminal compare+branch fusion below —
                 // it fires (and is counted) there.
                 None | Some((crate::superinst::IdiomKind::CmpJcc, _)) => {}
@@ -812,12 +812,8 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                         misalign: &input.misalign,
                         align: &mut align,
                     };
-                    match crate::superinst::emit_idiom(
-                        &mut body,
-                        &mut ctx,
-                        kind,
-                        &insts[i..i + n],
-                    ) {
+                    match crate::superinst::emit_idiom(&mut body, &mut ctx, kind, &insts[i..i + n])
+                    {
                         crate::superinst::FusedEmit::Plain => {
                             si_hits += 1;
                             si_fused += n as u64;

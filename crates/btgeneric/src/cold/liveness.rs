@@ -7,8 +7,9 @@
 //! syscalls, region exits) conservatively treat all status flags as
 //! live.
 
-use super::discover::{DiscBlock, DiscInst, Region};
+use super::discover::{DiscBlock, Region};
 use ia32::flags::{DF, STATUS};
+use std::ops::Range;
 
 /// All bits treated as conservatively live at unknown edges.
 const ALL: u32 = STATUS | DF;
@@ -16,10 +17,11 @@ const ALL: u32 = STATUS | DF;
 /// Per-block, per-instruction live-out flag masks.
 #[derive(Clone, Debug, Default)]
 pub struct Liveness {
-    /// Per analyzed block, in region order: its start EIP and where its
-    /// instructions' masks begin in `after`.
-    blocks: Vec<(u32, usize)>,
-    /// Flags live *after* each instruction, block after block.
+    /// Per analyzed block: its start EIP and where its instructions'
+    /// masks sit in `after`.
+    blocks: Vec<(u32, Range<usize>)>,
+    /// Flags live *after* each instruction, parallel to the region's
+    /// instruction array (`Region::all_insts`).
     after: Vec<u32>,
 }
 
@@ -27,12 +29,11 @@ impl Liveness {
     /// Flags live immediately after instruction `i` of the block at
     /// `start` (i.e. the bits instruction `i` must materialize).
     pub fn live_after(&self, start: u32, i: usize) -> u32 {
-        let Some(b) = self.blocks.iter().position(|&(s, _)| s == start) else {
-            return ALL;
-        };
-        let base = self.blocks[b].1;
-        let end = self.blocks.get(b + 1).map_or(self.after.len(), |&(_, e)| e);
-        self.after[base..end].get(i).copied().unwrap_or(ALL)
+        let block = self.blocks.iter().find(|(s, _)| *s == start);
+        block
+            .and_then(|(_, range)| self.after[range.clone()].get(i))
+            .copied()
+            .unwrap_or(ALL)
     }
 }
 
@@ -49,17 +50,23 @@ fn live_out(b: &DiscBlock, live_in: &[u32]) -> u32 {
 
 /// Computes flag liveness for every instruction in the region.
 pub fn analyze(region: &Region) -> Liveness {
-    // Each block's backward transfer, composed once over its
-    // instructions: live-in = (live-out & keep) | gen.
+    // What each instruction does to the flags live after it, looked up
+    // once: live before = (live after & kept) | read.
+    let effect: Vec<(u32, u32)> = region
+        .all_insts()
+        .iter()
+        .map(|(_, inst, _)| (!inst.flags_written(), inst.flags_read()))
+        .collect();
+    // Each block's backward transfer, composed over its instructions:
+    // live-in = (live-out & keep) | gen.
     let transfer: Vec<(u32, u32)> = region
         .blocks
         .iter()
         .map(|b| {
-            let through = |(keep, gen): (u32, u32), (_, inst, _): &DiscInst| {
-                let written = inst.flags_written();
-                (keep & !written, (gen & !written) | inst.flags_read())
+            let through = |(keep, gen): (u32, u32), &(kept, read): &(u32, u32)| {
+                (keep & kept, (gen & kept) | read)
             };
-            region.insts(b).iter().rev().fold((!0, 0), through)
+            effect[b.inst_range()].iter().rev().fold((!0, 0), through)
         })
         .collect();
     // live-in per block (by index in the region), iterated to a fixpoint
@@ -80,22 +87,23 @@ pub fn analyze(region: &Region) -> Liveness {
         }
     }
     // Record live-after per instruction.
-    let total = region.blocks.iter().map(DiscBlock::len).sum();
-    let mut result = Liveness {
-        blocks: Vec::with_capacity(region.blocks.len()),
-        after: vec![0; total],
-    };
-    let mut base = 0;
+    let mut after = vec![0; effect.len()];
     for b in &region.blocks {
-        result.blocks.push((b.start, base));
         let mut live = live_out(b, &live_in);
-        for (i, (_, inst, _)) in region.insts(b).iter().enumerate().rev() {
-            result.after[base + i] = live;
-            live = (live & !inst.flags_written()) | inst.flags_read();
+        for i in b.inst_range().rev() {
+            after[i] = live;
+            let (kept, read) = effect[i];
+            live = (live & kept) | read;
         }
-        base += b.len();
     }
-    result
+    Liveness {
+        blocks: region
+            .blocks
+            .iter()
+            .map(|b| (b.start, b.inst_range()))
+            .collect(),
+        after,
+    }
 }
 
 #[cfg(test)]

@@ -334,7 +334,11 @@ mod tests {
         });
         for i in 0..14 {
             let (a, b) = (sink.vg(), sink.vg());
-            sink.emit(Op::AddImm { d: a, imm: i, a: R0 });
+            sink.emit(Op::AddImm {
+                d: a,
+                imm: i,
+                a: R0,
+            });
             sink.emit(Op::AddImm {
                 d: b,
                 imm: i,

@@ -3976,4 +3976,234 @@ mod tests {
             engine.stats.heat_events
         );
     }
+
+    /// A guest of one counted loop followed by a chain of `n` one-add
+    /// blocks, loaded into a fresh engine: `(engine, entry cpu, loop
+    /// EIP, chain EIPs)`. The chain's adds carry a 32-bit immediate at
+    /// `eip + 1` for tests that rewrite guest code.
+    fn loop_and_chain(n: usize, cfg: Config) -> (Engine, Cpu, u32, Vec<u32>) {
+        use ia32::inst::AluOp;
+        use ia32::regs::{EAX, ECX};
+        let mut a = ia32::asm::Asm::new(0x40_0000);
+        a.mov_ri(ECX, 400);
+        a.mov_ri(EAX, 0);
+        let top = a.label();
+        a.bind(top);
+        let loop_eip = a.here();
+        a.alu_rr(AluOp::Add, EAX, ECX);
+        a.dec(ECX);
+        a.jcc(ia32::Cond::Ne, top);
+        let labels: Vec<_> = (0..n).map(|_| a.label()).collect();
+        let mut chain = Vec::new();
+        for l in labels {
+            a.jmp(l);
+            a.bind(l);
+            chain.push(a.here());
+            a.alu_ri(AluOp::Add, EAX, 0x1234_5678);
+        }
+        a.hlt();
+        let image = ia32::asm::Image::from_asm(&a).with_writable_code();
+        let mut mem = ia32::mem::GuestMem::new();
+        let cpu = image.load(&mut mem);
+        let mut engine = Engine::new(mem, cfg);
+        state::cpu_to_machine(&cpu, &mut engine.machine);
+        (engine, cpu, loop_eip, chain)
+    }
+
+    /// The extent index against the linear scans it replaced, at every
+    /// bundle address of the arena, after every step of a seeded walk
+    /// through the cache's whole lifecycle: cold translation,
+    /// retranslation of a live EIP (a superseding generation), hot
+    /// promotion, eviction (chosen victims and `make_room` under a
+    /// small cap), SMC orphaning and retranslation, interpreter stubs,
+    /// and full flushes.
+    #[test]
+    fn extent_index_matches_the_linear_scan_through_the_cache_lifecycle() {
+        let cfg = Config {
+            heat_threshold: 16,
+            max_cache_bundles: 250,
+            ..Config::default()
+        };
+        let (mut engine, cpu, loop_eip, chain) = loop_and_chain(40, cfg);
+        let mut os = NullOs;
+
+        let check = |e: &Engine, step: &str| {
+            let arena = &e.machine.arena;
+            let mut addr = arena.base();
+            while addr < arena.end() {
+                for any in [false, true] {
+                    let got = if any {
+                        e.block_at_addr_any(addr)
+                    } else {
+                        e.block_at_addr(addr)
+                    };
+                    assert_eq!(
+                        got,
+                        e.scan_for_owner(addr, any),
+                        "{addr:#x} (any generation: {any}) after {step}"
+                    );
+                }
+                addr += ipf::Bundle::SIZE;
+            }
+            // Stubs live outside the arena and belong to no block.
+            let stub = StubKind::Untranslated.addr();
+            assert_eq!(e.block_at_addr(stub), None);
+            assert_eq!(e.block_at_addr_any(stub), None);
+        };
+
+        // The guest's own run: cold blocks, a heat event, a promotion.
+        assert_eq!(engine.run(&mut os, cpu, 4_000), Outcome::InstLimit);
+        assert!(engine.stats.hot_traces > 0, "the loop never promoted");
+        check(&engine, "the guest's run");
+        let hot = engine.cache.by_eip[&loop_eip];
+        let (cold_gen, hot_gen) = {
+            let b = &engine.cache.blocks[hot as usize];
+            assert!(b.extents.len() >= 2, "promotion keeps the cold generation");
+            (b.extents[0].0, b.range.0)
+        };
+        assert_eq!(engine.block_at_addr(hot_gen), Some(hot));
+        assert_eq!(
+            engine.block_at_addr(cold_gen),
+            None,
+            "superseded generation"
+        );
+        assert_eq!(engine.block_at_addr_any(cold_gen), Some(hot));
+
+        let (mut superseded, mut evicted, mut orphaned, mut refilled) = (0, 0, 0, 0);
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        for step in 0..160 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let eip = chain[(x >> 8) as usize % chain.len()];
+            let live = engine.cache.by_eip.get(&eip).copied();
+            let what = match ((x >> 40) % 16, live) {
+                (0..=5, _) => {
+                    let holes = engine.machine.arena.free_bundles();
+                    engine
+                        .entry_of(&mut os, eip)
+                        .expect("chain blocks translate");
+                    if live.is_none() && engine.machine.arena.free_bundles() < holes {
+                        refilled += 1;
+                    }
+                    "cold translation"
+                }
+                (6..=8, Some(id)) => {
+                    engine
+                        .translate_cold(&mut os, eip, BlockKind::ColdV2, false, HashMap::new())
+                        .expect("retranslates");
+                    let b = &engine.cache.blocks[id as usize];
+                    let old = b.extents[0].0;
+                    assert_eq!(engine.block_at_addr(old), None);
+                    assert_eq!(engine.block_at_addr_any(old), Some(id));
+                    superseded += 1;
+                    "retranslation of a live EIP"
+                }
+                (9..=10, Some(id)) => {
+                    let freed = engine.cache.blocks[id as usize].extents[0].0;
+                    engine.evict_block(id);
+                    assert_eq!(engine.block_at_addr_any(freed), None, "freed hole");
+                    evicted += 1;
+                    "eviction"
+                }
+                (11..=12, Some(id)) => {
+                    // The guest rewrites the add's immediate.
+                    engine
+                        .mem
+                        .write_forced(eip as u64 + 1, &[step as u8 | 0x80]);
+                    engine.smc_invalidate_extents(eip >> 12);
+                    let b = &engine.cache.blocks[id as usize];
+                    assert!(!b.evicted && engine.cache.by_eip.get(&eip) != Some(&id));
+                    assert_eq!(
+                        engine.block_at_addr(b.range.0),
+                        Some(id),
+                        "orphans keep code"
+                    );
+                    orphaned += 1;
+                    "SMC orphaning"
+                }
+                (13, _) => {
+                    let stub = engine.emit_interp_stub(eip);
+                    assert_eq!(engine.block_at_addr_any(stub), None, "stubs have no block");
+                    "an interpreter stub"
+                }
+                (14, _) if step % 3 == 0 => {
+                    engine.flush_cache();
+                    assert_eq!(engine.block_at_addr_any(layout::TC_BASE), None);
+                    "a full flush"
+                }
+                (15, _) => {
+                    let id = engine.cache.by_eip.get(&loop_eip).copied();
+                    if let Some(id) = id.filter(|&id| engine.block(id).kind != BlockKind::Hot) {
+                        crate::hot::promote(&mut engine, id);
+                    } else {
+                        engine.entry_of(&mut os, loop_eip).expect("loop translates");
+                    }
+                    "hot promotion"
+                }
+                _ => continue,
+            };
+            check(&engine, what);
+        }
+        assert!(superseded > 0 && evicted > 0 && orphaned > 0 && refilled > 0);
+        assert!(
+            engine.stats.evictions > evicted,
+            "make_room never evicted ({} live bundles)",
+            engine.machine.arena.live_len()
+        );
+        assert!(engine.stats.cache_flushes > 0);
+
+        engine.flush_cache();
+        check(&engine, "the last flush");
+        assert_eq!(engine.cache.extents.owners().count(), 0);
+    }
+
+    /// `register_inbound_links` finds its targets through the extent
+    /// index; the map of every live block's entry it used to build per
+    /// call is the reference. The evicted block's entry is the
+    /// Untranslated stub, which every unchained exit branches to: none
+    /// of those may be recorded as an edge.
+    #[test]
+    fn inbound_links_match_the_entry_map_they_used_to_be_built_from() {
+        let (mut engine, _, _, chain) = loop_and_chain(3, Config::default());
+        let mut os = NullOs;
+        // Targets first, so each later block chains straight to them.
+        for &eip in chain.iter().rev() {
+            engine.entry_of(&mut os, eip).expect("translates");
+        }
+        let ids: Vec<u32> = chain.iter().map(|e| engine.cache.by_eip[e]).collect();
+        engine.evict_block(ids[2]);
+        let (start, end) = (engine.machine.arena.base(), engine.machine.arena.end());
+
+        for skip in [ids[0], ids[1], u32::MAX] {
+            let entry_to_id: HashMap<u64, u32> = engine
+                .cache
+                .blocks
+                .iter()
+                .filter(|b| !b.evicted && b.id != skip)
+                .map(|b| (b.entry, b.id))
+                .collect();
+            let mut want: HashMap<u32, Vec<u64>> = HashMap::new();
+            let mut addr = start;
+            while addr < end {
+                let bundle = engine.machine.arena.bundle_at(addr).expect("inside arena");
+                for s in &bundle.slots {
+                    if let Some(Target::Abs(t)) = s.op.target() {
+                        if let Some(&tid) = entry_to_id.get(&t) {
+                            want.entry(tid).or_default().push(addr);
+                        }
+                    }
+                }
+                addr += ipf::Bundle::SIZE;
+            }
+            engine.cache.links_into.clear();
+            engine.register_inbound_links(start, end, skip);
+            assert_eq!(engine.cache.links_into, want, "skip {skip}");
+            assert!(!want.contains_key(&ids[2]), "edge into an evicted block");
+            if skip == u32::MAX {
+                assert_eq!(want.len(), 1, "chain[0] -> chain[1] is the one live edge");
+                assert_eq!(want[&ids[1]].len(), 1);
+            }
+        }
+    }
 }

@@ -14,7 +14,7 @@
 //!    push/pop sequences, and lea/mod-rm addressing idioms;
 //! 2. **synthesizes** a fused template for each winner by composing
 //!    the existing template emitters with the provably-dead
-//!    intermediate writebacks elided ([`crate::templates::fused`]);
+//!    intermediate writebacks elided (`templates::fused`);
 //! 3. **validates** every synthesized template differentially against
 //!    the interpreter oracle before it may fire: the template runs on
 //!    a scratch IPF machine over a deterministic sparse bus, the same

@@ -25,18 +25,12 @@ pub type Placements = Vec<(usize, u8)>;
 
 /// The resolved address of every label of a [`CodeBuilder`], indexed by
 /// the label (labels are dense small integers, so this is an array).
-#[derive(Clone, Debug, Default)]
+#[derive(Clone, Debug)]
 pub struct LabelAddrs(Vec<u64>);
 
 impl LabelAddrs {
     /// Address of a label that was allocated but never bound.
     const UNBOUND: u64 = u64::MAX;
-
-    /// The address `label` was bound at, if it was bound.
-    pub fn get(&self, label: Label) -> Option<u64> {
-        let addr = *self.0.get(label.0 as usize)?;
-        (addr != Self::UNBOUND).then_some(addr)
-    }
 }
 
 impl std::ops::Index<Label> for LabelAddrs {
