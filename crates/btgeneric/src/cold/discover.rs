@@ -4,7 +4,7 @@
 //! only the requested block is generated ("unexecuted blocks are never
 //! generated").
 
-use ia32::decode::decode;
+use ia32::decode::decode_at;
 use ia32::inst::Inst;
 use ia32::mem::GuestMem;
 
@@ -169,12 +169,7 @@ pub fn discover(mem: &GuestMem, entry: u32) -> Region {
                 blk.succs.push(ip);
                 break;
             }
-            let mut window = [0u8; 16];
-            let decoded = mem
-                .fetch_into(ip as u64, &mut window)
-                .ok()
-                .and_then(|n| decode(&window[..n], ip).ok());
-            let Some((inst, len)) = decoded else {
+            let Some((inst, len)) = decode_at(mem, ip) else {
                 // Unfetchable or undecodable: the generator emits a
                 // fault / #UD exit here.
                 blk.end = BlockEnd::Stop;

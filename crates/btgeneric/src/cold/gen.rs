@@ -727,7 +727,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         .region
         .block_at(input.entry)
         .ok_or(ColdGenError::NoBlock)?;
-
     let insts = input.region.insts(blk);
 
     let entry_mmx = prescan_fp(insts);

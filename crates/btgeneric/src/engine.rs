@@ -2592,11 +2592,7 @@ impl Engine {
     }
 
     fn inst_writes_mem(&self, eip: u32) -> bool {
-        let mut window = [0u8; 16];
-        let Ok(fetched) = self.mem.fetch_into(eip as u64, &mut window) else {
-            return false;
-        };
-        let Ok((inst, _)) = ia32::decode::decode(&window[..fetched], eip) else {
+        let Some((inst, _)) = ia32::decode::decode_at(&self.mem, eip) else {
             return false;
         };
         use ia32::inst::Inst as I;

@@ -178,9 +178,7 @@ fn decode_hammock(mem: &ia32::GuestMem, from: u32, join: u32) -> Option<Vec<(u32
     let mut out = Vec::new();
     let mut ip = from;
     while ip < join {
-        let mut window = [0u8; 16];
-        let fetched = mem.fetch_into(ip as u64, &mut window).ok()?;
-        let (inst, len) = ia32::decode::decode(&window[..fetched], ip).ok()?;
+        let (inst, len) = ia32::decode::decode_at(mem, ip)?;
         if !if_convertible(&inst) || out.len() >= 4 {
             return None;
         }

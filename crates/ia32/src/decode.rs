@@ -137,6 +137,14 @@ fn mem_only(rm: Rm, opcode: u8, digit: u8) -> Result<Addr> {
         .ok_or(DecodeError::UnsupportedForm { opcode, digit })
 }
 
+/// Fetches and decodes the instruction at guest address `addr`: `None`
+/// where nothing can be fetched or the bytes there do not decode.
+pub fn decode_at(mem: &crate::mem::GuestMem, addr: u32) -> Option<(Inst, usize)> {
+    let mut window = [0u8; 16];
+    let fetched = mem.fetch_into(addr as u64, &mut window).ok()?;
+    decode(&window[..fetched], addr).ok()
+}
+
 /// Decodes one instruction from `bytes`, which is assumed to start at
 /// guest address `addr` (needed to materialize absolute branch targets).
 ///
