@@ -1,6 +1,8 @@
 //! IA-32 assembler with labels, plus the program-image builder the
 //! workloads and tests use to produce loadable IA-32 binaries.
 
+use std::cell::Cell;
+
 use crate::encode::encode;
 use crate::flags::{Cond, Size};
 use crate::inst::*;
@@ -31,6 +33,10 @@ pub struct Asm {
     base: u32,
     items: Vec<Item>,
     next_label: usize,
+    /// Where [`Asm::here`] resumes: how many items it has measured and
+    /// their encoded size. Items are only ever appended, so padding
+    /// loops (`while a.here() < target { a.nop() }`) stay linear.
+    measured: Cell<(usize, u32)>,
 }
 
 impl Asm {
@@ -40,6 +46,7 @@ impl Asm {
             base,
             items: Vec::new(),
             next_label: 0,
+            measured: Cell::new((0, 0)),
         }
     }
 
@@ -281,9 +288,18 @@ impl Asm {
     }
 
     /// The current offset a label bound *now* would get (for
-    /// data-in-code layouts). Computed by a dry layout pass.
+    /// data-in-code layouts). Computed by a dry layout pass over the
+    /// items appended since the last call.
     pub fn here(&self) -> u32 {
-        self.base + self.layout().1
+        let (done, mut len) = self.measured.get();
+        let mut scratch = Vec::with_capacity(16);
+        for item in &self.items[done..] {
+            if let Item::Inst(i) | Item::Branch { inst: i, .. } = item {
+                len += encoded_len(i, self.base + len, &mut scratch);
+            }
+        }
+        self.measured.set((self.items.len(), len));
+        self.base + len
     }
 
     fn layout(&self) -> (Vec<u32>, u32) {
@@ -297,10 +313,7 @@ impl Asm {
             match item {
                 Item::Bind(l) => label_addr[l.0] = pc,
                 Item::Inst(i) | Item::Branch { inst: i, .. } => {
-                    scratch.clear();
-                    let len = encode(i, pc, &mut scratch)
-                        .unwrap_or_else(|e| panic!("unencodable instruction {i}: {e}"));
-                    pc += len as u32;
+                    pc += encoded_len(i, pc, &mut scratch);
                 }
             }
         }
@@ -346,6 +359,14 @@ impl Asm {
     pub fn label_addr(&self, label: Label) -> u32 {
         self.layout().0[label.0]
     }
+}
+
+/// Encoded size of `inst` at `pc` (a label branch's long form does not
+/// depend on its target).
+fn encoded_len(inst: &Inst, pc: u32, scratch: &mut Vec<u8>) -> u32 {
+    scratch.clear();
+    encode(inst, pc, scratch).unwrap_or_else(|e| panic!("unencodable instruction {inst}: {e}"))
+        as u32
 }
 
 /// A loadable IA-32 program image: code, data segments, entry point, and
@@ -479,6 +500,27 @@ mod tests {
         a.bind(l);
         a.nop();
         assert_eq!(a.label_addr(l), 0x2001);
+    }
+
+    #[test]
+    fn here_resumes_and_agrees_with_the_full_layout() {
+        let mut a = Asm::new(0x3000);
+        assert_eq!(a.here(), 0x3000);
+        let l = a.label();
+        for round in 0..4 {
+            a.mov_ri(EAX, round);
+            if round == 1 {
+                a.bind(l);
+            }
+            a.jcc(Cond::Ne, l);
+            a.nop();
+            // Asked after every append and, on odd rounds, twice.
+            assert_eq!(a.here(), 0x3000 + a.layout().1);
+            if round % 2 == 1 {
+                assert_eq!(a.here(), 0x3000 + a.layout().1);
+            }
+        }
+        assert_eq!(a.here(), 0x3000 + a.assemble().len() as u32);
     }
 
     #[test]
