@@ -12,10 +12,11 @@
 //! machinery builds on this.
 
 use crate::bundle::Bundle;
-use crate::inst::{FFmt, FXfer, Inst, LatClass, Op, SlotMeta, Target, Unit, SB_LEN};
+use crate::inst::{FFmt, FXfer, Inst, LatClass, Op, SlotMeta, Target, Unit, SB_LEN, SB_NONE};
 use crate::regs::{NUM_BR, NUM_FR, NUM_GR, NUM_PR};
 use std::collections::HashMap;
-use std::hash::{BuildHasherDefault, Hasher};
+use std::fmt::Write as _;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
 
 /// Errors a [`Bus`] access can produce.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -231,6 +232,103 @@ impl MetaTable {
     }
 }
 
+/// Longest issue group, in slots, the arena summarizes. Translated
+/// code closes a group every three or four slots; the rare longer one
+/// is accounted slot by slot.
+const GROUP_MAX_SLOTS: usize = 12;
+/// Most distinct scoreboard entries a summary reads.
+const GROUP_MAX_READS: usize = 16;
+/// Scoreboard writes a group records; later ones are dropped.
+const GROUP_MAX_WRITES: usize = 8;
+
+/// Id of a group the machine has not run since the code there last
+/// changed (what a zeroed [`BundleTag`] holds).
+const GROUP_UNKNOWN: u16 = 0;
+/// Id of a group that has no summary — too long, too many distinct
+/// reads, or the id space was full — and is accounted slot by slot.
+const GROUP_NONE: u16 = u16::MAX;
+
+/// Why a group has no summary.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+enum NoSummary {
+    /// More than [`GROUP_MAX_SLOTS`] slots or [`GROUP_MAX_READS`]
+    /// distinct reads.
+    TooBig,
+    /// The arena ends before the group's stop bit.
+    OffEnd,
+}
+
+/// Everything [`IssueModel`] needs to issue one whole stop-bit-delimited
+/// group in a single step: what [`IssueModel::account`] over its slots
+/// and [`IssueModel::close`] would have gathered, which is a function of
+/// the installed code alone.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) struct GroupSummary {
+    /// The distinct scoreboard entries the group reads (`SB_NONE`
+    /// dropped; the first `nreads` are valid, the rest hold `SB_NONE`).
+    reads: [u16; GROUP_MAX_READS],
+    /// The group's first [`GROUP_MAX_WRITES`] scoreboard writes in slot
+    /// order, duplicates kept (the last one wins, as in `close`).
+    writes: [(u16, LatClass); GROUP_MAX_WRITES],
+    nreads: u8,
+    nwrites: u8,
+    /// Cycles the group occupies the issue ports.
+    width: u8,
+    /// Slots in the group.
+    slots: u8,
+}
+
+impl Hash for GroupSummary {
+    /// Feeds the summary to the hasher as seven packed words rather
+    /// than field by field.
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        for four in self.reads.chunks_exact(4) {
+            state.write_u64(four.iter().fold(0, |k, &r| k << 16 | r as u64));
+        }
+        for four in self.writes.chunks_exact(4) {
+            state.write_u64(four.iter().fold(0, |k, &(w, _)| k << 16 | w as u64));
+        }
+        let lats = self.writes.iter().fold(0, |k, &(_, l)| k << 3 | l as u64);
+        let counts = [self.nreads, self.nwrites, self.width, self.slots];
+        state.write_u64(counts.iter().fold(lats, |k, &c| k << 8 | c as u64));
+    }
+}
+
+/// The distinct [`GroupSummary`] values of an arena's code, interned
+/// like the slot metadata: a slot stores the 2-byte id of the group
+/// that starts at it.
+#[derive(Debug, Default)]
+struct GroupTable {
+    groups: Vec<GroupSummary>,
+    ids: HashMap<GroupSummary, u16, BuildHasherDefault<KeyHasher>>,
+}
+
+impl GroupTable {
+    /// The id of `group`, or [`GROUP_NONE`] once the id space is full.
+    fn intern(&mut self, group: GroupSummary) -> u16 {
+        if let Some(&id) = self.ids.get(&group) {
+            return id;
+        }
+        // Ids run from 1: 0 is `GROUP_UNKNOWN`.
+        let id = self.groups.len() as u16 + 1;
+        if id == GROUP_NONE {
+            return GROUP_NONE;
+        }
+        self.groups.push(group);
+        self.ids.insert(group, id);
+        id
+    }
+
+    /// The summary behind `id`, if it names one.
+    #[inline]
+    fn get(&self, id: u16) -> Option<&GroupSummary> {
+        match id {
+            GROUP_UNKNOWN | GROUP_NONE => None,
+            id => Some(&self.groups[id as usize - 1]),
+        }
+    }
+}
+
 /// What the arena keeps per bundle beside the bundle itself.
 #[derive(Clone, Copy, Debug, Default)]
 struct BundleTag {
@@ -238,6 +336,9 @@ struct BundleTag {
     region: u32,
     /// Per slot, the id of its issue metadata in the [`MetaTable`].
     meta: [u16; 3],
+    /// Per slot, the id in the [`GroupTable`] of the issue group that
+    /// *starts* there, [`GROUP_UNKNOWN`] or [`GROUP_NONE`].
+    group: [u16; 3],
 }
 
 /// Tags per page of a [`TagTable`].
@@ -298,16 +399,23 @@ impl std::ops::IndexMut<usize> for TagTable {
 ///
 /// Beside the bundles the arena caches each slot's issue metadata
 /// ([`Inst::slot_meta`]) so the machine decodes a slot once, not once
-/// per execution. `bundles` is private and written at exactly five
-/// places — `append`, `place`, `release`, `truncate`, `patch_slot` —
-/// each of which updates `tags` in the same breath.
+/// per execution, and — one level up — a summary of the issue group
+/// that starts at each slot, so the machine accounts a group once, not
+/// once per slot. Summaries are built when the machine first runs a
+/// group. `bundles` is private and written at exactly five places —
+/// `append`, `place`, `release`, `truncate`, `patch_slot` — each of
+/// which updates `tags` in the same breath: the metadata of the slots
+/// it writes, and the group ids of those slots *and* of the slots
+/// before them whose groups reach into what it wrote.
 #[derive(Debug, Default)]
 pub struct CodeArena {
     base: u64,
     bundles: Vec<Bundle>,
-    /// Region and metadata ids per bundle (parallel to `bundles`).
+    /// Region, metadata ids and group ids per bundle (parallel to
+    /// `bundles`).
     tags: TagTable,
     metas: MetaTable,
+    groups: GroupTable,
     /// Free extents as `(bundle_index, bundle_count)`, kept sorted by
     /// index and coalesced.
     free: Vec<(usize, usize)>,
@@ -337,9 +445,15 @@ impl CodeArena {
     /// address.
     pub fn append(&mut self, bundles: Vec<Bundle>, region: u32) -> u64 {
         let addr = self.end();
+        // No cached group reaches the old end (`summarize` never caches
+        // one that runs off it), so there is nothing to forget.
         for b in &bundles {
             let meta = self.metas.intern_bundle(b);
-            self.tags.push(BundleTag { region, meta });
+            self.tags.push(BundleTag {
+                region,
+                meta,
+                group: [GROUP_UNKNOWN; 3],
+            });
         }
         self.bundles.extend(bundles);
         addr
@@ -357,6 +471,7 @@ impl CodeArena {
         let n = ((addr - self.base) / Bundle::SIZE) as usize;
         self.bundles.truncate(n);
         self.tags.truncate(n);
+        self.forget_groups_reaching(n * 3);
         self.free.clear();
     }
 
@@ -380,11 +495,13 @@ impl CodeArena {
         let freed = BundleTag {
             region: 0,
             meta: self.metas.intern_bundle(&nops),
+            group: [GROUP_UNKNOWN; 3],
         };
         for i in idx..idx + count {
             self.tags[i] = freed;
         }
         self.bundles[idx..idx + count].fill(nops);
+        self.forget_groups_reaching(idx * 3);
         let pos = self.free.partition_point(|&(i, _)| i < idx);
         debug_assert!(
             self.free.get(pos).is_none_or(|&(i, _)| idx + count <= i)
@@ -444,9 +561,14 @@ impl CodeArena {
         );
         for (k, b) in bundles.into_iter().enumerate() {
             let meta = self.metas.intern_bundle(&b);
-            self.tags[idx + k] = BundleTag { region, meta };
+            self.tags[idx + k] = BundleTag {
+                region,
+                meta,
+                group: [GROUP_UNKNOWN; 3],
+            };
             self.bundles[idx + k] = b;
         }
+        self.forget_groups_reaching(idx * 3);
         addr
     }
 
@@ -483,25 +605,135 @@ impl CodeArena {
         let idx = self.index_of(addr).expect("patch address inside arena");
         let inst = &mut self.bundles[idx].slots[slot];
         inst.op = op;
-        self.tags[idx].meta[slot] = self.metas.intern(inst);
+        let tag = &mut self.tags[idx];
+        tag.meta[slot] = self.metas.intern(inst);
+        tag.group[slot] = GROUP_UNKNOWN;
+        self.forget_groups_reaching(idx * 3 + slot);
+    }
+
+    /// Forgets every cached group that starts before slot position
+    /// `pos` (bundle index × 3 + slot) and reaches it, because the code
+    /// from `pos` on has just changed or gone: the slots back to the
+    /// previous stop bit. A group that starts more than
+    /// [`GROUP_MAX_SLOTS`] slots back and still reaches `pos` is too
+    /// long to have a summary whatever follows, so the walk stops there.
+    fn forget_groups_reaching(&mut self, pos: usize) {
+        for p in (pos.saturating_sub(GROUP_MAX_SLOTS)..pos).rev() {
+            if self.bundles[p / 3].stops[p % 3] {
+                break;
+            }
+            self.tags[p / 3].group[p % 3] = GROUP_UNKNOWN;
+        }
+    }
+
+    /// The id of the issue group that starts at `slot` of bundle `idx`,
+    /// summarizing it if the machine has not run it since the code
+    /// there last changed.
+    #[inline]
+    fn group_id(&mut self, idx: usize, slot: usize) -> u16 {
+        match self.tags[idx].group[slot] {
+            GROUP_UNKNOWN => self.summarize(idx, slot),
+            id => id,
+        }
+    }
+
+    /// Summarizes the group that starts at `slot` of bundle `idx`,
+    /// interns the summary and caches its id — unless the group runs
+    /// off the arena's end, where code may yet be appended: that is not
+    /// its final shape.
+    fn summarize(&mut self, idx: usize, slot: usize) -> u16 {
+        let id = match self.summary_at(idx, slot) {
+            Ok(group) => self.groups.intern(group),
+            Err(NoSummary::TooBig) => GROUP_NONE,
+            Err(NoSummary::OffEnd) => return GROUP_NONE,
+        };
+        self.tags[idx].group[slot] = id;
+        id
+    }
+
+    /// The summary of the group that starts at `slot` of bundle `idx`:
+    /// its slots up to the first stop bit, put through the same
+    /// [`GroupPorts::add`] that [`IssueModel::account`] puts them
+    /// through.
+    fn summary_at(&self, idx: usize, slot: usize) -> Result<GroupSummary, NoSummary> {
+        let mut ports = GroupPorts::default();
+        let mut reads = [SB_NONE; GROUP_MAX_READS];
+        let mut nreads = 0;
+        let mut seen = [0u64; SB_LEN.div_ceil(64)];
+        for (meta, stop, _) in self.slots_from(idx, slot) {
+            if ports.slots as usize == GROUP_MAX_SLOTS {
+                return Err(NoSummary::TooBig);
+            }
+            for r in meta.reads {
+                let (word, bit) = (r as usize / 64, 1u64 << (r % 64));
+                if r == SB_NONE || seen[word] & bit != 0 {
+                    continue;
+                }
+                seen[word] |= bit;
+                if nreads == GROUP_MAX_READS {
+                    return Err(NoSummary::TooBig);
+                }
+                reads[nreads] = r;
+                nreads += 1;
+            }
+            ports.add(&meta);
+            if stop {
+                return Ok(GroupSummary {
+                    reads,
+                    writes: ports.writes,
+                    nreads: nreads as u8,
+                    nwrites: ports.nwrites as u8,
+                    width: ports.width() as u8,
+                    slots: ports.slots as u8,
+                });
+            }
+        }
+        Err(NoSummary::OffEnd)
+    }
+
+    /// The slots from `slot` of bundle `idx` to the arena's end, in
+    /// execution order: each one's cached issue metadata, its stop bit
+    /// and its bundle's region.
+    fn slots_from(
+        &self,
+        idx: usize,
+        slot: usize,
+    ) -> impl Iterator<Item = (SlotMeta, bool, u32)> + '_ {
+        (idx * 3 + slot..self.bundles.len() * 3).map(|pos| {
+            let (i, s) = (pos / 3, pos % 3);
+            let (bundle, tag) = (&self.bundles[i], &self.tags[i]);
+            let meta = self.metas.get(tag.meta[s], &bundle.slots[s]);
+            debug_assert_eq!(
+                meta,
+                bundle.slots[s].slot_meta(),
+                "stale issue metadata at bundle {i} slot {s}"
+            );
+            (meta, bundle.stops[s], tag.region)
+        })
+    }
+
+    /// Accounts the `n` slots from `slot` of bundle `idx` on, one by
+    /// one, into `model`'s open group — whether or not their predicates
+    /// held: a predicated-off slot still occupies its port.
+    fn replay(&self, model: &mut IssueModel, idx: usize, slot: usize, n: u64) {
+        for (meta, _, region) in self.slots_from(idx, slot).take(n as usize) {
+            model.account(&meta, region);
+        }
     }
 
     /// FNV-1a checksum over the bundles in `[start, end)`, in their
     /// textual (assembly) form. Used by the engine's verify-on-dispatch
     /// integrity mode: a patched or corrupted slot changes the sum.
     pub fn checksum_range(&self, start: u64, end: u64) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut h = Fnv1a(0xcbf2_9ce4_8422_2325);
         let mut addr = start;
         while addr < end {
             if let Some(b) = self.bundle_at(addr) {
-                for byte in format!("{b}").bytes() {
-                    h ^= byte as u64;
-                    h = h.wrapping_mul(0x100_0000_01b3);
-                }
+                write!(h, "{b}").expect("the hash sink never fails");
             }
             addr += Bundle::SIZE;
         }
-        h
+        h.0
     }
 
     /// Number of bundles.
@@ -515,17 +747,103 @@ impl CodeArena {
     }
 }
 
-#[derive(Clone, Copy, Debug, Default)]
-struct GroupAcc {
-    read_ready_max: u64,
+/// FNV-1a over whatever text is written into it.
+struct Fnv1a(u64);
+
+impl std::fmt::Write for Fnv1a {
+    fn write_str(&mut self, s: &str) -> std::fmt::Result {
+        for byte in s.bytes() {
+            self.0 ^= byte as u64;
+            self.0 = self.0.wrapping_mul(0x100_0000_01b3);
+        }
+        Ok(())
+    }
+}
+
+/// The static half of an issue group — the ports its slots occupy and
+/// the scoreboard entries it writes. [`IssueModel::account`] and the
+/// arena's group summaries both build it through [`GroupPorts::add`],
+/// so the two cannot disagree.
+#[derive(Clone, Copy, Debug)]
+struct GroupPorts {
     m: u32,
     i: u32,
     f: u32,
     b: u32,
     slots: u32,
     nwrites: usize,
+    /// `(scoreboard entry, latency class)` of the first `nwrites`
+    /// register writes.
+    writes: [(u16, LatClass); GROUP_MAX_WRITES],
+}
+
+impl Default for GroupPorts {
+    fn default() -> GroupPorts {
+        GroupPorts {
+            m: 0,
+            i: 0,
+            f: 0,
+            b: 0,
+            slots: 0,
+            nwrites: 0,
+            writes: [(SB_NONE, LatClass::One); GROUP_MAX_WRITES],
+        }
+    }
+}
+
+impl GroupPorts {
+    /// Adds one slot. Order matters twice over: an A-type slot goes to
+    /// whichever of M and I is less loaded *so far*, and only the
+    /// group's first [`GROUP_MAX_WRITES`] writes are recorded.
+    #[inline]
+    fn add(&mut self, meta: &SlotMeta) {
+        for &w in &meta.writes[..meta.nwrites as usize] {
+            if self.nwrites < GROUP_MAX_WRITES {
+                self.writes[self.nwrites] = (w, meta.lat);
+                self.nwrites += 1;
+            }
+        }
+        match meta.unit {
+            Unit::M => self.m += 1,
+            Unit::I | Unit::L => self.i += 1,
+            Unit::F => self.f += 1,
+            Unit::B => self.b += 1,
+            Unit::A => {
+                // Disperse A-type to the less-loaded of M/I.
+                if self.m <= self.i {
+                    self.m += 1;
+                } else {
+                    self.i += 1;
+                }
+            }
+        }
+        self.slots += 1;
+    }
+
+    /// Cycles the group occupies the issue ports: what its most
+    /// oversubscribed port class needs (2M/2I/2F/3B, 6 slots).
+    #[inline]
+    fn width(&self) -> u32 {
+        [
+            self.m.div_ceil(2),
+            self.i.div_ceil(2),
+            self.f.div_ceil(2),
+            self.b.div_ceil(3),
+            self.slots.div_ceil(6),
+            1,
+        ]
+        .into_iter()
+        .max()
+        .expect("six candidates")
+    }
+}
+
+#[derive(Clone, Copy, Debug, Default)]
+struct GroupAcc {
+    read_ready_max: u64,
     region: u32,
     active: bool,
+    ports: GroupPorts,
 }
 
 /// The cycle model proper: in-order issue of stop-bit-delimited groups
@@ -534,9 +852,11 @@ struct GroupAcc {
 /// oversubscribed port class needs (2M/2I/2F/3B, 6 slots), and its
 /// writes become ready their latency after issue.
 ///
-/// [`Machine`] drives one of these from the arena's cached metadata;
-/// the translator's hot scheduler drives its own to price candidate
-/// code, which is what keeps the two from disagreeing.
+/// [`Machine`] drives one of these from the arena's cached metadata —
+/// a whole group at a time where the arena has a summary of it, slot by
+/// slot otherwise; the translator's hot scheduler drives its own, slot
+/// by slot, to price candidate code. The per-slot path is the one
+/// definition, which is what keeps the two from disagreeing.
 ///
 /// Two properties are part of the model and deliberately kept:
 /// a group records at most 8 scoreboard writes (later ones are
@@ -546,10 +866,11 @@ pub struct IssueModel {
     ready: [u64; SB_LEN],
     lat: [u32; LatClass::ALL.len()],
     next_cycle: u64,
+    /// The latest cycle any scoreboard entry becomes ready at. Once
+    /// `next_cycle` has passed it no read can stall, so
+    /// [`IssueModel::issue_group`] need not look at what a group reads.
+    horizon: u64,
     group: GroupAcc,
-    /// `(scoreboard entry, latency)` of the open group's first
-    /// `group.nwrites` register writes.
-    writes: [(u16, u32); 8],
 }
 
 impl IssueModel {
@@ -559,8 +880,8 @@ impl IssueModel {
             ready: [0; SB_LEN],
             lat: LatClass::ALL.map(|class| timing.latency(class)),
             next_cycle: 0,
+            horizon: 0,
             group: GroupAcc::default(),
-            writes: [(0, 0); 8],
         }
     }
 
@@ -593,30 +914,7 @@ impl IssueModel {
         if t > g.read_ready_max {
             g.read_ready_max = t;
         }
-        if meta.nwrites != 0 {
-            let lat = self.lat[meta.lat as usize];
-            for &w in &meta.writes[..meta.nwrites as usize] {
-                if g.nwrites < self.writes.len() {
-                    self.writes[g.nwrites] = (w, lat);
-                    g.nwrites += 1;
-                }
-            }
-        }
-        match meta.unit {
-            Unit::M => g.m += 1,
-            Unit::I | Unit::L => g.i += 1,
-            Unit::F => g.f += 1,
-            Unit::B => g.b += 1,
-            Unit::A => {
-                // Disperse A-type to the less-loaded of M/I.
-                if g.m <= g.i {
-                    g.m += 1;
-                } else {
-                    g.i += 1;
-                }
-            }
-        }
-        g.slots += 1;
+        g.ports.add(meta);
     }
 
     /// Closes the open group, followed by `extra_bubble` dead cycles;
@@ -632,25 +930,47 @@ impl IssueModel {
             return (g.region, extra_bubble as u64);
         }
         let issue = self.next_cycle.max(g.read_ready_max);
-        let width = [
-            g.m.div_ceil(2),
-            g.i.div_ceil(2),
-            g.f.div_ceil(2),
-            g.b.div_ceil(3),
-            g.slots.div_ceil(6),
-            1,
-        ]
-        .into_iter()
-        .max()
-        .unwrap() as u64;
-        for &(entry, lat) in &self.writes[..g.nwrites] {
-            self.ready[entry as usize] = issue + lat as u64;
+        for &(entry, class) in &g.ports.writes[..g.ports.nwrites] {
+            let at = issue + self.lat[class as usize] as u64;
+            self.ready[entry as usize] = at;
+            self.horizon = self.horizon.max(at);
         }
-        let after = issue + width + extra_bubble as u64;
+        let after = issue + g.ports.width() as u64 + extra_bubble as u64;
         let spent = after - self.next_cycle;
         let region = g.region;
         self.next_cycle = after;
         self.group = GroupAcc::default();
+        (region, spent)
+    }
+
+    /// Issues one whole group from its summary, followed by
+    /// `extra_bubble` dead cycles: exactly what [`IssueModel::account`]
+    /// over the group's slots and then [`IssueModel::close`] do to the
+    /// model, in one step. No group may be open.
+    #[inline]
+    pub(crate) fn issue_group(
+        &mut self,
+        group: &GroupSummary,
+        region: u32,
+        extra_bubble: u32,
+    ) -> (u32, u64) {
+        debug_assert!(!self.group.active, "a group is already open");
+        let mut issue = self.next_cycle;
+        if self.horizon > issue {
+            for &r in &group.reads[..group.nreads as usize] {
+                issue = issue.max(self.ready[r as usize]);
+            }
+        }
+        let mut horizon = self.horizon;
+        for &(entry, class) in &group.writes[..group.nwrites as usize] {
+            let at = issue + self.lat[class as usize] as u64;
+            self.ready[entry as usize] = at;
+            horizon = horizon.max(at);
+        }
+        self.horizon = horizon;
+        let after = issue + group.width as u64 + extra_bubble as u64;
+        let spent = after - self.next_cycle;
+        self.next_cycle = after;
         (region, spent)
     }
 }
@@ -682,6 +1002,14 @@ pub struct Machine {
     pub inst_count: u64,
     /// Cycles attributed per region id.
     pub region_cycles: HashMap<u32, u64>,
+    /// Issue groups accounted in one step from a cached summary.
+    pub summary_groups: u64,
+    /// Slots retired in those groups (of `inst_count`).
+    pub summary_slots: u64,
+    /// Issue groups accounted slot by slot: cut short by a branch, a
+    /// fault, the instruction limit or the arena's end, or without a
+    /// summary.
+    pub replayed_groups: u64,
     timing: Timing,
     issue: IssueModel,
     /// `(region, cycles)` spent since the region last changed, not yet
@@ -717,6 +1045,9 @@ impl Machine {
             cycles: 0,
             inst_count: 0,
             region_cycles: HashMap::new(),
+            summary_groups: 0,
+            summary_slots: 0,
+            replayed_groups: 0,
             timing,
             issue: IssueModel::new(&timing),
             region_pending: (0, 0),
@@ -745,6 +1076,189 @@ impl Machine {
         self.slot = slot;
     }
 
+    // ---- timing ---------------------------------------------------------
+
+    /// Books what closing or issuing a group reported.
+    fn book(&mut self, (region, spent): (u32, u64)) {
+        self.cycles = self.issue.now();
+        if spent == 0 {
+            return;
+        }
+        if region != self.region_pending.0 {
+            self.flush_region_cycles();
+            self.region_pending.0 = region;
+        }
+        self.region_pending.1 += spent;
+    }
+
+    fn flush_region_cycles(&mut self) {
+        let (region, cycles) = self.region_pending;
+        if cycles > 0 {
+            *self.region_cycles.entry(region).or_default() += cycles;
+            self.region_pending.1 = 0;
+        }
+    }
+
+    // ---- execution ------------------------------------------------------
+
+    /// Runs until an external branch, fault, or `max_insts` slots.
+    pub fn run(&mut self, bus: &mut dyn Bus, max_insts: u64) -> StopReason {
+        let stop = self.run_slots(bus, max_insts);
+        self.flush_region_cycles();
+        stop
+    }
+
+    /// One iteration per issue group, execute then account: the slots
+    /// run straight out of the arena, and the group is then issued in
+    /// one step from its cached summary if all of it ran, slot by slot
+    /// if it was cut short or has none. `exec_op` reads no cycle state
+    /// and the bus cannot see the machine, so the order is unobservable.
+    fn run_slots(&mut self, bus: &mut dyn Bus, max_insts: u64) -> StopReason {
+        let mut executed = 0u64;
+        loop {
+            let Some(idx) = self.arena.index_of(self.ip) else {
+                let t = self.ip;
+                return StopReason::ExternalBranch { target: t, from: t };
+            };
+            let slot = self.slot as usize;
+            let id = self.arena.group_id(idx, slot);
+            let mut regs = Regs {
+                gr: &mut self.gr,
+                gr_nat: &mut self.gr_nat,
+                fr: &mut self.fr,
+                fr_nat: &mut self.fr_nat,
+                pr: &mut self.pr,
+                br: &mut self.br,
+                ip: self.ip,
+                slot: self.slot,
+            };
+            // At least one slot runs, whatever the limit.
+            let budget = max_insts.saturating_sub(executed).max(1);
+            let (n, end) = regs.exec_group(&self.arena, bus, idx, budget);
+            (self.ip, self.slot) = (regs.ip, regs.slot);
+            self.inst_count += n;
+            executed += n;
+
+            let (whole, bubble) = match end {
+                GroupEnd::Stop => (true, 0),
+                GroupEnd::Taken {
+                    whole, indirect, ..
+                } => (
+                    whole,
+                    if indirect {
+                        self.timing.indirect_branch
+                    } else {
+                        self.timing.taken_branch
+                    },
+                ),
+                GroupEnd::Fault(_) | GroupEnd::Cut => (false, 0),
+            };
+            let region = self.arena.tags[idx].region;
+            let spent = match self.arena.groups.get(id) {
+                Some(group) if whole => {
+                    debug_assert_eq!(group.slots as u64, n, "stale group summary");
+                    self.summary_groups += 1;
+                    self.summary_slots += n;
+                    // A debug build also accounts every summarized group
+                    // slot by slot, on a clone, and the two must agree.
+                    let reference = cfg!(debug_assertions).then(|| {
+                        let mut model = self.issue.clone();
+                        self.arena.replay(&mut model, idx, slot, n);
+                        let spent = model.close(bubble);
+                        (model, spent)
+                    });
+                    let spent = self.issue.issue_group(group, region, bubble);
+                    if let Some((model, want)) = reference {
+                        assert!(
+                            model.ready == self.issue.ready
+                                && model.next_cycle == self.issue.next_cycle
+                                && want == spent,
+                            "group summary at {idx}.{slot} disagrees with per-slot accounting"
+                        );
+                    }
+                    spent
+                }
+                _ => {
+                    self.replayed_groups += 1;
+                    self.arena.replay(&mut self.issue, idx, slot, n);
+                    self.issue.close(bubble)
+                }
+            };
+            self.book(spent);
+
+            match end {
+                GroupEnd::Taken { from, .. } if self.arena.index_of(self.ip).is_none() => {
+                    let target = self.ip;
+                    return StopReason::ExternalBranch { target, from };
+                }
+                GroupEnd::Fault(fault) => {
+                    return StopReason::Fault {
+                        fault,
+                        ip: self.ip,
+                        slot: self.slot,
+                    };
+                }
+                _ => {}
+            }
+            if executed >= max_insts {
+                return StopReason::InstLimit;
+            }
+        }
+    }
+
+    /// Advances past the current (faulting) slot — used when the runtime
+    /// emulates a misaligned access and resumes.
+    pub fn skip_slot(&mut self) {
+        next_slot(&mut self.ip, &mut self.slot);
+    }
+}
+
+/// Advances a resume point by one slot.
+#[inline]
+fn next_slot(ip: &mut u64, slot: &mut u8) {
+    *slot += 1;
+    if *slot == 3 {
+        *slot = 0;
+        *ip += Bundle::SIZE;
+    }
+}
+
+/// How the execution of an issue group ended.
+enum GroupEnd {
+    /// The slot carrying the group's stop bit ran and fell through.
+    Stop,
+    /// A branch was taken to `regs.ip`.
+    Taken {
+        /// Address of the branching bundle.
+        from: u64,
+        /// The branch pays the indirect bubble, not the plain one.
+        indirect: bool,
+        /// The branching slot carries the group's stop bit, so the
+        /// whole group ran.
+        whole: bool,
+    },
+    /// The last slot counted faulted and did not execute; `regs.ip` and
+    /// `regs.slot` name it.
+    Fault(MachFault),
+    /// Cut short by the slot budget or the arena's end.
+    Cut,
+}
+
+/// The architectural registers and resume point of a [`Machine`],
+/// borrowed apart from its arena so that slots execute in place, out of
+/// the installed code.
+struct Regs<'m> {
+    gr: &'m mut [u64; NUM_GR as usize],
+    gr_nat: &'m mut [bool; NUM_GR as usize],
+    fr: &'m mut [u64; NUM_FR as usize],
+    fr_nat: &'m mut [bool; NUM_FR as usize],
+    pr: &'m mut [bool; NUM_PR as usize],
+    br: &'m mut [u64; NUM_BR as usize],
+    ip: u64,
+    slot: u8,
+}
+
+impl Regs<'_> {
     fn rd_gr(&self, r: crate::regs::Gr) -> u64 {
         self.gr[r.phys()]
     }
@@ -800,132 +1314,64 @@ impl Machine {
         self.gr_nat[r.phys()]
     }
 
-    // ---- timing ---------------------------------------------------------
-
-    fn close_group(&mut self, extra_bubble: u32) {
-        let (region, spent) = self.issue.close(extra_bubble);
-        self.cycles = self.issue.now();
-        if spent == 0 {
-            return;
-        }
-        if region != self.region_pending.0 {
-            self.flush_region_cycles();
-            self.region_pending.0 = region;
-        }
-        self.region_pending.1 += spent;
-    }
-
-    fn flush_region_cycles(&mut self) {
-        let (region, cycles) = self.region_pending;
-        if cycles > 0 {
-            *self.region_cycles.entry(region).or_default() += cycles;
-            self.region_pending.1 = 0;
-        }
-    }
-
-    // ---- execution ------------------------------------------------------
-
-    /// Runs until an external branch, fault, or `max_insts` slots.
-    pub fn run(&mut self, bus: &mut dyn Bus, max_insts: u64) -> StopReason {
-        let stop = self.run_slots(bus, max_insts);
-        self.flush_region_cycles();
-        stop
-    }
-
-    fn run_slots(&mut self, bus: &mut dyn Bus, max_insts: u64) -> StopReason {
-        let mut executed = 0u64;
-        loop {
-            let bundle_idx = match self.arena.index_of(self.ip) {
-                Some(i) => i,
-                None => {
-                    let t = self.ip;
-                    self.close_group(0);
-                    return StopReason::ExternalBranch { target: t, from: t };
-                }
-            };
-            let tag = self.arena.tags[bundle_idx];
+    /// Executes slots from `self.slot` of bundle `idx` (at `self.ip`)
+    /// until the issue group they start ends — at its stop bit or a
+    /// taken branch — or is cut short, running at most `budget` of
+    /// them. Returns how many slots it counted and how it ended;
+    /// `ip`/`slot` are left at the resume point.
+    ///
+    /// Inlined into the run loop by force: `exec_op` is inlined here,
+    /// and as a call per group its register spills cost a tenth of
+    /// `spec_int`'s run time.
+    #[inline(always)]
+    fn exec_group(
+        &mut self,
+        arena: &CodeArena,
+        bus: &mut dyn Bus,
+        mut idx: usize,
+        budget: u64,
+    ) -> (u64, GroupEnd) {
+        let mut n = 0u64;
+        while let Some(bundle) = arena.bundles.get(idx) {
             // The slots of this bundle, until control leaves it.
             loop {
                 let slot = self.slot as usize;
-                let bundle = &self.arena.bundles[bundle_idx];
-                let inst = bundle.slots[slot];
-                let stop = bundle.stops[slot];
-                let meta = self.arena.metas.get(tag.meta[slot], &inst);
-                debug_assert_eq!(
-                    meta,
-                    inst.slot_meta(),
-                    "stale issue metadata at {:#x}.{slot}",
-                    self.ip
-                );
-                self.inst_count += 1;
-                executed += 1;
-                // Accounted before the predicate is looked at: a
-                // predicated-off slot still occupies its port.
-                self.issue.account(&meta, tag.region);
-
+                let inst = &bundle.slots[slot];
+                n += 1;
                 let taken = if self.pr[inst.qp.phys()] {
                     match self.exec_op(bus, &inst.op) {
-                        Ok(t) => t,
-                        Err(fault) => {
-                            self.close_group(0);
-                            return StopReason::Fault {
-                                fault,
-                                ip: self.ip,
-                                slot: self.slot,
-                            };
-                        }
+                        Ok(taken) => taken,
+                        Err(fault) => return (n, GroupEnd::Fault(fault)),
                     }
                 } else {
                     None
                 };
-
-                let left_bundle = match taken {
-                    Some(target) => {
-                        let bubble = if meta.indirect {
-                            self.timing.indirect_branch
-                        } else {
-                            self.timing.taken_branch
-                        };
-                        self.close_group(bubble);
-                        let from = self.ip;
-                        self.ip = target;
-                        self.slot = 0;
-                        if self.arena.index_of(target).is_none() {
-                            return StopReason::ExternalBranch { target, from };
-                        }
-                        true
-                    }
-                    None => {
-                        if stop {
-                            self.close_group(0);
-                        }
-                        self.slot += 1;
-                        if self.slot == 3 {
-                            self.slot = 0;
-                            self.ip += Bundle::SIZE;
-                        }
-                        self.slot == 0
-                    }
-                };
-                if executed >= max_insts {
-                    self.close_group(0);
-                    return StopReason::InstLimit;
+                let stop = bundle.stops[slot];
+                if let Some(target) = taken {
+                    let from = self.ip;
+                    (self.ip, self.slot) = (target, 0);
+                    let meta = arena.metas.get(arena.tags[idx].meta[slot], inst);
+                    let end = GroupEnd::Taken {
+                        from,
+                        indirect: meta.indirect,
+                        whole: stop,
+                    };
+                    return (n, end);
                 }
-                if left_bundle {
+                next_slot(&mut self.ip, &mut self.slot);
+                if stop {
+                    return (n, GroupEnd::Stop);
+                }
+                if n >= budget {
+                    return (n, GroupEnd::Cut);
+                }
+                if self.slot == 0 {
                     break;
                 }
             }
+            idx += 1;
         }
-    }
-
-    /// Advances past the current (faulting) slot — used when the runtime
-    /// emulates a misaligned access and resumes.
-    pub fn skip_slot(&mut self) {
-        self.slot += 1;
-        if self.slot == 3 {
-            self.slot = 0;
-            self.ip += Bundle::SIZE;
-        }
+        (n, GroupEnd::Cut)
     }
 
     fn mem_read(
@@ -985,7 +1431,7 @@ impl Machine {
     fn exec_op(&mut self, bus: &mut dyn Bus, op: &Op) -> Result<Option<u64>, MachFault> {
         use Op::*;
         // Integer ops propagate NaT from their GR sources.
-        let nat2 = |m: &Machine, a, b| m.gr_nat_of(a) || m.gr_nat_of(b);
+        let nat2 = |m: &Regs<'_>, a, b| m.gr_nat_of(a) || m.gr_nat_of(b);
         match *op {
             Add { d, a, b } => {
                 let v = self.rd_gr(a).wrapping_add(self.rd_gr(b));
@@ -1216,7 +1662,7 @@ impl Machine {
             }
             ChkS { r, target } => {
                 if self.gr_nat_of(r) {
-                    return Ok(Some(resolve(target, &self.br)));
+                    return Ok(Some(resolve(target, self.br)));
                 }
             }
             Ldf { fmt, f, addr, spec } => {
@@ -1428,10 +1874,10 @@ impl Machine {
                 let v = if high { (p >> 64) as u64 } else { p as u64 };
                 self.wr_fr(d, v, false);
             }
-            Br { target } => return Ok(Some(resolve(target, &self.br))),
+            Br { target } => return Ok(Some(resolve(target, self.br))),
             BrCall { b_save, target } => {
                 let ret = self.ip + Bundle::SIZE;
-                let t = resolve(target, &self.br);
+                let t = resolve(target, self.br);
                 self.br[b_save.phys()] = ret;
                 return Ok(Some(t));
             }
@@ -2168,30 +2614,56 @@ mod tests {
         ));
     }
 
-    /// Asserts the arena's cached issue metadata equals a fresh
-    /// derivation for every slot it holds.
+    /// Asserts that, for every slot the arena holds, the cached issue
+    /// metadata equals a fresh derivation and the cached group id, if
+    /// there is one, names a fresh summarization of the code now there.
     fn assert_meta_coherent(arena: &CodeArena) {
         assert_eq!(arena.tags.len, arena.bundles.len());
+        let table_full = arena.groups.groups.len() == GROUP_NONE as usize - 1;
         for (idx, b) in arena.bundles.iter().enumerate() {
             for (slot, inst) in b.slots.iter().enumerate() {
+                let at = format!("bundle {idx} slot {slot}: {inst:?}");
                 assert_eq!(
                     arena.metas.get(arena.tags[idx].meta[slot], inst),
                     inst.slot_meta(),
-                    "bundle {idx} slot {slot}: {inst:?}"
+                    "{at}"
                 );
+                let fresh = arena.summary_at(idx, slot);
+                match arena.tags[idx].group[slot] {
+                    GROUP_UNKNOWN => {}
+                    GROUP_NONE => assert!(
+                        fresh == Err(NoSummary::TooBig) || (table_full && fresh.is_ok()),
+                        "{at}: no summary cached for {fresh:?}"
+                    ),
+                    id => assert_eq!(arena.groups.get(id).copied(), fresh.ok(), "{at}"),
+                }
             }
         }
+    }
+
+    /// Asks for the group id of about two slots in three, as a machine
+    /// running that code would.
+    fn warm_groups(arena: &mut CodeArena, x: &mut u64) {
+        for idx in 0..arena.len() {
+            for slot in 0..3 {
+                if !xorshift(x).is_multiple_of(3) {
+                    arena.group_id(idx, slot);
+                }
+            }
+        }
+    }
+
+    fn xorshift(x: &mut u64) -> u64 {
+        *x ^= *x << 13;
+        *x ^= *x >> 7;
+        *x ^= *x << 17;
+        *x
     }
 
     /// A pseudo-random physical-register instruction covering every
     /// unit, latency class and operand shape the metadata encodes.
     fn random_inst(x: &mut u64) -> Inst {
-        let mut next = |n: u64| {
-            *x ^= *x << 13;
-            *x ^= *x >> 7;
-            *x ^= *x << 17;
-            (*x % n) as u16
-        };
+        let mut next = |n: u64| (xorshift(x) % n) as u16;
         let (g, f, p, b) = (next(128), next(128), next(64), next(8) as u8);
         let (g2, f2, p2) = (next(128), next(128), next(64));
         let op = match next(12) {
@@ -2252,11 +2724,17 @@ mod tests {
         Inst::pred(Pr(next(64)), op)
     }
 
+    /// Random bundles with a stop bit after one slot in four, so that
+    /// groups straddle bundles (and extents) and some outgrow a summary.
     fn random_bundles(x: &mut u64, n: usize) -> Vec<Bundle> {
         (0..n)
-            .map(|_| Bundle {
-                slots: [random_inst(x), random_inst(x), random_inst(x)],
-                ..Bundle::nops()
+            .map(|_| {
+                let slots = [random_inst(x), random_inst(x), random_inst(x)];
+                Bundle {
+                    slots,
+                    stops: [*x >> 30, *x >> 34, *x >> 38].map(|bits| bits % 4 == 0),
+                    ..Bundle::nops()
+                }
             })
             .collect()
     }
@@ -2269,10 +2747,7 @@ mod tests {
         let mut live: Vec<(u64, usize)> = Vec::new();
         for step in 0..600 {
             let n = 1 + (step * 7 + 3) % 9;
-            x ^= x << 13;
-            x ^= x >> 7;
-            x ^= x << 17;
-            match x % 16 {
+            match xorshift(&mut x) % 16 {
                 0..=4 => {
                     let code = random_bundles(&mut x, n);
                     live.push((arena.append(code, step as u32), n));
@@ -2303,9 +2778,102 @@ mod tests {
                 _ => {}
             }
             assert_meta_coherent(&arena);
+            warm_groups(&mut arena, &mut x);
+            assert_meta_coherent(&arena);
         }
         assert!(arena.len() > 100, "the walk must leave real code behind");
         assert!(arena.metas.metas.len() > 100);
+        assert!(arena.groups.groups.len() > 100);
+        let ids = || (0..arena.len()).flat_map(|i| arena.tags[i].group);
+        assert!(ids().any(|id| id == GROUP_NONE), "some group is too big");
+
+        // The streamed checksum is the one the per-bundle strings gave.
+        let mut by_strings: u64 = 0xcbf2_9ce4_8422_2325;
+        for b in &arena.bundles {
+            for byte in format!("{b}").bytes() {
+                by_strings ^= byte as u64;
+                by_strings = by_strings.wrapping_mul(0x100_0000_01b3);
+            }
+        }
+        assert_eq!(arena.checksum_range(arena.base(), arena.end()), by_strings);
+    }
+
+    /// `n` slots of `add r32 = 1, r32`, a multiple of three of them,
+    /// with a stop bit after each slot position in `stops`.
+    fn adds(n: usize, stops: &[usize]) -> Vec<Bundle> {
+        let add = Inst::new(Op::AddImm {
+            d: Gr(32),
+            imm: 1,
+            a: Gr(32),
+        });
+        let code: Vec<(Inst, bool)> = (0..n).map(|k| (add, stops.contains(&k))).collect();
+        pack(&code)
+    }
+
+    #[test]
+    fn group_ids_follow_code_that_changes_under_a_group() {
+        let at = |idx: u64| BASE + idx * Bundle::SIZE;
+        // One group over slots 1..=7, cached from each of its slots.
+        let mut arena = CodeArena::new(BASE);
+        arena.append(adds(9, &[0, 7, 8]), 0);
+        let warm = |arena: &mut CodeArena| {
+            (0..arena.len() * 3)
+                .map(|p| arena.group_id(p / 3, p % 3))
+                .collect::<Vec<u16>>()
+        };
+        let before = warm(&mut arena);
+        assert!(before.iter().all(|&id| id != GROUP_UNKNOWN));
+        let cached = |arena: &CodeArena| {
+            (0..arena.len() * 3)
+                .map(|p| arena.tags[p / 3].group[p % 3] != GROUP_UNKNOWN)
+                .collect::<Vec<bool>>()
+        };
+
+        // Patching slot 5 forgets the groups that start at 1..=5 and
+        // keeps the ones behind it and the one before the stop at 0.
+        arena.patch_slot(at(1), 2, Op::Nop { unit: Unit::I });
+        assert_eq!(
+            cached(&arena),
+            [true, false, false, false, false, false, true, true, true]
+        );
+        assert_meta_coherent(&arena);
+        assert_ne!(warm(&mut arena)[1], before[1], "the group reads less now");
+
+        // Releasing the last bundle changes what slots 1..=5 run into;
+        // placing code there does so again.
+        arena.release(at(2), at(3));
+        assert_eq!(
+            cached(&arena)[..6],
+            [true, false, false, false, false, false]
+        );
+        assert_meta_coherent(&arena);
+        warm(&mut arena);
+        let hole = arena.alloc(1).expect("the released bundle");
+        arena.place(hole, adds(3, &[0]), 0);
+        assert_eq!(
+            cached(&arena)[..6],
+            [true, false, false, false, false, false]
+        );
+        assert_meta_coherent(&arena);
+        let placed = arena.group_id(0, 1);
+        assert_eq!(arena.groups.get(placed).map(|g| g.slots), Some(6));
+
+        // A group that runs off the arena's end is not cached, so code
+        // appended behind it is seen.
+        let mut arena = CodeArena::new(BASE);
+        arena.append(adds(3, &[0]), 0);
+        assert_eq!(arena.group_id(0, 1), GROUP_NONE);
+        assert_eq!(arena.tags[0].group[1], GROUP_UNKNOWN);
+        arena.append(adds(3, &[1]), 0);
+        let whole = arena.group_id(0, 1);
+        assert_eq!(arena.groups.get(whole).map(|g| g.slots), Some(4));
+        assert_meta_coherent(&arena);
+
+        // Truncating through the middle of that cached group forgets it.
+        arena.truncate(at(1));
+        assert_eq!(arena.tags[0].group, [GROUP_UNKNOWN; 3]);
+        assert_eq!(arena.group_id(0, 1), GROUP_NONE);
+        assert_meta_coherent(&arena);
     }
 
     #[test]
@@ -2335,6 +2903,290 @@ mod tests {
         let last = arena.tags[arena.len() - 1];
         assert!(last.meta.contains(&META_UNINTERNED));
         assert_meta_coherent(&arena);
+    }
+
+    #[test]
+    fn full_group_table_falls_back_to_per_slot_accounting() {
+        // More distinct one-slot groups than ids: the overflow ones
+        // carry the sentinel, and the machine accounts them slot by slot
+        // to the same cycles.
+        let distinct = GROUP_NONE as usize + 3000;
+        let code: Vec<(Inst, bool)> = (0..distinct.next_multiple_of(3))
+            .map(|v| {
+                let add = Op::Add {
+                    d: Gr((32 + (v & 63)) as u16),
+                    a: Gr((v >> 6 & 127) as u16),
+                    b: Gr((v >> 13 & 127) as u16),
+                };
+                (Inst::new(add), true)
+            })
+            .collect();
+        let mut arena = CodeArena::new(BASE);
+        arena.append(pack(&code), 4);
+        let mut m = Machine::new(arena, Timing::default());
+        m.set_ip(BASE, 0);
+        let end = m.arena.end();
+        assert_eq!(
+            m.run(&mut VecBus::new(16), u64::MAX),
+            StopReason::ExternalBranch {
+                target: end,
+                from: end
+            }
+        );
+        assert_eq!(m.arena.groups.groups.len(), GROUP_NONE as usize - 1);
+        assert_eq!(m.summary_groups, GROUP_NONE as u64 - 1);
+        assert_eq!(m.summary_groups + m.replayed_groups, code.len() as u64);
+        assert_eq!(m.arena.tags[m.arena.len() - 1].group, [GROUP_NONE; 3]);
+        assert_meta_coherent(&m.arena);
+        let groups: Vec<_> = (0..code.len()).map(|k| (4, k..k + 1, 0)).collect();
+        assert_accounted_like(&m, &code, &groups);
+    }
+
+    /// Packs `(instruction, stop bit)` slots, a multiple of three of
+    /// them, into bundles.
+    fn pack(slots: &[(Inst, bool)]) -> Vec<Bundle> {
+        assert_eq!(slots.len() % 3, 0);
+        slots
+            .chunks_exact(3)
+            .map(|c| Bundle {
+                slots: [c[0].0, c[1].0, c[2].0],
+                stops: [c[0].1, c[1].1, c[2].1],
+                ..Bundle::nops()
+            })
+            .collect()
+    }
+
+    /// Asserts the machine's cycles, per-region cycles, scoreboard and
+    /// slot count are what driving [`IssueModel::account`] and
+    /// [`IssueModel::close`] by hand leaves behind, given the groups the
+    /// machine should have formed: each the region of its first slot,
+    /// the slots of `code` it executed, and the bubble that closed it.
+    fn assert_accounted_like(
+        m: &Machine,
+        code: &[(Inst, bool)],
+        groups: &[(u32, std::ops::Range<usize>, u32)],
+    ) {
+        let mut model = IssueModel::new(&Timing::default());
+        let mut regions: HashMap<u32, u64> = HashMap::new();
+        let mut slots = 0;
+        for (region, executed, bubble) in groups {
+            for (inst, _) in &code[executed.clone()] {
+                model.account(&inst.slot_meta(), *region);
+                slots += 1;
+            }
+            let (region, spent) = model.close(*bubble);
+            if spent > 0 {
+                *regions.entry(region).or_default() += spent;
+            }
+        }
+        assert_eq!(m.cycles, model.now());
+        assert_eq!(m.region_cycles, regions);
+        assert!(m.issue.ready == model.ready, "scoreboards differ");
+        assert_eq!(m.inst_count, slots);
+    }
+
+    const EXIT: u64 = 0xDEAD_0000;
+
+    fn addi(d: u16, a: u16) -> Inst {
+        Inst::new(Op::AddImm {
+            d: Gr(d),
+            imm: 1,
+            a: Gr(a),
+        })
+    }
+
+    fn ld(d: u16, addr: u16) -> Inst {
+        Inst::new(Op::Ld {
+            sz: 8,
+            d: Gr(d),
+            addr: Gr(addr),
+            spec: false,
+        })
+    }
+
+    /// A machine over `code`, its first `split` slots in region 1 and
+    /// the rest in region 2, with `r40` a valid data address, `r41` a
+    /// misaligned one and `p1` set.
+    fn machine_over(code: &[(Inst, bool)], split: usize) -> Machine {
+        let mut arena = CodeArena::new(BASE);
+        arena.append(pack(&code[..split]), 1);
+        arena.append(pack(&code[split..]), 2);
+        let mut m = Machine::new(arena, Timing::default());
+        m.set_ip(BASE, 0);
+        m.gr[40] = 0x100;
+        m.gr[41] = 0x101;
+        m.pr[1] = true;
+        m
+    }
+
+    fn off_the_end(m: &Machine) -> StopReason {
+        StopReason::ExternalBranch {
+            target: m.arena.end(),
+            from: m.arena.end(),
+        }
+    }
+
+    #[test]
+    fn side_exit_taken_mid_group_is_accounted_up_to_the_branch() {
+        for (target, bubble) in [
+            (Target::Abs(EXIT), Timing::default().taken_branch),
+            (Target::Reg(Br(1)), Timing::default().indirect_branch),
+        ] {
+            let exit = Inst::pred(Pr(1), Op::Br { target });
+            let code = [
+                (ld(33, 40), true),
+                (addi(34, 33), false),
+                (exit, false),
+                (addi(35, 34), true),
+                (addi(36, 35), true),
+                (addi(37, 36), true),
+            ];
+            let mut m = machine_over(&code, 3);
+            m.br[1] = EXIT;
+            assert_eq!(
+                m.run(&mut VecBus::new(0x1000), u64::MAX),
+                StopReason::ExternalBranch {
+                    target: EXIT,
+                    from: BASE
+                }
+            );
+            assert_eq!((m.gr[34], m.gr[35]), (1, 0), "nothing past the exit ran");
+            assert_eq!((m.summary_groups, m.replayed_groups), (1, 1));
+            assert_accounted_like(&m, &code, &[(1, 0..1, 0), (1, 1..3, bubble)]);
+        }
+    }
+
+    #[test]
+    fn faulting_slot_is_accounted_but_not_executed_and_skip_slot_resumes() {
+        let code = [
+            (addi(33, 0), false),
+            (ld(34, 41), false),
+            (addi(35, 33), true),
+            (addi(36, 35), false),
+            (addi(37, 36), false),
+            (addi(38, 37), true),
+        ];
+        let mut m = machine_over(&code, 3);
+        let mut bus = VecBus::new(0x1000);
+        let stop = m.run(&mut bus, u64::MAX);
+        assert!(
+            matches!(
+                stop,
+                StopReason::Fault {
+                    fault: MachFault::Misalign { addr: 0x101, .. },
+                    ip: BASE,
+                    slot: 1
+                }
+            ),
+            "{stop:?}"
+        );
+        assert_eq!((m.gr[33], m.gr[35]), (1, 0));
+        assert_accounted_like(&m, &code, &[(1, 0..2, 0)]);
+
+        // The runtime emulates the access and resumes behind it, in the
+        // middle of the bundle and of the static group.
+        m.skip_slot();
+        assert_eq!(m.run(&mut bus, u64::MAX), off_the_end(&m));
+        assert_eq!(m.gr[38], 5);
+        assert_eq!((m.summary_groups, m.replayed_groups), (2, 1));
+        assert_accounted_like(&m, &code, &[(1, 0..2, 0), (1, 2..3, 0), (2, 3..6, 0)]);
+    }
+
+    #[test]
+    fn inst_limit_mid_group_resumes_mid_bundle() {
+        let code = [
+            (ld(33, 40), false),
+            (addi(34, 0), false),
+            (addi(35, 0), false),
+            (addi(36, 33), true),
+            (addi(37, 36), false),
+            (addi(38, 35), true),
+        ];
+        let mut m = machine_over(&code, 3);
+        let mut bus = VecBus::new(0x1000);
+        assert_eq!(m.run(&mut bus, 2), StopReason::InstLimit);
+        assert_eq!((m.ip, m.slot), (BASE, 2));
+        assert_eq!((m.summary_groups, m.replayed_groups), (0, 1));
+        assert_accounted_like(&m, &code, &[(1, 0..2, 0)]);
+
+        // The rest of the cut group is a group of its own now, in the
+        // region of the bundle it starts in.
+        assert_eq!(m.run(&mut bus, 2), StopReason::InstLimit);
+        assert_eq!((m.ip, m.slot), (BASE + Bundle::SIZE, 1));
+        assert_eq!(m.run(&mut bus, u64::MAX), off_the_end(&m));
+        assert_eq!((m.summary_groups, m.replayed_groups), (2, 1));
+        assert_accounted_like(&m, &code, &[(1, 0..2, 0), (1, 2..4, 0), (2, 4..6, 0)]);
+    }
+
+    #[test]
+    fn writes_past_the_eighth_of_a_group_are_dropped() {
+        // Nine loads in one group: the ninth result is never marked
+        // busy, so its consumer does not wait for it; the eighth's does.
+        let mut code: Vec<(Inst, bool)> = (0..9).map(|k| (ld(42 + k, 40), k == 8)).collect();
+        code.extend([
+            (addi(60, 50), true),
+            (addi(61, 49), true),
+            (addi(62, 0), true),
+        ]);
+        let mut m = machine_over(&code, 9);
+        assert_eq!(m.run(&mut VecBus::new(0x1000), u64::MAX), off_the_end(&m));
+        assert_eq!((m.summary_groups, m.replayed_groups), (4, 0));
+        let nine = m.arena.group_id(0, 0);
+        assert_eq!(m.arena.groups.get(nine).map(|g| g.nwrites), Some(8));
+        assert_accounted_like(
+            &m,
+            &code,
+            &[(1, 0..9, 0), (2, 9..10, 0), (2, 10..11, 0), (2, 11..12, 0)],
+        );
+    }
+
+    #[test]
+    fn groups_too_big_for_a_summary_are_accounted_slot_by_slot() {
+        // Thirteen slots, then six slots reading eighteen registers.
+        let mut code: Vec<(Inst, bool)> = (0..13).map(|k| (addi(42 + k, 40), k == 12)).collect();
+        code.extend((0..6).map(|k| {
+            let add = Op::Add {
+                d: Gr(70 + k),
+                a: Gr(80 + k),
+                b: Gr(90 + k),
+            };
+            (Inst::pred(Pr(10 + k), add), k == 5)
+        }));
+        code.extend([(addi(33, 0), false), (addi(34, 0), true)]);
+        let mut m = machine_over(&code, 12);
+        assert_eq!(m.run(&mut VecBus::new(0x1000), u64::MAX), off_the_end(&m));
+        assert_eq!((m.summary_groups, m.replayed_groups), (1, 2));
+        assert_eq!(m.arena.tags[0].group[0], GROUP_NONE);
+        assert_eq!(m.arena.tags[4].group[1], GROUP_NONE);
+        assert_accounted_like(&m, &code, &[(1, 0..13, 0), (2, 13..19, 0), (2, 19..21, 0)]);
+    }
+
+    #[test]
+    fn predicated_off_branch_carrying_the_stop_closes_a_whole_group() {
+        let exit = Op::Br {
+            target: Target::Abs(EXIT),
+        };
+        let code = [
+            (ld(33, 40), false),
+            (Inst::pred(Pr(2), exit), true),
+            (addi(34, 33), false),
+            (Inst::pred(Pr(1), exit), true),
+            (addi(35, 0), false),
+            (addi(36, 0), true),
+        ];
+        let mut m = machine_over(&code, 3);
+        assert_eq!(
+            m.run(&mut VecBus::new(0x1000), u64::MAX),
+            StopReason::ExternalBranch {
+                target: EXIT,
+                from: BASE + Bundle::SIZE
+            }
+        );
+        // Both groups ran whole: the first fell through its branch, the
+        // second left by a branch in its last slot and pays the bubble.
+        assert_eq!((m.summary_groups, m.replayed_groups), (2, 0));
+        let bubble = Timing::default().taken_branch;
+        assert_accounted_like(&m, &code, &[(1, 0..2, 0), (1, 2..4, bubble)]);
     }
 
     #[test]

@@ -22,6 +22,7 @@ use btgeneric::chaos::FaultPlan;
 use btgeneric::engine::{Config, Outcome};
 use btlib::{Process, SimOs, SimOsFaults};
 use std::fmt::Write as _;
+use std::sync::OnceLock;
 use workloads::harness::{build_image, run_native};
 
 const GOLDEN: &str = include_str!("golden/sim_golden.txt");
@@ -33,36 +34,65 @@ fn kernels() -> Vec<workloads::Workload> {
     kernels
 }
 
-fn measure() -> String {
-    let mut out = String::new();
-    for w in &kernels() {
-        let scale = (w.scale / 8).max(2048);
-        let img = build_image(w, scale);
-        let mut p = Process::launch_with(&img, SimOs::new(), Config::default()).expect("launch");
-        match p.run(u64::MAX / 2) {
-            Outcome::Halted(_) => {}
-            other => panic!("{}: did not halt: {other:?}", w.name),
-        }
-        let m = &p.engine.machine;
-        let mut regions: Vec<(u32, u64)> = m.region_cycles.iter().map(|(&r, &c)| (r, c)).collect();
-        regions.sort_unstable();
-        assert_eq!(
-            regions.iter().map(|&(_, c)| c).sum::<u64>(),
-            m.cycles,
-            "{}: region cycles must sum to total cycles",
-            w.name
-        );
-        let native = run_native(w, scale, ipf::Timing::default());
-        writeln!(out, "== {} scale={scale}", w.name).unwrap();
-        writeln!(
-            out,
-            "cycles={} insts={} native_cycles={}",
-            m.cycles, m.inst_count, native.cycles
-        )
-        .unwrap();
-        writeln!(out, "regions={regions:?}").unwrap();
-        writeln!(out, "stats={:?}", p.engine.stats).unwrap();
+/// What one default-`Config` run of a kernel measured.
+struct KernelRun {
+    name: &'static str,
+    /// The kernel's lines of the golden file.
+    golden: String,
+    /// Slots the machine retired in groups issued from a summary.
+    summary_slots: u64,
+    /// Slots the machine retired.
+    slots: u64,
+}
+
+/// The 15 kernels under the default `Config`, run once for all the
+/// tests of this file.
+fn kernel_runs() -> &'static [KernelRun] {
+    static RUNS: OnceLock<Vec<KernelRun>> = OnceLock::new();
+    RUNS.get_or_init(|| kernels().iter().map(run_kernel).collect())
+}
+
+fn run_kernel(w: &workloads::Workload) -> KernelRun {
+    let scale = (w.scale / 8).max(2048);
+    let img = build_image(w, scale);
+    let mut p = Process::launch_with(&img, SimOs::new(), Config::default()).expect("launch");
+    match p.run(u64::MAX / 2) {
+        Outcome::Halted(_) => {}
+        other => panic!("{}: did not halt: {other:?}", w.name),
     }
+    let m = &p.engine.machine;
+    let mut regions: Vec<(u32, u64)> = m.region_cycles.iter().map(|(&r, &c)| (r, c)).collect();
+    regions.sort_unstable();
+    assert_eq!(
+        regions.iter().map(|&(_, c)| c).sum::<u64>(),
+        m.cycles,
+        "{}: region cycles must sum to total cycles",
+        w.name
+    );
+    let native = run_native(w, scale, ipf::Timing::default());
+    let mut golden = String::new();
+    writeln!(golden, "== {} scale={scale}", w.name).unwrap();
+    writeln!(
+        golden,
+        "cycles={} insts={} native_cycles={}",
+        m.cycles, m.inst_count, native.cycles
+    )
+    .unwrap();
+    writeln!(golden, "regions={regions:?}").unwrap();
+    writeln!(golden, "stats={:?}", p.engine.stats).unwrap();
+    KernelRun {
+        name: w.name,
+        golden,
+        summary_slots: m.summary_slots,
+        slots: m.inst_count,
+    }
+}
+
+fn measure() -> String {
+    let mut out: String = kernel_runs()
+        .iter()
+        .map(|run| run.golden.as_str())
+        .collect();
     measure_chaos(&mut out);
     out
 }
@@ -133,5 +163,30 @@ fn simulated_numbers_match_the_checked_in_golden() {
         got.lines().nth(first).unwrap_or("<eof>"),
         GOLDEN.lines().nth(first).unwrap_or("<eof>"),
         actual.display()
+    );
+}
+
+/// The machine accounts a whole issue group in one step from a summary
+/// cached in the arena, and slot by slot only where it must (a group cut
+/// short by a side exit, a fault or the slot limit, or too big for a
+/// summary). The two give the same cycles, so nothing above would notice
+/// the fast path not firing; this does.
+#[test]
+fn nearly_every_slot_retires_through_a_group_summary() {
+    let (mut summarized, mut all) = (0, 0);
+    for run in kernel_runs() {
+        assert!(
+            run.summary_slots * 10 >= run.slots * 9,
+            "{}: only {} of {} slots retired through group summaries",
+            run.name,
+            run.summary_slots,
+            run.slots
+        );
+        summarized += run.summary_slots;
+        all += run.slots;
+    }
+    assert!(
+        summarized * 100 >= all * 99,
+        "only {summarized} of {all} slots retired through group summaries"
     );
 }
