@@ -217,17 +217,9 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             break;
         }
         visited.insert(cur);
-        // The block must have run cold (we need its counters).
-        //
-        // Known wart, kept on purpose: this takes the *first* block ever
-        // translated at the EIP, which after an eviction or an SMC
-        // orphaning is a dead generation (its counters are the EIP's
-        // shared profile slot, but its id lands in `Trace::blocks`). A
-        // `by_eip` lookup is the fix, and it changes simulated numbers
-        // (`tests/golden/sim_golden.txt`, row `== chaos vpr seed=11`:
-        // 499 699 -> 456 499 cycles), so it belongs to a PR that may
-        // regenerate that row — see ROADMAP item 4.
-        let Some(info) = engine.blocks().iter().find(|b| b.eip == cur) else {
+        // The block must have run cold (we need its counters): the live
+        // generation at this EIP, not one an eviction or SMC retired.
+        let Some(info) = engine.cache.by_eip.get(&cur).map(|&id| engine.block(id)) else {
             main_exit = cur;
             break;
         };
