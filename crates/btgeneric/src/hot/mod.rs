@@ -12,6 +12,8 @@
 //! installed — the block stays cold.
 
 mod commit;
+#[cfg(any(test, debug_assertions))]
+mod eval;
 mod ir;
 mod liveness;
 mod opt;
@@ -29,4 +31,17 @@ use crate::engine::Engine;
 /// promotion as the checkpoint for megamorphic-site demotion.
 pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
     trace::promote(engine, block_id)
+}
+
+/// Test hook: from now on, a debug build of this thread's hot compiler
+/// runs every trace before and after guest-state forwarding on the
+/// reference evaluator and panics unless registers, stores and exit
+/// states agree. Returns how many traces it has checked so far (always
+/// 0 in a release build, which has no evaluator).
+#[doc(hidden)]
+pub fn validate_forwarding() -> u64 {
+    #[cfg(debug_assertions)]
+    return eval::validate_from_now_on();
+    #[cfg(not(debug_assertions))]
+    0
 }

@@ -1,15 +1,15 @@
-//! Hot IR optimizations (paper §2 hot-phase list): local value
-//! numbering (covering compound-address CSE, register-value tracking,
-//! copy propagation, and redundant-load elimination), constant/copy
-//! propagation, cross-block EFLAGS elimination, and dead-code
-//! elimination.
+//! Hot IR optimizations (paper §2 hot-phase list): guest-state
+//! forwarding (register-value tracking and the one copy propagation),
+//! local value numbering (compound-address CSE and redundant-load
+//! elimination), constant propagation, cross-block EFLAGS elimination,
+//! dead guest-write elision, and dead-code elimination.
 
 use super::ir::{is_state_prealloc, Effects, IrInst, MemEffect};
 use super::liveness;
-use crate::state::GR_EFLAGS;
+use crate::state::{GR_EFLAGS, GR_GUEST};
 use ipf::inst::{Op, Reg};
 use ipf::regs::{Gr, P0};
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
 
 /// Local value numbering over the trace. Pure integer ops (and loads,
 /// versioned by the store count) with identical canonicalized operands
@@ -19,41 +19,17 @@ pub(super) fn lvn(ils: &mut Vec<IrInst>) {
     // Only virtuals with a single definition participate (deleting one
     // of several defs, or replacing uses with a later-redefined holder,
     // would be wrong).
-    let mut def_count: HashMap<u16, u32> = HashMap::new();
-    for il in ils.iter() {
-        il.inst.op.visit_regs(&mut |r, is_def| {
-            if is_def {
-                if let Reg::G(g) = r {
-                    if g.is_virtual() {
-                        *def_count.entry(g.0).or_default() += 1;
-                    }
-                }
-            }
-        });
-    }
+    let single = single_defs(ils);
     let mut subst: HashMap<u16, Gr> = HashMap::new(); // virtual -> replacement
-                                                      // Copy propagation: virtual v is a copy of physical p taken at
-                                                      // version n; uses of v read p directly while p is unmodified.
-    let mut copy_of: HashMap<u16, (u16, u64)> = HashMap::new();
     let mut versions: HashMap<(u8, u16), u64> = HashMap::new();
     let mut mem_version: u64 = 0;
     let mut table: HashMap<String, Gr> = HashMap::new();
     let mut keep: Vec<bool> = vec![true; ils.len()];
 
     for (i, il) in ils.iter_mut().enumerate() {
-        // Rewrite uses through the substitution and copy maps.
+        // Rewrite uses through the substitution map.
         il.inst.op.map_regs(&mut |r, is_def| match r {
-            Reg::G(g) if !is_def && g.is_virtual() => {
-                if let Some(&h) = subst.get(&g.0) {
-                    return Reg::G(h);
-                }
-                if let Some(&(p, ver)) = copy_of.get(&g.0) {
-                    if versions.get(&(0, p)).copied().unwrap_or(0) == ver {
-                        return Reg::G(Gr(p));
-                    }
-                }
-                Reg::G(g)
-            }
+            Reg::G(g) if !is_def => Reg::G(subst.get(&g.0).copied().unwrap_or(g)),
             other => other,
         });
 
@@ -86,7 +62,7 @@ pub(super) fn lvn(ils: &mut Vec<IrInst>) {
         }
         let (lvn_ok, dest) = lvn_candidate(&op);
         let Some(dest) = dest else { continue };
-        if !lvn_ok || !dest.is_virtual() || def_count.get(&dest.0).copied().unwrap_or(0) != 1 {
+        if !lvn_ok || !single.contains(&dest.0) {
             continue;
         }
         // Build the canonical key: the op with its destination zeroed
@@ -129,15 +105,6 @@ pub(super) fn lvn(ils: &mut Vec<IrInst>) {
             }
             None => {
                 table.insert(key, dest);
-                // Record pure copies of physical registers for
-                // copy propagation (the op stays; DCE removes it once
-                // every use has been redirected).
-                if let Op::AddImm { d, imm: 0, a } = op {
-                    if d.is_virtual() && !a.is_virtual() && a.0 != 0 {
-                        let ver = versions.get(&(0, a.0)).copied().unwrap_or(0);
-                        copy_of.insert(d.0, (a.0, ver));
-                    }
-                }
             }
         }
     }
@@ -197,7 +164,7 @@ fn lvn_candidate(op: &Op) -> (bool, Option<Gr>) {
 pub(super) fn dce(ils: &mut Vec<IrInst>) {
     let n = ils.len();
     let mut keep = vec![false; n];
-    let mut live: std::collections::HashSet<(u8, u16)> = std::collections::HashSet::new();
+    let mut live: HashSet<(u8, u16)> = HashSet::new();
     for i in (0..n).rev() {
         let il = &ils[i];
         let op = &il.inst.op;
@@ -270,42 +237,19 @@ fn fits_addl(v: u64) -> bool {
     (-0x1F_FFFF..=0x1F_FFFF).contains(&s)
 }
 
-/// Constant and copy propagation over the typed IR.
+/// Constant propagation over the typed IR (copies are
+/// [`forward_state`]'s).
 ///
 /// Facts are only learned from unpredicated defs of single-definition
 /// virtuals (a predicated def merges, a redefinition invalidates), so a
-/// recorded constant or copy source is valid at every later use. Folds
+/// recorded constant is valid at every later use. Folds
 /// are deliberately minimal — the address arithmetic templates emit:
 /// `movl`/`addl`-materialized constants, `add` with a constant operand,
 /// immediate-add chains, and shifts of constants.
 pub(super) fn propagate(irs: &mut [IrInst]) {
-    let mut def_count: HashMap<u16, u32> = HashMap::new();
-    for x in irs.iter() {
-        x.inst.op.visit_regs(&mut |r, is_def| {
-            if is_def {
-                if let Reg::G(g) = r {
-                    if g.is_virtual() {
-                        *def_count.entry(g.0).or_default() += 1;
-                    }
-                }
-            }
-        });
-    }
-    let single = |g: Gr, dc: &HashMap<u16, u32>| dc.get(&g.0).copied() == Some(1);
-
+    let single = single_defs(irs);
     let mut konst: HashMap<u16, u64> = HashMap::new();
-    let mut copy: HashMap<u16, u16> = HashMap::new();
     for x in irs.iter_mut() {
-        // Copy-propagate uses first (sources are single-def, so the
-        // replacement is valid wherever the original was).
-        x.inst.op.map_regs(&mut |r, is_def| match r {
-            Reg::G(g) if !is_def && g.is_virtual() => match copy.get(&g.0) {
-                Some(&s) => Reg::G(Gr(s)),
-                None => r,
-            },
-            _ => r,
-        });
-
         // Fold constants into the op.
         let kof = |g: Gr, k: &HashMap<u16, u64>| {
             if g.0 == 0 {
@@ -384,24 +328,213 @@ pub(super) fn propagate(irs: &mut [IrInst]) {
         }
 
         // Learn facts from this op.
-        if x.inst.qp == P0 {
-            match x.inst.op {
-                Op::Movl { d, imm } if d.is_virtual() && single(d, &def_count) => {
-                    konst.insert(d.0, imm);
+        match x.inst.op {
+            Op::Movl { d, imm } if single.contains(&d.0) => {
+                konst.insert(d.0, imm);
+            }
+            Op::AddImm { d, imm, a } if a.0 == 0 && single.contains(&d.0) => {
+                konst.insert(d.0, imm as u64);
+            }
+            _ => {}
+        }
+    }
+    recompute_effects(irs);
+}
+
+/// Virtual general registers with exactly one definition, that one
+/// unpredicated: a fact learned at the definition holds at every later
+/// use (a second definition would invalidate it, a predicated one only
+/// merges into whatever the register held).
+fn single_defs(irs: &[IrInst]) -> HashSet<u16> {
+    let mut count: HashMap<u16, u32> = HashMap::new();
+    let mut predicated: HashSet<u16> = HashSet::new();
+    for x in irs {
+        x.inst.op.visit_regs(&mut |r, is_def| {
+            if let (true, Reg::G(g)) = (is_def, r) {
+                if g.is_virtual() {
+                    *count.entry(g.0).or_default() += 1;
+                    if x.inst.qp != P0 {
+                        predicated.insert(g.0);
+                    }
                 }
-                Op::AddImm { d, imm, a } if a.0 == 0 && d.is_virtual() && single(d, &def_count) => {
-                    konst.insert(d.0, imm as u64);
-                }
-                Op::AddImm { d, imm: 0, a }
-                    if a.is_virtual()
-                        && d.is_virtual()
-                        && single(d, &def_count)
-                        && single(a, &def_count) =>
-                {
-                    let src = copy.get(&a.0).copied().unwrap_or(a.0);
-                    copy.insert(d.0, src);
-                }
-                _ => {}
+            }
+        });
+    }
+    count
+        .into_iter()
+        .filter(|&(v, n)| n == 1 && !predicated.contains(&v))
+        .map(|(v, _)| v)
+        .collect()
+}
+
+/// Index of the guest GPR home `g` is, if it is one.
+fn home_of(g: Gr) -> Option<usize> {
+    (GR_GUEST..GR_GUEST + 8)
+        .contains(&g.0)
+        .then(|| (g.0 - GR_GUEST) as usize)
+}
+
+/// The single general register `op` defines, if any.
+fn gr_def(op: &Op) -> Option<Gr> {
+    let mut def = None;
+    op.visit_regs(&mut |r, is_def| {
+        if let (true, Reg::G(g)) = (is_def, r) {
+            def = Some(g);
+        }
+    });
+    def
+}
+
+/// What [`forward_state`] knows at one point of the trace.
+struct Forwarding {
+    /// Virtuals a fact may be learned about.
+    single: HashSet<u16>,
+    /// Per guest GPR home, the single-definition virtual last copied
+    /// into it; any other def of the home clears it.
+    alias: [Option<Gr>; 8],
+    /// Per home, whether bits 63..32 are known zero. True on entry —
+    /// the `state.rs` invariant every block boundary keeps — and
+    /// re-derived from each def of the home after that, so a template
+    /// may break the invariant between two of its own ops.
+    home_clean: [bool; 8],
+    /// Virtuals whose bits 63..32 are known zero.
+    clean: HashSet<u16>,
+    /// Virtual -> the register it is a copy of: a virtual, or a
+    /// physical register (a template's snapshot of a home or of the
+    /// EFLAGS home) until that register's next def.
+    copy: HashMap<u16, Gr>,
+}
+
+impl Forwarding {
+    /// The register a read of `g` resolves to: the reaching virtual of
+    /// a home, the source of a copy, or `g` itself.
+    fn resolve(&self, g: Gr) -> Gr {
+        match home_of(g) {
+            Some(h) => self.alias[h].unwrap_or(g),
+            None => self.copy.get(&g.0).copied().unwrap_or(g),
+        }
+    }
+
+    /// Whether bits 63..32 of `g` are known zero here.
+    fn is_clean(&self, g: Gr) -> bool {
+        match home_of(g) {
+            Some(h) => self.home_clean[h],
+            None => g.0 == 0 || self.clean.contains(&g.0),
+        }
+    }
+
+    /// Whether `op` leaves bits 63..32 of its general-register result
+    /// zero whatever its operands hold beyond what `is_clean` knows.
+    /// Sums, differences and left shifts carry out of bit 31, and
+    /// `sxt`, `ld8` and everything not listed are never clean.
+    fn result_is_clean(&self, op: &Op) -> bool {
+        let small = |imm: i64| (0..1i64 << 32).contains(&imm);
+        match *op {
+            Op::Ld { sz, .. } => sz < 8,
+            Op::Zxt { size, .. } => size <= 4,
+            Op::Popcnt { .. } => true,
+            Op::And { a, b, .. } => self.is_clean(a) || self.is_clean(b),
+            Op::AndCm { a, .. } => self.is_clean(a),
+            Op::AndImm { imm, a, .. } => small(imm) || self.is_clean(a),
+            Op::Or { a, b, .. } | Op::Xor { a, b, .. } => self.is_clean(a) && self.is_clean(b),
+            Op::OrImm { imm, a, .. } | Op::XorImm { imm, a, .. } => small(imm) && self.is_clean(a),
+            Op::Extr {
+                len, signed: false, ..
+            } => len <= 32,
+            Op::DepZ { pos, len, .. } => pos as u32 + len as u32 <= 32,
+            Op::Dep {
+                target, pos, len, ..
+            } => self.is_clean(target) && pos as u32 + len as u32 <= 32,
+            Op::ShrImm {
+                a, count, signed, ..
+            } => self.is_clean(a) || (!signed && count >= 32),
+            Op::ShrVar { a, .. } => self.is_clean(a),
+            Op::AddImm { imm, a, .. } if a.0 == 0 => small(imm),
+            Op::AddImm { imm: 0, a, .. } => self.is_clean(a),
+            Op::Movl { imm, .. } => imm < 1 << 32,
+            _ => false,
+        }
+    }
+}
+
+/// Guest-state forwarding (paper §2 "value tracking"; ROADMAP item 2,
+/// first step). Templates talk to each other through the guest GPR
+/// homes, so every one re-reads `r32`–`r39` and re-zero-extends what
+/// the previous one already zero-extended, and the trace's critical
+/// path runs through the homes. One forward walk rewrites every *read*
+/// of a home to the register that was last copied into it, turns every
+/// `zxt4` of a value whose upper half is known zero into a copy, and
+/// reads through virtual copies — of virtuals, and of physical
+/// registers not yet redefined (DCE then drops the copies nothing reads
+/// any more).
+///
+/// The home *writes* stay where the templates put them — the scheduler
+/// keeps pinning them between their commit barriers — so precise state,
+/// recovery maps and side-exit state are exactly what they were;
+/// consumers just stop waiting for them.
+///
+/// Facts are only learned from the unpredicated def of a
+/// single-definition virtual, and a copy naming a physical register is
+/// dropped at that register's next def, so a replacement holds the same
+/// value at the rewritten use as the register it replaces.
+pub(super) fn forward_state(irs: &mut [IrInst]) {
+    let mut st = Forwarding {
+        single: single_defs(irs),
+        alias: [None; 8],
+        home_clean: [true; 8],
+        clean: HashSet::new(),
+        copy: HashMap::new(),
+    };
+    // Virtuals whose unpredicated def the walk has passed.
+    let mut defined: HashSet<u16> = HashSet::new();
+    for x in irs.iter_mut() {
+        x.inst.op.map_regs(&mut |r, is_def| match r {
+            Reg::G(g) if !is_def => {
+                let to = st.resolve(g);
+                debug_assert!(
+                    to == g || !to.is_virtual() || defined.contains(&to.0),
+                    "{g} forwarded to {to}, defined later or under a predicate"
+                );
+                Reg::G(to)
+            }
+            _ => r,
+        });
+        if let Op::Zxt { d, a, size: 4 } = x.inst.op {
+            if st.is_clean(a) {
+                x.inst.op = Op::AddImm { d, imm: 0, a };
+            }
+        }
+
+        let op = x.inst.op;
+        let Some(d) = gr_def(&op) else { continue };
+        let unpredicated = x.inst.qp == P0;
+        let result_clean = st.result_is_clean(&op);
+        // The register `op` copies, when it can stand in for the copy:
+        // a virtual a fact may rest on (already resolved to the head of
+        // its copy chain) or, for a virtual snapshot, a physical
+        // register until its next def.
+        let copied = match op {
+            Op::AddImm { imm: 0, a, .. } if unpredicated => {
+                let snapshot = d.is_virtual() && !a.is_virtual() && a.0 != 0;
+                (st.single.contains(&a.0) || snapshot).then_some(a)
+            }
+            _ => None,
+        };
+        if !d.is_virtual() {
+            st.copy.retain(|_, from| *from != d);
+        }
+        if let Some(h) = home_of(d) {
+            st.alias[h] = copied;
+            st.home_clean[h] = result_clean && (unpredicated || st.home_clean[h]);
+        } else if unpredicated && st.single.contains(&d.0) {
+            if cfg!(debug_assertions) {
+                defined.insert(d.0);
+            }
+            if result_clean {
+                st.clean.insert(d.0);
+            }
+            if let Some(a) = copied {
+                st.copy.insert(d.0, a);
             }
         }
     }
@@ -465,14 +598,12 @@ pub(super) fn eflags_elim(irs: &mut Vec<IrInst>) {
 /// non-faulting write into a guest GPR home when the register's next
 /// event is an unconditional full redefinition, with no intervening
 /// read, branch, faulting op, or predicated op — nothing between the
-/// two writes can observe the first. Superinstruction fusion makes
-/// these common: the fused emitters elide temporaries *inside* an
-/// idiom, and this pass catches writebacks that become dead only once
-/// adjacent idioms land on the same trace. Only enabled alongside
-/// `enable_superinst`, keeping the baseline IR pipeline byte-for-byte
-/// unchanged.
+/// two writes can observe the first. With the readers in between
+/// forwarded past the home ([`forward_state`]), that is every write a
+/// later template of the same commit interval supersedes; fused
+/// superinstruction bodies leave the same shape where adjacent idioms
+/// meet.
 pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
-    use crate::state::GR_GUEST;
     // The op's sole def is a physical guest GPR home that the op does
     // not also read (a read-modify-write needs the prior value).
     let guest_def = |x: &IrInst| -> Option<Gr> {
@@ -493,7 +624,7 @@ pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
                 return;
             }
             match r {
-                Reg::G(g) if (GR_GUEST..GR_GUEST + 8).contains(&g.0) && def.is_none() => {
+                Reg::G(g) if home_of(g).is_some() && def.is_none() => {
                     def = Some(g);
                 }
                 _ => ok = false,
@@ -558,9 +689,11 @@ pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
 
 #[cfg(test)]
 mod tests {
+    use super::super::eval;
     use super::*;
+    use crate::state::guest_gpr;
     use crate::templates::Sink;
-    use ipf::regs::R0;
+    use ipf::regs::{Pr, R0};
 
     fn il(inst: ipf::Inst) -> IrInst {
         IrInst::new(inst, 0)
@@ -778,38 +911,314 @@ mod tests {
         assert_eq!(irs.len(), 2, "dead constant producers cleaned up");
     }
 
+    // ---- forward_state ------------------------------------------------
+
+    fn mov(d: Gr, a: Gr) -> ipf::Inst {
+        ipf::Inst::new(Op::AddImm { d, imm: 0, a })
+    }
+
+    fn zxt(size: u8, d: Gr, a: Gr) -> ipf::Inst {
+        ipf::Inst::new(Op::Zxt { d, a, size })
+    }
+
+    fn st4(addr: Gr, val: Gr) -> ipf::Inst {
+        ipf::Inst::new(Op::St { sz: 4, addr, val })
+    }
+
+    /// `forward_state` over `ops`, checked against them on the
+    /// reference evaluator.
+    fn forwarded(ops: &[ipf::Inst]) -> Vec<ipf::Inst> {
+        let mut irs: Vec<IrInst> = ops.iter().map(|&i| il(i)).collect();
+        forward_state(&mut irs);
+        let out: Vec<ipf::Inst> = irs.iter().map(|x| x.inst).collect();
+        eval::assert_forwarding_preserves(ops, &out);
+        out
+    }
+
     #[test]
-    fn propagate_forwards_copies() {
-        let mut s = Sink::new();
-        let (v1, v2) = (s.vg(), s.vg());
-        let g = crate::state::guest_gpr(0);
-        let mut irs = vec![
-            il(ipf::Inst::new(Op::AddImm {
+    fn forwarding_keeps_the_zxt4_of_a_value_that_may_carry_past_bit_31() {
+        let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
+        let (v, w) = (Gr(300), Gr(301));
+        let unclean = [
+            Op::Shladd {
+                d: v,
+                a: eax,
+                count: 2,
+                b: ecx,
+            },
+            Op::Add {
+                d: v,
+                a: eax,
+                b: ecx,
+            },
+            Op::Sub {
+                d: v,
+                a: eax,
+                b: ecx,
+            },
+            Op::AddImm {
+                d: v,
+                imm: -4,
+                a: eax,
+            },
+            Op::ShlImm {
+                d: v,
+                a: eax,
+                count: 3,
+            },
+            Op::AndImm {
+                d: v,
+                imm: -8,
+                a: Gr(302),
+            },
+            // `sxt` and `ld8` are never clean, whatever they read.
+            Op::Sxt {
+                d: v,
+                a: eax,
+                size: 4,
+            },
+            Op::Sxt {
+                d: v,
+                a: eax,
+                size: 1,
+            },
+            Op::Ld {
+                sz: 8,
+                d: v,
+                addr: eax,
+                spec: false,
+            },
+        ];
+        for op in unclean {
+            let out = forwarded(&[ipf::Inst::new(op), zxt(4, w, v), st4(w, w)]);
+            assert_eq!(out[1], zxt(4, w, v), "after {op}");
+            assert_eq!(out[2], st4(w, w));
+            // The same through a home: the write stays a `zxt4`, and a
+            // later read of the home is not forwarded to `v`.
+            let out = forwarded(&[ipf::Inst::new(op), zxt(4, eax, v), st4(eax, eax)]);
+            assert_eq!(out[1], zxt(4, eax, v), "after {op}");
+            assert_eq!(out[2], st4(eax, eax));
+        }
+    }
+
+    #[test]
+    fn forwarding_folds_the_zxt4_of_a_clean_value_and_reads_through_the_home() {
+        let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
+        // `u` is arbitrary: the sum of two homes.
+        let (u, k, v, w) = (Gr(300), Gr(301), Gr(302), Gr(303));
+        let clean = [
+            Op::AndImm {
+                d: v,
+                imm: 0xFFFF,
+                a: u,
+            },
+            Op::And { d: v, a: k, b: u },
+            Op::Zxt {
+                d: v,
+                a: u,
+                size: 1,
+            },
+            Op::Zxt {
+                d: v,
+                a: u,
+                size: 2,
+            },
+            Op::Zxt {
+                d: v,
+                a: u,
+                size: 4,
+            },
+            Op::Extr {
+                d: v,
+                a: u,
+                pos: 8,
+                len: 8,
+                signed: false,
+            },
+            Op::DepZ {
+                d: v,
+                src: u,
+                pos: 4,
+                len: 28,
+            },
+            Op::ShrImm {
+                d: v,
+                a: u,
+                count: 32,
+                signed: false,
+            },
+            Op::Popcnt { d: v, a: u },
+            Op::Xor {
+                d: v,
+                a: eax,
+                b: ecx,
+            },
+        ];
+        let loads = [1, 2, 4].map(|sz| Op::Ld {
+            sz,
+            d: v,
+            addr: ecx,
+            spec: false,
+        });
+        for op in clean.into_iter().chain(loads) {
+            let head = [
+                ipf::Inst::new(Op::Add {
+                    d: u,
+                    a: eax,
+                    b: ecx,
+                }),
+                ipf::Inst::new(Op::Movl {
+                    d: k,
+                    imm: 0xFFFF_FFFF,
+                }),
+                ipf::Inst::new(op),
+            ];
+            // Virtual to virtual: the `zxt4` is a copy, and the copy is
+            // read through.
+            let out = forwarded(&[&head[..], &[zxt(4, w, v), st4(w, w)]].concat());
+            assert_eq!(out[3..], [mov(w, v), st4(v, v)], "after {op}");
+            // Into a home: the write becomes a copy and stays, later
+            // reads of the home name `v`.
+            let out = forwarded(&[&head[..], &[zxt(4, eax, v), st4(eax, eax)]].concat());
+            assert_eq!(out[3..], [mov(eax, v), st4(v, v)], "after {op}");
+        }
+    }
+
+    #[test]
+    fn forwarding_stops_at_whatever_could_change_the_value() {
+        let (eax, ecx, edx) = (guest_gpr(0), guest_gpr(1), guest_gpr(2));
+        let (v, w) = (Gr(300), Gr(301));
+        let p = Pr(400);
+        let cmp = ipf::Inst::new(Op::Cmp {
+            rel: ipf::inst::CmpRel::Eq,
+            pt: p,
+            pf: P0,
+            a: ecx,
+            b: edx,
+        });
+        // A predicated def of the virtual teaches nothing.
+        let out = forwarded(&[
+            cmp,
+            ipf::Inst::pred(
+                p,
+                Op::Zxt {
+                    d: v,
+                    a: ecx,
+                    size: 1,
+                },
+            ),
+            mov(eax, v),
+            st4(eax, eax),
+        ]);
+        assert_eq!(out[3], st4(eax, eax));
+        // Nor does a virtual defined twice.
+        let out = forwarded(&[zxt(1, v, ecx), mov(eax, v), zxt(1, v, edx), st4(eax, eax)]);
+        assert_eq!(out[3], st4(eax, eax));
+        // A predicated copy into the home merges: no alias afterwards.
+        let out = forwarded(&[
+            zxt(1, v, ecx),
+            cmp,
+            ipf::Inst::pred(p, mov(eax, v).op),
+            st4(eax, eax),
+        ]);
+        assert_eq!(out[3], st4(eax, eax));
+        // Any other def of the home ends the alias — after reading the
+        // old value through it.
+        let dep = |target| {
+            ipf::Inst::new(Op::Dep {
+                d: eax,
+                src: w,
+                target,
+                pos: 0,
+                len: 8,
+            })
+        };
+        let out = forwarded(&[
+            zxt(2, v, ecx),
+            zxt(1, w, edx),
+            mov(eax, v),
+            dep(eax),
+            st4(eax, eax),
+        ]);
+        assert_eq!(out[3..], [dep(v), st4(eax, eax)]);
+    }
+
+    #[test]
+    fn a_read_after_the_home_is_redefined_sees_the_new_value() {
+        let (eax, ecx, edx) = (guest_gpr(0), guest_gpr(1), guest_gpr(2));
+        let (v1, v2, snap) = (Gr(300), Gr(301), Gr(302));
+        let out = forwarded(&[
+            zxt(1, v1, ecx),
+            mov(eax, v1),
+            mov(snap, eax),
+            zxt(1, v2, edx),
+            mov(eax, v2),
+            st4(eax, snap),
+        ]);
+        // The snapshot taken in between keeps the old value.
+        assert_eq!(out[2], mov(snap, v1));
+        assert_eq!(out[5], st4(v2, v1));
+    }
+
+    #[test]
+    fn a_home_is_clean_only_while_its_defs_say_so() {
+        // A template may break the zero-extension invariant between two
+        // of its own ops; the `zxt4` that restores it must survive.
+        let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
+        let add = ipf::Inst::new(Op::Add {
+            d: eax,
+            a: eax,
+            b: ecx,
+        });
+        let out = forwarded(&[add, zxt(4, eax, eax), zxt(4, ecx, eax)]);
+        assert_eq!(out[1], zxt(4, eax, eax));
+        assert_eq!(out[2], mov(ecx, eax), "clean again after the zxt4");
+    }
+
+    #[test]
+    fn forwarding_reads_through_copies_and_unchanged_physical_registers() {
+        let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
+        let (v1, v2, v3) = (Gr(300), Gr(301), Gr(302));
+        let out = forwarded(&[
+            ipf::Inst::new(Op::AddImm {
                 d: v1,
                 imm: 3,
-                a: g,
-            })),
-            il(ipf::Inst::new(Op::AddImm {
-                d: v2,
-                imm: 0,
-                a: v1,
-            })),
-            il(ipf::Inst::new(Op::St {
-                sz: 4,
-                addr: v2,
-                val: g,
-            })),
-        ];
-        propagate(&mut irs);
-        assert!(
-            matches!(irs[2].inst.op, Op::St { addr, .. } if addr == v1),
-            "store reads through the copy"
-        );
+                a: eax,
+            }),
+            mov(v2, v1),
+            st4(v2, eax),
+            // A snapshot of a register nothing has redefined is that
+            // register; once it is redefined, the snapshot is not.
+            mov(v3, GR_EFLAGS),
+            st4(ecx, v3),
+            mov(GR_EFLAGS, R0),
+            st4(ecx, v3),
+        ]);
+        assert_eq!(out[2], st4(v1, eax), "store reads through the copy");
+        assert_eq!(out[4], st4(ecx, GR_EFLAGS));
+        assert_eq!(out[6], st4(ecx, v3));
+        // `mov ecx, eax` copies home to home: the `zxt4` folds, but a
+        // home is only ever forwarded to a virtual, so reads of ECX
+        // keep naming ECX's home.
+        let out = forwarded(&[zxt(4, ecx, eax), st4(ecx, ecx)]);
+        assert_eq!(out[..], [mov(ecx, eax), st4(ecx, ecx)]);
+    }
+
+    #[test]
+    #[should_panic(expected = "forward_state changed what the trace computes")]
+    fn the_validation_catches_a_zxt4_folded_away_wrongly() {
+        let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
+        let v = Gr(300);
+        let sum = ipf::Inst::new(Op::Add {
+            d: v,
+            a: eax,
+            b: ecx,
+        });
+        eval::assert_forwarding_preserves(&[sum, zxt(4, eax, v)], &[sum, mov(eax, v)]);
     }
 
     #[test]
     fn eflags_elim_drops_overwritten_materializations() {
-        use crate::state::GR_EFLAGS;
         let g = crate::state::guest_gpr(0);
         let mut irs = vec![
             // Dead: overwritten before any observer.
@@ -846,7 +1255,6 @@ mod tests {
 
     #[test]
     fn eflags_elim_cascades_through_rmw_chains() {
-        use crate::state::GR_EFLAGS;
         let mut s = Sink::new();
         let v1 = s.vg();
         let g = crate::state::guest_gpr(0);

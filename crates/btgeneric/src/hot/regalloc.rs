@@ -63,7 +63,7 @@ fn class_table() -> [ClassRow; 3] {
 }
 
 /// Rebuilds a physical register of class `class`.
-fn phys_reg(class: u8, n: u16) -> Reg {
+pub(super) fn phys_reg(class: u8, n: u16) -> Reg {
     match class {
         0 => Reg::G(Gr(n)),
         1 => Reg::F(Fr(n)),
@@ -266,49 +266,19 @@ pub(super) fn allocate(ir: &[IrInst]) -> Option<Vec<AllocInst>> {
 
 #[cfg(test)]
 mod tests {
+    use super::super::eval;
     use super::*;
     use crate::state::{guest_gpr, GR_POOL, GR_SCRATCH, NUM_POOL};
     use ipf::regs::R0;
-    use std::collections::HashMap;
 
     fn lift(ops: Vec<ipf::Inst>) -> Vec<IrInst> {
         ops.into_iter().map(|inst| IrInst::new(inst, 0)).collect()
     }
 
-    /// Evaluates an allocated instruction stream over a register file
-    /// and a sparse memory, checking spill correctness end to end.
-    fn run(allocd: &[AllocInst]) -> (HashMap<u16, u64>, HashMap<u64, u64>) {
-        let mut regs: HashMap<u16, u64> = HashMap::new();
-        let mut mem: HashMap<u64, u64> = HashMap::new();
-        for a in allocd {
-            match a.inst.op {
-                Op::Movl { d, imm } => {
-                    regs.insert(d.0, imm);
-                }
-                Op::AddImm { d, imm, a: s } => {
-                    let v = regs.get(&s.0).copied().unwrap_or(0);
-                    regs.insert(d.0, v.wrapping_add(imm as u64));
-                }
-                Op::Add { d, a: s, b } => {
-                    let v = regs
-                        .get(&s.0)
-                        .copied()
-                        .unwrap_or(0)
-                        .wrapping_add(regs.get(&b.0).copied().unwrap_or(0));
-                    regs.insert(d.0, v);
-                }
-                Op::St { addr, val, .. } => {
-                    let p = regs.get(&addr.0).copied().unwrap_or(0);
-                    mem.insert(p, regs.get(&val.0).copied().unwrap_or(0));
-                }
-                Op::Ld { d, addr, .. } => {
-                    let p = regs.get(&addr.0).copied().unwrap_or(0);
-                    regs.insert(d.0, mem.get(&p).copied().unwrap_or(0));
-                }
-                ref op => panic!("unexpected op in mini evaluator: {op:?}"),
-            }
-        }
-        (regs, mem)
+    /// Runs an allocated instruction stream on the reference evaluator.
+    fn run(allocd: &[AllocInst]) -> eval::Outcome {
+        let insts: Vec<ipf::Inst> = allocd.iter().map(|a| a.inst).collect();
+        eval::run(&insts, 1)
     }
 
     #[test]
@@ -334,8 +304,7 @@ mod tests {
         ]);
         let allocd = allocate(&ir).expect("allocation succeeds");
         assert_eq!(allocd.len(), 3, "no spill traffic");
-        let (regs, _) = run(&allocd);
-        assert_eq!(regs[&guest_gpr(0).0], 12);
+        assert_eq!(run(&allocd).end.gr[guest_gpr(0).phys()], (12, false));
     }
 
     #[test]
@@ -373,10 +342,15 @@ mod tests {
             allocd.iter().any(|a| a.src.is_none()),
             "pressure actually forced spill traffic"
         );
-        let (regs, mem) = run(&allocd);
+        let out = run(&allocd);
         let expect: u64 = (1..=n as u64).sum();
-        assert_eq!(regs[&guest_gpr(0).0], expect, "spilled values survive");
-        for &addr in mem.keys() {
+        assert_eq!(
+            out.end.gr[guest_gpr(0).phys()],
+            (expect, false),
+            "spilled values survive"
+        );
+        assert!(out.events.is_empty(), "nothing faults or leaves");
+        for &(addr, _, _) in &out.stores {
             assert!(
                 (layout::SPILL_BASE..layout::SPILL_BASE + layout::SPILL_SLOTS * 8).contains(&addr),
                 "spills stay inside the reserved slot area"

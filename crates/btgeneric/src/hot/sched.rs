@@ -10,7 +10,7 @@
 //! recovery maps stay valid under arbitrary reordering of the pure
 //! computation in between.
 
-use ipf::inst::{LatClass, Op, Reg, Unit};
+use ipf::inst::{LatClass, Op, Reg, Target, Unit};
 use ipf::regs::P0;
 use std::collections::HashMap;
 
@@ -285,17 +285,33 @@ pub(super) fn schedule_allocated(
 /// Statically evaluates a stop-bit-delimited instruction stream under
 /// the machine's own group-issue model ([`ipf::IssueModel`], default
 /// timing, every operand ready at cycle 0): the cycles a [`ipf::Machine`]
-/// would spend on the same slots run straight through. Used to compare
-/// compiled variants of the same trace — the list scheduler's
-/// `earliest` is latency-blind, so two correct schedules of equivalent
-/// code can differ in real issue stalls that only this walk (or the
-/// machine itself) sees.
+/// would spend on the same code run straight through. The stream is
+/// bundled first, as installation will bundle it, because the padding
+/// counts: a `nop` occupies a port like any other slot, and every
+/// `movl` brings two. Used to compare compiled variants of the same
+/// trace — the list scheduler's `earliest` is latency-blind, so two
+/// correct schedules of equivalent code can differ in real issue stalls
+/// that only this walk (or the machine itself) sees.
 pub(super) fn static_cost(code: &[(ipf::Inst, bool, Option<usize>)]) -> u64 {
+    let mut cb = ipf::asm::CodeBuilder::new();
+    for &(mut inst, stop, _) in code {
+        // Exit labels are bound past the body; where a branch goes
+        // does not change what its slot costs.
+        if let Some(Target::Label(_)) = inst.op.target() {
+            inst.op.set_target(Target::Abs(0));
+        }
+        cb.push_inst(inst);
+        if stop {
+            cb.stop();
+        }
+    }
     let mut model = ipf::IssueModel::new(&ipf::Timing::default());
-    for (inst, stop, _) in code {
-        model.account(&inst.slot_meta(), 0);
-        if *stop {
-            model.close(0);
+    for bundle in cb.assemble(0).0 {
+        for (inst, stop) in bundle.slots.iter().zip(bundle.stops) {
+            model.account(&inst.slot_meta(), 0);
+            if stop {
+                model.close(0);
+            }
         }
     }
     model.close(0);
@@ -430,7 +446,8 @@ mod tests {
     /// so its cost of a straight-line sequence is exactly what the
     /// machine spends running the same slots — load-use and FP stalls,
     /// oversubscribed ports, a write to `p0` delaying the next
-    /// unpredicated group, and the 8-write cap included.
+    /// unpredicated group, the 8-write cap and the bundler's `nop`
+    /// padding included.
     #[test]
     fn static_cost_equals_machine_cycles() {
         use ipf::inst::{CmpRel, FXfer};
@@ -557,26 +574,50 @@ mod tests {
             }),
             false,
         );
-        for _ in 0..2 {
-            push(ipf::Inst::new(Op::Nop { unit: Unit::I }), false);
+        // Padding: each `movl` takes a bundle of its own, with a `nop`
+        // on either side that occupies a port like any other slot, and
+        // a shift cannot lead a bundle.
+        for n in 0..3 {
+            push(
+                ipf::Inst::new(Op::Movl {
+                    d: g(7 + n),
+                    imm: 1 << 40,
+                }),
+                false,
+            );
         }
-        assert_eq!(code.len() % 3, 0, "whole bundles");
+        push(
+            ipf::Inst::new(Op::ShlImm {
+                d: g(30),
+                a: g(6),
+                count: 3,
+            }),
+            true,
+        );
 
         let priced: Vec<_> = code.iter().map(|&(i, s)| (i, s, None)).collect();
-        let bundles: Vec<ipf::Bundle> = code
-            .chunks(3)
-            .map(|c| ipf::Bundle {
-                slots: [c[0].0, c[1].0, c[2].0],
-                stops: [c[0].1, c[1].1, c[2].1],
-                ..ipf::Bundle::nops()
-            })
-            .collect();
+        let mut cb = ipf::asm::CodeBuilder::new();
+        for &(inst, stop) in &code {
+            cb.push_inst(inst);
+            if stop {
+                cb.stop();
+            }
+        }
+        let (bundles, _) = cb.assemble(0x1_0000);
+        assert!(bundles.len() * 3 > code.len() + 6, "the bundler padded");
         let mut arena = CodeArena::new(0x1_0000);
         arena.append(bundles, 0);
+        let end = arena.end();
         let mut m = Machine::new(arena, ipf::Timing::default());
         m.set_ip(0x1_0000, 0);
-        let stop = m.run(&mut VecBus::new(64), code.len() as u64);
-        assert_eq!(stop, StopReason::InstLimit);
+        let stop = m.run(&mut VecBus::new(64), u64::MAX);
+        assert_eq!(
+            stop,
+            StopReason::ExternalBranch {
+                target: end,
+                from: end
+            }
+        );
         assert_eq!(static_cost(&priced), m.cycles);
         assert!(m.cycles > code.len() as u64 / 2, "the sequence stalls");
     }

@@ -1048,7 +1048,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     // constraint-driven allocation with spilling, backend scheduling).
     // A constraint that cannot be satisfied — a no-spill register class
     // over its pool — leaves the block cold.
-    let (compiled, recovery) = compile_ir(irs, &perm_by_ip, si_table.is_some())?;
+    let (compiled, recovery) = compile_ir(irs, &perm_by_ip)?;
 
     // Head: speculation checks.
     let mut head = Sink::new();
@@ -1227,17 +1227,29 @@ fn assign_recovery(irs: &mut [ir::IrInst], perm_by_ip: &HashMap<u32, [u8; 8]>) -
 /// index)` triple per emitted slot.
 type CompiledCode = Vec<(ipf::Inst, bool, Option<u32>)>;
 
-/// The hot compiler: constant/copy propagation, LVN, cross-block
-/// EFLAGS elimination, DCE, recovery assignment, per-op liveness with
-/// constraint-driven allocation (spilling under general-register
-/// pressure), and the backend scheduler over the allocated code. `None`
-/// when a constraint cannot be satisfied.
+/// The hot compiler: guest-state forwarding, constant propagation,
+/// LVN, cross-block EFLAGS elimination, dead guest-write elision, DCE,
+/// recovery assignment, per-op liveness with constraint-driven
+/// allocation (spilling under general-register pressure), and the
+/// backend scheduler over the allocated code. `None` when a constraint
+/// cannot be satisfied.
 fn compile_ir(
-    base: Vec<ir::IrInst>,
+    mut base: Vec<ir::IrInst>,
     perm_by_ip: &HashMap<u32, [u8; 8]>,
-    superinst: bool,
 ) -> Option<(CompiledCode, Vec<RecEntry>)> {
-    // Const/copy propagation rewrites the value graph, which reshapes
+    // On a thread whose test asked for it, a debug build checks the
+    // forwarded trace against the one it was given, op by op, on the
+    // reference evaluator.
+    #[cfg(debug_assertions)]
+    let emitted: Option<Vec<ipf::Inst>> =
+        super::eval::validating().then(|| base.iter().map(|x| x.inst).collect());
+    opt::forward_state(&mut base);
+    #[cfg(debug_assertions)]
+    if let Some(emitted) = emitted {
+        let forwarded: Vec<ipf::Inst> = base.iter().map(|x| x.inst).collect();
+        super::eval::assert_forwarding_preserves(&emitted, &forwarded);
+    }
+    // Constant propagation rewrites the value graph, which reshapes
     // the dependence heights the list scheduler packs by — sometimes
     // into groups that stall longer at issue than the unpropagated
     // code's. Compile both variants and keep the one the machine's
@@ -1245,9 +1257,9 @@ fn compile_ir(
     let propagated = {
         let mut irs = base.clone();
         opt::propagate(&mut irs);
-        compile_ir_variant(irs, perm_by_ip, superinst)
+        compile_ir_variant(irs, perm_by_ip)
     };
-    let plain = compile_ir_variant(base, perm_by_ip, superinst);
+    let plain = compile_ir_variant(base, perm_by_ip);
     match (propagated, plain) {
         (Some(a), Some(b)) => Some(if a.0 < b.0 { (a.1, a.2) } else { (b.1, b.2) }),
         (Some(a), None) => Some((a.1, a.2)),
@@ -1257,18 +1269,16 @@ fn compile_ir(
 }
 
 /// Runs the shared tail of the IR pipeline (LVN, EFlags elimination,
-/// DCE, pre-allocation scheduling, register allocation, backend stop
-/// insertion) and returns the statically priced result.
+/// dead guest-write elision, DCE, pre-allocation scheduling, register
+/// allocation, backend stop insertion) and returns the statically
+/// priced result.
 fn compile_ir_variant(
     mut irs: Vec<ir::IrInst>,
     perm_by_ip: &HashMap<u32, [u8; 8]>,
-    superinst: bool,
 ) -> Option<(u64, CompiledCode, Vec<RecEntry>)> {
     opt::lvn(&mut irs);
     opt::eflags_elim(&mut irs);
-    if superinst {
-        opt::elide_dead_guest_writes(&mut irs);
-    }
+    opt::elide_dead_guest_writes(&mut irs);
     opt::dce(&mut irs);
     let recovery = assign_recovery(&mut irs, perm_by_ip);
     // Reorder while still virtual (no false dependences), then allocate

@@ -232,10 +232,13 @@ impl MetaTable {
     }
 }
 
-/// Longest issue group, in slots, the arena summarizes. Translated
-/// code closes a group every three or four slots; the rare longer one
-/// is accounted slot by slot.
-const GROUP_MAX_SLOTS: usize = 12;
+/// Longest issue group, in slots, the arena summarizes. Cold code
+/// closes a group every three or four slots, but hot traces issue a
+/// dozen independent ops at once and the bundler's `nop` padding counts
+/// (every `movl` brings two), so their groups reach twenty slots; a
+/// longer one is accounted slot by slot. A summary's size does not
+/// depend on this, only how far `summary_at` looks for the stop bit.
+const GROUP_MAX_SLOTS: usize = 24;
 /// Most distinct scoreboard entries a summary reads.
 const GROUP_MAX_READS: usize = 16;
 /// Scoreboard writes a group records; later ones are dropped.
@@ -3142,8 +3145,11 @@ mod tests {
 
     #[test]
     fn groups_too_big_for_a_summary_are_accounted_slot_by_slot() {
-        // Thirteen slots, then six slots reading eighteen registers.
-        let mut code: Vec<(Inst, bool)> = (0..13).map(|k| (addi(42 + k, 40), k == 12)).collect();
+        // One slot too many, then six slots reading eighteen registers.
+        let n = GROUP_MAX_SLOTS + 1;
+        let mut code: Vec<(Inst, bool)> = (0..n)
+            .map(|k| (addi(42 + k as u16, 40), k == n - 1))
+            .collect();
         code.extend((0..6).map(|k| {
             let add = Op::Add {
                 d: Gr(70 + k),
@@ -3153,12 +3159,16 @@ mod tests {
             (Inst::pred(Pr(10 + k), add), k == 5)
         }));
         code.extend([(addi(33, 0), false), (addi(34, 0), true)]);
-        let mut m = machine_over(&code, 12);
+        let mut m = machine_over(&code, n - 1);
         assert_eq!(m.run(&mut VecBus::new(0x1000), u64::MAX), off_the_end(&m));
         assert_eq!((m.summary_groups, m.replayed_groups), (1, 2));
         assert_eq!(m.arena.tags[0].group[0], GROUP_NONE);
-        assert_eq!(m.arena.tags[4].group[1], GROUP_NONE);
-        assert_accounted_like(&m, &code, &[(1, 0..13, 0), (2, 13..19, 0), (2, 19..21, 0)]);
+        assert_eq!(m.arena.tags[n / 3].group[n % 3], GROUP_NONE);
+        assert_accounted_like(
+            &m,
+            &code,
+            &[(1, 0..n, 0), (2, n..n + 6, 0), (2, n + 6..n + 8, 0)],
+        );
     }
 
     #[test]
