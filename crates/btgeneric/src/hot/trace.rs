@@ -49,6 +49,10 @@ pub(super) enum Step {
         cond: ia32::Cond,
         /// Address of the Jcc.
         ip: u32,
+        /// Containing block (liveness).
+        block: u32,
+        /// Index of the Jcc within its block.
+        idx: usize,
     },
     /// A devirtualized control-transfer terminator the trace continues
     /// through: a direct `call` (static target), or an indirect
@@ -277,6 +281,8 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 steps.push(Step::Guard {
                                     cond: *cond,
                                     ip: *ip,
+                                    block: blk.start,
+                                    idx: i,
                                 });
                                 total += 1;
                                 for (j, (gip, ginst, glen)) in hammock.iter().enumerate() {
@@ -633,13 +639,15 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 perm_by_ip.insert(*ip, fp.perm);
                 // Learned superinstruction peephole: match a mined
                 // idiom against the contiguous unguarded run ahead of
-                // the cursor (side exits appear as their Jcc). CmpJcc
-                // is left to the dedicated fusion below.
+                // the cursor (side exits, and a hammock guard right
+                // after a pair, appear as their Jcc). CmpJcc is left to
+                // the dedicated fusion below.
                 if let Some(table) = si_table.as_ref() {
                     engine.stats.superinst_eligible_slots += 1;
                     let mut window: Vec<(u32, I32, u8)> = Vec::new();
                     let mut wmeta: Vec<(u32, usize)> = Vec::new();
                     let mut wexit: Option<(u32, u32)> = None;
+                    let mut wguard = false;
                     if !*guarded {
                         // Contiguity in guest memory is required: a
                         // fused idiom restarts from its head IP after
@@ -682,6 +690,32 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                                     ));
                                     wmeta.push((*block, *idx));
                                     wexit = Some((*target, *ip));
+                                    break;
+                                }
+                                // A hammock guard closing a `mov ; alu`
+                                // pair stands in as the triple's Jcc,
+                                // negated: the predicate the idiom hands
+                                // back is then the one the hammock body
+                                // runs under.
+                                Step::Guard {
+                                    cond,
+                                    ip,
+                                    block,
+                                    idx,
+                                } if *ip == expect
+                                    && window.len() == 2
+                                    && table.active(crate::superinst::IdiomKind::MovAluJcc) =>
+                                {
+                                    window.push((
+                                        *ip,
+                                        I32::Jcc {
+                                            cond: cond.negate(),
+                                            target: 0,
+                                        },
+                                        2,
+                                    ));
+                                    wmeta.push((*block, *idx));
+                                    wguard = true;
                                     break;
                                 }
                                 _ => break,
@@ -732,21 +766,28 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                                 continue;
                             }
                             crate::superinst::FusedEmit::Branch(pt) => {
-                                let (target, _jip) =
-                                    wexit.expect("branch idioms end at the side exit");
-                                let label = body.local_label();
-                                body.emit_pred(
-                                    pt,
-                                    Op::Br {
-                                        target: Target::Label(label),
-                                    },
-                                );
-                                exits.push(ExitInfo {
-                                    label,
-                                    target,
-                                    perm: fp.perm,
-                                    xmm_fmt: xmm.fmt,
-                                });
+                                if wguard {
+                                    // The hammock body runs under the
+                                    // idiom's own predicate; nothing
+                                    // leaves the trace here.
+                                    guard = Some(pt);
+                                } else {
+                                    let (target, _jip) =
+                                        wexit.expect("branch idioms end at the side exit");
+                                    let label = body.local_label();
+                                    body.emit_pred(
+                                        pt,
+                                        Op::Br {
+                                            target: Target::Label(label),
+                                        },
+                                    );
+                                    exits.push(ExitInfo {
+                                        label,
+                                        target,
+                                        perm: fp.perm,
+                                        xmm_fmt: xmm.fmt,
+                                    });
+                                }
                                 engine.stats.superinst_hits += 1;
                                 engine.stats.superinst_fused_slots += n as u64;
                                 engine.stats.superinst_eligible_slots += (n - 1) as u64;
