@@ -10,8 +10,8 @@
 
 use bench::{
     cache_pressure, chaos_storm, figure5, figure6, figure7, figure8, hostile_suite, hot_vs_cold,
-    indirect_pressure, misalign_speedup, paper_stats, serving, templates, trace_overhead,
-    trace_run, warm_start,
+    indirect_pressure, misalign_speedup, paper_stats, serving, trace_overhead, trace_run,
+    warm_start,
 };
 use btgeneric::engine::Config;
 use btgeneric::trace::TraceConfig;
@@ -190,7 +190,7 @@ fn print_indirect(_div: u32) {
     // amortizes one-time translation charges, so short runs measure the
     // wrong regime — and the full run is only seconds.
     let sd = bench::LEGACY_INDIRECT_SCALE_DIV;
-    let ip = indirect_pressure(false);
+    let ip = indirect_pressure();
     println!("== Indirect control-transfer acceleration (scale_div {sd}) ==");
     println!("(inline caches + return shadow stack + devirtualized traces + 2-way table,");
     println!(" vs. the frozen rows of the legacy direct-mapped engine: bench::LEGACY_INDIRECT)");
@@ -237,8 +237,7 @@ fn print_indirect(_div: u32) {
         })
         .collect();
     let json = format!(
-        "{{\n  \"scale_div\": {sd},\n  \"enable_superinst\": false,\n  \
-         \"superinst_floor_checked\": true,\n  \"miss_reduction\": {:.4},\n  \
+        "{{\n  \"scale_div\": {sd},\n  \"miss_reduction\": {:.4},\n  \
          \"cycle_geomean\": {:.4},\n  \"rows\": [\n{}\n  ]\n}}\n",
         ip.miss_reduction(),
         ip.cycle_geomean(),
@@ -248,11 +247,7 @@ fn print_indirect(_div: u32) {
         Ok(()) => println!("  wrote BENCH_indirect.json"),
         Err(e) => eprintln!("  could not write BENCH_indirect.json: {e}"),
     }
-    // Same contract with learned superinstructions switched on: idiom
-    // fusion must not claw back the indirect win on any kernel.
-    println!("  re-checking every gate with enable_superinst=true ...");
-    let mut bad = ip.violations();
-    bad.extend(indirect_pressure(true).violations());
+    let bad = ip.violations();
     if !bad.is_empty() {
         for v in &bad {
             eprintln!("indirect: {v}");
@@ -649,121 +644,6 @@ fn print_serving(div: u32) {
     }
 }
 
-/// The learned-superinstruction acceptance run: all 15 kernels off vs
-/// on, plus the persisted-table warm-start leg. Every gate is fatal:
-/// geomean speedup >= 1.05x, no kernel below the 0.97x floor, a
-/// nonzero template hit rate on every SPEC INT kernel, zero oracle
-/// divergence anywhere, and the warm leg must fuse from its very
-/// first translation out of the imported table.
-fn print_templates(_div: u32) {
-    // Always full scale, even under `--fast`: mining and validation
-    // are one-time translation charges, so short runs measure the
-    // un-amortized regime the gate deliberately excludes — and the
-    // full run is only seconds.
-    let sd = 6;
-    let t = templates(sd);
-    println!("== Learned superinstruction templates (scale_div {sd}) ==");
-    println!("(profile-mined idiom fusion, cold peephole + hot trace peephole,");
-    println!(" differential-validated; vs. the same engine with enable_superinst=false)");
-    println!(
-        "  {:<12} {:>12} {:>12} {:>7} {:>6} {:>9} {:>9} {:>8}",
-        "workload", "cycles/off", "cycles/on", "ratio", "mined", "hits", "fused", "hitrate"
-    );
-    for r in &t.rows {
-        println!(
-            "  {:<12} {:>12} {:>12} {:>6.3}x {:>6} {:>9} {:>9} {:>7.1}%",
-            r.name,
-            r.off_cycles,
-            r.on_cycles,
-            r.ratio,
-            r.mined,
-            r.hits,
-            r.fused_slots,
-            r.hit_rate * 100.0
-        );
-    }
-    println!(
-        "  geomean {:.3}x, floor {:.3}x | warm leg: {} idioms persisted, {} blocks loaded, {} fused firings",
-        t.geomean(),
-        t.min_ratio(),
-        t.warm.idioms_persisted,
-        t.warm.blocks_loaded,
-        t.warm.hits
-    );
-    let rows_json: Vec<String> = t
-        .rows
-        .iter()
-        .map(|r| {
-            format!(
-                "    {{\"name\": \"{}\", \"spec_int\": {}, \"cycles_off\": {},                  \"cycles_on\": {}, \"ratio\": {:.4}, \"mined\": {}, \"blacklists\": {},                  \"hits\": {}, \"fused_slots\": {}, \"eligible_slots\": {},                  \"hit_rate\": {:.4}}}",
-                r.name,
-                r.spec_int,
-                r.off_cycles,
-                r.on_cycles,
-                r.ratio,
-                r.mined,
-                r.blacklists,
-                r.hits,
-                r.fused_slots,
-                r.eligible_slots,
-                r.hit_rate
-            )
-        })
-        .collect();
-    let json = format!(
-        "{{\n  \"scale_div\": {sd},\n  \"enable_superinst\": true,\n           \"geomean\": {:.4},\n  \"min_ratio\": {:.4},\n           \"warm\": {{\"idioms_persisted\": {}, \"blocks_loaded\": {}, \"hits\": {}, \"oracle_ok\": {}}},\n           \"rows\": [\n{}\n  ]\n}}\n",
-        t.geomean(),
-        t.min_ratio(),
-        t.warm.idioms_persisted,
-        t.warm.blocks_loaded,
-        t.warm.hits,
-        t.warm.oracle_ok,
-        rows_json.join(",\n")
-    );
-    match std::fs::write("BENCH_templates.json", &json) {
-        Ok(()) => println!("  wrote BENCH_templates.json"),
-        Err(e) => eprintln!("  could not write BENCH_templates.json: {e}"),
-    }
-    let mut bad = false;
-    if !t.oracle_ok() {
-        eprintln!("templates: a fusion-enabled run diverged from the oracle");
-        bad = true;
-    }
-    if t.geomean() < 1.05 {
-        eprintln!(
-            "templates: geomean speedup {:.3}x below the 1.05x gate",
-            t.geomean()
-        );
-        bad = true;
-    }
-    if t.min_ratio() < 0.97 {
-        eprintln!(
-            "templates: a kernel regressed to {:.3}x (floor 0.97x)",
-            t.min_ratio()
-        );
-        bad = true;
-    }
-    if !t.spec_hits_nonzero() {
-        eprintln!("templates: a SPEC INT kernel never fired a fused template");
-        bad = true;
-    }
-    if t.warm.idioms_persisted == 0
-        || t.warm.blocks_loaded == 0
-        || t.warm.hits == 0
-        || !t.warm.oracle_ok
-    {
-        eprintln!(
-            "templates: warm leg failed to fuse from the persisted table \
-             ({} idioms, {} blocks, {} hits, oracle_ok {})",
-            t.warm.idioms_persisted, t.warm.blocks_loaded, t.warm.hits, t.warm.oracle_ok
-        );
-        bad = true;
-    }
-    if bad {
-        std::process::exit(1);
-    }
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let fast = args.iter().any(|a| a == "--fast");
@@ -802,7 +682,6 @@ fn main() {
         "trace" => print_trace(div),
         "warmstart" => print_warmstart(div),
         "serving" => print_serving(div),
-        "templates" => print_templates(div),
         "all" => {
             print_table1();
             println!();
@@ -841,8 +720,6 @@ fn main() {
             print_warmstart(div);
             println!();
             print_serving(div);
-            println!();
-            print_templates(div);
         }
         other => {
             eprintln!("unknown figure: {other}");

@@ -403,15 +403,11 @@ impl IndirectPressure {
 /// Runs the call-heavy kernels (eon, vcall_mono, callret) at
 /// [`LEGACY_INDIRECT_SCALE_DIV`] and pairs each with its frozen legacy
 /// row. Hot promotion is on a short fuse so the devirtualizing trace
-/// selector participates. `superinst` switches learned superinstruction
-/// fusion on for the live run — the contract is enforced with the knob
-/// on too, so fusion can never ship a hidden indirect-kernel
-/// regression.
-pub fn indirect_pressure(superinst: bool) -> IndirectPressure {
+/// selector participates.
+pub fn indirect_pressure() -> IndirectPressure {
     let cfg = Config {
         heat_threshold: 64,
         hot_candidates: 4,
-        enable_superinst: superinst,
         ..Config::default()
     };
     let rows = workloads::indirect_kernels()
@@ -1627,188 +1623,6 @@ pub fn serving_chaos(scale_div: u32, seed: u64) -> ServingChaos {
     }
 }
 
-// ---------------------------------------------------------------------------
-// Learned superinstruction templates (`figures templates`).
-// ---------------------------------------------------------------------------
-
-/// One kernel's superinstruction comparison: the same run with
-/// `enable_superinst` off and on.
-#[derive(Clone, Debug)]
-pub struct TemplateRow {
-    /// Benchmark name.
-    pub name: &'static str,
-    /// Member of the 12-kernel SPEC INT roster (the indirect kernels
-    /// ride along but are held to the floor only).
-    pub spec_int: bool,
-    /// Total simulated cycles with fusion off.
-    pub off_cycles: u64,
-    /// Total simulated cycles with fusion on.
-    pub on_cycles: u64,
-    /// off/on cycle ratio (> 1 means fusion pays).
-    pub ratio: f64,
-    /// Idioms the miner installed (post-validation).
-    pub mined: u64,
-    /// Idioms the differential gate demoted.
-    pub blacklists: u64,
-    /// Fused template firings.
-    pub hits: u64,
-    /// IA-32 slots covered by firings.
-    pub fused_slots: u64,
-    /// IA-32 slots scanned while a table was active.
-    pub eligible_slots: u64,
-    /// fused/eligible.
-    pub hit_rate: f64,
-    /// Both legs matched the interpreter/hardware oracle.
-    pub oracle_ok: bool,
-}
-
-/// The warm-start leg: a persisted idiom table must fuse from the very
-/// first translation of a fresh session.
-#[derive(Clone, Debug)]
-pub struct TemplateWarm {
-    /// Idioms the saving session persisted into the image.
-    pub idioms_persisted: u64,
-    /// Blocks the warm session regenerated from the image. Zero means
-    /// the image was rejected — the attribution below would be void.
-    pub blocks_loaded: u64,
-    /// Fused firings in the warm session. Installing the imported
-    /// table marks the cache as mined, so a local mining pass can
-    /// never run — every firing is attributable to the imported table.
-    pub hits: u64,
-    /// Both sessions matched the oracle.
-    pub oracle_ok: bool,
-}
-
-/// Results of the superinstruction experiment (see [`templates`]).
-#[derive(Clone, Debug)]
-pub struct Templates {
-    /// Per-kernel off/on pairs (12 SPEC INT + 3 indirect kernels).
-    pub rows: Vec<TemplateRow>,
-    /// The persisted-table warm-start leg (gzip).
-    pub warm: TemplateWarm,
-}
-
-impl Templates {
-    /// Geometric-mean off/on cycle ratio across all kernels.
-    pub fn geomean(&self) -> f64 {
-        let n = self.rows.len().max(1) as f64;
-        (self.rows.iter().map(|r| r.ratio.ln()).sum::<f64>() / n).exp()
-    }
-
-    /// The worst per-kernel ratio (the regression floor input).
-    pub fn min_ratio(&self) -> f64 {
-        self.rows
-            .iter()
-            .map(|r| r.ratio)
-            .fold(f64::INFINITY, f64::min)
-    }
-
-    /// Every SPEC INT kernel fused at least one idiom.
-    pub fn spec_hits_nonzero(&self) -> bool {
-        self.rows.iter().filter(|r| r.spec_int).all(|r| r.hits > 0)
-    }
-
-    /// Every leg (off, on, save, warm) matched its oracle.
-    pub fn oracle_ok(&self) -> bool {
-        self.rows.iter().all(|r| r.oracle_ok) && self.warm.oracle_ok
-    }
-}
-
-/// Engine configuration for the superinstruction experiment: a short
-/// hot fuse (mining runs at the first hot session, so the table must
-/// exist early enough to matter).
-fn templates_cfg(superinst: bool) -> Config {
-    Config {
-        heat_threshold: 64,
-        hot_candidates: 2,
-        enable_superinst: superinst,
-        ..Config::default()
-    }
-}
-
-/// The learned-superinstruction experiment (`figures templates`): all
-/// 15 kernels run with `enable_superinst` off and on (identical
-/// otherwise), plus the warm-start leg ([`TemplateWarm`]).
-pub fn templates(scale_div: u32) -> Templates {
-    let spec = workloads::spec_int();
-    let n_spec = spec.len();
-    let mut kernels = spec;
-    kernels.extend(workloads::indirect_kernels());
-    let rows = kernels
-        .iter()
-        .enumerate()
-        .map(|(k, w)| {
-            let scale = (w.scale / scale_div).max(512);
-            let oracle = oracle_result(w, scale);
-            let off = run_el(w, scale, templates_cfg(false));
-            let on = run_el(w, scale, templates_cfg(true));
-            let eligible = on.stats.superinst_eligible_slots;
-            TemplateRow {
-                name: w.name,
-                spec_int: k < n_spec,
-                off_cycles: off.cycles,
-                on_cycles: on.cycles,
-                ratio: off.cycles as f64 / on.cycles.max(1) as f64,
-                mined: on.stats.superinst_mined_idioms,
-                blacklists: on.stats.superinst_blacklists,
-                hits: on.stats.superinst_hits,
-                fused_slots: on.stats.superinst_fused_slots,
-                eligible_slots: eligible,
-                hit_rate: on.stats.superinst_fused_slots as f64 / eligible.max(1) as f64,
-                oracle_ok: off.result == oracle && on.result == oracle,
-            }
-        })
-        .collect();
-    Templates {
-        rows,
-        warm: templates_warm_leg(scale_div),
-    }
-}
-
-/// Runs the warm-start leg: gzip mines and saves, a fresh session
-/// loads the image under the *same* fingerprinted config (profiles not
-/// restored). Installing the persisted table marks the cache as mined,
-/// so local mining can never run in the warm session — every fused
-/// firing is attributable to the imported table, and the blocks
-/// regenerated at load time fuse before the first guest dispatch.
-fn templates_warm_leg(scale_div: u32) -> TemplateWarm {
-    let w = workloads::spec_int()
-        .into_iter()
-        .find(|w| w.name == "gzip")
-        .expect("gzip is in the roster");
-    let scale = (w.scale / scale_div).max(512);
-    let oracle = oracle_result(&w, scale);
-    let path = std::env::temp_dir().join(format!(
-        "ia32el_templates_{}_{}.img",
-        std::process::id(),
-        scale
-    ));
-    let save = run_el(
-        &w,
-        scale,
-        Config {
-            save_image: Some(path.clone()),
-            ..templates_cfg(true)
-        },
-    );
-    let warm = run_el(
-        &w,
-        scale,
-        Config {
-            load_image: Some(path.clone()),
-            restore_profiles: false,
-            ..templates_cfg(true)
-        },
-    );
-    let _ = std::fs::remove_file(&path);
-    TemplateWarm {
-        idioms_persisted: save.stats.superinst_mined_idioms,
-        blocks_loaded: warm.stats.image_blocks_loaded,
-        hits: warm.stats.superinst_hits,
-        oracle_ok: save.result == oracle && warm.result == oracle,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1922,53 +1736,49 @@ mod tests {
     }
 
     /// The indirect-acceleration acceptance bar, against the frozen
-    /// legacy rows, with learned superinstructions off and on: the
-    /// live runs stay oracle-correct and every gate of
+    /// legacy rows: the live runs stay oracle-correct and every gate of
     /// [`IndirectPressure::violations`] holds.
     #[test]
     fn indirect_acceleration_pays() {
-        for superinst in [false, true] {
-            let ip = indirect_pressure(superinst);
-            for r in &ip.rows {
-                eprintln!(
-                    "{}: misses {} -> {}, cycles {} -> {} | {}",
-                    r.name,
-                    r.before.indirect_misses,
-                    r.after.stats.indirect_misses,
-                    r.before.cycles,
-                    r.after.cycles,
-                    r.after.stats.indirect_summary()
-                );
-            }
-            let accel =
-                |f: fn(&Stats) -> u64| ip.rows.iter().map(|r| f(&r.after.stats)).sum::<u64>();
-            assert!(accel(|s| s.ic_hits) > 0, "inline caches never hit");
-            assert!(accel(|s| s.shadow_hits) > 0, "shadow stack never hit");
-            assert_eq!(
-                ip.violations(),
-                Vec::<String>::new(),
-                "superinst={superinst}"
+        let ip = indirect_pressure();
+        for r in &ip.rows {
+            eprintln!(
+                "{}: misses {} -> {}, cycles {} -> {} | {}",
+                r.name,
+                r.before.indirect_misses,
+                r.after.stats.indirect_misses,
+                r.before.cycles,
+                r.after.cycles,
+                r.after.stats.indirect_summary()
             );
         }
+        let accel = |f: fn(&Stats) -> u64| ip.rows.iter().map(|r| f(&r.after.stats)).sum::<u64>();
+        assert!(accel(|s| s.ic_hits) > 0, "inline caches never hit");
+        assert!(accel(|s| s.shadow_hits) > 0, "shadow stack never hit");
+        assert_eq!(ip.violations(), Vec::<String>::new());
     }
 
-    /// Runs all 15 kernels — the twelve Figure-5 INT kernels plus the
-    /// three call-heavy indirect kernels — under the seeded fault storm
-    /// at seeds 11/22/33, twice each: every run must halt with the
-    /// hardware-model result, and the two runs of a (kernel, seed) pair
-    /// must produce byte-identical statistics, fault schedules and
-    /// cycle counts. Returns the first run of each pair.
-    fn storm_suite_replays(cfg: &Config) -> Vec<ChaosRun> {
+    /// The hot-phase acceptance gate (mirrors the engine-level
+    /// `chaos::indirect_accel_chaos_is_deterministic_and_oracle_correct`
+    /// at workload scale). All 15 kernels — the twelve Figure-5 INT
+    /// kernels plus the three call-heavy indirect kernels — run under
+    /// the seeded fault storm at seeds 11/22/33, twice each: every run
+    /// must halt with the hardware-model result, the two runs of a
+    /// (kernel, seed) pair must produce byte-identical statistics,
+    /// fault schedules and cycle counts, and the hot compiler must
+    /// actually have run.
+    #[test]
+    fn hot_ir_chaos_is_deterministic_and_oracle_correct() {
         let mut kernels = workloads::spec_int();
         kernels.extend(workloads::indirect_kernels());
         assert_eq!(kernels.len(), 15, "the suite covers all 15 kernels");
-        let mut runs = Vec::new();
+        let mut hot_ir_traces = 0;
         for w in &kernels {
             let scale = (w.scale / 400).max(512);
             for seed in [11u64, 22, 33] {
                 let what = format!("{} seed {seed}", w.name);
-                let a = chaos_run_plan(w, scale, FaultPlan::storm(seed), cfg.clone());
-                let b = chaos_run_plan(w, scale, FaultPlan::storm(seed), cfg.clone());
+                let a = chaos_run_plan(w, scale, FaultPlan::storm(seed), chaos_cfg());
+                let b = chaos_run_plan(w, scale, FaultPlan::storm(seed), chaos_cfg());
                 assert!(a.survived, "{what}: storm run died");
                 assert!(a.oracle_ok, "{what}: diverged from the oracle");
                 assert_eq!(a.stats, b.stats, "{what}: statistics must replay");
@@ -1978,86 +1788,10 @@ mod tests {
                     b.recovery_overhead.to_bits(),
                     "{what}: cycle counts must replay"
                 );
-                runs.push(a);
+                hot_ir_traces += a.stats.hot_ir_traces;
             }
         }
-        runs
-    }
-
-    /// The hot-phase acceptance gate (mirrors the engine-level
-    /// `chaos::indirect_accel_chaos_is_deterministic_and_oracle_correct`
-    /// at workload scale): the storm suite replays under the chaos
-    /// configuration, and the hot compiler actually ran.
-    #[test]
-    fn hot_ir_chaos_is_deterministic_and_oracle_correct() {
-        let runs = storm_suite_replays(&chaos_cfg());
-        assert!(
-            runs.iter().any(|r| r.stats.hot_ir_traces > 0),
-            "the hot phase never compiled a trace"
-        );
-    }
-
-    /// The superinstruction acceptance gate: the storm suite replays
-    /// with `enable_superinst` on — mining, validation, and both
-    /// peepholes are all deterministic functions of (kernel, seed) —
-    /// and the idiom tables actually fire somewhere in the suite.
-    #[test]
-    fn superinst_chaos_is_deterministic_and_oracle_correct() {
-        let runs = storm_suite_replays(&Config {
-            enable_superinst: true,
-            ..chaos_cfg()
-        });
-        assert!(
-            runs.iter().any(|r| r.stats.superinst_mined_idioms > 0),
-            "the miner never produced an idiom table"
-        );
-        assert!(
-            runs.iter().any(|r| r.stats.superinst_hits > 0),
-            "no fused template ever fired under chaos"
-        );
-    }
-
-    /// Targeted [`FaultKind::TemplateSynth`] storm: every synthesized
-    /// template is corrupted before validation, so the differential
-    /// gate must blacklist each one — demotion, never divergence. The
-    /// run stays oracle-correct (fused paths that would misexecute are
-    /// simply not installed), replays byte-identically, and the
-    /// blacklist counter proves the gate actually caught corruption.
-    #[test]
-    fn template_synth_chaos_is_caught_by_validation_gate() {
-        let cfg = Config {
-            enable_superinst: true,
-            ..chaos_cfg()
-        };
-        let suite = workloads::spec_int();
-        let mut blacklists = 0u64;
-        for seed in [7u64, 19, 42] {
-            let w = &suite[seed as usize % suite.len()];
-            let scale = (w.scale / 400).max(512);
-            let plan = FaultPlan::new(seed).with(FaultKind::TemplateSynth, 1000, 64);
-            let a = chaos_run_plan(w, scale, plan.clone(), cfg.clone());
-            let b = chaos_run_plan(w, scale, plan, cfg.clone());
-            assert!(
-                a.survived,
-                "{} seed {seed}: corruption storm killed the run",
-                w.name
-            );
-            assert!(
-                a.oracle_ok,
-                "{} seed {seed}: a corrupted template leaked into execution",
-                w.name
-            );
-            assert_eq!(
-                a.stats, b.stats,
-                "{} seed {seed}: demotion must replay deterministically",
-                w.name
-            );
-            blacklists += a.stats.superinst_blacklists;
-        }
-        assert!(
-            blacklists > 0,
-            "TemplateSynth fired on no template — the gate was never exercised"
-        );
+        assert!(hot_ir_traces > 0, "the hot phase never compiled a trace");
     }
 
     /// The hostile-guest acceptance bar: every (kernel, seed) trial

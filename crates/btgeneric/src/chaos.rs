@@ -32,7 +32,7 @@ fn xorshift(x: &mut u64) -> u64 {
 }
 
 /// Number of engine-side fault kinds.
-pub const NUM_KINDS: usize = 7;
+pub const NUM_KINDS: usize = 6;
 
 /// A named injection point the engine consults.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -58,11 +58,6 @@ pub enum FaultKind {
     /// through the OS layer's pending queue; the engine interrupts at
     /// the next commit point or state boundary).
     AsyncSignal = 5,
-    /// Corruption of a synthesized superinstruction template's emitted
-    /// code *before* differential validation runs: the validation gate
-    /// must catch the divergence and demote the idiom to the unfused
-    /// path (see [`crate::superinst::corrupt_template`]).
-    TemplateSynth = 6,
 }
 
 impl FaultKind {
@@ -74,7 +69,6 @@ impl FaultKind {
         FaultKind::BitFlip,
         FaultKind::HotBudget,
         FaultKind::AsyncSignal,
-        FaultKind::TemplateSynth,
     ];
 
     /// Short display name (figures output).
@@ -86,7 +80,6 @@ impl FaultKind {
             FaultKind::BitFlip => "bit-flip",
             FaultKind::HotBudget => "hot-budget",
             FaultKind::AsyncSignal => "async-signal",
-            FaultKind::TemplateSynth => "template-synth",
         }
     }
 }

@@ -68,11 +68,6 @@ pub struct ColdGenInput<'a> {
     /// call site or shadow-stack-hostile ret), so emit only the plain
     /// 2-way table probe — no inline cache, no shadow push/pop.
     pub plain: bool,
-    /// Mined superinstruction idiom table: enables the learned-template
-    /// peephole over this block (see [`crate::superinst`]). `None`
-    /// disables the layer entirely — generation is bit-for-bit what it
-    /// was before the table existed.
-    pub superinst: Option<&'a crate::superinst::IdiomTable>,
     /// Address the block will be assembled at.
     pub base: u64,
 }
@@ -95,17 +90,6 @@ pub struct ColdBlock {
     pub entry_mmx: bool,
     /// Native instructions emitted (pre-bundling count).
     pub native_insts: usize,
-    /// Learned-superinstruction idioms fired in this block.
-    pub superinst_hits: u64,
-    /// IA-32 instruction slots covered by fired idioms (the fused
-    /// compare+branch counts once the mined table activates it).
-    pub superinst_fused_slots: u64,
-    /// IA-32 slots scanned while an idiom table was active.
-    pub superinst_eligible_slots: u64,
-    /// Slots absorbed past an idiom head by superinst-only fusion
-    /// (CmpJcc excluded: it fuses with the table off too, so it earns
-    /// no translation-charge discount).
-    pub superinst_absorbed_slots: u64,
 }
 
 /// Generation failure.
@@ -744,10 +728,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     let mut interp_bail: Option<u32> = None;
     let mut last_state_ip: Option<u32> = None;
     let mut ia32_count = 0usize;
-    let mut si_hits = 0u64;
-    let mut si_fused = 0u64;
-    let mut si_eligible = 0u64;
-    let mut si_absorbed = 0u64;
 
     let mut i = 0;
     while i < insts.len() {
@@ -777,75 +757,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             last_state_ip = Some(ip);
         }
 
-        // Learned superinstruction fusion: match the mined idiom
-        // table at `i` and emit one fused template for the window.
-        // The emission is tagged with the head IP, and GR_STATE (set
-        // above when the head can fault — every faulting idiom has a
-        // faulting head) also names the head; all guest writebacks sit
-        // after the last faulting op, so a fault anywhere inside
-        // re-interprets the idiom from its first instruction
-        // idempotently.
-        if let Some(table) = input.superinst {
-            si_eligible += 1;
-            let mut live_after = |j: usize| {
-                if input.flag_liveness {
-                    input.liveness.live_after(blk.start, j)
-                } else {
-                    ia32::flags::STATUS | ia32::flags::DF
-                }
-            };
-            match crate::superinst::match_at(table, insts, i, &mut live_after) {
-                // CmpJcc is the terminal compare+branch fusion below —
-                // it fires (and is counted) there.
-                None | Some((crate::superinst::IdiomKind::CmpJcc, _)) => {}
-                Some((kind, n)) => {
-                    let last = i + n - 1;
-                    let idiom_end = insts[last].0 + insts[last].2 as u32;
-                    let live_idiom = live_after(last);
-                    let mut ctx = EmitCtx {
-                        ip,
-                        next_ip: idiom_end,
-                        live_flags: live_idiom,
-                        fp: &mut fp,
-                        xmm: &mut xmm,
-                        misalign: &input.misalign,
-                        align: &mut align,
-                    };
-                    match crate::superinst::emit_idiom(&mut body, &mut ctx, kind, &insts[i..i + n])
-                    {
-                        crate::superinst::FusedEmit::Plain => {
-                            si_hits += 1;
-                            si_fused += n as u64;
-                            si_eligible += (n - 1) as u64;
-                            si_absorbed += (n - 1) as u64;
-                            ia32_count += n;
-                            term_ip = idiom_end;
-                            i += n;
-                            continue;
-                        }
-                        crate::superinst::FusedEmit::Branch(pt) => {
-                            let (_, I32::Jcc { target, .. }, _) = insts[last] else {
-                                unreachable!("matcher guarantees a jcc terminator");
-                            };
-                            si_hits += 1;
-                            si_fused += n as u64;
-                            si_eligible += (n - 1) as u64;
-                            si_absorbed += (n - 1) as u64;
-                            ia32_count += n;
-                            term = Some(Term::CondJump {
-                                taken_pred: pt,
-                                taken: target,
-                                fallthrough: idiom_end,
-                            });
-                            term_ip = idiom_end;
-                            break;
-                        }
-                        crate::superinst::FusedEmit::Refused => {}
-                    }
-                }
-            }
-        }
-
         // Compare+branch fusion (paper: EFlags elimination).
         if input.fuse && i + 1 < insts.len() {
             if let (_, I32::Jcc { cond, target }, jlen) = insts[i + 1] {
@@ -870,17 +781,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                     if let Some(pt) =
                         templates::emit_fused_cmp_jcc(&mut body, &inst, cond, &mut ctx)
                     {
-                        // Once the mined table activates CmpJcc, this
-                        // firing counts as a superinstruction hit (the
-                        // jcc slot never gets its own iteration).
-                        if input
-                            .superinst
-                            .is_some_and(|t| t.active(crate::superinst::IdiomKind::CmpJcc))
-                        {
-                            si_hits += 1;
-                            si_fused += 2;
-                            si_eligible += 1;
-                        }
                         ia32_count += 2;
                         term = Some(Term::CondJump {
                             taken_pred: pt,
@@ -1161,10 +1061,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         spec: input.spec,
         entry_mmx,
         native_insts,
-        superinst_hits: si_hits,
-        superinst_fused_slots: si_fused,
-        superinst_eligible_slots: si_eligible,
-        superinst_absorbed_slots: si_absorbed,
     })
 }
 
@@ -1207,7 +1103,6 @@ mod tests {
             smc_check: None,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
-            superinst: None,
             base: crate::layout::TC_BASE,
         };
         generate(&input).expect("generates")
@@ -1280,7 +1175,6 @@ mod tests {
             smc_check: None,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
-            superinst: None,
             base: crate::layout::TC_BASE,
         };
         let unfused = generate(&input).unwrap();
@@ -1335,7 +1229,6 @@ mod tests {
             smc_check: smc,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
-            superinst: None,
             base: crate::layout::TC_BASE,
         };
         let plain = generate(&mk(None)).unwrap();

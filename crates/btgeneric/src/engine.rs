@@ -42,12 +42,6 @@ pub struct Config {
     pub enable_flag_liveness: bool,
     /// Compare+branch fusion (ablation knob).
     pub enable_fusion: bool,
-    /// Learned superinstruction templates: mine recurring adjacent
-    /// idioms from the block profiles, synthesize fused templates for
-    /// the winners (differentially validated against the interpreter
-    /// oracle), and fire them from a peephole window in both phases.
-    /// Off (the default) leaves the pipeline bit-for-bit unchanged.
-    pub enable_superinst: bool,
     /// Misalignment detection and avoidance (ablation knob; off = every
     /// misaligned access takes the OS-handled fault).
     pub enable_misalign_avoidance: bool,
@@ -116,7 +110,6 @@ impl Default for Config {
             enable_hot: true,
             enable_flag_liveness: true,
             enable_fusion: true,
-            enable_superinst: false,
             enable_misalign_avoidance: true,
             enable_fp_spec: true,
             timing: ipf::Timing::default(),
@@ -412,11 +405,6 @@ pub(crate) struct CodeCache {
     /// and flushing scan this list to purge stale predictions;
     /// `collect_indirect_stats` sums the per-site hit counters over it.
     pub(crate) ic_slots: Vec<u64>,
-    /// Learned superinstruction state: the mined idiom table and its
-    /// lifecycle flags (see [`crate::superinst`]). Lives in the code
-    /// cache because it describes translations, like them it is
-    /// shareable across tenants and persistable.
-    pub(crate) superinst: crate::superinst::SuperinstState,
 }
 
 /// The per-guest half of an engine: session-scoped state that must
@@ -528,7 +516,6 @@ impl Engine {
                 links_into: HashMap::new(),
                 profile_mapped: layout::PROFILE_BASE + head,
                 ic_slots: vec![layout::COUNTERS_BASE + IC_OFFSET],
-                superinst: Default::default(),
             },
             ctx: GuestContext {
                 recovery_depth: 0,
@@ -1248,20 +1235,6 @@ impl Engine {
         overrides: HashMap<u16, AccessMode>,
         origin: XlateOrigin,
     ) -> Result<u64, GuestException> {
-        // Early superinstruction mining: once enough blocks have been
-        // translated and profiled, mine before translating this one so
-        // the bulk of cold translation — which happens well before the
-        // first hot session — already fuses. Skipped for pretranslation
-        // and image loads (no execution weight behind those blocks).
-        if self.cfg.enable_superinst
-            && !self.cache.superinst.cold_mined
-            && !self.cache.superinst.mined
-            && matches!(origin, XlateOrigin::Demand)
-            && self.stats.cold_blocks >= crate::superinst::COLD_MINE_TRIGGER
-        {
-            self.cache.superinst.cold_mined = true;
-            self.mine_superinst();
-        }
         let region_g = discover(&self.mem, eip);
         let Some(disc) = region_g.block_at(eip) else {
             return Err(GuestException::PageFault {
@@ -1334,13 +1307,6 @@ impl Engine {
         } else {
             None
         };
-        // Clone the (tiny) mined idiom table out of the cache so the
-        // generator input carries no self-borrows.
-        let superinst_table = if self.cfg.enable_superinst {
-            self.cache.superinst.table.clone()
-        } else {
-            None
-        };
         let input = ColdGenInput {
             region: &region_g,
             liveness: &liveness,
@@ -1361,7 +1327,6 @@ impl Engine {
             smc_check,
             ic_slot: profile + IC_OFFSET,
             plain: indirect_plain,
-            superinst: superinst_table.as_ref(),
             base: self.machine.arena.end(),
         };
         let gen0 = match generate(&input) {
@@ -1400,16 +1365,9 @@ impl Engine {
                 self.stats.shared_installs += 1;
             }
             _ => {
-                // Instructions absorbed into a fused superinstruction
-                // template (everything past the idiom head) skip the
-                // per-instruction template selection — the head's single
-                // dispatch covers them — but still pay decode, so they
-                // are charged half the per-instruction cold walk.
-                let absorbed = gen0.superinst_absorbed_slots;
-                let full = cost::COLD_XLATE_CYCLES;
                 self.machine.charge(
                     region::OVERHEAD,
-                    ((gen0.ia32_insts as u64).max(1) * full).saturating_sub(absorbed * full / 2),
+                    (gen0.ia32_insts as u64).max(1) * cost::COLD_XLATE_CYCLES,
                 );
                 self.stats.cold_blocks += 1;
                 self.stats.cold_ia32_insts += gen0.ia32_insts as u64;
@@ -1439,9 +1397,6 @@ impl Engine {
             }
         };
         let bundles = std::mem::take(&mut gen.bundles);
-        self.stats.superinst_hits += gen.superinst_hits;
-        self.stats.superinst_fused_slots += gen.superinst_fused_slots;
-        self.stats.superinst_eligible_slots += gen.superinst_eligible_slots;
         let entry = if entry == self.machine.arena.end() {
             self.machine.arena.append(bundles, region::COLD)
         } else {
@@ -2008,18 +1963,6 @@ impl Engine {
                         // Missing/unreadable image: a warm start that
                         // cannot happen, not an error — run cold.
                         self.stats.image_rejects += 1;
-                    }
-                }
-            }
-            // A shared namespace may already hold a mined idiom
-            // table (a co-tenant's mining run): install it now so this
-            // tenant fuses from its very first translation.
-            if self.cfg.enable_superinst && self.cache.superinst.table.is_none() {
-                if let Some(tenant) = self.ctx.shared.clone() {
-                    if let Some(bytes) = tenant.ns.idioms() {
-                        if let Some(t) = crate::superinst::IdiomTable::deserialize(&bytes) {
-                            self.install_idiom_table(t);
-                        }
                     }
                 }
             }
@@ -2982,14 +2925,6 @@ impl Engine {
             self.trace_phase_exit(span);
             return;
         }
-        // Second mining pass at the first hot session: by now the
-        // profile counters carry real weight, so kinds the early
-        // cold-phase pass had not surfaced merge into the table, and
-        // this session's hot traces fuse immediately.
-        if self.cfg.enable_superinst && !self.cache.superinst.mined {
-            self.cache.superinst.mined = true;
-            self.mine_superinst();
-        }
         let budget = self.cfg.hot_session_budget;
         let start = self.overhead_cycles();
         let candidates = std::mem::take(&mut self.cache.candidates);
@@ -3010,104 +2945,6 @@ impl Engine {
             }
         }
         self.trace_phase_exit(span);
-    }
-
-    /// Mines the learned superinstruction idiom table (see
-    /// [`crate::superinst`]): deterministic sample collection over the
-    /// profiled blocks in EIP order, idiom ranking by dynamic weight,
-    /// then the differential validation gate — every fuseable kind
-    /// must match the interpreter oracle on its exemplar before it may
-    /// fire, and a mismatch demotes the kind to the unfused path (a
-    /// blacklist, never a death). Mining and validation costs are
-    /// charged to the OVERHEAD region.
-    fn mine_superinst(&mut self) {
-        let mut profiled: Vec<(u32, u64)> = self
-            .cache
-            .profile_of
-            .iter()
-            .map(|(&eip, &slot)| (eip, slot))
-            .collect();
-        profiled.sort_unstable_by_key(|&(eip, _)| eip);
-        let mut samples = Vec::new();
-        for (eip, slot) in profiled {
-            self.machine
-                .charge(region::OVERHEAD, crate::superinst::MINE_CYCLES_PER_BLOCK);
-            // Weight = the persistent per-block use counter, plus the
-            // tracer's dispatch count when lifecycle tracing is on.
-            let mut weight = self.mem.read(slot, 8).unwrap_or(0);
-            if let Some(prof) = self.tracer.profiles().get(eip) {
-                weight += prof.dispatches;
-            }
-            if weight == 0 {
-                continue;
-            }
-            let insts = crate::superinst::decode_block(&self.mem, eip);
-            if insts.len() >= 2 {
-                samples.push(crate::superinst::BlockSample { eip, weight, insts });
-            }
-        }
-        let mined = crate::superinst::mine(&samples);
-        // Merge into the table the early pass produced (if any): kinds
-        // already mined keep their validated/demoted state untouched,
-        // and only newly surfaced kinds pay the validation gate.
-        let mut table = self
-            .cache
-            .superinst
-            .table
-            .clone()
-            .unwrap_or_else(|| crate::superinst::IdiomTable::new(Vec::new()));
-        for idiom in mined.idioms().to_vec() {
-            if table.contains(idiom.kind) {
-                continue;
-            }
-            table.insert(idiom);
-            if !idiom.kind.fuseable() {
-                continue;
-            }
-            self.machine.charge(
-                region::OVERHEAD,
-                crate::superinst::VALIDATE_CYCLES_PER_IDIOM,
-            );
-            // Injected synthesis corruption: the validation gate must
-            // catch it and demote the idiom — never install it.
-            let corrupt = self
-                .chaos
-                .as_mut()
-                .is_some_and(|p| p.roll(FaultKind::TemplateSynth));
-            if corrupt {
-                self.stats.faults_injected += 1;
-                self.trace_emit(EventData::FaultInjected {
-                    kind: FaultKind::TemplateSynth,
-                });
-            }
-            if !crate::superinst::validate(&self.mem, self.cfg.timing, &idiom, corrupt) {
-                table.disable(idiom.kind);
-                self.stats.superinst_blacklists += 1;
-            }
-        }
-        self.stats.superinst_mined_idioms = table.len() as u64;
-        if table.is_empty() {
-            return;
-        }
-        // Publish to the shared namespace so co-tenants skip mining
-        // and fuse from their first dispatch.
-        if let Some(tenant) = self.ctx.shared.clone() {
-            tenant.ns.publish_idioms(table.serialize());
-        }
-        self.cache.superinst.table = Some(table);
-    }
-
-    /// Installs an idiom table arriving from a warm-start image or the
-    /// shared namespace: trusted as-is (it passed the differential
-    /// gate in the session that mined it), and marked imported so the
-    /// local mining pass is skipped — the whole point is fusing from
-    /// the first dispatch without paying the mining cost.
-    pub(crate) fn install_idiom_table(&mut self, table: crate::superinst::IdiomTable) {
-        self.stats.superinst_mined_idioms = table.len() as u64;
-        self.cache.superinst.table = Some(table);
-        self.cache.superinst.mined = true;
-        self.cache.superinst.cold_mined = true;
-        self.cache.superinst.imported = true;
     }
 
     fn overhead_cycles(&self) -> u64 {
@@ -3754,81 +3591,6 @@ mod tests {
         );
         // The scope unwound: the faked outer depth is all that remains.
         assert_eq!(engine.ctx.recovery_depth, policy::MAX_RECOVERY_DEPTH - 1);
-    }
-
-    /// A fused `mov`+`alu` idiom whose ALU result flags are consumed
-    /// *after* a block boundary: the loop computes `3 + 0xffff_ffff`
-    /// (CF=1) and only tests CF in the next block, so the fused
-    /// emitter must write EFlags back even though no instruction in
-    /// its own window reads them. An over-eager "elide dead flag
-    /// writeback" template would leave stale CF and undercount ESI.
-    #[test]
-    fn fused_idiom_preserves_flags_across_block_boundary() {
-        use ia32::flags::Cond;
-        use ia32::inst::AluOp;
-        use ia32::regs::{EAX, EBX, ECX, EDX, ESI};
-
-        const ITERS: i32 = 50;
-        let mut a = ia32::asm::Asm::new(0x40_0000);
-        a.mov_ri(EBX, 3);
-        a.mov_ri(EDX, -1);
-        a.mov_ri(ESI, 0);
-        a.mov_ri(ECX, ITERS);
-        let top = a.label();
-        a.bind(top);
-        // The fusable pair: mov eax, ebx ; add eax, edx (carries).
-        let fuse_ip = a.here();
-        a.mov_rr(EAX, EBX);
-        a.alu_rr(AluOp::Add, EAX, EDX);
-        // Block boundary between the producer and the consumer: the
-        // peephole's own window never sees the flag read.
-        let mid = a.label();
-        a.jmp(mid);
-        a.bind(mid);
-        let carry = a.label();
-        let done = a.label();
-        a.jcc(Cond::B, carry); // consumes CF from the fused add
-        a.jmp(done);
-        a.bind(carry);
-        a.inc(ESI); // inc preserves CF
-        a.bind(done);
-        a.dec(ECX);
-        a.jcc(Cond::Ne, top);
-        a.hlt();
-
-        let image = ia32::asm::Image::from_asm(&a);
-        let mut mem = ia32::mem::GuestMem::new();
-        let cpu = image.load(&mut mem);
-        let cfg = Config {
-            enable_superinst: true,
-            ..Config::default()
-        };
-        let mut engine = Engine::new(mem, cfg);
-        state::cpu_to_machine(&cpu, &mut engine.machine);
-        engine.install_idiom_table(crate::superinst::IdiomTable::new(vec![
-            crate::superinst::MinedIdiom {
-                kind: crate::superinst::IdiomKind::MovAlu,
-                weight: 100,
-                exemplar: fuse_ip,
-            },
-        ]));
-        let mut os = NullOs;
-        match engine.run(&mut os, cpu, 1_000_000) {
-            Outcome::Halted(c) => {
-                assert_eq!(
-                    c.gpr[ESI.num() as usize],
-                    ITERS as u32,
-                    "CF lost at boundary"
-                );
-                assert_eq!(c.gpr[ECX.num() as usize], 0);
-                assert_eq!(c.gpr[EAX.num() as usize], 2);
-            }
-            other => panic!("expected halt, got {other:?}"),
-        }
-        assert!(
-            engine.stats.superinst_hits > 0,
-            "the installed idiom never fused — the test exercised nothing"
-        );
     }
 
     /// The hot phase's only failure mode is "the block stays cold".

@@ -600,9 +600,7 @@ pub(super) fn eflags_elim(irs: &mut Vec<IrInst>) {
 /// read, branch, faulting op, or predicated op — nothing between the
 /// two writes can observe the first. With the readers in between
 /// forwarded past the home ([`forward_state`]), that is every write a
-/// later template of the same commit interval supersedes; fused
-/// superinstruction bodies leave the same shape where adjacent idioms
-/// meet.
+/// later template of the same commit interval supersedes.
 pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
     // The op's sole def is a physical guest GPR home that the op does
     // not also read (a read-modify-write needs the prior value).

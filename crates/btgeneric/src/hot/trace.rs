@@ -49,10 +49,6 @@ pub(super) enum Step {
         cond: ia32::Cond,
         /// Address of the Jcc.
         ip: u32,
-        /// Containing block (liveness).
-        block: u32,
-        /// Index of the Jcc within its block.
-        idx: usize,
     },
     /// A devirtualized control-transfer terminator the trace continues
     /// through: a direct `call` (static target), or an indirect
@@ -281,8 +277,6 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 steps.push(Step::Guard {
                                     cond: *cond,
                                     ip: *ip,
-                                    block: blk.start,
-                                    idx: i,
                                 });
                                 total += 1;
                                 for (j, (gip, ginst, glen)) in hammock.iter().enumerate() {
@@ -593,17 +587,6 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         block_id,
     };
 
-    // Learned superinstruction table (tiny; cloned out of the cache so
-    // the trace build carries no engine borrows).
-    let si_table = if engine.cfg.enable_superinst {
-        engine.cache.superinst.table.clone()
-    } else {
-        None
-    };
-    // Instructions absorbed into a fused template (everything past the
-    // idiom head): translated by the head's single template dispatch,
-    // so they are excluded from the per-instruction translation charge.
-    let mut si_absorbed: u64 = 0;
     let mut body = Sink::new();
     let mut exits: Vec<ExitInfo> = Vec::new();
     let mut devirt_exits: Vec<DevirtExit> = Vec::new();
@@ -615,7 +598,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     let mut ends_indirect = false;
     while i < trace.steps.len() {
         match &trace.steps[i] {
-            Step::Guard { cond, ip, .. } => {
+            Step::Guard { cond, ip } => {
                 // The guard predicate: the hammock body runs when the
                 // branch condition is FALSE.
                 body.set_ip(*ip);
@@ -637,172 +620,6 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                     guard = None;
                 }
                 perm_by_ip.insert(*ip, fp.perm);
-                // Learned superinstruction peephole: match a mined
-                // idiom against the contiguous unguarded run ahead of
-                // the cursor (side exits, and a hammock guard right
-                // after a pair, appear as their Jcc). CmpJcc is left to
-                // the dedicated fusion below.
-                if let Some(table) = si_table.as_ref() {
-                    engine.stats.superinst_eligible_slots += 1;
-                    let mut window: Vec<(u32, I32, u8)> = Vec::new();
-                    let mut wmeta: Vec<(u32, usize)> = Vec::new();
-                    let mut wexit: Option<(u32, u32)> = None;
-                    let mut wguard = false;
-                    if !*guarded {
-                        // Contiguity in guest memory is required: a
-                        // fused idiom restarts from its head IP after
-                        // a fault, which re-interprets *sequential*
-                        // guest bytes — a trace hop would diverge.
-                        let mut expect = *ip;
-                        for s in &trace.steps[i..] {
-                            if window.len() >= crate::superinst::MAX_CHAIN + 2 {
-                                break;
-                            }
-                            match s {
-                                Step::Inst {
-                                    ip,
-                                    inst,
-                                    len,
-                                    block,
-                                    idx,
-                                    guarded: false,
-                                } if *ip == expect => {
-                                    window.push((*ip, *inst, *len));
-                                    wmeta.push((*block, *idx));
-                                    expect = ip.wrapping_add(*len as u32);
-                                }
-                                Step::SideExit {
-                                    cond,
-                                    target,
-                                    block,
-                                    idx,
-                                    ip,
-                                } if *ip == expect => {
-                                    // Synthetic Jcc stand-in; the len
-                                    // is unused by the fused emitters.
-                                    window.push((
-                                        *ip,
-                                        I32::Jcc {
-                                            cond: *cond,
-                                            target: *target,
-                                        },
-                                        2,
-                                    ));
-                                    wmeta.push((*block, *idx));
-                                    wexit = Some((*target, *ip));
-                                    break;
-                                }
-                                // A hammock guard closing a `mov ; alu`
-                                // pair stands in as the triple's Jcc,
-                                // negated: the predicate the idiom hands
-                                // back is then the one the hammock body
-                                // runs under.
-                                Step::Guard {
-                                    cond,
-                                    ip,
-                                    block,
-                                    idx,
-                                } if *ip == expect
-                                    && window.len() == 2
-                                    && table.active(crate::superinst::IdiomKind::MovAluJcc) =>
-                                {
-                                    window.push((
-                                        *ip,
-                                        I32::Jcc {
-                                            cond: cond.negate(),
-                                            target: 0,
-                                        },
-                                        2,
-                                    ));
-                                    wmeta.push((*block, *idx));
-                                    wguard = true;
-                                    break;
-                                }
-                                _ => break,
-                            }
-                        }
-                    }
-                    let matched = if window.len() >= 2 {
-                        let mut live_after = |j: usize| {
-                            let (b, idx) = wmeta[j];
-                            live_cache
-                                .entry(b)
-                                .or_insert_with(|| analyze(&discover(&engine.mem, b)))
-                                .live_after(b, idx)
-                        };
-                        match crate::superinst::match_at(table, &window, 0, &mut live_after) {
-                            Some((kind, n)) if kind != crate::superinst::IdiomKind::CmpJcc => {
-                                Some((kind, n, live_after(n - 1)))
-                            }
-                            _ => None,
-                        }
-                    } else {
-                        None
-                    };
-                    if let Some((kind, n, live_idiom)) = matched {
-                        let last = n - 1;
-                        let idiom_end = window[last].0.wrapping_add(window[last].2 as u32);
-                        let mut ctx = EmitCtx {
-                            ip: *ip,
-                            next_ip: idiom_end,
-                            live_flags: live_idiom,
-                            fp: &mut fp,
-                            xmm: &mut xmm,
-                            misalign: &plan,
-                            align: &mut align,
-                        };
-                        match crate::superinst::emit_idiom(&mut body, &mut ctx, kind, &window[..n])
-                        {
-                            crate::superinst::FusedEmit::Plain => {
-                                engine.stats.superinst_hits += 1;
-                                engine.stats.superinst_fused_slots += n as u64;
-                                engine.stats.superinst_eligible_slots += (n - 1) as u64;
-                                si_absorbed += (n - 1) as u64;
-                                for w in &window[..n] {
-                                    perm_by_ip.insert(w.0, fp.perm);
-                                }
-                                ia32_count += n as u64;
-                                i += n;
-                                continue;
-                            }
-                            crate::superinst::FusedEmit::Branch(pt) => {
-                                if wguard {
-                                    // The hammock body runs under the
-                                    // idiom's own predicate; nothing
-                                    // leaves the trace here.
-                                    guard = Some(pt);
-                                } else {
-                                    let (target, _jip) =
-                                        wexit.expect("branch idioms end at the side exit");
-                                    let label = body.local_label();
-                                    body.emit_pred(
-                                        pt,
-                                        Op::Br {
-                                            target: Target::Label(label),
-                                        },
-                                    );
-                                    exits.push(ExitInfo {
-                                        label,
-                                        target,
-                                        perm: fp.perm,
-                                        xmm_fmt: xmm.fmt,
-                                    });
-                                }
-                                engine.stats.superinst_hits += 1;
-                                engine.stats.superinst_fused_slots += n as u64;
-                                engine.stats.superinst_eligible_slots += (n - 1) as u64;
-                                si_absorbed += (n - 1) as u64;
-                                for w in &window[..n] {
-                                    perm_by_ip.insert(w.0, fp.perm);
-                                }
-                                ia32_count += n as u64;
-                                i += n;
-                                continue;
-                            }
-                            crate::superinst::FusedEmit::Refused => {}
-                        }
-                    }
-                }
                 // Try fusing with a following side exit.
                 if let Some(Step::SideExit {
                     cond,
@@ -831,14 +648,6 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                         if let Some(pt) =
                             templates::emit_fused_cmp_jcc(&mut body, inst, *cond, &mut ctx)
                         {
-                            if si_table
-                                .as_ref()
-                                .is_some_and(|t| t.active(crate::superinst::IdiomKind::CmpJcc))
-                            {
-                                engine.stats.superinst_hits += 1;
-                                engine.stats.superinst_fused_slots += 2;
-                                engine.stats.superinst_eligible_slots += 1;
-                            }
                             let label = body.local_label();
                             body.emit_pred(
                                 pt,
@@ -1214,14 +1023,9 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         engine.machine.arena.place(base, bundles, region::HOT)
     };
     engine.register_inbound_links(entry, entry + n_bundles * ipf::Bundle::SIZE, block_id);
-    // Slots absorbed into a fused template skip the per-instruction
-    // trace walk (template selection, liveness and permission lookups,
-    // guard bookkeeping) but still ride the optimizer with the rest of
-    // the trace, so they pay half the per-instruction hot charge.
-    let full = cost::COLD_XLATE_CYCLES * cost::HOT_XLATE_FACTOR;
     engine.machine.charge(
         region::OVERHEAD,
-        (ia32_count.max(1) * full).saturating_sub(si_absorbed * full / 2),
+        ia32_count.max(1) * cost::COLD_XLATE_CYCLES * cost::HOT_XLATE_FACTOR,
     );
     engine.stats.hot_traces += 1;
     engine.stats.hot_ir_traces += 1;

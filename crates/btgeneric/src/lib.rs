@@ -22,6 +22,5 @@ pub mod policy;
 pub mod serving;
 pub mod state;
 pub mod stats;
-pub mod superinst;
 pub mod templates;
 pub mod trace;

@@ -68,24 +68,18 @@
 //! translation, riding the existing degradation ladder. A damaged image
 //! can therefore never produce wrong execution, only a colder start.
 //!
-//! # Image format (version 3)
+//! # Image format (version 4)
 //!
-//! All integers little-endian. Header, then (when `idiom_count` is
-//! nonzero) the superinstruction idiom section, then `block_count`
-//! records:
+//! All integers little-endian. Header, then `block_count` records:
 //!
 //! ```text
 //! header (40 bytes):
 //!   0  magic        8B  "IA32EL01"
-//!   8  version      4B  = 3
+//!   8  version      4B  = 4
 //!   12 block_count  4B
 //!   16 fingerprint  8B  config/layout fingerprint (see `fingerprint`)
-//!   24 idiom_count  2B  mined superinstruction idioms (v3; 0 = none)
-//!   26 reserved     6B  = 0
+//!   24 reserved     8B  = 0
 //!   32 header_fnv   8B  FNV-1a over bytes 0..32
-//! idiom section (idiom_count > 0 only):
-//!   0  idioms       13B each (see `superinst::IDIOM_WIRE_BYTES`)
-//!   .. section_fnv  8B  FNV-1a over the idiom bytes
 //! record (48 + 4*n_overrides + 8 bytes):
 //!   0  eip          4B
 //!   4  src_start    4B  guest source span [start, end)
@@ -106,10 +100,11 @@
 //!   .. record_fnv   8B  FNV-1a over this record's preceding bytes
 //! ```
 //!
-//! Older-version images (v1: no profile fields; v2: no idiom section)
-//! are rejected wholesale with
-//! [`ImageError::BadVersion`]; the fingerprint also covers [`VERSION`],
-//! so even a hand-patched version field cannot smuggle one through.
+//! Older-version images (v1: no profile fields; v2: profiles; v3: a
+//! mined-idiom section between header and records, its count in bytes
+//! 24..26) are rejected wholesale with [`ImageError::BadVersion`]; the
+//! fingerprint also covers [`VERSION`], so even a hand-patched version
+//! field cannot smuggle one through.
 
 use crate::btos::BtOs;
 use crate::cold::discover::discover;
@@ -121,7 +116,7 @@ use std::collections::HashSet;
 
 /// Image format version written by [`encode`] and required by
 /// [`decode`].
-pub const VERSION: u32 = 3;
+pub const VERSION: u32 = 4;
 
 /// Size of the image header in bytes.
 pub const HEADER_LEN: usize = 40;
@@ -170,7 +165,6 @@ pub fn fingerprint(cfg: &Config) -> u64 {
         cfg.enable_fusion,
         cfg.enable_misalign_avoidance,
         cfg.enable_fp_spec,
-        cfg.enable_superinst,
     ] {
         bytes.push(flag as u8);
     }
@@ -224,10 +218,6 @@ pub struct Image {
     pub fingerprint: u64,
     /// Serialized blocks, in save order.
     pub blocks: Vec<ImageBlock>,
-    /// Serialized mined superinstruction idiom table
-    /// ([`crate::superinst::IdiomTable::serialize`]); empty when the
-    /// saving engine had not mined (or had superinstructions off).
-    pub idioms: Vec<u8>,
 }
 
 /// Why an image was rejected wholesale (see [`decode`]).
@@ -322,17 +312,9 @@ pub fn snapshot(engine: &Engine) -> Image {
         blocks.push(record_of(engine, b));
     }
     blocks.sort_unstable_by_key(|b| b.eip);
-    let idioms = engine
-        .cache
-        .superinst
-        .table
-        .as_ref()
-        .map(|t| t.serialize())
-        .unwrap_or_default();
     Image {
         fingerprint: fingerprint(&engine.cfg),
         blocks,
-        idioms,
     }
 }
 
@@ -392,23 +374,16 @@ pub(crate) fn record_of(engine: &Engine, b: &crate::engine::BlockInfo) -> ImageB
     }
 }
 
-/// Serializes an [`Image`] into the version-3 wire format.
+/// Serializes an [`Image`] into the version-4 wire format.
 pub fn encode(image: &Image) -> Vec<u8> {
     let mut out = Vec::with_capacity(HEADER_LEN + image.blocks.len() * 64);
     out.extend_from_slice(&MAGIC);
     out.extend_from_slice(&VERSION.to_le_bytes());
     out.extend_from_slice(&(image.blocks.len() as u32).to_le_bytes());
     out.extend_from_slice(&image.fingerprint.to_le_bytes());
-    let idiom_count = image.idioms.len() / crate::superinst::IDIOM_WIRE_BYTES;
-    out.extend_from_slice(&(idiom_count as u16).to_le_bytes());
-    out.extend_from_slice(&[0u8; 6]);
+    out.extend_from_slice(&[0u8; 8]);
     let h = fnv64(&out[0..32]);
     out.extend_from_slice(&h.to_le_bytes());
-    if idiom_count > 0 {
-        out.extend_from_slice(&image.idioms);
-        let ih = fnv64(&image.idioms);
-        out.extend_from_slice(&ih.to_le_bytes());
-    }
     for b in &image.blocks {
         let start = out.len();
         out.extend_from_slice(&b.eip.to_le_bytes());
@@ -483,27 +458,9 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<(Image, u64), I
     let mut image = Image {
         fingerprint: fp,
         blocks: Vec::new(),
-        idioms: Vec::new(),
     };
     let mut rejected = 0u64;
     let mut at = HEADER_LEN;
-    // The idiom section rides between header and records. Its length
-    // comes from the FNV-protected header, so the record stream stays
-    // parseable even when the section's own checksum fails — in that
-    // case the idioms are dropped (the loader re-mines) and the blocks
-    // are kept.
-    let idiom_count = u16::from_le_bytes(bytes[24..26].try_into().unwrap()) as usize;
-    if idiom_count > 0 {
-        let ilen = idiom_count * crate::superinst::IDIOM_WIRE_BYTES;
-        if at + ilen + 8 > bytes.len() {
-            return Err(ImageError::Truncated);
-        }
-        let section = &bytes[at..at + ilen];
-        if rd_u64(bytes, at + ilen) == fnv64(section) {
-            image.idioms = section.to_vec();
-        }
-        at += ilen + 8;
-    }
     for i in 0..block_count {
         // A record that doesn't fully fit (truncated body) ends the
         // stream; the remaining declared records are all rejects.
@@ -595,16 +552,6 @@ pub fn load(engine: &mut Engine, os: &mut dyn BtOs, bytes: &[u8]) -> LoadSummary
     // as per-record rejects too: each is an extent that will fall back
     // to on-demand translation.
     engine.stats.image_blocks_rejected += rejected;
-    // Install the persisted idiom table before regenerating any block:
-    // warm-started translations must fuse from the very first one.
-    if engine.cfg.enable_superinst
-        && engine.cache.superinst.table.is_none()
-        && !image.idioms.is_empty()
-    {
-        if let Some(t) = crate::superinst::IdiomTable::deserialize(&image.idioms) {
-            engine.install_idiom_table(t);
-        }
-    }
     let mut loaded = 0u64;
     // IC hints are installed in a second pass once every record has had
     // its chance to install: the predicted target must itself resolve
@@ -742,10 +689,6 @@ pub fn flip_extent_checksum(bytes: &mut [u8], nth: usize) -> bool {
     }
     let target = nth % block_count;
     let mut at = HEADER_LEN;
-    let idiom_count = u16::from_le_bytes(bytes[24..26].try_into().unwrap()) as usize;
-    if idiom_count > 0 {
-        at += idiom_count * crate::superinst::IDIOM_WIRE_BYTES + 8;
-    }
     for i in 0..block_count {
         if at + RECORD_FIXED > bytes.len() {
             return false;
@@ -773,7 +716,6 @@ mod tests {
     fn sample_image() -> Image {
         Image {
             fingerprint: fingerprint(&Config::default()),
-            idioms: Vec::new(),
             blocks: vec![
                 ImageBlock {
                     eip: 0x40_0000,

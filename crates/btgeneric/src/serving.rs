@@ -113,13 +113,6 @@ pub struct Namespace {
     /// that blacklisted a page tells every other tenant not to import
     /// translations the guest is busy rewriting.
     denied_pages: RwLock<HashSet<u32>>,
-    /// The serialized mined superinstruction idiom table (see
-    /// [`crate::superinst`]), published by the first tenant to finish
-    /// mining. Idioms describe the *binary*, not a tenant's cache
-    /// layout, so co-tenants import them wholesale and fuse from their
-    /// first translation. First publisher wins; tables are validated
-    /// before publication so any winner is sound.
-    idioms: RwLock<Option<Vec<u8>>>,
 }
 
 impl Namespace {
@@ -130,26 +123,7 @@ impl Namespace {
                 .map(|_| RwLock::new(Shard::default()))
                 .collect(),
             denied_pages: RwLock::new(HashSet::new()),
-            idioms: RwLock::new(None),
         }
-    }
-
-    /// Publishes a serialized idiom table. First publisher wins:
-    /// later tenants' tables are dropped so every importer sees one
-    /// stable table for the namespace's lifetime.
-    pub fn publish_idioms(&self, bytes: Vec<u8>) {
-        let mut slot = self.idioms.write().unwrap_or_else(|e| e.into_inner());
-        if slot.is_none() {
-            *slot = Some(bytes);
-        }
-    }
-
-    /// The published idiom table, if any tenant has mined one yet.
-    pub fn idioms(&self) -> Option<Vec<u8>> {
-        self.idioms
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .clone()
     }
 
     /// The namespace key this was created under.

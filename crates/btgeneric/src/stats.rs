@@ -207,26 +207,14 @@ pub struct Stats {
     /// Shard-lock acquisitions that found the lock already held
     /// (opportunistic try-lock fell back to blocking).
     pub shared_lock_contention: u64,
-    /// Superinstruction idioms mined from the block profiles and
-    /// admitted into the active idiom table (whether mined locally,
-    /// restored from a warm-start image, or imported from a shared
-    /// namespace).
-    pub superinst_mined_idioms: u64,
-    /// Fused-template firings: each is one idiom instance replaced by a
-    /// synthesized superinstruction template (cold peephole or hot
-    /// trace).
+    /// Always zero: the learned-superinstruction subsystem is gone, but
+    /// the frozen `benchmark/` still reads these three. The next
+    /// `[benchmark]` PR drops them with its `superinst.*` rows.
     pub superinst_hits: u64,
-    /// IA-32 instructions covered by superinstruction firings (2 for a
-    /// pair, 3+ for triples/chains) — the numerator of the template hit
-    /// rate.
+    /// Always zero — see [`Stats::superinst_hits`].
     pub superinst_fused_slots: u64,
-    /// IA-32 instructions scanned by a peephole window while an idiom
-    /// table was active — the denominator of the template hit rate.
+    /// Always zero — see [`Stats::superinst_hits`].
     pub superinst_eligible_slots: u64,
-    /// Mined idioms rejected by the differential validation gate (the
-    /// synthesized template disagreed with the interpreter oracle) and
-    /// demoted to the unfused path.
-    pub superinst_blacklists: u64,
     /// Dispatch-latency histogram: cycles from a dispatch boundary to
     /// the resolved translated entry, including any translation work on
     /// a miss.
@@ -336,21 +324,6 @@ impl Stats {
         )
     }
 
-    /// One-line warm-start summary (image hits/rejects, pre-translation)
-    /// for bench/figures output.
-    pub fn persist_summary(&self) -> String {
-        format!(
-            "image loaded {}, rejected {} (wholesale {}), saved {} ({} blocks), \
-             pretranslated {}",
-            self.image_blocks_loaded,
-            self.image_blocks_rejected,
-            self.image_rejects,
-            self.image_saves,
-            self.image_blocks_saved,
-            self.pretranslated_blocks
-        )
-    }
-
     /// One-line robustness summary (degradation-ladder activity) for
     /// bench/figures output.
     pub fn chaos_summary(&self) -> String {
@@ -367,50 +340,6 @@ impl Stats {
             self.integrity_evictions,
             self.watchdog_aborts,
             self.os_alloc_failures
-        )
-    }
-
-    /// One-line multi-tenant serving summary (shared-namespace traffic,
-    /// generation-tag activity, dispatch-latency percentiles) for
-    /// bench/figures output.
-    pub fn serving_summary(&self) -> String {
-        format!(
-            "shared installs {}, publishes {}, gen bumps {}, \
-             gen rejects {}, stale rejects {}, lock contention {}, \
-             profile restored {}/{} (heat/ic), \
-             dispatch p50/p99 {}/{}cy over {}",
-            self.shared_installs,
-            self.shared_publishes,
-            self.shared_gen_bumps,
-            self.shared_gen_rejects,
-            self.shared_stale_rejects,
-            self.shared_lock_contention,
-            self.profile_heat_restored,
-            self.profile_ic_restored,
-            self.dispatch_hist.percentile(50.0),
-            self.dispatch_hist.percentile(99.0),
-            self.dispatch_hist.count()
-        )
-    }
-
-    /// One-line superinstruction summary (mined idiom table, fused
-    /// firings, hit rate, validation blacklists) for bench/figures
-    /// output.
-    pub fn superinst_summary(&self) -> String {
-        let rate = if self.superinst_eligible_slots == 0 {
-            0.0
-        } else {
-            self.superinst_fused_slots as f64 / self.superinst_eligible_slots as f64
-        };
-        format!(
-            "idioms {}, hits {}, fused/eligible slots {}/{} ({:.1}%), \
-             validation blacklists {}",
-            self.superinst_mined_idioms,
-            self.superinst_hits,
-            self.superinst_fused_slots,
-            self.superinst_eligible_slots,
-            rate * 100.0,
-            self.superinst_blacklists
         )
     }
 

@@ -19,7 +19,6 @@
 
 mod flags_emit;
 mod fp;
-pub(crate) mod fused;
 mod int;
 mod mem;
 

@@ -440,63 +440,3 @@ fn indirect_predictions_stay_coherent_under_eviction() {
         );
     }
 }
-
-#[test]
-fn a_mov_alu_jcc_triple_closing_at_a_hammock_guards_the_body_itself() {
-    // Branches with no winner are if-converted; with learned
-    // superinstructions the `mov ; and ; jcc` in front of one is a
-    // single idiom whose predicate guards the hammock body. The second
-    // hammock's flags stay live past its guard (the `sete` after it
-    // reads them), the third one's body can fault.
-    let img = image(|a| {
-        a.mov_ri(ECX, 3000);
-        a.mov_ri(EDI, 1);
-        a.mov_ri(EBX, 7);
-        a.mov_ri(ESI, DATA as i32);
-        let top = a.label();
-        a.bind(top);
-        let (s1, s2, s4) = (a.label(), a.label(), a.label());
-        a.mov_rr(EDX, ECX);
-        a.alu_ri(AluOp::And, EDX, 1);
-        a.jcc(Cond::Ne, s1);
-        a.imul_rr(EDI, EBX);
-        a.bind(s1);
-        a.mov_rr(EAX, ECX);
-        a.alu_ri(AluOp::And, EAX, 2);
-        a.jcc(Cond::E, s2);
-        a.lea(EDI, ia32::inst::Addr::base_disp(EDI, 3));
-        a.bind(s2);
-        a.inst(ia32::inst::Inst::Setcc {
-            cond: Cond::E,
-            dst: ia32::inst::Rm::Reg(EDX),
-        });
-        a.alu_rr(AluOp::Add, EDI, EDX);
-        a.mov_rr(EDX, ECX);
-        a.alu_ri(AluOp::And, EDX, 4);
-        a.jcc(Cond::Ne, s4);
-        a.mov_store(ia32::inst::Addr::base_index(ESI, EAX, 4, 4), EDI);
-        a.bind(s4);
-        a.dec(ECX);
-        a.jcc(Cond::Ne, top);
-        a.mov_store(ia32::inst::Addr::abs(DATA), EDI);
-        a.hlt();
-    });
-    let cfg = btgeneric::engine::Config {
-        enable_superinst: true,
-        ..hot_config()
-    };
-    let mut p = differential(&img, cfg, &[(DATA, 16)], "guard-closing triple");
-    p.engine.collect_hot_exit_stats();
-    let s = &p.engine.stats;
-    assert!(s.hot_traces > 0);
-    // All three branches alternate, so none became a side exit ...
-    assert!(s.hot_side_exits < 50, "{} side exits", s.hot_side_exits);
-    // ... and each `mov ; and ; jcc` fired as one three-slot idiom (every
-    // other idiom in this loop covers two).
-    assert!(
-        s.superinst_fused_slots >= 2 * s.superinst_hits + 3,
-        "{} slots in {} firings",
-        s.superinst_fused_slots,
-        s.superinst_hits
-    );
-}

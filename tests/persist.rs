@@ -222,13 +222,18 @@ fn config_fingerprint_mismatch_rejects_wholesale() {
     let _ = std::fs::remove_file(&path);
 }
 
-/// Images written before the indirect-acceleration switch was deleted
-/// hashed seven codegen flag bytes into their fingerprint (the switch
-/// sat between `enable_fp_spec` and `enable_superinst`); this build
-/// hashes six. An otherwise intact image carrying the old fingerprint
-/// must be refused wholesale, and the run must still be right.
+/// Images written by builds that still had the indirect-acceleration
+/// switch and `enable_superinst` hashed seven codegen flag bytes into
+/// their fingerprint (the first sat after `enable_fp_spec`, the second
+/// came last); this build hashes five. Those builds also wrote format
+/// version 3, whose header counts a mined-idiom section (13 bytes an
+/// idiom plus an FNV trailer) that sits before the records. An
+/// otherwise intact image carrying the old fingerprint, or stamped
+/// version 3 with or without such a section, must be refused wholesale,
+/// and the run must still be right.
 #[test]
 fn image_with_the_old_seven_flag_fingerprint_is_rejected_wholesale() {
+    use btgeneric::persist::ImageError;
     use btgeneric::{layout, persist};
 
     let img = chain_image();
@@ -256,35 +261,67 @@ fn image_with_the_old_seven_flag_fingerprint_is_rejected_wholesale() {
         cfg.enable_fusion,
         cfg.enable_misalign_avoidance,
         cfg.enable_fp_spec,
-        cfg.enable_superinst,
     ];
     let mut new_recipe = recipe.clone();
     new_recipe.extend(new_flags.map(u8::from));
+    let ours = persist::fingerprint(&cfg);
     assert_eq!(
         persist::fnv64(&new_recipe),
-        persist::fingerprint(&cfg),
+        ours,
         "this test must track the live fingerprint recipe"
     );
     let mut old_flags = new_flags.to_vec();
-    old_flags.insert(5, true); // the deleted switch, at its default
+    old_flags.extend([true, false]); // the two deleted switches, at their defaults
     recipe.extend(old_flags.into_iter().map(u8::from));
     let old_fingerprint = persist::fnv64(&recipe);
 
-    // Re-stamp the saved image as an old build would have written it:
-    // fingerprint at header bytes 16..24, header FNV over 0..32 at 32..40.
-    let mut bytes = std::fs::read(&path).expect("saved image");
-    bytes[16..24].copy_from_slice(&old_fingerprint.to_le_bytes());
-    let seal = persist::fnv64(&bytes[0..32]);
-    bytes[32..40].copy_from_slice(&seal.to_le_bytes());
-    std::fs::write(&path, &bytes).expect("write re-stamped image");
+    let saved = std::fs::read(&path).expect("saved image");
+    // Re-stamp the saved image as an old build would have written it,
+    // re-sealing the header FNV (over 0..32, at 32..40) each time.
+    let reseal = |bytes: &mut Vec<u8>| {
+        let seal = persist::fnv64(&bytes[0..32]);
+        bytes[32..40].copy_from_slice(&seal.to_le_bytes());
+    };
+    let mut old_recipe = saved.clone();
+    old_recipe[16..24].copy_from_slice(&old_fingerprint.to_le_bytes());
+    reseal(&mut old_recipe);
+    let mut v3 = saved.clone();
+    v3[8..12].copy_from_slice(&3u32.to_le_bytes());
+    reseal(&mut v3);
+    let mut v3_idioms = v3.clone();
+    v3_idioms[24..26].copy_from_slice(&2u16.to_le_bytes());
+    let section = [0x5A; 2 * 13];
+    let mut tail = section.to_vec();
+    tail.extend_from_slice(&persist::fnv64(&section).to_le_bytes());
+    v3_idioms.splice(persist::HEADER_LEN..persist::HEADER_LEN, tail);
+    reseal(&mut v3_idioms);
 
-    let warm = warm_run(&img, &path);
-    assert_eq!(guest_result(&warm), want);
-    assert!(
-        warm.engine.stats.image_rejects > 0,
-        "an old-recipe fingerprint must gate the load"
-    );
-    assert_eq!(warm.engine.stats.image_blocks_loaded, 0);
+    for (what, bytes, refusal) in [
+        (
+            "seven-flag fingerprint",
+            old_recipe,
+            ImageError::FingerprintMismatch {
+                image: old_fingerprint,
+                ours,
+            },
+        ),
+        ("version 3", v3, ImageError::BadVersion(3)),
+        (
+            "version 3 with an idiom section",
+            v3_idioms,
+            ImageError::BadVersion(3),
+        ),
+    ] {
+        assert_eq!(persist::decode(&bytes, ours), Err(refusal), "{what}");
+        std::fs::write(&path, &bytes).expect("write re-stamped image");
+        let warm = warm_run(&img, &path);
+        assert_eq!(guest_result(&warm), want, "{what}");
+        assert!(
+            warm.engine.stats.image_rejects > 0,
+            "{what} must gate the load"
+        );
+        assert_eq!(warm.engine.stats.image_blocks_loaded, 0, "{what}");
+    }
 
     let _ = std::fs::remove_file(&path);
 }
