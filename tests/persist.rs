@@ -223,9 +223,9 @@ fn config_fingerprint_mismatch_rejects_wholesale() {
 }
 
 /// Images written by builds that still had the indirect-acceleration
-/// switch and `enable_superinst` hashed seven codegen flag bytes into
-/// their fingerprint (the first sat after `enable_fp_spec`, the second
-/// came last); this build hashes five. Those builds also wrote format
+/// and learned-superinstruction switches hashed seven codegen flag
+/// bytes into their fingerprint (the two sat after `enable_fp_spec`, in
+/// that order); this build hashes five. Those builds also wrote format
 /// version 3, whose header counts a mined-idiom section (13 bytes an
 /// idiom plus an FNV trailer) that sits before the records. An
 /// otherwise intact image carrying the old fingerprint, or stamped
