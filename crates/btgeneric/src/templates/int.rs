@@ -12,7 +12,7 @@ use ipf::inst::{CmpRel, FXfer, Op, Target};
 use ipf::regs::{Gr, Pr, F0, R0};
 
 /// Reads a register-or-memory operand (zero-extended at `size`).
-pub(super) fn read_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Size) -> Gr {
+fn read_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Size) -> Gr {
     match rm {
         Rm::Reg(r) => read_gpr(sink, *r, size),
         Rm::Mem(a) => {
@@ -42,7 +42,7 @@ fn read_alu_src(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -
 }
 
 /// Reads a register, memory, or immediate operand.
-pub(super) fn read_rmi(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -> Gr {
+fn read_rmi(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -> Gr {
     match rmi {
         RmI::Reg(r) => read_gpr(sink, *r, size),
         RmI::Mem(a) => {
@@ -58,7 +58,7 @@ pub(super) fn read_rmi(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: 
 }
 
 /// Truncate-and-zero-extend to `size`.
-pub(super) fn trunc(sink: &mut Sink, v: Gr, size: Size) -> Gr {
+fn trunc(sink: &mut Sink, v: Gr, size: Size) -> Gr {
     let d = sink.vg();
     sink.emit(Op::Zxt {
         d,
@@ -69,7 +69,7 @@ pub(super) fn trunc(sink: &mut Sink, v: Gr, size: Size) -> Gr {
 }
 
 /// Sign-extend at `size`.
-pub(super) fn sext(sink: &mut Sink, v: Gr, size: Size) -> Gr {
+fn sext(sink: &mut Sink, v: Gr, size: Size) -> Gr {
     let d = sink.vg();
     sink.emit(Op::Sxt {
         d,
@@ -83,7 +83,7 @@ pub(super) fn sext(sink: &mut Sink, v: Gr, size: Size) -> Gr {
 /// faulting op and must precede all state updates; the caller orders
 /// accordingly by calling this before flag emission when `dst` is
 /// memory.
-pub(super) fn write_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Size, v: Gr) {
+fn write_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Size, v: Gr) {
     match rm {
         Rm::Reg(r) => write_gpr(sink, ctx, *r, size, v),
         Rm::Mem(a) => {
@@ -94,7 +94,7 @@ pub(super) fn write_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Si
 }
 
 /// Pushes `v` (32-bit): store first, ESP update after (paper Table 1).
-pub(super) fn push32(sink: &mut Sink, ctx: &mut EmitCtx<'_>, v: Gr) {
+fn push32(sink: &mut Sink, ctx: &mut EmitCtx<'_>, v: Gr) {
     let esp = state::guest_gpr(4);
     let new = sink.vg();
     sink.emit(Op::AddImm {
@@ -590,7 +590,7 @@ pub(super) fn emit_int(
 }
 
 #[allow(clippy::too_many_arguments)]
-pub(super) fn emit_alu(
+fn emit_alu(
     sink: &mut Sink,
     ctx: &mut EmitCtx<'_>,
     op: AluOp,
@@ -1481,7 +1481,7 @@ fn emit_string(sink: &mut Sink, ctx: &mut EmitCtx<'_>, size: Size, rep: bool, mo
 
 /// Maps an IA-32 condition to an Itanium compare relation over the
 /// subtraction operands, when one exists.
-pub(super) fn cond_to_rel(cond: ia32::Cond) -> Option<(CmpRel, bool)> {
+fn cond_to_rel(cond: ia32::Cond) -> Option<(CmpRel, bool)> {
     use ia32::Cond as C;
     // (relation, needs signed operands)
     Some(match cond {

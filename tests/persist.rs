@@ -278,7 +278,7 @@ fn image_with_the_old_seven_flag_fingerprint_is_rejected_wholesale() {
     let saved = std::fs::read(&path).expect("saved image");
     // Re-stamp the saved image as an old build would have written it,
     // re-sealing the header FNV (over 0..32, at 32..40) each time.
-    let reseal = |bytes: &mut Vec<u8>| {
+    let reseal = |bytes: &mut [u8]| {
         let seal = persist::fnv64(&bytes[0..32]);
         bytes[32..40].copy_from_slice(&seal.to_le_bytes());
     };
