@@ -8,9 +8,9 @@ use crate::cold::discover::discover;
 use crate::cold::gen::{generate, ColdGenInput, SpecSeed};
 use crate::cold::liveness::analyze;
 use crate::cost;
-use crate::extents::ExtentIndex;
 use crate::layout::{self, region, StubKind};
 use crate::policy;
+use crate::registry::Registry;
 use crate::state::{self, GR_PAYLOAD0, GR_STATE};
 use crate::stats::Stats;
 use crate::templates::{AccessMode, MisalignPlan};
@@ -343,13 +343,13 @@ impl Bus for MemBus<'_> {
     }
 }
 
-/// The shareable code-cache half of an engine: every registry and
-/// bookkeeping structure that describes *translations* rather than the
-/// guest running through them. This is the state the multi-tenant
-/// serving layer shares across sessions (at the generation-metadata
-/// level, through [`crate::serving::SharedCache`]): translated extents,
-/// the EIP registry, chain links, profile/heat allocation, and the SMC
-/// governor. Pulling it out of [`Engine`] makes the per-guest /
+/// The shareable code-cache half of an engine: every bookkeeping
+/// structure that describes *translations* rather than the guest
+/// running through them. This is the state the multi-tenant serving
+/// layer shares across sessions (at the generation-metadata level,
+/// through [`crate::serving::SharedCache`]): the block table, the
+/// [`Registry`] of indices over it, profile/heat allocation, and the
+/// SMC governor. Pulling it out of [`Engine`] makes the per-guest /
 /// shareable boundary explicit and gives invalidation paths a single
 /// seam to notify the shared namespace from.
 #[derive(Debug)]
@@ -358,19 +358,11 @@ pub(crate) struct CodeCache {
     pub(crate) blacklist: Blacklist,
     /// Every block ever translated, by id (including evicted ones).
     pub(crate) blocks: Vec<BlockInfo>,
-    /// Live registry: guest EIP -> current block id.
-    pub(crate) by_eip: HashMap<u32, u32>,
-    /// Arena address -> owning block, over every live extent of every
-    /// generation. Updated exactly where extents are born
-    /// (`translate_cold_inner`, `install_hot`) and die (`evict_block`,
-    /// `flush_cache`).
-    pub(crate) extents: ExtentIndex,
+    /// Every index over `blocks`: where each translation is, which
+    /// pages it came from, and what points at it.
+    pub(crate) registry: Registry,
     /// Next free per-block profile slot.
     pub(crate) profile_cursor: u64,
-    /// Blocks registered for hot promotion (never eviction victims).
-    pub(crate) candidates: Vec<u32>,
-    /// Guest page -> block ids with code on that page (SMC scoping).
-    pub(crate) blocks_by_page: HashMap<u32, Vec<u32>>,
     /// Pages that have modified translated code at least once
     /// (translations get an explicit snapshot-check prologue).
     pub(crate) smc_pages: HashSet<u32>,
@@ -380,23 +372,9 @@ pub(crate) struct CodeCache {
     /// Pages blacklisted to interpret-only by the SMC-thrash governor
     /// (exponential un-blacklist backoff, keyed by page number).
     pub(crate) smc_blacklist: Blacklist,
-    /// Cached interpreter stubs by guest EIP (interpret-only pages
-    /// re-enter the same EIPs on every step; cleared on flush).
-    pub(crate) interp_stubs: HashMap<u32, u64>,
-    /// Pages holding translated code (write-protected until SMC fires).
-    pub(crate) protected_pages: Vec<u32>,
     /// Profile slot per guest EIP, persistent across retranslation and
     /// eviction so re-heated blocks promote quickly.
     pub(crate) profile_of: HashMap<u32, u64>,
-    /// Untranslated-exit trampolines waiting for a target, from the cold
-    /// generator's exit records: `target_eip -> trampoline addresses`.
-    /// Drained (patched into direct chained branches) when the target is
-    /// translated.
-    pub(crate) pending_exits: HashMap<u32, Vec<u64>>,
-    /// Reverse chain index: block id -> bundle addresses whose branch
-    /// was patched to point at (a generation of) that block. Used to
-    /// surgically un-link a victim's inbound edges on eviction.
-    pub(crate) links_into: HashMap<u32, Vec<u64>>,
     /// End of the currently mapped prefix of the profile region (grown
     /// on demand through `BtOs::alloc_pages`).
     pub(crate) profile_mapped: u64,
@@ -501,19 +479,12 @@ impl Engine {
             cache: CodeCache {
                 blacklist: Blacklist::new(cfg.blacklist_backoff_cycles),
                 blocks: Vec::new(),
-                by_eip: HashMap::new(),
-                extents: ExtentIndex::default(),
+                registry: Registry::default(),
                 profile_cursor: layout::COUNTERS_BASE + PROFILE_STRIDE,
-                candidates: Vec::new(),
-                blocks_by_page: HashMap::new(),
                 smc_pages: HashSet::new(),
                 smc_window: HashMap::new(),
                 smc_blacklist: Blacklist::new(policy::SMC_BACKOFF_CYCLES),
-                interp_stubs: HashMap::new(),
-                protected_pages: Vec::new(),
                 profile_of: HashMap::new(),
-                pending_exits: HashMap::new(),
-                links_into: HashMap::new(),
                 profile_mapped: layout::PROFILE_BASE + head,
                 ic_slots: vec![layout::COUNTERS_BASE + IC_OFFSET],
             },
@@ -550,6 +521,22 @@ impl Engine {
     /// All blocks (stats/tests).
     pub fn blocks(&self) -> &[BlockInfo] {
         &self.cache.blocks
+    }
+
+    /// Whether block `id` is the live translation of its EIP.
+    fn is_registered(&self, id: u32) -> bool {
+        self.cache
+            .registry
+            .is_registered(&self.cache.blocks[id as usize])
+    }
+
+    /// Audits the code cache after a registry transition (debug builds
+    /// only; a release build compiles this to nothing).
+    fn audited(&self) {
+        #[cfg(debug_assertions)]
+        if let Err(broken) = self.audit_transition() {
+            panic!("code-cache audit: {broken}");
+        }
     }
 
     fn current_spec(&self) -> SpecSeed {
@@ -619,15 +606,8 @@ impl Engine {
         self.stats.cache_flushes += 1;
         self.machine.arena.truncate(layout::TC_BASE);
         self.cache.blocks.clear();
-        self.cache.by_eip.clear();
-        self.cache.extents.clear();
-        self.cache.candidates.clear();
-        self.cache.blocks_by_page.clear();
-        self.cache.pending_exits.clear();
-        self.cache.links_into.clear();
-        self.cache.interp_stubs.clear();
         self.ctx.pinned_block = None;
-        for page in self.cache.protected_pages.drain(..) {
+        for page in self.cache.registry.clear() {
             self.mem.set_code_protect((page as u64) << 12, false);
         }
         // Clear the indirect-branch lookup table.
@@ -658,6 +638,7 @@ impl Engine {
         // shard generation so peers re-validate (conservatively) and
         // this tenant's re-publishes re-seed the namespace.
         self.shared_bump_all();
+        self.audited();
     }
 
     /// Harvests the indirect-acceleration memory cells into the
@@ -706,12 +687,15 @@ impl Engine {
             .collect()
     }
 
+    /// The live block translated from `eip`, if any.
+    pub(crate) fn live_block(&self, eip: u32) -> Option<&BlockInfo> {
+        let id = self.cache.registry.live(eip)?;
+        Some(&self.cache.blocks[id as usize])
+    }
+
     /// Entry address for `eip` if already translated (no translation).
     pub fn entry_of_existing(&self, eip: u32) -> Option<u64> {
-        self.cache
-            .by_eip
-            .get(&eip)
-            .map(|&id| self.cache.blocks[id as usize].entry)
+        self.live_block(eip).map(|b| b.entry)
     }
 
     /// Offers one lifecycle event to the tracer, charging
@@ -792,8 +776,6 @@ impl Engine {
         let b = &mut self.cache.blocks[block_id as usize];
         b.entry = entry;
         b.range = range;
-        b.extents.push(range);
-        self.cache.extents.insert(range, block_id);
         b.kind = BlockKind::Hot;
         b.hot = Some(hot);
         b.ia32_insts = ia32_insts;
@@ -804,16 +786,16 @@ impl Engine {
         // The promoted candidate may be a stale generation whose cold
         // registration was already swept (an SMC orphan between the
         // heat event and this promotion). The trace itself is fresh —
-        // selection decoded current guest bytes — but it must be
-        // re-registered, or page invalidation sweeps will never find
-        // it and a later rewrite of its source would leave it running
-        // stale (reachable through the dispatch lookup table).
-        let page = eip >> 12;
-        let by_page = self.cache.blocks_by_page.entry(page).or_default();
-        if !by_page.contains(&block_id) {
-            by_page.push(block_id);
+        // selection decoded current guest bytes — so it is registered
+        // like any other generation, or page invalidation sweeps would
+        // never find it and a later rewrite of its source would leave
+        // it running stale (reachable through the dispatch lookup table).
+        self.register(block_id);
+        // Hot exits were chained at emission time: record them all, so
+        // eviction of a target can un-link them.
+        for (target, site) in self.chained_branches(range.0, range.1, block_id) {
+            self.cache.registry.link(target, site);
         }
-        self.cache.by_eip.insert(eip, block_id);
         if self.cfg.verify_on_dispatch {
             self.cache.blocks[block_id as usize].checksum =
                 self.machine.arena.checksum_range(range.0, range.1);
@@ -830,13 +812,36 @@ impl Engine {
             commit_points,
         });
         self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockPromoted));
+        self.audited();
+    }
+
+    /// The single caller of [`Registry::install`]: block `id`'s record
+    /// already names its new generation. Write-protects the source
+    /// pages (unless a page is read-only or already in explicit-check
+    /// mode) and sends whatever block the new one displaced back
+    /// through dispatch.
+    fn register(&mut self, id: u32) {
+        let (mem, smc_pages) = (&self.mem, &self.cache.smc_pages);
+        let protectable = |page: u32| {
+            mem.prot_of((page as u64) << 12).map(|p| p.write) == Some(true)
+                && !smc_pages.contains(&page)
+        };
+        let b = &mut self.cache.blocks[id as usize];
+        let done = self.cache.registry.install(b, protectable);
+        for page in done.protect {
+            self.mem.set_code_protect((page as u64) << 12, true);
+        }
+        if let Some(old) = done.displaced {
+            let entry = self.cache.blocks[old as usize].entry;
+            self.forward(entry, StubKind::Reenter.addr());
+        }
     }
 
     /// Returns the entry address for `eip`, translating a cold block if
     /// necessary.
     pub fn entry_of(&mut self, os: &mut dyn BtOs, eip: u32) -> Result<u64, GuestException> {
-        if let Some(&id) = self.cache.by_eip.get(&eip) {
-            return Ok(self.cache.blocks[id as usize].entry);
+        if let Some(entry) = self.entry_of_existing(eip) {
+            return Ok(entry);
         }
         // SMC-thrashed pages are interpret-only until their backoff
         // expires: retranslating code the guest is busy rewriting is
@@ -918,16 +923,16 @@ impl Engine {
         // per live generation — deduplicated after the sort).
         let mut victims: Vec<(u64, u32)> = self
             .cache
-            .extents
-            .owners()
+            .registry
+            .unevicted()
             .map(|id| &self.cache.blocks[id as usize])
             .filter(|b| {
                 (include_hot == (b.kind == BlockKind::Hot))
                     && Some(b.id) != self.ctx.pinned_block
-                    && !self.cache.candidates.contains(&b.id)
+                    && !self.cache.registry.candidates().contains(&b.id)
             })
             .map(|b| {
-                let uses = if self.cache.by_eip.get(&b.eip) == Some(&b.id) {
+                let uses = if self.cache.registry.is_registered(b) {
                     self.mem.read(b.counter_addr, 8).unwrap_or(0)
                 } else {
                     0
@@ -950,21 +955,17 @@ impl Engine {
     /// purges its indirect-branch lookup entry, scrubs bookkeeping that
     /// references its code, and returns every generation's extent to
     /// the arena free list.
-    fn evict_block(&mut self, id: u32) {
-        let (eip, extents) = {
-            let b = &self.cache.blocks[id as usize];
-            (b.eip, b.extents.clone())
-        };
+    pub(crate) fn evict_block(&mut self, id: u32) {
+        let b = &mut self.cache.blocks[id as usize];
+        let eip = b.eip;
+        let crate::registry::Retired { extents, inbound } = self.cache.registry.retire(b);
         let in_extents =
             |addr: u64, ex: &[(u64, u64)]| ex.iter().any(|&(s, e)| addr >= s && addr < e);
         // Un-link inbound edges. The chaining bundle's trampoline movl
         // (payload = target EIP) is still upstream of the branch, so
         // re-pointing the branch at the stub restores the original
         // dispatch semantics exactly.
-        for from in self.cache.links_into.remove(&id).unwrap_or_default() {
-            if in_extents(from, &extents) {
-                continue; // self-link inside the victim: reclaimed anyway
-            }
+        for from in inbound {
             self.unlink_branch(from, &extents);
         }
         // Purge lookup entries — only where the slot both keys on this
@@ -1000,37 +1001,15 @@ impl Engine {
                 let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
             }
         }
-        // Patch sites inside the reclaimed extents may be reused for
-        // unrelated code: drop them from both side tables.
-        for v in self.cache.pending_exits.values_mut() {
-            v.retain(|&a| !in_extents(a, &extents));
-        }
-        self.cache.pending_exits.retain(|_, v| !v.is_empty());
-        for v in self.cache.links_into.values_mut() {
-            v.retain(|&a| !in_extents(a, &extents));
-        }
-        self.cache.links_into.retain(|_, v| !v.is_empty());
         let mut freed = 0;
         for &(s, e) in &extents {
             freed += (e - s) / ipf::Bundle::SIZE;
             self.machine.arena.release(s, e);
-            self.cache.extents.remove(s);
         }
-        if self.cache.by_eip.get(&eip) == Some(&id) {
-            self.cache.by_eip.remove(&eip);
+        // The ladder may evict the very block whose exit it is handling.
+        if self.ctx.pinned_block == Some(id) {
+            self.ctx.pinned_block = None;
         }
-        self.cache
-            .blocks_by_page
-            .entry(eip >> 12)
-            .or_default()
-            .retain(|&b| b != id);
-        self.cache.candidates.retain(|&c| c != id);
-        let b = &mut self.cache.blocks[id as usize];
-        b.evicted = true;
-        b.range = (0, 0);
-        b.extents.clear();
-        b.entry = StubKind::Untranslated.addr();
-        b.hot = None;
         self.stats.evictions += 1;
         self.stats.evicted_bundles += freed;
         // Tell the shared namespace: peers must never import a record
@@ -1042,17 +1021,19 @@ impl Engine {
             bundles: freed,
         });
         self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockEvicted));
+        self.audited();
     }
 
-    /// Scans the freshly installed code in `[start, end)` for branches
-    /// chained straight to another live block's entry and records each
-    /// as an inbound edge of its target, so eviction can un-link it.
-    /// Cold translation registers its trampolines one by one as it
-    /// patches them; hot installation chains exits at emission time and
-    /// registers them all here in one pass. An unregistered chain is a
-    /// use-after-free in waiting: evicting the target releases — and
-    /// eventually reuses — the arena space the branch still lands in.
-    pub(crate) fn register_inbound_links(&mut self, start: u64, end: u64, skip: u32) {
+    /// Scans the code in `[start, end)` for branches chained straight
+    /// to the entry of an unevicted block other than `skip`: `(target
+    /// block, bundle address)` each. Cold translation records its
+    /// trampolines one by one as it patches them; hot installation
+    /// chains exits at emission time and records what this finds. An
+    /// unrecorded chain is a use-after-free in waiting: evicting the
+    /// target releases — and eventually reuses — the arena space the
+    /// branch still lands in.
+    fn chained_branches(&self, start: u64, end: u64, skip: u32) -> Vec<(u32, u64)> {
+        let mut found = Vec::new();
         let mut addr = start;
         while addr < end {
             if let Some(b) = self.machine.arena.bundle_at(addr) {
@@ -1060,17 +1041,16 @@ impl Engine {
                     if let Some(Target::Abs(t)) = s.op.target() {
                         // A block's entry lies in its own latest extent,
                         // so the extent's owner is the only candidate.
-                        let tid = self.cache.extents.owner_of(t).filter(|&tid| {
+                        let tid = self.cache.registry.owner_of(t).filter(|&tid| {
                             tid != skip && self.cache.blocks[tid as usize].entry == t
                         });
-                        if let Some(tid) = tid {
-                            self.cache.links_into.entry(tid).or_default().push(addr);
-                        }
+                        found.extend(tid.map(|tid| (tid, addr)));
                     }
                 }
             }
             addr += ipf::Bundle::SIZE;
         }
+        found
     }
 
     /// Re-points every branch slot in the bundle at `addr` that targets
@@ -1246,8 +1226,8 @@ impl Engine {
         let src_fnv = src_checksum(&self.mem, src_range);
         let liveness = analyze(&region_g);
         let (id, profile, prev_entry, indirect_plain, pop_misses) =
-            match self.cache.by_eip.get(&eip) {
-                Some(&id) => {
+            match self.cache.registry.live(eip) {
+                Some(id) => {
                     let b = &self.cache.blocks[id as usize];
                     (
                         id,
@@ -1404,24 +1384,12 @@ impl Engine {
         };
         let range = (entry, entry + n_bundles * ipf::Bundle::SIZE);
 
-        // Write-protect the source page for SMC detection (unless it is
-        // already in explicit-check mode).
-        if self.mem.prot_of(eip as u64).map(|p| p.write) == Some(true)
-            && !self.cache.smc_pages.contains(&page)
-        {
-            self.mem.set_code_protect(eip as u64, true);
-            self.cache.protected_pages.push(page);
-        }
-        self.cache.blocks_by_page.entry(page).or_default().push(id);
-
         // Superseded generations stay allocated (their entries forward
         // here); eviction reclaims the whole list at once.
-        let mut extents = match prev_entry {
+        let extents = match prev_entry {
             Some(_) => std::mem::take(&mut self.cache.blocks[id as usize].extents),
             None => Vec::new(),
         };
-        extents.push(range);
-        self.cache.extents.insert(range, id);
         let info = BlockInfo {
             id,
             eip,
@@ -1457,8 +1425,8 @@ impl Engine {
             self.cache.blocks[id as usize] = info;
         } else {
             self.cache.blocks.push(info);
-            self.cache.by_eip.insert(eip, id);
         }
+        self.register(id);
         if self.cfg.verify_on_dispatch {
             self.cache.blocks[id as usize].checksum =
                 self.machine.arena.checksum_range(range.0, range.1);
@@ -1471,23 +1439,17 @@ impl Engine {
             let Some(br) = self.exit_branch_bundle(tramp, range.1) else {
                 continue;
             };
-            match self.cache.by_eip.get(&texit).copied() {
+            match self.cache.registry.live(texit) {
                 Some(tid) => {
                     let tentry = self.cache.blocks[tid as usize].entry;
-                    self.patch_branch(br, StubKind::Untranslated.addr(), tentry);
-                    self.cache.links_into.entry(tid).or_default().push(br);
+                    self.chain(br, tid, tentry);
                 }
-                None => {
-                    self.cache.pending_exits.entry(texit).or_default().push(br);
-                }
+                None => self.cache.registry.await_target(texit, br),
             }
         }
         // Chain every trampoline that was already waiting for this EIP.
-        if let Some(waiting) = self.cache.pending_exits.remove(&eip) {
-            for br in waiting {
-                self.patch_branch(br, StubKind::Untranslated.addr(), entry);
-                self.cache.links_into.entry(id).or_default().push(br);
-            }
+        for br in self.cache.registry.take_waiting(eip) {
+            self.chain(br, id, entry);
         }
         self.trace_emit(EventData::BlockTranslated {
             id,
@@ -1504,6 +1466,7 @@ impl Engine {
         if !matches!(origin, XlateOrigin::Shared { .. }) {
             self.shared_publish(eip);
         }
+        self.audited();
         Ok(entry)
     }
 
@@ -1620,7 +1583,7 @@ impl Engine {
         let Some(tenant) = self.ctx.shared.clone() else {
             return;
         };
-        let Some(&id) = self.cache.by_eip.get(&eip) else {
+        let Some(id) = self.cache.registry.live(eip) else {
             return;
         };
         let b = &self.cache.blocks[id as usize];
@@ -1650,7 +1613,7 @@ impl Engine {
             return;
         };
         let mut contention = 0;
-        for (&eip, &id) in &self.cache.by_eip {
+        for (eip, id) in self.cache.registry.registered() {
             let b = &self.cache.blocks[id as usize];
             if b.evicted {
                 continue;
@@ -1738,7 +1701,7 @@ impl Engine {
     /// shared-namespace import resumes hot-phase promotion where the
     /// saved profile left off instead of re-profiling from zero.
     pub(crate) fn restore_profile(&mut self, eip: u32, heat: u64, edges: (u32, u32)) -> bool {
-        let Some(&id) = self.cache.by_eip.get(&eip) else {
+        let Some(id) = self.cache.registry.live(eip) else {
             return false;
         };
         let b = &self.cache.blocks[id as usize];
@@ -1769,7 +1732,7 @@ impl Engine {
         let Some(target_entry) = self.entry_of_existing(pred) else {
             return false;
         };
-        let Some(&id) = self.cache.by_eip.get(&eip) else {
+        let Some(id) = self.cache.registry.live(eip) else {
             return false;
         };
         let b = &self.cache.blocks[id as usize];
@@ -1809,12 +1772,12 @@ impl Engine {
     /// Returns (emitting on first use) the interpreter stub for `eip`.
     /// Interpret-only pages re-dispatch the same EIPs on every single
     /// step, so stubs are cached per EIP (cleared on cache flush).
-    fn interp_stub_for(&mut self, eip: u32) -> u64 {
-        if let Some(&addr) = self.cache.interp_stubs.get(&eip) {
+    pub(crate) fn interp_stub_for(&mut self, eip: u32) -> u64 {
+        if let Some(addr) = self.cache.registry.interp_stub(eip) {
             return addr;
         }
         let addr = self.emit_interp_stub(eip);
-        self.cache.interp_stubs.insert(eip, addr);
+        self.cache.registry.remember_stub(eip, addr);
         addr
     }
 
@@ -1855,7 +1818,7 @@ impl Engine {
     /// generation contains it (an address in a superseded generation
     /// answers `None`).
     fn block_at_addr(&self, addr: u64) -> Option<u32> {
-        let id = self.cache.extents.owner_of(addr).filter(|&id| {
+        let id = self.cache.registry.owner_of(addr).filter(|&id| {
             let (s, e) = self.cache.blocks[id as usize].range;
             addr >= s && addr < e
         });
@@ -1867,7 +1830,7 @@ impl Engine {
     /// live generation (the degradation ladder must attribute failures
     /// in superseded extents too — live extents are disjoint).
     fn block_at_addr_any(&self, addr: u64) -> Option<u32> {
-        let id = self.cache.extents.owner_of(addr);
+        let id = self.cache.registry.owner_of(addr);
         debug_assert_eq!(id, self.scan_for_owner(addr, true));
         id
     }
@@ -1908,7 +1871,7 @@ impl Engine {
     /// caller falls back to the slow path, which retranslates) and
     /// false is returned.
     fn verify_dispatch(&mut self, eip: u32) -> bool {
-        let Some(&id) = self.cache.by_eip.get(&eip) else {
+        let Some(id) = self.cache.registry.live(eip) else {
             return true;
         };
         self.machine
@@ -2217,11 +2180,13 @@ impl Engine {
                 match self.entry_of(os, eip) {
                     Ok(entry) => {
                         // Patch the trampoline's branch (the bundle that
-                        // exited) to go straight to the new block, and
-                        // record the edge so eviction can un-link it.
-                        self.patch_branch(from, StubKind::Untranslated.addr(), entry);
-                        if let Some(&tid) = self.cache.by_eip.get(&eip) {
-                            self.cache.links_into.entry(tid).or_default().push(from);
+                        // exited) to go straight to the new block (or to
+                        // the interpreter stub standing in for it).
+                        match self.cache.registry.live(eip) {
+                            Some(tid) => self.chain(from, tid, entry),
+                            None => {
+                                self.patch_branch(from, StubKind::Untranslated.addr(), entry);
+                            }
                         }
                         ExitAction::Continue(entry)
                     }
@@ -2290,10 +2255,8 @@ impl Engine {
                     self.stats.blacklist_hits += 1;
                     return ExitAction::Dispatch(eip);
                 }
-                if !self.cache.candidates.contains(&id) {
-                    self.cache.candidates.push(id);
-                }
-                if self.cache.candidates.len() >= self.cfg.hot_candidates || twice {
+                self.cache.registry.nominate(id);
+                if self.cache.registry.candidates().len() >= self.cfg.hot_candidates || twice {
                     self.run_hot_session(os);
                 }
                 ExitAction::Dispatch(eip)
@@ -2725,32 +2688,29 @@ impl Engine {
         // for it is stale. Sweep the namespace first so a peer racing
         // this invalidation sees the generation bump.
         self.shared_invalidate_page(page);
-        let ids = self.cache.blocks_by_page.remove(&page).unwrap_or_default();
-        let mut kept = Vec::new();
-        for id in ids {
+        for id in self.cache.registry.on_page(page).to_vec() {
             let b = &self.cache.blocks[id as usize];
-            let stale =
-                b.kind == BlockKind::Hot || src_checksum(&self.mem, b.src_range) != b.src_fnv;
-            if !stale {
+            if b.kind != BlockKind::Hot && src_checksum(&self.mem, b.src_range) == b.src_fnv {
                 self.stats.smc_extent_keeps += 1;
-                kept.push(id);
-                continue;
+            } else {
+                self.stats.smc_extent_orphans += 1;
+                self.orphan_block(id);
             }
-            self.stats.smc_extent_orphans += 1;
-            let entry = self.cache.blocks[id as usize].entry;
-            self.forward(entry, StubKind::Reenter.addr());
-            let eip = self.cache.blocks[id as usize].eip;
-            // Guarded: an older orphaned generation must not clobber
-            // the mapping of a fresher block at the same EIP.
-            if self.cache.by_eip.get(&eip) == Some(&id) {
-                self.cache.by_eip.remove(&eip);
-            }
-            // Purge lookup + inline-cache entries keyed on this EIP.
-            self.lookup_purge_eip(eip);
         }
-        if !kept.is_empty() {
-            self.cache.blocks_by_page.insert(page, kept);
-        }
+    }
+
+    /// The single caller of [`Registry::orphan`]: block `id` leaves the
+    /// registry, its entry forwards to the re-enter stub (code already
+    /// inside it runs on to its next exit), and every lookup way and
+    /// inline cache keyed on its EIP is emptied so the next transfer
+    /// goes through dispatch.
+    fn orphan_block(&mut self, id: u32) {
+        let b = &self.cache.blocks[id as usize];
+        let (eip, entry) = (b.eip, b.entry);
+        self.cache.registry.orphan(b);
+        self.forward(entry, StubKind::Reenter.addr());
+        self.lookup_purge_eip(eip);
+        self.audited();
     }
 
     /// True when `eip` lives on a page the SMC governor has seen
@@ -2788,16 +2748,9 @@ impl Engine {
         self.stats.smc_blacklists += 1;
         self.trace_emit(EventData::SmcBlacklist { page, strikes });
         // Orphan every surviving translation on the page: dispatches
-        // must miss `by_eip` so they reach the interpret-only gate.
-        let ids = self.cache.blocks_by_page.remove(&page).unwrap_or_default();
-        for id in ids {
-            let entry = self.cache.blocks[id as usize].entry;
-            self.forward(entry, StubKind::Reenter.addr());
-            let eip = self.cache.blocks[id as usize].eip;
-            if self.cache.by_eip.get(&eip) == Some(&id) {
-                self.cache.by_eip.remove(&eip);
-            }
-            self.lookup_purge_eip(eip);
+        // must miss the registry so they reach the interpret-only gate.
+        for id in self.cache.registry.on_page(page).to_vec() {
+            self.orphan_block(id);
         }
         // Snapshot-check mode for post-backoff retranslations; writes
         // to the unprotected page are then caught by the SmcFail
@@ -2885,25 +2838,39 @@ impl Engine {
         self.machine.gr[state::GR_XMMFMT.0 as usize] = want as u64;
     }
 
-    fn patch_branch(&mut self, bundle_addr: u64, old_target: u64, new_target: u64) {
+    /// Chains the exit bundle `site` — still branching to the
+    /// Untranslated stub — straight to `entry` of block `target`, and
+    /// records the edge so eviction of the target can un-link it.
+    fn chain(&mut self, site: u64, target: u32, entry: u64) {
+        if self.patch_branch(site, StubKind::Untranslated.addr(), entry) {
+            self.cache.registry.link(target, site);
+        }
+    }
+
+    /// Re-points every branch to `old_target` in the bundle at
+    /// `bundle_addr` at `new_target`; whether there was one (an exit
+    /// already chained elsewhere — to an interpreter stub, say — is
+    /// left alone).
+    fn patch_branch(&mut self, bundle_addr: u64, old_target: u64, new_target: u64) -> bool {
+        let mut patches = Vec::new();
         if let Some(b) = self.machine.arena.bundle_at(bundle_addr) {
-            let mut patches = Vec::new();
             for (i, s) in b.slots.iter().enumerate() {
                 if s.op.target() == Some(Target::Abs(old_target)) {
                     patches.push(i);
                 }
             }
-            for i in patches {
-                self.machine.arena.patch_slot(
-                    bundle_addr,
-                    i,
-                    Op::Br {
-                        target: Target::Abs(new_target),
-                    },
-                );
-            }
+        }
+        for &i in &patches {
+            self.machine.arena.patch_slot(
+                bundle_addr,
+                i,
+                Op::Br {
+                    target: Target::Abs(new_target),
+                },
+            );
         }
         self.note_patched(bundle_addr);
+        !patches.is_empty()
     }
 
     fn run_hot_session(&mut self, os: &mut dyn BtOs) {
@@ -2921,14 +2888,13 @@ impl Engine {
             self.trace_emit(EventData::FaultInjected {
                 kind: FaultKind::HotBudget,
             });
-            self.cache.candidates.clear();
+            self.cache.registry.take_candidates();
             self.trace_phase_exit(span);
             return;
         }
         let budget = self.cfg.hot_session_budget;
         let start = self.overhead_cycles();
-        let candidates = std::mem::take(&mut self.cache.candidates);
-        for id in candidates {
+        for id in self.cache.registry.take_candidates() {
             let eip = self.cache.blocks[id as usize].eip;
             if self.cache.blacklist.is_blocked(eip, self.machine.cycles) {
                 self.stats.blacklist_hits += 1;
@@ -3096,7 +3062,7 @@ impl Engine {
         self.trace_emit(EventData::BlockDemoted { id, eip, strikes });
         self.trace_emit(EventData::Blacklisted { eip, until });
         self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockDemoted));
-        if self.cache.by_eip.get(&eip) == Some(&id) {
+        if self.is_registered(id) {
             // Injected translation death *during the demotion rebuild*:
             // a failure inside a recovery action. Descend re-entrantly
             // — evict and blacklist rather than loop demote→rebuild —
@@ -3178,7 +3144,7 @@ impl Engine {
         self.stats.indirect_demotions += 1;
         self.trace_emit(EventData::IndirectDemote { eip, id });
         self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::IndirectDemote));
-        if self.cache.by_eip.get(&eip) == Some(&id) {
+        if self.is_registered(id) {
             let _ = self.translate_cold(os, eip, kind, inline_fp, overrides);
         }
     }
@@ -3228,19 +3194,8 @@ impl Engine {
                 kind: FaultKind::SmcInvalidate,
             });
             self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-            let ids = self
-                .cache
-                .blocks_by_page
-                .remove(&(eip >> 12))
-                .unwrap_or_default();
-            for id in ids {
-                let entry = self.cache.blocks[id as usize].entry;
-                self.forward(entry, StubKind::Reenter.addr());
-                let beip = self.cache.blocks[id as usize].eip;
-                if self.cache.by_eip.get(&beip) == Some(&id) {
-                    self.cache.by_eip.remove(&beip);
-                }
-                self.lookup_purge_eip(beip);
+            for id in self.cache.registry.on_page(eip >> 12).to_vec() {
+                self.orphan_block(id);
             }
         }
         // Bit-flip: clobber a victim's entry bundle. Detected by the
@@ -3281,7 +3236,7 @@ impl Engine {
     /// Picks a live, registered injection victim — preferring hot
     /// blocks when asked (so storms exercise demotion).
     fn pick_victim(&mut self, plan: &mut FaultPlan, prefer_hot: bool) -> Option<u32> {
-        let live = |b: &&BlockInfo| !b.evicted && self.cache.by_eip.get(&b.eip) == Some(&b.id);
+        let live = |b: &&BlockInfo| !b.evicted && self.cache.registry.is_registered(b);
         let hot: Vec<u32> = self
             .cache
             .blocks
@@ -3486,7 +3441,7 @@ enum MisEmu {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::site_is_monomorphic;
 
     /// Regression test for the gate/demotion boundary: the devirt gate
@@ -3516,7 +3471,7 @@ mod tests {
 
     /// An OS layer that offers nothing: degradation must never need
     /// cooperation from the personality to reach its floor.
-    struct NullOs;
+    pub(crate) struct NullOs;
     impl BtOs for NullOs {
         fn version(&self) -> Version {
             Version {
@@ -3683,7 +3638,11 @@ mod tests {
         // Stop mid-loop, after the cold code has heated at least once.
         assert_eq!(engine.run(&mut os, cpu, 6_000), Outcome::InstLimit);
         assert!(engine.stats.heat_events > 0, "the loop never heated");
-        let id = engine.cache.by_eip[&loop_eip];
+        let id = engine
+            .cache
+            .registry
+            .live(loop_eip)
+            .expect("the loop is live");
 
         let snapshot = |e: &Engine| {
             let b = &e.cache.blocks[id as usize];
@@ -3693,12 +3652,7 @@ mod tests {
                 .collect();
             (
                 (b.kind, b.entry, b.range, b.extents.clone(), b.hot.is_some()),
-                (e.cache.blocks.len(), e.cache.by_eip.clone()),
-                (
-                    e.cache.links_into.clone(),
-                    e.cache.candidates.clone(),
-                    table,
-                ),
+                (e.cache.blocks.len(), e.cache.registry.clone(), table),
                 (e.machine.arena.end(), e.machine.cycles, e.stats.clone()),
             )
         };
@@ -3739,7 +3693,7 @@ mod tests {
     /// blocks, loaded into a fresh engine: `(engine, entry cpu, loop
     /// EIP, chain EIPs)`. The chain's adds carry a 32-bit immediate at
     /// `eip + 1` for tests that rewrite guest code.
-    fn loop_and_chain(n: usize, cfg: Config) -> (Engine, Cpu, u32, Vec<u32>) {
+    pub(crate) fn loop_and_chain(n: usize, cfg: Config) -> (Engine, Cpu, u32, Vec<u32>) {
         use ia32::inst::AluOp;
         use ia32::regs::{EAX, ECX};
         let mut a = ia32::asm::Asm::new(0x40_0000);
@@ -3807,13 +3761,18 @@ mod tests {
             let stub = StubKind::Untranslated.addr();
             assert_eq!(e.block_at_addr(stub), None);
             assert_eq!(e.block_at_addr_any(stub), None);
+            assert_eq!(e.audit(), Ok(()), "after {step}");
         };
 
         // The guest's own run: cold blocks, a heat event, a promotion.
         assert_eq!(engine.run(&mut os, cpu, 4_000), Outcome::InstLimit);
         assert!(engine.stats.hot_traces > 0, "the loop never promoted");
         check(&engine, "the guest's run");
-        let hot = engine.cache.by_eip[&loop_eip];
+        let hot = engine
+            .cache
+            .registry
+            .live(loop_eip)
+            .expect("the loop is live");
         let (cold_gen, hot_gen) = {
             let b = &engine.cache.blocks[hot as usize];
             assert!(b.extents.len() >= 2, "promotion keeps the cold generation");
@@ -3834,7 +3793,7 @@ mod tests {
             x ^= x >> 7;
             x ^= x << 17;
             let eip = chain[(x >> 8) as usize % chain.len()];
-            let live = engine.cache.by_eip.get(&eip).copied();
+            let live = engine.cache.registry.live(eip);
             let what = match ((x >> 40) % 16, live) {
                 (0..=5, _) => {
                     let holes = engine.machine.arena.free_bundles();
@@ -3871,7 +3830,7 @@ mod tests {
                         .write_forced(eip as u64 + 1, &[step as u8 | 0x80]);
                     engine.smc_invalidate_extents(eip >> 12);
                     let b = &engine.cache.blocks[id as usize];
-                    assert!(!b.evicted && engine.cache.by_eip.get(&eip) != Some(&id));
+                    assert!(!b.evicted && !engine.cache.registry.is_registered(b));
                     assert_eq!(
                         engine.block_at_addr(b.range.0),
                         Some(id),
@@ -3891,7 +3850,7 @@ mod tests {
                     "a full flush"
                 }
                 (15, _) => {
-                    let id = engine.cache.by_eip.get(&loop_eip).copied();
+                    let id = engine.cache.registry.live(loop_eip);
                     if let Some(id) = id.filter(|&id| engine.block(id).kind != BlockKind::Hot) {
                         crate::hot::promote(&mut engine, id);
                     } else {
@@ -3913,12 +3872,12 @@ mod tests {
 
         engine.flush_cache();
         check(&engine, "the last flush");
-        assert_eq!(engine.cache.extents.owners().count(), 0);
+        assert_eq!(engine.cache.registry.unevicted().count(), 0);
     }
 
-    /// `register_inbound_links` finds its targets through the extent
-    /// index; the map of every live block's entry it used to build per
-    /// call is the reference. The evicted block's entry is the
+    /// `chained_branches` finds its targets through the extent index;
+    /// the map of every live block's entry it used to build per call is
+    /// the reference. The evicted block's entry is the
     /// Untranslated stub, which every unchained exit branches to: none
     /// of those may be recorded as an edge.
     #[test]
@@ -3929,7 +3888,10 @@ mod tests {
         for &eip in chain.iter().rev() {
             engine.entry_of(&mut os, eip).expect("translates");
         }
-        let ids: Vec<u32> = chain.iter().map(|e| engine.cache.by_eip[e]).collect();
+        let ids: Vec<u32> = chain
+            .iter()
+            .map(|&e| engine.cache.registry.live(e).expect("translated above"))
+            .collect();
         engine.evict_block(ids[2]);
         let (start, end) = (engine.machine.arena.base(), engine.machine.arena.end());
 
@@ -3954,9 +3916,11 @@ mod tests {
                 }
                 addr += ipf::Bundle::SIZE;
             }
-            engine.cache.links_into.clear();
-            engine.register_inbound_links(start, end, skip);
-            assert_eq!(engine.cache.links_into, want, "skip {skip}");
+            let mut got: HashMap<u32, Vec<u64>> = HashMap::new();
+            for (tid, site) in engine.chained_branches(start, end, skip) {
+                got.entry(tid).or_default().push(site);
+            }
+            assert_eq!(got, want, "skip {skip}");
             assert!(!want.contains_key(&ids[2]), "edge into an evicted block");
             if skip == u32::MAX {
                 assert_eq!(want.len(), 1, "chain[0] -> chain[1] is the one live edge");

@@ -1,8 +1,8 @@
 //! The code cache's address → block index: every live arena extent,
 //! ordered by start address. An extent is born when a generation is
 //! installed (cold translation, hot promotion) and dies when its block
-//! is evicted or the cache is flushed; between those two points it is
-//! in this index, so "which block owns this bundle address" is one
+//! is evicted or the cache is flushed (the whole registry is dropped);
+//! between those two points it is in this index, so "which block owns this bundle address" is one
 //! ordered-map probe instead of a scan over every block ever
 //! translated. Live extents are disjoint — the arena never hands out
 //! an address twice before it is released — which is what makes the
@@ -11,7 +11,7 @@
 use std::collections::BTreeMap;
 
 /// Live extents by start address: `start -> (end, owning block id)`.
-#[derive(Debug, Default)]
+#[derive(Clone, Debug, Default, PartialEq)]
 pub(crate) struct ExtentIndex {
     by_start: BTreeMap<u64, (u64, u32)>,
 }
@@ -30,21 +30,21 @@ impl ExtentIndex {
         debug_assert!(prev.is_some(), "extent {start:#x} was never indexed");
     }
 
-    /// Forgets every extent (cache flush).
-    pub(crate) fn clear(&mut self) {
-        self.by_start.clear();
-    }
-
     /// The block owning the live extent that contains `addr`, if any.
     pub(crate) fn owner_of(&self, addr: u64) -> Option<u32> {
         let (_, &(end, id)) = self.by_start.range(..=addr).next_back()?;
         (addr < end).then_some(id)
     }
 
+    /// Every live extent as `(start, end, owner)`, in address order.
+    pub(crate) fn iter(&self) -> impl Iterator<Item = (u64, u64, u32)> + '_ {
+        self.by_start.iter().map(|(&s, &(e, id))| (s, e, id))
+    }
+
     /// The owner of every live extent, in address order — a block with
     /// several live generations appears once per generation.
     pub(crate) fn owners(&self) -> impl Iterator<Item = u32> + '_ {
-        self.by_start.values().map(|&(_, id)| id)
+        self.iter().map(|(_, _, id)| id)
     }
 }
 
@@ -74,9 +74,5 @@ mod tests {
         ix.insert((0x140, 0x148), 9);
         assert_eq!(ix.owner_of(0x140), Some(9));
         assert_eq!(ix.owner_of(0x148), None);
-
-        ix.clear();
-        assert_eq!(ix.owner_of(0x100), None);
-        assert_eq!(ix.owners().count(), 0);
     }
 }

@@ -219,7 +219,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
         visited.insert(cur);
         // The block must have run cold (we need its counters): the live
         // generation at this EIP, not one an eviction or SMC retired.
-        let Some(info) = engine.cache.by_eip.get(&cur).map(|&id| engine.block(id)) else {
+        let Some(info) = engine.live_block(cur) else {
             main_exit = cur;
             break;
         };
@@ -1022,7 +1022,6 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     } else {
         engine.machine.arena.place(base, bundles, region::HOT)
     };
-    engine.register_inbound_links(entry, entry + n_bundles * ipf::Bundle::SIZE, block_id);
     engine.machine.charge(
         region::OVERHEAD,
         ia32_count.max(1) * cost::COLD_XLATE_CYCLES * cost::HOT_XLATE_FACTOR,

@@ -19,6 +19,7 @@ pub mod hot;
 pub mod layout;
 pub mod persist;
 pub mod policy;
+mod registry;
 pub mod serving;
 pub mod state;
 pub mod stats;

@@ -580,6 +580,14 @@ impl CodeArena {
         self.free.iter().map(|&(_, n)| n).sum()
     }
 
+    /// The free list as `[start, end)` address extents, in address
+    /// order (the translator's cache audit checks nothing live overlaps
+    /// them).
+    pub fn free_extents(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
+        let at = |i: usize| self.base + i as u64 * Bundle::SIZE;
+        self.free.iter().map(move |&(i, n)| (at(i), at(i + n)))
+    }
+
     /// Number of live (allocated) bundles: total minus free.
     pub fn live_len(&self) -> usize {
         self.bundles.len() - self.free_bundles()
