@@ -158,3 +158,103 @@ fn smc_in_a_loop_retranslates_each_change() {
         .with_writable_code();
     differential(&img, cold_config(), &[(DATA, 8)], "smcloop/cold");
 }
+
+/// Pads with `nop`s until the next instruction assembles at `addr`.
+fn pad_to(a: &mut Asm, addr: u32) {
+    while a.here() < addr {
+        a.nop();
+    }
+    assert_eq!(a.here(), addr, "overshot the pad target");
+}
+
+#[test]
+fn smc_store_to_a_straddling_blocks_second_page_is_seen() {
+    // The loop block starts on the last byte of page 0x400: the opcode
+    // of `mov ebx, imm32` is there, its immediate (and the rest of the
+    // block) on page 0x401. Each iteration rewrites that immediate. No
+    // block *starts* on page 0x401 until the loop is over, so a cache
+    // that protects only the page of a block's first byte never sees
+    // the stores and keeps adding the original 1.
+    let mut a = Asm::new(0x40_0000);
+    a.mov_ri(EAX, 0);
+    a.mov_ri(ECX, 5);
+    let top = a.label();
+    a.jmp(top);
+    pad_to(&mut a, 0x40_0FFF);
+    a.bind(top);
+    a.mov_ri(EBX, 1); // B8+r at 0x400FFF, imm32 at 0x401000
+    a.alu_rr(AluOp::Add, EAX, EBX);
+    a.mov_store(Addr::abs(0x40_1000), ECX);
+    a.dec(ECX);
+    a.jcc(Cond::Ne, top);
+    a.mov_store(Addr::abs(DATA), EAX);
+    a.hlt();
+    let img = Image::from_asm(&a)
+        .with_bss(DATA, 0x1000)
+        .with_writable_code();
+
+    let oracle = ia32el::testkit::run_interp(&img, 1_000_000);
+    assert_eq!(oracle.mem.read(DATA as u64, 4).unwrap(), 1 + 5 + 4 + 3 + 2);
+    let (r, p) = run_translated(&img, cold_config(), 10_000_000);
+    assert_eq!(r.end, ia32el::testkit::RunEnd::Halt);
+    assert_eq!(
+        p.engine.mem.read(DATA as u64, 4).unwrap(),
+        15,
+        "each rewritten immediate must be the one added next ({} SMC events)",
+        p.engine.stats.smc_events
+    );
+    assert!(p.engine.stats.smc_events >= 1, "the stores must fault");
+}
+
+#[test]
+fn smc_store_to_a_page_a_hot_trace_only_inlines_retires_the_trace() {
+    // Three pages: `top` (page 0x400) adds EBX — loaded by a `mov ebx,
+    // imm32` the guest rewrites once, from 1 to 1000, three quarters of
+    // the way through — `second` (page 0x401) adds 1, `back` (page
+    // 0x402) counts down. The first trace is headed at `second` and
+    // inlines `back` and `top`; it executes the rewriting store itself,
+    // and the never-before-seen block after the store jumps straight
+    // back into it. A cache that lists the trace under its head's page
+    // only orphans page 0x400's cold blocks and leaves the trace
+    // running the baked-in 1.
+    let mut a = Asm::new(0x40_0000);
+    a.mov_ri(EAX, 0);
+    a.mov_ri(ECX, 2000);
+    let (top, second, back, done) = (a.label(), a.label(), a.label(), a.label());
+    a.bind(top);
+    let imm = a.here() + 1; // mov_ri is B8+r imm32
+    a.mov_ri(EBX, 1);
+    a.alu_rr(AluOp::Add, EAX, EBX);
+    a.cmp_ri(ECX, 500);
+    a.jcc(Cond::Ne, second);
+    a.mov_mi(Addr::abs(imm), 1000);
+    a.jmp(second);
+    pad_to(&mut a, 0x40_1000);
+    a.bind(second);
+    a.alu_ri(AluOp::Add, EAX, 1);
+    a.jmp(back);
+    pad_to(&mut a, 0x40_2000);
+    a.bind(back);
+    a.dec(ECX);
+    a.jcc(Cond::E, done);
+    a.jmp(top);
+    a.bind(done);
+    a.mov_store(Addr::abs(DATA), EAX);
+    a.hlt();
+    let img = Image::from_asm(&a)
+        .with_bss(DATA, 0x1000)
+        .with_writable_code();
+
+    let oracle = ia32el::testkit::run_interp(&img, 10_000_000);
+    let want = 2000 + 1501 + 499 * 1000;
+    assert_eq!(oracle.mem.read(DATA as u64, 4).unwrap(), want);
+    let (r, p) = run_translated(&img, hot_config(), 1_000_000_000);
+    assert_eq!(r.end, ia32el::testkit::RunEnd::Halt);
+    assert!(p.engine.stats.hot_traces > 0, "the loop must heat");
+    assert_eq!(
+        p.engine.mem.read(DATA as u64, 4).unwrap(),
+        want,
+        "after the rewrite every iteration adds 1000 ({} extents orphaned)",
+        p.engine.stats.smc_extent_orphans
+    );
+}
