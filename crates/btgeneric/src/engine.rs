@@ -777,7 +777,6 @@ impl Engine {
         b.entry = entry;
         b.range = range;
         b.kind = BlockKind::Hot;
-        b.hot = Some(hot);
         b.ia32_insts = ia32_insts;
         b.misalign_faults = 0;
         b.failures = 0;
@@ -790,7 +789,10 @@ impl Engine {
         // like any other generation, or page invalidation sweeps would
         // never find it and a later rewrite of its source would leave
         // it running stale (reachable through the dispatch lookup table).
-        self.register(block_id);
+        // A trace is listed under every page it was compiled from, so a
+        // store to a block it merely inlines finds it too.
+        self.register(block_id, &hot.spans);
+        self.cache.blocks[block_id as usize].hot = Some(hot);
         // Hot exits were chained at emission time: record them all, so
         // eviction of a target can un-link them.
         for (target, site) in self.chained_branches(range.0, range.1, block_id) {
@@ -816,18 +818,18 @@ impl Engine {
     }
 
     /// The single caller of [`Registry::install`]: block `id`'s record
-    /// already names its new generation. Write-protects the source
-    /// pages (unless a page is read-only or already in explicit-check
-    /// mode) and sends whatever block the new one displaced back
-    /// through dispatch.
-    fn register(&mut self, id: u32) {
+    /// already names its new generation, translated from `spans`.
+    /// Write-protects every page of them (unless a page is read-only or
+    /// already in explicit-check mode) and sends whatever block the new
+    /// one displaced back through dispatch.
+    fn register(&mut self, id: u32, spans: &[(u32, u32)]) {
         let (mem, smc_pages) = (&self.mem, &self.cache.smc_pages);
         let protectable = |page: u32| {
             mem.prot_of((page as u64) << 12).map(|p| p.write) == Some(true)
                 && !smc_pages.contains(&page)
         };
         let b = &mut self.cache.blocks[id as usize];
-        let done = self.cache.registry.install(b, protectable);
+        let done = self.cache.registry.install(b, spans, protectable);
         for page in done.protect {
             self.mem.set_code_protect((page as u64) << 12, true);
         }
@@ -1426,7 +1428,7 @@ impl Engine {
         } else {
             self.cache.blocks.push(info);
         }
-        self.register(id);
+        self.register(id, &[src_range]);
         if self.cfg.verify_on_dispatch {
             self.cache.blocks[id as usize].checksum =
                 self.machine.arena.checksum_range(range.0, range.1);
@@ -3692,14 +3694,25 @@ pub(crate) mod tests {
     /// A guest of one counted loop followed by a chain of `n` one-add
     /// blocks, loaded into a fresh engine: `(engine, entry cpu, loop
     /// EIP, chain EIPs)`. The chain's adds carry a 32-bit immediate at
-    /// `eip + 1` for tests that rewrite guest code.
+    /// `eip + 1` for tests that rewrite guest code. The loop starts two
+    /// bytes before page 0x401, so its block — and its trace — has
+    /// source on two pages; so has block `n / 2` of the chain, whose
+    /// immediate straddles pages 0x401 and 0x402.
     pub(crate) fn loop_and_chain(n: usize, cfg: Config) -> (Engine, Cpu, u32, Vec<u32>) {
         use ia32::inst::AluOp;
         use ia32::regs::{EAX, ECX};
         let mut a = ia32::asm::Asm::new(0x40_0000);
+        let pad_to = |a: &mut ia32::asm::Asm, addr: u32| {
+            while a.here() < addr {
+                a.nop();
+            }
+            assert_eq!(a.here(), addr);
+        };
         a.mov_ri(ECX, 400);
         a.mov_ri(EAX, 0);
         let top = a.label();
+        a.jmp(top);
+        pad_to(&mut a, 0x40_0FFE);
         a.bind(top);
         let loop_eip = a.here();
         a.alu_rr(AluOp::Add, EAX, ECX);
@@ -3707,8 +3720,11 @@ pub(crate) mod tests {
         a.jcc(ia32::Cond::Ne, top);
         let labels: Vec<_> = (0..n).map(|_| a.label()).collect();
         let mut chain = Vec::new();
-        for l in labels {
+        for (k, l) in labels.into_iter().enumerate() {
             a.jmp(l);
+            if k == n / 2 {
+                pad_to(&mut a, 0x40_1FFD);
+            }
             a.bind(l);
             chain.push(a.here());
             a.alu_ri(AluOp::Add, EAX, 0x1234_5678);
@@ -3728,12 +3744,14 @@ pub(crate) mod tests {
     /// retranslation of a live EIP (a superseding generation), hot
     /// promotion, eviction (chosen victims and `make_room` under a
     /// small cap), SMC orphaning and retranslation, interpreter stubs,
-    /// and full flushes.
+    /// and full flushes. Every step also passes the whole-cache audit.
+    /// The loop's trace and one chain block have source on two pages,
+    /// and the walk rewrites that block on either.
     #[test]
     fn extent_index_matches_the_linear_scan_through_the_cache_lifecycle() {
         let cfg = Config {
             heat_threshold: 16,
-            max_cache_bundles: 250,
+            max_cache_bundles: 200,
             ..Config::default()
         };
         let (mut engine, cpu, loop_eip, chain) = loop_and_chain(40, cfg);
@@ -3773,6 +3791,11 @@ pub(crate) mod tests {
             .registry
             .live(loop_eip)
             .expect("the loop is live");
+        for page in [0x400, 0x401] {
+            let listed = engine.cache.registry.on_page(page);
+            assert!(listed.contains(&hot), "the trace has source on {page:#x}");
+        }
+        let straddler = chain[chain.len() / 2];
         let (cold_gen, hot_gen) = {
             let b = &engine.cache.blocks[hot as usize];
             assert!(b.extents.len() >= 2, "promotion keeps the cold generation");
@@ -3787,12 +3810,16 @@ pub(crate) mod tests {
         assert_eq!(engine.block_at_addr_any(cold_gen), Some(hot));
 
         let (mut superseded, mut evicted, mut orphaned, mut refilled) = (0, 0, 0, 0);
+        let mut second_page = 0;
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
         for step in 0..160 {
             x ^= x << 13;
             x ^= x >> 7;
             x ^= x << 17;
-            let eip = chain[(x >> 8) as usize % chain.len()];
+            let eip = match step % 8 {
+                0 => straddler,
+                _ => chain[(x >> 8) as usize % chain.len()],
+            };
             let live = engine.cache.registry.live(eip);
             let what = match ((x >> 40) % 16, live) {
                 (0..=5, _) => {
@@ -3824,11 +3851,17 @@ pub(crate) mod tests {
                     "eviction"
                 }
                 (11..=12, Some(id)) => {
-                    // The guest rewrites the add's immediate.
-                    engine
-                        .mem
-                        .write_forced(eip as u64 + 1, &[step as u8 | 0x80]);
-                    engine.smc_invalidate_extents(eip >> 12);
+                    // The guest rewrites a byte of the add: its second,
+                    // or the straddler's first on page 0x402.
+                    let at = if eip == straddler {
+                        0x40_2000
+                    } else {
+                        eip as u64 + 1
+                    };
+                    let was = engine.mem.read(at, 1).expect("code is readable") as u8;
+                    engine.mem.write_forced(at, &[!was]);
+                    engine.smc_invalidate_extents((at >> 12) as u32);
+                    second_page += u32::from(at >> 12 != eip as u64 >> 12);
                     let b = &engine.cache.blocks[id as usize];
                     assert!(!b.evicted && !engine.cache.registry.is_registered(b));
                     assert_eq!(
@@ -3863,6 +3896,7 @@ pub(crate) mod tests {
             check(&engine, what);
         }
         assert!(superseded > 0 && evicted > 0 && orphaned > 0 && refilled > 0);
+        assert!(second_page > 0, "never rewrote the straddler's second page");
         assert!(
             engine.stats.evictions > evicted,
             "make_room never evicted ({} live bundles)",

@@ -24,6 +24,10 @@ pub struct HotData {
     pub recovery: Vec<RecEntry>,
     /// Faulty micro-op location -> recovery index.
     pub by_slot: HashMap<(u64, u8), u32>,
+    /// Every guest byte range `[start, end)` the trace was compiled
+    /// from, ascending and disjoint: a store into any of them makes the
+    /// trace stale.
+    pub spans: Vec<(u32, u32)>,
 }
 
 impl HotData {

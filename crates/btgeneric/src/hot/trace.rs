@@ -128,6 +128,35 @@ pub(super) struct Trace {
     pub blocks: Vec<u32>,
 }
 
+impl Trace {
+    /// Every guest byte range the trace bakes in: the source of each
+    /// cold block it covers, and each step's own bytes — an
+    /// if-converted hammock body is decoded straight from guest memory
+    /// and belongs to no cold block. Ascending, overlaps merged.
+    fn source_spans(&self, engine: &Engine) -> Vec<(u32, u32)> {
+        let mut spans: Vec<(u32, u32)> = self
+            .blocks
+            .iter()
+            .map(|&id| engine.block(id).src_range)
+            .collect();
+        spans.extend(self.steps.iter().filter_map(|s| match *s {
+            Step::Inst { ip, len, .. }
+            | Step::Terminator { ip, len, .. }
+            | Step::IndirectEnd { ip, len, .. } => Some((ip, ip + len as u32)),
+            Step::Guard { .. } | Step::SideExit { .. } => None,
+        }));
+        spans.sort_unstable();
+        let mut merged: Vec<(u32, u32)> = Vec::new();
+        for (start, end) in spans {
+            match merged.last_mut() {
+                Some(last) if start <= last.1 => last.1 = last.1.max(end),
+                _ => merged.push((start, end)),
+            }
+        }
+        merged
+    }
+}
+
 /// Instructions we refuse to put on a trace (internal control flow or
 /// interpreter bail-outs).
 fn trace_hostile(inst: &I32) -> bool {
@@ -1005,6 +1034,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     let mut hot = HotData {
         recovery,
         by_slot: HashMap::new(),
+        spans: trace.source_spans(engine),
     };
     for (k, (_, _, rec)) in compiled.iter().enumerate() {
         if let Some(rec) = *rec {

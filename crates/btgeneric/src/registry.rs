@@ -41,6 +41,10 @@ pub(crate) struct Registry {
     extents: ExtentIndex,
     /// Guest page -> live blocks with source bytes on it.
     by_page: HashMap<u32, Vec<u32>>,
+    /// Live block -> the pages that list it beyond its EIP's own (a
+    /// block that straddles a page boundary, a trace that inlines
+    /// blocks from other pages).
+    straddles: HashMap<u32, Vec<u32>>,
     /// Pages write-protected because translated code came from them.
     protected: BTreeSet<u32>,
     /// Block -> bundles whose branch was chained into (a generation of)
@@ -151,12 +155,15 @@ impl Registry {
     /// A new generation of `b` — first cold translation, same-id
     /// regeneration, or hot promotion — becomes the live translation of
     /// `b.eip`. `b.entry`/`b.range` already name the new generation; it
-    /// joins `b.extents` and the extent index here. Whatever else was
-    /// live at the EIP (a fresh block standing where a swept candidate
-    /// is now promoted) is orphaned and reported.
+    /// joins `b.extents` and the extent index here. `spans` are the
+    /// guest byte ranges it was translated from, `b.eip` among them:
+    /// every page they overlap lists the block and is to be protected.
+    /// Whatever else was live at the EIP (a fresh block standing where
+    /// a swept candidate is now promoted) is orphaned and reported.
     pub(crate) fn install(
         &mut self,
         b: &mut BlockInfo,
+        spans: &[(u32, u32)],
         protectable: impl Fn(u32) -> bool,
     ) -> Installed {
         self.transitions += 1;
@@ -166,15 +173,29 @@ impl Registry {
         if let Some(old) = displaced {
             self.unlist(old, b.eip);
         }
-        let page = b.eip >> 12;
-        let listed = self.by_page.entry(page).or_default();
-        // Cold regenerations are listed again (counted twice by the
-        // per-extent SMC sweep); promotions are not.
-        if b.kind != BlockKind::Hot || !listed.contains(&b.id) {
-            listed.push(b.id);
+        let pages = pages_of_spans(spans);
+        let head = b.eip >> 12;
+        debug_assert!(pages.contains(&head), "a block's source starts at its EIP");
+        // A regeneration's source may have moved off a page.
+        for page in self.straddles.remove(&b.id).unwrap_or_default() {
+            if !pages.contains(&page) {
+                self.unlist_from(b.id, page);
+            }
         }
-        let protect: Vec<u32> = [page].into_iter().filter(|&p| protectable(p)).collect();
+        for &page in &pages {
+            let listed = self.by_page.entry(page).or_default();
+            // Cold regenerations are listed again (counted twice by the
+            // per-extent SMC sweep); promotions are not.
+            if b.kind != BlockKind::Hot || !listed.contains(&b.id) {
+                listed.push(b.id);
+            }
+        }
+        let protect: Vec<u32> = pages.iter().copied().filter(|&p| protectable(p)).collect();
         self.protected.extend(&protect);
+        if pages.len() > 1 {
+            let beyond = pages.into_iter().filter(|&p| p != head).collect();
+            self.straddles.insert(b.id, beyond);
+        }
         Installed { protect, displaced }
     }
 
@@ -229,7 +250,13 @@ impl Registry {
 
     /// Takes block `id`, translated from `eip`, off every page list.
     fn unlist(&mut self, id: u32, eip: u32) {
-        let page = eip >> 12;
+        self.unlist_from(id, eip >> 12);
+        for page in self.straddles.remove(&id).unwrap_or_default() {
+            self.unlist_from(id, page);
+        }
+    }
+
+    fn unlist_from(&mut self, id: u32, page: u32) {
         if let Some(listed) = self.by_page.get_mut(&page) {
             listed.retain(|&b| b != id);
             if listed.is_empty() {
@@ -239,10 +266,25 @@ impl Registry {
     }
 }
 
-/// The guest pages block `b` is listed on while it is live.
-#[cfg(any(test, debug_assertions))]
-fn source_pages(b: &BlockInfo) -> Vec<u32> {
-    vec![b.eip >> 12]
+/// The guest pages `spans` (`[start, end)` byte ranges) overlap,
+/// ascending, each once.
+fn pages_of_spans(spans: &[(u32, u32)]) -> Vec<u32> {
+    let mut pages: Vec<u32> = spans
+        .iter()
+        .flat_map(|&(start, end)| (start >> 12)..=(end.saturating_sub(1).max(start) >> 12))
+        .collect();
+    pages.sort_unstable();
+    pages.dedup();
+    pages
+}
+
+/// The guest byte ranges `b`'s current generation was translated from:
+/// a cold block's own source, or everything a hot trace covers.
+pub(crate) fn source_spans(b: &BlockInfo) -> &[(u32, u32)] {
+    match &b.hot {
+        Some(hot) => &hot.spans,
+        None => std::slice::from_ref(&b.src_range),
+    }
 }
 
 /// `check!(name, holds, why...)`: names the broken invariant.
@@ -312,16 +354,16 @@ impl crate::engine::Engine {
             let mut got = listing.remove(&id).unwrap_or_default();
             got.sort_unstable();
             got.dedup();
-            let want = source_pages(&blocks[id as usize]);
+            let want = pages_of_spans(source_spans(&blocks[id as usize]));
             check!(
                 "pages",
-                got == want,
+                got == want && r.straddles.get(&id).map_or(1, |more| 1 + more.len()) == want.len(),
                 "live block {id} has source on pages {want:x?} and is listed by {got:x?}"
             );
         }
         check!(
             "pages",
-            listing.is_empty(),
+            listing.is_empty() && r.straddles.keys().all(|&id| unevicted(id)),
             "blocks {:?} are listed and not live",
             listing.keys()
         );
@@ -495,13 +537,13 @@ mod tests {
     use crate::engine::tests::{loop_and_chain, NullOs};
     use crate::engine::{Config, Engine};
 
-    /// A cache with something in every index: three chained live
-    /// blocks (the last one's exit still waiting for its target), a
-    /// lookup way, a hot candidate, an interpreter stub and an evicted
-    /// block's hole on the free list. Returns the engine, the live
-    /// blocks' ids in chain order and the evicted block's id and
-    /// former entry.
-    fn populated() -> (Engine, [u32; 3], (u32, u64)) {
+    /// A cache with something in every index: four chained live blocks
+    /// (the last one straddles a page boundary, and its exit still
+    /// waits for its target), a lookup way, a hot candidate, an
+    /// interpreter stub and an evicted block's hole on the free list.
+    /// Returns the engine, the live blocks' ids in chain order and the
+    /// evicted block's id and former entry.
+    fn populated() -> (Engine, [u32; 4], (u32, u64)) {
         let (mut engine, _, _, chain) = loop_and_chain(6, Config::default());
         let mut os = NullOs;
         let mut translate = |engine: &mut Engine, eip: u32| {
@@ -513,6 +555,7 @@ mod tests {
         };
         let victim = translate(&mut engine, chain[5]);
         // Targets first, so each later block chains straight to them.
+        let d = translate(&mut engine, chain[3]).0;
         let c = translate(&mut engine, chain[2]).0;
         let b = translate(&mut engine, chain[1]).0;
         let (a, entry) = translate(&mut engine, chain[0]);
@@ -520,7 +563,7 @@ mod tests {
         engine.lookup_insert(chain[0], entry);
         engine.cache.registry.nominate(a);
         engine.interp_stub_for(chain[4]);
-        (engine, [a, b, c], victim)
+        (engine, [a, b, c, d], victim)
     }
 
     /// Breaks each invariant in turn — poking the private indices, the
@@ -530,8 +573,8 @@ mod tests {
     fn audit_names_each_broken_invariant() {
         let (engine, ..) = populated();
         assert_eq!(engine.audit(), Ok(()), "the unbroken cache");
-        type Breakage = fn(&mut Engine, [u32; 3], (u32, u64));
-        let breakages: [(&str, Breakage); 14] = [
+        type Breakage = fn(&mut Engine, [u32; 4], (u32, u64));
+        let breakages: [(&str, Breakage); 15] = [
             ("by_eip", |e, [a, ..], _| {
                 // An EIP that names a block translated from another.
                 e.cache.registry.by_eip.insert(0x1234, a);
@@ -544,7 +587,7 @@ mod tests {
                 let start = e.cache.blocks[a as usize].range.0;
                 e.cache.registry.extents.remove(start);
             }),
-            ("extents", |e, [_, b, _], (_, hole)| {
+            ("extents", |e, [_, b, ..], (_, hole)| {
                 // A generation recorded over freed space.
                 e.cache.blocks[b as usize]
                     .extents
@@ -560,17 +603,24 @@ mod tests {
                 let page = e.cache.blocks[a as usize].eip >> 12;
                 e.cache.registry.by_page.get_mut(&page).unwrap().push(gone);
             }),
+            ("pages", |e, [.., d], _| {
+                // The straddler forgotten on its second page: a store
+                // there would not find it.
+                let page = (e.cache.blocks[d as usize].src_range.1 - 1) >> 12;
+                assert_ne!(page, e.cache.blocks[d as usize].eip >> 12);
+                e.cache.registry.by_page.remove(&page);
+            }),
             ("protected", |e, _, _| e.cache.registry.protected.clear()),
             ("protected", |e, [a, ..], _| {
                 let eip = e.cache.blocks[a as usize].eip;
                 e.mem.set_code_protect(eip as u64, false);
             }),
-            ("links", |e, [_, b, _], _| {
+            ("links", |e, [_, b, ..], _| {
                 // The chain a -> b forgotten: evicting b would leave a
                 // branching into freed space.
                 e.cache.registry.links_into.remove(&b);
             }),
-            ("links", |e, [a, _, c], _| {
+            ("links", |e, [a, _, c, _], _| {
                 // a's code holds no branch into c.
                 let site = e.cache.blocks[a as usize].range.0;
                 e.cache.registry.link(c, site);
