@@ -27,7 +27,7 @@
 //! and the prediction tables and runs after every transition in a
 //! debug build.
 
-use crate::engine::{BlockInfo, BlockKind};
+use crate::engine::BlockInfo;
 use crate::extents::ExtentIndex;
 use crate::layout::StubKind;
 use std::collections::{BTreeSet, HashMap};
@@ -169,6 +169,7 @@ impl Registry {
         self.transitions += 1;
         b.extents.push(b.range);
         self.extents.insert(b.range, b.id);
+        let was_live = self.is_registered(b);
         let displaced = self.by_eip.insert(b.eip, b.id).filter(|&old| old != b.id);
         if let Some(old) = displaced {
             self.unlist(old, b.eip);
@@ -176,19 +177,16 @@ impl Registry {
         let pages = pages_of_spans(spans);
         let head = b.eip >> 12;
         debug_assert!(pages.contains(&head), "a block's source starts at its EIP");
-        // A regeneration's source may have moved off a page.
-        for page in self.straddles.remove(&b.id).unwrap_or_default() {
-            if !pages.contains(&page) {
-                self.unlist_from(b.id, page);
-            }
+        // The page lists are sets: a regeneration stays where it is
+        // listed, joins the pages its source has grown onto (a
+        // promotion's usually has) and leaves those it has moved off.
+        let mut listed = self.straddles.remove(&b.id).unwrap_or_default();
+        listed.extend(was_live.then_some(head));
+        for &page in listed.iter().filter(|page| !pages.contains(page)) {
+            self.unlist_from(b.id, page);
         }
-        for &page in &pages {
-            let listed = self.by_page.entry(page).or_default();
-            // Cold regenerations are listed again (counted twice by the
-            // per-extent SMC sweep); promotions are not.
-            if b.kind != BlockKind::Hot || !listed.contains(&b.id) {
-                listed.push(b.id);
-            }
+        for &page in pages.iter().filter(|page| !listed.contains(page)) {
+            self.by_page.entry(page).or_default().push(b.id);
         }
         let protect: Vec<u32> = pages.iter().copied().filter(|&p| protectable(p)).collect();
         self.protected.extend(&protect);
@@ -342,8 +340,8 @@ impl crate::engine::Engine {
             );
         }
 
-        // pages: a live block is listed by every page of its source and
-        // by no other; nothing else is listed.
+        // pages: a live block is listed once by every page of its source
+        // and by no other; nothing else is listed.
         let mut listing: HashMap<u32, Vec<u32>> = HashMap::new();
         for (&page, ids) in &r.by_page {
             for &id in ids {
@@ -353,7 +351,6 @@ impl crate::engine::Engine {
         for (_, id) in r.registered() {
             let mut got = listing.remove(&id).unwrap_or_default();
             got.sort_unstable();
-            got.dedup();
             let want = pages_of_spans(source_spans(&blocks[id as usize]));
             check!(
                 "pages",
