@@ -18,7 +18,7 @@ use crate::trace::{EventData, EventKind, Phase, Rung, SpanToken, TraceConfig, Tr
 use ia32::cpu::Cpu;
 use ia32::interp::{Event, Interp};
 use ia32::mem::{GuestMem, MemFaultKind, Prot};
-use ipf::inst::{FFmt, FXfer, Op, Target};
+use ipf::inst::{FFmt, Op, Target};
 use ipf::machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason};
 use std::collections::{HashMap, HashSet};
 
@@ -166,6 +166,17 @@ pub enum EngineError {
         /// Faulting slot.
         slot: u8,
     },
+}
+
+impl EngineError {
+    /// The arena `(bundle address, slot)` the failure was raised at.
+    fn site(self) -> (u64, u8) {
+        match self {
+            EngineError::NonStubBranch { from, .. } => (from, 0),
+            EngineError::NatConsumption { ip, slot }
+            | EngineError::MisalignResidue { ip, slot } => (ip, slot),
+        }
+    }
 }
 
 /// Why the engine returned.
@@ -523,13 +534,6 @@ impl Engine {
         &self.cache.blocks
     }
 
-    /// Whether block `id` is the live translation of its EIP.
-    fn is_registered(&self, id: u32) -> bool {
-        self.cache
-            .registry
-            .is_registered(&self.cache.blocks[id as usize])
-    }
-
     /// Audits the code cache after a registry transition (debug builds
     /// only; a release build compiles this to nothing).
     fn audited(&self) {
@@ -610,34 +614,24 @@ impl Engine {
         for page in self.cache.registry.clear() {
             self.mem.set_code_protect((page as u64) << 12, false);
         }
-        // Clear the indirect-branch lookup table.
-        for i in 0..layout::LOOKUP_ENTRIES {
-            let _ = self.mem.write(
-                layout::LOOKUP_BASE + i * layout::LOOKUP_ENTRY_SIZE,
-                8,
-                layout::LOOKUP_EMPTY_KEY,
-            );
-        }
-        // All translated code is gone: no shadow-stack prediction or
-        // inline-cache entry may survive (their targets are arena
-        // addresses). Hit counters persist like use counters do.
-        for i in 0..layout::SHADOW_ENTRIES {
-            let _ = self.mem.write(
-                layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE,
-                8,
-                layout::LOOKUP_EMPTY_KEY,
-            );
+        // All translated code is gone: no lookup way, shadow-stack
+        // prediction or inline-cache entry may survive (their targets
+        // are arena addresses). Hit counters persist like use counters.
+        let ways = (0..layout::LOOKUP_ENTRIES)
+            .map(|i| layout::LOOKUP_BASE + i * layout::LOOKUP_ENTRY_SIZE);
+        let shadow = (0..layout::SHADOW_ENTRIES)
+            .map(|i| layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE);
+        for key in ways
+            .chain(shadow)
+            .chain(self.cache.ic_slots.iter().copied())
+        {
+            let _ = self.mem.write(key, 8, layout::LOOKUP_EMPTY_KEY);
         }
         let _ = self.mem.write(layout::SHADOW_TOS, 8, 0);
-        for i in 0..self.cache.ic_slots.len() {
-            let _ = self
-                .mem
-                .write(self.cache.ic_slots[i], 8, layout::LOOKUP_EMPTY_KEY);
-        }
         // A flush drops every local translation at once: bump every
         // shard generation so peers re-validate (conservatively) and
         // this tenant's re-publishes re-seed the namespace.
-        self.shared_bump_all();
+        self.shared_notify(|ns, c| ns.bump_all(c));
         self.audited();
     }
 
@@ -961,8 +955,7 @@ impl Engine {
         let b = &mut self.cache.blocks[id as usize];
         let eip = b.eip;
         let crate::registry::Retired { extents, inbound } = self.cache.registry.retire(b);
-        let in_extents =
-            |addr: u64, ex: &[(u64, u64)]| ex.iter().any(|&(s, e)| addr >= s && addr < e);
+        let in_extents = |addr: u64| extents.iter().any(|&(s, e)| addr >= s && addr < e);
         // Un-link inbound edges. The chaining bundle's trampoline movl
         // (payload = target EIP) is still upstream of the branch, so
         // re-pointing the branch at the stub restores the original
@@ -977,7 +970,7 @@ impl Engine {
             let slot = layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE;
             if self.mem.read(slot, 8) == Ok(eip as u64) {
                 let tgt = self.mem.read(slot + 8, 8).unwrap_or(0);
-                if in_extents(tgt, &extents) {
+                if in_extents(tgt) {
                     let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
                     self.stats.lookup_purges += 1;
                 }
@@ -991,7 +984,7 @@ impl Engine {
         for i in 0..layout::SHADOW_ENTRIES {
             let ea = layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE;
             let tgt = self.mem.read(ea + 8, 8).unwrap_or(0);
-            if in_extents(tgt, &extents) {
+            if in_extents(tgt) {
                 let _ = self.mem.write(ea, 8, layout::LOOKUP_EMPTY_KEY);
             }
         }
@@ -999,7 +992,7 @@ impl Engine {
             let s = self.cache.ic_slots[i];
             let k = self.mem.read(s, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
             let tgt = self.mem.read(s + 8, 8).unwrap_or(0);
-            if k == eip as u64 || in_extents(tgt, &extents) {
+            if k == eip as u64 || in_extents(tgt) {
                 let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
             }
         }
@@ -1016,7 +1009,7 @@ impl Engine {
         self.stats.evicted_bundles += freed;
         // Tell the shared namespace: peers must never import a record
         // whose publisher has reclaimed the backing extents (gen bump).
-        self.shared_invalidate(eip);
+        self.shared_notify(|ns, c| ns.invalidate(eip, c) as u64);
         self.trace_emit(EventData::BlockEvicted {
             id,
             eip,
@@ -1138,9 +1131,9 @@ impl Engine {
         }
     }
 
-    /// Cold-translates the block at `eip` (a specific version), updating
-    /// the registry and patching pending links via the forwarding rule.
-    /// Bracketed by a [`Phase::ColdTranslate`] trace span.
+    /// Cold-translates the block at `eip` on demand (a specific
+    /// version), updating the registry and patching pending links via
+    /// the forwarding rule.
     fn translate_cold(
         &mut self,
         os: &mut dyn BtOs,
@@ -1149,61 +1142,25 @@ impl Engine {
         inline_fp: bool,
         overrides: HashMap<u16, AccessMode>,
     ) -> Result<u64, GuestException> {
-        let span = self.trace_phase_enter(Phase::ColdTranslate);
-        let r = self.translate_cold_inner(os, eip, kind, inline_fp, overrides, XlateOrigin::Demand);
-        self.trace_phase_exit(span);
-        r
+        self.translate(os, eip, kind, inline_fp, overrides, XlateOrigin::Demand)
     }
 
-    /// Cold-translates `eip` ahead of first dispatch (static
-    /// pre-translation pass). Pays the full cold translation charge up
-    /// front; counts toward `pretranslated_blocks`.
-    pub(crate) fn translate_pre(
-        &mut self,
-        os: &mut dyn BtOs,
-        eip: u32,
-        kind: BlockKind,
-    ) -> Result<u64, GuestException> {
-        let span = self.trace_phase_enter(Phase::ColdTranslate);
-        let r = self.translate_cold_inner(
-            os,
-            eip,
-            kind,
-            false,
-            HashMap::new(),
-            XlateOrigin::Pretranslate,
-        );
-        self.trace_phase_exit(span);
-        r
-    }
-
-    /// Installs a block from a validated warm-start image record: the
-    /// deterministic cold generator is re-run at the current arena
-    /// position (this is the relocation mechanism — arena offsets, exit
-    /// trampolines, and chain links all re-derive from the new base),
-    /// the saved FP speculation seed and indirect-dispatch shape are
-    /// reused, and only [`crate::cost::IMAGE_LOAD_CYCLES`] is charged instead
-    /// of the full per-instruction translation cost.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn translate_image(
+    /// Cold-translates the block at `eip` for `origin` — on demand,
+    /// ahead of first dispatch, or re-materializing an image or shared
+    /// record (the deterministic generator re-run at the current arena
+    /// position is the relocation mechanism) — bracketed by a
+    /// [`Phase::ColdTranslate`] trace span.
+    pub(crate) fn translate(
         &mut self,
         os: &mut dyn BtOs,
         eip: u32,
         kind: BlockKind,
         inline_fp: bool,
         overrides: HashMap<u16, AccessMode>,
-        spec: SpecSeed,
-        plain: bool,
+        origin: XlateOrigin,
     ) -> Result<u64, GuestException> {
         let span = self.trace_phase_enter(Phase::ColdTranslate);
-        let r = self.translate_cold_inner(
-            os,
-            eip,
-            kind,
-            inline_fp,
-            overrides,
-            XlateOrigin::Image { spec, plain },
-        );
+        let r = self.translate_cold_inner(os, eip, kind, inline_fp, overrides, origin);
         self.trace_phase_exit(span);
         r
     }
@@ -1472,35 +1429,6 @@ impl Engine {
         Ok(entry)
     }
 
-    /// Materializes a block imported from the shared multi-tenant
-    /// namespace: identical mechanics to [`Engine::translate_image`]
-    /// (deterministic regeneration at this tenant's arena position,
-    /// saved seed/shape reused, flat [`crate::cost::IMAGE_LOAD_CYCLES`]
-    /// charge), with the record coming from a peer tenant's publish.
-    #[allow(clippy::too_many_arguments)]
-    fn translate_shared(
-        &mut self,
-        os: &mut dyn BtOs,
-        eip: u32,
-        kind: BlockKind,
-        inline_fp: bool,
-        overrides: HashMap<u16, AccessMode>,
-        spec: SpecSeed,
-        plain: bool,
-    ) -> Result<u64, GuestException> {
-        let span = self.trace_phase_enter(Phase::ColdTranslate);
-        let r = self.translate_cold_inner(
-            os,
-            eip,
-            kind,
-            inline_fp,
-            overrides,
-            XlateOrigin::Shared { spec, plain },
-        );
-        self.trace_phase_exit(span);
-        r
-    }
-
     /// Attaches this session to a shared multi-tenant translation
     /// namespace (see [`crate::serving`]). From now on, translation
     /// misses consult the namespace before paying the cold-translation
@@ -1542,15 +1470,11 @@ impl Engine {
                     BlockKind::ColdV1
                 };
                 let overrides: HashMap<u16, AccessMode> = b.overrides.iter().copied().collect();
-                match self.translate_shared(
-                    os,
-                    eip,
-                    kind,
-                    b.inline_fp,
-                    overrides,
-                    b.spec,
-                    b.indirect_plain,
-                ) {
+                let origin = XlateOrigin::Shared {
+                    spec: b.spec,
+                    plain: b.indirect_plain,
+                };
+                match self.translate(os, eip, kind, b.inline_fp, overrides, origin) {
                     Ok(entry) => {
                         self.lookup_insert(eip, entry);
                         if self.cfg.restore_profiles {
@@ -1585,18 +1509,13 @@ impl Engine {
         let Some(tenant) = self.ctx.shared.clone() else {
             return;
         };
-        let Some(id) = self.cache.registry.live(eip) else {
+        // A block already stale against our own memory is not exported:
+        // it would only hand peers a guaranteed reject.
+        let Some(b) = self.live_block(eip).filter(|b| {
+            b.kind != BlockKind::Hot && src_checksum(&self.mem, b.src_range) == b.src_fnv
+        }) else {
             return;
         };
-        let b = &self.cache.blocks[id as usize];
-        if b.evicted || b.kind == BlockKind::Hot {
-            return;
-        }
-        if src_checksum(&self.mem, b.src_range) != b.src_fnv {
-            // Already stale against our own memory: exporting it would
-            // only hand peers a guaranteed reject.
-            return;
-        }
         let rec = crate::persist::record_of(self, b);
         let mut contention = 0;
         if tenant.ns.publish(rec, &mut contention) {
@@ -1617,9 +1536,6 @@ impl Engine {
         let mut contention = 0;
         for (eip, id) in self.cache.registry.registered() {
             let b = &self.cache.blocks[id as usize];
-            if b.evicted {
-                continue;
-            }
             let heat = self.mem.read(b.counter_addr, 8).unwrap_or(0);
             let taken = self.mem.read(b.edge_counters.0, 8).unwrap_or(0);
             let fall = self.mem.read(b.edge_counters.1, 8).unwrap_or(0);
@@ -1649,52 +1565,17 @@ impl Engine {
         self.stats.shared_lock_contention += contention;
     }
 
-    /// Notifies the shared namespace that `eip`'s published record is
-    /// dead (eviction, ladder blacklist): entry pulled, shard
-    /// generation bumped.
-    fn shared_invalidate(&mut self, eip: u32) {
+    /// Tells the shared namespace, if attached, about a local
+    /// invalidation: `pull` removes what peers must no longer import
+    /// (one record on eviction or a ladder strike, a page's on SMC or a
+    /// governor blacklist, nothing but the generations on a flush) and
+    /// returns how many shard generations it bumped.
+    fn shared_notify(&mut self, pull: impl FnOnce(&crate::serving::Namespace, &mut u64) -> u64) {
         let Some(tenant) = self.ctx.shared.clone() else {
             return;
         };
         let mut contention = 0;
-        if tenant.ns.invalidate(eip, &mut contention) {
-            self.stats.shared_gen_bumps += 1;
-        }
-        self.stats.shared_lock_contention += contention;
-    }
-
-    /// Notifies the shared namespace of an SMC invalidation of `page`:
-    /// every published record on the page is pulled and the affected
-    /// shard generations bumped.
-    fn shared_invalidate_page(&mut self, page: u32) {
-        let Some(tenant) = self.ctx.shared.clone() else {
-            return;
-        };
-        let mut contention = 0;
-        self.stats.shared_gen_bumps += tenant.ns.invalidate_page(page, &mut contention);
-        self.stats.shared_lock_contention += contention;
-    }
-
-    /// Notifies the shared namespace that the SMC-thrash governor
-    /// blacklisted `page`: publishing and importing for the page stop
-    /// until the namespace is rebuilt.
-    fn shared_deny_page(&mut self, page: u32) {
-        let Some(tenant) = self.ctx.shared.clone() else {
-            return;
-        };
-        let mut contention = 0;
-        self.stats.shared_gen_bumps += tenant.ns.deny_page(page, &mut contention);
-        self.stats.shared_lock_contention += contention;
-    }
-
-    /// Notifies the shared namespace of a full local cache flush: every
-    /// shard generation is bumped.
-    fn shared_bump_all(&mut self) {
-        let Some(tenant) = self.ctx.shared.clone() else {
-            return;
-        };
-        let mut contention = 0;
-        self.stats.shared_gen_bumps += tenant.ns.bump_all(&mut contention);
+        self.stats.shared_gen_bumps += pull(&tenant.ns, &mut contention);
         self.stats.shared_lock_contention += contention;
     }
 
@@ -1703,13 +1584,9 @@ impl Engine {
     /// shared-namespace import resumes hot-phase promotion where the
     /// saved profile left off instead of re-profiling from zero.
     pub(crate) fn restore_profile(&mut self, eip: u32, heat: u64, edges: (u32, u32)) -> bool {
-        let Some(id) = self.cache.registry.live(eip) else {
+        let Some(b) = self.live_block(eip) else {
             return false;
         };
-        let b = &self.cache.blocks[id as usize];
-        if b.evicted {
-            return false;
-        }
         let (counter, ec) = (b.counter_addr, b.edge_counters);
         let cur = self.mem.read(counter, 8).unwrap_or(0);
         let _ = self.mem.write(counter, 8, cur.max(heat));
@@ -1734,13 +1611,9 @@ impl Engine {
         let Some(target_entry) = self.entry_of_existing(pred) else {
             return false;
         };
-        let Some(id) = self.cache.registry.live(eip) else {
+        let Some(b) = self.live_block(eip).filter(|b| !b.indirect_plain) else {
             return false;
         };
-        let b = &self.cache.blocks[id as usize];
-        if b.evicted || b.indirect_plain {
-            return false;
-        }
         let slot = b.ic_slot;
         let cur_hits = self.mem.read(slot + 16, 8).unwrap_or(0);
         let _ = self.mem.write(slot, 8, pred as u64);
@@ -1935,7 +1808,7 @@ impl Engine {
                 crate::persist::pretranslate(self, os, cpu.eip);
             }
         }
-        let out = self.run_inner(os, cpu, max_slots);
+        let out = self.run_loop(os, Some(cpu), max_slots);
         self.autosave(&out);
         out
     }
@@ -1954,10 +1827,6 @@ impl Engine {
                 }
             }
         }
-    }
-
-    fn run_inner(&mut self, os: &mut dyn BtOs, cpu: Cpu, max_slots: u64) -> Outcome {
-        self.run_loop(os, Some(cpu), max_slots)
     }
 
     /// Continues a run that stopped on [`Outcome::InstLimit`] without
@@ -2036,13 +1905,18 @@ impl Engine {
                     self.machine.charge(region::OTHER, cost::DISPATCH_CYCLES);
                     match self.entry_of(os, eip) {
                         Ok(e) => e,
-                        Err(exc) => match self.deliver(os, exc, None) {
-                            Ok(new_eip) => {
-                                eip = new_eip;
-                                continue 'dispatch;
+                        Err(exc) => {
+                            let at = self.machine.gr[GR_STATE.0 as usize] as u32;
+                            let cpu = state::machine_to_cpu(&self.machine, at);
+                            match self.deliver_action(os, exc, cpu) {
+                                ExitAction::Dispatch(new_eip) => {
+                                    eip = new_eip;
+                                    continue 'dispatch;
+                                }
+                                ExitAction::Done(out) => return out,
+                                ExitAction::Continue(_) => unreachable!("never resumes in place"),
                             }
-                            Err(out) => return out,
-                        },
+                        }
                     }
                 };
                 self.stats
@@ -2164,18 +2038,8 @@ impl Engine {
             StubKind::Syscall => {
                 let next_eip = self.machine.gr[GR_STATE.0 as usize] as u32;
                 let vector = payload as u8;
-                let mut cpu = state::machine_to_cpu(&self.machine, next_eip);
-                if vector != 0x80 {
-                    return self.deliver_action(os, GuestException::InvalidOpcode, cpu);
-                }
-                self.stats.syscalls += 1;
-                match os.syscall(&mut cpu, &mut self.mem) {
-                    SyscallOutcome::Continue => {
-                        state::cpu_to_machine(&cpu, &mut self.machine);
-                        ExitAction::Dispatch(cpu.eip)
-                    }
-                    SyscallOutcome::Exit(code) => ExitAction::Done(Outcome::Exited(code)),
-                }
+                let cpu = state::machine_to_cpu(&self.machine, next_eip);
+                self.syscall(os, vector, cpu)
             }
             StubKind::Untranslated => {
                 let eip = payload as u32;
@@ -2370,6 +2234,23 @@ impl Engine {
         }
     }
 
+    /// `int vector` with the guest at `cpu` (past the instruction),
+    /// from translated code or a single-stepped instruction alike: the
+    /// OS layer serves vector 0x80, anything else is an invalid opcode.
+    fn syscall(&mut self, os: &mut dyn BtOs, vector: u8, mut cpu: Cpu) -> ExitAction {
+        if vector != 0x80 {
+            return self.deliver_action(os, GuestException::InvalidOpcode, cpu);
+        }
+        self.stats.syscalls += 1;
+        match os.syscall(&mut cpu, &mut self.mem) {
+            SyscallOutcome::Continue => {
+                state::cpu_to_machine(&cpu, &mut self.machine);
+                ExitAction::Dispatch(cpu.eip)
+            }
+            SyscallOutcome::Exit(code) => ExitAction::Done(Outcome::Exited(code)),
+        }
+    }
+
     /// Single-steps one instruction with the reference interpreter (the
     /// rare-case escape hatch: 64/32-bit divides, pop-to-memory, …).
     fn interp_one(&mut self, os: &mut dyn BtOs, eip: u32) -> ExitAction {
@@ -2387,22 +2268,7 @@ impl Engine {
                 ExitAction::Dispatch(interp.cpu.eip)
             }
             Ok(Event::Halt) => ExitAction::Done(Outcome::Halted(Box::new(interp.cpu))),
-            Ok(Event::Syscall { vector }) => {
-                let mut cpu = interp.cpu;
-                if vector != 0x80 {
-                    return self.deliver_action(os, GuestException::InvalidOpcode, cpu);
-                }
-                // Count the syscall exactly like the Syscall-stub path
-                // does, so single-stepped syscalls don't under-report.
-                self.stats.syscalls += 1;
-                match os.syscall(&mut cpu, &mut self.mem) {
-                    SyscallOutcome::Continue => {
-                        state::cpu_to_machine(&cpu, &mut self.machine);
-                        ExitAction::Dispatch(cpu.eip)
-                    }
-                    SyscallOutcome::Exit(code) => ExitAction::Done(Outcome::Exited(code)),
-                }
-            }
+            Ok(Event::Syscall { vector }) => self.syscall(os, vector, interp.cpu),
             Err(trap) => {
                 // A store onto a write-protected code page is translator
                 // housekeeping, not a guest-visible exception: the guest
@@ -2503,47 +2369,24 @@ impl Engine {
         let Some((inst, _)) = ia32::decode::decode_at(&self.mem, eip) else {
             return false;
         };
-        use ia32::inst::Inst as I;
-        matches!(
+        use ia32::inst::{Inst as I, Rm::Mem};
+        let always = matches!(
             inst,
-            I::Mov {
-                dst: ia32::inst::Rm::Mem(_),
-                ..
-            } | I::Alu {
-                dst: ia32::inst::Rm::Mem(_),
-                ..
-            } | I::Push { .. }
+            I::Push { .. }
                 | I::Call { .. }
                 | I::CallInd { .. }
                 | I::Movs { .. }
                 | I::Stos { .. }
                 | I::Fst { .. }
                 | I::Fistp { .. }
-                | I::IncDec {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Neg {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Not {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Shift {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Setcc {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Xchg {
-                    rm: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-        )
+        );
+        let to_mem = match inst {
+            I::Mov { dst, .. } | I::Alu { dst, .. } | I::IncDec { dst, .. } => Some(dst),
+            I::Neg { dst, .. } | I::Not { dst, .. } | I::Shift { dst, .. } => Some(dst),
+            I::Setcc { dst, .. } | I::Xchg { rm: dst, .. } => Some(dst),
+            _ => None,
+        };
+        always || matches!(to_mem, Some(Mem(_)))
     }
 
     /// Emulates a misaligned access in parts (the "OS handler" path).
@@ -2565,6 +2408,18 @@ impl Engine {
             }
             Ok(v)
         };
+        let write_parts = |mem: &mut GuestMem, addr: u64, v: u64, size: u64| {
+            (0..size).try_for_each(|i| {
+                mem.write(addr + i, 1, (v >> (i * 8)) & 0xFF)
+                    .map_err(|f| match f.kind {
+                        MemFaultKind::SmcWrite => MisEmu::Smc(f.addr),
+                        _ => MisEmu::Guest(GuestException::PageFault {
+                            addr: f.addr as u32,
+                            write: true,
+                        }),
+                    })
+            })
+        };
         match op {
             Op::Ld { sz, d, addr, .. } => {
                 let a = self.machine.gr[addr.phys()];
@@ -2577,17 +2432,7 @@ impl Engine {
             Op::St { sz, addr, val } => {
                 let a = self.machine.gr[addr.phys()];
                 let v = self.machine.gr[val.phys()];
-                for i in 0..sz as u64 {
-                    self.mem
-                        .write(a + i, 1, (v >> (i * 8)) & 0xFF)
-                        .map_err(|f| match f.kind {
-                            MemFaultKind::SmcWrite => MisEmu::Smc(f.addr),
-                            _ => MisEmu::Guest(GuestException::PageFault {
-                                addr: f.addr as u32,
-                                write: true,
-                            }),
-                        })?;
-                }
+                write_parts(&mut self.mem, a, v, sz as u64)?;
             }
             Op::Ldf { fmt, f, addr, .. } => {
                 let a = self.machine.gr[addr.phys()];
@@ -2605,24 +2450,13 @@ impl Engine {
                     FFmt::S => ((f64::from_bits(raw) as f32).to_bits() as u64, 4),
                     _ => (raw, 8),
                 };
-                for i in 0..n {
-                    self.mem
-                        .write(a + i, 1, (v >> (i * 8)) & 0xFF)
-                        .map_err(|f| match f.kind {
-                            MemFaultKind::SmcWrite => MisEmu::Smc(f.addr),
-                            _ => MisEmu::Guest(GuestException::PageFault {
-                                addr: f.addr as u32,
-                                write: true,
-                            }),
-                        })?;
-                }
+                write_parts(&mut self.mem, a, v, n)?;
             }
             // A misalignment fault on a non-memory op means the code at
             // `ip` is not what the translator emitted: residue for the
             // degradation ladder.
             _ => return Err(MisEmu::Residue),
         }
-        let _ = FXfer::Sig;
         Ok(())
     }
 
@@ -2643,21 +2477,9 @@ impl Engine {
     /// while already recovering (e.g. on the handler's own page during
     /// signal delivery) descends rather than recursing unboundedly.
     fn handle_smc_store(&mut self, os: &mut dyn BtOs, ip: u64, slot: u8, addr: u64) -> ExitAction {
-        self.recovery_enter();
-        self.stats.smc_events += 1;
         let cpu = self.reconstruct(ip, slot);
-        let page = (addr >> 12) as u32;
-        self.mem.set_code_protect(addr, false);
         state::cpu_to_machine(&cpu, &mut self.machine);
-        let act = self.interp_one(os, cpu.eip);
-        self.smc_invalidate_extents(page);
-        // The governor may blacklist the page (leaving it unprotected
-        // and interpret-only); otherwise re-arm write protection.
-        if !self.note_smc_disturbance(page) {
-            self.mem.set_code_protect(addr, true);
-        }
-        self.recovery_exit();
-        act
+        self.smc_from_interp(os, cpu.eip, addr)
     }
 
     /// An SMC store reached the interpreter escape hatch directly (the
@@ -2673,6 +2495,8 @@ impl Engine {
         self.mem.set_code_protect(addr, false);
         let act = self.interp_one(os, eip);
         self.smc_invalidate_extents(page);
+        // The governor may blacklist the page (leaving it unprotected
+        // and interpret-only); otherwise re-arm write protection.
         if !self.note_smc_disturbance(page) {
             self.mem.set_code_protect(addr, true);
         }
@@ -2689,7 +2513,7 @@ impl Engine {
         // The guest rewrote this page: whatever any tenant published
         // for it is stale. Sweep the namespace first so a peer racing
         // this invalidation sees the generation bump.
-        self.shared_invalidate_page(page);
+        self.shared_notify(|ns, c| ns.invalidate_page(page, c));
         for id in self.cache.registry.on_page(page).to_vec() {
             let b = &self.cache.blocks[id as usize];
             if b.kind != BlockKind::Hot && src_checksum(&self.mem, b.src_range) == b.src_fnv {
@@ -2761,7 +2585,7 @@ impl Engine {
         self.mem.set_code_protect((page as u64) << 12, false);
         // Deny the page in the shared namespace: peers must not import
         // translations of code this guest is busy rewriting.
-        self.shared_deny_page(page);
+        self.shared_notify(|ns, c| ns.deny_page(page, c));
         true
     }
 
@@ -2895,7 +2719,7 @@ impl Engine {
             return;
         }
         let budget = self.cfg.hot_session_budget;
-        let start = self.overhead_cycles();
+        let start = self.region_cycle(region::OVERHEAD);
         for id in self.cache.registry.take_candidates() {
             let eip = self.cache.blocks[id as usize].eip;
             if self.cache.blacklist.is_blocked(eip, self.machine.cycles) {
@@ -2905,7 +2729,7 @@ impl Engine {
             if !crate::hot::promote(self, id) {
                 self.maybe_demote_megamorphic(os, id);
             }
-            if budget > 0 && self.overhead_cycles() - start > budget {
+            if budget > 0 && self.region_cycle(region::OVERHEAD) - start > budget {
                 // The session blew its cycle budget: abort the rest,
                 // keeping their cold code (they can re-register later).
                 self.stats.watchdog_aborts += 1;
@@ -2913,14 +2737,6 @@ impl Engine {
             }
         }
         self.trace_phase_exit(span);
-    }
-
-    fn overhead_cycles(&self) -> u64 {
-        self.machine
-            .region_cycles
-            .get(&region::OVERHEAD)
-            .copied()
-            .unwrap_or(0)
     }
 
     /// Opens a recovery scope. Depth is tracked so a failure raised
@@ -2952,11 +2768,7 @@ impl Engine {
         let act = if self.ctx.recovery_depth >= policy::MAX_RECOVERY_DEPTH {
             self.stats.ladder_recoveries += 1;
             self.stats.interp_fallbacks += 1;
-            let (site, slot) = match err {
-                EngineError::NonStubBranch { from, .. } => (from, 0),
-                EngineError::NatConsumption { ip, slot }
-                | EngineError::MisalignResidue { ip, slot } => (ip, slot),
-            };
+            let (site, slot) = err.site();
             let cpu = self.reconstruct(site, slot);
             self.trace_emit(EventData::LadderRung {
                 rung: Rung::Interpret,
@@ -2977,11 +2789,7 @@ impl Engine {
     /// demote/evict + blacklist -> retranslate) — never a panic.
     fn degrade_inner(&mut self, os: &mut dyn BtOs, err: EngineError) -> ExitAction {
         self.stats.ladder_recoveries += 1;
-        let (site, slot) = match err {
-            EngineError::NonStubBranch { from, .. } => (from, 0),
-            EngineError::NatConsumption { ip, slot }
-            | EngineError::MisalignResidue { ip, slot } => (ip, slot),
-        };
+        let (site, slot) = err.site();
         let id = self.block_at_addr_any(site);
         // Precise state: a block entry is a state boundary (everything
         // in its canonical home, EIP = the block's EIP); inside a block
@@ -3060,11 +2868,11 @@ impl Engine {
         // A ladder strike means this EIP's published record is suspect
         // (repeated faults under it): pull it and bump the generation
         // until a clean retranslation re-publishes.
-        self.shared_invalidate(eip);
+        self.shared_notify(|ns, c| ns.invalidate(eip, c) as u64);
         self.trace_emit(EventData::BlockDemoted { id, eip, strikes });
         self.trace_emit(EventData::Blacklisted { eip, until });
         self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockDemoted));
-        if self.is_registered(id) {
+        if self.live_block(eip).is_some_and(|b| b.id == id) {
             // Injected translation death *during the demotion rebuild*:
             // a failure inside a recovery action. Descend re-entrantly
             // — evict and blacklist rather than loop demote→rebuild —
@@ -3146,7 +2954,7 @@ impl Engine {
         self.stats.indirect_demotions += 1;
         self.trace_emit(EventData::IndirectDemote { eip, id });
         self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::IndirectDemote));
-        if self.is_registered(id) {
+        if self.live_block(eip).is_some_and(|b| b.id == id) {
             let _ = self.translate_cold(os, eip, kind, inline_fp, overrides);
         }
     }
@@ -3238,30 +3046,13 @@ impl Engine {
     /// Picks a live, registered injection victim — preferring hot
     /// blocks when asked (so storms exercise demotion).
     fn pick_victim(&mut self, plan: &mut FaultPlan, prefer_hot: bool) -> Option<u32> {
-        let live = |b: &&BlockInfo| !b.evicted && self.cache.registry.is_registered(b);
-        let hot: Vec<u32> = self
-            .cache
-            .blocks
-            .iter()
-            .filter(live)
-            .filter(|b| b.kind == BlockKind::Hot)
-            .map(|b| b.id)
-            .collect();
-        let pool: Vec<u32> = if prefer_hot && !hot.is_empty() {
-            hot
-        } else {
-            self.cache
-                .blocks
-                .iter()
-                .filter(live)
-                .map(|b| b.id)
-                .collect()
-        };
-        if pool.is_empty() {
-            None
-        } else {
-            Some(pool[plan.pick(pool.len())])
+        let mut pool: Vec<u32> = self.cache.registry.registered().map(|(_, id)| id).collect();
+        pool.sort_unstable();
+        let is_hot = |id: &u32| self.cache.blocks[*id as usize].kind == BlockKind::Hot;
+        if prefer_hot && pool.iter().any(is_hot) {
+            pool.retain(is_hot);
         }
+        (!pool.is_empty()).then(|| pool[plan.pick(pool.len())])
     }
 
     /// Delivers an asynchronous signal to `handler` from the precise
@@ -3369,21 +3160,6 @@ impl Engine {
             }
         }
         None
-    }
-
-    fn deliver(
-        &mut self,
-        os: &mut dyn BtOs,
-        exc: GuestException,
-        cpu: Option<Cpu>,
-    ) -> Result<u32, Outcome> {
-        let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-        let cpu = cpu.unwrap_or_else(|| state::machine_to_cpu(&self.machine, eip));
-        match self.deliver_action(os, exc, cpu) {
-            ExitAction::Dispatch(e) => Ok(e),
-            ExitAction::Done(o) => Err(o),
-            ExitAction::Continue(_) => unreachable!("deliver never resumes in place"),
-        }
     }
 
     /// Converts the Itanium-side condition into an IA-32 exception and

@@ -109,10 +109,10 @@
 use crate::btos::BtOs;
 use crate::cold::discover::discover;
 use crate::cold::gen::SpecSeed;
-use crate::engine::{src_checksum, BlockKind, Config, Engine};
+use crate::engine::{src_checksum, BlockKind, Config, Engine, XlateOrigin};
 use crate::layout;
 use crate::templates::AccessMode;
-use std::collections::HashSet;
+use std::collections::{HashMap, HashSet};
 
 /// Image format version written by [`encode`] and required by
 /// [`decode`].
@@ -583,15 +583,11 @@ pub fn load(engine: &mut Engine, os: &mut dyn BtOs, bytes: &[u8]) -> LoadSummary
             BlockKind::ColdV1
         };
         let overrides = b.overrides.iter().copied().collect();
-        match engine.translate_image(
-            os,
-            b.eip,
-            kind,
-            b.inline_fp,
-            overrides,
-            b.spec,
-            b.indirect_plain,
-        ) {
+        let origin = XlateOrigin::Image {
+            spec: b.spec,
+            plain: b.indirect_plain,
+        };
+        match engine.translate(os, b.eip, kind, b.inline_fp, overrides, origin) {
             Ok(entry) => {
                 loaded += 1;
                 // Pre-seed the shared lookup table so indirect
@@ -662,7 +658,16 @@ pub fn pretranslate(engine: &mut Engine, os: &mut dyn BtOs, entry: u32) -> u64 {
             }
         }
         if engine.entry_of_existing(eip).is_none()
-            && engine.translate_pre(os, eip, BlockKind::ColdV1).is_ok()
+            && engine
+                .translate(
+                    os,
+                    eip,
+                    BlockKind::ColdV1,
+                    false,
+                    HashMap::new(),
+                    XlateOrigin::Pretranslate,
+                )
+                .is_ok()
         {
             translated += 1;
             if let Some(e) = engine.entry_of_existing(eip) {

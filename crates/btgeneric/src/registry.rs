@@ -169,23 +169,17 @@ impl Registry {
         self.transitions += 1;
         b.extents.push(b.range);
         self.extents.insert(b.range, b.id);
-        let was_live = self.is_registered(b);
-        let displaced = self.by_eip.insert(b.eip, b.id).filter(|&old| old != b.id);
-        if let Some(old) = displaced {
+        // The page lists are sets: whatever was listed for this EIP —
+        // an earlier generation of `b`, or the block it displaces —
+        // comes off before the new generation goes on.
+        let previous = self.by_eip.insert(b.eip, b.id);
+        if let Some(old) = previous {
             self.unlist(old, b.eip);
         }
         let pages = pages_of_spans(spans);
         let head = b.eip >> 12;
         debug_assert!(pages.contains(&head), "a block's source starts at its EIP");
-        // The page lists are sets: a regeneration stays where it is
-        // listed, joins the pages its source has grown onto (a
-        // promotion's usually has) and leaves those it has moved off.
-        let mut listed = self.straddles.remove(&b.id).unwrap_or_default();
-        listed.extend(was_live.then_some(head));
-        for &page in listed.iter().filter(|page| !pages.contains(page)) {
-            self.unlist_from(b.id, page);
-        }
-        for &page in pages.iter().filter(|page| !listed.contains(page)) {
+        for &page in &pages {
             self.by_page.entry(page).or_default().push(b.id);
         }
         let protect: Vec<u32> = pages.iter().copied().filter(|&p| protectable(p)).collect();
@@ -194,7 +188,10 @@ impl Registry {
             let beyond = pages.into_iter().filter(|&p| p != head).collect();
             self.straddles.insert(b.id, beyond);
         }
-        Installed { protect, displaced }
+        Installed {
+            protect,
+            displaced: previous.filter(|&old| old != b.id),
+        }
     }
 
     /// `b` stops being the live translation of its EIP: dispatch and
@@ -248,17 +245,13 @@ impl Registry {
 
     /// Takes block `id`, translated from `eip`, off every page list.
     fn unlist(&mut self, id: u32, eip: u32) {
-        self.unlist_from(id, eip >> 12);
-        for page in self.straddles.remove(&id).unwrap_or_default() {
-            self.unlist_from(id, page);
-        }
-    }
-
-    fn unlist_from(&mut self, id: u32, page: u32) {
-        if let Some(listed) = self.by_page.get_mut(&page) {
-            listed.retain(|&b| b != id);
-            if listed.is_empty() {
-                self.by_page.remove(&page);
+        let beyond = self.straddles.remove(&id).unwrap_or_default();
+        for page in std::iter::once(eip >> 12).chain(beyond) {
+            if let Some(listed) = self.by_page.get_mut(&page) {
+                listed.retain(|&b| b != id);
+                if listed.is_empty() {
+                    self.by_page.remove(&page);
+                }
             }
         }
     }
@@ -278,7 +271,8 @@ fn pages_of_spans(spans: &[(u32, u32)]) -> Vec<u32> {
 
 /// The guest byte ranges `b`'s current generation was translated from:
 /// a cold block's own source, or everything a hot trace covers.
-pub(crate) fn source_spans(b: &BlockInfo) -> &[(u32, u32)] {
+#[cfg(any(test, debug_assertions))]
+fn source_spans(b: &BlockInfo) -> &[(u32, u32)] {
     match &b.hot {
         Some(hot) => &hot.spans,
         None => std::slice::from_ref(&b.src_range),
