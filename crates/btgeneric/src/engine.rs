@@ -1029,8 +1029,7 @@ impl Engine {
     /// branch still lands in.
     fn chained_branches(&self, start: u64, end: u64, skip: u32) -> Vec<(u32, u64)> {
         let mut found = Vec::new();
-        let mut addr = start;
-        while addr < end {
+        for addr in (start..end).step_by(ipf::Bundle::SIZE as usize) {
             if let Some(b) = self.machine.arena.bundle_at(addr) {
                 for s in &b.slots {
                     if let Some(Target::Abs(t)) = s.op.target() {
@@ -1043,7 +1042,6 @@ impl Engine {
                     }
                 }
             }
-            addr += ipf::Bundle::SIZE;
         }
         found
     }
@@ -1122,15 +1120,6 @@ impl Engine {
             .collect()
     }
 
-    /// Purges every lookup way keyed on `eip` (SMC invalidation) and
-    /// empties inline caches predicting it so the next transfer
-    /// retrains through the dispatcher.
-    fn lookup_purge_eip(&mut self, eip: u32) {
-        for s in self.predictions_of(eip) {
-            let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-        }
-    }
-
     /// Cold-translates the block at `eip` on demand (a specific
     /// version), updating the registry and patching pending links via
     /// the forwarding rule.
@@ -1184,40 +1173,34 @@ impl Engine {
         let src_range = (eip, disc.end_ip());
         let src_fnv = src_checksum(&self.mem, src_range);
         let liveness = analyze(&region_g);
-        let (id, profile, prev_entry, indirect_plain, pop_misses) =
-            match self.cache.registry.live(eip) {
-                Some(id) => {
-                    let b = &self.cache.blocks[id as usize];
-                    (
-                        id,
-                        b.counter_addr,
-                        Some(b.entry),
-                        b.indirect_plain,
-                        b.pop_misses,
-                    )
-                }
-                None => {
-                    let id = self.cache.blocks.len() as u32;
-                    // Profile slots are keyed by guest EIP and survive both
-                    // eviction and flushing, so a re-translated block keeps
-                    // its use counter and re-heats quickly.
-                    let profile = match self.cache.profile_of.get(&eip) {
-                        Some(&p) => p,
-                        None => {
-                            let p = self.alloc_profile(os);
-                            self.cache.profile_of.insert(eip, p);
-                            p
-                        }
-                    };
-                    let plain = match origin {
-                        XlateOrigin::Image { plain, .. } | XlateOrigin::Shared { plain, .. } => {
-                            plain
-                        }
-                        _ => false,
-                    };
-                    (id, profile, None, plain, 0)
-                }
-            };
+        let (id, profile, prev_entry, indirect_plain, pop_misses) = match self.live_block(eip) {
+            Some(b) => (
+                b.id,
+                b.counter_addr,
+                Some(b.entry),
+                b.indirect_plain,
+                b.pop_misses,
+            ),
+            None => {
+                let id = self.cache.blocks.len() as u32;
+                // Profile slots are keyed by guest EIP and survive both
+                // eviction and flushing, so a re-translated block keeps
+                // its use counter and re-heats quickly.
+                let profile = match self.cache.profile_of.get(&eip) {
+                    Some(&p) => p,
+                    None => {
+                        let p = self.alloc_profile(os);
+                        self.cache.profile_of.insert(eip, p);
+                        p
+                    }
+                };
+                let plain = match origin {
+                    XlateOrigin::Image { plain, .. } | XlateOrigin::Shared { plain, .. } => plain,
+                    _ => false,
+                };
+                (id, profile, None, plain, 0)
+            }
+        };
         let spec = match origin {
             // Image and shared records carry the FP speculation seed
             // the block was generated under — reusing it keeps the
@@ -1399,16 +1382,13 @@ impl Engine {
                 continue;
             };
             match self.cache.registry.live(texit) {
-                Some(tid) => {
-                    let tentry = self.cache.blocks[tid as usize].entry;
-                    self.chain(br, tid, tentry);
-                }
+                Some(tid) => self.chain(br, tid),
                 None => self.cache.registry.await_target(texit, br),
             }
         }
         // Chain every trampoline that was already waiting for this EIP.
         for br in self.cache.registry.take_waiting(eip) {
-            self.chain(br, id, entry);
+            self.chain(br, id);
         }
         self.trace_emit(EventData::BlockTranslated {
             id,
@@ -1628,20 +1608,13 @@ impl Engine {
     /// first stub-targeting branch at or after `tramp` (bounded by the
     /// block's end) belongs to that trampoline.
     fn exit_branch_bundle(&self, tramp: u64, end: u64) -> Option<u64> {
-        let stub = StubKind::Untranslated.addr();
-        let mut addr = tramp;
-        while addr < end {
-            if let Some(b) = self.machine.arena.bundle_at(addr) {
-                if b.slots
-                    .iter()
-                    .any(|s| s.op.target() == Some(Target::Abs(stub)))
-                {
-                    return Some(addr);
-                }
-            }
-            addr += ipf::Bundle::SIZE;
-        }
-        None
+        let stub = Some(Target::Abs(StubKind::Untranslated.addr()));
+        (tramp..end)
+            .step_by(ipf::Bundle::SIZE as usize)
+            .find(|&addr| {
+                let bundle = self.machine.arena.bundle_at(addr);
+                bundle.is_some_and(|b| b.slots.iter().any(|s| s.op.target() == stub))
+            })
     }
 
     /// Returns (emitting on first use) the interpreter stub for `eip`.
@@ -2049,7 +2022,7 @@ impl Engine {
                         // exited) to go straight to the new block (or to
                         // the interpreter stub standing in for it).
                         match self.cache.registry.live(eip) {
-                            Some(tid) => self.chain(from, tid, entry),
+                            Some(tid) => self.chain(from, tid),
                             None => {
                                 self.patch_branch(from, StubKind::Untranslated.addr(), entry);
                             }
@@ -2369,24 +2342,47 @@ impl Engine {
         let Some((inst, _)) = ia32::decode::decode_at(&self.mem, eip) else {
             return false;
         };
-        use ia32::inst::{Inst as I, Rm::Mem};
-        let always = matches!(
+        use ia32::inst::Inst as I;
+        matches!(
             inst,
-            I::Push { .. }
+            I::Mov {
+                dst: ia32::inst::Rm::Mem(_),
+                ..
+            } | I::Alu {
+                dst: ia32::inst::Rm::Mem(_),
+                ..
+            } | I::Push { .. }
                 | I::Call { .. }
                 | I::CallInd { .. }
                 | I::Movs { .. }
                 | I::Stos { .. }
                 | I::Fst { .. }
                 | I::Fistp { .. }
-        );
-        let to_mem = match inst {
-            I::Mov { dst, .. } | I::Alu { dst, .. } | I::IncDec { dst, .. } => Some(dst),
-            I::Neg { dst, .. } | I::Not { dst, .. } | I::Shift { dst, .. } => Some(dst),
-            I::Setcc { dst, .. } | I::Xchg { rm: dst, .. } => Some(dst),
-            _ => None,
-        };
-        always || matches!(to_mem, Some(Mem(_)))
+                | I::IncDec {
+                    dst: ia32::inst::Rm::Mem(_),
+                    ..
+                }
+                | I::Neg {
+                    dst: ia32::inst::Rm::Mem(_),
+                    ..
+                }
+                | I::Not {
+                    dst: ia32::inst::Rm::Mem(_),
+                    ..
+                }
+                | I::Shift {
+                    dst: ia32::inst::Rm::Mem(_),
+                    ..
+                }
+                | I::Setcc {
+                    dst: ia32::inst::Rm::Mem(_),
+                    ..
+                }
+                | I::Xchg {
+                    rm: ia32::inst::Rm::Mem(_),
+                    ..
+                }
+        )
     }
 
     /// Emulates a misaligned access in parts (the "OS handler" path).
@@ -2535,7 +2531,9 @@ impl Engine {
         let (eip, entry) = (b.eip, b.entry);
         self.cache.registry.orphan(b);
         self.forward(entry, StubKind::Reenter.addr());
-        self.lookup_purge_eip(eip);
+        for s in self.predictions_of(eip) {
+            let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
+        }
         self.audited();
     }
 
@@ -2665,9 +2663,10 @@ impl Engine {
     }
 
     /// Chains the exit bundle `site` — still branching to the
-    /// Untranslated stub — straight to `entry` of block `target`, and
+    /// Untranslated stub — straight to the entry of block `target`, and
     /// records the edge so eviction of the target can un-link it.
-    fn chain(&mut self, site: u64, target: u32, entry: u64) {
+    fn chain(&mut self, site: u64, target: u32) {
+        let entry = self.cache.blocks[target as usize].entry;
         if self.patch_branch(site, StubKind::Untranslated.addr(), entry) {
             self.cache.registry.link(target, site);
         }

@@ -2,11 +2,11 @@
 //! ordered by start address. An extent is born when a generation is
 //! installed (cold translation, hot promotion) and dies when its block
 //! is evicted or the cache is flushed (the whole registry is dropped);
-//! between those two points it is in this index, so "which block owns this bundle address" is one
-//! ordered-map probe instead of a scan over every block ever
-//! translated. Live extents are disjoint — the arena never hands out
-//! an address twice before it is released — which is what makes the
-//! greatest-start-at-or-below probe exact.
+//! between those two points it is in this index, so "which block owns
+//! this bundle address" is one ordered-map probe instead of a scan over
+//! every block ever translated. Live extents are disjoint — the arena
+//! never hands out an address twice before it is released — which is
+//! what makes the greatest-start-at-or-below probe exact.
 
 use std::collections::BTreeMap;
 

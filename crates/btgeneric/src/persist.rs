@@ -27,10 +27,11 @@
 //! indirect-dispatch shape — plus the source span and its FNV-1a
 //! checksum. Loading re-runs the generator at the current arena
 //! position, which relocates arena offsets for free, re-derives exit
-//! trampolines and chain links through the engine's ordinary
-//! `pending_exits`/`links_into` patching, and re-inserts lookup-table
-//! slots keyed by EIP. What is *charged* differs: an image block costs
-//! the flat [`crate::cost::IMAGE_LOAD_CYCLES`] instead of the per-instruction
+//! trampolines and chain links through the engine's ordinary chaining
+//! (waiting exits and inbound links are the registry's), and re-inserts
+//! lookup-table slots keyed by EIP. What is *charged* differs: an image
+//! block costs the flat [`crate::cost::IMAGE_LOAD_CYCLES`] instead of
+//! the per-instruction
 //! cold-translation cost — that asymmetry is the warm-start speedup.
 //!
 //! Hot trace *bodies* are **not** serialized: their recovery maps are
