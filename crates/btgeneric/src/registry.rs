@@ -298,6 +298,7 @@ impl crate::engine::Engine {
     /// like this a transition costs about the same to audit whatever
     /// the cache has grown to. (Unpaced, a 28 000-block guest spends
     /// thirty times longer in the audit than in the translator.)
+    #[cfg(debug_assertions)]
     pub(crate) fn audit_transition(&self) -> Result<(), String> {
         let work = self.machine.arena.len() + self.cache.blocks.len();
         match self.cache.registry.transitions % (1 + (work / AUDIT_STRIDE_WORK) as u64) {
@@ -520,7 +521,7 @@ impl crate::engine::Engine {
 
 /// Blocks plus bundles of cache per transition skipped between two
 /// audits; see [`Engine::audit_transition`].
-#[cfg(any(test, debug_assertions))]
+#[cfg(debug_assertions)]
 const AUDIT_STRIDE_WORK: usize = 256;
 
 #[cfg(test)]
