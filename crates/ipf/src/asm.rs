@@ -1,9 +1,10 @@
 //! The IPF bundler/assembler.
 //!
 //! Turns a linear instruction stream (with stop requests and labels)
-//! into template-conformant bundles, patching label targets to absolute
-//! bundle addresses. Used by both the translator's cold/hot backends and
-//! the workloads' native-code generator.
+//! into template-conformant bundles, patching label targets to bundle
+//! addresses — absolute ones at a given base, or offsets in code that
+//! is placed later ([`Relocatable`]). Used by both the translator's
+//! cold/hot backends and the workloads' native-code generator.
 
 use crate::bundle::{Bundle, SlotKind, Template};
 use crate::inst::{Inst, Op, Target, Unit};
@@ -25,8 +26,8 @@ pub type Placements = Vec<(usize, u8)>;
 
 /// The resolved address of every label of a [`CodeBuilder`], indexed by
 /// the label (labels are dense small integers, so this is an array).
-#[derive(Clone, Debug)]
-pub struct LabelAddrs(Vec<u64>);
+#[derive(Clone, PartialEq, Debug)]
+pub struct LabelAddrs(pub(crate) Vec<u64>);
 
 impl LabelAddrs {
     /// Address of a label that was allocated but never bound.
@@ -43,6 +44,66 @@ impl std::ops::Index<Label> for LabelAddrs {
         let addr = &self.0[label.0 as usize];
         assert_ne!(*addr, Self::UNBOUND, "unbound label L{}", label.0);
         addr
+    }
+}
+
+/// Assembled code that has no address yet: the bundles as they come
+/// out at base 0, plus the list of slots whose branch target came from
+/// a label. Moving the code somewhere is adding that address to exactly
+/// those targets (and to the label offsets) — an absolute target the
+/// program was given stays what it was, wherever it points.
+/// [`crate::machine::CodeArena::install`] decides where, so code is
+/// generated once however the arena's free list looks.
+#[derive(Clone, Debug)]
+pub struct Relocatable {
+    pub(crate) bundles: Vec<Bundle>,
+    /// `(bundle index, slot)` of every label-derived target.
+    pub(crate) label_slots: Vec<(u32, u8)>,
+    pub(crate) labels: LabelAddrs,
+    pub(crate) placements: Placements,
+}
+
+impl Relocatable {
+    /// Number of bundles.
+    pub fn len(&self) -> usize {
+        self.bundles.len()
+    }
+
+    /// True if there are no bundles.
+    pub fn is_empty(&self) -> bool {
+        self.bundles.is_empty()
+    }
+
+    /// The bundles as assembled at base 0.
+    pub fn bundles(&self) -> &[Bundle] {
+        &self.bundles
+    }
+
+    /// Every label's byte offset from the first bundle.
+    pub fn labels(&self) -> &LabelAddrs {
+        &self.labels
+    }
+
+    /// Where each pushed instruction landed (position-independent).
+    pub fn placements(&self) -> &Placements {
+        &self.placements
+    }
+
+    /// The code as it reads at `base`: bundles, label addresses and
+    /// placements, equal to what assembling at `base` would have given.
+    pub fn at(mut self, base: u64) -> (Vec<Bundle>, LabelAddrs, Placements) {
+        for &(bundle, slot) in &self.label_slots {
+            let op = &mut self.bundles[bundle as usize].slots[slot as usize].op;
+            if let Some(Target::Abs(offset)) = op.target() {
+                op.set_target(Target::Abs(base + offset));
+            }
+        }
+        for addr in &mut self.labels.0 {
+            if *addr != LabelAddrs::UNBOUND {
+                *addr += base;
+            }
+        }
+        (self.bundles, self.labels, self.placements)
     }
 }
 
@@ -126,22 +187,28 @@ impl CodeBuilder {
     ///
     /// Panics if a referenced label was never bound.
     pub fn assemble(&self, base: u64) -> (Vec<Bundle>, LabelAddrs) {
-        let (b, l, _) = self.assemble_with_placements(base);
+        let (b, l, _) = self.assemble_relocatable().at(base);
         (b, l)
     }
 
-    /// Like [`CodeBuilder::assemble`], additionally returning where each
-    /// pushed instruction landed (`(bundle_index, slot)`, in push
-    /// order) — the translator's recovery maps need this.
+    /// [`CodeBuilder::assemble`], additionally returning where each
+    /// pushed instruction landed.
+    pub fn assemble_with_placements(&self, base: u64) -> (Vec<Bundle>, LabelAddrs, Placements) {
+        self.assemble_relocatable().at(base)
+    }
+
+    /// Assembles into position-independent code (see [`Relocatable`]),
+    /// which also says where each pushed instruction landed — the
+    /// translator's recovery maps need this.
     ///
     /// # Panics
     ///
     /// Panics if a referenced label was never bound.
-    pub fn assemble_with_placements(&self, base: u64) -> (Vec<Bundle>, LabelAddrs, Placements) {
+    pub fn assemble_relocatable(&self) -> Relocatable {
         let mut bundles: Vec<Bundle> = Vec::with_capacity(self.items.len() / 2 + 1);
         let mut packer = Packer::new();
         let mut labels = LabelAddrs(vec![LabelAddrs::UNBOUND; self.next_label as usize]);
-        let addr_of = |idx: usize| base + idx as u64 * Bundle::SIZE;
+        let offset_of = |idx: usize| idx as u64 * Bundle::SIZE;
         let mut pending_binds: Vec<Label> = Vec::new();
         let mut seq = 0usize;
 
@@ -155,7 +222,7 @@ impl CodeBuilder {
                     // A binding lands on the *next* bundle started.
                     debug_assert!(pending_binds.is_empty() || !packer.has_partial());
                     for l in pending_binds.drain(..) {
-                        labels.0[l.0 as usize] = addr_of(bundles.len());
+                        labels.0[l.0 as usize] = offset_of(bundles.len());
                     }
                     packer.add_tracked(*inst, *stop_after, seq, &mut bundles);
                     seq += 1;
@@ -165,14 +232,16 @@ impl CodeBuilder {
         packer.flush(&mut bundles);
         // Trailing binds point one past the end.
         for l in pending_binds.drain(..) {
-            labels.0[l.0 as usize] = addr_of(bundles.len());
+            labels.0[l.0 as usize] = offset_of(bundles.len());
         }
 
-        // Patch label targets.
-        for b in &mut bundles {
-            for s in &mut b.slots {
+        // Patch label targets, remembering which slots they are.
+        let mut label_slots = Vec::new();
+        for (idx, b) in bundles.iter_mut().enumerate() {
+            for (slot, s) in b.slots.iter_mut().enumerate() {
                 if let Some(Target::Label(l)) = s.op.target() {
                     s.op.set_target(Target::Abs(labels[Label(l)]));
+                    label_slots.push((idx as u32, slot as u8));
                 }
             }
         }
@@ -180,7 +249,12 @@ impl CodeBuilder {
         for p in packer.placements.drain(..) {
             placements[p.0] = (p.1, p.2);
         }
-        (bundles, labels, placements)
+        Relocatable {
+            bundles,
+            label_slots,
+            labels,
+            placements,
+        }
     }
 }
 

@@ -11,6 +11,7 @@
 //! faulting slot unexecuted — the translator's precise-exception
 //! machinery builds on this.
 
+use crate::asm::Relocatable;
 use crate::bundle::Bundle;
 use crate::inst::{FFmt, FXfer, Inst, LatClass, Op, SlotMeta, Target, Unit, SB_LEN, SB_NONE};
 use crate::regs::{NUM_BR, NUM_FR, NUM_GR, NUM_PR};
@@ -397,8 +398,9 @@ impl std::ops::IndexMut<usize> for TagTable {
 /// The arena also keeps a free list of reclaimable extents so the
 /// translator can evict individual blocks and reuse their space instead
 /// of flushing wholesale: [`CodeArena::release`] returns an extent to
-/// the free list, [`CodeArena::alloc`] carves a hole back out, and
-/// [`CodeArena::place`] installs fresh bundles into it.
+/// the free list and [`CodeArena::install`] puts position-independent
+/// code into the best-fitting hole, or at the end when none is large
+/// enough.
 ///
 /// Beside the bundles the arena caches each slot's issue metadata
 /// ([`Inst::slot_meta`]) so the machine decodes a slot once, not once
@@ -409,7 +411,8 @@ impl std::ops::IndexMut<usize> for TagTable {
 /// `append`, `place`, `release`, `truncate`, `patch_slot` — each of
 /// which updates `tags` in the same breath: the metadata of the slots
 /// it writes, and the group ids of those slots *and* of the slots
-/// before them whose groups reach into what it wrote.
+/// before them whose groups reach into what it wrote. `install` is
+/// `append` or `place` after a rebase.
 #[derive(Debug, Default)]
 pub struct CodeArena {
     base: u64,
@@ -460,6 +463,16 @@ impl CodeArena {
         }
         self.bundles.extend(bundles);
         addr
+    }
+
+    /// Installs position-independent code tagged with `region` where
+    /// there is room — the smallest free extent that holds it, else the
+    /// end — rebased to that address, which is returned.
+    pub fn install(&mut self, code: Relocatable, region: u32) -> u64 {
+        match self.alloc(code.len()) {
+            Some(hole) => self.place(hole, code.at(hole).0, region),
+            None => self.append(code.at(self.end()).0, region),
+        }
     }
 
     /// Truncates the arena back to `addr` (translation-cache flush).
@@ -529,7 +542,7 @@ impl CodeArena {
 
     /// Carves `count` bundles out of the free list (best fit), returning
     /// the hole's start address, or `None` if no free extent is large
-    /// enough. Use [`CodeArena::place`] to install code there.
+    /// enough.
     pub fn alloc(&mut self, count: usize) -> Option<u64> {
         if count == 0 {
             return None;
@@ -550,8 +563,8 @@ impl CodeArena {
         Some(self.base + idx as u64 * Bundle::SIZE)
     }
 
-    /// Installs bundles into a hole previously returned by
-    /// [`CodeArena::alloc`], returning their start address.
+    /// Writes bundles into a hole `alloc` returned, returning their
+    /// start address.
     ///
     /// # Panics
     ///
@@ -1991,7 +2004,7 @@ impl Bus for VecBus {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::asm::CodeBuilder;
+    use crate::asm::{CodeBuilder, Label, LabelAddrs};
     use crate::inst::CmpRel;
     use crate::regs::*;
 
@@ -2763,11 +2776,20 @@ mod tests {
                     let code = random_bundles(&mut x, n);
                     live.push((arena.append(code, step as u32), n));
                 }
-                5..=7 => {
+                5..=6 => {
                     if let Some(addr) = arena.alloc(n) {
                         let code = random_bundles(&mut x, n);
                         live.push((arena.place(addr, code, step as u32), n));
                     }
+                }
+                7 => {
+                    let code = Relocatable {
+                        bundles: random_bundles(&mut x, n),
+                        label_slots: Vec::new(),
+                        labels: LabelAddrs(Vec::new()),
+                        placements: Vec::new(),
+                    };
+                    live.push((arena.install(code, step as u32), n));
                 }
                 8..=10 if !live.is_empty() => {
                     let (start, n) = live.swap_remove(x as usize % live.len());
@@ -2807,6 +2829,168 @@ mod tests {
             }
         }
         assert_eq!(arena.checksum_range(arena.base(), arena.end()), by_strings);
+    }
+
+    /// A pseudo-random [`CodeBuilder`] program and what was pushed into
+    /// it, in order, for a reader to resolve by hand: instructions
+    /// (branches to labels and to absolute addresses among them — the
+    /// latter inside and outside `[near, near + 0x400)`, where the test
+    /// makes the code land, and inside the offsets the code spans at
+    /// base 0) and label binds, mid-stream and trailing.
+    fn random_program(x: &mut u64, near: u64) -> (CodeBuilder, Vec<Result<Inst, Label>>) {
+        let mut cb = CodeBuilder::new();
+        let labels: Vec<Label> = (0..1 + xorshift(x) % 4).map(|_| cb.label()).collect();
+        let mut unbound = labels.clone();
+        let mut pushed = Vec::new();
+        for _ in 0..4 + xorshift(x) % 40 {
+            let r = xorshift(x);
+            let (g, p) = (Gr(32 + (r >> 8) as u16 % 64), Pr((r >> 16) as u16 % 8));
+            let label = Target::Label(labels[(r >> 24) as usize % labels.len()].0);
+            let abs = Target::Abs(match (r >> 32) % 4 {
+                0 => near + (r >> 40) % 0x40 * Bundle::SIZE,
+                1 => (r >> 40) % 0x40 * Bundle::SIZE,
+                2 => near - 0x1000 + (r >> 40) % 0x40 * Bundle::SIZE,
+                _ => 0x7000_0000 + (r >> 40) % 0x40 * Bundle::SIZE,
+            });
+            let op = match r % 12 {
+                0 if !unbound.is_empty() => {
+                    let l = unbound.swap_remove((r >> 8) as usize % unbound.len());
+                    cb.bind(l);
+                    pushed.push(Err(l));
+                    continue;
+                }
+                0..=2 => Op::Br { target: label },
+                3 => Op::Br { target: abs },
+                4 => Op::ChkS {
+                    r: g,
+                    target: label,
+                },
+                5 => Op::BrCall {
+                    b_save: Br(1),
+                    target: abs,
+                },
+                6 => Op::Movl { d: g, imm: r },
+                7 => Op::Ld {
+                    sz: 8,
+                    d: g,
+                    addr: Gr(33),
+                    spec: false,
+                },
+                8 => Op::Fma {
+                    d: Fr(40),
+                    a: Fr(41),
+                    b: Fr(42),
+                    c: Fr(43),
+                },
+                _ => Op::AddImm { d: g, imm: 1, a: g },
+            };
+            let inst = Inst::pred(p, op);
+            cb.push_inst(inst);
+            pushed.push(Ok(inst));
+            if r >> 60 < 5 {
+                cb.stop();
+            }
+        }
+        for l in unbound {
+            cb.bind(l);
+            pushed.push(Err(l));
+        }
+        (cb, pushed)
+    }
+
+    /// `install` is `assemble(addr)` + `place`/`append` at the address
+    /// `alloc` would have picked, bundle for bundle — checked on twin
+    /// arenas — and, resolved by hand from what was pushed: every
+    /// instruction sits at its placement, a label is where the next
+    /// instruction's bundle starts (one past the end for a trailing
+    /// one), a label target is that address, and an absolute target is
+    /// what the program said, wherever it points.
+    #[test]
+    fn install_equals_assembling_at_the_address_it_picks() {
+        let mut x = 0x9E37_79B9_7F4A_7C15u64;
+        let (mut in_hole, mut at_end) = (0, 0);
+        for round in 0..300 {
+            // Twin arenas with the same code and the same holes.
+            let mut twins = [CodeArena::new(BASE), CodeArena::new(BASE)];
+            let mut seed = x;
+            let extents: Vec<(u64, usize)> = (0..1 + xorshift(&mut x) % 6)
+                .map(|_| {
+                    let n = 1 + xorshift(&mut seed) as usize % 24;
+                    let code = random_bundles(&mut seed, n);
+                    let [a, b] = &mut twins;
+                    b.append(code.clone(), 1);
+                    (a.append(code, 1), n)
+                })
+                .collect();
+            for &(start, n) in &extents {
+                if xorshift(&mut x).is_multiple_of(2) {
+                    for arena in &mut twins {
+                        arena.release(start, start + n as u64 * Bundle::SIZE);
+                    }
+                }
+            }
+            let [arena, reference] = &mut twins;
+
+            let near = match round % 2 {
+                0 => extents[0].0,
+                _ => arena.end(),
+            };
+            let (cb, pushed) = random_program(&mut x, near);
+            let code = cb.assemble_relocatable();
+            let (n, offsets, placements) =
+                (code.len(), code.labels().clone(), code.placements().clone());
+
+            let want = reference.alloc(n).unwrap_or(reference.end());
+            let (bundles, labels) = cb.assemble(want);
+            if want == reference.end() {
+                at_end += 1;
+                reference.append(bundles, 9);
+            } else {
+                in_hole += 1;
+                reference.place(want, bundles, 9);
+            }
+            let got = arena.install(code, 9);
+            assert_eq!(got, want, "round {round}");
+            assert_eq!(arena.bundles, reference.bundles, "round {round}");
+            assert_eq!(arena.free, reference.free, "round {round}");
+            for i in 0..arena.len() {
+                assert_eq!(arena.tags[i].region, reference.tags[i].region);
+            }
+            assert_meta_coherent(arena);
+
+            // By hand, from what was pushed.
+            let at = |k: usize| {
+                let (idx, slot) = placements[k];
+                (got + idx as u64 * Bundle::SIZE, slot as usize)
+            };
+            let insts = pushed.iter().filter(|p| p.is_ok()).count();
+            let mut k = 0;
+            for p in &pushed {
+                let &Err(l) = p else {
+                    k += 1;
+                    continue;
+                };
+                let here = match k < insts {
+                    true => at(k).0,
+                    false => got + n as u64 * Bundle::SIZE,
+                };
+                assert_eq!(labels[l], here, "round {round}: L{}", l.0);
+                assert_eq!(offsets[l] + got, here);
+            }
+            for (k, inst) in pushed.iter().filter_map(|p| p.ok()).enumerate() {
+                let mut want = inst;
+                if let Some(Target::Label(l)) = want.op.target() {
+                    want.op.set_target(Target::Abs(labels[Label(l)]));
+                }
+                let (addr, slot) = at(k);
+                let found = arena.bundle_at(addr).expect("placed inside the arena");
+                assert_eq!(found.slots[slot], want, "round {round}: push {k}");
+            }
+        }
+        assert!(
+            in_hole > 50 && at_end > 50,
+            "{in_hole} in holes, {at_end} at the end"
+        );
     }
 
     /// `n` slots of `add r32 = 1, r32`, a multiple of three of them,
