@@ -13,8 +13,7 @@ use crate::templates::{
     self, emit_spec_checks, AlignCache, EmitCtx, FpCtx, IndKind, MisalignPlan, Sink, Term, XmmCtx,
 };
 use ia32::inst::Inst as I32;
-use ipf::asm::CodeBuilder;
-use ipf::bundle::Bundle;
+use ipf::asm::{CodeBuilder, Relocatable};
 use ipf::inst::{CmpRel, Op, Target};
 use ipf::regs::{Br, R0};
 
@@ -68,17 +67,16 @@ pub struct ColdGenInput<'a> {
     /// call site or shadow-stack-hostile ret), so emit only the plain
     /// 2-way table probe — no inline cache, no shadow push/pop.
     pub plain: bool,
-    /// Address the block will be assembled at.
-    pub base: u64,
 }
 
 /// A generated cold block.
 #[derive(Debug)]
 pub struct ColdBlock {
-    /// The code.
-    pub bundles: Vec<Bundle>,
-    /// Untranslated-target exits: `(target_eip, trampoline_addr)`. The
-    /// trampoline's branch slot is patched once the target exists.
+    /// The code, to be placed wherever the arena has room.
+    pub code: Relocatable,
+    /// Untranslated-target exits: `(target_eip, trampoline's byte
+    /// offset into the code)`. The trampoline's branch slot is patched
+    /// once the target exists.
     pub exits: Vec<(u32, u64)>,
     /// IA-32 instructions translated.
     pub ia32_insts: usize,
@@ -1047,14 +1045,14 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     lower(&head, &mut cb).map_err(ColdGenError::Lower)?;
     let tail_labels = lower(&tail, &mut cb).map_err(ColdGenError::Lower)?;
     let native_insts = cb.len();
-    let (bundles, label_addrs) = cb.assemble(input.base);
+    let code = cb.assemble_relocatable();
     let exits = tramp_labels
         .iter()
-        .map(|(eip, l)| (*eip, label_addrs[tail_labels[*l as usize]]))
+        .map(|(eip, l)| (*eip, code.labels()[tail_labels[*l as usize]]))
         .collect();
 
     Ok(ColdBlock {
-        bundles,
+        code,
         exits,
         ia32_insts: ia32_count,
         accesses,
@@ -1103,7 +1101,6 @@ mod tests {
             smc_check: None,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
-            base: crate::layout::TC_BASE,
         };
         generate(&input).expect("generates")
     }
@@ -1116,7 +1113,7 @@ mod tests {
             a.hlt();
         });
         assert_eq!(b.ia32_insts, 3);
-        assert!(!b.bundles.is_empty());
+        assert!(!b.code.is_empty());
         assert!(b.exits.is_empty(), "halt needs no trampoline");
     }
 
@@ -1175,7 +1172,6 @@ mod tests {
             smc_check: None,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
-            base: crate::layout::TC_BASE,
         };
         let unfused = generate(&input).unwrap();
         assert!(
@@ -1195,7 +1191,8 @@ mod tests {
         // Lookup sequence present: a load from the lookup region plus
         // an indirect branch.
         let has_brret = b
-            .bundles
+            .code
+            .bundles()
             .iter()
             .flat_map(|bu| bu.slots.iter())
             .any(|s| matches!(s.op, Op::BrRet { .. }));
@@ -1229,7 +1226,6 @@ mod tests {
             smc_check: smc,
             ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
-            base: crate::layout::TC_BASE,
         };
         let plain = generate(&mk(None)).unwrap();
         let checked = generate(&mk(Some((0x1000, 0xDEAD)))).unwrap();

@@ -1249,9 +1249,8 @@ impl Engine {
             smc_check,
             ic_slot: profile + IC_OFFSET,
             plain: indirect_plain,
-            base: self.machine.arena.end(),
         };
-        let gen0 = match generate(&input) {
+        let gen = match generate(&input) {
             Ok(g) => g,
             Err(_) => {
                 // Unlowerable block: a stub that single-steps from here
@@ -1265,12 +1264,10 @@ impl Engine {
                 return Ok(self.emit_interp_stub(eip));
             }
         };
-        // Charge translation overhead (once — the free-list placement
-        // below re-bases the same deterministic generation). Blocks
-        // materialized from a warm-start image pay only the flat
-        // validate-and-install cost, not the per-instruction
-        // translation cost — that asymmetry is the entire warm-start
-        // speedup.
+        // Charge translation overhead. Blocks materialized from a
+        // warm-start image pay only the flat validate-and-install cost,
+        // not the per-instruction translation cost — that asymmetry is
+        // the entire warm-start speedup.
         match origin {
             XlateOrigin::Image { .. } => {
                 self.machine
@@ -1289,41 +1286,20 @@ impl Engine {
             _ => {
                 self.machine.charge(
                     region::OVERHEAD,
-                    (gen0.ia32_insts as u64).max(1) * cost::COLD_XLATE_CYCLES,
+                    (gen.ia32_insts as u64).max(1) * cost::COLD_XLATE_CYCLES,
                 );
                 self.stats.cold_blocks += 1;
-                self.stats.cold_ia32_insts += gen0.ia32_insts as u64;
-                self.stats.cold_native_insts += gen0.native_insts as u64;
+                self.stats.cold_ia32_insts += gen.ia32_insts as u64;
+                self.stats.cold_native_insts += gen.native_insts as u64;
                 if matches!(origin, XlateOrigin::Pretranslate) {
                     self.stats.pretranslated_blocks += 1;
                 }
             }
         }
-        let n_bundles = gen0.bundles.len() as u64;
-        // Prefer filling an eviction hole over growing the arena. Code
-        // addresses are position-dependent, so re-generate at the hole's
-        // base — same shape, new addresses.
-        let (mut gen, entry) = match self.machine.arena.alloc(gen0.bundles.len()) {
-            Some(hole) => {
-                let rebased = ColdGenInput {
-                    base: hole,
-                    ..input
-                };
-                let g = generate(&rebased).expect("cold generation is deterministic");
-                debug_assert_eq!(g.bundles.len() as u64, n_bundles);
-                (g, hole)
-            }
-            None => {
-                let end = self.machine.arena.end();
-                (gen0, end)
-            }
-        };
-        let bundles = std::mem::take(&mut gen.bundles);
-        let entry = if entry == self.machine.arena.end() {
-            self.machine.arena.append(bundles, region::COLD)
-        } else {
-            self.machine.arena.place(entry, bundles, region::COLD)
-        };
+        // The code goes where the arena has room: an eviction hole
+        // before new space.
+        let n_bundles = gen.code.len() as u64;
+        let entry = self.machine.arena.install(gen.code, region::COLD);
         let range = (entry, entry + n_bundles * ipf::Bundle::SIZE);
 
         // Superseded generations stay allocated (their entries forward
@@ -1378,7 +1354,7 @@ impl Engine {
         // the block never round-trips through the dispatcher for them
         // and eviction can find every inbound edge later.
         for &(texit, tramp) in &gen.exits {
-            let Some(br) = self.exit_branch_bundle(tramp, range.1) else {
+            let Some(br) = self.exit_branch_bundle(entry + tramp, range.1) else {
                 continue;
             };
             match self.cache.registry.live(texit) {
@@ -1640,8 +1616,8 @@ impl Engine {
         cb.push(Op::Br {
             target: Target::Abs(StubKind::InterpStep.addr()),
         });
-        let (bundles, _) = cb.assemble(self.machine.arena.end());
-        self.machine.arena.append(bundles, region::OTHER)
+        let code = cb.assemble_relocatable();
+        self.machine.arena.install(code, region::OTHER)
     }
 
     /// Patches the entry bundle of an old block version to branch to the

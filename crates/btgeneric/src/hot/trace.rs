@@ -1015,20 +1015,11 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         cb.stop();
     }
 
-    let (bundles, _labels, placements) = cb.assemble_with_placements(engine.machine.arena.end());
-    let n_bundles = bundles.len() as u64;
-    // Prefer filling an eviction hole over growing the arena. Hot code
-    // is position-dependent (labels resolve to absolute bundle
-    // addresses), so re-assemble at the hole's base; the recovery map
-    // below is keyed on the final placement.
-    let (base, bundles, placements) = match engine.machine.arena.alloc(bundles.len()) {
-        Some(hole) => {
-            let (b, _l, p) = cb.assemble_with_placements(hole);
-            debug_assert_eq!(b.len() as u64, n_bundles);
-            (hole, b, p)
-        }
-        None => (engine.machine.arena.end(), bundles, placements),
-    };
+    // Install where the arena has room (an eviction hole before new
+    // space); the recovery map below is keyed on that placement.
+    let code = cb.assemble_relocatable();
+    let (n_bundles, placements) = (code.len() as u64, code.placements().clone());
+    let entry = engine.machine.arena.install(code, region::HOT);
 
     // Recovery map: compiled instruction k was pushed at head_len + k.
     let mut hot = HotData {
@@ -1041,17 +1032,11 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
             let (bidx, slot) = placements[head_len + k];
             if bidx != usize::MAX {
                 hot.by_slot
-                    .insert((base + bidx as u64 * ipf::Bundle::SIZE, slot), rec);
+                    .insert((entry + bidx as u64 * ipf::Bundle::SIZE, slot), rec);
             }
         }
     }
 
-    // Install.
-    let entry = if base == engine.machine.arena.end() {
-        engine.machine.arena.append(bundles, region::HOT)
-    } else {
-        engine.machine.arena.place(base, bundles, region::HOT)
-    };
     engine.machine.charge(
         region::OVERHEAD,
         ia32_count.max(1) * cost::COLD_XLATE_CYCLES * cost::HOT_XLATE_FACTOR,

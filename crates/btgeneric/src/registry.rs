@@ -551,10 +551,11 @@ mod tests {
         let c = translate(&mut engine, chain[2]).0;
         let b = translate(&mut engine, chain[1]).0;
         let (a, entry) = translate(&mut engine, chain[0]);
+        // The stub first: it would fill the hole the eviction leaves.
+        engine.interp_stub_for(chain[4]);
         engine.evict_block(victim.0);
         engine.lookup_insert(chain[0], entry);
         engine.cache.registry.nominate(a);
-        engine.interp_stub_for(chain[4]);
         (engine, [a, b, c, d], victim)
     }
 

@@ -191,12 +191,6 @@ impl CodeBuilder {
         (b, l)
     }
 
-    /// [`CodeBuilder::assemble`], additionally returning where each
-    /// pushed instruction landed.
-    pub fn assemble_with_placements(&self, base: u64) -> (Vec<Bundle>, LabelAddrs, Placements) {
-        self.assemble_relocatable().at(base)
-    }
-
     /// Assembles into position-independent code (see [`Relocatable`]),
     /// which also says where each pushed instruction landed — the
     /// translator's recovery maps need this.

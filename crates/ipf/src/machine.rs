@@ -412,7 +412,9 @@ impl std::ops::IndexMut<usize> for TagTable {
 /// which updates `tags` in the same breath: the metadata of the slots
 /// it writes, and the group ids of those slots *and* of the slots
 /// before them whose groups reach into what it wrote. `install` is
-/// `append` or `place` after a rebase.
+/// `append` or `place` after a rebase; `place` and the free-list carve
+/// `alloc` are private, so code that must go where there is room has
+/// that one way in.
 #[derive(Debug, Default)]
 pub struct CodeArena {
     base: u64,
@@ -543,7 +545,7 @@ impl CodeArena {
     /// Carves `count` bundles out of the free list (best fit), returning
     /// the hole's start address, or `None` if no free extent is large
     /// enough.
-    pub fn alloc(&mut self, count: usize) -> Option<u64> {
+    fn alloc(&mut self, count: usize) -> Option<u64> {
         if count == 0 {
             return None;
         }
@@ -569,7 +571,7 @@ impl CodeArena {
     /// # Panics
     ///
     /// Panics if `addr` is outside the arena or the bundles overrun it.
-    pub fn place(&mut self, addr: u64, bundles: Vec<Bundle>, region: u32) -> u64 {
+    fn place(&mut self, addr: u64, bundles: Vec<Bundle>, region: u32) -> u64 {
         let idx = self.index_of(addr).expect("place address inside arena");
         assert!(
             idx + bundles.len() <= self.bundles.len(),
