@@ -18,6 +18,7 @@ use crate::trace::{EventData, EventKind, Phase, Rung, SpanToken, TraceConfig, Tr
 use ia32::cpu::Cpu;
 use ia32::interp::{Event, Interp};
 use ia32::mem::{GuestMem, MemFaultKind, Prot};
+use ipf::asm::Relocatable;
 use ipf::inst::{FFmt, Op, Target};
 use ipf::machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason};
 use std::collections::{HashMap, HashSet};
@@ -754,23 +755,17 @@ impl Engine {
         s
     }
 
-    /// Installs a hot trace as the new version of `block_id` (forwarding
-    /// the cold entry to it).
+    /// Installs a hot trace as the new version of `block_id`. `hot`
+    /// comes as [`Engine::install_generation`] takes it.
     pub(crate) fn install_hot(
         &mut self,
         block_id: u32,
-        entry: u64,
-        range: (u64, u64),
+        code: Relocatable,
         hot: crate::hot::HotData,
         ia32_insts: usize,
     ) {
-        let prev = self.cache.blocks[block_id as usize].entry;
-        self.forward(prev, entry);
         let commit_points = hot.recovery.len() as u64;
         let b = &mut self.cache.blocks[block_id as usize];
-        b.entry = entry;
-        b.range = range;
-        b.kind = BlockKind::Hot;
         b.ia32_insts = ia32_insts;
         b.misalign_faults = 0;
         b.failures = 0;
@@ -783,19 +778,7 @@ impl Engine {
         // like any other generation, or page invalidation sweeps would
         // never find it and a later rewrite of its source would leave
         // it running stale (reachable through the dispatch lookup table).
-        // A trace is listed under every page it was compiled from, so a
-        // store to a block it merely inlines finds it too.
-        self.register(block_id, &hot.spans);
-        self.cache.blocks[block_id as usize].hot = Some(hot);
-        // Hot exits were chained at emission time: record them all, so
-        // eviction of a target can un-link them.
-        for (target, site) in self.chained_branches(range.0, range.1, block_id) {
-            self.cache.registry.link(target, site);
-        }
-        if self.cfg.verify_on_dispatch {
-            self.cache.blocks[block_id as usize].checksum =
-                self.machine.arena.checksum_range(range.0, range.1);
-        }
+        let entry = self.install_generation(block_id, code, BlockKind::Hot, Some(hot));
         // Refresh the indirect-branch lookup entry and any inline
         // cache predicting this EIP if it pointed at the old version —
         // the forward keeps stale entries correct, but direct is faster.
@@ -808,22 +791,75 @@ impl Engine {
             commit_points,
         });
         self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockPromoted));
+    }
+
+    /// The one way translated code becomes the current generation of
+    /// block `id`, whichever phase produced it. The block's record
+    /// exists and still names what it had before (`entry` the previous
+    /// generation's, or the Untranslated stub for a first translation).
+    /// Places `code` where the arena has room, forwards the previous
+    /// entry to it, points the record at it, makes it the live
+    /// translation of its EIP (a trace under every page of `hot.spans`,
+    /// a cold block under its own source's), and returns its entry.
+    ///
+    /// `hot` is the recovery data of a trace, its `by_slot` keyed by
+    /// byte offset into `code`: it is rebased along with the code.
+    fn install_generation(
+        &mut self,
+        id: u32,
+        code: Relocatable,
+        kind: BlockKind,
+        hot: Option<crate::hot::HotData>,
+    ) -> u64 {
+        let len = code.len() as u64 * ipf::Bundle::SIZE;
+        let region = match kind {
+            BlockKind::Hot => region::HOT,
+            BlockKind::ColdV1 | BlockKind::ColdV2 => region::COLD,
+        };
+        let entry = self.machine.arena.install(code, region);
+        let range = (entry, entry + len);
+        self.forward(self.cache.blocks[id as usize].entry, entry);
+        let b = &mut self.cache.blocks[id as usize];
+        b.entry = entry;
+        b.range = range;
+        b.kind = kind;
+        b.hot = hot.map(|mut hot| {
+            let at_offset = std::mem::take(&mut hot.by_slot);
+            let rebased = at_offset
+                .into_iter()
+                .map(|((offset, slot), rec)| ((entry + offset, slot), rec));
+            hot.by_slot = rebased.collect();
+            hot
+        });
+        self.register(id);
+        if kind == BlockKind::Hot {
+            // Hot exits were chained at emission time: record them all,
+            // so eviction of a target can un-link them.
+            for (target, site) in self.chained_branches(range.0, range.1, id) {
+                self.cache.registry.link(target, site);
+            }
+        }
+        if self.cfg.verify_on_dispatch {
+            self.cache.blocks[id as usize].checksum =
+                self.machine.arena.checksum_range(range.0, range.1);
+        }
         self.audited();
+        entry
     }
 
     /// The single caller of [`Registry::install`]: block `id`'s record
-    /// already names its new generation, translated from `spans`.
-    /// Write-protects every page of them (unless a page is read-only or
-    /// already in explicit-check mode) and sends whatever block the new
-    /// one displaced back through dispatch.
-    fn register(&mut self, id: u32, spans: &[(u32, u32)]) {
+    /// already names its new generation. Write-protects every page of
+    /// its source (unless a page is read-only or already in
+    /// explicit-check mode) and sends whatever block the new one
+    /// displaced back through dispatch.
+    fn register(&mut self, id: u32) {
         let (mem, smc_pages) = (&self.mem, &self.cache.smc_pages);
         let protectable = |page: u32| {
             mem.prot_of((page as u64) << 12).map(|p| p.write) == Some(true)
                 && !smc_pages.contains(&page)
         };
         let b = &mut self.cache.blocks[id as usize];
-        let done = self.cache.registry.install(b, spans, protectable);
+        let done = self.cache.registry.install(b, protectable);
         for page in done.protect {
             self.mem.set_code_protect((page as u64) << 12, true);
         }
@@ -1173,11 +1209,11 @@ impl Engine {
         let src_range = (eip, disc.end_ip());
         let src_fnv = src_checksum(&self.mem, src_range);
         let liveness = analyze(&region_g);
-        let (id, profile, prev_entry, indirect_plain, pop_misses) = match self.live_block(eip) {
+        let (id, profile, prev, indirect_plain, pop_misses) = match self.live_block(eip) {
             Some(b) => (
                 b.id,
                 b.counter_addr,
-                Some(b.entry),
+                Some((b.entry, b.range)),
                 b.indirect_plain,
                 b.pop_misses,
             ),
@@ -1296,17 +1332,16 @@ impl Engine {
                 }
             }
         }
-        // The code goes where the arena has room: an eviction hole
-        // before new space.
-        let n_bundles = gen.code.len() as u64;
-        let entry = self.machine.arena.install(gen.code, region::COLD);
-        let range = (entry, entry + n_bundles * ipf::Bundle::SIZE);
-
-        // Superseded generations stay allocated (their entries forward
-        // here); eviction reclaims the whole list at once.
-        let extents = match prev_entry {
-            Some(_) => std::mem::take(&mut self.cache.blocks[id as usize].extents),
-            None => Vec::new(),
+        // The block's record, still naming what stood here before — a
+        // live block's generation, which stays allocated (its entry
+        // will forward to the new one; eviction reclaims the whole list
+        // at once), or nothing.
+        let (entry, range, extents) = match prev {
+            Some((entry, range)) => {
+                let extents = std::mem::take(&mut self.cache.blocks[id as usize].extents);
+                (entry, range, extents)
+            }
+            None => (StubKind::Untranslated.addr(), (0, 0), Vec::new()),
         };
         let info = BlockInfo {
             id,
@@ -1337,24 +1372,19 @@ impl Engine {
             src_fnv,
             hot: None,
         };
-        if let Some(prev) = prev_entry {
-            // Forward the old entry to the new version.
-            self.forward(prev, entry);
-            self.cache.blocks[id as usize] = info;
-        } else {
-            self.cache.blocks.push(info);
+        match prev {
+            Some(_) => self.cache.blocks[id as usize] = info,
+            None => self.cache.blocks.push(info),
         }
-        self.register(id, &[src_range]);
-        if self.cfg.verify_on_dispatch {
-            self.cache.blocks[id as usize].checksum =
-                self.machine.arena.checksum_range(range.0, range.1);
-        }
+        let n_bundles = gen.code.len() as u64;
+        let entry = self.install_generation(id, gen.code, kind, None);
+        let end = entry + n_bundles * ipf::Bundle::SIZE;
         // Register this block's untranslated-target trampolines and
         // proactively chain the ones whose target already exists, so
         // the block never round-trips through the dispatcher for them
         // and eviction can find every inbound edge later.
         for &(texit, tramp) in &gen.exits {
-            let Some(br) = self.exit_branch_bundle(entry + tramp, range.1) else {
+            let Some(br) = self.exit_branch_bundle(entry + tramp, end) else {
                 continue;
             };
             match self.cache.registry.live(texit) {
@@ -1381,7 +1411,6 @@ impl Engine {
         if !matches!(origin, XlateOrigin::Shared { .. }) {
             self.shared_publish(eip);
         }
-        self.audited();
         Ok(entry)
     }
 
@@ -1623,17 +1652,19 @@ impl Engine {
     /// Patches the entry bundle of an old block version to branch to the
     /// new version ("block forwarding").
     fn forward(&mut self, old_entry: u64, new_entry: u64) {
+        // A block that had no code yet "enters" at a stub.
+        if self.machine.arena.index_of(old_entry).is_none() {
+            return;
+        }
         let mut cb = ipf::asm::CodeBuilder::new();
         cb.push(Op::Br {
             target: Target::Abs(new_entry),
         });
         let (bundles, _) = cb.assemble(old_entry);
         let b = bundles.into_iter().next().expect("one bundle");
-        if self.machine.arena.index_of(old_entry).is_some() {
-            // Replace all three slots.
-            for (slot, inst) in b.slots.iter().enumerate() {
-                self.machine.arena.patch_slot(old_entry, slot, inst.op);
-            }
+        // Replace all three slots.
+        for (slot, inst) in b.slots.iter().enumerate() {
+            self.machine.arena.patch_slot(old_entry, slot, inst.op);
         }
         self.note_patched(old_entry);
     }

@@ -1015,13 +1015,10 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         cb.stop();
     }
 
-    // Install where the arena has room (an eviction hole before new
-    // space); the recovery map below is keyed on that placement.
     let code = cb.assemble_relocatable();
-    let (n_bundles, placements) = (code.len() as u64, code.placements().clone());
-    let entry = engine.machine.arena.install(code, region::HOT);
 
     // Recovery map: compiled instruction k was pushed at head_len + k.
+    // Keyed by offset into `code`; it is rebased where the code lands.
     let mut hot = HotData {
         recovery,
         by_slot: HashMap::new(),
@@ -1029,10 +1026,10 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     };
     for (k, (_, _, rec)) in compiled.iter().enumerate() {
         if let Some(rec) = *rec {
-            let (bidx, slot) = placements[head_len + k];
+            let (bidx, slot) = code.placements()[head_len + k];
             if bidx != usize::MAX {
                 hot.by_slot
-                    .insert((entry + bidx as u64 * ipf::Bundle::SIZE, slot), rec);
+                    .insert((bidx as u64 * ipf::Bundle::SIZE, slot), rec);
             }
         }
     }
@@ -1046,13 +1043,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     engine.stats.hot_ia32_insts += ia32_count;
     engine.stats.hot_native_insts += compiled.len() as u64;
     engine.stats.hot_commit_points += hot.recovery.len() as u64;
-    engine.install_hot(
-        block_id,
-        entry,
-        (entry, entry + n_bundles * ipf::Bundle::SIZE),
-        hot,
-        ia32_count as usize,
-    );
+    engine.install_hot(block_id, code, hot, ia32_count as usize);
     Some(())
 }
 

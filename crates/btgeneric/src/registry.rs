@@ -154,16 +154,15 @@ impl Registry {
 
     /// A new generation of `b` — first cold translation, same-id
     /// regeneration, or hot promotion — becomes the live translation of
-    /// `b.eip`. `b.entry`/`b.range` already name the new generation; it
-    /// joins `b.extents` and the extent index here. `spans` are the
-    /// guest byte ranges it was translated from, `b.eip` among them:
-    /// every page they overlap lists the block and is to be protected.
-    /// Whatever else was live at the EIP (a fresh block standing where
-    /// a swept candidate is now promoted) is orphaned and reported.
+    /// `b.eip`. `b.entry`/`b.range`/`b.hot` already name the new
+    /// generation; it joins `b.extents` and the extent index here.
+    /// Every page its source ([`source_spans`], `b.eip` among them)
+    /// overlaps lists the block and is to be protected. Whatever else
+    /// was live at the EIP (a fresh block standing where a swept
+    /// candidate is now promoted) is orphaned and reported.
     pub(crate) fn install(
         &mut self,
         b: &mut BlockInfo,
-        spans: &[(u32, u32)],
         protectable: impl Fn(u32) -> bool,
     ) -> Installed {
         self.transitions += 1;
@@ -176,7 +175,7 @@ impl Registry {
         if let Some(old) = previous {
             self.unlist(old, b.eip);
         }
-        let pages = pages_of_spans(spans);
+        let pages = pages_of_spans(source_spans(b));
         let head = b.eip >> 12;
         debug_assert!(pages.contains(&head), "a block's source starts at its EIP");
         for &page in &pages {
@@ -271,7 +270,6 @@ fn pages_of_spans(spans: &[(u32, u32)]) -> Vec<u32> {
 
 /// The guest byte ranges `b`'s current generation was translated from:
 /// a cold block's own source, or everything a hot trace covers.
-#[cfg(any(test, debug_assertions))]
 fn source_spans(b: &BlockInfo) -> &[(u32, u32)] {
     match &b.hot {
         Some(hot) => &hot.spans,
