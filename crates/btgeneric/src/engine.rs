@@ -310,26 +310,30 @@ pub(crate) enum XlateOrigin {
     /// Static pre-translation pass before first dispatch (full cold
     /// cost, paid up front).
     Pretranslate,
-    /// Materialization of a validated warm-start image record: reuse
-    /// the saved FP speculation seed and indirect-dispatch shape, and
-    /// charge only the flat [`crate::cost::IMAGE_LOAD_CYCLES`].
-    Image {
+    /// Materialization of a validated record — from a warm-start
+    /// image, or published to the shared multi-tenant namespace
+    /// ([`crate::serving`]) by a peer tenant: reuse the saved FP
+    /// speculation seed and indirect-dispatch shape, and charge only
+    /// the flat [`crate::cost::IMAGE_LOAD_CYCLES`].
+    Record {
         /// FP speculation seed the block was originally generated under.
         spec: SpecSeed,
         /// Saved `indirect_plain` (demoted-to-plain indirect dispatch).
         plain: bool,
+        /// Where the record came from.
+        source: RecordSource,
     },
-    /// Materialization of a record imported from the shared
-    /// multi-tenant namespace ([`crate::serving`]): mechanically the
-    /// image path (saved seed and shape reused, flat
-    /// [`crate::cost::IMAGE_LOAD_CYCLES`] charge) — the record was published
-    /// by a peer tenant instead of loaded from disk.
-    Shared {
-        /// FP speculation seed the block was originally generated under.
-        spec: SpecSeed,
-        /// Saved `indirect_plain` (demoted-to-plain indirect dispatch).
-        plain: bool,
-    },
+}
+
+/// Where a materialized record came from: decides which counters its
+/// install and its rejection bump, and whether the block is published
+/// (a namespace import's record is already current there).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub(crate) enum RecordSource {
+    /// A warm-start image ([`crate::persist::load`]).
+    Image,
+    /// The shared namespace, consulted on a translation miss.
+    Namespace,
 }
 
 /// Adapts [`GuestMem`] to the machine's bus.
@@ -1231,18 +1235,18 @@ impl Engine {
                     }
                 };
                 let plain = match origin {
-                    XlateOrigin::Image { plain, .. } | XlateOrigin::Shared { plain, .. } => plain,
+                    XlateOrigin::Record { plain, .. } => plain,
                     _ => false,
                 };
                 (id, profile, None, plain, 0)
             }
         };
         let spec = match origin {
-            // Image and shared records carry the FP speculation seed
-            // the block was generated under — reusing it keeps the
-            // regenerated code byte-identical in shape to what was
-            // validated and saved/published.
-            XlateOrigin::Image { spec, .. } | XlateOrigin::Shared { spec, .. } => spec,
+            // A record carries the FP speculation seed the block was
+            // generated under — reusing it keeps the regenerated code
+            // byte-identical in shape to what was validated and
+            // saved/published.
+            XlateOrigin::Record { spec, .. } => spec,
             _ if self.cfg.enable_fp_spec => self.current_spec(),
             _ => SpecSeed::default(),
         };
@@ -1300,24 +1304,18 @@ impl Engine {
                 return Ok(self.emit_interp_stub(eip));
             }
         };
-        // Charge translation overhead. Blocks materialized from a
-        // warm-start image pay only the flat validate-and-install cost,
-        // not the per-instruction translation cost — that asymmetry is
-        // the entire warm-start speedup.
+        // Charge translation overhead. A materialized record pays only
+        // the flat validate-and-install cost, not the per-instruction
+        // translation cost — that asymmetry is the entire warm-start
+        // speedup, and the multi-tenant dedup win.
         match origin {
-            XlateOrigin::Image { .. } => {
+            XlateOrigin::Record { source, .. } => {
                 self.machine
                     .charge(region::OVERHEAD, cost::IMAGE_LOAD_CYCLES);
-                self.stats.image_blocks_loaded += 1;
-            }
-            XlateOrigin::Shared { .. } => {
-                // An import from the shared namespace pays the same
-                // flat validate-and-install cost as an image record —
-                // this asymmetry vs the per-instruction cold charge is
-                // the multi-tenant dedup win.
-                self.machine
-                    .charge(region::OVERHEAD, cost::IMAGE_LOAD_CYCLES);
-                self.stats.shared_installs += 1;
+                match source {
+                    RecordSource::Image => self.stats.image_blocks_loaded += 1,
+                    RecordSource::Namespace => self.stats.shared_installs += 1,
+                }
             }
             _ => {
                 self.machine.charge(
@@ -1408,7 +1406,13 @@ impl Engine {
         // Imports themselves are not re-published (their record is
         // already current); organic retranslation after a generation
         // bump is exactly how invalidated entries become current again.
-        if !matches!(origin, XlateOrigin::Shared { .. }) {
+        if !matches!(
+            origin,
+            XlateOrigin::Record {
+                source: RecordSource::Namespace,
+                ..
+            }
+        ) {
             self.shared_publish(eip);
         }
         Ok(entry)
@@ -1428,12 +1432,9 @@ impl Engine {
     }
 
     /// Consults the shared namespace for `eip` on a local translation
-    /// miss. A current entry is validated against *this* tenant's guest
-    /// bytes (the true correctness gate — the generation tag is only
-    /// the sharing-profitability gate) and materialized through the
-    /// image mechanics at this tenant's arena position, profile hints
-    /// included. Returns the installed entry, or `None` to fall through
-    /// to ordinary cold translation.
+    /// miss and materializes a current entry at this tenant's arena
+    /// position, profile hints included. Returns the installed entry,
+    /// or `None` to fall through to ordinary cold translation.
     fn shared_consult(&mut self, os: &mut dyn BtOs, eip: u32) -> Option<u64> {
         let tenant = self.ctx.shared.clone()?;
         let mut contention = 0;
@@ -1441,42 +1442,8 @@ impl Engine {
         self.stats.shared_lock_contention += contention;
         match consult {
             crate::serving::Consult::Hit(e) => {
-                let b = e.block;
-                if src_checksum(&self.mem, b.src_range) != b.src_fnv {
-                    // Published under different guest bytes than ours
-                    // (or our copy has since been rewritten): never
-                    // materialize, regardless of what the tag says.
-                    self.stats.shared_stale_rejects += 1;
-                    return None;
-                }
-                let kind = if b.stage2 {
-                    BlockKind::ColdV2
-                } else {
-                    BlockKind::ColdV1
-                };
-                let overrides: HashMap<u16, AccessMode> = b.overrides.iter().copied().collect();
-                let origin = XlateOrigin::Shared {
-                    spec: b.spec,
-                    plain: b.indirect_plain,
-                };
-                match self.translate(os, eip, kind, b.inline_fp, overrides, origin) {
-                    Ok(entry) => {
-                        self.lookup_insert(eip, entry);
-                        if self.cfg.restore_profiles {
-                            if b.heat != 0 || b.edges != (0, 0) {
-                                self.restore_profile(eip, b.heat, b.edges);
-                            }
-                            if b.ic_pred != 0 {
-                                self.restore_ic_hint(eip, b.ic_pred, b.ic_hits);
-                            }
-                        }
-                        Some(entry)
-                    }
-                    Err(_) => {
-                        self.stats.shared_stale_rejects += 1;
-                        None
-                    }
-                }
+                let record = std::slice::from_ref(&e.block);
+                self.materialize(os, record, RecordSource::Namespace).entry
             }
             crate::serving::Consult::GenStale | crate::serving::Consult::Denied => {
                 self.stats.shared_gen_rejects += 1;
@@ -1562,50 +1529,6 @@ impl Engine {
         let mut contention = 0;
         self.stats.shared_gen_bumps += pull(&tenant.ns, &mut contention);
         self.stats.shared_lock_contention += contention;
-    }
-
-    /// Restores persisted profile heat into `eip`'s live profile slots
-    /// (max-merge with whatever is already there), so a warm boot or a
-    /// shared-namespace import resumes hot-phase promotion where the
-    /// saved profile left off instead of re-profiling from zero.
-    pub(crate) fn restore_profile(&mut self, eip: u32, heat: u64, edges: (u32, u32)) -> bool {
-        let Some(b) = self.live_block(eip) else {
-            return false;
-        };
-        let (counter, ec) = (b.counter_addr, b.edge_counters);
-        let cur = self.mem.read(counter, 8).unwrap_or(0);
-        let _ = self.mem.write(counter, 8, cur.max(heat));
-        let t = self.mem.read(ec.0, 8).unwrap_or(0);
-        let _ = self.mem.write(ec.0, 8, t.max(edges.0 as u64));
-        let f = self.mem.read(ec.1, 8).unwrap_or(0);
-        let _ = self.mem.write(ec.1, 8, f.max(edges.1 as u64));
-        self.stats.profile_heat_restored += 1;
-        true
-    }
-
-    /// Re-trains `eip`'s inline cache from a persisted monomorphic
-    /// target hint: the predicted EIP must already resolve to a
-    /// translated entry (callers install hints in a second pass, after
-    /// all records have had their chance to install). The hit count is
-    /// restored too, so the hot phase's devirtualization gate sees the
-    /// earned confidence instead of a cold counter.
-    pub(crate) fn restore_ic_hint(&mut self, eip: u32, pred: u32, hits: u32) -> bool {
-        if pred == 0 {
-            return false;
-        }
-        let Some(target_entry) = self.entry_of_existing(pred) else {
-            return false;
-        };
-        let Some(b) = self.live_block(eip).filter(|b| !b.indirect_plain) else {
-            return false;
-        };
-        let slot = b.ic_slot;
-        let cur_hits = self.mem.read(slot + 16, 8).unwrap_or(0);
-        let _ = self.mem.write(slot, 8, pred as u64);
-        let _ = self.mem.write(slot + 8, 8, target_entry);
-        let _ = self.mem.write(slot + 16, 8, cur_hits.max(hits as u64));
-        self.stats.profile_ic_restored += 1;
-        true
     }
 
     /// Finds the bundle holding a trampoline's branch to the

@@ -110,7 +110,7 @@
 use crate::btos::BtOs;
 use crate::cold::discover::discover;
 use crate::cold::gen::SpecSeed;
-use crate::engine::{src_checksum, BlockKind, Config, Engine, XlateOrigin};
+use crate::engine::{src_checksum, BlockKind, Config, Engine, RecordSource, XlateOrigin};
 use crate::layout;
 use crate::templates::AccessMode;
 use std::collections::{HashMap, HashSet};
@@ -529,17 +529,15 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<(Image, u64), I
 /// during warm boot when `Config::load_image` is set).
 ///
 /// Wholesale rejection bumps `Stats::image_rejects` and leaves the
-/// cache untouched. Each surviving record is validated against guest
-/// memory — its source span is re-checksummed and compared to the
-/// saved FNV — before the block is regenerated at the current arena
-/// position; stale or unmaterializable records bump
-/// `Stats::image_blocks_rejected` and fall back to on-demand
-/// translation when (if) the EIP is actually reached. Loading stops
-/// early if the cache capacity bound would be exceeded: a warm start
-/// must never trigger the evictor against itself.
+/// cache untouched. The surviving records go through
+/// [`Engine::materialize`]: each is validated against guest memory
+/// before the block is regenerated wherever the arena has room; stale
+/// or unmaterializable records bump `Stats::image_blocks_rejected`,
+/// and records beyond the cache capacity bound are only counted in the
+/// summary.
 pub fn load(engine: &mut Engine, os: &mut dyn BtOs, bytes: &[u8]) -> LoadSummary {
     let fp = fingerprint(&engine.cfg);
-    let (image, mut rejected) = match decode(bytes, fp) {
+    let (image, rejected) = match decode(bytes, fp) {
         Ok(r) => r,
         Err(_) => {
             engine.stats.image_rejects += 1;
@@ -553,69 +551,139 @@ pub fn load(engine: &mut Engine, os: &mut dyn BtOs, bytes: &[u8]) -> LoadSummary
     // as per-record rejects too: each is an extent that will fall back
     // to on-demand translation.
     engine.stats.image_blocks_rejected += rejected;
-    let mut loaded = 0u64;
-    // IC hints are installed in a second pass once every record has had
-    // its chance to install: the predicted target must itself resolve
-    // to a translated entry.
-    let mut ic_hints: Vec<(u32, u32, u32)> = Vec::new();
-    for b in &image.blocks {
-        if engine.cfg.max_cache_bundles > 0
-            && engine.machine.arena.live_len() >= engine.cfg.max_cache_bundles
-        {
-            // Image larger than the cache: keep what fits, surface the
-            // rest as rejects rather than evicting freshly loaded code.
-            rejected += 1;
-            continue;
-        }
-        if engine.entry_of_existing(b.eip).is_some() {
-            // Already translated (e.g. duplicate record); not a reject.
-            continue;
-        }
-        if src_checksum(&engine.mem, b.src_range) != b.src_fnv {
-            // The guest binary changed under this extent since the
-            // image was saved — degrade to retranslating just it.
-            engine.stats.image_blocks_rejected += 1;
-            rejected += 1;
-            continue;
-        }
-        let kind = if b.stage2 {
-            BlockKind::ColdV2
-        } else {
-            BlockKind::ColdV1
-        };
-        let overrides = b.overrides.iter().copied().collect();
-        let origin = XlateOrigin::Image {
-            spec: b.spec,
-            plain: b.indirect_plain,
-        };
-        match engine.translate(os, b.eip, kind, b.inline_fp, overrides, origin) {
-            Ok(entry) => {
-                loaded += 1;
-                // Pre-seed the shared lookup table so indirect
-                // transfers into loaded blocks hit immediately.
-                engine.lookup_insert(b.eip, entry);
-                if engine.cfg.restore_profiles {
-                    if b.heat != 0 || b.edges != (0, 0) {
-                        engine.restore_profile(b.eip, b.heat, b.edges);
-                    }
-                    if b.ic_pred != 0 {
-                        ic_hints.push((b.eip, b.ic_pred, b.ic_hits));
-                    }
-                }
-            }
-            Err(_) => {
-                engine.stats.image_blocks_rejected += 1;
-                rejected += 1;
-            }
-        }
-    }
-    for (eip, pred, hits) in ic_hints {
-        engine.restore_ic_hint(eip, pred, hits);
-    }
+    let done = engine.materialize(os, &image.blocks, RecordSource::Image);
     LoadSummary {
-        loaded,
-        rejected,
+        loaded: done.installed,
+        rejected: rejected + done.rejected,
         wholesale_reject: false,
+    }
+}
+
+/// What [`Engine::materialize`] made of a batch of records.
+#[derive(Default)]
+pub(crate) struct Materialized {
+    /// Records installed.
+    pub(crate) installed: u64,
+    /// Records refused: stale against guest memory, unmaterializable,
+    /// or beyond the cache's capacity.
+    pub(crate) rejected: u64,
+    /// Entry of the last record installed.
+    pub(crate) entry: Option<u64>,
+}
+
+impl Engine {
+    /// Materializes `records` from `source`, in order: each is
+    /// validated against *this* engine's guest bytes (the true
+    /// correctness gate — a namespace's generation tag is only the
+    /// sharing-profitability gate, an image's fingerprint only says the
+    /// configuration matches), regenerated under its saved seed, shape
+    /// and misalignment modes, pre-seeded into the lookup table so
+    /// indirect transfers into it hit immediately, and given its saved
+    /// heat. Inline-cache hints are installed in a second pass, once
+    /// every record of the batch has had its chance to install: the
+    /// predicted target must itself resolve to a translated entry. A
+    /// refused record falls back to on-demand translation when (if) its
+    /// EIP is actually reached.
+    ///
+    /// The capacity bound only ever binds while an image loads (keep
+    /// what fits rather than evict freshly loaded code — a warm start
+    /// must never trigger the evictor against itself); a namespace
+    /// import happens on a miss, after `entry_of` has made room.
+    pub(crate) fn materialize(
+        &mut self,
+        os: &mut dyn BtOs,
+        records: &[ImageBlock],
+        source: RecordSource,
+    ) -> Materialized {
+        let mut done = Materialized::default();
+        let mut hinted = Vec::new();
+        for b in records {
+            let cap = self.cfg.max_cache_bundles;
+            if cap > 0 && self.machine.arena.live_len() >= cap {
+                done.rejected += 1;
+                continue;
+            }
+            if self.entry_of_existing(b.eip).is_some() {
+                // Already translated (e.g. duplicate record); not a reject.
+                continue;
+            }
+            let kind = match b.stage2 {
+                true => BlockKind::ColdV2,
+                false => BlockKind::ColdV1,
+            };
+            let origin = XlateOrigin::Record {
+                spec: b.spec,
+                plain: b.indirect_plain,
+                source,
+            };
+            // Saved under different guest bytes than ours (the binary
+            // changed, a peer runs another, or our copy has since been
+            // rewritten): never materialize, whatever the tag says.
+            let fresh = src_checksum(&self.mem, b.src_range) == b.src_fnv;
+            let overrides = b.overrides.iter().copied().collect();
+            let installed = fresh
+                .then(|| self.translate(os, b.eip, kind, b.inline_fp, overrides, origin))
+                .and_then(Result::ok);
+            let Some(entry) = installed else {
+                match source {
+                    RecordSource::Image => self.stats.image_blocks_rejected += 1,
+                    RecordSource::Namespace => self.stats.shared_stale_rejects += 1,
+                }
+                done.rejected += 1;
+                continue;
+            };
+            done.installed += 1;
+            done.entry = Some(entry);
+            self.lookup_insert(b.eip, entry);
+            if self.cfg.restore_profiles {
+                if b.heat != 0 || b.edges != (0, 0) {
+                    self.restore_profile(b.eip, b.heat, b.edges);
+                }
+                hinted.extend((b.ic_pred != 0).then_some(b));
+            }
+        }
+        for b in hinted {
+            self.restore_ic_hint(b.eip, b.ic_pred, b.ic_hits);
+        }
+        done
+    }
+
+    /// Restores persisted profile heat into `eip`'s live profile slots
+    /// (max-merge with whatever is already there), so a warm boot or a
+    /// shared-namespace import resumes hot-phase promotion where the
+    /// saved profile left off instead of re-profiling from zero.
+    fn restore_profile(&mut self, eip: u32, heat: u64, edges: (u32, u32)) {
+        let Some(b) = self.live_block(eip) else {
+            return;
+        };
+        let (counter, ec) = (b.counter_addr, b.edge_counters);
+        let cur = self.mem.read(counter, 8).unwrap_or(0);
+        let _ = self.mem.write(counter, 8, cur.max(heat));
+        let t = self.mem.read(ec.0, 8).unwrap_or(0);
+        let _ = self.mem.write(ec.0, 8, t.max(edges.0 as u64));
+        let f = self.mem.read(ec.1, 8).unwrap_or(0);
+        let _ = self.mem.write(ec.1, 8, f.max(edges.1 as u64));
+        self.stats.profile_heat_restored += 1;
+    }
+
+    /// Re-trains `eip`'s inline cache from a persisted monomorphic
+    /// target hint, if the predicted EIP resolves to a translated
+    /// entry. The hit count is restored too, so the hot phase's
+    /// devirtualization gate sees the earned confidence instead of a
+    /// cold counter.
+    fn restore_ic_hint(&mut self, eip: u32, pred: u32, hits: u32) {
+        let Some(target_entry) = self.entry_of_existing(pred) else {
+            return;
+        };
+        let Some(b) = self.live_block(eip).filter(|b| !b.indirect_plain) else {
+            return;
+        };
+        let slot = b.ic_slot;
+        let cur_hits = self.mem.read(slot + 16, 8).unwrap_or(0);
+        let _ = self.mem.write(slot, 8, pred as u64);
+        let _ = self.mem.write(slot + 8, 8, target_entry);
+        let _ = self.mem.write(slot + 16, 8, cur_hits.max(hits as u64));
+        self.stats.profile_ic_restored += 1;
     }
 }
 
@@ -762,6 +830,79 @@ mod tests {
                 },
             ],
         }
+    }
+
+    /// One batch of records through [`Engine::materialize`] from each
+    /// source: the blocks, the arena and the trained profile cells come
+    /// out the same, and only the counters that name the source differ.
+    /// The first record's inline-cache hint names the second's EIP — a
+    /// forward reference only the second pass can resolve — and the
+    /// third is stale against guest memory.
+    #[test]
+    fn records_materialize_alike_from_an_image_and_from_a_namespace() {
+        use crate::engine::tests::{loop_and_chain, NullOs};
+        let (mut donor, _, _, chain) = loop_and_chain(4, Config::default());
+        let mut records: Vec<ImageBlock> = chain[..3]
+            .iter()
+            .map(|&eip| {
+                donor.entry_of(&mut NullOs, eip).expect("translates");
+                record_of(&donor, donor.live_block(eip).expect("just translated"))
+            })
+            .collect();
+        (records[0].heat, records[0].edges) = (5, (3, 2));
+        (records[0].ic_pred, records[0].ic_hits) = (chain[1], 9);
+        records[2].src_fnv ^= 1;
+
+        let materialized = |source: RecordSource| {
+            let (mut e, ..) = loop_and_chain(4, Config::default());
+            let done = e.materialize(&mut NullOs, &records, source);
+            assert_eq!((done.installed, done.rejected), (2, 1), "{source:?}");
+            assert_eq!(done.entry, e.entry_of_existing(chain[1]));
+            assert_eq!(e.entry_of_existing(chain[2]), None, "the stale record");
+            assert_eq!(e.audit(), Ok(()), "{source:?}");
+            e
+        };
+        let mut image = materialized(RecordSource::Image);
+        let mut shared = materialized(RecordSource::Namespace);
+
+        assert_eq!(
+            format!("{:?}", image.blocks()),
+            format!("{:?}", shared.blocks())
+        );
+        let bytes = |e: &Engine| {
+            let arena = &e.machine.arena;
+            (arena.len(), arena.checksum_range(arena.base(), arena.end()))
+        };
+        assert_eq!(bytes(&image), bytes(&shared));
+        let first = image.live_block(chain[0]).expect("installed");
+        let cells = |e: &Engine| {
+            [
+                first.counter_addr,
+                first.ic_slot,
+                first.ic_slot + 8,
+                first.ic_slot + 16,
+            ]
+            .map(|addr| e.mem.read(addr, 8).unwrap())
+        };
+        let target = image.entry_of_existing(chain[1]).unwrap();
+        assert_eq!(cells(&image), [5, chain[1] as u64, target, 9]);
+        assert_eq!(cells(&shared), cells(&image));
+
+        let moved = |s: &mut crate::stats::Stats| {
+            let by_source = (
+                (s.image_blocks_loaded, s.image_blocks_rejected),
+                (s.shared_installs, s.shared_stale_rejects),
+            );
+            s.image_blocks_loaded = 0;
+            s.image_blocks_rejected = 0;
+            s.shared_installs = 0;
+            s.shared_stale_rejects = 0;
+            by_source
+        };
+        assert_eq!(moved(&mut image.stats), ((2, 1), (0, 0)));
+        assert_eq!(moved(&mut shared.stats), ((0, 0), (2, 1)));
+        assert_eq!(image.stats, shared.stats);
+        assert_eq!(image.machine.cycles, shared.machine.cycles);
     }
 
     #[test]
