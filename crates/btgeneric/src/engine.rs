@@ -900,17 +900,12 @@ impl Engine {
             .is_some_and(|p| p.roll(FaultKind::Translate))
         {
             self.stats.faults_injected += 1;
-            self.stats.interp_fallbacks += 1;
             self.stats.ladder_recoveries += 1;
             self.trace_emit(EventData::FaultInjected {
                 kind: FaultKind::Translate,
             });
-            self.trace_emit(EventData::LadderRung {
-                rung: Rung::Interpret,
-                eip,
-            });
-            self.trace_emit(EventData::InterpFallback { eip });
-            return Ok(self.emit_interp_stub(eip));
+            self.note_interp_fallback(eip);
+            return Ok(self.interp_stub_for(eip));
         }
         if self.cfg.max_cache_bundles > 0
             && self.machine.arena.live_len() >= self.cfg.max_cache_bundles
@@ -1294,14 +1289,11 @@ impl Engine {
             Ok(g) => g,
             Err(_) => {
                 // Unlowerable block: a stub that single-steps from here
-                // (the bottom rung of the degradation ladder).
-                self.stats.interp_fallbacks += 1;
-                self.trace_emit(EventData::LadderRung {
-                    rung: Rung::Interpret,
-                    eip,
-                });
-                self.trace_emit(EventData::InterpFallback { eip });
-                return Ok(self.emit_interp_stub(eip));
+                // (the bottom rung of the degradation ladder). Nothing
+                // is registered for the EIP, so every dispatch to it
+                // comes back here — to the one stub it already has.
+                self.note_interp_fallback(eip);
+                return Ok(self.interp_stub_for(eip));
             }
         };
         // Charge translation overhead. A materialized record pays only
@@ -1545,9 +1537,23 @@ impl Engine {
             })
     }
 
+    /// Counts and traces one trip to the degradation ladder's bottom
+    /// rung: the instruction at `eip` goes through the interpreter.
+    fn note_interp_fallback(&mut self, eip: u32) {
+        self.stats.interp_fallbacks += 1;
+        self.trace_emit(EventData::LadderRung {
+            rung: Rung::Interpret,
+            eip,
+        });
+        self.trace_emit(EventData::InterpFallback { eip });
+    }
+
     /// Returns (emitting on first use) the interpreter stub for `eip`.
-    /// Interpret-only pages re-dispatch the same EIPs on every single
-    /// step, so stubs are cached per EIP (cleared on cache flush).
+    /// Interpret-only pages, and blocks that cannot be translated,
+    /// re-dispatch the same EIPs over and over, so stubs are cached per
+    /// EIP (cleared on cache flush). Nothing is registered for the EIP:
+    /// a later successful translation still wins, because dispatch asks
+    /// `entry_of_existing` first.
     pub(crate) fn interp_stub_for(&mut self, eip: u32) -> u64 {
         if let Some(addr) = self.cache.registry.interp_stub(eip) {
             return addr;
@@ -2696,14 +2702,9 @@ impl Engine {
         self.recovery_enter();
         let act = if self.ctx.recovery_depth >= policy::MAX_RECOVERY_DEPTH {
             self.stats.ladder_recoveries += 1;
-            self.stats.interp_fallbacks += 1;
             let (site, slot) = err.site();
             let cpu = self.reconstruct(site, slot);
-            self.trace_emit(EventData::LadderRung {
-                rung: Rung::Interpret,
-                eip: cpu.eip,
-            });
-            self.trace_emit(EventData::InterpFallback { eip: cpu.eip });
+            self.note_interp_fallback(cpu.eip);
             state::cpu_to_machine(&cpu, &mut self.machine);
             self.interp_one(os, cpu.eip)
         } else {
@@ -3421,6 +3422,8 @@ pub(crate) mod tests {
         a.bind(top);
         let loop_eip = a.here();
         a.alu_rr(AluOp::Add, EAX, ECX);
+        // A load, so the loop's trace has a commit point to recover at.
+        a.alu_rm(AluOp::Add, EAX, ia32::inst::Addr::abs(0x40_0000));
         a.dec(ECX);
         a.jcc(ia32::Cond::Ne, top);
         let labels: Vec<_> = (0..n).map(|_| a.label()).collect();
@@ -3514,6 +3517,32 @@ pub(crate) mod tests {
         );
         assert_eq!(engine.block_at_addr_any(cold_gen), Some(hot));
 
+        // A generation placed in a hole is code rebased, not code
+        // regenerated: every branch in it must land in its own extent,
+        // at a stub or at a live block's entry, and every recovery key
+        // of a trace inside it.
+        let resolves_in_place = |e: &Engine, id: u32| {
+            let b = e.block(id);
+            let own = b.range.0..b.range.1;
+            for addr in own.clone().step_by(ipf::Bundle::SIZE as usize) {
+                let bundle = e.machine.arena.bundle_at(addr).expect("allocated");
+                for t in bundle.slots.iter().filter_map(|s| s.op.target()) {
+                    let Target::Abs(t) = t else {
+                        panic!("an unresolved target at {addr:#x}");
+                    };
+                    let entered = e.cache.registry.owner_of(t).map(|o| e.block(o).entry);
+                    assert!(
+                        own.contains(&t) || StubKind::from_addr(t).is_some() || entered == Some(t),
+                        "block {id} at {:#x?}: the branch at {addr:#x} goes to {t:#x}",
+                        b.range
+                    );
+                }
+            }
+            let keys = b.hot.iter().flat_map(|h| h.by_slot.keys());
+            assert!(keys.clone().all(|(ip, _)| own.contains(ip)), "block {id}");
+            assert_eq!(b.kind == BlockKind::Hot, keys.count() > 0);
+        };
+
         let (mut superseded, mut evicted, mut orphaned, mut refilled) = (0, 0, 0, 0);
         let mut second_page = 0;
         let mut x = 0x9E37_79B9_7F4A_7C15u64;
@@ -3533,6 +3562,8 @@ pub(crate) mod tests {
                         .entry_of(&mut os, eip)
                         .expect("chain blocks translate");
                     if live.is_none() && engine.machine.arena.free_bundles() < holes {
+                        let id = engine.cache.registry.live(eip).expect("just translated");
+                        resolves_in_place(&engine, id);
                         refilled += 1;
                     }
                     "cold translation"
@@ -3600,7 +3631,8 @@ pub(crate) mod tests {
             };
             check(&engine, what);
         }
-        assert!(superseded > 0 && evicted > 0 && orphaned > 0 && refilled > 0);
+        assert!(superseded > 0 && evicted > 0 && orphaned > 0);
+        assert!(refilled > 0, "no cold block landed in a hole");
         assert!(second_page > 0, "never rewrote the straddler's second page");
         assert!(
             engine.stats.evictions > evicted,
@@ -3608,6 +3640,29 @@ pub(crate) mod tests {
             engine.machine.arena.live_len()
         );
         assert!(engine.stats.cache_flushes > 0);
+
+        // A trace into a hole (the walk's holes are a block or two
+        // wide): neighbouring chain blocks, then the loop's cold block
+        // behind them; the chain evicted leaves one hole to promote into.
+        engine.flush_cache();
+        for &eip in chain[..12].iter().chain([&loop_eip]) {
+            engine.entry_of(&mut os, eip).expect("translates");
+        }
+        for &eip in &chain[..12] {
+            engine.evict_block(engine.cache.registry.live(eip).expect("just translated"));
+        }
+        let (id, end) = (
+            engine.cache.registry.live(loop_eip).expect("the loop"),
+            engine.machine.arena.end(),
+        );
+        assert!(crate::hot::promote(&mut engine, id), "the loop promotes");
+        assert!(
+            engine.block(id).range.1 <= end,
+            "the trace landed in the hole"
+        );
+        assert_eq!(engine.machine.arena.end(), end);
+        resolves_in_place(&engine, id);
+        check(&engine, "promotion into a hole");
 
         engine.flush_cache();
         check(&engine, "the last flush");

@@ -557,6 +557,46 @@ mod tests {
         (engine, [a, b, c, d], victim)
     }
 
+    /// An EIP that cannot be translated — here because every attempt
+    /// takes an injected fault; an unlowerable block goes the same way —
+    /// is dispatched through one interpreter stub however often it
+    /// comes back. (It used to get a new one per dispatch, which only a
+    /// full flush reclaimed.) The counters are what they always were,
+    /// and once translation succeeds it wins over the stub.
+    #[test]
+    fn an_untranslatable_eip_keeps_one_interpreter_stub() {
+        use crate::chaos::{FaultKind, FaultPlan};
+        const N: u32 = 50;
+        let (mut engine, _, _, chain) = loop_and_chain(2, Config::default());
+        engine.chaos = Some(FaultPlan::new(7).with(FaultKind::Translate, 1000, N));
+        let before = engine.machine.arena.len();
+        let dispatch = |engine: &mut Engine| engine.entry_of(&mut NullOs, chain[0]).unwrap();
+        let stub = dispatch(&mut engine);
+        for _ in 1..N {
+            assert_eq!(dispatch(&mut engine), stub);
+        }
+        assert_eq!(
+            engine.machine.arena.len() - before,
+            2,
+            "one two-bundle stub"
+        );
+        let counted = crate::stats::Stats {
+            faults_injected: N as u64,
+            interp_fallbacks: N as u64,
+            ladder_recoveries: N as u64,
+            ..Default::default()
+        };
+        assert_eq!(engine.stats, counted);
+        assert_eq!(engine.audit(), Ok(()));
+
+        // The plan's budget is spent: the next dispatch translates.
+        let entry = dispatch(&mut engine);
+        assert_ne!(entry, stub);
+        assert_eq!(engine.entry_of_existing(chain[0]), Some(entry));
+        assert_eq!(dispatch(&mut engine), entry);
+        assert_eq!(engine.audit(), Ok(()));
+    }
+
     /// Breaks each invariant in turn — poking the private indices, the
     /// arena's neighbours in guest memory, or the session's pin — and
     /// requires the audit to name the one that no longer holds.
