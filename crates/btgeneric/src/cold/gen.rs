@@ -4,7 +4,7 @@
 //! branches, misalignment probes, speculation head-checks, and the
 //! IA-32 state register updates that make cold exceptions precise.
 
-use super::discover::{BlockEnd, DiscInst, Region};
+use super::discover::{BlockEnd, Region};
 use super::liveness::Liveness;
 use super::lower::{lower, LowerError};
 use crate::layout::{self, StubKind};
@@ -110,10 +110,12 @@ impl std::fmt::Display for ColdGenError {
 
 impl std::error::Error for ColdGenError {}
 
-/// Pre-scan: does the block's first FP-class instruction need MMX mode
-/// (false for x87, and for a block that touches neither)?
-fn prescan_fp(insts: &[DiscInst]) -> bool {
-    for (_, inst, _) in insts {
+/// Pre-scan of a block's or a trace's instructions, in order: does the
+/// first FP-class one need MMX mode (false for x87, and for code that
+/// touches neither)? Both phases speculate this entry mode, so both
+/// ask here.
+pub(crate) fn entry_mmx<'a>(insts: impl IntoIterator<Item = &'a I32>) -> bool {
+    for inst in insts {
         let is_mmx = matches!(
             inst,
             I32::Movd { .. } | I32::Movq { .. } | I32::PAlu { .. } | I32::Emms
@@ -711,7 +713,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         .ok_or(ColdGenError::NoBlock)?;
     let insts = input.region.insts(blk);
 
-    let entry_mmx = prescan_fp(insts);
+    let entry_mmx = entry_mmx(insts.iter().map(|(_, inst, _)| inst));
     let mut fp = FpCtx::new(input.spec.tos, false);
     fp.entry_mmx = entry_mmx;
     fp.cur_mmx = entry_mmx;

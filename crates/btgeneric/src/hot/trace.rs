@@ -571,49 +571,64 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
     build_and_install(engine, block_id, &trace).is_some()
 }
 
+/// What every step of a trace is emitted under: the FP/XMM tracking
+/// state and alignment cache the templates update in place, the
+/// misalignment plan, and flag liveness per cold block, analyzed the
+/// first time a step of that block asks.
+struct Emission<'e> {
+    mem: &'e ia32::mem::GuestMem,
+    live: HashMap<u32, Liveness>,
+    fp: FpCtx,
+    xmm: XmmCtx,
+    align: AlignCache,
+    plan: MisalignPlan,
+}
+
+impl Emission<'_> {
+    /// The emission context of the `len`-byte instruction at `ip`,
+    /// with the flags live after instruction `idx` of the cold block
+    /// at `block` (the instruction itself, or the Jcc fused into it).
+    fn ctx(&mut self, ip: u32, len: u8, block: u32, idx: usize) -> EmitCtx<'_> {
+        let live = self
+            .live
+            .entry(block)
+            .or_insert_with(|| analyze(&discover(self.mem, block)));
+        EmitCtx {
+            ip,
+            next_ip: ip + len as u32,
+            live_flags: live.live_after(block, idx),
+            fp: &mut self.fp,
+            xmm: &mut self.xmm,
+            misalign: &self.plan,
+            align: &mut self.align,
+        }
+    }
+}
+
 #[allow(clippy::too_many_lines)]
 fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Option<()> {
     let spec = engine.block(block_id).spec;
-    let mut live_cache: HashMap<u32, Liveness> = HashMap::new();
 
     // FP context: pre-scan the trace for the entry mode.
-    let mut entry_mmx = None;
-    for s in &trace.steps {
-        if let Step::Inst { inst, .. } = s {
-            let is_mmx = matches!(
-                inst,
-                I32::Movd { .. } | I32::Movq { .. } | I32::PAlu { .. } | I32::Emms
-            );
-            let is_fp = matches!(
-                inst,
-                I32::Fld { .. }
-                    | I32::Fst { .. }
-                    | I32::Fild { .. }
-                    | I32::Fistp { .. }
-                    | I32::Farith { .. }
-                    | I32::Fchs
-                    | I32::Fabs
-                    | I32::Fsqrt
-                    | I32::Fxch { .. }
-                    | I32::Fld1
-                    | I32::Fldz
-                    | I32::Fcomi { .. }
-            );
-            if is_mmx || is_fp {
-                entry_mmx.get_or_insert(is_mmx);
-            }
-        }
-    }
+    let straight = trace.steps.iter().filter_map(|s| match s {
+        Step::Inst { inst, .. } => Some(inst),
+        _ => None,
+    });
     let mut fp = FpCtx::new(spec.tos, true);
-    fp.entry_mmx = entry_mmx.unwrap_or(false);
+    fp.entry_mmx = crate::cold::gen::entry_mmx(straight);
     fp.cur_mmx = fp.entry_mmx;
-    let mut xmm = XmmCtx::new(spec.xmm_fmt);
-    let mut align = AlignCache::default();
-    let plan = MisalignPlan {
-        default: AccessMode::Fast,
-        overrides: misalign_overrides(engine, trace),
-        info_base: engine.block(block_id).misinfo_base,
-        block_id,
+    let mut em = Emission {
+        mem: &engine.mem,
+        live: HashMap::new(),
+        fp,
+        xmm: XmmCtx::new(spec.xmm_fmt),
+        align: AlignCache::default(),
+        plan: MisalignPlan {
+            default: AccessMode::Fast,
+            overrides: misalign_overrides(engine, trace),
+            info_base: engine.block(block_id).misinfo_base,
+            block_id,
+        },
     };
 
     let mut body = Sink::new();
@@ -631,7 +646,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 // The guard predicate: the hammock body runs when the
                 // branch condition is FALSE.
                 body.set_ip(*ip);
-                perm_by_ip.insert(*ip, fp.perm);
+                perm_by_ip.insert(*ip, em.fp.perm);
                 let (_, pf) = templates::emit_cond_pred(&mut body, *cond);
                 guard = Some(pf);
                 ia32_count += 1;
@@ -648,7 +663,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 if !*guarded {
                     guard = None;
                 }
-                perm_by_ip.insert(*ip, fp.perm);
+                perm_by_ip.insert(*ip, em.fp.perm);
                 // Try fusing with a following side exit.
                 if let Some(Step::SideExit {
                     cond,
@@ -661,19 +676,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 {
                     let reads = cond.flags_read();
                     if !*guarded && inst.flags_written() & reads == reads {
-                        let live = live_cache
-                            .entry(*jb)
-                            .or_insert_with(|| analyze(&discover(&engine.mem, *jb)))
-                            .live_after(*jb, *jidx);
-                        let mut ctx = EmitCtx {
-                            ip: *ip,
-                            next_ip: ip + *len as u32,
-                            live_flags: live,
-                            fp: &mut fp,
-                            xmm: &mut xmm,
-                            misalign: &plan,
-                            align: &mut align,
-                        };
+                        let mut ctx = em.ctx(*ip, *len, *jb, *jidx);
                         if let Some(pt) =
                             templates::emit_fused_cmp_jcc(&mut body, inst, *cond, &mut ctx)
                         {
@@ -687,29 +690,17 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                             exits.push(ExitInfo {
                                 label,
                                 target: *target,
-                                perm: fp.perm,
-                                xmm_fmt: xmm.fmt,
+                                perm: em.fp.perm,
+                                xmm_fmt: em.xmm.fmt,
                             });
-                            perm_by_ip.insert(*jip, fp.perm);
+                            perm_by_ip.insert(*jip, em.fp.perm);
                             ia32_count += 2;
                             i += 2;
                             continue;
                         }
                     }
                 }
-                let live = live_cache
-                    .entry(*block)
-                    .or_insert_with(|| analyze(&discover(&engine.mem, *block)))
-                    .live_after(*block, *idx);
-                let mut ctx = EmitCtx {
-                    ip: *ip,
-                    next_ip: ip + *len as u32,
-                    live_flags: live,
-                    fp: &mut fp,
-                    xmm: &mut xmm,
-                    misalign: &plan,
-                    align: &mut align,
-                };
+                let mut ctx = em.ctx(*ip, *len, *block, *idx);
                 let before = body.items.len();
                 match templates::emit(&mut body, inst, &mut ctx) {
                     Ok(None) => {}
@@ -742,20 +733,8 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 ic_slot,
             } => {
                 guard = None;
-                perm_by_ip.insert(*ip, fp.perm);
-                let live = live_cache
-                    .entry(*block)
-                    .or_insert_with(|| analyze(&discover(&engine.mem, *block)))
-                    .live_after(*block, *idx);
-                let mut ctx = EmitCtx {
-                    ip: *ip,
-                    next_ip: ip + *len as u32,
-                    live_flags: live,
-                    fp: &mut fp,
-                    xmm: &mut xmm,
-                    misalign: &plan,
-                    align: &mut align,
-                };
+                perm_by_ip.insert(*ip, em.fp.perm);
+                let mut ctx = em.ctx(*ip, *len, *block, *idx);
                 match templates::emit(&mut body, inst, &mut ctx) {
                     // Direct call: the template already pushed the
                     // return address; the trace just falls through into
@@ -800,8 +779,8 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                         );
                         devirt_exits.push(DevirtExit {
                             label,
-                            perm: fp.perm,
-                            xmm_fmt: xmm.fmt,
+                            perm: em.fp.perm,
+                            xmm_fmt: em.xmm.fmt,
                         });
                     }
                     _ => return None,
@@ -819,33 +798,21 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 plain,
             } => {
                 guard = None;
-                perm_by_ip.insert(*ip, fp.perm);
+                perm_by_ip.insert(*ip, em.fp.perm);
                 // The inline dispatch hands control to arbitrary
                 // translated entries, so speculative FP/XMM state must
                 // sit at its canonical entry configuration. Otherwise
                 // end the trace *before* the terminator instead —
                 // `trace.main_exit` already points at it, so the normal
                 // exit path below hands the terminator to a cold block.
-                if fp.tos() != fp.entry_tos
-                    || fp.perm != [0, 1, 2, 3, 4, 5, 6, 7]
-                    || xmm.fmt != xmm.entry_fmt
-                    || fp.cur_mmx != fp.entry_mmx
+                if em.fp.tos() != em.fp.entry_tos
+                    || em.fp.perm != [0, 1, 2, 3, 4, 5, 6, 7]
+                    || em.xmm.fmt != em.xmm.entry_fmt
+                    || em.fp.cur_mmx != em.fp.entry_mmx
                 {
                     break;
                 }
-                let live = live_cache
-                    .entry(*block)
-                    .or_insert_with(|| analyze(&discover(&engine.mem, *block)))
-                    .live_after(*block, *idx);
-                let mut ctx = EmitCtx {
-                    ip: *ip,
-                    next_ip: ip + *len as u32,
-                    live_flags: live,
-                    fp: &mut fp,
-                    xmm: &mut xmm,
-                    misalign: &plan,
-                    align: &mut align,
-                };
+                let mut ctx = em.ctx(*ip, *len, *block, *idx);
                 let Ok(Some(Term::Indirect { eip, kind })) =
                     templates::emit(&mut body, inst, &mut ctx)
                 else {
@@ -888,7 +855,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 guard = None;
                 // Unfused side exit: read the materialized flags.
                 body.set_ip(*ip);
-                perm_by_ip.insert(*ip, fp.perm);
+                perm_by_ip.insert(*ip, em.fp.perm);
                 let (pt, _) = templates::emit_cond_pred(&mut body, *cond);
                 let label = body.local_label();
                 body.emit_pred(
@@ -900,14 +867,16 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 exits.push(ExitInfo {
                     label,
                     target: *target,
-                    perm: fp.perm,
-                    xmm_fmt: xmm.fmt,
+                    perm: em.fp.perm,
+                    xmm_fmt: em.xmm.fmt,
                 });
                 ia32_count += 1;
                 i += 1;
             }
         }
     }
+
+    let Emission { fp, xmm, .. } = em;
 
     // A truncated trace that emitted nothing (a lone indirect terminator
     // whose FP gate failed) would install an empty self-loop.
@@ -980,7 +949,6 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         emit_exit(
             engine,
             &mut cb,
-            None,
             trace.main_exit,
             fp.perm,
             xmm.fmt,
@@ -990,15 +958,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     for e in &exits {
         cb.bind(exit_labels[&e.label]);
         emit_exit_counter(&mut cb, exit_counter);
-        emit_exit(
-            engine,
-            &mut cb,
-            None,
-            e.target,
-            e.perm,
-            e.xmm_fmt,
-            spec.xmm_fmt,
-        );
+        emit_exit(engine, &mut cb, e.target, e.perm, e.xmm_fmt, spec.xmm_fmt);
     }
     // Devirtualization-guard failures: count them (as premature exits
     // and as guard fails), restore FP/XMM state, then leave through the
@@ -1178,44 +1138,25 @@ fn emit_exit_counter(cb: &mut ipf::asm::CodeBuilder, slot: u64) {
 fn emit_exit(
     engine: &Engine,
     cb: &mut ipf::asm::CodeBuilder,
-    label: Option<ipf::asm::Label>,
     target: u32,
     perm: [u8; 8],
     xmm_fmt: u8,
     entry_fmt: u8,
 ) {
-    if let Some(l) = label {
-        cb.bind(l);
-    }
     emit_exit_prologue(cb, perm, xmm_fmt, entry_fmt);
-    match engine.entry_of_existing(target) {
-        Some(addr) => {
-            // The payload load must survive chaining: if the target
-            // block is later evicted, eviction re-points this branch
-            // at the `Untranslated` stub, which reads the guest EIP
-            // from `GR_PAYLOAD0`.
-            cb.push(Op::Movl {
-                d: GR_PAYLOAD0,
-                imm: target as u64,
-            });
-            cb.stop();
-            cb.push(Op::Br {
-                target: Target::Abs(addr),
-            });
-            cb.stop();
-        }
-        None => {
-            cb.push(Op::Movl {
-                d: GR_PAYLOAD0,
-                imm: target as u64,
-            });
-            cb.stop();
-            cb.push(Op::Br {
-                target: Target::Abs(StubKind::Untranslated.addr()),
-            });
-            cb.stop();
-        }
-    }
+    // The payload load must survive chaining: if the target block is
+    // later evicted, eviction re-points this branch at the
+    // `Untranslated` stub, which reads the guest EIP from `GR_PAYLOAD0`.
+    cb.push(Op::Movl {
+        d: GR_PAYLOAD0,
+        imm: target as u64,
+    });
+    cb.stop();
+    let entry = engine.entry_of_existing(target);
+    cb.push(Op::Br {
+        target: Target::Abs(entry.unwrap_or(StubKind::Untranslated.addr())),
+    });
+    cb.stop();
 }
 
 /// The state-restore half of an exit block: FXCHG-permutation restore
