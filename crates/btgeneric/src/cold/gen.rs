@@ -1050,7 +1050,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     let code = cb.assemble_relocatable();
     let exits = tramp_labels
         .iter()
-        .map(|(eip, l)| (*eip, code.labels()[tail_labels[*l as usize]]))
+        .map(|(eip, l)| (*eip, code.labels[tail_labels[*l as usize]]))
         .collect();
 
     Ok(ColdBlock {

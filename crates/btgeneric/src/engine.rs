@@ -828,10 +828,10 @@ impl Engine {
         b.range = range;
         b.kind = kind;
         b.hot = hot.map(|mut hot| {
-            let at_offset = std::mem::take(&mut hot.by_slot);
-            let rebased = at_offset
-                .into_iter()
-                .map(|((offset, slot), rec)| ((entry + offset, slot), rec));
+            let rebased = hot
+                .by_slot
+                .drain()
+                .map(|((at, slot), rec)| ((entry + at, slot), rec));
             hot.by_slot = rebased.collect();
             hot
         });
@@ -3525,11 +3525,7 @@ pub(crate) mod tests {
             let b = e.block(id);
             let own = b.range.0..b.range.1;
             for addr in own.clone().step_by(ipf::Bundle::SIZE as usize) {
-                let bundle = e.machine.arena.bundle_at(addr).expect("allocated");
-                for t in bundle.slots.iter().filter_map(|s| s.op.target()) {
-                    let Target::Abs(t) = t else {
-                        panic!("an unresolved target at {addr:#x}");
-                    };
+                for t in e.branches_at(addr) {
                     let entered = e.cache.registry.owner_of(t).map(|o| e.block(o).entry);
                     assert!(
                         own.contains(&t) || StubKind::from_addr(t).is_some() || entered == Some(t),

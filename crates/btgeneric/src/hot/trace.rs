@@ -986,7 +986,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     };
     for (k, (_, _, rec)) in compiled.iter().enumerate() {
         if let Some(rec) = *rec {
-            let (bidx, slot) = code.placements()[head_len + k];
+            let (bidx, slot) = code.placements[head_len + k];
             if bidx != usize::MAX {
                 hot.by_slot
                     .insert((bidx as u64 * ipf::Bundle::SIZE, slot), rec);

@@ -530,7 +530,7 @@ pub fn decode(bytes: &[u8], expected_fingerprint: u64) -> Result<(Image, u64), I
 ///
 /// Wholesale rejection bumps `Stats::image_rejects` and leaves the
 /// cache untouched. The surviving records go through
-/// [`Engine::materialize`]: each is validated against guest memory
+/// `Engine::materialize`: each is validated against guest memory
 /// before the block is regenerated wherever the arena has room; stale
 /// or unmaterializable records bump `Stats::image_blocks_rejected`,
 /// and records beyond the cache capacity bound are only counted in the
@@ -639,7 +639,9 @@ impl Engine {
                 if b.heat != 0 || b.edges != (0, 0) {
                     self.restore_profile(b.eip, b.heat, b.edges);
                 }
-                hinted.extend((b.ic_pred != 0).then_some(b));
+                if b.ic_pred != 0 {
+                    hinted.push(b);
+                }
             }
         }
         for b in hinted {

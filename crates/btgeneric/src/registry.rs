@@ -507,7 +507,7 @@ impl crate::engine::Engine {
     }
 
     /// The absolute branch targets in the bundle at `site`.
-    fn branches_at(&self, site: u64) -> impl Iterator<Item = u64> + '_ {
+    pub(crate) fn branches_at(&self, site: u64) -> impl Iterator<Item = u64> + '_ {
         let bundle = self.machine.arena.bundle_at(site);
         let slots = bundle.map_or(&[][..], |b| &b.slots[..]);
         slots.iter().filter_map(|s| match s.op.target() {

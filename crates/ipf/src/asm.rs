@@ -59,8 +59,10 @@ pub struct Relocatable {
     pub(crate) bundles: Vec<Bundle>,
     /// `(bundle index, slot)` of every label-derived target.
     pub(crate) label_slots: Vec<(u32, u8)>,
-    pub(crate) labels: LabelAddrs,
-    pub(crate) placements: Placements,
+    /// Every label's byte offset from the first bundle.
+    pub labels: LabelAddrs,
+    /// Where each pushed instruction landed.
+    pub placements: Placements,
 }
 
 impl Relocatable {
@@ -79,19 +81,9 @@ impl Relocatable {
         &self.bundles
     }
 
-    /// Every label's byte offset from the first bundle.
-    pub fn labels(&self) -> &LabelAddrs {
-        &self.labels
-    }
-
-    /// Where each pushed instruction landed (position-independent).
-    pub fn placements(&self) -> &Placements {
-        &self.placements
-    }
-
-    /// The code as it reads at `base`: bundles, label addresses and
-    /// placements, equal to what assembling at `base` would have given.
-    pub fn at(mut self, base: u64) -> (Vec<Bundle>, LabelAddrs, Placements) {
+    /// The code as it reads at `base` — bundles and label addresses,
+    /// equal to what assembling at `base` would have given.
+    pub fn at(mut self, base: u64) -> (Vec<Bundle>, LabelAddrs) {
         for &(bundle, slot) in &self.label_slots {
             let op = &mut self.bundles[bundle as usize].slots[slot as usize].op;
             if let Some(Target::Abs(offset)) = op.target() {
@@ -103,7 +95,7 @@ impl Relocatable {
                 *addr += base;
             }
         }
-        (self.bundles, self.labels, self.placements)
+        (self.bundles, self.labels)
     }
 }
 
@@ -187,8 +179,7 @@ impl CodeBuilder {
     ///
     /// Panics if a referenced label was never bound.
     pub fn assemble(&self, base: u64) -> (Vec<Bundle>, LabelAddrs) {
-        let (b, l, _) = self.assemble_relocatable().at(base);
-        (b, l)
+        self.assemble_relocatable().at(base)
     }
 
     /// Assembles into position-independent code (see [`Relocatable`]),

@@ -2940,7 +2940,7 @@ mod tests {
             let (cb, pushed) = random_program(&mut x, near);
             let code = cb.assemble_relocatable();
             let (n, offsets, placements) =
-                (code.len(), code.labels().clone(), code.placements().clone());
+                (code.len(), code.labels.clone(), code.placements.clone());
 
             let want = reference.alloc(n).unwrap_or(reference.end());
             let (bundles, labels) = cb.assemble(want);
