@@ -250,11 +250,13 @@ pub struct SlotMeta {
     /// A taken branch from this slot pays the indirect-branch bubble
     /// (`br.ret`, `br` through a register) rather than the plain one.
     pub(crate) indirect: bool,
+    /// The slot is a `nop` (padding the bundler put there).
+    pub(crate) nop: bool,
 }
 
 impl SlotMeta {
     /// The metadata packed into one word (9 bits per scoreboard entry,
-    /// 2 + 3 + 3 + 1 for the rest) — an injective key for interning.
+    /// 2 + 3 + 3 + 1 + 1 for the rest) — an injective key for interning.
     pub(crate) fn key(&self) -> u64 {
         let mut k = 0u64;
         for &r in self.reads.iter().chain(&self.writes) {
@@ -264,7 +266,8 @@ impl SlotMeta {
         k = k << 2 | self.nwrites as u64;
         k = k << 3 | self.lat as u64;
         k = k << 3 | self.unit as u64;
-        k << 1 | self.indirect as u64
+        k = k << 1 | self.indirect as u64;
+        k << 1 | self.nop as u64
     }
 }
 
@@ -314,6 +317,7 @@ impl Inst {
                         target: Target::Reg(_)
                     }
             ),
+            nop: matches!(self.op, Op::Nop { .. }),
         };
         // The qualifying predicate is a read (of `p0` too).
         m.reads[0] = Reg::P(self.qp).sb_index();

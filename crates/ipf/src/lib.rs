@@ -47,5 +47,7 @@ pub mod regs;
 
 pub use bundle::{Bundle, Template};
 pub use inst::{Inst, LatClass, Op, SlotMeta, Target, Unit};
-pub use machine::{Bus, BusError, CodeArena, IssueModel, MachFault, Machine, StopReason, Timing};
+pub use machine::{
+    Bus, BusError, CodeArena, CycleSplit, IssueModel, MachFault, Machine, StopReason, Timing,
+};
 pub use regs::{Br, Fr, Gr, Pr};

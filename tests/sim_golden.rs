@@ -5,7 +5,9 @@
 //! faster) must leave every simulated statistic *exactly* as it was.
 //! This test runs the 15 kernels (12 SPEC-INT-like + eon/vcall_mono/
 //! callret) at a small fixed scale under the default `Config` and
-//! compares machine cycles, slot count, per-region cycles, the native
+//! compares machine cycles, slot count, per-region cycles and their
+//! split (issue, stall, bubble and charged cycles, which must sum to the
+//! region's cycles, and nop slots), the native
 //! baseline's cycles and the full `Stats` debug rendering against
 //! `tests/golden/sim_golden.txt`, which was generated on the commit
 //! *before* the change under test. The same 15 kernels then run under
@@ -69,6 +71,27 @@ fn run_kernel(w: &workloads::Workload) -> KernelRun {
         "{}: region cycles must sum to total cycles",
         w.name
     );
+    // Per region: issue, stall, bubble and charged cycles, nop slots.
+    let split: Vec<(u32, [u64; 5])> = regions
+        .iter()
+        .map(|&(r, cycles)| {
+            let s = m.region_split[&r];
+            assert_eq!(
+                s.cycles(),
+                cycles,
+                "{}: region {r}'s split must sum to its cycles",
+                w.name
+            );
+            let row = [
+                s.issue_cycles,
+                s.stall_cycles,
+                s.bubble_cycles,
+                s.charged_cycles,
+                s.nop_slots,
+            ];
+            (r, row)
+        })
+        .collect();
     let native = run_native(w, scale, ipf::Timing::default());
     let mut golden = String::new();
     writeln!(golden, "== {} scale={scale}", w.name).unwrap();
@@ -79,6 +102,7 @@ fn run_kernel(w: &workloads::Workload) -> KernelRun {
     )
     .unwrap();
     writeln!(golden, "regions={regions:?}").unwrap();
+    writeln!(golden, "split={split:?}").unwrap();
     writeln!(golden, "stats={:?}", p.engine.stats).unwrap();
     KernelRun {
         name: w.name,
