@@ -1,8 +1,8 @@
 //! Hot IR optimizations (paper §2 hot-phase list): guest-state
 //! forwarding (register-value tracking and the one copy propagation),
 //! local value numbering (compound-address CSE and redundant-load
-//! elimination), constant propagation, cross-block EFLAGS elimination,
-//! dead guest-write elision, and dead-code elimination.
+//! elimination), cross-block EFLAGS elimination, dead guest-write
+//! elision, and dead-code elimination.
 
 use super::ir::{is_state_prealloc, Effects, IrInst, MemEffect};
 use super::liveness;
@@ -228,117 +228,6 @@ fn reg_key(r: Reg) -> Option<(u8, u16)> {
         Reg::P(p) if p.is_virtual() => Some((2, p.0)),
         _ => None,
     }
-}
-
-/// The `addl` long-immediate range templates use for `mov_imm`; folds
-/// outside it materialize through `movl` instead.
-fn fits_addl(v: u64) -> bool {
-    let s = v as i64;
-    (-0x1F_FFFF..=0x1F_FFFF).contains(&s)
-}
-
-/// Constant propagation over the typed IR (copies are
-/// [`forward_state`]'s).
-///
-/// Facts are only learned from unpredicated defs of single-definition
-/// virtuals (a predicated def merges, a redefinition invalidates), so a
-/// recorded constant is valid at every later use. Folds
-/// are deliberately minimal — the address arithmetic templates emit:
-/// `movl`/`addl`-materialized constants, `add` with a constant operand,
-/// immediate-add chains, and shifts of constants.
-pub(super) fn propagate(irs: &mut [IrInst]) {
-    let single = single_defs(irs);
-    let mut konst: HashMap<u16, u64> = HashMap::new();
-    for x in irs.iter_mut() {
-        // Fold constants into the op.
-        let kof = |g: Gr, k: &HashMap<u16, u64>| {
-            if g.0 == 0 {
-                Some(0)
-            } else if g.is_virtual() {
-                k.get(&g.0).copied()
-            } else {
-                None
-            }
-        };
-        let mut rewrite: Option<Op> = None;
-        match x.inst.op {
-            Op::Add { d, a, b } => match (kof(a, &konst), kof(b, &konst)) {
-                (Some(va), Some(vb)) => {
-                    let v = va.wrapping_add(vb);
-                    rewrite = Some(if fits_addl(v) {
-                        Op::AddImm {
-                            d,
-                            imm: v as i64,
-                            a: ipf::regs::R0,
-                        }
-                    } else {
-                        Op::Movl { d, imm: v }
-                    });
-                }
-                (Some(va), None) if fits_addl(va) => {
-                    rewrite = Some(Op::AddImm {
-                        d,
-                        imm: va as i64,
-                        a: b,
-                    });
-                }
-                (None, Some(vb)) if fits_addl(vb) => {
-                    rewrite = Some(Op::AddImm {
-                        d,
-                        imm: vb as i64,
-                        a,
-                    });
-                }
-                _ => {}
-            },
-            Op::AddImm { d, imm, a } => {
-                if let Some(va) = kof(a, &konst) {
-                    let v = va.wrapping_add(imm as u64);
-                    if a.0 != 0 {
-                        rewrite = Some(if fits_addl(v) {
-                            Op::AddImm {
-                                d,
-                                imm: v as i64,
-                                a: ipf::regs::R0,
-                            }
-                        } else {
-                            Op::Movl { d, imm: v }
-                        });
-                    }
-                }
-            }
-            Op::ShlImm { d, a, count } => {
-                if let Some(va) = kof(a, &konst) {
-                    let v = va.wrapping_shl(count as u32);
-                    rewrite = Some(if fits_addl(v) {
-                        Op::AddImm {
-                            d,
-                            imm: v as i64,
-                            a: ipf::regs::R0,
-                        }
-                    } else {
-                        Op::Movl { d, imm: v }
-                    });
-                }
-            }
-            _ => {}
-        }
-        if let Some(op) = rewrite {
-            x.inst.op = op;
-        }
-
-        // Learn facts from this op.
-        match x.inst.op {
-            Op::Movl { d, imm } if single.contains(&d.0) => {
-                konst.insert(d.0, imm);
-            }
-            Op::AddImm { d, imm, a } if a.0 == 0 && single.contains(&d.0) => {
-                konst.insert(d.0, imm as u64);
-            }
-            _ => {}
-        }
-    }
-    recompute_effects(irs);
 }
 
 /// Virtual general registers with exactly one definition, that one
@@ -878,35 +767,6 @@ mod tests {
         ];
         dce(&mut ils);
         assert_eq!(ils.len(), 3);
-    }
-
-    #[test]
-    fn propagate_folds_constant_address_chains() {
-        let mut s = Sink::new();
-        let (v1, v2, v3) = (s.vg(), s.vg(), s.vg());
-        let g = crate::state::guest_gpr(0);
-        let mut irs = vec![
-            il(ipf::Inst::new(Op::Movl { d: v1, imm: 0x1000 })),
-            il(ipf::Inst::new(Op::AddImm {
-                d: v2,
-                imm: 8,
-                a: v1,
-            })),
-            il(ipf::Inst::new(Op::Add { d: v3, a: g, b: v2 })),
-            il(ipf::Inst::new(Op::St {
-                sz: 4,
-                addr: v3,
-                val: g,
-            })),
-        ];
-        propagate(&mut irs);
-        assert!(
-            matches!(irs[2].inst.op, Op::AddImm { imm: 0x1008, a, .. } if a == g),
-            "constant chain folded into the add: {:?}",
-            irs[2].inst.op
-        );
-        dce(&mut irs);
-        assert_eq!(irs.len(), 2, "dead constant producers cleaned up");
     }
 
     // ---- forward_state ------------------------------------------------

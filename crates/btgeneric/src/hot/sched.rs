@@ -2,7 +2,8 @@
 //! ... the scheduler reorders the instructions in the hot block. ILs
 //! are ordered and bundled according to architectural and
 //! microarchitectural limitations"): list scheduling over the still
-//! virtual IR, then stop-bit insertion over the allocated code.
+//! virtual IR, then, over the allocated code, stop-bit insertion and
+//! the ordering of each issue group for the bundle templates.
 //!
 //! Commit-point discipline (§4): faulty micro-ops and branches act as
 //! barriers for architectural-state writes — state defined before a
@@ -10,7 +11,9 @@
 //! recovery maps stay valid under arbitrary reordering of the pure
 //! computation in between.
 
-use ipf::inst::{LatClass, Op, Reg, Target, Unit};
+use super::ir::is_state_phys;
+use ipf::asm::BundleCursor;
+use ipf::inst::{LatClass, Reg, Unit};
 use ipf::regs::P0;
 use std::collections::HashMap;
 
@@ -23,16 +26,9 @@ fn reg_slot(r: Reg) -> (u8, u16) {
     }
 }
 
-/// Latency the critical-path heights are weighted with: the machine's
-/// default result latencies, except that the fixed two-cycle class
-/// (`mov` to/from a branch register, `fcmp`) counts as one — a
-/// rounding the schedules in every checked-in figure were chosen under.
-fn height_latency(op: &Op) -> u32 {
-    match op.lat_class() {
-        LatClass::Two => 1,
-        class => ipf::Timing::default().latency(class),
-    }
-}
+/// One slot of scheduled code: the instruction, its stop bit, and the
+/// index of the IR op it came from (`None` for spill traffic).
+pub(super) type Slot = (ipf::Inst, bool, Option<usize>);
 
 /// Pre-allocation scheduling: builds the dependence graph over the
 /// still-virtual code and returns a permutation of op indices
@@ -43,15 +39,42 @@ fn height_latency(op: &Op) -> u32 {
 /// and [`schedule_allocated`] only has spill traffic left to place.
 /// Before allocation every non-virtual register def is architectural
 /// state, which the commit-barrier discipline pins.
+///
+/// A consumer of an FP, FP-load or cross-file result waits out that
+/// latency before it may be picked, so independent work fills the
+/// cycles in between; every other edge costs one cycle. (Waiting out
+/// the two-cycle integer load too lets the stop rule merge the filler
+/// back into the groups it was pulled from.)
 pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
+    let timing = ipf::Timing::default();
     let n = insts.len();
-    let mut succs: Vec<Vec<usize>> = vec![Vec::new(); n];
+    // Per op, its successors and the cycles each waits after it issues.
+    let mut succs: Vec<Vec<(usize, u32)>> = vec![Vec::new(); n];
     let mut npreds: Vec<u32> = vec![0; n];
-    let edge = |from: usize, to: usize, succs: &mut Vec<Vec<usize>>, npreds: &mut Vec<u32>| {
-        if from != to && !succs[from].contains(&to) {
-            succs[from].push(to);
-            npreds[to] += 1;
+    let edge_after = |from: usize,
+                      to: usize,
+                      delay: u32,
+                      succs: &mut Vec<Vec<(usize, u32)>>,
+                      npreds: &mut Vec<u32>| {
+        if from == to {
+            return;
         }
+        match succs[from].iter_mut().find(|(s, _)| *s == to) {
+            Some(e) => e.1 = e.1.max(delay),
+            None => {
+                succs[from].push((to, delay));
+                npreds[to] += 1;
+            }
+        }
+    };
+    let edge = |from: usize,
+                to: usize,
+                succs: &mut Vec<Vec<(usize, u32)>>,
+                npreds: &mut Vec<u32>| { edge_after(from, to, 1, succs, npreds) };
+    // What a reader of `insts[d]`'s result waits after it issues.
+    let raw_delay = |d: usize| match insts[d].op.lat_class() {
+        class @ (LatClass::Fp | LatClass::Ldf | LatClass::Xfer) => timing.latency(class),
+        _ => 1,
     };
 
     let mut last_def: HashMap<(u8, u16), usize> = HashMap::new();
@@ -71,7 +94,7 @@ pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
         for r in &reads {
             let k = reg_slot(*r);
             if let Some(&d) = last_def.get(&k) {
-                edge(d, i, &mut succs, &mut npreds);
+                edge_after(d, i, raw_delay(d), &mut succs, &mut npreds);
             }
             uses_since_def.entry(k).or_default().push(i);
         }
@@ -151,15 +174,14 @@ pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
     // signify the relative importance of scheduling them early").
     let mut height = vec![0u32; n];
     for i in (0..n).rev() {
-        let lat = height_latency(&insts[i].op);
-        for &s in &succs[i] {
+        let lat = timing.latency(insts[i].op.lat_class());
+        for &(s, _) in &succs[i] {
             height[i] = height[i].max(height[s] + lat);
         }
     }
 
     // Cycle-driven list scheduling with rough port limits.
     let mut order: Vec<usize> = Vec::with_capacity(n);
-    let mut cycle_of = vec![0u64; n];
     let mut preds_left = npreds;
     let mut earliest = vec![0u64; n];
     let mut ready: Vec<usize> = (0..n).filter(|&i| preds_left[i] == 0).collect();
@@ -186,16 +208,15 @@ pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
                 if !fits || total >= 6 {
                     continue;
                 }
-                // Branches schedule only after all non-branch ready work
-                // of this cycle (they end the group).
-                if best.is_none() || height[i] > height[best.unwrap().1] {
+                // A branch competes by height like any other op; once
+                // picked it ends the cycle, below.
+                if best.is_none_or(|(_, b)| height[i] > height[b]) {
                     best = Some((ri, i));
                 }
             }
             let Some((ri, i)) = best else { break };
             ready.swap_remove(ri);
             order.push(i);
-            cycle_of[i] = cycle;
             match insts[i].op.unit() {
                 Unit::M => m += 1,
                 Unit::I | Unit::L => iu += 1,
@@ -210,42 +231,43 @@ pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
                 Unit::B => b += 1,
             }
             total += 1;
-            for &s in &succs[i] {
+            for &(s, delay) in &succs[i] {
                 preds_left[s] -= 1;
-                earliest[s] = earliest[s].max(cycle + 1);
+                earliest[s] = earliest[s].max(cycle + delay as u64);
                 if preds_left[s] == 0 {
                     ready.push(s);
                 }
             }
             // A scheduled branch ends the cycle (taken branches skip the
-            // rest of the group).
+            // rest of the group), so within a cycle it comes last.
             if insts[i].op.is_branch() {
                 break;
             }
         }
         cycle += 1;
     }
-
-    // Within each cycle, branches must come last; the order vector is
-    // built per cycle so this already holds except when a branch was
-    // picked mid-cycle — we ended the cycle there, so it holds.
     order
 }
 
-/// Backend pass: inserts stop bits over
-/// fully allocated IR (physical registers, spill traffic included).
-/// The instruction order is kept exactly as the allocator produced it
-/// — reordering already happened in [`schedule_ir`], before renaming;
-/// re-running list scheduling here would only see the false WAR/WAW
-/// dependences that register reuse introduces and could unwind the
-/// good schedule.
-///
-/// Returns `(instruction, stop bit, source IR index)` triples; the
-/// source index is `None` for spill traffic.
-pub(super) fn schedule_allocated(
-    alloc: &[super::regalloc::AllocInst],
-) -> Vec<(ipf::Inst, bool, Option<usize>)> {
-    let mut out: Vec<(ipf::Inst, bool, Option<usize>)> = Vec::with_capacity(alloc.len());
+/// Backend pass over fully allocated IR (physical registers, spill
+/// traffic included): inserts the stop bits, then orders each issue
+/// group for the bundle templates ([`order_groups`]). Which op goes in
+/// which group is kept exactly as the allocator's order implies —
+/// reordering across groups already happened in [`schedule_ir`], before
+/// renaming; re-running list scheduling here would only see the false
+/// WAR/WAW dependences that register reuse introduces and could unwind
+/// the good schedule.
+pub(super) fn schedule_allocated(alloc: &[super::regalloc::AllocInst]) -> Vec<Slot> {
+    let mut code = insert_stops(alloc);
+    order_groups(&mut code);
+    code
+}
+
+/// Closes an issue group before every op that reads or writes a
+/// register the group already writes, and after every branch: the
+/// allocator's order, cut into groups.
+fn insert_stops(alloc: &[super::regalloc::AllocInst]) -> Vec<Slot> {
+    let mut out: Vec<Slot> = Vec::with_capacity(alloc.len());
     let mut group_defs: Vec<(u8, u16)> = Vec::new();
     for (i, a) in alloc.iter().enumerate() {
         let inst = a.inst;
@@ -282,47 +304,305 @@ pub(super) fn schedule_allocated(
     out
 }
 
-/// Statically evaluates a stop-bit-delimited instruction stream under
-/// the machine's own group-issue model ([`ipf::IssueModel`], default
-/// timing, every operand ready at cycle 0): the cycles a [`ipf::Machine`]
-/// would spend on the same code run straight through. The stream is
-/// bundled first, as installation will bundle it, because the padding
-/// counts: a `nop` occupies a port like any other slot, and every
-/// `movl` brings two. Used to compare compiled variants of the same
-/// trace — the list scheduler's `earliest` is latency-blind, so two
-/// correct schedules of equivalent code can differ in real issue stalls
-/// that only this walk (or the machine itself) sees.
-pub(super) fn static_cost(code: &[(ipf::Inst, bool, Option<usize>)]) -> u64 {
-    let mut cb = ipf::asm::CodeBuilder::new();
-    for &(mut inst, stop, _) in code {
-        // Exit labels are bound past the body; where a branch goes
-        // does not change what its slot costs.
-        if let Some(Target::Label(_)) = inst.op.target() {
-            inst.op.set_target(Target::Abs(0));
-        }
-        cb.push_inst(inst);
-        if stop {
-            cb.stop();
-        }
+/// Orders every issue group of `code` so that the packer, which fills
+/// bundles in program order and pads what no template takes with
+/// `nop`s, needs as few of them as the group's dependences allow. A
+/// `nop` occupies an issue port like any other slot. The body of a trace
+/// starts a fresh bundle (it follows a label), and the packer's open
+/// bundle carries from one group into the next, so the ordering does
+/// too.
+fn order_groups(code: &mut [Slot]) {
+    let mut cursor = BundleCursor::new();
+    for group in code.split_inclusive_mut(|slot| slot.1) {
+        order_group(group, &mut cursor);
     }
-    let mut model = ipf::IssueModel::new(&ipf::Timing::default());
-    for bundle in cb.assemble(0).0 {
-        for (inst, stop) in bundle.slots.iter().zip(bundle.stops) {
-            model.account(&inst.slot_meta(), 0);
-            if stop {
-                model.close(0);
+}
+
+/// Orders one stop-delimited issue group for the templates; `cursor` is
+/// the bundle the packer has open when the group starts, and is left as
+/// the packer leaves it after the group. At each position it takes the
+/// first op allowed there that fits the next slot of a template still
+/// possible for the open bundle — an exact-unit op before an A-type one.
+/// When none fits, the bundle is closed and the next one starts with an
+/// M-type op if one is allowed, else an A-, L-, or B-type op, else
+/// whatever is. An op may move ahead of the ops before it except where
+/// [`keeps_order`] says the two must stay as they are.
+fn order_group(group: &mut [Slot], cursor: &mut BundleCursor) {
+    let n = group.len();
+    // Per op, how many ops that must stay before it are not placed yet,
+    // and which ops must stay after it.
+    let mut waits = vec![0u32; n];
+    let mut later: Vec<Vec<usize>> = vec![Vec::new(); n];
+    for b in 0..n {
+        for a in 0..b {
+            if keeps_order(&group[a].0, &group[b].0) {
+                waits[b] += 1;
+                later[a].push(b);
             }
         }
     }
-    model.close(0);
-    model.now()
+    let unit = |j: usize| group[j].0.op.unit();
+    let mut placed = vec![false; n];
+    let mut order: Vec<usize> = Vec::with_capacity(n);
+    while order.len() < n {
+        let allowed: Vec<usize> = (0..n).filter(|&j| !placed[j] && waits[j] == 0).collect();
+        let first = |want: &dyn Fn(Unit) -> bool| allowed.iter().copied().find(|&j| want(unit(j)));
+        let fitting = if cursor.is_empty() {
+            None
+        } else {
+            first(&|u| u != Unit::A && cursor.fits(u))
+                .or_else(|| first(&|u| u == Unit::A && cursor.fits(u)))
+        };
+        let j = match fitting {
+            Some(j) => j,
+            None => {
+                cursor.close();
+                [Unit::M, Unit::A, Unit::L, Unit::B]
+                    .into_iter()
+                    .find_map(|lead| first(&|u| u == lead))
+                    .or_else(|| first(&|_| true))
+                    .expect("an op whose predecessors are all placed is allowed")
+            }
+        };
+        cursor.push(unit(j));
+        if cursor.is_full() {
+            cursor.close();
+        }
+        placed[j] = true;
+        order.push(j);
+        for &b in &later[j] {
+            waits[b] -= 1;
+        }
+    }
+    let ordered: Vec<Slot> = order
+        .iter()
+        .map(|&j| (group[j].0, false, group[j].2))
+        .collect();
+    group.copy_from_slice(&ordered);
+    group[n - 1].1 = true;
+}
+
+/// Whether `later` must stay after `earlier`, the two in one issue
+/// group with `earlier` first: `later` writes a register `earlier` reads
+/// (the machine runs a group's slots in order); both are ordered among
+/// themselves — memory accesses, ops that can fault, branches and
+/// writes of architectural state, which keeps every commit point's state
+/// where recovery expects it; or `later` is a branch, which ends the
+/// group.
+fn keeps_order(earlier: &ipf::Inst, later: &ipf::Inst) -> bool {
+    if later.op.is_branch() || (is_ordered(earlier) && is_ordered(later)) {
+        return true;
+    }
+    let mut reads = vec![reg_slot(Reg::P(earlier.qp))];
+    earlier.op.visit_regs(&mut |r, is_def| {
+        if !is_def {
+            reads.push(reg_slot(r));
+        }
+    });
+    let mut overwrites = false;
+    later
+        .op
+        .visit_regs(&mut |r, is_def| overwrites |= is_def && reads.contains(&reg_slot(r)));
+    overwrites
+}
+
+/// Whether `inst` keeps its order against every other such op.
+fn is_ordered(inst: &ipf::Inst) -> bool {
+    let op = &inst.op;
+    let mut writes_state = false;
+    op.visit_regs(&mut |r, is_def| writes_state |= is_def && is_state_phys(r));
+    op.is_mem() || op.can_fault() || op.is_branch() || writes_state
 }
 
 #[cfg(test)]
 mod tests {
+    use super::super::eval;
+    use super::super::regalloc::AllocInst;
+    use super::super::trace::ALLOCATED;
     use super::*;
+    use crate::engine::tests::NullOs;
+    use crate::engine::{Config, Engine, Outcome};
     use crate::templates::Sink;
+    use ipf::inst::{Op, Target};
     use ipf::regs::{Fr, Gr, Pr, R0};
+    use std::sync::OnceLock;
+
+    /// `code` bundled as installation bundles it. Exit labels are bound
+    /// past the body; where a branch goes does not change what its slot
+    /// costs.
+    fn bundled(code: &[Slot]) -> Vec<ipf::Bundle> {
+        let mut cb = ipf::asm::CodeBuilder::new();
+        for &(mut inst, stop, _) in code {
+            if let Some(Target::Label(_)) = inst.op.target() {
+                inst.op.set_target(Target::Abs(0));
+            }
+            cb.push_inst(inst);
+            if stop {
+                cb.stop();
+            }
+        }
+        cb.assemble(0).0
+    }
+
+    /// Statically evaluates a stop-bit-delimited instruction stream
+    /// under the machine's own group-issue model ([`ipf::IssueModel`],
+    /// default timing, every operand ready at cycle 0): the cycles a
+    /// [`ipf::Machine`] would spend on the same code run straight
+    /// through. The stream is bundled first, as installation will
+    /// bundle it, because the padding counts: a `nop` occupies a port
+    /// like any other slot, and every `movl` brings two.
+    fn static_cost(code: &[Slot]) -> u64 {
+        let mut model = ipf::IssueModel::new(&ipf::Timing::default());
+        for bundle in bundled(code) {
+            for (inst, stop) in bundle.slots.iter().zip(bundle.stops) {
+                model.account(&inst.slot_meta(), 0);
+                if stop {
+                    model.close(0);
+                }
+            }
+        }
+        model.close(0);
+        model.now()
+    }
+
+    /// The `nop` slots the packer pads `code` with.
+    fn nops(code: &[Slot]) -> usize {
+        let bundles = bundled(code);
+        let slots = bundles.iter().flat_map(|b| &b.slots);
+        slots.filter(|s| matches!(s.op, Op::Nop { .. })).count()
+    }
+
+    /// The allocated code of every trace the hot compiler builds on the
+    /// 20 kernels — SPEC-INT-like, call-heavy and FP/SIMD — each run to
+    /// completion once under the default configuration.
+    fn kernel_traces() -> &'static [Vec<AllocInst>] {
+        static TRACES: OnceLock<Vec<Vec<AllocInst>>> = OnceLock::new();
+        TRACES.get_or_init(|| {
+            let mut kernels = workloads::spec_int();
+            kernels.extend(workloads::indirect_kernels());
+            kernels.extend(workloads::spec_fp());
+            assert_eq!(kernels.len(), 20);
+            ALLOCATED.set(Some(Vec::new()));
+            for w in &kernels {
+                let image = workloads::harness::build_image(w, (w.scale / 8).max(2048));
+                let mut mem = ia32::mem::GuestMem::new();
+                let cpu = image.load(&mut mem);
+                let mut engine = Engine::new(mem, Config::default());
+                let outcome = engine.run(&mut NullOs, cpu, u64::MAX / 2);
+                assert!(
+                    matches!(outcome, Outcome::Halted(_)),
+                    "{}: {outcome:?}",
+                    w.name
+                );
+            }
+            ALLOCATED.take().expect("armed above")
+        })
+    }
+
+    /// Ordering a trace's groups for the templates never makes it cost
+    /// more on the machine's issue model, nor makes the packer pad it
+    /// with more `nop`s — and on the kernels' traces it almost always
+    /// makes both smaller.
+    #[test]
+    fn ordering_the_groups_never_costs_a_trace_cycles_or_nops() {
+        let traces = kernel_traces();
+        let (mut cheaper, mut fewer_nops) = (0, 0);
+        for alloc in traces {
+            let (unordered, ordered) = (insert_stops(alloc), schedule_allocated(alloc));
+            let (was, is) = (static_cost(&unordered), static_cost(&ordered));
+            assert!(is <= was, "ordering cost {was} -> {is} cycles");
+            let (was_nops, is_nops) = (nops(&unordered), nops(&ordered));
+            assert!(
+                is_nops <= was_nops,
+                "ordering made {was_nops} -> {is_nops} nops"
+            );
+            cheaper += usize::from(is < was);
+            fewer_nops += usize::from(is_nops < was_nops);
+        }
+        assert!(traces.len() >= 50, "only {} traces compiled", traces.len());
+        assert!(
+            cheaper * 10 >= traces.len() * 9 && fewer_nops * 10 >= traces.len() * 9,
+            "of {} traces, {cheaper} got cheaper and {fewer_nops} lost nops",
+            traces.len()
+        );
+    }
+
+    /// Every kernel trace computes the same before and after its groups
+    /// are ordered: same stores, same registers at every exit and at the
+    /// end, same architectural state at every fault, on the reference
+    /// evaluator from two seeded register files.
+    #[test]
+    fn ordering_the_groups_keeps_what_every_trace_computes() {
+        for alloc in kernel_traces() {
+            // Tag every slot with its position, so the ordered code
+            // says where each op came from.
+            let tagged: Vec<Slot> = insert_stops(alloc)
+                .into_iter()
+                .enumerate()
+                .map(|(k, (inst, stop, _))| (inst, stop, Some(k)))
+                .collect();
+            let mut ordered = tagged.clone();
+            order_groups(&mut ordered);
+            let perm: Vec<usize> = ordered.iter().map(|s| s.2.expect("tagged")).collect();
+            let insts = |code: &[Slot]| code.iter().map(|s| s.0).collect::<Vec<_>>();
+            eval::assert_reordering_preserves(&insts(&tagged), &insts(&ordered), &perm);
+        }
+    }
+
+    /// One group, ordered with the packer's open bundle holding `open`.
+    fn order_after(open: &[Unit], group: &[ipf::Inst]) -> Vec<ipf::Inst> {
+        let mut cursor = BundleCursor::new();
+        for &u in open {
+            cursor.push(u);
+        }
+        let mut code: Vec<Slot> = group.iter().map(|&i| (i, false, None)).collect();
+        code.last_mut().expect("a group").1 = true;
+        order_group(&mut code, &mut cursor);
+        code.iter().map(|s| s.0).collect()
+    }
+
+    #[test]
+    fn ordering_keeps_a_war_pair_a_memory_pair_a_commit_point_and_the_branch() {
+        let ld = |d: u16, addr: u16| {
+            ipf::Inst::new(Op::Ld {
+                sz: 4,
+                d: Gr(d),
+                addr: Gr(addr),
+                spec: false,
+            })
+        };
+        let set = |d: Gr| ipf::Inst::new(Op::AddImm { d, imm: 1, a: R0 });
+        // Each pair: an open [M, M] bundle takes only an I-type slot
+        // next, so the A-type second op would go first if it could.
+        let mm = [Unit::M, Unit::M];
+        // It overwrites a pool register the load reads.
+        let war = [ld(70, 71), set(Gr(71))];
+        assert_eq!(order_after(&mm, &war), war);
+        // It writes a guest register after an op that can fault.
+        let commit = [ld(70, 72), set(crate::state::guest_gpr(0))];
+        assert_eq!(order_after(&mm, &commit), commit);
+        // A pure op with neither conflict does go first.
+        let free = [ld(70, 72), set(Gr(73))];
+        assert_eq!(order_after(&mm, &free), [free[1], free[0]]);
+        // An open [M] bundle takes a B-type op next: the branch still
+        // ends the group.
+        let exit = ipf::Inst::new(Op::Br {
+            target: Target::Abs(0x8000),
+        });
+        let branch = [set(Gr(73)), exit];
+        assert_eq!(order_after(&[Unit::M], &branch), branch);
+        // Memory accesses keep their order among themselves.
+        let store = ipf::Inst::new(Op::St {
+            sz: 4,
+            addr: Gr(72),
+            val: Gr(73),
+        });
+        for (a, b) in [(store, ld(70, 71)), (ld(70, 71), store), (store, store)] {
+            assert!(keeps_order(&a, &b), "{a} ; {b}");
+        }
+        assert!(keeps_order(&war[0], &war[1]) && keeps_order(&commit[0], &commit[1]));
+        assert!(keeps_order(&branch[0], &branch[1]) && !keeps_order(&free[0], &free[1]));
+    }
 
     #[test]
     fn schedule_respects_raw() {

@@ -892,7 +892,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         .collect();
     let irs = ir::collect(&body, &exit_label_ids)?;
 
-    // Compile (propagation, EFLAGS elimination, per-op liveness,
+    // Compile (forwarding, EFLAGS elimination, per-op liveness,
     // constraint-driven allocation with spilling, backend scheduling).
     // A constraint that cannot be satisfied — a no-spill register class
     // over its pool — leaves the block cold.
@@ -1037,14 +1037,23 @@ fn assign_recovery(irs: &mut [ir::IrInst], perm_by_ip: &HashMap<u32, [u8; 8]>) -
 /// index)` triple per emitted slot.
 type CompiledCode = Vec<(ipf::Inst, bool, Option<u32>)>;
 
-/// The hot compiler: guest-state forwarding, constant propagation,
-/// LVN, cross-block EFLAGS elimination, dead guest-write elision, DCE,
-/// recovery assignment, per-op liveness with constraint-driven
-/// allocation (spilling under general-register pressure), and the
-/// backend scheduler over the allocated code. `None` when a constraint
-/// cannot be satisfied.
+#[cfg(test)]
+thread_local! {
+    /// Once a test has armed it (`Some`), the allocated code of every
+    /// trace this thread compiles, in compile order.
+    pub(super) static ALLOCATED: std::cell::RefCell<Option<Vec<Vec<regalloc::AllocInst>>>> =
+        const { std::cell::RefCell::new(None) };
+}
+
+/// The hot compiler, one pipeline: guest-state forwarding, LVN,
+/// cross-block EFLAGS elimination, dead guest-write elision, DCE,
+/// recovery assignment, list scheduling of the virtual code, per-op
+/// liveness with constraint-driven allocation (spilling under
+/// general-register pressure), and the backend pass over the allocated
+/// code (stop bits, then each group ordered for the templates). `None`
+/// when a constraint cannot be satisfied.
 fn compile_ir(
-    mut base: Vec<ir::IrInst>,
+    mut irs: Vec<ir::IrInst>,
     perm_by_ip: &HashMap<u32, [u8; 8]>,
 ) -> Option<(CompiledCode, Vec<RecEntry>)> {
     // On a thread whose test asked for it, a debug build checks the
@@ -1052,40 +1061,13 @@ fn compile_ir(
     // reference evaluator.
     #[cfg(debug_assertions)]
     let emitted: Option<Vec<ipf::Inst>> =
-        super::eval::validating().then(|| base.iter().map(|x| x.inst).collect());
-    opt::forward_state(&mut base);
+        super::eval::validating().then(|| irs.iter().map(|x| x.inst).collect());
+    opt::forward_state(&mut irs);
     #[cfg(debug_assertions)]
     if let Some(emitted) = emitted {
-        let forwarded: Vec<ipf::Inst> = base.iter().map(|x| x.inst).collect();
+        let forwarded: Vec<ipf::Inst> = irs.iter().map(|x| x.inst).collect();
         super::eval::assert_forwarding_preserves(&emitted, &forwarded);
     }
-    // Constant propagation rewrites the value graph, which reshapes
-    // the dependence heights the list scheduler packs by — sometimes
-    // into groups that stall longer at issue than the unpropagated
-    // code's. Compile both variants and keep the one the machine's
-    // issue model prices cheaper; ties go to the unpropagated schedule.
-    let propagated = {
-        let mut irs = base.clone();
-        opt::propagate(&mut irs);
-        compile_ir_variant(irs, perm_by_ip)
-    };
-    let plain = compile_ir_variant(base, perm_by_ip);
-    match (propagated, plain) {
-        (Some(a), Some(b)) => Some(if a.0 < b.0 { (a.1, a.2) } else { (b.1, b.2) }),
-        (Some(a), None) => Some((a.1, a.2)),
-        (None, Some(b)) => Some((b.1, b.2)),
-        (None, None) => None,
-    }
-}
-
-/// Runs the shared tail of the IR pipeline (LVN, EFlags elimination,
-/// dead guest-write elision, DCE, pre-allocation scheduling, register
-/// allocation, backend stop insertion) and returns the statically
-/// priced result.
-fn compile_ir_variant(
-    mut irs: Vec<ir::IrInst>,
-    perm_by_ip: &HashMap<u32, [u8; 8]>,
-) -> Option<(u64, CompiledCode, Vec<RecEntry>)> {
     opt::lvn(&mut irs);
     opt::eflags_elim(&mut irs);
     opt::elide_dead_guest_writes(&mut irs);
@@ -1098,13 +1080,17 @@ fn compile_ir_variant(
     let order = sched::schedule_ir(&insts);
     let irs: Vec<ir::IrInst> = order.iter().map(|&k| irs[k].clone()).collect();
     let alloc = regalloc::allocate(&irs)?;
-    let scheduled = sched::schedule_allocated(&alloc);
-    let cost = sched::static_cost(&scheduled);
-    let out = scheduled
+    #[cfg(test)]
+    ALLOCATED.with_borrow_mut(|seen| {
+        if let Some(seen) = seen {
+            seen.push(alloc.clone());
+        }
+    });
+    let out = sched::schedule_allocated(&alloc)
         .into_iter()
         .map(|(inst, stop, src)| (inst, stop, src.and_then(|s| irs[s].rec)))
         .collect();
-    Some((cost, out, recovery))
+    Some((out, recovery))
 }
 
 /// Emits a side-exit counter increment (uses caller-saved hot scratch).
