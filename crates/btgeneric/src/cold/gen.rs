@@ -14,7 +14,7 @@ use crate::templates::{
 };
 use ia32::inst::Inst as I32;
 use ipf::asm::{CodeBuilder, Relocatable};
-use ipf::inst::{CmpRel, Op, Target};
+use ipf::inst::{CmpRel, Op, ShiftKind, Src, Target};
 use ipf::regs::{Br, R0};
 
 /// Runtime speculation seeds, sampled by the engine at translation time
@@ -162,7 +162,14 @@ pub(crate) fn emit_counter_inc(
             spec: false,
         },
     );
-    sink.emit_pred(qp, Op::AddImm { d: c, imm: 1, a: c });
+    sink.emit_pred(
+        qp,
+        Op::Add {
+            d: c,
+            a: Src::Imm(1),
+            b: c,
+        },
+    );
     sink.emit_pred(
         qp,
         Op::St {
@@ -199,27 +206,28 @@ pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
         imm: layout::SHADOW_BASE,
     });
     let off = sink.vg();
-    sink.emit(Op::ShlImm {
+    sink.emit(Op::Shift {
+        kind: ShiftKind::Shl,
         d: off,
         a: tos,
-        count: 4,
+        count: Src::Imm(4),
     });
     let ea = sink.vg();
     sink.emit(Op::Add {
         d: ea,
-        a: shb,
+        a: Src::Reg(shb),
         b: off,
     });
     let t2 = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: t2,
-        imm: 1,
-        a: tos,
+        a: Src::Imm(1),
+        b: tos,
     });
-    sink.emit(Op::AndImm {
+    sink.emit(Op::And {
         d: t2,
-        imm: (layout::SHADOW_ENTRIES - 1) as i64,
-        a: t2,
+        a: Src::Imm((layout::SHADOW_ENTRIES - 1) as i64),
+        b: t2,
     });
     sink.emit(Op::St {
         sz: 8,
@@ -246,14 +254,14 @@ pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
         rel: CmpRel::Eq,
         pt: p0,
         pf: _n0,
-        a: k0,
+        a: Src::Reg(k0),
         b: rr,
     });
     let s1 = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: s1,
-        imm: layout::LOOKUP_ENTRY_SIZE as i64,
-        a: s0,
+        a: Src::Imm(layout::LOOKUP_ENTRY_SIZE as i64),
+        b: s0,
     });
     let k1 = sink.vg();
     sink.emit(Op::Ld {
@@ -267,7 +275,7 @@ pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
         rel: CmpRel::Eq,
         pt: p1,
         pf: _n1,
-        a: k1,
+        a: Src::Reg(k1),
         b: rr,
     });
     // Default: empty pair; a way hit overwrites both halves.
@@ -277,18 +285,18 @@ pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
         imm: layout::LOOKUP_EMPTY_KEY,
     });
     let tg = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: tg,
-        imm: 0,
-        a: R0,
+        a: Src::Imm(0),
+        b: R0,
     });
     let t0 = sink.vg();
     sink.emit_pred(
         p0,
-        Op::AddImm {
+        Op::Add {
             d: t0,
-            imm: 8,
-            a: s0,
+            a: Src::Imm(8),
+            b: s0,
         },
     );
     sink.emit_pred(
@@ -302,19 +310,19 @@ pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
     );
     sink.emit_pred(
         p0,
-        Op::AddImm {
+        Op::Add {
             d: key,
-            imm: 0,
-            a: rr,
+            a: Src::Imm(0),
+            b: rr,
         },
     );
     let t1 = sink.vg();
     sink.emit_pred(
         p1,
-        Op::AddImm {
+        Op::Add {
             d: t1,
-            imm: 8,
-            a: s1,
+            a: Src::Imm(8),
+            b: s1,
         },
     );
     sink.emit_pred(
@@ -328,10 +336,10 @@ pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
     );
     sink.emit_pred(
         p1,
-        Op::AddImm {
+        Op::Add {
             d: key,
-            imm: 0,
-            a: rr,
+            a: Src::Imm(0),
+            b: rr,
         },
     );
     sink.emit(Op::St {
@@ -340,10 +348,10 @@ pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
         val: key,
     });
     let ea8 = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: ea8,
-        imm: 8,
-        a: ea,
+        a: Src::Imm(8),
+        b: ea,
     });
     sink.emit(Op::St {
         sz: 8,
@@ -373,15 +381,15 @@ pub(crate) fn emit_shadow_pop(sink: &mut Sink, eip: ipf::regs::Gr, block_id: u32
         spec: false,
     });
     let t2 = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: t2,
-        imm: layout::SHADOW_ENTRIES as i64 - 1,
-        a: tos,
+        a: Src::Imm(layout::SHADOW_ENTRIES as i64 - 1),
+        b: tos,
     });
-    sink.emit(Op::AndImm {
+    sink.emit(Op::And {
         d: t2,
-        imm: (layout::SHADOW_ENTRIES - 1) as i64,
-        a: t2,
+        a: Src::Imm((layout::SHADOW_ENTRIES - 1) as i64),
+        b: t2,
     });
     sink.emit(Op::St {
         sz: 8,
@@ -394,15 +402,16 @@ pub(crate) fn emit_shadow_pop(sink: &mut Sink, eip: ipf::regs::Gr, block_id: u32
         imm: layout::SHADOW_BASE,
     });
     let off = sink.vg();
-    sink.emit(Op::ShlImm {
+    sink.emit(Op::Shift {
+        kind: ShiftKind::Shl,
         d: off,
         a: t2,
-        count: 4,
+        count: Src::Imm(4),
     });
     let ea = sink.vg();
     sink.emit(Op::Add {
         d: ea,
-        a: shb,
+        a: Src::Reg(shb),
         b: off,
     });
     let k = sink.vg();
@@ -427,15 +436,15 @@ pub(crate) fn emit_shadow_pop(sink: &mut Sink, eip: ipf::regs::Gr, block_id: u32
         rel: CmpRel::Eq,
         pt: p_hit,
         pf: _p_miss,
-        a: k,
+        a: Src::Reg(k),
         b: eip,
     });
     emit_counter_inc(sink, Some(p_hit), layout::CELL_SHADOW_HITS);
     let ea8 = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: ea8,
-        imm: 8,
-        a: ea,
+        a: Src::Imm(8),
+        b: ea,
     });
     let tg = sink.vg();
     sink.emit_pred(
@@ -455,15 +464,15 @@ pub(crate) fn emit_shadow_pop(sink: &mut Sink, eip: ipf::regs::Gr, block_id: u32
         rel: CmpRel::Eq,
         pt: p_u,
         pf: p_mp,
-        a: k,
+        a: Src::Reg(k),
         b: emp,
     });
     emit_counter_inc(sink, Some(p_u), layout::CELL_SHADOW_UNDERFLOWS);
     emit_counter_inc(sink, Some(p_mp), layout::CELL_SHADOW_MISPREDICTS);
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: GR_PAYLOAD0,
-        imm: 0,
-        a: eip,
+        a: Src::Imm(0),
+        b: eip,
     });
     sink.emit(Op::Movl {
         d: GR_PAYLOAD1,
@@ -494,14 +503,14 @@ pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
         rel: CmpRel::Eq,
         pt: p_ic,
         pf: _p_icm,
-        a: pk,
+        a: Src::Reg(pk),
         b: eip,
     });
     let s3 = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: s3,
-        imm: 16,
-        a: s,
+        a: Src::Imm(16),
+        b: s,
     });
     let hc = sink.vg();
     sink.emit_pred(
@@ -515,10 +524,10 @@ pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
     );
     sink.emit_pred(
         p_ic,
-        Op::AddImm {
+        Op::Add {
             d: hc,
-            imm: 1,
-            a: hc,
+            a: Src::Imm(1),
+            b: hc,
         },
     );
     sink.emit_pred(
@@ -530,10 +539,10 @@ pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
         },
     );
     let s2 = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: s2,
-        imm: 8,
-        a: s,
+        a: Src::Imm(8),
+        b: s,
     });
     let pe = sink.vg();
     sink.emit_pred(
@@ -557,28 +566,29 @@ pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
 /// can retrain the site's inline cache.
 pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
     let hs = sink.vg();
-    sink.emit(Op::ShrImm {
+    sink.emit(Op::Shift {
+        kind: ShiftKind::ShrU,
         d: hs,
         a: eip,
-        count: 12,
-        signed: false,
+        count: Src::Imm(12),
     });
     let h = sink.vg();
     sink.emit(Op::Xor {
         d: h,
-        a: eip,
+        a: Src::Reg(eip),
         b: hs,
     });
-    sink.emit(Op::AndImm {
+    sink.emit(Op::And {
         d: h,
-        imm: (layout::LOOKUP_SETS - 1) as i64,
-        a: h,
+        a: Src::Imm((layout::LOOKUP_SETS - 1) as i64),
+        b: h,
     });
     let off = sink.vg();
-    sink.emit(Op::ShlImm {
+    sink.emit(Op::Shift {
+        kind: ShiftKind::Shl,
         d: off,
         a: h,
-        count: 5,
+        count: Src::Imm(5),
     });
     let base = sink.vg();
     sink.emit(Op::Movl {
@@ -588,7 +598,7 @@ pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u6
     let sl = sink.vg();
     sink.emit(Op::Add {
         d: sl,
-        a: base,
+        a: Src::Reg(base),
         b: off,
     });
     // A table hit is also a teaching moment for the site's inline
@@ -607,10 +617,10 @@ pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u6
             sl
         } else {
             let s = sink.vg();
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: s,
-                imm: (way * layout::LOOKUP_ENTRY_SIZE) as i64,
-                a: sl,
+                a: Src::Imm((way * layout::LOOKUP_ENTRY_SIZE) as i64),
+                b: sl,
             });
             s
         };
@@ -626,16 +636,16 @@ pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u6
             rel: CmpRel::Eq,
             pt: p_hit,
             pf: _p_miss,
-            a: k,
+            a: Src::Reg(k),
             b: eip,
         });
         let s2 = sink.vg();
         sink.emit_pred(
             p_hit,
-            Op::AddImm {
+            Op::Add {
                 d: s2,
-                imm: 8,
-                a: slw,
+                a: Src::Imm(8),
+                b: slw,
             },
         );
         let tg = sink.vg();
@@ -660,10 +670,10 @@ pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u6
             let ics8 = sink.vg();
             sink.emit_pred(
                 p_hit,
-                Op::AddImm {
+                Op::Add {
                     d: ics8,
-                    imm: 8,
-                    a: ics,
+                    a: Src::Imm(8),
+                    b: ics,
                 },
             );
             sink.emit_pred(
@@ -678,10 +688,10 @@ pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u6
         sink.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tg });
         sink.emit_pred(p_hit, Op::BrRet { b: Br(1) });
     }
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: GR_PAYLOAD0,
-        imm: 0,
-        a: eip,
+        a: Src::Imm(0),
+        b: eip,
     });
     if ic_slot != 0 {
         sink.emit(Op::Movl {
@@ -689,10 +699,10 @@ pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u6
             imm: ic_slot,
         });
     } else {
-        sink.emit(Op::AddImm {
+        sink.emit(Op::Add {
             d: GR_PAYLOAD1,
-            imm: 0,
-            a: R0,
+            a: Src::Imm(0),
+            b: R0,
         });
     }
     sink.emit(Op::Br {
@@ -747,10 +757,10 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                     d: GR_STATE,
                     imm: ip as u64,
                 }),
-                Some(prev) if prev != ip => body.emit(Op::AddImm {
+                Some(prev) if prev != ip => body.emit(Op::Add {
                     d: GR_STATE,
-                    imm: ip as i64 - prev as i64,
-                    a: GR_STATE,
+                    a: Src::Imm(ip as i64 - prev as i64),
+                    b: GR_STATE,
                 }),
                 _ => {}
             }
@@ -845,7 +855,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             rel: CmpRel::Ne,
             pt: pne,
             pf: _pe,
-            a: cur,
+            a: Src::Reg(cur),
             b: exp,
         });
         head.mov_imm(GR_PAYLOAD0, input.block_id as u64);
@@ -862,25 +872,25 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     if input.heat_threshold > 0 {
         let c = emit_counter_inc(&mut head, None, input.counter_addr);
         let masked = head.vg();
-        head.emit(Op::AndImm {
+        head.emit(Op::And {
             d: masked,
-            imm: (input.heat_threshold - 1) as i64,
-            a: c,
+            a: Src::Imm((input.heat_threshold - 1) as i64),
+            b: c,
         });
         let (p_hot, _pc) = (head.vp(), head.vp());
-        head.emit(Op::CmpImm {
+        head.emit(Op::Cmp {
             rel: CmpRel::Eq,
             pt: p_hot,
             pf: _pc,
-            imm: 0,
+            a: Src::Imm(0),
             b: masked,
         });
         head.emit_pred(
             p_hot,
-            Op::AddImm {
+            Op::Add {
                 d: GR_PAYLOAD0,
-                imm: input.block_id as i64,
-                a: R0,
+                a: Src::Imm(input.block_id as i64),
+                b: R0,
             },
         );
         head.emit_pred(
@@ -915,10 +925,10 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                     d: GR_STATE,
                     imm: ip as u64,
                 }),
-                Some(prev) if prev != ip => tail.emit(Op::AddImm {
+                Some(prev) if prev != ip => tail.emit(Op::Add {
                     d: GR_STATE,
-                    imm: ip as i64 - prev as i64,
-                    a: GR_STATE,
+                    a: Src::Imm(ip as i64 - prev as i64),
+                    b: GR_STATE,
                 }),
                 _ => {}
             }

@@ -126,7 +126,7 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                 }
             };
             note(Reg::P(e.inst.qp));
-            e.inst.op.visit_regs(&mut |r, _| note(r));
+            e.inst.op.visit_regs(|r, _| note(r));
         }
     }
 
@@ -149,7 +149,7 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                         Err(e) => err = Some(e),
                     }
                 }
-                inst.op.map_regs(&mut |r, _is_def| match r {
+                inst.op.map_regs(|r, _is_def| match r {
                     Reg::G(g) if g.is_virtual() => {
                         match banks.gr.get(g.0, "GR scratch exhausted") {
                             Ok(p) => Reg::G(Gr(p)),
@@ -192,7 +192,7 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                 // in the group.
                 let mut conflict = false;
                 let qp = inst.qp;
-                inst.op.visit_regs(&mut |r, _| {
+                inst.op.visit_regs(|r, _| {
                     if group_defs.contains(&r) {
                         conflict = true;
                     }
@@ -206,7 +206,7 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                 }
                 // Branches end the group (targets start fresh).
                 let is_branch = inst.op.is_branch();
-                inst.op.visit_regs(&mut |r, is_def| {
+                inst.op.visit_regs(|r, is_def| {
                     if is_def {
                         group_defs.push(r);
                     }
@@ -225,7 +225,7 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                     }
                 };
                 release(Reg::P(e.inst.qp));
-                e.inst.op.visit_regs(&mut |r, _| release(r));
+                e.inst.op.visit_regs(|r, _| release(r));
             }
         }
     }
@@ -236,7 +236,7 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
 mod tests {
     use super::*;
     use crate::templates::Sink;
-    use ipf::inst::{CmpRel, Op};
+    use ipf::inst::{CmpRel, FmaKind, Op, Src};
     use ipf::regs::R0;
 
     #[test]
@@ -246,15 +246,15 @@ mod tests {
         // lifetimes so reuse covers them.
         for i in 0..40 {
             let v = sink.vg();
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: v,
-                imm: i,
-                a: R0,
+                a: Src::Imm(i),
+                b: R0,
             });
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: state::guest_gpr(0),
-                imm: 0,
-                a: v,
+                a: Src::Imm(0),
+                b: v,
             });
         }
         let mut cb = CodeBuilder::new();
@@ -266,15 +266,15 @@ mod tests {
     fn stop_inserted_on_dependence() {
         let mut sink = Sink::new();
         let v = sink.vg();
-        sink.emit(Op::AddImm {
+        sink.emit(Op::Add {
             d: v,
-            imm: 1,
-            a: R0,
+            a: Src::Imm(1),
+            b: R0,
         });
-        sink.emit(Op::AddImm {
+        sink.emit(Op::Add {
             d: state::guest_gpr(0),
-            imm: 0,
-            a: v,
+            a: Src::Imm(0),
+            b: v,
         });
         let mut cb = CodeBuilder::new();
         lower(&sink, &mut cb).unwrap();
@@ -292,19 +292,19 @@ mod tests {
         // Many compares; each pair dies immediately.
         for _ in 0..40 {
             let (pt, pf) = (sink.vp(), sink.vp());
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: CmpRel::Eq,
                 pt,
                 pf,
-                imm: 0,
+                a: Src::Imm(0),
                 b: R0,
             });
             sink.emit_pred(
                 pt,
-                Op::AddImm {
+                Op::Add {
                     d: state::guest_gpr(0),
-                    imm: 1,
-                    a: R0,
+                    a: Src::Imm(1),
+                    b: R0,
                 },
             );
         }
@@ -321,34 +321,35 @@ mod tests {
     fn fifo_reuse_pins_registers_and_stop_bits() {
         let mut sink = Sink::new();
         let mut carried = sink.vg();
-        sink.emit(Op::AddImm {
+        sink.emit(Op::Add {
             d: carried,
-            imm: 0,
-            a: R0,
+            a: Src::Imm(0),
+            b: R0,
         });
         let mut fcarried = sink.vf();
-        sink.emit(Op::FmergeS {
+        sink.emit(Op::Fmerge {
+            neg: false,
             d: fcarried,
             a: ipf::regs::F0,
             b: ipf::regs::F0,
         });
         for i in 0..14 {
             let (a, b) = (sink.vg(), sink.vg());
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: a,
-                imm: i,
-                a: R0,
+                a: Src::Imm(i),
+                b: R0,
             });
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: b,
-                imm: i,
-                a: carried,
+                a: Src::Imm(i),
+                b: carried,
             });
             // `b` and `carried` die here, `b` first (operand order).
             let next = sink.vg();
             sink.emit(Op::Add {
                 d: next,
-                a: b,
+                a: Src::Reg(b),
                 b: carried,
             });
             let (pt, pf) = (sink.vp(), sink.vp());
@@ -357,17 +358,27 @@ mod tests {
                 rel: CmpRel::Eq,
                 pt,
                 pf,
-                a,
+                a: Src::Reg(a),
                 b: next,
             });
             let (f, g, h) = (sink.vf(), sink.vf(), sink.vf());
-            sink.emit(Op::FmergeS {
+            sink.emit(Op::Fmerge {
+                neg: false,
                 d: f,
                 a: fcarried,
                 b: fcarried,
             });
-            sink.emit_pred(pt, Op::FmergeS { d: g, a: f, b: f });
+            sink.emit_pred(
+                pt,
+                Op::Fmerge {
+                    neg: false,
+                    d: g,
+                    a: f,
+                    b: f,
+                },
+            );
             sink.emit(Op::Fma {
+                kind: FmaKind::Fma,
                 d: h,
                 a: g,
                 b: f,
@@ -376,10 +387,10 @@ mod tests {
             // `a` outlives `b`, which was allocated after it.
             sink.emit_pred(
                 pt,
-                Op::AddImm {
+                Op::Add {
                     d: state::guest_gpr(0),
-                    imm: 1,
-                    a,
+                    a: Src::Imm(1),
+                    b: a,
                 },
             );
             carried = next;
@@ -397,7 +408,7 @@ mod tests {
             if stop {
                 stops.push(i);
             }
-            inst.op.visit_regs(&mut |r, is_def| match r {
+            inst.op.visit_regs(|r, is_def| match r {
                 Reg::G(g) if is_def && g.0 >= state::GR_SCRATCH => grs.push(g.0),
                 Reg::F(f) if is_def => frs.push(f.0),
                 Reg::P(p) if is_def => prs.push(p.0),
@@ -436,10 +447,10 @@ mod tests {
         let mut sink = Sink::new();
         let l = sink.local_label();
         sink.bind(l);
-        sink.emit(Op::AddImm {
+        sink.emit(Op::Add {
             d: state::guest_gpr(0),
-            imm: 1,
-            a: R0,
+            a: Src::Imm(1),
+            b: R0,
         });
         sink.emit(Op::Br {
             target: Target::Label(l),

@@ -156,7 +156,7 @@ fn prepare(inst: &ipf::Inst) -> (ipf::Inst, Vec<(VirtKey, u16)>) {
     if let Reg::P(p) = rename(Reg::P(out.qp)) {
         out.qp = p;
     }
-    out.op.map_regs(&mut |r, _| rename(r));
+    out.op.map_regs(|r, _| rename(r));
     if let Some(Target::Label(l)) = out.op.target() {
         out.op
             .set_target(Target::Abs(LABEL_BASE + l as u64 * ipf::Bundle::SIZE));

@@ -65,7 +65,7 @@ impl Effects {
             can_fault: op.can_fault(),
             writes_state: false,
         };
-        op.visit_regs(&mut |r, is_def| {
+        op.visit_regs(|r, is_def| {
             if let Reg::G(g) = r {
                 if (GR_GUEST..GR_GUEST + 8).contains(&g.0) {
                     let bit = 1u8 << (g.0 - GR_GUEST);
@@ -207,15 +207,16 @@ pub(super) fn collect(body: &Sink, exit_labels: &HashSet<u32>) -> Option<Vec<IrI
 #[cfg(test)]
 mod tests {
     use super::*;
+    use ipf::inst::Src;
     use ipf::regs::{Gr, R0};
 
     #[test]
     fn effects_classify_guest_and_eflags() {
         let g0 = state::guest_gpr(0);
-        let fx = Effects::of(&ipf::Inst::new(Op::AddImm {
+        let fx = Effects::of(&ipf::Inst::new(Op::Add {
             d: g0,
-            imm: 1,
-            a: g0,
+            a: Src::Imm(1),
+            b: g0,
         }));
         assert_eq!(fx.guest_reads, 1);
         assert_eq!(fx.guest_writes, 1);
@@ -256,10 +257,10 @@ mod tests {
     #[test]
     fn collect_rejects_binds_and_unknown_labels() {
         let mut s = Sink::new();
-        s.emit(Op::AddImm {
+        s.emit(Op::Add {
             d: state::guest_gpr(0),
-            imm: 1,
-            a: R0,
+            a: Src::Imm(1),
+            b: R0,
         });
         let known = s.local_label();
         s.emit(Op::Br {

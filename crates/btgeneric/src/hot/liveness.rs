@@ -67,7 +67,7 @@ pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
         // Unpredicated defs kill; predicated defs merge (value live
         // through).
         if x.inst.qp == P0 {
-            x.inst.op.visit_regs(&mut |r, is_def| {
+            x.inst.op.visit_regs(|r, is_def| {
                 if is_def {
                     if let Some(k) = virt_key(r) {
                         live.remove(&k);
@@ -81,7 +81,7 @@ pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
         if let Some(k) = virt_key(Reg::P(x.inst.qp)) {
             live.insert(k);
         }
-        x.inst.op.visit_regs(&mut |r, is_def| {
+        x.inst.op.visit_regs(|r, is_def| {
             if !is_def {
                 if let Some(k) = virt_key(r) {
                     live.insert(k);
@@ -104,7 +104,7 @@ pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
             }
         };
         note(Reg::P(x.inst.qp), &mut refs);
-        x.inst.op.visit_regs(&mut |r, _| note(r, &mut refs));
+        x.inst.op.visit_regs(|r, _| note(r, &mut refs));
     }
 
     Liveness {
@@ -119,7 +119,7 @@ mod tests {
     use super::*;
     use crate::layout::StubKind;
     use crate::state::{guest_gpr, GR_EFLAGS};
-    use ipf::inst::{Op, Target};
+    use ipf::inst::{Op, Src, Target};
     use ipf::regs::{Gr, Pr, R0};
 
     fn ils_to_ir(ops: Vec<ipf::Inst>) -> Vec<IrInst> {
@@ -132,17 +132,17 @@ mod tests {
         let p = Pr(400);
         let ir = ils_to_ir(vec![
             // v = guest0 + 1
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: v,
-                imm: 1,
-                a: guest_gpr(0),
+                a: Src::Imm(1),
+                b: guest_gpr(0),
             }),
             // p = (v == 0); side exit if p
             ipf::Inst::new(Op::Cmp {
                 rel: ipf::inst::CmpRel::Eq,
                 pt: p,
                 pf: ipf::regs::P0,
-                a: v,
+                a: Src::Reg(v),
                 b: R0,
             }),
             ipf::Inst::pred(
@@ -152,15 +152,15 @@ mod tests {
                 },
             ),
             // guest1 = v (last use of v)
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: guest_gpr(1),
-                imm: 0,
-                a: v,
+                a: Src::Imm(0),
+                b: v,
             }),
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: guest_gpr(2),
-                imm: 7,
-                a: R0,
+                a: Src::Imm(7),
+                b: R0,
             }),
         ]);
         let lv = analyze(&ir);
@@ -183,16 +183,16 @@ mod tests {
         let g0 = guest_gpr(0);
         let ir = ils_to_ir(vec![
             // EFLAGS def #0: dead (overwritten before any observer).
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: GR_EFLAGS,
-                imm: 1,
-                a: R0,
+                a: Src::Imm(1),
+                b: R0,
             }),
             // EFLAGS def #1: live (the load below can fault).
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: GR_EFLAGS,
-                imm: 2,
-                a: R0,
+                a: Src::Imm(2),
+                b: R0,
             }),
             ipf::Inst::new(Op::Ld {
                 sz: 4,
@@ -201,10 +201,10 @@ mod tests {
                 spec: false,
             }),
             // EFLAGS def #2: live (trace exit observes).
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: GR_EFLAGS,
-                imm: 3,
-                a: R0,
+                a: Src::Imm(3),
+                b: R0,
             }),
         ]);
         let lv = analyze(&ir);

@@ -7,7 +7,7 @@
 use super::ir::{is_state_prealloc, Effects, IrInst, MemEffect};
 use super::liveness;
 use crate::state::{GR_EFLAGS, GR_GUEST};
-use ipf::inst::{Op, Reg};
+use ipf::inst::{Op, Reg, ShiftKind, Src};
 use ipf::regs::{Gr, P0};
 use std::collections::{HashMap, HashSet};
 
@@ -23,81 +23,57 @@ pub(super) fn lvn(ils: &mut Vec<IrInst>) {
     let mut subst: HashMap<u16, Gr> = HashMap::new(); // virtual -> replacement
     let mut versions: HashMap<(u8, u16), u64> = HashMap::new();
     let mut mem_version: u64 = 0;
-    let mut table: HashMap<String, Gr> = HashMap::new();
+    // The op with its destination zeroed, the version of each source
+    // (0 for a virtual: equal ops name the same registers) and, for a
+    // load, the store count.
+    let mut table: HashMap<(Op, [u64; 3], u64), Gr> = HashMap::new();
     let mut keep: Vec<bool> = vec![true; ils.len()];
 
     for (i, il) in ils.iter_mut().enumerate() {
         // Rewrite uses through the substitution map.
-        il.inst.op.map_regs(&mut |r, is_def| match r {
+        il.inst.op.map_regs(|r, is_def| match r {
             Reg::G(g) if !is_def => Reg::G(subst.get(&g.0).copied().unwrap_or(g)),
             other => other,
         });
 
         let op = il.inst.op;
-        if op.is_store() {
+        let props = op.props();
+        if props.store {
             mem_version += 1;
         }
-        if op.is_branch() {
+        if props.branch {
             // Conservatively cut value numbering at control flow.
             table.clear();
             continue;
         }
         // Bump versions of defined non-virtual registers.
-        op.visit_regs(&mut |r, is_def| {
-            if is_def {
-                let key = match r {
-                    Reg::G(g) if !g.is_virtual() => Some((0u8, g.0)),
-                    Reg::F(f) if !f.is_virtual() => Some((1, f.0)),
-                    Reg::P(p) if !p.is_virtual() => Some((2, p.0)),
-                    _ => None,
-                };
-                if let Some(k) = key {
-                    *versions.entry(k).or_default() += 1;
-                }
+        op.visit_regs(|r, is_def| {
+            if let (true, Some(k)) = (is_def, phys_key(r)) {
+                *versions.entry(k).or_default() += 1;
             }
         });
 
-        if il.inst.qp != P0 {
-            continue; // predicated ops are not LVN candidates
+        if il.inst.qp != P0 || !props.pure {
+            continue; // only unpredicated pure ops are LVN candidates
         }
-        let (lvn_ok, dest) = lvn_candidate(&op);
-        let Some(dest) = dest else { continue };
-        if !lvn_ok || !single.contains(&dest.0) {
+        let Some(dest) = gr_def(&op) else { continue };
+        if !single.contains(&dest.0) {
             continue;
         }
-        // Build the canonical key: the op with its destination zeroed
-        // and physical operands tagged with their version.
         let mut key_op = op;
-        key_op.map_regs(&mut |r, is_def| {
-            if is_def {
-                return match r {
-                    Reg::G(_) => Reg::G(Gr(0)),
-                    other => other,
-                };
-            }
-            r
+        key_op.map_regs(|r, is_def| match r {
+            Reg::G(_) if is_def => Reg::G(Gr(0)),
+            other => other,
         });
-        let mut key = format!("{key_op:?}");
-        op.visit_regs(&mut |r, is_def| {
+        let mut srcs = [0u64; 3];
+        let mut n = 0;
+        op.visit_regs(|r, is_def| {
             if !is_def {
-                let vkey = match r {
-                    Reg::G(g) if !g.is_virtual() => Some((0u8, g.0)),
-                    Reg::F(f) if !f.is_virtual() => Some((1, f.0)),
-                    Reg::P(p) if !p.is_virtual() => Some((2, p.0)),
-                    _ => None,
-                };
-                if let Some(k) = vkey {
-                    key.push_str(&format!(
-                        "|v{}:{}",
-                        k.1,
-                        versions.get(&k).copied().unwrap_or(0)
-                    ));
-                }
+                srcs[n] = phys_key(r).map_or(0, |k| versions.get(&k).copied().unwrap_or(0));
+                n += 1;
             }
         });
-        if matches!(op, Op::Ld { .. }) {
-            key.push_str(&format!("|mem{mem_version}"));
-        }
+        let key = (key_op, srcs, if props.mem { mem_version } else { 0 });
         match table.get(&key) {
             Some(&holder) => {
                 subst.insert(dest.0, holder);
@@ -124,41 +100,6 @@ fn recompute_effects(irs: &mut [IrInst]) {
     }
 }
 
-/// Whether an op is a pure, deduplicable computation; returns its single
-/// GR destination.
-fn lvn_candidate(op: &Op) -> (bool, Option<Gr>) {
-    use Op::*;
-    match *op {
-        Add { d, .. }
-        | Sub { d, .. }
-        | AddImm { d, .. }
-        | SubImm { d, .. }
-        | And { d, .. }
-        | Or { d, .. }
-        | Xor { d, .. }
-        | AndCm { d, .. }
-        | AndImm { d, .. }
-        | OrImm { d, .. }
-        | XorImm { d, .. }
-        | Shladd { d, .. }
-        | ShlImm { d, .. }
-        | ShlVar { d, .. }
-        | ShrImm { d, .. }
-        | ShrVar { d, .. }
-        | Extr { d, .. }
-        | Dep { d, .. }
-        | DepZ { d, .. }
-        | Sxt { d, .. }
-        | Zxt { d, .. }
-        | Popcnt { d, .. }
-        | Movl { d, .. } => (true, Some(d)),
-        // Non-speculative loads are value-numbered against the store
-        // counter (redundant-load elimination).
-        Ld { d, spec: false, .. } => (true, Some(d)),
-        _ => (false, None),
-    }
-}
-
 /// Dead-code elimination: drops ops whose only effects are writes to
 /// virtual registers that nothing reads.
 pub(super) fn dce(ils: &mut Vec<IrInst>) {
@@ -168,14 +109,13 @@ pub(super) fn dce(ils: &mut Vec<IrInst>) {
     for i in (0..n).rev() {
         let il = &ils[i];
         let op = &il.inst.op;
-        let mut side_effect = op.is_store()
-            || op.is_branch()
-            || op.can_fault()
-            || il.inst.qp != P0
-            || matches!(op, Op::Mf | Op::MovToBr { .. });
-        // Writes to non-virtual (architectural) registers are effects.
+        let props = op.props();
+        let mut side_effect =
+            props.store || props.branch || props.can_fault || props.fence || il.inst.qp != P0;
+        // Writes to non-virtual (architectural) registers are effects;
+        // a branch register always is one.
         let mut defines_live_virtual = false;
-        op.visit_regs(&mut |r, is_def| {
+        op.visit_regs(|r, is_def| {
             if is_def {
                 if is_state_prealloc(r) {
                     side_effect = true;
@@ -193,7 +133,7 @@ pub(super) fn dce(ils: &mut Vec<IrInst>) {
             // Defs are satisfied; kill them (only unconditional defs
             // fully cover the register), then mark uses live.
             if il.inst.qp == P0 {
-                op.visit_regs(&mut |r, is_def| {
+                op.visit_regs(|r, is_def| {
                     if is_def {
                         if let Some(k) = reg_key(r) {
                             live.remove(&k);
@@ -204,7 +144,7 @@ pub(super) fn dce(ils: &mut Vec<IrInst>) {
             if let Some(k) = reg_key(Reg::P(il.inst.qp)) {
                 live.insert(k);
             }
-            op.visit_regs(&mut |r, is_def| {
+            op.visit_regs(|r, is_def| {
                 if !is_def {
                     if let Some(k) = reg_key(r) {
                         live.insert(k);
@@ -219,6 +159,16 @@ pub(super) fn dce(ils: &mut Vec<IrInst>) {
         idx += 1;
         k
     });
+}
+
+/// The version key of a physical general, FP or predicate register.
+fn phys_key(r: Reg) -> Option<(u8, u16)> {
+    match r {
+        Reg::G(g) if !g.is_virtual() => Some((0, g.0)),
+        Reg::F(f) if !f.is_virtual() => Some((1, f.0)),
+        Reg::P(p) if !p.is_virtual() => Some((2, p.0)),
+        _ => None,
+    }
 }
 
 fn reg_key(r: Reg) -> Option<(u8, u16)> {
@@ -238,7 +188,7 @@ fn single_defs(irs: &[IrInst]) -> HashSet<u16> {
     let mut count: HashMap<u16, u32> = HashMap::new();
     let mut predicated: HashSet<u16> = HashSet::new();
     for x in irs {
-        x.inst.op.visit_regs(&mut |r, is_def| {
+        x.inst.op.visit_regs(|r, is_def| {
             if let (true, Reg::G(g)) = (is_def, r) {
                 if g.is_virtual() {
                     *count.entry(g.0).or_default() += 1;
@@ -266,7 +216,7 @@ fn home_of(g: Gr) -> Option<usize> {
 /// The single general register `op` defines, if any.
 fn gr_def(op: &Op) -> Option<Gr> {
     let mut def = None;
-    op.visit_regs(&mut |r, is_def| {
+    op.visit_regs(|r, is_def| {
         if let (true, Reg::G(g)) = (is_def, r) {
             def = Some(g);
         }
@@ -318,15 +268,26 @@ impl Forwarding {
     /// `sxt`, `ld8` and everything not listed are never clean.
     fn result_is_clean(&self, op: &Op) -> bool {
         let small = |imm: i64| (0..1i64 << 32).contains(&imm);
+        let src_clean = |s: Src| match s {
+            Src::Reg(r) => self.is_clean(r),
+            Src::Imm(imm) => small(imm),
+        };
         match *op {
             Op::Ld { sz, .. } => sz < 8,
-            Op::Zxt { size, .. } => size <= 4,
+            Op::Xt {
+                signed: false,
+                size,
+                ..
+            } => size <= 4,
             Op::Popcnt { .. } => true,
-            Op::And { a, b, .. } => self.is_clean(a) || self.is_clean(b),
-            Op::AndCm { a, .. } => self.is_clean(a),
-            Op::AndImm { imm, a, .. } => small(imm) || self.is_clean(a),
-            Op::Or { a, b, .. } | Op::Xor { a, b, .. } => self.is_clean(a) && self.is_clean(b),
-            Op::OrImm { imm, a, .. } | Op::XorImm { imm, a, .. } => small(imm) && self.is_clean(a),
+            Op::And { a, b, .. } => src_clean(a) || self.is_clean(b),
+            Op::AndCm { a, .. } => src_clean(a),
+            Op::Or { a, b, .. } | Op::Xor { a, b, .. } => src_clean(a) && self.is_clean(b),
+            Op::Add {
+                a: Src::Imm(imm),
+                b,
+                ..
+            } => (b.0 == 0 && small(imm)) || (imm == 0 && self.is_clean(b)),
             Op::Extr {
                 len, signed: false, ..
             } => len <= 32,
@@ -334,12 +295,14 @@ impl Forwarding {
             Op::Dep {
                 target, pos, len, ..
             } => self.is_clean(target) && pos as u32 + len as u32 <= 32,
-            Op::ShrImm {
-                a, count, signed, ..
-            } => self.is_clean(a) || (!signed && count >= 32),
-            Op::ShrVar { a, .. } => self.is_clean(a),
-            Op::AddImm { imm, a, .. } if a.0 == 0 => small(imm),
-            Op::AddImm { imm: 0, a, .. } => self.is_clean(a),
+            Op::Shift {
+                kind: ShiftKind::Shl,
+                ..
+            } => false,
+            Op::Shift { kind, a, count, .. } => {
+                let out = kind == ShiftKind::ShrU && matches!(count, Src::Imm(n) if n >= 32);
+                self.is_clean(a) || out
+            }
             Op::Movl { imm, .. } => imm < 1 << 32,
             _ => false,
         }
@@ -377,7 +340,7 @@ pub(super) fn forward_state(irs: &mut [IrInst]) {
     // Virtuals whose unpredicated def the walk has passed.
     let mut defined: HashSet<u16> = HashSet::new();
     for x in irs.iter_mut() {
-        x.inst.op.map_regs(&mut |r, is_def| match r {
+        x.inst.op.map_regs(|r, is_def| match r {
             Reg::G(g) if !is_def => {
                 let to = st.resolve(g);
                 debug_assert!(
@@ -388,9 +351,19 @@ pub(super) fn forward_state(irs: &mut [IrInst]) {
             }
             _ => r,
         });
-        if let Op::Zxt { d, a, size: 4 } = x.inst.op {
+        if let Op::Xt {
+            signed: false,
+            d,
+            a,
+            size: 4,
+        } = x.inst.op
+        {
             if st.is_clean(a) {
-                x.inst.op = Op::AddImm { d, imm: 0, a };
+                x.inst.op = Op::Add {
+                    d,
+                    a: Src::Imm(0),
+                    b: a,
+                };
             }
         }
 
@@ -403,7 +376,11 @@ pub(super) fn forward_state(irs: &mut [IrInst]) {
         // its copy chain) or, for a virtual snapshot, a physical
         // register until its next def.
         let copied = match op {
-            Op::AddImm { imm: 0, a, .. } if unpredicated => {
+            Op::Add {
+                a: Src::Imm(0),
+                b: a,
+                ..
+            } if unpredicated => {
                 let snapshot = d.is_virtual() && !a.is_virtual() && a.0 != 0;
                 (st.single.contains(&a.0) || snapshot).then_some(a)
             }
@@ -453,7 +430,7 @@ pub(super) fn eflags_elim(irs: &mut Vec<IrInst>) {
             // Deletable only if every def is the (dead) EFLAGS home or
             // a virtual nothing reads afterwards.
             let mut only_dead = true;
-            x.inst.op.visit_regs(&mut |r, is_def| {
+            x.inst.op.visit_regs(|r, is_def| {
                 if !is_def {
                     return;
                 }
@@ -506,7 +483,7 @@ pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
         // def register — operand visit order must not hide an RMW.
         let mut def = None;
         let mut ok = true;
-        x.inst.op.visit_regs(&mut |r, is_def| {
+        x.inst.op.visit_regs(|r, is_def| {
             if !is_def {
                 return;
             }
@@ -522,7 +499,7 @@ pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
             return None;
         }
         let mut reads = false;
-        x.inst.op.visit_regs(&mut |r, is_def| {
+        x.inst.op.visit_regs(|r, is_def| {
             if !is_def && r == Reg::G(g) {
                 reads = true;
             }
@@ -547,7 +524,7 @@ pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
             }
             let mut reads = false;
             let mut redefs = false;
-            x.inst.op.visit_regs(&mut |r, is_def| {
+            x.inst.op.visit_regs(|r, is_def| {
                 if r == Reg::G(g) {
                     if is_def {
                         redefs = true;
@@ -592,15 +569,15 @@ mod tests {
         let (v1, v2) = (s.vg(), s.vg());
         let g = crate::state::guest_gpr(0);
         let mut ils = vec![
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: v1,
-                imm: 8,
-                a: g,
+                a: Src::Imm(8),
+                b: g,
             })),
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: v2,
-                imm: 8,
-                a: g,
+                a: Src::Imm(8),
+                b: g,
             })),
             il(ipf::Inst::new(Op::St {
                 sz: 4,
@@ -624,16 +601,20 @@ mod tests {
         let (v1, v2) = (s.vg(), s.vg());
         let g = crate::state::guest_gpr(0);
         let mut ils = vec![
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: v1,
-                imm: 8,
-                a: g,
+                a: Src::Imm(8),
+                b: g,
             })),
-            il(ipf::Inst::new(Op::AddImm { d: g, imm: 1, a: g })), // g changes
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
+                d: g,
+                a: Src::Imm(1),
+                b: g,
+            })), // g changes
+            il(ipf::Inst::new(Op::Add {
                 d: v2,
-                imm: 8,
-                a: g,
+                a: Src::Imm(8),
+                b: g,
             })),
             il(ipf::Inst::new(Op::St {
                 sz: 4,
@@ -670,7 +651,7 @@ mod tests {
             })),
             il(ipf::Inst::new(Op::Add {
                 d: v3,
-                a: v1,
+                a: Src::Reg(v1),
                 b: v2,
             })),
             il(ipf::Inst::new(Op::St {
@@ -704,7 +685,7 @@ mod tests {
             })),
             il(ipf::Inst::new(Op::Add {
                 d: v3,
-                a: v1,
+                a: Src::Reg(v1),
                 b: v2,
             })),
             il(ipf::Inst::new(Op::St {
@@ -723,20 +704,20 @@ mod tests {
         let (v1, v2) = (s.vg(), s.vg());
         let g = crate::state::guest_gpr(0);
         let mut ils = vec![
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: v1,
-                imm: 1,
-                a: R0,
+                a: Src::Imm(1),
+                b: R0,
             })),
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: v2,
-                imm: 2,
-                a: R0,
+                a: Src::Imm(2),
+                b: R0,
             })), // dead
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: g,
-                imm: 0,
-                a: v1,
+                a: Src::Imm(0),
+                b: v1,
             })),
         ];
         dce(&mut ils);
@@ -749,20 +730,20 @@ mod tests {
         let v1 = s.vg();
         let g = crate::state::guest_gpr(3);
         let mut ils = vec![
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: v1,
-                imm: 1,
-                a: R0,
+                a: Src::Imm(1),
+                b: R0,
             })),
             il(ipf::Inst::new(Op::St {
                 sz: 4,
                 addr: v1,
                 val: g,
             })),
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: g,
-                imm: 5,
-                a: R0,
+                a: Src::Imm(5),
+                b: R0,
             })),
         ];
         dce(&mut ils);
@@ -772,11 +753,20 @@ mod tests {
     // ---- forward_state ------------------------------------------------
 
     fn mov(d: Gr, a: Gr) -> ipf::Inst {
-        ipf::Inst::new(Op::AddImm { d, imm: 0, a })
+        ipf::Inst::new(Op::Add {
+            d,
+            a: Src::Imm(0),
+            b: a,
+        })
     }
 
     fn zxt(size: u8, d: Gr, a: Gr) -> ipf::Inst {
-        ipf::Inst::new(Op::Zxt { d, a, size })
+        ipf::Inst::new(Op::Xt {
+            signed: false,
+            d,
+            a,
+            size,
+        })
     }
 
     fn st4(addr: Gr, val: Gr) -> ipf::Inst {
@@ -806,36 +796,39 @@ mod tests {
             },
             Op::Add {
                 d: v,
-                a: eax,
+                a: Src::Reg(eax),
                 b: ecx,
             },
             Op::Sub {
                 d: v,
-                a: eax,
+                a: Src::Reg(eax),
                 b: ecx,
             },
-            Op::AddImm {
+            Op::Add {
                 d: v,
-                imm: -4,
-                a: eax,
+                a: Src::Imm(-4),
+                b: eax,
             },
-            Op::ShlImm {
+            Op::Shift {
+                kind: ShiftKind::Shl,
                 d: v,
                 a: eax,
-                count: 3,
+                count: Src::Imm(3),
             },
-            Op::AndImm {
+            Op::And {
                 d: v,
-                imm: -8,
-                a: Gr(302),
+                a: Src::Imm(-8),
+                b: Gr(302),
             },
             // `sxt` and `ld8` are never clean, whatever they read.
-            Op::Sxt {
+            Op::Xt {
+                signed: true,
                 d: v,
                 a: eax,
                 size: 4,
             },
-            Op::Sxt {
+            Op::Xt {
+                signed: true,
                 d: v,
                 a: eax,
                 size: 1,
@@ -865,23 +858,30 @@ mod tests {
         // `u` is arbitrary: the sum of two homes.
         let (u, k, v, w) = (Gr(300), Gr(301), Gr(302), Gr(303));
         let clean = [
-            Op::AndImm {
+            Op::And {
                 d: v,
-                imm: 0xFFFF,
-                a: u,
+                a: Src::Imm(0xFFFF),
+                b: u,
             },
-            Op::And { d: v, a: k, b: u },
-            Op::Zxt {
+            Op::And {
+                d: v,
+                a: Src::Reg(k),
+                b: u,
+            },
+            Op::Xt {
+                signed: false,
                 d: v,
                 a: u,
                 size: 1,
             },
-            Op::Zxt {
+            Op::Xt {
+                signed: false,
                 d: v,
                 a: u,
                 size: 2,
             },
-            Op::Zxt {
+            Op::Xt {
+                signed: false,
                 d: v,
                 a: u,
                 size: 4,
@@ -899,16 +899,16 @@ mod tests {
                 pos: 4,
                 len: 28,
             },
-            Op::ShrImm {
+            Op::Shift {
+                kind: ShiftKind::ShrU,
                 d: v,
                 a: u,
-                count: 32,
-                signed: false,
+                count: Src::Imm(32),
             },
             Op::Popcnt { d: v, a: u },
             Op::Xor {
                 d: v,
-                a: eax,
+                a: Src::Reg(eax),
                 b: ecx,
             },
         ];
@@ -922,7 +922,7 @@ mod tests {
             let head = [
                 ipf::Inst::new(Op::Add {
                     d: u,
-                    a: eax,
+                    a: Src::Reg(eax),
                     b: ecx,
                 }),
                 ipf::Inst::new(Op::Movl {
@@ -951,7 +951,7 @@ mod tests {
             rel: ipf::inst::CmpRel::Eq,
             pt: p,
             pf: P0,
-            a: ecx,
+            a: Src::Reg(ecx),
             b: edx,
         });
         // A predicated def of the virtual teaches nothing.
@@ -959,7 +959,8 @@ mod tests {
             cmp,
             ipf::Inst::pred(
                 p,
-                Op::Zxt {
+                Op::Xt {
+                    signed: false,
                     d: v,
                     a: ecx,
                     size: 1,
@@ -1025,7 +1026,7 @@ mod tests {
         let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
         let add = ipf::Inst::new(Op::Add {
             d: eax,
-            a: eax,
+            a: Src::Reg(eax),
             b: ecx,
         });
         let out = forwarded(&[add, zxt(4, eax, eax), zxt(4, ecx, eax)]);
@@ -1038,10 +1039,10 @@ mod tests {
         let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
         let (v1, v2, v3) = (Gr(300), Gr(301), Gr(302));
         let out = forwarded(&[
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: v1,
-                imm: 3,
-                a: eax,
+                a: Src::Imm(3),
+                b: eax,
             }),
             mov(v2, v1),
             st4(v2, eax),
@@ -1069,7 +1070,7 @@ mod tests {
         let v = Gr(300);
         let sum = ipf::Inst::new(Op::Add {
             d: v,
-            a: eax,
+            a: Src::Reg(eax),
             b: ecx,
         });
         eval::assert_forwarding_preserves(&[sum, zxt(4, eax, v)], &[sum, mov(eax, v)]);
@@ -1080,16 +1081,16 @@ mod tests {
         let g = crate::state::guest_gpr(0);
         let mut irs = vec![
             // Dead: overwritten before any observer.
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: GR_EFLAGS,
-                imm: 1,
-                a: R0,
+                a: Src::Imm(1),
+                b: R0,
             })),
             // Live: the faulting store observes it.
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: GR_EFLAGS,
-                imm: 2,
-                a: R0,
+                a: Src::Imm(2),
+                b: R0,
             })),
             il(ipf::Inst::new(Op::St {
                 sz: 4,
@@ -1097,16 +1098,16 @@ mod tests {
                 val: g,
             })),
             // Live: trace exit observes it.
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: GR_EFLAGS,
-                imm: 3,
-                a: R0,
+                a: Src::Imm(3),
+                b: R0,
             })),
         ];
         eflags_elim(&mut irs);
         assert_eq!(irs.len(), 3, "only the unobserved write is deleted");
         assert!(
-            matches!(irs[0].inst.op, Op::AddImm { imm: 2, .. }),
+            matches!(irs[0].inst.op, Op::Add { a: Src::Imm(2), .. }),
             "the pre-fault write survives"
         );
     }
@@ -1118,10 +1119,10 @@ mod tests {
         let g = crate::state::guest_gpr(0);
         let mut irs = vec![
             // A lazy-flags RMW chain: compute a flag bit, merge it in.
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: v1,
-                imm: 1,
-                a: g,
+                a: Src::Imm(1),
+                b: g,
             })),
             il(ipf::Inst::new(Op::Dep {
                 d: GR_EFLAGS,
@@ -1131,15 +1132,15 @@ mod tests {
                 len: 1,
             })),
             // Full overwrite before any observer kills the chain.
-            il(ipf::Inst::new(Op::AddImm {
+            il(ipf::Inst::new(Op::Add {
                 d: GR_EFLAGS,
-                imm: 0,
-                a: R0,
+                a: Src::Imm(0),
+                b: R0,
             })),
         ];
         eflags_elim(&mut irs);
         dce(&mut irs);
         assert_eq!(irs.len(), 1, "merge deleted, then its input is dead");
-        assert!(matches!(irs[0].inst.op, Op::AddImm { d, .. } if d == GR_EFLAGS));
+        assert!(matches!(irs[0].inst.op, Op::Add { d, a: Src::Imm(_), .. } if d == GR_EFLAGS));
     }
 }

@@ -203,7 +203,7 @@ pub(super) fn allocate(ir: &[IrInst]) -> Option<Vec<AllocInst>> {
         if let Some(k) = virt_key(Reg::P(x.inst.qp)) {
             uses.push(k);
         }
-        x.inst.op.visit_regs(&mut |r, is_def| {
+        x.inst.op.visit_regs(|r, is_def| {
             if let Some(k) = virt_key(r) {
                 let list = if is_def { &mut defs } else { &mut uses };
                 if !list.contains(&k) {
@@ -245,7 +245,7 @@ pub(super) fn allocate(ir: &[IrInst]) -> Option<Vec<AllocInst>> {
         if inst.qp.is_virtual() {
             inst.qp = Pr(st.map[&(2, inst.qp.0)]);
         }
-        inst.op.map_regs(&mut |r, _| match virt_key(r) {
+        inst.op.map_regs(|r, _| match virt_key(r) {
             Some(k) => phys_reg(k.0, st.map[&k]),
             None => r,
         });
@@ -256,9 +256,7 @@ pub(super) fn allocate(ir: &[IrInst]) -> Option<Vec<AllocInst>> {
 
     debug_assert!(st.out.iter().all(|a| {
         let mut clean = !a.inst.qp.is_virtual();
-        a.inst
-            .op
-            .visit_regs(&mut |r, _| clean &= virt_key(r).is_none());
+        a.inst.op.visit_regs(|r, _| clean &= virt_key(r).is_none());
         clean
     }));
     Some(st.out)
@@ -269,6 +267,7 @@ mod tests {
     use super::super::eval;
     use super::*;
     use crate::state::{guest_gpr, GR_POOL, GR_SCRATCH, NUM_POOL};
+    use ipf::inst::Src;
     use ipf::regs::R0;
 
     fn lift(ops: Vec<ipf::Inst>) -> Vec<IrInst> {
@@ -286,19 +285,19 @@ mod tests {
         let a = Gr(300);
         let b = Gr(301);
         let ir = lift(vec![
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: a,
-                imm: 5,
-                a: R0,
+                a: Src::Imm(5),
+                b: R0,
             }),
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: b,
-                imm: 7,
-                a: R0,
+                a: Src::Imm(7),
+                b: R0,
             }),
             ipf::Inst::new(Op::Add {
                 d: guest_gpr(0),
-                a,
+                a: Src::Reg(a),
                 b,
             }),
         ]);
@@ -317,22 +316,22 @@ mod tests {
         let n = pool + 4;
         let mut ops: Vec<ipf::Inst> = Vec::new();
         for k in 0..n {
-            ops.push(ipf::Inst::new(Op::AddImm {
+            ops.push(ipf::Inst::new(Op::Add {
                 d: Gr(300 + k as u16),
-                imm: 1 + k as i64,
-                a: R0,
+                a: Src::Imm(1 + k as i64),
+                b: R0,
             }));
         }
         // Sum them into the guest register in definition order.
-        ops.push(ipf::Inst::new(Op::AddImm {
+        ops.push(ipf::Inst::new(Op::Add {
             d: guest_gpr(0),
-            imm: 0,
-            a: R0,
+            a: Src::Imm(0),
+            b: R0,
         }));
         for k in 0..n {
             ops.push(ipf::Inst::new(Op::Add {
                 d: guest_gpr(0),
-                a: guest_gpr(0),
+                a: Src::Reg(guest_gpr(0)),
                 b: Gr(300 + k as u16),
             }));
         }
@@ -370,17 +369,17 @@ mod tests {
                 rel: ipf::inst::CmpRel::Eq,
                 pt: Pr(500 + k as u16),
                 pf: P0,
-                a: guest_gpr(0),
+                a: Src::Reg(guest_gpr(0)),
                 b: R0,
             }));
         }
         for k in 0..n {
             ops.push(ipf::Inst::pred(
                 Pr(500 + k as u16),
-                Op::AddImm {
+                Op::Add {
                     d: guest_gpr(1),
-                    imm: k as i64,
-                    a: R0,
+                    a: Src::Imm(k as i64),
+                    b: R0,
                 },
             ));
         }

@@ -273,7 +273,7 @@ fn insert_stops(alloc: &[super::regalloc::AllocInst]) -> Vec<Slot> {
         let inst = a.inst;
         let mut conflict = false;
         let mut regs: Vec<(u8, u16)> = Vec::new();
-        inst.op.visit_regs(&mut |r, _| regs.push(reg_slot(r)));
+        inst.op.visit_regs(|r, _| regs.push(reg_slot(r)));
         regs.push(reg_slot(Reg::P(inst.qp)));
         for k in &regs {
             if group_defs.contains(k) {
@@ -286,7 +286,7 @@ fn insert_stops(alloc: &[super::regalloc::AllocInst]) -> Vec<Slot> {
             }
             group_defs.clear();
         }
-        inst.op.visit_regs(&mut |r, is_def| {
+        inst.op.visit_regs(|r, is_def| {
             if is_def {
                 group_defs.push(reg_slot(r));
             }
@@ -394,7 +394,7 @@ fn keeps_order(earlier: &ipf::Inst, later: &ipf::Inst) -> bool {
         return true;
     }
     let mut reads = vec![reg_slot(Reg::P(earlier.qp))];
-    earlier.op.visit_regs(&mut |r, is_def| {
+    earlier.op.visit_regs(|r, is_def| {
         if !is_def {
             reads.push(reg_slot(r));
         }
@@ -402,7 +402,7 @@ fn keeps_order(earlier: &ipf::Inst, later: &ipf::Inst) -> bool {
     let mut overwrites = false;
     later
         .op
-        .visit_regs(&mut |r, is_def| overwrites |= is_def && reads.contains(&reg_slot(r)));
+        .visit_regs(|r, is_def| overwrites |= is_def && reads.contains(&reg_slot(r)));
     overwrites
 }
 
@@ -410,7 +410,7 @@ fn keeps_order(earlier: &ipf::Inst, later: &ipf::Inst) -> bool {
 fn is_ordered(inst: &ipf::Inst) -> bool {
     let op = &inst.op;
     let mut writes_state = false;
-    op.visit_regs(&mut |r, is_def| writes_state |= is_def && is_state_phys(r));
+    op.visit_regs(|r, is_def| writes_state |= is_def && is_state_phys(r));
     op.is_mem() || op.can_fault() || op.is_branch() || writes_state
 }
 
@@ -423,7 +423,7 @@ mod tests {
     use crate::engine::tests::NullOs;
     use crate::engine::{Config, Engine, Outcome};
     use crate::templates::Sink;
-    use ipf::inst::{Op, Target};
+    use ipf::inst::{FmaKind, Op, ShiftKind, Src, Target};
     use ipf::regs::{Fr, Gr, Pr, R0};
     use std::sync::OnceLock;
 
@@ -571,7 +571,13 @@ mod tests {
                 spec: false,
             })
         };
-        let set = |d: Gr| ipf::Inst::new(Op::AddImm { d, imm: 1, a: R0 });
+        let set = |d: Gr| {
+            ipf::Inst::new(Op::Add {
+                d,
+                a: Src::Imm(1),
+                b: R0,
+            })
+        };
         // Each pair: an open [M, M] bundle takes only an I-type slot
         // next, so the A-type second op would go first if it could.
         let mm = [Unit::M, Unit::M];
@@ -610,15 +616,15 @@ mod tests {
         let v1 = s.vg();
         let g = crate::state::guest_gpr(0);
         let ils = vec![
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: v1,
-                imm: 1,
-                a: R0,
+                a: Src::Imm(1),
+                b: R0,
             }),
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: g,
-                imm: 0,
-                a: v1,
+                a: Src::Imm(0),
+                b: v1,
             }),
         ];
         let order = schedule_ir(&ils);
@@ -636,10 +642,10 @@ mod tests {
         let (v1, v2) = (s.vg(), s.vg());
         let (g0, g1) = (crate::state::guest_gpr(0), crate::state::guest_gpr(1));
         let ils = vec![
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: a1,
-                imm: 16,
-                a: g0,
+                a: Src::Imm(16),
+                b: g0,
             }),
             ipf::Inst::new(Op::Ld {
                 sz: 4,
@@ -647,15 +653,15 @@ mod tests {
                 addr: a1,
                 spec: false,
             }),
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: g0,
-                imm: 0,
-                a: v1,
+                a: Src::Imm(0),
+                b: v1,
             }),
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: a2,
-                imm: 32,
-                a: g1,
+                a: Src::Imm(32),
+                b: g1,
             }),
             ipf::Inst::new(Op::Ld {
                 sz: 4,
@@ -663,10 +669,10 @@ mod tests {
                 addr: a2,
                 spec: false,
             }),
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: g1,
-                imm: 0,
-                a: v2,
+                a: Src::Imm(0),
+                b: v2,
             }),
         ];
         let order = schedule_ir(&ils);
@@ -716,7 +722,11 @@ mod tests {
                 addr: g,
                 val: h,
             }),
-            ipf::Inst::new(Op::AddImm { d: g, imm: 1, a: g }),
+            ipf::Inst::new(Op::Add {
+                d: g,
+                a: Src::Imm(1),
+                b: g,
+            }),
         ];
         let order = schedule_ir(&ils);
         assert_eq!(order, vec![0, 1]);
@@ -747,10 +757,10 @@ mod tests {
             true,
         );
         push(
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: g(1),
-                imm: 1,
-                a: g(0),
+                a: Src::Imm(1),
+                b: g(0),
             }),
             false,
         );
@@ -759,7 +769,7 @@ mod tests {
                 rel: CmpRel::Eq,
                 pt: p(0),
                 pf: P0,
-                a: g(0),
+                a: Src::Reg(g(0)),
                 b: R0,
             }),
             true,
@@ -767,10 +777,10 @@ mod tests {
         push(
             ipf::Inst::pred(
                 p(0),
-                Op::AddImm {
+                Op::Add {
                     d: g(2),
-                    imm: 2,
-                    a: g(1),
+                    a: Src::Imm(2),
+                    b: g(1),
                 },
             ),
             false,
@@ -778,10 +788,10 @@ mod tests {
         push(
             ipf::Inst::pred(
                 p(1),
-                Op::AddImm {
+                Op::Add {
                     d: g(3),
-                    imm: 3,
-                    a: g(1),
+                    a: Src::Imm(3),
+                    b: g(1),
                 },
             ),
             true,
@@ -797,6 +807,7 @@ mod tests {
         );
         push(
             ipf::Inst::new(Op::Fma {
+                kind: FmaKind::Fma,
                 d: f(1),
                 a: f(0),
                 b: F1,
@@ -839,10 +850,10 @@ mod tests {
             );
         }
         push(
-            ipf::Inst::new(Op::AddImm {
+            ipf::Inst::new(Op::Add {
                 d: g(6),
-                imm: 0,
-                a: g(21),
+                a: Src::Imm(0),
+                b: g(21),
             }),
             true,
         );
@@ -867,10 +878,11 @@ mod tests {
             );
         }
         push(
-            ipf::Inst::new(Op::ShlImm {
+            ipf::Inst::new(Op::Shift {
+                kind: ShiftKind::Shl,
                 d: g(30),
                 a: g(6),
-                count: 3,
+                count: Src::Imm(3),
             }),
             true,
         );

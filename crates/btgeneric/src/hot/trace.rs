@@ -20,7 +20,7 @@ use crate::templates::{
 };
 use crate::trace::EventData;
 use ia32::inst::Inst as I32;
-use ipf::inst::{CmpRel, Op, Target};
+use ipf::inst::{CmpRel, Op, Src, Target};
 use std::collections::{HashMap, HashSet};
 
 /// One step of a selected trace.
@@ -752,15 +752,15 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                             rel: CmpRel::Ne,
                             pt: pm,
                             pf: pk,
-                            a: eip,
+                            a: Src::Reg(eip),
                             b: c,
                         });
                         body.emit_pred(
                             pm,
-                            Op::AddImm {
+                            Op::Add {
                                 d: GR_PAYLOAD0,
-                                imm: 0,
-                                a: eip,
+                                a: Src::Imm(0),
+                                b: eip,
                             },
                         );
                         body.emit_pred(
@@ -1109,7 +1109,11 @@ fn emit_exit_counter(cb: &mut ipf::asm::CodeBuilder, slot: u64) {
         spec: false,
     });
     cb.stop();
-    cb.push(Op::AddImm { d: c, imm: 1, a: c });
+    cb.push(Op::Add {
+        d: c,
+        a: Src::Imm(1),
+        b: c,
+    });
     cb.stop();
     cb.push(Op::St {
         sz: 8,
@@ -1158,19 +1162,22 @@ fn emit_exit_prologue(cb: &mut ipf::asm::CodeBuilder, perm: [u8; 8], xmm_fmt: u8
         for start in 0..8u8 {
             while cur[start as usize] != start {
                 let from = cur[start as usize];
-                cb.push(Op::FmergeS {
+                cb.push(Op::Fmerge {
+                    neg: false,
                     d: temp,
                     a: fr(start),
                     b: fr(start),
                 });
                 cb.stop();
-                cb.push(Op::FmergeS {
+                cb.push(Op::Fmerge {
+                    neg: false,
                     d: fr(start),
                     a: fr(from),
                     b: fr(from),
                 });
                 cb.stop();
-                cb.push(Op::FmergeS {
+                cb.push(Op::Fmerge {
+                    neg: false,
                     d: fr(from),
                     a: temp,
                     b: temp,
@@ -1181,10 +1188,10 @@ fn emit_exit_prologue(cb: &mut ipf::asm::CodeBuilder, perm: [u8; 8], xmm_fmt: u8
         }
     }
     if xmm_fmt != entry_fmt {
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: GR_XMMFMT,
-            imm: xmm_fmt as i64,
-            a: ipf::regs::R0,
+            a: Src::Imm(xmm_fmt as i64),
+            b: ipf::regs::R0,
         });
         cb.stop();
     }

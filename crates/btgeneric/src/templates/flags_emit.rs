@@ -10,7 +10,7 @@ use super::Sink;
 use crate::state::GR_EFLAGS;
 use ia32::flags;
 use ia32::Size;
-use ipf::inst::{CmpRel, Op};
+use ipf::inst::{CmpRel, Op, Src};
 use ipf::regs::{Gr, Pr, R0};
 
 /// Accumulates flag bits into a scratch register, then merges them into
@@ -31,10 +31,10 @@ impl FlagAcc {
     pub(super) fn or_pred(&mut self, sink: &mut Sink, pt: Pr, bits: u32) {
         sink.emit_pred(
             pt,
-            Op::OrImm {
+            Op::Or {
                 d: self.acc,
-                imm: bits as i64,
-                a: self.acc,
+                a: Src::Imm(bits as i64),
+                b: self.acc,
             },
         );
     }
@@ -50,7 +50,7 @@ impl FlagAcc {
         });
         sink.emit(Op::Or {
             d: self.acc,
-            a: self.acc,
+            a: Src::Reg(self.acc),
             b: t,
         });
     }
@@ -63,17 +63,17 @@ impl FlagAcc {
         let qp = qp.unwrap_or(ipf::regs::P0);
         sink.emit_pred(
             qp,
-            Op::AndImm {
+            Op::And {
                 d: cleared,
-                imm: !(mask as i64) & 0xFFFF_FFFF,
-                a: GR_EFLAGS,
+                a: Src::Imm(!(mask as i64) & 0xFFFF_FFFF),
+                b: GR_EFLAGS,
             },
         );
         sink.emit_pred(
             qp,
             Op::Or {
                 d: GR_EFLAGS,
-                a: cleared,
+                a: Src::Reg(cleared),
                 b: self.acc,
             },
         );
@@ -161,7 +161,7 @@ pub(super) fn arith_flags(
             rel: CmpRel::Eq,
             pt,
             pf,
-            a: res,
+            a: Src::Reg(res),
             b: R0,
         });
         fa.or_pred(sink, pt, flags::ZF);
@@ -184,11 +184,19 @@ pub(super) fn arith_flags(
                 let t1 = sink.vg();
                 let t2 = sink.vg();
                 let t3 = sink.vg();
-                sink.emit(Op::Xor { d: t1, a, b });
-                sink.emit(Op::Xor { d: t2, a, b: res });
+                sink.emit(Op::Xor {
+                    d: t1,
+                    a: Src::Reg(a),
+                    b,
+                });
+                sink.emit(Op::Xor {
+                    d: t2,
+                    a: Src::Reg(a),
+                    b: res,
+                });
                 sink.emit(Op::AndCm {
                     d: t3,
-                    a: t2,
+                    a: Src::Reg(t2),
                     b: t1,
                 });
                 let pt = sink.vp();
@@ -206,11 +214,19 @@ pub(super) fn arith_flags(
                 let t1 = sink.vg();
                 let t2 = sink.vg();
                 let t3 = sink.vg();
-                sink.emit(Op::Xor { d: t1, a, b });
-                sink.emit(Op::Xor { d: t2, a, b: res });
+                sink.emit(Op::Xor {
+                    d: t1,
+                    a: Src::Reg(a),
+                    b,
+                });
+                sink.emit(Op::Xor {
+                    d: t2,
+                    a: Src::Reg(a),
+                    b: res,
+                });
                 sink.emit(Op::And {
                     d: t3,
-                    a: t2,
+                    a: Src::Reg(t2),
                     b: t1,
                 });
                 let pt = sink.vp();
@@ -226,7 +242,11 @@ pub(super) fn arith_flags(
             ArithKind::Inc => {
                 // a sign 0, res sign 1.
                 let t = sink.vg();
-                sink.emit(Op::AndCm { d: t, a: res, b: a });
+                sink.emit(Op::AndCm {
+                    d: t,
+                    a: Src::Reg(res),
+                    b: a,
+                });
                 let pt = sink.vp();
                 let pf = sink.vp();
                 sink.emit(Op::Tbit {
@@ -240,7 +260,11 @@ pub(super) fn arith_flags(
             ArithKind::Dec => {
                 // a sign 1, res sign 0.
                 let t = sink.vg();
-                sink.emit(Op::AndCm { d: t, a, b: res });
+                sink.emit(Op::AndCm {
+                    d: t,
+                    a: Src::Reg(a),
+                    b: res,
+                });
                 let pt = sink.vp();
                 let pf = sink.vp();
                 sink.emit(Op::Tbit {
@@ -256,10 +280,10 @@ pub(super) fn arith_flags(
     }
     if live & flags::PF != 0 {
         let t = sink.vg();
-        sink.emit(Op::AndImm {
+        sink.emit(Op::And {
             d: t,
-            imm: 0xFF,
-            a: res,
+            a: Src::Imm(0xFF),
+            b: res,
         });
         let c = sink.vg();
         sink.emit(Op::Popcnt { d: c, a: t });
@@ -277,10 +301,14 @@ pub(super) fn arith_flags(
     if live & flags::AF != 0 && kind != ArithKind::Logic {
         let t1 = sink.vg();
         let t2 = sink.vg();
-        sink.emit(Op::Xor { d: t1, a, b });
+        sink.emit(Op::Xor {
+            d: t1,
+            a: Src::Reg(a),
+            b,
+        });
         sink.emit(Op::Xor {
             d: t2,
-            a: t1,
+            a: Src::Reg(t1),
             b: res,
         });
         let pt = sink.vp();
@@ -335,10 +363,10 @@ pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
         C::Np => swap(tbit_pair(sink, 2)),
         C::Be | C::A => {
             let t = sink.vg();
-            sink.emit(Op::AndImm {
+            sink.emit(Op::And {
                 d: t,
-                imm: (flags::CF | flags::ZF) as i64,
-                a: r41,
+                a: Src::Imm((flags::CF | flags::ZF) as i64),
+                b: r41,
             });
             let pt = sink.vp();
             let pf = sink.vp();
@@ -346,7 +374,7 @@ pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
                 rel: CmpRel::Ne,
                 pt,
                 pf,
-                a: t,
+                a: Src::Reg(t),
                 b: R0,
             });
             if cond == C::Be {
@@ -373,7 +401,11 @@ pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
                 len: 1,
                 signed: false,
             });
-            sink.emit(Op::Xor { d: x, a: sf, b: of });
+            sink.emit(Op::Xor {
+                d: x,
+                a: Src::Reg(sf),
+                b: of,
+            });
             let pt = sink.vp();
             let pf = sink.vp();
             sink.emit(Op::Tbit {
@@ -408,7 +440,11 @@ pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
                 len: 1,
                 signed: false,
             });
-            sink.emit(Op::Xor { d: x, a: sf, b: of });
+            sink.emit(Op::Xor {
+                d: x,
+                a: Src::Reg(sf),
+                b: of,
+            });
             sink.emit(Op::Extr {
                 d: zf,
                 a: r41,
@@ -416,7 +452,11 @@ pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
                 len: 1,
                 signed: false,
             });
-            sink.emit(Op::Or { d: y, a: x, b: zf });
+            sink.emit(Op::Or {
+                d: y,
+                a: Src::Reg(x),
+                b: zf,
+            });
             let pt = sink.vp();
             let pf = sink.vp();
             sink.emit(Op::Tbit {

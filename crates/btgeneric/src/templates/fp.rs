@@ -17,7 +17,7 @@ use ia32::inst::{
 };
 use ia32::regs::{Mm, Xmm};
 use ia32::Size;
-use ipf::inst::{CmpRel, FXfer, FcmpRel, Op, Target};
+use ipf::inst::{CmpRel, FXfer, FcmpRel, FmaKind, Op, Src, Target};
 use ipf::regs::{Fr, Gr, F0, F1};
 
 // ---------------------------------------------------------------------
@@ -116,10 +116,10 @@ fn do_push(sink: &mut Sink, ctx: &mut EmitCtx<'_>) -> Fr {
     ctx.fp.did_push();
     let dst = ctx.fp.st_fr(0);
     sink.mov_imm(GR_FPTOP, ctx.fp.tos() as u64);
-    sink.emit(Op::OrImm {
+    sink.emit(Op::Or {
         d: GR_FPTAG,
-        imm: 1i64 << ctx.fp.phys(0),
-        a: GR_FPTAG,
+        a: Src::Imm(1i64 << ctx.fp.phys(0)),
+        b: GR_FPTAG,
     });
     dst
 }
@@ -129,10 +129,10 @@ fn do_pop(sink: &mut Sink, ctx: &mut EmitCtx<'_>) {
     let p = ctx.fp.phys(0);
     ctx.fp.did_pop();
     sink.mov_imm(GR_FPTOP, ctx.fp.tos() as u64);
-    sink.emit(Op::AndImm {
+    sink.emit(Op::And {
         d: GR_FPTAG,
-        imm: !(1i64 << p) & 0xFF,
-        a: GR_FPTAG,
+        a: Src::Imm(!(1i64 << p) & 0xFF),
+        b: GR_FPTAG,
     });
 }
 
@@ -173,7 +173,8 @@ pub(super) fn emit_fdiv(sink: &mut Sink, d: Fr, a: Fr, b: Fr) {
         let e = sink.vf();
         sink.emit_pred(
             p,
-            Op::Fnma {
+            Op::Fma {
+                kind: FmaKind::Fnma,
                 d: e,
                 a: b,
                 b: d,
@@ -183,6 +184,7 @@ pub(super) fn emit_fdiv(sink: &mut Sink, d: Fr, a: Fr, b: Fr) {
         sink.emit_pred(
             p,
             Op::Fma {
+                kind: FmaKind::Fma,
                 d,
                 a: d,
                 b: e,
@@ -194,6 +196,7 @@ pub(super) fn emit_fdiv(sink: &mut Sink, d: Fr, a: Fr, b: Fr) {
     sink.emit_pred(
         p,
         Op::Fma {
+            kind: FmaKind::Fma,
             d: q0,
             a,
             b: d,
@@ -203,7 +206,8 @@ pub(super) fn emit_fdiv(sink: &mut Sink, d: Fr, a: Fr, b: Fr) {
     let r = sink.vf();
     sink.emit_pred(
         p,
-        Op::Fnma {
+        Op::Fma {
+            kind: FmaKind::Fnma,
             d: r,
             a: b,
             b: q0,
@@ -213,6 +217,7 @@ pub(super) fn emit_fdiv(sink: &mut Sink, d: Fr, a: Fr, b: Fr) {
     sink.emit_pred(
         p,
         Op::Fma {
+            kind: FmaKind::Fma,
             d,
             a: r,
             b: d,
@@ -224,24 +229,28 @@ pub(super) fn emit_fdiv(sink: &mut Sink, d: Fr, a: Fr, b: Fr) {
 fn fp_arith(sink: &mut Sink, op: FpArithOp, d: Fr, dst: Fr, src: Fr) {
     match op {
         FpArithOp::Add => sink.emit(Op::Fma {
+            kind: FmaKind::Fma,
             d,
             a: dst,
             b: F1,
             c: src,
         }),
-        FpArithOp::Sub => sink.emit(Op::Fms {
+        FpArithOp::Sub => sink.emit(Op::Fma {
+            kind: FmaKind::Fms,
             d,
             a: dst,
             b: F1,
             c: src,
         }),
-        FpArithOp::SubR => sink.emit(Op::Fms {
+        FpArithOp::SubR => sink.emit(Op::Fma {
+            kind: FmaKind::Fms,
             d,
             a: src,
             b: F1,
             c: dst,
         }),
         FpArithOp::Mul => sink.emit(Op::Fma {
+            kind: FmaKind::Fma,
             d,
             a: dst,
             b: src,
@@ -281,7 +290,8 @@ fn ensure_scalar(sink: &mut Sink, ctx: &mut EmitCtx<'_>, n: u8) {
         f: xmm_lo_fr(n),
     });
     let lane0 = sink.vg();
-    sink.emit(Op::Zxt {
+    sink.emit(Op::Xt {
+        signed: false,
         d: lane0,
         a: g,
         size: 4,
@@ -352,10 +362,10 @@ fn xmm_src_packed(sink: &mut Sink, ctx: &mut EmitCtx<'_>, src: &XmmM) -> (Fr, Fr
             let addr = ea(sink, a);
             let lo_v = guest_load(sink, ctx, addr, Some(a), 8);
             let hi_addr = sink.vg();
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: hi_addr,
-                imm: 8,
-                a: addr,
+                a: Src::Imm(8),
+                b: addr,
             });
             let hi_v = guest_load(sink, ctx, hi_addr, None, 8);
             let (lo, hi) = (sink.vf(), sink.vf());
@@ -428,7 +438,8 @@ fn fcvt_to_i32(sink: &mut Sink, f: Fr) -> Gr {
         f: t,
     });
     let s = sink.vg();
-    sink.emit(Op::Sxt {
+    sink.emit(Op::Xt {
+        signed: true,
         d: s,
         a: g,
         size: 4,
@@ -438,7 +449,7 @@ fn fcvt_to_i32(sink: &mut Sink, f: Fr) -> Gr {
         rel: CmpRel::Ne,
         pt: p_bad,
         pf: _p_ok,
-        a: g,
+        a: Src::Reg(g),
         b: s,
     });
     sink.emit_pred(
@@ -449,7 +460,8 @@ fn fcvt_to_i32(sink: &mut Sink, f: Fr) -> Gr {
         },
     );
     let out = sink.vg();
-    sink.emit(Op::Zxt {
+    sink.emit(Op::Xt {
+        signed: false,
         d: out,
         a: g,
         size: 4,
@@ -506,7 +518,8 @@ pub(super) fn emit_fp(
             let addr = ea(sink, src);
             let raw = guest_load(sink, ctx, addr, Some(src), 4);
             let s = sink.vg();
-            sink.emit(Op::Sxt {
+            sink.emit(Op::Xt {
+                signed: true,
                 d: s,
                 a: raw,
                 size: 4,
@@ -564,13 +577,23 @@ pub(super) fn emit_fp(
             ensure_mode(sink, ctx, false);
             check_valid(sink, ctx, 0);
             let d = ctx.fp.st_fr(0);
-            sink.emit(Op::FmergeNs { d, a: d, b: d });
+            sink.emit(Op::Fmerge {
+                neg: true,
+                d,
+                a: d,
+                b: d,
+            });
         }
         I32::Fabs => {
             ensure_mode(sink, ctx, false);
             check_valid(sink, ctx, 0);
             let d = ctx.fp.st_fr(0);
-            sink.emit(Op::FmergeS { d, a: F0, b: d });
+            sink.emit(Op::Fmerge {
+                neg: false,
+                d,
+                a: F0,
+                b: d,
+            });
         }
         I32::Fsqrt => {
             ensure_mode(sink, ctx, false);
@@ -633,7 +656,8 @@ pub(super) fn emit_fp(
                 sink.mov(mmx_gr(mm.num()), v);
             } else {
                 let v = sink.vg();
-                sink.emit(Op::Zxt {
+                sink.emit(Op::Xt {
+                    signed: false,
                     d: v,
                     a: mmx_gr(mm.num()),
                     size: 4,
@@ -741,7 +765,8 @@ pub(super) fn emit_fp(
                         d: raw,
                         f: xmm_lo_fr(n),
                     });
-                    sink.emit(Op::Zxt {
+                    sink.emit(Op::Xt {
+                        signed: false,
                         d: v,
                         a: raw,
                         size: 4,
@@ -773,10 +798,10 @@ pub(super) fn emit_fp(
                         let addr = ea(sink, a);
                         let lo_v = guest_load(sink, ctx, addr, Some(a), 8);
                         let hi_addr = sink.vg();
-                        sink.emit(Op::AddImm {
+                        sink.emit(Op::Add {
                             d: hi_addr,
-                            imm: 8,
-                            a: addr,
+                            a: Src::Imm(8),
+                            b: addr,
                         });
                         let hi_v = guest_load(sink, ctx, hi_addr, None, 8);
                         sink.emit(Op::Setf {
@@ -818,10 +843,10 @@ pub(super) fn emit_fp(
                         let addr = ea(sink, a);
                         guest_store(sink, ctx, addr, Some(a), 8, lo_v);
                         let hi_addr = sink.vg();
-                        sink.emit(Op::AddImm {
+                        sink.emit(Op::Add {
                             d: hi_addr,
-                            imm: 8,
-                            a: addr,
+                            a: Src::Imm(8),
+                            b: addr,
                         });
                         guest_store(sink, ctx, hi_addr, None, 8, hi_v);
                     }
@@ -848,26 +873,41 @@ pub(super) fn emit_fp(
                 let t = sink.vf();
                 match op {
                     SseOp::Add => sink.emit(Op::Fma {
+                        kind: FmaKind::Fma,
                         d: t,
                         a: d,
                         b: F1,
                         c: s,
                     }),
-                    SseOp::Sub => sink.emit(Op::Fms {
+                    SseOp::Sub => sink.emit(Op::Fma {
+                        kind: FmaKind::Fms,
                         d: t,
                         a: d,
                         b: F1,
                         c: s,
                     }),
                     SseOp::Mul => sink.emit(Op::Fma {
+                        kind: FmaKind::Fma,
                         d: t,
                         a: d,
                         b: s,
                         c: F0,
                     }),
                     SseOp::Div => emit_fdiv(sink, t, d, s),
-                    SseOp::Min => sink.emit(Op::Fmin { d: t, a: d, b: s }),
-                    SseOp::Max => sink.emit(Op::Fmax { d: t, a: d, b: s }),
+                    SseOp::Min => sink.emit(Op::Fminmax {
+                        max: false,
+                        parallel: false,
+                        d: t,
+                        a: d,
+                        b: s,
+                    }),
+                    SseOp::Max => sink.emit(Op::Fminmax {
+                        max: true,
+                        parallel: false,
+                        d: t,
+                        a: d,
+                        b: s,
+                    }),
                 }
                 if matches!(op, SseOp::Min | SseOp::Max) {
                     sink.fmov(d, t);
@@ -882,26 +922,41 @@ pub(super) fn emit_fp(
                 for (d, s) in [(dlo, slo), (dhi, shi)] {
                     match op {
                         SseOp::Add => sink.emit(Op::Fpma {
+                            kind: FmaKind::Fma,
                             d,
                             a: d,
                             b: F1,
                             c: s,
                         }),
-                        SseOp::Sub => sink.emit(Op::Fpms {
+                        SseOp::Sub => sink.emit(Op::Fpma {
+                            kind: FmaKind::Fms,
                             d,
                             a: d,
                             b: F1,
                             c: s,
                         }),
                         SseOp::Mul => sink.emit(Op::Fpma {
+                            kind: FmaKind::Fma,
                             d,
                             a: d,
                             b: s,
                             c: F0,
                         }),
                         SseOp::Div => sink.emit(Op::Fpdiv { d, a: d, b: s }),
-                        SseOp::Min => sink.emit(Op::Fpmin { d, a: d, b: s }),
-                        SseOp::Max => sink.emit(Op::Fpmax { d, a: d, b: s }),
+                        SseOp::Min => sink.emit(Op::Fminmax {
+                            max: false,
+                            parallel: true,
+                            d,
+                            a: d,
+                            b: s,
+                        }),
+                        SseOp::Max => sink.emit(Op::Fminmax {
+                            max: true,
+                            parallel: true,
+                            d,
+                            a: d,
+                            b: s,
+                        }),
                     }
                 }
             }
@@ -923,7 +978,11 @@ pub(super) fn emit_fp(
                     f: s,
                 });
                 let x = sink.vg();
-                sink.emit(Op::Xor { d: x, a, b });
+                sink.emit(Op::Xor {
+                    d: x,
+                    a: Src::Reg(a),
+                    b,
+                });
                 sink.emit(Op::Setf {
                     kind: FXfer::Sig,
                     f: d,
@@ -948,7 +1007,8 @@ pub(super) fn emit_fp(
                 }
             };
             let s = sink.vg();
-            sink.emit(Op::Sxt {
+            sink.emit(Op::Xt {
+                signed: true,
                 d: s,
                 a: v,
                 size: 4,
@@ -1001,20 +1061,44 @@ fn mmx_prologue(sink: &mut Sink, ctx: &mut EmitCtx<'_>) {
 /// Any MMX instruction tags the touched register valid (matching the
 /// oracle's aliasing model).
 fn mmx_tag(sink: &mut Sink, reg: u8) {
-    sink.emit(Op::OrImm {
+    sink.emit(Op::Or {
         d: GR_FPTAG,
-        imm: 1i64 << (reg & 7),
-        a: GR_FPTAG,
+        a: Src::Imm(1i64 << (reg & 7)),
+        b: GR_FPTAG,
     });
 }
 
 fn emit_palu(sink: &mut Sink, op: MmxOp, d: Gr, a: Gr, b: Gr) {
     match op {
-        MmxOp::PAdd(w) => sink.emit(Op::Padd { sz: w, d, a, b }),
-        MmxOp::PSub(w) => sink.emit(Op::Psub { sz: w, d, a, b }),
-        MmxOp::Pand => sink.emit(Op::And { d, a, b }),
-        MmxOp::Por => sink.emit(Op::Or { d, a, b }),
-        MmxOp::Pxor => sink.emit(Op::Xor { d, a, b }),
+        MmxOp::PAdd(w) => sink.emit(Op::Padd {
+            sub: false,
+            sz: w,
+            d,
+            a,
+            b,
+        }),
+        MmxOp::PSub(w) => sink.emit(Op::Padd {
+            sub: true,
+            sz: w,
+            d,
+            a,
+            b,
+        }),
+        MmxOp::Pand => sink.emit(Op::And {
+            d,
+            a: Src::Reg(a),
+            b,
+        }),
+        MmxOp::Por => sink.emit(Op::Or {
+            d,
+            a: Src::Reg(a),
+            b,
+        }),
+        MmxOp::Pxor => sink.emit(Op::Xor {
+            d,
+            a: Src::Reg(a),
+            b,
+        }),
         MmxOp::Pmullw => sink.emit(Op::Pmpy2 { d, a, b }),
     }
 }

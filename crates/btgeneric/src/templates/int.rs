@@ -8,7 +8,7 @@ use crate::state::{self, GR_EFLAGS, GR_ONE};
 use ia32::flags;
 use ia32::inst::{AluOp, Inst as I32, MulDivOp, Rm, RmI, ShiftCount, ShiftOp};
 use ia32::Size;
-use ipf::inst::{CmpRel, FXfer, Op, Target};
+use ipf::inst::{CmpRel, FXfer, FmaKind, Op, ShiftKind, Src, Target};
 use ipf::regs::{Gr, Pr, F0, R0};
 
 /// Reads a register-or-memory operand (zero-extended at `size`).
@@ -22,22 +22,12 @@ fn read_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Size) -> Gr {
     }
 }
 
-/// An ALU source: either a register value or a foldable immediate.
-enum AluSrc {
-    /// Register operand (read-through; unused by current callers, which
-    /// fall back to `read_rmi`).
-    #[allow(dead_code)]
-    Reg(Gr),
-    /// Foldable immediate.
-    Imm(i64),
-}
-
 /// Reads an ALU source, keeping immediates symbolic so the imm-form
 /// Itanium ops can be used.
-fn read_alu_src(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -> AluSrc {
+fn read_alu_src(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -> Src {
     match rmi {
-        RmI::Imm(v) => AluSrc::Imm(size.trunc(*v as u32) as i64),
-        other => AluSrc::Reg(read_rmi(sink, ctx, other, size)),
+        RmI::Imm(v) => Src::Imm(size.trunc(*v as u32) as i64),
+        other => Src::Reg(read_rmi(sink, ctx, other, size)),
     }
 }
 
@@ -60,7 +50,8 @@ fn read_rmi(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -> Gr
 /// Truncate-and-zero-extend to `size`.
 fn trunc(sink: &mut Sink, v: Gr, size: Size) -> Gr {
     let d = sink.vg();
-    sink.emit(Op::Zxt {
+    sink.emit(Op::Xt {
+        signed: false,
         d,
         a: v,
         size: size.bytes() as u8,
@@ -71,7 +62,8 @@ fn trunc(sink: &mut Sink, v: Gr, size: Size) -> Gr {
 /// Sign-extend at `size`.
 fn sext(sink: &mut Sink, v: Gr, size: Size) -> Gr {
     let d = sink.vg();
-    sink.emit(Op::Sxt {
+    sink.emit(Op::Xt {
+        signed: true,
         d,
         a: v,
         size: size.bytes() as u8,
@@ -97,10 +89,10 @@ fn write_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Size, v: Gr) 
 fn push32(sink: &mut Sink, ctx: &mut EmitCtx<'_>, v: Gr) {
     let esp = state::guest_gpr(4);
     let new = sink.vg();
-    sink.emit(Op::AddImm {
+    sink.emit(Op::Add {
         d: new,
-        imm: -4,
-        a: esp,
+        a: Src::Imm(-4),
+        b: esp,
     });
     let new32 = trunc(sink, new, Size::D);
     guest_store(sink, ctx, new32, None, 4, v);
@@ -141,7 +133,8 @@ fn emit_udiv32(sink: &mut Sink, a: Gr, b: Gr) -> (Gr, Gr) {
         let e = sink.vf();
         sink.emit_pred(
             p,
-            Op::Fnma {
+            Op::Fma {
+                kind: FmaKind::Fnma,
                 d: e,
                 a: fb,
                 b: y,
@@ -151,6 +144,7 @@ fn emit_udiv32(sink: &mut Sink, a: Gr, b: Gr) -> (Gr, Gr) {
         sink.emit_pred(
             p,
             Op::Fma {
+                kind: FmaKind::Fma,
                 d: y,
                 a: y,
                 b: e,
@@ -162,6 +156,7 @@ fn emit_udiv32(sink: &mut Sink, a: Gr, b: Gr) -> (Gr, Gr) {
     sink.emit_pred(
         p,
         Op::Fma {
+            kind: FmaKind::Fma,
             d: q0,
             a: fa,
             b: y,
@@ -196,26 +191,37 @@ fn emit_udiv32(sink: &mut Sink, a: Gr, b: Gr) -> (Gr, Gr) {
         f: qb_f,
     });
     let r = sink.vg();
-    sink.emit(Op::Sub { d: r, a, b: qb });
+    sink.emit(Op::Sub {
+        d: r,
+        a: Src::Reg(a),
+        b: qb,
+    });
     // If r < 0 (as i64): q -= 1, r += b.
     let p_neg = sink.vp();
     let p_nn = sink.vp();
-    sink.emit(Op::CmpImm {
+    sink.emit(Op::Cmp {
         rel: CmpRel::Gt,
         pt: p_neg,
         pf: p_nn,
-        imm: 0,
+        a: Src::Imm(0),
         b: r,
     });
     sink.emit_pred(
         p_neg,
-        Op::AddImm {
+        Op::Add {
             d: q,
-            imm: -1,
-            a: q,
+            a: Src::Imm(-1),
+            b: q,
         },
     );
-    sink.emit_pred(p_neg, Op::Add { d: r, a: r, b });
+    sink.emit_pred(
+        p_neg,
+        Op::Add {
+            d: r,
+            a: Src::Reg(r),
+            b,
+        },
+    );
     // If r >= b: q += 1, r -= b.
     let p_ge = sink.vp();
     let p_lt = sink.vp();
@@ -223,11 +229,25 @@ fn emit_udiv32(sink: &mut Sink, a: Gr, b: Gr) -> (Gr, Gr) {
         rel: CmpRel::Geu,
         pt: p_ge,
         pf: p_lt,
-        a: r,
+        a: Src::Reg(r),
         b,
     });
-    sink.emit_pred(p_ge, Op::AddImm { d: q, imm: 1, a: q });
-    sink.emit_pred(p_ge, Op::Sub { d: r, a: r, b });
+    sink.emit_pred(
+        p_ge,
+        Op::Add {
+            d: q,
+            a: Src::Imm(1),
+            b: q,
+        },
+    );
+    sink.emit_pred(
+        p_ge,
+        Op::Sub {
+            d: r,
+            a: Src::Reg(r),
+            b,
+        },
+    );
     (q, r)
 }
 
@@ -236,21 +256,21 @@ fn emit_udiv32(sink: &mut Sink, a: Gr, b: Gr) -> (Gr, Gr) {
 fn emit_abs(sink: &mut Sink, v: Gr) -> (Gr, Pr) {
     let p_neg = sink.vp();
     let p_nn = sink.vp();
-    sink.emit(Op::CmpImm {
+    sink.emit(Op::Cmp {
         rel: CmpRel::Gt,
         pt: p_neg,
         pf: p_nn,
-        imm: 0,
+        a: Src::Imm(0),
         b: v,
     });
     let out = sink.vg();
     sink.mov(out, v);
     sink.emit_pred(
         p_neg,
-        Op::SubImm {
+        Op::Sub {
             d: out,
-            imm: 0,
-            a: v,
+            a: Src::Imm(0),
+            b: v,
         },
     );
     (out, p_neg)
@@ -268,44 +288,19 @@ pub(super) fn emit_int(
             let a = read_rm(sink, ctx, dst, *size);
             // Immediate fast path: fold into the Itanium imm-form op.
             if live == 0 && op.writes_dst() {
-                if let AluSrc::Imm(imm) = read_alu_src(sink, ctx, src, *size) {
-                    let folded = match op {
-                        AluOp::Add => Some(Op::AddImm {
-                            d: sink.vg(),
-                            imm,
-                            a,
-                        }),
-                        AluOp::Sub => Some(Op::AddImm {
-                            d: sink.vg(),
-                            imm: -imm,
-                            a,
-                        }),
-                        AluOp::And => Some(Op::AndImm {
-                            d: sink.vg(),
-                            imm,
-                            a,
-                        }),
-                        AluOp::Or => Some(Op::OrImm {
-                            d: sink.vg(),
-                            imm,
-                            a,
-                        }),
-                        AluOp::Xor => Some(Op::XorImm {
-                            d: sink.vg(),
-                            imm,
-                            a,
-                        }),
-                        _ => None,
-                    };
-                    if let Some(fop) = folded {
-                        let d = match fop {
-                            Op::AddImm { d, .. }
-                            | Op::AndImm { d, .. }
-                            | Op::OrImm { d, .. }
-                            | Op::XorImm { d, .. } => d,
-                            _ => unreachable!(),
-                        };
-                        sink.emit(fop);
+                if let Src::Imm(imm) = read_alu_src(sink, ctx, src, *size) {
+                    if matches!(
+                        op,
+                        AluOp::Add | AluOp::Sub | AluOp::And | AluOp::Or | AluOp::Xor
+                    ) {
+                        let (d, b) = (sink.vg(), a);
+                        let a = Src::Imm(if *op == AluOp::Sub { -imm } else { imm });
+                        sink.emit(match op {
+                            AluOp::And => Op::And { d, a, b },
+                            AluOp::Or => Op::Or { d, a, b },
+                            AluOp::Xor => Op::Xor { d, a, b },
+                            _ => Op::Add { d, a, b },
+                        });
                         write_rm(sink, ctx, dst, *size, d);
                         return Ok(None);
                     }
@@ -324,7 +319,11 @@ pub(super) fn emit_int(
             let x = read_rm(sink, ctx, a, *size);
             let y = read_rmi(sink, ctx, b, *size);
             let res = sink.vg();
-            sink.emit(Op::And { d: res, a: x, b: y });
+            sink.emit(Op::And {
+                d: res,
+                a: Src::Reg(x),
+                b: y,
+            });
             logic_flags(sink, res, *size, live);
         }
         I32::Mov { size, dst, src } => {
@@ -373,10 +372,10 @@ pub(super) fn emit_int(
                 let esp = state::guest_gpr(4);
                 let v = guest_load(sink, ctx, esp, None, 4);
                 let new = sink.vg();
-                sink.emit(Op::AddImm {
+                sink.emit(Op::Add {
                     d: new,
-                    imm: 4,
-                    a: esp,
+                    a: Src::Imm(4),
+                    b: esp,
                 });
                 let new32 = trunc(sink, new, Size::D);
                 sink.mov(esp, new32);
@@ -389,10 +388,10 @@ pub(super) fn emit_int(
             let a = read_rm(sink, ctx, dst, *size);
             let a = if live != 0 { snapshot(sink, a) } else { a };
             let res64 = sink.vg();
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: res64,
-                imm: if *inc { 1 } else { -1 },
-                a,
+                a: Src::Imm(if *inc { 1 } else { -1 }),
+                b: a,
             });
             let res = trunc(sink, res64, *size);
             write_rm(sink, ctx, dst, *size, res);
@@ -412,10 +411,10 @@ pub(super) fn emit_int(
             let a = read_rm(sink, ctx, dst, *size);
             let a = if live != 0 { snapshot(sink, a) } else { a };
             let res64 = sink.vg();
-            sink.emit(Op::SubImm {
+            sink.emit(Op::Sub {
                 d: res64,
-                imm: 0,
-                a,
+                a: Src::Imm(0),
+                b: a,
             });
             let res = trunc(sink, res64, *size);
             write_rm(sink, ctx, dst, *size, res);
@@ -424,10 +423,10 @@ pub(super) fn emit_int(
         I32::Not { size, dst } => {
             let a = read_rm(sink, ctx, dst, *size);
             let res64 = sink.vg();
-            sink.emit(Op::XorImm {
+            sink.emit(Op::Xor {
                 d: res64,
-                imm: -1,
-                a,
+                a: Src::Imm(-1),
+                b: a,
             });
             let res = trunc(sink, res64, *size);
             write_rm(sink, ctx, dst, *size, res);
@@ -466,13 +465,14 @@ pub(super) fn emit_int(
             let edx = state::guest_gpr(2);
             let t = sext(sink, eax, Size::D);
             let h = sink.vg();
-            sink.emit(Op::ShrImm {
+            sink.emit(Op::Shift {
+                kind: ShiftKind::Shr,
                 d: h,
                 a: t,
-                count: 32,
-                signed: true,
+                count: Src::Imm(32),
             });
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d: edx,
                 a: h,
                 size: 4,
@@ -482,7 +482,8 @@ pub(super) fn emit_int(
         I32::Cwde => {
             let eax = state::guest_gpr(0);
             let t = sext(sink, eax, Size::W);
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d: eax,
                 a: t,
                 size: 4,
@@ -528,10 +529,10 @@ pub(super) fn emit_int(
             let esp = state::guest_gpr(4);
             let t = guest_load(sink, ctx, esp, None, 4);
             let new = sink.vg();
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: new,
-                imm: 4 + *pop as i64,
-                a: esp,
+                a: Src::Imm(4 + *pop as i64),
+                b: esp,
             });
             let new32 = trunc(sink, new, Size::D);
             sink.mov(esp, new32);
@@ -546,18 +547,18 @@ pub(super) fn emit_int(
             let v = sink.vg();
             sink.emit_pred(
                 pt,
-                Op::AddImm {
+                Op::Add {
                     d: v,
-                    imm: 1,
-                    a: R0,
+                    a: Src::Imm(1),
+                    b: R0,
                 },
             );
             sink.emit_pred(
                 pf,
-                Op::AddImm {
+                Op::Add {
                     d: v,
-                    imm: 0,
-                    a: R0,
+                    a: Src::Imm(0),
+                    b: R0,
                 },
             );
             write_rm(sink, ctx, dst, Size::B, v);
@@ -570,7 +571,8 @@ pub(super) fn emit_int(
             let g = state::guest_gpr(dst.num());
             sink.emit_pred(
                 pt,
-                Op::Zxt {
+                Op::Xt {
+                    signed: false,
                     d: g,
                     a: v,
                     size: 4,
@@ -619,7 +621,11 @@ fn emit_alu(
     let (res64, res, kind) = match op {
         AluOp::Add => {
             let r = sink.vg();
-            sink.emit(Op::Add { d: r, a, b });
+            sink.emit(Op::Add {
+                d: r,
+                a: Src::Reg(a),
+                b,
+            });
             let rt = maybe_trunc(sink, r);
             (r, rt, ArithKind::Add)
         }
@@ -633,14 +639,26 @@ fn emit_alu(
                 signed: false,
             });
             let s = sink.vg();
-            sink.emit(Op::Add { d: s, a, b });
+            sink.emit(Op::Add {
+                d: s,
+                a: Src::Reg(a),
+                b,
+            });
             let r = sink.vg();
-            sink.emit(Op::Add { d: r, a: s, b: cf });
+            sink.emit(Op::Add {
+                d: r,
+                a: Src::Reg(s),
+                b: cf,
+            });
             (r, trunc(sink, r, size), ArithKind::Add)
         }
         AluOp::Sub | AluOp::Cmp => {
             let r = sink.vg();
-            sink.emit(Op::Sub { d: r, a, b });
+            sink.emit(Op::Sub {
+                d: r,
+                a: Src::Reg(a),
+                b,
+            });
             let rt = maybe_trunc(sink, r);
             (r, rt, ArithKind::Sub)
         }
@@ -654,24 +672,44 @@ fn emit_alu(
                 signed: false,
             });
             let s = sink.vg();
-            sink.emit(Op::Sub { d: s, a, b });
+            sink.emit(Op::Sub {
+                d: s,
+                a: Src::Reg(a),
+                b,
+            });
             let r = sink.vg();
-            sink.emit(Op::Sub { d: r, a: s, b: cf });
+            sink.emit(Op::Sub {
+                d: r,
+                a: Src::Reg(s),
+                b: cf,
+            });
             (r, trunc(sink, r, size), ArithKind::Sub)
         }
         AluOp::And => {
             let r = sink.vg();
-            sink.emit(Op::And { d: r, a, b });
+            sink.emit(Op::And {
+                d: r,
+                a: Src::Reg(a),
+                b,
+            });
             (r, r, ArithKind::Logic)
         }
         AluOp::Or => {
             let r = sink.vg();
-            sink.emit(Op::Or { d: r, a, b });
+            sink.emit(Op::Or {
+                d: r,
+                a: Src::Reg(a),
+                b,
+            });
             (r, r, ArithKind::Logic)
         }
         AluOp::Xor => {
             let r = sink.vg();
-            sink.emit(Op::Xor { d: r, a, b });
+            sink.emit(Op::Xor {
+                d: r,
+                a: Src::Reg(a),
+                b,
+            });
             (r, r, ArithKind::Logic)
         }
     };
@@ -705,27 +743,32 @@ fn emit_shift(
             let (res64, res) = match op {
                 ShiftOp::Shl => {
                     let r = sink.vg();
-                    sink.emit(Op::ShlImm { d: r, a, count: c });
+                    sink.emit(Op::Shift {
+                        kind: ShiftKind::Shl,
+                        d: r,
+                        a,
+                        count: Src::Imm(c.into()),
+                    });
                     (r, trunc(sink, r, size))
                 }
                 ShiftOp::Shr => {
                     let r = sink.vg();
-                    sink.emit(Op::ShrImm {
+                    sink.emit(Op::Shift {
+                        kind: ShiftKind::ShrU,
                         d: r,
                         a,
-                        count: c,
-                        signed: false,
+                        count: Src::Imm(c.into()),
                     });
                     (r, r)
                 }
                 ShiftOp::Sar => {
                     let s = sext(sink, a, size);
                     let r = sink.vg();
-                    sink.emit(Op::ShrImm {
+                    sink.emit(Op::Shift {
+                        kind: ShiftKind::Shr,
                         d: r,
                         a: s,
-                        count: c,
-                        signed: true,
+                        count: Src::Imm(c.into()),
                     });
                     (s, trunc(sink, r, size))
                 }
@@ -746,44 +789,49 @@ fn emit_shift(
         ShiftCount::Cl => {
             let cl = read_gpr(sink, ia32::regs::ECX, Size::B);
             let c = sink.vg();
-            sink.emit(Op::AndImm {
+            sink.emit(Op::And {
                 d: c,
-                imm: 0x1F,
-                a: cl,
+                a: Src::Imm(0x1F),
+                b: cl,
             });
             let p_nz = sink.vp();
             let p_z = sink.vp();
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: CmpRel::Ne,
                 pt: p_nz,
                 pf: p_z,
-                imm: 0,
+                a: Src::Imm(0),
                 b: c,
             });
             let (res64, res) = match op {
                 ShiftOp::Shl => {
                     let r = sink.vg();
-                    sink.emit(Op::ShlVar { d: r, a, c });
+                    sink.emit(Op::Shift {
+                        kind: ShiftKind::Shl,
+                        d: r,
+                        a,
+                        count: Src::Reg(c),
+                    });
                     (r, trunc(sink, r, size))
                 }
                 ShiftOp::Shr => {
                     let r = sink.vg();
-                    sink.emit(Op::ShrVar {
+                    sink.emit(Op::Shift {
+                        kind: ShiftKind::ShrU,
                         d: r,
                         a,
-                        c,
-                        signed: false,
+                        count: Src::Reg(c),
                     });
                     (r, r)
                 }
                 ShiftOp::Sar => {
                     let s = sext(sink, a, size);
                     let r = sink.vg();
-                    sink.emit(Op::ShrVar {
+                    sink.emit(Op::Shift {
+                        kind: ShiftKind::Shr,
                         d: r,
                         a: s,
-                        c,
-                        signed: true,
+                        count: Src::Reg(c),
                     });
                     (s, trunc(sink, r, size))
                 }
@@ -894,46 +942,46 @@ fn shift_flags(
             }
             (ShiftOp::Shr, ShiftAmount::Var(c)) => {
                 let cm1 = sink.vg();
-                sink.emit(Op::AddImm {
+                sink.emit(Op::Add {
                     d: cm1,
-                    imm: -1,
-                    a: *c,
+                    a: Src::Imm(-1),
+                    b: *c,
                 });
                 let sh = sink.vg();
-                sink.emit(Op::ShrVar {
+                sink.emit(Op::Shift {
+                    kind: ShiftKind::ShrU,
                     d: sh,
                     a,
-                    c: cm1,
-                    signed: false,
+                    count: Src::Reg(cm1),
                 });
                 let t = sink.vg();
-                sink.emit(Op::AndImm {
+                sink.emit(Op::And {
                     d: t,
-                    imm: 1,
-                    a: sh,
+                    a: Src::Imm(1),
+                    b: sh,
                 });
                 t
             }
             (ShiftOp::Sar, ShiftAmount::Var(c)) => {
                 let s = sext(sink, a, size);
                 let cm1 = sink.vg();
-                sink.emit(Op::AddImm {
+                sink.emit(Op::Add {
                     d: cm1,
-                    imm: -1,
-                    a: *c,
+                    a: Src::Imm(-1),
+                    b: *c,
                 });
                 let sh = sink.vg();
-                sink.emit(Op::ShrVar {
+                sink.emit(Op::Shift {
+                    kind: ShiftKind::Shr,
                     d: sh,
                     a: s,
-                    c: cm1,
-                    signed: true,
+                    count: Src::Reg(cm1),
                 });
                 let t = sink.vg();
-                sink.emit(Op::AndImm {
+                sink.emit(Op::And {
                     d: t,
-                    imm: 1,
-                    a: sh,
+                    a: Src::Imm(1),
+                    b: sh,
                 });
                 t
             }
@@ -952,7 +1000,7 @@ fn shift_flags(
             let x = sink.vg();
             sink.emit(Op::Xor {
                 d: x,
-                a: cf_bit,
+                a: Src::Reg(cf_bit),
                 b: sf,
             });
             fa.or_bit(sink, x, 11);
@@ -975,7 +1023,11 @@ fn shift_flags(
             signed: false,
         });
         let x = sink.vg();
-        sink.emit(Op::Xor { d: x, a: cf, b: sf });
+        sink.emit(Op::Xor {
+            d: x,
+            a: Src::Reg(cf),
+            b: sf,
+        });
         fa.or_bit(sink, x, 11);
     }
     if op == ShiftOp::Shr && live & flags::OF != 0 {
@@ -998,7 +1050,7 @@ fn shift_flags(
             rel: CmpRel::Eq,
             pt,
             pf,
-            a: res,
+            a: Src::Reg(res),
             b: R0,
         });
         fa.or_pred(sink, pt, flags::ZF);
@@ -1016,10 +1068,10 @@ fn shift_flags(
     }
     if live & flags::PF != 0 {
         let t = sink.vg();
-        sink.emit(Op::AndImm {
+        sink.emit(Op::And {
             d: t,
-            imm: 0xFF,
-            a: res,
+            a: Src::Imm(0xFF),
+            b: res,
         });
         let cnum = sink.vg();
         sink.emit(Op::Popcnt { d: cnum, a: t });
@@ -1090,22 +1142,22 @@ fn emit_mul_flags(sink: &mut Sink, p: Gr, low: Gr, signed: bool, live: u32) {
                 rel: CmpRel::Ne,
                 pt,
                 pf,
-                a: p,
+                a: Src::Reg(p),
                 b: t,
             });
         } else {
             let h = sink.vg();
-            sink.emit(Op::ShrImm {
+            sink.emit(Op::Shift {
+                kind: ShiftKind::ShrU,
                 d: h,
                 a: p,
-                count: 32,
-                signed: false,
+                count: Src::Imm(32),
             });
             sink.emit(Op::Cmp {
                 rel: CmpRel::Ne,
                 pt,
                 pf,
-                a: h,
+                a: Src::Reg(h),
                 b: R0,
             });
         }
@@ -1117,7 +1169,7 @@ fn emit_mul_flags(sink: &mut Sink, p: Gr, low: Gr, signed: bool, live: u32) {
             rel: CmpRel::Eq,
             pt,
             pf,
-            a: low,
+            a: Src::Reg(low),
             b: R0,
         });
         fa.or_pred(sink, pt, flags::ZF);
@@ -1134,10 +1186,10 @@ fn emit_mul_flags(sink: &mut Sink, p: Gr, low: Gr, signed: bool, live: u32) {
     }
     if live & flags::PF != 0 {
         let t = sink.vg();
-        sink.emit(Op::AndImm {
+        sink.emit(Op::And {
             d: t,
-            imm: 0xFF,
-            a: low,
+            a: Src::Imm(0xFF),
+            b: low,
         });
         let c = sink.vg();
         sink.emit(Op::Popcnt { d: c, a: t });
@@ -1169,11 +1221,11 @@ fn emit_muldiv32(
             let p = emit_mul64(sink, eax, s, signed);
             let low = trunc(sink, p, Size::D);
             let hi = sink.vg();
-            sink.emit(Op::ShrImm {
+            sink.emit(Op::Shift {
+                kind: ShiftKind::ShrU,
                 d: hi,
                 a: p,
-                count: 32,
-                signed: false,
+                count: Src::Imm(32),
             });
             emit_mul_flags(sink, p, low, signed, live);
             sink.mov(eax, low);
@@ -1184,11 +1236,11 @@ fn emit_muldiv32(
         MulDivOp::Div => {
             // #DE on zero divisor.
             let (pz, pnz) = (sink.vp(), sink.vp());
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: CmpRel::Eq,
                 pt: pz,
                 pf: pnz,
-                imm: 0,
+                a: Src::Imm(0),
                 b: s,
             });
             sink.emit_pred(
@@ -1201,11 +1253,11 @@ fn emit_muldiv32(
             // compiler-generated pattern); otherwise single-step the
             // instruction in the engine.
             let (pslow, _pfast) = (sink.vp(), sink.vp());
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: CmpRel::Ne,
                 pt: pslow,
                 pf: _pfast,
-                imm: 0,
+                a: Src::Imm(0),
                 b: edx,
             });
             sink.emit_pred(
@@ -1215,12 +1267,14 @@ fn emit_muldiv32(
                 },
             );
             let (q, r) = emit_udiv32(sink, eax, s);
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d: eax,
                 a: q,
                 size: 4,
             });
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d: edx,
                 a: r,
                 size: 4,
@@ -1230,11 +1284,11 @@ fn emit_muldiv32(
         }
         MulDivOp::Idiv => {
             let (pz, pnz) = (sink.vp(), sink.vp());
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: CmpRel::Eq,
                 pt: pz,
                 pf: pnz,
-                imm: 0,
+                a: Src::Imm(0),
                 b: s,
             });
             sink.emit_pred(
@@ -1247,11 +1301,11 @@ fn emit_muldiv32(
             // (the CDQ pattern).
             let a_sx = sext(sink, eax, Size::D);
             let hi = sink.vg();
-            sink.emit(Op::ShrImm {
+            sink.emit(Op::Shift {
+                kind: ShiftKind::Shr,
                 d: hi,
                 a: a_sx,
-                count: 32,
-                signed: true,
+                count: Src::Imm(32),
             });
             let hi32 = trunc(sink, hi, Size::D);
             let (pslow, _pf) = (sink.vp(), sink.vp());
@@ -1259,7 +1313,7 @@ fn emit_muldiv32(
                 rel: CmpRel::Ne,
                 pt: pslow,
                 pf: _pf,
-                a: hi32,
+                a: Src::Reg(hi32),
                 b: edx,
             });
             sink.emit_pred(
@@ -1276,10 +1330,10 @@ fn emit_muldiv32(
             let qs = sink.vg();
             sink.mov(qs, q);
             let neg_q = sink.vg();
-            sink.emit(Op::SubImm {
+            sink.emit(Op::Sub {
                 d: neg_q,
-                imm: 0,
-                a: q,
+                a: Src::Imm(0),
+                b: q,
             });
             // signs differ = a_neg XOR b_neg; predicates cannot be
             // XORed directly, so compute via 0/1 registers.
@@ -1287,60 +1341,65 @@ fn emit_muldiv32(
             sink.mov(an, R0);
             sink.emit_pred(
                 a_neg,
-                Op::AddImm {
+                Op::Add {
                     d: an,
-                    imm: 1,
-                    a: R0,
+                    a: Src::Imm(1),
+                    b: R0,
                 },
             );
             let bn = sink.vg();
             sink.mov(bn, R0);
             sink.emit_pred(
                 b_neg,
-                Op::AddImm {
+                Op::Add {
                     d: bn,
-                    imm: 1,
-                    a: R0,
+                    a: Src::Imm(1),
+                    b: R0,
                 },
             );
             let x = sink.vg();
-            sink.emit(Op::Xor { d: x, a: an, b: bn });
+            sink.emit(Op::Xor {
+                d: x,
+                a: Src::Reg(an),
+                b: bn,
+            });
             let (p_diff, _pd) = (sink.vp(), sink.vp());
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: CmpRel::Ne,
                 pt: p_diff,
                 pf: _pd,
-                imm: 0,
+                a: Src::Imm(0),
                 b: x,
             });
             sink.emit_pred(
                 p_diff,
-                Op::AddImm {
+                Op::Add {
                     d: qs,
-                    imm: 0,
-                    a: neg_q,
+                    a: Src::Imm(0),
+                    b: neg_q,
                 },
             );
             let rs = sink.vg();
             sink.mov(rs, r);
             let neg_r = sink.vg();
-            sink.emit(Op::SubImm {
+            sink.emit(Op::Sub {
                 d: neg_r,
-                imm: 0,
-                a: r,
+                a: Src::Imm(0),
+                b: r,
             });
             sink.emit_pred(
                 a_neg,
-                Op::AddImm {
+                Op::Add {
                     d: rs,
-                    imm: 0,
-                    a: neg_r,
+                    a: Src::Imm(0),
+                    b: neg_r,
                 },
             );
             // #DE if the quotient does not fit i32 (INT_MIN / -1).
             let qt = sext(sink, qs, Size::D);
             let q32 = sink.vg();
-            sink.emit(Op::Sxt {
+            sink.emit(Op::Xt {
+                signed: true,
                 d: q32,
                 a: qs,
                 size: 4,
@@ -1350,7 +1409,7 @@ fn emit_muldiv32(
                 rel: CmpRel::Ne,
                 pt: p_ovf,
                 pf: _po,
-                a: qt,
+                a: Src::Reg(qt),
                 b: q32,
             });
             sink.emit_pred(
@@ -1359,12 +1418,14 @@ fn emit_muldiv32(
                     target: Target::Abs(StubKind::DivZero.addr()),
                 },
             );
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d: eax,
                 a: qs,
                 size: 4,
             });
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d: edx,
                 a: rs,
                 size: 4,
@@ -1395,29 +1456,29 @@ fn emit_string(sink: &mut Sink, ctx: &mut EmitCtx<'_>, size: Size, rep: bool, mo
     let step = sink.vg();
     sink.emit_pred(
         p_up,
-        Op::AddImm {
+        Op::Add {
             d: step,
-            imm: n,
-            a: R0,
+            a: Src::Imm(n),
+            b: R0,
         },
     );
     sink.emit_pred(
         p_df,
-        Op::AddImm {
+        Op::Add {
             d: step,
-            imm: -n,
-            a: R0,
+            a: Src::Imm(-n),
+            b: R0,
         },
     );
     let (top, done) = (sink.local_label(), sink.local_label());
     if rep {
         sink.bind(top);
         let (p_done, _p) = (sink.vp(), sink.vp());
-        sink.emit(Op::CmpImm {
+        sink.emit(Op::Cmp {
             rel: CmpRel::Eq,
             pt: p_done,
             pf: _p,
-            imm: 0,
+            a: Src::Imm(0),
             b: ecx,
         });
         sink.emit_pred(
@@ -1437,10 +1498,11 @@ fn emit_string(sink: &mut Sink, ctx: &mut EmitCtx<'_>, size: Size, rep: bool, mo
         let t = sink.vg();
         sink.emit(Op::Add {
             d: t,
-            a: esi,
+            a: Src::Reg(esi),
             b: step,
         });
-        sink.emit(Op::Zxt {
+        sink.emit(Op::Xt {
+            signed: false,
             d: esi,
             a: t,
             size: 4,
@@ -1449,22 +1511,24 @@ fn emit_string(sink: &mut Sink, ctx: &mut EmitCtx<'_>, size: Size, rep: bool, mo
     let t = sink.vg();
     sink.emit(Op::Add {
         d: t,
-        a: edi,
+        a: Src::Reg(edi),
         b: step,
     });
-    sink.emit(Op::Zxt {
+    sink.emit(Op::Xt {
+        signed: false,
         d: edi,
         a: t,
         size: 4,
     });
     if rep {
         let t = sink.vg();
-        sink.emit(Op::AddImm {
+        sink.emit(Op::Add {
             d: t,
-            imm: -1,
-            a: ecx,
+            a: Src::Imm(-1),
+            b: ecx,
         });
-        sink.emit(Op::Zxt {
+        sink.emit(Op::Xt {
+            signed: false,
             d: ecx,
             a: t,
             size: 4,
@@ -1540,11 +1604,11 @@ pub(super) fn try_fuse(
                         CmpRel::Geu => CmpRel::Leu,
                         other => other,
                     };
-                    sink.emit(Op::CmpImm {
+                    sink.emit(Op::Cmp {
                         rel: srel,
                         pt,
                         pf,
-                        imm,
+                        a: Src::Imm(imm),
                         b: a,
                     });
                     return Some(pt);
@@ -1557,7 +1621,11 @@ pub(super) fn try_fuse(
             // sign-extended operands would corrupt.
             if live != 0 {
                 let r = sink.vg();
-                sink.emit(Op::Sub { d: r, a, b });
+                sink.emit(Op::Sub {
+                    d: r,
+                    a: Src::Reg(a),
+                    b,
+                });
                 let rt = trunc(sink, r, *size);
                 arith_flags(sink, ArithKind::Sub, a, b, r, rt, *size, live, None);
             }
@@ -1567,7 +1635,13 @@ pub(super) fn try_fuse(
                 (a, b)
             };
             let (pt, pf) = (sink.vp(), sink.vp());
-            sink.emit(Op::Cmp { rel, pt, pf, a, b });
+            sink.emit(Op::Cmp {
+                rel,
+                pt,
+                pf,
+                a: Src::Reg(a),
+                b,
+            });
             Some(pt)
         }
         // test a, b + je/jne/js/jns.
@@ -1579,7 +1653,11 @@ pub(super) fn try_fuse(
             let x = read_rm(sink, ctx, a, *size);
             let y = read_rmi(sink, ctx, b, *size);
             let r = sink.vg();
-            sink.emit(Op::And { d: r, a: x, b: y });
+            sink.emit(Op::And {
+                d: r,
+                a: Src::Reg(x),
+                b: y,
+            });
             if live != 0 {
                 logic_flags(sink, r, *size, live);
             }
@@ -1589,14 +1667,14 @@ pub(super) fn try_fuse(
                     rel: CmpRel::Eq,
                     pt,
                     pf,
-                    a: r,
+                    a: Src::Reg(r),
                     b: R0,
                 }),
                 C::Ne => sink.emit(Op::Cmp {
                     rel: CmpRel::Ne,
                     pt,
                     pf,
-                    a: r,
+                    a: Src::Reg(r),
                     b: R0,
                 }),
                 C::S | C::Ns => {
@@ -1623,10 +1701,10 @@ pub(super) fn try_fuse(
             let a = read_rm(sink, ctx, dst, *size);
             let a = if live != 0 { snapshot(sink, a) } else { a };
             let res64 = sink.vg();
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: res64,
-                imm: if *inc { 1 } else { -1 },
-                a,
+                a: Src::Imm(if *inc { 1 } else { -1 }),
+                b: a,
             });
             let res = trunc(sink, res64, *size);
             write_rm(sink, ctx, dst, *size, res);
@@ -1649,7 +1727,7 @@ pub(super) fn try_fuse(
                     rel: CmpRel::Eq,
                     pt,
                     pf,
-                    a: res,
+                    a: Src::Reg(res),
                     b: R0,
                 }),
                 _ => sink.emit(Op::Tbit {
@@ -1686,10 +1764,26 @@ pub(super) fn try_fuse(
             let res = {
                 let r = sink.vg();
                 match op {
-                    AluOp::Sub => sink.emit(Op::Sub { d: r, a, b }),
-                    AluOp::And => sink.emit(Op::And { d: r, a, b }),
-                    AluOp::Or => sink.emit(Op::Or { d: r, a, b }),
-                    AluOp::Xor => sink.emit(Op::Xor { d: r, a, b }),
+                    AluOp::Sub => sink.emit(Op::Sub {
+                        d: r,
+                        a: Src::Reg(a),
+                        b,
+                    }),
+                    AluOp::And => sink.emit(Op::And {
+                        d: r,
+                        a: Src::Reg(a),
+                        b,
+                    }),
+                    AluOp::Or => sink.emit(Op::Or {
+                        d: r,
+                        a: Src::Reg(a),
+                        b,
+                    }),
+                    AluOp::Xor => sink.emit(Op::Xor {
+                        d: r,
+                        a: Src::Reg(a),
+                        b,
+                    }),
                     _ => unreachable!(),
                 }
                 if *op == AluOp::Sub {
@@ -1713,7 +1807,7 @@ pub(super) fn try_fuse(
                     rel: CmpRel::Eq,
                     pt,
                     pf,
-                    a: res,
+                    a: Src::Reg(res),
                     b: R0,
                 }),
                 _ => sink.emit(Op::Tbit {

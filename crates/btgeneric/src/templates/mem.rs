@@ -8,7 +8,7 @@ use crate::state::{self, GR_PAYLOAD0};
 use ia32::inst::Addr;
 use ia32::regs::Gpr;
 use ia32::Size;
-use ipf::inst::{CmpRel, Op, Target};
+use ipf::inst::{CmpRel, Op, ShiftKind, Src, Target};
 use ipf::regs::{Gr, Pr, R0};
 use std::collections::HashMap;
 
@@ -102,7 +102,11 @@ pub(super) fn ea(sink: &mut Sink, a: &Addr) -> Gr {
         let idx = state::guest_gpr(i.num());
         let d = sink.vg();
         match (s, cur) {
-            (1, Some(c)) => sink.emit(Op::Add { d, a: c, b: idx }),
+            (1, Some(c)) => sink.emit(Op::Add {
+                d,
+                a: Src::Reg(c),
+                b: idx,
+            }),
             (1, None) => sink.mov(d, idx),
             (s, Some(c)) => sink.emit(Op::Shladd {
                 d,
@@ -110,10 +114,11 @@ pub(super) fn ea(sink: &mut Sink, a: &Addr) -> Gr {
                 count: s.trailing_zeros() as u8,
                 b: c,
             }),
-            (s, None) => sink.emit(Op::ShlImm {
+            (s, None) => sink.emit(Op::Shift {
+                kind: ShiftKind::Shl,
                 d,
                 a: idx,
-                count: s.trailing_zeros() as u8,
+                count: Src::Imm(s.trailing_zeros().into()),
             }),
         }
         cur = Some(d);
@@ -122,10 +127,10 @@ pub(super) fn ea(sink: &mut Sink, a: &Addr) -> Gr {
         (0, Some(c)) => c,
         (d, Some(c)) => {
             let t = sink.vg();
-            sink.emit(Op::AddImm {
+            sink.emit(Op::Add {
                 d: t,
-                imm: d as i64,
-                a: c,
+                a: Src::Imm(d as i64),
+                b: c,
             });
             t
         }
@@ -137,7 +142,8 @@ pub(super) fn ea(sink: &mut Sink, a: &Addr) -> Gr {
     };
     // 32-bit wraparound.
     let out = sink.vg();
-    sink.emit(Op::Zxt {
+    sink.emit(Op::Xt {
+        signed: false,
         d: out,
         a: with_disp,
         size: 4,
@@ -158,7 +164,8 @@ pub(super) fn read_gpr(sink: &mut Sink, r: Gpr, size: Size) -> Gr {
         Size::D => state::guest_gpr(n),
         Size::W => {
             let d = sink.vg();
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d,
                 a: state::guest_gpr(n),
                 size: 2,
@@ -168,7 +175,8 @@ pub(super) fn read_gpr(sink: &mut Sink, r: Gpr, size: Size) -> Gr {
         Size::B => {
             let d = sink.vg();
             if n < 4 {
-                sink.emit(Op::Zxt {
+                sink.emit(Op::Xt {
+                    signed: false,
                     d,
                     a: state::guest_gpr(n),
                     size: 1,
@@ -206,7 +214,8 @@ pub(super) fn write_gpr(sink: &mut Sink, ctx: &mut EmitCtx<'_>, r: Gpr, size: Si
     match size {
         Size::D => {
             let g = state::guest_gpr(n);
-            sink.emit(Op::Zxt {
+            sink.emit(Op::Xt {
+                signed: false,
                 d: g,
                 a: v,
                 size: 4,
@@ -273,10 +282,10 @@ fn align_preds(
         }
     }
     let t = sink.vg();
-    sink.emit(Op::AndImm {
+    sink.emit(Op::And {
         d: t,
-        imm: (size - 1) as i64,
-        a: addr,
+        a: Src::Imm((size - 1) as i64),
+        b: addr,
     });
     let p_al = sink.vp();
     let p_mis = sink.vp();
@@ -284,7 +293,7 @@ fn align_preds(
         rel: CmpRel::Eq,
         pt: p_al,
         pf: p_mis,
-        a: t,
+        a: Src::Reg(t),
         b: R0,
     });
     if let Some(k) = key {
@@ -304,10 +313,10 @@ fn split_load(sink: &mut Sink, qp: Pr, addr: Gr, size: u8, gran: u8, d: Gr) {
             let t = sink.vg();
             sink.emit_pred(
                 qp,
-                Op::AddImm {
+                Op::Add {
                     d: t,
-                    imm: (k * gran) as i64,
-                    a: addr,
+                    a: Src::Imm((k * gran) as i64),
+                    b: addr,
                 },
             );
             t
@@ -323,7 +332,14 @@ fn split_load(sink: &mut Sink, qp: Pr, addr: Gr, size: u8, gran: u8, d: Gr) {
             },
         );
         if k == 0 {
-            sink.emit_pred(qp, Op::AddImm { d, imm: 0, a: b });
+            sink.emit_pred(
+                qp,
+                Op::Add {
+                    d,
+                    a: Src::Imm(0),
+                    b,
+                },
+            );
         } else {
             sink.emit_pred(
                 qp,
@@ -347,10 +363,10 @@ fn split_store(sink: &mut Sink, qp: Pr, addr: Gr, size: u8, gran: u8, val: Gr) {
     let last = sink.vg();
     sink.emit_pred(
         qp,
-        Op::AddImm {
+        Op::Add {
             d: last,
-            imm: (size - 1) as i64,
-            a: addr,
+            a: Src::Imm((size - 1) as i64),
+            b: addr,
         },
     );
     let probe = sink.vg();
@@ -371,10 +387,10 @@ fn split_store(sink: &mut Sink, qp: Pr, addr: Gr, size: u8, gran: u8, val: Gr) {
             let t = sink.vg();
             sink.emit_pred(
                 qp,
-                Op::AddImm {
+                Op::Add {
                     d: t,
-                    imm: (k * gran) as i64,
-                    a: addr,
+                    a: Src::Imm((k * gran) as i64),
+                    b: addr,
                 },
             );
             t
@@ -383,20 +399,20 @@ fn split_store(sink: &mut Sink, qp: Pr, addr: Gr, size: u8, gran: u8, val: Gr) {
         if k == 0 {
             sink.emit_pred(
                 qp,
-                Op::AddImm {
+                Op::Add {
                     d: part,
-                    imm: 0,
-                    a: val,
+                    a: Src::Imm(0),
+                    b: val,
                 },
             );
         } else {
             sink.emit_pred(
                 qp,
-                Op::ShrImm {
+                Op::Shift {
+                    kind: ShiftKind::ShrU,
                     d: part,
                     a: val,
-                    count: k * gran * 8,
-                    signed: false,
+                    count: Src::Imm((k * gran * 8).into()),
                 },
             );
         }
@@ -435,10 +451,10 @@ fn record_misalign(sink: &mut Sink, ctx: &EmitCtx<'_>, qp: Pr, addr: Gr, acc: u1
     let low = sink.vg();
     sink.emit_pred(
         qp,
-        Op::AndImm {
+        Op::And {
             d: low,
-            imm: (size - 1) as i64,
-            a: addr,
+            a: Src::Imm((size - 1) as i64),
+            b: addr,
         },
     );
     let c2 = sink.vg();
@@ -446,17 +462,17 @@ fn record_misalign(sink: &mut Sink, ctx: &EmitCtx<'_>, qp: Pr, addr: Gr, acc: u1
         qp,
         Op::Or {
             d: c2,
-            a: c,
+            a: Src::Reg(c),
             b: low,
         },
     );
     let c3 = sink.vg();
     sink.emit_pred(
         qp,
-        Op::OrImm {
+        Op::Or {
             d: c3,
-            imm: 0x100,
-            a: c2,
+            a: Src::Imm(0x100),
+            b: c2,
         },
     );
     sink.emit_pred(
@@ -506,10 +522,10 @@ pub(super) fn guest_load(
             let (_, p_mis) = align_preds(sink, ctx, addr, None, size);
             sink.emit_pred(
                 p_mis,
-                Op::AddImm {
+                Op::Add {
                     d: GR_PAYLOAD0,
-                    imm: ctx.misalign.block_id as i64,
-                    a: R0,
+                    a: Src::Imm(ctx.misalign.block_id as i64),
+                    b: R0,
                 },
             );
             sink.emit_pred(
@@ -585,10 +601,10 @@ pub(super) fn guest_store(
             let (_, p_mis) = align_preds(sink, ctx, addr, None, size);
             sink.emit_pred(
                 p_mis,
-                Op::AddImm {
+                Op::Add {
                     d: GR_PAYLOAD0,
-                    imm: ctx.misalign.block_id as i64,
-                    a: R0,
+                    a: Src::Imm(ctx.misalign.block_id as i64),
+                    b: R0,
                 },
             );
             sink.emit_pred(

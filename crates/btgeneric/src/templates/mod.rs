@@ -26,7 +26,7 @@ pub use mem::{AccessMode, AlignCache, MisalignPlan};
 
 use crate::state;
 use ia32::inst::Inst as Ia32Inst;
-use ipf::inst::{Op, Target};
+use ipf::inst::{Op, Src, Target};
 use ipf::regs::{Fr, Gr, Pr, VIRT_BASE};
 
 /// An emitted micro-op with provenance metadata.
@@ -179,10 +179,10 @@ impl Sink {
     /// Emits `mov d = imm` choosing `adds`/`movl` by range.
     pub fn mov_imm(&mut self, d: Gr, imm: u64) {
         if (imm as i64) >= -0x1F_FFFF && (imm as i64) <= 0x1F_FFFF {
-            self.emit(Op::AddImm {
+            self.emit(Op::Add {
                 d,
-                imm: imm as i64,
-                a: ipf::regs::R0,
+                a: Src::Imm(imm as i64),
+                b: ipf::regs::R0,
             });
         } else {
             self.emit(Op::Movl { d, imm });
@@ -191,12 +191,21 @@ impl Sink {
 
     /// Emits a copy `d = a`.
     pub fn mov(&mut self, d: Gr, a: Gr) {
-        self.emit(Op::AddImm { d, imm: 0, a });
+        self.emit(Op::Add {
+            d,
+            a: Src::Imm(0),
+            b: a,
+        });
     }
 
     /// Emits an FP copy `d = a` (bit-exact, via `fmerge.s d = a, a`).
     pub fn fmov(&mut self, d: Fr, a: Fr) {
-        self.emit(Op::FmergeS { d, a, b: a });
+        self.emit(Op::Fmerge {
+            neg: false,
+            d,
+            a,
+            b: a,
+        });
     }
 
     /// Number of instruction items emitted.
@@ -575,11 +584,11 @@ pub fn emit_spec_checks(sink: &mut Sink, fp: &FpCtx, xmm: &XmmCtx, block_id: u32
         // FP/MMX mode check: single Boolean compare (paper §5).
         let pt = sink.vp();
         let pf = sink.vp();
-        sink.emit(Op::CmpImm {
+        sink.emit(Op::Cmp {
             rel: ipf::inst::CmpRel::Ne,
             pt,
             pf,
-            imm: i64::from(fp.entry_mmx),
+            a: Src::Imm(i64::from(fp.entry_mmx)),
             b: state::GR_FPMODE,
         });
         sink.mov_imm(payload, block_id as u64);
@@ -594,11 +603,11 @@ pub fn emit_spec_checks(sink: &mut Sink, fp: &FpCtx, xmm: &XmmCtx, block_id: u32
         // TOS check.
         let pt = sink.vp();
         let pf = sink.vp();
-        sink.emit(Op::CmpImm {
+        sink.emit(Op::Cmp {
             rel: ipf::inst::CmpRel::Ne,
             pt,
             pf,
-            imm: fp.entry_tos as i64,
+            a: Src::Imm(fp.entry_tos as i64),
             b: state::GR_FPTOP,
         });
         sink.mov_imm(payload, block_id as u64);
@@ -611,18 +620,18 @@ pub fn emit_spec_checks(sink: &mut Sink, fp: &FpCtx, xmm: &XmmCtx, block_id: u32
         // Tag check: required-valid bits set, required-empty bits clear.
         if fp.req_valid != 0 {
             let t = sink.vg();
-            sink.emit(Op::AndImm {
+            sink.emit(Op::And {
                 d: t,
-                imm: fp.req_valid as i64,
-                a: state::GR_FPTAG,
+                a: Src::Imm(fp.req_valid as i64),
+                b: state::GR_FPTAG,
             });
             let pt = sink.vp();
             let pf = sink.vp();
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: ipf::inst::CmpRel::Ne,
                 pt,
                 pf,
-                imm: fp.req_valid as i64,
+                a: Src::Imm(fp.req_valid as i64),
                 b: t,
             });
             sink.emit_pred(
@@ -634,18 +643,18 @@ pub fn emit_spec_checks(sink: &mut Sink, fp: &FpCtx, xmm: &XmmCtx, block_id: u32
         }
         if fp.req_empty != 0 {
             let t = sink.vg();
-            sink.emit(Op::AndImm {
+            sink.emit(Op::And {
                 d: t,
-                imm: fp.req_empty as i64,
-                a: state::GR_FPTAG,
+                a: Src::Imm(fp.req_empty as i64),
+                b: state::GR_FPTAG,
             });
             let pt = sink.vp();
             let pf = sink.vp();
-            sink.emit(Op::CmpImm {
+            sink.emit(Op::Cmp {
                 rel: ipf::inst::CmpRel::Ne,
                 pt,
                 pf,
-                imm: 0,
+                a: Src::Imm(0),
                 b: t,
             });
             sink.emit_pred(
@@ -659,18 +668,18 @@ pub fn emit_spec_checks(sink: &mut Sink, fp: &FpCtx, xmm: &XmmCtx, block_id: u32
     if xmm.used != 0 {
         // XMM format check over the used registers.
         let t = sink.vg();
-        sink.emit(Op::AndImm {
+        sink.emit(Op::And {
             d: t,
-            imm: xmm.used as i64,
-            a: state::GR_XMMFMT,
+            a: Src::Imm(xmm.used as i64),
+            b: state::GR_XMMFMT,
         });
         let pt = sink.vp();
         let pf = sink.vp();
-        sink.emit(Op::CmpImm {
+        sink.emit(Op::Cmp {
             rel: ipf::inst::CmpRel::Ne,
             pt,
             pf,
-            imm: (xmm.entry_fmt & xmm.used) as i64,
+            a: Src::Imm((xmm.entry_fmt & xmm.used) as i64),
             b: t,
         });
         sink.mov_imm(payload, block_id as u64);

@@ -463,17 +463,17 @@ impl Packer {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::CmpRel;
+    use crate::inst::{CmpRel, FmaKind, ShiftKind, Src};
     use crate::regs::*;
 
     #[test]
     fn packs_alu_run_into_bundles() {
         let mut cb = CodeBuilder::new();
         for i in 0..6u16 {
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(32 + i),
-                imm: i as i64,
-                a: R0,
+                a: Src::Imm(i as i64),
+                b: R0,
             });
         }
         let (bundles, _) = cb.assemble(0x1000);
@@ -485,10 +485,10 @@ mod tests {
         let mut cb = CodeBuilder::new();
         let l = cb.label();
         cb.bind(l);
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: Gr(32),
-            imm: 1,
-            a: Gr(32),
+            a: Src::Imm(1),
+            b: Gr(32),
         });
         cb.push(Op::Br {
             target: Target::Label(l.0),
@@ -508,17 +508,17 @@ mod tests {
     #[test]
     fn label_binding_is_bundle_aligned() {
         let mut cb = CodeBuilder::new();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: Gr(32),
-            imm: 0,
-            a: R0,
+            a: Src::Imm(0),
+            b: R0,
         });
         let l = cb.label();
         cb.bind(l); // closes the partial bundle
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: Gr(33),
-            imm: 0,
-            a: R0,
+            a: Src::Imm(0),
+            b: R0,
         });
         let (bundles, labels) = cb.assemble(0);
         assert_eq!(bundles.len(), 2);
@@ -541,16 +541,16 @@ mod tests {
     #[test]
     fn stop_bits_recorded() {
         let mut cb = CodeBuilder::new();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: Gr(32),
-            imm: 1,
-            a: R0,
+            a: Src::Imm(1),
+            b: R0,
         });
         cb.stop();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: Gr(33),
-            imm: 2,
-            a: Gr(32),
+            a: Src::Imm(2),
+            b: Gr(32),
         });
         let (bundles, _) = cb.assemble(0);
         assert!(bundles[0].stops[0]);
@@ -563,10 +563,11 @@ mod tests {
             rel: CmpRel::Eq,
             pt: Pr(1),
             pf: Pr(2),
-            a: Gr(32),
+            a: Src::Reg(Gr(32)),
             b: Gr(33),
         });
         cb.push(Op::Fma {
+            kind: FmaKind::Fma,
             d: Fr(32),
             a: Fr(8),
             b: Fr(9),
@@ -603,17 +604,19 @@ mod tests {
                 addr: Gr(100),
                 spec: false,
             },
-            Unit::I => Op::ShlImm {
+            Unit::I => Op::Shift {
+                kind: ShiftKind::Shl,
                 d: Gr(32 + k),
                 a: Gr(100),
-                count: 3,
+                count: Src::Imm(3),
             },
-            Unit::A => Op::AddImm {
+            Unit::A => Op::Add {
                 d: Gr(32 + k),
-                imm: 1,
-                a: Gr(100),
+                a: Src::Imm(1),
+                b: Gr(100),
             },
             Unit::F => Op::Fma {
+                kind: FmaKind::Fma,
                 d: Fr(32 + k),
                 a: Fr(8),
                 b: Fr(9),

@@ -17,14 +17,14 @@
 //!
 //! ```rust
 //! use ipf::asm::CodeBuilder;
-//! use ipf::inst::{Op, Target};
+//! use ipf::inst::{Op, Src, Target};
 //! use ipf::machine::{CodeArena, Machine, StopReason, Timing, VecBus};
 //! use ipf::regs::{Gr, R0};
 //!
 //! let mut cb = CodeBuilder::new();
-//! cb.push(Op::AddImm { d: Gr(32), imm: 40, a: R0 });
+//! cb.push(Op::Add { d: Gr(32), a: Src::Imm(40), b: R0 });
 //! cb.stop();
-//! cb.push(Op::AddImm { d: Gr(32), imm: 2, a: Gr(32) });
+//! cb.push(Op::Add { d: Gr(32), a: Src::Imm(2), b: Gr(32) });
 //! cb.stop();
 //! cb.push(Op::Br { target: Target::Abs(0xE000_0000) }); // exit stub
 //!

@@ -13,7 +13,10 @@
 
 use crate::asm::Relocatable;
 use crate::bundle::Bundle;
-use crate::inst::{FFmt, FXfer, Inst, LatClass, Op, SlotMeta, Target, Unit, SB_LEN, SB_NONE};
+use crate::inst::{
+    FFmt, FXfer, FmaKind, Inst, LatClass, Op, ShiftKind, SlotMeta, Src, Target, Unit, SB_LEN,
+    SB_NONE,
+};
 use crate::regs::{NUM_BR, NUM_FR, NUM_GR, NUM_PR};
 use std::collections::HashMap;
 use std::fmt::Write as _;
@@ -1466,6 +1469,28 @@ impl Regs<'_> {
         self.gr_nat[r.phys()]
     }
 
+    /// A register-or-immediate source: its value and NaT bit.
+    fn src(&self, s: Src) -> (u64, bool) {
+        match s {
+            Src::Reg(r) => (self.rd_gr(r), self.gr_nat_of(r)),
+            Src::Imm(imm) => (imm as u64, false),
+        }
+    }
+
+    /// `d = a op b` for an ALU op; a NaT in either register taints `d`.
+    #[inline(always)]
+    fn alu(
+        &mut self,
+        d: crate::regs::Gr,
+        a: Src,
+        b: crate::regs::Gr,
+        op: impl Fn(u64, u64) -> u64,
+    ) {
+        let (x, nat) = self.src(a);
+        let v = op(x, self.rd_gr(b));
+        self.wr_gr(d, v, nat || self.gr_nat_of(b));
+    }
+
     /// Executes slots from `self.slot` of bundle `idx` (at `self.ip`)
     /// until the issue group they start ends — at its stop bit or a
     /// taken branch — or is cut short, running at most `budget` of
@@ -1585,76 +1610,23 @@ impl Regs<'_> {
         // Integer ops propagate NaT from their GR sources.
         let nat2 = |m: &Regs<'_>, a, b| m.gr_nat_of(a) || m.gr_nat_of(b);
         match *op {
-            Add { d, a, b } => {
-                let v = self.rd_gr(a).wrapping_add(self.rd_gr(b));
-                self.wr_gr(d, v, nat2(self, a, b));
-            }
-            Sub { d, a, b } => {
-                let v = self.rd_gr(a).wrapping_sub(self.rd_gr(b));
-                self.wr_gr(d, v, nat2(self, a, b));
-            }
-            AddImm { d, imm, a } => {
-                let v = self.rd_gr(a).wrapping_add(imm as u64);
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
-            SubImm { d, imm, a } => {
-                let v = (imm as u64).wrapping_sub(self.rd_gr(a));
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
-            And { d, a, b } => {
-                let v = self.rd_gr(a) & self.rd_gr(b);
-                self.wr_gr(d, v, nat2(self, a, b));
-            }
-            Or { d, a, b } => {
-                let v = self.rd_gr(a) | self.rd_gr(b);
-                self.wr_gr(d, v, nat2(self, a, b));
-            }
-            Xor { d, a, b } => {
-                let v = self.rd_gr(a) ^ self.rd_gr(b);
-                self.wr_gr(d, v, nat2(self, a, b));
-            }
-            AndCm { d, a, b } => {
-                let v = self.rd_gr(a) & !self.rd_gr(b);
-                self.wr_gr(d, v, nat2(self, a, b));
-            }
-            AndImm { d, imm, a } => {
-                let v = self.rd_gr(a) & imm as u64;
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
-            OrImm { d, imm, a } => {
-                let v = self.rd_gr(a) | imm as u64;
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
-            XorImm { d, imm, a } => {
-                let v = self.rd_gr(a) ^ imm as u64;
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
+            Add { d, a, b } => self.alu(d, a, b, u64::wrapping_add),
+            Sub { d, a, b } => self.alu(d, a, b, u64::wrapping_sub),
+            And { d, a, b } => self.alu(d, a, b, |x, y| x & y),
+            Or { d, a, b } => self.alu(d, a, b, |x, y| x | y),
+            Xor { d, a, b } => self.alu(d, a, b, |x, y| x ^ y),
+            AndCm { d, a, b } => self.alu(d, a, b, |x, y| x & !y),
             Shladd { d, a, count, b } => {
                 let v = (self.rd_gr(a) << count).wrapping_add(self.rd_gr(b));
                 self.wr_gr(d, v, nat2(self, a, b));
             }
             Cmp { rel, pt, pf, a, b } => {
-                if nat2(self, a, b) {
+                let (x, nat) = self.src(a);
+                if nat || self.gr_nat_of(b) {
                     self.wr_pr(pt, false);
                     self.wr_pr(pf, false);
                 } else {
-                    let r = rel.eval(self.rd_gr(a), self.rd_gr(b));
-                    self.wr_pr(pt, r);
-                    self.wr_pr(pf, !r);
-                }
-            }
-            CmpImm {
-                rel,
-                pt,
-                pf,
-                imm,
-                b,
-            } => {
-                if self.gr_nat_of(b) {
-                    self.wr_pr(pt, false);
-                    self.wr_pr(pf, false);
-                } else {
-                    let r = rel.eval(imm as u64, self.rd_gr(b));
+                    let r = rel.eval(x, self.rd_gr(b));
                     self.wr_pr(pt, r);
                     self.wr_pr(pf, !r);
                 }
@@ -1669,12 +1641,14 @@ impl Regs<'_> {
                     self.wr_pr(pf, !bit);
                 }
             }
-            Padd { sz, d, a, b } => {
-                let v = lanewise(self.rd_gr(a), self.rd_gr(b), sz, |x, y| x.wrapping_add(y));
-                self.wr_gr(d, v, nat2(self, a, b));
-            }
-            Psub { sz, d, a, b } => {
-                let v = lanewise(self.rd_gr(a), self.rd_gr(b), sz, |x, y| x.wrapping_sub(y));
+            Padd { sub, sz, d, a, b } => {
+                let v = lanewise(self.rd_gr(a), self.rd_gr(b), sz, |x, y| {
+                    if sub {
+                        x.wrapping_sub(y)
+                    } else {
+                        x.wrapping_add(y)
+                    }
+                });
                 self.wr_gr(d, v, nat2(self, a, b));
             }
             Pmpy2 { d, a, b } => {
@@ -1683,31 +1657,16 @@ impl Regs<'_> {
                 });
                 self.wr_gr(d, v, nat2(self, a, b));
             }
-            ShlImm { d, a, count } => {
-                let v = if count >= 64 {
-                    0
-                } else {
-                    self.rd_gr(a) << count
+            Shift { kind, d, a, count } => {
+                let (n, nat) = self.src(count);
+                let x = self.rd_gr(a);
+                let v = match kind {
+                    ShiftKind::Shl if n >= 64 => 0,
+                    ShiftKind::Shl => x << n,
+                    ShiftKind::Shr => shr64(x, n, true),
+                    ShiftKind::ShrU => shr64(x, n, false),
                 };
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
-            ShlVar { d, a, c } => {
-                let cnt = self.rd_gr(c);
-                let v = if cnt >= 64 { 0 } else { self.rd_gr(a) << cnt };
-                self.wr_gr(d, v, nat2(self, a, c));
-            }
-            ShrImm {
-                d,
-                a,
-                count,
-                signed,
-            } => {
-                let v = shr64(self.rd_gr(a), count as u64, signed);
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
-            ShrVar { d, a, c, signed } => {
-                let v = shr64(self.rd_gr(a), self.rd_gr(c), signed);
-                self.wr_gr(d, v, nat2(self, a, c));
+                self.wr_gr(d, v, self.gr_nat_of(a) || nat);
             }
             Extr {
                 d,
@@ -1751,23 +1710,16 @@ impl Regs<'_> {
                 let v = (self.rd_gr(src) & mask) << pos;
                 self.wr_gr(d, v, self.gr_nat_of(src));
             }
-            Sxt { d, a, size } => {
+            Xt { signed, d, a, size } => {
+                // Both extensions, then a pick: the width and the kind
+                // vary slot to slot, so a branch on them mispredicts.
                 let v = self.rd_gr(a);
-                let v = match size {
-                    1 => v as u8 as i8 as i64 as u64,
-                    2 => v as u16 as i16 as i64 as u64,
-                    _ => v as u32 as i32 as i64 as u64,
+                let (zxt, sxt) = match size {
+                    1 => (v as u8 as u64, v as i8 as u64),
+                    2 => (v as u16 as u64, v as i16 as u64),
+                    _ => (v as u32 as u64, v as i32 as u64),
                 };
-                self.wr_gr(d, v, self.gr_nat_of(a));
-            }
-            Zxt { d, a, size } => {
-                let v = self.rd_gr(a);
-                let v = match size {
-                    1 => v as u8 as u64,
-                    2 => v as u16 as u64,
-                    _ => v as u32 as u64,
-                };
-                self.wr_gr(d, v, self.gr_nat_of(a));
+                self.wr_gr(d, if signed { sxt } else { zxt }, self.gr_nat_of(a));
             }
             Popcnt { d, a } => {
                 let v = self.rd_gr(a).count_ones() as u64;
@@ -1875,36 +1827,45 @@ impl Regs<'_> {
                 self.wr_gr(d, v, false);
             }
             Mf => {}
-            Fma { d, a, b, c } => {
-                // `fma d = a, b, f0` is the `fmpy` pseudo-op: a pure
-                // multiply (adding +0 would destroy a -0 product).
-                let v = if c.phys() == 0 {
-                    self.rd_fr_f64(a) * self.rd_fr_f64(b)
+            Fma { kind, d, a, b, c } => {
+                let (x, y) = (self.rd_fr_f64(a), self.rd_fr_f64(b));
+                let v = if kind == FmaKind::Fma && c.phys() == 0 {
+                    // `fma d = a, b, f0` is the `fmpy` pseudo-op: a pure
+                    // multiply (adding +0 would destroy a -0 product).
+                    // `fms` and `fnma` have no such form.
+                    x * y
                 } else {
-                    self.rd_fr_f64(a)
-                        .mul_add(self.rd_fr_f64(b), self.rd_fr_f64(c))
+                    let (nx, nz) = fma_signs(kind, SIGN);
+                    let z = self.rd_fr_f64(c);
+                    f64::from_bits(x.to_bits() ^ nx).mul_add(y, f64::from_bits(z.to_bits() ^ nz))
                 };
                 self.wr_fr(d, v.to_bits(), false);
             }
-            Fms { d, a, b, c } => {
-                let v = self
-                    .rd_fr_f64(a)
-                    .mul_add(self.rd_fr_f64(b), -self.rd_fr_f64(c));
-                self.wr_fr(d, v.to_bits(), false);
-            }
-            Fnma { d, a, b, c } => {
-                let v = (-self.rd_fr_f64(a)).mul_add(self.rd_fr_f64(b), self.rd_fr_f64(c));
-                self.wr_fr(d, v.to_bits(), false);
-            }
-            Fmin { d, a, b } => {
-                let (x, y) = (self.rd_fr_f64(a), self.rd_fr_f64(b));
-                let v = if x < y { x } else { y };
-                self.wr_fr(d, v.to_bits(), false);
-            }
-            Fmax { d, a, b } => {
-                let (x, y) = (self.rd_fr_f64(a), self.rd_fr_f64(b));
-                let v = if x > y { x } else { y };
-                self.wr_fr(d, v.to_bits(), false);
+            Fminmax {
+                max,
+                parallel,
+                d,
+                a,
+                b,
+            } => {
+                // `b` on NaN or a tie, as SSE `MINSS`/`MAXSS` do.
+                fn pick<T: PartialOrd>(max: bool, x: T, y: T) -> T {
+                    if (max && x > y) || (!max && x < y) {
+                        x
+                    } else {
+                        y
+                    }
+                }
+                let v = if parallel {
+                    let (a0, a1) = self.rd_fr_packed(a);
+                    let (b0, b1) = self.rd_fr_packed(b);
+                    let lo = pick(max, a0, b0).to_bits() as u64;
+                    let hi = pick(max, a1, b1).to_bits() as u64;
+                    lo | (hi << 32)
+                } else {
+                    pick(max, self.rd_fr_f64(a), self.rd_fr_f64(b)).to_bits()
+                };
+                self.wr_fr(d, v, false);
             }
             Fcmp { rel, pt, pf, a, b } => {
                 let r = rel.eval(self.rd_fr_f64(a), self.rd_fr_f64(b));
@@ -1927,13 +1888,9 @@ impl Regs<'_> {
                 let v = self.rd_fr_raw(a) as i64 as f64;
                 self.wr_fr(d, v.to_bits(), false);
             }
-            FmergeS { d, a, b } => {
-                let v = (self.rd_fr_raw(a) & SIGN) | (self.rd_fr_raw(b) & !SIGN);
-                self.wr_fr(d, v, false);
-            }
-            FmergeNs { d, a, b } => {
-                let v = ((self.rd_fr_raw(a) ^ SIGN) & SIGN) | (self.rd_fr_raw(b) & !SIGN);
-                self.wr_fr(d, v, false);
+            Fmerge { neg, d, a, b } => {
+                let sign = (self.rd_fr_raw(a) ^ if neg { SIGN } else { 0 }) & SIGN;
+                self.wr_fr(d, sign | (self.rd_fr_raw(b) & !SIGN), false);
             }
             Frcpa { d, p, a, b } => {
                 let (x, y) = (self.rd_fr_f64(a), self.rd_fr_f64(b));
@@ -1972,42 +1929,24 @@ impl Regs<'_> {
                 let v = self.rd_fr_f64(a) as f32 as f64;
                 self.wr_fr(d, v.to_bits(), false);
             }
-            Fpma { d, a, b, c } => {
-                let (a0, a1) = self.rd_fr_packed(a);
-                let (b0, b1) = self.rd_fr_packed(b);
-                let (lo, hi) = if c.phys() == 0 {
-                    // `fpmpy` pseudo-op (see `Fma`).
-                    ((a0 * b0).to_bits() as u64, (a1 * b1).to_bits() as u64)
-                } else {
-                    let (c0, c1) = self.rd_fr_packed(c);
-                    (
-                        a0.mul_add(b0, c0).to_bits() as u64,
-                        a1.mul_add(b1, c1).to_bits() as u64,
-                    )
-                };
-                self.wr_fr(d, lo | (hi << 32), false);
-            }
-            Fpms { d, a, b, c } => {
+            Fpma { kind, d, a, b, c } => {
                 let (a0, a1) = self.rd_fr_packed(a);
                 let (b0, b1) = self.rd_fr_packed(b);
                 let (c0, c1) = self.rd_fr_packed(c);
-                let lo = a0.mul_add(b0, -c0).to_bits() as u64;
-                let hi = a1.mul_add(b1, -c1).to_bits() as u64;
-                self.wr_fr(d, lo | (hi << 32), false);
-            }
-            Fpmin { d, a, b } => {
-                let (a0, a1) = self.rd_fr_packed(a);
-                let (b0, b1) = self.rd_fr_packed(b);
-                let lo = (if a0 < b0 { a0 } else { b0 }).to_bits() as u64;
-                let hi = (if a1 < b1 { a1 } else { b1 }).to_bits() as u64;
-                self.wr_fr(d, lo | (hi << 32), false);
-            }
-            Fpmax { d, a, b } => {
-                let (a0, a1) = self.rd_fr_packed(a);
-                let (b0, b1) = self.rd_fr_packed(b);
-                let lo = (if a0 > b0 { a0 } else { b0 }).to_bits() as u64;
-                let hi = (if a1 > b1 { a1 } else { b1 }).to_bits() as u64;
-                self.wr_fr(d, lo | (hi << 32), false);
+                // The `fpmpy` pseudo-op and the sign flips of `Fma`.
+                let fpmpy = kind == FmaKind::Fma && c.phys() == 0;
+                let (nx, nz) = fma_signs(kind, 1 << 31);
+                let (nx, nz) = (nx as u32, nz as u32);
+                let lane = |x: f32, y: f32, z: f32| {
+                    let v = if fpmpy {
+                        x * y
+                    } else {
+                        f32::from_bits(x.to_bits() ^ nx)
+                            .mul_add(y, f32::from_bits(z.to_bits() ^ nz))
+                    };
+                    v.to_bits() as u64
+                };
+                self.wr_fr(d, lane(a0, b0, c0) | (lane(a1, b1, c1) << 32), false);
             }
             Fpdiv { d, a, b } => {
                 let (a0, a1) = self.rd_fr_packed(a);
@@ -2041,6 +1980,18 @@ impl Regs<'_> {
 }
 
 const SIGN: u64 = 1 << 63;
+
+/// What makes an `fma` an `fms` (the addend's sign flipped) or an
+/// `fnma` (the product's), as `(product, addend)` masks on a float whose
+/// sign bit is `sign`: FP code interleaves the three, and a dispatch on
+/// the kind would mispredict where a flip costs nothing.
+fn fma_signs(kind: FmaKind, sign: u64) -> (u64, u64) {
+    match kind {
+        FmaKind::Fma => (0, 0),
+        FmaKind::Fms => (0, sign),
+        FmaKind::Fnma => (sign, 0),
+    }
+}
 
 fn resolve(t: Target, br: &[u64; NUM_BR as usize]) -> u64 {
     match t {
@@ -2166,15 +2117,15 @@ mod tests {
                 imm: 0x1234_5678_9ABC_DEF0,
             });
             cb.stop();
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(33),
-                imm: 0x10,
-                a: Gr(32),
+                a: Src::Imm(0x10),
+                b: Gr(32),
             });
             cb.stop();
             cb.push(Op::Sub {
                 d: Gr(34),
-                a: Gr(33),
+                a: Src::Reg(Gr(33)),
                 b: Gr(32),
             });
             cb.stop();
@@ -2195,15 +2146,15 @@ mod tests {
     #[test]
     fn r0_reads_zero_writes_ignored() {
         let mut m = build(|cb| {
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(0),
-                imm: 99,
-                a: R0,
+                a: Src::Imm(99),
+                b: R0,
             });
             cb.stop();
             cb.push(Op::Add {
                 d: Gr(32),
-                a: R0,
+                a: Src::Reg(R0),
                 b: R0,
             });
             cb.stop();
@@ -2213,31 +2164,113 @@ mod tests {
         assert_eq!(m.gr[32], 0);
     }
 
+    /// What a reg/imm or sub-opcode form of a folded op computes, down
+    /// to its NaT bit and the `f0` addend.
     #[test]
-    fn predication_gates_execution() {
+    fn folded_forms_keep_their_semantics() {
         let mut m = build(|cb| {
-            cb.push(Op::CmpImm {
+            // r40 carries a NaT, r41 holds 7.
+            let (imm, r41) = (Src::Imm, Src::Reg(Gr(41)));
+            cb.push(Op::Sub {
+                d: Gr(50),
+                a: imm(10),
+                b: Gr(41),
+            });
+            cb.push(Op::Sub {
+                d: Gr(51),
+                a: r41,
+                b: Gr(40),
+            });
+            cb.push(Op::Add {
+                d: Gr(52),
+                a: imm(5),
+                b: Gr(40),
+            });
+            cb.stop();
+            cb.push(Op::Cmp {
                 rel: CmpRel::Eq,
                 pt: Pr(1),
                 pf: Pr(2),
-                imm: 0,
+                a: Src::Imm(0),
+                b: Gr(40),
+            });
+            cb.push(Op::Shift {
+                kind: ShiftKind::Shl,
+                d: Gr(53),
+                a: Gr(41),
+                count: Src::Imm(64),
+            });
+            cb.push(Op::Shift {
+                kind: ShiftKind::Shr,
+                d: Gr(54),
+                a: Gr(41),
+                count: Src::Reg(Gr(40)),
+            });
+            cb.stop();
+            cb.push(Op::Movl {
+                d: Gr(42),
+                imm: (-1.0f64).to_bits(),
+            });
+            cb.stop();
+            cb.push(Op::Setf {
+                kind: FXfer::D,
+                f: Fr(32),
+                r: Gr(42),
+            });
+            cb.stop();
+            // -1 × +0 is -0: `fma` with `f0` is `fmpy` and keeps it;
+            // `fnma` has no such form, so -(1 × +0) + 0 is +0.
+            let fma = |kind, d, a| Op::Fma {
+                kind,
+                d: Fr(d),
+                a,
+                b: F0,
+                c: F0,
+            };
+            cb.push(fma(FmaKind::Fma, 33, Fr(32)));
+            cb.push(fma(FmaKind::Fnma, 34, F1));
+            cb.stop();
+        });
+        (m.gr[41], m.gr_nat[40]) = (7, true);
+        (m.pr[1], m.pr[2]) = (true, true);
+        run(&mut m);
+        assert_eq!((m.gr[50], m.gr_nat[50]), (3, false), "sub imm is imm - r");
+        assert!(
+            m.gr_nat[51] && m.gr_nat[52],
+            "a NaT source taints either form"
+        );
+        assert!(!m.pr[1] && !m.pr[2], "a NaT compare clears both predicates");
+        assert_eq!(m.gr[53], 0, "a count of 64 shifts everything out");
+        assert!(m.gr_nat[54], "a NaT count taints the shift");
+        assert_eq!(m.fr[33], (-0.0f64).to_bits());
+        assert_eq!(m.fr[34], 0.0f64.to_bits());
+    }
+
+    #[test]
+    fn predication_gates_execution() {
+        let mut m = build(|cb| {
+            cb.push(Op::Cmp {
+                rel: CmpRel::Eq,
+                pt: Pr(1),
+                pf: Pr(2),
+                a: Src::Imm(0),
                 b: R0,
             });
             cb.stop();
             cb.push_pred(
                 Pr(1),
-                Op::AddImm {
+                Op::Add {
                     d: Gr(32),
-                    imm: 11,
-                    a: R0,
+                    a: Src::Imm(11),
+                    b: R0,
                 },
             );
             cb.push_pred(
                 Pr(2),
-                Op::AddImm {
+                Op::Add {
                     d: Gr(33),
-                    imm: 22,
-                    a: R0,
+                    a: Src::Imm(22),
+                    b: R0,
                 },
             );
             cb.stop();
@@ -2250,10 +2283,10 @@ mod tests {
     #[test]
     fn memory_and_misalignment() {
         let mut m = build(|cb| {
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(32),
-                imm: 0x100,
-                a: R0,
+                a: Src::Imm(0x100),
+                b: R0,
             });
             cb.stop();
             cb.push(Op::Movl {
@@ -2275,10 +2308,10 @@ mod tests {
             });
             cb.stop();
             // Misaligned access: 0x101.
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(35),
-                imm: 0x101,
-                a: R0,
+                a: Src::Imm(0x101),
+                b: R0,
             });
             cb.stop();
             cb.push(Op::Ld {
@@ -2331,10 +2364,10 @@ mod tests {
                 target: Target::Label(done.0),
             });
             cb.bind(recovery);
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(40),
-                imm: 7,
-                a: R0,
+                a: Src::Imm(7),
+                b: R0,
             });
             cb.stop();
             cb.bind(done);
@@ -2369,6 +2402,7 @@ mod tests {
             });
             cb.stop();
             cb.push(Op::Fma {
+                kind: FmaKind::Fma,
                 d: Fr(34),
                 a: Fr(32),
                 b: Fr(33),
@@ -2442,63 +2476,24 @@ mod tests {
     /// Reference FDIV sequence used by the translator templates (tested
     /// here against IEEE division).
     pub fn emit_fdiv(cb: &mut CodeBuilder, d: Fr, a: Fr, b: Fr, p: Pr, t1: Fr, t2: Fr) {
-        use crate::inst::Op::*;
+        let fma = |kind, d, a, b, c| Op::Fma { kind, d, a, b, c };
+        use FmaKind::{Fma, Fnma};
         // d = approx 1/b (or the final special result, with p cleared).
-        cb.push(Frcpa { d, p, a, b });
+        cb.push(Op::Frcpa { d, p, a, b });
         cb.stop();
         // Three NR iterations: y <- y + y*(1 - b*y).
         for _ in 0..3 {
-            cb.push_pred(
-                p,
-                Fnma {
-                    d: t1,
-                    a: b,
-                    b: d,
-                    c: F1,
-                },
-            );
+            cb.push_pred(p, fma(Fnma, t1, b, d, F1));
             cb.stop();
-            cb.push_pred(
-                p,
-                Fma {
-                    d,
-                    a: d,
-                    b: t1,
-                    c: d,
-                },
-            );
+            cb.push_pred(p, fma(Fma, d, d, t1, d));
             cb.stop();
         }
         // q0 = a*y; r = a - b*q0; q = q0 + r*y (Markstein correction).
-        cb.push_pred(
-            p,
-            Fma {
-                d: t2,
-                a,
-                b: d,
-                c: F0,
-            },
-        );
+        cb.push_pred(p, fma(Fma, t2, a, d, F0));
         cb.stop();
-        cb.push_pred(
-            p,
-            Fnma {
-                d: t1,
-                a: b,
-                b: t2,
-                c: a,
-            },
-        );
+        cb.push_pred(p, fma(Fnma, t1, b, t2, a));
         cb.stop();
-        cb.push_pred(
-            p,
-            Fma {
-                d,
-                a: t1,
-                b: d,
-                c: t2,
-            },
-        );
+        cb.push_pred(p, fma(Fma, d, t1, d, t2));
         cb.stop();
     }
 
@@ -2562,6 +2557,7 @@ mod tests {
             cb.stop();
             // Packed add with itself: fpma d = a, f1, a.
             cb.push(Op::Fpma {
+                kind: FmaKind::Fma,
                 d: Fr(33),
                 a: Fr(32),
                 b: F1,
@@ -2633,10 +2629,10 @@ mod tests {
                 target: Target::Label(func.0),
             });
             cb.bind(after);
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(33),
-                imm: 1,
-                a: Gr(32),
+                a: Src::Imm(1),
+                b: Gr(32),
             });
             cb.stop();
             let done = cb.label();
@@ -2644,10 +2640,10 @@ mod tests {
                 target: Target::Label(done.0),
             });
             cb.bind(func);
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(32),
-                imm: 41,
-                a: R0,
+                a: Src::Imm(41),
+                b: R0,
             });
             cb.stop();
             cb.push(Op::BrRet { b: Br(1) });
@@ -2661,10 +2657,10 @@ mod tests {
     fn cycles_accumulate_with_stalls() {
         // A dependent load-use chain must cost more than independent adds.
         let mut dependent = build(|cb| {
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(32),
-                imm: 0x100,
-                a: R0,
+                a: Src::Imm(0x100),
+                b: R0,
             });
             cb.stop();
             for _ in 0..10 {
@@ -2675,10 +2671,10 @@ mod tests {
                     spec: false,
                 });
                 cb.stop();
-                cb.push(Op::AddImm {
+                cb.push(Op::Add {
                     d: Gr(34),
-                    imm: 1,
-                    a: Gr(33),
+                    a: Src::Imm(1),
+                    b: Gr(33),
                 });
                 cb.stop();
             }
@@ -2688,10 +2684,10 @@ mod tests {
 
         let mut independent = build(|cb| {
             for i in 0..20u16 {
-                cb.push(Op::AddImm {
+                cb.push(Op::Add {
                     d: Gr(32 + (i % 8)),
-                    imm: 1,
-                    a: R0,
+                    a: Src::Imm(1),
+                    b: R0,
                 });
             }
             cb.stop();
@@ -2708,10 +2704,10 @@ mod tests {
     fn region_cycle_attribution() {
         let mut cb1 = CodeBuilder::new();
         for _ in 0..30 {
-            cb1.push(Op::AddImm {
+            cb1.push(Op::Add {
                 d: Gr(32),
-                imm: 1,
-                a: Gr(32),
+                a: Src::Imm(1),
+                b: Gr(32),
             });
             cb1.stop();
         }
@@ -2821,14 +2817,14 @@ mod tests {
         let op = match next(12) {
             0 => Op::Add {
                 d: Gr(g),
-                a: Gr(g2),
+                a: Src::Reg(Gr(g2)),
                 b: Gr(next(128)),
             },
             1 => Op::Cmp {
                 rel: CmpRel::Ltu,
                 pt: Pr(p),
                 pf: Pr(p2),
-                a: Gr(g),
+                a: Src::Reg(Gr(g)),
                 b: Gr(g2),
             },
             2 => Op::Ld {
@@ -2843,6 +2839,7 @@ mod tests {
                 addr: Gr(g),
             },
             4 => Op::Fma {
+                kind: FmaKind::Fma,
                 d: Fr(f),
                 a: Fr(f2),
                 b: Fr(next(128)),
@@ -3005,12 +3002,17 @@ mod tests {
                     spec: false,
                 },
                 8 => Op::Fma {
+                    kind: FmaKind::Fma,
                     d: Fr(40),
                     a: Fr(41),
                     b: Fr(42),
                     c: Fr(43),
                 },
-                _ => Op::AddImm { d: g, imm: 1, a: g },
+                _ => Op::Add {
+                    d: g,
+                    a: Src::Imm(1),
+                    b: g,
+                },
             };
             let inst = Inst::pred(p, op);
             cb.push_inst(inst);
@@ -3124,10 +3126,10 @@ mod tests {
     /// `n` slots of `add r32 = 1, r32`, a multiple of three of them,
     /// with a stop bit after each slot position in `stops`.
     fn adds(n: usize, stops: &[usize]) -> Vec<Bundle> {
-        let add = Inst::new(Op::AddImm {
+        let add = Inst::new(Op::Add {
             d: Gr(32),
-            imm: 1,
-            a: Gr(32),
+            a: Src::Imm(1),
+            b: Gr(32),
         });
         let code: Vec<(Inst, bool)> = (0..n).map(|k| (add, stops.contains(&k))).collect();
         pack(&code)
@@ -3210,7 +3212,7 @@ mod tests {
                     let v = k * 3 + j;
                     Inst::new(Op::Add {
                         d: Gr((v & 127) as u16),
-                        a: Gr((v >> 7 & 127) as u16),
+                        a: Src::Reg(Gr((v >> 7 & 127) as u16)),
                         b: Gr((v >> 14 & 127) as u16),
                     })
                 };
@@ -3238,7 +3240,7 @@ mod tests {
             .map(|v| {
                 let add = Op::Add {
                     d: Gr((32 + (v & 63)) as u16),
-                    a: Gr((v >> 6 & 127) as u16),
+                    a: Src::Reg(Gr((v >> 6 & 127) as u16)),
                     b: Gr((v >> 13 & 127) as u16),
                 };
                 (Inst::new(add), true)
@@ -3313,10 +3315,10 @@ mod tests {
     const EXIT: u64 = 0xDEAD_0000;
 
     fn addi(d: u16, a: u16) -> Inst {
-        Inst::new(Op::AddImm {
+        Inst::new(Op::Add {
             d: Gr(d),
-            imm: 1,
-            a: Gr(a),
+            a: Src::Imm(1),
+            b: Gr(a),
         })
     }
 
@@ -3475,7 +3477,7 @@ mod tests {
         code.extend((0..6).map(|k| {
             let add = Op::Add {
                 d: Gr(70 + k),
-                a: Gr(80 + k),
+                a: Src::Reg(Gr(80 + k)),
                 b: Gr(90 + k),
             };
             (Inst::pred(Pr(10 + k), add), k == 5)
@@ -3528,20 +3530,20 @@ mod tests {
         // including runs cut short by the instruction limit.
         let mut cb = CodeBuilder::new();
         for _ in 0..4 {
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: Gr(32),
-                imm: 1,
-                a: Gr(32),
+                a: Src::Imm(1),
+                b: Gr(32),
             });
             cb.stop();
         }
         let (b0, _) = cb.assemble(BASE);
         let second = BASE + b0.len() as u64 * Bundle::SIZE;
         let mut cb = CodeBuilder::new();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: Gr(33),
-            imm: 1,
-            a: Gr(33),
+            a: Src::Imm(1),
+            b: Gr(33),
         });
         cb.stop();
         cb.push(Op::Br {
@@ -3611,10 +3613,10 @@ mod tests {
         let mut cb = CodeBuilder::new();
         let top = cb.label();
         cb.bind(top);
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: Gr(32),
-            imm: 1,
-            a: Gr(32),
+            a: Src::Imm(1),
+            b: Gr(32),
         });
         cb.stop();
         cb.push(Op::Br {

@@ -7,7 +7,7 @@ use ia32::inst::*;
 use ia32::regs::*;
 use ia32::Cond;
 use ipf::asm::CodeBuilder;
-use ipf::inst::{FFmt, Op};
+use ipf::inst::{FFmt, FmaKind, Op, ShiftKind, Src};
 use ipf::regs::{Fr, F0, F1};
 
 /// Arrays of doubles at DATA (x) and DATA+0x8000 (y); floats at
@@ -92,28 +92,29 @@ fn daxpy_ia32(a: &mut Asm, iters: u32) {
 fn daxpy_native(cb: &mut CodeBuilder, iters: u32) {
     shared_native_loop(cb, iters, |cb| {
         let (x, y) = (ngr(3), ngr(4));
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: x,
-            imm: 1023,
-            a: ngr(0),
+            a: Src::Imm(1023),
+            b: ngr(0),
         });
         cb.stop();
-        cb.push(Op::ShlImm {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shl,
             d: x,
             a: x,
-            count: 3,
+            count: Src::Imm(3),
         });
         cb.stop();
         cb.push(Op::Add {
             d: y,
-            a: x,
+            a: Src::Reg(x),
             b: ngr(1),
         });
         cb.stop();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: x,
-            imm: 0x8000,
-            a: y,
+            a: Src::Imm(0x8000),
+            b: y,
         });
         cb.stop();
         let (fx, fy) = (Fr(32), Fr(33));
@@ -133,6 +134,7 @@ fn daxpy_native(cb: &mut CodeBuilder, iters: u32) {
         // y += 2*x in one fma (f34 = 2.0 preloaded outside... compute
         // 2x = x+x with fma x*1+x).
         cb.push(Op::Fma {
+            kind: FmaKind::Fma,
             d: Fr(35),
             a: fx,
             b: F1,
@@ -140,6 +142,7 @@ fn daxpy_native(cb: &mut CodeBuilder, iters: u32) {
         });
         cb.stop();
         cb.push(Op::Fma {
+            kind: FmaKind::Fma,
             d: fy,
             a: Fr(35),
             b: F1,
@@ -152,10 +155,10 @@ fn daxpy_native(cb: &mut CodeBuilder, iters: u32) {
             addr: x,
         });
         cb.stop();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: ngr(10),
-            imm: 1,
-            a: ngr(10),
+            a: Src::Imm(1),
+            b: ngr(10),
         });
         cb.stop();
     });
@@ -208,21 +211,22 @@ fn poly_ia32(a: &mut Asm, iters: u32) {
 fn poly_native(cb: &mut CodeBuilder, iters: u32) {
     shared_native_loop(cb, iters, |cb| {
         let x = ngr(3);
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: x,
-            imm: 1023,
-            a: ngr(0),
+            a: Src::Imm(1023),
+            b: ngr(0),
         });
         cb.stop();
-        cb.push(Op::ShlImm {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shl,
             d: x,
             a: x,
-            count: 3,
+            count: Src::Imm(3),
         });
         cb.stop();
         cb.push(Op::Add {
             d: x,
-            a: x,
+            a: Src::Reg(x),
             b: ngr(1),
         });
         cb.stop();
@@ -235,6 +239,7 @@ fn poly_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         // acc = ((x + 1)x + 1)x + 1 as three fmas.
         cb.push(Op::Fma {
+            kind: FmaKind::Fma,
             d: Fr(33),
             a: F1,
             b: Fr(32),
@@ -242,6 +247,7 @@ fn poly_native(cb: &mut CodeBuilder, iters: u32) {
         });
         cb.stop();
         cb.push(Op::Fma {
+            kind: FmaKind::Fma,
             d: Fr(33),
             a: Fr(33),
             b: Fr(32),
@@ -249,6 +255,7 @@ fn poly_native(cb: &mut CodeBuilder, iters: u32) {
         });
         cb.stop();
         cb.push(Op::Fma {
+            kind: FmaKind::Fma,
             d: Fr(33),
             a: Fr(33),
             b: Fr(32),
@@ -314,34 +321,35 @@ fn sse_dot_ia32(a: &mut Asm, iters: u32) {
 fn sse_dot_native(cb: &mut CodeBuilder, iters: u32) {
     shared_native_loop(cb, iters, |cb| {
         let x = ngr(3);
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: x,
-            imm: 2047,
-            a: ngr(0),
+            a: Src::Imm(2047),
+            b: ngr(0),
         });
         cb.stop();
-        cb.push(Op::ShlImm {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shl,
             d: x,
             a: x,
-            count: 2,
+            count: Src::Imm(2),
         });
         cb.stop();
         cb.push(Op::Add {
             d: x,
-            a: x,
+            a: Src::Reg(x),
             b: ngr(1),
         });
         cb.stop();
         let y = ngr(4);
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: y,
-            imm: 0x8000,
-            a: x,
+            a: Src::Imm(0x8000),
+            b: x,
         });
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: x,
-            imm: 0x1_0000,
-            a: x,
+            a: Src::Imm(0x1_0000),
+            b: x,
         });
         cb.stop();
         cb.push(Op::Ldf {
@@ -358,6 +366,7 @@ fn sse_dot_native(cb: &mut CodeBuilder, iters: u32) {
         });
         cb.stop();
         cb.push(Op::Fma {
+            kind: FmaKind::Fma,
             d: Fr(34),
             a: Fr(32),
             b: Fr(33),
@@ -423,49 +432,50 @@ fn sse_packed_ia32(a: &mut Asm, iters: u32) {
 fn sse_packed_native(cb: &mut CodeBuilder, iters: u32) {
     shared_native_loop(cb, iters, |cb| {
         let x = ngr(3);
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: x,
-            imm: 511,
-            a: ngr(0),
+            a: Src::Imm(511),
+            b: ngr(0),
         });
         cb.stop();
-        cb.push(Op::ShlImm {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shl,
             d: x,
             a: x,
-            count: 4,
-        });
-        cb.stop();
-        cb.push(Op::AddImm {
-            d: x,
-            imm: 0x1_0000,
-            a: x,
+            count: Src::Imm(4),
         });
         cb.stop();
         cb.push(Op::Add {
             d: x,
-            a: x,
+            a: Src::Imm(0x1_0000),
+            b: x,
+        });
+        cb.stop();
+        cb.push(Op::Add {
+            d: x,
+            a: Src::Reg(x),
             b: ngr(1),
         });
         cb.stop();
         let y = ngr(4);
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: y,
-            imm: 0x8000,
-            a: x,
+            a: Src::Imm(0x8000),
+            b: x,
         });
         cb.stop();
         // Two 8-byte packed halves per 16-byte vector.
         for half in 0..2i64 {
             let (xa, ya) = (ngr(5), ngr(6));
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: xa,
-                imm: half * 8,
-                a: x,
+                a: Src::Imm(half * 8),
+                b: x,
             });
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: ya,
-                imm: half * 8,
-                a: y,
+                a: Src::Imm(half * 8),
+                b: y,
             });
             cb.stop();
             cb.push(Op::Ldf {
@@ -482,6 +492,7 @@ fn sse_packed_native(cb: &mut CodeBuilder, iters: u32) {
             });
             cb.stop();
             cb.push(Op::Fpma {
+                kind: FmaKind::Fma,
                 d: Fr(34),
                 a: Fr(32),
                 b: Fr(33),
@@ -547,29 +558,30 @@ fn mmx_ia32(a: &mut Asm, iters: u32) {
 fn mmx_native(cb: &mut CodeBuilder, iters: u32) {
     shared_native_loop(cb, iters, |cb| {
         let x = ngr(3);
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: x,
-            imm: 4095,
-            a: ngr(0),
+            a: Src::Imm(4095),
+            b: ngr(0),
         });
         cb.stop();
-        cb.push(Op::ShlImm {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shl,
             d: x,
             a: x,
-            count: 3,
+            count: Src::Imm(3),
         });
         cb.stop();
         cb.push(Op::Add {
             d: x,
-            a: x,
+            a: Src::Reg(x),
             b: ngr(1),
         });
         cb.stop();
         let y = ngr(4);
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: y,
-            imm: 0x8000,
-            a: x,
+            a: Src::Imm(0x8000),
+            b: x,
         });
         cb.stop();
         cb.push(Op::Ld {
@@ -586,6 +598,7 @@ fn mmx_native(cb: &mut CodeBuilder, iters: u32) {
         });
         cb.stop();
         cb.push(Op::Padd {
+            sub: false,
             sz: 1,
             d: ngr(5),
             a: ngr(5),
@@ -594,7 +607,7 @@ fn mmx_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Xor {
             d: ngr(5),
-            a: ngr(5),
+            a: Src::Reg(ngr(5)),
             b: ngr(5),
         });
         cb.stop();

@@ -25,7 +25,7 @@ use ia32::inst::*;
 use ia32::regs::*;
 use ia32::Cond;
 use ipf::asm::CodeBuilder;
-use ipf::inst::Op;
+use ipf::inst::{Op, Src};
 
 /// Where `build_image` places the code (fixed by the harness).
 const CODE_BASE: u32 = 0x40_0000;
@@ -105,15 +105,15 @@ fn sigstorm_ia32(a: &mut Asm, iters: u32) {
 
 fn sigstorm_native(cb: &mut CodeBuilder, iters: u32) {
     native_loop(cb, iters, |cb| {
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: n(3),
-            imm: 0xFFFC,
-            a: n(0),
+            a: Src::Imm(0xFFFC),
+            b: n(0),
         });
         cb.stop();
         cb.push(Op::Add {
             d: n(3),
-            a: n(3),
+            a: Src::Reg(n(3)),
             b: n(1),
         });
         cb.stop();
@@ -133,7 +133,7 @@ fn sigstorm_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Xor {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(0),
         });
         cb.stop();
@@ -182,7 +182,7 @@ fn guest_jit_native(cb: &mut CodeBuilder, iters: u32) {
     native_loop(cb, iters, |cb| {
         cb.push(Op::Add {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(0),
         });
         cb.stop();
@@ -195,7 +195,7 @@ fn guest_jit_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Xor {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(4),
         });
         cb.stop();
@@ -248,15 +248,15 @@ fn nested_handler_ia32(a: &mut Asm, iters: u32) {
 
 fn nested_handler_native(cb: &mut CodeBuilder, iters: u32) {
     native_loop(cb, iters, |cb| {
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: n(3),
-            imm: 0xFFF8,
-            a: n(0),
+            a: Src::Imm(0xFFF8),
+            b: n(0),
         });
         cb.stop();
         cb.push(Op::Add {
             d: n(3),
-            a: n(3),
+            a: Src::Reg(n(3)),
             b: n(1),
         });
         cb.stop();
@@ -269,14 +269,14 @@ fn nested_handler_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Add {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(4),
         });
         cb.stop();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: n(10),
-            imm: 0x9E3,
-            a: n(10),
+            a: Src::Imm(0x9E3),
+            b: n(10),
         });
         cb.stop();
     });

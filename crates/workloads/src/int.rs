@@ -8,7 +8,7 @@ use ia32::inst::*;
 use ia32::regs::*;
 use ia32::Cond;
 use ipf::asm::CodeBuilder;
-use ipf::inst::{CmpRel, Op, Target};
+use ipf::inst::{CmpRel, Op, ShiftKind, Src, Target};
 use ipf::regs::{Fr, Gr, Pr, F0, R0};
 
 fn rnd_data() -> Vec<(u32, Vec<u8>)> {
@@ -84,17 +84,17 @@ pub(crate) fn native_loop(cb: &mut CodeBuilder, iters: u32, body: impl FnOnce(&m
     let top = cb.label();
     cb.bind(top);
     body(cb);
-    cb.push(Op::AddImm {
+    cb.push(Op::Add {
         d: n(0),
-        imm: -1,
-        a: n(0),
+        a: Src::Imm(-1),
+        b: n(0),
     });
     cb.stop();
-    cb.push(Op::CmpImm {
+    cb.push(Op::Cmp {
         rel: CmpRel::Ne,
         pt: np(0),
         pf: np(1),
-        imm: 0,
+        a: Src::Imm(0),
         b: n(0),
     });
     cb.stop();
@@ -165,15 +165,15 @@ fn gzip_ia32(a: &mut Asm, iters: u32) {
 
 fn gzip_native(cb: &mut CodeBuilder, iters: u32) {
     native_loop(cb, iters, |cb| {
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: n(3),
-            imm: 0xFFF,
-            a: n(0),
+            a: Src::Imm(0xFFF),
+            b: n(0),
         });
         cb.stop();
         cb.push(Op::Add {
             d: n(3),
-            a: n(3),
+            a: Src::Reg(n(3)),
             b: n(1),
         });
         cb.stop();
@@ -191,21 +191,21 @@ fn gzip_native(cb: &mut CodeBuilder, iters: u32) {
             b: n(4),
         });
         cb.stop();
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: n(5),
-            imm: 0x7FF,
-            a: n(10),
+            a: Src::Imm(0x7FF),
+            b: n(10),
         });
         cb.stop();
         cb.push(Op::Add {
             d: n(5),
-            a: n(5),
+            a: Src::Reg(n(5)),
             b: n(1),
         });
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: n(5),
-            imm: 0x1000,
-            a: n(5),
+            a: Src::Imm(0x1000),
+            b: n(5),
         });
         cb.stop();
         cb.push(Op::Ld {
@@ -219,16 +219,16 @@ fn gzip_native(cb: &mut CodeBuilder, iters: u32) {
             rel: CmpRel::Eq,
             pt: np(2),
             pf: np(3),
-            a: n(4),
+            a: Src::Reg(n(4)),
             b: n(6),
         });
         cb.stop();
         cb.push_pred(
             np(2),
-            Op::AddImm {
+            Op::Add {
                 d: n(10),
-                imm: 1,
-                a: n(10),
+                a: Src::Imm(1),
+                b: n(10),
             },
         );
         cb.stop();
@@ -267,10 +267,10 @@ fn mcf_native(cb: &mut CodeBuilder, iters: u32) {
     cb.stop();
     let top = cb.label();
     cb.bind(top);
-    cb.push(Op::AddImm {
+    cb.push(Op::Add {
         d: n(3),
-        imm: 8,
-        a: n(1),
+        a: Src::Imm(8),
+        b: n(1),
     });
     cb.stop();
     cb.push(Op::Ld {
@@ -288,20 +288,20 @@ fn mcf_native(cb: &mut CodeBuilder, iters: u32) {
     cb.stop();
     cb.push(Op::Add {
         d: n(10),
-        a: n(10),
+        a: Src::Reg(n(10)),
         b: n(4),
     });
-    cb.push(Op::AddImm {
+    cb.push(Op::Add {
         d: n(0),
-        imm: -1,
-        a: n(0),
+        a: Src::Imm(-1),
+        b: n(0),
     });
     cb.stop();
-    cb.push(Op::CmpImm {
+    cb.push(Op::Cmp {
         rel: CmpRel::Ne,
         pt: np(0),
         pf: np(1),
-        imm: 0,
+        a: Src::Imm(0),
         b: n(0),
     });
     cb.stop();
@@ -361,19 +361,21 @@ fn crafty_ia32(a: &mut Asm, iters: u32) {
 
 fn crafty_native(cb: &mut CodeBuilder, iters: u32) {
     native_loop(cb, iters, |cb| {
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: n(3),
-            imm: 31,
-            a: n(0),
+            a: Src::Imm(31),
+            b: n(0),
         });
         cb.stop();
-        cb.push(Op::ShlVar {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shl,
             d: n(4),
             a: n(0),
-            c: n(3),
+            count: Src::Reg(n(3)),
         });
         cb.stop();
-        cb.push(Op::Zxt {
+        cb.push(Op::Xt {
+            signed: false,
             d: n(4),
             a: n(4),
             size: 4,
@@ -381,19 +383,19 @@ fn crafty_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Add {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(4),
         });
-        cb.push(Op::ShrImm {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shr,
             d: n(5),
             a: n(4),
-            count: 3,
-            signed: true,
+            count: Src::Imm(3),
         });
         cb.stop();
         cb.push(Op::Sub {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(5),
         });
         cb.stop();
@@ -449,16 +451,16 @@ fn eon_ia32(a: &mut Asm, iters: u32) {
 fn eon_native(cb: &mut CodeBuilder, iters: u32) {
     // Natively the same dispatch: indirect branch through a register.
     native_loop(cb, iters, |cb| {
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: n(3),
-            imm: 3,
-            a: n(0),
+            a: Src::Imm(3),
+            b: n(0),
         });
         cb.stop();
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: n(4),
-            imm: 1,
-            a: n(3),
+            a: Src::Imm(1),
+            b: n(3),
         });
         cb.stop();
         // Simulated virtual dispatch cost: an indirect branch to a
@@ -473,7 +475,7 @@ fn eon_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Add {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(5),
         });
         cb.stop();
@@ -517,10 +519,10 @@ fn vcall_mono_ia32(a: &mut Asm, iters: u32) {
 fn vcall_mono_native(cb: &mut CodeBuilder, iters: u32) {
     // A native compiler devirtualizes the monomorphic calls outright.
     native_loop(cb, iters, |cb| {
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: n(10),
-            imm: 8,
-            a: n(10),
+            a: Src::Imm(8),
+            b: n(10),
         });
         cb.stop();
     });
@@ -566,22 +568,22 @@ fn callret_native(cb: &mut CodeBuilder, iters: u32) {
     // Per f1 call: edi = ((edi + 4 + 2 + 1) ^ 0x11) ^ 0x22, twice.
     native_loop(cb, iters, |cb| {
         for _ in 0..2 {
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: n(10),
-                imm: 7,
-                a: n(10),
+                a: Src::Imm(7),
+                b: n(10),
             });
             cb.stop();
-            cb.push(Op::XorImm {
+            cb.push(Op::Xor {
                 d: n(10),
-                imm: 0x11,
-                a: n(10),
+                a: Src::Imm(0x11),
+                b: n(10),
             });
             cb.stop();
-            cb.push(Op::XorImm {
+            cb.push(Op::Xor {
                 d: n(10),
-                imm: 0x22,
-                a: n(10),
+                a: Src::Imm(0x22),
+                b: n(10),
             });
             cb.stop();
         }
@@ -618,10 +620,10 @@ fn gcc_ia32(a: &mut Asm, iters: u32) {
 fn gcc_native(cb: &mut CodeBuilder, iters: u32) {
     native_loop(cb, iters, |cb| {
         for k in 0..64u16 {
-            cb.push(Op::AddImm {
+            cb.push(Op::Add {
                 d: n(3),
-                imm: (k as i64) * 8,
-                a: n(1),
+                a: Src::Imm((k as i64) * 8),
+                b: n(1),
             });
             cb.stop();
             cb.push(Op::Ld {
@@ -633,17 +635,18 @@ fn gcc_native(cb: &mut CodeBuilder, iters: u32) {
             cb.stop();
             cb.push(Op::Add {
                 d: n(10),
-                a: n(10),
+                a: Src::Reg(n(10)),
                 b: n(4),
             });
-            cb.push(Op::XorImm {
+            cb.push(Op::Xor {
                 d: n(10),
-                imm: k as i64 + 1,
-                a: n(10),
+                a: Src::Imm(k as i64 + 1),
+                b: n(10),
             });
             cb.stop();
         }
-        cb.push(Op::Zxt {
+        cb.push(Op::Xt {
+            signed: false,
             d: n(10),
             a: n(10),
             size: 4,
@@ -690,10 +693,10 @@ fn array_body(a: &mut Asm, iters: u32, mul_every: u32, store_every: u32) {
 
 fn array_native(cb: &mut CodeBuilder, iters: u32) {
     native_loop(cb, iters, |cb| {
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: n(3),
-            imm: 0x3FFF,
-            a: n(0),
+            a: Src::Imm(0x3FFF),
+            b: n(0),
         });
         cb.stop();
         cb.push(Op::Shladd {
@@ -712,13 +715,13 @@ fn array_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Add {
             d: n(10),
-            a: n(10),
+            a: Src::Reg(n(10)),
             b: n(4),
         });
-        cb.push(Op::AddImm {
+        cb.push(Op::Add {
             d: n(5),
-            imm: 4,
-            a: n(3),
+            a: Src::Imm(4),
+            b: n(3),
         });
         cb.stop();
         cb.push(Op::St {

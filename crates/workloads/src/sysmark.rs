@@ -10,7 +10,7 @@ use ia32::inst::*;
 use ia32::regs::*;
 use ia32::Cond;
 use ipf::asm::CodeBuilder;
-use ipf::inst::Op;
+use ipf::inst::{Op, ShiftKind, Src};
 
 fn data() -> Vec<(u32, Vec<u8>)> {
     vec![(DATA, prng_bytes(0xD0C, 0x1_0000))]
@@ -56,10 +56,10 @@ fn sysmark_ia32(a: &mut Asm, iters: u32) {
 fn sysmark_native(cb: &mut CodeBuilder, iters: u32) {
     shared_native_loop(cb, iters, |cb| {
         use crate::int::ngr;
-        cb.push(Op::AndImm {
+        cb.push(Op::And {
             d: ngr(3),
-            imm: 0xFFF,
-            a: ngr(0),
+            a: Src::Imm(0xFFF),
+            b: ngr(0),
         });
         cb.stop();
         cb.push(Op::Shladd {
@@ -78,20 +78,21 @@ fn sysmark_native(cb: &mut CodeBuilder, iters: u32) {
         cb.stop();
         cb.push(Op::Add {
             d: ngr(10),
-            a: ngr(10),
+            a: Src::Reg(ngr(10)),
             b: ngr(4),
         });
         cb.stop();
-        cb.push(Op::ShlImm {
+        cb.push(Op::Shift {
+            kind: ShiftKind::Shl,
             d: ngr(10),
             a: ngr(10),
-            count: 1,
+            count: Src::Imm(1),
         });
         cb.stop();
-        cb.push(Op::XorImm {
+        cb.push(Op::Xor {
             d: ngr(10),
-            imm: 0x9E37,
-            a: ngr(10),
+            a: Src::Imm(0x9E37),
+            b: ngr(10),
         });
         cb.stop();
     });
