@@ -14,7 +14,7 @@ use crate::registry::Registry;
 use crate::state::{self, GR_PAYLOAD0, GR_STATE};
 use crate::stats::Stats;
 use crate::templates::{AccessMode, MisalignPlan};
-use crate::trace::{EventData, EventKind, Phase, Rung, SpanToken, TraceConfig, Tracer};
+use crate::trace::{EventData, Phase, Rung, SpanToken, TraceConfig, Tracer};
 use ia32::cpu::Cpu;
 use ia32::interp::{Event, Interp};
 use ia32::mem::{GuestMem, MemFaultKind, Prot};
@@ -702,7 +702,9 @@ impl Engine {
     /// was actually recorded — the honest, visible cost of a trace
     /// write. With tracing disabled this is a single branch and charges
     /// nothing, so an untraced run is cycle-identical to a build that
-    /// never had tracing (the zero-cost-when-off contract).
+    /// never had tracing (the zero-cost-when-off contract). A block's
+    /// translation, promotion, demotion and eviction also count in its
+    /// profile row.
     pub(crate) fn trace_emit(&mut self, data: EventData) {
         if !self.cfg.trace.enabled {
             return;
@@ -710,6 +712,13 @@ impl Engine {
         if self.tracer.offer(self.machine.cycles, data) {
             self.machine
                 .charge(region::OTHER, self.cfg.trace.event_cycles);
+        }
+        if let EventData::BlockTranslated { eip, .. }
+        | EventData::BlockPromoted { eip, .. }
+        | EventData::BlockDemoted { eip, .. }
+        | EventData::BlockEvicted { eip, .. } = data
+        {
+            self.tracer.profile_lifecycle(eip, data.kind());
         }
     }
 
@@ -794,7 +803,6 @@ impl Engine {
             eip,
             commit_points,
         });
-        self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockPromoted));
     }
 
     /// The one way translated code becomes the current generation of
@@ -894,16 +902,8 @@ impl Engine {
         // Injected transient translation failure (the guest code page
         // faulted under the translator's reader): single-step this
         // entry through the safety net; the next dispatch retries.
-        if self
-            .chaos
-            .as_mut()
-            .is_some_and(|p| p.roll(FaultKind::Translate))
-        {
-            self.stats.faults_injected += 1;
+        if self.inject(FaultKind::Translate) {
             self.stats.ladder_recoveries += 1;
-            self.trace_emit(EventData::FaultInjected {
-                kind: FaultKind::Translate,
-            });
             self.note_interp_fallback(eip);
             return Ok(self.interp_stub_for(eip));
         }
@@ -1050,7 +1050,6 @@ impl Engine {
             eip,
             bundles: freed,
         });
-        self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockEvicted));
         self.audited();
     }
 
@@ -1167,6 +1166,15 @@ impl Engine {
         overrides: HashMap<u16, AccessMode>,
     ) -> Result<u64, GuestException> {
         self.translate(os, eip, kind, inline_fp, overrides, XlateOrigin::Demand)
+    }
+
+    /// Regenerates block `id` from its guest bytes as a cold block of
+    /// `kind`, keeping its learned misalignment modes: a misalignment
+    /// retrain, a TagFix rebuild with inline FP checks, a demotion.
+    fn retranslate(&mut self, os: &mut dyn BtOs, id: u32, kind: BlockKind, inline_fp: bool) {
+        let b = &self.cache.blocks[id as usize];
+        let (eip, overrides) = (b.eip, b.misalign_overrides.clone());
+        let _ = self.translate_cold(os, eip, kind, inline_fp, overrides);
     }
 
     /// Cold-translates the block at `eip` for `origin` — on demand,
@@ -1392,7 +1400,6 @@ impl Engine {
             stage2: kind == BlockKind::ColdV2,
             bundles: n_bundles,
         });
-        self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockTranslated));
         // Export the freshly validated generation metadata to the
         // shared namespace so peer tenants skip this translation.
         // Imports themselves are not re-published (their record is
@@ -2005,9 +2012,6 @@ impl Engine {
                             let _ = self.mem.write(site + 8, 8, entry);
                             self.stats.ic_retrains += 1;
                             self.trace_emit(EventData::IndirectRetrain { eip, site });
-                            self.trace_profile(|t| {
-                                t.profile_lifecycle(eip, EventKind::IndirectRetrain)
-                            });
                         }
                         ExitAction::Continue(entry)
                     }
@@ -2039,9 +2043,7 @@ impl Engine {
             StubKind::MisalignRetrain => {
                 let id = payload as u32;
                 self.stats.misalign_retrains += 1;
-                let eip = self.cache.blocks[id as usize].eip;
-                let overrides = self.cache.blocks[id as usize].misalign_overrides.clone();
-                let _ = self.translate_cold(os, eip, BlockKind::ColdV2, false, overrides);
+                self.retranslate(os, id, BlockKind::ColdV2, false);
                 // Continue at the interrupted instruction.
                 let cur = self.machine.gr[GR_STATE.0 as usize] as u32;
                 ExitAction::Dispatch(cur)
@@ -2072,11 +2074,9 @@ impl Engine {
                 self.stats.tag_fixes += 1;
                 self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 // Rebuild the "special block" with inline checks.
-                let eip = self.cache.blocks[id as usize].eip;
-                let overrides = self.cache.blocks[id as usize].misalign_overrides.clone();
                 let kind = self.cache.blocks[id as usize].kind;
-                let _ = self.translate_cold(os, eip, kind, true, overrides);
-                ExitAction::Dispatch(eip)
+                self.retranslate(os, id, kind, true);
+                ExitAction::Dispatch(self.cache.blocks[id as usize].eip)
             }
             StubKind::MmxFix => {
                 let id = payload as u32;
@@ -2503,7 +2503,7 @@ impl Engine {
             return false;
         }
         self.cache.smc_window.remove(&page);
-        let _until = self.cache.smc_blacklist.strike(page, now);
+        self.cache.smc_blacklist.strike(page, now);
         let strikes = self.cache.smc_blacklist.strikes(page);
         self.stats.smc_blacklists += 1;
         self.trace_emit(EventData::SmcBlacklist { page, strikes });
@@ -2638,17 +2638,9 @@ impl Engine {
         let span = self.trace_phase_enter(Phase::HotSession);
         // Injected budget exhaustion: the watchdog kills the whole
         // session before it starts; every candidate keeps its cold code.
-        if self
-            .chaos
-            .as_mut()
-            .is_some_and(|p| p.roll(FaultKind::HotBudget))
-        {
-            self.stats.faults_injected += 1;
+        if self.inject(FaultKind::HotBudget) {
             self.stats.watchdog_aborts += 1;
             self.stats.ladder_recoveries += 1;
-            self.trace_emit(EventData::FaultInjected {
-                kind: FaultKind::HotBudget,
-            });
             self.cache.registry.take_candidates();
             self.trace_phase_exit(span);
             return;
@@ -2801,24 +2793,15 @@ impl Engine {
         self.shared_notify(|ns, c| ns.invalidate(eip, c) as u64);
         self.trace_emit(EventData::BlockDemoted { id, eip, strikes });
         self.trace_emit(EventData::Blacklisted { eip, until });
-        self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::BlockDemoted));
         if self.live_block(eip).is_some_and(|b| b.id == id) {
             // Injected translation death *during the demotion rebuild*:
             // a failure inside a recovery action. Descend re-entrantly
             // — evict and blacklist rather than loop demote→rebuild —
             // under the depth guard so the descent is visible in
             // `recovery_depth_max` / `reentrant_recoveries`.
-            if self
-                .chaos
-                .as_mut()
-                .is_some_and(|p| p.roll(FaultKind::Translate))
-            {
+            if self.inject(FaultKind::Translate) {
                 self.recovery_enter();
-                self.stats.faults_injected += 1;
                 self.stats.ladder_recoveries += 1;
-                self.trace_emit(EventData::FaultInjected {
-                    kind: FaultKind::Translate,
-                });
                 self.trace_emit(EventData::LadderRung {
                     rung: Rung::Evict,
                     eip,
@@ -2828,8 +2811,7 @@ impl Engine {
                 return;
             }
             let inline_fp = self.cache.blocks[id as usize].inline_fp;
-            let overrides = self.cache.blocks[id as usize].misalign_overrides.clone();
-            let _ = self.translate_cold(os, eip, BlockKind::ColdV2, inline_fp, overrides);
+            self.retranslate(os, id, BlockKind::ColdV2, inline_fp);
         } else {
             // An orphaned generation (superseded via SMC): nothing to
             // rebuild, just reclaim it.
@@ -2873,19 +2855,14 @@ impl Engine {
         if b.indirect_plain || b.evicted || b.kind == BlockKind::Hot {
             return;
         }
-        let eip = b.eip;
-        let kind = b.kind;
-        let inline_fp = b.inline_fp;
-        let overrides = b.misalign_overrides.clone();
-        let slot = b.ic_slot;
+        let (eip, kind, inline_fp, slot) = (b.eip, b.kind, b.inline_fp, b.ic_slot);
         self.cache.blocks[id as usize].indirect_plain = true;
         let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
         let _ = self.mem.write(slot + 16, 8, 0);
         self.stats.indirect_demotions += 1;
         self.trace_emit(EventData::IndirectDemote { eip, id });
-        self.trace_profile(|t| t.profile_lifecycle(eip, EventKind::IndirectDemote));
         if self.live_block(eip).is_some_and(|b| b.id == id) {
-            let _ = self.translate_cold(os, eip, kind, inline_fp, overrides);
+            self.retranslate(os, id, kind, inline_fp);
         }
     }
 
@@ -2901,11 +2878,8 @@ impl Engine {
         // Misalignment storm: push a victim over its fault tolerance.
         if plan.roll(FaultKind::MisalignStorm) {
             if let Some(victim) = self.pick_victim(&mut plan, true) {
-                self.stats.faults_injected += 1;
+                self.note_injected(FaultKind::MisalignStorm);
                 self.stats.ladder_recoveries += 1;
-                self.trace_emit(EventData::FaultInjected {
-                    kind: FaultKind::MisalignStorm,
-                });
                 let n = policy::HOT_MISALIGN_TOLERANCE + 1;
                 self.stats.misalign_faults += n as u64;
                 self.machine
@@ -2916,11 +2890,7 @@ impl Engine {
                 } else {
                     // Retrain: regenerate with detection and avoidance.
                     self.stats.misalign_retrains += 1;
-                    let veip = self.cache.blocks[victim as usize].eip;
-                    let overrides = self.cache.blocks[victim as usize]
-                        .misalign_overrides
-                        .clone();
-                    let _ = self.translate_cold(os, veip, BlockKind::ColdV2, false, overrides);
+                    self.retranslate(os, victim, BlockKind::ColdV2, false);
                 }
             }
         }
@@ -2928,11 +2898,8 @@ impl Engine {
         // translations. Guest bytes are unchanged, so the retranslation
         // is identical — only the recovery machinery is exercised.
         if plan.roll(FaultKind::SmcInvalidate) {
-            self.stats.faults_injected += 1;
+            self.note_injected(FaultKind::SmcInvalidate);
             self.stats.smc_events += 1;
-            self.trace_emit(EventData::FaultInjected {
-                kind: FaultKind::SmcInvalidate,
-            });
             self.machine.charge(region::OTHER, cost::FIX_CYCLES);
             for id in self.cache.registry.on_page(eip >> 12).to_vec() {
                 self.orphan_block(id);
@@ -2944,10 +2911,7 @@ impl Engine {
         // beyond the clobbered slot.
         if plan.roll(FaultKind::BitFlip) {
             if let Some(victim) = self.pick_victim(&mut plan, false) {
-                self.stats.faults_injected += 1;
-                self.trace_emit(EventData::FaultInjected {
-                    kind: FaultKind::BitFlip,
-                });
+                self.note_injected(FaultKind::BitFlip);
                 let entry = self.cache.blocks[victim as usize].range.0;
                 self.machine.arena.patch_slot(
                     entry,
@@ -2965,10 +2929,7 @@ impl Engine {
         // point, if the guest is already executing) delivers it.
         // Guests with no handler registered ignore the roll.
         if plan.roll(FaultKind::AsyncSignal) && os.raise_signal() {
-            self.stats.faults_injected += 1;
-            self.trace_emit(EventData::FaultInjected {
-                kind: FaultKind::AsyncSignal,
-            });
+            self.note_injected(FaultKind::AsyncSignal);
         }
         self.chaos = Some(plan);
     }
@@ -2983,6 +2944,22 @@ impl Engine {
             pool.retain(is_hot);
         }
         (!pool.is_empty()).then(|| pool[plan.pick(pool.len())])
+    }
+
+    /// Rolls the attached fault plan for `kind` at one of the engine's
+    /// own injection points, noting a hit.
+    fn inject(&mut self, kind: FaultKind) -> bool {
+        let hit = self.chaos.as_mut().is_some_and(|p| p.roll(kind));
+        if hit {
+            self.note_injected(kind);
+        }
+        hit
+    }
+
+    /// Counts and traces one injected fault.
+    fn note_injected(&mut self, kind: FaultKind) {
+        self.stats.faults_injected += 1;
+        self.trace_emit(EventData::FaultInjected { kind });
     }
 
     /// Delivers an asynchronous signal to `handler` from the precise
