@@ -372,11 +372,6 @@ impl Bus for MemBus<'_> {
 pub(crate) struct CodeCache {
     /// The degradation ladder's re-promotion blacklist.
     pub(crate) blacklist: Blacklist,
-    /// Every block ever translated, by id (including evicted ones).
-    pub(crate) blocks: Vec<BlockInfo>,
-    /// Every index over `blocks`: where each translation is, which
-    /// pages it came from, and what points at it.
-    pub(crate) registry: Registry,
     /// Next free per-block profile slot.
     pub(crate) profile_cursor: u64,
     /// Pages that have modified translated code at least once
@@ -417,10 +412,6 @@ pub(crate) struct GuestContext {
     /// Block whose code the engine may still patch or resume in the
     /// current exit handling — never an eviction victim.
     pub(crate) pinned_block: Option<u32>,
-    /// Whether the warm-boot sequence (image load + pre-translation)
-    /// has already run; `run` performs it exactly once, before the
-    /// first dispatch.
-    pub(crate) warm_booted: bool,
     /// This session's handle into a shared, sharded translation-cache
     /// namespace (None = single-tenant).
     pub(crate) shared: Option<crate::serving::SharedTenant>,
@@ -443,6 +434,15 @@ pub struct Engine {
     /// The lifecycle tracer / flight recorder (inert unless
     /// `Config::trace.enabled`).
     pub tracer: Tracer,
+    /// Every block ever translated, by id (including evicted ones).
+    pub(crate) blocks: Vec<BlockInfo>,
+    /// Every index over `blocks`: where each translation is, which
+    /// pages it came from, and what points at it.
+    pub(crate) registry: Registry,
+    /// Whether the warm-boot sequence (image load + pre-translation)
+    /// has already run; `run` performs it exactly once, before the
+    /// first dispatch.
+    warm_booted: bool,
     /// The shareable code-cache state.
     pub(crate) cache: CodeCache,
     /// The per-guest session state.
@@ -492,10 +492,11 @@ impl Engine {
             stats: Stats::default(),
             chaos: None,
             tracer,
+            blocks: Vec::new(),
+            registry: Registry::default(),
+            warm_booted: false,
             cache: CodeCache {
                 blacklist: Blacklist::new(cfg.blacklist_backoff_cycles),
-                blocks: Vec::new(),
-                registry: Registry::default(),
                 profile_cursor: layout::COUNTERS_BASE + PROFILE_STRIDE,
                 smc_pages: HashSet::new(),
                 smc_window: HashMap::new(),
@@ -507,7 +508,6 @@ impl Engine {
             ctx: GuestContext {
                 recovery_depth: 0,
                 pinned_block: None,
-                warm_booted: false,
                 shared: None,
             },
             cfg,
@@ -531,12 +531,12 @@ impl Engine {
 
     /// Block info by id.
     pub fn block(&self, id: u32) -> &BlockInfo {
-        &self.cache.blocks[id as usize]
+        &self.blocks[id as usize]
     }
 
     /// All blocks (stats/tests).
     pub fn blocks(&self) -> &[BlockInfo] {
-        &self.cache.blocks
+        &self.blocks
     }
 
     /// Audits the code cache after a registry transition (debug builds
@@ -586,7 +586,7 @@ impl Engine {
     /// translator developer lives in.
     pub fn disassemble_block(&self, id: u32) -> String {
         use std::fmt::Write;
-        let Some(b) = self.cache.blocks.get(id as usize) else {
+        let Some(b) = self.blocks.get(id as usize) else {
             return String::from("<no such block>");
         };
         let mut out = String::new();
@@ -614,9 +614,9 @@ impl Engine {
     pub fn flush_cache(&mut self) {
         self.stats.cache_flushes += 1;
         self.machine.arena.truncate(layout::TC_BASE);
-        self.cache.blocks.clear();
+        self.blocks.clear();
         self.ctx.pinned_block = None;
-        for page in self.cache.registry.clear() {
+        for page in self.registry.clear() {
             self.mem.set_code_protect((page as u64) << 12, false);
         }
         // All translated code is gone: no lookup way, shadow-stack
@@ -666,7 +666,7 @@ impl Engine {
     /// double-counting `hot_side_exits`.
     pub fn collect_hot_exit_stats(&mut self) {
         let mut side = 0;
-        for b in &self.cache.blocks {
+        for b in &self.blocks {
             if b.kind == BlockKind::Hot && !b.evicted {
                 side += self.mem.read(b.edge_counters.0, 8).unwrap_or(0);
             }
@@ -678,8 +678,7 @@ impl Engine {
     /// EIP — the surface the exhaustive commit-point sweep test walks
     /// to round-trip `reconstruct_at` against the interpreter oracle.
     pub fn hot_recovery_maps(&self) -> Vec<(u32, &crate::hot::HotData)> {
-        self.cache
-            .blocks
+        self.blocks
             .iter()
             .filter(|b| !b.evicted && b.kind == BlockKind::Hot)
             .filter_map(|b| b.hot.as_ref().map(|h| (b.eip, h)))
@@ -688,8 +687,8 @@ impl Engine {
 
     /// The live block translated from `eip`, if any.
     pub(crate) fn live_block(&self, eip: u32) -> Option<&BlockInfo> {
-        let id = self.cache.registry.live(eip)?;
-        Some(&self.cache.blocks[id as usize])
+        let id = self.registry.live(eip)?;
+        Some(&self.blocks[id as usize])
     }
 
     /// Entry address for `eip` if already translated (no translation).
@@ -778,7 +777,7 @@ impl Engine {
         ia32_insts: usize,
     ) {
         let commit_points = hot.recovery.len() as u64;
-        let b = &mut self.cache.blocks[block_id as usize];
+        let b = &mut self.blocks[block_id as usize];
         b.ia32_insts = ia32_insts;
         b.misalign_faults = 0;
         b.failures = 0;
@@ -830,8 +829,8 @@ impl Engine {
         };
         let entry = self.machine.arena.install(code, region);
         let range = (entry, entry + len);
-        self.forward(self.cache.blocks[id as usize].entry, entry);
-        let b = &mut self.cache.blocks[id as usize];
+        self.forward(self.blocks[id as usize].entry, entry);
+        let b = &mut self.blocks[id as usize];
         b.entry = entry;
         b.range = range;
         b.kind = kind;
@@ -848,12 +847,11 @@ impl Engine {
             // Hot exits were chained at emission time: record them all,
             // so eviction of a target can un-link them.
             for (target, site) in self.chained_branches(range.0, range.1, id) {
-                self.cache.registry.link(target, site);
+                self.registry.link(target, site);
             }
         }
         if self.cfg.verify_on_dispatch {
-            self.cache.blocks[id as usize].checksum =
-                self.machine.arena.checksum_range(range.0, range.1);
+            self.blocks[id as usize].checksum = self.machine.arena.checksum_range(range.0, range.1);
         }
         self.audited();
         entry
@@ -870,13 +868,13 @@ impl Engine {
             mem.prot_of((page as u64) << 12).map(|p| p.write) == Some(true)
                 && !smc_pages.contains(&page)
         };
-        let b = &mut self.cache.blocks[id as usize];
-        let done = self.cache.registry.install(b, protectable);
+        let b = &mut self.blocks[id as usize];
+        let done = self.registry.install(b, protectable);
         for page in done.protect {
             self.mem.set_code_protect((page as u64) << 12, true);
         }
         if let Some(old) = done.displaced {
-            let entry = self.cache.blocks[old as usize].entry;
+            let entry = self.blocks[old as usize].entry;
             self.forward(entry, StubKind::Reenter.addr());
         }
     }
@@ -953,17 +951,16 @@ impl Engine {
         // extent, so the extent index enumerates exactly those (once
         // per live generation — deduplicated after the sort).
         let mut victims: Vec<(u64, u32)> = self
-            .cache
             .registry
             .unevicted()
-            .map(|id| &self.cache.blocks[id as usize])
+            .map(|id| &self.blocks[id as usize])
             .filter(|b| {
                 (include_hot == (b.kind == BlockKind::Hot))
                     && Some(b.id) != self.ctx.pinned_block
-                    && !self.cache.registry.candidates().contains(&b.id)
+                    && !self.registry.candidates().contains(&b.id)
             })
             .map(|b| {
-                let uses = if self.cache.registry.is_registered(b) {
+                let uses = if self.registry.is_registered(b) {
                     self.mem.read(b.counter_addr, 8).unwrap_or(0)
                 } else {
                     0
@@ -987,9 +984,9 @@ impl Engine {
     /// references its code, and returns every generation's extent to
     /// the arena free list.
     pub(crate) fn evict_block(&mut self, id: u32) {
-        let b = &mut self.cache.blocks[id as usize];
+        let b = &mut self.blocks[id as usize];
         let eip = b.eip;
-        let crate::registry::Retired { extents, inbound } = self.cache.registry.retire(b);
+        let crate::registry::Retired { extents, inbound } = self.registry.retire(b);
         let in_extents = |addr: u64| extents.iter().any(|&(s, e)| addr >= s && addr < e);
         // Un-link inbound edges. The chaining bundle's trampoline movl
         // (payload = target EIP) is still upstream of the branch, so
@@ -1069,9 +1066,10 @@ impl Engine {
                     if let Some(Target::Abs(t)) = s.op.target() {
                         // A block's entry lies in its own latest extent,
                         // so the extent's owner is the only candidate.
-                        let tid = self.cache.registry.owner_of(t).filter(|&tid| {
-                            tid != skip && self.cache.blocks[tid as usize].entry == t
-                        });
+                        let tid = self
+                            .registry
+                            .owner_of(t)
+                            .filter(|&tid| tid != skip && self.blocks[tid as usize].entry == t);
                         found.extend(tid.map(|tid| (tid, addr)));
                     }
                 }
@@ -1172,7 +1170,7 @@ impl Engine {
     /// `kind`, keeping its learned misalignment modes: a misalignment
     /// retrain, a TagFix rebuild with inline FP checks, a demotion.
     fn retranslate(&mut self, os: &mut dyn BtOs, id: u32, kind: BlockKind, inline_fp: bool) {
-        let b = &self.cache.blocks[id as usize];
+        let b = &self.blocks[id as usize];
         let (eip, overrides) = (b.eip, b.misalign_overrides.clone());
         let _ = self.translate_cold(os, eip, kind, inline_fp, overrides);
     }
@@ -1225,7 +1223,7 @@ impl Engine {
                 b.pop_misses,
             ),
             None => {
-                let id = self.cache.blocks.len() as u32;
+                let id = self.blocks.len() as u32;
                 // Profile slots are keyed by guest EIP and survive both
                 // eviction and flushing, so a re-translated block keeps
                 // its use counter and re-heats quickly.
@@ -1336,7 +1334,7 @@ impl Engine {
         // at once), or nothing.
         let (entry, range, extents) = match prev {
             Some((entry, range)) => {
-                let extents = std::mem::take(&mut self.cache.blocks[id as usize].extents);
+                let extents = std::mem::take(&mut self.blocks[id as usize].extents);
                 (entry, range, extents)
             }
             None => (StubKind::Untranslated.addr(), (0, 0), Vec::new()),
@@ -1371,8 +1369,8 @@ impl Engine {
             hot: None,
         };
         match prev {
-            Some(_) => self.cache.blocks[id as usize] = info,
-            None => self.cache.blocks.push(info),
+            Some(_) => self.blocks[id as usize] = info,
+            None => self.blocks.push(info),
         }
         let n_bundles = gen.code.len() as u64;
         let entry = self.install_generation(id, gen.code, kind, None);
@@ -1385,13 +1383,13 @@ impl Engine {
             let Some(br) = self.exit_branch_bundle(entry + tramp, end) else {
                 continue;
             };
-            match self.cache.registry.live(texit) {
+            match self.registry.live(texit) {
                 Some(tid) => self.chain(br, tid),
-                None => self.cache.registry.await_target(texit, br),
+                None => self.registry.await_target(texit, br),
             }
         }
         // Chain every trampoline that was already waiting for this EIP.
-        for br in self.cache.registry.take_waiting(eip) {
+        for br in self.registry.take_waiting(eip) {
             self.chain(br, id);
         }
         self.trace_emit(EventData::BlockTranslated {
@@ -1485,8 +1483,8 @@ impl Engine {
             return;
         };
         let mut contention = 0;
-        for (eip, id) in self.cache.registry.registered() {
-            let b = &self.cache.blocks[id as usize];
+        for (eip, id) in self.registry.registered() {
+            let b = &self.blocks[id as usize];
             let heat = self.mem.read(b.counter_addr, 8).unwrap_or(0);
             let taken = self.mem.read(b.edge_counters.0, 8).unwrap_or(0);
             let fall = self.mem.read(b.edge_counters.1, 8).unwrap_or(0);
@@ -1562,11 +1560,11 @@ impl Engine {
     /// a later successful translation still wins, because dispatch asks
     /// `entry_of_existing` first.
     pub(crate) fn interp_stub_for(&mut self, eip: u32) -> u64 {
-        if let Some(addr) = self.cache.registry.interp_stub(eip) {
+        if let Some(addr) = self.registry.interp_stub(eip) {
             return addr;
         }
         let addr = self.emit_interp_stub(eip);
-        self.cache.registry.remember_stub(eip, addr);
+        self.registry.remember_stub(eip, addr);
         addr
     }
 
@@ -1609,8 +1607,8 @@ impl Engine {
     /// generation contains it (an address in a superseded generation
     /// answers `None`).
     fn block_at_addr(&self, addr: u64) -> Option<u32> {
-        let id = self.cache.registry.owner_of(addr).filter(|&id| {
-            let (s, e) = self.cache.blocks[id as usize].range;
+        let id = self.registry.owner_of(addr).filter(|&id| {
+            let (s, e) = self.blocks[id as usize].range;
             addr >= s && addr < e
         });
         debug_assert_eq!(id, self.scan_for_owner(addr, false));
@@ -1621,7 +1619,7 @@ impl Engine {
     /// live generation (the degradation ladder must attribute failures
     /// in superseded extents too — live extents are disjoint).
     fn block_at_addr_any(&self, addr: u64) -> Option<u32> {
-        let id = self.cache.registry.owner_of(addr);
+        let id = self.registry.owner_of(addr);
         debug_assert_eq!(id, self.scan_for_owner(addr, true));
         id
     }
@@ -1631,8 +1629,7 @@ impl Engine {
     /// index tests) compare each answer with.
     fn scan_for_owner(&self, addr: u64, any_generation: bool) -> Option<u32> {
         let within = |&(s, e): &(u64, u64)| addr >= s && addr < e;
-        self.cache
-            .blocks
+        self.blocks
             .iter()
             .find(|b| {
                 if any_generation {
@@ -1652,8 +1649,8 @@ impl Engine {
             return;
         }
         if let Some(id) = self.block_at_addr(addr) {
-            let (s, e) = self.cache.blocks[id as usize].range;
-            self.cache.blocks[id as usize].checksum = self.machine.arena.checksum_range(s, e);
+            let (s, e) = self.blocks[id as usize].range;
+            self.blocks[id as usize].checksum = self.machine.arena.checksum_range(s, e);
         }
     }
 
@@ -1662,12 +1659,12 @@ impl Engine {
     /// caller falls back to the slow path, which retranslates) and
     /// false is returned.
     fn verify_dispatch(&mut self, eip: u32) -> bool {
-        let Some(id) = self.cache.registry.live(eip) else {
+        let Some(id) = self.registry.live(eip) else {
             return true;
         };
         self.machine
             .charge(region::OTHER, cost::INTEGRITY_CHECK_CYCLES);
-        let b = &self.cache.blocks[id as usize];
+        let b = &self.blocks[id as usize];
         if self.machine.arena.checksum_range(b.range.0, b.range.1) == b.checksum {
             return true;
         }
@@ -1680,7 +1677,7 @@ impl Engine {
     /// Reconstructs the precise IA-32 state at a fault (paper §4).
     pub fn reconstruct(&self, ip: u64, slot: u8) -> Cpu {
         if let Some(id) = self.block_at_addr(ip) {
-            let b = &self.cache.blocks[id as usize];
+            let b = &self.blocks[id as usize];
             if let Some(hot) = &b.hot {
                 if let Some(cpu) = hot.reconstruct(&self.machine, ip, slot) {
                     return cpu;
@@ -1703,8 +1700,8 @@ impl Engine {
     /// exit (`Halted`/`Exited`), the translation cache is serialized to
     /// [`Config::save_image`] if set.
     pub fn run(&mut self, os: &mut dyn BtOs, cpu: Cpu, max_slots: u64) -> Outcome {
-        if !self.ctx.warm_booted {
-            self.ctx.warm_booted = true;
+        if !self.warm_booted {
+            self.warm_booted = true;
             // Install the entry state first so pre-translation sees the
             // same FP speculation seeds the first dispatch would.
             state::cpu_to_machine(&cpu, &mut self.machine);
@@ -1964,7 +1961,7 @@ impl Engine {
                         // Patch the trampoline's branch (the bundle that
                         // exited) to go straight to the new block (or to
                         // the interpreter stub standing in for it).
-                        match self.cache.registry.live(eip) {
+                        match self.registry.live(eip) {
                             Some(tid) => self.chain(from, tid),
                             None => {
                                 self.patch_branch(from, StubKind::Untranslated.addr(), entry);
@@ -1993,10 +1990,10 @@ impl Engine {
                     // re-missing) the pop on every execution.
                     let id = (site & 0xFFFF_FFFF) as u32;
                     site = 0;
-                    if (id as usize) < self.cache.blocks.len() {
-                        self.cache.blocks[id as usize].pop_misses += 1;
-                        if self.cache.blocks[id as usize].pop_misses >= policy::SHADOW_DEMOTE_MISSES
-                            && !self.cache.blocks[id as usize].indirect_plain
+                    if (id as usize) < self.blocks.len() {
+                        self.blocks[id as usize].pop_misses += 1;
+                        if self.blocks[id as usize].pop_misses >= policy::SHADOW_DEMOTE_MISSES
+                            && !self.blocks[id as usize].indirect_plain
                         {
                             self.demote_indirect(os, id);
                         }
@@ -2024,7 +2021,7 @@ impl Engine {
             StubKind::Heat => {
                 let id = payload as u32;
                 self.stats.heat_events += 1;
-                let b = &mut self.cache.blocks[id as usize];
+                let b = &mut self.blocks[id as usize];
                 b.registrations += 1;
                 let twice = b.registrations >= 2;
                 let eip = b.eip;
@@ -2034,8 +2031,8 @@ impl Engine {
                     self.stats.blacklist_hits += 1;
                     return ExitAction::Dispatch(eip);
                 }
-                self.cache.registry.nominate(id);
-                if self.cache.registry.candidates().len() >= self.cfg.hot_candidates || twice {
+                self.registry.nominate(id);
+                if self.registry.candidates().len() >= self.cfg.hot_candidates || twice {
                     self.run_hot_session(os);
                 }
                 ExitAction::Dispatch(eip)
@@ -2051,7 +2048,7 @@ impl Engine {
             StubKind::SmcFail => {
                 let id = payload as u32;
                 self.stats.smc_events += 1;
-                let eip = self.cache.blocks[id as usize].eip;
+                let eip = self.blocks[id as usize].eip;
                 // Snapshot-mode pages are unprotected, so their writes
                 // never reach `handle_smc_store` — the prologue
                 // detection is their governor feed. A thrashing page
@@ -2067,30 +2064,30 @@ impl Engine {
                 self.stats.tos_fixes += 1;
                 self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 self.fix_tos(id);
-                ExitAction::Continue(self.cache.blocks[id as usize].entry)
+                ExitAction::Continue(self.blocks[id as usize].entry)
             }
             StubKind::TagFix => {
                 let id = payload as u32;
                 self.stats.tag_fixes += 1;
                 self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 // Rebuild the "special block" with inline checks.
-                let kind = self.cache.blocks[id as usize].kind;
+                let kind = self.blocks[id as usize].kind;
                 self.retranslate(os, id, kind, true);
-                ExitAction::Dispatch(self.cache.blocks[id as usize].eip)
+                ExitAction::Dispatch(self.blocks[id as usize].eip)
             }
             StubKind::MmxFix => {
                 let id = payload as u32;
                 self.stats.mmx_fixes += 1;
                 self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-                self.fix_mmx_mode(self.cache.blocks[id as usize].entry_mmx);
-                ExitAction::Continue(self.cache.blocks[id as usize].entry)
+                self.fix_mmx_mode(self.blocks[id as usize].entry_mmx);
+                ExitAction::Continue(self.blocks[id as usize].entry)
             }
             StubKind::XmmFix => {
                 let id = payload as u32;
                 self.stats.xmm_fixes += 1;
                 self.machine.charge(region::OTHER, cost::FIX_CYCLES);
                 self.fix_xmm_formats(id);
-                ExitAction::Continue(self.cache.blocks[id as usize].entry)
+                ExitAction::Continue(self.blocks[id as usize].entry)
             }
             StubKind::DivZero => {
                 let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
@@ -2109,7 +2106,7 @@ impl Engine {
                 let rec = self.machine.gr[state::GR_PAYLOAD1.0 as usize] as u32;
                 self.stats.deopts += 1;
                 self.trace_emit(EventData::CommitPointTaken { id, recovery: rec });
-                let cpu = match &self.cache.blocks[id as usize].hot {
+                let cpu = match &self.blocks[id as usize].hot {
                     Some(h) => h.reconstruct_at(&self.machine, rec),
                     None => None,
                 };
@@ -2129,7 +2126,7 @@ impl Engine {
                 self.interp_one(os, eip)
             }
             StubKind::Reenter => match self.block_at_addr(from) {
-                Some(id) => ExitAction::Dispatch(self.cache.blocks[id as usize].eip),
+                Some(id) => ExitAction::Dispatch(self.blocks[id as usize].eip),
                 None => {
                     let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
                     ExitAction::Dispatch(eip)
@@ -2217,7 +2214,7 @@ impl Engine {
                 self.machine
                     .charge(region::OTHER, cost::MISALIGN_FAULT_CYCLES);
                 if let Some(id) = self.block_at_addr(ip) {
-                    let b = &mut self.cache.blocks[id as usize];
+                    let b = &mut self.blocks[id as usize];
                     b.misalign_faults += 1;
                     if b.kind == BlockKind::Hot
                         && b.misalign_faults > policy::HOT_MISALIGN_TOLERANCE
@@ -2446,8 +2443,8 @@ impl Engine {
         // for it is stale. Sweep the namespace first so a peer racing
         // this invalidation sees the generation bump.
         self.shared_notify(|ns, c| ns.invalidate_page(page, c));
-        for id in self.cache.registry.on_page(page).to_vec() {
-            let b = &self.cache.blocks[id as usize];
+        for id in self.registry.on_page(page).to_vec() {
+            let b = &self.blocks[id as usize];
             if b.kind != BlockKind::Hot && src_checksum(&self.mem, b.src_range) == b.src_fnv {
                 self.stats.smc_extent_keeps += 1;
             } else {
@@ -2463,9 +2460,9 @@ impl Engine {
     /// inline cache keyed on its EIP is emptied so the next transfer
     /// goes through dispatch.
     fn orphan_block(&mut self, id: u32) {
-        let b = &self.cache.blocks[id as usize];
+        let b = &self.blocks[id as usize];
         let (eip, entry) = (b.eip, b.entry);
-        self.cache.registry.orphan(b);
+        self.registry.orphan(b);
         self.forward(entry, StubKind::Reenter.addr());
         for s in self.predictions_of(eip) {
             let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
@@ -2509,7 +2506,7 @@ impl Engine {
         self.trace_emit(EventData::SmcBlacklist { page, strikes });
         // Orphan every surviving translation on the page: dispatches
         // must miss the registry so they reach the interpret-only gate.
-        for id in self.cache.registry.on_page(page).to_vec() {
+        for id in self.registry.on_page(page).to_vec() {
             self.orphan_block(id);
         }
         // Snapshot-check mode for post-backoff retranslations; writes
@@ -2524,7 +2521,7 @@ impl Engine {
     }
 
     fn fix_tos(&mut self, id: u32) {
-        let b = &self.cache.blocks[id as usize];
+        let b = &self.blocks[id as usize];
         let want = b.spec.tos;
         let cur = (self.machine.gr[state::GR_FPTOP.0 as usize] & 7) as u8;
         if want == cur {
@@ -2573,7 +2570,7 @@ impl Engine {
     }
 
     fn fix_xmm_formats(&mut self, id: u32) {
-        let want = self.cache.blocks[id as usize].spec.xmm_fmt;
+        let want = self.blocks[id as usize].spec.xmm_fmt;
         let cur = self.machine.gr[state::GR_XMMFMT.0 as usize] as u8;
         for n in 0..8u8 {
             let w = want & (1 << n) != 0;
@@ -2602,9 +2599,9 @@ impl Engine {
     /// Untranslated stub — straight to the entry of block `target`, and
     /// records the edge so eviction of the target can un-link it.
     fn chain(&mut self, site: u64, target: u32) {
-        let entry = self.cache.blocks[target as usize].entry;
+        let entry = self.blocks[target as usize].entry;
         if self.patch_branch(site, StubKind::Untranslated.addr(), entry) {
-            self.cache.registry.link(target, site);
+            self.registry.link(target, site);
         }
     }
 
@@ -2641,14 +2638,14 @@ impl Engine {
         if self.inject(FaultKind::HotBudget) {
             self.stats.watchdog_aborts += 1;
             self.stats.ladder_recoveries += 1;
-            self.cache.registry.take_candidates();
+            self.registry.take_candidates();
             self.trace_phase_exit(span);
             return;
         }
         let budget = self.cfg.hot_session_budget;
         let start = self.region_cycle(region::OVERHEAD);
-        for id in self.cache.registry.take_candidates() {
-            let eip = self.cache.blocks[id as usize].eip;
+        for id in self.registry.take_candidates() {
+            let eip = self.blocks[id as usize].eip;
             if self.cache.blacklist.is_blocked(eip, self.machine.cycles) {
                 self.stats.blacklist_hits += 1;
                 continue;
@@ -2718,7 +2715,7 @@ impl Engine {
         // the recovery maps / state register reconstruct it.
         let cpu = match id {
             Some(id) => {
-                let b = &self.cache.blocks[id as usize];
+                let b = &self.blocks[id as usize];
                 if b.extents.iter().any(|&(s, _)| s == site) {
                     state::machine_to_cpu(&self.machine, b.eip)
                 } else {
@@ -2729,10 +2726,10 @@ impl Engine {
         };
         let rung = if let Some(id) = id {
             let is_spec = matches!(err, EngineError::NatConsumption { .. });
-            if is_spec && self.cache.blocks[id as usize].kind == BlockKind::Hot {
+            if is_spec && self.blocks[id as usize].kind == BlockKind::Hot {
                 // Failed speculation: bounded retries, then rebuild
                 // without the speculative assumptions (inline checks).
-                let b = &mut self.cache.blocks[id as usize];
+                let b = &mut self.blocks[id as usize];
                 b.spec_failures += 1;
                 if b.spec_failures > policy::SPEC_RETRY_CAP {
                     b.inline_fp = true;
@@ -2759,7 +2756,7 @@ impl Engine {
     /// and the next dispatch rebuilds fresh code from the unchanged
     /// guest bytes. Returns the rung taken (for the trace).
     fn note_failure(&mut self, os: &mut dyn BtOs, id: u32) -> Rung {
-        let b = &mut self.cache.blocks[id as usize];
+        let b = &mut self.blocks[id as usize];
         if b.evicted {
             return Rung::Retry;
         }
@@ -2771,7 +2768,7 @@ impl Engine {
             self.demote_block(os, id);
             Rung::Demote
         } else {
-            let eip = self.cache.blocks[id as usize].eip;
+            let eip = self.blocks[id as usize].eip;
             let until = self.cache.blacklist.strike(eip, self.machine.cycles);
             self.trace_emit(EventData::Blacklisted { eip, until });
             self.evict_block(id);
@@ -2783,7 +2780,7 @@ impl Engine {
     /// code and blacklists its EIP from re-promotion with exponential
     /// backoff.
     fn demote_block(&mut self, os: &mut dyn BtOs, id: u32) {
-        let eip = self.cache.blocks[id as usize].eip;
+        let eip = self.blocks[id as usize].eip;
         self.stats.demotions += 1;
         let until = self.cache.blacklist.strike(eip, self.machine.cycles);
         let strikes = self.cache.blacklist.strikes(eip);
@@ -2810,7 +2807,7 @@ impl Engine {
                 self.recovery_exit();
                 return;
             }
-            let inline_fp = self.cache.blocks[id as usize].inline_fp;
+            let inline_fp = self.blocks[id as usize].inline_fp;
             self.retranslate(os, id, BlockKind::ColdV2, inline_fp);
         } else {
             // An orphaned generation (superseded via SMC): nothing to
@@ -2825,7 +2822,7 @@ impl Engine {
     /// executions, the site is polymorphic and the IC/shadow machinery
     /// is pure per-execution overhead — demote to the plain probe.
     fn maybe_demote_megamorphic(&mut self, os: &mut dyn BtOs, id: u32) {
-        let b = &self.cache.blocks[id as usize];
+        let b = &self.blocks[id as usize];
         if b.indirect_plain || b.evicted || b.kind == BlockKind::Hot {
             return;
         }
@@ -2851,12 +2848,12 @@ impl Engine {
     /// hot selection can never devirtualize through a site that no
     /// longer maintains it.
     fn demote_indirect(&mut self, os: &mut dyn BtOs, id: u32) {
-        let b = &self.cache.blocks[id as usize];
+        let b = &self.blocks[id as usize];
         if b.indirect_plain || b.evicted || b.kind == BlockKind::Hot {
             return;
         }
         let (eip, kind, inline_fp, slot) = (b.eip, b.kind, b.inline_fp, b.ic_slot);
-        self.cache.blocks[id as usize].indirect_plain = true;
+        self.blocks[id as usize].indirect_plain = true;
         let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
         let _ = self.mem.write(slot + 16, 8, 0);
         self.stats.indirect_demotions += 1;
@@ -2884,8 +2881,8 @@ impl Engine {
                 self.stats.misalign_faults += n as u64;
                 self.machine
                     .charge(region::OTHER, cost::MISALIGN_FAULT_CYCLES * n as u64);
-                self.cache.blocks[victim as usize].misalign_faults += n;
-                if self.cache.blocks[victim as usize].kind == BlockKind::Hot {
+                self.blocks[victim as usize].misalign_faults += n;
+                if self.blocks[victim as usize].kind == BlockKind::Hot {
                     self.demote_block(os, victim);
                 } else {
                     // Retrain: regenerate with detection and avoidance.
@@ -2901,7 +2898,7 @@ impl Engine {
             self.note_injected(FaultKind::SmcInvalidate);
             self.stats.smc_events += 1;
             self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-            for id in self.cache.registry.on_page(eip >> 12).to_vec() {
+            for id in self.registry.on_page(eip >> 12).to_vec() {
                 self.orphan_block(id);
             }
         }
@@ -2912,7 +2909,7 @@ impl Engine {
         if plan.roll(FaultKind::BitFlip) {
             if let Some(victim) = self.pick_victim(&mut plan, false) {
                 self.note_injected(FaultKind::BitFlip);
-                let entry = self.cache.blocks[victim as usize].range.0;
+                let entry = self.blocks[victim as usize].range.0;
                 self.machine.arena.patch_slot(
                     entry,
                     0,
@@ -2937,9 +2934,9 @@ impl Engine {
     /// Picks a live, registered injection victim — preferring hot
     /// blocks when asked (so storms exercise demotion).
     fn pick_victim(&mut self, plan: &mut FaultPlan, prefer_hot: bool) -> Option<u32> {
-        let mut pool: Vec<u32> = self.cache.registry.registered().map(|(_, id)| id).collect();
+        let mut pool: Vec<u32> = self.registry.registered().map(|(_, id)| id).collect();
         pool.sort_unstable();
-        let is_hot = |id: &u32| self.cache.blocks[*id as usize].kind == BlockKind::Hot;
+        let is_hot = |id: &u32| self.blocks[*id as usize].kind == BlockKind::Hot;
         if prefer_hot && pool.iter().any(is_hot) {
             pool.retain(is_hot);
         }
@@ -3002,7 +2999,7 @@ impl Engine {
     /// maps already prove reconstructible for precise faults.
     fn commit_point_state(&self) -> Option<Cpu> {
         let id = self.block_at_addr(self.machine.ip)?;
-        let hot = self.cache.blocks[id as usize].hot.as_ref()?;
+        let hot = self.blocks[id as usize].hot.as_ref()?;
         hot.reconstruct(&self.machine, self.machine.ip, self.machine.slot)
     }
 
@@ -3012,7 +3009,7 @@ impl Engine {
     /// ladder relies on.
     fn entry_boundary_state(&self, addr: u64) -> Option<Cpu> {
         let id = self.block_at_addr(addr)?;
-        let b = &self.cache.blocks[id as usize];
+        let b = &self.blocks[id as usize];
         if b.entry == addr && !b.evicted {
             Some(state::machine_to_cpu(&self.machine, b.eip))
         } else {
@@ -3323,21 +3320,17 @@ pub(crate) mod tests {
         // Stop mid-loop, after the cold code has heated at least once.
         assert_eq!(engine.run(&mut os, cpu, 6_000), Outcome::InstLimit);
         assert!(engine.stats.heat_events > 0, "the loop never heated");
-        let id = engine
-            .cache
-            .registry
-            .live(loop_eip)
-            .expect("the loop is live");
+        let id = engine.registry.live(loop_eip).expect("the loop is live");
 
         let snapshot = |e: &Engine| {
-            let b = &e.cache.blocks[id as usize];
+            let b = &e.blocks[id as usize];
             let table: Vec<u64> = (layout::LOOKUP_BASE..layout::SHADOW_BASE)
                 .step_by(8)
                 .map(|addr| e.mem.read(addr, 8).unwrap())
                 .collect();
             (
                 (b.kind, b.entry, b.range, b.extents.clone(), b.hot.is_some()),
-                (e.cache.blocks.len(), e.cache.registry.clone(), table),
+                (e.blocks.len(), e.registry.clone(), table),
                 (e.machine.arena.end(), e.machine.cycles, e.stats.clone()),
             )
         };
@@ -3366,7 +3359,7 @@ pub(crate) mod tests {
             );
         }
         assert_eq!(engine.stats.hot_traces, 0);
-        assert!(engine.cache.blocks.iter().all(|b| b.kind != BlockKind::Hot));
+        assert!(engine.blocks.iter().all(|b| b.kind != BlockKind::Hot));
         assert!(
             engine.stats.heat_events <= ITERS / THRESHOLD,
             "promotion churn: {} heat events",
@@ -3471,18 +3464,14 @@ pub(crate) mod tests {
         assert_eq!(engine.run(&mut os, cpu, 4_000), Outcome::InstLimit);
         assert!(engine.stats.hot_traces > 0, "the loop never promoted");
         check(&engine, "the guest's run");
-        let hot = engine
-            .cache
-            .registry
-            .live(loop_eip)
-            .expect("the loop is live");
+        let hot = engine.registry.live(loop_eip).expect("the loop is live");
         for page in [0x400, 0x401] {
-            let listed = engine.cache.registry.on_page(page);
+            let listed = engine.registry.on_page(page);
             assert!(listed.contains(&hot), "the trace has source on {page:#x}");
         }
         let straddler = chain[chain.len() / 2];
         let (cold_gen, hot_gen) = {
-            let b = &engine.cache.blocks[hot as usize];
+            let b = &engine.blocks[hot as usize];
             assert!(b.extents.len() >= 2, "promotion keeps the cold generation");
             (b.extents[0].0, b.range.0)
         };
@@ -3503,7 +3492,7 @@ pub(crate) mod tests {
             let own = b.range.0..b.range.1;
             for addr in own.clone().step_by(ipf::Bundle::SIZE as usize) {
                 for t in e.branches_at(addr) {
-                    let entered = e.cache.registry.owner_of(t).map(|o| e.block(o).entry);
+                    let entered = e.registry.owner_of(t).map(|o| e.block(o).entry);
                     assert!(
                         own.contains(&t) || StubKind::from_addr(t).is_some() || entered == Some(t),
                         "block {id} at {:#x?}: the branch at {addr:#x} goes to {t:#x}",
@@ -3527,7 +3516,7 @@ pub(crate) mod tests {
                 0 => straddler,
                 _ => chain[(x >> 8) as usize % chain.len()],
             };
-            let live = engine.cache.registry.live(eip);
+            let live = engine.registry.live(eip);
             let what = match ((x >> 40) % 16, live) {
                 (0..=5, _) => {
                     let holes = engine.machine.arena.free_bundles();
@@ -3535,7 +3524,7 @@ pub(crate) mod tests {
                         .entry_of(&mut os, eip)
                         .expect("chain blocks translate");
                     if live.is_none() && engine.machine.arena.free_bundles() < holes {
-                        let id = engine.cache.registry.live(eip).expect("just translated");
+                        let id = engine.registry.live(eip).expect("just translated");
                         resolves_in_place(&engine, id);
                         refilled += 1;
                     }
@@ -3545,7 +3534,7 @@ pub(crate) mod tests {
                     engine
                         .translate_cold(&mut os, eip, BlockKind::ColdV2, false, HashMap::new())
                         .expect("retranslates");
-                    let b = &engine.cache.blocks[id as usize];
+                    let b = &engine.blocks[id as usize];
                     let old = b.extents[0].0;
                     assert_eq!(engine.block_at_addr(old), None);
                     assert_eq!(engine.block_at_addr_any(old), Some(id));
@@ -3553,7 +3542,7 @@ pub(crate) mod tests {
                     "retranslation of a live EIP"
                 }
                 (9..=10, Some(id)) => {
-                    let freed = engine.cache.blocks[id as usize].extents[0].0;
+                    let freed = engine.blocks[id as usize].extents[0].0;
                     engine.evict_block(id);
                     assert_eq!(engine.block_at_addr_any(freed), None, "freed hole");
                     evicted += 1;
@@ -3571,8 +3560,8 @@ pub(crate) mod tests {
                     engine.mem.write_forced(at, &[!was]);
                     engine.smc_invalidate_extents((at >> 12) as u32);
                     second_page += u32::from(at >> 12 != eip as u64 >> 12);
-                    let b = &engine.cache.blocks[id as usize];
-                    assert!(!b.evicted && !engine.cache.registry.is_registered(b));
+                    let b = &engine.blocks[id as usize];
+                    assert!(!b.evicted && !engine.registry.is_registered(b));
                     assert_eq!(
                         engine.block_at_addr(b.range.0),
                         Some(id),
@@ -3592,7 +3581,7 @@ pub(crate) mod tests {
                     "a full flush"
                 }
                 (15, _) => {
-                    let id = engine.cache.registry.live(loop_eip);
+                    let id = engine.registry.live(loop_eip);
                     if let Some(id) = id.filter(|&id| engine.block(id).kind != BlockKind::Hot) {
                         crate::hot::promote(&mut engine, id);
                     } else {
@@ -3622,10 +3611,10 @@ pub(crate) mod tests {
             engine.entry_of(&mut os, eip).expect("translates");
         }
         for &eip in &chain[..12] {
-            engine.evict_block(engine.cache.registry.live(eip).expect("just translated"));
+            engine.evict_block(engine.registry.live(eip).expect("just translated"));
         }
         let (id, end) = (
-            engine.cache.registry.live(loop_eip).expect("the loop"),
+            engine.registry.live(loop_eip).expect("the loop"),
             engine.machine.arena.end(),
         );
         assert!(crate::hot::promote(&mut engine, id), "the loop promotes");
@@ -3639,7 +3628,7 @@ pub(crate) mod tests {
 
         engine.flush_cache();
         check(&engine, "the last flush");
-        assert_eq!(engine.cache.registry.unevicted().count(), 0);
+        assert_eq!(engine.registry.unevicted().count(), 0);
     }
 
     /// `chained_branches` finds its targets through the extent index;
@@ -3657,14 +3646,13 @@ pub(crate) mod tests {
         }
         let ids: Vec<u32> = chain
             .iter()
-            .map(|&e| engine.cache.registry.live(e).expect("translated above"))
+            .map(|&e| engine.registry.live(e).expect("translated above"))
             .collect();
         engine.evict_block(ids[2]);
         let (start, end) = (engine.machine.arena.base(), engine.machine.arena.end());
 
         for skip in [ids[0], ids[1], u32::MAX] {
             let entry_to_id: HashMap<u64, u32> = engine
-                .cache
                 .blocks
                 .iter()
                 .filter(|b| !b.evicted && b.id != skip)

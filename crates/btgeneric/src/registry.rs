@@ -298,8 +298,8 @@ impl crate::engine::Engine {
     /// thirty times longer in the audit than in the translator.)
     #[cfg(debug_assertions)]
     pub(crate) fn audit_transition(&self) -> Result<(), String> {
-        let work = self.machine.arena.len() + self.cache.blocks.len();
-        match self.cache.registry.transitions % (1 + (work / AUDIT_STRIDE_WORK) as u64) {
+        let work = self.machine.arena.len() + self.blocks.len();
+        match self.registry.transitions % (1 + (work / AUDIT_STRIDE_WORK) as u64) {
             0 => self.audit(),
             _ => Ok(()),
         }
@@ -310,11 +310,7 @@ impl crate::engine::Engine {
     /// tables in guest memory. Names the first one that does not hold.
     pub(crate) fn audit(&self) -> Result<(), String> {
         use crate::layout;
-        let (r, blocks, arena) = (
-            &self.cache.registry,
-            &self.cache.blocks,
-            &self.machine.arena,
-        );
+        let (r, blocks, arena) = (&self.registry, &self.blocks, &self.machine.arena);
         let unevicted = |id: u32| blocks.get(id as usize).is_some_and(|b| !b.evicted);
 
         // by_eip: every entry names an unevicted block with that EIP
@@ -538,10 +534,7 @@ mod tests {
         let mut os = NullOs;
         let mut translate = |engine: &mut Engine, eip: u32| {
             let entry = engine.entry_of(&mut os, eip).expect("translates");
-            (
-                engine.cache.registry.live(eip).expect("just installed"),
-                entry,
-            )
+            (engine.registry.live(eip).expect("just installed"), entry)
         };
         let victim = translate(&mut engine, chain[5]);
         // Targets first, so each later block chains straight to them.
@@ -553,7 +546,7 @@ mod tests {
         engine.interp_stub_for(chain[4]);
         engine.evict_block(victim.0);
         engine.lookup_insert(chain[0], entry);
-        engine.cache.registry.nominate(a);
+        engine.registry.nominate(a);
         (engine, [a, b, c, d], victim)
     }
 
@@ -608,66 +601,64 @@ mod tests {
         let breakages: [(&str, Breakage); 15] = [
             ("by_eip", |e, [a, ..], _| {
                 // An EIP that names a block translated from another.
-                e.cache.registry.by_eip.insert(0x1234, a);
+                e.registry.by_eip.insert(0x1234, a);
             }),
             ("by_eip", |e, _, (gone, _)| {
-                let eip = e.cache.blocks[gone as usize].eip;
-                e.cache.registry.by_eip.insert(eip, gone);
+                let eip = e.blocks[gone as usize].eip;
+                e.registry.by_eip.insert(eip, gone);
             }),
             ("extents", |e, [a, ..], _| {
-                let start = e.cache.blocks[a as usize].range.0;
-                e.cache.registry.extents.remove(start);
+                let start = e.blocks[a as usize].range.0;
+                e.registry.extents.remove(start);
             }),
             ("extents", |e, [_, b, ..], (_, hole)| {
                 // A generation recorded over freed space.
-                e.cache.blocks[b as usize]
-                    .extents
-                    .insert(0, (hole, hole + 16));
-                e.cache.registry.extents.insert((hole, hole + 16), b);
+                e.blocks[b as usize].extents.insert(0, (hole, hole + 16));
+                e.registry.extents.insert((hole, hole + 16), b);
             }),
             ("pages", |e, [a, ..], _| {
-                let page = e.cache.blocks[a as usize].eip >> 12;
-                let listed = e.cache.registry.by_page.get_mut(&page).unwrap();
+                let page = e.blocks[a as usize].eip >> 12;
+                let listed = e.registry.by_page.get_mut(&page).unwrap();
                 listed.retain(|&id| id != a);
             }),
             ("pages", |e, [a, ..], (gone, _)| {
-                let page = e.cache.blocks[a as usize].eip >> 12;
-                e.cache.registry.by_page.get_mut(&page).unwrap().push(gone);
+                let page = e.blocks[a as usize].eip >> 12;
+                e.registry.by_page.get_mut(&page).unwrap().push(gone);
             }),
             ("pages", |e, [.., d], _| {
                 // The straddler forgotten on its second page: a store
                 // there would not find it.
-                let page = (e.cache.blocks[d as usize].src_range.1 - 1) >> 12;
-                assert_ne!(page, e.cache.blocks[d as usize].eip >> 12);
-                e.cache.registry.by_page.remove(&page);
+                let page = (e.blocks[d as usize].src_range.1 - 1) >> 12;
+                assert_ne!(page, e.blocks[d as usize].eip >> 12);
+                e.registry.by_page.remove(&page);
             }),
-            ("protected", |e, _, _| e.cache.registry.protected.clear()),
+            ("protected", |e, _, _| e.registry.protected.clear()),
             ("protected", |e, [a, ..], _| {
-                let eip = e.cache.blocks[a as usize].eip;
+                let eip = e.blocks[a as usize].eip;
                 e.mem.set_code_protect(eip as u64, false);
             }),
             ("links", |e, [_, b, ..], _| {
                 // The chain a -> b forgotten: evicting b would leave a
                 // branching into freed space.
-                e.cache.registry.links_into.remove(&b);
+                e.registry.links_into.remove(&b);
             }),
             ("links", |e, [a, _, c, _], _| {
                 // a's code holds no branch into c.
-                let site = e.cache.blocks[a as usize].range.0;
-                e.cache.registry.link(c, site);
+                let site = e.blocks[a as usize].range.0;
+                e.registry.link(c, site);
             }),
             ("pending", |e, _, (_, hole)| {
-                e.cache.registry.await_target(0x9999, hole)
+                e.registry.await_target(0x9999, hole)
             }),
             ("predictions", |e, _, (_, hole)| {
                 e.lookup_insert(0x7777, hole)
             }),
             ("candidates", |e, _, (gone, _)| {
-                e.cache.registry.candidates.push(gone)
+                e.registry.candidates.push(gone)
             }),
             ("interp_stubs", |e, [a, ..], _| {
-                let inside = e.cache.blocks[a as usize].entry;
-                e.cache.registry.interp_stubs.insert(0x4242, inside);
+                let inside = e.blocks[a as usize].entry;
+                e.registry.interp_stubs.insert(0x4242, inside);
             }),
         ];
         for (k, (name, breakage)) in breakages.into_iter().enumerate() {
