@@ -14,7 +14,7 @@ use crate::registry::Registry;
 use crate::state::{self, GR_PAYLOAD0, GR_STATE};
 use crate::stats::Stats;
 use crate::templates::{AccessMode, MisalignPlan};
-use crate::trace::{EventData, Phase, Rung, SpanToken, TraceConfig, Tracer};
+use crate::trace::{EventData, Phase, SpanToken, TraceConfig, Tracer};
 use ia32::cpu::Cpu;
 use ia32::interp::{Event, Interp};
 use ia32::mem::{GuestMem, MemFaultKind, Prot};
@@ -22,6 +22,11 @@ use ipf::asm::Relocatable;
 use ipf::inst::{FFmt, Op, Target};
 use ipf::machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason};
 use std::collections::{HashMap, HashSet};
+
+mod ladder;
+
+pub use ladder::EngineError;
+use ladder::Ladder;
 
 /// Engine configuration — the knobs the benchmarks and ablations turn.
 /// Charges and thresholds nothing varies are constants in
@@ -137,47 +142,6 @@ impl Default for Config {
 /// promoted by the gate, never demoted.
 pub(crate) fn site_is_monomorphic(hits: u64, uses: u64) -> bool {
     hits.saturating_mul(2) >= uses
-}
-
-/// A translator-internal failure (organic or injected) that the
-/// degradation ladder recovers from instead of panicking.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub enum EngineError {
-    /// Translated code branched out of the arena to a non-stub address
-    /// (corrupted or mispatched code).
-    NonStubBranch {
-        /// The bad branch target.
-        target: u64,
-        /// Arena address of the branching bundle.
-        from: u64,
-    },
-    /// A NaT-flagged value was consumed (failed control/data
-    /// speculation that escaped its `chk.s`).
-    NatConsumption {
-        /// Faulting arena address.
-        ip: u64,
-        /// Faulting slot.
-        slot: u8,
-    },
-    /// A misalignment fault was taken on a bundle the engine cannot
-    /// emulate (clobbered code or a non-memory op).
-    MisalignResidue {
-        /// Faulting arena address.
-        ip: u64,
-        /// Faulting slot.
-        slot: u8,
-    },
-}
-
-impl EngineError {
-    /// The arena `(bundle address, slot)` the failure was raised at.
-    fn site(self) -> (u64, u8) {
-        match self {
-            EngineError::NonStubBranch { from, .. } => (from, 0),
-            EngineError::NatConsumption { ip, slot }
-            | EngineError::MisalignResidue { ip, slot } => (ip, slot),
-        }
-    }
 }
 
 /// Why the engine returned.
@@ -370,8 +334,6 @@ impl Bus for MemBus<'_> {
 /// seam to notify the shared namespace from.
 #[derive(Debug)]
 pub(crate) struct CodeCache {
-    /// The degradation ladder's re-promotion blacklist.
-    pub(crate) blacklist: Blacklist,
     /// Next free per-block profile slot.
     pub(crate) profile_cursor: u64,
     /// Pages that have modified translated code at least once
@@ -405,10 +367,6 @@ pub(crate) struct CodeCache {
 /// translation namespace.
 #[derive(Debug)]
 pub(crate) struct GuestContext {
-    /// Dynamic nesting depth of recovery operations (degradation
-    /// ladder, SMC invalidation). > 0 while already recovering; a
-    /// failure at depth >= 1 is re-entrant.
-    pub(crate) recovery_depth: u32,
     /// Block whose code the engine may still patch or resume in the
     /// current exit handling — never an eviction victim.
     pub(crate) pinned_block: Option<u32>,
@@ -443,6 +401,8 @@ pub struct Engine {
     /// has already run; `run` performs it exactly once, before the
     /// first dispatch.
     warm_booted: bool,
+    /// The degradation ladder's blacklist and recovery depth.
+    pub(crate) ladder: Ladder,
     /// The shareable code-cache state.
     pub(crate) cache: CodeCache,
     /// The per-guest session state.
@@ -495,8 +455,8 @@ impl Engine {
             blocks: Vec::new(),
             registry: Registry::default(),
             warm_booted: false,
+            ladder: Ladder::new(cfg.blacklist_backoff_cycles),
             cache: CodeCache {
-                blacklist: Blacklist::new(cfg.blacklist_backoff_cycles),
                 profile_cursor: layout::COUNTERS_BASE + PROFILE_STRIDE,
                 smc_pages: HashSet::new(),
                 smc_window: HashMap::new(),
@@ -506,7 +466,6 @@ impl Engine {
                 ic_slots: vec![layout::COUNTERS_BASE + IC_OFFSET],
             },
             ctx: GuestContext {
-                recovery_depth: 0,
                 pinned_block: None,
                 shared: None,
             },
@@ -517,16 +476,6 @@ impl Engine {
     /// Every allocated inline-cache slot (coherence tests scan these).
     pub fn ic_slots(&self) -> &[u64] {
         &self.cache.ic_slots
-    }
-
-    /// The re-promotion blacklist (inspection for tests/figures).
-    pub fn blacklist(&self) -> &Blacklist {
-        &self.cache.blacklist
-    }
-
-    /// Mutable blacklist access (tests drive the policy directly).
-    pub fn blacklist_mut(&mut self) -> &mut Blacklist {
-        &mut self.cache.blacklist
     }
 
     /// Block info by id.
@@ -1542,17 +1491,6 @@ impl Engine {
             })
     }
 
-    /// Counts and traces one trip to the degradation ladder's bottom
-    /// rung: the instruction at `eip` goes through the interpreter.
-    fn note_interp_fallback(&mut self, eip: u32) {
-        self.stats.interp_fallbacks += 1;
-        self.trace_emit(EventData::LadderRung {
-            rung: Rung::Interpret,
-            eip,
-        });
-        self.trace_emit(EventData::InterpFallback { eip });
-    }
-
     /// Returns (emitting on first use) the interpreter stub for `eip`.
     /// Interpret-only pages, and blocks that cannot be translated,
     /// re-dispatch the same EIPs over and over, so stubs are cached per
@@ -2027,7 +1965,7 @@ impl Engine {
                 let eip = b.eip;
                 // Demoted blocks sit out their re-promotion backoff:
                 // no candidacy until the blacklist releases them.
-                if self.cache.blacklist.is_blocked(eip, self.machine.cycles) {
+                if self.blacklist().is_blocked(eip, self.machine.cycles) {
                     self.stats.blacklist_hits += 1;
                     return ExitAction::Dispatch(eip);
                 }
@@ -2418,19 +2356,20 @@ impl Engine {
     /// [`Self::handle_smc_store`] minus the machine-state
     /// reconstruction: the interpreter already had precise state.
     fn smc_from_interp(&mut self, os: &mut dyn BtOs, eip: u32, addr: u64) -> ExitAction {
-        self.recovery_enter();
-        self.stats.smc_events += 1;
-        let page = (addr >> 12) as u32;
-        self.mem.set_code_protect(addr, false);
-        let act = self.interp_one(os, eip);
-        self.smc_invalidate_extents(page);
-        // The governor may blacklist the page (leaving it unprotected
-        // and interpret-only); otherwise re-arm write protection.
-        if !self.note_smc_disturbance(page) {
-            self.mem.set_code_protect(addr, true);
-        }
-        self.recovery_exit();
-        act
+        self.recovering(|e| {
+            e.stats.smc_events += 1;
+            let page = (addr >> 12) as u32;
+            e.mem.set_code_protect(addr, false);
+            let act = e.interp_one(os, eip);
+            e.smc_invalidate_extents(page);
+            // The governor may blacklist the page (leaving it
+            // unprotected and interpret-only); otherwise re-arm write
+            // protection.
+            if !e.note_smc_disturbance(page) {
+                e.mem.set_code_protect(addr, true);
+            }
+            act
+        })
     }
 
     /// Post-store, compares each registered block's source bytes
@@ -2646,7 +2585,7 @@ impl Engine {
         let start = self.region_cycle(region::OVERHEAD);
         for id in self.registry.take_candidates() {
             let eip = self.blocks[id as usize].eip;
-            if self.cache.blacklist.is_blocked(eip, self.machine.cycles) {
+            if self.blacklist().is_blocked(eip, self.machine.cycles) {
                 self.stats.blacklist_hits += 1;
                 continue;
             }
@@ -2661,302 +2600,6 @@ impl Engine {
             }
         }
         self.trace_phase_exit(span);
-    }
-
-    /// Opens a recovery scope. Depth is tracked so a failure raised
-    /// *while already recovering* (re-entrant SMC, fault during a
-    /// rebuild, injected translation death inside a demotion) is
-    /// visible to the ladder instead of recursing blind.
-    fn recovery_enter(&mut self) {
-        self.ctx.recovery_depth += 1;
-        if self.ctx.recovery_depth > 1 {
-            self.stats.reentrant_recoveries += 1;
-        }
-        self.stats.recovery_depth_max = self
-            .stats
-            .recovery_depth_max
-            .max(self.ctx.recovery_depth as u64);
-    }
-
-    fn recovery_exit(&mut self) {
-        self.ctx.recovery_depth -= 1;
-    }
-
-    /// The degradation ladder entry point, re-entrancy-guarded: at
-    /// [`policy::MAX_RECOVERY_DEPTH`] nested failures the engine stops trusting
-    /// translated code entirely and takes the interpret-only floor —
-    /// one precisely reconstructed instruction through the safety net,
-    /// which cannot itself raise an `EngineError`.
-    fn degrade(&mut self, os: &mut dyn BtOs, err: EngineError) -> ExitAction {
-        self.recovery_enter();
-        let act = if self.ctx.recovery_depth >= policy::MAX_RECOVERY_DEPTH {
-            self.stats.ladder_recoveries += 1;
-            let (site, slot) = err.site();
-            let cpu = self.reconstruct(site, slot);
-            self.note_interp_fallback(cpu.eip);
-            state::cpu_to_machine(&cpu, &mut self.machine);
-            self.interp_one(os, cpu.eip)
-        } else {
-            self.degrade_inner(os, err)
-        };
-        self.recovery_exit();
-        act
-    }
-
-    /// The degradation ladder: maps a translator-internal failure to a
-    /// precise guest state and a bounded recovery action (retry ->
-    /// demote/evict + blacklist -> retranslate) — never a panic.
-    fn degrade_inner(&mut self, os: &mut dyn BtOs, err: EngineError) -> ExitAction {
-        self.stats.ladder_recoveries += 1;
-        let (site, slot) = err.site();
-        let id = self.block_at_addr_any(site);
-        // Precise state: a block entry is a state boundary (everything
-        // in its canonical home, EIP = the block's EIP); inside a block
-        // the recovery maps / state register reconstruct it.
-        let cpu = match id {
-            Some(id) => {
-                let b = &self.blocks[id as usize];
-                if b.extents.iter().any(|&(s, _)| s == site) {
-                    state::machine_to_cpu(&self.machine, b.eip)
-                } else {
-                    self.reconstruct(site, slot)
-                }
-            }
-            None => self.reconstruct(site, slot),
-        };
-        let rung = if let Some(id) = id {
-            let is_spec = matches!(err, EngineError::NatConsumption { .. });
-            if is_spec && self.blocks[id as usize].kind == BlockKind::Hot {
-                // Failed speculation: bounded retries, then rebuild
-                // without the speculative assumptions (inline checks).
-                let b = &mut self.blocks[id as usize];
-                b.spec_failures += 1;
-                if b.spec_failures > policy::SPEC_RETRY_CAP {
-                    b.inline_fp = true;
-                    self.stats.spec_retry_exhaustions += 1;
-                    self.demote_block(os, id);
-                    Rung::Demote
-                } else {
-                    Rung::Retry
-                }
-            } else {
-                self.note_failure(os, id)
-            }
-        } else {
-            Rung::Retry
-        };
-        self.trace_emit(EventData::LadderRung { rung, eip: cpu.eip });
-        state::cpu_to_machine(&cpu, &mut self.machine);
-        ExitAction::Dispatch(cpu.eip)
-    }
-
-    /// Charges one ladder failure to a block. Below the cap the block
-    /// is simply retried (a transient fault may clear); past it the
-    /// block is demoted (hot) or evicted (cold), its EIP blacklisted,
-    /// and the next dispatch rebuilds fresh code from the unchanged
-    /// guest bytes. Returns the rung taken (for the trace).
-    fn note_failure(&mut self, os: &mut dyn BtOs, id: u32) -> Rung {
-        let b = &mut self.blocks[id as usize];
-        if b.evicted {
-            return Rung::Retry;
-        }
-        b.failures += 1;
-        if b.failures <= policy::BLOCK_FAILURE_CAP {
-            return Rung::Retry;
-        }
-        if b.kind == BlockKind::Hot {
-            self.demote_block(os, id);
-            Rung::Demote
-        } else {
-            let eip = self.blocks[id as usize].eip;
-            let until = self.cache.blacklist.strike(eip, self.machine.cycles);
-            self.trace_emit(EventData::Blacklisted { eip, until });
-            self.evict_block(id);
-            Rung::Evict
-        }
-    }
-
-    /// Demotes a hot (or repeatedly failing) block back to stage-2 cold
-    /// code and blacklists its EIP from re-promotion with exponential
-    /// backoff.
-    fn demote_block(&mut self, os: &mut dyn BtOs, id: u32) {
-        let eip = self.blocks[id as usize].eip;
-        self.stats.demotions += 1;
-        let until = self.cache.blacklist.strike(eip, self.machine.cycles);
-        let strikes = self.cache.blacklist.strikes(eip);
-        // A ladder strike means this EIP's published record is suspect
-        // (repeated faults under it): pull it and bump the generation
-        // until a clean retranslation re-publishes.
-        self.shared_notify(|ns, c| ns.invalidate(eip, c) as u64);
-        self.trace_emit(EventData::BlockDemoted { id, eip, strikes });
-        self.trace_emit(EventData::Blacklisted { eip, until });
-        if self.live_block(eip).is_some_and(|b| b.id == id) {
-            // Injected translation death *during the demotion rebuild*:
-            // a failure inside a recovery action. Descend re-entrantly
-            // — evict and blacklist rather than loop demote→rebuild —
-            // under the depth guard so the descent is visible in
-            // `recovery_depth_max` / `reentrant_recoveries`.
-            if self.inject(FaultKind::Translate) {
-                self.recovery_enter();
-                self.stats.ladder_recoveries += 1;
-                self.trace_emit(EventData::LadderRung {
-                    rung: Rung::Evict,
-                    eip,
-                });
-                self.evict_block(id);
-                self.recovery_exit();
-                return;
-            }
-            let inline_fp = self.blocks[id as usize].inline_fp;
-            self.retranslate(os, id, BlockKind::ColdV2, inline_fp);
-        } else {
-            // An orphaned generation (superseded via SMC): nothing to
-            // rebuild, just reclaim it.
-            self.evict_block(id);
-        }
-    }
-
-    /// A failed promotion is the checkpoint for megamorphic-site
-    /// demotion: if the block's inline cache has been trained (pred
-    /// set) but hit on fewer than half of a meaningful number of
-    /// executions, the site is polymorphic and the IC/shadow machinery
-    /// is pure per-execution overhead — demote to the plain probe.
-    fn maybe_demote_megamorphic(&mut self, os: &mut dyn BtOs, id: u32) {
-        let b = &self.blocks[id as usize];
-        if b.indirect_plain || b.evicted || b.kind == BlockKind::Hot {
-            return;
-        }
-        let slot = b.ic_slot;
-        let counter = b.counter_addr;
-        let pred = self.mem.read(slot, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-        if pred == layout::LOOKUP_EMPTY_KEY {
-            // Not an inline-cache-probing terminator (or never ran).
-            return;
-        }
-        let uses = self.mem.read(counter, 8).unwrap_or(0);
-        let hits = self.mem.read(slot + 16, 8).unwrap_or(0);
-        if uses >= policy::MEGAMORPHIC_DEMOTE_USES && !site_is_monomorphic(hits, uses) {
-            self.demote_indirect(os, id);
-        }
-    }
-
-    /// Demotes a block whose per-site acceleration keeps mispredicting
-    /// (megamorphic inline cache, or a ret whose shadow pops chronically
-    /// miss) to the plain 2-way table probe and retranslates it in
-    /// place. One-way: the block keeps its kind and profile slots; only
-    /// the accel emission changes. The stale prediction is emptied so
-    /// hot selection can never devirtualize through a site that no
-    /// longer maintains it.
-    fn demote_indirect(&mut self, os: &mut dyn BtOs, id: u32) {
-        let b = &self.blocks[id as usize];
-        if b.indirect_plain || b.evicted || b.kind == BlockKind::Hot {
-            return;
-        }
-        let (eip, kind, inline_fp, slot) = (b.eip, b.kind, b.inline_fp, b.ic_slot);
-        self.blocks[id as usize].indirect_plain = true;
-        let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
-        let _ = self.mem.write(slot + 16, 8, 0);
-        self.stats.indirect_demotions += 1;
-        self.trace_emit(EventData::IndirectDemote { eip, id });
-        if self.live_block(eip).is_some_and(|b| b.id == id) {
-            self.retranslate(os, id, kind, inline_fp);
-        }
-    }
-
-    /// Consults the attached `FaultPlan` at a dispatch boundary and
-    /// applies any injected faults. Every injection damages only
-    /// *translations*, which the ladder rebuilds from unchanged guest
-    /// code — guest-visible semantics are preserved by construction
-    /// (the differential oracle in the chaos bench checks this).
-    fn inject_faults(&mut self, os: &mut dyn BtOs, eip: u32) {
-        let Some(mut plan) = self.chaos.take() else {
-            return;
-        };
-        // Misalignment storm: push a victim over its fault tolerance.
-        if plan.roll(FaultKind::MisalignStorm) {
-            if let Some(victim) = self.pick_victim(&mut plan, true) {
-                self.note_injected(FaultKind::MisalignStorm);
-                self.stats.ladder_recoveries += 1;
-                let n = policy::HOT_MISALIGN_TOLERANCE + 1;
-                self.stats.misalign_faults += n as u64;
-                self.machine
-                    .charge(region::OTHER, cost::MISALIGN_FAULT_CYCLES * n as u64);
-                self.blocks[victim as usize].misalign_faults += n;
-                if self.blocks[victim as usize].kind == BlockKind::Hot {
-                    self.demote_block(os, victim);
-                } else {
-                    // Retrain: regenerate with detection and avoidance.
-                    self.stats.misalign_retrains += 1;
-                    self.retranslate(os, victim, BlockKind::ColdV2, false);
-                }
-            }
-        }
-        // SMC write landing on the current page: invalidate all of its
-        // translations. Guest bytes are unchanged, so the retranslation
-        // is identical — only the recovery machinery is exercised.
-        if plan.roll(FaultKind::SmcInvalidate) {
-            self.note_injected(FaultKind::SmcInvalidate);
-            self.stats.smc_events += 1;
-            self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-            for id in self.registry.on_page(eip >> 12).to_vec() {
-                self.orphan_block(id);
-            }
-        }
-        // Bit-flip: clobber a victim's entry bundle. Detected by the
-        // checksum (verify-on-dispatch) or, without it, by the
-        // non-stub-branch rung of the ladder — never executed as-is
-        // beyond the clobbered slot.
-        if plan.roll(FaultKind::BitFlip) {
-            if let Some(victim) = self.pick_victim(&mut plan, false) {
-                self.note_injected(FaultKind::BitFlip);
-                let entry = self.blocks[victim as usize].range.0;
-                self.machine.arena.patch_slot(
-                    entry,
-                    0,
-                    Op::Br {
-                        target: Target::Abs(layout::CORRUPT_SENTINEL),
-                    },
-                );
-                // No note_patched(): this modification is unsanctioned,
-                // exactly what the checksum must catch.
-            }
-        }
-        // Asynchronous signal: enqueue one at the current cycle. The
-        // boundary poll right after injection (or a mid-trace commit
-        // point, if the guest is already executing) delivers it.
-        // Guests with no handler registered ignore the roll.
-        if plan.roll(FaultKind::AsyncSignal) && os.raise_signal() {
-            self.note_injected(FaultKind::AsyncSignal);
-        }
-        self.chaos = Some(plan);
-    }
-
-    /// Picks a live, registered injection victim — preferring hot
-    /// blocks when asked (so storms exercise demotion).
-    fn pick_victim(&mut self, plan: &mut FaultPlan, prefer_hot: bool) -> Option<u32> {
-        let mut pool: Vec<u32> = self.registry.registered().map(|(_, id)| id).collect();
-        pool.sort_unstable();
-        let is_hot = |id: &u32| self.blocks[*id as usize].kind == BlockKind::Hot;
-        if prefer_hot && pool.iter().any(is_hot) {
-            pool.retain(is_hot);
-        }
-        (!pool.is_empty()).then(|| pool[plan.pick(pool.len())])
-    }
-
-    /// Rolls the attached fault plan for `kind` at one of the engine's
-    /// own injection points, noting a hit.
-    fn inject(&mut self, kind: FaultKind) -> bool {
-        let hit = self.chaos.as_mut().is_some_and(|p| p.roll(kind));
-        if hit {
-            self.note_injected(kind);
-        }
-        hit
-    }
-
-    /// Counts and traces one injected fault.
-    fn note_injected(&mut self, kind: FaultKind) {
-        self.stats.faults_injected += 1;
-        self.trace_emit(EventData::FaultInjected { kind });
     }
 
     /// Delivers an asynchronous signal to `handler` from the precise
@@ -3206,13 +2849,21 @@ pub(crate) mod tests {
         // A failure raised while already MAX_RECOVERY_DEPTH-1 deep in
         // recovery scopes: the ladder must not recurse into another
         // rebuild; it interprets exactly one instruction (the hlt).
+        fn nested<R>(e: &mut Engine, depth: u32, f: impl FnOnce(&mut Engine) -> R) -> R {
+            match depth {
+                0 => f(e),
+                _ => e.recovering(|e| nested(e, depth - 1, f)),
+            }
+        }
         let mut engine = halt_engine();
-        engine.ctx.recovery_depth = policy::MAX_RECOVERY_DEPTH - 1;
         let err = EngineError::NonStubBranch {
             target: 0xdead,
             from: 0xbeef,
         };
-        match engine.degrade(&mut os, err) {
+        let (act, depth) = nested(&mut engine, policy::MAX_RECOVERY_DEPTH - 1, |e| {
+            (e.degrade(&mut os, err), e.ladder.depth())
+        });
+        match act {
             // The interpreter retires the hlt, so EIP sits past it.
             ExitAction::Done(Outcome::Halted(cpu)) => assert_eq!(cpu.eip, 0x40_0001),
             _ => panic!("floor must step the interpreter through the hlt"),
@@ -3226,8 +2877,9 @@ pub(crate) mod tests {
             engine.stats.recovery_depth_max,
             u64::from(policy::MAX_RECOVERY_DEPTH)
         );
-        // The scope unwound: the faked outer depth is all that remains.
-        assert_eq!(engine.ctx.recovery_depth, policy::MAX_RECOVERY_DEPTH - 1);
+        // The floor's scope unwound inside the outer ones, and they did.
+        assert_eq!(depth, policy::MAX_RECOVERY_DEPTH - 1);
+        assert_eq!(engine.ladder.depth(), 0);
     }
 
     /// The hot phase's only failure mode is "the block stays cold".

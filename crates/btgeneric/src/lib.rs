@@ -9,6 +9,17 @@
 //! schedules aggressively while keeping exceptions precise through
 //! commit points and recovery maps.
 
+/// `check!(name, holds, why...)`: an audit returns `Err` naming the
+/// invariant that does not hold.
+#[cfg(any(test, debug_assertions))]
+macro_rules! check {
+    ($name:literal, $ok:expr, $($why:tt)+) => {
+        if !$ok {
+            return Err(format!(concat!($name, ": {}"), format_args!($($why)+)));
+        }
+    };
+}
+
 pub mod btos;
 pub mod chaos;
 pub mod cold;

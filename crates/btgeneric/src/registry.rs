@@ -277,16 +277,6 @@ fn source_spans(b: &BlockInfo) -> &[(u32, u32)] {
     }
 }
 
-/// `check!(name, holds, why...)`: names the broken invariant.
-#[cfg(any(test, debug_assertions))]
-macro_rules! check {
-    ($name:literal, $ok:expr, $($why:tt)+) => {
-        if !$ok {
-            return Err(format!(concat!($name, ": {}"), format_args!($($why)+)));
-        }
-    };
-}
-
 #[cfg(any(test, debug_assertions))]
 impl crate::engine::Engine {
     /// [`Engine::audit`] as a debug build runs it after registry
@@ -364,8 +354,7 @@ impl crate::engine::Engine {
                 check!(
                     "protected",
                     r.protected.contains(&page)
-                        && (self.ctx.recovery_depth > 0
-                            || prot.is_some_and(|p| p.write_protect_code)),
+                        && (self.ladder.depth() > 0 || prot.is_some_and(|p| p.write_protect_code)),
                     "page {page:#x} holds live code and is not write-protected"
                 );
             }
@@ -499,7 +488,7 @@ impl crate::engine::Engine {
                 "the stub for {eip:#x} at {addr:#x} is freed or inside a block"
             );
         }
-        Ok(())
+        self.ladder.audit()
     }
 
     /// The absolute branch targets in the bundle at `site`.
