@@ -252,6 +252,11 @@ impl Blacklist {
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
     }
+
+    /// Every key ever struck, in no particular order.
+    pub fn keys(&self) -> impl Iterator<Item = u32> + '_ {
+        self.entries.keys().copied()
+    }
 }
 
 /// Corrupts the latest generation of a block in place: its entry

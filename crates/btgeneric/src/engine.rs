@@ -3,7 +3,7 @@
 //! phases together (paper Figure 2).
 
 use crate::btos::{BtOs, ExceptionOutcome, GuestException, SyscallOutcome};
-use crate::chaos::{Blacklist, FaultKind, FaultPlan};
+use crate::chaos::{FaultKind, FaultPlan};
 use crate::cold::discover::discover;
 use crate::cold::gen::{generate, ColdGenInput, SpecSeed};
 use crate::cold::liveness::analyze;
@@ -21,12 +21,14 @@ use ia32::mem::{GuestMem, MemFaultKind, Prot};
 use ipf::asm::Relocatable;
 use ipf::inst::{FFmt, Op, Target};
 use ipf::machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason};
-use std::collections::{HashMap, HashSet};
+use std::collections::HashMap;
 
 mod ladder;
+mod smc;
 
 pub use ladder::EngineError;
 use ladder::Ladder;
+use smc::SmcGovernor;
 
 /// Engine configuration — the knobs the benchmarks and ablations turn.
 /// Charges and thresholds nothing varies are constants in
@@ -336,15 +338,6 @@ impl Bus for MemBus<'_> {
 pub(crate) struct CodeCache {
     /// Next free per-block profile slot.
     pub(crate) profile_cursor: u64,
-    /// Pages that have modified translated code at least once
-    /// (translations get an explicit snapshot-check prologue).
-    pub(crate) smc_pages: HashSet<u32>,
-    /// SMC-thrash governor state: page -> (window start, invalidation
-    /// events inside the window).
-    pub(crate) smc_window: HashMap<u32, (u64, u32)>,
-    /// Pages blacklisted to interpret-only by the SMC-thrash governor
-    /// (exponential un-blacklist backoff, keyed by page number).
-    pub(crate) smc_blacklist: Blacklist,
     /// Profile slot per guest EIP, persistent across retranslation and
     /// eviction so re-heated blocks promote quickly.
     pub(crate) profile_of: HashMap<u32, u64>,
@@ -403,6 +396,8 @@ pub struct Engine {
     warm_booted: bool,
     /// The degradation ladder's blacklist and recovery depth.
     pub(crate) ladder: Ladder,
+    /// The SMC-thrash governor.
+    pub(crate) smc: SmcGovernor,
     /// The shareable code-cache state.
     pub(crate) cache: CodeCache,
     /// The per-guest session state.
@@ -456,11 +451,9 @@ impl Engine {
             registry: Registry::default(),
             warm_booted: false,
             ladder: Ladder::new(cfg.blacklist_backoff_cycles),
+            smc: SmcGovernor::new(cfg.smc_thrash_threshold),
             cache: CodeCache {
                 profile_cursor: layout::COUNTERS_BASE + PROFILE_STRIDE,
-                smc_pages: HashSet::new(),
-                smc_window: HashMap::new(),
-                smc_blacklist: Blacklist::new(policy::SMC_BACKOFF_CYCLES),
                 profile_of: HashMap::new(),
                 profile_mapped: layout::PROFILE_BASE + head,
                 ic_slots: vec![layout::COUNTERS_BASE + IC_OFFSET],
@@ -812,10 +805,10 @@ impl Engine {
     /// explicit-check mode) and sends whatever block the new one
     /// displaced back through dispatch.
     fn register(&mut self, id: u32) {
-        let (mem, smc_pages) = (&self.mem, &self.cache.smc_pages);
+        let (mem, smc) = (&self.mem, &self.smc);
         let protectable = |page: u32| {
             mem.prot_of((page as u64) << 12).map(|p| p.write) == Some(true)
-                && !smc_pages.contains(&page)
+                && !smc.is_snapshot(page)
         };
         let b = &mut self.blocks[id as usize];
         let done = self.registry.install(b, protectable);
@@ -838,11 +831,7 @@ impl Engine {
         // expires: retranslating code the guest is busy rewriting is
         // pure churn (the thrash governor's bound on retranslation
         // storms).
-        if self
-            .cache
-            .smc_blacklist
-            .is_blocked(eip >> 12, self.machine.cycles)
-        {
+        if self.smc.interpret_only(eip >> 12, self.machine.cycles) {
             self.stats.smc_interp_blocks += 1;
             return Ok(self.interp_stub_for(eip));
         }
@@ -1213,7 +1202,7 @@ impl Engine {
         };
         // SMC-aware prologue for pages that have already modified code.
         let page = eip >> 12;
-        let smc_check = if self.cache.smc_pages.contains(&page) {
+        let smc_check = if self.smc.is_snapshot(page) {
             let snapshot = self.mem.read(eip as u64, 8).unwrap_or(0);
             Some((eip as u64, snapshot))
         } else {
@@ -2325,138 +2314,6 @@ impl Engine {
             _ => return Err(MisEmu::Residue),
         }
         Ok(())
-    }
-
-    /// A store hit a write-protected translated-code page. The store has
-    /// NOT executed. Reconstruct the precise state at the storing
-    /// instruction, single-step it in the reference interpreter with
-    /// protection lifted (full IA-32 semantics, e.g. for `xchg`/`push`),
-    /// then invalidate *per extent*: only blocks whose source bytes
-    /// actually changed (FNV recheck against the translation-time
-    /// checksum) are orphaned — a guest JIT patching one function does
-    /// not throw away its neighbors on the same page. Hot traces span
-    /// guest blocks beyond their recorded source range, so they are
-    /// orphaned unconditionally. A thrash governor counts disturbances
-    /// per page and demotes chronically rewritten pages to
-    /// interpret-only with exponential backoff.
-    ///
-    /// Runs under the re-entrant recovery guard: an SMC fault taken
-    /// while already recovering (e.g. on the handler's own page during
-    /// signal delivery) descends rather than recursing unboundedly.
-    fn handle_smc_store(&mut self, os: &mut dyn BtOs, ip: u64, slot: u8, addr: u64) -> ExitAction {
-        let cpu = self.reconstruct(ip, slot);
-        state::cpu_to_machine(&cpu, &mut self.machine);
-        self.smc_from_interp(os, cpu.eip, addr)
-    }
-
-    /// An SMC store reached the interpreter escape hatch directly (the
-    /// ladder's interpret floor, or the interpret-only gate of a page
-    /// whose neighbor is still protected) and tripped write protection
-    /// there instead of in translated code. Same recipe as
-    /// [`Self::handle_smc_store`] minus the machine-state
-    /// reconstruction: the interpreter already had precise state.
-    fn smc_from_interp(&mut self, os: &mut dyn BtOs, eip: u32, addr: u64) -> ExitAction {
-        self.recovering(|e| {
-            e.stats.smc_events += 1;
-            let page = (addr >> 12) as u32;
-            e.mem.set_code_protect(addr, false);
-            let act = e.interp_one(os, eip);
-            e.smc_invalidate_extents(page);
-            // The governor may blacklist the page (leaving it
-            // unprotected and interpret-only); otherwise re-arm write
-            // protection.
-            if !e.note_smc_disturbance(page) {
-                e.mem.set_code_protect(addr, true);
-            }
-            act
-        })
-    }
-
-    /// Post-store, compares each registered block's source bytes
-    /// against its translation-time checksum. Unchanged cold blocks
-    /// keep their translations (and their registration); changed blocks
-    /// and hot traces (whose source span exceeds their recorded range)
-    /// are orphaned.
-    fn smc_invalidate_extents(&mut self, page: u32) {
-        // The guest rewrote this page: whatever any tenant published
-        // for it is stale. Sweep the namespace first so a peer racing
-        // this invalidation sees the generation bump.
-        self.shared_notify(|ns, c| ns.invalidate_page(page, c));
-        for id in self.registry.on_page(page).to_vec() {
-            let b = &self.blocks[id as usize];
-            if b.kind != BlockKind::Hot && src_checksum(&self.mem, b.src_range) == b.src_fnv {
-                self.stats.smc_extent_keeps += 1;
-            } else {
-                self.stats.smc_extent_orphans += 1;
-                self.orphan_block(id);
-            }
-        }
-    }
-
-    /// The single caller of [`Registry::orphan`]: block `id` leaves the
-    /// registry, its entry forwards to the re-enter stub (code already
-    /// inside it runs on to its next exit), and every lookup way and
-    /// inline cache keyed on its EIP is emptied so the next transfer
-    /// goes through dispatch.
-    fn orphan_block(&mut self, id: u32) {
-        let b = &self.blocks[id as usize];
-        let (eip, entry) = (b.eip, b.entry);
-        self.registry.orphan(b);
-        self.forward(entry, StubKind::Reenter.addr());
-        for s in self.predictions_of(eip) {
-            let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-        }
-        self.audited();
-    }
-
-    /// True when `eip` lives on a page the SMC governor has seen
-    /// thrash (blacklisted now, or in snapshot-check mode after the
-    /// backoff). Cold blocks on such pages carry a snapshot-check
-    /// prologue; hot traces have no per-entry staleness check, so the
-    /// selector must not walk onto these pages.
-    pub(crate) fn smc_churn_page(&self, eip: u32) -> bool {
-        self.cache.smc_pages.contains(&(eip >> 12))
-    }
-
-    /// Counts one SMC disturbance against `page` for the thrash
-    /// governor. Over the threshold within the window, the page is
-    /// blacklisted to interpret-only with exponential backoff (all its
-    /// surviving translations orphaned, write protection dropped) and
-    /// `true` is returned. After the backoff expires, fresh translations
-    /// are built in snapshot-check mode (`smc_pages`), so the page never
-    /// pays the protection-fault storm again.
-    fn note_smc_disturbance(&mut self, page: u32) -> bool {
-        if self.cfg.smc_thrash_threshold == 0 {
-            return false;
-        }
-        let now = self.machine.cycles;
-        let w = self.cache.smc_window.entry(page).or_insert((now, 0));
-        if now.saturating_sub(w.0) > policy::SMC_THRASH_WINDOW {
-            *w = (now, 0);
-        }
-        w.1 += 1;
-        if w.1 < self.cfg.smc_thrash_threshold {
-            return false;
-        }
-        self.cache.smc_window.remove(&page);
-        self.cache.smc_blacklist.strike(page, now);
-        let strikes = self.cache.smc_blacklist.strikes(page);
-        self.stats.smc_blacklists += 1;
-        self.trace_emit(EventData::SmcBlacklist { page, strikes });
-        // Orphan every surviving translation on the page: dispatches
-        // must miss the registry so they reach the interpret-only gate.
-        for id in self.registry.on_page(page).to_vec() {
-            self.orphan_block(id);
-        }
-        // Snapshot-check mode for post-backoff retranslations; writes
-        // to the unprotected page are then caught by the SmcFail
-        // prologue instead of protection faults.
-        self.cache.smc_pages.insert(page);
-        self.mem.set_code_protect((page as u64) << 12, false);
-        // Deny the page in the shared namespace: peers must not import
-        // translations of code this guest is busy rewriting.
-        self.shared_notify(|ns, c| ns.deny_page(page, c));
-        true
     }
 
     fn fix_tos(&mut self, id: u32) {

@@ -350,7 +350,7 @@ impl crate::engine::Engine {
         // handling while it re-runs the store.)
         for &page in r.by_page.keys() {
             let prot = self.mem.prot_of((page as u64) << 12);
-            if prot.is_some_and(|p| p.write) && !self.cache.smc_pages.contains(&page) {
+            if prot.is_some_and(|p| p.write) && !self.smc.is_snapshot(page) {
                 check!(
                     "protected",
                     r.protected.contains(&page)
@@ -488,7 +488,8 @@ impl crate::engine::Engine {
                 "the stub for {eip:#x} at {addr:#x} is freed or inside a block"
             );
         }
-        self.ladder.audit()
+        self.ladder.audit()?;
+        self.smc.audit(&self.mem)
     }
 
     /// The absolute branch targets in the bundle at `site`.
