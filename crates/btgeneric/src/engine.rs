@@ -17,15 +17,17 @@ use crate::templates::{AccessMode, MisalignPlan};
 use crate::trace::{EventData, Phase, SpanToken, TraceConfig, Tracer};
 use ia32::cpu::Cpu;
 use ia32::interp::{Event, Interp};
-use ia32::mem::{GuestMem, MemFaultKind, Prot};
+use ia32::mem::{GuestMem, MemFaultKind};
 use ipf::asm::Relocatable;
-use ipf::inst::{FFmt, Op, Target};
+use ipf::inst::{FFmt, Op};
 use ipf::machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason};
 use std::collections::HashMap;
 
+mod dispatch;
 mod ladder;
 mod smc;
 
+use dispatch::Dispatch;
 pub use ladder::EngineError;
 use ladder::Ladder;
 use smc::SmcGovernor;
@@ -325,32 +327,6 @@ impl Bus for MemBus<'_> {
     }
 }
 
-/// The shareable code-cache half of an engine: every bookkeeping
-/// structure that describes *translations* rather than the guest
-/// running through them. This is the state the multi-tenant serving
-/// layer shares across sessions (at the generation-metadata level,
-/// through [`crate::serving::SharedCache`]): the block table, the
-/// [`Registry`] of indices over it, profile/heat allocation, and the
-/// SMC governor. Pulling it out of [`Engine`] makes the per-guest /
-/// shareable boundary explicit and gives invalidation paths a single
-/// seam to notify the shared namespace from.
-#[derive(Debug)]
-pub(crate) struct CodeCache {
-    /// Next free per-block profile slot.
-    pub(crate) profile_cursor: u64,
-    /// Profile slot per guest EIP, persistent across retranslation and
-    /// eviction so re-heated blocks promote quickly.
-    pub(crate) profile_of: HashMap<u32, u64>,
-    /// End of the currently mapped prefix of the profile region (grown
-    /// on demand through `BtOs::alloc_pages`).
-    pub(crate) profile_mapped: u64,
-    /// Every allocated inline-cache slot address (one per profile slot,
-    /// shared overflow slot included once). Eviction, SMC invalidation,
-    /// and flushing scan this list to purge stale predictions;
-    /// `collect_indirect_stats` sums the per-site hit counters over it.
-    pub(crate) ic_slots: Vec<u64>,
-}
-
 /// The per-guest half of an engine: session-scoped state that must
 /// never be shared between tenants. The IA-32 register file, EFLAGS
 /// home, shadow return stack, and inline-cache training state live in
@@ -360,9 +336,6 @@ pub(crate) struct CodeCache {
 /// translation namespace.
 #[derive(Debug)]
 pub(crate) struct GuestContext {
-    /// Block whose code the engine may still patch or resume in the
-    /// current exit handling — never an eviction victim.
-    pub(crate) pinned_block: Option<u32>,
     /// This session's handle into a shared, sharded translation-cache
     /// namespace (None = single-tenant).
     pub(crate) shared: Option<crate::serving::SharedTenant>,
@@ -398,46 +371,16 @@ pub struct Engine {
     pub(crate) ladder: Ladder,
     /// The SMC-thrash governor.
     pub(crate) smc: SmcGovernor,
-    /// The shareable code-cache state.
-    pub(crate) cache: CodeCache,
+    /// Profile slots and the pinned block.
+    pub(crate) dispatch: Dispatch,
     /// The per-guest session state.
     pub(crate) ctx: GuestContext,
 }
 
-/// Per-block profile slot: 8-byte use counter, two 8-byte edge
-/// counters, 64 misalignment-info words, then the 24-byte inline-cache
-/// slot `(pred_eip, pred_entry, hit_count)`.
-const IC_OFFSET: u64 = 24 + 64 * 8;
-
-const PROFILE_STRIDE: u64 = IC_OFFSET + 24;
-
-/// Granularity of on-demand profile-region mapping (page-aligned).
-const PROFILE_CHUNK: u64 = 0x1_0000;
-
 impl Engine {
     /// Creates an engine over the given guest memory.
     pub fn new(mut mem: GuestMem, cfg: Config) -> Engine {
-        // Map only the lookup table plus one reserved overflow profile
-        // slot up front; per-block profile slots are allocated on
-        // demand through `BtOs::alloc_pages` so the OS can refuse them.
-        let head = (layout::COUNTERS_BASE + PROFILE_STRIDE - layout::PROFILE_BASE)
-            .next_multiple_of(PROFILE_CHUNK);
-        mem.map(layout::PROFILE_BASE, head, Prot::rw());
-        // Empty-key the shadow stack and the shared overflow inline
-        // cache so freshly mapped (zeroed) slots can never match a
-        // guest EIP.
-        for i in 0..layout::SHADOW_ENTRIES {
-            let _ = mem.write(
-                layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE,
-                8,
-                layout::LOOKUP_EMPTY_KEY,
-            );
-        }
-        let _ = mem.write(
-            layout::COUNTERS_BASE + IC_OFFSET,
-            8,
-            layout::LOOKUP_EMPTY_KEY,
-        );
+        let dispatch = Dispatch::new(&mut mem);
         let arena = CodeArena::new(layout::TC_BASE);
         let machine = Machine::new(arena, cfg.timing);
         let tracer = Tracer::new(cfg.trace);
@@ -452,23 +395,10 @@ impl Engine {
             warm_booted: false,
             ladder: Ladder::new(cfg.blacklist_backoff_cycles),
             smc: SmcGovernor::new(cfg.smc_thrash_threshold),
-            cache: CodeCache {
-                profile_cursor: layout::COUNTERS_BASE + PROFILE_STRIDE,
-                profile_of: HashMap::new(),
-                profile_mapped: layout::PROFILE_BASE + head,
-                ic_slots: vec![layout::COUNTERS_BASE + IC_OFFSET],
-            },
-            ctx: GuestContext {
-                pinned_block: None,
-                shared: None,
-            },
+            dispatch,
+            ctx: GuestContext { shared: None },
             cfg,
         }
-    }
-
-    /// Every allocated inline-cache slot (coherence tests scan these).
-    pub fn ic_slots(&self) -> &[u64] {
-        &self.cache.ic_slots
     }
 
     /// Block info by id.
@@ -498,31 +428,6 @@ impl Engine {
         }
     }
 
-    /// Allocates one per-block profile slot, growing the mapped profile
-    /// region through the OS on demand. When the region is exhausted or
-    /// the OS refuses the mapping (ENOMEM), degrades to the shared
-    /// overflow slot at `COUNTERS_BASE` — colliding use counters cost
-    /// profile quality, never correctness.
-    fn alloc_profile(&mut self, os: &mut dyn BtOs) -> u64 {
-        let p = self.cache.profile_cursor;
-        let end = p + PROFILE_STRIDE;
-        if end > layout::PROFILE_BASE + layout::PROFILE_SIZE {
-            self.stats.os_alloc_failures += 1;
-            return layout::COUNTERS_BASE;
-        }
-        while end > self.cache.profile_mapped {
-            if !os.alloc_pages(&mut self.mem, self.cache.profile_mapped, PROFILE_CHUNK) {
-                self.stats.os_alloc_failures += 1;
-                return layout::COUNTERS_BASE;
-            }
-            self.cache.profile_mapped += PROFILE_CHUNK;
-        }
-        self.cache.profile_cursor = end;
-        let _ = self.mem.write(p + IC_OFFSET, 8, layout::LOOKUP_EMPTY_KEY);
-        self.cache.ic_slots.push(p + IC_OFFSET);
-        p
-    }
-
     /// Renders the translated code of a block as annotated assembly
     /// (bundles, stop bits, and templates) — the debugging view a
     /// translator developer lives in.
@@ -545,59 +450,6 @@ impl Engine {
             addr += ipf::Bundle::SIZE;
         }
         out
-    }
-
-    /// Flushes the entire translation cache (the paper's garbage
-    /// collection: "cold blocks may be recycled due to
-    /// garbage-collection"): every block is discarded, the lookup table
-    /// cleared, and code pages un-protected; translation restarts on
-    /// demand. Profile counters persist, so re-heated blocks promote
-    /// quickly.
-    pub fn flush_cache(&mut self) {
-        self.stats.cache_flushes += 1;
-        self.machine.arena.truncate(layout::TC_BASE);
-        self.blocks.clear();
-        self.ctx.pinned_block = None;
-        for page in self.registry.clear() {
-            self.mem.set_code_protect((page as u64) << 12, false);
-        }
-        // All translated code is gone: no lookup way, shadow-stack
-        // prediction or inline-cache entry may survive (their targets
-        // are arena addresses). Hit counters persist like use counters.
-        let ways = (0..layout::LOOKUP_ENTRIES)
-            .map(|i| layout::LOOKUP_BASE + i * layout::LOOKUP_ENTRY_SIZE);
-        let shadow = (0..layout::SHADOW_ENTRIES)
-            .map(|i| layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE);
-        for key in ways
-            .chain(shadow)
-            .chain(self.cache.ic_slots.iter().copied())
-        {
-            let _ = self.mem.write(key, 8, layout::LOOKUP_EMPTY_KEY);
-        }
-        let _ = self.mem.write(layout::SHADOW_TOS, 8, 0);
-        // A flush drops every local translation at once: bump every
-        // shard generation so peers re-validate (conservatively) and
-        // this tenant's re-publishes re-seed the namespace.
-        self.shared_notify(|ns, c| ns.bump_all(c));
-        self.audited();
-    }
-
-    /// Harvests the indirect-acceleration memory cells into the
-    /// statistics. Idempotent like [`Engine::collect_hot_exit_stats`]:
-    /// every counter is *assigned* from its cell, and the inline-cache
-    /// hit total is an order-independent sum over all site slots.
-    pub fn collect_indirect_stats(&mut self) {
-        let cell = |mem: &GuestMem, a: u64| mem.read(a, 8).unwrap_or(0);
-        let mut ic_hits = 0;
-        for &s in &self.cache.ic_slots {
-            ic_hits += cell(&self.mem, s + 16);
-        }
-        self.stats.ic_hits = ic_hits;
-        self.stats.ic_misses = cell(&self.mem, layout::CELL_IC_MISSES);
-        self.stats.shadow_hits = cell(&self.mem, layout::CELL_SHADOW_HITS);
-        self.stats.shadow_underflows = cell(&self.mem, layout::CELL_SHADOW_UNDERFLOWS);
-        self.stats.shadow_mispredicts = cell(&self.mem, layout::CELL_SHADOW_MISPREDICTS);
-        self.stats.devirt_guard_fails = cell(&self.mem, layout::CELL_DEVIRT_FAILS);
     }
 
     /// Harvests the hot side-exit counters into the statistics (call
@@ -625,17 +477,6 @@ impl Engine {
             .filter(|b| !b.evicted && b.kind == BlockKind::Hot)
             .filter_map(|b| b.hot.as_ref().map(|h| (b.eip, h)))
             .collect()
-    }
-
-    /// The live block translated from `eip`, if any.
-    pub(crate) fn live_block(&self, eip: u32) -> Option<&BlockInfo> {
-        let id = self.registry.live(eip)?;
-        Some(&self.blocks[id as usize])
-    }
-
-    /// Entry address for `eip` if already translated (no translation).
-    pub fn entry_of_existing(&self, eip: u32) -> Option<u64> {
-        self.live_block(eip).map(|b| b.entry)
     }
 
     /// Offers one lifecycle event to the tracer, charging
@@ -821,275 +662,6 @@ impl Engine {
         }
     }
 
-    /// Returns the entry address for `eip`, translating a cold block if
-    /// necessary.
-    pub fn entry_of(&mut self, os: &mut dyn BtOs, eip: u32) -> Result<u64, GuestException> {
-        if let Some(entry) = self.entry_of_existing(eip) {
-            return Ok(entry);
-        }
-        // SMC-thrashed pages are interpret-only until their backoff
-        // expires: retranslating code the guest is busy rewriting is
-        // pure churn (the thrash governor's bound on retranslation
-        // storms).
-        if self.smc.interpret_only(eip >> 12, self.machine.cycles) {
-            self.stats.smc_interp_blocks += 1;
-            return Ok(self.interp_stub_for(eip));
-        }
-        // Injected transient translation failure (the guest code page
-        // faulted under the translator's reader): single-step this
-        // entry through the safety net; the next dispatch retries.
-        if self.inject(FaultKind::Translate) {
-            self.stats.ladder_recoveries += 1;
-            self.note_interp_fallback(eip);
-            return Ok(self.interp_stub_for(eip));
-        }
-        if self.cfg.max_cache_bundles > 0
-            && self.machine.arena.live_len() >= self.cfg.max_cache_bundles
-        {
-            if self.cfg.enable_eviction {
-                self.make_room();
-            } else {
-                self.flush_cache();
-            }
-        }
-        // A local translation miss is the one place the shared
-        // multi-tenant namespace is consulted — the read-only dispatch
-        // fast path above never touches a shard lock.
-        if let Some(entry) = self.shared_consult(os, eip) {
-            return Ok(entry);
-        }
-        self.translate_cold(os, eip, BlockKind::ColdV1, false, HashMap::new())
-    }
-
-    /// Frees cache space by evicting cold, low-use blocks until live
-    /// usage drops to ¾ of capacity (incremental garbage collection).
-    /// Registered heat candidates and the pinned block are never
-    /// victims; hot blocks are spared by the first pass and evicted
-    /// only as a last resort (their use counters persist, so they
-    /// re-heat quickly). If even that leaves the cache full, falls back
-    /// to a full flush (the emergency path in `Stats::cache_flushes`).
-    fn make_room(&mut self) {
-        let cap = self.cfg.max_cache_bundles;
-        let target = cap - cap / 4;
-        self.evict_pass(target, false);
-        if self.machine.arena.live_len() > target {
-            self.evict_pass(target, true);
-        }
-        if self.machine.arena.live_len() >= cap {
-            self.flush_cache();
-        }
-    }
-
-    /// One eviction sweep toward `target` live bundles, over cold
-    /// blocks only or (`include_hot`) hot blocks too.
-    fn evict_pass(&mut self, target: usize, include_hot: bool) {
-        // Victims coldest-first: blocks orphaned by SMC invalidation (no
-        // longer in the registry) count as use 0; live blocks sort by
-        // their profile use counter. Every unevicted block has a live
-        // extent, so the extent index enumerates exactly those (once
-        // per live generation — deduplicated after the sort).
-        let mut victims: Vec<(u64, u32)> = self
-            .registry
-            .unevicted()
-            .map(|id| &self.blocks[id as usize])
-            .filter(|b| {
-                (include_hot == (b.kind == BlockKind::Hot))
-                    && Some(b.id) != self.ctx.pinned_block
-                    && !self.registry.candidates().contains(&b.id)
-            })
-            .map(|b| {
-                let uses = if self.registry.is_registered(b) {
-                    self.mem.read(b.counter_addr, 8).unwrap_or(0)
-                } else {
-                    0
-                };
-                (uses, b.id)
-            })
-            .collect();
-        victims.sort_unstable();
-        victims.dedup();
-        for (_, id) in victims {
-            if self.machine.arena.live_len() <= target {
-                break;
-            }
-            self.evict_block(id);
-        }
-    }
-
-    /// Surgically removes one block from the translation cache:
-    /// re-points inbound chained branches at the Untranslated stub,
-    /// purges its indirect-branch lookup entry, scrubs bookkeeping that
-    /// references its code, and returns every generation's extent to
-    /// the arena free list.
-    pub(crate) fn evict_block(&mut self, id: u32) {
-        let b = &mut self.blocks[id as usize];
-        let eip = b.eip;
-        let crate::registry::Retired { extents, inbound } = self.registry.retire(b);
-        let in_extents = |addr: u64| extents.iter().any(|&(s, e)| addr >= s && addr < e);
-        // Un-link inbound edges. The chaining bundle's trampoline movl
-        // (payload = target EIP) is still upstream of the branch, so
-        // re-pointing the branch at the stub restores the original
-        // dispatch semantics exactly.
-        for from in inbound {
-            self.unlink_branch(from, &extents);
-        }
-        // Purge lookup entries — only where the slot both keys on this
-        // EIP and still targets the victim's code; a colliding or newer
-        // entry in the same set must survive.
-        for w in 0..layout::LOOKUP_WAYS {
-            let slot = layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE;
-            if self.mem.read(slot, 8) == Ok(eip as u64) {
-                let tgt = self.mem.read(slot + 8, 8).unwrap_or(0);
-                if in_extents(tgt) {
-                    let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
-                    self.stats.lookup_purges += 1;
-                }
-            }
-        }
-        // The victim's code must be unreachable through every
-        // acceleration path: null shadow-stack predictions and
-        // inline-cache entries that name it. (Forwarded old generations
-        // are kept alive until eviction precisely so this is the only
-        // purge point.)
-        for i in 0..layout::SHADOW_ENTRIES {
-            let ea = layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE;
-            let tgt = self.mem.read(ea + 8, 8).unwrap_or(0);
-            if in_extents(tgt) {
-                let _ = self.mem.write(ea, 8, layout::LOOKUP_EMPTY_KEY);
-            }
-        }
-        for i in 0..self.cache.ic_slots.len() {
-            let s = self.cache.ic_slots[i];
-            let k = self.mem.read(s, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-            let tgt = self.mem.read(s + 8, 8).unwrap_or(0);
-            if k == eip as u64 || in_extents(tgt) {
-                let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-            }
-        }
-        let mut freed = 0;
-        for &(s, e) in &extents {
-            freed += (e - s) / ipf::Bundle::SIZE;
-            self.machine.arena.release(s, e);
-        }
-        // The ladder may evict the very block whose exit it is handling.
-        if self.ctx.pinned_block == Some(id) {
-            self.ctx.pinned_block = None;
-        }
-        self.stats.evictions += 1;
-        self.stats.evicted_bundles += freed;
-        // Tell the shared namespace: peers must never import a record
-        // whose publisher has reclaimed the backing extents (gen bump).
-        self.shared_notify(|ns, c| ns.invalidate(eip, c) as u64);
-        self.trace_emit(EventData::BlockEvicted {
-            id,
-            eip,
-            bundles: freed,
-        });
-        self.audited();
-    }
-
-    /// Scans the code in `[start, end)` for branches chained straight
-    /// to the entry of an unevicted block other than `skip`: `(target
-    /// block, bundle address)` each. Cold translation records its
-    /// trampolines one by one as it patches them; hot installation
-    /// chains exits at emission time and records what this finds. An
-    /// unrecorded chain is a use-after-free in waiting: evicting the
-    /// target releases — and eventually reuses — the arena space the
-    /// branch still lands in.
-    fn chained_branches(&self, start: u64, end: u64, skip: u32) -> Vec<(u32, u64)> {
-        let mut found = Vec::new();
-        for addr in (start..end).step_by(ipf::Bundle::SIZE as usize) {
-            if let Some(b) = self.machine.arena.bundle_at(addr) {
-                for s in &b.slots {
-                    if let Some(Target::Abs(t)) = s.op.target() {
-                        // A block's entry lies in its own latest extent,
-                        // so the extent's owner is the only candidate.
-                        let tid = self
-                            .registry
-                            .owner_of(t)
-                            .filter(|&tid| tid != skip && self.blocks[tid as usize].entry == t);
-                        found.extend(tid.map(|tid| (tid, addr)));
-                    }
-                }
-            }
-        }
-        found
-    }
-
-    /// Re-points every branch slot in the bundle at `addr` that targets
-    /// one of `extents` back at the Untranslated stub.
-    fn unlink_branch(&mut self, addr: u64, extents: &[(u64, u64)]) {
-        let Some(b) = self.machine.arena.bundle_at(addr) else {
-            return;
-        };
-        let mut patches = Vec::new();
-        for (i, s) in b.slots.iter().enumerate() {
-            if let Some(Target::Abs(t)) = s.op.target() {
-                if extents.iter().any(|&(st, en)| t >= st && t < en) {
-                    patches.push(i);
-                }
-            }
-        }
-        for i in patches {
-            self.machine.arena.patch_slot(
-                addr,
-                i,
-                Op::Br {
-                    target: Target::Abs(StubKind::Untranslated.addr()),
-                },
-            );
-            self.stats.chain_unlinks += 1;
-        }
-        self.note_patched(addr);
-    }
-
-    /// Inserts `eip -> entry` into the 2-way lookup table: a matching
-    /// way is updated in place, an empty way is filled, and a full set
-    /// demotes way 0 into way 1 and claims way 0 (newest-first
-    /// pseudo-LRU). `lookup_collisions` counts inserts into a set
-    /// already holding a live foreign key; `lookup_way_conflicts`
-    /// counts the displacements of a live entry.
-    pub(crate) fn lookup_insert(&mut self, eip: u32, entry: u64) {
-        let s0 = layout::lookup_slot(eip);
-        let s1 = s0 + layout::LOOKUP_ENTRY_SIZE;
-        let k0 = self.mem.read(s0, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-        let k1 = self.mem.read(s1, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-        // Zero keys are freshly mapped, never-written entries.
-        let is_empty = |k: u64| k == layout::LOOKUP_EMPTY_KEY || k == 0;
-        let slot = if k0 == eip as u64 {
-            s0
-        } else if k1 == eip as u64 {
-            s1
-        } else if is_empty(k0) {
-            if !is_empty(k1) {
-                self.stats.lookup_collisions += 1;
-            }
-            s0
-        } else if is_empty(k1) {
-            self.stats.lookup_collisions += 1;
-            s1
-        } else {
-            self.stats.lookup_collisions += 1;
-            self.stats.lookup_way_conflicts += 1;
-            let t0 = self.mem.read(s0 + 8, 8).unwrap_or(0);
-            let _ = self.mem.write(s1, 8, k0);
-            let _ = self.mem.write(s1 + 8, 8, t0);
-            s0
-        };
-        let _ = self.mem.write(slot, 8, eip as u64);
-        let _ = self.mem.write(slot + 8, 8, entry);
-    }
-
-    /// Addresses of every `(eip, entry)` prediction currently keyed on
-    /// `eip`: its lookup-table ways, then the inline caches naming it.
-    fn predictions_of(&self, eip: u32) -> Vec<u64> {
-        let ways = (0..layout::LOOKUP_WAYS)
-            .map(|w| layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE);
-        ways.chain(self.cache.ic_slots.iter().copied())
-            .filter(|&s| self.mem.read(s, 8) == Ok(eip as u64))
-            .collect()
-    }
-
     /// Cold-translates the block at `eip` on demand (a specific
     /// version), updating the registry and patching pending links via
     /// the forwarding rule.
@@ -1162,17 +734,7 @@ impl Engine {
             ),
             None => {
                 let id = self.blocks.len() as u32;
-                // Profile slots are keyed by guest EIP and survive both
-                // eviction and flushing, so a re-translated block keeps
-                // its use counter and re-heats quickly.
-                let profile = match self.cache.profile_of.get(&eip) {
-                    Some(&p) => p,
-                    None => {
-                        let p = self.alloc_profile(os);
-                        self.cache.profile_of.insert(eip, p);
-                        p
-                    }
-                };
+                let profile = self.profile_slot(os, eip);
                 let plain = match origin {
                     XlateOrigin::Record { plain, .. } => plain,
                     _ => false,
@@ -1226,7 +788,7 @@ impl Engine {
             fuse: self.cfg.enable_fusion,
             inline_fp_checks: inline_fp || !self.cfg.enable_fp_spec,
             smc_check,
-            ic_slot: profile + IC_OFFSET,
+            ic_slot: profile + dispatch::IC_OFFSET,
             plain: indirect_plain,
         };
         let gen = match generate(&input) {
@@ -1288,7 +850,7 @@ impl Engine {
             counter_addr: profile,
             edge_counters: (profile + 8, profile + 16),
             misinfo_base: profile + 24,
-            ic_slot: profile + IC_OFFSET,
+            ic_slot: profile + dispatch::IC_OFFSET,
             indirect_plain,
             pop_misses,
             accesses: gen.accesses,
@@ -1464,141 +1026,6 @@ impl Engine {
         let mut contention = 0;
         self.stats.shared_gen_bumps += pull(&tenant.ns, &mut contention);
         self.stats.shared_lock_contention += contention;
-    }
-
-    /// Finds the bundle holding a trampoline's branch to the
-    /// Untranslated stub: trampoline labels are bundle-aligned, so the
-    /// first stub-targeting branch at or after `tramp` (bounded by the
-    /// block's end) belongs to that trampoline.
-    fn exit_branch_bundle(&self, tramp: u64, end: u64) -> Option<u64> {
-        let stub = Some(Target::Abs(StubKind::Untranslated.addr()));
-        (tramp..end)
-            .step_by(ipf::Bundle::SIZE as usize)
-            .find(|&addr| {
-                let bundle = self.machine.arena.bundle_at(addr);
-                bundle.is_some_and(|b| b.slots.iter().any(|s| s.op.target() == stub))
-            })
-    }
-
-    /// Returns (emitting on first use) the interpreter stub for `eip`.
-    /// Interpret-only pages, and blocks that cannot be translated,
-    /// re-dispatch the same EIPs over and over, so stubs are cached per
-    /// EIP (cleared on cache flush). Nothing is registered for the EIP:
-    /// a later successful translation still wins, because dispatch asks
-    /// `entry_of_existing` first.
-    pub(crate) fn interp_stub_for(&mut self, eip: u32) -> u64 {
-        if let Some(addr) = self.registry.interp_stub(eip) {
-            return addr;
-        }
-        let addr = self.emit_interp_stub(eip);
-        self.registry.remember_stub(eip, addr);
-        addr
-    }
-
-    /// Emits a tiny stub that single-steps the instruction at `eip`.
-    fn emit_interp_stub(&mut self, eip: u32) -> u64 {
-        let mut cb = ipf::asm::CodeBuilder::new();
-        cb.push(Op::Movl {
-            d: GR_STATE,
-            imm: eip as u64,
-        });
-        cb.stop();
-        cb.push(Op::Br {
-            target: Target::Abs(StubKind::InterpStep.addr()),
-        });
-        let code = cb.assemble_relocatable();
-        self.machine.arena.install(code, region::OTHER)
-    }
-
-    /// Patches the entry bundle of an old block version to branch to the
-    /// new version ("block forwarding").
-    fn forward(&mut self, old_entry: u64, new_entry: u64) {
-        // A block that had no code yet "enters" at a stub.
-        if self.machine.arena.index_of(old_entry).is_none() {
-            return;
-        }
-        let mut cb = ipf::asm::CodeBuilder::new();
-        cb.push(Op::Br {
-            target: Target::Abs(new_entry),
-        });
-        let (bundles, _) = cb.assemble(old_entry);
-        let b = bundles.into_iter().next().expect("one bundle");
-        // Replace all three slots.
-        for (slot, inst) in b.slots.iter().enumerate() {
-            self.machine.arena.patch_slot(old_entry, slot, inst.op);
-        }
-        self.note_patched(old_entry);
-    }
-
-    /// Maps an arena address back to the block whose *latest*
-    /// generation contains it (an address in a superseded generation
-    /// answers `None`).
-    fn block_at_addr(&self, addr: u64) -> Option<u32> {
-        let id = self.registry.owner_of(addr).filter(|&id| {
-            let (s, e) = self.blocks[id as usize].range;
-            addr >= s && addr < e
-        });
-        debug_assert_eq!(id, self.scan_for_owner(addr, false));
-        id
-    }
-
-    /// Maps an arena address back to the owning block, searching every
-    /// live generation (the degradation ladder must attribute failures
-    /// in superseded extents too — live extents are disjoint).
-    fn block_at_addr_any(&self, addr: u64) -> Option<u32> {
-        let id = self.registry.owner_of(addr);
-        debug_assert_eq!(id, self.scan_for_owner(addr, true));
-        id
-    }
-
-    /// The linear scan over every block ever translated that the extent
-    /// index replaces, kept as the reference `debug_assert!` (and the
-    /// index tests) compare each answer with.
-    fn scan_for_owner(&self, addr: u64, any_generation: bool) -> Option<u32> {
-        let within = |&(s, e): &(u64, u64)| addr >= s && addr < e;
-        self.blocks
-            .iter()
-            .find(|b| {
-                if any_generation {
-                    !b.evicted && b.extents.iter().any(within)
-                } else {
-                    within(&b.range)
-                }
-            })
-            .map(|b| b.id)
-    }
-
-    /// Re-records the owning block's checksum after a *legitimate* code
-    /// patch (chaining, unlinking, forwarding), so verify-on-dispatch
-    /// flags only unsanctioned modifications.
-    fn note_patched(&mut self, addr: u64) {
-        if !self.cfg.verify_on_dispatch {
-            return;
-        }
-        if let Some(id) = self.block_at_addr(addr) {
-            let (s, e) = self.blocks[id as usize].range;
-            self.blocks[id as usize].checksum = self.machine.arena.checksum_range(s, e);
-        }
-    }
-
-    /// Verify-on-dispatch: checks the target block's checksum before
-    /// entering it. On a mismatch the corrupted block is evicted (the
-    /// caller falls back to the slow path, which retranslates) and
-    /// false is returned.
-    fn verify_dispatch(&mut self, eip: u32) -> bool {
-        let Some(id) = self.registry.live(eip) else {
-            return true;
-        };
-        self.machine
-            .charge(region::OTHER, cost::INTEGRITY_CHECK_CYCLES);
-        let b = &self.blocks[id as usize];
-        if self.machine.arena.checksum_range(b.range.0, b.range.1) == b.checksum {
-            return true;
-        }
-        self.stats.integrity_evictions += 1;
-        self.stats.ladder_recoveries += 1;
-        self.evict_block(id);
-        false
     }
 
     /// Reconstructs the precise IA-32 state at a fault (paper §4).
@@ -1847,16 +1274,6 @@ impl Engine {
                 }
             }
         }
-    }
-
-    fn handle_exit(&mut self, os: &mut dyn BtOs, target: u64, from: u64) -> ExitAction {
-        // Pin the block owning `from`: its bundles may be patched or
-        // resumed below and must survive any eviction that entry_of
-        // triggers while handling this exit.
-        self.ctx.pinned_block = self.block_at_addr(from);
-        let act = self.handle_exit_stub(os, target, from);
-        self.ctx.pinned_block = None;
-        act
     }
 
     fn handle_exit_stub(&mut self, os: &mut dyn BtOs, target: u64, from: u64) -> ExitAction {
@@ -2391,42 +1808,6 @@ impl Engine {
         self.machine.gr[state::GR_XMMFMT.0 as usize] = want as u64;
     }
 
-    /// Chains the exit bundle `site` — still branching to the
-    /// Untranslated stub — straight to the entry of block `target`, and
-    /// records the edge so eviction of the target can un-link it.
-    fn chain(&mut self, site: u64, target: u32) {
-        let entry = self.blocks[target as usize].entry;
-        if self.patch_branch(site, StubKind::Untranslated.addr(), entry) {
-            self.registry.link(target, site);
-        }
-    }
-
-    /// Re-points every branch to `old_target` in the bundle at
-    /// `bundle_addr` at `new_target`; whether there was one (an exit
-    /// already chained elsewhere — to an interpreter stub, say — is
-    /// left alone).
-    fn patch_branch(&mut self, bundle_addr: u64, old_target: u64, new_target: u64) -> bool {
-        let mut patches = Vec::new();
-        if let Some(b) = self.machine.arena.bundle_at(bundle_addr) {
-            for (i, s) in b.slots.iter().enumerate() {
-                if s.op.target() == Some(Target::Abs(old_target)) {
-                    patches.push(i);
-                }
-            }
-        }
-        for &i in &patches {
-            self.machine.arena.patch_slot(
-                bundle_addr,
-                i,
-                Op::Br {
-                    target: Target::Abs(new_target),
-                },
-            );
-        }
-        self.note_patched(bundle_addr);
-        !patches.is_empty()
-    }
-
     fn run_hot_session(&mut self, os: &mut dyn BtOs) {
         let span = self.trace_phase_enter(Phase::HotSession);
         // Injected budget exhaustion: the watchdog kills the whole
@@ -2650,6 +2031,7 @@ pub(crate) mod tests {
 
     use super::*;
     use crate::btos::{Version, BTOS_MAJOR, BTOS_MINOR};
+    use ipf::inst::Target;
 
     /// An OS layer that offers nothing: degradation must never need
     /// cooperation from the personality to reach its floor.

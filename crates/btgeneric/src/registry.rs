@@ -364,7 +364,7 @@ impl crate::engine::Engine {
         for &id in &r.candidates {
             check!("candidates", unevicted(id), "block {id} is evicted");
         }
-        if let Some(id) = self.ctx.pinned_block {
+        if let Some(id) = self.dispatch.pinned() {
             check!("pinned", unevicted(id), "block {id} is evicted");
         }
 
@@ -463,8 +463,7 @@ impl crate::engine::Engine {
             .filter(|c| c[..8] != [0xFF; 8])
             .map(|c| (word(&c[..8]), word(&c[8..])));
         let ic = self
-            .cache
-            .ic_slots
+            .ic_slots()
             .iter()
             .filter(|_| !free.is_empty())
             .map(|&s| {
@@ -489,7 +488,8 @@ impl crate::engine::Engine {
             );
         }
         self.ladder.audit()?;
-        self.smc.audit(&self.mem)
+        self.smc.audit(&self.mem)?;
+        self.dispatch.audit()
     }
 
     /// The absolute branch targets in the bundle at `site`.
@@ -512,6 +512,7 @@ const AUDIT_STRIDE_WORK: usize = 256;
 mod tests {
     use crate::engine::tests::{loop_and_chain, NullOs};
     use crate::engine::{Config, Engine};
+    use crate::{layout, policy};
 
     /// A cache with something in every index: four chained live blocks
     /// (the last one straddles a page boundary, and its exit still
@@ -581,14 +582,15 @@ mod tests {
     }
 
     /// Breaks each invariant in turn — poking the private indices, the
-    /// arena's neighbours in guest memory, or the session's pin — and
-    /// requires the audit to name the one that no longer holds.
+    /// arena's neighbours in guest memory, a seam owner's state, or the
+    /// session's pin — and requires the audit to name the one that no
+    /// longer holds.
     #[test]
     fn audit_names_each_broken_invariant() {
         let (engine, ..) = populated();
         assert_eq!(engine.audit(), Ok(()), "the unbroken cache");
         type Breakage = fn(&mut Engine, [u32; 4], (u32, u64));
-        let breakages: [(&str, Breakage); 15] = [
+        let breakages: [(&str, Breakage); 18] = [
             ("by_eip", |e, [a, ..], _| {
                 // An EIP that names a block translated from another.
                 e.registry.by_eip.insert(0x1234, a);
@@ -650,6 +652,23 @@ mod tests {
                 let inside = e.blocks[a as usize].entry;
                 e.registry.interp_stubs.insert(0x4242, inside);
             }),
+            ("smc", |e, _, _| {
+                // The governor takes the loop's page (no live code on
+                // it), which is then write-protected behind its back.
+                for _ in 0..e.cfg.smc_thrash_threshold {
+                    e.note_smc_disturbance(0x400);
+                }
+                e.mem.set_code_protect(0x40_0000, true);
+            }),
+            ("profiles", |e, _, _| {
+                let (ic_slots, _) = e.dispatch.slots_mut();
+                ic_slots.push(layout::PROFILE_BASE + layout::PROFILE_SIZE);
+            }),
+            ("profiles", |e, _, _| {
+                let (_, profile_of) = e.dispatch.slots_mut();
+                let taken = *profile_of.values().max().unwrap();
+                profile_of.insert(0x5555, taken);
+            }),
         ];
         for (k, (name, breakage)) in breakages.into_iter().enumerate() {
             let (mut engine, live, gone) = populated();
@@ -661,7 +680,19 @@ mod tests {
             );
         }
         let (mut engine, _, (gone, _)) = populated();
-        engine.ctx.pinned_block = Some(gone);
+        engine.dispatch.pin(gone);
         assert!(engine.audit().expect_err("pinned").starts_with("pinned: "));
+
+        // One recovery scope more than the floor allows.
+        fn nested(e: &mut Engine, depth: u32) -> Result<(), String> {
+            match depth {
+                0 => e.audit(),
+                _ => e.recovering(|e| nested(e, depth - 1)),
+            }
+        }
+        let (mut engine, ..) = populated();
+        assert_eq!(nested(&mut engine, policy::MAX_RECOVERY_DEPTH), Ok(()));
+        let verdict = nested(&mut engine, policy::MAX_RECOVERY_DEPTH + 1);
+        assert!(verdict.expect_err("ladder").starts_with("ladder: "));
     }
 }
