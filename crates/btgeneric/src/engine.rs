@@ -11,6 +11,7 @@ use crate::cost;
 use crate::layout::{self, region, StubKind};
 use crate::policy;
 use crate::registry::Registry;
+use crate::serving::Tenant;
 use crate::state::{self, GR_PAYLOAD0, GR_STATE};
 use crate::stats::Stats;
 use crate::templates::{AccessMode, MisalignPlan};
@@ -328,23 +329,14 @@ impl Bus for MemBus<'_> {
     }
 }
 
-/// The per-guest half of an engine: session-scoped state that must
-/// never be shared between tenants. The IA-32 register file, EFLAGS
-/// home, shadow return stack, and inline-cache training state live in
-/// the session's own `Machine`/`GuestMem` (fixed translator addresses
-/// inside per-guest memory); this struct carries the per-session
-/// scalars alongside them plus the session's attachment to a shared
-/// translation namespace.
-#[derive(Debug)]
-pub(crate) struct GuestContext {
-    /// This session's handle into a shared, sharded translation-cache
-    /// namespace (None = single-tenant).
-    pub(crate) shared: Option<crate::serving::SharedTenant>,
-}
-
-/// The IA-32 Execution Layer engine: one guest session
-/// (`GuestContext` + its `GuestMem`/`Machine`) over a code cache
-/// (`CodeCache`) that may be backed by a shared namespace.
+/// The IA-32 Execution Layer engine: one guest session — its memory,
+/// its machine (whose arena holds the translated code) and the code
+/// cache over them. Each seam of the engine keeps its state in one
+/// owner field: dispatch (profile slots, pinned block), the
+/// degradation ladder (blacklist, recovery depth), the SMC governor
+/// and the tenant hooks (the attachment to a shared namespace). Tenants
+/// never share an `Engine`; they share published records through
+/// [`crate::serving::SharedCache`].
 pub struct Engine {
     /// Guest memory (application + translator data).
     pub mem: GuestMem,
@@ -374,8 +366,8 @@ pub struct Engine {
     pub(crate) smc: SmcGovernor,
     /// Profile slots and the pinned block.
     pub(crate) dispatch: Dispatch,
-    /// The per-guest session state.
-    pub(crate) ctx: GuestContext,
+    /// This session's attachment to a shared namespace.
+    pub(crate) tenant: Tenant,
 }
 
 impl Engine {
@@ -397,7 +389,7 @@ impl Engine {
             ladder: Ladder::new(cfg.blacklist_backoff_cycles),
             smc: SmcGovernor::new(cfg.smc_thrash_threshold),
             dispatch,
-            ctx: GuestContext { shared: None },
+            tenant: Tenant::default(),
             cfg,
         }
     }
@@ -914,119 +906,6 @@ impl Engine {
             self.shared_publish(eip);
         }
         Ok(entry)
-    }
-
-    /// Attaches this session to a shared multi-tenant translation
-    /// namespace (see [`crate::serving`]). From now on, translation
-    /// misses consult the namespace before paying the cold-translation
-    /// cost, fresh translations are published to it, and every local
-    /// invalidation path (SMC, eviction, governor blacklist, flush)
-    /// notifies it. Attach before the first dispatch; tenants of the
-    /// same namespace must run the same binary under the same config
-    /// (the namespace key — [`crate::serving::namespace_key`] — encodes
-    /// both, and the per-record source checksums enforce it).
-    pub fn attach_shared(&mut self, tenant: crate::serving::SharedTenant) {
-        self.ctx.shared = Some(tenant);
-    }
-
-    /// Consults the shared namespace for `eip` on a local translation
-    /// miss and materializes a current entry at this tenant's arena
-    /// position, profile hints included. Returns the installed entry,
-    /// or `None` to fall through to ordinary cold translation.
-    fn shared_consult(&mut self, os: &mut dyn BtOs, eip: u32) -> Option<u64> {
-        let tenant = self.ctx.shared.clone()?;
-        let mut contention = 0;
-        let consult = tenant.ns.consult(eip, &mut contention);
-        self.stats.shared_lock_contention += contention;
-        match consult {
-            crate::serving::Consult::Hit(e) => {
-                let record = std::slice::from_ref(&e.block);
-                self.materialize(os, record, RecordSource::Namespace).entry
-            }
-            crate::serving::Consult::GenStale | crate::serving::Consult::Denied => {
-                self.stats.shared_gen_rejects += 1;
-                None
-            }
-            crate::serving::Consult::Miss => None,
-        }
-    }
-
-    /// Publishes the current translation of `eip` (its generation
-    /// metadata + profile hints) to the shared namespace, if attached.
-    /// Hot traces are not published — like warm-start images, the
-    /// shared record is always the cold base a peer re-heats from.
-    fn shared_publish(&mut self, eip: u32) {
-        let Some(tenant) = self.ctx.shared.clone() else {
-            return;
-        };
-        // A block already stale against our own memory is not exported:
-        // it would only hand peers a guaranteed reject.
-        let Some(b) = self.live_block(eip).filter(|b| {
-            b.kind != BlockKind::Hot && src_checksum(&self.mem, b.src_range) == b.src_fnv
-        }) else {
-            return;
-        };
-        let rec = crate::persist::record_of(self, b);
-        let mut contention = 0;
-        if tenant.ns.publish(rec, &mut contention) {
-            self.stats.shared_publishes += 1;
-        }
-        self.stats.shared_lock_contention += contention;
-    }
-
-    /// End-of-slice profile sync: pushes this tenant's current heat /
-    /// edge / inline-cache observations into the shared namespace
-    /// (max-merge, so sync order between tenants cannot flap the stored
-    /// profile). The scheduler calls this when a session is harvested,
-    /// so later tenants start with the hottest profile any peer earned.
-    pub fn shared_sync(&mut self) {
-        let Some(tenant) = self.ctx.shared.clone() else {
-            return;
-        };
-        let mut contention = 0;
-        for (eip, id) in self.registry.registered() {
-            let b = &self.blocks[id as usize];
-            let heat = self.mem.read(b.counter_addr, 8).unwrap_or(0);
-            let taken = self.mem.read(b.edge_counters.0, 8).unwrap_or(0);
-            let fall = self.mem.read(b.edge_counters.1, 8).unwrap_or(0);
-            let pred = self
-                .mem
-                .read(b.ic_slot, 8)
-                .unwrap_or(layout::LOOKUP_EMPTY_KEY);
-            let hits = self.mem.read(b.ic_slot + 16, 8).unwrap_or(0);
-            let ic =
-                if pred != layout::LOOKUP_EMPTY_KEY && pred != 0 && site_is_monomorphic(hits, heat)
-                {
-                    (pred as u32, hits.min(u32::MAX as u64) as u32)
-                } else {
-                    (0, 0)
-                };
-            tenant.ns.refresh_profile(
-                eip,
-                heat,
-                (
-                    taken.min(u32::MAX as u64) as u32,
-                    fall.min(u32::MAX as u64) as u32,
-                ),
-                ic,
-                &mut contention,
-            );
-        }
-        self.stats.shared_lock_contention += contention;
-    }
-
-    /// Tells the shared namespace, if attached, about a local
-    /// invalidation: `pull` removes what peers must no longer import
-    /// (one record on eviction or a ladder strike, a page's on SMC or a
-    /// governor blacklist, nothing but the generations on a flush) and
-    /// returns how many shard generations it bumped.
-    fn shared_notify(&mut self, pull: impl FnOnce(&crate::serving::Namespace, &mut u64) -> u64) {
-        let Some(tenant) = self.ctx.shared.clone() else {
-            return;
-        };
-        let mut contention = 0;
-        self.stats.shared_gen_bumps += pull(&tenant.ns, &mut contention);
-        self.stats.shared_lock_contention += contention;
     }
 
     /// Reconstructs the precise IA-32 state at a fault (paper §4).

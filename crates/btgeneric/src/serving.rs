@@ -55,8 +55,11 @@
 //! counted by the caller (`Stats::shared_lock_contention`), so the
 //! serving bench can report contention honestly.
 
-use crate::engine::Config;
+use crate::btos::BtOs;
+use crate::engine::{site_is_monomorphic, src_checksum, BlockKind, Config, Engine, RecordSource};
+use crate::layout;
 use crate::persist::{self, ImageBlock};
+use crate::stats::Stats;
 use std::collections::{HashMap, HashSet};
 use std::sync::{Arc, Mutex, RwLock, RwLockReadGuard, RwLockWriteGuard};
 
@@ -395,6 +398,130 @@ pub struct SharedTenant {
     pub ns: Arc<Namespace>,
     /// Unique tenant id (admission order).
     pub tenant: u32,
+}
+
+/// A session's attachment to a shared namespace — the tenant hooks'
+/// state. Detached (the default), every hook does nothing.
+#[derive(Debug, Default)]
+pub(crate) struct Tenant {
+    /// The namespace handle, once attached.
+    shared: Option<SharedTenant>,
+}
+
+impl Tenant {
+    /// Runs `f` against the attached namespace and adds the lock
+    /// contention it met to `stats`; `None` when detached.
+    fn with<R>(&self, stats: &mut Stats, f: impl FnOnce(&Namespace, &mut u64) -> R) -> Option<R> {
+        let tenant = self.shared.as_ref()?;
+        let mut contention = 0;
+        let r = f(&tenant.ns, &mut contention);
+        stats.shared_lock_contention += contention;
+        Some(r)
+    }
+}
+
+impl Engine {
+    /// Attaches this session to a shared multi-tenant translation
+    /// namespace (see [`crate::serving`]). From now on, translation
+    /// misses consult the namespace before paying the cold-translation
+    /// cost, fresh translations are published to it, and every local
+    /// invalidation path (SMC, eviction, governor blacklist, flush)
+    /// notifies it. Attach before the first dispatch; tenants of the
+    /// same namespace must run the same binary under the same config
+    /// (the namespace key — [`namespace_key`] — encodes both, and the
+    /// per-record source checksums enforce it).
+    pub fn attach_shared(&mut self, tenant: SharedTenant) {
+        self.tenant.shared = Some(tenant);
+    }
+
+    /// Consults the shared namespace for `eip` on a local translation
+    /// miss and materializes a current entry at this tenant's arena
+    /// position, profile hints included. Returns the installed entry,
+    /// or `None` to fall through to ordinary cold translation.
+    pub(crate) fn shared_consult(&mut self, os: &mut dyn BtOs, eip: u32) -> Option<u64> {
+        match self
+            .tenant
+            .with(&mut self.stats, |ns, c| ns.consult(eip, c))?
+        {
+            Consult::Hit(e) => {
+                let record = std::slice::from_ref(&e.block);
+                self.materialize(os, record, RecordSource::Namespace).entry
+            }
+            Consult::GenStale | Consult::Denied => {
+                self.stats.shared_gen_rejects += 1;
+                None
+            }
+            Consult::Miss => None,
+        }
+    }
+
+    /// Publishes the current translation of `eip` (its generation
+    /// metadata + profile hints) to the shared namespace, if attached.
+    /// Hot traces are not published — like warm-start images, the
+    /// shared record is always the cold base a peer re-heats from.
+    pub(crate) fn shared_publish(&mut self, eip: u32) {
+        if self.tenant.shared.is_none() {
+            return;
+        }
+        // A block already stale against our own memory is not exported:
+        // it would only hand peers a guaranteed reject.
+        let Some(b) = self.live_block(eip).filter(|b| {
+            b.kind != BlockKind::Hot && src_checksum(&self.mem, b.src_range) == b.src_fnv
+        }) else {
+            return;
+        };
+        let rec = persist::record_of(self, b);
+        if self
+            .tenant
+            .with(&mut self.stats, |ns, c| ns.publish(rec, c))
+            == Some(true)
+        {
+            self.stats.shared_publishes += 1;
+        }
+    }
+
+    /// End-of-slice profile sync: pushes this tenant's current heat /
+    /// edge / inline-cache observations into the shared namespace
+    /// (max-merge, so sync order between tenants cannot flap the stored
+    /// profile). The scheduler calls this when a session is harvested,
+    /// so later tenants start with the hottest profile any peer earned.
+    pub fn shared_sync(&mut self) {
+        let (mem, blocks, registry) = (&self.mem, &self.blocks, &self.registry);
+        self.tenant.with(&mut self.stats, |ns, contention| {
+            for (eip, id) in registry.registered() {
+                let b = &blocks[id as usize];
+                let heat = mem.read(b.counter_addr, 8).unwrap_or(0);
+                let taken = mem.read(b.edge_counters.0, 8).unwrap_or(0);
+                let fall = mem.read(b.edge_counters.1, 8).unwrap_or(0);
+                let pred = mem.read(b.ic_slot, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
+                let hits = mem.read(b.ic_slot + 16, 8).unwrap_or(0);
+                let ic = if pred != layout::LOOKUP_EMPTY_KEY
+                    && pred != 0
+                    && site_is_monomorphic(hits, heat)
+                {
+                    (pred as u32, hits.min(u32::MAX as u64) as u32)
+                } else {
+                    (0, 0)
+                };
+                let edges = (
+                    taken.min(u32::MAX as u64) as u32,
+                    fall.min(u32::MAX as u64) as u32,
+                );
+                ns.refresh_profile(eip, heat, edges, ic, contention);
+            }
+        });
+    }
+
+    /// Tells the shared namespace, if attached, about a local
+    /// invalidation: `pull` removes what peers must no longer import
+    /// (one record on eviction or a ladder strike, a page's on SMC or a
+    /// governor blacklist, nothing but the generations on a flush) and
+    /// returns how many shard generations it bumped.
+    pub(crate) fn shared_notify(&mut self, pull: impl FnOnce(&Namespace, &mut u64) -> u64) {
+        if let Some(bumps) = self.tenant.with(&mut self.stats, pull) {
+            self.stats.shared_gen_bumps += bumps;
+        }
+    }
 }
 
 #[cfg(test)]
