@@ -12,6 +12,7 @@ use crate::policy;
 use crate::state;
 use crate::trace::EventData;
 use ia32::cpu::Cpu;
+use ia32::mem::{GuestMem, MemFaultKind};
 use ipf::machine::StopReason;
 
 impl Engine {
@@ -29,7 +30,7 @@ impl Engine {
                 // SimOs signal ABI: push the faulting EIP like a call,
                 // then enter the handler.
                 let new_esp = cpu.esp().wrapping_sub(4);
-                if self.mem.write(new_esp as u64, 4, cpu.eip as u64).is_err() {
+                if !self.write_frame(new_esp, &[cpu.eip]) {
                     return ExitAction::Done(Outcome::Terminated {
                         exc,
                         cpu: Box::new(cpu),
@@ -58,10 +59,7 @@ impl Engine {
         self.machine
             .charge(region::OTHER, cost::SIGNAL_DELIVER_CYCLES);
         let esp = cpu.esp().wrapping_sub(12);
-        let ok = self.mem.write(esp as u64, 4, cpu.eip as u64).is_ok()
-            && self.mem.write(esp as u64 + 4, 4, cpu.eflags as u64).is_ok()
-            && self.mem.write(esp as u64 + 8, 4, cpu.gpr[0] as u64).is_ok();
-        if !ok {
+        if !self.write_frame(esp, &[cpu.eip, cpu.eflags, cpu.gpr[0]]) {
             // Unwritable stack: the guest cannot take the signal.
             return ExitAction::Done(Outcome::Terminated {
                 exc: GuestException::PageFault {
@@ -80,6 +78,25 @@ impl Engine {
         cpu.eip = handler;
         state::cpu_to_machine(&cpu, &mut self.machine);
         ExitAction::Dispatch(handler)
+    }
+
+    /// Pushes `words` (lowest address first) at `at`: a frame the engine
+    /// hands the guest. A stack on a page translated code came from is
+    /// the guest's to write, so a store the code-page protection stops
+    /// is run again under [`Engine::store_on_code_page`], like a guest
+    /// store there. Returns whether the frame landed.
+    fn write_frame(&mut self, at: u32, words: &[u32]) -> bool {
+        let push = |mem: &mut GuestMem| {
+            (0..)
+                .zip(words)
+                .try_for_each(|(i, &w)| mem.write(at as u64 + 4 * i, 4, w as u64))
+        };
+        match push(&mut self.mem) {
+            Err(f) if f.kind == MemFaultKind::SmcWrite => {
+                self.store_on_code_page(f.addr, |e| push(&mut e.mem).is_ok())
+            }
+            pushed => pushed.is_ok(),
+        }
     }
 
     /// The signal quantum expired mid-trace with a signal due. Single-

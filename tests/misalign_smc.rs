@@ -258,3 +258,101 @@ fn smc_store_to_a_page_a_hot_trace_only_inlines_retires_the_trace() {
         p.engine.stats.smc_extent_orphans
     );
 }
+
+/// Where the frame tests put the guest's stack: on the code page, above
+/// the code. The translator write-protects that page once it has
+/// translated from it, so the frame it pushes for the guest is a store
+/// onto protected translated code.
+const STACK_ON_CODE: u32 = 0x40_0F00;
+
+/// A guest whose exception handler runs on the code page: the load
+/// from an unmapped address faults, the translator pushes the faulting
+/// EIP onto the code page, and the handler repoints the load and
+/// returns to retry it. The frame must land as it does under the
+/// interpreter, not kill the guest.
+#[test]
+fn exception_frame_on_a_code_page_lands() {
+    let build = |haddr: i32| {
+        let mut a = Asm::new(0x40_0000);
+        let handler = a.label();
+        a.mov_ri(ESP, STACK_ON_CODE as i32);
+        a.mov_ri(EAX, btlib::sys::SIGNAL as i32);
+        a.mov_ri(EBX, haddr);
+        a.int(0x80);
+        a.mov_ri(ESI, 0x1000); // unmapped
+        a.mov_load(EDX, Addr::base(ESI)); // faults, then retried
+        a.mov_store(Addr::abs(DATA), EDX);
+        a.hlt();
+        a.bind(handler);
+        a.mov_ri(ESI, (DATA + 4) as i32);
+        a.mov_mi(Addr::base(ESI), 0x777);
+        a.ret();
+        (a.label_addr(handler), a)
+    };
+    let (h, _) = build(0);
+    let (_, a) = build(h as i32);
+    let img = Image::from_asm(&a)
+        .with_bss(DATA, 0x1000)
+        .with_writable_code();
+    // The frame word itself is compared too: it is on the code page.
+    let regions = [(DATA, 8), (STACK_ON_CODE - 4, 4)];
+    let p = differential(&img, cold_config(), &regions, "exception frame/cold");
+    assert_eq!(p.engine.mem.read(DATA as u64, 4).unwrap(), 0x777);
+    assert!(p.engine.stats.smc_events > 0, "the frame went through SMC");
+    differential(&img, hot_config(), &regions, "exception frame/hot");
+}
+
+/// The same guest with an asynchronous signal in place of the fault: it
+/// arrives while the stack is on the code page, and its three-word
+/// frame must land there and come back through `sigreturn`. The
+/// handler is transparent, so the run ends as the interpreter's run
+/// without the signal does.
+#[test]
+fn signal_frame_on_a_code_page_lands() {
+    use btgeneric::engine::Outcome;
+    use btlib::{Process, SignalPlan, SimOs};
+    let build = |haddr: i32| {
+        let mut a = Asm::new(0x40_0000);
+        let handler = a.label();
+        a.mov_ri(ESP, STACK_ON_CODE as i32);
+        a.mov_ri(EAX, btlib::sys::SIGNAL as i32);
+        a.mov_ri(EBX, haddr);
+        a.int(0x80);
+        // The signal is due at once: it is delivered at the dispatch
+        // right after the handler is registered, at this EIP.
+        let resume = a.here();
+        a.mov_ri(ECX, 7);
+        a.alu_ri(AluOp::Add, ECX, 35);
+        a.mov_store(Addr::abs(DATA), ECX);
+        a.hlt();
+        a.bind(handler);
+        a.mov_ri(EAX, btlib::sys::SIGRETURN as i32);
+        a.int(0x80);
+        (a.label_addr(handler), resume, a)
+    };
+    let (h, ..) = build(0);
+    let (_, resume, a) = build(h as i32);
+    let img = Image::from_asm(&a)
+        .with_bss(DATA, 0x1000)
+        .with_writable_code();
+    let oracle = ia32el::testkit::run_interp(&img, 1_000_000);
+    assert_eq!(oracle.end, ia32el::testkit::RunEnd::Halt);
+
+    let plan = SignalPlan {
+        arrivals: vec![0],
+        max_depth: 1,
+    };
+    let os = SimOs::new().with_signals(plan);
+    let mut p = Process::launch_with(&img, os, cold_config()).expect("launch");
+    let cpu = match p.run(10_000_000) {
+        Outcome::Halted(cpu) => cpu,
+        other => panic!("signal frame on a code page: {other:?}"),
+    };
+    ia32el::testkit::assert_cpu_equiv(&oracle.cpu, &cpu, "signal frame");
+    assert_eq!(p.engine.mem.read(DATA as u64, 4).unwrap(), 42);
+    assert_eq!(p.engine.stats.signals_delivered, 1);
+    assert_eq!(p.os.sigreturns, 1);
+    let frame = (STACK_ON_CODE - 12) as u64;
+    assert_eq!(p.engine.mem.read(frame, 4).unwrap(), resume as u64);
+    assert!(p.engine.stats.smc_events > 0, "the frame went through SMC");
+}
