@@ -18,7 +18,7 @@ use crate::templates::{AccessMode, MisalignPlan};
 use crate::trace::{EventData, Phase, SpanToken, TraceConfig, Tracer};
 use ia32::cpu::Cpu;
 use ia32::interp::{Event, Interp};
-use ia32::mem::{GuestMem, MemFaultKind};
+use ia32::mem::{GuestMem, MemFault, MemFaultKind};
 use ipf::asm::Relocatable;
 use ipf::machine::{Bus, BusError, CodeArena, Machine, StopReason};
 use std::collections::HashMap;
@@ -311,32 +311,28 @@ pub struct MemBus<'a>(pub &'a mut GuestMem);
 
 impl Bus for MemBus<'_> {
     fn read(&mut self, addr: u64, size: u32) -> Result<u64, BusError> {
-        self.0.read(addr, size).map_err(|f| match f.kind {
-            MemFaultKind::Unmapped => BusError::Unmapped,
-            MemFaultKind::NoRead | MemFaultKind::NoExec => BusError::NoRead,
-            MemFaultKind::NoWrite => BusError::NoWrite,
-            MemFaultKind::SmcWrite => BusError::Smc,
-        })
+        self.0.read(addr, size).map_err(bus_error)
     }
 
     fn write(&mut self, addr: u64, size: u32, val: u64) -> Result<(), BusError> {
-        self.0.write(addr, size, val).map_err(|f| match f.kind {
-            MemFaultKind::SmcWrite => BusError::Smc,
-            MemFaultKind::Unmapped => BusError::Unmapped,
-            MemFaultKind::NoWrite => BusError::NoWrite,
-            _ => BusError::NoRead,
-        })
+        self.0.write(addr, size, val).map_err(bus_error)
+    }
+}
+
+/// The machine's view of a guest-memory fault.
+fn bus_error(f: MemFault) -> BusError {
+    match f.kind {
+        MemFaultKind::Unmapped => BusError::Unmapped,
+        MemFaultKind::NoRead | MemFaultKind::NoExec => BusError::NoRead,
+        MemFaultKind::NoWrite => BusError::NoWrite,
+        MemFaultKind::SmcWrite => BusError::Smc,
     }
 }
 
 /// The IA-32 Execution Layer engine: one guest session — its memory,
-/// its machine (whose arena holds the translated code) and the code
-/// cache over them. Each seam of the engine keeps its state in one
-/// owner field: dispatch (profile slots, pinned block), the
-/// degradation ladder (blacklist, recovery depth), the SMC governor
-/// and the tenant hooks (the attachment to a shared namespace). Tenants
-/// never share an `Engine`; they share published records through
-/// [`crate::serving::SharedCache`].
+/// its machine and its code cache — with each seam's state in one
+/// owner field. Tenants never share an `Engine`; they share published
+/// records through [`crate::serving::SharedCache`].
 pub struct Engine {
     /// Guest memory (application + translator data).
     pub mem: GuestMem,
@@ -435,12 +431,10 @@ impl Engine {
             "block {} @ guest {:#x} ({:?}, {} IA-32 insts)",
             b.id, b.eip, b.kind, b.ia32_insts
         );
-        let mut addr = b.range.0;
-        while addr < b.range.1 {
+        for addr in (b.range.0..b.range.1).step_by(ipf::Bundle::SIZE as usize) {
             if let Some(bundle) = self.machine.arena.bundle_at(addr) {
                 let _ = writeln!(out, "  {addr:#x}: {bundle}");
             }
-            addr += ipf::Bundle::SIZE;
         }
         out
     }
@@ -452,13 +446,12 @@ impl Engine {
     /// bench harness may call this any number of times without
     /// double-counting `hot_side_exits`.
     pub fn collect_hot_exit_stats(&mut self) {
-        let mut side = 0;
-        for b in &self.blocks {
-            if b.kind == BlockKind::Hot && !b.evicted {
-                side += self.mem.read(b.edge_counters.0, 8).unwrap_or(0);
-            }
-        }
-        self.stats.hot_side_exits = side;
+        let hot = self
+            .blocks
+            .iter()
+            .filter(|b| b.kind == BlockKind::Hot && !b.evicted);
+        let side = hot.map(|b| self.mem.read(b.edge_counters.0, 8).unwrap_or(0));
+        self.stats.hot_side_exits = side.sum();
     }
 
     /// Every live hot trace's recovery map, keyed by the trace's guest
@@ -655,27 +648,13 @@ impl Engine {
         }
     }
 
-    /// Cold-translates the block at `eip` on demand (a specific
-    /// version), updating the registry and patching pending links via
-    /// the forwarding rule.
-    fn translate_cold(
-        &mut self,
-        os: &mut dyn BtOs,
-        eip: u32,
-        kind: BlockKind,
-        inline_fp: bool,
-        overrides: HashMap<u16, AccessMode>,
-    ) -> Result<u64, GuestException> {
-        self.translate(os, eip, kind, inline_fp, overrides, XlateOrigin::Demand)
-    }
-
     /// Regenerates block `id` from its guest bytes as a cold block of
     /// `kind`, keeping its learned misalignment modes: a misalignment
     /// retrain, a TagFix rebuild with inline FP checks, a demotion.
     fn retranslate(&mut self, os: &mut dyn BtOs, id: u32, kind: BlockKind, inline_fp: bool) {
         let b = &self.blocks[id as usize];
         let (eip, overrides) = (b.eip, b.misalign_overrides.clone());
-        let _ = self.translate_cold(os, eip, kind, inline_fp, overrides);
+        let _ = self.translate(os, eip, kind, inline_fp, overrides, XlateOrigin::Demand);
     }
 
     /// Cold-translates the block at `eip` for `origin` — on demand,
@@ -756,13 +735,10 @@ impl Engine {
             block_id: id,
         };
         // SMC-aware prologue for pages that have already modified code.
-        let page = eip >> 12;
-        let smc_check = if self.smc.is_snapshot(page) {
+        let smc_check = self.smc.is_snapshot(eip >> 12).then(|| {
             let snapshot = self.mem.read(eip as u64, 8).unwrap_or(0);
-            Some((eip as u64, snapshot))
-        } else {
-            None
-        };
+            (eip as u64, snapshot)
+        });
         let input = ColdGenInput {
             region: &region_g,
             liveness: &liveness,
@@ -908,6 +884,17 @@ impl Engine {
         Ok(entry)
     }
 
+    /// The guest EIP the IA-32 state register holds.
+    fn state_eip(&self) -> u32 {
+        self.machine.gr[GR_STATE.0 as usize] as u32
+    }
+
+    /// The IA-32 state at the state register's EIP, everything in its
+    /// canonical home (cold code, a dispatcher exit).
+    fn state_cpu(&self) -> Cpu {
+        state::machine_to_cpu(&self.machine, self.state_eip())
+    }
+
     /// Reconstructs the precise IA-32 state at a fault (paper §4).
     pub fn reconstruct(&self, ip: u64, slot: u8) -> Cpu {
         if let Some(id) = self.block_at_addr(ip) {
@@ -920,8 +907,7 @@ impl Engine {
         }
         // Cold code: the IA-32 state register holds the faulting EIP and
         // all state is in its canonical home.
-        let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-        state::machine_to_cpu(&self.machine, eip)
+        self.state_cpu()
     }
 
     /// Runs the guest from `cpu` until exit/trap/limit.
@@ -1003,73 +989,21 @@ impl Engine {
             }
             // Attribution EIP for traces until the next real dispatch:
             // the state register holds the current block's guest EIP.
-            None => self.machine.gr[GR_STATE.0 as usize] as u32,
+            None => self.state_eip(),
         };
         let mut remaining = max_slots;
         'dispatch: loop {
             if resuming {
                 resuming = false;
             } else {
-                self.trace_profile(|t| t.profile_dispatch(eip));
-                // Dispatch latency: cycles from this boundary to the
-                // resolved translated entry, translation work included.
-                let boundary_cycles = self.machine.cycles;
-                // Fault injection is consulted at the dispatch boundary:
-                // the precise EIP is known and all guest state is in its
-                // canonical home, so every injected failure is recoverable.
-                if self.chaos.is_some() {
-                    self.inject_faults(os, eip);
-                }
-                // Asynchronous signal delivery at the dispatch boundary: all
-                // guest state is canonical and EIP is precise, so a pending
-                // signal can be delivered without any reconstruction.
-                if let Some(handler) = os.poll_signal(self.machine.cycles) {
-                    let cpu = state::machine_to_cpu(&self.machine, eip);
-                    match self.deliver_signal(handler, cpu) {
-                        ExitAction::Dispatch(e) => {
-                            eip = e;
-                            continue 'dispatch;
-                        }
-                        ExitAction::Done(out) => return out,
-                        ExitAction::Continue(_) => unreachable!("signal delivery never resumes"),
+                match self.dispatch_boundary(os, eip) {
+                    ExitAction::Continue(entry) => self.machine.set_ip(entry, 0),
+                    ExitAction::Dispatch(e) => {
+                        eip = e;
+                        continue;
                     }
+                    ExitAction::Done(out) => return out,
                 }
-                // Chained-dispatch fast path: a registry hit needs no
-                // translation work and only minimal state traffic, so it is
-                // charged a reduced round-trip cost. Under
-                // verify-on-dispatch a checksum mismatch evicts the target
-                // and falls back to the slow path (retranslation).
-                let fast = match self.entry_of_existing(eip) {
-                    Some(e) if !self.cfg.verify_on_dispatch || self.verify_dispatch(eip) => Some(e),
-                    _ => None,
-                };
-                let entry = if let Some(e) = fast {
-                    self.machine
-                        .charge(region::OTHER, cost::DISPATCH_FAST_CYCLES);
-                    self.stats.dispatch_fast_hits += 1;
-                    e
-                } else {
-                    self.machine.charge(region::OTHER, cost::DISPATCH_CYCLES);
-                    match self.entry_of(os, eip) {
-                        Ok(e) => e,
-                        Err(exc) => {
-                            let at = self.machine.gr[GR_STATE.0 as usize] as u32;
-                            let cpu = state::machine_to_cpu(&self.machine, at);
-                            match self.deliver_action(os, exc, cpu) {
-                                ExitAction::Dispatch(new_eip) => {
-                                    eip = new_eip;
-                                    continue 'dispatch;
-                                }
-                                ExitAction::Done(out) => return out,
-                                ExitAction::Continue(_) => unreachable!("never resumes in place"),
-                            }
-                        }
-                    }
-                };
-                self.stats
-                    .dispatch_hist
-                    .record(self.machine.cycles - boundary_cycles);
-                self.machine.set_ip(entry, 0);
             }
             loop {
                 let before = self.machine.inst_count;
@@ -1106,7 +1040,7 @@ impl Engine {
                 }
                 let used = self.machine.inst_count - before;
                 remaining = remaining.saturating_sub(used);
-                match stop {
+                let act = match stop {
                     StopReason::InstLimit => {
                         if remaining == 0 {
                             return Outcome::InstLimit;
@@ -1116,41 +1050,33 @@ impl Engine {
                         // (or state boundary) and deliver there;
                         // otherwise just resume — the machine restarts
                         // at the exact next unexecuted slot.
-                        if os.signal_due(self.machine.cycles) {
-                            match self.hunt_commit_point(os, &mut remaining) {
-                                Some(ExitAction::Dispatch(new_eip)) => {
-                                    eip = new_eip;
-                                    continue 'dispatch;
-                                }
-                                Some(ExitAction::Done(out)) => return out,
-                                Some(ExitAction::Continue(_)) | None => {
-                                    // Keep hunting next quantum.
-                                }
-                            }
+                        if !os.signal_due(self.machine.cycles) {
+                            continue;
+                        }
+                        match self.hunt_commit_point(os, &mut remaining) {
+                            Some(act @ (ExitAction::Dispatch(_) | ExitAction::Done(_))) => act,
+                            // Keep hunting next quantum.
+                            _ => continue,
                         }
                     }
                     StopReason::ExternalBranch { target, from } => {
-                        match self.handle_exit(os, target, from) {
-                            ExitAction::Continue(addr) => {
-                                self.machine.set_ip(addr, 0);
-                            }
-                            ExitAction::Dispatch(new_eip) => {
-                                eip = new_eip;
-                                continue 'dispatch;
-                            }
-                            ExitAction::Done(out) => return out,
-                        }
+                        self.handle_exit(os, target, from)
                     }
                     StopReason::Fault { fault, ip, slot } => {
                         match self.handle_fault(os, fault, ip, slot) {
-                            ExitAction::Continue(_) => { /* resumed in place */ }
-                            ExitAction::Dispatch(new_eip) => {
-                                eip = new_eip;
-                                continue 'dispatch;
-                            }
-                            ExitAction::Done(out) => return out,
+                            // Resumed in place.
+                            ExitAction::Continue(_) => continue,
+                            act => act,
                         }
                     }
+                };
+                match act {
+                    ExitAction::Continue(addr) => self.machine.set_ip(addr, 0),
+                    ExitAction::Dispatch(e) => {
+                        eip = e;
+                        continue 'dispatch;
+                    }
+                    ExitAction::Done(out) => return out,
                 }
             }
         }
@@ -1165,19 +1091,8 @@ impl Engine {
         };
         let payload = self.machine.gr[GR_PAYLOAD0.0 as usize];
         match kind {
-            StubKind::Exit => {
-                let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                ExitAction::Done(Outcome::Halted(Box::new(state::machine_to_cpu(
-                    &self.machine,
-                    eip,
-                ))))
-            }
-            StubKind::Syscall => {
-                let next_eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                let vector = payload as u8;
-                let cpu = state::machine_to_cpu(&self.machine, next_eip);
-                self.syscall(os, vector, cpu)
-            }
+            StubKind::Exit => ExitAction::Done(Outcome::Halted(Box::new(self.state_cpu()))),
+            StubKind::Syscall => self.syscall(os, payload as u8, self.state_cpu()),
             StubKind::Untranslated => {
                 let eip = payload as u32;
                 match self.entry_of(os, eip) {
@@ -1188,14 +1103,17 @@ impl Engine {
                         match self.registry.live(eip) {
                             Some(tid) => self.chain(from, tid),
                             None => {
-                                self.patch_branch(from, StubKind::Untranslated.addr(), entry);
+                                self.patch_branch(
+                                    from,
+                                    |t| t == StubKind::Untranslated.addr(),
+                                    entry,
+                                );
                             }
                         }
                         ExitAction::Continue(entry)
                     }
                     Err(exc) => {
-                        let cpu = state::machine_to_cpu(&self.machine, eip);
-                        self.deliver_action(os, exc, cpu)
+                        self.deliver_action(os, exc, state::machine_to_cpu(&self.machine, eip))
                     }
                 }
             }
@@ -1214,11 +1132,9 @@ impl Engine {
                     // re-missing) the pop on every execution.
                     let id = (site & 0xFFFF_FFFF) as u32;
                     site = 0;
-                    if (id as usize) < self.blocks.len() {
-                        self.blocks[id as usize].pop_misses += 1;
-                        if self.blocks[id as usize].pop_misses >= policy::SHADOW_DEMOTE_MISSES
-                            && !self.blocks[id as usize].indirect_plain
-                        {
+                    if let Some(b) = self.blocks.get_mut(id as usize) {
+                        b.pop_misses += 1;
+                        if b.pop_misses >= policy::SHADOW_DEMOTE_MISSES && !b.indirect_plain {
                             self.demote_indirect(os, id);
                         }
                     }
@@ -1237,8 +1153,7 @@ impl Engine {
                         ExitAction::Continue(entry)
                     }
                     Err(exc) => {
-                        let cpu = state::machine_to_cpu(&self.machine, eip);
-                        self.deliver_action(os, exc, cpu)
+                        self.deliver_action(os, exc, state::machine_to_cpu(&self.machine, eip))
                     }
                 }
             }
@@ -1266,8 +1181,7 @@ impl Engine {
                 self.stats.misalign_retrains += 1;
                 self.retranslate(os, id, BlockKind::ColdV2, false);
                 // Continue at the interrupted instruction.
-                let cur = self.machine.gr[GR_STATE.0 as usize] as u32;
-                ExitAction::Dispatch(cur)
+                ExitAction::Dispatch(self.state_eip())
             }
             StubKind::SmcFail => {
                 let id = payload as u32;
@@ -1280,47 +1194,25 @@ impl Engine {
                 if self.note_smc_disturbance(eip >> 12) {
                     return ExitAction::Dispatch(eip);
                 }
-                let _ = self.translate_cold(os, eip, BlockKind::ColdV1, false, HashMap::new());
+                let fresh = HashMap::new();
+                let _ = self.translate(
+                    os,
+                    eip,
+                    BlockKind::ColdV1,
+                    false,
+                    fresh,
+                    XlateOrigin::Demand,
+                );
                 ExitAction::Dispatch(eip)
             }
-            StubKind::TosFix => {
-                let id = payload as u32;
-                self.stats.tos_fixes += 1;
-                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-                self.fix_tos(id);
-                ExitAction::Continue(self.blocks[id as usize].entry)
-            }
-            StubKind::TagFix => {
-                let id = payload as u32;
-                self.stats.tag_fixes += 1;
-                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-                // Rebuild the "special block" with inline checks.
-                let kind = self.blocks[id as usize].kind;
-                self.retranslate(os, id, kind, true);
-                ExitAction::Dispatch(self.blocks[id as usize].eip)
-            }
-            StubKind::MmxFix => {
-                let id = payload as u32;
-                self.stats.mmx_fixes += 1;
-                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-                self.fix_mmx_mode(self.blocks[id as usize].entry_mmx);
-                ExitAction::Continue(self.blocks[id as usize].entry)
-            }
-            StubKind::XmmFix => {
-                let id = payload as u32;
-                self.stats.xmm_fixes += 1;
-                self.machine.charge(region::OTHER, cost::FIX_CYCLES);
-                self.fix_xmm_formats(id);
-                ExitAction::Continue(self.blocks[id as usize].entry)
+            StubKind::TosFix | StubKind::TagFix | StubKind::MmxFix | StubKind::XmmFix => {
+                self.fp_fix(os, kind, payload as u32)
             }
             StubKind::DivZero => {
-                let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                let cpu = state::machine_to_cpu(&self.machine, eip);
-                self.deliver_action(os, GuestException::DivideError, cpu)
+                self.deliver_action(os, GuestException::DivideError, self.state_cpu())
             }
             StubKind::FpStackFault => {
-                let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                let mut cpu = state::machine_to_cpu(&self.machine, eip);
+                let mut cpu = self.state_cpu();
                 // Set the stack-fault status bits like the oracle does.
                 cpu.fpu.status |= ia32::fpu::status::SF | ia32::fpu::status::IE;
                 self.deliver_action(os, GuestException::FpStackFault, cpu)
@@ -1339,27 +1231,16 @@ impl Engine {
                         state::cpu_to_machine(&c, &mut self.machine);
                         ExitAction::Dispatch(c.eip)
                     }
-                    None => {
-                        let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                        ExitAction::Dispatch(eip)
-                    }
+                    None => ExitAction::Dispatch(self.state_eip()),
                 }
             }
-            StubKind::InterpStep => {
-                let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                self.interp_one(os, eip)
-            }
+            StubKind::InterpStep => self.interp_one(os, self.state_eip()),
             StubKind::Reenter => match self.block_at_addr(from) {
                 Some(id) => ExitAction::Dispatch(self.blocks[id as usize].eip),
-                None => {
-                    let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                    ExitAction::Dispatch(eip)
-                }
+                None => ExitAction::Dispatch(self.state_eip()),
             },
             StubKind::InvalidOp => {
-                let eip = self.machine.gr[GR_STATE.0 as usize] as u32;
-                let cpu = state::machine_to_cpu(&self.machine, eip);
-                self.deliver_action(os, GuestException::InvalidOpcode, cpu)
+                self.deliver_action(os, GuestException::InvalidOpcode, self.state_cpu())
             }
         }
     }
@@ -1886,8 +1767,16 @@ pub(crate) mod tests {
                     "cold translation"
                 }
                 (6..=8, Some(id)) => {
+                    let fresh = HashMap::new();
                     engine
-                        .translate_cold(&mut os, eip, BlockKind::ColdV2, false, HashMap::new())
+                        .translate(
+                            &mut os,
+                            eip,
+                            BlockKind::ColdV2,
+                            false,
+                            fresh,
+                            XlateOrigin::Demand,
+                        )
                         .expect("retranslates");
                     let b = &engine.blocks[id as usize];
                     let old = b.extents[0].0;

@@ -1,18 +1,12 @@
-//! Dispatch and chaining: how control gets from one translation to
-//! the next. A guest EIP resolves through the registry (translating on
-//! a miss) or the 2-way lookup table that translated code probes
-//! itself; exits are chained straight to their targets, forwarded when
-//! a block is regenerated and un-linked when it is evicted. This seam
-//! also makes room in the cache and owns the per-block profile slots
-//! every translation counts into.
+//! Dispatch and chaining: a guest EIP resolves to its translation (or
+//! is translated); exits are chained, forwarded and un-linked; the cache
+//! makes room by eviction. Owns the per-block profile slots.
 
-use super::{BlockInfo, BlockKind, Engine, ExitAction};
+use super::{BlockInfo, BlockKind, Engine, ExitAction, XlateOrigin};
 use crate::btos::{BtOs, GuestException};
-use crate::chaos::FaultKind;
-use crate::cost;
 use crate::layout::{self, region, StubKind};
-use crate::state::GR_STATE;
-use crate::trace::EventData;
+use crate::state::{self, GR_STATE};
+use crate::{chaos::FaultKind, cost, trace::EventData};
 use ia32::mem::{GuestMem, Prot};
 use ipf::inst::{Op, Target};
 use std::collections::HashMap;
@@ -83,6 +77,7 @@ impl Dispatch {
     }
 
     /// The block pinned while an exit is handled.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn pinned(&self) -> Option<u32> {
         self.pinned
     }
@@ -92,27 +87,74 @@ impl Dispatch {
     /// overflow one.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn audit(&self) -> Result<(), String> {
-        for &s in &self.ic_slots {
+        let stray = self.ic_slots.iter().find(|&&s| {
             let at = s.checked_sub(layout::COUNTERS_BASE + IC_OFFSET);
-            check!(
-                "profiles",
-                at.is_some_and(|at| at % PROFILE_STRIDE == 0) && s + 24 <= self.mapped,
-                "inline-cache slot {s:#x} is no mapped profile slot's"
-            );
-        }
+            at.is_none_or(|at| at % PROFILE_STRIDE != 0) || s + 24 > self.mapped
+        });
+        check!(
+            "profiles",
+            stray.is_none(),
+            "inline-cache slot {stray:x?} is no profile slot's"
+        );
         let mut seen = std::collections::HashSet::new();
-        for &p in self.profile_of.values() {
-            check!(
-                "profiles",
-                p == layout::COUNTERS_BASE || seen.insert(p),
-                "two EIPs share the profile slot at {p:#x}"
-            );
-        }
+        let shared = self
+            .profile_of
+            .values()
+            .find(|&&p| p != layout::COUNTERS_BASE && !seen.insert(p));
+        check!(
+            "profiles",
+            shared.is_none(),
+            "two EIPs share the profile slot {shared:x?}"
+        );
         Ok(())
     }
 }
 
 impl Engine {
+    /// One dispatch boundary at `eip`, where the EIP is precise and all
+    /// guest state is in its canonical home: injected faults are
+    /// applied and a due signal is delivered here, then `eip` resolves
+    /// to the entry to run (`Continue`) — a registry hit on the fast
+    /// path, else through translation.
+    pub(super) fn dispatch_boundary(&mut self, os: &mut dyn BtOs, eip: u32) -> ExitAction {
+        self.trace_profile(|t| t.profile_dispatch(eip));
+        // Dispatch latency: cycles from this boundary to the resolved
+        // translated entry, translation work included.
+        let boundary_cycles = self.machine.cycles;
+        if self.chaos.is_some() {
+            self.inject_faults(os, eip);
+        }
+        if let Some(handler) = os.poll_signal(self.machine.cycles) {
+            let cpu = state::machine_to_cpu(&self.machine, eip);
+            return self.deliver_signal(handler, cpu);
+        }
+        // Chained-dispatch fast path: a registry hit needs no
+        // translation work and only minimal state traffic, so it is
+        // charged a reduced round-trip cost. Under verify-on-dispatch a
+        // checksum mismatch evicts the target and falls back to the
+        // slow path (retranslation).
+        let fast = match self.entry_of_existing(eip) {
+            Some(e) if !self.cfg.verify_on_dispatch || self.verify_dispatch(eip) => Some(e),
+            _ => None,
+        };
+        let entry = if let Some(e) = fast {
+            self.machine
+                .charge(region::OTHER, cost::DISPATCH_FAST_CYCLES);
+            self.stats.dispatch_fast_hits += 1;
+            e
+        } else {
+            self.machine.charge(region::OTHER, cost::DISPATCH_CYCLES);
+            match self.entry_of(os, eip) {
+                Ok(e) => e,
+                Err(exc) => return self.deliver_action(os, exc, self.state_cpu()),
+            }
+        };
+        self.stats
+            .dispatch_hist
+            .record(self.machine.cycles - boundary_cycles);
+        ExitAction::Continue(entry)
+    }
+
     /// Entry address for `eip` if already translated (no translation).
     pub fn entry_of_existing(&self, eip: u32) -> Option<u64> {
         self.live_block(eip).map(|b| b.entry)
@@ -161,7 +203,15 @@ impl Engine {
         if let Some(entry) = self.shared_consult(os, eip) {
             return Ok(entry);
         }
-        self.translate_cold(os, eip, BlockKind::ColdV1, false, HashMap::new())
+        let fresh = HashMap::new();
+        self.translate(
+            os,
+            eip,
+            BlockKind::ColdV1,
+            false,
+            fresh,
+            XlateOrigin::Demand,
+        )
     }
 
     /// Inserts `eip -> entry` into the 2-way lookup table: a matching
@@ -216,40 +266,30 @@ impl Engine {
     /// records the edge so eviction of the target can un-link it.
     pub(super) fn chain(&mut self, site: u64, target: u32) {
         let entry = self.blocks[target as usize].entry;
-        if self.patch_branch(site, StubKind::Untranslated.addr(), entry) {
+        if self.patch_branch(site, |t| t == StubKind::Untranslated.addr(), entry) > 0 {
             self.registry.link(target, site);
         }
     }
 
-    /// Re-points every branch to `old_target` in the bundle at
-    /// `bundle_addr` at `new_target`; whether there was one (an exit
-    /// already chained elsewhere — to an interpreter stub, say — is
-    /// left alone).
-    pub(super) fn patch_branch(
-        &mut self,
-        bundle_addr: u64,
-        old_target: u64,
-        new_target: u64,
-    ) -> bool {
-        let mut patches = Vec::new();
-        if let Some(b) = self.machine.arena.bundle_at(bundle_addr) {
-            for (i, s) in b.slots.iter().enumerate() {
-                if s.op.target() == Some(Target::Abs(old_target)) {
-                    patches.push(i);
-                }
-            }
-        }
+    /// Re-points every branch in the bundle at `site` whose target
+    /// `hits` at `to`; how many there were.
+    pub(super) fn patch_branch(&mut self, site: u64, hits: impl Fn(u64) -> bool, to: u64) -> u64 {
+        let patches: Vec<usize> = self.machine.arena.bundle_at(site).map_or(Vec::new(), |b| {
+            let hit =
+                |i: &usize| matches!(b.slots[*i].op.target(), Some(Target::Abs(t)) if hits(t));
+            (0..b.slots.len()).filter(hit).collect()
+        });
         for &i in &patches {
             self.machine.arena.patch_slot(
-                bundle_addr,
+                site,
                 i,
                 Op::Br {
-                    target: Target::Abs(new_target),
+                    target: Target::Abs(to),
                 },
             );
         }
-        self.note_patched(bundle_addr);
-        !patches.is_empty()
+        self.note_patched(site);
+        patches.len() as u64
     }
 
     /// Finds the bundle holding a trampoline's branch to the
@@ -292,33 +332,6 @@ impl Engine {
             }
         }
         found
-    }
-
-    /// Re-points every branch slot in the bundle at `addr` that targets
-    /// one of `extents` back at the Untranslated stub.
-    fn unlink_branch(&mut self, addr: u64, extents: &[(u64, u64)]) {
-        let Some(b) = self.machine.arena.bundle_at(addr) else {
-            return;
-        };
-        let mut patches = Vec::new();
-        for (i, s) in b.slots.iter().enumerate() {
-            if let Some(Target::Abs(t)) = s.op.target() {
-                if extents.iter().any(|&(st, en)| t >= st && t < en) {
-                    patches.push(i);
-                }
-            }
-        }
-        for i in patches {
-            self.machine.arena.patch_slot(
-                addr,
-                i,
-                Op::Br {
-                    target: Target::Abs(StubKind::Untranslated.addr()),
-                },
-            );
-            self.stats.chain_unlinks += 1;
-        }
-        self.note_patched(addr);
     }
 
     /// Patches the entry bundle of an old block version to branch to the
@@ -491,8 +504,9 @@ impl Engine {
         // (payload = target EIP) is still upstream of the branch, so
         // re-pointing the branch at the stub restores the original
         // dispatch semantics exactly.
+        let stub = StubKind::Untranslated.addr();
         for from in inbound {
-            self.unlink_branch(from, &extents);
+            self.stats.chain_unlinks += self.patch_branch(from, in_extents, stub);
         }
         // Purge lookup entries — only where the slot both keys on this
         // EIP and still targets the victim's code; a colliding or newer

@@ -1,16 +1,11 @@
-//! Fix-ups: faults and speculation misses the engine repairs in place
-//! instead of delivering. A misaligned access is emulated in parts (the
-//! paper's §5 OS-handled stage), and a hot block that keeps taking
-//! them is rebuilt with avoidance; a block entered under the wrong FP
-//! speculation (x87 top of stack, FP/MMX mode, XMM formats) gets the
-//! machine state rearranged to what it was translated for.
+//! Fix-ups: a misaligned access emulated in parts (the paper's §5
+//! OS-handled stage), and a block entered under FP speculation that
+//! does not hold, repaired in place.
 
 use super::{BlockKind, Engine, EngineError, ExitAction};
 use crate::btos::{BtOs, GuestException};
-use crate::cost;
-use crate::layout::region;
-use crate::policy;
-use crate::state;
+use crate::layout::{region, StubKind};
+use crate::{cost, policy, state};
 use ia32::mem::{GuestMem, MemFaultKind};
 use ipf::inst::{FFmt, Op};
 use ipf::machine::{BusError, MachFault};
@@ -87,50 +82,31 @@ impl Engine {
     }
 
     fn inst_writes_mem(&self, eip: u32) -> bool {
-        let Some((inst, _)) = ia32::decode::decode_at(&self.mem, eip) else {
-            return false;
-        };
         use ia32::inst::Inst as I;
-        matches!(
-            inst,
-            I::Mov {
-                dst: ia32::inst::Rm::Mem(_),
-                ..
-            } | I::Alu {
-                dst: ia32::inst::Rm::Mem(_),
-                ..
-            } | I::Push { .. }
+        match ia32::decode::decode_at(&self.mem, eip) {
+            Some((
+                I::Mov { dst, .. }
+                | I::Alu { dst, .. }
+                | I::IncDec { dst, .. }
+                | I::Neg { dst, .. }
+                | I::Not { dst, .. }
+                | I::Shift { dst, .. }
+                | I::Setcc { dst, .. }
+                | I::Xchg { rm: dst, .. },
+                _,
+            )) => dst.is_mem(),
+            Some((
+                I::Push { .. }
                 | I::Call { .. }
                 | I::CallInd { .. }
                 | I::Movs { .. }
                 | I::Stos { .. }
                 | I::Fst { .. }
-                | I::Fistp { .. }
-                | I::IncDec {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Neg {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Not {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Shift {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Setcc {
-                    dst: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-                | I::Xchg {
-                    rm: ia32::inst::Rm::Mem(_),
-                    ..
-                }
-        )
+                | I::Fistp { .. },
+                _,
+            )) => true,
+            _ => false,
+        }
     }
 
     /// Emulates a misaligned access in parts (the "OS handler" path).
@@ -204,7 +180,36 @@ impl Engine {
         Ok(())
     }
 
-    pub(super) fn fix_tos(&mut self, id: u32) {
+    /// A block was entered under FP speculation that does not hold
+    /// (`kind` is the stub it exited to): rearrange the machine state to
+    /// what block `id` was translated for and re-enter it, or, for
+    /// tags, rebuild it as the "special block" with inline checks.
+    pub(super) fn fp_fix(&mut self, os: &mut dyn BtOs, kind: StubKind, id: u32) -> ExitAction {
+        self.machine.charge(region::OTHER, cost::FIX_CYCLES);
+        match kind {
+            StubKind::TosFix => {
+                self.stats.tos_fixes += 1;
+                self.fix_tos(id);
+            }
+            StubKind::MmxFix => {
+                self.stats.mmx_fixes += 1;
+                self.fix_mmx_mode(self.blocks[id as usize].entry_mmx);
+            }
+            StubKind::XmmFix => {
+                self.stats.xmm_fixes += 1;
+                self.fix_xmm_formats(id);
+            }
+            _ => {
+                self.stats.tag_fixes += 1;
+                let kind = self.blocks[id as usize].kind;
+                self.retranslate(os, id, kind, true);
+                return ExitAction::Dispatch(self.blocks[id as usize].eip);
+            }
+        }
+        ExitAction::Continue(self.blocks[id as usize].entry)
+    }
+
+    fn fix_tos(&mut self, id: u32) {
         let b = &self.blocks[id as usize];
         let want = b.spec.tos;
         let cur = (self.machine.gr[state::GR_FPTOP.0 as usize] & 7) as u8;
@@ -232,7 +237,7 @@ impl Engine {
         self.machine.gr[state::GR_FPTOP.0 as usize] = want as u64;
     }
 
-    pub(super) fn fix_mmx_mode(&mut self, want_mmx: bool) {
+    fn fix_mmx_mode(&mut self, want_mmx: bool) {
         let cur = self.machine.gr[state::GR_FPMODE.0 as usize] & 1 != 0;
         if cur == want_mmx {
             return;
@@ -253,7 +258,7 @@ impl Engine {
         }
     }
 
-    pub(super) fn fix_xmm_formats(&mut self, id: u32) {
+    fn fix_xmm_formats(&mut self, id: u32) {
         let want = self.blocks[id as usize].spec.xmm_fmt;
         let cur = self.machine.gr[state::GR_XMMFMT.0 as usize] as u8;
         for n in 0..8u8 {

@@ -1,11 +1,6 @@
-//! The degradation ladder: how the engine survives its own failures —
-//! a fault in translated code it cannot attribute to the guest, failed
-//! speculation, a block that keeps failing, an injected fault. Each
-//! failure maps to a precise guest state and one bounded rung: retry,
-//! demote (hot) or evict (cold) and blacklist, or, nested too deep, the
-//! interpreter. Recovery actions run inside [`Engine::recovering`]
-//! scopes, so a failure raised while recovering descends instead of
-//! recursing.
+//! The degradation ladder: a translator failure maps to a precise guest
+//! state and one bounded rung — retry, demote or evict and blacklist, or
+//! the interpreter — inside depth-tracked recovery scopes.
 
 use super::{site_is_monomorphic, BlockKind, Engine, ExitAction};
 use crate::btos::BtOs;
@@ -77,6 +72,7 @@ impl Ladder {
     }
 
     /// Open recovery scopes.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn depth(&self) -> u32 {
         self.depth
     }
@@ -151,15 +147,11 @@ impl Engine {
         // Precise state: a block entry is a state boundary (everything
         // in its canonical home, EIP = the block's EIP); inside a block
         // the recovery maps / state register reconstruct it.
-        let cpu = match id {
-            Some(id) => {
-                let b = &self.blocks[id as usize];
-                if b.extents.iter().any(|&(s, _)| s == site) {
-                    state::machine_to_cpu(&self.machine, b.eip)
-                } else {
-                    self.reconstruct(site, slot)
-                }
-            }
+        let entered = id
+            .map(|id| &self.blocks[id as usize])
+            .filter(|b| b.extents.iter().any(|&(s, _)| s == site));
+        let cpu = match entered {
+            Some(b) => state::machine_to_cpu(&self.machine, b.eip),
             None => self.reconstruct(site, slot),
         };
         let rung = if let Some(id) = id {

@@ -1,16 +1,10 @@
-//! Signals and exception delivery: handing the guest a precise IA-32
-//! state at a point where one exists. A synchronous exception is
-//! delivered where it was raised (paper Figure 3 D); an asynchronous
-//! signal waits for a dispatch boundary, or for the next hot-trace
-//! commit point or block entry the machine single-steps to.
+//! Signals and exception delivery, where precise IA-32 state exists:
+//! where a fault was raised (paper Figure 3 D), at a dispatch boundary,
+//! or at the hot-trace commit point or block entry a signal hunts for.
 
 use super::{Engine, ExitAction, MemBus, Outcome};
 use crate::btos::{BtOs, ExceptionOutcome, GuestException};
-use crate::cost;
-use crate::layout::region;
-use crate::policy;
-use crate::state;
-use crate::trace::EventData;
+use crate::{cost, layout::region, policy, state, trace::EventData};
 use ia32::cpu::Cpu;
 use ia32::mem::{GuestMem, MemFaultKind};
 use ipf::machine::StopReason;

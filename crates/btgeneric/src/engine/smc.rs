@@ -1,18 +1,12 @@
-//! Self-modifying code: a store onto a page that translated code came
-//! from. Such pages are write-protected, so the store faults before it
-//! runs; the engine lifts the protection, lets it run, re-checks every
-//! translation from the page against its source bytes and re-arms the
-//! protection. A page the guest keeps rewriting goes to the thrash
-//! governor, [`SmcGovernor`]: interpret-only for a while, then
-//! translated with a snapshot check instead of protection.
+//! Self-modifying code: stores onto the write-protected pages translated
+//! code came from, and the thrash governor ([`SmcGovernor`]) for pages
+//! the guest keeps rewriting.
 
 use super::{src_checksum, BlockKind, Engine, ExitAction};
 use crate::btos::BtOs;
 use crate::chaos::Blacklist;
 use crate::layout::{self, StubKind};
-use crate::policy;
-use crate::state;
-use crate::trace::EventData;
+use crate::{policy, state, trace::EventData};
 use std::collections::{HashMap, HashSet};
 
 /// The SMC-thrash governor: which pages are rewritten often enough to
@@ -80,42 +74,31 @@ impl SmcGovernor {
     /// is write-protected.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn audit(&self, mem: &ia32::mem::GuestMem) -> Result<(), String> {
-        for page in self.blacklist.keys() {
-            check!(
-                "smc",
-                self.snapshot.contains(&page),
-                "page {page:#x} was struck and is not in snapshot mode"
-            );
-        }
-        for &page in &self.snapshot {
-            let prot = mem.prot_of((page as u64) << 12);
-            check!(
-                "smc",
-                !prot.is_some_and(|p| p.write_protect_code),
-                "snapshot-mode page {page:#x} is write-protected"
-            );
-        }
+        let loose = self.blacklist.keys().find(|p| !self.snapshot.contains(p));
+        check!(
+            "smc",
+            loose.is_none(),
+            "struck page {loose:x?} is not in snapshot mode"
+        );
+        let protected = |&&p: &&u32| {
+            mem.prot_of((p as u64) << 12)
+                .is_some_and(|p| p.write_protect_code)
+        };
+        let guarded = self.snapshot.iter().find(protected);
+        check!(
+            "smc",
+            guarded.is_none(),
+            "snapshot-mode page {guarded:x?} is write-protected"
+        );
         Ok(())
     }
 }
 
 impl Engine {
-    /// A store hit a write-protected translated-code page. The store has
-    /// NOT executed. Reconstruct the precise state at the storing
-    /// instruction, single-step it in the reference interpreter with
-    /// protection lifted (full IA-32 semantics, e.g. for `xchg`/`push`),
-    /// then invalidate *per extent*: only blocks whose source bytes
-    /// actually changed (FNV recheck against the translation-time
-    /// checksum) are orphaned — a guest JIT patching one function does
-    /// not throw away its neighbors on the same page. Hot traces span
-    /// guest blocks beyond their recorded source range, so they are
-    /// orphaned unconditionally. A thrash governor counts disturbances
-    /// per page and demotes chronically rewritten pages to
-    /// interpret-only with exponential backoff.
-    ///
-    /// Runs under the re-entrant recovery guard: an SMC fault taken
-    /// while already recovering (e.g. on the handler's own page during
-    /// signal delivery) descends rather than recursing unboundedly.
+    /// A store in translated code hit a write-protected code page and
+    /// has not run. It runs in the reference interpreter from the
+    /// precise state at the storing instruction (full IA-32 semantics,
+    /// e.g. for `xchg`/`push`), under [`Self::store_on_code_page`].
     pub(super) fn handle_smc_store(
         &mut self,
         os: &mut dyn BtOs,
@@ -199,15 +182,6 @@ impl Engine {
             let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
         }
         self.audited();
-    }
-
-    /// True when `eip` lives on a page the SMC governor has seen
-    /// thrash (blacklisted now, or in snapshot-check mode after the
-    /// backoff). Cold blocks on such pages carry a snapshot-check
-    /// prologue; hot traces have no per-entry staleness check, so the
-    /// selector must not walk onto these pages.
-    pub(crate) fn smc_churn_page(&self, eip: u32) -> bool {
-        self.smc.snapshot.contains(&(eip >> 12))
     }
 
     /// Counts one SMC disturbance against `page` for the thrash

@@ -241,7 +241,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
         // entry; a hot trace would bake the current bytes in with no
         // staleness check, so end the trace at the page boundary (or
         // select nothing if it starts there).
-        if engine.smc_churn_page(cur) {
+        if engine.smc.is_snapshot(cur >> 12) {
             main_exit = cur;
             break;
         }

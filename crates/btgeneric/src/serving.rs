@@ -488,25 +488,18 @@ impl Engine {
     pub fn shared_sync(&mut self) {
         let (mem, blocks, registry) = (&self.mem, &self.blocks, &self.registry);
         self.tenant.with(&mut self.stats, |ns, contention| {
+            let cell = |a: u64| mem.read(a, 8).unwrap_or(0);
+            let sat = |v: u64| v.min(u32::MAX as u64) as u32;
             for (eip, id) in registry.registered() {
                 let b = &blocks[id as usize];
-                let heat = mem.read(b.counter_addr, 8).unwrap_or(0);
-                let taken = mem.read(b.edge_counters.0, 8).unwrap_or(0);
-                let fall = mem.read(b.edge_counters.1, 8).unwrap_or(0);
+                let (heat, hits) = (cell(b.counter_addr), cell(b.ic_slot + 16));
                 let pred = mem.read(b.ic_slot, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-                let hits = mem.read(b.ic_slot + 16, 8).unwrap_or(0);
-                let ic = if pred != layout::LOOKUP_EMPTY_KEY
-                    && pred != 0
-                    && site_is_monomorphic(hits, heat)
-                {
-                    (pred as u32, hits.min(u32::MAX as u64) as u32)
-                } else {
-                    (0, 0)
+                let trained = pred != layout::LOOKUP_EMPTY_KEY && pred != 0;
+                let ic = match trained && site_is_monomorphic(hits, heat) {
+                    true => (pred as u32, sat(hits)),
+                    false => (0, 0),
                 };
-                let edges = (
-                    taken.min(u32::MAX as u64) as u32,
-                    fall.min(u32::MAX as u64) as u32,
-                );
+                let edges = (sat(cell(b.edge_counters.0)), sat(cell(b.edge_counters.1)));
                 ns.refresh_profile(eip, heat, edges, ic, contention);
             }
         });
