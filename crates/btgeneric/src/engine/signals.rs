@@ -6,7 +6,7 @@ use super::{Engine, ExitAction, MemBus, Outcome};
 use crate::btos::{BtOs, ExceptionOutcome, GuestException};
 use crate::{cost, layout::region, policy, state, trace::EventData};
 use ia32::cpu::Cpu;
-use ia32::mem::{GuestMem, MemFaultKind};
+use ia32::mem::MemFaultKind;
 use ipf::machine::StopReason;
 
 impl Engine {
@@ -78,16 +78,15 @@ impl Engine {
     /// hands the guest. A stack on a page translated code came from is
     /// the guest's to write, so a store the code-page protection stops
     /// is run again under [`Engine::store_on_code_page`], like a guest
-    /// store there. Returns whether the frame landed.
+    /// store there (once per page, for a frame straddling two). Returns
+    /// whether the frame landed.
     fn write_frame(&mut self, at: u32, words: &[u32]) -> bool {
-        let push = |mem: &mut GuestMem| {
-            (0..)
-                .zip(words)
-                .try_for_each(|(i, &w)| mem.write(at as u64 + 4 * i, 4, w as u64))
-        };
-        match push(&mut self.mem) {
+        let pushed = (0..)
+            .zip(words)
+            .try_for_each(|(i, &w)| self.mem.write(at as u64 + 4 * i, 4, w as u64));
+        match pushed {
             Err(f) if f.kind == MemFaultKind::SmcWrite => {
-                self.store_on_code_page(f.addr, |e| push(&mut e.mem).is_ok())
+                self.store_on_code_page(f.addr, |e| e.write_frame(at, words))
             }
             pushed => pushed.is_ok(),
         }
