@@ -1466,6 +1466,46 @@ pub(crate) mod tests {
         assert_eq!(engine.ladder.depth(), 0);
     }
 
+    /// The floor's one instruction may store onto translated code. The
+    /// SMC scope it opens runs at the floor's depth, so the ladder
+    /// never goes deeper than its cap, and the audit the orphaning runs
+    /// on the way agrees.
+    #[test]
+    fn a_store_onto_code_from_the_floor_stays_at_the_cap() {
+        let mut os = NullOs;
+        let mut a = ia32::asm::Asm::new(0x40_0000);
+        // Rewrites its own first bytes, so the block is orphaned.
+        a.mov_store(ia32::inst::Addr::abs(0x40_0000), ia32::regs::EAX);
+        let next = a.here();
+        a.hlt();
+        let image = ia32::asm::Image::from_asm(&a).with_writable_code();
+        let mut mem = GuestMem::new();
+        let cpu = image.load(&mut mem);
+        let mut engine = Engine::new(mem, Config::default());
+        state::cpu_to_machine(&cpu, &mut engine.machine);
+        engine.entry_of(&mut os, 0x40_0000).expect("translates");
+        assert!(engine.mem.prot_of(0x40_0000).unwrap().write_protect_code);
+
+        let err = EngineError::NonStubBranch {
+            target: 0xdead,
+            from: 0xbeef,
+        };
+        let mut nested =
+            |e: &mut Engine| e.recovering(|e| e.recovering(|e| e.degrade(&mut os, err)));
+        assert_eq!(policy::MAX_RECOVERY_DEPTH, 3, "two scopes reach the floor");
+        let act = nested(&mut engine);
+        assert!(matches!(act, ExitAction::Dispatch(eip) if eip == next));
+        assert_eq!(engine.stats.interp_fallbacks, 1, "floor taken");
+        assert_eq!(engine.stats.smc_events, 1);
+        assert_eq!(engine.stats.smc_extent_orphans, 1);
+        assert_eq!(
+            engine.stats.recovery_depth_max,
+            u64::from(policy::MAX_RECOVERY_DEPTH)
+        );
+        assert_eq!(engine.ladder.depth(), 0);
+        assert_eq!(engine.audit(), Ok(()));
+    }
+
     /// The hot phase's only failure mode is "the block stays cold".
     /// Fourteen independent `frcpa` division chains (seven `divss`,
     /// seven `fdiv`) keep more Newton-Raphson temporaries live than the

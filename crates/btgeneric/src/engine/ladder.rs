@@ -106,15 +106,15 @@ impl Engine {
     /// failure raised *while already recovering* (re-entrant SMC, a
     /// fault during a rebuild, injected translation death inside a
     /// demotion) is visible to the ladder instead of recursing blind;
-    /// the scope closes however `f` returns.
+    /// the scope closes however `f` returns. A scope opened inside the
+    /// floor (its one instruction storing onto code) runs at its depth.
     pub(crate) fn recovering<R>(&mut self, f: impl FnOnce(&mut Engine) -> R) -> R {
-        self.ladder.depth += 1;
-        if self.ladder.depth > 1 {
-            self.stats.reentrant_recoveries += 1;
-        }
+        let opened = u32::from(self.ladder.depth < policy::MAX_RECOVERY_DEPTH);
+        self.ladder.depth += opened;
+        self.stats.reentrant_recoveries += u64::from(self.ladder.depth > 1);
         self.stats.recovery_depth_max = self.stats.recovery_depth_max.max(self.ladder.depth as u64);
         let r = f(self);
-        self.ladder.depth -= 1;
+        self.ladder.depth -= opened;
         r
     }
 
@@ -398,5 +398,14 @@ impl Engine {
             eip,
         });
         self.trace_emit(EventData::InterpFallback { eip });
+    }
+}
+
+#[cfg(test)]
+impl Ladder {
+    /// Opens one scope more than the floor allows, behind `recovering`'s
+    /// back.
+    pub(crate) fn open_past_the_floor(&mut self) {
+        self.depth = policy::MAX_RECOVERY_DEPTH + 1;
     }
 }
