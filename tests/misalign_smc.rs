@@ -309,17 +309,46 @@ fn exception_frame_on_a_code_page_lands() {
 /// without the signal does.
 #[test]
 fn signal_frame_on_a_code_page_lands() {
+    let smc_events = signal_frame_lands(STACK_ON_CODE, 0x40_0000);
+    assert!(smc_events > 0, "the frame went through SMC");
+}
+
+/// A signal frame straddling two code pages: the stack top sits just
+/// past the first page, and the guest has run code on both pages before
+/// the signal arrives, so each of the frame's two pages is a protected
+/// code page. Both stores must land.
+#[test]
+fn signal_frame_straddling_two_code_pages_lands() {
+    let smc_events = signal_frame_lands(0x40_1004, 0x40_1000);
+    assert!(smc_events >= 2, "both pages went through SMC");
+}
+
+/// Runs a guest that registers a transparent handler with its stack top
+/// at `stack_top`, then jumps to `int_at` (padding up to it) to take a
+/// signal that is due at once. Checks the run against the interpreter's
+/// and the frame against the resume EIP; returns the SMC events.
+fn signal_frame_lands(stack_top: u32, int_at: u32) -> u64 {
     use btgeneric::engine::Outcome;
     use btlib::{Process, SignalPlan, SimOs};
     let build = |haddr: i32| {
         let mut a = Asm::new(0x40_0000);
-        let handler = a.label();
-        a.mov_ri(ESP, STACK_ON_CODE as i32);
+        let (int, handler) = (a.label(), a.label());
+        a.mov_ri(ESP, stack_top as i32);
         a.mov_ri(EAX, btlib::sys::SIGNAL as i32);
         a.mov_ri(EBX, haddr);
+        a.jmp(int);
+        while a.here() < int_at {
+            a.nop();
+        }
+        // A frame reaching past `int_at` overwrites these four bytes
+        // once they have run.
+        a.bind(int);
+        for _ in 0..4 {
+            a.nop();
+        }
         a.int(0x80);
-        // The signal is due at once: it is delivered at the dispatch
-        // right after the handler is registered, at this EIP.
+        // The signal is delivered at the dispatch right after the
+        // handler is registered, at this EIP.
         let resume = a.here();
         a.mov_ri(ECX, 7);
         a.alu_ri(AluOp::Add, ECX, 35);
@@ -346,76 +375,13 @@ fn signal_frame_on_a_code_page_lands() {
     let mut p = Process::launch_with(&img, os, cold_config()).expect("launch");
     let cpu = match p.run(10_000_000) {
         Outcome::Halted(cpu) => cpu,
-        other => panic!("signal frame on a code page: {other:?}"),
+        other => panic!("signal frame at {stack_top:#x}: {other:?}"),
     };
     ia32el::testkit::assert_cpu_equiv(&oracle.cpu, &cpu, "signal frame");
     assert_eq!(p.engine.mem.read(DATA as u64, 4).unwrap(), 42);
     assert_eq!(p.engine.stats.signals_delivered, 1);
     assert_eq!(p.os.sigreturns, 1);
-    let frame = (STACK_ON_CODE - 12) as u64;
+    let frame = (stack_top - 12) as u64;
     assert_eq!(p.engine.mem.read(frame, 4).unwrap(), resume as u64);
-    assert!(p.engine.stats.smc_events > 0, "the frame went through SMC");
-}
-
-/// A signal frame straddling two code pages: the stack top sits just
-/// past the first page, and the guest has run code on both pages before
-/// the signal arrives, so each of the frame's two pages is a protected
-/// code page. Both stores must land.
-#[test]
-fn signal_frame_straddling_two_code_pages_lands() {
-    use btgeneric::engine::Outcome;
-    use btlib::{Process, SignalPlan, SimOs};
-    const STACK_TOP: u32 = 0x40_1004;
-    let build = |haddr: i32| {
-        let mut a = Asm::new(0x40_0000);
-        let (second_page, handler) = (a.label(), a.label());
-        a.mov_ri(ESP, STACK_TOP as i32);
-        a.mov_ri(EAX, btlib::sys::SIGNAL as i32);
-        a.mov_ri(EBX, haddr);
-        a.jmp(second_page);
-        while a.here() < 0x40_1000 {
-            a.nop();
-        }
-        // The frame's last word overwrites these four bytes once they
-        // have run.
-        a.bind(second_page);
-        for _ in 0..4 {
-            a.nop();
-        }
-        a.int(0x80);
-        a.mov_ri(ECX, 7);
-        a.alu_ri(AluOp::Add, ECX, 35);
-        a.mov_store(Addr::abs(DATA), ECX);
-        a.hlt();
-        a.bind(handler);
-        a.mov_ri(EAX, btlib::sys::SIGRETURN as i32);
-        a.int(0x80);
-        (a.label_addr(handler), a)
-    };
-    let (h, _) = build(0);
-    let (_, a) = build(h as i32);
-    let img = Image::from_asm(&a)
-        .with_bss(DATA, 0x1000)
-        .with_writable_code();
-    let oracle = ia32el::testkit::run_interp(&img, 1_000_000);
-    assert_eq!(oracle.end, ia32el::testkit::RunEnd::Halt);
-
-    let plan = SignalPlan {
-        arrivals: vec![0],
-        max_depth: 1,
-    };
-    let os = SimOs::new().with_signals(plan);
-    let mut p = Process::launch_with(&img, os, cold_config()).expect("launch");
-    let cpu = match p.run(10_000_000) {
-        Outcome::Halted(cpu) => cpu,
-        other => panic!("signal frame across two code pages: {other:?}"),
-    };
-    ia32el::testkit::assert_cpu_equiv(&oracle.cpu, &cpu, "straddling signal frame");
-    assert_eq!(p.engine.mem.read(DATA as u64, 4).unwrap(), 42);
-    assert_eq!(p.engine.stats.signals_delivered, 1);
-    assert_eq!(p.os.sigreturns, 1);
-    assert!(
-        p.engine.stats.smc_events >= 2,
-        "both pages went through SMC"
-    );
+    p.engine.stats.smc_events
 }
