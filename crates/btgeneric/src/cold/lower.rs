@@ -5,7 +5,7 @@
 
 use crate::state;
 use crate::templates::{IlItem, Sink};
-use ipf::asm::{CodeBuilder, Label};
+use ipf::asm::{CodeBuilder, Label, StopRule};
 use ipf::inst::{Reg, Target};
 use ipf::regs::{Fr, Gr, Pr, VIRT_BASE};
 use std::collections::VecDeque;
@@ -130,14 +130,13 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
         }
     }
 
-    // Registers defined since the last stop (for dependence stops).
-    let mut group_defs: Vec<Reg> = Vec::new();
+    let mut stops = StopRule::new();
 
     for (idx, item) in sink.items.iter().enumerate() {
         match item {
             IlItem::Bind(l) => {
                 cb.bind(labels[*l as usize]);
-                group_defs.clear();
+                stops.reset();
             }
             IlItem::Inst(e) => {
                 let mut inst = e.inst;
@@ -187,34 +186,13 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                     inst.op.set_target(Target::Label(labels[l as usize].0));
                 }
 
-                // Stop-bit decision: this instruction conflicts with the
-                // current group if it reads or writes a register defined
-                // in the group.
-                let mut conflict = false;
-                let qp = inst.qp;
-                inst.op.visit_regs(|r, _| {
-                    if group_defs.contains(&r) {
-                        conflict = true;
-                    }
-                });
-                if group_defs.contains(&Reg::P(qp)) {
-                    conflict = true;
-                }
-                if conflict {
+                let (stop_before, stop_after) = stops.place(&inst);
+                if stop_before {
                     cb.stop();
-                    group_defs.clear();
                 }
-                // Branches end the group (targets start fresh).
-                let is_branch = inst.op.is_branch();
-                inst.op.visit_regs(|r, is_def| {
-                    if is_def {
-                        group_defs.push(r);
-                    }
-                });
                 cb.push_inst(inst);
-                if is_branch {
+                if stop_after {
                     cb.stop();
-                    group_defs.clear();
                 }
 
                 // Release virtuals whose last reference this was, in

@@ -12,7 +12,7 @@
 //! computation in between.
 
 use super::ir::is_state_phys;
-use ipf::asm::BundleCursor;
+use ipf::asm::{BundleCursor, StopRule};
 use ipf::inst::{LatClass, Reg, Unit};
 use ipf::regs::P0;
 use std::collections::HashMap;
@@ -263,40 +263,19 @@ pub(super) fn schedule_allocated(alloc: &[super::regalloc::AllocInst]) -> Vec<Sl
     code
 }
 
-/// Closes an issue group before every op that reads or writes a
-/// register the group already writes, and after every branch: the
-/// allocator's order, cut into groups.
+/// The allocator's order, cut into issue groups by the backend's
+/// [`StopRule`], with the last group closed.
 fn insert_stops(alloc: &[super::regalloc::AllocInst]) -> Vec<Slot> {
     let mut out: Vec<Slot> = Vec::with_capacity(alloc.len());
-    let mut group_defs: Vec<(u8, u16)> = Vec::new();
-    for (i, a) in alloc.iter().enumerate() {
-        let inst = a.inst;
-        let mut conflict = false;
-        let mut regs: Vec<(u8, u16)> = Vec::new();
-        inst.op.visit_regs(|r, _| regs.push(reg_slot(r)));
-        regs.push(reg_slot(Reg::P(inst.qp)));
-        for k in &regs {
-            if group_defs.contains(k) {
-                conflict = true;
-            }
-        }
-        if conflict {
+    let mut stops = StopRule::new();
+    for a in alloc {
+        let (stop_before, stop_after) = stops.place(&a.inst);
+        if stop_before {
             if let Some(prev) = out.last_mut() {
                 prev.1 = true;
             }
-            group_defs.clear();
         }
-        inst.op.visit_regs(|r, is_def| {
-            if is_def {
-                group_defs.push(reg_slot(r));
-            }
-        });
-        let is_branch = inst.op.is_branch();
-        out.push((inst, false, alloc[i].src));
-        if is_branch {
-            out.last_mut().expect("pushed").1 = true;
-            group_defs.clear();
-        }
+        out.push((a.inst, stop_after, a.src));
     }
     if let Some(last) = out.last_mut() {
         last.1 = true;

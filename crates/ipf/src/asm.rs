@@ -7,7 +7,7 @@
 //! cold/hot backends and the workloads' native-code generator.
 
 use crate::bundle::{Bundle, SlotKind, Template};
-use crate::inst::{Inst, Op, Target, Unit};
+use crate::inst::{Inst, Op, Reg, Target, Unit};
 use crate::regs::P0;
 
 /// A label naming a (future) bundle address.
@@ -364,6 +364,54 @@ impl BundleCursor {
     /// mask.
     fn accepting(slot: usize, unit: Unit) -> u16 {
         Self::ACCEPTING[slot][unit as usize]
+    }
+}
+
+/// The rule that cuts an op stream into issue groups: an op starts a
+/// new group if it reads or writes a register the open group already
+/// writes (its qualifying predicate included), and a branch ends the
+/// group it closes. Both translation backends place stops by it. The
+/// open group's writes live in one buffer reused across ops, so
+/// placing an op allocates nothing once the buffer has grown.
+#[derive(Clone, Debug, Default)]
+pub struct StopRule {
+    /// Registers written since the last stop.
+    defs: Vec<Reg>,
+}
+
+impl StopRule {
+    /// No group open.
+    pub fn new() -> StopRule {
+        StopRule::default()
+    }
+
+    /// Places `inst` after the ops already placed: whether a stop goes
+    /// before it (it depends on the open group) and whether one goes
+    /// after it (it is a branch).
+    #[inline]
+    pub fn place(&mut self, inst: &Inst) -> (bool, bool) {
+        let defs = &self.defs;
+        let mut before = defs.contains(&Reg::P(inst.qp));
+        inst.op.visit_regs(|r, _| before |= defs.contains(&r));
+        if before {
+            self.defs.clear();
+        }
+        inst.op.visit_regs(|r, is_def| {
+            if is_def {
+                self.defs.push(r);
+            }
+        });
+        let after = inst.op.is_branch();
+        if after {
+            self.defs.clear();
+        }
+        (before, after)
+    }
+
+    /// Forgets the open group: the next op starts a fresh one (a bound
+    /// label begins a new bundle).
+    pub fn reset(&mut self) {
+        self.defs.clear();
     }
 }
 
