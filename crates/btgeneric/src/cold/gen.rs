@@ -7,7 +7,7 @@
 use super::discover::{BlockEnd, Region};
 use super::liveness::Liveness;
 use super::lower::{lower, LowerError};
-use crate::layout::{self, StubKind};
+use crate::layout::{self, Profile, StubKind};
 use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_STATE};
 use crate::templates::{
     self, emit_spec_checks, AlignCache, EmitCtx, FpCtx, IndKind, MisalignPlan, Sink, Term, XmmCtx,
@@ -40,10 +40,9 @@ pub struct ColdGenInput<'a> {
     pub entry: u32,
     /// Block id (payload for instrumentation exits).
     pub block_id: u32,
-    /// Address of this block's 8-byte use counter.
-    pub counter_addr: u64,
-    /// Addresses of the taken/fallthrough edge counters.
-    pub edge_counters: (u64, u64),
+    /// The block's profile record: its use and edge counters, and the
+    /// inline cache of an indirect jmp/call terminator.
+    pub profile: Profile,
     /// Heating threshold (power of two; 0 disables the check).
     pub heat_threshold: u64,
     /// Misalignment strategy for this version of the block.
@@ -59,9 +58,6 @@ pub struct ColdGenInput<'a> {
     /// Self-modifying-code prologue: compare 8 code bytes at `addr`
     /// against `expected`.
     pub smc_check: Option<(u64, u64)>,
-    /// Per-site inline-cache slot `(pred_eip, pred_entry, hit_count)`
-    /// used when the block ends in an indirect jmp/call.
-    pub ic_slot: u64,
     /// Demoted variant of the indirect-transfer acceleration layer:
     /// the block was observed to mispredict chronically (megamorphic
     /// call site or shadow-stack-hostile ret), so emit only the plain
@@ -509,7 +505,7 @@ pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
     let s3 = sink.vg();
     sink.emit(Op::Add {
         d: s3,
-        a: Src::Imm(16),
+        a: Src::Imm(Profile::IC_HITS),
         b: s,
     });
     let hc = sink.vg();
@@ -870,7 +866,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     // Use counter + heating trigger at every multiple of the threshold
     // (gives the paper's "registered twice" signal for free).
     if input.heat_threshold > 0 {
-        let c = emit_counter_inc(&mut head, None, input.counter_addr);
+        let c = emit_counter_inc(&mut head, None, input.profile.uses_addr());
         let masked = head.vg();
         head.emit(Op::And {
             d: masked,
@@ -902,6 +898,10 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     }
 
     let accesses = body.access_count();
+    debug_assert!(
+        accesses <= Profile::MISALIGN_WORDS,
+        "{accesses} indexed accesses overflow the profile record's misalignment words"
+    );
     // Tail: FP epilogue + terminator. Emitted into the SAME sink as the
     // body: terminator payloads (indirect-target registers, branch
     // predicates) are virtual registers from the body and must be
@@ -957,10 +957,10 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         ) => {
             // Edge counters (paper: "an edge counter for blocks ending
             // with conditional or indirect branches").
-            emit_counter_inc(&mut tail, Some(taken_pred), input.edge_counters.0);
+            emit_counter_inc(&mut tail, Some(taken_pred), input.profile.taken_addr());
             let tt = branch_to(&mut tail, taken, &mut tramp_reqs);
             tail.emit_pred(taken_pred, Op::Br { target: tt });
-            emit_counter_inc(&mut tail, None, input.edge_counters.1);
+            emit_counter_inc(&mut tail, None, input.profile.fall_addr());
             let ft = branch_to(&mut tail, fallthrough, &mut tramp_reqs);
             tail.emit(Op::Br { target: ft });
         }
@@ -987,8 +987,8 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                         emit_shadow_pop(&mut tail, eip, input.block_id);
                     }
                     IndKind::Jump | IndKind::Call { .. } => {
-                        emit_ic_probe(&mut tail, eip, input.ic_slot);
-                        emit_table_probe2(&mut tail, eip, input.ic_slot);
+                        emit_ic_probe(&mut tail, eip, input.profile.ic_addr());
+                        emit_table_probe2(&mut tail, eip, input.profile.ic_addr());
                     }
                 }
             }
@@ -1099,11 +1099,7 @@ mod tests {
             liveness: &liveness,
             entry: 0x1000,
             block_id: 1,
-            counter_addr: crate::layout::COUNTERS_BASE,
-            edge_counters: (
-                crate::layout::COUNTERS_BASE + 8,
-                crate::layout::COUNTERS_BASE + 16,
-            ),
+            profile: Profile::OVERFLOW,
             heat_threshold: 1024,
             misalign: MisalignPlan::uniform(AccessMode::Probe, 1),
             spec: SpecSeed::default(),
@@ -1111,7 +1107,6 @@ mod tests {
             fuse: true,
             inline_fp_checks: false,
             smc_check: None,
-            ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
         };
         generate(&input).expect("generates")
@@ -1170,11 +1165,7 @@ mod tests {
             liveness: &liveness,
             entry: 0x1000,
             block_id: 1,
-            counter_addr: crate::layout::COUNTERS_BASE,
-            edge_counters: (
-                crate::layout::COUNTERS_BASE + 8,
-                crate::layout::COUNTERS_BASE + 16,
-            ),
+            profile: Profile::OVERFLOW,
             heat_threshold: 1024,
             misalign: MisalignPlan::uniform(AccessMode::Probe, 1),
             spec: SpecSeed::default(),
@@ -1182,7 +1173,6 @@ mod tests {
             fuse: false,
             inline_fp_checks: false,
             smc_check: None,
-            ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
         };
         let unfused = generate(&input).unwrap();
@@ -1227,8 +1217,7 @@ mod tests {
             liveness: &liveness,
             entry: 0x1000,
             block_id: 1,
-            counter_addr: crate::layout::COUNTERS_BASE,
-            edge_counters: (0, 0),
+            profile: Profile::OVERFLOW,
             heat_threshold: 0,
             misalign: MisalignPlan::uniform(AccessMode::Fast, 1),
             spec: SpecSeed::default(),
@@ -1236,7 +1225,6 @@ mod tests {
             fuse: true,
             inline_fp_checks: false,
             smc_check: smc,
-            ic_slot: crate::layout::COUNTERS_BASE + 24,
             plain: false,
         };
         let plain = generate(&mk(None)).unwrap();

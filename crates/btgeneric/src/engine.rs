@@ -8,7 +8,7 @@ use crate::cold::discover::discover;
 use crate::cold::gen::{generate, ColdGenInput, SpecSeed};
 use crate::cold::liveness::analyze;
 use crate::cost;
-use crate::layout::{self, region, StubKind};
+use crate::layout::{self, region, Profile, StubKind};
 use crate::policy;
 use crate::registry::Registry;
 use crate::serving::Tenant;
@@ -140,16 +140,6 @@ impl Default for Config {
     }
 }
 
-/// Whether an indirect site whose inline cache hit `hits` times over
-/// `uses` executions counts as monomorphic. The single shared predicate
-/// for both the devirtualization gate (hot selection) and the
-/// megamorphic demotion check, so the boundary `hits * 2 == uses`
-/// (exactly 50%) belongs to exactly one side: it *is* monomorphic —
-/// promoted by the gate, never demoted.
-pub(crate) fn site_is_monomorphic(hits: u64, uses: u64) -> bool {
-    hits.saturating_mul(2) >= uses
-}
-
 /// Why the engine returned.
 #[derive(Clone, Debug, PartialEq)]
 pub enum Outcome {
@@ -200,15 +190,10 @@ pub struct BlockInfo {
     pub evicted: bool,
     /// Kind/stage.
     pub kind: BlockKind,
-    /// Profile slots.
-    pub counter_addr: u64,
-    /// Taken/fallthrough edge counters.
-    pub edge_counters: (u64, u64),
-    /// Per-access misalignment-info slots.
-    pub misinfo_base: u64,
-    /// Per-site inline-cache slot `(pred_eip, pred_entry, hit_count)`
-    /// for an indirect jmp/call terminator.
-    pub ic_slot: u64,
+    /// The profile record: use and edge counters, per-access
+    /// misalignment words, and the inline cache of an indirect jmp/call
+    /// terminator.
+    pub profile: Profile,
     /// Demoted to the plain table probe: the block's inline cache or
     /// shadow pop proved chronically wrong, so its translations carry
     /// no per-site acceleration (see [`crate::policy::MEGAMORPHIC_DEMOTE_USES`]
@@ -450,7 +435,7 @@ impl Engine {
             .blocks
             .iter()
             .filter(|b| b.kind == BlockKind::Hot && !b.evicted);
-        let side = hot.map(|b| self.mem.read(b.edge_counters.0, 8).unwrap_or(0));
+        let side = hot.map(|b| self.mem.read(b.profile.hot_exits_addr(), 8).unwrap_or(0));
         self.stats.hot_side_exits = side.sum();
     }
 
@@ -699,7 +684,7 @@ impl Engine {
         let (id, profile, prev, indirect_plain, pop_misses) = match self.live_block(eip) {
             Some(b) => (
                 b.id,
-                b.counter_addr,
+                b.profile,
                 Some((b.entry, b.range)),
                 b.indirect_plain,
                 b.pop_misses,
@@ -731,7 +716,7 @@ impl Engine {
         let misalign = MisalignPlan {
             default: default_mode,
             overrides: overrides.clone(),
-            info_base: profile + 24,
+            profile,
             block_id: id,
         };
         // SMC-aware prologue for pages that have already modified code.
@@ -744,8 +729,7 @@ impl Engine {
             liveness: &liveness,
             entry: eip,
             block_id: id,
-            counter_addr: profile,
-            edge_counters: (profile + 8, profile + 16),
+            profile,
             heat_threshold: if self.cfg.enable_hot {
                 self.cfg.heat_threshold
             } else {
@@ -757,7 +741,6 @@ impl Engine {
             fuse: self.cfg.enable_fusion,
             inline_fp_checks: inline_fp || !self.cfg.enable_fp_spec,
             smc_check,
-            ic_slot: profile + dispatch::IC_OFFSET,
             plain: indirect_plain,
         };
         let gen = match generate(&input) {
@@ -816,10 +799,7 @@ impl Engine {
             extents,
             evicted: false,
             kind,
-            counter_addr: profile,
-            edge_counters: (profile + 8, profile + 16),
-            misinfo_base: profile + 24,
-            ic_slot: profile + dispatch::IC_OFFSET,
+            profile,
             indirect_plain,
             pop_misses,
             accesses: gen.accesses,
@@ -1350,30 +1330,6 @@ pub(crate) enum ExitAction {
 
 #[cfg(test)]
 pub(crate) mod tests {
-    use super::site_is_monomorphic;
-
-    /// Regression test for the gate/demotion boundary: the devirt gate
-    /// used `hits*2 > uses` while megamorphic demotion used
-    /// `hits*2 < uses`, so a site at exactly 50% was neither promoted
-    /// nor demoted and re-attempted promotion forever. The shared
-    /// predicate assigns the boundary to the monomorphic side.
-    #[test]
-    fn monomorphic_boundary_is_promoted_not_demoted() {
-        // Exactly 50%: monomorphic (promoted by the devirt gate, and
-        // `maybe_demote_megamorphic` must leave it alone).
-        assert!(site_is_monomorphic(8, 16));
-        assert!(site_is_monomorphic(1, 2));
-        // Strictly above and below.
-        assert!(site_is_monomorphic(9, 16));
-        assert!(!site_is_monomorphic(7, 16));
-        // A site never probed (cold call site warming up) counts as
-        // monomorphic: no evidence of polymorphism yet.
-        assert!(site_is_monomorphic(0, 0));
-        // The multiply saturates instead of wrapping to a false
-        // "megamorphic" verdict.
-        assert!(site_is_monomorphic(u64::MAX, u64::MAX));
-    }
-
     use super::*;
     use crate::btos::{ExceptionOutcome, Version, BTOS_MAJOR, BTOS_MINOR};
     use ipf::inst::Target;

@@ -4,52 +4,43 @@
 
 use super::{BlockInfo, BlockKind, Engine, ExitAction, XlateOrigin};
 use crate::btos::{BtOs, GuestException};
-use crate::layout::{self, region, StubKind};
+use crate::layout::{self, region, Profile, StubKind};
 use crate::state::{self, GR_STATE};
 use crate::{chaos::FaultKind, cost, trace::EventData};
 use ia32::mem::{GuestMem, Prot};
 use ipf::inst::{Op, Target};
 use std::collections::HashMap;
 
-/// Per-block profile slot: 8-byte use counter, two 8-byte edge
-/// counters, 64 misalignment-info words, then the 24-byte inline-cache
-/// slot `(pred_eip, pred_entry, hit_count)`.
-pub(super) const IC_OFFSET: u64 = 24 + 64 * 8;
-
-const PROFILE_STRIDE: u64 = IC_OFFSET + 24;
-
 /// Granularity of on-demand profile-region mapping (page-aligned).
 const PROFILE_CHUNK: u64 = 0x1_0000;
 
-/// The dispatch seam's state: the profile slots handed out so far and
-/// the block the engine must not evict while it handles an exit.
+/// The dispatch seam's state: the profile records handed out so far
+/// and the block the engine must not evict while it handles an exit.
 #[derive(Debug)]
 pub(crate) struct Dispatch {
-    /// Next free per-block profile slot.
-    cursor: u64,
+    /// Next free profile record. Every record below it is handed out
+    /// (the overflow record first), so eviction, SMC invalidation and
+    /// flushing walk `Profile::handed_out(cursor)` to purge stale
+    /// predictions, and `collect_indirect_stats` sums its hit counters.
+    cursor: Profile,
     /// End of the currently mapped prefix of the profile region (grown
     /// on demand through `BtOs::alloc_pages`).
     mapped: u64,
-    /// Profile slot per guest EIP, persistent across retranslation and
-    /// eviction so re-heated blocks promote quickly.
-    profile_of: HashMap<u32, u64>,
-    /// Every allocated inline-cache slot address (one per profile slot,
-    /// shared overflow slot included once). Eviction, SMC invalidation,
-    /// and flushing scan this list to purge stale predictions;
-    /// `collect_indirect_stats` sums the per-site hit counters over it.
-    ic_slots: Vec<u64>,
+    /// Profile record per guest EIP, persistent across retranslation
+    /// and eviction so re-heated blocks promote quickly.
+    profile_of: HashMap<u32, Profile>,
     /// Block whose code the engine may still patch or resume in the
     /// current exit handling — never an eviction victim.
     pinned: Option<u32>,
 }
 
 impl Dispatch {
-    /// Maps the lookup table plus one reserved overflow profile slot
-    /// into `mem` and empties the shadow stack and the overflow inline
-    /// cache. Per-block profile slots are allocated on demand through
+    /// Maps the lookup table plus the overflow profile record into
+    /// `mem` and empties the shadow stack and the overflow inline cache.
+    /// Per-block profile records are allocated on demand through
     /// `BtOs::alloc_pages`, so the OS can refuse them.
     pub(super) fn new(mem: &mut GuestMem) -> Dispatch {
-        let head = (layout::COUNTERS_BASE + PROFILE_STRIDE - layout::PROFILE_BASE)
+        let head = (Profile::OVERFLOW.next().base() - layout::PROFILE_BASE)
             .next_multiple_of(PROFILE_CHUNK);
         mem.map(layout::PROFILE_BASE, head, Prot::rw());
         // Empty-key the shadow stack and the shared overflow inline
@@ -62,16 +53,11 @@ impl Dispatch {
                 layout::LOOKUP_EMPTY_KEY,
             );
         }
-        let _ = mem.write(
-            layout::COUNTERS_BASE + IC_OFFSET,
-            8,
-            layout::LOOKUP_EMPTY_KEY,
-        );
+        let _ = mem.write(Profile::OVERFLOW.ic_addr(), 8, layout::LOOKUP_EMPTY_KEY);
         Dispatch {
-            cursor: layout::COUNTERS_BASE + PROFILE_STRIDE,
+            cursor: Profile::OVERFLOW.next(),
             mapped: layout::PROFILE_BASE + head,
             profile_of: HashMap::new(),
-            ic_slots: vec![layout::COUNTERS_BASE + IC_OFFSET],
             pinned: None,
         }
     }
@@ -82,25 +68,32 @@ impl Dispatch {
         self.pinned
     }
 
-    /// Every inline-cache slot lies at a profile slot's stride below
-    /// the mapped end, and no two EIPs share a profile slot but the
-    /// overflow one.
+    /// Every EIP's profile record is one handed out below the cursor,
+    /// which lies in the mapped prefix, and no two EIPs share a record
+    /// but the overflow one.
     #[cfg(any(test, debug_assertions))]
     pub(crate) fn audit(&self) -> Result<(), String> {
-        let stray = self.ic_slots.iter().find(|&&s| {
-            let at = s.checked_sub(layout::COUNTERS_BASE + IC_OFFSET);
-            at.is_none_or(|at| at % PROFILE_STRIDE != 0) || s + 24 > self.mapped
-        });
+        check!(
+            "profiles",
+            self.cursor.base() <= self.mapped,
+            "the cursor {:x?} lies past the mapped end {:#x}",
+            self.cursor,
+            self.mapped
+        );
+        let stray = self
+            .profile_of
+            .values()
+            .find(|p| !p.is_handed_out(self.cursor));
         check!(
             "profiles",
             stray.is_none(),
-            "inline-cache slot {stray:x?} is no profile slot's"
+            "{stray:x?} is no profile record handed out"
         );
         let mut seen = std::collections::HashSet::new();
         let shared = self
             .profile_of
             .values()
-            .find(|&&p| p != layout::COUNTERS_BASE && !seen.insert(p));
+            .find(|&&p| p != Profile::OVERFLOW && !seen.insert(p));
         check!(
             "profiles",
             shared.is_none(),
@@ -225,18 +218,16 @@ impl Engine {
         let s1 = s0 + layout::LOOKUP_ENTRY_SIZE;
         let k0 = self.mem.read(s0, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
         let k1 = self.mem.read(s1, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-        // Zero keys are freshly mapped, never-written entries.
-        let is_empty = |k: u64| k == layout::LOOKUP_EMPTY_KEY || k == 0;
         let slot = if k0 == eip as u64 {
             s0
         } else if k1 == eip as u64 {
             s1
-        } else if is_empty(k0) {
-            if !is_empty(k1) {
+        } else if !layout::is_live_key(k0) {
+            if layout::is_live_key(k1) {
                 self.stats.lookup_collisions += 1;
             }
             s0
-        } else if is_empty(k1) {
+        } else if !layout::is_live_key(k1) {
             self.stats.lookup_collisions += 1;
             s1
         } else {
@@ -256,7 +247,7 @@ impl Engine {
     pub(super) fn predictions_of(&self, eip: u32) -> Vec<u64> {
         let ways = (0..layout::LOOKUP_WAYS)
             .map(|w| layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE);
-        ways.chain(self.dispatch.ic_slots.iter().copied())
+        ways.chain(self.ic_slots())
             .filter(|&s| self.mem.read(s, 8) == Ok(eip as u64))
             .collect()
     }
@@ -473,7 +464,7 @@ impl Engine {
             })
             .map(|b| {
                 let uses = if self.registry.is_registered(b) {
-                    self.mem.read(b.counter_addr, 8).unwrap_or(0)
+                    self.mem.read(b.profile.uses_addr(), 8).unwrap_or(0)
                 } else {
                     0
                 };
@@ -533,7 +524,7 @@ impl Engine {
                 let _ = self.mem.write(ea, 8, layout::LOOKUP_EMPTY_KEY);
             }
         }
-        for &s in &self.dispatch.ic_slots {
+        for s in self.ic_slots() {
             let k = self.mem.read(s, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
             let tgt = self.mem.read(s + 8, 8).unwrap_or(0);
             if k == eip as u64 || in_extents(tgt) {
@@ -583,10 +574,7 @@ impl Engine {
             .map(|i| layout::LOOKUP_BASE + i * layout::LOOKUP_ENTRY_SIZE);
         let shadow = (0..layout::SHADOW_ENTRIES)
             .map(|i| layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE);
-        for key in ways
-            .chain(shadow)
-            .chain(self.dispatch.ic_slots.iter().copied())
-        {
+        for key in ways.chain(shadow).chain(self.ic_slots()) {
             let _ = self.mem.write(key, 8, layout::LOOKUP_EMPTY_KEY);
         }
         let _ = self.mem.write(layout::SHADOW_TOS, 8, 0);
@@ -627,10 +615,10 @@ impl Engine {
         self.machine.arena.install(code, region::OTHER)
     }
 
-    /// The profile slot of guest `eip`. Slots are keyed by EIP and
+    /// The profile record of guest `eip`. Records are keyed by EIP and
     /// survive both eviction and flushing, so a re-translated block
     /// keeps its use counter and re-heats quickly.
-    pub(super) fn profile_slot(&mut self, os: &mut dyn BtOs, eip: u32) -> u64 {
+    pub(super) fn profile_slot(&mut self, os: &mut dyn BtOs, eip: u32) -> Profile {
         if let Some(&p) = self.dispatch.profile_of.get(&eip) {
             return p;
         }
@@ -639,34 +627,33 @@ impl Engine {
         p
     }
 
-    /// Allocates one per-block profile slot, growing the mapped profile
-    /// region through the OS on demand. When the region is exhausted or
-    /// the OS refuses the mapping (ENOMEM), degrades to the shared
-    /// overflow slot at `COUNTERS_BASE` — colliding use counters cost
-    /// profile quality, never correctness.
-    fn alloc_profile(&mut self, os: &mut dyn BtOs) -> u64 {
+    /// Allocates one per-block profile record, growing the mapped
+    /// profile region through the OS on demand. When the region is
+    /// exhausted or the OS refuses the mapping (ENOMEM), degrades to the
+    /// shared [`Profile::OVERFLOW`] record.
+    fn alloc_profile(&mut self, os: &mut dyn BtOs) -> Profile {
         let p = self.dispatch.cursor;
-        let end = p + PROFILE_STRIDE;
+        let end = p.next().base();
         if end > layout::PROFILE_BASE + layout::PROFILE_SIZE {
             self.stats.os_alloc_failures += 1;
-            return layout::COUNTERS_BASE;
+            return Profile::OVERFLOW;
         }
         while end > self.dispatch.mapped {
             if !os.alloc_pages(&mut self.mem, self.dispatch.mapped, PROFILE_CHUNK) {
                 self.stats.os_alloc_failures += 1;
-                return layout::COUNTERS_BASE;
+                return Profile::OVERFLOW;
             }
             self.dispatch.mapped += PROFILE_CHUNK;
         }
-        self.dispatch.cursor = end;
-        let _ = self.mem.write(p + IC_OFFSET, 8, layout::LOOKUP_EMPTY_KEY);
-        self.dispatch.ic_slots.push(p + IC_OFFSET);
+        self.dispatch.cursor = p.next();
+        let _ = self.mem.write(p.ic_addr(), 8, layout::LOOKUP_EMPTY_KEY);
         p
     }
 
-    /// Every allocated inline-cache slot (coherence tests scan these).
-    pub fn ic_slots(&self) -> &[u64] {
-        &self.dispatch.ic_slots
+    /// Every handed-out record's inline-cache slot, the overflow
+    /// record's first (coherence tests scan these).
+    pub fn ic_slots(&self) -> impl Iterator<Item = u64> {
+        Profile::handed_out(self.dispatch.cursor).map(Profile::ic_addr)
     }
 
     /// Harvests the indirect-acceleration memory cells into the
@@ -675,11 +662,8 @@ impl Engine {
     /// hit total is an order-independent sum over all site slots.
     pub fn collect_indirect_stats(&mut self) {
         let cell = |mem: &GuestMem, a: u64| mem.read(a, 8).unwrap_or(0);
-        let mut ic_hits = 0;
-        for &s in &self.dispatch.ic_slots {
-            ic_hits += cell(&self.mem, s + 16);
-        }
-        self.stats.ic_hits = ic_hits;
+        let profiles = Profile::handed_out(self.dispatch.cursor);
+        self.stats.ic_hits = profiles.map(|p| cell(&self.mem, p.ic_hits_addr())).sum();
         self.stats.ic_misses = cell(&self.mem, layout::CELL_IC_MISSES);
         self.stats.shadow_hits = cell(&self.mem, layout::CELL_SHADOW_HITS);
         self.stats.shadow_underflows = cell(&self.mem, layout::CELL_SHADOW_UNDERFLOWS);
@@ -695,9 +679,9 @@ impl Dispatch {
         self.pinned = Some(id);
     }
 
-    /// The inline-cache slot list and the EIP -> profile slot map, for
+    /// The allocation cursor and the EIP -> profile record map, for
     /// breaking them on purpose.
-    pub(crate) fn slots_mut(&mut self) -> (&mut Vec<u64>, &mut HashMap<u32, u64>) {
-        (&mut self.ic_slots, &mut self.profile_of)
+    pub(crate) fn slots_mut(&mut self) -> (&mut Profile, &mut HashMap<u32, Profile>) {
+        (&mut self.cursor, &mut self.profile_of)
     }
 }

@@ -2,7 +2,7 @@
 //! state and one bounded rung — retry, demote or evict and blacklist, or
 //! the interpreter — inside depth-tracked recovery scopes.
 
-use super::{site_is_monomorphic, BlockKind, Engine, ExitAction};
+use super::{BlockKind, Engine, ExitAction};
 use crate::btos::BtOs;
 use crate::chaos::{Blacklist, FaultKind, FaultPlan};
 use crate::layout::{self, region};
@@ -256,16 +256,12 @@ impl Engine {
         if b.indirect_plain || b.evicted || b.kind == BlockKind::Hot {
             return;
         }
-        let slot = b.ic_slot;
-        let counter = b.counter_addr;
-        let pred = self.mem.read(slot, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-        if pred == layout::LOOKUP_EMPTY_KEY {
+        let site = b.profile.site(&self.mem);
+        if site.pred == layout::LOOKUP_EMPTY_KEY {
             // Not an inline-cache-probing terminator (or never ran).
             return;
         }
-        let uses = self.mem.read(counter, 8).unwrap_or(0);
-        let hits = self.mem.read(slot + 16, 8).unwrap_or(0);
-        if uses >= policy::MEGAMORPHIC_DEMOTE_USES && !site_is_monomorphic(hits, uses) {
+        if site.uses >= policy::MEGAMORPHIC_DEMOTE_USES && !site.is_monomorphic() {
             self.demote_indirect(os, id);
         }
     }
@@ -282,10 +278,12 @@ impl Engine {
         if b.indirect_plain || b.evicted || b.kind == BlockKind::Hot {
             return;
         }
-        let (eip, kind, inline_fp, slot) = (b.eip, b.kind, b.inline_fp, b.ic_slot);
+        let (eip, kind, inline_fp, profile) = (b.eip, b.kind, b.inline_fp, b.profile);
         self.blocks[id as usize].indirect_plain = true;
-        let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
-        let _ = self.mem.write(slot + 16, 8, 0);
+        let _ = self
+            .mem
+            .write(profile.ic_addr(), 8, layout::LOOKUP_EMPTY_KEY);
+        let _ = self.mem.write(profile.ic_hits_addr(), 8, 0);
         self.stats.indirect_demotions += 1;
         self.trace_emit(EventData::IndirectDemote { eip, id });
         if self.live_block(eip).is_some_and(|b| b.id == id) {

@@ -97,10 +97,10 @@ pub(super) enum Step {
         block: u32,
         /// Index within the block (liveness lookup).
         idx: usize,
-        /// Per-site inline-cache slot (0 for `ret`).
+        /// Per-site inline-cache slot (unused for `ret`).
         ic_slot: u64,
-        /// Site goes straight to the plain 2-way table probe (demoted,
-        /// slot-less, or profile-proven megamorphic `jmp`/`call`).
+        /// Site goes straight to the plain 2-way table probe (demoted
+        /// or profile-proven megamorphic `jmp`/`call`).
         plain: bool,
     },
     /// A conditional branch leaving the trace when `cond` holds.
@@ -272,8 +272,8 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                         continue 'outer;
                     }
                     I32::Jcc { cond, target } => {
-                        let taken = engine.mem.read(info.edge_counters.0, 8).unwrap_or(0);
-                        let fall = engine.mem.read(info.edge_counters.1, 8).unwrap_or(0);
+                        let taken = engine.mem.read(info.profile.taken_addr(), 8).unwrap_or(0);
+                        let fall = engine.mem.read(info.profile.fall_addr(), 8).unwrap_or(0);
                         let next = ip + *len as u32;
                         if taken >= 2 * fall + 8 {
                             steps.push(Step::SideExit {
@@ -370,19 +370,15 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             // 1/k of the time and would eventually
                             // cross any absolute threshold).
                             I32::JmpInd { .. } | I32::CallInd { .. } => {
-                                let slot = info.ic_slot;
-                                let pred =
-                                    engine.mem.read(slot, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-                                let hits = engine.mem.read(slot + 16, 8).unwrap_or(0);
-                                let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
-                                if pred != layout::LOOKUP_EMPTY_KEY
-                                    && hits >= policy::DEVIRT_THRESHOLD
-                                    && crate::engine::site_is_monomorphic(hits, uses)
+                                let site = info.profile.site(&engine.mem);
+                                if site.pred != layout::LOOKUP_EMPTY_KEY
+                                    && site.hits >= policy::DEVIRT_THRESHOLD
+                                    && site.is_monomorphic()
                                 {
                                     if matches!(inst, I32::CallInd { .. }) {
                                         ret_stack.push(next);
                                     }
-                                    Some((pred as u32, slot))
+                                    Some((site.pred as u32, info.profile.ic_addr()))
                                 } else {
                                     None
                                 }
@@ -417,31 +413,26 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             inst,
                             I32::JmpInd { .. } | I32::CallInd { .. } | I32::Ret { .. }
                         ) {
-                            // A jmp/call site with no allocated IC
-                            // slot dispatches like a demoted one.
                             // A site the profile already proves
-                            // megamorphic gets the same treatment
-                            // up front: its inline cache would miss
-                            // on (k-1)/k of executions, so the
+                            // megamorphic dispatches like a demoted
+                            // one up front: its inline cache would
+                            // miss on (k-1)/k of executions, so the
                             // probe is pure overhead — go straight
                             // to the 2-way table.
                             let is_ret = matches!(inst, I32::Ret { .. });
-                            let megamorphic = !is_ret && info.ic_slot != 0 && {
-                                let hits = engine.mem.read(info.ic_slot + 16, 8).unwrap_or(0);
-                                let uses = engine.mem.read(info.counter_addr, 8).unwrap_or(0);
-                                uses >= policy::MEGAMORPHIC_DEMOTE_USES
-                                    && !crate::engine::site_is_monomorphic(hits, uses)
+                            let megamorphic = !is_ret && {
+                                let site = info.profile.site(&engine.mem);
+                                site.uses >= policy::MEGAMORPHIC_DEMOTE_USES
+                                    && !site.is_monomorphic()
                             };
-                            let plain = info.indirect_plain
-                                || megamorphic
-                                || (info.ic_slot == 0 && !is_ret);
+                            let plain = info.indirect_plain || megamorphic;
                             steps.push(Step::IndirectEnd {
                                 ip: *ip,
                                 inst: *inst,
                                 len: *len,
                                 block: blk.start,
                                 idx: i,
-                                ic_slot: info.ic_slot,
+                                ic_slot: info.profile.ic_addr(),
                                 plain,
                             });
                             total += 1;
@@ -503,8 +494,7 @@ fn misalign_overrides(engine: &Engine, trace: &Trace) -> HashMap<u16, AccessMode
     for &bid in &trace.blocks {
         let b = engine.block(bid);
         for j in 0..b.accesses {
-            let slot = b.misinfo_base + j as u64 * 8;
-            let info = engine.mem.read(slot, 8).unwrap_or(0);
+            let info = engine.mem.read(b.profile.misalign_addr(j), 8).unwrap_or(0);
             if info & 0x100 != 0 {
                 let low = info & 0xFF;
                 let gran = if low & 1 != 0 {
@@ -626,7 +616,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         plan: MisalignPlan {
             default: AccessMode::Fast,
             overrides: misalign_overrides(engine, trace),
-            info_base: engine.block(block_id).misinfo_base,
+            profile: engine.block(block_id).profile,
             block_id,
         },
     };
@@ -935,7 +925,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
 
     // Exits. Side exits bump the (otherwise retired) taken-edge slot so
     // the premature-exit rate of traces is measurable (paper: ~6%).
-    let exit_counter = engine.block(block_id).edge_counters.0;
+    let exit_counter = engine.block(block_id).profile.hot_exits_addr();
     if ends_indirect {
         // The body already ends in the inline dispatch: hit paths
         // branch straight to translated entries, the miss path left

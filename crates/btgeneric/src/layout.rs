@@ -5,6 +5,8 @@
 //! space; the IA-32 application owns the low 4 GiB, and everything the
 //! translator allocates sits above it.
 
+use ia32::mem::GuestMem;
+
 /// Base of the translation cache (code arena).
 pub const TC_BASE: u64 = 0x8000_0000_0000;
 
@@ -82,6 +84,203 @@ pub const SPILL_SLOTS: u64 = 16;
 /// Start of per-block profile slots (counters), after the lookup table,
 /// shadow stack, event cells, and the spill area.
 pub const COUNTERS_BASE: u64 = SPILL_BASE + SPILL_SLOTS * 8;
+
+/// Whether `key` names a guest EIP in a prediction: a lookup-table way,
+/// a shadow-stack entry or an inline cache. Empty-keyed entries and
+/// zero keys (freshly mapped, never written) predict nothing.
+pub(crate) fn is_live_key(key: u64) -> bool {
+    key != LOOKUP_EMPTY_KEY && key != 0
+}
+
+/// One block's profile record: the slot the engine hands out per guest
+/// EIP in the profile region, which the block's translations bump and
+/// the hot phase, the warm-start image and the shared namespace read.
+/// This type is the only code that knows the record's layout:
+///
+/// | offset | words | contents |
+/// |-------:|------:|----------|
+/// | 0      | 1     | use counter |
+/// | 8      | 1     | taken-edge counter (also the hot exit counter) |
+/// | 16     | 1     | fall-through-edge counter |
+/// | 24     | 64    | one misalignment word per indexed access |
+/// | 536    | 3     | inline-cache slot `(pred_eip, pred_entry, hits)` |
+///
+/// The inline-cache slot opens with a `(key, entry)` prediction pair
+/// laid out like a lookup-table way, so the walks that purge or refresh
+/// predictions treat both alike.
+///
+/// Records are handed out contiguously: the shared overflow record at
+/// [`COUNTERS_BASE`] first, then one per EIP up to the allocation
+/// cursor.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Debug)]
+pub struct Profile(u64);
+
+/// An indirect site's inline cache — its predicted EIP
+/// ([`LOOKUP_EMPTY_KEY`] if never trained or emptied) and its hits —
+/// read with the uses of the block it ends.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Site {
+    pub pred: u64,
+    pub hits: u64,
+    pub uses: u64,
+}
+
+impl Site {
+    /// Whether the site counts as monomorphic: its inline cache hit on
+    /// at least half the block's executions. The single shared
+    /// predicate for the devirtualization gate and the megamorphic
+    /// checks, so the boundary `hits * 2 == uses` (exactly 50%) belongs
+    /// to exactly one side: it *is* monomorphic — promoted by the gate,
+    /// never demoted.
+    pub fn is_monomorphic(&self) -> bool {
+        self.hits.saturating_mul(2) >= self.uses
+    }
+}
+
+/// The profile hints a record exports to a warm-start image or the
+/// shared namespace: the use count, the edge counts and the inline
+/// cache's prediction with its hits, the last three saturated to `u32`.
+/// The prediction is 0 unless the site is trained and monomorphic — a
+/// rotating site's last-seen target would only mistrain every importer.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct Hints {
+    pub heat: u64,
+    pub edges: (u32, u32),
+    pub ic_pred: u32,
+    pub ic_hits: u32,
+}
+
+impl Profile {
+    const USES: u64 = 0;
+    const TAKEN: u64 = 8;
+    const FALL: u64 = 16;
+    const MISALIGN: u64 = 24;
+    /// Misalignment words per record: the most indexed accesses a cold
+    /// block may make. A further access would record into the
+    /// inline-cache slot.
+    pub(crate) const MISALIGN_WORDS: u16 = 64;
+    const IC: u64 = Self::MISALIGN + Self::MISALIGN_WORDS as u64 * 8;
+    const SIZE: u64 = Self::IC + 24;
+    /// Offset of the hit counter within the inline-cache slot, for the
+    /// emitted probe that bumps it.
+    pub(crate) const IC_HITS: i64 = 16;
+
+    /// The shared record of every EIP whose own could not be allocated
+    /// (colliding counters cost profile quality, never correctness).
+    pub(crate) const OVERFLOW: Profile = Profile(COUNTERS_BASE);
+
+    /// The record's first byte.
+    pub(crate) fn base(self) -> u64 {
+        self.0
+    }
+
+    /// The record following this one.
+    pub(crate) fn next(self) -> Profile {
+        Profile(self.0 + Self::SIZE)
+    }
+
+    /// Every record handed out before `cursor`, the next free one: the
+    /// overflow record first, then in allocation order.
+    pub(crate) fn handed_out(cursor: Profile) -> impl Iterator<Item = Profile> {
+        (COUNTERS_BASE..cursor.0)
+            .step_by(Self::SIZE as usize)
+            .map(Profile)
+    }
+
+    /// Whether this is a record [`Profile::handed_out`] yields.
+    #[cfg(any(test, debug_assertions))]
+    pub(crate) fn is_handed_out(self, cursor: Profile) -> bool {
+        let at = self.0.checked_sub(COUNTERS_BASE);
+        at.is_some_and(|at| at % Self::SIZE == 0) && self.0 < cursor.0
+    }
+
+    /// Address of the use counter.
+    pub(crate) fn uses_addr(self) -> u64 {
+        self.0 + Self::USES
+    }
+
+    /// Address of the taken-edge counter of a conditional exit.
+    pub(crate) fn taken_addr(self) -> u64 {
+        self.0 + Self::TAKEN
+    }
+
+    /// Address of the fall-through-edge counter.
+    pub(crate) fn fall_addr(self) -> u64 {
+        self.0 + Self::FALL
+    }
+
+    /// Address of the hot exit counter a trace's side exits bump. It is
+    /// the same word as [`Profile::taken_addr`]: a promoted block's
+    /// taken count is its cold taken edges plus its hot side exits.
+    pub(crate) fn hot_exits_addr(self) -> u64 {
+        self.taken_addr()
+    }
+
+    /// Address of the misalignment word of indexed access `i`.
+    pub(crate) fn misalign_addr(self, i: u16) -> u64 {
+        self.0 + Self::MISALIGN + i as u64 * 8
+    }
+
+    /// Address of the inline-cache slot.
+    pub(crate) fn ic_addr(self) -> u64 {
+        self.0 + Self::IC
+    }
+
+    /// Address of the inline cache's hit counter.
+    pub(crate) fn ic_hits_addr(self) -> u64 {
+        self.ic_addr() + Self::IC_HITS as u64
+    }
+
+    /// The inline-cache site with the block's uses: the one reading
+    /// every gate on a site's stability goes through.
+    pub(crate) fn site(self, mem: &GuestMem) -> Site {
+        let word = |addr: u64| mem.read(addr, 8).unwrap_or(0);
+        Site {
+            pred: mem.read(self.ic_addr(), 8).unwrap_or(LOOKUP_EMPTY_KEY),
+            hits: word(self.ic_hits_addr()),
+            uses: word(self.uses_addr()),
+        }
+    }
+
+    /// The hints this record exports: its heat, saturated edges, and
+    /// the site's prediction if it is trained and monomorphic.
+    pub(crate) fn hints(self, mem: &GuestMem) -> Hints {
+        let sat = |addr: u64| mem.read(addr, 8).unwrap_or(0).min(u32::MAX as u64) as u32;
+        let site = self.site(mem);
+        let (ic_pred, ic_hits) = match is_live_key(site.pred) && site.is_monomorphic() {
+            true => (site.pred as u32, site.hits.min(u32::MAX as u64) as u32),
+            false => (0, 0),
+        };
+        Hints {
+            heat: site.uses,
+            edges: (sat(self.taken_addr()), sat(self.fall_addr())),
+            ic_pred,
+            ic_hits,
+        }
+    }
+
+    /// Max-merges restored heat and edge counts into the record, so a
+    /// restore never lowers what this process already counted.
+    pub(crate) fn merge_counts(self, mem: &mut GuestMem, heat: u64, edges: (u32, u32)) {
+        for (addr, v) in [
+            (self.uses_addr(), heat),
+            (self.taken_addr(), edges.0 as u64),
+            (self.fall_addr(), edges.1 as u64),
+        ] {
+            let cur = mem.read(addr, 8).unwrap_or(0);
+            let _ = mem.write(addr, 8, cur.max(v));
+        }
+    }
+
+    /// Trains the inline cache to `pred` at `entry`, max-merging its
+    /// hit count with `hits`.
+    pub(crate) fn merge_site(self, mem: &mut GuestMem, pred: u32, entry: u64, hits: u32) {
+        let cur = mem.read(self.ic_hits_addr(), 8).unwrap_or(0);
+        let _ = mem.write(self.ic_addr(), 8, pred as u64);
+        let _ = mem.write(self.ic_addr() + 8, 8, entry);
+        let _ = mem.write(self.ic_hits_addr(), 8, cur.max(hits as u64));
+    }
+}
 
 /// Tag bit in the `IndirectMiss` payload1 marking a shadow-stack pop
 /// miss: the low 32 bits then carry the *ret block's* id (not an
@@ -209,6 +408,88 @@ pub fn lookup_slot(eip: u32) -> u64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// Regression test for the gate/demotion boundary: the devirt gate
+    /// used `hits*2 > uses` while megamorphic demotion used
+    /// `hits*2 < uses`, so a site at exactly 50% was neither promoted
+    /// nor demoted and re-attempted promotion forever. The shared
+    /// predicate assigns the boundary to the monomorphic side.
+    #[test]
+    fn monomorphic_boundary_is_promoted_not_demoted() {
+        let site_is_monomorphic = |hits, uses| {
+            let pred = 0x40_1000;
+            Site { pred, hits, uses }.is_monomorphic()
+        };
+        // Exactly 50%: monomorphic (promoted by the devirt gate, and
+        // `maybe_demote_megamorphic` must leave it alone).
+        assert!(site_is_monomorphic(8, 16));
+        assert!(site_is_monomorphic(1, 2));
+        // Strictly above and below.
+        assert!(site_is_monomorphic(9, 16));
+        assert!(!site_is_monomorphic(7, 16));
+        // A site never probed (cold call site warming up) counts as
+        // monomorphic: no evidence of polymorphism yet.
+        assert!(site_is_monomorphic(0, 0));
+        // The multiply saturates instead of wrapping to a false
+        // "megamorphic" verdict.
+        assert!(site_is_monomorphic(u64::MAX, u64::MAX));
+    }
+
+    /// The exported hints at their boundaries, each read through a real
+    /// record in guest memory.
+    #[test]
+    fn hints_export_only_trained_monomorphic_sites_and_saturate() {
+        let p = Profile::OVERFLOW.next();
+        assert!(p.next().base() <= PROFILE_BASE + 0x2_0000);
+        let hints = |uses: u64, edges: (u64, u64), pred: u64, hits: u64| {
+            let mut mem = GuestMem::new();
+            mem.map(PROFILE_BASE, 0x2_0000, ia32::mem::Prot::rw());
+            mem.write(p.uses_addr(), 8, uses).unwrap();
+            mem.write(p.taken_addr(), 8, edges.0).unwrap();
+            mem.write(p.fall_addr(), 8, edges.1).unwrap();
+            mem.write(p.ic_addr(), 8, pred).unwrap();
+            mem.write(p.ic_hits_addr(), 8, hits).unwrap();
+            assert_eq!(p.site(&mem).hits, hits);
+            let h = p.hints(&mem);
+            (h.heat, h.edges, h.ic_pred, h.ic_hits)
+        };
+        let pred = 0x40_1000;
+        // An emptied or never-trained site exports no prediction.
+        assert_eq!(hints(16, (3, 4), LOOKUP_EMPTY_KEY, 16), (16, (3, 4), 0, 0));
+        assert_eq!(hints(16, (3, 4), 0, 16), (16, (3, 4), 0, 0));
+        // Exactly half the uses hit: monomorphic, exported.
+        assert_eq!(hints(16, (3, 4), pred, 8), (16, (3, 4), 0x40_1000, 8));
+        // Fewer: megamorphic, not exported.
+        assert_eq!(hints(16, (3, 4), pred, 7), (16, (3, 4), 0, 0));
+        // Edges and hits past `u32::MAX` saturate; heat does not.
+        let big = u32::MAX as u64 + 5;
+        assert_eq!(
+            hints(big, (big, big + 1), pred, big),
+            (big, (u32::MAX, u32::MAX), 0x40_1000, u32::MAX)
+        );
+    }
+
+    #[test]
+    fn records_are_handed_out_contiguously_after_the_overflow_record() {
+        let cursor = Profile::OVERFLOW.next().next().next();
+        let all: Vec<Profile> = Profile::handed_out(cursor).collect();
+        assert_eq!(
+            all,
+            [
+                Profile::OVERFLOW,
+                Profile::OVERFLOW.next(),
+                Profile::OVERFLOW.next().next()
+            ]
+        );
+        assert!(all.iter().all(|p| p.is_handed_out(cursor)));
+        assert!(!cursor.is_handed_out(cursor));
+        assert!(!Profile(Profile::OVERFLOW.next().base() + 8).is_handed_out(cursor));
+        // The last misalignment word ends where the inline cache starts.
+        let p = Profile::OVERFLOW.next();
+        assert_eq!(p.misalign_addr(Profile::MISALIGN_WORDS), p.ic_addr());
+        assert_eq!(p.hot_exits_addr(), p.taken_addr());
+        assert!(p.next().base() <= PROFILE_BASE + PROFILE_SIZE);
+    }
 
     #[test]
     fn stub_addr_roundtrip() {

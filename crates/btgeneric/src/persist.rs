@@ -332,25 +332,7 @@ pub(crate) fn record_of(engine: &Engine, b: &crate::engine::BlockInfo) -> ImageB
     let mut overrides: Vec<(u16, AccessMode)> =
         b.misalign_overrides.iter().map(|(&i, &m)| (i, m)).collect();
     overrides.sort_unstable_by_key(|&(i, _)| i);
-    let heat = engine.mem.read(b.counter_addr, 8).unwrap_or(0);
-    let taken = engine.mem.read(b.edge_counters.0, 8).unwrap_or(0);
-    let fall = engine.mem.read(b.edge_counters.1, 8).unwrap_or(0);
-    // The IC hint is only worth shipping when the site has proven
-    // monomorphic — a rotating site's last-seen target would just
-    // mistrain every importer.
-    let pred = engine
-        .mem
-        .read(b.ic_slot, 8)
-        .unwrap_or(layout::LOOKUP_EMPTY_KEY);
-    let hits = engine.mem.read(b.ic_slot + 16, 8).unwrap_or(0);
-    let (ic_pred, ic_hits) = if pred != layout::LOOKUP_EMPTY_KEY
-        && pred != 0
-        && crate::engine::site_is_monomorphic(hits, heat)
-    {
-        (pred as u32, hits.min(u32::MAX as u64) as u32)
-    } else {
-        (0, 0)
-    };
+    let hints = b.profile.hints(&engine.mem);
     // A hot trace is serialized as its cold *base* block: the
     // BlockInfo still carries the cold generation inputs, and the
     // warm process re-heats from the regenerated cold code (hot
@@ -365,13 +347,10 @@ pub(crate) fn record_of(engine: &Engine, b: &crate::engine::BlockInfo) -> ImageB
         src_range: b.src_range,
         src_fnv: b.src_fnv,
         ia32_insts: b.ia32_insts as u32,
-        heat,
-        edges: (
-            taken.min(u32::MAX as u64) as u32,
-            fall.min(u32::MAX as u64) as u32,
-        ),
-        ic_pred,
-        ic_hits,
+        heat: hints.heat,
+        edges: hints.edges,
+        ic_pred: hints.ic_pred,
+        ic_hits: hints.ic_hits,
     }
 }
 
@@ -658,13 +637,7 @@ impl Engine {
         let Some(b) = self.live_block(eip) else {
             return;
         };
-        let (counter, ec) = (b.counter_addr, b.edge_counters);
-        let cur = self.mem.read(counter, 8).unwrap_or(0);
-        let _ = self.mem.write(counter, 8, cur.max(heat));
-        let t = self.mem.read(ec.0, 8).unwrap_or(0);
-        let _ = self.mem.write(ec.0, 8, t.max(edges.0 as u64));
-        let f = self.mem.read(ec.1, 8).unwrap_or(0);
-        let _ = self.mem.write(ec.1, 8, f.max(edges.1 as u64));
+        b.profile.merge_counts(&mut self.mem, heat, edges);
         self.stats.profile_heat_restored += 1;
     }
 
@@ -680,11 +653,8 @@ impl Engine {
         let Some(b) = self.live_block(eip).filter(|b| !b.indirect_plain) else {
             return;
         };
-        let slot = b.ic_slot;
-        let cur_hits = self.mem.read(slot + 16, 8).unwrap_or(0);
-        let _ = self.mem.write(slot, 8, pred as u64);
-        let _ = self.mem.write(slot + 8, 8, target_entry);
-        let _ = self.mem.write(slot + 16, 8, cur_hits.max(hits as u64));
+        b.profile
+            .merge_site(&mut self.mem, pred, target_entry, hits);
         self.stats.profile_ic_restored += 1;
     }
 }
@@ -878,11 +848,12 @@ mod tests {
         assert_eq!(bytes(&image), bytes(&shared));
         let first = image.live_block(chain[0]).expect("installed");
         let cells = |e: &Engine| {
+            let p = first.profile;
             [
-                first.counter_addr,
-                first.ic_slot,
-                first.ic_slot + 8,
-                first.ic_slot + 16,
+                p.uses_addr(),
+                p.ic_addr(),
+                p.ic_addr() + 8,
+                p.ic_hits_addr(),
             ]
             .map(|addr| e.mem.read(addr, 8).unwrap())
         };

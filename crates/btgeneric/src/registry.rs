@@ -446,7 +446,6 @@ impl crate::engine::Engine {
 
         // predictions: no lookup way, shadow entry or inline cache with
         // a live key targets freed arena space.
-        let live_key = |k: u64| k != layout::LOOKUP_EMPTY_KEY && k != 0;
         // (Nothing is freed while the free list is empty: a flush
         // truncates the arena and empties all three tables with it.)
         let tables = (layout::LOOKUP_ENTRIES + layout::SHADOW_ENTRIES) as usize * 16;
@@ -462,19 +461,15 @@ impl crate::engine::Engine {
             .chunks_exact(16)
             .filter(|c| c[..8] != [0xFF; 8])
             .map(|c| (word(&c[..8]), word(&c[8..])));
-        let ic = self
-            .ic_slots()
-            .iter()
-            .filter(|_| !free.is_empty())
-            .map(|&s| {
-                let cell = |a: u64| self.mem.read(a, 8).unwrap_or(0);
-                (cell(s), cell(s + 8))
-            });
+        let ic = self.ic_slots().filter(|_| !free.is_empty()).map(|s| {
+            let cell = |a: u64| self.mem.read(a, 8).unwrap_or(0);
+            (cell(s), cell(s + 8))
+        });
         for (key, target) in table.chain(ic) {
             let in_cache = target >= arena.base() && target < layout::STUB_BASE;
             check!(
                 "predictions",
-                !(live_key(key) && in_cache && !allocated(target)),
+                !(layout::is_live_key(key) && in_cache && !allocated(target)),
                 "{key:#x} -> {target:#x} predicts freed arena space"
             );
         }
@@ -512,7 +507,7 @@ const AUDIT_STRIDE_WORK: usize = 256;
 mod tests {
     use crate::engine::tests::{loop_and_chain, NullOs};
     use crate::engine::{Config, Engine};
-    use crate::{layout, policy};
+    use crate::policy;
 
     /// A cache with something in every index: four chained live blocks
     /// (the last one straddles a page boundary, and its exit still
@@ -661,8 +656,9 @@ mod tests {
                 e.mem.set_code_protect(0x40_0000, true);
             }),
             ("profiles", |e, _, _| {
-                let (ic_slots, _) = e.dispatch.slots_mut();
-                ic_slots.push(layout::PROFILE_BASE + layout::PROFILE_SIZE);
+                // An EIP given the record the cursor has not handed out.
+                let (cursor, profile_of) = e.dispatch.slots_mut();
+                profile_of.insert(0x5555, *cursor);
             }),
             ("profiles", |e, _, _| {
                 let (_, profile_of) = e.dispatch.slots_mut();

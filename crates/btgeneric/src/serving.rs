@@ -56,8 +56,7 @@
 //! serving bench can report contention honestly.
 
 use crate::btos::BtOs;
-use crate::engine::{site_is_monomorphic, src_checksum, BlockKind, Config, Engine, RecordSource};
-use crate::layout;
+use crate::engine::{src_checksum, BlockKind, Config, Engine, RecordSource};
 use crate::persist::{self, ImageBlock};
 use crate::stats::Stats;
 use std::collections::{HashMap, HashSet};
@@ -488,19 +487,10 @@ impl Engine {
     pub fn shared_sync(&mut self) {
         let (mem, blocks, registry) = (&self.mem, &self.blocks, &self.registry);
         self.tenant.with(&mut self.stats, |ns, contention| {
-            let cell = |a: u64| mem.read(a, 8).unwrap_or(0);
-            let sat = |v: u64| v.min(u32::MAX as u64) as u32;
             for (eip, id) in registry.registered() {
-                let b = &blocks[id as usize];
-                let (heat, hits) = (cell(b.counter_addr), cell(b.ic_slot + 16));
-                let pred = mem.read(b.ic_slot, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-                let trained = pred != layout::LOOKUP_EMPTY_KEY && pred != 0;
-                let ic = match trained && site_is_monomorphic(hits, heat) {
-                    true => (pred as u32, sat(hits)),
-                    false => (0, 0),
-                };
-                let edges = (sat(cell(b.edge_counters.0)), sat(cell(b.edge_counters.1)));
-                ns.refresh_profile(eip, heat, edges, ic, contention);
+                let h = blocks[id as usize].profile.hints(mem);
+                let ic = (h.ic_pred, h.ic_hits);
+                ns.refresh_profile(eip, h.heat, h.edges, ic, contention);
             }
         });
     }

@@ -3,7 +3,7 @@
 //! avoidance machinery of paper §5.
 
 use super::{EmitCtx, Sink};
-use crate::layout::{StubKind, COUNTERS_BASE};
+use crate::layout::{Profile, StubKind};
 use crate::state::{self, GR_PAYLOAD0};
 use ia32::inst::Addr;
 use ia32::regs::Gpr;
@@ -39,9 +39,9 @@ pub struct MisalignPlan {
     pub default: AccessMode,
     /// Per-access-index overrides (hot stage 3 uses recorded data).
     pub overrides: HashMap<u16, AccessMode>,
-    /// Base address of this block's per-access misalignment-info slots
-    /// (8 bytes per access), used by `DetectAvoid` recording.
-    pub info_base: u64,
+    /// The profile record whose misalignment words `DetectAvoid`
+    /// recording ORs into (one per indexed access).
+    pub profile: Profile,
     /// Block id for `Probe` exits.
     pub block_id: u32,
 }
@@ -52,7 +52,7 @@ impl MisalignPlan {
         MisalignPlan {
             default: mode,
             overrides: HashMap::new(),
-            info_base: COUNTERS_BASE,
+            profile: Profile::OVERFLOW,
             block_id,
         }
     }
@@ -435,7 +435,7 @@ fn record_misalign(sink: &mut Sink, ctx: &EmitCtx<'_>, qp: Pr, addr: Gr, acc: u1
         qp,
         Op::Movl {
             d: slot,
-            imm: ctx.misalign.info_base + acc as u64 * 8,
+            imm: ctx.misalign.profile.misalign_addr(acc),
         },
     );
     let c = sink.vg();

@@ -428,7 +428,7 @@ fn indirect_predictions_stay_coherent_under_eviction() {
             "shadow slot {i}: stale prediction {target:#x} for ret eip {key:#x}"
         );
     }
-    for &slot in p.engine.ic_slots() {
+    for slot in p.engine.ic_slots() {
         let pred = p.engine.mem.read(slot, 8).unwrap();
         if pred == layout::LOOKUP_EMPTY_KEY {
             continue;
