@@ -177,7 +177,7 @@ pub fn hot_vs_cold(scale_div: u32) -> f64 {
     let w = &workloads::spec_int()[0]; // gzip: tight and hot-friendly
     let scale = (w.scale / scale_div).max(2048);
     let cold_cfg = Config {
-        enable_hot: false,
+        heat_threshold: 0,
         ..Config::default()
     };
     let hot_cfg = Config {

@@ -48,8 +48,6 @@ pub struct Config {
     /// Optimization session trigger: this many registered candidates
     /// (or one block registering twice) starts hot translation.
     pub hot_candidates: usize,
-    /// Master switch for the hot phase.
-    pub enable_hot: bool,
     /// EFlags liveness analysis (ablation knob).
     pub enable_flag_liveness: bool,
     /// Compare+branch fusion (ablation knob).
@@ -119,7 +117,6 @@ impl Default for Config {
         Config {
             heat_threshold: 1024,
             hot_candidates: 4,
-            enable_hot: true,
             enable_flag_liveness: true,
             enable_fusion: true,
             enable_misalign_avoidance: true,
@@ -730,11 +727,7 @@ impl Engine {
             entry: eip,
             block_id: id,
             profile,
-            heat_threshold: if self.cfg.enable_hot {
-                self.cfg.heat_threshold
-            } else {
-                0
-            },
+            heat_threshold: self.cfg.heat_threshold,
             misalign,
             spec,
             flag_liveness: self.cfg.enable_flag_liveness,

@@ -161,7 +161,6 @@ pub fn fingerprint(cfg: &Config) -> u64 {
     }
     bytes.extend_from_slice(&cfg.heat_threshold.to_le_bytes());
     for flag in [
-        cfg.enable_hot,
         cfg.enable_flag_liveness,
         cfg.enable_fusion,
         cfg.enable_misalign_avoidance,

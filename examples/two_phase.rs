@@ -53,7 +53,7 @@ fn run(cfg: Config) -> (u64, TimeDistribution, u64, String) {
 
 fn main() {
     let cold_only = Config {
-        enable_hot: false,
+        heat_threshold: 0,
         ..Config::default()
     };
     let two_phase = Config {

@@ -119,7 +119,7 @@ pub fn run_translated(image: &Image, cfg: Config, max_slots: u64) -> (RunResult,
 /// Cold-only configuration (hot phase disabled).
 pub fn cold_config() -> Config {
     Config {
-        enable_hot: false,
+        heat_threshold: 0,
         ..Config::default()
     }
 }

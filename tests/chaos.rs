@@ -120,7 +120,7 @@ fn nat_consumption_recovers_instead_of_panicking() {
     let img = loop_image();
     let want = oracle(&img);
     let cfg = Config {
-        enable_hot: false,
+        heat_threshold: 0,
         ..Config::default()
     };
     let mut p = Process::launch_with(&img, SimOs::new(), cfg).expect("launch");
@@ -163,7 +163,7 @@ fn misalign_residue_recovers_instead_of_panicking() {
     let img = loop_image();
     let want = oracle(&img);
     let cfg = Config {
-        enable_hot: false,
+        heat_threshold: 0,
         ..Config::default()
     };
     let mut p = Process::launch_with(&img, SimOs::new(), cfg).expect("launch");
@@ -185,7 +185,7 @@ fn verify_on_dispatch_catches_corruption() {
     let img = loop_image();
     let want = oracle(&img);
     let cfg = Config {
-        enable_hot: false,
+        heat_threshold: 0,
         verify_on_dispatch: true,
         ..Config::default()
     };
@@ -275,7 +275,7 @@ fn translate_faults_fall_back_to_interp() {
     let img = chain_image(20, 10);
     let want = oracle(&img);
     let cfg = Config {
-        enable_hot: false,
+        heat_threshold: 0,
         ..Config::default()
     };
     let mut p = Process::launch_with(&img, SimOs::new(), cfg).expect("launch");
@@ -306,7 +306,7 @@ fn os_allocation_failure_degrades_gracefully() {
         fail_syscalls: 0,
     });
     let cfg = Config {
-        enable_hot: false,
+        heat_threshold: 0,
         ..Config::default()
     };
     let mut p = Process::launch_with(&img, os, cfg).expect("launch");

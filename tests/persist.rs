@@ -256,7 +256,6 @@ fn image_with_the_old_seven_flag_fingerprint_is_rejected_wholesale() {
     }
     recipe.extend_from_slice(&cfg.heat_threshold.to_le_bytes());
     let new_flags = [
-        cfg.enable_hot,
         cfg.enable_flag_liveness,
         cfg.enable_fusion,
         cfg.enable_misalign_avoidance,
@@ -270,8 +269,10 @@ fn image_with_the_old_seven_flag_fingerprint_is_rejected_wholesale() {
         ours,
         "this test must track the live fingerprint recipe"
     );
-    let mut old_flags = new_flags.to_vec();
-    old_flags.extend([true, false]); // the two deleted switches, at their defaults
+    // The three deleted switches, at their defaults.
+    let mut old_flags = vec![true];
+    old_flags.extend(new_flags);
+    old_flags.extend([true, false]);
     recipe.extend(old_flags.into_iter().map(u8::from));
     let old_fingerprint = persist::fnv64(&recipe);
 
