@@ -26,7 +26,7 @@
 use ia32::cpu::Cpu;
 use ia32::fpu::FpReg;
 use ipf::machine::Machine;
-use ipf::regs::{Fr, Gr, Pr};
+use ipf::regs::{Fr, Gr};
 
 /// First GR holding a guest GPR (`EAX`).
 pub const GR_GUEST: u16 = 32;
@@ -109,18 +109,6 @@ pub fn xmm_lo_fr(n: u8) -> Fr {
 /// The packed-high FR of `XMMn` (lanes 2-3, raw).
 pub fn xmm_hi_fr(n: u8) -> Fr {
     Fr(FR_XMM + 3 * n as u16 + 2)
-}
-
-/// A template scratch GR.
-pub fn scratch_gr(i: u16) -> Gr {
-    debug_assert!(i < NUM_SCRATCH);
-    Gr(GR_SCRATCH + i)
-}
-
-/// A template scratch predicate.
-pub fn scratch_pr(i: u16) -> Pr {
-    debug_assert!(i < NUM_PR_SCRATCH);
-    Pr(PR_SCRATCH + i)
 }
 
 /// XMM register format, tracked per register in [`GR_XMMFMT`].

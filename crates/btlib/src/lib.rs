@@ -416,13 +416,6 @@ impl<O: BtOs> Process<O> {
         }
     }
 
-    /// One-line translation-cache management summary (evictions,
-    /// unlinks, purges, fallback flushes, fast dispatches) for bench
-    /// and figures output.
-    pub fn cache_report(&self) -> String {
-        self.engine.stats.cache_summary()
-    }
-
     /// The engine's lifecycle tracer: the event ring, recorder
     /// counters, and the per-block [`ProfileTable`](
     /// btgeneric::trace::ProfileTable). Inert (empty) unless the

@@ -224,15 +224,6 @@ impl Asm {
         self.alu_rr(AluOp::Cmp, a, b);
     }
 
-    /// `test r32, r32`.
-    pub fn test_rr(&mut self, a: Gpr, b: Gpr) {
-        self.inst(Inst::Test {
-            size: Size::D,
-            a: Rm::Reg(a),
-            b: RmI::Reg(b),
-        });
-    }
-
     /// `jmp label`.
     pub fn jmp(&mut self, label: Label) {
         self.items.push(Item::Branch {

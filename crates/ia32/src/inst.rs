@@ -1153,17 +1153,6 @@ impl Inst {
             _ => None,
         }
     }
-
-    /// The direct branch targets `(taken, fallthrough_needed)` if this is
-    /// a direct control transfer.
-    pub fn direct_target(&self) -> Option<u32> {
-        match self {
-            Inst::Jmp { target } | Inst::Jcc { target, .. } | Inst::Call { target } => {
-                Some(*target)
-            }
-            _ => None,
-        }
-    }
 }
 
 impl fmt::Display for Inst {

@@ -428,11 +428,6 @@ impl GuestMem {
     pub fn write_u32(&mut self, addr: u64, v: u32) -> Result<(), MemFault> {
         self.write(addr, 4, v as u64)
     }
-
-    /// Number of mapped pages (for diagnostics).
-    pub fn mapped_pages(&self) -> usize {
-        self.pages.len()
-    }
 }
 
 #[cfg(test)]
