@@ -5,7 +5,7 @@
 //! generated").
 
 use ia32::decode::decode_at;
-use ia32::inst::Inst;
+use ia32::inst::{Flow, Inst};
 use ia32::mem::GuestMem;
 
 /// Default discovery limits (the paper: 1-20 basic blocks).
@@ -181,33 +181,36 @@ pub fn discover(mem: &GuestMem, entry: u32) -> Region {
             blk.insts.end += 1;
             blk.end_ip = next;
             total += 1;
-            if inst.ends_block() {
-                match inst {
-                    Inst::Jmp { target } => {
-                        blk.end = BlockEnd::Jump;
-                        blk.succs.push(target);
-                    }
-                    Inst::Jcc { target, .. } => {
-                        blk.end = BlockEnd::Cond;
-                        blk.succs.push(target);
-                        blk.succs.push(next);
-                    }
-                    Inst::Call { target } => {
-                        blk.end = BlockEnd::Call;
-                        blk.succs.push(target);
-                        // The return path is reached via RET (indirect).
-                        blk.unknown_succ = true;
-                    }
-                    Inst::JmpInd { .. } | Inst::CallInd { .. } | Inst::Ret { .. } => {
-                        blk.end = BlockEnd::Indirect;
-                        blk.unknown_succ = true;
-                    }
-                    _ => {
-                        blk.end = BlockEnd::Stop;
-                        blk.unknown_succ = true;
-                    }
+            match inst.props().flow {
+                Flow::Next => {}
+                Flow::Jump(target) => {
+                    blk.end = BlockEnd::Jump;
+                    blk.succs.push(target);
+                    break;
                 }
-                break;
+                Flow::Branch(target) => {
+                    blk.end = BlockEnd::Cond;
+                    blk.succs.push(target);
+                    blk.succs.push(next);
+                    break;
+                }
+                Flow::Call(target) => {
+                    blk.end = BlockEnd::Call;
+                    blk.succs.push(target);
+                    // The return path is reached via RET (indirect).
+                    blk.unknown_succ = true;
+                    break;
+                }
+                Flow::Indirect => {
+                    blk.end = BlockEnd::Indirect;
+                    blk.unknown_succ = true;
+                    break;
+                }
+                Flow::Stop => {
+                    blk.end = BlockEnd::Stop;
+                    blk.unknown_succ = true;
+                    break;
+                }
             }
             // A known block boundary splits here.
             if region.index_of(next).is_some() {

@@ -12,7 +12,7 @@ use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_STATE};
 use crate::templates::{
     self, emit_spec_checks, AlignCache, EmitCtx, FpCtx, IndKind, MisalignPlan, Sink, Term, XmmCtx,
 };
-use ia32::inst::Inst as I32;
+use ia32::inst::{Class, Inst as I32};
 use ipf::asm::{CodeBuilder, Relocatable};
 use ipf::inst::{CmpRel, Op, ShiftKind, Src, Target};
 use ipf::regs::{Br, R0};
@@ -112,27 +112,10 @@ impl std::error::Error for ColdGenError {}
 /// ask here.
 pub(crate) fn entry_mmx<'a>(insts: impl IntoIterator<Item = &'a I32>) -> bool {
     for inst in insts {
-        let is_mmx = matches!(
-            inst,
-            I32::Movd { .. } | I32::Movq { .. } | I32::PAlu { .. } | I32::Emms
-        );
-        let is_fp = matches!(
-            inst,
-            I32::Fld { .. }
-                | I32::Fst { .. }
-                | I32::Fild { .. }
-                | I32::Fistp { .. }
-                | I32::Farith { .. }
-                | I32::Fchs
-                | I32::Fabs
-                | I32::Fsqrt
-                | I32::Fxch { .. }
-                | I32::Fld1
-                | I32::Fldz
-                | I32::Fcomi { .. }
-        );
-        if is_mmx || is_fp {
-            return is_mmx;
+        match inst.props().class {
+            Class::Mmx => return true,
+            Class::X87 => return false,
+            Class::Int | Class::Sse => {}
         }
     }
     false
@@ -747,7 +730,8 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         };
 
         // Update the IA-32 state register before faulting instructions.
-        if inst.can_fault() {
+        let props = inst.props();
+        if props.can_fault {
             match last_state_ip {
                 None => body.emit(Op::Movl {
                     d: GR_STATE,
@@ -767,7 +751,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         if input.fuse && i + 1 < insts.len() {
             if let (_, I32::Jcc { cond, target }, jlen) = insts[i + 1] {
                 let reads = cond.flags_read();
-                if inst.flags_written() & reads == reads {
+                if props.flags_must & reads == reads {
                     let jcc_ip = insts[i + 1].0;
                     let j_next = jcc_ip + jlen as u32;
                     let live_after_jcc = if input.flag_liveness {

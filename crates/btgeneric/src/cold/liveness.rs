@@ -55,7 +55,10 @@ pub fn analyze(region: &Region) -> Liveness {
     let effect: Vec<(u32, u32)> = region
         .all_insts()
         .iter()
-        .map(|(_, inst, _)| (!inst.flags_written(), inst.flags_read()))
+        .map(|(_, inst, _)| {
+            let props = inst.props();
+            (!props.flags_must, props.flags_read)
+        })
         .collect();
     // Each block's backward transfer, composed over its instructions:
     // live-in = (live-out & keep) | gen.

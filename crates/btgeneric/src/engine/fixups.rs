@@ -59,18 +59,16 @@ impl Engine {
                     }
                 }
             }
-            MachFault::Bus { err, addr, write } => match err {
+            MachFault::Bus { err, addr, .. } => match err {
                 BusError::Smc => self.handle_smc_store(os, ip, slot, addr),
+                // The oracle re-raises the fault from the precise state:
+                // it decides the address and whether it is a write, for
+                // a load, a read-modify-write and a split-store probe
+                // (which reads before writing) alike.
                 _ => {
                     let cpu = self.reconstruct(ip, slot);
-                    // A split-store probe reads before writing; report
-                    // the fault with the IA-32 instruction's intent.
-                    let write = write || self.inst_writes_mem(cpu.eip);
-                    let exc = GuestException::PageFault {
-                        addr: addr as u32,
-                        write,
-                    };
-                    self.deliver_action(os, exc, cpu)
+                    state::cpu_to_machine(&cpu, &mut self.machine);
+                    self.interp_one(os, cpu.eip)
                 }
             },
             MachFault::NatConsumption => {
@@ -78,34 +76,6 @@ impl Engine {
                 // corrupted): recover through the ladder.
                 self.degrade(os, EngineError::NatConsumption { ip, slot })
             }
-        }
-    }
-
-    fn inst_writes_mem(&self, eip: u32) -> bool {
-        use ia32::inst::Inst as I;
-        match ia32::decode::decode_at(&self.mem, eip) {
-            Some((
-                I::Mov { dst, .. }
-                | I::Alu { dst, .. }
-                | I::IncDec { dst, .. }
-                | I::Neg { dst, .. }
-                | I::Not { dst, .. }
-                | I::Shift { dst, .. }
-                | I::Setcc { dst, .. }
-                | I::Xchg { rm: dst, .. },
-                _,
-            )) => dst.is_mem(),
-            Some((
-                I::Push { .. }
-                | I::Call { .. }
-                | I::CallInd { .. }
-                | I::Movs { .. }
-                | I::Stos { .. }
-                | I::Fst { .. }
-                | I::Fistp { .. },
-                _,
-            )) => true,
-            _ => false,
         }
     }
 

@@ -19,7 +19,7 @@ use crate::templates::{
     self, AccessMode, AlignCache, EmitCtx, FpCtx, IlItem, MisalignPlan, Sink, Term, XmmCtx,
 };
 use crate::trace::EventData;
-use ia32::inst::Inst as I32;
+use ia32::inst::{Flow, Inst as I32};
 use ipf::inst::{CmpRel, Op, Src, Target};
 use std::collections::{HashMap, HashSet};
 
@@ -264,7 +264,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                 main_exit = *ip;
                 break 'outer;
             }
-            let is_term = i == n - 1 && inst.ends_block();
+            let is_term = i == n - 1 && inst.props().flow != Flow::Next;
             if is_term {
                 match inst {
                     I32::Jmp { target } => {
@@ -665,7 +665,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 }) = trace.steps.get(i + 1)
                 {
                     let reads = cond.flags_read();
-                    if !*guarded && inst.flags_written() & reads == reads {
+                    if !*guarded && inst.props().flags_must & reads == reads {
                         let mut ctx = em.ctx(*ip, *len, *jb, *jidx);
                         if let Some(pt) =
                             templates::emit_fused_cmp_jcc(&mut body, inst, *cond, &mut ctx)

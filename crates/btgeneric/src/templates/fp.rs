@@ -385,10 +385,10 @@ fn xmm_src_packed(sink: &mut Sink, ctx: &mut EmitCtx<'_>, src: &XmmM) -> (Fr, Fr
 }
 
 /// EFLAGS from an FP compare (`FCOMI`/`UCOMISS`): unordered sets
-/// ZF|PF|CF, less sets CF, equal sets ZF.
-fn fp_compare_flags(sink: &mut Sink, live: u32, a: Fr, b: Fr) {
-    let written = live & (flags::ZF | flags::PF | flags::CF);
-    if written == 0 {
+/// ZF|PF|CF, less sets CF, equal sets ZF, and the rest of `written` (the
+/// bits the instruction's row says it writes) is cleared.
+fn fp_compare_flags(sink: &mut Sink, live: u32, written: u32, a: Fr, b: Fr) {
+    if live == 0 {
         return;
     }
     let mut fa = FlagAcc::new(sink);
@@ -419,7 +419,7 @@ fn fp_compare_flags(sink: &mut Sink, live: u32, a: Fr, b: Fr) {
         b,
     });
     fa.or_pred(sink, pe, flags::ZF);
-    fa.commit(sink, flags::ZF | flags::PF | flags::CF, None);
+    fa.commit(sink, written, None);
 }
 
 /// Truncating f64→i32 with the IA-32 "integer indefinite" (0x80000000)
@@ -479,7 +479,8 @@ pub(super) fn emit_fp(
     inst: &I32,
     ctx: &mut EmitCtx<'_>,
 ) -> Result<Option<Term>, Unsupported> {
-    let live = ctx.live_flags & inst.flags_written_maybe();
+    let props = inst.props();
+    let live = ctx.live_flags & props.flags_may;
     match inst {
         // ---- x87 ----
         I32::Fld { src } => {
@@ -637,7 +638,7 @@ pub(super) fn emit_fp(
             check_valid(sink, ctx, *i);
             let a = ctx.fp.st_fr(0);
             let b = ctx.fp.st_fr(*i);
-            fp_compare_flags(sink, live, a, b);
+            fp_compare_flags(sink, live, props.flags_must, a, b);
             if *pop {
                 do_pop(sink, ctx);
             }
@@ -1035,7 +1036,7 @@ pub(super) fn emit_fp(
         I32::Ucomiss { a, b, .. } => {
             ensure_scalar(sink, ctx, a.num());
             let fb = xmm_src_scalar(sink, ctx, b);
-            fp_compare_flags(sink, live, xmm_scalar_fr(a.num()), fb);
+            fp_compare_flags(sink, live, props.flags_must, xmm_scalar_fr(a.num()), fb);
         }
         other => {
             let _ = other;

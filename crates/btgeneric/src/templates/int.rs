@@ -282,7 +282,7 @@ pub(super) fn emit_int(
     inst: &I32,
     ctx: &mut EmitCtx<'_>,
 ) -> Result<Option<Term>, Unsupported> {
-    let live = ctx.live_flags & inst.flags_written_maybe();
+    let live = ctx.live_flags & inst.props().flags_may;
     match inst {
         I32::Alu { op, size, dst, src } => {
             let a = read_rm(sink, ctx, dst, *size);
@@ -1571,7 +1571,7 @@ pub(super) fn try_fuse(
     ctx: &mut EmitCtx<'_>,
 ) -> Option<Pr> {
     sink.set_ip(ctx.ip);
-    let live = ctx.live_flags & alu.flags_written();
+    let live = ctx.live_flags & alu.props().flags_must;
     match alu {
         // cmp a, b + jcc — the canonical case: one Itanium cmp.
         I32::Alu {

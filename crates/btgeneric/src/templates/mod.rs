@@ -25,7 +25,7 @@ mod mem;
 pub use mem::{AccessMode, AlignCache, MisalignPlan};
 
 use crate::state;
-use ia32::inst::Inst as Ia32Inst;
+use ia32::inst::{Class, Inst as Ia32Inst};
 use ipf::inst::{Op, Src, Target};
 use ipf::regs::{Fr, Gr, Pr, VIRT_BASE};
 
@@ -506,44 +506,10 @@ pub fn emit(
     ctx: &mut EmitCtx<'_>,
 ) -> Result<Option<Term>, Unsupported> {
     sink.set_ip(ctx.ip);
-    match inst {
-        // Integer / control flow.
-        Ia32Inst::Alu { .. }
-        | Ia32Inst::AluRM { .. }
-        | Ia32Inst::Test { .. }
-        | Ia32Inst::Mov { .. }
-        | Ia32Inst::MovLoad { .. }
-        | Ia32Inst::Movzx { .. }
-        | Ia32Inst::Movsx { .. }
-        | Ia32Inst::Lea { .. }
-        | Ia32Inst::Xchg { .. }
-        | Ia32Inst::Push { .. }
-        | Ia32Inst::Pop { .. }
-        | Ia32Inst::IncDec { .. }
-        | Ia32Inst::Neg { .. }
-        | Ia32Inst::Not { .. }
-        | Ia32Inst::Shift { .. }
-        | Ia32Inst::ImulRm { .. }
-        | Ia32Inst::ImulRmImm { .. }
-        | Ia32Inst::MulDiv { .. }
-        | Ia32Inst::Cdq
-        | Ia32Inst::Cwde
-        | Ia32Inst::Jmp { .. }
-        | Ia32Inst::JmpInd { .. }
-        | Ia32Inst::Jcc { .. }
-        | Ia32Inst::Call { .. }
-        | Ia32Inst::CallInd { .. }
-        | Ia32Inst::Ret { .. }
-        | Ia32Inst::Setcc { .. }
-        | Ia32Inst::Cmovcc { .. }
-        | Ia32Inst::Nop
-        | Ia32Inst::Hlt
-        | Ia32Inst::Ud2
-        | Ia32Inst::Int { .. }
-        | Ia32Inst::Movs { .. }
-        | Ia32Inst::Stos { .. } => int::emit_int(sink, inst, ctx),
-        // x87 / MMX / SSE.
-        _ => fp::emit_fp(sink, inst, ctx),
+    if inst.props().class == Class::Int {
+        int::emit_int(sink, inst, ctx)
+    } else {
+        fp::emit_fp(sink, inst, ctx)
     }
 }
 

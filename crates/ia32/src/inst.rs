@@ -364,6 +364,16 @@ pub enum FpOperand {
     St(u8),
 }
 
+impl FpOperand {
+    /// Returns the memory address expression if this is a memory operand.
+    pub fn mem(self) -> Option<Addr> {
+        match self {
+            FpOperand::M32(a) | FpOperand::M64(a) => Some(a),
+            FpOperand::St(_) => None,
+        }
+    }
+}
+
 /// x87 arithmetic operations.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum FpArithOp {
@@ -511,6 +521,25 @@ pub enum MmM {
     Mem(Addr),
 }
 
+impl MmM {
+    /// Returns the memory address expression if this is a memory operand.
+    pub fn mem(self) -> Option<Addr> {
+        match self {
+            MmM::Reg(_) => None,
+            MmM::Mem(a) => Some(a),
+        }
+    }
+}
+
+impl fmt::Display for MmM {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            MmM::Reg(m) => write!(f, "{m}"),
+            MmM::Mem(a) => write!(f, "{a}"),
+        }
+    }
+}
+
 /// An XMM register-or-memory source.
 #[derive(Clone, Copy, PartialEq, Eq, Hash, Debug)]
 pub enum XmmM {
@@ -518,6 +547,25 @@ pub enum XmmM {
     Reg(Xmm),
     /// A memory operand (width depends on the instruction).
     Mem(Addr),
+}
+
+impl XmmM {
+    /// Returns the memory address expression if this is a memory operand.
+    pub fn mem(self) -> Option<Addr> {
+        match self {
+            XmmM::Reg(_) => None,
+            XmmM::Mem(a) => Some(a),
+        }
+    }
+}
+
+impl fmt::Display for XmmM {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        match self {
+            XmmM::Reg(x) => write!(f, "{x}"),
+            XmmM::Mem(a) => write!(f, "{a}"),
+        }
+    }
 }
 
 /// SSE arithmetic operations (scalar-single or packed-single selected by
@@ -981,176 +1029,235 @@ pub enum Inst {
     },
 }
 
+/// Where control goes after an instruction: the `flow` of its [`Props`]
+/// row. Direct targets are absolute, as in [`Inst`].
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Flow {
+    /// Falls through to the next instruction.
+    Next,
+    /// Jumps to the target.
+    Jump(u32),
+    /// Jumps to the target or falls through, on a condition.
+    Branch(u32),
+    /// Calls the target (the return comes back through `RET`).
+    Call(u32),
+    /// Goes through a register or memory (`JMP`/`CALL` indirect, `RET`).
+    Indirect,
+    /// Leaves straight-line execution: `HLT`, `UD2`, `INT`.
+    Stop,
+}
+
+/// The register file an instruction works in: picks its template family
+/// and the x87/MMX mode a block or trace speculates on entry.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Class {
+    /// Integer and control flow.
+    Int,
+    /// The x87 stack.
+    X87,
+    /// MMX (aliased onto the x87 registers).
+    Mmx,
+    /// SSE.
+    Sse,
+}
+
+/// Which [`crate::timing::Timing`] field prices an instruction (an
+/// explicit memory operand adds `mem - 1`).
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub enum Cost {
+    /// `simple`.
+    Simple,
+    /// `simple + 1` (MMX).
+    Mmx,
+    /// `mul`.
+    Mul,
+    /// `div`.
+    Div,
+    /// `fp` (x87 and SSE arithmetic).
+    Fp,
+    /// `fp / 2` (x87 and SSE moves, loads, stores and compares).
+    FpMove,
+    /// `fp_slow` (divides and square roots).
+    FpSlow,
+}
+
+/// What the translator and the timing model know about an instruction
+/// apart from its operands: one row of [`Inst::props`].
+#[derive(Clone, Copy, PartialEq, Debug)]
+pub struct Props {
+    /// Where control goes next.
+    pub flow: Flow,
+    /// The register file it works in.
+    pub class: Class,
+    /// EFLAGS bits it reads (flag liveness's GEN set).
+    pub flags_read: u32,
+    /// EFLAGS bits it writes on every execution (liveness's KILL set,
+    /// and what a fused compare must produce for its branch).
+    pub flags_must: u32,
+    /// EFLAGS bits it may write (what a template materializes when
+    /// live); a superset of `flags_must`.
+    pub flags_may: u32,
+    /// It may trap: memory, divide, x87 stack, `UD2`, `INT`. Cold code
+    /// commits the IA-32 state register before it.
+    pub can_fault: bool,
+    /// Its explicit memory operand. Stack and string accesses are
+    /// implicit and excluded; `LEA`'s address is not dereferenced.
+    pub mem: Option<Addr>,
+    /// Its IA-32 timing cost class.
+    pub cost: Cost,
+}
+
+impl Props {
+    fn new(class: Class, cost: Cost) -> Props {
+        Props {
+            flow: Flow::Next,
+            class,
+            flags_read: 0,
+            flags_must: 0,
+            flags_may: 0,
+            can_fault: false,
+            mem: None,
+            cost,
+        }
+    }
+
+    fn flow(self, flow: Flow) -> Props {
+        Props { flow, ..self }
+    }
+
+    fn reads(self, flags_read: u32) -> Props {
+        Props { flags_read, ..self }
+    }
+
+    fn writes(self, flags: u32) -> Props {
+        Props {
+            flags_must: flags,
+            flags_may: flags,
+            ..self
+        }
+    }
+
+    /// An explicit memory operand can fault.
+    fn mem(self, mem: Option<Addr>) -> Props {
+        Props {
+            mem,
+            can_fault: self.can_fault || mem.is_some(),
+            ..self
+        }
+    }
+
+    fn faults(self) -> Props {
+        Props {
+            can_fault: true,
+            ..self
+        }
+    }
+}
+
 impl Inst {
-    /// True if this instruction ends a basic block (any control transfer,
-    /// software interrupt, or halt).
-    pub fn ends_block(&self) -> bool {
-        matches!(
-            self,
-            Inst::Jmp { .. }
-                | Inst::JmpInd { .. }
-                | Inst::Jcc { .. }
-                | Inst::Call { .. }
-                | Inst::CallInd { .. }
-                | Inst::Ret { .. }
-                | Inst::Int { .. }
-                | Inst::Hlt
-                | Inst::Ud2
-        )
-    }
-
-    /// The EFLAGS bits this instruction *reads*.
-    pub fn flags_read(&self) -> u32 {
-        use crate::flags;
-        match self {
-            Inst::Alu { op, .. } | Inst::AluRM { op, .. } if op.reads_carry() => flags::CF,
-            Inst::Jcc { cond, .. } | Inst::Setcc { cond, .. } | Inst::Cmovcc { cond, .. } => {
-                cond.flags_read()
+    /// This instruction's row: its control flow, register file, EFLAGS
+    /// reads and writes, whether it can fault, its explicit memory
+    /// operand and its cost class. Every variant has its own arm, so a
+    /// new variant does not compile without a row; the `props_oracle`
+    /// test checks each row against the interpreter.
+    #[inline]
+    pub fn props(&self) -> Props {
+        use crate::flags::{CF, DF, STATUS};
+        use Class::{Int, Mmx, Sse, X87};
+        use Cost::{Div, Fp, FpMove, FpSlow, Mul, Simple};
+        let p = Props::new;
+        let carry = |op: AluOp| if op.reads_carry() { CF } else { 0 };
+        match *self {
+            Inst::Alu { op, dst, src, .. } => p(Int, Simple)
+                .mem(dst.mem().or(src.mem()))
+                .reads(carry(op))
+                .writes(STATUS),
+            Inst::AluRM { op, src, .. } => p(Int, Simple)
+                .mem(Some(src))
+                .reads(carry(op))
+                .writes(STATUS),
+            Inst::Test { a, b, .. } => p(Int, Simple).mem(a.mem().or(b.mem())).writes(STATUS),
+            Inst::Mov { dst, src, .. } => p(Int, Simple).mem(dst.mem().or(src.mem())),
+            Inst::MovLoad { src, .. } => p(Int, Simple).mem(Some(src)),
+            Inst::Movzx { src, .. } | Inst::Movsx { src, .. } | Inst::Xchg { rm: src, .. } => {
+                p(Int, Simple).mem(src.mem())
             }
-            Inst::Movs { .. } | Inst::Stos { .. } => flags::DF,
-            _ => 0,
-        }
-    }
-
-    /// The EFLAGS bits this instruction *may* write (used by the
-    /// translator to decide what to materialize). A superset of
-    /// [`Inst::flags_written`].
-    pub fn flags_written_maybe(&self) -> u32 {
-        match self {
-            Inst::Shift { .. } => crate::flags::STATUS,
-            other => other.flags_written(),
-        }
-    }
-
-    /// The EFLAGS bits this instruction *must* write (the liveness KILL
-    /// set: bits guaranteed to be overwritten on every execution).
-    pub fn flags_written(&self) -> u32 {
-        use crate::flags;
-        match self {
-            Inst::Alu { .. } | Inst::AluRM { .. } | Inst::Test { .. } | Inst::Neg { .. } => {
-                flags::STATUS
+            Inst::Lea { .. } | Inst::Cdq | Inst::Cwde | Inst::Nop => p(Int, Simple),
+            Inst::Push { src } => p(Int, Simple).mem(src.mem()).faults(),
+            Inst::Pop { dst } => p(Int, Simple).mem(dst.mem()).faults(),
+            Inst::IncDec { dst, .. } => p(Int, Simple).mem(dst.mem()).writes(STATUS & !CF),
+            Inst::Neg { dst, .. } => p(Int, Simple).mem(dst.mem()).writes(STATUS),
+            Inst::Not { dst, .. } => p(Int, Simple).mem(dst.mem()),
+            // Only a non-zero (masked) count writes the flags, so a CL
+            // count may write them but need not.
+            Inst::Shift { dst, count, .. } => {
+                let row = p(Int, Simple).mem(dst.mem()).writes(STATUS);
+                match count {
+                    ShiftCount::Imm(c) if c & 0x1F != 0 => row,
+                    _ => Props {
+                        flags_must: 0,
+                        ..row
+                    },
+                }
             }
-            Inst::IncDec { .. } => flags::STATUS & !flags::CF,
-            // Shifts only write flags for a non-zero (masked) count;
-            // `flags_written` is the liveness KILL set, so it must be
-            // the *must-write* set: zero-count and CL-count (dynamic)
-            // shifts report no definite writes.
-            Inst::Shift { count, .. } => match count {
-                ShiftCount::Imm(c) if c & 0x1F != 0 => flags::STATUS,
-                _ => 0,
-            },
-            Inst::ImulRm { .. } | Inst::ImulRmImm { .. } => flags::STATUS,
-            // DIV/IDIV leave flags architecturally undefined; we define
-            // them as "preserved" consistently in the interpreter and
-            // the translator.
-            Inst::MulDiv { op, .. } => match op {
-                MulDivOp::Mul | MulDivOp::Imul => flags::STATUS,
-                MulDivOp::Div | MulDivOp::Idiv => 0,
-            },
-            Inst::Fcomi { .. } | Inst::Ucomiss { .. } => flags::ZF | flags::PF | flags::CF,
-            _ => 0,
-        }
-    }
-
-    /// True if executing this instruction may fault (memory access, divide,
-    /// FP stack operation, or explicit trap).
-    pub fn can_fault(&self) -> bool {
-        if self.mem_operands().is_some() {
-            return true;
-        }
-        matches!(
-            self,
-            Inst::MulDiv {
-                op: MulDivOp::Div | MulDivOp::Idiv,
+            Inst::ImulRm { src, .. }
+            | Inst::ImulRmImm { src, .. }
+            | Inst::MulDiv {
+                op: MulDivOp::Mul | MulDivOp::Imul,
+                src,
                 ..
-            } | Inst::Push { .. }
-                | Inst::Pop { .. }
-                | Inst::Call { .. }
-                | Inst::CallInd { .. }
-                | Inst::Ret { .. }
-                | Inst::Movs { .. }
-                | Inst::Stos { .. }
-                | Inst::Ud2
-                | Inst::Int { .. }
-                | Inst::Fld { .. }
-                | Inst::Fst { .. }
-                | Inst::Fild { .. }
-                | Inst::Fistp { .. }
-                | Inst::Farith { .. }
-                | Inst::Fxch { .. }
-                | Inst::Fld1
-                | Inst::Fldz
-                | Inst::Fcomi { .. }
-        )
-    }
-
-    /// The memory address expression this instruction references, if any
-    /// (the first one, for instructions with a single explicit memory
-    /// operand; stack and string accesses are implicit and excluded).
-    pub fn mem_operands(&self) -> Option<Addr> {
-        fn rm(x: &Rm) -> Option<Addr> {
-            x.mem()
-        }
-        fn rmi(x: &RmI) -> Option<Addr> {
-            x.mem()
-        }
-        match self {
-            Inst::Alu { dst, src, .. } => rm(dst).or_else(|| rmi(src)),
-            Inst::AluRM { src, .. } => Some(*src),
-            Inst::Test { a, b, .. } => rm(a).or_else(|| rmi(b)),
-            Inst::Mov { dst, src, .. } => rm(dst).or_else(|| rmi(src)),
-            Inst::MovLoad { src, .. } => Some(*src),
-            Inst::Movzx { src, .. } | Inst::Movsx { src, .. } => rm(src),
-            Inst::Xchg { rm: r, .. } => rm(r),
-            Inst::Push { src } => rmi(src),
-            Inst::Pop { dst } => rm(dst),
-            Inst::IncDec { dst, .. } | Inst::Neg { dst, .. } | Inst::Not { dst, .. } => rm(dst),
-            Inst::Shift { dst, .. } => rm(dst),
-            Inst::ImulRm { src, .. } | Inst::ImulRmImm { src, .. } => rm(src),
-            Inst::MulDiv { src, .. } => rm(src),
-            Inst::JmpInd { src } | Inst::CallInd { src } => rm(src),
-            Inst::Setcc { dst, .. } => rm(dst),
-            Inst::Cmovcc { src, .. } => rm(src),
-            Inst::Fld { src } => match src {
-                FpOperand::M32(a) | FpOperand::M64(a) => Some(*a),
-                FpOperand::St(_) => None,
-            },
-            Inst::Fst { dst, .. } => match dst {
-                FpOperand::M32(a) | FpOperand::M64(a) => Some(*a),
-                FpOperand::St(_) => None,
-            },
-            Inst::Fild { src } => Some(*src),
-            Inst::Fistp { dst } => Some(*dst),
-            Inst::Farith {
-                form: FpArithForm::St0Mem(_, a),
-                ..
-            } => Some(*a),
-            Inst::Movd { rm: r, .. } => rm(r),
-            Inst::Movq { src, .. } => match src {
-                MmM::Mem(a) => Some(*a),
-                MmM::Reg(_) => None,
-            },
-            Inst::PAlu { src, .. } => match src {
-                MmM::Mem(a) => Some(*a),
-                MmM::Reg(_) => None,
-            },
-            Inst::Movss { rm: r, .. } | Inst::Movps { rm: r, .. } => match r {
-                XmmM::Mem(a) => Some(*a),
-                XmmM::Reg(_) => None,
-            },
-            Inst::SseArith { src, .. }
-            | Inst::Xorps { src, .. }
-            | Inst::Sqrtss { src, .. }
-            | Inst::Cvttss2si { src, .. } => match src {
-                XmmM::Mem(a) => Some(*a),
-                XmmM::Reg(_) => None,
-            },
-            Inst::Cvtsi2ss { src, .. } => rm(src),
-            Inst::Ucomiss { b, .. } => match b {
-                XmmM::Mem(a) => Some(*a),
-                XmmM::Reg(_) => None,
-            },
-            _ => None,
+            } => p(Int, Mul).mem(src.mem()).writes(STATUS),
+            // DIV/IDIV leave the flags architecturally undefined; the
+            // interpreter and the translator both preserve them.
+            Inst::MulDiv { src, .. } => p(Int, Div).mem(src.mem()).faults(),
+            Inst::Jmp { target } => p(Int, Simple).flow(Flow::Jump(target)),
+            Inst::Jcc { cond, target } => p(Int, Simple)
+                .flow(Flow::Branch(target))
+                .reads(cond.flags_read()),
+            Inst::Call { target } => p(Int, Simple).flow(Flow::Call(target)).faults(),
+            Inst::JmpInd { src } => p(Int, Simple).flow(Flow::Indirect).mem(src.mem()),
+            Inst::CallInd { src } => p(Int, Simple).flow(Flow::Indirect).mem(src.mem()).faults(),
+            Inst::Ret { .. } => p(Int, Simple).flow(Flow::Indirect).faults(),
+            Inst::Setcc { cond, dst } => p(Int, Simple).mem(dst.mem()).reads(cond.flags_read()),
+            Inst::Cmovcc { cond, src, .. } => {
+                p(Int, Simple).mem(src.mem()).reads(cond.flags_read())
+            }
+            Inst::Hlt => p(Int, Simple).flow(Flow::Stop),
+            Inst::Ud2 | Inst::Int { .. } => p(Int, Simple).flow(Flow::Stop).faults(),
+            Inst::Movs { .. } | Inst::Stos { .. } => p(Int, Simple).reads(DF).faults(),
+            // Every x87 form can raise a stack fault.
+            Inst::Fld { src: m } | Inst::Fst { dst: m, .. } => p(X87, FpMove).mem(m.mem()).faults(),
+            Inst::Fild { src: a } | Inst::Fistp { dst: a } => p(X87, FpMove).mem(Some(a)).faults(),
+            Inst::Farith { op, form } => {
+                let cost = match op {
+                    FpArithOp::Div | FpArithOp::DivR => FpSlow,
+                    _ => Fp,
+                };
+                let mem = match form {
+                    FpArithForm::St0Mem(_, a) => Some(a),
+                    FpArithForm::St0Sti(_) | FpArithForm::StiSt0 { .. } => None,
+                };
+                p(X87, cost).mem(mem).faults()
+            }
+            Inst::Fchs | Inst::Fabs | Inst::Fxch { .. } | Inst::Fld1 | Inst::Fldz => {
+                p(X87, FpMove).faults()
+            }
+            Inst::Fsqrt => p(X87, FpSlow).faults(),
+            Inst::Fcomi { .. } => p(X87, FpMove).faults().writes(STATUS),
+            Inst::Movd { rm, .. } => p(Mmx, Cost::Mmx).mem(rm.mem()),
+            Inst::Movq { src, .. } | Inst::PAlu { src, .. } => p(Mmx, Cost::Mmx).mem(src.mem()),
+            Inst::Emms => p(Mmx, Cost::Mmx),
+            Inst::Movss { rm, .. }
+            | Inst::Movps { rm, .. }
+            | Inst::Xorps { src: rm, .. }
+            | Inst::Cvttss2si { src: rm, .. } => p(Sse, FpMove).mem(rm.mem()),
+            Inst::SseArith { op, src, .. } => {
+                let cost = if op == SseOp::Div { FpSlow } else { Fp };
+                p(Sse, cost).mem(src.mem())
+            }
+            Inst::Sqrtss { src, .. } => p(Sse, FpSlow).mem(src.mem()),
+            Inst::Cvtsi2ss { src, .. } => p(Sse, FpMove).mem(src.mem()),
+            Inst::Ucomiss { b, .. } => p(Sse, FpMove).mem(b.mem()).writes(STATUS),
         }
     }
 }
@@ -1278,33 +1385,19 @@ impl fmt::Display for Inst {
                 }
             }
             Inst::Movq { mm, src, to_mm } => {
-                let s = match src {
-                    MmM::Reg(m) => m.to_string(),
-                    MmM::Mem(a) => a.to_string(),
-                };
                 if *to_mm {
-                    write!(f, "movq {mm}, {s}")
+                    write!(f, "movq {mm}, {src}")
                 } else {
-                    write!(f, "movq {s}, {mm}")
+                    write!(f, "movq {src}, {mm}")
                 }
             }
-            Inst::PAlu { op, dst, src } => {
-                let s = match src {
-                    MmM::Reg(m) => m.to_string(),
-                    MmM::Mem(a) => a.to_string(),
-                };
-                write!(f, "{} {dst}, {s}", op.mnemonic())
-            }
+            Inst::PAlu { op, dst, src } => write!(f, "{} {dst}, {src}", op.mnemonic()),
             Inst::Emms => write!(f, "emms"),
             Inst::Movss { xmm, rm, to_xmm } => {
-                let s = match rm {
-                    XmmM::Reg(x) => x.to_string(),
-                    XmmM::Mem(a) => a.to_string(),
-                };
                 if *to_xmm {
-                    write!(f, "movss {xmm}, {s}")
+                    write!(f, "movss {xmm}, {rm}")
                 } else {
-                    write!(f, "movss {s}, {xmm}")
+                    write!(f, "movss {rm}, {xmm}")
                 }
             }
             Inst::Movps {
@@ -1314,14 +1407,10 @@ impl fmt::Display for Inst {
                 aligned,
             } => {
                 let m = if *aligned { "movaps" } else { "movups" };
-                let s = match rm {
-                    XmmM::Reg(x) => x.to_string(),
-                    XmmM::Mem(a) => a.to_string(),
-                };
                 if *to_xmm {
-                    write!(f, "{m} {xmm}, {s}")
+                    write!(f, "{m} {xmm}, {rm}")
                 } else {
-                    write!(f, "{m} {s}, {xmm}")
+                    write!(f, "{m} {rm}, {xmm}")
                 }
             }
             Inst::SseArith {
@@ -1329,46 +1418,18 @@ impl fmt::Display for Inst {
                 scalar,
                 dst,
                 src,
-            } => {
-                let s = match src {
-                    XmmM::Reg(x) => x.to_string(),
-                    XmmM::Mem(a) => a.to_string(),
-                };
-                write!(
-                    f,
-                    "{}{} {dst}, {s}",
-                    op.mnemonic(),
-                    if *scalar { "ss" } else { "ps" }
-                )
-            }
-            Inst::Xorps { dst, src } => {
-                let s = match src {
-                    XmmM::Reg(x) => x.to_string(),
-                    XmmM::Mem(a) => a.to_string(),
-                };
-                write!(f, "xorps {dst}, {s}")
-            }
-            Inst::Sqrtss { dst, src } => {
-                let s = match src {
-                    XmmM::Reg(x) => x.to_string(),
-                    XmmM::Mem(a) => a.to_string(),
-                };
-                write!(f, "sqrtss {dst}, {s}")
-            }
+            } => write!(
+                f,
+                "{}{} {dst}, {src}",
+                op.mnemonic(),
+                if *scalar { "ss" } else { "ps" }
+            ),
+            Inst::Xorps { dst, src } => write!(f, "xorps {dst}, {src}"),
+            Inst::Sqrtss { dst, src } => write!(f, "sqrtss {dst}, {src}"),
             Inst::Cvtsi2ss { dst, src } => write!(f, "cvtsi2ss {dst}, {src}"),
-            Inst::Cvttss2si { dst, src } => {
-                let s = match src {
-                    XmmM::Reg(x) => x.to_string(),
-                    XmmM::Mem(a) => a.to_string(),
-                };
-                write!(f, "cvttss2si {dst}, {s}")
-            }
+            Inst::Cvttss2si { dst, src } => write!(f, "cvttss2si {dst}, {src}"),
             Inst::Ucomiss { a, b, signaling } => {
-                let s = match b {
-                    XmmM::Reg(x) => x.to_string(),
-                    XmmM::Mem(a) => a.to_string(),
-                };
-                write!(f, "{}comiss {a}, {s}", if *signaling { "" } else { "u" })
+                write!(f, "{}comiss {a}, {b}", if *signaling { "" } else { "u" })
             }
         }
     }
@@ -1401,15 +1462,18 @@ mod tests {
 
     #[test]
     fn ends_block() {
-        assert!(Inst::Jmp { target: 0 }.ends_block());
-        assert!(Inst::Ret { pop: 0 }.ends_block());
-        assert!(Inst::Hlt.ends_block());
-        assert!(!Inst::Nop.ends_block());
-        assert!(!Inst::Lea {
-            dst: EAX,
-            addr: Addr::abs(0)
-        }
-        .ends_block());
+        let flow = |i: Inst| i.props().flow;
+        assert_eq!(flow(Inst::Jmp { target: 0 }), Flow::Jump(0));
+        assert_eq!(flow(Inst::Ret { pop: 0 }), Flow::Indirect);
+        assert_eq!(flow(Inst::Hlt), Flow::Stop);
+        assert_eq!(flow(Inst::Nop), Flow::Next);
+        assert_eq!(
+            flow(Inst::Lea {
+                dst: EAX,
+                addr: Addr::abs(0)
+            }),
+            Flow::Next
+        );
     }
 
     #[test]
@@ -1421,8 +1485,8 @@ mod tests {
             dst: Rm::Reg(EAX),
             src: RmI::Imm(1),
         };
-        assert_eq!(add.flags_written(), flags::STATUS);
-        assert_eq!(add.flags_read(), 0);
+        assert_eq!(add.props().flags_must, flags::STATUS);
+        assert_eq!(add.props().flags_read, 0);
 
         let adc = Inst::Alu {
             op: AluOp::Adc,
@@ -1430,20 +1494,20 @@ mod tests {
             dst: Rm::Reg(EAX),
             src: RmI::Imm(1),
         };
-        assert_eq!(adc.flags_read(), flags::CF);
+        assert_eq!(adc.props().flags_read, flags::CF);
 
         let inc = Inst::IncDec {
             inc: true,
             size: Size::D,
             dst: Rm::Reg(EAX),
         };
-        assert_eq!(inc.flags_written() & flags::CF, 0);
+        assert_eq!(inc.props().flags_must & flags::CF, 0);
 
         let je = Inst::Jcc {
             cond: Cond::E,
             target: 0,
         };
-        assert_eq!(je.flags_read(), flags::ZF);
+        assert_eq!(je.props().flags_read, flags::ZF);
     }
 
     #[test]
@@ -1453,16 +1517,16 @@ mod tests {
             dst: Rm::Mem(Addr::abs(0x100)),
             src: RmI::Reg(EAX),
         };
-        assert_eq!(i.mem_operands(), Some(Addr::abs(0x100)));
-        assert!(i.can_fault());
+        assert_eq!(i.props().mem, Some(Addr::abs(0x100)));
+        assert!(i.props().can_fault);
 
         let r = Inst::Mov {
             size: Size::D,
             dst: Rm::Reg(EAX),
             src: RmI::Imm(0),
         };
-        assert_eq!(r.mem_operands(), None);
-        assert!(!r.can_fault());
+        assert_eq!(r.props().mem, None);
+        assert!(!r.props().can_fault);
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! experiment hinge on — misaligned accesses cost only a few cycles,
 //! unlike the multi-thousand-cycle OS-assisted penalty on Itanium.
 
-use crate::inst::{Inst, MulDivOp};
+use crate::inst::{Cost, Inst};
 
 /// Cost parameters for the IA-32 machine model.
 #[derive(Clone, Copy, PartialEq, Debug)]
@@ -54,51 +54,21 @@ impl Default for Timing {
 }
 
 impl Timing {
-    /// Base cost of an instruction (memory/misalign/branch extras are
-    /// charged separately by the interpreter).
+    /// Base cost of an instruction: its cost class's field, plus
+    /// `mem - 1` for an explicit memory operand (misalign, branch and
+    /// string extras are charged separately by the interpreter).
     pub fn cost(&self, inst: &Inst) -> u32 {
-        let mem_extra = if inst.mem_operands().is_some() {
-            self.mem - 1
-        } else {
-            0
+        let props = inst.props();
+        let base = match props.cost {
+            Cost::Simple => self.simple,
+            Cost::Mmx => self.simple + 1,
+            Cost::Mul => self.mul,
+            Cost::Div => self.div,
+            Cost::Fp => self.fp,
+            Cost::FpMove => self.fp / 2,
+            Cost::FpSlow => self.fp_slow,
         };
-        let base = match inst {
-            Inst::MulDiv {
-                op: MulDivOp::Div | MulDivOp::Idiv,
-                ..
-            } => self.div,
-            Inst::MulDiv { .. } | Inst::ImulRm { .. } | Inst::ImulRmImm { .. } => self.mul,
-            Inst::Fsqrt => self.fp_slow,
-            Inst::Farith { op, .. } => match op {
-                crate::inst::FpArithOp::Div | crate::inst::FpArithOp::DivR => self.fp_slow,
-                _ => self.fp,
-            },
-            Inst::Fld { .. }
-            | Inst::Fst { .. }
-            | Inst::Fild { .. }
-            | Inst::Fistp { .. }
-            | Inst::Fchs
-            | Inst::Fabs
-            | Inst::Fxch { .. }
-            | Inst::Fld1
-            | Inst::Fldz
-            | Inst::Fcomi { .. } => self.fp / 2,
-            Inst::SseArith { op, .. } => match op {
-                crate::inst::SseOp::Div => self.fp_slow,
-                _ => self.fp,
-            },
-            Inst::Sqrtss { .. } => self.fp_slow,
-            Inst::Movss { .. }
-            | Inst::Movps { .. }
-            | Inst::Xorps { .. }
-            | Inst::Cvtsi2ss { .. }
-            | Inst::Cvttss2si { .. }
-            | Inst::Ucomiss { .. } => self.fp / 2,
-            Inst::PAlu { .. } | Inst::Movd { .. } | Inst::Movq { .. } | Inst::Emms => {
-                self.simple + 1
-            }
-            _ => self.simple,
-        };
+        let mem_extra = if props.mem.is_some() { self.mem - 1 } else { 0 };
         base + mem_extra
     }
 
@@ -112,7 +82,7 @@ impl Timing {
 mod tests {
     use super::*;
     use crate::flags::Size;
-    use crate::inst::{AluOp, Rm, RmI};
+    use crate::inst::{AluOp, MulDivOp, Rm, RmI};
     use crate::regs::EAX;
 
     #[test]

@@ -134,6 +134,22 @@ pub fn hot_config() -> Config {
     }
 }
 
+/// `base` with each ablation knob off in turn: flag liveness, compare
+/// and branch fusion, FP speculation. Each pair is the knob's name and
+/// its configuration.
+pub fn ablations(base: Config) -> [(&'static str, Config); 3] {
+    let off = |knob: fn(&mut Config)| {
+        let mut cfg = base.clone();
+        knob(&mut cfg);
+        cfg
+    };
+    [
+        ("no-flag-liveness", off(|c| c.enable_flag_liveness = false)),
+        ("no-fusion", off(|c| c.enable_fusion = false)),
+        ("no-fp-spec", off(|c| c.enable_fp_spec = false)),
+    ]
+}
+
 /// Asserts that two CPU states are architecturally equivalent.
 ///
 /// EFLAGS are compared exactly (at clean exits the translator

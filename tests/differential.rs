@@ -7,7 +7,7 @@ use ia32::asm::{Asm, Image};
 use ia32::inst::*;
 use ia32::regs::*;
 use ia32::{Cond, Size};
-use ia32el::testkit::{cold_config, differential, hot_config};
+use ia32el::testkit::{ablations, cold_config, differential, hot_config};
 
 const DATA: u32 = 0x50_0000;
 
@@ -26,6 +26,10 @@ fn check(name: &str, f: impl Fn(&mut Asm)) {
         &format!("{name}/cold"),
     );
     differential(&img, hot_config(), &[(DATA, 0x400)], &format!("{name}/hot"));
+    // The ablation knobs' off-states must translate correctly too.
+    for (knob, cfg) in ablations(hot_config()) {
+        differential(&img, cfg, &[(DATA, 0x400)], &format!("{name}/hot/{knob}"));
+    }
 }
 
 #[test]

@@ -3,11 +3,12 @@
 //! FXCHG elimination, FP↔MMX aliasing-mode speculation, and XMM format
 //! speculation.
 
+use btgeneric::engine::Config;
 use ia32::asm::{Asm, Image};
 use ia32::inst::*;
 use ia32::regs::*;
 use ia32::Cond;
-use ia32el::testkit::{cold_config, differential, hot_config};
+use ia32el::testkit::{ablations, cold_config, differential, hot_config};
 
 const DATA: u32 = 0x50_0000;
 
@@ -22,6 +23,20 @@ fn check(name: &str, f: impl Fn(&mut Asm)) {
         &format!("{name}/cold"),
     );
     differential(&img, hot_config(), &[(DATA, 0x400)], &format!("{name}/hot"));
+    // The ablation knobs' off-states must translate correctly too.
+    let cold_no_fp_spec = Config {
+        enable_fp_spec: false,
+        ..cold_config()
+    };
+    differential(
+        &img,
+        cold_no_fp_spec,
+        &[(DATA, 0x400)],
+        &format!("{name}/cold/no-fp-spec"),
+    );
+    for (knob, cfg) in ablations(hot_config()) {
+        differential(&img, cfg, &[(DATA, 0x400)], &format!("{name}/hot/{knob}"));
+    }
 }
 
 fn put_f64(a: &mut Asm, addr: u32, v: f64) {
@@ -141,6 +156,36 @@ fn x87_fxchg_and_compare() {
         a.inst(Inst::Fst {
             dst: FpOperand::M64(Addr::abs(DATA + 72)),
             pop: true,
+        });
+        a.hlt();
+    });
+}
+
+#[test]
+fn fp_compares_write_every_status_flag() {
+    // FCOMI and UCOMISS write all six status flags: OF, SF and AF, set
+    // by the compare before them, read back clear.
+    let stale_flags = |a: &mut Asm| {
+        a.mov_ri(EAX, 0x7FFF_FFF0);
+        a.cmp_ri(EAX, -17);
+    };
+    check("fcomi-flags", |a| {
+        a.inst(Inst::Fld1);
+        a.inst(Inst::Fldz);
+        stale_flags(a);
+        a.inst(Inst::Fcomi {
+            i: 1,
+            pop: false,
+            unordered: false,
+        });
+        a.hlt();
+    });
+    check("ucomiss-flags", |a| {
+        stale_flags(a);
+        a.inst(Inst::Ucomiss {
+            a: Xmm::new(0),
+            b: XmmM::Reg(Xmm::new(1)),
+            signaling: false,
         });
         a.hlt();
     });

@@ -3,6 +3,7 @@
 //! faulting instruction — in cold code (state register) and in hot code
 //! (commit points + recovery maps).
 
+use btgeneric::btos::GuestException;
 use btgeneric::engine::Outcome;
 use ia32::asm::{Asm, Image};
 use ia32::inst::*;
@@ -190,26 +191,29 @@ fn fp_stack_overflow_detected() {
 
 #[test]
 fn fp_stack_underflow_detected() {
-    let img = image(|a| {
-        a.inst(Inst::Fld1);
-        a.inst(Inst::Fst {
-            dst: FpOperand::M64(Addr::abs(DATA)),
-            pop: true,
+    let add = Inst::Farith {
+        op: FpArithOp::Add,
+        form: FpArithForm::St0Sti(1),
+    };
+    for inst in [add, Inst::Fchs, Inst::Fabs, Inst::Fsqrt] {
+        let img = image(|a| {
+            a.inst(Inst::Fld1);
+            a.inst(Inst::Fst {
+                dst: FpOperand::M64(Addr::abs(DATA)),
+                pop: true,
+            });
+            // Stack now empty: this faults.
+            a.inst(inst);
+            a.hlt();
         });
-        // Stack now empty: this faults.
-        a.inst(Inst::Farith {
-            op: FpArithOp::Add,
-            form: FpArithForm::St0Sti(1),
-        });
-        a.hlt();
-    });
-    let oracle = run_interp(&img, 1_000_000);
-    let (trans, _p) = run_translated(&img, cold_config(), 10_000_000);
-    match (&oracle.end, &trans.end) {
-        (ia32el::testkit::RunEnd::Fault(oe), ia32el::testkit::RunEnd::Fault(te)) => {
-            assert_eq!(oe, te);
+        let oracle = run_interp(&img, 1_000_000);
+        let (trans, _p) = run_translated(&img, cold_config(), 10_000_000);
+        match (&oracle.end, &trans.end) {
+            (ia32el::testkit::RunEnd::Fault(oe), ia32el::testkit::RunEnd::Fault(te)) => {
+                assert_eq!(oe, te, "{inst}");
+            }
+            other => panic!("{inst}: expected stack faults, got {other:?}"),
         }
-        other => panic!("expected stack faults, got {other:?}"),
     }
 }
 
@@ -251,6 +255,79 @@ fn split_store_probe_reports_write_fault() {
         }
         other => panic!("expected faults, got {other:?}"),
     }
+}
+
+/// Runs both sides expecting a page fault; compares the whole
+/// exception (address and direction), not only the faulting EIP.
+fn check_page_fault(name: &str, img: &Image) {
+    let mut mem = ia32::mem::GuestMem::new();
+    let mut interp = ia32::interp::Interp::new();
+    interp.cpu = img.load(&mut mem);
+    let trap = interp
+        .run(&mut mem, 1_000_000)
+        .expect_err("the oracle faults");
+    let ia32::Fault::Mem(m) = trap.fault else {
+        panic!("{name}: the oracle raised {:?}", trap.fault);
+    };
+    let want = GuestException::PageFault {
+        addr: m.addr as u32,
+        write: m.write,
+    };
+    for (cfgname, cfg) in [("cold", cold_config()), ("hot", hot_config())] {
+        let mut p = btlib::Process::launch_with(img, btlib::SimOs::new(), cfg).expect("launch");
+        match p.run(400_000_000) {
+            Outcome::Terminated { exc, cpu } => {
+                assert_eq!(exc, want, "{name}/{cfgname}: exception");
+                assert_eq!(cpu.eip, trap.eip, "{name}/{cfgname}: faulting EIP");
+            }
+            other => panic!("{name}/{cfgname}: expected a page fault, got {other:?}"),
+        }
+    }
+}
+
+#[test]
+fn compare_with_memory_is_a_read_fault() {
+    let img = image(|a| {
+        a.inst(Inst::Alu {
+            op: AluOp::Cmp,
+            size: ia32::Size::D,
+            dst: Rm::Mem(Addr::abs(UNMAPPED)),
+            src: RmI::Imm(1),
+        });
+        a.hlt();
+    });
+    check_page_fault("cmp-mem", &img);
+}
+
+/// A loop of misaligned 4-byte stores walking up to the end of the data
+/// page: the block regenerates with split stores, and the last store
+/// straddles into the unmapped page after it.
+fn split_store_into_unmapped(store: impl Fn(&mut Asm)) -> Image {
+    image(|a| {
+        a.mov_ri(ESI, (DATA + 0x1_0000 - 2 - 4 * 39) as i32);
+        a.mov_ri(ECX, 40);
+        let top = a.label();
+        a.bind(top);
+        store(a);
+        a.alu_ri(AluOp::Add, ESI, 4);
+        a.dec(ECX);
+        a.jcc(Cond::Ne, top);
+        a.hlt();
+    })
+}
+
+#[test]
+fn split_store_fault_names_the_first_unmapped_byte() {
+    let mov = split_store_into_unmapped(|a| a.mov_store(Addr::base(ESI), ECX));
+    check_page_fault("split-mov", &mov);
+    let movss = split_store_into_unmapped(|a| {
+        a.inst(Inst::Movss {
+            xmm: Xmm::new(0),
+            rm: XmmM::Mem(Addr::base(ESI)),
+            to_xmm: false,
+        })
+    });
+    check_page_fault("split-movss", &movss);
 }
 
 #[test]
