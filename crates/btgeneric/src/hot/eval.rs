@@ -1,6 +1,7 @@
 //! A reference evaluator for hot IR, and the translation validation of
-//! [`opt::forward_state`](super::opt::forward_state) and of the
-//! backend's group ordering built on it.
+//! the hot passes ([`opt::forward_state`](super::opt::forward_state),
+//! [`opt::dead_code`](super::opt::dead_code)) and of the backend's
+//! group ordering built on it.
 //!
 //! The evaluator runs a sequence of micro-ops — virtual registers
 //! allowed — one at a time on an [`ipf::Machine`], so an op means here
@@ -13,17 +14,16 @@
 //! trace and every exit's state is compared.
 //!
 //! Compiled into test and debug builds only; the hot compiler
-//! (`trace::compile_ir`) validates the traces it forwards on a thread
-//! whose test has asked for it ([`validate_from_now_on`]), and the
-//! scheduler's tests validate the ordering of every trace the kernels
-//! compile.
+//! (`trace::compile_ir`) validates its passes on every trace it compiles
+//! on a thread whose test has asked for it ([`validate_from_now_on`]),
+//! and the scheduler's tests validate the ordering of every trace the
+//! kernels compile.
 
 use super::liveness::{virt_key, VirtKey};
 use super::regalloc::phys_reg;
 use crate::state::{GR_GUEST, GR_ONE};
 use ipf::inst::{Op, Reg, Target};
 use ipf::machine::{Bus, BusError, CodeArena, MachFault, Machine, StopReason};
-use std::cell::Cell;
 use std::collections::HashMap;
 
 /// Physical registers virtual operands are shuttled through, per class
@@ -188,6 +188,7 @@ fn snapshot(m: &Machine) -> Regs {
 /// trace may assume on entry) and 8-aligned, the constant-one register
 /// holds one, everything else — virtual registers read before they are
 /// written included — is arbitrary.
+#[cfg(test)]
 pub(super) fn run(insts: &[ipf::Inst], seed: u64) -> Outcome {
     run_recording(insts, seed, false)
 }
@@ -291,14 +292,16 @@ fn run_recording(insts: &[ipf::Inst], seed: u64, commits: bool) -> Outcome {
     }
 }
 
+#[cfg(debug_assertions)]
 thread_local! {
     /// Traces the hot compiler has validated on this thread, once a
     /// test has asked it to.
-    static VALIDATED: Cell<Option<u64>> = const { Cell::new(None) };
+    static VALIDATED: std::cell::Cell<Option<u64>> = const { std::cell::Cell::new(None) };
 }
 
-/// Makes this thread's hot compiler validate every trace it forwards
-/// from now on; returns how many it has validated so far.
+/// Makes this thread's hot compiler validate the passes of every trace
+/// it compiles from now on; returns how many traces it has validated so
+/// far.
 #[cfg(debug_assertions)]
 pub(super) fn validate_from_now_on() -> u64 {
     let n = VALIDATED.get().unwrap_or(0);
@@ -312,80 +315,54 @@ pub(super) fn validating() -> bool {
     VALIDATED.get().is_some()
 }
 
-/// Translation validation: `after` — `before` with guest state
-/// forwarded — must leave every physical register, every store and the
-/// state at every exit and fault exactly as `before` does, from each of
-/// a few seeded register files. The pass neither moves nor deletes an
-/// op, so the two are compared position by position.
-///
-/// # Panics
-///
-/// Panics, naming the first difference, if they disagree.
-pub(super) fn assert_forwarding_preserves(before: &[ipf::Inst], after: &[ipf::Inst]) {
-    assert_eq!(before.len(), after.len(), "forwarding keeps every op");
-    for seed in 1..=2 {
-        let (want, got) = (run(before, seed), run(after, seed));
-        if want == got {
-            continue;
-        }
-        let listing: String = before
-            .iter()
-            .zip(after)
-            .enumerate()
-            .map(|(k, (b, a))| format!("{k:4}  {b}    =>    {a}\n"))
-            .collect();
-        let what = if want.stores != got.stores {
-            format!("stores: {:x?} became {:x?}", want.stores, got.stores)
-        } else if let Some((w, g)) = want.events.iter().zip(&got.events).find(|(w, g)| w != g) {
-            format!(
-                "state at op {} ({:?}) differs: {}",
-                w.0,
-                w.1,
-                first_difference(&w.2, &g.2)
-            )
-        } else {
-            format!("final state: {}", first_difference(&want.end, &got.end))
-        };
-        panic!("forward_state changed what the trace computes (seed {seed}): {what}\n{listing}");
-    }
+/// Counts one more trace validated, if a test has asked for it.
+#[cfg(debug_assertions)]
+pub(super) fn trace_validated() {
     VALIDATED.set(VALIDATED.get().map(|n| n + 1));
 }
 
-/// Translation validation of the backend's group ordering: `after` is
-/// `before` with the ops of each issue group reordered, `perm[k]` the
-/// index in `before` of `after`'s op `k`. From each of a few seeded
-/// register files both must make the same stores, end with the same
-/// registers, and reach the same exits and faults at the same ops in
-/// the same order. At an exit every register must agree: a branch ends
-/// its group, so the same ops have run by then. Before every op that can
+/// Translation validation of one pass over a trace: `after` is what
+/// `pass` made of `before`, `from[k]` the index in `before` of `after`'s
+/// op `k` — the identity for a pass that rewrites operands, a
+/// permutation for one that reorders, the kept indices for one that
+/// deletes. From each of a few seeded register files both must make the
+/// same stores, end with the same registers, and reach the same exits
+/// and faults at the same ops in the same order. At an exit every
+/// register must agree: a branch ends its group, and no pass deletes
+/// one, so the same ops have run by then. Before every op that can
 /// fault — whether or not it does — the architectural state must: ops
 /// of its group that moved across it write only pool and scratch
 /// registers, which recovery does not read.
 ///
 /// # Panics
 ///
-/// Panics, naming the first difference, if they disagree.
-#[cfg(test)]
-pub(super) fn assert_reordering_preserves(
+/// Panics, naming `pass` and the first difference, if they disagree.
+pub(super) fn assert_preserves(
+    pass: &str,
     before: &[ipf::Inst],
     after: &[ipf::Inst],
-    perm: &[usize],
+    from: &[usize],
 ) {
-    assert_eq!(perm.len(), after.len(), "one index per op");
+    assert_eq!(from.len(), after.len(), "one index per op");
     for seed in 1..=2 {
         let (want, got) = (
             run_recording(before, seed, true),
             run_recording(after, seed, true),
         );
         let listing = || -> String {
-            let pairs = before.iter().zip(after).enumerate();
-            pairs
-                .map(|(k, (b, a))| format!("{k:4}  {b}    ->    {a}\n"))
-                .collect()
+            let mut to = vec![None; before.len()];
+            for (k, &i) in from.iter().enumerate() {
+                to[i] = Some(k);
+            }
+            let line = |(i, b): (usize, &ipf::Inst)| match to[i] {
+                Some(k) => format!("{i:4}  {b}    ->    {k:4}  {}\n", after[k]),
+                None => format!("{i:4}  {b}    ->    deleted\n"),
+            };
+            before.iter().enumerate().map(line).collect()
         };
         let fail = |what: String| -> ! {
             panic!(
-                "group ordering changed what the trace computes (seed {seed}): {what}\n{}",
+                "{pass} changed what the trace computes (seed {seed}): {what}\n{}",
                 listing()
             )
         };
@@ -415,10 +392,10 @@ pub(super) fn assert_reordering_preserves(
                     (architectural(&w.2), architectural(&g.2))
                 }
             };
-            if w.0 != perm[g.0] || w.1 != g.1 || w.3 != g.3 {
+            if w.0 != from[g.0] || w.1 != g.1 || w.3 != g.3 {
                 fail(format!(
                     "event {:?} at op {} became {:?} at op {}",
-                    w.1, w.0, g.1, perm[g.0]
+                    w.1, w.0, g.1, from[g.0]
                 ));
             }
             if w_regs != g_regs {
@@ -430,7 +407,6 @@ pub(super) fn assert_reordering_preserves(
 }
 
 /// `regs` with everything but architectural state zeroed.
-#[cfg(test)]
 fn architectural(regs: &Regs) -> Regs {
     use super::ir::is_state_phys;
     let mut out = regs.clone();

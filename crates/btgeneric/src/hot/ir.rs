@@ -1,105 +1,23 @@
 //! The hot-phase typed trace IR.
 //!
-//! Template emission produces a flat list of micro-ops whose meaning —
-//! which guest registers they touch, whether they observe or define
-//! EFLAGS, whether they can fault — is implicit in the register
-//! numbering conventions of `state.rs`. The typed IR makes those
-//! effects explicit per op ([`Effects`]), which is what lets the
-//! generic passes in `opt.rs`, `liveness.rs`, and `regalloc.rs` reason
-//! about traces (including devirtualized call/ret-folded ones and
-//! traces ending *through* an indirect terminator) without pattern
-//! matching on template shapes.
+//! Template emission produces a flat list of micro-ops; the IR keeps
+//! each with the IA-32 instruction it came from and, once assigned,
+//! its recovery index. What an op does is asked of the op itself: its
+//! operand walk (`visit_regs`) names the registers it reads and
+//! writes — the guest homes and the EFLAGS home of `state.rs` among
+//! them — and `Op::props` whether it branches, can fault, stores or is
+//! a fence. That is what lets the generic passes in `opt.rs`,
+//! `liveness.rs` and `regalloc.rs` reason about traces (including
+//! devirtualized call/ret-folded ones and traces ending *through* an
+//! indirect terminator) without pattern matching on template shapes.
 
 use crate::layout::StubKind;
-use crate::state::{self, GR_EFLAGS, GR_GUEST, GR_STATE};
+use crate::state::{self, GR_STATE};
 use crate::templates::{IlItem, Sink};
 use ipf::inst::{Op, Reg, Target};
 use std::collections::HashSet;
 
-/// Guest-memory effect of one op.
-#[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(super) enum MemEffect {
-    /// No memory access.
-    None,
-    /// Reads memory.
-    Load,
-    /// Writes memory.
-    Store,
-}
-
-/// The explicit effect summary of one micro-op: guest-register,
-/// EFlags, and memory effects plus the control/fault bits the
-/// commit-point discipline cares about.
-#[derive(Clone, Copy, Debug)]
-pub(super) struct Effects {
-    /// Bitmask of guest GPRs (EAX..EDI) read.
-    pub guest_reads: u8,
-    /// Bitmask of guest GPRs written.
-    pub guest_writes: u8,
-    /// Reads the lazy EFLAGS home (including merge-writes into it).
-    pub reads_eflags: bool,
-    /// Defines the lazy EFLAGS home.
-    pub writes_eflags: bool,
-    /// Memory effect.
-    pub mem: MemEffect,
-    /// Is a branch (side exit, inline-dispatch hit, or stub exit).
-    pub is_branch: bool,
-    /// May fault at run time (commit point).
-    pub can_fault: bool,
-    /// Defines architectural state (anything outside the renaming
-    /// pools and scratch banks).
-    pub writes_state: bool,
-}
-
-impl Effects {
-    /// Classifies one instruction.
-    pub fn of(inst: &ipf::Inst) -> Effects {
-        let op = &inst.op;
-        let mut fx = Effects {
-            guest_reads: 0,
-            guest_writes: 0,
-            reads_eflags: false,
-            writes_eflags: false,
-            mem: MemEffect::None,
-            is_branch: op.is_branch(),
-            can_fault: op.can_fault(),
-            writes_state: false,
-        };
-        op.visit_regs(|r, is_def| {
-            if let Reg::G(g) = r {
-                if (GR_GUEST..GR_GUEST + 8).contains(&g.0) {
-                    let bit = 1u8 << (g.0 - GR_GUEST);
-                    if is_def {
-                        fx.guest_writes |= bit;
-                    } else {
-                        fx.guest_reads |= bit;
-                    }
-                }
-                if g == GR_EFLAGS {
-                    if is_def {
-                        fx.writes_eflags = true;
-                    } else {
-                        fx.reads_eflags = true;
-                    }
-                }
-            }
-            if is_def && is_state_phys(r) {
-                fx.writes_state = true;
-            }
-        });
-        if op.is_mem() {
-            fx.mem = if op.is_store() {
-                MemEffect::Store
-            } else {
-                MemEffect::Load
-            };
-        }
-        fx
-    }
-}
-
-/// One typed-IR op: the micro-op plus provenance and its explicit
-/// effects.
+/// One typed-IR op: the micro-op plus its provenance.
 #[derive(Clone, Debug)]
 pub(super) struct IrInst {
     /// The micro-op (virtual registers allowed until allocation).
@@ -108,18 +26,15 @@ pub(super) struct IrInst {
     pub ia32_ip: u32,
     /// Recovery index (assigned to faulty ops before allocation).
     pub rec: Option<u32>,
-    /// Explicit effect summary (recomputed after rewriting passes).
-    pub fx: Effects,
 }
 
 impl IrInst {
-    /// Lifts one micro-op into the IR, computing its effects.
+    /// Lifts one micro-op into the IR.
     pub fn new(inst: ipf::Inst, ia32_ip: u32) -> IrInst {
         IrInst {
             inst,
             ia32_ip,
             rec: None,
-            fx: Effects::of(&inst),
         }
     }
 }
@@ -209,38 +124,6 @@ mod tests {
     use super::*;
     use ipf::inst::Src;
     use ipf::regs::{Gr, R0};
-
-    #[test]
-    fn effects_classify_guest_and_eflags() {
-        let g0 = state::guest_gpr(0);
-        let fx = Effects::of(&ipf::Inst::new(Op::Add {
-            d: g0,
-            a: Src::Imm(1),
-            b: g0,
-        }));
-        assert_eq!(fx.guest_reads, 1);
-        assert_eq!(fx.guest_writes, 1);
-        assert!(fx.writes_state);
-        assert!(!fx.writes_eflags);
-
-        let fx = Effects::of(&ipf::Inst::new(Op::Dep {
-            d: GR_EFLAGS,
-            src: g0,
-            target: GR_EFLAGS,
-            pos: 0,
-            len: 1,
-        }));
-        assert!(fx.writes_eflags, "dep into the EFLAGS home defines it");
-        assert!(fx.reads_eflags, "merge-write also reads the old value");
-
-        let fx = Effects::of(&ipf::Inst::new(Op::St {
-            sz: 4,
-            addr: g0,
-            val: g0,
-        }));
-        assert_eq!(fx.mem, MemEffect::Store);
-        assert!(fx.can_fault);
-    }
 
     #[test]
     fn pool_registers_are_not_state() {

@@ -2,11 +2,9 @@
 //!
 //! A trace body is straight-line code with embedded side exits: a
 //! predicated branch's not-taken path *is* the continuation, so
-//! virtual-register liveness is an ordinary backward scan. Side exits
-//! still matter for EFLAGS: every branch (and every op that can fault)
-//! is an observation point where the architectural EFLAGS home must
-//! hold the committed value, because the exit path — or the fault
-//! recovery walk — reads all guest state.
+//! virtual-register liveness is an ordinary backward scan. The register
+//! allocator reads it; the liveness of the guest-state homes, which
+//! side exits and faulting ops observe, is `opt::dead_code`'s own.
 
 use super::ir::IrInst;
 use ipf::inst::Reg;
@@ -31,8 +29,6 @@ pub(super) fn virt_key(r: Reg) -> Option<VirtKey> {
 pub(super) struct Liveness {
     /// Virtual registers live *after* each op, sorted (deterministic).
     pub live_out: Vec<Vec<VirtKey>>,
-    /// Whether the EFLAGS home is observable *after* each op.
-    pub eflags_out: Vec<bool>,
     /// Every position referencing each virtual (qp, uses, and defs),
     /// ascending.
     pub refs: HashMap<VirtKey, Vec<usize>>,
@@ -56,13 +52,9 @@ impl Liveness {
 pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
     let n = ir.len();
     let mut live_out: Vec<Vec<VirtKey>> = vec![Vec::new(); n];
-    let mut eflags_out = vec![false; n];
     let mut live: BTreeSet<VirtKey> = BTreeSet::new();
-    // The trace's main exit (or inline dispatch) observes all state.
-    let mut ef = true;
     for i in (0..n).rev() {
         live_out[i] = live.iter().copied().collect();
-        eflags_out[i] = ef;
         let x = &ir[i];
         // Unpredicated defs kill; predicated defs merge (value live
         // through).
@@ -74,9 +66,6 @@ pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
                     }
                 }
             });
-            if x.fx.writes_eflags && !x.fx.reads_eflags {
-                ef = false;
-            }
         }
         if let Some(k) = virt_key(Reg::P(x.inst.qp)) {
             live.insert(k);
@@ -88,9 +77,6 @@ pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
                 }
             }
         });
-        if x.fx.reads_eflags || x.fx.is_branch || x.fx.can_fault {
-            ef = true;
-        }
     }
 
     let mut refs: HashMap<VirtKey, Vec<usize>> = HashMap::new();
@@ -107,18 +93,14 @@ pub(super) fn analyze(ir: &[IrInst]) -> Liveness {
         x.inst.op.visit_regs(|r, _| note(r, &mut refs));
     }
 
-    Liveness {
-        live_out,
-        eflags_out,
-        refs,
-    }
+    Liveness { live_out, refs }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::layout::StubKind;
-    use crate::state::{guest_gpr, GR_EFLAGS};
+    use crate::state::guest_gpr;
     use ipf::inst::{Op, Src, Target};
     use ipf::regs::{Gr, Pr, R0};
 
@@ -176,41 +158,5 @@ mod tests {
             Some(&2),
             "qp counts as a reference"
         );
-    }
-
-    #[test]
-    fn eflags_live_before_branch_and_fault_points() {
-        let g0 = guest_gpr(0);
-        let ir = ils_to_ir(vec![
-            // EFLAGS def #0: dead (overwritten before any observer).
-            ipf::Inst::new(Op::Add {
-                d: GR_EFLAGS,
-                a: Src::Imm(1),
-                b: R0,
-            }),
-            // EFLAGS def #1: live (the load below can fault).
-            ipf::Inst::new(Op::Add {
-                d: GR_EFLAGS,
-                a: Src::Imm(2),
-                b: R0,
-            }),
-            ipf::Inst::new(Op::Ld {
-                sz: 4,
-                d: g0,
-                addr: g0,
-                spec: false,
-            }),
-            // EFLAGS def #2: live (trace exit observes).
-            ipf::Inst::new(Op::Add {
-                d: GR_EFLAGS,
-                a: Src::Imm(3),
-                b: R0,
-            }),
-        ]);
-        let lv = analyze(&ir);
-        assert!(!lv.eflags_out[0], "first def is dead before the second");
-        assert!(lv.eflags_out[1], "faulting load observes EFLAGS");
-        assert!(!lv.eflags_out[2], "dead again before the final rewrite");
-        assert!(lv.eflags_out[3], "trace end observes EFLAGS");
     }
 }

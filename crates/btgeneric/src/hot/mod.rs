@@ -4,12 +4,14 @@
 //! with renaming and commit points, and recovery maps for precise
 //! exceptions.
 //!
-//! Selected traces compile through one pipeline: a typed IR (`ir`)
-//! with explicit per-op effects, the optimization passes (`opt`),
-//! per-op liveness (`liveness`), constraint-driven register allocation
-//! with spilling (`regalloc`), and a backend scheduling pass over the
-//! allocated code (`sched`). A trace the pipeline cannot compile is not
-//! installed — the block stays cold.
+//! Selected traces compile through one pipeline: a typed IR (`ir`),
+//! the optimization passes (`opt`: guest-state forwarding, value
+//! numbering, one dead-code pass over virtuals and the guest-state
+//! homes), per-op virtual-register liveness (`liveness`),
+//! constraint-driven register allocation with spilling (`regalloc`),
+//! and a backend scheduling pass over the allocated code (`sched`). A
+//! trace the pipeline cannot compile is not installed — the block stays
+//! cold.
 
 mod commit;
 #[cfg(any(test, debug_assertions))]
@@ -34,12 +36,13 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
 }
 
 /// Test hook: from now on, a debug build of this thread's hot compiler
-/// runs every trace before and after guest-state forwarding on the
-/// reference evaluator and panics unless registers, stores and exit
-/// states agree. Returns how many traces it has checked so far (always
-/// 0 in a release build, which has no evaluator).
+/// runs every trace before and after each of guest-state forwarding and
+/// dead-code elimination on the reference evaluator and panics, naming
+/// the pass, unless registers, stores and exit states agree. Returns how
+/// many traces it has checked so far (always 0 in a release build,
+/// which has no evaluator).
 #[doc(hidden)]
-pub fn validate_forwarding() -> u64 {
+pub fn validate_passes() -> u64 {
     #[cfg(debug_assertions)]
     return eval::validate_from_now_on();
     #[cfg(not(debug_assertions))]

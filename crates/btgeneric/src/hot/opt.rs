@@ -1,11 +1,11 @@
 //! Hot IR optimizations (paper §2 hot-phase list): guest-state
 //! forwarding (register-value tracking and the one copy propagation),
 //! local value numbering (compound-address CSE and redundant-load
-//! elimination), cross-block EFLAGS elimination, dead guest-write
-//! elision, and dead-code elimination.
+//! elimination), and one dead-code pass that also removes the EFLAGS
+//! and guest-register writes nothing observes.
 
-use super::ir::{is_state_prealloc, Effects, IrInst, MemEffect};
-use super::liveness;
+use super::ir::{is_state_prealloc, IrInst};
+use super::liveness::{virt_key, VirtKey};
 use crate::state::{GR_EFLAGS, GR_GUEST};
 use ipf::inst::{Op, Reg, ShiftKind, Src};
 use ipf::regs::{Gr, P0};
@@ -13,8 +13,7 @@ use std::collections::{HashMap, HashSet};
 
 /// Local value numbering over the trace. Pure integer ops (and loads,
 /// versioned by the store count) with identical canonicalized operands
-/// are deduplicated; uses are rewritten through a substitution map (so
-/// effects are recomputed afterwards).
+/// are deduplicated; uses are rewritten through a substitution map.
 pub(super) fn lvn(ils: &mut Vec<IrInst>) {
     // Only virtuals with a single definition participate (deleting one
     // of several defs, or replacing uses with a later-redefined holder,
@@ -84,81 +83,13 @@ pub(super) fn lvn(ils: &mut Vec<IrInst>) {
             }
         }
     }
-    let mut idx = 0;
-    ils.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
-    });
-    recompute_effects(ils);
+    retain(ils, &keep);
 }
 
-/// Re-derives every op's [`Effects`] after a pass rewrote operands.
-fn recompute_effects(irs: &mut [IrInst]) {
-    for x in irs.iter_mut() {
-        x.fx = Effects::of(&x.inst);
-    }
-}
-
-/// Dead-code elimination: drops ops whose only effects are writes to
-/// virtual registers that nothing reads.
-pub(super) fn dce(ils: &mut Vec<IrInst>) {
-    let n = ils.len();
-    let mut keep = vec![false; n];
-    let mut live: HashSet<(u8, u16)> = HashSet::new();
-    for i in (0..n).rev() {
-        let il = &ils[i];
-        let op = &il.inst.op;
-        let props = op.props();
-        let mut side_effect =
-            props.store || props.branch || props.can_fault || props.fence || il.inst.qp != P0;
-        // Writes to non-virtual (architectural) registers are effects;
-        // a branch register always is one.
-        let mut defines_live_virtual = false;
-        op.visit_regs(|r, is_def| {
-            if is_def {
-                if is_state_prealloc(r) {
-                    side_effect = true;
-                }
-                let key = reg_key(r);
-                if let Some(k) = key {
-                    if live.contains(&k) {
-                        defines_live_virtual = true;
-                    }
-                }
-            }
-        });
-        if side_effect || defines_live_virtual {
-            keep[i] = true;
-            // Defs are satisfied; kill them (only unconditional defs
-            // fully cover the register), then mark uses live.
-            if il.inst.qp == P0 {
-                op.visit_regs(|r, is_def| {
-                    if is_def {
-                        if let Some(k) = reg_key(r) {
-                            live.remove(&k);
-                        }
-                    }
-                });
-            }
-            if let Some(k) = reg_key(Reg::P(il.inst.qp)) {
-                live.insert(k);
-            }
-            op.visit_regs(|r, is_def| {
-                if !is_def {
-                    if let Some(k) = reg_key(r) {
-                        live.insert(k);
-                    }
-                }
-            });
-        }
-    }
-    let mut idx = 0;
-    ils.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
-    });
+/// Keeps the ops of `irs` whose entry of `keep` is set.
+fn retain(irs: &mut Vec<IrInst>, keep: &[bool]) {
+    let mut keep = keep.iter();
+    irs.retain(|_| *keep.next().expect("one flag per op"));
 }
 
 /// The version key of a physical general, FP or predicate register.
@@ -167,15 +98,6 @@ fn phys_key(r: Reg) -> Option<(u8, u16)> {
         Reg::G(g) if !g.is_virtual() => Some((0, g.0)),
         Reg::F(f) if !f.is_virtual() => Some((1, f.0)),
         Reg::P(p) if !p.is_virtual() => Some((2, p.0)),
-        _ => None,
-    }
-}
-
-fn reg_key(r: Reg) -> Option<(u8, u16)> {
-    match r {
-        Reg::G(g) if g.is_virtual() => Some((0, g.0)),
-        Reg::F(f) if f.is_virtual() => Some((1, f.0)),
-        Reg::P(p) if p.is_virtual() => Some((2, p.0)),
         _ => None,
     }
 }
@@ -317,8 +239,8 @@ impl Forwarding {
 /// of a home to the register that was last copied into it, turns every
 /// `zxt4` of a value whose upper half is known zero into a copy, and
 /// reads through virtual copies — of virtuals, and of physical
-/// registers not yet redefined (DCE then drops the copies nothing reads
-/// any more).
+/// registers not yet redefined ([`dead_code`] then drops the copies
+/// nothing reads any more).
 ///
 /// The home *writes* stay where the templates put them — the scheduler
 /// keeps pinning them between their commit barriers — so precise state,
@@ -404,151 +326,70 @@ pub(super) fn forward_state(irs: &mut [IrInst]) {
             }
         }
     }
-    recompute_effects(irs);
 }
 
-/// Cross-block EFLAGS elimination: deletes lazy-flags materializations
-/// whose result is overwritten before any observation point. The
-/// observation points are branches (side exits, the inline dispatch)
-/// and ops that can fault (the recovery walk reads all guest state);
-/// between those, only the final write into the EFLAGS home survives.
-/// Deleting a write removes its reads, which can cascade through the
-/// read-modify-write chains lazy flags build, so the pass iterates to a
-/// fixpoint.
-pub(super) fn eflags_elim(irs: &mut Vec<IrInst>) {
-    loop {
-        let lv = liveness::analyze(irs);
-        let mut keep = vec![true; irs.len()];
-        let mut removed = false;
-        for (i, x) in irs.iter().enumerate() {
-            if !x.fx.writes_eflags || lv.eflags_out[i] {
-                continue;
-            }
-            if x.fx.is_branch || x.fx.can_fault || x.fx.mem == MemEffect::Store {
-                continue;
-            }
-            // Deletable only if every def is the (dead) EFLAGS home or
-            // a virtual nothing reads afterwards.
-            let mut only_dead = true;
-            x.inst.op.visit_regs(|r, is_def| {
-                if !is_def {
-                    return;
-                }
-                let dead = match r {
-                    Reg::G(g) if g == GR_EFLAGS => true,
-                    _ => match liveness::virt_key(r) {
-                        Some(k) => !lv.live_after(i, k),
-                        None => false,
-                    },
-                };
-                only_dead &= dead;
-            });
-            if only_dead {
-                keep[i] = false;
-                removed = true;
-            }
-        }
-        if !removed {
-            return;
-        }
-        let mut idx = 0;
-        irs.retain(|_| {
-            let k = keep[idx];
-            idx += 1;
-            k
-        });
-    }
-}
-
-/// Dead guest-writeback elision: deletes an unpredicated,
-/// non-faulting write into a guest GPR home when the register's next
-/// event is an unconditional full redefinition, with no intervening
-/// read, branch, faulting op, or predicated op — nothing between the
-/// two writes can observe the first. With the readers in between
-/// forwarded past the home ([`forward_state`]), that is every write a
-/// later template of the same commit interval supersedes.
-pub(super) fn elide_dead_guest_writes(irs: &mut Vec<IrInst>) {
-    // The op's sole def is a physical guest GPR home that the op does
-    // not also read (a read-modify-write needs the prior value).
-    let guest_def = |x: &IrInst| -> Option<Gr> {
-        if x.inst.qp != P0
-            || x.fx.is_branch
-            || x.fx.can_fault
-            || x.fx.writes_eflags
-            || x.fx.mem != MemEffect::None
-        {
-            return None;
-        }
-        // Two passes: collect defs first, then look for a read of the
-        // def register — operand visit order must not hide an RMW.
-        let mut def = None;
-        let mut ok = true;
-        x.inst.op.visit_regs(|r, is_def| {
-            if !is_def {
-                return;
-            }
-            match r {
-                Reg::G(g) if home_of(g).is_some() && def.is_none() => {
-                    def = Some(g);
-                }
-                _ => ok = false,
-            }
-        });
-        let g = def?;
-        if !ok {
-            return None;
-        }
-        let mut reads = false;
-        x.inst.op.visit_regs(|r, is_def| {
-            if !is_def && r == Reg::G(g) {
-                reads = true;
-            }
-        });
-        if reads {
-            None
-        } else {
-            Some(g)
-        }
+/// Dead-code elimination, the paper's EFLAGS elimination and dead
+/// guest-register writes included: one backward walk with one live set
+/// of virtual registers, the eight guest GPR homes and the EFLAGS home.
+/// Returns, per op it leaves, that op's index before the pass.
+///
+/// All nine homes are live at the trace end. An op stays if it stores,
+/// branches, can fault or is a fence, if it defines architectural state
+/// other than a home, or if it defines a live register; every other op
+/// is deleted. For an op that stays, in order:
+/// 1. an unpredicated def kills its register;
+/// 2. a branch or an op that can fault makes all nine homes live — the
+///    exit path and the recovery walk read all guest state;
+/// 3. any other predicated op makes the eight GPR homes live, but not
+///    EFLAGS. Nothing needs this; without it the pass deletes more home
+///    writes and the scheduler moves single kernels both ways
+///    (ROADMAP item 2(c));
+/// 4. its qualifying predicate and its uses become live.
+pub(super) fn dead_code(irs: &mut Vec<IrInst>) -> Vec<usize> {
+    // A home is keyed by its physical number, which no virtual shares.
+    let key = |r: Reg| match r {
+        Reg::G(g) if home_of(g).is_some() || g == GR_EFLAGS => Some((0, g.0)),
+        _ => virt_key(r),
     };
-    let mut keep = vec![true; irs.len()];
-    for i in 0..irs.len() {
-        let Some(g) = guest_def(&irs[i]) else {
-            continue;
-        };
-        // Reads are checked regardless of def order within an op, so a
-        // later read-modify-write of `g` counts as an observation.
-        let mut deletable = false;
-        for x in irs[i + 1..].iter() {
-            if x.fx.is_branch || x.fx.can_fault || x.inst.qp != P0 {
-                break;
+    let gpr_homes = (GR_GUEST..GR_GUEST + 8).map(|g| (0, g));
+    let homes = gpr_homes.clone().chain([(0, GR_EFLAGS.0)]);
+    let mut live: HashSet<VirtKey> = homes.clone().collect();
+    let mut keep = vec![false; irs.len()];
+    for (i, x) in irs.iter().enumerate().rev() {
+        let (op, qp) = (&x.inst.op, x.inst.qp);
+        let props = op.props();
+        let observes = props.branch || props.can_fault;
+        let mut needed = observes || props.store || props.fence;
+        op.visit_regs(|r, is_def| {
+            if is_def {
+                needed |= key(r).map_or(is_state_prealloc(r), |k| live.contains(&k));
             }
-            let mut reads = false;
-            let mut redefs = false;
-            x.inst.op.visit_regs(|r, is_def| {
-                if r == Reg::G(g) {
-                    if is_def {
-                        redefs = true;
-                    } else {
-                        reads = true;
-                    }
+        });
+        if !needed {
+            continue;
+        }
+        keep[i] = true;
+        if qp == P0 {
+            op.visit_regs(|r, is_def| {
+                if let (true, Some(k)) = (is_def, key(r)) {
+                    live.remove(&k);
                 }
             });
-            if reads {
-                break;
-            }
-            if redefs {
-                deletable = true;
-                break;
-            }
         }
-        keep[i] = !deletable;
+        if observes {
+            live.extend(homes.clone());
+        } else if qp != P0 {
+            live.extend(gpr_homes.clone());
+        }
+        live.extend(key(Reg::P(qp)));
+        op.visit_regs(|r, is_def| {
+            if !is_def {
+                live.extend(key(r));
+            }
+        });
     }
-    let mut idx = 0;
-    irs.retain(|_| {
-        let k = keep[idx];
-        idx += 1;
-        k
-    });
+    retain(irs, &keep);
+    (0..keep.len()).filter(|&i| keep[i]).collect()
 }
 
 #[cfg(test)]
@@ -720,7 +561,7 @@ mod tests {
                 b: v1,
             })),
         ];
-        dce(&mut ils);
+        dead_code(&mut ils);
         assert_eq!(ils.len(), 2);
     }
 
@@ -746,7 +587,7 @@ mod tests {
                 b: R0,
             })),
         ];
-        dce(&mut ils);
+        dead_code(&mut ils);
         assert_eq!(ils.len(), 3);
     }
 
@@ -779,7 +620,7 @@ mod tests {
         let mut irs: Vec<IrInst> = ops.iter().map(|&i| il(i)).collect();
         forward_state(&mut irs);
         let out: Vec<ipf::Inst> = irs.iter().map(|x| x.inst).collect();
-        eval::assert_forwarding_preserves(ops, &out);
+        eval::assert_preserves("forward_state", ops, &out, &Vec::from_iter(0..ops.len()));
         out
     }
 
@@ -1073,74 +914,184 @@ mod tests {
             a: Src::Reg(eax),
             b: ecx,
         });
-        eval::assert_forwarding_preserves(&[sum, zxt(4, eax, v)], &[sum, mov(eax, v)]);
-    }
-
-    #[test]
-    fn eflags_elim_drops_overwritten_materializations() {
-        let g = crate::state::guest_gpr(0);
-        let mut irs = vec![
-            // Dead: overwritten before any observer.
-            il(ipf::Inst::new(Op::Add {
-                d: GR_EFLAGS,
-                a: Src::Imm(1),
-                b: R0,
-            })),
-            // Live: the faulting store observes it.
-            il(ipf::Inst::new(Op::Add {
-                d: GR_EFLAGS,
-                a: Src::Imm(2),
-                b: R0,
-            })),
-            il(ipf::Inst::new(Op::St {
-                sz: 4,
-                addr: g,
-                val: g,
-            })),
-            // Live: trace exit observes it.
-            il(ipf::Inst::new(Op::Add {
-                d: GR_EFLAGS,
-                a: Src::Imm(3),
-                b: R0,
-            })),
-        ];
-        eflags_elim(&mut irs);
-        assert_eq!(irs.len(), 3, "only the unobserved write is deleted");
-        assert!(
-            matches!(irs[0].inst.op, Op::Add { a: Src::Imm(2), .. }),
-            "the pre-fault write survives"
+        eval::assert_preserves(
+            "forward_state",
+            &[sum, zxt(4, eax, v)],
+            &[sum, mov(eax, v)],
+            &[0, 1],
         );
     }
 
+    // ---- dead_code ----------------------------------------------------
+
+    /// `dead_code` over `ops`, checked against them on the reference
+    /// evaluator.
+    fn dead_code_checked(ops: &[ipf::Inst]) -> Vec<ipf::Inst> {
+        let mut irs: Vec<IrInst> = ops.iter().map(|&i| il(i)).collect();
+        let from = dead_code(&mut irs);
+        let out: Vec<ipf::Inst> = irs.iter().map(|x| x.inst).collect();
+        eval::assert_preserves("dead_code", ops, &out, &from);
+        out
+    }
+
+    fn movi(d: Gr, imm: i64) -> ipf::Inst {
+        ipf::Inst::new(Op::Add {
+            d,
+            a: Src::Imm(imm),
+            b: R0,
+        })
+    }
+
+    fn cmp_eq(p: Pr, a: Gr, b: Gr) -> ipf::Inst {
+        ipf::Inst::new(Op::Cmp {
+            rel: ipf::inst::CmpRel::Eq,
+            pt: p,
+            pf: P0,
+            a: Src::Reg(a),
+            b,
+        })
+    }
+
     #[test]
-    fn eflags_elim_cascades_through_rmw_chains() {
-        let mut s = Sink::new();
-        let v1 = s.vg();
-        let g = crate::state::guest_gpr(0);
-        let mut irs = vec![
-            // A lazy-flags RMW chain: compute a flag bit, merge it in.
-            il(ipf::Inst::new(Op::Add {
-                d: v1,
-                a: Src::Imm(1),
-                b: g,
-            })),
-            il(ipf::Inst::new(Op::Dep {
-                d: GR_EFLAGS,
-                src: v1,
-                target: GR_EFLAGS,
-                pos: 0,
-                len: 1,
-            })),
-            // Full overwrite before any observer kills the chain.
-            il(ipf::Inst::new(Op::Add {
-                d: GR_EFLAGS,
-                a: Src::Imm(0),
-                b: R0,
-            })),
+    fn eflags_writes_live_only_up_to_their_overwrite() {
+        let g = guest_gpr(0);
+        let observers = [
+            st4(g, g),
+            ipf::Inst::new(Op::Ld {
+                sz: 4,
+                d: Gr(300),
+                addr: g,
+                spec: false,
+            }),
         ];
-        eflags_elim(&mut irs);
-        dce(&mut irs);
-        assert_eq!(irs.len(), 1, "merge deleted, then its input is dead");
-        assert!(matches!(irs[0].inst.op, Op::Add { d, a: Src::Imm(_), .. } if d == GR_EFLAGS));
+        for observer in observers {
+            let out = dead_code_checked(&[
+                // Dead: overwritten before any observer.
+                movi(GR_EFLAGS, 1),
+                // Live: the op that can fault observes it.
+                movi(GR_EFLAGS, 2),
+                observer,
+                // Live: the trace end observes it.
+                movi(GR_EFLAGS, 3),
+            ]);
+            assert_eq!(out, [movi(GR_EFLAGS, 2), observer, movi(GR_EFLAGS, 3)]);
+        }
+    }
+
+    #[test]
+    fn an_eflags_merge_dies_with_the_home_and_its_inputs_with_it() {
+        let (eax, ecx, edx) = (guest_gpr(0), guest_gpr(1), guest_gpr(2));
+        let (v, p) = (Gr(300), Pr(400));
+        let merge = |qp| {
+            ipf::Inst::pred(
+                qp,
+                Op::Dep {
+                    d: GR_EFLAGS,
+                    src: v,
+                    target: GR_EFLAGS,
+                    pos: 0,
+                    len: 1,
+                },
+            )
+        };
+        // A lazy-flags read-modify-write chain: compute a flag bit,
+        // merge it in; a full overwrite before any observer kills it.
+        let add = ipf::Inst::new(Op::Add {
+            d: v,
+            a: Src::Imm(1),
+            b: eax,
+        });
+        let out = dead_code_checked(&[add, merge(P0), movi(GR_EFLAGS, 0)]);
+        assert_eq!(out, [movi(GR_EFLAGS, 0)]);
+        // The same under a predicate: a merge into a dead home is dead.
+        let out = dead_code_checked(&[add, cmp_eq(p, ecx, edx), merge(p), movi(GR_EFLAGS, 0)]);
+        assert_eq!(out, [movi(GR_EFLAGS, 0)]);
+        // A predicated write only merges: the write before it stays.
+        let ops = [
+            movi(GR_EFLAGS, 1),
+            cmp_eq(p, ecx, edx),
+            ipf::Inst::pred(p, movi(GR_EFLAGS, 2).op),
+        ];
+        assert_eq!(dead_code_checked(&ops), ops);
+    }
+
+    #[test]
+    fn a_home_write_overwritten_before_any_observer_is_deleted() {
+        let (eax, ecx) = (guest_gpr(0), guest_gpr(1));
+        let v = Gr(300);
+        let write = [
+            ipf::Inst::new(Op::Add {
+                d: v,
+                a: Src::Imm(1),
+                b: ecx,
+            }),
+            mov(eax, v),
+        ];
+        // The write goes, and the virtual it copied with it.
+        let out = dead_code_checked(&[&write[..], &[movi(eax, 5)]].concat());
+        assert_eq!(out, [movi(eax, 5)]);
+    }
+
+    #[test]
+    fn a_home_write_is_kept_when_anything_may_observe_it() {
+        let (eax, ecx, edx, ebx) = (guest_gpr(0), guest_gpr(1), guest_gpr(2), guest_gpr(3));
+        let (v, w, p) = (Gr(300), Gr(301), Pr(400));
+        let write = [
+            ipf::Inst::new(Op::Add {
+                d: v,
+                a: Src::Imm(1),
+                b: ecx,
+            }),
+            mov(eax, v),
+        ];
+        let exit = ipf::Inst::new(Op::Br {
+            target: ipf::inst::Target::Abs(crate::layout::StubKind::Untranslated.addr()),
+        });
+        let load = ipf::Inst::new(Op::Ld {
+            sz: 4,
+            d: w,
+            addr: ebx,
+            spec: false,
+        });
+        let tails: [&[ipf::Inst]; 5] = [
+            // A side exit reads all guest state.
+            &[exit, movi(eax, 5)],
+            // So does the recovery walk of an op that can fault.
+            &[load, movi(eax, 5)],
+            // A read of the home.
+            &[mov(w, eax), mov(edx, w), movi(eax, 5)],
+            // The next write reads the home itself.
+            &[ipf::Inst::new(Op::Add {
+                d: eax,
+                a: Src::Imm(1),
+                b: eax,
+            })],
+            // An unrelated predicated op. Nothing needs this: it keeps
+            // what the pass reproduces; ROADMAP item 2(c) measures
+            // dropping it.
+            &[
+                cmp_eq(p, ecx, edx),
+                ipf::Inst::pred(p, movi(edx, 3).op),
+                movi(eax, 5),
+            ],
+        ];
+        for tail in tails {
+            let ops = [&write[..], tail].concat();
+            assert_eq!(dead_code_checked(&ops), ops, "{}", tail[0]);
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "dead_code changed what the trace computes")]
+    fn the_validation_catches_an_observed_write_deleted() {
+        let (eax, ebx) = (guest_gpr(0), guest_gpr(3));
+        let load = ipf::Inst::new(Op::Ld {
+            sz: 4,
+            d: Gr(300),
+            addr: ebx,
+            spec: false,
+        });
+        let ops = [movi(eax, 1), load, movi(eax, 5)];
+        eval::assert_preserves("dead_code", &ops, &ops[1..], &[1, 2]);
     }
 }

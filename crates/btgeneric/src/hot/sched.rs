@@ -524,7 +524,7 @@ mod tests {
             order_groups(&mut ordered);
             let perm: Vec<usize> = ordered.iter().map(|s| s.2.expect("tagged")).collect();
             let insts = |code: &[Slot]| code.iter().map(|s| s.0).collect::<Vec<_>>();
-            eval::assert_reordering_preserves(&insts(&tagged), &insts(&ordered), &perm);
+            eval::assert_preserves("group ordering", &insts(&tagged), &insts(&ordered), &perm);
         }
     }
 

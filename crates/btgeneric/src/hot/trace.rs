@@ -882,8 +882,9 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         .collect();
     let irs = ir::collect(&body, &exit_label_ids)?;
 
-    // Compile (forwarding, EFLAGS elimination, per-op liveness,
-    // constraint-driven allocation with spilling, backend scheduling).
+    // Compile (forwarding, value numbering, dead code — EFLAGS and
+    // guest-register writes included — per-op liveness, constraint-driven
+    // allocation with spilling, backend scheduling).
     // A constraint that cannot be satisfied — a no-spill register class
     // over its pool — leaves the block cold.
     let (compiled, recovery) = compile_ir(irs, &perm_by_ip)?;
@@ -1004,7 +1005,7 @@ fn assign_recovery(irs: &mut [ir::IrInst], perm_by_ip: &HashMap<u32, [u8; 8]>) -
     let mut recovery: Vec<RecEntry> = Vec::new();
     let mut rec_index: HashMap<u32, u32> = HashMap::new();
     for x in irs.iter_mut() {
-        if x.fx.can_fault {
+        if x.inst.op.props().can_fault {
             let ip = x.ia32_ip;
             let idx = *rec_index.entry(ip).or_insert_with(|| {
                 let idx = recovery.len() as u32;
@@ -1036,7 +1037,7 @@ thread_local! {
 }
 
 /// The hot compiler, one pipeline: guest-state forwarding, LVN,
-/// cross-block EFLAGS elimination, dead guest-write elision, DCE,
+/// dead-code elimination (EFLAGS and guest-register writes included),
 /// recovery assignment, list scheduling of the virtual code, per-op
 /// liveness with constraint-driven allocation (spilling under
 /// general-register pressure), and the backend pass over the allocated
@@ -1046,22 +1047,14 @@ fn compile_ir(
     mut irs: Vec<ir::IrInst>,
     perm_by_ip: &HashMap<u32, [u8; 8]>,
 ) -> Option<(CompiledCode, Vec<RecEntry>)> {
-    // On a thread whose test asked for it, a debug build checks the
-    // forwarded trace against the one it was given, op by op, on the
-    // reference evaluator.
-    #[cfg(debug_assertions)]
-    let emitted: Option<Vec<ipf::Inst>> =
-        super::eval::validating().then(|| irs.iter().map(|x| x.inst).collect());
-    opt::forward_state(&mut irs);
-    #[cfg(debug_assertions)]
-    if let Some(emitted) = emitted {
-        let forwarded: Vec<ipf::Inst> = irs.iter().map(|x| x.inst).collect();
-        super::eval::assert_forwarding_preserves(&emitted, &forwarded);
-    }
+    checked("forward_state", &mut irs, |irs| {
+        opt::forward_state(irs);
+        (0..irs.len()).collect()
+    });
     opt::lvn(&mut irs);
-    opt::eflags_elim(&mut irs);
-    opt::elide_dead_guest_writes(&mut irs);
-    opt::dce(&mut irs);
+    checked("dead_code", &mut irs, opt::dead_code);
+    #[cfg(debug_assertions)]
+    super::eval::trace_validated();
     let recovery = assign_recovery(&mut irs, perm_by_ip);
     // Reorder while still virtual (no false dependences), then allocate
     // in the scheduled order — the new program order for liveness and
@@ -1081,6 +1074,28 @@ fn compile_ir(
         .map(|(inst, stop, src)| (inst, stop, src.and_then(|s| irs[s].rec)))
         .collect();
     Some((out, recovery))
+}
+
+/// Runs one pass over the IR; `pass` returns, per op it leaves, that
+/// op's index in its input. On a thread whose test asked for it, a
+/// debug build checks what the pass made of the trace against what it
+/// was given on the reference evaluator (`eval::assert_preserves`).
+fn checked(
+    name: &str,
+    irs: &mut Vec<ir::IrInst>,
+    pass: impl FnOnce(&mut Vec<ir::IrInst>) -> Vec<usize>,
+) {
+    #[cfg(debug_assertions)]
+    let before: Option<Vec<ipf::Inst>> =
+        super::eval::validating().then(|| irs.iter().map(|x| x.inst).collect());
+    let from = pass(irs);
+    #[cfg(debug_assertions)]
+    if let Some(before) = before {
+        let after: Vec<ipf::Inst> = irs.iter().map(|x| x.inst).collect();
+        super::eval::assert_preserves(name, &before, &after, &from);
+    }
+    #[cfg(not(debug_assertions))]
+    let _ = (name, from);
 }
 
 /// Emits a side-exit counter increment (uses caller-saved hot scratch).

@@ -1,24 +1,25 @@
 //! Translation validation of the hot phase's guest-state forwarding
-//! (`hot/opt.rs::forward_state`).
+//! and dead-code elimination (`hot/opt.rs::{forward_state, dead_code}`).
 //!
-//! Once `hot::validate_forwarding` has asked for it, a debug build of
-//! the hot compiler runs every trace body before and after the pass on
-//! a reference evaluator, from seeded register files that respect the
-//! zero-extended-home invariant, and panics unless every physical
-//! register (the guest homes and the EFLAGS home among them), every
-//! store and the state at every side exit and fault agree. These tests
-//! drive that check over the traces it matters for — every
-//! trace selected on the 15 `sim_golden` kernels, and 200 seeded
-//! straight-line loop bodies made of what the pass reasons about:
-//! partial-register writes, sign extensions, 32-bit-overflowing `lea`s,
-//! shifts and narrow loads — and make sure it actually ran. The seeded
-//! guests are checked against the interpreter as well.
+//! Once `hot::validate_passes` has asked for it, a debug build of the
+//! hot compiler runs every trace body before and after each pass on a
+//! reference evaluator, from seeded register files that respect the
+//! zero-extended-home invariant, and panics, naming the pass, unless
+//! every store, the final registers (the guest homes and the EFLAGS
+//! home among them), the registers at every side exit and the
+//! architectural state before every op that can fault agree. These
+//! tests drive that check over the traces it matters for — every trace
+//! selected on the 15 `sim_golden` kernels, and 200 seeded straight-line
+//! loop bodies made of what forwarding reasons about: partial-register
+//! writes, sign extensions, 32-bit-overflowing `lea`s, shifts and
+//! narrow loads — and make sure it actually ran. The seeded guests are
+//! checked against the interpreter as well.
 //!
 //! A release build compiles the check out, so there the tests have
 //! nothing to look at and pass vacuously.
 
 use btgeneric::engine::{Config, Outcome};
-use btgeneric::hot::validate_forwarding;
+use btgeneric::hot::validate_passes;
 use btlib::{Process, SimOs};
 use ia32::asm::{Asm, Image};
 use ia32::inst::*;
@@ -36,7 +37,7 @@ fn every_trace_of_the_golden_kernels_is_validated() {
     kernels.extend(workloads::indirect_kernels());
     let mut traces = 0;
     for w in &kernels {
-        let before = validate_forwarding();
+        let before = validate_passes();
         let img = build_image(w, (w.scale / 8).max(2048));
         let mut p = Process::launch_with(&img, SimOs::new(), Config::default()).expect("launch");
         assert!(
@@ -46,10 +47,10 @@ fn every_trace_of_the_golden_kernels_is_validated() {
         );
         let installed = p.engine.stats.hot_ir_traces;
         assert!(
-            validate_forwarding() - before >= installed,
+            validate_passes() - before >= installed,
             "{}: {installed} traces installed, {} validated",
             w.name,
-            validate_forwarding() - before
+            validate_passes() - before
         );
         traces += installed;
     }
@@ -162,7 +163,7 @@ fn gen_inst(x: &mut u64) -> Inst {
 
 #[test]
 fn seeded_partial_register_guests_are_validated_and_match_the_interpreter() {
-    let before = validate_forwarding();
+    let before = validate_passes();
     for case in 0..200u64 {
         let mut x = case.wrapping_mul(0x9E37_79B9_7F4A_7C15) | 1;
         let mut a = Asm::new(0x40_0000);
@@ -200,6 +201,6 @@ fn seeded_partial_register_guests_are_validated_and_match_the_interpreter() {
         );
     }
     if cfg!(debug_assertions) {
-        assert!(validate_forwarding() - before >= 200);
+        assert!(validate_passes() - before >= 200);
     }
 }
