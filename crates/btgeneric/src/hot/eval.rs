@@ -39,7 +39,7 @@ const LABEL_BASE: u64 = 1 << 61;
 /// The physical register files at one point of a run (shuttle
 /// registers zeroed).
 #[derive(Clone, PartialEq, Debug)]
-pub(super) struct Regs {
+pub(crate) struct Regs {
     /// General registers and their NaT bits.
     pub gr: Vec<(u64, bool)>,
     /// FP registers (raw) and their NaT bits.
@@ -52,7 +52,7 @@ pub(super) struct Regs {
 
 /// Why an op was recorded as an event.
 #[derive(Clone, Copy, PartialEq, Debug)]
-pub(super) enum EventKind {
+pub(crate) enum EventKind {
     /// A branch was taken to this address.
     Left(u64),
     /// The op faulted and was skipped.
@@ -64,7 +64,7 @@ pub(super) enum EventKind {
 
 /// What one run left behind.
 #[derive(PartialEq, Debug)]
-pub(super) struct Outcome {
+pub(crate) struct Outcome {
     /// Every op that left the trace or faulted (or is a commit point the
     /// run was asked to record): its index, why, and the registers and
     /// the number of stores done at that point.
@@ -189,7 +189,7 @@ fn snapshot(m: &Machine) -> Regs {
 /// holds one, everything else — virtual registers read before they are
 /// written included — is arbitrary.
 #[cfg(test)]
-pub(super) fn run(insts: &[ipf::Inst], seed: u64) -> Outcome {
+pub(crate) fn run(insts: &[ipf::Inst], seed: u64) -> Outcome {
     run_recording(insts, seed, false)
 }
 

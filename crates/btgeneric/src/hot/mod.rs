@@ -15,7 +15,7 @@
 
 mod commit;
 #[cfg(any(test, debug_assertions))]
-mod eval;
+pub(crate) mod eval;
 mod ir;
 mod liveness;
 mod opt;

@@ -525,14 +525,369 @@ mod tests {
         assert!(s.inst_count() <= 5, "got {}", s.inst_count());
     }
 
-    #[test]
-    fn cond_pred_emission() {
-        for cond in (0..16).map(ia32::Cond::from_code) {
-            let mut s = Sink::new();
-            let (pt, pf) = cond_from_flags(&mut s, cond);
-            assert!(pt.is_virtual() && pf.is_virtual());
-            assert_ne!(pt, pf);
-            assert!(s.inst_count() >= 1);
+    /// The recipe-level oracle: every flag setter and reader emitted
+    /// through its template, evaluated on an `ipf::Machine` and
+    /// compared with `ia32::flags`.
+    mod oracle {
+        use super::*;
+        use crate::hot::eval;
+        use crate::state;
+        use crate::templates::{
+            emit, emit_cond_pred, emit_fused_cmp_jcc, AccessMode, AlignCache, EmitCtx, FpCtx,
+            IlItem, MisalignPlan, XmmCtx,
+        };
+        use ia32::inst::{AluOp, Inst as I32, MulDivOp, Rm, RmI, ShiftCount, ShiftOp};
+        use ia32::regs::{EAX, ECX};
+        use ia32::Cond;
+
+        const HOME: Gr = GR_EFLAGS;
+        const SIZES: [Size; 3] = [Size::B, Size::W, Size::D];
+        /// Every live mask that is one status bit, and all of them.
+        const LIVE: [u32; 7] = [
+            flags::CF,
+            flags::PF,
+            flags::AF,
+            flags::ZF,
+            flags::SF,
+            flags::OF,
+            flags::STATUS,
+        ];
+        /// Home values before a setter: every bit clear, every bit set.
+        const SEEDS: [u32; 2] = [
+            flags::RESERVED_ONES,
+            flags::STATUS | flags::DF | flags::RESERVED_ONES,
+        ];
+
+        /// Operands at `size`: 0, 1, -1, the sign bit, max, sign-1,
+        /// 0x80 and three seeded values.
+        fn operands(size: Size) -> Vec<u32> {
+            let sign = size.sign_bit();
+            let mut v = vec![0, 1, u32::MAX, sign, size.mask(), sign - 1, 0x80];
+            v.extend([0x9E37_79B9u32, 0x7F4A_7C15, 0x0000_8001].map(|x| x & size.mask()));
+            v
+        }
+
+        /// Runs `f` with the context of one instruction at 0x1000 after
+        /// which `live` flags are live.
+        fn with_ctx<T>(live: u32, f: impl FnOnce(&mut EmitCtx<'_>) -> T) -> T {
+            let (mut fp, mut xmm) = (FpCtx::new(0, false), XmmCtx::new(0));
+            let plan = MisalignPlan::uniform(AccessMode::Fast, 0);
+            f(&mut EmitCtx {
+                ip: 0x1000,
+                next_ip: 0x1004,
+                live_flags: live,
+                fp: &mut fp,
+                xmm: &mut xmm,
+                misalign: &plan,
+                align: &mut AlignCache::default(),
+            })
+        }
+
+        /// Cases emitted into one sink, each ending with a store of one
+        /// register and the value the oracle expects there.
+        #[derive(Default)]
+        struct Cases {
+            sink: Sink,
+            want: Vec<(u64, String)>,
+        }
+
+        impl Cases {
+            fn set(&mut self, r: Gr, v: u32) {
+                self.sink.emit(Op::Movl {
+                    d: r,
+                    imm: v as u64,
+                });
+            }
+
+            fn emit(&mut self, inst: &I32, live: u32) {
+                with_ctx(live, |ctx| emit(&mut self.sink, inst, ctx)).expect("a template exists");
+            }
+
+            /// The sum of `1 << i` over the predicates `preds[i]` that hold.
+            fn pred_bits(&mut self, preds: &[Pr]) -> Gr {
+                let d = self.sink.vg();
+                self.sink.mov(d, R0);
+                for (i, &p) in preds.iter().enumerate() {
+                    let op = Op::Add {
+                        d,
+                        a: Src::Imm(1 << i),
+                        b: d,
+                    };
+                    self.sink.emit_pred(p, op);
+                }
+                d
+            }
+
+            fn check(&mut self, r: Gr, want: u64, what: String) {
+                let addr = self.sink.vg();
+                self.sink
+                    .mov_imm(addr, 0x10_0000 + 8 * self.want.len() as u64);
+                self.sink.emit(Op::St {
+                    sz: 8,
+                    addr,
+                    val: r,
+                });
+                self.want.push((want, what));
+            }
+
+            fn run(self) {
+                let insts: Vec<ipf::Inst> = (self.sink.items.iter())
+                    .map(|item| match item {
+                        IlItem::Inst(e) => e.inst,
+                        IlItem::Bind(_) => panic!("a flag recipe binds no label"),
+                    })
+                    .collect();
+                let got = eval::run(&insts, 1).stores;
+                assert_eq!(got.len(), self.want.len(), "one store per case");
+                let bad: Vec<String> = (got.iter().zip(&self.want))
+                    .filter(|((_, _, got), (want, _))| got != want)
+                    .map(|((_, _, got), (want, what))| {
+                        format!("{what}: got {got:#x}, oracle {want:#x}")
+                    })
+                    .collect();
+                assert!(
+                    bad.is_empty(),
+                    "{} of {} cases differ:\n{}",
+                    bad.len(),
+                    self.want.len(),
+                    bad[..bad.len().min(12)].join("\n")
+                );
+            }
+        }
+
+        /// Runs `inst` at every live mask from every seed, with EAX = `a`
+        /// and ECX = `b`, against `oracle(a, b, carry in)`: the flags it
+        /// writes, or `None` when it leaves them all as they were.
+        fn setter(
+            recipe: &str,
+            inst: I32,
+            size: Size,
+            pairs: &[(u32, u32)],
+            oracle: impl Fn(u32, u32, bool) -> Option<u32>,
+        ) {
+            for live in LIVE {
+                let mut cases = Cases::default();
+                let mask = live & inst.props().flags_may;
+                for seed in SEEDS {
+                    for &(a, b) in pairs {
+                        cases.set(state::guest_gpr(EAX.num()), a);
+                        cases.set(state::guest_gpr(ECX.num()), b);
+                        cases.set(HOME, seed);
+                        cases.emit(&inst, live);
+                        let want = (oracle(a, b, seed & flags::CF != 0))
+                            .map_or(seed, |f| flags::merge(seed, f, mask));
+                        let what = format!(
+                            "{recipe} `{inst}`: size {size:?}, live {live:#x}, \
+                             eax {a:#x}, ecx {b:#x}, home {seed:#x}"
+                        );
+                        cases.check(HOME, want as u64, what);
+                    }
+                }
+                cases.run();
+            }
+        }
+
+        fn pairs(size: Size) -> Vec<(u32, u32)> {
+            let v = operands(size);
+            v.iter()
+                .flat_map(|&a| v.iter().map(move |&b| (a, b)))
+                .collect()
+        }
+
+        /// The flags an instruction writes from EAX, ECX and the carry in.
+        type Oracle<'a> = &'a dyn Fn(u32, u32, bool) -> u32;
+        /// The result an instruction computes from EAX and ECX.
+        type Res = fn(u32, u32) -> u32;
+
+        #[test]
+        fn arith_and_logic_setters_match_the_oracle() {
+            let (eax, ecx) = (Rm::Reg(EAX), RmI::Reg(ECX));
+            for size in SIZES {
+                let alu = |op| I32::Alu {
+                    op,
+                    size,
+                    dst: eax,
+                    src: ecx,
+                };
+                let incdec = |inc| I32::IncDec {
+                    inc,
+                    size,
+                    dst: eax,
+                };
+                let rows: [(&str, I32, Oracle); 9] = [
+                    ("arith_flags", alu(AluOp::Add), &|a, b, _| {
+                        flags::add(a, b, size)
+                    }),
+                    ("arith_flags", alu(AluOp::Adc), &|a, b, c| {
+                        flags::adc(a, b, c, size)
+                    }),
+                    ("arith_flags", alu(AluOp::Sub), &|a, b, _| {
+                        flags::sub(a, b, size)
+                    }),
+                    ("arith_flags", alu(AluOp::Sbb), &|a, b, c| {
+                        flags::sbb(a, b, c, size)
+                    }),
+                    ("arith_flags", incdec(true), &|a, _, _| flags::inc(a, size)),
+                    ("arith_flags", incdec(false), &|a, _, _| flags::dec(a, size)),
+                    ("arith_flags", I32::Neg { size, dst: eax }, &|a, _, _| {
+                        flags::neg(a, size)
+                    }),
+                    ("logic_flags", alu(AluOp::And), &|a, b, _| {
+                        flags::logic(a & b, size)
+                    }),
+                    ("logic_flags", alu(AluOp::Xor), &|a, b, _| {
+                        flags::logic(a ^ b, size)
+                    }),
+                ];
+                for (recipe, inst, oracle) in rows {
+                    setter(recipe, inst, size, &pairs(size), |a, b, c| {
+                        Some(oracle(a, b, c))
+                    });
+                }
+            }
+        }
+
+        #[test]
+        fn shift_setters_match_the_oracle() {
+            let counts = [0u32, 1, 7, 8, 9, 15, 16, 17, 31, 32, 33, 0xFF];
+            for size in SIZES {
+                for op in [ShiftOp::Shl, ShiftOp::Shr, ShiftOp::Sar] {
+                    // A zero count (after masking) leaves every flag as it was.
+                    let oracle = |a, n: u32| match n & 0x1F {
+                        0 => None,
+                        c => Some(match op {
+                            ShiftOp::Shl => flags::shl(a, c, size),
+                            ShiftOp::Shr => flags::shr(a, c, size),
+                            ShiftOp::Sar => flags::sar(a, c, size),
+                        }),
+                    };
+                    let shift = |count| I32::Shift {
+                        op,
+                        size,
+                        dst: Rm::Reg(EAX),
+                        count,
+                    };
+                    let cl: Vec<_> = (operands(size).iter())
+                        .flat_map(|&a| counts.map(|n| (a, n)))
+                        .collect();
+                    setter(
+                        "shift_flags",
+                        shift(ShiftCount::Cl),
+                        size,
+                        &cl,
+                        |a, n, _| oracle(a, n),
+                    );
+                    let imm: Vec<_> = operands(size).iter().map(|&a| (a, 0)).collect();
+                    for n in counts.into_iter().filter(|n| n & 0x1F != 0) {
+                        let inst = shift(ShiftCount::Imm(n as u8));
+                        setter("shift_flags", inst, size, &imm, |a, _, _| oracle(a, n));
+                    }
+                }
+            }
+        }
+
+        /// Multiplies exist at 32 bits only: the byte and word forms
+        /// are left to the interpreter.
+        #[test]
+        fn multiply_setters_match_the_oracle() {
+            let (size, src) = (Size::D, Rm::Reg(ECX));
+            for (op, signed) in [(MulDivOp::Mul, false), (MulDivOp::Imul, true)] {
+                let inst = I32::MulDiv { op, size, src };
+                setter("emit_mul_flags", inst, size, &pairs(size), |a, b, _| {
+                    Some(if signed {
+                        let p = a as i32 as i64 * b as i32 as i64;
+                        flags::imul(p as u32, (p >> 32) as u32, size)
+                    } else {
+                        let p = a as u64 * b as u64;
+                        flags::mul(p as u32, (p >> 32) as u32, size)
+                    })
+                });
+            }
+        }
+
+        /// Every condition from every combination of CF/PF/ZF/SF/OF in
+        /// the home; the other home bits set and clear.
+        #[test]
+        fn cond_from_flags_matches_cond_eval() {
+            let mut cases = Cases::default();
+            for cond in (0..16).map(Cond::from_code) {
+                for combo in 0..32u32 {
+                    let status = [flags::CF, flags::PF, flags::ZF, flags::SF, flags::OF]
+                        .iter()
+                        .enumerate()
+                        .filter(|&(i, _)| combo >> i & 1 != 0)
+                        .fold(0, |f, (_, &bit)| f | bit);
+                    for rest in [flags::RESERVED_ONES, flags::AF | flags::DF | 0x0020_0302] {
+                        let home = status | rest;
+                        cases.set(HOME, home);
+                        let (pt, pf) = emit_cond_pred(&mut cases.sink, cond);
+                        // 1 when the condition holds, 2 when it does not,
+                        // 0 or 3 when the pair is not complementary.
+                        let d = cases.pred_bits(&[pt, pf]);
+                        let want = if cond.eval(home) { 1 } else { 2 };
+                        let what = format!("cond_from_flags `{cond:?}`: home {home:#x}");
+                        cases.check(d, want, what);
+                    }
+                }
+            }
+            cases.run();
+        }
+
+        /// The fused ALU + Jcc forms that branch on the result alone:
+        /// E, NE, S and NS of the result against `flags::logic`.
+        #[test]
+        fn result_cond_matches_cond_eval() {
+            let (eax, ecx) = (Rm::Reg(EAX), RmI::Reg(ECX));
+            for size in SIZES {
+                let alu = |op| I32::Alu {
+                    op,
+                    size,
+                    dst: eax,
+                    src: ecx,
+                };
+                let incdec = |inc| I32::IncDec {
+                    inc,
+                    size,
+                    dst: eax,
+                };
+                let rows: [(I32, Res); 7] = [
+                    (alu(AluOp::Sub), |a, b| a.wrapping_sub(b)),
+                    (alu(AluOp::And), |a, b| a & b),
+                    (alu(AluOp::Or), |a, b| a | b),
+                    (alu(AluOp::Xor), |a, b| a ^ b),
+                    (incdec(true), |a, _| a.wrapping_add(1)),
+                    (incdec(false), |a, _| a.wrapping_sub(1)),
+                    (
+                        I32::Test {
+                            size,
+                            a: eax,
+                            b: ecx,
+                        },
+                        |a, b| a & b,
+                    ),
+                ];
+                for (inst, res) in rows {
+                    let mut cases = Cases::default();
+                    for cond in [Cond::E, Cond::Ne, Cond::S, Cond::Ns] {
+                        for (a, b) in pairs(size) {
+                            cases.set(state::guest_gpr(EAX.num()), a);
+                            cases.set(state::guest_gpr(ECX.num()), b);
+                            let p = with_ctx(0, |ctx| {
+                                emit_fused_cmp_jcc(&mut cases.sink, &inst, cond, ctx)
+                            })
+                            .expect("the pair fuses");
+                            let taken = cases.pred_bits(&[p]);
+                            let want = cond.eval(flags::logic(res(a, b), size));
+                            let what = format!(
+                                "result_cond `{inst}` + j{cond:?}: size {size:?}, \
+                                 eax {a:#x}, ecx {b:#x}"
+                            );
+                            cases.check(taken, want as u64, what);
+                        }
+                    }
+                    cases.run();
+                }
+            }
         }
     }
 }
