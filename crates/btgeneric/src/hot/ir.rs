@@ -129,7 +129,7 @@ mod tests {
     fn pool_registers_are_not_state() {
         assert!(!is_state_phys(Reg::G(Gr(state::GR_POOL))));
         assert!(!is_state_phys(Reg::G(Gr(state::GR_SCRATCH))));
-        assert!(is_state_phys(Reg::G(state::GR_EFLAGS)));
+        assert!(is_state_phys(Reg::G(state::Eflags::HOMES[0])));
         assert!(is_state_phys(Reg::G(state::guest_gpr(4))));
         assert!(!is_state_phys(Reg::G(R0)));
         assert!(!is_state_phys(Reg::F(ipf::regs::Fr(state::FR_SCRATCH))));

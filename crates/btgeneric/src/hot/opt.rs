@@ -6,7 +6,7 @@
 
 use super::ir::{is_state_prealloc, IrInst};
 use super::liveness::{virt_key, VirtKey};
-use crate::state::{GR_EFLAGS, GR_GUEST};
+use crate::state::{Eflags, GR_GUEST};
 use ipf::inst::{Op, Reg, ShiftKind, Src};
 use ipf::regs::{Gr, P0};
 use std::collections::{HashMap, HashSet};
@@ -348,11 +348,11 @@ pub(super) fn forward_state(irs: &mut [IrInst]) {
 pub(super) fn dead_code(irs: &mut Vec<IrInst>) -> Vec<usize> {
     // A home is keyed by its physical number, which no virtual shares.
     let key = |r: Reg| match r {
-        Reg::G(g) if home_of(g).is_some() || g == GR_EFLAGS => Some((0, g.0)),
+        Reg::G(g) if home_of(g).is_some() || Eflags::is_home(g) => Some((0, g.0)),
         _ => virt_key(r),
     };
     let gpr_homes = (GR_GUEST..GR_GUEST + 8).map(|g| (0, g));
-    let homes = gpr_homes.clone().chain([(0, GR_EFLAGS.0)]);
+    let homes = gpr_homes.clone().chain(Eflags::HOMES.map(|g| (0, g.0)));
     let mut live: HashSet<VirtKey> = homes.clone().collect();
     let mut keep = vec![false; irs.len()];
     for (i, x) in irs.iter().enumerate().rev() {
@@ -399,6 +399,8 @@ mod tests {
     use crate::state::guest_gpr;
     use crate::templates::Sink;
     use ipf::regs::{Pr, R0};
+
+    const EFLAGS: Gr = Eflags::HOMES[0];
 
     fn il(inst: ipf::Inst) -> IrInst {
         IrInst::new(inst, 0)
@@ -889,13 +891,13 @@ mod tests {
             st4(v2, eax),
             // A snapshot of a register nothing has redefined is that
             // register; once it is redefined, the snapshot is not.
-            mov(v3, GR_EFLAGS),
+            mov(v3, EFLAGS),
             st4(ecx, v3),
-            mov(GR_EFLAGS, R0),
+            mov(EFLAGS, R0),
             st4(ecx, v3),
         ]);
         assert_eq!(out[2], st4(v1, eax), "store reads through the copy");
-        assert_eq!(out[4], st4(ecx, GR_EFLAGS));
+        assert_eq!(out[4], st4(ecx, EFLAGS));
         assert_eq!(out[6], st4(ecx, v3));
         // `mov ecx, eax` copies home to home: the `zxt4` folds, but a
         // home is only ever forwarded to a virtual, so reads of ECX
@@ -967,14 +969,14 @@ mod tests {
         for observer in observers {
             let out = dead_code_checked(&[
                 // Dead: overwritten before any observer.
-                movi(GR_EFLAGS, 1),
+                movi(EFLAGS, 1),
                 // Live: the op that can fault observes it.
-                movi(GR_EFLAGS, 2),
+                movi(EFLAGS, 2),
                 observer,
                 // Live: the trace end observes it.
-                movi(GR_EFLAGS, 3),
+                movi(EFLAGS, 3),
             ]);
-            assert_eq!(out, [movi(GR_EFLAGS, 2), observer, movi(GR_EFLAGS, 3)]);
+            assert_eq!(out, [movi(EFLAGS, 2), observer, movi(EFLAGS, 3)]);
         }
     }
 
@@ -986,9 +988,9 @@ mod tests {
             ipf::Inst::pred(
                 qp,
                 Op::Dep {
-                    d: GR_EFLAGS,
+                    d: EFLAGS,
                     src: v,
-                    target: GR_EFLAGS,
+                    target: EFLAGS,
                     pos: 0,
                     len: 1,
                 },
@@ -1001,16 +1003,16 @@ mod tests {
             a: Src::Imm(1),
             b: eax,
         });
-        let out = dead_code_checked(&[add, merge(P0), movi(GR_EFLAGS, 0)]);
-        assert_eq!(out, [movi(GR_EFLAGS, 0)]);
+        let out = dead_code_checked(&[add, merge(P0), movi(EFLAGS, 0)]);
+        assert_eq!(out, [movi(EFLAGS, 0)]);
         // The same under a predicate: a merge into a dead home is dead.
-        let out = dead_code_checked(&[add, cmp_eq(p, ecx, edx), merge(p), movi(GR_EFLAGS, 0)]);
-        assert_eq!(out, [movi(GR_EFLAGS, 0)]);
+        let out = dead_code_checked(&[add, cmp_eq(p, ecx, edx), merge(p), movi(EFLAGS, 0)]);
+        assert_eq!(out, [movi(EFLAGS, 0)]);
         // A predicated write only merges: the write before it stays.
         let ops = [
-            movi(GR_EFLAGS, 1),
+            movi(EFLAGS, 1),
             cmp_eq(p, ecx, edx),
-            ipf::Inst::pred(p, movi(GR_EFLAGS, 2).op),
+            ipf::Inst::pred(p, movi(EFLAGS, 2).op),
         ];
         assert_eq!(dead_code_checked(&ops), ops);
     }

@@ -8,7 +8,7 @@
 //! |---|---|
 //! | `r32`-`r39` | `EAX ECX EDX EBX ESP EBP ESI EDI` (zero-extended) |
 //! | `r40` | the **IA-32 state register**: current IA-32 IP for cold-code state reconstruction |
-//! | `r41` | EFLAGS (lazy; only live bits maintained) |
+//! | `r41` | the EFLAGS home, owned by [`Eflags`] (lazy; only live bits maintained) |
 //! | `r42` | x87 TOS |
 //! | `r43` | x87 tag word (bit per *physical* register, 1 = valid) |
 //! | `r44` | x87 status word |
@@ -23,17 +23,19 @@
 //! | `f16+3i`, `f17+3i`, `f18+3i` | `XMMi` scalar / lanes 0-1 / lanes 2-3 |
 //! | `f40`-`f63` | FP scratch / renaming pool |
 
+use crate::templates::Sink;
 use ia32::cpu::Cpu;
 use ia32::fpu::FpReg;
+use ipf::inst::{Op, Src};
 use ipf::machine::Machine;
-use ipf::regs::{Fr, Gr};
+use ipf::regs::{Fr, Gr, Pr, P0};
 
 /// First GR holding a guest GPR (`EAX`).
 pub const GR_GUEST: u16 = 32;
 /// The IA-32 state register (paper §4).
 pub const GR_STATE: Gr = Gr(40);
-/// Lazy EFLAGS home.
-pub const GR_EFLAGS: Gr = Gr(41);
+/// The EFLAGS home; nothing outside [`Eflags`] names it.
+const GR_EFLAGS: Gr = Gr(41);
 /// x87 top-of-stack value.
 pub const GR_FPTOP: Gr = Gr(42);
 /// x87 tag word (physical-register-indexed valid bits).
@@ -111,6 +113,93 @@ pub fn xmm_hi_fr(n: u8) -> Fr {
     Fr(FR_XMM + 3 * n as u16 + 2)
 }
 
+/// The lazy EFLAGS home: where IA-32 EFLAGS lives between
+/// instructions, and the only code that reads or writes it. Templates
+/// build flag bits in a scratch register and [`merge`](Eflags::merge)
+/// them in; conditions, carry-ins and the string direction read it
+/// through [`test`](Eflags::test), [`bit_into`](Eflags::bit_into) and
+/// [`masked_into`](Eflags::masked_into); the engine crosses it with
+/// [`load`](Eflags::load) and [`read`](Eflags::read). Only the bits
+/// live after each instruction are kept up to date.
+pub struct Eflags;
+
+impl Eflags {
+    /// The registers that make up the home. The hot dead-code pass
+    /// keeps them live at a trace's end and at every exit.
+    pub const HOMES: [Gr; 1] = [GR_EFLAGS];
+
+    /// Whether `g` is one of [`HOMES`](Eflags::HOMES).
+    pub fn is_home(g: Gr) -> bool {
+        Self::HOMES.contains(&g)
+    }
+
+    /// `home = (home & !mask) | bits`, under `qp` when given (a variable
+    /// shift by zero leaves the flags alone). `bits` must be clear
+    /// outside `mask`.
+    pub fn merge(sink: &mut Sink, bits: Gr, mask: u32, qp: Option<Pr>) {
+        let cleared = sink.vg();
+        let qp = qp.unwrap_or(P0);
+        sink.emit_pred(
+            qp,
+            Op::And {
+                d: cleared,
+                a: Src::Imm(!(mask as i64) & 0xFFFF_FFFF),
+                b: GR_EFLAGS,
+            },
+        );
+        sink.emit_pred(
+            qp,
+            Op::Or {
+                d: GR_EFLAGS,
+                a: Src::Reg(cleared),
+                b: bits,
+            },
+        );
+    }
+
+    /// Fresh predicates `(set, clear)` for EFLAGS bit `pos`.
+    pub fn test(sink: &mut Sink, pos: u8) -> (Pr, Pr) {
+        let (pt, pf) = (sink.vp(), sink.vp());
+        sink.emit(Op::Tbit {
+            pt,
+            pf,
+            r: GR_EFLAGS,
+            pos,
+        });
+        (pt, pf)
+    }
+
+    /// `d` = EFLAGS bit `pos` as 0 or 1.
+    pub fn bit_into(sink: &mut Sink, d: Gr, pos: u8) {
+        sink.emit(Op::Extr {
+            d,
+            a: GR_EFLAGS,
+            pos,
+            len: 1,
+            signed: false,
+        });
+    }
+
+    /// `d` = EFLAGS & `mask`.
+    pub fn masked_into(sink: &mut Sink, d: Gr, mask: u32) {
+        sink.emit(Op::And {
+            d,
+            a: Src::Imm(mask as i64),
+            b: GR_EFLAGS,
+        });
+    }
+
+    /// Sets the machine's home to `eflags`.
+    pub fn load(m: &mut Machine, eflags: u32) {
+        m.gr[GR_EFLAGS.0 as usize] = eflags as u64;
+    }
+
+    /// The machine's EFLAGS, with the always-one bits set.
+    pub fn read(m: &Machine) -> u32 {
+        (m.gr[GR_EFLAGS.0 as usize] as u32) | ia32::flags::RESERVED_ONES
+    }
+}
+
 /// XMM register format, tracked per register in [`GR_XMMFMT`].
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
 pub enum XmmFmt {
@@ -128,7 +217,7 @@ pub fn cpu_to_machine(cpu: &Cpu, m: &mut Machine) {
         m.gr[(GR_GUEST + i) as usize] = cpu.gpr[i as usize] as u64;
     }
     m.gr[GR_STATE.0 as usize] = cpu.eip as u64;
-    m.gr[GR_EFLAGS.0 as usize] = cpu.eflags as u64;
+    Eflags::load(m, cpu.eflags);
     m.gr[GR_FPTOP.0 as usize] = cpu.fpu.top as u64;
     m.gr[GR_FPTAG.0 as usize] = cpu.fpu.tags as u64;
     m.gr[GR_FPSTATUS.0 as usize] = cpu.fpu.status as u64;
@@ -166,7 +255,7 @@ pub fn machine_to_cpu(m: &Machine, eip: u32) -> Cpu {
         cpu.gpr[i as usize] = m.gr[(GR_GUEST + i) as usize] as u32;
     }
     cpu.eip = eip;
-    cpu.eflags = (m.gr[GR_EFLAGS.0 as usize] as u32) | ia32::flags::RESERVED_ONES;
+    cpu.eflags = Eflags::read(m);
     cpu.fpu.top = (m.gr[GR_FPTOP.0 as usize] & 7) as u8;
     cpu.fpu.tags = m.gr[GR_FPTAG.0 as usize] as u8;
     cpu.fpu.status = m.gr[GR_FPSTATUS.0 as usize] as u16;

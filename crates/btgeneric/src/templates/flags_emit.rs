@@ -1,30 +1,35 @@
-//! EFLAGS materialization sequences.
+//! The flag recipes: how each IA-32 flag fact is computed on Itanium,
+//! written once.
 //!
 //! Computing IA-32 flags on Itanium is pure overhead — several micro-ops
 //! per flag — which is why the translator's liveness analysis only
 //! materializes *live* bits, and why the fused compare+branch path (in
-//! [`super::int`]) skips EFLAGS entirely. These helpers are shared by
-//! the cold and hot phases.
+//! [`super::int`]) skips EFLAGS entirely. A setter builds its bits in a
+//! [`FlagAcc`] (ZF and SF from [`FlagAcc::zf_sf`], PF from
+//! [`FlagAcc::pf`], CF/OF/AF in [`arith_flags`] or the shift and
+//! multiply templates) and commits them; a reader asks
+//! [`cond_from_flags`] or, for a fused branch on the result itself,
+//! [`result_cond`]. None of them names the EFLAGS home: it belongs to
+//! [`Eflags`]. These helpers are shared by the cold and hot phases.
 
 use super::Sink;
-use crate::state::GR_EFLAGS;
+use crate::state::Eflags;
 use ia32::flags;
 use ia32::Size;
 use ipf::inst::{CmpRel, Op, Src};
 use ipf::regs::{Gr, Pr, R0};
 
 /// Accumulates flag bits into a scratch register, then merges them into
-/// the canonical EFLAGS register, clearing exactly the bits in the mask.
+/// the EFLAGS home, clearing exactly the bits in the mask.
 pub(super) struct FlagAcc {
     acc: Gr,
-    started: bool,
 }
 
 impl FlagAcc {
     pub(super) fn new(sink: &mut Sink) -> FlagAcc {
         let acc = sink.vg();
         sink.mov(acc, R0);
-        FlagAcc { acc, started: true }
+        FlagAcc { acc }
     }
 
     /// ORs constant `bits` into the accumulator when `pt` is true.
@@ -55,29 +60,74 @@ impl FlagAcc {
         });
     }
 
-    /// Merges into EFLAGS: `r41 = (r41 & !mask) | acc`, optionally
-    /// predicated (variable shifts leave flags untouched on zero count).
-    pub(super) fn commit(self, sink: &mut Sink, mask: u32, qp: Option<Pr>) {
-        debug_assert!(self.started);
-        let cleared = sink.vg();
-        let qp = qp.unwrap_or(ipf::regs::P0);
-        sink.emit_pred(
-            qp,
-            Op::And {
-                d: cleared,
-                a: Src::Imm(!(mask as i64) & 0xFFFF_FFFF),
-                b: GR_EFLAGS,
-            },
-        );
-        sink.emit_pred(
-            qp,
-            Op::Or {
-                d: GR_EFLAGS,
-                a: Src::Reg(cleared),
-                b: self.acc,
-            },
-        );
+    /// ZF and SF, those of them `live`, of the `size`-bit result `res`
+    /// (zero-extended).
+    pub(super) fn zf_sf(&mut self, sink: &mut Sink, res: Gr, size: Size, live: u32) {
+        if live & flags::ZF != 0 {
+            let (pt, _) = result_zf(sink, res);
+            self.or_pred(sink, pt, flags::ZF);
+        }
+        if live & flags::SF != 0 {
+            let (pt, _) = result_sf(sink, res, size);
+            self.or_pred(sink, pt, flags::SF);
+        }
     }
+
+    /// PF, if `live`, of the result `res`: set when its low byte has an
+    /// even number of one bits.
+    pub(super) fn pf(&mut self, sink: &mut Sink, res: Gr, live: u32) {
+        if live & flags::PF == 0 {
+            return;
+        }
+        let t = sink.vg();
+        sink.emit(Op::And {
+            d: t,
+            a: Src::Imm(0xFF),
+            b: res,
+        });
+        let c = sink.vg();
+        sink.emit(Op::Popcnt { d: c, a: t });
+        let (pt, pf) = (sink.vp(), sink.vp());
+        sink.emit(Op::Tbit {
+            pt,
+            pf,
+            r: c,
+            pos: 0,
+        });
+        self.or_pred(sink, pf, flags::PF);
+    }
+
+    /// Merges the accumulated bits into EFLAGS, clearing `mask` first,
+    /// optionally predicated (variable shifts leave flags untouched on
+    /// zero count).
+    pub(super) fn commit(self, sink: &mut Sink, mask: u32, qp: Option<Pr>) {
+        Eflags::merge(sink, self.acc, mask, qp);
+    }
+}
+
+/// `(zero, non-zero)` predicates of `res`.
+fn result_zf(sink: &mut Sink, res: Gr) -> (Pr, Pr) {
+    let (pt, pf) = (sink.vp(), sink.vp());
+    sink.emit(Op::Cmp {
+        rel: CmpRel::Eq,
+        pt,
+        pf,
+        a: Src::Reg(res),
+        b: R0,
+    });
+    (pt, pf)
+}
+
+/// `(negative, non-negative)` predicates of the `size`-bit value `res`.
+fn result_sf(sink: &mut Sink, res: Gr, size: Size) -> (Pr, Pr) {
+    let (pt, pf) = (sink.vp(), sink.vp());
+    sink.emit(Op::Tbit {
+        pt,
+        pf,
+        r: res,
+        pos: size.bits() as u8 - 1,
+    });
+    (pt, pf)
 }
 
 /// Arithmetic-flag families.
@@ -98,9 +148,8 @@ pub(super) enum ArithKind {
 /// Emits the flag updates for an arithmetic result.
 ///
 /// * `a`, `b` — operands, zero-extended to `size` (64-bit registers).
-///   For `Inc`/`Dec`, `b` should be [`GR_ONE`]. For `NEG`, pass
-///   `a` = the operand and kind [`ArithKind::Sub`] with `b` = operand
-///   and `a` = `r0` swapped by the caller.
+///   For `Inc`/`Dec`, `b` is [`GR_ONE`](crate::state::GR_ONE). `NEG`
+///   passes [`ArithKind::Sub`] with `a` = `r0` and `b` = the operand.
 /// * `res64` — the untruncated 64-bit arithmetic result.
 /// * `res` — the result truncated (and zero-extended) to `size`.
 /// * `live` — the flag bits to materialize (already masked to what the
@@ -123,184 +172,72 @@ pub(super) fn arith_flags(
     }
     let mut fa = FlagAcc::new(sink);
     let bits = size.bits() as u8;
+    let arith = matches!(kind, ArithKind::Add | ArithKind::Sub);
 
-    if live & flags::CF != 0 {
-        match kind {
-            ArithKind::Add => {
-                // Carry out = bit `size` of the 64-bit sum.
-                let pt = sink.vp();
-                let pf = sink.vp();
-                sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: res64,
-                    pos: bits,
-                });
-                fa.or_pred(sink, pt, flags::CF);
-            }
-            ArithKind::Sub => {
-                // Borrow = the 64-bit difference went negative.
-                let pt = sink.vp();
-                let pf = sink.vp();
-                sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: res64,
-                    pos: 63,
-                });
-                fa.or_pred(sink, pt, flags::CF);
-            }
-            ArithKind::Logic => {} // cleared by the mask
-            ArithKind::Inc | ArithKind::Dec => unreachable!("INC/DEC never write CF"),
-        }
-    }
-    if live & flags::ZF != 0 {
-        let pt = sink.vp();
-        let pf = sink.vp();
-        sink.emit(Op::Cmp {
-            rel: CmpRel::Eq,
-            pt,
-            pf,
-            a: Src::Reg(res),
-            b: R0,
-        });
-        fa.or_pred(sink, pt, flags::ZF);
-    }
-    if live & flags::SF != 0 {
-        let pt = sink.vp();
-        let pf = sink.vp();
+    if live & flags::CF != 0 && arith {
+        // Carry out of a sum is bit `size` of the 64-bit result; a
+        // borrow makes the 64-bit difference negative.
+        let pos = if kind == ArithKind::Add { bits } else { 63 };
+        let (pt, pf) = (sink.vp(), sink.vp());
         sink.emit(Op::Tbit {
             pt,
             pf,
-            r: res,
+            r: res64,
+            pos,
+        });
+        fa.or_pred(sink, pt, flags::CF);
+    }
+    fa.zf_sf(sink, res, size, live);
+    if live & flags::OF != 0 && kind != ArithKind::Logic {
+        // The sign bit of: ADD ~(a^b) & (a^res), SUB (a^b) & (a^res)
+        // (operand signs equal, resp. different, and the result's sign
+        // differs from a's); INC res & ~a, DEC a & ~res.
+        let t = if arith {
+            let (t1, t2, t3) = (sink.vg(), sink.vg(), sink.vg());
+            sink.emit(Op::Xor {
+                d: t1,
+                a: Src::Reg(a),
+                b,
+            });
+            sink.emit(Op::Xor {
+                d: t2,
+                a: Src::Reg(a),
+                b: res,
+            });
+            let (d, a) = (t3, Src::Reg(t2));
+            sink.emit(if kind == ArithKind::Add {
+                Op::AndCm { d, a, b: t1 }
+            } else {
+                Op::And { d, a, b: t1 }
+            });
+            t3
+        } else {
+            let t = sink.vg();
+            let (x, y) = if kind == ArithKind::Inc {
+                (res, a)
+            } else {
+                (a, res)
+            };
+            sink.emit(Op::AndCm {
+                d: t,
+                a: Src::Reg(x),
+                b: y,
+            });
+            t
+        };
+        let (pt, pf) = (sink.vp(), sink.vp());
+        sink.emit(Op::Tbit {
+            pt,
+            pf,
+            r: t,
             pos: bits - 1,
         });
-        fa.or_pred(sink, pt, flags::SF);
+        fa.or_pred(sink, pt, flags::OF);
     }
-    if live & flags::OF != 0 {
-        match kind {
-            ArithKind::Add => {
-                // (~(a^b) & (a^res)) sign bit.
-                let t1 = sink.vg();
-                let t2 = sink.vg();
-                let t3 = sink.vg();
-                sink.emit(Op::Xor {
-                    d: t1,
-                    a: Src::Reg(a),
-                    b,
-                });
-                sink.emit(Op::Xor {
-                    d: t2,
-                    a: Src::Reg(a),
-                    b: res,
-                });
-                sink.emit(Op::AndCm {
-                    d: t3,
-                    a: Src::Reg(t2),
-                    b: t1,
-                });
-                let pt = sink.vp();
-                let pf = sink.vp();
-                sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: t3,
-                    pos: bits - 1,
-                });
-                fa.or_pred(sink, pt, flags::OF);
-            }
-            ArithKind::Sub => {
-                // ((a^b) & (a^res)) sign bit.
-                let t1 = sink.vg();
-                let t2 = sink.vg();
-                let t3 = sink.vg();
-                sink.emit(Op::Xor {
-                    d: t1,
-                    a: Src::Reg(a),
-                    b,
-                });
-                sink.emit(Op::Xor {
-                    d: t2,
-                    a: Src::Reg(a),
-                    b: res,
-                });
-                sink.emit(Op::And {
-                    d: t3,
-                    a: Src::Reg(t2),
-                    b: t1,
-                });
-                let pt = sink.vp();
-                let pf = sink.vp();
-                sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: t3,
-                    pos: bits - 1,
-                });
-                fa.or_pred(sink, pt, flags::OF);
-            }
-            ArithKind::Inc => {
-                // a sign 0, res sign 1.
-                let t = sink.vg();
-                sink.emit(Op::AndCm {
-                    d: t,
-                    a: Src::Reg(res),
-                    b: a,
-                });
-                let pt = sink.vp();
-                let pf = sink.vp();
-                sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: t,
-                    pos: bits - 1,
-                });
-                fa.or_pred(sink, pt, flags::OF);
-            }
-            ArithKind::Dec => {
-                // a sign 1, res sign 0.
-                let t = sink.vg();
-                sink.emit(Op::AndCm {
-                    d: t,
-                    a: Src::Reg(a),
-                    b: res,
-                });
-                let pt = sink.vp();
-                let pf = sink.vp();
-                sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: t,
-                    pos: bits - 1,
-                });
-                fa.or_pred(sink, pt, flags::OF);
-            }
-            ArithKind::Logic => {}
-        }
-    }
-    if live & flags::PF != 0 {
-        let t = sink.vg();
-        sink.emit(Op::And {
-            d: t,
-            a: Src::Imm(0xFF),
-            b: res,
-        });
-        let c = sink.vg();
-        sink.emit(Op::Popcnt { d: c, a: t });
-        let pt = sink.vp();
-        let pf = sink.vp();
-        sink.emit(Op::Tbit {
-            pt,
-            pf,
-            r: c,
-            pos: 0,
-        });
-        // Even parity sets PF.
-        fa.or_pred(sink, pf, flags::PF);
-    }
+    fa.pf(sink, res, live);
     if live & flags::AF != 0 && kind != ArithKind::Logic {
-        let t1 = sink.vg();
-        let t2 = sink.vg();
+        // Bit 4 of a ^ b ^ res.
+        let (t1, t2) = (sink.vg(), sink.vg());
         sink.emit(Op::Xor {
             d: t1,
             a: Src::Reg(a),
@@ -311,8 +248,7 @@ pub(super) fn arith_flags(
             a: Src::Reg(t1),
             b: res,
         });
-        let pt = sink.vp();
-        let pf = sink.vp();
+        let (pt, pf) = (sink.vp(), sink.vp());
         sink.emit(Op::Tbit {
             pt,
             pf,
@@ -333,43 +269,21 @@ pub(super) fn logic_flags(sink: &mut Sink, res: Gr, size: Size, live: u32) {
     arith_flags(sink, ArithKind::Logic, R0, R0, res, res, size, live, None);
 }
 
-/// Builds the predicates for an IA-32 condition from the materialized
-/// EFLAGS register. Returns `(true_pred, false_pred)`.
+/// Builds the predicates for an IA-32 condition from the EFLAGS home.
+/// Returns `(true_pred, false_pred)`.
 pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
     use ia32::Cond as C;
-    let r41 = GR_EFLAGS;
-    let tbit_pair = |sink: &mut Sink, pos: u8| {
-        let pt = sink.vp();
-        let pf = sink.vp();
-        sink.emit(Op::Tbit {
-            pt,
-            pf,
-            r: r41,
-            pos,
-        });
-        (pt, pf)
-    };
-    let swap = |(a, b): (Pr, Pr)| (b, a);
-    match cond {
-        C::E => tbit_pair(sink, 6),
-        C::Ne => swap(tbit_pair(sink, 6)),
-        C::B => tbit_pair(sink, 0),
-        C::Ae => swap(tbit_pair(sink, 0)),
-        C::S => tbit_pair(sink, 7),
-        C::Ns => swap(tbit_pair(sink, 7)),
-        C::O => tbit_pair(sink, 11),
-        C::No => swap(tbit_pair(sink, 11)),
-        C::P => tbit_pair(sink, 2),
-        C::Np => swap(tbit_pair(sink, 2)),
+    let pair = match cond {
+        C::O | C::No => Eflags::test(sink, 11),
+        C::B | C::Ae => Eflags::test(sink, 0),
+        C::E | C::Ne => Eflags::test(sink, 6),
+        C::S | C::Ns => Eflags::test(sink, 7),
+        C::P | C::Np => Eflags::test(sink, 2),
         C::Be | C::A => {
+            // CF | ZF.
             let t = sink.vg();
-            sink.emit(Op::And {
-                d: t,
-                a: Src::Imm((flags::CF | flags::ZF) as i64),
-                b: r41,
-            });
-            let pt = sink.vp();
-            let pf = sink.vp();
+            Eflags::masked_into(sink, t, flags::CF | flags::ZF);
+            let (pt, pf) = (sink.vp(), sink.vp());
             sink.emit(Op::Cmp {
                 rel: CmpRel::Ne,
                 pt,
@@ -377,100 +291,56 @@ pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
                 a: Src::Reg(t),
                 b: R0,
             });
-            if cond == C::Be {
-                (pt, pf)
-            } else {
-                (pf, pt)
-            }
+            (pt, pf)
         }
-        C::L | C::Ge => {
-            let sf = sink.vg();
-            let of = sink.vg();
-            let x = sink.vg();
-            sink.emit(Op::Extr {
-                d: sf,
-                a: r41,
-                pos: 7,
-                len: 1,
-                signed: false,
-            });
-            sink.emit(Op::Extr {
-                d: of,
-                a: r41,
-                pos: 11,
-                len: 1,
-                signed: false,
-            });
+        C::L | C::Ge | C::Le | C::G => {
+            // SF ^ OF, or'ed with ZF for LE and G.
+            let (sf, of, x) = (sink.vg(), sink.vg(), sink.vg());
+            Eflags::bit_into(sink, sf, 7);
+            Eflags::bit_into(sink, of, 11);
             sink.emit(Op::Xor {
                 d: x,
                 a: Src::Reg(sf),
                 b: of,
             });
-            let pt = sink.vp();
-            let pf = sink.vp();
-            sink.emit(Op::Tbit {
-                pt,
-                pf,
-                r: x,
-                pos: 0,
-            });
-            if cond == C::L {
-                (pt, pf)
+            let r = if matches!(cond, C::Le | C::G) {
+                let (zf, y) = (sink.vg(), sink.vg());
+                Eflags::bit_into(sink, zf, 6);
+                sink.emit(Op::Or {
+                    d: y,
+                    a: Src::Reg(x),
+                    b: zf,
+                });
+                y
             } else {
-                (pf, pt)
-            }
+                x
+            };
+            let (pt, pf) = (sink.vp(), sink.vp());
+            sink.emit(Op::Tbit { pt, pf, r, pos: 0 });
+            (pt, pf)
         }
-        C::Le | C::G => {
-            let sf = sink.vg();
-            let of = sink.vg();
-            let x = sink.vg();
-            let zf = sink.vg();
-            let y = sink.vg();
-            sink.emit(Op::Extr {
-                d: sf,
-                a: r41,
-                pos: 7,
-                len: 1,
-                signed: false,
-            });
-            sink.emit(Op::Extr {
-                d: of,
-                a: r41,
-                pos: 11,
-                len: 1,
-                signed: false,
-            });
-            sink.emit(Op::Xor {
-                d: x,
-                a: Src::Reg(sf),
-                b: of,
-            });
-            sink.emit(Op::Extr {
-                d: zf,
-                a: r41,
-                pos: 6,
-                len: 1,
-                signed: false,
-            });
-            sink.emit(Op::Or {
-                d: y,
-                a: Src::Reg(x),
-                b: zf,
-            });
-            let pt = sink.vp();
-            let pf = sink.vp();
-            sink.emit(Op::Tbit {
-                pt,
-                pf,
-                r: y,
-                pos: 0,
-            });
-            if cond == C::Le {
-                (pt, pf)
-            } else {
-                (pf, pt)
-            }
-        }
+    };
+    // An odd condition code is the negation of the even one before it.
+    if cond.code() & 1 == 0 {
+        pair
+    } else {
+        (pair.1, pair.0)
+    }
+}
+
+/// The predicate of `cond` — E, NE, S or NS — taken from the `size`-bit
+/// result `res` itself rather than from EFLAGS: a fused ALU + `Jcc`.
+pub(super) fn result_cond(sink: &mut Sink, res: Gr, size: Size, cond: ia32::Cond) -> Pr {
+    use ia32::Cond as C;
+    let (pt, pf) = match cond {
+        C::E | C::Ne => result_zf(sink, res),
+        C::S | C::Ns => result_sf(sink, res, size),
+        _ => unreachable!("{cond:?} is not a condition on the result"),
+    };
+    if matches!(cond, C::E | C::S) {
+        pt
+    } else {
+        pf
     }
 }
 
@@ -540,7 +410,7 @@ mod tests {
         use ia32::regs::{EAX, ECX};
         use ia32::Cond;
 
-        const HOME: Gr = GR_EFLAGS;
+        const HOME: Gr = Eflags::HOMES[0];
         const SIZES: [Size; 3] = [Size::B, Size::W, Size::D];
         /// Every live mask that is one status bit, and all of them.
         const LIVE: [u32; 7] = [

@@ -1,10 +1,12 @@
 //! Integer and control-flow instruction templates.
 
-use super::flags_emit::{arith_flags, cond_from_flags, logic_flags, ArithKind};
+use super::flags_emit::{
+    arith_flags, cond_from_flags, logic_flags, result_cond, ArithKind, FlagAcc,
+};
 use super::mem::{ea, guest_load, guest_store, read_gpr, snapshot, write_gpr};
 use super::{EmitCtx, IndKind, Sink, Term, Unsupported};
 use crate::layout::StubKind;
-use crate::state::{self, GR_EFLAGS, GR_ONE};
+use crate::state::{self, Eflags, GR_ONE};
 use ia32::flags;
 use ia32::inst::{AluOp, Inst as I32, MulDivOp, Rm, RmI, ShiftCount, ShiftOp};
 use ia32::Size;
@@ -609,108 +611,29 @@ fn emit_alu(
     } else {
         (a, b)
     };
-    // With flags dead, the truncation can be left to the destination
-    // write (guest-register writes zero-extend; stores mask).
-    let maybe_trunc = |sink: &mut Sink, r: Gr| {
-        if live == 0 {
-            r
-        } else {
-            trunc(sink, r, size)
-        }
+    let kind = match op {
+        AluOp::Add | AluOp::Adc => ArithKind::Add,
+        AluOp::Sub | AluOp::Sbb | AluOp::Cmp => ArithKind::Sub,
+        AluOp::And | AluOp::Or | AluOp::Xor => ArithKind::Logic,
     };
-    let (res64, res, kind) = match op {
-        AluOp::Add => {
-            let r = sink.vg();
-            sink.emit(Op::Add {
-                d: r,
-                a: Src::Reg(a),
-                b,
-            });
-            let rt = maybe_trunc(sink, r);
-            (r, rt, ArithKind::Add)
-        }
-        AluOp::Adc => {
-            let cf = sink.vg();
-            sink.emit(Op::Extr {
-                d: cf,
-                a: GR_EFLAGS,
-                pos: 0,
-                len: 1,
-                signed: false,
-            });
-            let s = sink.vg();
-            sink.emit(Op::Add {
-                d: s,
-                a: Src::Reg(a),
-                b,
-            });
-            let r = sink.vg();
-            sink.emit(Op::Add {
-                d: r,
-                a: Src::Reg(s),
-                b: cf,
-            });
-            (r, trunc(sink, r, size), ArithKind::Add)
-        }
-        AluOp::Sub | AluOp::Cmp => {
-            let r = sink.vg();
-            sink.emit(Op::Sub {
-                d: r,
-                a: Src::Reg(a),
-                b,
-            });
-            let rt = maybe_trunc(sink, r);
-            (r, rt, ArithKind::Sub)
-        }
-        AluOp::Sbb => {
-            let cf = sink.vg();
-            sink.emit(Op::Extr {
-                d: cf,
-                a: GR_EFLAGS,
-                pos: 0,
-                len: 1,
-                signed: false,
-            });
-            let s = sink.vg();
-            sink.emit(Op::Sub {
-                d: s,
-                a: Src::Reg(a),
-                b,
-            });
-            let r = sink.vg();
-            sink.emit(Op::Sub {
-                d: r,
-                a: Src::Reg(s),
-                b: cf,
-            });
-            (r, trunc(sink, r, size), ArithKind::Sub)
-        }
-        AluOp::And => {
-            let r = sink.vg();
-            sink.emit(Op::And {
-                d: r,
-                a: Src::Reg(a),
-                b,
-            });
-            (r, r, ArithKind::Logic)
-        }
-        AluOp::Or => {
-            let r = sink.vg();
-            sink.emit(Op::Or {
-                d: r,
-                a: Src::Reg(a),
-                b,
-            });
-            (r, r, ArithKind::Logic)
-        }
-        AluOp::Xor => {
-            let r = sink.vg();
-            sink.emit(Op::Xor {
-                d: r,
-                a: Src::Reg(a),
-                b,
-            });
-            (r, r, ArithKind::Logic)
+    let (res64, res) = if matches!(op, AluOp::Adc | AluOp::Sbb) {
+        // ADC: a + b + CF; SBB: a - b - CF.
+        let cf = sink.vg();
+        Eflags::bit_into(sink, cf, 0);
+        let s = sink.vg();
+        sink.emit(alu_op(op, s, a, b));
+        let r = sink.vg();
+        sink.emit(alu_op(op, r, s, cf));
+        (r, trunc(sink, r, size))
+    } else {
+        let r = sink.vg();
+        sink.emit(alu_op(op, r, a, b));
+        // With flags dead, the truncation can be left to the destination
+        // write (guest-register writes zero-extend; stores mask).
+        if kind == ArithKind::Logic || live == 0 {
+            (r, r)
+        } else {
+            (r, trunc(sink, r, size))
         }
     };
     // Memory destination: the store is the faulting op and must precede
@@ -721,6 +644,19 @@ fn emit_alu(
         }
     }
     arith_flags(sink, kind, a, b, res64, res, size, live, None);
+}
+
+/// The Itanium op for `d = a <op> b`; ADC adds and SBB subtracts (their
+/// carry is a second op).
+fn alu_op(op: AluOp, d: Gr, a: Gr, b: Gr) -> Op {
+    let a = Src::Reg(a);
+    match op {
+        AluOp::Add | AluOp::Adc => Op::Add { d, a, b },
+        AluOp::Sub | AluOp::Sbb | AluOp::Cmp => Op::Sub { d, a, b },
+        AluOp::And => Op::And { d, a, b },
+        AluOp::Or => Op::Or { d, a, b },
+        AluOp::Xor => Op::Xor { d, a, b },
+    }
 }
 
 fn emit_shift(
@@ -740,39 +676,7 @@ fn emit_shift(
             if c == 0 {
                 return;
             }
-            let (res64, res) = match op {
-                ShiftOp::Shl => {
-                    let r = sink.vg();
-                    sink.emit(Op::Shift {
-                        kind: ShiftKind::Shl,
-                        d: r,
-                        a,
-                        count: Src::Imm(c.into()),
-                    });
-                    (r, trunc(sink, r, size))
-                }
-                ShiftOp::Shr => {
-                    let r = sink.vg();
-                    sink.emit(Op::Shift {
-                        kind: ShiftKind::ShrU,
-                        d: r,
-                        a,
-                        count: Src::Imm(c.into()),
-                    });
-                    (r, r)
-                }
-                ShiftOp::Sar => {
-                    let s = sext(sink, a, size);
-                    let r = sink.vg();
-                    sink.emit(Op::Shift {
-                        kind: ShiftKind::Shr,
-                        d: r,
-                        a: s,
-                        count: Src::Imm(c.into()),
-                    });
-                    (s, trunc(sink, r, size))
-                }
-            };
+            let (res64, res) = shift_value(sink, op, a, size, Src::Imm(c.into()));
             write_rm(sink, ctx, dst, size, res);
             shift_flags(
                 sink,
@@ -803,39 +707,7 @@ fn emit_shift(
                 a: Src::Imm(0),
                 b: c,
             });
-            let (res64, res) = match op {
-                ShiftOp::Shl => {
-                    let r = sink.vg();
-                    sink.emit(Op::Shift {
-                        kind: ShiftKind::Shl,
-                        d: r,
-                        a,
-                        count: Src::Reg(c),
-                    });
-                    (r, trunc(sink, r, size))
-                }
-                ShiftOp::Shr => {
-                    let r = sink.vg();
-                    sink.emit(Op::Shift {
-                        kind: ShiftKind::ShrU,
-                        d: r,
-                        a,
-                        count: Src::Reg(c),
-                    });
-                    (r, r)
-                }
-                ShiftOp::Sar => {
-                    let s = sext(sink, a, size);
-                    let r = sink.vg();
-                    sink.emit(Op::Shift {
-                        kind: ShiftKind::Shr,
-                        d: r,
-                        a: s,
-                        count: Src::Reg(c),
-                    });
-                    (s, trunc(sink, r, size))
-                }
-            };
+            let (res64, res) = shift_value(sink, op, a, size, Src::Reg(c));
             match dst {
                 Rm::Reg(r) => {
                     // c == 0 leaves the value unchanged, so the write is
@@ -846,12 +718,6 @@ fn emit_shift(
                     // Memory store must be skipped for c == 0 (the
                     // interpreter performs no write in that case).
                     let addr = ea(sink, a_expr);
-                    let qaddr = sink.vg();
-                    // Redirect the store to a scratch slot… simpler: use
-                    // a predicated store via a copy of the address only
-                    // valid under p_nz. Our guest_store is unpredicated,
-                    // so emit the plain-store variant under p_nz.
-                    let _ = qaddr;
                     sink.emit_pred(
                         p_nz,
                         Op::St {
@@ -877,9 +743,45 @@ fn emit_shift(
     }
 }
 
+/// `a <op> count` at `size`, as `(value the flags read CF from,
+/// result)`: SHL's untruncated shift, SHR's result, SAR's sign-extended
+/// operand.
+fn shift_value(sink: &mut Sink, op: ShiftOp, a: Gr, size: Size, count: Src) -> (Gr, Gr) {
+    let (kind, a) = match op {
+        ShiftOp::Shl => (ShiftKind::Shl, a),
+        ShiftOp::Shr => (ShiftKind::ShrU, a),
+        ShiftOp::Sar => (ShiftKind::Shr, sext(sink, a, size)),
+    };
+    let r = sink.vg();
+    sink.emit(Op::Shift {
+        kind,
+        d: r,
+        a,
+        count,
+    });
+    match op {
+        ShiftOp::Shl => (r, trunc(sink, r, size)),
+        ShiftOp::Shr => (r, r),
+        ShiftOp::Sar => (a, trunc(sink, r, size)),
+    }
+}
+
 enum ShiftAmount {
     Imm(u8),
     Var(Gr),
+}
+
+/// Bit `pos` of `a`, as 0 or 1.
+fn extr_bit(sink: &mut Sink, a: Gr, pos: u8) -> Gr {
+    let d = sink.vg();
+    sink.emit(Op::Extr {
+        d,
+        a,
+        pos,
+        len: 1,
+        signed: false,
+    });
+    d
 }
 
 /// Shift flags: CF = last bit out, OF per-op formula, SZP of the result.
@@ -899,82 +801,39 @@ fn shift_flags(
     if live == 0 {
         return;
     }
-    use super::flags_emit::FlagAcc;
     let bits = size.bits() as u8;
     let mut fa = FlagAcc::new(sink);
-    // CF.
-    if live & flags::CF != 0 {
-        let cf_bit = match (op, &amount) {
-            (ShiftOp::Shl, _) => {
-                // Bit `bits` of the untruncated shifted value.
-                let t = sink.vg();
-                sink.emit(Op::Extr {
-                    d: t,
-                    a: res64,
-                    pos: bits,
-                    len: 1,
-                    signed: false,
-                });
-                t
+    let shl_of = op == ShiftOp::Shl && live & flags::OF != 0;
+    if live & flags::CF != 0 || shl_of {
+        let cf = match (op, amount) {
+            // Bit `bits` of the untruncated shifted value.
+            (ShiftOp::Shl, _) => extr_bit(sink, res64, bits),
+            // SHR and SAR: bit c - 1 of the operand, sign-extended for SAR.
+            (_, ShiftAmount::Imm(c)) => {
+                let a = if op == ShiftOp::Sar {
+                    sext(sink, a, size)
+                } else {
+                    a
+                };
+                extr_bit(sink, a, c - 1)
             }
-            (ShiftOp::Shr, ShiftAmount::Imm(c)) => {
-                let t = sink.vg();
-                sink.emit(Op::Extr {
-                    d: t,
-                    a,
-                    pos: c - 1,
-                    len: 1,
-                    signed: false,
-                });
-                t
-            }
-            (ShiftOp::Sar, ShiftAmount::Imm(c)) => {
-                let s = sext(sink, a, size);
-                let t = sink.vg();
-                sink.emit(Op::Extr {
-                    d: t,
-                    a: s,
-                    pos: (c - 1).min(63),
-                    len: 1,
-                    signed: false,
-                });
-                t
-            }
-            (ShiftOp::Shr, ShiftAmount::Var(c)) => {
+            (_, ShiftAmount::Var(c)) => {
+                let (kind, a) = if op == ShiftOp::Sar {
+                    (ShiftKind::Shr, sext(sink, a, size))
+                } else {
+                    (ShiftKind::ShrU, a)
+                };
                 let cm1 = sink.vg();
                 sink.emit(Op::Add {
                     d: cm1,
                     a: Src::Imm(-1),
-                    b: *c,
+                    b: c,
                 });
                 let sh = sink.vg();
                 sink.emit(Op::Shift {
-                    kind: ShiftKind::ShrU,
+                    kind,
                     d: sh,
                     a,
-                    count: Src::Reg(cm1),
-                });
-                let t = sink.vg();
-                sink.emit(Op::And {
-                    d: t,
-                    a: Src::Imm(1),
-                    b: sh,
-                });
-                t
-            }
-            (ShiftOp::Sar, ShiftAmount::Var(c)) => {
-                let s = sext(sink, a, size);
-                let cm1 = sink.vg();
-                sink.emit(Op::Add {
-                    d: cm1,
-                    a: Src::Imm(-1),
-                    b: *c,
-                });
-                let sh = sink.vg();
-                sink.emit(Op::Shift {
-                    kind: ShiftKind::Shr,
-                    d: sh,
-                    a: s,
                     count: Src::Reg(cm1),
                 });
                 let t = sink.vg();
@@ -986,105 +845,29 @@ fn shift_flags(
                 t
             }
         };
-        fa.or_bit(sink, cf_bit, 0);
-        // OF for SHL = CF ^ SF(res); compute while cf_bit is at hand.
-        if op == ShiftOp::Shl && live & flags::OF != 0 {
-            let sf = sink.vg();
-            sink.emit(Op::Extr {
-                d: sf,
-                a: res,
-                pos: bits - 1,
-                len: 1,
-                signed: false,
-            });
+        if live & flags::CF != 0 {
+            fa.or_bit(sink, cf, 0);
+        }
+        if shl_of {
+            // SHL's OF = CF ^ the result's sign.
+            let sf = extr_bit(sink, res, bits - 1);
             let x = sink.vg();
             sink.emit(Op::Xor {
                 d: x,
-                a: Src::Reg(cf_bit),
+                a: Src::Reg(cf),
                 b: sf,
             });
             fa.or_bit(sink, x, 11);
         }
-    } else if op == ShiftOp::Shl && live & flags::OF != 0 {
-        let cf = sink.vg();
-        sink.emit(Op::Extr {
-            d: cf,
-            a: res64,
-            pos: bits,
-            len: 1,
-            signed: false,
-        });
-        let sf = sink.vg();
-        sink.emit(Op::Extr {
-            d: sf,
-            a: res,
-            pos: bits - 1,
-            len: 1,
-            signed: false,
-        });
-        let x = sink.vg();
-        sink.emit(Op::Xor {
-            d: x,
-            a: Src::Reg(cf),
-            b: sf,
-        });
-        fa.or_bit(sink, x, 11);
     }
     if op == ShiftOp::Shr && live & flags::OF != 0 {
         // OF = original sign.
-        let t = sink.vg();
-        sink.emit(Op::Extr {
-            d: t,
-            a,
-            pos: bits - 1,
-            len: 1,
-            signed: false,
-        });
+        let t = extr_bit(sink, a, bits - 1);
         fa.or_bit(sink, t, 11);
     }
     // SAR clears OF (mask handles it).
-    if live & flags::ZF != 0 {
-        let pt = sink.vp();
-        let pf = sink.vp();
-        sink.emit(Op::Cmp {
-            rel: CmpRel::Eq,
-            pt,
-            pf,
-            a: Src::Reg(res),
-            b: R0,
-        });
-        fa.or_pred(sink, pt, flags::ZF);
-    }
-    if live & flags::SF != 0 {
-        let pt = sink.vp();
-        let pf = sink.vp();
-        sink.emit(Op::Tbit {
-            pt,
-            pf,
-            r: res,
-            pos: bits - 1,
-        });
-        fa.or_pred(sink, pt, flags::SF);
-    }
-    if live & flags::PF != 0 {
-        let t = sink.vg();
-        sink.emit(Op::And {
-            d: t,
-            a: Src::Imm(0xFF),
-            b: res,
-        });
-        let cnum = sink.vg();
-        sink.emit(Op::Popcnt { d: cnum, a: t });
-        let pt = sink.vp();
-        let pf = sink.vp();
-        sink.emit(Op::Tbit {
-            pt,
-            pf,
-            r: cnum,
-            pos: 0,
-        });
-        fa.or_pred(sink, pf, flags::PF);
-    }
+    fa.zf_sf(sink, res, size, live);
+    fa.pf(sink, res, live);
     // AF is undefined after shifts on hardware; the oracle leaves it
     // cleared via the mask (flags::shl/shr/sar never set it).
     fa.commit(sink, live & flags::STATUS, qp);
@@ -1132,19 +915,13 @@ fn emit_mul_flags(sink: &mut Sink, p: Gr, low: Gr, signed: bool, live: u32) {
     if live == 0 {
         return;
     }
-    use super::flags_emit::FlagAcc;
     let mut fa = FlagAcc::new(sink);
     if live & (flags::CF | flags::OF) != 0 {
+        // The product does not fit the low half: IMUL's differs from
+        // its sign extension, MUL's high half is not zero.
         let (pt, pf) = (sink.vp(), sink.vp());
-        if signed {
-            let t = sext(sink, p, Size::D);
-            sink.emit(Op::Cmp {
-                rel: CmpRel::Ne,
-                pt,
-                pf,
-                a: Src::Reg(p),
-                b: t,
-            });
+        let (x, y) = if signed {
+            (p, sext(sink, p, Size::D))
         } else {
             let h = sink.vg();
             sink.emit(Op::Shift {
@@ -1153,55 +930,19 @@ fn emit_mul_flags(sink: &mut Sink, p: Gr, low: Gr, signed: bool, live: u32) {
                 a: p,
                 count: Src::Imm(32),
             });
-            sink.emit(Op::Cmp {
-                rel: CmpRel::Ne,
-                pt,
-                pf,
-                a: Src::Reg(h),
-                b: R0,
-            });
-        }
+            (h, R0)
+        };
+        sink.emit(Op::Cmp {
+            rel: CmpRel::Ne,
+            pt,
+            pf,
+            a: Src::Reg(x),
+            b: y,
+        });
         fa.or_pred(sink, pt, (flags::CF | flags::OF) & live);
     }
-    if live & flags::ZF != 0 {
-        let (pt, pf) = (sink.vp(), sink.vp());
-        sink.emit(Op::Cmp {
-            rel: CmpRel::Eq,
-            pt,
-            pf,
-            a: Src::Reg(low),
-            b: R0,
-        });
-        fa.or_pred(sink, pt, flags::ZF);
-    }
-    if live & flags::SF != 0 {
-        let (pt, pf) = (sink.vp(), sink.vp());
-        sink.emit(Op::Tbit {
-            pt,
-            pf,
-            r: low,
-            pos: 31,
-        });
-        fa.or_pred(sink, pt, flags::SF);
-    }
-    if live & flags::PF != 0 {
-        let t = sink.vg();
-        sink.emit(Op::And {
-            d: t,
-            a: Src::Imm(0xFF),
-            b: low,
-        });
-        let c = sink.vg();
-        sink.emit(Op::Popcnt { d: c, a: t });
-        let (pt, pf) = (sink.vp(), sink.vp());
-        sink.emit(Op::Tbit {
-            pt,
-            pf,
-            r: c,
-            pos: 0,
-        });
-        fa.or_pred(sink, pf, flags::PF);
-    }
+    fa.zf_sf(sink, low, Size::D, live);
+    fa.pf(sink, low, live);
     fa.commit(sink, live & flags::STATUS, None);
 }
 
@@ -1446,13 +1187,7 @@ fn emit_string(sink: &mut Sink, ctx: &mut EmitCtx<'_>, size: Size, rep: bool, mo
     let ecx = state::guest_gpr(1);
     let n = size.bytes() as i64;
     // Step from DF (bit 10).
-    let (p_df, p_up) = (sink.vp(), sink.vp());
-    sink.emit(Op::Tbit {
-        pt: p_df,
-        pf: p_up,
-        r: GR_EFLAGS,
-        pos: 10,
-    });
+    let (p_df, p_up) = Eflags::test(sink, 10);
     let step = sink.vg();
     sink.emit_pred(
         p_up,
@@ -1721,26 +1456,7 @@ pub(super) fn try_fuse(
                     None,
                 );
             }
-            let (pt, pf) = (sink.vp(), sink.vp());
-            match cond {
-                C::E | C::Ne => sink.emit(Op::Cmp {
-                    rel: CmpRel::Eq,
-                    pt,
-                    pf,
-                    a: Src::Reg(res),
-                    b: R0,
-                }),
-                _ => sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: res,
-                    pos: size.bits() as u8 - 1,
-                }),
-            }
-            Some(match cond {
-                C::E | C::S => pt,
-                _ => pf,
-            })
+            Some(result_cond(sink, res, *size, cond))
         }
         // sub/and/or/xor + result-based conditions: emit the ALU in full
         // (including the destination write), then compare the result.
@@ -1763,29 +1479,7 @@ pub(super) fn try_fuse(
             };
             let res = {
                 let r = sink.vg();
-                match op {
-                    AluOp::Sub => sink.emit(Op::Sub {
-                        d: r,
-                        a: Src::Reg(a),
-                        b,
-                    }),
-                    AluOp::And => sink.emit(Op::And {
-                        d: r,
-                        a: Src::Reg(a),
-                        b,
-                    }),
-                    AluOp::Or => sink.emit(Op::Or {
-                        d: r,
-                        a: Src::Reg(a),
-                        b,
-                    }),
-                    AluOp::Xor => sink.emit(Op::Xor {
-                        d: r,
-                        a: Src::Reg(a),
-                        b,
-                    }),
-                    _ => unreachable!(),
-                }
+                sink.emit(alu_op(*op, r, a, b));
                 if *op == AluOp::Sub {
                     let rt = trunc(sink, r, *size);
                     write_rm(sink, ctx, dst, *size, rt);
@@ -1801,26 +1495,7 @@ pub(super) fn try_fuse(
                     r
                 }
             };
-            let (pt, pf) = (sink.vp(), sink.vp());
-            match cond {
-                C::E | C::Ne => sink.emit(Op::Cmp {
-                    rel: CmpRel::Eq,
-                    pt,
-                    pf,
-                    a: Src::Reg(res),
-                    b: R0,
-                }),
-                _ => sink.emit(Op::Tbit {
-                    pt,
-                    pf,
-                    r: res,
-                    pos: size.bits() as u8 - 1,
-                }),
-            }
-            Some(match cond {
-                C::E | C::S => pt,
-                _ => pf,
-            })
+            Some(result_cond(sink, res, *size, cond))
         }
         _ => None,
     }

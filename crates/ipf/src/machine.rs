@@ -2169,16 +2169,16 @@ mod tests {
     #[test]
     fn folded_forms_keep_their_semantics() {
         let mut m = build(|cb| {
-            // r40 carries a NaT, r41 holds 7.
-            let (imm, r41) = (Src::Imm, Src::Reg(Gr(41)));
+            // r40 carries a NaT, r39 holds 7.
+            let (imm, r39) = (Src::Imm, Src::Reg(Gr(39)));
             cb.push(Op::Sub {
                 d: Gr(50),
                 a: imm(10),
-                b: Gr(41),
+                b: Gr(39),
             });
             cb.push(Op::Sub {
                 d: Gr(51),
-                a: r41,
+                a: r39,
                 b: Gr(40),
             });
             cb.push(Op::Add {
@@ -2197,13 +2197,13 @@ mod tests {
             cb.push(Op::Shift {
                 kind: ShiftKind::Shl,
                 d: Gr(53),
-                a: Gr(41),
+                a: Gr(39),
                 count: Src::Imm(64),
             });
             cb.push(Op::Shift {
                 kind: ShiftKind::Shr,
                 d: Gr(54),
-                a: Gr(41),
+                a: Gr(39),
                 count: Src::Reg(Gr(40)),
             });
             cb.stop();
@@ -2231,7 +2231,7 @@ mod tests {
             cb.push(fma(FmaKind::Fnma, 34, F1));
             cb.stop();
         });
-        (m.gr[41], m.gr_nat[40]) = (7, true);
+        (m.gr[39], m.gr_nat[40]) = (7, true);
         (m.pr[1], m.pr[2]) = (true, true);
         run(&mut m);
         assert_eq!((m.gr[50], m.gr_nat[50]), (3, false), "sub imm is imm - r");
