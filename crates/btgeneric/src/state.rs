@@ -8,7 +8,7 @@
 //! |---|---|
 //! | `r32`-`r39` | `EAX ECX EDX EBX ESP EBP ESI EDI` (zero-extended) |
 //! | `r40` | the **IA-32 state register**: current IA-32 IP for cold-code state reconstruction |
-//! | `r41` | the EFLAGS home, owned by [`Eflags`] (lazy; only live bits maintained) |
+//! | `r41` | the EFLAGS home, owned by `Eflags` (lazy; only live bits maintained) |
 //! | `r42` | x87 TOS |
 //! | `r43` | x87 tag word (bit per *physical* register, 1 = valid) |
 //! | `r44` | x87 status word |
@@ -121,22 +121,22 @@ pub fn xmm_hi_fr(n: u8) -> Fr {
 /// [`masked_into`](Eflags::masked_into); the engine crosses it with
 /// [`load`](Eflags::load) and [`read`](Eflags::read). Only the bits
 /// live after each instruction are kept up to date.
-pub struct Eflags;
+pub(crate) struct Eflags;
 
 impl Eflags {
     /// The registers that make up the home. The hot dead-code pass
     /// keeps them live at a trace's end and at every exit.
-    pub const HOMES: [Gr; 1] = [GR_EFLAGS];
+    pub(crate) const HOMES: [Gr; 1] = [GR_EFLAGS];
 
     /// Whether `g` is one of [`HOMES`](Eflags::HOMES).
-    pub fn is_home(g: Gr) -> bool {
+    pub(crate) fn is_home(g: Gr) -> bool {
         Self::HOMES.contains(&g)
     }
 
     /// `home = (home & !mask) | bits`, under `qp` when given (a variable
     /// shift by zero leaves the flags alone). `bits` must be clear
     /// outside `mask`.
-    pub fn merge(sink: &mut Sink, bits: Gr, mask: u32, qp: Option<Pr>) {
+    pub(crate) fn merge(sink: &mut Sink, bits: Gr, mask: u32, qp: Option<Pr>) {
         let cleared = sink.vg();
         let qp = qp.unwrap_or(P0);
         sink.emit_pred(
@@ -158,7 +158,7 @@ impl Eflags {
     }
 
     /// Fresh predicates `(set, clear)` for EFLAGS bit `pos`.
-    pub fn test(sink: &mut Sink, pos: u8) -> (Pr, Pr) {
+    pub(crate) fn test(sink: &mut Sink, pos: u8) -> (Pr, Pr) {
         let (pt, pf) = (sink.vp(), sink.vp());
         sink.emit(Op::Tbit {
             pt,
@@ -170,7 +170,7 @@ impl Eflags {
     }
 
     /// `d` = EFLAGS bit `pos` as 0 or 1.
-    pub fn bit_into(sink: &mut Sink, d: Gr, pos: u8) {
+    pub(crate) fn bit_into(sink: &mut Sink, d: Gr, pos: u8) {
         sink.emit(Op::Extr {
             d,
             a: GR_EFLAGS,
@@ -181,7 +181,7 @@ impl Eflags {
     }
 
     /// `d` = EFLAGS & `mask`.
-    pub fn masked_into(sink: &mut Sink, d: Gr, mask: u32) {
+    pub(crate) fn masked_into(sink: &mut Sink, d: Gr, mask: u32) {
         sink.emit(Op::And {
             d,
             a: Src::Imm(mask as i64),
@@ -190,12 +190,12 @@ impl Eflags {
     }
 
     /// Sets the machine's home to `eflags`.
-    pub fn load(m: &mut Machine, eflags: u32) {
+    pub(crate) fn load(m: &mut Machine, eflags: u32) {
         m.gr[GR_EFLAGS.0 as usize] = eflags as u64;
     }
 
     /// The machine's EFLAGS, with the always-one bits set.
-    pub fn read(m: &Machine) -> u32 {
+    pub(crate) fn read(m: &Machine) -> u32 {
         (m.gr[GR_EFLAGS.0 as usize] as u32) | ia32::flags::RESERVED_ONES
     }
 }
