@@ -13,7 +13,7 @@
 
 use super::ir::is_state_phys;
 use ipf::asm::{BundleCursor, StopRule};
-use ipf::inst::{LatClass, Reg, Unit};
+use ipf::inst::{LatClass, Op, Reg, Target, Unit};
 use ipf::regs::P0;
 use std::collections::HashMap;
 
@@ -257,10 +257,60 @@ pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
 /// renaming; re-running list scheduling here would only see the false
 /// WAR/WAW dependences that register reuse introduces and could unwind
 /// the good schedule.
+///
+/// The ordering is a heuristic; when it would cost the trace a cycle or
+/// a `nop` ([`cost`]), the allocator's order stays.
 pub(super) fn schedule_allocated(alloc: &[super::regalloc::AllocInst]) -> Vec<Slot> {
-    let mut code = insert_stops(alloc);
-    order_groups(&mut code);
-    code
+    let stopped = insert_stops(alloc);
+    let mut ordered = stopped.clone();
+    order_groups(&mut ordered);
+    let ((was, was_nops), (is, is_nops)) = (cost(&stopped), cost(&ordered));
+    if is <= was && is_nops <= was_nops {
+        ordered
+    } else {
+        stopped
+    }
+}
+
+/// `code` bundled as installation bundles it. Exit labels are bound
+/// past the body; where a branch goes does not change what its slot
+/// costs.
+fn bundled(code: &[Slot]) -> Vec<ipf::Bundle> {
+    let mut cb = ipf::asm::CodeBuilder::new();
+    for &(mut inst, stop, _) in code {
+        if let Some(Target::Label(_)) = inst.op.target() {
+            inst.op.set_target(Target::Abs(0));
+        }
+        cb.push_inst(inst);
+        if stop {
+            cb.stop();
+        }
+    }
+    cb.assemble(0).0
+}
+
+/// What `code` costs: the cycles it spends under the machine's own
+/// group-issue model ([`ipf::IssueModel`], default timing, every
+/// operand ready at cycle 0) run straight through — what an
+/// [`ipf::Machine`] would spend on the same code — and the `nop` slots
+/// the packer pads it with. The stream is bundled first, as
+/// installation will bundle it, because the padding counts: a `nop`
+/// occupies a port like any other slot, and every `movl` brings two.
+fn cost(code: &[Slot]) -> (u64, usize) {
+    let bundles = bundled(code);
+    let mut model = ipf::IssueModel::new(&ipf::Timing::default());
+    let mut nops = 0;
+    for bundle in &bundles {
+        for (inst, stop) in bundle.slots.iter().zip(bundle.stops) {
+            nops += usize::from(matches!(inst.op, Op::Nop { .. }));
+            model.account(&inst.slot_meta(), 0);
+            if stop {
+                model.close(0);
+            }
+        }
+    }
+    model.close(0);
+    (model.now(), nops)
 }
 
 /// The allocator's order, cut into issue groups by the backend's
@@ -402,53 +452,18 @@ mod tests {
     use crate::engine::tests::NullOs;
     use crate::engine::{Config, Engine, Outcome};
     use crate::templates::Sink;
-    use ipf::inst::{FmaKind, Op, ShiftKind, Src, Target};
+    use ipf::inst::{FmaKind, ShiftKind, Src};
     use ipf::regs::{Fr, Gr, Pr, R0};
     use std::sync::OnceLock;
 
-    /// `code` bundled as installation bundles it. Exit labels are bound
-    /// past the body; where a branch goes does not change what its slot
-    /// costs.
-    fn bundled(code: &[Slot]) -> Vec<ipf::Bundle> {
-        let mut cb = ipf::asm::CodeBuilder::new();
-        for &(mut inst, stop, _) in code {
-            if let Some(Target::Label(_)) = inst.op.target() {
-                inst.op.set_target(Target::Abs(0));
-            }
-            cb.push_inst(inst);
-            if stop {
-                cb.stop();
-            }
-        }
-        cb.assemble(0).0
-    }
-
-    /// Statically evaluates a stop-bit-delimited instruction stream
-    /// under the machine's own group-issue model ([`ipf::IssueModel`],
-    /// default timing, every operand ready at cycle 0): the cycles a
-    /// [`ipf::Machine`] would spend on the same code run straight
-    /// through. The stream is bundled first, as installation will
-    /// bundle it, because the padding counts: a `nop` occupies a port
-    /// like any other slot, and every `movl` brings two.
+    /// The cycles [`cost`] charges `code`.
     fn static_cost(code: &[Slot]) -> u64 {
-        let mut model = ipf::IssueModel::new(&ipf::Timing::default());
-        for bundle in bundled(code) {
-            for (inst, stop) in bundle.slots.iter().zip(bundle.stops) {
-                model.account(&inst.slot_meta(), 0);
-                if stop {
-                    model.close(0);
-                }
-            }
-        }
-        model.close(0);
-        model.now()
+        cost(code).0
     }
 
     /// The `nop` slots the packer pads `code` with.
     fn nops(code: &[Slot]) -> usize {
-        let bundles = bundled(code);
-        let slots = bundles.iter().flat_map(|b| &b.slots);
-        slots.filter(|s| matches!(s.op, Op::Nop { .. })).count()
+        cost(code).1
     }
 
     /// The allocated code of every trace the hot compiler builds on the
