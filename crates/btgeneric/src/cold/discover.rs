@@ -196,9 +196,10 @@ pub fn discover(mem: &GuestMem, entry: u32) -> Region {
                 }
                 Flow::Call(target) => {
                     blk.end = BlockEnd::Call;
+                    // The return path is reached only through the
+                    // callee's RET, itself an unknown edge: what is live
+                    // after the call is the callee's live-in.
                     blk.succs.push(target);
-                    // The return path is reached via RET (indirect).
-                    blk.unknown_succ = true;
                     break;
                 }
                 Flow::Indirect => {

@@ -214,6 +214,50 @@ mod tests {
         assert_eq!(l.live_after(last.start, 1), ALL);
     }
 
+    /// The flags live after a call are the callee's live-in: a callee
+    /// that rewrites every status flag before its `ret` kills them.
+    #[test]
+    fn flags_after_a_call_are_the_callees_live_in() {
+        let r = region_of(|a| {
+            let f = a.label();
+            a.alu_rr(AluOp::Add, EAX, ECX);
+            a.call(f);
+            a.hlt();
+            a.bind(f);
+            a.alu_rr(AluOp::Sub, EAX, EBX);
+            a.ret();
+        });
+        let l = analyze(&r);
+        assert_eq!(l.live_after(0x1000, 0) & flags::STATUS, 0);
+        let f = &r.blocks[r.blocks[0].succ_blocks[0].expect("callee found") as usize];
+        assert_eq!(l.live_after(f.start, 0), ALL, "the ret is an unknown edge");
+    }
+
+    /// A callee past the discovery window is an unknown successor:
+    /// everything is live after the call.
+    #[test]
+    fn a_callee_outside_the_window_keeps_everything_live() {
+        use super::super::discover::MAX_BLOCKS;
+        let r = region_of(|a| {
+            for _ in 0..MAX_BLOCKS - 1 {
+                let next = a.label();
+                a.jmp(next);
+                a.bind(next);
+            }
+            let f = a.label();
+            a.alu_rr(AluOp::Add, EAX, ECX);
+            a.call(f);
+            a.hlt();
+            a.bind(f);
+            a.alu_rr(AluOp::Sub, EAX, EBX);
+            a.ret();
+        });
+        assert_eq!(r.blocks.len(), MAX_BLOCKS);
+        let call = &r.blocks[MAX_BLOCKS - 1];
+        assert_eq!(call.succ_blocks[0], None, "the callee is past the window");
+        assert_eq!(analyze(&r).live_after(call.start, 0), ALL);
+    }
+
     #[test]
     fn unknown_block_defaults_to_all() {
         let l = Liveness::default();
