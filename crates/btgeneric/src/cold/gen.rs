@@ -8,7 +8,7 @@ use super::discover::{BlockEnd, Region};
 use super::liveness::Liveness;
 use super::lower::{lower, LowerError};
 use crate::layout::{self, Profile, StubKind};
-use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_STATE};
+use crate::state::{ThunkWrites, GR_PAYLOAD0, GR_PAYLOAD1, GR_STATE};
 use crate::templates::{
     self, emit_spec_checks, AlignCache, EmitCtx, FpCtx, IndKind, MisalignPlan, Sink, Term, XmmCtx,
 };
@@ -709,6 +709,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     fp.inline_checks = input.inline_fp_checks;
     let mut xmm = XmmCtx::new(input.spec.xmm_fmt);
     let mut align = AlignCache::default();
+    let mut thunk = ThunkWrites::default();
 
     let mut body = Sink::new();
     let mut term: Option<Term> = None;
@@ -723,11 +724,15 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         let (ip, inst, len) = insts[i];
         let next_ip = ip + len as u32;
         term_ip = next_ip;
-        let live_flags = if input.flag_liveness {
-            input.liveness.live_after(blk.start, i)
-        } else {
-            ia32::flags::STATUS | ia32::flags::DF
+        let flags_after = |i| {
+            if input.flag_liveness {
+                input.liveness.flags_after(blk.start, i)
+            } else {
+                let all = ia32::flags::STATUS | ia32::flags::DF;
+                (all, all)
+            }
         };
+        let (live_flags, read_flags) = flags_after(i);
 
         // Update the IA-32 state register before faulting instructions.
         let props = inst.props();
@@ -754,19 +759,17 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                 if props.flags_must & reads == reads {
                     let jcc_ip = insts[i + 1].0;
                     let j_next = jcc_ip + jlen as u32;
-                    let live_after_jcc = if input.flag_liveness {
-                        input.liveness.live_after(blk.start, i + 1)
-                    } else {
-                        ia32::flags::STATUS | ia32::flags::DF
-                    };
+                    let (live_flags, read_flags) = flags_after(i + 1);
                     let mut ctx = EmitCtx {
                         ip,
                         next_ip,
-                        live_flags: live_after_jcc,
+                        live_flags,
+                        read_flags,
                         fp: &mut fp,
                         xmm: &mut xmm,
                         misalign: &input.misalign,
                         align: &mut align,
+                        thunk: &mut thunk,
                     };
                     if let Some(pt) =
                         templates::emit_fused_cmp_jcc(&mut body, &inst, cond, &mut ctx)
@@ -788,10 +791,12 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             ip,
             next_ip,
             live_flags,
+            read_flags,
             fp: &mut fp,
             xmm: &mut xmm,
             misalign: &input.misalign,
             align: &mut align,
+            thunk: &mut thunk,
         };
         match templates::emit(&mut body, &inst, &mut ctx) {
             Ok(t) => {

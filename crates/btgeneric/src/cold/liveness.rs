@@ -6,13 +6,24 @@
 //! reader before a writer. Unknown successors (indirect branches,
 //! syscalls, region exits) conservatively treat all status flags as
 //! live.
+//!
+//! The same fixpoint also computes, per instruction, which live flags
+//! *translated code* may read: there a halt, syscall, `#UD` or
+//! undecodable edge ([`BlockEnd::Stop`]) reads nothing, because only
+//! the engine crosses it, while indirect edges, a call's return path
+//! and successors outside the window still read everything. A live
+//! bit outside that mask may be left to the EFLAGS thunk.
 
-use super::discover::{DiscBlock, Region};
+use super::discover::{BlockEnd, DiscBlock, Region};
 use ia32::flags::{DF, STATUS};
 use std::ops::Range;
 
 /// All bits treated as conservatively live at unknown edges.
 const ALL: u32 = STATUS | DF;
+
+/// Flags at one point: `(live, read)` — those anyone may observe, and
+/// of them those translated code may read.
+type Masks = (u32, u32);
 
 /// Per-block, per-instruction live-out flag masks.
 #[derive(Clone, Debug, Default)]
@@ -20,32 +31,45 @@ pub struct Liveness {
     /// Per analyzed block: its start EIP and where its instructions'
     /// masks sit in `after`.
     blocks: Vec<(u32, Range<usize>)>,
-    /// Flags live *after* each instruction, parallel to the region's
-    /// instruction array (`Region::all_insts`).
-    after: Vec<u32>,
+    /// Flags live and read *after* each instruction, parallel to the
+    /// region's instruction array (`Region::all_insts`).
+    after: Vec<Masks>,
 }
 
 impl Liveness {
     /// Flags live immediately after instruction `i` of the block at
     /// `start` (i.e. the bits instruction `i` must materialize).
     pub fn live_after(&self, start: u32, i: usize) -> u32 {
+        self.flags_after(start, i).0
+    }
+
+    /// `(live, read)` immediately after instruction `i` of the block at
+    /// `start`: the bits instruction `i` must materialize, and of them
+    /// those translated code may read — the rest only the engine does.
+    pub fn flags_after(&self, start: u32, i: usize) -> (u32, u32) {
         let block = self.blocks.iter().find(|(s, _)| *s == start);
         block
             .and_then(|(_, range)| self.after[range.clone()].get(i))
             .copied()
-            .unwrap_or(ALL)
+            .unwrap_or((ALL, ALL))
     }
 }
 
-/// Flags live out of `b`, given every block's live-in: the union over
-/// its successors, everything at an unknown edge or at a successor
-/// outside the discovered window.
-fn live_out(b: &DiscBlock, live_in: &[u32]) -> u32 {
+/// Flags live and read out of `b`, given every block's live-in: the
+/// union over its successors, everything at an unknown edge or at a
+/// successor outside the discovered window — except that translated
+/// code reads nothing past a [`BlockEnd::Stop`].
+fn live_out(b: &DiscBlock, live_in: &[Masks]) -> Masks {
+    let unknown = match (b.unknown_succ, b.end) {
+        (false, _) => (0, 0),
+        (true, BlockEnd::Stop) => (ALL, 0),
+        (true, _) => (ALL, ALL),
+    };
     let known = &b.succ_blocks[..b.succs.len()];
     known
         .iter()
-        .map(|s| s.map_or(ALL, |j| live_in[j as usize]))
-        .fold(if b.unknown_succ { ALL } else { 0 }, |a, b| a | b)
+        .map(|s| s.map_or((ALL, ALL), |j| live_in[j as usize]))
+        .fold(unknown, |(l, r), (sl, sr)| (l | sl, r | sr))
 }
 
 /// Computes flag liveness for every instruction in the region.
@@ -73,15 +97,17 @@ pub fn analyze(region: &Region) -> Liveness {
         })
         .collect();
     // live-in per block (by index in the region), iterated to a fixpoint
-    // (region is tiny; a few iterations suffice).
-    let mut live_in = vec![ALL; region.blocks.len()];
+    // (region is tiny; a few iterations suffice). Both masks move
+    // through an instruction alike: before = (after & kept) | read.
+    let mut live_in = vec![(ALL, ALL); region.blocks.len()];
     for _ in 0..region.blocks.len() + 2 {
         let mut changed = false;
         for (i, b) in region.blocks.iter().enumerate().rev() {
             let (keep, gen) = transfer[i];
-            let live = (live_out(b, &live_in) & keep) | gen;
-            if live_in[i] != live {
-                live_in[i] = live;
+            let (live, read) = live_out(b, &live_in);
+            let masks = ((live & keep) | gen, (read & keep) | gen);
+            if live_in[i] != masks {
+                live_in[i] = masks;
                 changed = true;
             }
         }
@@ -90,13 +116,14 @@ pub fn analyze(region: &Region) -> Liveness {
         }
     }
     // Record live-after per instruction.
-    let mut after = vec![0; effect.len()];
+    let mut after = vec![(0, 0); effect.len()];
     for b in &region.blocks {
-        let mut live = live_out(b, &live_in);
+        let (mut live, mut read) = live_out(b, &live_in);
         for i in b.inst_range().rev() {
-            after[i] = live;
-            let (kept, read) = effect[i];
-            live = (live & kept) | read;
+            after[i] = (live, read);
+            let (kept, gen) = effect[i];
+            live = (live & kept) | gen;
+            read = (read & kept) | gen;
         }
     }
     Liveness {
@@ -212,6 +239,29 @@ mod tests {
         assert_eq!(last.succ_blocks[0], None, "successor is past the window");
         assert_eq!(l.live_after(last.start, 0), ALL);
         assert_eq!(l.live_after(last.start, 1), ALL);
+    }
+
+    /// Translated code reads nothing past a halt, syscall or `#UD`; it
+    /// reads everything past an indirect edge. Either way everything is
+    /// live there.
+    #[test]
+    fn only_the_engine_reads_past_a_stop() {
+        for stop in [Asm::hlt as fn(&mut Asm), |a| a.int(0x80), Asm::ret] {
+            let r = region_of(|a| {
+                a.alu_rr(AluOp::Add, EAX, ECX);
+                a.inst(ia32::inst::Inst::Setcc {
+                    cond: ia32::Cond::Ne,
+                    dst: ia32::inst::Rm::Reg(EBX),
+                });
+                stop(a);
+            });
+            let (live, read) = analyze(&r).flags_after(0x1000, 1);
+            assert_eq!(live, ALL);
+            let indirect = r.blocks[0].end == BlockEnd::Indirect;
+            assert_eq!(read, if indirect { ALL } else { 0 });
+            let (_, read) = analyze(&r).flags_after(0x1000, 0);
+            assert_eq!(read & flags::ZF, flags::ZF, "the setcc reads ZF");
+        }
     }
 
     /// The flags live after a call are the callee's live-in: a callee

@@ -330,18 +330,19 @@ pub(super) fn forward_state(irs: &mut [IrInst]) {
 
 /// Dead-code elimination, the paper's EFLAGS elimination and dead
 /// guest-register writes included: one backward walk with one live set
-/// of virtual registers, the eight guest GPR homes and the EFLAGS home.
-/// Returns, per op it leaves, that op's index before the pass.
+/// of virtual registers, the eight guest GPR homes and the EFLAGS home
+/// with its thunk (`Eflags::HOMES`). Returns, per op it leaves, that
+/// op's index before the pass.
 ///
-/// All nine homes are live at the trace end. An op stays if it stores,
+/// All homes are live at the trace end. An op stays if it stores,
 /// branches, can fault or is a fence, if it defines architectural state
 /// other than a home, or if it defines a live register; every other op
 /// is deleted. For an op that stays, in order:
 /// 1. an unpredicated def kills its register;
-/// 2. a branch or an op that can fault makes all nine homes live — the
+/// 2. a branch or an op that can fault makes all homes live — the
 ///    exit path and the recovery walk read all guest state;
 /// 3. any other predicated op makes the eight GPR homes live, but not
-///    EFLAGS. Nothing needs this; without it the pass deletes more home
+///    EFLAGS or its thunk. Nothing needs this; without it the pass deletes more home
 ///    writes and the scheduler moves single kernels both ways
 ///    (ROADMAP item 2(c));
 /// 4. its qualifying predicate and its uses become live.

@@ -14,7 +14,7 @@ use crate::cost;
 use crate::engine::Engine;
 use crate::layout::{self, region, StubKind};
 use crate::policy;
-use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_XMMFMT};
+use crate::state::{ThunkWrites, GR_PAYLOAD0, GR_PAYLOAD1, GR_XMMFMT};
 use crate::templates::{
     self, AccessMode, AlignCache, EmitCtx, FpCtx, IlItem, MisalignPlan, Sink, Term, XmmCtx,
 };
@@ -562,15 +562,16 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
 }
 
 /// What every step of a trace is emitted under: the FP/XMM tracking
-/// state and alignment cache the templates update in place, the
-/// misalignment plan, and flag liveness per cold block, analyzed the
-/// first time a step of that block asks.
+/// state, alignment cache and thunk writes the templates update in
+/// place, the misalignment plan, and flag liveness per cold block,
+/// analyzed the first time a step of that block asks.
 struct Emission<'e> {
     mem: &'e ia32::mem::GuestMem,
     live: HashMap<u32, Liveness>,
     fp: FpCtx,
     xmm: XmmCtx,
     align: AlignCache,
+    thunk: ThunkWrites,
     plan: MisalignPlan,
 }
 
@@ -578,19 +579,25 @@ impl Emission<'_> {
     /// The emission context of the `len`-byte instruction at `ip`,
     /// with the flags live after instruction `idx` of the cold block
     /// at `block` (the instruction itself, or the Jcc fused into it).
-    fn ctx(&mut self, ip: u32, len: u8, block: u32, idx: usize) -> EmitCtx<'_> {
+    /// A `guarded` instruction — inside an if-converted hammock — keeps
+    /// every live flag in the home: a predicated deferral would leave
+    /// the thunk's static state ambiguous.
+    fn ctx(&mut self, ip: u32, len: u8, block: u32, idx: usize, guarded: bool) -> EmitCtx<'_> {
         let live = self
             .live
             .entry(block)
             .or_insert_with(|| analyze(&discover(self.mem, block)));
+        let (live_flags, read_flags) = live.flags_after(block, idx);
         EmitCtx {
             ip,
             next_ip: ip + len as u32,
-            live_flags: live.live_after(block, idx),
+            live_flags,
+            read_flags: if guarded { live_flags } else { read_flags },
             fp: &mut self.fp,
             xmm: &mut self.xmm,
             misalign: &self.plan,
             align: &mut self.align,
+            thunk: &mut self.thunk,
         }
     }
 }
@@ -613,6 +620,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         fp,
         xmm: XmmCtx::new(spec.xmm_fmt),
         align: AlignCache::default(),
+        thunk: ThunkWrites::default(),
         plan: MisalignPlan {
             default: AccessMode::Fast,
             overrides: misalign_overrides(engine, trace),
@@ -666,7 +674,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 {
                     let reads = cond.flags_read();
                     if !*guarded && inst.props().flags_must & reads == reads {
-                        let mut ctx = em.ctx(*ip, *len, *jb, *jidx);
+                        let mut ctx = em.ctx(*ip, *len, *jb, *jidx, false);
                         if let Some(pt) =
                             templates::emit_fused_cmp_jcc(&mut body, inst, *cond, &mut ctx)
                         {
@@ -690,7 +698,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                         }
                     }
                 }
-                let mut ctx = em.ctx(*ip, *len, *block, *idx);
+                let mut ctx = em.ctx(*ip, *len, *block, *idx, *guarded);
                 let before = body.items.len();
                 match templates::emit(&mut body, inst, &mut ctx) {
                     Ok(None) => {}
@@ -724,7 +732,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
             } => {
                 guard = None;
                 perm_by_ip.insert(*ip, em.fp.perm);
-                let mut ctx = em.ctx(*ip, *len, *block, *idx);
+                let mut ctx = em.ctx(*ip, *len, *block, *idx, false);
                 match templates::emit(&mut body, inst, &mut ctx) {
                     // Direct call: the template already pushed the
                     // return address; the trace just falls through into
@@ -802,7 +810,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 {
                     break;
                 }
-                let mut ctx = em.ctx(*ip, *len, *block, *idx);
+                let mut ctx = em.ctx(*ip, *len, *block, *idx, false);
                 let Ok(Some(Term::Indirect { eip, kind })) =
                     templates::emit(&mut body, inst, &mut ctx)
                 else {

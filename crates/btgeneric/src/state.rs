@@ -18,17 +18,19 @@
 //! | `r48`-`r63` | template scratch |
 //! | `r64`-`r95` | hot-code renaming / backup pool |
 //! | `r96`-`r103` | MMX `MM0`-`MM7` (when in MMX mode) |
+//! | `r104`-`r107` | the flag thunk, owned by `Eflags`: the kinds of the last deferred setters, their operands |
 //! | `r14`, `r15` | exit-stub payload |
 //! | `f8`-`f15` | x87 *physical* registers `R0`-`R7` |
 //! | `f16+3i`, `f17+3i`, `f18+3i` | `XMMi` scalar / lanes 0-1 / lanes 2-3 |
 //! | `f40`-`f63` | FP scratch / renaming pool |
 
-use crate::templates::Sink;
+use crate::templates::{ArithKind, Sink};
 use ia32::cpu::Cpu;
+use ia32::flags::{self, Size};
 use ia32::fpu::FpReg;
 use ipf::inst::{Op, Src};
 use ipf::machine::Machine;
-use ipf::regs::{Fr, Gr, Pr, P0};
+use ipf::regs::{Fr, Gr, Pr, P0, R0};
 
 /// First GR holding a guest GPR (`EAX`).
 pub const GR_GUEST: u16 = 32;
@@ -36,6 +38,19 @@ pub const GR_GUEST: u16 = 32;
 pub const GR_STATE: Gr = Gr(40);
 /// The EFLAGS home; nothing outside [`Eflags`] names it.
 const GR_EFLAGS: Gr = Gr(41);
+/// The flag thunk's kinds: bits 0-7 the last deferred ADD/SUB/logic
+/// setter, bits 8-15 the last deferred INC/DEC since (0: none), each
+/// as [`thunk_code`].
+const GR_THUNK_KIND: Gr = Gr(104);
+/// The deferred ADD/SUB setter's zero-extended operands; a logic
+/// setter's result in the first.
+const GR_THUNK_A: Gr = Gr(105);
+const GR_THUNK_B: Gr = Gr(106);
+/// The deferred INC/DEC setter's zero-extended operand.
+const GR_THUNK_INCDEC: Gr = Gr(107);
+/// Where the marks of deferred status bits sit in the home: bit
+/// `MARKS + k` set means status bit `k` lives in the thunk.
+const MARKS: u32 = 32;
 /// x87 top-of-stack value.
 pub const GR_FPTOP: Gr = Gr(42);
 /// x87 tag word (physical-register-indexed valid bits).
@@ -121,12 +136,60 @@ pub fn xmm_hi_fr(n: u8) -> Fr {
 /// [`masked_into`](Eflags::masked_into); the engine crosses it with
 /// [`load`](Eflags::load) and [`read`](Eflags::read). Only the bits
 /// live after each instruction are kept up to date.
+///
+/// A status bit that only the engine can observe — live at a halt, a
+/// syscall or a fault, read by no translated code first — may instead
+/// be *deferred*: its setter records its kind and operands in the flag
+/// thunk ([`defer`](Eflags::defer)) and marks the bit in the home's
+/// high half, and [`read`](Eflags::read) computes it with `ia32::flags`
+/// when the engine crosses. Translated code never reads a marked bit;
+/// every eager write clears the marks of the bits it writes.
 pub(crate) struct Eflags;
 
+/// What a block or trace has written to the thunk's kind register so
+/// far, as emission knows it statically: each field's value, or `None`
+/// when unknown (on entry). Reset per block and per trace.
+#[derive(Clone, Copy, Debug, Default)]
+pub struct ThunkWrites {
+    main: Option<u8>,
+    incdec: Option<u8>,
+}
+
+/// The thunk's code for a `kind` setter at `size`; never zero.
+fn thunk_code(kind: ArithKind, size: Size) -> u8 {
+    let k = match kind {
+        ArithKind::Add | ArithKind::Inc => 1,
+        ArithKind::Sub | ArithKind::Dec => 2,
+        ArithKind::Logic => 3,
+    };
+    let size = match size {
+        Size::B => 0,
+        Size::W => 1,
+        Size::D => 2,
+    };
+    k << 2 | size
+}
+
+/// The size [`thunk_code`] encoded in `code`.
+fn thunk_size(code: u8) -> Size {
+    match code & 3 {
+        0 => Size::B,
+        1 => Size::W,
+        _ => Size::D,
+    }
+}
+
 impl Eflags {
-    /// The registers that make up the home. The hot dead-code pass
-    /// keeps them live at a trace's end and at every exit.
-    pub(crate) const HOMES: [Gr; 1] = [GR_EFLAGS];
+    /// The registers that make up the home, the thunk's included. The
+    /// hot dead-code pass keeps them live at a trace's end and at every
+    /// exit.
+    pub(crate) const HOMES: [Gr; 5] = [
+        GR_EFLAGS,
+        GR_THUNK_KIND,
+        GR_THUNK_A,
+        GR_THUNK_B,
+        GR_THUNK_INCDEC,
+    ];
 
     /// Whether `g` is one of [`HOMES`](Eflags::HOMES).
     pub(crate) fn is_home(g: Gr) -> bool {
@@ -134,16 +197,18 @@ impl Eflags {
     }
 
     /// `home = (home & !mask) | bits`, under `qp` when given (a variable
-    /// shift by zero leaves the flags alone). `bits` must be clear
-    /// outside `mask`.
+    /// shift by zero leaves the flags alone), clearing the marks of
+    /// `mask` too. `bits` must be clear outside `mask` and the marks
+    /// [`marked_into`](Eflags::marked_into) put there.
     pub(crate) fn merge(sink: &mut Sink, bits: Gr, mask: u32, qp: Option<Pr>) {
         let cleared = sink.vg();
         let qp = qp.unwrap_or(P0);
+        let mask = mask as u64 | (mask as u64) << MARKS;
         sink.emit_pred(
             qp,
             Op::And {
                 d: cleared,
-                a: Src::Imm(!(mask as i64) & 0xFFFF_FFFF),
+                a: Src::Imm(!mask as i64),
                 b: GR_EFLAGS,
             },
         );
@@ -155,6 +220,100 @@ impl Eflags {
                 b: bits,
             },
         );
+    }
+
+    /// `d` = the marks that defer status `bits`: a flag accumulator's
+    /// start when its setter defers them and merges the rest.
+    pub(crate) fn marked_into(sink: &mut Sink, d: Gr, bits: u32) {
+        sink.emit(Op::Or {
+            d,
+            a: Src::Imm(((bits as u64) << MARKS) as i64),
+            b: R0,
+        });
+    }
+
+    /// Marks status `bits` deferred, when the setter merges nothing.
+    pub(crate) fn mark(sink: &mut Sink, bits: u32) {
+        sink.emit(Op::Or {
+            d: GR_EFLAGS,
+            a: Src::Imm(((bits as u64) << MARKS) as i64),
+            b: GR_EFLAGS,
+        });
+    }
+
+    /// The ops [`defer`](Eflags::defer) emits for a `kind` setter at
+    /// `size` after `seen`.
+    pub(crate) fn defer_cost(seen: &ThunkWrites, kind: ArithKind, size: Size) -> u32 {
+        let code = thunk_code(kind, size);
+        match kind {
+            ArithKind::Inc | ArithKind::Dec => {
+                let field = match (seen.incdec, seen.main) {
+                    (Some(c), _) if c == code => 0,
+                    (_, Some(_)) | (Some(_), None) => 1,
+                    (None, None) => 2,
+                };
+                field + 1
+            }
+            _ => {
+                let write = u32::from(seen.main != Some(code) || seen.incdec != Some(0));
+                write + if kind == ArithKind::Logic { 1 } else { 2 }
+            }
+        }
+    }
+
+    /// Records a deferred `kind` setter at `size` in the thunk: ADD and
+    /// SUB (CMP, NEG) keep their zero-extended operands `a` and `b`, a
+    /// logic op its result `a`, INC and DEC their operand `a` in a slot
+    /// of their own — CF stays with the setter before them. The caller
+    /// marks the bits.
+    pub(crate) fn defer(
+        sink: &mut Sink,
+        seen: &mut ThunkWrites,
+        kind: ArithKind,
+        size: Size,
+        a: Gr,
+        b: Gr,
+    ) {
+        let code = thunk_code(kind, size);
+        let kinds = GR_THUNK_KIND;
+        if matches!(kind, ArithKind::Inc | ArithKind::Dec) {
+            let field = (code as i64) << 8;
+            match (seen.incdec, seen.main) {
+                (Some(c), _) if c == code => {}
+                (_, Some(main)) => sink.mov_imm(kinds, main as u64 | field as u64),
+                (Some(c), None) => sink.emit(Op::Xor {
+                    d: kinds,
+                    a: Src::Imm(field ^ (c as i64) << 8),
+                    b: kinds,
+                }),
+                (None, None) => {
+                    sink.emit(Op::And {
+                        d: kinds,
+                        a: Src::Imm(0xFF),
+                        b: kinds,
+                    });
+                    sink.emit(Op::Or {
+                        d: kinds,
+                        a: Src::Imm(field),
+                        b: kinds,
+                    });
+                }
+            }
+            seen.incdec = Some(code);
+            sink.mov(GR_THUNK_INCDEC, a);
+            return;
+        }
+        if seen.main != Some(code) || seen.incdec != Some(0) {
+            sink.mov_imm(kinds, code as u64);
+            *seen = ThunkWrites {
+                main: Some(code),
+                incdec: Some(0),
+            };
+        }
+        sink.mov(GR_THUNK_A, a);
+        if kind != ArithKind::Logic {
+            sink.mov(GR_THUNK_B, b);
+        }
     }
 
     /// Fresh predicates `(set, clear)` for EFLAGS bit `pos`.
@@ -189,14 +348,45 @@ impl Eflags {
         });
     }
 
-    /// Sets the machine's home to `eflags`.
+    /// Sets the machine's home to `eflags`, nothing deferred.
     pub(crate) fn load(m: &mut Machine, eflags: u32) {
         m.gr[GR_EFLAGS.0 as usize] = eflags as u64;
     }
 
-    /// The machine's EFLAGS, with the always-one bits set.
+    /// The machine's EFLAGS, with the always-one bits set: the home's
+    /// bits, each marked one computed from the thunk. The one place
+    /// deferred bits are materialized.
     pub(crate) fn read(m: &Machine) -> u32 {
-        (m.gr[GR_EFLAGS.0 as usize] as u32) | ia32::flags::RESERVED_ONES
+        let home = m.gr[GR_EFLAGS.0 as usize];
+        let marks = (home >> MARKS) as u32 & flags::STATUS;
+        let mut eflags = home as u32;
+        if marks != 0 {
+            eflags = (eflags & !marks) | (Self::thunk(m) & marks);
+        }
+        eflags | flags::RESERVED_ONES
+    }
+
+    /// The status flags the thunk's setters produce: CF from the last
+    /// ADD/SUB/logic setter, the rest from the INC/DEC after it if any.
+    fn thunk(m: &Machine) -> u32 {
+        let gr = |g: Gr| m.gr[g.0 as usize];
+        let kinds = gr(GR_THUNK_KIND);
+        let (main, incdec) = (kinds as u8, (kinds >> 8) as u8);
+        let (a, b) = (gr(GR_THUNK_A) as u32, gr(GR_THUNK_B) as u32);
+        let size = thunk_size(main);
+        let f = match main >> 2 {
+            1 => flags::add(a, b, size),
+            2 => flags::sub(a, b, size),
+            3 => flags::logic(a, size),
+            _ => 0,
+        };
+        let x = gr(GR_THUNK_INCDEC) as u32;
+        let size = thunk_size(incdec);
+        match incdec >> 2 {
+            1 => (f & flags::CF) | flags::inc(x, size),
+            2 => (f & flags::CF) | flags::dec(x, size),
+            _ => f,
+        }
     }
 }
 
@@ -307,6 +497,31 @@ mod tests {
         assert_eq!(back.eflags, cpu.eflags);
     }
 
+    /// A marked bit comes from the thunk: CF from the last ADD/SUB/logic
+    /// setter, the rest from an INC/DEC after it. Loading clears the
+    /// marks.
+    #[test]
+    fn read_takes_marked_bits_from_the_thunk() {
+        use ia32::flags::{AF, CF, OF, PF, RESERVED_ONES, SF, STATUS, ZF};
+        let mut m = machine();
+        Eflags::load(&mut m, STATUS);
+        let kinds = thunk_code(ArithKind::Add, Size::D) as u64;
+        m.gr[GR_THUNK_KIND.0 as usize] = kinds;
+        (m.gr[GR_THUNK_A.0 as usize], m.gr[GR_THUNK_B.0 as usize]) = (u32::MAX as u64, 1);
+        m.gr[GR_EFLAGS.0 as usize] |= ((CF | SF) as u64) << MARKS;
+        // 0xFFFF_FFFF + 1 carries and is not negative.
+        assert_eq!(Eflags::read(&m), (STATUS & !SF) | RESERVED_ONES);
+        let inc = (thunk_code(ArithKind::Inc, Size::B) as u64) << 8;
+        m.gr[GR_THUNK_KIND.0 as usize] = kinds | inc;
+        m.gr[GR_THUNK_INCDEC.0 as usize] = 0x7F;
+        m.gr[GR_EFLAGS.0 as usize] |= ((ZF | OF) as u64) << MARKS;
+        // INC of 0x7F at B: negative, overflows, half-carries; CF stays.
+        let want = CF | SF | OF | PF | AF | RESERVED_ONES;
+        assert_eq!(Eflags::read(&m), want);
+        Eflags::load(&mut m, ZF);
+        assert_eq!(Eflags::read(&m), ZF | RESERVED_ONES);
+    }
+
     #[test]
     fn roundtrip_fpu_state() {
         let mut cpu = Cpu::new();
@@ -368,7 +583,6 @@ mod tests {
         all.extend(&guest);
         all.extend([
             GR_STATE.0,
-            GR_EFLAGS.0,
             GR_FPTOP.0,
             GR_FPTAG.0,
             GR_FPSTATUS.0,
@@ -379,6 +593,7 @@ mod tests {
         all.extend(&scratch);
         all.extend(&pool);
         all.extend(&mmx);
+        all.extend(Eflags::HOMES.map(|g| g.0));
         let n = all.len();
         all.sort_unstable();
         all.dedup();

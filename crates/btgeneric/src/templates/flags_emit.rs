@@ -11,8 +11,14 @@
 //! [`cond_from_flags`] or, for a fused branch on the result itself,
 //! [`result_cond`]. None of them names the EFLAGS home: it belongs to
 //! [`Eflags`]. These helpers are shared by the cold and hot phases.
+//!
+//! An ADD/SUB/CMP/NEG, logic or INC/DEC setter whose live bits include
+//! some that only the engine reads (flag liveness's `read` mask,
+//! [`EmitCtx::read_flags`]) may leave those to the [`Eflags`] thunk
+//! instead of computing them, when the recipe ops saved exceed the
+//! thunk ops it costs ([`arith_flags`]).
 
-use super::Sink;
+use super::{EmitCtx, Sink};
 use crate::state::Eflags;
 use ia32::flags;
 use ia32::Size;
@@ -27,8 +33,18 @@ pub(super) struct FlagAcc {
 
 impl FlagAcc {
     pub(super) fn new(sink: &mut Sink) -> FlagAcc {
+        Self::deferring(sink, 0)
+    }
+
+    /// An accumulator whose merge also marks status bits `deferred` as
+    /// left to the thunk.
+    fn deferring(sink: &mut Sink, deferred: u32) -> FlagAcc {
         let acc = sink.vg();
-        sink.mov(acc, R0);
+        if deferred == 0 {
+            sink.mov(acc, R0);
+        } else {
+            Eflags::marked_into(sink, acc, deferred);
+        }
         FlagAcc { acc }
     }
 
@@ -132,7 +148,7 @@ fn result_sf(sink: &mut Sink, res: Gr, size: Size) -> (Pr, Pr) {
 
 /// Arithmetic-flag families.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
-pub(super) enum ArithKind {
+pub(crate) enum ArithKind {
     /// `ADD`/`ADC` (carry = bit `size` of the 64-bit sum).
     Add,
     /// `SUB`/`SBB`/`CMP`/`NEG` (borrow = sign of the 64-bit difference).
@@ -145,6 +161,45 @@ pub(super) enum ArithKind {
     Dec,
 }
 
+/// The ops [`arith_flags`]' recipe spends on status bit `bit` of a
+/// `kind` setter: what deferring it saves.
+fn recipe_ops(kind: ArithKind, bit: u32) -> u32 {
+    let logic = kind == ArithKind::Logic;
+    match bit {
+        flags::CF | flags::AF | flags::OF if logic => 0,
+        flags::CF | flags::ZF | flags::SF => 2,
+        flags::OF if matches!(kind, ArithKind::Inc | ArithKind::Dec) => 3,
+        flags::OF => 5,
+        _ => 4,
+    }
+}
+
+/// The status bits a `kind` setter writes.
+fn written(kind: ArithKind) -> u32 {
+    match kind {
+        ArithKind::Inc | ArithKind::Dec => flags::STATUS & !flags::CF,
+        _ => flags::STATUS,
+    }
+}
+
+/// Of the `live` bits of a `kind` setter at `size`, those it leaves to
+/// the thunk: every bit only the engine reads, when the recipe ops
+/// they save exceed the thunk ops they cost — so a lone CF or ZF stays
+/// eager — or none.
+fn deferred(ctx: &EmitCtx<'_>, kind: ArithKind, size: Size, live: u32) -> u32 {
+    let engine_only = live & !ctx.read_flags & written(kind);
+    let saved: u32 = (0..12)
+        .map(|k| 1 << k)
+        .filter(|bit| engine_only & bit != 0)
+        .map(|bit| recipe_ops(kind, bit))
+        .sum();
+    if saved > Eflags::defer_cost(ctx.thunk, kind, size) {
+        engine_only
+    } else {
+        0
+    }
+}
+
 /// Emits the flag updates for an arithmetic result.
 ///
 /// * `a`, `b` — operands, zero-extended to `size` (64-bit registers).
@@ -154,10 +209,13 @@ pub(super) enum ArithKind {
 /// * `res` — the result truncated (and zero-extended) to `size`.
 /// * `live` — the flag bits to materialize (already masked to what the
 ///   instruction architecturally writes).
-/// * `qp` — optional gate (variable shift counts of zero skip updates).
+/// * `deferrable` — whether the bits only the engine reads may go to
+///   the thunk; not for ADC/SBB, whose carry-in the thunk does not
+///   keep.
 #[allow(clippy::too_many_arguments)]
 pub(super) fn arith_flags(
     sink: &mut Sink,
+    ctx: &mut EmitCtx<'_>,
     kind: ArithKind,
     a: Gr,
     b: Gr,
@@ -165,12 +223,26 @@ pub(super) fn arith_flags(
     res: Gr,
     size: Size,
     live: u32,
-    qp: Option<Pr>,
+    deferrable: bool,
 ) {
     if live == 0 {
         return;
     }
-    let mut fa = FlagAcc::new(sink);
+    let defer = if deferrable {
+        deferred(ctx, kind, size, live)
+    } else {
+        0
+    };
+    let live = live & !defer;
+    if defer != 0 {
+        let a = if kind == ArithKind::Logic { res } else { a };
+        Eflags::defer(sink, ctx.thunk, kind, size, a, b);
+        if live == 0 {
+            Eflags::mark(sink, defer);
+            return;
+        }
+    }
+    let mut fa = FlagAcc::deferring(sink, defer);
     let bits = size.bits() as u8;
     let arith = matches!(kind, ArithKind::Add | ArithKind::Sub);
 
@@ -257,16 +329,23 @@ pub(super) fn arith_flags(
         });
         fa.or_pred(sink, pt, flags::AF);
     }
-    let written_mask = match kind {
-        ArithKind::Inc | ArithKind::Dec => live & (flags::STATUS & !flags::CF),
-        _ => live & flags::STATUS,
-    };
-    fa.commit(sink, written_mask, qp);
+    fa.commit(sink, live & written(kind), None);
 }
 
 /// Emits `SF`/`ZF`/`PF` (+ cleared `CF`/`OF`/`AF`) for a logic result.
-pub(super) fn logic_flags(sink: &mut Sink, res: Gr, size: Size, live: u32) {
-    arith_flags(sink, ArithKind::Logic, R0, R0, res, res, size, live, None);
+pub(super) fn logic_flags(sink: &mut Sink, ctx: &mut EmitCtx<'_>, res: Gr, size: Size, live: u32) {
+    arith_flags(
+        sink,
+        ctx,
+        ArithKind::Logic,
+        R0,
+        R0,
+        res,
+        res,
+        size,
+        live,
+        true,
+    );
 }
 
 /// Builds the predicates for an IA-32 condition from the EFLAGS home.
@@ -347,52 +426,112 @@ pub(super) fn result_cond(sink: &mut Sink, res: Gr, size: Size, cond: ia32::Cond
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::state::ThunkWrites;
+    use crate::templates::{AccessMode, AlignCache, FpCtx, MisalignPlan, XmmCtx};
+
+    /// Runs `f` with the context of one instruction at 0x1000 after
+    /// which `live` flags are live and translated code reads `read` of
+    /// them, in a block that has written `thunk` so far.
+    fn with_ctx_reading<T>(
+        live: u32,
+        read: u32,
+        thunk: &mut ThunkWrites,
+        f: impl FnOnce(&mut EmitCtx<'_>) -> T,
+    ) -> T {
+        let (mut fp, mut xmm) = (FpCtx::new(0, false), XmmCtx::new(0));
+        let plan = MisalignPlan::uniform(AccessMode::Fast, 0);
+        f(&mut EmitCtx {
+            ip: 0x1000,
+            next_ip: 0x1004,
+            live_flags: live,
+            read_flags: read,
+            fp: &mut fp,
+            xmm: &mut xmm,
+            misalign: &plan,
+            align: &mut AlignCache::default(),
+            thunk,
+        })
+    }
+
+    /// Runs `f` with the context of one instruction at 0x1000 after
+    /// which `live` flags are live, all of them read by translated code.
+    fn with_ctx<T>(live: u32, f: impl FnOnce(&mut EmitCtx<'_>) -> T) -> T {
+        with_ctx_reading(live, live, &mut ThunkWrites::default(), f)
+    }
+
+    /// The ops `arith_flags` emits for an ADD at D with `live` flags of
+    /// which translated code reads `read`.
+    fn add_ops(live: u32, read: u32) -> usize {
+        let mut s = Sink::new();
+        let (a, b, r64, r) = (s.vg(), s.vg(), s.vg(), s.vg());
+        with_ctx_reading(live, read, &mut ThunkWrites::default(), |ctx| {
+            arith_flags(
+                &mut s,
+                ctx,
+                ArithKind::Add,
+                a,
+                b,
+                r64,
+                r,
+                Size::D,
+                live,
+                true,
+            )
+        });
+        s.inst_count()
+    }
 
     #[test]
     fn live_zero_emits_nothing() {
-        let mut s = Sink::new();
-        arith_flags(&mut s, ArithKind::Add, R0, R0, R0, R0, Size::D, 0, None);
-        assert_eq!(s.inst_count(), 0);
+        assert_eq!(add_ops(0, 0), 0);
     }
 
     #[test]
     fn full_status_emits_all_families() {
-        let mut s = Sink::new();
-        let a = s.vg();
-        let b = s.vg();
-        let r64 = s.vg();
-        let r = s.vg();
-        arith_flags(
-            &mut s,
-            ArithKind::Add,
-            a,
-            b,
-            r64,
-            r,
-            Size::D,
-            flags::STATUS,
-            None,
-        );
         // CF(2) + ZF(2) + SF(2) + OF(5) + PF(4) + AF(4) + init(1) + commit(2)
-        assert!(s.inst_count() >= 18, "got {}", s.inst_count());
+        let n = add_ops(flags::STATUS, flags::STATUS);
+        assert!(n >= 18, "got {n}");
     }
 
     #[test]
     fn single_flag_is_cheap() {
         let mut s = Sink::new();
         let r = s.vg();
-        arith_flags(
-            &mut s,
-            ArithKind::Logic,
-            R0,
-            R0,
-            r,
-            r,
-            Size::D,
-            flags::ZF,
-            None,
-        );
+        with_ctx(flags::ZF, |ctx| {
+            logic_flags(&mut s, ctx, r, Size::D, flags::ZF);
+        });
         assert!(s.inst_count() <= 5, "got {}", s.inst_count());
+    }
+
+    /// Flags only the engine reads go to the thunk — its kind, two
+    /// operands and the marks — when that is cheaper than the recipe; a
+    /// lone CF or ZF is not.
+    #[test]
+    fn engine_only_flags_are_deferred_when_cheaper() {
+        assert_eq!(add_ops(flags::STATUS, 0), 4);
+        assert!(add_ops(flags::STATUS, flags::SF) < add_ops(flags::STATUS, flags::STATUS));
+        for lone in [flags::CF, flags::ZF] {
+            assert_eq!(add_ops(lone, 0), add_ops(lone, lone));
+        }
+        // ADC keeps everything in the home: the thunk has no carry-in.
+        let mut s = Sink::new();
+        let (a, b, r64, r) = (s.vg(), s.vg(), s.vg(), s.vg());
+        with_ctx_reading(flags::STATUS, 0, &mut ThunkWrites::default(), |ctx| {
+            let live = flags::STATUS;
+            arith_flags(
+                &mut s,
+                ctx,
+                ArithKind::Add,
+                a,
+                b,
+                r64,
+                r,
+                Size::D,
+                live,
+                false,
+            )
+        });
+        assert_eq!(s.inst_count(), add_ops(flags::STATUS, flags::STATUS));
     }
 
     /// The recipe-level oracle: every flag setter and reader emitted
@@ -401,14 +540,13 @@ mod tests {
     mod oracle {
         use super::*;
         use crate::hot::eval;
-        use crate::state;
-        use crate::templates::{
-            emit, emit_cond_pred, emit_fused_cmp_jcc, AccessMode, AlignCache, EmitCtx, FpCtx,
-            IlItem, MisalignPlan, XmmCtx,
-        };
+        use crate::state::{self, ThunkWrites};
+        use crate::templates::{emit, emit_cond_pred, emit_fused_cmp_jcc, IlItem};
         use ia32::inst::{AluOp, Inst as I32, MulDivOp, Rm, RmI, ShiftCount, ShiftOp};
-        use ia32::regs::{EAX, ECX};
+        use ia32::regs::{EAX, EBX, ECX, EDX};
         use ia32::Cond;
+        use ipf::machine::{CodeArena, Machine};
+        use std::iter::once;
 
         const HOME: Gr = Eflags::HOMES[0];
         const SIZES: [Size; 3] = [Size::B, Size::W, Size::D];
@@ -437,28 +575,20 @@ mod tests {
             v
         }
 
-        /// Runs `f` with the context of one instruction at 0x1000 after
-        /// which `live` flags are live.
-        fn with_ctx<T>(live: u32, f: impl FnOnce(&mut EmitCtx<'_>) -> T) -> T {
-            let (mut fp, mut xmm) = (FpCtx::new(0, false), XmmCtx::new(0));
-            let plan = MisalignPlan::uniform(AccessMode::Fast, 0);
-            f(&mut EmitCtx {
-                ip: 0x1000,
-                next_ip: 0x1004,
-                live_flags: live,
-                fp: &mut fp,
-                xmm: &mut xmm,
-                misalign: &plan,
-                align: &mut AlignCache::default(),
-            })
-        }
-
         /// Cases emitted into one sink, each ending with a store of one
-        /// register and the value the oracle expects there.
+        /// register and the value the oracle expects there — or, for
+        /// the thunk's rows, of the whole home and the EFLAGS the
+        /// oracle expects [`Eflags::read`] to make of it.
         #[derive(Default)]
         struct Cases {
             sink: Sink,
             want: Vec<(u64, String)>,
+            /// Per thunk row: the EFLAGS expected, the bits compared
+            /// (a setter's dead bits are not) and what the case is.
+            reads: Vec<(u32, u32, String)>,
+            stores: u64,
+            /// What the case's block has written to the thunk so far.
+            thunk: ThunkWrites,
         }
 
         impl Cases {
@@ -471,6 +601,15 @@ mod tests {
 
             fn emit(&mut self, inst: &I32, live: u32) {
                 with_ctx(live, |ctx| emit(&mut self.sink, inst, ctx)).expect("a template exists");
+            }
+
+            /// Emits `inst` in the case's block, with `live` flags after
+            /// it of which translated code reads `read`.
+            fn emit_reading(&mut self, inst: &I32, live: u32, read: u32) {
+                with_ctx_reading(live, read, &mut self.thunk, |ctx| {
+                    emit(&mut self.sink, inst, ctx)
+                })
+                .expect("a template exists");
             }
 
             /// The sum of `1 << i` over the predicates `preds[i]` that hold.
@@ -488,16 +627,30 @@ mod tests {
                 d
             }
 
-            fn check(&mut self, r: Gr, want: u64, what: String) {
+            fn store(&mut self, r: Gr) {
                 let addr = self.sink.vg();
-                self.sink
-                    .mov_imm(addr, 0x10_0000 + 8 * self.want.len() as u64);
+                self.sink.mov_imm(addr, 0x10_0000 + 8 * self.stores);
                 self.sink.emit(Op::St {
                     sz: 8,
                     addr,
                     val: r,
                 });
+                self.stores += 1;
+            }
+
+            fn check(&mut self, r: Gr, want: u64, what: String) {
+                self.store(r);
                 self.want.push((want, what));
+            }
+
+            /// Ends a thunk row: `Eflags::read` must give `want` on the
+            /// bits of `mask`. The next case starts a fresh block.
+            fn check_read(&mut self, want: u32, mask: u32, what: String) {
+                for h in Eflags::HOMES {
+                    self.store(h);
+                }
+                self.reads.push((want, mask, what));
+                self.thunk = ThunkWrites::default();
             }
 
             fn run(self) {
@@ -508,6 +661,9 @@ mod tests {
                     })
                     .collect();
                 let got = eval::run(&insts, 1).stores;
+                if !self.reads.is_empty() {
+                    return Self::compare_reads(&got, &self.reads);
+                }
                 assert_eq!(got.len(), self.want.len(), "one store per case");
                 let bad: Vec<String> = (got.iter().zip(&self.want))
                     .filter(|((_, _, got), (want, _))| got != want)
@@ -520,6 +676,32 @@ mod tests {
                     "{} of {} cases differ:\n{}",
                     bad.len(),
                     self.want.len(),
+                    bad[..bad.len().min(12)].join("\n")
+                );
+            }
+
+            /// Puts each row's stored home and thunk into a machine and
+            /// compares what `Eflags::read` makes of them.
+            fn compare_reads(got: &[(u64, u32, u64)], reads: &[(u32, u32, String)]) {
+                let homes = Eflags::HOMES.len();
+                assert_eq!(got.len(), reads.len() * homes, "one home per row");
+                let mut m = Machine::new(CodeArena::new(0x1_0000), ipf::Timing::default());
+                let bad: Vec<String> = (got.chunks(homes).zip(reads))
+                    .filter_map(|(regs, (want, mask, what))| {
+                        for (h, &(_, _, v)) in Eflags::HOMES.iter().zip(regs) {
+                            m.gr[h.0 as usize] = v;
+                        }
+                        let got = Eflags::read(&m);
+                        (got & mask != want & mask).then(|| {
+                            format!("{what}: read {got:#x}, oracle {want:#x} on {mask:#x}")
+                        })
+                    })
+                    .collect();
+                assert!(
+                    bad.is_empty(),
+                    "{} of {} rows differ:\n{}",
+                    bad.len(),
+                    reads.len(),
                     bad[..bad.len().min(12)].join("\n")
                 );
             }
@@ -756,6 +938,143 @@ mod tests {
                         }
                     }
                     cases.run();
+                }
+            }
+        }
+
+        /// Deferred setters a row's setter may follow: none, a D-size
+        /// ADD, a W-size SUB and a B-size DEC of EBX with EDX, from
+        /// these EBX and EDX, with the flags they write.
+        fn preludes() -> [(Option<I32>, u32, u32, u32); 4] {
+            let (ebx, edx) = (Rm::Reg(EBX), RmI::Reg(EDX));
+            let alu = |op, size| I32::Alu {
+                op,
+                size,
+                dst: ebx,
+                src: edx,
+            };
+            let dec = I32::IncDec {
+                inc: false,
+                size: Size::B,
+                dst: ebx,
+            };
+            [
+                (None, 0, 0, 0),
+                (
+                    Some(alu(AluOp::Add, Size::D)),
+                    u32::MAX,
+                    1,
+                    flags::add(u32::MAX, 1, Size::D),
+                ),
+                (
+                    Some(alu(AluOp::Sub, Size::W)),
+                    5,
+                    7,
+                    flags::sub(5, 7, Size::W),
+                ),
+                (Some(dec), 0x80, 0, flags::dec(0x80, Size::B)),
+            ]
+        }
+
+        /// The thunk's rows: every setter that may defer, and ADC/SBB,
+        /// which never do, at B/W/D and operand corners, alone and after
+        /// each prelude, at every live mask — with nothing read by
+        /// translated code, or one live bit — must leave EFLAGS, as
+        /// `Eflags::read` materializes them, equal to the oracle's: the
+        /// bits it writes and are live its own, every bit it does not
+        /// write the prelude's (an INC/DEC's CF included).
+        #[test]
+        fn deferred_setters_read_back_through_the_thunk() {
+            let (eax, ecx) = (Rm::Reg(EAX), RmI::Reg(ECX));
+            for size in SIZES {
+                let alu = |op| I32::Alu {
+                    op,
+                    size,
+                    dst: eax,
+                    src: ecx,
+                };
+                let incdec = |inc| I32::IncDec {
+                    inc,
+                    size,
+                    dst: eax,
+                };
+                let rows: [(I32, Oracle); 12] = [
+                    (alu(AluOp::Add), &|a, b, _| flags::add(a, b, size)),
+                    (alu(AluOp::Sub), &|a, b, _| flags::sub(a, b, size)),
+                    (alu(AluOp::Cmp), &|a, b, _| flags::sub(a, b, size)),
+                    (I32::Neg { size, dst: eax }, &|a, _, _| flags::neg(a, size)),
+                    (alu(AluOp::And), &|a, b, _| flags::logic(a & b, size)),
+                    (alu(AluOp::Or), &|a, b, _| flags::logic(a | b, size)),
+                    (alu(AluOp::Xor), &|a, b, _| flags::logic(a ^ b, size)),
+                    (
+                        I32::Test {
+                            size,
+                            a: eax,
+                            b: ecx,
+                        },
+                        &|a, b, _| flags::logic(a & b, size),
+                    ),
+                    (incdec(true), &|a, _, _| flags::inc(a, size)),
+                    (incdec(false), &|a, _, _| flags::dec(a, size)),
+                    (alu(AluOp::Adc), &|a, b, c| flags::adc(a, b, c, size)),
+                    (alu(AluOp::Sbb), &|a, b, c| flags::sbb(a, b, c, size)),
+                ];
+                for (inst, oracle) in rows {
+                    let props = inst.props();
+                    for (prelude, x, y, written) in preludes() {
+                        let seed = SEEDS[1];
+                        // What the home holds once the prelude ran: its
+                        // bits deferred, but for those the setter reads.
+                        let before = prelude
+                            .map_or(seed, |p| flags::merge(seed, written, p.props().flags_may));
+                        for live in LIVE {
+                            let mask = live & props.flags_may;
+                            // Alone, the setter runs with nothing read by
+                            // translated code and with each one bit read,
+                            // on the hand-picked corners; after a prelude,
+                            // fully deferred and fully eager, with EAX at
+                            // every corner and ECX = 1.
+                            let (reads, pairs): (Vec<u32>, Vec<(u32, u32)>) = match prelude {
+                                None => {
+                                    let bits = (0..12).map(|k| 1 << k);
+                                    let one = bits.filter(|bit| live & bit != 0 && live != *bit);
+                                    let corners = &operands(size)[..7];
+                                    let pairs = (corners.iter())
+                                        .flat_map(|&a| corners.iter().map(move |&b| (a, b)));
+                                    (once(0).chain(one).collect(), pairs.collect())
+                                }
+                                Some(_) => {
+                                    let pairs = operands(size).into_iter().map(|a| (a, 1));
+                                    (vec![0, live], pairs.collect())
+                                }
+                            };
+                            for read in reads {
+                                let mut cases = Cases::default();
+                                for &(a, b) in &pairs {
+                                    cases.set(state::guest_gpr(EAX.num()), a);
+                                    cases.set(state::guest_gpr(ECX.num()), b);
+                                    cases.set(state::guest_gpr(EBX.num()), x);
+                                    cases.set(state::guest_gpr(EDX.num()), y);
+                                    cases.set(HOME, seed);
+                                    if let Some(p) = &prelude {
+                                        cases.emit_reading(p, flags::STATUS, props.flags_read);
+                                    }
+                                    cases.emit_reading(&inst, live, read);
+                                    let f = oracle(a, b, before & flags::CF != 0);
+                                    let want = flags::merge(before, f, mask);
+                                    // A written bit that is not live is dead.
+                                    let compared = !(props.flags_may & !mask);
+                                    let what = format!(
+                                        "`{inst}` after {prelude:?}: size {size:?}, \
+                                         live {live:#x}, read {read:#x}, \
+                                         eax {a:#x}, ecx {b:#x}"
+                                    );
+                                    cases.check_read(want, compared, what);
+                                }
+                                cases.run();
+                            }
+                        }
+                    }
                 }
             }
         }

@@ -1123,10 +1123,12 @@ mod tests {
             ip: 0x1000,
             next_ip: 0x1002,
             live_flags: 0,
+            read_flags: 0,
             fp,
             xmm,
             misalign: &plan,
             align: &mut align,
+            thunk: &mut Default::default(),
         };
         emit_fp(&mut sink, inst, &mut ctx).expect("template exists");
         sink

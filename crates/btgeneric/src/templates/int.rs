@@ -326,7 +326,7 @@ pub(super) fn emit_int(
                 a: Src::Reg(x),
                 b: y,
             });
-            logic_flags(sink, res, *size, live);
+            logic_flags(sink, ctx, res, *size, live);
         }
         I32::Mov { size, dst, src } => {
             if let (Rm::Reg(r), RmI::Imm(v), Size::D) = (dst, src, *size) {
@@ -399,6 +399,7 @@ pub(super) fn emit_int(
             write_rm(sink, ctx, dst, *size, res);
             arith_flags(
                 sink,
+                ctx,
                 if *inc { ArithKind::Inc } else { ArithKind::Dec },
                 a,
                 GR_ONE,
@@ -406,7 +407,7 @@ pub(super) fn emit_int(
                 res,
                 *size,
                 live,
-                None,
+                true,
             );
         }
         I32::Neg { size, dst } => {
@@ -420,7 +421,18 @@ pub(super) fn emit_int(
             });
             let res = trunc(sink, res64, *size);
             write_rm(sink, ctx, dst, *size, res);
-            arith_flags(sink, ArithKind::Sub, R0, a, res64, res, *size, live, None);
+            arith_flags(
+                sink,
+                ctx,
+                ArithKind::Sub,
+                R0,
+                a,
+                res64,
+                res,
+                *size,
+                live,
+                true,
+            );
         }
         I32::Not { size, dst } => {
             let a = read_rm(sink, ctx, dst, *size);
@@ -643,7 +655,8 @@ fn emit_alu(
             write_rm(sink, ctx, rm, size, res);
         }
     }
-    arith_flags(sink, kind, a, b, res64, res, size, live, None);
+    let carry_in = matches!(op, AluOp::Adc | AluOp::Sbb);
+    arith_flags(sink, ctx, kind, a, b, res64, res, size, live, !carry_in);
 }
 
 /// The Itanium op for `d = a <op> b`; ADC adds and SBB subtracts (their
@@ -1362,7 +1375,7 @@ pub(super) fn try_fuse(
                     b,
                 });
                 let rt = trunc(sink, r, *size);
-                arith_flags(sink, ArithKind::Sub, a, b, r, rt, *size, live, None);
+                arith_flags(sink, ctx, ArithKind::Sub, a, b, r, rt, *size, live, true);
             }
             let (a, b) = if signed {
                 (sext(sink, a, *size), sext(sink, b, *size))
@@ -1394,7 +1407,7 @@ pub(super) fn try_fuse(
                 b: y,
             });
             if live != 0 {
-                logic_flags(sink, r, *size, live);
+                logic_flags(sink, ctx, r, *size, live);
             }
             let (pt, pf) = (sink.vp(), sink.vp());
             match cond {
@@ -1446,6 +1459,7 @@ pub(super) fn try_fuse(
             if live != 0 {
                 arith_flags(
                     sink,
+                    ctx,
                     if *inc { ArithKind::Inc } else { ArithKind::Dec },
                     a,
                     GR_ONE,
@@ -1453,7 +1467,7 @@ pub(super) fn try_fuse(
                     res,
                     *size,
                     live,
-                    None,
+                    true,
                 );
             }
             Some(result_cond(sink, res, *size, cond))
@@ -1484,13 +1498,13 @@ pub(super) fn try_fuse(
                     let rt = trunc(sink, r, *size);
                     write_rm(sink, ctx, dst, *size, rt);
                     if live != 0 {
-                        arith_flags(sink, ArithKind::Sub, a, b, r, rt, *size, live, None);
+                        arith_flags(sink, ctx, ArithKind::Sub, a, b, r, rt, *size, live, true);
                     }
                     rt
                 } else {
                     write_rm(sink, ctx, dst, *size, r);
                     if live != 0 {
-                        logic_flags(sink, r, *size, live);
+                        logic_flags(sink, ctx, r, *size, live);
                     }
                     r
                 }

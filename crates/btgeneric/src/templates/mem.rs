@@ -670,10 +670,12 @@ mod tests {
             ip: 0,
             next_ip: 0,
             live_flags: 0,
+            read_flags: 0,
             fp: &mut fp,
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
+            thunk: &mut Default::default(),
         };
         let _ = &mut ctx;
         // [ebx + esi*4 + 0x10]: shladd + adds + zxt = 3 ops.
@@ -698,10 +700,12 @@ mod tests {
             ip: 0,
             next_ip: 0,
             live_flags: 0,
+            read_flags: 0,
             fp: &mut fp,
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
+            thunk: &mut Default::default(),
         };
         let addr = s.vg();
         guest_load(&mut s, &mut ctx, addr, None, 4);
@@ -725,10 +729,12 @@ mod tests {
             ip: 0,
             next_ip: 0,
             live_flags: 0,
+            read_flags: 0,
             fp: &mut fp,
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
+            thunk: &mut Default::default(),
         };
         let a1 = Addr::base_disp(ia32::regs::EBX, 0);
         let a2 = Addr::base_disp(ia32::regs::EBX, 8); // congruent mod 8
@@ -752,10 +758,12 @@ mod tests {
             ip: 0,
             next_ip: 0,
             live_flags: 0,
+            read_flags: 0,
             fp: &mut fp,
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
+            thunk: &mut Default::default(),
         };
         let addr = s.vg();
         guest_load(&mut s, &mut ctx, addr, None, 4);

@@ -22,6 +22,7 @@ mod fp;
 mod int;
 mod mem;
 
+pub(crate) use flags_emit::ArithKind;
 pub use mem::{AccessMode, AlignCache, MisalignPlan};
 
 use crate::state;
@@ -288,6 +289,10 @@ pub struct EmitCtx<'a> {
     /// EFLAGS status bits live *after* this instruction — only these are
     /// materialized (the paper's redundant-EFlags elimination).
     pub live_flags: u32,
+    /// Of `live_flags`, those translated code may read before they are
+    /// rewritten; the rest only the engine reads, and a setter may leave
+    /// them to the EFLAGS thunk (`state::Eflags`).
+    pub read_flags: u32,
     /// FP stack tracking state (speculated TOS etc.), updated in place.
     pub fp: &'a mut FpCtx,
     /// XMM format tracking state, updated in place.
@@ -297,6 +302,8 @@ pub struct EmitCtx<'a> {
     /// Alignment-predicate reuse cache (paper §5 stage 3a), shared
     /// across the instructions of a block/trace.
     pub align: &'a mut AlignCache,
+    /// What the block/trace has written to the EFLAGS thunk so far.
+    pub thunk: &'a mut state::ThunkWrites,
 }
 
 /// FP stack tracking across one block/trace (paper §5).

@@ -274,7 +274,10 @@ fn hot_loop_exit_reaches_hlt() {
             });
             differential(&img, cold_config(), &[], &format!("{what}/cold"));
             let p = differential(&img, hot_config(), &[], &format!("{what}/hot"));
-            assert!(p.engine.stats.hot_traces > 0, "{what}: the loop stayed cold");
+            assert!(
+                p.engine.stats.hot_traces > 0,
+                "{what}: the loop stayed cold"
+            );
         }
     }
 }
