@@ -37,12 +37,6 @@ pub struct Liveness {
 }
 
 impl Liveness {
-    /// Flags live immediately after instruction `i` of the block at
-    /// `start` (i.e. the bits instruction `i` must materialize).
-    pub fn live_after(&self, start: u32, i: usize) -> u32 {
-        self.flags_after(start, i).0
-    }
-
     /// `(live, read)` immediately after instruction `i` of the block at
     /// `start`: the bits instruction `i` must materialize, and of them
     /// those translated code may read — the rest only the engine does.
@@ -168,12 +162,12 @@ mod tests {
         });
         let l = analyze(&r);
         assert_eq!(
-            l.live_after(0x1000, 0) & flags::STATUS,
+            l.flags_after(0x1000, 0).0 & flags::STATUS,
             0,
             "first add's flags are dead"
         );
         assert_eq!(
-            l.live_after(0x1000, 1) & flags::STATUS,
+            l.flags_after(0x1000, 1).0 & flags::STATUS,
             flags::STATUS,
             "second add's flags reach the unknown edge"
         );
@@ -197,14 +191,14 @@ mod tests {
         // reads ZF. CF survives from add only if something reads it: the
         // hlt edge is unknown-live, so CF is live-out of the jcc and
         // flows back.
-        let after_add = l.live_after(0x1000, 0);
+        let after_add = l.flags_after(0x1000, 0).0;
         assert_eq!(
             after_add & (flags::ZF | flags::SF | flags::OF | flags::PF | flags::AF),
             0,
             "bits rewritten by dec are dead after add"
         );
         assert_ne!(after_add & flags::CF, 0, "CF escapes through the exit");
-        let after_dec = l.live_after(0x1000, 1);
+        let after_dec = l.flags_after(0x1000, 1).0;
         assert_ne!(after_dec & flags::ZF, 0);
     }
 
@@ -230,15 +224,15 @@ mod tests {
         let inside = &r.blocks[MAX_BLOCKS - 2];
         assert!(inside.succ_blocks[0].is_some());
         assert_eq!(
-            l.live_after(inside.start, 0) & flags::STATUS,
+            l.flags_after(inside.start, 0).0 & flags::STATUS,
             0,
             "the next block's add rewrites every status flag"
         );
         let last = &r.blocks[MAX_BLOCKS - 1];
         assert_eq!(last.succs.len(), 1);
         assert_eq!(last.succ_blocks[0], None, "successor is past the window");
-        assert_eq!(l.live_after(last.start, 0), ALL);
-        assert_eq!(l.live_after(last.start, 1), ALL);
+        assert_eq!(l.flags_after(last.start, 0).0, ALL);
+        assert_eq!(l.flags_after(last.start, 1).0, ALL);
     }
 
     /// Translated code reads nothing past a halt, syscall or `#UD`; it
@@ -278,9 +272,13 @@ mod tests {
             a.ret();
         });
         let l = analyze(&r);
-        assert_eq!(l.live_after(0x1000, 0) & flags::STATUS, 0);
+        assert_eq!(l.flags_after(0x1000, 0).0 & flags::STATUS, 0);
         let f = &r.blocks[r.blocks[0].succ_blocks[0].expect("callee found") as usize];
-        assert_eq!(l.live_after(f.start, 0), ALL, "the ret is an unknown edge");
+        assert_eq!(
+            l.flags_after(f.start, 0).0,
+            ALL,
+            "the ret is an unknown edge"
+        );
     }
 
     /// A callee past the discovery window is an unknown successor:
@@ -305,12 +303,12 @@ mod tests {
         assert_eq!(r.blocks.len(), MAX_BLOCKS);
         let call = &r.blocks[MAX_BLOCKS - 1];
         assert_eq!(call.succ_blocks[0], None, "the callee is past the window");
-        assert_eq!(analyze(&r).live_after(call.start, 0), ALL);
+        assert_eq!(analyze(&r).flags_after(call.start, 0).0, ALL);
     }
 
     #[test]
     fn unknown_block_defaults_to_all() {
         let l = Liveness::default();
-        assert_eq!(l.live_after(0x9999, 0), ALL);
+        assert_eq!(l.flags_after(0x9999, 0).0, ALL);
     }
 }

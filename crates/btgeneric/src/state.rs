@@ -179,6 +179,48 @@ fn thunk_size(code: u8) -> Size {
     }
 }
 
+/// How a deferral updates the thunk's kind register, given what the
+/// block or trace already wrote there.
+enum KindWrite {
+    /// It already holds the value.
+    Keep,
+    /// Set it to a known value.
+    Set(u64),
+    /// Only the INC/DEC field changes, from a known field value: XOR.
+    Xor(i64),
+    /// Only the INC/DEC field changes, from an unknown one: clear it
+    /// and OR this in.
+    Field(i64),
+}
+
+impl KindWrite {
+    fn after(seen: &ThunkWrites, kind: ArithKind, size: Size) -> KindWrite {
+        let code = thunk_code(kind, size);
+        if !matches!(kind, ArithKind::Inc | ArithKind::Dec) {
+            return if seen.main == Some(code) && seen.incdec == Some(0) {
+                KindWrite::Keep
+            } else {
+                KindWrite::Set(code as u64)
+            };
+        }
+        let field = |c: u8| (c as i64) << 8;
+        match (seen.incdec, seen.main) {
+            (Some(c), _) if c == code => KindWrite::Keep,
+            (_, Some(main)) => KindWrite::Set(main as u64 | field(code) as u64),
+            (Some(c), None) => KindWrite::Xor(field(c) ^ field(code)),
+            (None, None) => KindWrite::Field(field(code)),
+        }
+    }
+
+    fn ops(&self) -> u32 {
+        match self {
+            KindWrite::Keep => 0,
+            KindWrite::Set(_) | KindWrite::Xor(_) => 1,
+            KindWrite::Field(_) => 2,
+        }
+    }
+}
+
 impl Eflags {
     /// The registers that make up the home, the thunk's included. The
     /// hot dead-code pass keeps them live at a trace's end and at every
@@ -244,21 +286,12 @@ impl Eflags {
     /// The ops [`defer`](Eflags::defer) emits for a `kind` setter at
     /// `size` after `seen`.
     pub(crate) fn defer_cost(seen: &ThunkWrites, kind: ArithKind, size: Size) -> u32 {
-        let code = thunk_code(kind, size);
-        match kind {
-            ArithKind::Inc | ArithKind::Dec => {
-                let field = match (seen.incdec, seen.main) {
-                    (Some(c), _) if c == code => 0,
-                    (_, Some(_)) | (Some(_), None) => 1,
-                    (None, None) => 2,
-                };
-                field + 1
-            }
-            _ => {
-                let write = u32::from(seen.main != Some(code) || seen.incdec != Some(0));
-                write + if kind == ArithKind::Logic { 1 } else { 2 }
-            }
-        }
+        let operands = if matches!(kind, ArithKind::Add | ArithKind::Sub) {
+            2
+        } else {
+            1
+        };
+        KindWrite::after(seen, kind, size).ops() + operands
     }
 
     /// Records a deferred `kind` setter at `size` in the thunk: ADD and
@@ -274,45 +307,38 @@ impl Eflags {
         a: Gr,
         b: Gr,
     ) {
-        let code = thunk_code(kind, size);
-        let kinds = GR_THUNK_KIND;
-        if matches!(kind, ArithKind::Inc | ArithKind::Dec) {
-            let field = (code as i64) << 8;
-            match (seen.incdec, seen.main) {
-                (Some(c), _) if c == code => {}
-                (_, Some(main)) => sink.mov_imm(kinds, main as u64 | field as u64),
-                (Some(c), None) => sink.emit(Op::Xor {
-                    d: kinds,
-                    a: Src::Imm(field ^ (c as i64) << 8),
-                    b: kinds,
-                }),
-                (None, None) => {
-                    sink.emit(Op::And {
-                        d: kinds,
-                        a: Src::Imm(0xFF),
-                        b: kinds,
-                    });
-                    sink.emit(Op::Or {
-                        d: kinds,
-                        a: Src::Imm(field),
-                        b: kinds,
-                    });
+        let d = GR_THUNK_KIND;
+        match KindWrite::after(seen, kind, size) {
+            KindWrite::Keep => {}
+            KindWrite::Set(v) => sink.mov_imm(d, v),
+            KindWrite::Xor(x) => sink.emit(Op::Xor {
+                d,
+                a: Src::Imm(x),
+                b: d,
+            }),
+            KindWrite::Field(f) => {
+                let a = Src::Imm(0xFF);
+                sink.emit(Op::And { d, a, b: d });
+                sink.emit(Op::Or {
+                    d,
+                    a: Src::Imm(f),
+                    b: d,
+                });
+            }
+        }
+        let code = Some(thunk_code(kind, size));
+        match kind {
+            ArithKind::Inc | ArithKind::Dec => {
+                seen.incdec = code;
+                sink.mov(GR_THUNK_INCDEC, a);
+            }
+            _ => {
+                (seen.main, seen.incdec) = (code, Some(0));
+                sink.mov(GR_THUNK_A, a);
+                if kind != ArithKind::Logic {
+                    sink.mov(GR_THUNK_B, b);
                 }
             }
-            seen.incdec = Some(code);
-            sink.mov(GR_THUNK_INCDEC, a);
-            return;
-        }
-        if seen.main != Some(code) || seen.incdec != Some(0) {
-            sink.mov_imm(kinds, code as u64);
-            *seen = ThunkWrites {
-                main: Some(code),
-                incdec: Some(0),
-            };
-        }
-        sink.mov(GR_THUNK_A, a);
-        if kind != ArithKind::Logic {
-            sink.mov(GR_THUNK_B, b);
         }
     }
 
