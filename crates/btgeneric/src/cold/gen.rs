@@ -8,7 +8,7 @@ use super::discover::{BlockEnd, Region};
 use super::liveness::Liveness;
 use super::lower::{lower, LowerError};
 use crate::layout::{self, Profile, StubKind};
-use crate::state::{ThunkWrites, GR_PAYLOAD0, GR_PAYLOAD1, GR_STATE};
+use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_STATE};
 use crate::templates::{
     self, emit_spec_checks, AlignCache, EmitCtx, FpCtx, IndKind, MisalignPlan, Sink, Term, XmmCtx,
 };
@@ -709,7 +709,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     fp.inline_checks = input.inline_fp_checks;
     let mut xmm = XmmCtx::new(input.spec.xmm_fmt);
     let mut align = AlignCache::default();
-    let mut thunk = ThunkWrites::default();
 
     let mut body = Sink::new();
     let mut term: Option<Term> = None;
@@ -769,7 +768,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                         xmm: &mut xmm,
                         misalign: &input.misalign,
                         align: &mut align,
-                        thunk: &mut thunk,
                     };
                     if let Some(pt) =
                         templates::emit_fused_cmp_jcc(&mut body, &inst, cond, &mut ctx)
@@ -796,7 +794,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             xmm: &mut xmm,
             misalign: &input.misalign,
             align: &mut align,
-            thunk: &mut thunk,
         };
         match templates::emit(&mut body, &inst, &mut ctx) {
             Ok(t) => {

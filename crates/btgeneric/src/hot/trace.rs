@@ -14,7 +14,7 @@ use crate::cost;
 use crate::engine::Engine;
 use crate::layout::{self, region, StubKind};
 use crate::policy;
-use crate::state::{ThunkWrites, GR_PAYLOAD0, GR_PAYLOAD1, GR_XMMFMT};
+use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_XMMFMT};
 use crate::templates::{
     self, AccessMode, AlignCache, EmitCtx, FpCtx, IlItem, MisalignPlan, Sink, Term, XmmCtx,
 };
@@ -562,16 +562,15 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
 }
 
 /// What every step of a trace is emitted under: the FP/XMM tracking
-/// state, alignment cache and thunk writes the templates update in
-/// place, the misalignment plan, and flag liveness per cold block,
-/// analyzed the first time a step of that block asks.
+/// state and alignment cache the templates update in place, the
+/// misalignment plan, and flag liveness per cold block, analyzed the
+/// first time a step of that block asks.
 struct Emission<'e> {
     mem: &'e ia32::mem::GuestMem,
     live: HashMap<u32, Liveness>,
     fp: FpCtx,
     xmm: XmmCtx,
     align: AlignCache,
-    thunk: ThunkWrites,
     plan: MisalignPlan,
 }
 
@@ -580,8 +579,8 @@ impl Emission<'_> {
     /// with the flags live after instruction `idx` of the cold block
     /// at `block` (the instruction itself, or the Jcc fused into it).
     /// A `guarded` instruction — inside an if-converted hammock — keeps
-    /// every live flag in the home: a predicated deferral would leave
-    /// the thunk's static state ambiguous.
+    /// every live flag in the home, so the flag thunk is never written
+    /// under a predicate.
     fn ctx(&mut self, ip: u32, len: u8, block: u32, idx: usize, guarded: bool) -> EmitCtx<'_> {
         let live = self
             .live
@@ -597,7 +596,6 @@ impl Emission<'_> {
             xmm: &mut self.xmm,
             misalign: &self.plan,
             align: &mut self.align,
-            thunk: &mut self.thunk,
         }
     }
 }
@@ -620,7 +618,6 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         fp,
         xmm: XmmCtx::new(spec.xmm_fmt),
         align: AlignCache::default(),
-        thunk: ThunkWrites::default(),
         plan: MisalignPlan {
             default: AccessMode::Fast,
             overrides: misalign_overrides(engine, trace),

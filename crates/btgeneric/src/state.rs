@@ -18,7 +18,7 @@
 //! | `r48`-`r63` | template scratch |
 //! | `r64`-`r95` | hot-code renaming / backup pool |
 //! | `r96`-`r103` | MMX `MM0`-`MM7` (when in MMX mode) |
-//! | `r104`-`r107` | the flag thunk, owned by `Eflags`: the kinds of the last deferred setters, their operands |
+//! | `r104`-`r106` | the flag thunk, owned by `Eflags`: the operands and kinds of the last deferred setters |
 //! | `r14`, `r15` | exit-stub payload |
 //! | `f8`-`f15` | x87 *physical* registers `R0`-`R7` |
 //! | `f16+3i`, `f17+3i`, `f18+3i` | `XMMi` scalar / lanes 0-1 / lanes 2-3 |
@@ -38,16 +38,16 @@ pub const GR_GUEST: u16 = 32;
 pub const GR_STATE: Gr = Gr(40);
 /// The EFLAGS home; nothing outside [`Eflags`] names it.
 const GR_EFLAGS: Gr = Gr(41);
-/// The flag thunk's kinds: bits 0-7 the last deferred ADD/SUB/logic
-/// setter, bits 8-15 the last deferred INC/DEC since (0: none), each
-/// as [`thunk_code`].
-const GR_THUNK_KIND: Gr = Gr(104);
-/// The deferred ADD/SUB setter's zero-extended operands; a logic
-/// setter's result in the first.
-const GR_THUNK_A: Gr = Gr(105);
-const GR_THUNK_B: Gr = Gr(106);
-/// The deferred INC/DEC setter's zero-extended operand.
-const GR_THUNK_INCDEC: Gr = Gr(107);
+/// The flag thunk. The last deferred ADD/SUB setter's zero-extended
+/// operands, a logic setter's result in the first; the setter's kind,
+/// as [`thunk_code`], at bit [`KIND`] of the first.
+const GR_THUNK_A: Gr = Gr(104);
+const GR_THUNK_B: Gr = Gr(105);
+/// The zero-extended operand of the last deferred INC/DEC since, its
+/// kind at bit [`KIND`]; 0 when there is none.
+const GR_THUNK_INCDEC: Gr = Gr(106);
+/// Where a thunk register keeps its setter's kind, above the operand.
+const KIND: u32 = 32;
 /// Where the marks of deferred status bits sit in the home: bit
 /// `MARKS + k` set means status bit `k` lives in the thunk.
 const MARKS: u32 = 32;
@@ -146,15 +146,6 @@ pub fn xmm_hi_fr(n: u8) -> Fr {
 /// every eager write clears the marks of the bits it writes.
 pub(crate) struct Eflags;
 
-/// What a block or trace has written to the thunk's kind register so
-/// far, as emission knows it statically: each field's value, or `None`
-/// when unknown (on entry). Reset per block and per trace.
-#[derive(Clone, Copy, Debug, Default)]
-pub struct ThunkWrites {
-    main: Option<u8>,
-    incdec: Option<u8>,
-}
-
 /// The thunk's code for a `kind` setter at `size`; never zero.
 fn thunk_code(kind: ArithKind, size: Size) -> u8 {
     let k = match kind {
@@ -179,59 +170,11 @@ fn thunk_size(code: u8) -> Size {
     }
 }
 
-/// How a deferral updates the thunk's kind register, given what the
-/// block or trace already wrote there.
-enum KindWrite {
-    /// It already holds the value.
-    Keep,
-    /// Set it to a known value.
-    Set(u64),
-    /// Only the INC/DEC field changes, from a known field value: XOR.
-    Xor(i64),
-    /// Only the INC/DEC field changes, from an unknown one: clear it
-    /// and OR this in.
-    Field(i64),
-}
-
-impl KindWrite {
-    fn after(seen: &ThunkWrites, kind: ArithKind, size: Size) -> KindWrite {
-        let code = thunk_code(kind, size);
-        if !matches!(kind, ArithKind::Inc | ArithKind::Dec) {
-            return if seen.main == Some(code) && seen.incdec == Some(0) {
-                KindWrite::Keep
-            } else {
-                KindWrite::Set(code as u64)
-            };
-        }
-        let field = |c: u8| (c as i64) << 8;
-        match (seen.incdec, seen.main) {
-            (Some(c), _) if c == code => KindWrite::Keep,
-            (_, Some(main)) => KindWrite::Set(main as u64 | field(code) as u64),
-            (Some(c), None) => KindWrite::Xor(field(c) ^ field(code)),
-            (None, None) => KindWrite::Field(field(code)),
-        }
-    }
-
-    fn ops(&self) -> u32 {
-        match self {
-            KindWrite::Keep => 0,
-            KindWrite::Set(_) | KindWrite::Xor(_) => 1,
-            KindWrite::Field(_) => 2,
-        }
-    }
-}
-
 impl Eflags {
     /// The registers that make up the home, the thunk's included. The
     /// hot dead-code pass keeps them live at a trace's end and at every
     /// exit.
-    pub(crate) const HOMES: [Gr; 5] = [
-        GR_EFLAGS,
-        GR_THUNK_KIND,
-        GR_THUNK_A,
-        GR_THUNK_B,
-        GR_THUNK_INCDEC,
-    ];
+    pub(crate) const HOMES: [Gr; 4] = [GR_EFLAGS, GR_THUNK_A, GR_THUNK_B, GR_THUNK_INCDEC];
 
     /// Whether `g` is one of [`HOMES`](Eflags::HOMES).
     pub(crate) fn is_home(g: Gr) -> bool {
@@ -283,61 +226,27 @@ impl Eflags {
         });
     }
 
-    /// The ops [`defer`](Eflags::defer) emits for a `kind` setter at
-    /// `size` after `seen`.
-    pub(crate) fn defer_cost(seen: &ThunkWrites, kind: ArithKind, size: Size) -> u32 {
-        let operands = if matches!(kind, ArithKind::Add | ArithKind::Sub) {
-            2
-        } else {
-            1
-        };
-        KindWrite::after(seen, kind, size).ops() + operands
-    }
-
+    /// The ops [`defer`](Eflags::defer) emits for a `kind` setter.
     /// Records a deferred `kind` setter at `size` in the thunk: ADD and
     /// SUB (CMP, NEG) keep their zero-extended operands `a` and `b`, a
     /// logic op its result `a`, INC and DEC their operand `a` in a slot
     /// of their own — CF stays with the setter before them. The caller
     /// marks the bits.
-    pub(crate) fn defer(
-        sink: &mut Sink,
-        seen: &mut ThunkWrites,
-        kind: ArithKind,
-        size: Size,
-        a: Gr,
-        b: Gr,
-    ) {
-        let d = GR_THUNK_KIND;
-        match KindWrite::after(seen, kind, size) {
-            KindWrite::Keep => {}
-            KindWrite::Set(v) => sink.mov_imm(d, v),
-            KindWrite::Xor(x) => sink.emit(Op::Xor {
-                d,
-                a: Src::Imm(x),
-                b: d,
-            }),
-            KindWrite::Field(f) => {
-                let a = Src::Imm(0xFF);
-                sink.emit(Op::And { d, a, b: d });
-                sink.emit(Op::Or {
-                    d,
-                    a: Src::Imm(f),
-                    b: d,
-                });
-            }
-        }
-        let code = Some(thunk_code(kind, size));
+    pub(crate) fn defer(sink: &mut Sink, kind: ArithKind, size: Size, a: Gr, b: Gr) {
+        let tagged = |d| Op::Or {
+            d,
+            a: Src::Imm((thunk_code(kind, size) as i64) << KIND),
+            b: a,
+        };
         match kind {
-            ArithKind::Inc | ArithKind::Dec => {
-                seen.incdec = code;
-                sink.mov(GR_THUNK_INCDEC, a);
-            }
+            ArithKind::Inc | ArithKind::Dec => sink.emit(tagged(GR_THUNK_INCDEC)),
             _ => {
-                (seen.main, seen.incdec) = (code, Some(0));
-                sink.mov(GR_THUNK_A, a);
+                sink.emit(tagged(GR_THUNK_A));
                 if kind != ArithKind::Logic {
                     sink.mov(GR_THUNK_B, b);
                 }
+                // No INC/DEC after it yet.
+                sink.mov(GR_THUNK_INCDEC, R0);
             }
         }
     }
@@ -396,18 +305,18 @@ impl Eflags {
     /// ADD/SUB/logic setter, the rest from the INC/DEC after it if any.
     fn thunk(m: &Machine) -> u32 {
         let gr = |g: Gr| m.gr[g.0 as usize];
-        let kinds = gr(GR_THUNK_KIND);
-        let (main, incdec) = (kinds as u8, (kinds >> 8) as u8);
-        let (a, b) = (gr(GR_THUNK_A) as u32, gr(GR_THUNK_B) as u32);
-        let size = thunk_size(main);
+        let (a, b) = (gr(GR_THUNK_A), gr(GR_THUNK_B) as u32);
+        let main = (a >> KIND) as u8;
+        let (a, size) = (a as u32, thunk_size(main));
         let f = match main >> 2 {
             1 => flags::add(a, b, size),
             2 => flags::sub(a, b, size),
             3 => flags::logic(a, size),
             _ => 0,
         };
-        let x = gr(GR_THUNK_INCDEC) as u32;
-        let size = thunk_size(incdec);
+        let x = gr(GR_THUNK_INCDEC);
+        let incdec = (x >> KIND) as u8;
+        let (x, size) = (x as u32, thunk_size(incdec));
         match incdec >> 2 {
             1 => (f & flags::CF) | flags::inc(x, size),
             2 => (f & flags::CF) | flags::dec(x, size),
@@ -531,15 +440,13 @@ mod tests {
         use ia32::flags::{AF, CF, OF, PF, RESERVED_ONES, SF, STATUS, ZF};
         let mut m = machine();
         Eflags::load(&mut m, STATUS);
-        let kinds = thunk_code(ArithKind::Add, Size::D) as u64;
-        m.gr[GR_THUNK_KIND.0 as usize] = kinds;
-        (m.gr[GR_THUNK_A.0 as usize], m.gr[GR_THUNK_B.0 as usize]) = (u32::MAX as u64, 1);
+        let tagged = |kind, size, x: u32| (thunk_code(kind, size) as u64) << KIND | x as u64;
+        m.gr[GR_THUNK_A.0 as usize] = tagged(ArithKind::Add, Size::D, u32::MAX);
+        m.gr[GR_THUNK_B.0 as usize] = 1;
         m.gr[GR_EFLAGS.0 as usize] |= ((CF | SF) as u64) << MARKS;
         // 0xFFFF_FFFF + 1 carries and is not negative.
         assert_eq!(Eflags::read(&m), (STATUS & !SF) | RESERVED_ONES);
-        let inc = (thunk_code(ArithKind::Inc, Size::B) as u64) << 8;
-        m.gr[GR_THUNK_KIND.0 as usize] = kinds | inc;
-        m.gr[GR_THUNK_INCDEC.0 as usize] = 0x7F;
+        m.gr[GR_THUNK_INCDEC.0 as usize] = tagged(ArithKind::Inc, Size::B, 0x7F);
         m.gr[GR_EFLAGS.0 as usize] |= ((ZF | OF) as u64) << MARKS;
         // INC of 0x7F at B: negative, overflows, half-carries; CF stays.
         let want = CF | SF | OF | PF | AF | RESERVED_ONES;

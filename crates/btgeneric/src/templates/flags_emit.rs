@@ -161,19 +161,6 @@ pub(crate) enum ArithKind {
     Dec,
 }
 
-/// The ops [`arith_flags`]' recipe spends on status bit `bit` of a
-/// `kind` setter: what deferring it saves.
-fn recipe_ops(kind: ArithKind, bit: u32) -> u32 {
-    let logic = kind == ArithKind::Logic;
-    match bit {
-        flags::CF | flags::AF | flags::OF if logic => 0,
-        flags::CF | flags::ZF | flags::SF => 2,
-        flags::OF if matches!(kind, ArithKind::Inc | ArithKind::Dec) => 3,
-        flags::OF => 5,
-        _ => 4,
-    }
-}
-
 /// The status bits a `kind` setter writes.
 fn written(kind: ArithKind) -> u32 {
     match kind {
@@ -182,18 +169,39 @@ fn written(kind: ArithKind) -> u32 {
     }
 }
 
-/// Of the `live` bits of a `kind` setter at `size`, those it leaves to
-/// the thunk: every bit only the engine reads, when the recipe ops
-/// they save exceed the thunk ops they cost — so a lone CF or ZF stays
-/// eager — or none.
-fn deferred(ctx: &EmitCtx<'_>, kind: ArithKind, size: Size, live: u32) -> u32 {
-    let engine_only = live & !ctx.read_flags & written(kind);
-    let saved: u32 = (0..12)
-        .map(|k| 1 << k)
-        .filter(|bit| engine_only & bit != 0)
-        .map(|bit| recipe_ops(kind, bit))
-        .sum();
-    if saved > Eflags::defer_cost(ctx.thunk, kind, size) {
+/// The operands of a flag setter, as [`arith_flags`] takes them.
+#[derive(Clone, Copy)]
+struct Setter {
+    kind: ArithKind,
+    a: Gr,
+    b: Gr,
+    res64: Gr,
+    res: Gr,
+    size: Size,
+}
+
+/// The ops `emit` puts in a sink of its own.
+fn ops(emit: impl FnOnce(&mut Sink)) -> usize {
+    let mut sink = Sink::new();
+    emit(&mut sink);
+    sink.inst_count()
+}
+
+/// Of the `live` bits of setter `s`, those it leaves to the thunk:
+/// every bit only the engine reads, when the recipe would spend more
+/// ops on them than the thunk costs — so an ADD's or SUB's lone CF or
+/// ZF stays eager — or none.
+fn deferred(ctx: &EmitCtx<'_>, s: Setter, live: u32) -> u32 {
+    let engine_only = live & !ctx.read_flags & written(s.kind);
+    if engine_only == 0 {
+        return 0;
+    }
+    let recipe = ops(|sink| {
+        let mut fa = FlagAcc { acc: sink.vg() };
+        recipe(sink, &mut fa, s, engine_only);
+    });
+    let thunk = ops(|sink| Eflags::defer(sink, s.kind, s.size, s.a, s.b));
+    if recipe > thunk {
         engine_only
     } else {
         0
@@ -228,21 +236,44 @@ pub(super) fn arith_flags(
     if live == 0 {
         return;
     }
+    // A logic setter leaves its result to the thunk.
+    let a = if kind == ArithKind::Logic { res } else { a };
+    let s = Setter {
+        kind,
+        a,
+        b,
+        res64,
+        res,
+        size,
+    };
     let defer = if deferrable {
-        deferred(ctx, kind, size, live)
+        deferred(ctx, s, live)
     } else {
         0
     };
     let live = live & !defer;
     if defer != 0 {
-        let a = if kind == ArithKind::Logic { res } else { a };
-        Eflags::defer(sink, ctx.thunk, kind, size, a, b);
+        Eflags::defer(sink, kind, size, a, b);
         if live == 0 {
             Eflags::mark(sink, defer);
             return;
         }
     }
     let mut fa = FlagAcc::deferring(sink, defer);
+    recipe(sink, &mut fa, s, live);
+    fa.commit(sink, live & written(kind), None);
+}
+
+/// Accumulates the `live` bits of setter `s` in `fa`.
+fn recipe(sink: &mut Sink, fa: &mut FlagAcc, s: Setter, live: u32) {
+    let Setter {
+        kind,
+        a,
+        b,
+        res64,
+        res,
+        size,
+    } = s;
     let bits = size.bits() as u8;
     let arith = matches!(kind, ArithKind::Add | ArithKind::Sub);
 
@@ -329,7 +360,6 @@ pub(super) fn arith_flags(
         });
         fa.or_pred(sink, pt, flags::AF);
     }
-    fa.commit(sink, live & written(kind), None);
 }
 
 /// Emits `SF`/`ZF`/`PF` (+ cleared `CF`/`OF`/`AF`) for a logic result.
@@ -426,18 +456,12 @@ pub(super) fn result_cond(sink: &mut Sink, res: Gr, size: Size, cond: ia32::Cond
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::state::ThunkWrites;
     use crate::templates::{AccessMode, AlignCache, FpCtx, MisalignPlan, XmmCtx};
 
     /// Runs `f` with the context of one instruction at 0x1000 after
     /// which `live` flags are live and translated code reads `read` of
-    /// them, in a block that has written `thunk` so far.
-    fn with_ctx_reading<T>(
-        live: u32,
-        read: u32,
-        thunk: &mut ThunkWrites,
-        f: impl FnOnce(&mut EmitCtx<'_>) -> T,
-    ) -> T {
+    /// them.
+    fn with_ctx_reading<T>(live: u32, read: u32, f: impl FnOnce(&mut EmitCtx<'_>) -> T) -> T {
         let (mut fp, mut xmm) = (FpCtx::new(0, false), XmmCtx::new(0));
         let plan = MisalignPlan::uniform(AccessMode::Fast, 0);
         f(&mut EmitCtx {
@@ -449,14 +473,13 @@ mod tests {
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut AlignCache::default(),
-            thunk,
         })
     }
 
     /// Runs `f` with the context of one instruction at 0x1000 after
     /// which `live` flags are live, all of them read by translated code.
     fn with_ctx<T>(live: u32, f: impl FnOnce(&mut EmitCtx<'_>) -> T) -> T {
-        with_ctx_reading(live, live, &mut ThunkWrites::default(), f)
+        with_ctx_reading(live, live, f)
     }
 
     /// The ops `arith_flags` emits for an ADD at D with `live` flags of
@@ -464,7 +487,7 @@ mod tests {
     fn add_ops(live: u32, read: u32) -> usize {
         let mut s = Sink::new();
         let (a, b, r64, r) = (s.vg(), s.vg(), s.vg(), s.vg());
-        with_ctx_reading(live, read, &mut ThunkWrites::default(), |ctx| {
+        with_ctx_reading(live, read, |ctx| {
             arith_flags(
                 &mut s,
                 ctx,
@@ -516,7 +539,7 @@ mod tests {
         // ADC keeps everything in the home: the thunk has no carry-in.
         let mut s = Sink::new();
         let (a, b, r64, r) = (s.vg(), s.vg(), s.vg(), s.vg());
-        with_ctx_reading(flags::STATUS, 0, &mut ThunkWrites::default(), |ctx| {
+        with_ctx_reading(flags::STATUS, 0, |ctx| {
             let live = flags::STATUS;
             arith_flags(
                 &mut s,
@@ -540,7 +563,7 @@ mod tests {
     mod oracle {
         use super::*;
         use crate::hot::eval;
-        use crate::state::{self, ThunkWrites};
+        use crate::state;
         use crate::templates::{emit, emit_cond_pred, emit_fused_cmp_jcc, IlItem};
         use ia32::inst::{AluOp, Inst as I32, MulDivOp, Rm, RmI, ShiftCount, ShiftOp};
         use ia32::regs::{EAX, EBX, ECX, EDX};
@@ -587,8 +610,6 @@ mod tests {
             /// (a setter's dead bits are not) and what the case is.
             reads: Vec<(u32, u32, String)>,
             stores: u64,
-            /// What the case's block has written to the thunk so far.
-            thunk: ThunkWrites,
         }
 
         impl Cases {
@@ -603,13 +624,11 @@ mod tests {
                 with_ctx(live, |ctx| emit(&mut self.sink, inst, ctx)).expect("a template exists");
             }
 
-            /// Emits `inst` in the case's block, with `live` flags after
-            /// it of which translated code reads `read`.
+            /// Emits `inst` with `live` flags after it, of which
+            /// translated code reads `read`.
             fn emit_reading(&mut self, inst: &I32, live: u32, read: u32) {
-                with_ctx_reading(live, read, &mut self.thunk, |ctx| {
-                    emit(&mut self.sink, inst, ctx)
-                })
-                .expect("a template exists");
+                with_ctx_reading(live, read, |ctx| emit(&mut self.sink, inst, ctx))
+                    .expect("a template exists");
             }
 
             /// The sum of `1 << i` over the predicates `preds[i]` that hold.
@@ -644,13 +663,12 @@ mod tests {
             }
 
             /// Ends a thunk row: `Eflags::read` must give `want` on the
-            /// bits of `mask`. The next case starts a fresh block.
+            /// bits of `mask`.
             fn check_read(&mut self, want: u32, mask: u32, what: String) {
                 for h in Eflags::HOMES {
                     self.store(h);
                 }
                 self.reads.push((want, mask, what));
-                self.thunk = ThunkWrites::default();
             }
 
             fn run(self) {

@@ -1128,7 +1128,6 @@ mod tests {
             xmm,
             misalign: &plan,
             align: &mut align,
-            thunk: &mut Default::default(),
         };
         emit_fp(&mut sink, inst, &mut ctx).expect("template exists");
         sink

@@ -675,7 +675,6 @@ mod tests {
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
-            thunk: &mut Default::default(),
         };
         let _ = &mut ctx;
         // [ebx + esi*4 + 0x10]: shladd + adds + zxt = 3 ops.
@@ -705,7 +704,6 @@ mod tests {
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
-            thunk: &mut Default::default(),
         };
         let addr = s.vg();
         guest_load(&mut s, &mut ctx, addr, None, 4);
@@ -734,7 +732,6 @@ mod tests {
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
-            thunk: &mut Default::default(),
         };
         let a1 = Addr::base_disp(ia32::regs::EBX, 0);
         let a2 = Addr::base_disp(ia32::regs::EBX, 8); // congruent mod 8
@@ -763,7 +760,6 @@ mod tests {
             xmm: &mut xmm,
             misalign: &plan,
             align: &mut al,
-            thunk: &mut Default::default(),
         };
         let addr = s.vg();
         guest_load(&mut s, &mut ctx, addr, None, 4);

@@ -302,8 +302,6 @@ pub struct EmitCtx<'a> {
     /// Alignment-predicate reuse cache (paper §5 stage 3a), shared
     /// across the instructions of a block/trace.
     pub align: &'a mut AlignCache,
-    /// What the block/trace has written to the EFLAGS thunk so far.
-    pub thunk: &'a mut state::ThunkWrites,
 }
 
 /// FP stack tracking across one block/trace (paper §5).
