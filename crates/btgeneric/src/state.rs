@@ -226,12 +226,11 @@ impl Eflags {
         });
     }
 
-    /// The ops [`defer`](Eflags::defer) emits for a `kind` setter.
     /// Records a deferred `kind` setter at `size` in the thunk: ADD and
     /// SUB (CMP, NEG) keep their zero-extended operands `a` and `b`, a
     /// logic op its result `a`, INC and DEC their operand `a` in a slot
-    /// of their own — CF stays with the setter before them. The caller
-    /// marks the bits.
+    /// of their own — CF stays with the setter before them. The kind is
+    /// ORed in above the first operand. The caller marks the bits.
     pub(crate) fn defer(sink: &mut Sink, kind: ArithKind, size: Size, a: Gr, b: Gr) {
         let tagged = |d| Op::Or {
             d,
