@@ -55,14 +55,26 @@ pub struct ColdGenInput<'a> {
     pub fuse: bool,
     /// Emit inline (per-access) FP tag checks — the post-TagFix variant.
     pub inline_fp_checks: bool,
-    /// Self-modifying-code prologue: compare 8 code bytes at `addr`
-    /// against `expected`.
-    pub smc_check: Option<(u64, u64)>,
+    /// Self-modifying-code prologue: the words of the block's source
+    /// span to compare on entry (empty: no prologue).
+    pub smc_check: Vec<SourceWord>,
     /// Demoted variant of the indirect-transfer acceleration layer:
     /// the block was observed to mispredict chronically (megamorphic
     /// call site or shadow-stack-hostile ret), so emit only the plain
     /// 2-way table probe — no inline cache, no shadow push/pop.
     pub plain: bool,
+}
+
+/// One 8-byte-aligned word of a block's source span, as its
+/// self-modifying-code prologue compares it.
+#[derive(Clone, Copy, Debug, PartialEq, Eq)]
+pub struct SourceWord {
+    /// The word's (aligned) guest address.
+    pub addr: u64,
+    /// The word's bytes that lie inside the source span.
+    pub mask: u64,
+    /// Those bytes at translation time (zero outside `mask`).
+    pub bytes: u64,
 }
 
 /// A generated cold block.
@@ -817,36 +829,59 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     // Head: SMC check, speculation checks, instrumentation.
     let mut head = Sink::new();
     head.set_ip(input.entry);
-    if let Some((addr, expected)) = input.smc_check {
-        let a = head.vg();
-        head.emit(Op::Movl { d: a, imm: addr });
-        let cur = head.vg();
-        head.emit(Op::Ld {
-            sz: 8,
-            d: cur,
-            addr: a,
-            spec: false,
-        });
-        let exp = head.vg();
-        head.emit(Op::Movl {
-            d: exp,
-            imm: expected,
-        });
-        let (pne, _pe) = (head.vp(), head.vp());
-        head.emit(Op::Cmp {
-            rel: CmpRel::Ne,
-            pt: pne,
-            pf: _pe,
-            a: Src::Reg(cur),
-            b: exp,
-        });
+    if let Some(first) = input.smc_check.first() {
         head.mov_imm(GR_PAYLOAD0, input.block_id as u64);
-        head.emit_pred(
-            pne,
-            Op::Br {
-                target: Target::Abs(StubKind::SmcFail.addr()),
-            },
-        );
+        let base = head.vg();
+        head.emit(Op::Movl {
+            d: base,
+            imm: first.addr,
+        });
+        for w in &input.smc_check {
+            let addr = if w.addr == first.addr {
+                base
+            } else {
+                let a = head.vg();
+                head.emit(Op::Add {
+                    d: a,
+                    a: Src::Imm((w.addr - first.addr) as i64),
+                    b: base,
+                });
+                a
+            };
+            let mut cur = head.vg();
+            head.emit(Op::Ld {
+                sz: 8,
+                d: cur,
+                addr,
+                spec: false,
+            });
+            if w.mask != !0 {
+                let (mask, masked) = (head.vg(), head.vg());
+                head.mov_imm(mask, w.mask);
+                head.emit(Op::And {
+                    d: masked,
+                    a: Src::Reg(mask),
+                    b: cur,
+                });
+                cur = masked;
+            }
+            let exp = head.vg();
+            head.mov_imm(exp, w.bytes);
+            let (pne, _pe) = (head.vp(), head.vp());
+            head.emit(Op::Cmp {
+                rel: CmpRel::Ne,
+                pt: pne,
+                pf: _pe,
+                a: Src::Reg(cur),
+                b: exp,
+            });
+            head.emit_pred(
+                pne,
+                Op::Br {
+                    target: Target::Abs(StubKind::SmcFail.addr()),
+                },
+            );
+        }
     }
     emit_spec_checks(&mut head, &fp, &xmm, input.block_id);
     // Use counter + heating trigger at every multiple of the threshold
@@ -1092,7 +1127,7 @@ mod tests {
             flag_liveness: true,
             fuse: true,
             inline_fp_checks: false,
-            smc_check: None,
+            smc_check: Vec::new(),
             plain: false,
         };
         generate(&input).expect("generates")
@@ -1158,7 +1193,7 @@ mod tests {
             flag_liveness: true,
             fuse: false,
             inline_fp_checks: false,
-            smc_check: None,
+            smc_check: Vec::new(),
             plain: false,
         };
         let unfused = generate(&input).unwrap();
@@ -1198,7 +1233,7 @@ mod tests {
         mem.write_forced(0x1000, &code);
         let region = discover(&mem, 0x1000);
         let liveness = analyze(&region);
-        let mk = |smc: Option<(u64, u64)>| ColdGenInput {
+        let mk = |smc: Vec<SourceWord>| ColdGenInput {
             region: &region,
             liveness: &liveness,
             entry: 0x1000,
@@ -1213,8 +1248,23 @@ mod tests {
             smc_check: smc,
             plain: false,
         };
-        let plain = generate(&mk(None)).unwrap();
-        let checked = generate(&mk(Some((0x1000, 0xDEAD)))).unwrap();
+        let loads = |b: &ColdBlock| {
+            b.code
+                .bundles()
+                .iter()
+                .flat_map(|bu| bu.slots.iter())
+                .filter(|s| matches!(s.op, Op::Ld { .. }))
+                .count()
+        };
+        let plain = generate(&mk(Vec::new())).unwrap();
+        let word = |addr, mask| SourceWord {
+            addr,
+            mask,
+            bytes: 0xDEAD & mask,
+        };
+        let words = vec![word(0x1000, !0), word(0x1008, 0xFF)];
+        let checked = generate(&mk(words)).unwrap();
         assert!(checked.native_insts > plain.native_insts);
+        assert_eq!(loads(&checked), loads(&plain) + 2, "one load per word");
     }
 }

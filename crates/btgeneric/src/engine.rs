@@ -232,6 +232,11 @@ pub struct BlockInfo {
     pub hot: Option<crate::hot::HotData>,
 }
 
+/// The guest pages the source span `[start, end)` touches.
+pub(crate) fn source_pages((start, end): (u32, u32)) -> std::ops::RangeInclusive<u32> {
+    (start >> 12)..=(end.saturating_sub(1).max(start) >> 12)
+}
+
 /// FNV-1a over guest source bytes (the per-extent SMC invalidation
 /// key; same construction as the arena's bundle checksum).
 pub(crate) fn src_checksum(mem: &GuestMem, range: (u32, u32)) -> u64 {
@@ -716,11 +721,13 @@ impl Engine {
             profile,
             block_id: id,
         };
-        // SMC-aware prologue for pages that have already modified code.
-        let smc_check = self.smc.is_snapshot(eip >> 12).then(|| {
-            let snapshot = self.mem.read(eip as u64, 8).unwrap_or(0);
-            (eip as u64, snapshot)
-        });
+        // No write protection watches a span that touches a snapshot-mode
+        // page: the block checks its own bytes on entry instead.
+        let smc_check = if self.smc.governs(src_range) {
+            smc::source_words(&self.mem, src_range)
+        } else {
+            Vec::new()
+        };
         let input = ColdGenInput {
             region: &region_g,
             liveness: &liveness,
@@ -1156,28 +1163,7 @@ impl Engine {
                 // Continue at the interrupted instruction.
                 ExitAction::Dispatch(self.state_eip())
             }
-            StubKind::SmcFail => {
-                let id = payload as u32;
-                self.stats.smc_events += 1;
-                let eip = self.blocks[id as usize].eip;
-                // Snapshot-mode pages are unprotected, so their writes
-                // never reach `handle_smc_store` — the prologue
-                // detection is their governor feed. A thrashing page
-                // goes back to interpret-only instead of retranslating.
-                if self.note_smc_disturbance(eip >> 12) {
-                    return ExitAction::Dispatch(eip);
-                }
-                let fresh = HashMap::new();
-                let _ = self.translate(
-                    os,
-                    eip,
-                    BlockKind::ColdV1,
-                    false,
-                    fresh,
-                    XlateOrigin::Demand,
-                );
-                ExitAction::Dispatch(eip)
-            }
+            StubKind::SmcFail => self.smc_check_failed(payload as u32),
             StubKind::TosFix | StubKind::TagFix | StubKind::MmxFix | StubKind::XmmFix => {
                 self.fp_fix(os, kind, payload as u32)
             }

@@ -165,11 +165,11 @@ impl Engine {
         if let Some(entry) = self.entry_of_existing(eip) {
             return Ok(entry);
         }
-        // SMC-thrashed pages are interpret-only until their backoff
-        // expires: retranslating code the guest is busy rewriting is
-        // pure churn (the thrash governor's bound on retranslation
-        // storms).
-        if self.smc.interpret_only(eip >> 12, self.machine.cycles) {
+        // A block the guest keeps rewriting is interpret-only until its
+        // backoff expires: retranslating it is pure churn (the thrash
+        // governor's bound on retranslation storms). The rest of its
+        // page stays translated.
+        if self.smc.interpret_only(eip, self.machine.cycles) {
             self.stats.smc_interp_blocks += 1;
             return Ok(self.interp_stub_for(eip));
         }

@@ -236,15 +236,6 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             main_exit = cur;
             break;
         }
-        // A page the SMC governor has flagged rewrites itself under the
-        // trace's feet. Cold blocks there are snapshot-checked on every
-        // entry; a hot trace would bake the current bytes in with no
-        // staleness check, so end the trace at the page boundary (or
-        // select nothing if it starts there).
-        if engine.smc.is_snapshot(cur >> 12) {
-            main_exit = cur;
-            break;
-        }
         visited.insert(cur);
         // The block must have run cold (we need its counters): the live
         // generation at this EIP, not one an eviction or SMC retired.
@@ -257,6 +248,15 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             main_exit = cur;
             break;
         };
+        // Source on a page the SMC governor watches can change under
+        // the trace's feet. Cold blocks from it check their bytes on
+        // every entry; a hot trace would bake the current bytes in with
+        // no staleness check, so end the trace before the block (or
+        // select nothing if it starts there).
+        if engine.smc.governs((cur, blk.end_ip())) {
+            main_exit = cur;
+            break;
+        }
         blocks.push(info.id);
         let n = blk.len();
         for (i, (ip, inst, len)) in region_g.insts(blk).iter().enumerate() {
@@ -302,7 +302,9 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                         // forward hammock `jcc skip; <short block>; skip:`
                         // (paper: predication for if...then... shapes).
                         if let Some(hammock) = decode_hammock(&engine.mem, next, *target) {
-                            if total + hammock.len() < budget {
+                            if total + hammock.len() < budget
+                                && !engine.smc.governs((next, *target))
+                            {
                                 steps.push(Step::Guard {
                                     cond: *cond,
                                     ip: *ip,

@@ -27,7 +27,7 @@
 //! and the prediction tables and runs after every transition in a
 //! debug build.
 
-use crate::engine::BlockInfo;
+use crate::engine::{source_pages, BlockInfo};
 use crate::extents::ExtentIndex;
 use crate::layout::StubKind;
 use std::collections::{BTreeSet, HashMap};
@@ -259,10 +259,7 @@ impl Registry {
 /// The guest pages `spans` (`[start, end)` byte ranges) overlap,
 /// ascending, each once.
 fn pages_of_spans(spans: &[(u32, u32)]) -> Vec<u32> {
-    let mut pages: Vec<u32> = spans
-        .iter()
-        .flat_map(|&(start, end)| (start >> 12)..=(end.saturating_sub(1).max(start) >> 12))
-        .collect();
+    let mut pages: Vec<u32> = spans.iter().flat_map(|&span| source_pages(span)).collect();
     pages.sort_unstable();
     pages.dedup();
     pages
@@ -651,7 +648,7 @@ mod tests {
                 // The governor takes the loop's page (no live code on
                 // it), which is then write-protected behind its back.
                 for _ in 0..e.cfg.smc_thrash_threshold {
-                    e.note_smc_disturbance(0x400);
+                    e.note_smc_disturbance(0x400, &[]);
                 }
                 e.mem.set_code_protect(0x40_0000, true);
             }),

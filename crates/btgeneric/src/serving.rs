@@ -56,7 +56,7 @@
 //! serving bench can report contention honestly.
 
 use crate::btos::BtOs;
-use crate::engine::{src_checksum, BlockKind, Config, Engine, RecordSource};
+use crate::engine::{source_pages, src_checksum, BlockKind, Config, Engine, RecordSource};
 use crate::persist::{self, ImageBlock};
 use crate::stats::Stats;
 use std::collections::{HashMap, HashSet};
@@ -168,31 +168,28 @@ impl Namespace {
     /// Looks up `eip`. Read-locks exactly one shard; `contention` is
     /// bumped if the lock was held.
     pub fn consult(&self, eip: u32, contention: &mut u64) -> Consult {
-        if self
-            .denied_pages
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&(eip >> 12))
-        {
+        if self.denies((eip, eip)) {
             return Consult::Denied;
         }
         let shard = self.read_shard(self.shard_index(eip), contention);
         match shard.entries.get(&eip) {
+            Some(e) if self.denies(e.block.src_range) => Consult::Denied,
             Some(e) if e.gen_tag == shard.gen => Consult::Hit(e.clone()),
             Some(_) => Consult::GenStale,
             None => Consult::Miss,
         }
     }
 
+    /// Whether any page of the source span `[start, end)` is denied.
+    fn denies(&self, span: (u32, u32)) -> bool {
+        let denied = self.denied_pages.read().unwrap_or_else(|e| e.into_inner());
+        source_pages(span).any(|p| denied.contains(&p))
+    }
+
     /// Publishes (or re-publishes) a record under the current shard
-    /// generation. Returns false when the page is denied.
+    /// generation. Returns false when a page of its source is denied.
     pub fn publish(&self, block: ImageBlock, contention: &mut u64) -> bool {
-        if self
-            .denied_pages
-            .read()
-            .unwrap_or_else(|e| e.into_inner())
-            .contains(&(block.eip >> 12))
-        {
+        if self.denies(block.src_range) {
             return false;
         }
         let mut shard = self.write_shard(self.shard_index(block.eip), contention);
@@ -250,15 +247,18 @@ impl Namespace {
         }
     }
 
-    /// Invalidates every entry on a guest page (SMC invalidation):
-    /// affected shards drop the entries and bump their generation.
-    /// Returns the number of shard generations bumped.
+    /// Invalidates every entry with source on a guest page (SMC
+    /// invalidation), a block straddling onto it from the page before
+    /// included: affected shards drop the entries and bump their
+    /// generation. Returns the number of shard generations bumped.
     pub fn invalidate_page(&self, page: u32, contention: &mut u64) -> u64 {
         let mut bumped = 0;
         for i in 0..self.shards.len() {
             let mut shard = self.write_shard(i, contention);
             let before = shard.entries.len();
-            shard.entries.retain(|&eip, _| eip >> 12 != page);
+            shard
+                .entries
+                .retain(|_, e| !source_pages(e.block.src_range).contains(&page));
             if shard.entries.len() != before {
                 shard.gen += 1;
                 bumped += 1;
@@ -566,6 +566,44 @@ mod tests {
             !ns.publish(rec(0x41_0000), &mut c),
             "denied page refuses publish"
         );
+    }
+
+    #[test]
+    fn a_straddling_record_belongs_to_both_pages() {
+        let ns = Namespace::new(7, 8);
+        let mut c = 0;
+        let straddler = ImageBlock {
+            eip: 0x40_0FF0,
+            src_range: (0x40_0FF0, 0x40_1004),
+            ..ImageBlock::default()
+        };
+        ns.publish(straddler.clone(), &mut c);
+        ns.publish(rec(0x40_0100), &mut c);
+        // A store to the second page takes the straddler, not its
+        // neighbour on the first.
+        assert!(ns.invalidate_page(0x401, &mut c) >= 1);
+        assert_eq!(ns.consult(0x40_0FF0, &mut c), Consult::Miss);
+        assert_ne!(ns.consult(0x40_0100, &mut c), Consult::Miss);
+        assert!(ns.publish(straddler.clone(), &mut c));
+        ns.deny_page(0x401, &mut c);
+        assert!(
+            !ns.publish(straddler.clone(), &mut c),
+            "its second page is denied"
+        );
+        assert_ne!(ns.consult(0x40_0100, &mut c), Consult::Denied);
+        // A publish that raced the denial: the record is refused on
+        // consult all the same.
+        let mut shard = ns.write_shard(ns.shard_index(straddler.eip), &mut c);
+        let gen_tag = shard.gen;
+        shard.entries.insert(
+            straddler.eip,
+            SharedEntry {
+                block: straddler,
+                gen_tag,
+            },
+        );
+        drop(shard);
+        assert_eq!(ns.consult(0x40_0FF0, &mut c), Consult::Denied);
     }
 
     #[test]

@@ -152,10 +152,11 @@ pub struct Stats {
     /// untouched and which therefore survived (per-extent invalidation
     /// paying off).
     pub smc_extent_keeps: u64,
-    /// Pages demoted to interpret-only by the SMC-thrash governor.
+    /// Blocks made interpret-only by the SMC-thrash governor (one per
+    /// strike of a block).
     pub smc_blacklists: u64,
-    /// Dispatches served by the interpreter because the target page is
-    /// SMC-blacklisted (each is one guest instruction).
+    /// Dispatches served by the interpreter because the target block
+    /// is SMC-blacklisted (each is one guest instruction).
     pub smc_interp_blocks: u64,
     /// Recoveries entered while another recovery was already on the
     /// stack (the re-entrant descent of the ladder).

@@ -364,11 +364,11 @@ pub enum EventData {
         /// Handler EIP entered.
         handler: u32,
     },
-    /// The SMC-thrash governor demoted a page to interpret-only.
+    /// The SMC-thrash governor made a block interpret-only.
     SmcBlacklist {
-        /// Guest page number (address >> 12).
-        page: u32,
-        /// Strikes recorded against the page so far.
+        /// Guest EIP of the block.
+        eip: u32,
+        /// Strikes recorded against the block so far.
         strikes: u32,
     },
     /// A phase span opened.
@@ -474,8 +474,8 @@ impl std::fmt::Display for TraceEvent {
             EventData::SignalDelivered { eip, handler } => {
                 write!(f, "signal       @ {eip:#x} -> handler {handler:#x}")
             }
-            EventData::SmcBlacklist { page, strikes } => {
-                write!(f, "smc-blacklist page {page:#x} (strike {strikes})")
+            EventData::SmcBlacklist { eip, strikes } => {
+                write!(f, "smc-blacklist @ {eip:#x} (strike {strikes})")
             }
             EventData::PhaseEnter { phase } => write!(f, "phase-enter  {}", phase.name()),
             EventData::PhaseExit { phase, cycles } => {
@@ -917,10 +917,10 @@ impl Tracer {
                     "i",
                     format!("\"eip\":{eip},\"handler\":{handler}"),
                 ),
-                EventData::SmcBlacklist { page, strikes } => (
-                    format!("smc-blacklist {page:#x}"),
+                EventData::SmcBlacklist { eip, strikes } => (
+                    format!("smc-blacklist {eip:#x}"),
                     "i",
-                    format!("\"page\":{page},\"strikes\":{strikes}"),
+                    format!("\"eip\":{eip},\"strikes\":{strikes}"),
                 ),
             };
             let _ = write!(

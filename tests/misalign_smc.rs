@@ -259,6 +259,226 @@ fn smc_store_to_a_page_a_hot_trace_only_inlines_retires_the_trace() {
     );
 }
 
+/// A guest JIT: each of `iters` iterations stores its loop counter at
+/// `patch` (the code of the stub at `stub`, which `emit_stub` emits) and
+/// calls the stub, folding its EAX into EDI. The loop itself lives at
+/// the start of page 0x400 and never changes. Once the stores have
+/// thrashed the patched page, the SMC governor stops protecting it and
+/// every translation with source there checks its bytes on entry.
+fn jit_image(iters: i32, stub: u32, patch: u32, emit_stub: impl FnOnce(&mut Asm)) -> Image {
+    let mut a = Asm::new(0x40_0000);
+    let entry = a.label();
+    a.mov_ri(ECX, iters);
+    a.mov_ri(EDI, 0);
+    let top = a.label();
+    a.bind(top);
+    a.mov_store(Addr::abs(patch), ECX);
+    a.call(entry);
+    a.alu_rr(AluOp::Add, EDI, EAX);
+    a.mov_rr(EAX, EDI);
+    a.shift_i(ShiftOp::Shl, EAX, 5);
+    a.alu_rr(AluOp::Xor, EDI, EAX);
+    a.dec(ECX);
+    a.jcc(Cond::Ne, top);
+    a.mov_store(Addr::abs(DATA), EDI);
+    a.hlt();
+    pad_to(&mut a, stub);
+    a.bind(entry);
+    emit_stub(&mut a);
+    Image::from_asm(&a)
+        .with_bss(DATA, 0x1000)
+        .with_writable_code()
+}
+
+/// The stub `mov eax, ecx; add eax, 7; mov ebx, imm32; add eax, ebx;
+/// ret` with the `mov ebx` at `mov_ebx` (nops pad the gap), and where
+/// its immediate lies.
+fn emit_imm_stub(a: &mut Asm, mov_ebx: u32) -> u32 {
+    a.mov_rr(EAX, ECX);
+    a.alu_ri(AluOp::Add, EAX, 7);
+    pad_to(a, mov_ebx);
+    a.mov_ri(EBX, 1); // B8+r imm32
+    a.alu_rr(AluOp::Add, EAX, EBX);
+    a.ret();
+    mov_ebx + 1
+}
+
+/// Runs `image(iters)` against the oracle, cold and hot, at a few
+/// lengths: short enough that the governor has only just struck, and
+/// long enough that struck blocks have come back translated.
+fn jit_differential(what: &str, image: impl Fn(i32) -> Image) {
+    for iters in [50, 200, 2_000] {
+        let img = image(iters);
+        differential(
+            &img,
+            cold_config(),
+            &[(DATA, 4)],
+            &format!("{what}/cold/{iters}"),
+        );
+        differential(
+            &img,
+            hot_config(),
+            &[(DATA, 4)],
+            &format!("{what}/hot/{iters}"),
+        );
+    }
+}
+
+#[test]
+fn smc_patch_past_the_first_eight_bytes_of_a_governed_block_is_seen() {
+    // The immediate lies at offset 9 of the stub's block: a check of
+    // the 8 bytes at the block's EIP never sees it change.
+    const STUB: u32 = 0x40_0040;
+    jit_differential("patch at offset 9", |iters| {
+        jit_image(iters, STUB, STUB + 9, |a| {
+            assert_eq!(emit_imm_stub(a, STUB + 8), STUB + 9);
+        })
+    });
+}
+
+#[test]
+fn smc_patch_on_the_governed_page_a_block_straddles_onto_is_seen() {
+    // The stub starts on page 0x400, which stays write-protected, and
+    // its immediate lies on page 0x401, which the stores thrash into
+    // snapshot mode. A check chosen by the block's first page alone
+    // never runs.
+    const STUB: u32 = 0x40_0FF0;
+    jit_differential("straddler", |iters| {
+        jit_image(iters, STUB, 0x40_1000, |a| {
+            assert_eq!(emit_imm_stub(a, 0x40_0FFF), 0x40_1000);
+        })
+    });
+}
+
+#[test]
+fn a_guest_jit_keeps_its_loop_translated() {
+    // `guest_jit`'s shape: the stub `mov eax, imm32; ret` shares the
+    // page with the loop that patches it. Only the stub's block is
+    // struck; the loop stays translated (each iteration interprets the
+    // stub's one `mov`), and no snapshot check takes a misalignment
+    // fault.
+    const STUB: u32 = 0x40_0040;
+    for iters in [50, 200, 2_000] {
+        let img = jit_image(iters, STUB, STUB + 1, |a| {
+            a.mov_ri(EAX, 0x5EED);
+            a.ret();
+        });
+        for (cfg, how) in [(cold_config(), "cold"), (hot_config(), "hot")] {
+            let p = differential(&img, cfg, &[(DATA, 4)], &format!("guest jit/{how}/{iters}"));
+            let s = &p.engine.stats;
+            assert!(
+                s.smc_blacklists > 0,
+                "{how}/{iters}: the governor must strike"
+            );
+            assert_eq!(
+                s.misalign_faults, 0,
+                "{how}/{iters}: misaligned check loads"
+            );
+            assert!(
+                s.interp_steps <= iters as u64 + 64,
+                "{how}/{iters}: {} interpreter steps",
+                s.interp_steps
+            );
+        }
+    }
+}
+
+#[test]
+fn no_trace_inlines_a_block_straddling_onto_a_governed_page() {
+    // The loop block starts on page 0x400 and reads the immediate of
+    // its `mov ebx, imm32` from page 0x401, where the stub the loop
+    // patches every iteration thrashes the governor into snapshot mode.
+    // A quarter of the way from the end the loop rewrites that
+    // immediate once, from 1 to 1000. Page 0x401 is no longer
+    // protected, so only the loop block's own check sees the store: a
+    // trace that inlined the block because its first page is protected
+    // would keep adding 1.
+    const STUB: u32 = 0x40_1800;
+    let mut a = Asm::new(0x40_0000);
+    let (top, stub, skip) = (a.label(), a.label(), a.label());
+    a.mov_ri(ECX, 2_000);
+    a.mov_ri(EDI, 0);
+    a.jmp(top);
+    pad_to(&mut a, 0x40_0FFF);
+    a.bind(top);
+    a.mov_ri(EBX, 1); // B8+r at 0x400FFF, imm32 at 0x401000
+    a.alu_rr(AluOp::Add, EDI, EBX);
+    a.mov_store(Addr::abs(STUB + 1), ECX);
+    a.call(stub);
+    a.alu_rr(AluOp::Add, EDI, EAX);
+    a.cmp_ri(ECX, 500);
+    a.jcc(Cond::Ne, skip);
+    a.mov_mi(Addr::abs(0x40_1000), 1000);
+    a.bind(skip);
+    a.dec(ECX);
+    a.jcc(Cond::Ne, top);
+    a.mov_store(Addr::abs(DATA), EDI);
+    a.hlt();
+    pad_to(&mut a, STUB);
+    a.bind(stub);
+    a.mov_ri(EAX, 0);
+    a.ret();
+    let img = Image::from_asm(&a)
+        .with_bss(DATA, 0x1000)
+        .with_writable_code();
+    let p = differential(&img, hot_config(), &[(DATA, 4)], "straddling trace/hot");
+    assert!(
+        p.engine.stats.smc_blacklists > 0,
+        "page 0x401 must be governed"
+    );
+}
+
+#[test]
+fn no_trace_if_converts_a_hammock_onto_a_governed_page() {
+    // The block ending in `jz` lies on page 0x400; the `if` body it
+    // skips every other iteration starts on the page's last byte and
+    // reads its `mov ebx, imm32` immediate from page 0x401, which the
+    // patched stub thrashes into snapshot mode. The loop rewrites that
+    // immediate once, from 1 to 1000. A trace that if-converted the
+    // body would keep adding 1.
+    const STUB: u32 = 0x40_1800;
+    let mut a = Asm::new(0x40_0000);
+    let (top, stub, skip, cont) = (a.label(), a.label(), a.label(), a.label());
+    a.mov_ri(ECX, 800);
+    a.mov_ri(EDI, 0);
+    a.bind(top);
+    a.mov_store(Addr::abs(STUB + 1), ECX);
+    a.call(stub);
+    a.alu_rr(AluOp::Add, EDI, EAX);
+    a.mov_rr(EAX, ECX);
+    pad_to(&mut a, 0x40_0FFF - 9); // `and eax, 1` (3 bytes), `jz rel32` (6)
+    a.alu_ri(AluOp::And, EAX, 1);
+    a.jcc(Cond::E, skip);
+    assert_eq!(
+        a.here(),
+        0x40_0FFF,
+        "the if body starts on the page's last byte"
+    );
+    a.mov_ri(EBX, 1); // B8+r at 0x400FFF, imm32 at 0x401000
+    a.alu_rr(AluOp::Add, EDI, EBX);
+    a.bind(skip);
+    a.cmp_ri(ECX, 201);
+    a.jcc(Cond::Ne, cont);
+    a.mov_mi(Addr::abs(0x40_1000), 1000);
+    a.bind(cont);
+    a.dec(ECX);
+    a.jcc(Cond::Ne, top);
+    a.mov_store(Addr::abs(DATA), EDI);
+    a.hlt();
+    pad_to(&mut a, STUB);
+    a.bind(stub);
+    a.mov_ri(EAX, 0);
+    a.ret();
+    let img = Image::from_asm(&a)
+        .with_bss(DATA, 0x1000)
+        .with_writable_code();
+    let p = differential(&img, hot_config(), &[(DATA, 4)], "hammock/hot");
+    assert!(
+        p.engine.stats.smc_blacklists > 0,
+        "page 0x401 must be governed"
+    );
+}
+
 /// Where the frame tests put the guest's stack: on the code page, above
 /// the code. The translator write-protects that page once it has
 /// translated from it, so the frame it pushes for the guest is a store
