@@ -7,15 +7,15 @@
 use super::discover::{BlockEnd, Region};
 use super::liveness::Liveness;
 use super::lower::{lower, LowerError};
-use crate::layout::{self, Profile, StubKind};
-use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_STATE};
+use crate::layout::{Predictions, Profile, StubKind};
+use crate::state::{GR_PAYLOAD0, GR_STATE};
 use crate::templates::{
     self, emit_spec_checks, AlignCache, EmitCtx, FpCtx, IndKind, MisalignPlan, Sink, Term, XmmCtx,
 };
 use ia32::inst::{Class, Inst as I32};
 use ipf::asm::{CodeBuilder, Relocatable};
-use ipf::inst::{CmpRel, Op, ShiftKind, Src, Target};
-use ipf::regs::{Br, R0};
+use ipf::inst::{CmpRel, Op, Src, Target};
+use ipf::regs::R0;
 
 /// Runtime speculation seeds, sampled by the engine at translation time
 /// (the block is about to be entered, so "speculate what is true right
@@ -170,535 +170,6 @@ pub(crate) fn emit_counter_inc(
         },
     );
     c
-}
-
-/// Pushes a `(ret_eip, predicted_entry)` pair onto the simulated
-/// return-address shadow stack ring. The predicted translated entry is
-/// seeded from the shared lookup table at the call's translation-time
-/// constant return slot; when the table has no entry yet the pair is
-/// pushed empty, the matching `ret` underflows once, the dispatcher
-/// fills the table, and later pushes predict.
-pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
-    let sb = sink.vg();
-    sink.emit(Op::Movl {
-        d: sb,
-        imm: layout::SHADOW_TOS,
-    });
-    let tos = sink.vg();
-    sink.emit(Op::Ld {
-        sz: 8,
-        d: tos,
-        addr: sb,
-        spec: false,
-    });
-    let shb = sink.vg();
-    sink.emit(Op::Movl {
-        d: shb,
-        imm: layout::SHADOW_BASE,
-    });
-    let off = sink.vg();
-    sink.emit(Op::Shift {
-        kind: ShiftKind::Shl,
-        d: off,
-        a: tos,
-        count: Src::Imm(4),
-    });
-    let ea = sink.vg();
-    sink.emit(Op::Add {
-        d: ea,
-        a: Src::Reg(shb),
-        b: off,
-    });
-    let t2 = sink.vg();
-    sink.emit(Op::Add {
-        d: t2,
-        a: Src::Imm(1),
-        b: tos,
-    });
-    sink.emit(Op::And {
-        d: t2,
-        a: Src::Imm((layout::SHADOW_ENTRIES - 1) as i64),
-        b: t2,
-    });
-    sink.emit(Op::St {
-        sz: 8,
-        addr: sb,
-        val: t2,
-    });
-    // Probe both ways of the return EIP's lookup set for a prediction.
-    let s0 = sink.vg();
-    sink.emit(Op::Movl {
-        d: s0,
-        imm: layout::lookup_slot(ret),
-    });
-    let rr = sink.vg();
-    sink.mov_imm(rr, ret as u64);
-    let k0 = sink.vg();
-    sink.emit(Op::Ld {
-        sz: 8,
-        d: k0,
-        addr: s0,
-        spec: false,
-    });
-    let (p0, _n0) = (sink.vp(), sink.vp());
-    sink.emit(Op::Cmp {
-        rel: CmpRel::Eq,
-        pt: p0,
-        pf: _n0,
-        a: Src::Reg(k0),
-        b: rr,
-    });
-    let s1 = sink.vg();
-    sink.emit(Op::Add {
-        d: s1,
-        a: Src::Imm(layout::LOOKUP_ENTRY_SIZE as i64),
-        b: s0,
-    });
-    let k1 = sink.vg();
-    sink.emit(Op::Ld {
-        sz: 8,
-        d: k1,
-        addr: s1,
-        spec: false,
-    });
-    let (p1, _n1) = (sink.vp(), sink.vp());
-    sink.emit(Op::Cmp {
-        rel: CmpRel::Eq,
-        pt: p1,
-        pf: _n1,
-        a: Src::Reg(k1),
-        b: rr,
-    });
-    // Default: empty pair; a way hit overwrites both halves.
-    let key = sink.vg();
-    sink.emit(Op::Movl {
-        d: key,
-        imm: layout::LOOKUP_EMPTY_KEY,
-    });
-    let tg = sink.vg();
-    sink.emit(Op::Add {
-        d: tg,
-        a: Src::Imm(0),
-        b: R0,
-    });
-    let t0 = sink.vg();
-    sink.emit_pred(
-        p0,
-        Op::Add {
-            d: t0,
-            a: Src::Imm(8),
-            b: s0,
-        },
-    );
-    sink.emit_pred(
-        p0,
-        Op::Ld {
-            sz: 8,
-            d: tg,
-            addr: t0,
-            spec: false,
-        },
-    );
-    sink.emit_pred(
-        p0,
-        Op::Add {
-            d: key,
-            a: Src::Imm(0),
-            b: rr,
-        },
-    );
-    let t1 = sink.vg();
-    sink.emit_pred(
-        p1,
-        Op::Add {
-            d: t1,
-            a: Src::Imm(8),
-            b: s1,
-        },
-    );
-    sink.emit_pred(
-        p1,
-        Op::Ld {
-            sz: 8,
-            d: tg,
-            addr: t1,
-            spec: false,
-        },
-    );
-    sink.emit_pred(
-        p1,
-        Op::Add {
-            d: key,
-            a: Src::Imm(0),
-            b: rr,
-        },
-    );
-    sink.emit(Op::St {
-        sz: 8,
-        addr: ea,
-        val: key,
-    });
-    let ea8 = sink.vg();
-    sink.emit(Op::Add {
-        d: ea8,
-        a: Src::Imm(8),
-        b: ea,
-    });
-    sink.emit(Op::St {
-        sz: 8,
-        addr: ea8,
-        val: tg,
-    });
-}
-
-/// Pops the shadow stack and guard-compares the recorded return EIP
-/// against the actual one in `eip`; a hit branches straight to the
-/// recorded translated entry. The popped entry is consumed (emptied)
-/// either way so an evicted target can never be re-entered through a
-/// stale slot. A miss bumps the underflow/mispredict cells and drains
-/// to the `IndirectMiss` stub with a `RET_MISS_TAG`-tagged block id, so
-/// the dispatcher can count per-block pop misses and demote the block.
-pub(crate) fn emit_shadow_pop(sink: &mut Sink, eip: ipf::regs::Gr, block_id: u32) {
-    let sb = sink.vg();
-    sink.emit(Op::Movl {
-        d: sb,
-        imm: layout::SHADOW_TOS,
-    });
-    let tos = sink.vg();
-    sink.emit(Op::Ld {
-        sz: 8,
-        d: tos,
-        addr: sb,
-        spec: false,
-    });
-    let t2 = sink.vg();
-    sink.emit(Op::Add {
-        d: t2,
-        a: Src::Imm(layout::SHADOW_ENTRIES as i64 - 1),
-        b: tos,
-    });
-    sink.emit(Op::And {
-        d: t2,
-        a: Src::Imm((layout::SHADOW_ENTRIES - 1) as i64),
-        b: t2,
-    });
-    sink.emit(Op::St {
-        sz: 8,
-        addr: sb,
-        val: t2,
-    });
-    let shb = sink.vg();
-    sink.emit(Op::Movl {
-        d: shb,
-        imm: layout::SHADOW_BASE,
-    });
-    let off = sink.vg();
-    sink.emit(Op::Shift {
-        kind: ShiftKind::Shl,
-        d: off,
-        a: t2,
-        count: Src::Imm(4),
-    });
-    let ea = sink.vg();
-    sink.emit(Op::Add {
-        d: ea,
-        a: Src::Reg(shb),
-        b: off,
-    });
-    let k = sink.vg();
-    sink.emit(Op::Ld {
-        sz: 8,
-        d: k,
-        addr: ea,
-        spec: false,
-    });
-    let emp = sink.vg();
-    sink.emit(Op::Movl {
-        d: emp,
-        imm: layout::LOOKUP_EMPTY_KEY,
-    });
-    sink.emit(Op::St {
-        sz: 8,
-        addr: ea,
-        val: emp,
-    });
-    let (p_hit, _p_miss) = (sink.vp(), sink.vp());
-    sink.emit(Op::Cmp {
-        rel: CmpRel::Eq,
-        pt: p_hit,
-        pf: _p_miss,
-        a: Src::Reg(k),
-        b: eip,
-    });
-    emit_counter_inc(sink, Some(p_hit), layout::CELL_SHADOW_HITS);
-    let ea8 = sink.vg();
-    sink.emit(Op::Add {
-        d: ea8,
-        a: Src::Imm(8),
-        b: ea,
-    });
-    let tg = sink.vg();
-    sink.emit_pred(
-        p_hit,
-        Op::Ld {
-            sz: 8,
-            d: tg,
-            addr: ea8,
-            spec: false,
-        },
-    );
-    sink.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tg });
-    sink.emit_pred(p_hit, Op::BrRet { b: Br(1) });
-    // Only reached on a miss: attribute it.
-    let (p_u, p_mp) = (sink.vp(), sink.vp());
-    sink.emit(Op::Cmp {
-        rel: CmpRel::Eq,
-        pt: p_u,
-        pf: p_mp,
-        a: Src::Reg(k),
-        b: emp,
-    });
-    emit_counter_inc(sink, Some(p_u), layout::CELL_SHADOW_UNDERFLOWS);
-    emit_counter_inc(sink, Some(p_mp), layout::CELL_SHADOW_MISPREDICTS);
-    sink.emit(Op::Add {
-        d: GR_PAYLOAD0,
-        a: Src::Imm(0),
-        b: eip,
-    });
-    sink.emit(Op::Movl {
-        d: GR_PAYLOAD1,
-        imm: layout::RET_MISS_TAG | block_id as u64,
-    });
-    sink.emit(Op::Br {
-        target: Target::Abs(StubKind::IndirectMiss.addr()),
-    });
-}
-
-/// Per-site monomorphic inline cache: guard-compare the site's last
-/// observed target EIP and branch straight to its translated entry on
-/// a hit (also bumping the site's hit counter, which hot-phase
-/// devirtualization reads as a stability signal). Falls through to the
-/// shared table on miss.
-pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
-    let s = sink.vg();
-    sink.emit(Op::Movl { d: s, imm: ic_slot });
-    let pk = sink.vg();
-    sink.emit(Op::Ld {
-        sz: 8,
-        d: pk,
-        addr: s,
-        spec: false,
-    });
-    let (p_ic, _p_icm) = (sink.vp(), sink.vp());
-    sink.emit(Op::Cmp {
-        rel: CmpRel::Eq,
-        pt: p_ic,
-        pf: _p_icm,
-        a: Src::Reg(pk),
-        b: eip,
-    });
-    let s3 = sink.vg();
-    sink.emit(Op::Add {
-        d: s3,
-        a: Src::Imm(Profile::IC_HITS),
-        b: s,
-    });
-    let hc = sink.vg();
-    sink.emit_pred(
-        p_ic,
-        Op::Ld {
-            sz: 8,
-            d: hc,
-            addr: s3,
-            spec: false,
-        },
-    );
-    sink.emit_pred(
-        p_ic,
-        Op::Add {
-            d: hc,
-            a: Src::Imm(1),
-            b: hc,
-        },
-    );
-    sink.emit_pred(
-        p_ic,
-        Op::St {
-            sz: 8,
-            addr: s3,
-            val: hc,
-        },
-    );
-    let s2 = sink.vg();
-    sink.emit(Op::Add {
-        d: s2,
-        a: Src::Imm(8),
-        b: s,
-    });
-    let pe = sink.vg();
-    sink.emit_pred(
-        p_ic,
-        Op::Ld {
-            sz: 8,
-            d: pe,
-            addr: s2,
-            spec: false,
-        },
-    );
-    sink.emit_pred(p_ic, Op::MovToBr { b: Br(1), r: pe });
-    sink.emit_pred(p_ic, Op::BrRet { b: Br(1) });
-    // Only reached on a miss.
-    emit_counter_inc(sink, None, layout::CELL_IC_MISSES);
-}
-
-/// 2-way set-associative probe of the shared lookup table with the
-/// mixed hash from `layout::lookup_hash`, then the `IndirectMiss`
-/// stub. `ic_slot` (0 for rets) rides in payload1 so the dispatcher
-/// can retrain the site's inline cache.
-pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: ipf::regs::Gr, ic_slot: u64) {
-    let hs = sink.vg();
-    sink.emit(Op::Shift {
-        kind: ShiftKind::ShrU,
-        d: hs,
-        a: eip,
-        count: Src::Imm(12),
-    });
-    let h = sink.vg();
-    sink.emit(Op::Xor {
-        d: h,
-        a: Src::Reg(eip),
-        b: hs,
-    });
-    sink.emit(Op::And {
-        d: h,
-        a: Src::Imm((layout::LOOKUP_SETS - 1) as i64),
-        b: h,
-    });
-    let off = sink.vg();
-    sink.emit(Op::Shift {
-        kind: ShiftKind::Shl,
-        d: off,
-        a: h,
-        count: Src::Imm(5),
-    });
-    let base = sink.vg();
-    sink.emit(Op::Movl {
-        d: base,
-        imm: layout::LOOKUP_BASE,
-    });
-    let sl = sink.vg();
-    sink.emit(Op::Add {
-        d: sl,
-        a: Src::Reg(base),
-        b: off,
-    });
-    // A table hit is also a teaching moment for the site's inline
-    // cache: without this, a site whose target entered the table via
-    // *another* site would miss its IC forever (the dispatcher, the
-    // only other retrainer, is never reached on a table hit).
-    let ics = if ic_slot != 0 {
-        let r = sink.vg();
-        sink.emit(Op::Movl { d: r, imm: ic_slot });
-        Some(r)
-    } else {
-        None
-    };
-    for way in 0..layout::LOOKUP_WAYS {
-        let slw = if way == 0 {
-            sl
-        } else {
-            let s = sink.vg();
-            sink.emit(Op::Add {
-                d: s,
-                a: Src::Imm((way * layout::LOOKUP_ENTRY_SIZE) as i64),
-                b: sl,
-            });
-            s
-        };
-        let k = sink.vg();
-        sink.emit(Op::Ld {
-            sz: 8,
-            d: k,
-            addr: slw,
-            spec: false,
-        });
-        let (p_hit, _p_miss) = (sink.vp(), sink.vp());
-        sink.emit(Op::Cmp {
-            rel: CmpRel::Eq,
-            pt: p_hit,
-            pf: _p_miss,
-            a: Src::Reg(k),
-            b: eip,
-        });
-        let s2 = sink.vg();
-        sink.emit_pred(
-            p_hit,
-            Op::Add {
-                d: s2,
-                a: Src::Imm(8),
-                b: slw,
-            },
-        );
-        let tg = sink.vg();
-        sink.emit_pred(
-            p_hit,
-            Op::Ld {
-                sz: 8,
-                d: tg,
-                addr: s2,
-                spec: false,
-            },
-        );
-        if let Some(ics) = ics {
-            sink.emit_pred(
-                p_hit,
-                Op::St {
-                    sz: 8,
-                    addr: ics,
-                    val: eip,
-                },
-            );
-            let ics8 = sink.vg();
-            sink.emit_pred(
-                p_hit,
-                Op::Add {
-                    d: ics8,
-                    a: Src::Imm(8),
-                    b: ics,
-                },
-            );
-            sink.emit_pred(
-                p_hit,
-                Op::St {
-                    sz: 8,
-                    addr: ics8,
-                    val: tg,
-                },
-            );
-        }
-        sink.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tg });
-        sink.emit_pred(p_hit, Op::BrRet { b: Br(1) });
-    }
-    sink.emit(Op::Add {
-        d: GR_PAYLOAD0,
-        a: Src::Imm(0),
-        b: eip,
-    });
-    if ic_slot != 0 {
-        sink.emit(Op::Movl {
-            d: GR_PAYLOAD1,
-            imm: ic_slot,
-        });
-    } else {
-        sink.emit(Op::Add {
-            d: GR_PAYLOAD1,
-            a: Src::Imm(0),
-            b: R0,
-        });
-    }
-    sink.emit(Op::Br {
-        target: Target::Abs(StubKind::IndirectMiss.addr()),
-    });
 }
 
 /// Generates the cold translation of one basic block.
@@ -963,7 +434,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         }
         (Some(Term::Call { target, ret }), _) => {
             if !input.plain {
-                emit_shadow_push(&mut tail, ret);
+                Predictions::emit_shadow_push(&mut tail, ret);
             }
             let t = branch_to(&mut tail, target, &mut tramp_reqs);
             tail.emit(Op::Br { target: t });
@@ -990,14 +461,14 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                 // Demoted site: straight to the shared 2-way table (the
                 // table layout is process-wide, so a demoted block still
                 // uses the mixed hash), no per-site machinery.
-                emit_table_probe2(&mut tail, eip, 0);
+                Predictions::emit_table_probe2(&mut tail, eip, 0);
             } else {
                 // Acceleration layer: calls seed the shadow stack, rets
                 // pop it, jmp/call sites probe their inline cache, and
                 // everyone falls back to the 2-way shared table then
                 // the dispatcher.
                 if let IndKind::Call { ret } = kind {
-                    emit_shadow_push(&mut tail, ret);
+                    Predictions::emit_shadow_push(&mut tail, ret);
                 }
                 match kind {
                     IndKind::Ret => {
@@ -1005,11 +476,11 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                         // inline table): the round-trip is what lets the
                         // engine count chronic mispredictions and demote
                         // this ret block to the plain probe above.
-                        emit_shadow_pop(&mut tail, eip, input.block_id);
+                        Predictions::emit_shadow_pop(&mut tail, eip, input.block_id);
                     }
                     IndKind::Jump | IndKind::Call { .. } => {
-                        emit_ic_probe(&mut tail, eip, input.profile.ic_addr());
-                        emit_table_probe2(&mut tail, eip, input.profile.ic_addr());
+                        Predictions::emit_ic_probe(&mut tail, eip, input.profile.ic_addr());
+                        Predictions::emit_table_probe2(&mut tail, eip, input.profile.ic_addr());
                     }
                 }
             }

@@ -8,7 +8,7 @@ use crate::cold::discover::discover;
 use crate::cold::gen::{generate, ColdGenInput, SpecSeed};
 use crate::cold::liveness::analyze;
 use crate::cost;
-use crate::layout::{self, region, Profile, StubKind};
+use crate::layout::{self, region, Predictions, Profile, StubKind};
 use crate::policy;
 use crate::registry::Registry;
 use crate::serving::Tenant;
@@ -194,7 +194,7 @@ pub struct BlockInfo {
     /// Demoted to the plain table probe: the block's inline cache or
     /// shadow pop proved chronically wrong, so its translations carry
     /// no per-site acceleration (see [`crate::policy::MEGAMORPHIC_DEMOTE_USES`]
-    /// and [`crate::policy::SHADOW_DEMOTE_MISSES`]).
+    /// and [`crate::policy::POP_DEMOTE_MISSES`]).
     pub indirect_plain: bool,
     /// Shadow-stack pop misses observed by the dispatcher for this
     /// (ret-terminated) block.
@@ -550,8 +550,8 @@ impl Engine {
         // Refresh the indirect-branch lookup entry and any inline
         // cache predicting this EIP if it pointed at the old version —
         // the forward keeps stale entries correct, but direct is faster.
-        for s in self.predictions_of(eip) {
-            let _ = self.mem.write(s + 8, 8, entry);
+        for s in Predictions::predicting(&self.mem, eip, self.ic_slots()) {
+            Predictions::train(&mut self.mem, s, eip as u64, entry);
         }
         self.trace_emit(EventData::BlockPromoted {
             id: block_id,
@@ -1101,20 +1101,18 @@ impl Engine {
                 let eip = payload as u32;
                 self.stats.indirect_misses += 1;
                 // Payload1 carries the missing site's inline-cache slot
-                // (0 for devirt guard exits without a site), or a
-                // `RET_MISS_TAG`-tagged block id for shadow-stack pop
-                // misses.
+                // (0 for devirt guard exits without a site), or names
+                // the ret block whose shadow-stack pop missed.
                 let mut site = self.machine.gr[state::GR_PAYLOAD1.0 as usize];
-                if site & layout::RET_MISS_TAG != 0 {
+                if let Some(id) = Predictions::ret_miss_block(site) {
                     // A ret block's shadow pop missed. Count it; a
                     // chronically mispredicting ret block is demoted to
                     // the plain table probe so it stops paying (and
                     // re-missing) the pop on every execution.
-                    let id = (site & 0xFFFF_FFFF) as u32;
                     site = 0;
                     if let Some(b) = self.blocks.get_mut(id as usize) {
                         b.pop_misses += 1;
-                        if b.pop_misses >= policy::SHADOW_DEMOTE_MISSES && !b.indirect_plain {
+                        if b.pop_misses >= policy::POP_DEMOTE_MISSES && !b.indirect_plain {
                             self.demote_indirect(os, id);
                         }
                     }
@@ -1125,8 +1123,7 @@ impl Engine {
                         if site != 0 {
                             // Retrain the site's inline cache to its
                             // newest observed target.
-                            let _ = self.mem.write(site, 8, eip as u64);
-                            let _ = self.mem.write(site + 8, 8, entry);
+                            Predictions::train(&mut self.mem, site, eip as u64, entry);
                             self.stats.ic_retrains += 1;
                             self.trace_emit(EventData::IndirectRetrain { eip, site });
                         }
@@ -1535,10 +1532,7 @@ pub(crate) mod tests {
 
         let snapshot = |e: &Engine| {
             let b = &e.blocks[id as usize];
-            let table: Vec<u64> = (layout::LOOKUP_BASE..layout::SHADOW_BASE)
-                .step_by(8)
-                .map(|addr| e.mem.read(addr, 8).unwrap())
-                .collect();
+            let table = Predictions::pairs(&e.mem, e.ic_slots());
             (
                 (b.kind, b.entry, b.range, b.extents.clone(), b.hot.is_some()),
                 (e.blocks.len(), e.registry.clone(), table),

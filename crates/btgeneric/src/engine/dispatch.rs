@@ -4,7 +4,7 @@
 
 use super::{BlockInfo, BlockKind, Engine, ExitAction, XlateOrigin};
 use crate::btos::{BtOs, GuestException};
-use crate::layout::{self, region, Profile, StubKind};
+use crate::layout::{self, region, Predictions, Profile, Stale, StubKind};
 use crate::state::{self, GR_STATE};
 use crate::{chaos::FaultKind, cost, trace::EventData};
 use ia32::mem::{GuestMem, Prot};
@@ -35,25 +35,16 @@ pub(crate) struct Dispatch {
 }
 
 impl Dispatch {
-    /// Maps the lookup table plus the overflow profile record into
-    /// `mem` and empties the shadow stack and the overflow inline cache.
+    /// Maps the prediction structures plus the overflow profile record
+    /// into `mem` and empties them, the overflow inline cache included.
     /// Per-block profile records are allocated on demand through
     /// `BtOs::alloc_pages`, so the OS can refuse them.
     pub(super) fn new(mem: &mut GuestMem) -> Dispatch {
         let head = (Profile::OVERFLOW.next().base() - layout::PROFILE_BASE)
             .next_multiple_of(PROFILE_CHUNK);
         mem.map(layout::PROFILE_BASE, head, Prot::rw());
-        // Empty-key the shadow stack and the shared overflow inline
-        // cache so freshly mapped (zeroed) slots can never match a
-        // guest EIP.
-        for i in 0..layout::SHADOW_ENTRIES {
-            let _ = mem.write(
-                layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE,
-                8,
-                layout::LOOKUP_EMPTY_KEY,
-            );
-        }
-        let _ = mem.write(Profile::OVERFLOW.ic_addr(), 8, layout::LOOKUP_EMPTY_KEY);
+        let overflow_ic = std::iter::once(Profile::OVERFLOW.ic_addr());
+        Predictions::purge(mem, Stale::All, overflow_ic);
         Dispatch {
             cursor: Profile::OVERFLOW.next(),
             mapped: layout::PROFILE_BASE + head,
@@ -207,49 +198,14 @@ impl Engine {
         )
     }
 
-    /// Inserts `eip -> entry` into the 2-way lookup table: a matching
-    /// way is updated in place, an empty way is filled, and a full set
-    /// demotes way 0 into way 1 and claims way 0 (newest-first
-    /// pseudo-LRU). `lookup_collisions` counts inserts into a set
-    /// already holding a live foreign key; `lookup_way_conflicts`
-    /// counts the displacements of a live entry.
+    /// Inserts `eip -> entry` into the lookup table
+    /// ([`Predictions::insert`]). `lookup_collisions` counts inserts
+    /// into a set already holding a live foreign key;
+    /// `lookup_way_conflicts` counts the displacements of a live entry.
     pub(crate) fn lookup_insert(&mut self, eip: u32, entry: u64) {
-        let s0 = layout::lookup_slot(eip);
-        let s1 = s0 + layout::LOOKUP_ENTRY_SIZE;
-        let k0 = self.mem.read(s0, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-        let k1 = self.mem.read(s1, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-        let slot = if k0 == eip as u64 {
-            s0
-        } else if k1 == eip as u64 {
-            s1
-        } else if !layout::is_live_key(k0) {
-            if layout::is_live_key(k1) {
-                self.stats.lookup_collisions += 1;
-            }
-            s0
-        } else if !layout::is_live_key(k1) {
-            self.stats.lookup_collisions += 1;
-            s1
-        } else {
-            self.stats.lookup_collisions += 1;
-            self.stats.lookup_way_conflicts += 1;
-            let t0 = self.mem.read(s0 + 8, 8).unwrap_or(0);
-            let _ = self.mem.write(s1, 8, k0);
-            let _ = self.mem.write(s1 + 8, 8, t0);
-            s0
-        };
-        let _ = self.mem.write(slot, 8, eip as u64);
-        let _ = self.mem.write(slot + 8, 8, entry);
-    }
-
-    /// Addresses of every `(eip, entry)` prediction currently keyed on
-    /// `eip`: its lookup-table ways, then the inline caches naming it.
-    pub(super) fn predictions_of(&self, eip: u32) -> Vec<u64> {
-        let ways = (0..layout::LOOKUP_WAYS)
-            .map(|w| layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE);
-        ways.chain(self.ic_slots())
-            .filter(|&s| self.mem.read(s, 8) == Ok(eip as u64))
-            .collect()
+        let (collision, conflict) = Predictions::insert(&mut self.mem, eip, entry);
+        self.stats.lookup_collisions += collision as u64;
+        self.stats.lookup_way_conflicts += conflict as u64;
     }
 
     /// Chains the exit bundle `site` — still branching to the
@@ -499,38 +455,12 @@ impl Engine {
         for from in inbound {
             self.stats.chain_unlinks += self.patch_branch(from, in_extents, stub);
         }
-        // Purge lookup entries — only where the slot both keys on this
-        // EIP and still targets the victim's code; a colliding or newer
-        // entry in the same set must survive.
-        for w in 0..layout::LOOKUP_WAYS {
-            let slot = layout::lookup_slot(eip) + w * layout::LOOKUP_ENTRY_SIZE;
-            if self.mem.read(slot, 8) == Ok(eip as u64) {
-                let tgt = self.mem.read(slot + 8, 8).unwrap_or(0);
-                if in_extents(tgt) {
-                    let _ = self.mem.write(slot, 8, layout::LOOKUP_EMPTY_KEY);
-                    self.stats.lookup_purges += 1;
-                }
-            }
-        }
         // The victim's code must be unreachable through every
-        // acceleration path: null shadow-stack predictions and
-        // inline-cache entries that name it. (Forwarded old generations
-        // are kept alive until eviction precisely so this is the only
-        // purge point.)
-        for i in 0..layout::SHADOW_ENTRIES {
-            let ea = layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE;
-            let tgt = self.mem.read(ea + 8, 8).unwrap_or(0);
-            if in_extents(tgt) {
-                let _ = self.mem.write(ea, 8, layout::LOOKUP_EMPTY_KEY);
-            }
-        }
-        for s in self.ic_slots() {
-            let k = self.mem.read(s, 8).unwrap_or(layout::LOOKUP_EMPTY_KEY);
-            let tgt = self.mem.read(s + 8, 8).unwrap_or(0);
-            if k == eip as u64 || in_extents(tgt) {
-                let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-            }
-        }
+        // prediction. (Forwarded old generations are kept alive until
+        // eviction precisely so this is the only purge point.)
+        let ic_slots = self.ic_slots();
+        let stale = Stale::Code(eip, &in_extents);
+        self.stats.lookup_purges += Predictions::purge(&mut self.mem, stale, ic_slots);
         let mut freed = 0;
         for &(s, e) in &extents {
             freed += (e - s) / ipf::Bundle::SIZE;
@@ -567,17 +497,11 @@ impl Engine {
         for page in self.registry.clear() {
             self.mem.set_code_protect((page as u64) << 12, false);
         }
-        // All translated code is gone: no lookup way, shadow-stack
-        // prediction or inline-cache entry may survive (their targets
-        // are arena addresses). Hit counters persist like use counters.
-        let ways = (0..layout::LOOKUP_ENTRIES)
-            .map(|i| layout::LOOKUP_BASE + i * layout::LOOKUP_ENTRY_SIZE);
-        let shadow = (0..layout::SHADOW_ENTRIES)
-            .map(|i| layout::SHADOW_BASE + i * layout::SHADOW_ENTRY_SIZE);
-        for key in ways.chain(shadow).chain(self.ic_slots()) {
-            let _ = self.mem.write(key, 8, layout::LOOKUP_EMPTY_KEY);
-        }
-        let _ = self.mem.write(layout::SHADOW_TOS, 8, 0);
+        // All translated code is gone: no prediction may survive (their
+        // targets are arena addresses). Hit counters persist like use
+        // counters.
+        let ic_slots = self.ic_slots();
+        Predictions::purge(&mut self.mem, Stale::All, ic_slots);
         // A flush drops every local translation at once: bump every
         // shard generation so peers re-validate (conservatively) and
         // this tenant's re-publishes re-seed the namespace.
@@ -646,7 +570,7 @@ impl Engine {
             self.dispatch.mapped += PROFILE_CHUNK;
         }
         self.dispatch.cursor = p.next();
-        let _ = self.mem.write(p.ic_addr(), 8, layout::LOOKUP_EMPTY_KEY);
+        Predictions::empty(&mut self.mem, p.ic_addr());
         p
     }
 
@@ -661,14 +585,10 @@ impl Engine {
     /// every counter is *assigned* from its cell, and the inline-cache
     /// hit total is an order-independent sum over all site slots.
     pub fn collect_indirect_stats(&mut self) {
-        let cell = |mem: &GuestMem, a: u64| mem.read(a, 8).unwrap_or(0);
         let profiles = Profile::handed_out(self.dispatch.cursor);
-        self.stats.ic_hits = profiles.map(|p| cell(&self.mem, p.ic_hits_addr())).sum();
-        self.stats.ic_misses = cell(&self.mem, layout::CELL_IC_MISSES);
-        self.stats.shadow_hits = cell(&self.mem, layout::CELL_SHADOW_HITS);
-        self.stats.shadow_underflows = cell(&self.mem, layout::CELL_SHADOW_UNDERFLOWS);
-        self.stats.shadow_mispredicts = cell(&self.mem, layout::CELL_SHADOW_MISPREDICTS);
-        self.stats.devirt_guard_fails = cell(&self.mem, layout::CELL_DEVIRT_FAILS);
+        let hits = profiles.map(|p| self.mem.read(p.ic_hits_addr(), 8).unwrap_or(0));
+        self.stats.ic_hits = hits.sum();
+        Predictions::harvest(&self.mem, &mut self.stats);
     }
 }
 

@@ -5,7 +5,7 @@
 use super::{BlockKind, Engine, ExitAction};
 use crate::btos::BtOs;
 use crate::chaos::{Blacklist, FaultKind, FaultPlan};
-use crate::layout::{self, region};
+use crate::layout::{self, region, Predictions};
 use crate::trace::{EventData, Rung};
 use crate::{cost, policy, state};
 use ipf::inst::{Op, Target};
@@ -257,7 +257,7 @@ impl Engine {
             return;
         }
         let site = b.profile.site(&self.mem);
-        if site.pred == layout::LOOKUP_EMPTY_KEY {
+        if !site.is_trained() {
             // Not an inline-cache-probing terminator (or never ran).
             return;
         }
@@ -280,9 +280,7 @@ impl Engine {
         }
         let (eip, kind, inline_fp, profile) = (b.eip, b.kind, b.inline_fp, b.profile);
         self.blocks[id as usize].indirect_plain = true;
-        let _ = self
-            .mem
-            .write(profile.ic_addr(), 8, layout::LOOKUP_EMPTY_KEY);
+        Predictions::empty(&mut self.mem, profile.ic_addr());
         let _ = self.mem.write(profile.ic_hits_addr(), 8, 0);
         self.stats.indirect_demotions += 1;
         self.trace_emit(EventData::IndirectDemote { eip, id });

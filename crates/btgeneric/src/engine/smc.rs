@@ -6,7 +6,7 @@ use super::{source_pages, src_checksum, BlockKind, Engine, ExitAction};
 use crate::btos::BtOs;
 use crate::chaos::Blacklist;
 use crate::cold::gen::SourceWord;
-use crate::layout::{self, StubKind};
+use crate::layout::{Predictions, Stale, StubKind};
 use crate::{policy, state, trace::EventData};
 use ia32::mem::GuestMem;
 use std::collections::{HashMap, HashSet};
@@ -234,9 +234,8 @@ impl Engine {
         let (eip, entry) = (b.eip, b.entry);
         self.registry.orphan(b);
         self.forward(entry, StubKind::Reenter.addr());
-        for s in self.predictions_of(eip) {
-            let _ = self.mem.write(s, 8, layout::LOOKUP_EMPTY_KEY);
-        }
+        let ic_slots = self.ic_slots();
+        Predictions::purge(&mut self.mem, Stale::Eip(eip), ic_slots);
         self.audited();
     }
 

@@ -24,6 +24,7 @@ mod sched;
 mod trace;
 
 pub use commit::HotData;
+pub(crate) use trace::emit_exit_counter;
 
 use crate::engine::Engine;
 

@@ -12,7 +12,7 @@ use crate::cold::discover::{discover, BlockEnd};
 use crate::cold::liveness::{analyze, Liveness};
 use crate::cost;
 use crate::engine::Engine;
-use crate::layout::{self, region, StubKind};
+use crate::layout::{region, Predictions, StubKind};
 use crate::policy;
 use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_XMMFMT};
 use crate::templates::{
@@ -373,7 +373,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             // cross any absolute threshold).
                             I32::JmpInd { .. } | I32::CallInd { .. } => {
                                 let site = info.profile.site(&engine.mem);
-                                if site.pred != layout::LOOKUP_EMPTY_KEY
+                                if site.is_trained()
                                     && site.hits >= policy::DEVIRT_THRESHOLD
                                     && site.is_monomorphic()
                                 {
@@ -825,7 +825,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 // and popping, and chronic underflow would demote them
                 // for no reason.
                 if let templates::IndKind::Call { ret } = kind {
-                    crate::cold::gen::emit_shadow_push(&mut body, ret);
+                    Predictions::emit_shadow_push(&mut body, ret);
                 }
                 // Rets and plain sites go straight to the 2-way table:
                 // the return-address stream is low-degree in practice,
@@ -839,9 +839,9 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                     _ => *ic_slot,
                 };
                 if site != 0 {
-                    crate::cold::gen::emit_ic_probe(&mut body, eip, site);
+                    Predictions::emit_ic_probe(&mut body, eip, site);
                 }
-                crate::cold::gen::emit_table_probe2(&mut body, eip, site);
+                Predictions::emit_table_probe2(&mut body, eip, site);
                 ends_indirect = true;
                 ia32_count += 1;
                 i += 1;
@@ -965,7 +965,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     for e in &devirt_exits {
         cb.bind(exit_labels[&e.label]);
         emit_exit_counter(&mut cb, exit_counter);
-        emit_exit_counter(&mut cb, layout::CELL_DEVIRT_FAILS);
+        Predictions::emit_devirt_fail(&mut cb);
         emit_exit_prologue(&mut cb, e.perm, e.xmm_fmt, spec.xmm_fmt);
         cb.push(Op::Br {
             target: Target::Abs(StubKind::IndirectMiss.addr()),
@@ -1106,7 +1106,7 @@ fn checked(
 }
 
 /// Emits a side-exit counter increment (uses caller-saved hot scratch).
-fn emit_exit_counter(cb: &mut ipf::asm::CodeBuilder, slot: u64) {
+pub(crate) fn emit_exit_counter(cb: &mut ipf::asm::CodeBuilder, slot: u64) {
     use ipf::regs::Gr;
     let (a, c) = (
         Gr(crate::state::GR_SCRATCH),

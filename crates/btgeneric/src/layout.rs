@@ -5,7 +5,12 @@
 //! space; the IA-32 application owns the low 4 GiB, and everything the
 //! translator allocates sits above it.
 
+use crate::cold::gen::emit_counter_inc;
+use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1};
+use crate::templates::Sink;
 use ia32::mem::GuestMem;
+use ipf::inst::{CmpRel, Op, ShiftKind, Src, Target};
+use ipf::regs::{Br, Gr, Pr, R0};
 
 /// Base of the translation cache (code arena).
 pub const TC_BASE: u64 = 0x8000_0000_0000;
@@ -85,12 +90,16 @@ pub const SPILL_SLOTS: u64 = 16;
 /// shadow stack, event cells, and the spill area.
 pub const COUNTERS_BASE: u64 = SPILL_BASE + SPILL_SLOTS * 8;
 
-/// Whether `key` names a guest EIP in a prediction: a lookup-table way,
-/// a shadow-stack entry or an inline cache. Empty-keyed entries and
-/// zero keys (freshly mapped, never written) predict nothing.
-pub(crate) fn is_live_key(key: u64) -> bool {
-    key != LOOKUP_EMPTY_KEY && key != 0
-}
+/// The address-space layout a warm-start image is generated under, in
+/// the order `persist::fingerprint` hashes it.
+pub(crate) const FINGERPRINTED: [u64; 6] = [
+    TC_BASE,
+    STUB_BASE,
+    LOOKUP_BASE,
+    SHADOW_BASE,
+    COUNTERS_BASE,
+    PROFILE_BASE,
+];
 
 /// One block's profile record: the slot the engine hands out per guest
 /// EIP in the profile region, which the block's translations bump and
@@ -134,6 +143,12 @@ impl Site {
     /// never demoted.
     pub fn is_monomorphic(&self) -> bool {
         self.hits.saturating_mul(2) >= self.uses
+    }
+
+    /// Whether the inline cache has been trained since it was last
+    /// emptied (an indirect jmp/call site that has run).
+    pub fn is_trained(&self) -> bool {
+        self.pred != LOOKUP_EMPTY_KEY
     }
 }
 
@@ -236,7 +251,7 @@ impl Profile {
     pub(crate) fn site(self, mem: &GuestMem) -> Site {
         let word = |addr: u64| mem.read(addr, 8).unwrap_or(0);
         Site {
-            pred: mem.read(self.ic_addr(), 8).unwrap_or(LOOKUP_EMPTY_KEY),
+            pred: Predictions::pair(mem, self.ic_addr()).0,
             hits: word(self.ic_hits_addr()),
             uses: word(self.uses_addr()),
         }
@@ -247,7 +262,7 @@ impl Profile {
     pub(crate) fn hints(self, mem: &GuestMem) -> Hints {
         let sat = |addr: u64| mem.read(addr, 8).unwrap_or(0).min(u32::MAX as u64) as u32;
         let site = self.site(mem);
-        let (ic_pred, ic_hits) = match is_live_key(site.pred) && site.is_monomorphic() {
+        let (ic_pred, ic_hits) = match Predictions::is_live(site.pred) && site.is_monomorphic() {
             true => (site.pred as u32, site.hits.min(u32::MAX as u64) as u32),
             false => (0, 0),
         };
@@ -276,9 +291,667 @@ impl Profile {
     /// hit count with `hits`.
     pub(crate) fn merge_site(self, mem: &mut GuestMem, pred: u32, entry: u64, hits: u32) {
         let cur = mem.read(self.ic_hits_addr(), 8).unwrap_or(0);
-        let _ = mem.write(self.ic_addr(), 8, pred as u64);
-        let _ = mem.write(self.ic_addr() + 8, 8, entry);
+        Predictions::train(mem, self.ic_addr(), pred as u64, entry);
         let _ = mem.write(self.ic_hits_addr(), 8, cur.max(hits as u64));
+    }
+}
+
+/// The indirect-branch predictions (paper §5.2): the shared 2-way
+/// lookup table, the return-address shadow ring with its top-of-stack
+/// word, the event cells the emitted probes bump, and — for reading,
+/// training and emptying — the `(key, entry)` pair that opens each
+/// [`Profile`]'s inline cache. This type is the only code that knows
+/// their layout, on the Rust side and in the code it emits:
+///
+/// | at | contents |
+/// |----|----------|
+/// | [`LOOKUP_BASE`] | [`LOOKUP_SETS`] sets of [`LOOKUP_WAYS`] `(eip, entry)` ways |
+/// | [`SHADOW_BASE`] | a ring of [`SHADOW_ENTRIES`] `(ret_eip, entry)` pairs |
+/// | [`SHADOW_TOS`] | the ring's top-of-stack index |
+/// | `CELL_*` | hit and miss counters, harvested by [`Predictions::harvest`] |
+///
+/// Its invariant (DESIGN §10, "Coherence"): every pair with a live key
+/// names a live translated entry. [`Predictions::purge`] is the one
+/// walk that keeps it when code is orphaned, evicted or flushed.
+pub(crate) struct Predictions;
+
+/// Which predictions [`Predictions::purge`] empties.
+#[derive(Clone, Copy)]
+pub(crate) enum Stale<'a> {
+    /// Those keyed on an EIP that left the registry while its code
+    /// stays (an SMC orphan): its table ways and the inline caches
+    /// keyed on it, so its next transfer goes through dispatch.
+    Eip(u32),
+    /// Those that could reach freed code (an eviction): the EIP's ways
+    /// into the code, ring entries into it, and inline caches keyed on
+    /// the EIP or into the code. A newer way for the EIP survives.
+    Code(u32, &'a dyn Fn(u64) -> bool),
+    /// Every one, and the ring's top resets: no translated code is left
+    /// (a flush, or a fresh engine).
+    All,
+}
+
+/// The lookup-set shift of [`Predictions::set`]: the hash folds the
+/// bits from here up into the set index.
+const HASH_SHIFT: u64 = 12;
+
+impl Predictions {
+    /// Whether `key` names a guest EIP. Empty keys and zero keys
+    /// (freshly mapped, never written) predict nothing.
+    fn is_live(key: u64) -> bool {
+        key != LOOKUP_EMPTY_KEY && key != 0
+    }
+
+    /// The ways of `eip`'s lookup set, way 0 first. The set index
+    /// XOR-folds the high bits in, which keeps targets 2^14 bytes apart
+    /// (page- or table-aligned function pointers) from aliasing as a
+    /// plain `eip >> 2` index would.
+    fn set(eip: u32) -> [u64; LOOKUP_WAYS as usize] {
+        let e = eip as u64;
+        let set = (e ^ (e >> HASH_SHIFT)) & (LOOKUP_SETS - 1);
+        let way0 = LOOKUP_BASE + set * LOOKUP_WAYS * LOOKUP_ENTRY_SIZE;
+        std::array::from_fn(|w| way0 + w as u64 * LOOKUP_ENTRY_SIZE)
+    }
+
+    /// The `(key, entry)` pair at `slot`; an unmapped one is empty.
+    fn pair(mem: &GuestMem, slot: u64) -> (u64, u64) {
+        let key = mem.read(slot, 8).unwrap_or(LOOKUP_EMPTY_KEY);
+        (key, mem.read(slot + 8, 8).unwrap_or(0))
+    }
+
+    /// Points the pair at `slot` (a way or an inline cache) at `entry`
+    /// for guest EIP `key`.
+    pub(crate) fn train(mem: &mut GuestMem, slot: u64, key: u64, entry: u64) {
+        let _ = mem.write(slot, 8, key);
+        let _ = mem.write(slot + 8, 8, entry);
+    }
+
+    /// Empties the pair at `slot`.
+    pub(crate) fn empty(mem: &mut GuestMem, slot: u64) {
+        let _ = mem.write(slot, 8, LOOKUP_EMPTY_KEY);
+    }
+
+    /// Inserts `eip -> entry` into the lookup table: a matching way is
+    /// updated in place, an empty way is filled, and a full set demotes
+    /// way 0 into way 1 and claims way 0 (newest-first pseudo-LRU).
+    /// Returns `(collision, conflict)`: whether the set already held a
+    /// live foreign key, and whether a live entry was displaced.
+    pub(crate) fn insert(mem: &mut GuestMem, eip: u32, entry: u64) -> (bool, bool) {
+        let [s0, s1] = Self::set(eip);
+        let ((k0, t0), (k1, _)) = (Self::pair(mem, s0), Self::pair(mem, s1));
+        let (slot, collision, conflict) = if k0 == eip as u64 {
+            (s0, false, false)
+        } else if k1 == eip as u64 {
+            (s1, false, false)
+        } else if !Self::is_live(k0) {
+            (s0, Self::is_live(k1), false)
+        } else if !Self::is_live(k1) {
+            (s1, true, false)
+        } else {
+            Self::train(mem, s1, k0, t0);
+            (s0, true, true)
+        };
+        Self::train(mem, slot, eip as u64, entry);
+        (collision, conflict)
+    }
+
+    /// The pairs keyed on `eip`: its lookup ways, then the inline
+    /// caches among `ic_slots` naming it.
+    pub(crate) fn predicting(
+        mem: &GuestMem,
+        eip: u32,
+        ic_slots: impl Iterator<Item = u64>,
+    ) -> Vec<u64> {
+        let keyed = |&s: &u64| Self::pair(mem, s).0 == eip as u64;
+        Self::set(eip)
+            .into_iter()
+            .chain(ic_slots)
+            .filter(keyed)
+            .collect()
+    }
+
+    /// Empties the `stale` predictions among the table, the ring and
+    /// the inline caches at `ic_slots`. Returns how many table ways it
+    /// emptied.
+    pub(crate) fn purge(
+        mem: &mut GuestMem,
+        stale: Stale<'_>,
+        ic_slots: impl Iterator<Item = u64>,
+    ) -> u64 {
+        #[derive(PartialEq)]
+        enum At {
+            Way,
+            Ring,
+            Ic,
+        }
+        let ways = match stale {
+            Stale::Eip(eip) | Stale::Code(eip, _) => Self::set(eip).to_vec(),
+            Stale::All => {
+                let _ = mem.write(SHADOW_TOS, 8, 0);
+                (LOOKUP_BASE..SHADOW_BASE).step_by(16).collect()
+            }
+        };
+        let ring = (SHADOW_BASE..SHADOW_TOS).step_by(SHADOW_ENTRY_SIZE as usize);
+        let slots = ways.into_iter().map(|s| (At::Way, s));
+        let slots = slots.chain(ring.map(|s| (At::Ring, s)));
+        let mut ways_emptied = 0;
+        for (at, slot) in slots.chain(ic_slots.map(|s| (At::Ic, s))) {
+            let (key, entry) = Self::pair(mem, slot);
+            let doomed = match stale {
+                Stale::Eip(eip) => at != At::Ring && key == eip as u64,
+                Stale::Code(eip, code) => match at {
+                    At::Way => key == eip as u64 && code(entry),
+                    At::Ring => code(entry),
+                    At::Ic => key == eip as u64 || code(entry),
+                },
+                Stale::All => true,
+            };
+            if doomed {
+                Self::empty(mem, slot);
+                ways_emptied += (at == At::Way) as u64;
+            }
+        }
+        ways_emptied
+    }
+
+    /// Every live-keyed `(key, entry)` pair: the table's ways, the
+    /// ring's entries, then the inline caches at `ic_slots`.
+    pub(crate) fn pairs(mem: &GuestMem, ic_slots: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
+        let table = (LOOKUP_BASE..SHADOW_TOS).step_by(16);
+        let pairs = table.chain(ic_slots).map(|s| Self::pair(mem, s));
+        pairs.filter(|&(key, _)| Self::is_live(key)).collect()
+    }
+
+    /// Assigns the event cells' counts to `stats`.
+    pub(crate) fn harvest(mem: &GuestMem, stats: &mut crate::stats::Stats) {
+        let cell = |a: u64| mem.read(a, 8).unwrap_or(0);
+        stats.ic_misses = cell(CELL_IC_MISSES);
+        stats.shadow_hits = cell(CELL_SHADOW_HITS);
+        stats.shadow_underflows = cell(CELL_SHADOW_UNDERFLOWS);
+        stats.shadow_mispredicts = cell(CELL_SHADOW_MISPREDICTS);
+        stats.devirt_guard_fails = cell(CELL_DEVIRT_FAILS);
+    }
+
+    /// The ret block a shadow-pop miss's `IndirectMiss` payload1 names,
+    /// if it is one (else payload1 is an inline-cache slot, or 0).
+    pub(crate) fn ret_miss_block(payload1: u64) -> Option<u32> {
+        (payload1 & RET_MISS_TAG != 0).then_some(payload1 as u32)
+    }
+}
+
+/// The code the predictions' users emit: every probe of the table, the
+/// ring and an inline cache, and every bump of an event cell.
+impl Predictions {
+    /// Emits the load of the ring's top-of-stack index: `(its cell's
+    /// address, the index)`.
+    fn emit_tos(sink: &mut Sink) -> (Gr, Gr) {
+        let sb = sink.vg();
+        sink.emit(Op::Movl {
+            d: sb,
+            imm: SHADOW_TOS,
+        });
+        let tos = sink.vg();
+        sink.emit(Op::Ld {
+            sz: 8,
+            d: tos,
+            addr: sb,
+            spec: false,
+        });
+        (sb, tos)
+    }
+
+    /// Emits the address of the ring entry whose index is in `index`.
+    fn emit_ring_slot(sink: &mut Sink, index: Gr) -> Gr {
+        let shb = sink.vg();
+        sink.emit(Op::Movl {
+            d: shb,
+            imm: SHADOW_BASE,
+        });
+        let off = sink.vg();
+        sink.emit(Op::Shift {
+            kind: ShiftKind::Shl,
+            d: off,
+            a: index,
+            count: Src::Imm(SHADOW_ENTRY_SIZE.trailing_zeros() as i64),
+        });
+        let ea = sink.vg();
+        sink.emit(Op::Add {
+            d: ea,
+            a: Src::Reg(shb),
+            b: off,
+        });
+        ea
+    }
+
+    /// Emits the probe of way `way` of the set whose way 0 is at `set`:
+    /// loads its key and compares it with `eip`. Returns the way's
+    /// address and the hit predicate.
+    fn emit_way(sink: &mut Sink, set: Gr, way: u64, eip: Gr) -> (Gr, Pr) {
+        let slot = if way == 0 {
+            set
+        } else {
+            let s = sink.vg();
+            sink.emit(Op::Add {
+                d: s,
+                a: Src::Imm((way * LOOKUP_ENTRY_SIZE) as i64),
+                b: set,
+            });
+            s
+        };
+        let k = sink.vg();
+        sink.emit(Op::Ld {
+            sz: 8,
+            d: k,
+            addr: slot,
+            spec: false,
+        });
+        let (hit, miss) = (sink.vp(), sink.vp());
+        sink.emit(Op::Cmp {
+            rel: CmpRel::Eq,
+            pt: hit,
+            pf: miss,
+            a: Src::Reg(k),
+            b: eip,
+        });
+        (slot, hit)
+    }
+
+    /// Pushes a `(ret_eip, predicted_entry)` pair onto the shadow ring.
+    /// The predicted translated entry is seeded from the lookup table at
+    /// the call's translation-time constant return set; when the table
+    /// has no entry yet the pair is pushed empty, the matching `ret`
+    /// underflows once, the dispatcher fills the table, and later
+    /// pushes predict.
+    pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
+        let (sb, tos) = Self::emit_tos(sink);
+        let ea = Self::emit_ring_slot(sink, tos);
+        let t2 = sink.vg();
+        sink.emit(Op::Add {
+            d: t2,
+            a: Src::Imm(1),
+            b: tos,
+        });
+        sink.emit(Op::And {
+            d: t2,
+            a: Src::Imm((SHADOW_ENTRIES - 1) as i64),
+            b: t2,
+        });
+        sink.emit(Op::St {
+            sz: 8,
+            addr: sb,
+            val: t2,
+        });
+        // Probe both ways of the return EIP's lookup set for a prediction.
+        let s0 = sink.vg();
+        sink.emit(Op::Movl {
+            d: s0,
+            imm: Self::set(ret)[0],
+        });
+        let rr = sink.vg();
+        sink.mov_imm(rr, ret as u64);
+        let ways: Vec<(Gr, Pr)> = (0..LOOKUP_WAYS)
+            .map(|w| Self::emit_way(sink, s0, w, rr))
+            .collect();
+        // Default: empty pair; a way hit overwrites both halves.
+        let key = sink.vg();
+        sink.emit(Op::Movl {
+            d: key,
+            imm: LOOKUP_EMPTY_KEY,
+        });
+        let tg = sink.vg();
+        sink.emit(Op::Add {
+            d: tg,
+            a: Src::Imm(0),
+            b: R0,
+        });
+        for (slot, hit) in ways {
+            let t = sink.vg();
+            sink.emit_pred(
+                hit,
+                Op::Add {
+                    d: t,
+                    a: Src::Imm(8),
+                    b: slot,
+                },
+            );
+            sink.emit_pred(
+                hit,
+                Op::Ld {
+                    sz: 8,
+                    d: tg,
+                    addr: t,
+                    spec: false,
+                },
+            );
+            sink.emit_pred(
+                hit,
+                Op::Add {
+                    d: key,
+                    a: Src::Imm(0),
+                    b: rr,
+                },
+            );
+        }
+        sink.emit(Op::St {
+            sz: 8,
+            addr: ea,
+            val: key,
+        });
+        let ea8 = sink.vg();
+        sink.emit(Op::Add {
+            d: ea8,
+            a: Src::Imm(8),
+            b: ea,
+        });
+        sink.emit(Op::St {
+            sz: 8,
+            addr: ea8,
+            val: tg,
+        });
+    }
+
+    /// Pops the shadow ring and guard-compares the recorded return EIP
+    /// against the actual one in `eip`; a hit branches straight to the
+    /// recorded translated entry. The popped entry is consumed (emptied)
+    /// either way so an evicted target can never be re-entered through a
+    /// stale slot. A miss bumps the underflow/mispredict cells and drains
+    /// to the `IndirectMiss` stub with payload1 naming block `block_id`
+    /// ([`Predictions::ret_miss_block`]), so the dispatcher can count
+    /// per-block pop misses and demote the block.
+    pub(crate) fn emit_shadow_pop(sink: &mut Sink, eip: Gr, block_id: u32) {
+        let (sb, tos) = Self::emit_tos(sink);
+        let t2 = sink.vg();
+        sink.emit(Op::Add {
+            d: t2,
+            a: Src::Imm(SHADOW_ENTRIES as i64 - 1),
+            b: tos,
+        });
+        sink.emit(Op::And {
+            d: t2,
+            a: Src::Imm((SHADOW_ENTRIES - 1) as i64),
+            b: t2,
+        });
+        sink.emit(Op::St {
+            sz: 8,
+            addr: sb,
+            val: t2,
+        });
+        let ea = Self::emit_ring_slot(sink, t2);
+        let k = sink.vg();
+        sink.emit(Op::Ld {
+            sz: 8,
+            d: k,
+            addr: ea,
+            spec: false,
+        });
+        let emp = sink.vg();
+        sink.emit(Op::Movl {
+            d: emp,
+            imm: LOOKUP_EMPTY_KEY,
+        });
+        sink.emit(Op::St {
+            sz: 8,
+            addr: ea,
+            val: emp,
+        });
+        let (p_hit, p_miss) = (sink.vp(), sink.vp());
+        sink.emit(Op::Cmp {
+            rel: CmpRel::Eq,
+            pt: p_hit,
+            pf: p_miss,
+            a: Src::Reg(k),
+            b: eip,
+        });
+        emit_counter_inc(sink, Some(p_hit), CELL_SHADOW_HITS);
+        let ea8 = sink.vg();
+        sink.emit(Op::Add {
+            d: ea8,
+            a: Src::Imm(8),
+            b: ea,
+        });
+        let tg = sink.vg();
+        sink.emit_pred(
+            p_hit,
+            Op::Ld {
+                sz: 8,
+                d: tg,
+                addr: ea8,
+                spec: false,
+            },
+        );
+        sink.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tg });
+        sink.emit_pred(p_hit, Op::BrRet { b: Br(1) });
+        // Only reached on a miss: attribute it.
+        let (p_u, p_mp) = (sink.vp(), sink.vp());
+        sink.emit(Op::Cmp {
+            rel: CmpRel::Eq,
+            pt: p_u,
+            pf: p_mp,
+            a: Src::Reg(k),
+            b: emp,
+        });
+        emit_counter_inc(sink, Some(p_u), CELL_SHADOW_UNDERFLOWS);
+        emit_counter_inc(sink, Some(p_mp), CELL_SHADOW_MISPREDICTS);
+        sink.emit(Op::Add {
+            d: GR_PAYLOAD0,
+            a: Src::Imm(0),
+            b: eip,
+        });
+        sink.emit(Op::Movl {
+            d: GR_PAYLOAD1,
+            imm: RET_MISS_TAG | block_id as u64,
+        });
+        sink.emit(Op::Br {
+            target: Target::Abs(StubKind::IndirectMiss.addr()),
+        });
+    }
+
+    /// Per-site monomorphic inline cache at `ic_slot`: guard-compare the
+    /// site's last observed target EIP and branch straight to its
+    /// translated entry on a hit (also bumping the site's hit counter,
+    /// which hot-phase devirtualization reads as a stability signal).
+    /// Falls through to the shared table on a miss.
+    pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: Gr, ic_slot: u64) {
+        let s = sink.vg();
+        sink.emit(Op::Movl { d: s, imm: ic_slot });
+        let pk = sink.vg();
+        sink.emit(Op::Ld {
+            sz: 8,
+            d: pk,
+            addr: s,
+            spec: false,
+        });
+        let (p_ic, p_icm) = (sink.vp(), sink.vp());
+        sink.emit(Op::Cmp {
+            rel: CmpRel::Eq,
+            pt: p_ic,
+            pf: p_icm,
+            a: Src::Reg(pk),
+            b: eip,
+        });
+        let s3 = sink.vg();
+        sink.emit(Op::Add {
+            d: s3,
+            a: Src::Imm(Profile::IC_HITS),
+            b: s,
+        });
+        let hc = sink.vg();
+        sink.emit_pred(
+            p_ic,
+            Op::Ld {
+                sz: 8,
+                d: hc,
+                addr: s3,
+                spec: false,
+            },
+        );
+        sink.emit_pred(
+            p_ic,
+            Op::Add {
+                d: hc,
+                a: Src::Imm(1),
+                b: hc,
+            },
+        );
+        sink.emit_pred(
+            p_ic,
+            Op::St {
+                sz: 8,
+                addr: s3,
+                val: hc,
+            },
+        );
+        let s2 = sink.vg();
+        sink.emit(Op::Add {
+            d: s2,
+            a: Src::Imm(8),
+            b: s,
+        });
+        let pe = sink.vg();
+        sink.emit_pred(
+            p_ic,
+            Op::Ld {
+                sz: 8,
+                d: pe,
+                addr: s2,
+                spec: false,
+            },
+        );
+        sink.emit_pred(p_ic, Op::MovToBr { b: Br(1), r: pe });
+        sink.emit_pred(p_ic, Op::BrRet { b: Br(1) });
+        // Only reached on a miss.
+        emit_counter_inc(sink, None, CELL_IC_MISSES);
+    }
+
+    /// Probes `eip`'s lookup set (the hash of [`Predictions::set`],
+    /// computed at run time), then leaves through the `IndirectMiss`
+    /// stub. `ic_slot` (0 for rets) rides in payload1 so the dispatcher
+    /// can retrain the site's inline cache.
+    pub(crate) fn emit_table_probe2(sink: &mut Sink, eip: Gr, ic_slot: u64) {
+        let hs = sink.vg();
+        sink.emit(Op::Shift {
+            kind: ShiftKind::ShrU,
+            d: hs,
+            a: eip,
+            count: Src::Imm(HASH_SHIFT as i64),
+        });
+        let h = sink.vg();
+        sink.emit(Op::Xor {
+            d: h,
+            a: Src::Reg(eip),
+            b: hs,
+        });
+        sink.emit(Op::And {
+            d: h,
+            a: Src::Imm((LOOKUP_SETS - 1) as i64),
+            b: h,
+        });
+        let off = sink.vg();
+        sink.emit(Op::Shift {
+            kind: ShiftKind::Shl,
+            d: off,
+            a: h,
+            count: Src::Imm((LOOKUP_WAYS * LOOKUP_ENTRY_SIZE).trailing_zeros() as i64),
+        });
+        let base = sink.vg();
+        sink.emit(Op::Movl {
+            d: base,
+            imm: LOOKUP_BASE,
+        });
+        let sl = sink.vg();
+        sink.emit(Op::Add {
+            d: sl,
+            a: Src::Reg(base),
+            b: off,
+        });
+        // A table hit is also a teaching moment for the site's inline
+        // cache: without this, a site whose target entered the table via
+        // *another* site would miss its IC forever (the dispatcher, the
+        // only other retrainer, is never reached on a table hit).
+        let ics = if ic_slot != 0 {
+            let r = sink.vg();
+            sink.emit(Op::Movl { d: r, imm: ic_slot });
+            Some(r)
+        } else {
+            None
+        };
+        for way in 0..LOOKUP_WAYS {
+            let (slw, p_hit) = Self::emit_way(sink, sl, way, eip);
+            let s2 = sink.vg();
+            sink.emit_pred(
+                p_hit,
+                Op::Add {
+                    d: s2,
+                    a: Src::Imm(8),
+                    b: slw,
+                },
+            );
+            let tg = sink.vg();
+            sink.emit_pred(
+                p_hit,
+                Op::Ld {
+                    sz: 8,
+                    d: tg,
+                    addr: s2,
+                    spec: false,
+                },
+            );
+            if let Some(ics) = ics {
+                sink.emit_pred(
+                    p_hit,
+                    Op::St {
+                        sz: 8,
+                        addr: ics,
+                        val: eip,
+                    },
+                );
+                let ics8 = sink.vg();
+                sink.emit_pred(
+                    p_hit,
+                    Op::Add {
+                        d: ics8,
+                        a: Src::Imm(8),
+                        b: ics,
+                    },
+                );
+                sink.emit_pred(
+                    p_hit,
+                    Op::St {
+                        sz: 8,
+                        addr: ics8,
+                        val: tg,
+                    },
+                );
+            }
+            sink.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tg });
+            sink.emit_pred(p_hit, Op::BrRet { b: Br(1) });
+        }
+        sink.emit(Op::Add {
+            d: GR_PAYLOAD0,
+            a: Src::Imm(0),
+            b: eip,
+        });
+        if ic_slot != 0 {
+            sink.emit(Op::Movl {
+                d: GR_PAYLOAD1,
+                imm: ic_slot,
+            });
+        } else {
+            sink.emit(Op::Add {
+                d: GR_PAYLOAD1,
+                a: Src::Imm(0),
+                b: R0,
+            });
+        }
+        sink.emit(Op::Br {
+            target: Target::Abs(StubKind::IndirectMiss.addr()),
+        });
+    }
+
+    /// Emits the bump of the devirtualization-guard failure cell, on a
+    /// hot trace's guard exit.
+    pub(crate) fn emit_devirt_fail(cb: &mut ipf::asm::CodeBuilder) {
+        crate::hot::emit_exit_counter(cb, CELL_DEVIRT_FAILS);
     }
 }
 
@@ -288,7 +961,7 @@ impl Profile {
 /// pop misses and demote chronically mispredicting ret blocks back to
 /// a plain table probe. Bit 62 cannot collide with a slot address
 /// (profile memory sits far below 2^62).
-pub const RET_MISS_TAG: u64 = 1 << 62;
+const RET_MISS_TAG: u64 = 1 << 62;
 
 /// Why translated code exited to the translator.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -388,21 +1061,6 @@ pub mod region {
     pub const NATIVE: u32 = 4;
     /// Idle time (Sysmark model).
     pub const IDLE: u32 = 5;
-}
-
-/// Set index for `eip` in the 2-way table. XOR-folding the high bits
-/// in keeps targets 2^14 bytes apart (common for page- or
-/// table-aligned function pointers) from aliasing, which a plain
-/// `eip >> 2` index would.
-pub fn lookup_hash(eip: u32) -> u64 {
-    let e = eip as u64;
-    (e ^ (e >> 12)) & (LOOKUP_SETS - 1)
-}
-
-/// The address of way 0 of the lookup set for `eip` (way 1 is at
-/// `+LOOKUP_ENTRY_SIZE`).
-pub fn lookup_slot(eip: u32) -> u64 {
-    LOOKUP_BASE + lookup_hash(eip) * LOOKUP_WAYS * LOOKUP_ENTRY_SIZE
 }
 
 #[cfg(test)]
@@ -506,9 +1164,9 @@ mod tests {
         // The probe's footprint (a whole set) must stay inside the
         // table.
         for eip in [0u32, 4, 0x40_0000, 0xFFFF_FFFF] {
-            let s = lookup_slot(eip);
+            let [s, last] = Predictions::set(eip);
             assert!(s >= LOOKUP_BASE);
-            assert!(s + LOOKUP_WAYS * LOOKUP_ENTRY_SIZE <= SHADOW_BASE);
+            assert!(last + LOOKUP_ENTRY_SIZE <= SHADOW_BASE);
             assert_eq!(s % 16, 0);
         }
     }
@@ -518,7 +1176,102 @@ mod tests {
         // A plain `>> 2` index over 4096 entries aliases addresses
         // exactly 16 KiB apart; the mixed hash must separate them.
         let (a, b) = (0x40_1000u32, 0x40_1000 + (1 << 14));
-        assert_ne!(lookup_slot(a), lookup_slot(b));
+        assert_ne!(Predictions::set(a), Predictions::set(b));
+    }
+
+    /// The code of `sink` as `hot::eval` runs it.
+    fn insts(sink: &Sink) -> Vec<ipf::Inst> {
+        let inst = |item: &crate::templates::IlItem| match item {
+            crate::templates::IlItem::Inst(e) => e.inst,
+            crate::templates::IlItem::Bind(_) => panic!("a probe binds no label"),
+        };
+        sink.items.iter().map(inst).collect()
+    }
+
+    /// The emitted table probe and shadow push checked against the
+    /// owner's Rust-side walk ([`Predictions::predicting`]). Seeded EIPs
+    /// crowd into eight sets, so ways collide and get displaced; each
+    /// emitted probe, run on `hot::eval`'s machine over the same table
+    /// contents, must branch to the entry of exactly the way the Rust
+    /// side finds (or to the `IndirectMiss` stub where it finds none),
+    /// and each push must record that way's pair.
+    #[test]
+    fn emitted_probes_hit_the_way_the_owner_finds() {
+        use crate::hot::eval::{self, EventKind};
+        let mut mem = GuestMem::new();
+        let len = COUNTERS_BASE - PROFILE_BASE;
+        mem.map(PROFILE_BASE, len, ia32::mem::Prot::rw());
+        Predictions::purge(&mut mem, Stale::All, std::iter::empty());
+        // `a << 12 | b` with a, b < 8: 64 EIPs in eight sets.
+        let mut eips: Vec<u32> = (0..64u32).map(|i| (i >> 3) << 12 | (i & 7)).collect();
+        let mut x = 0x2545_F491_4F6C_DD1Du64;
+        for i in (1..eips.len()).rev() {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            eips.swap(i, (x % (i as u64 + 1)) as usize);
+        }
+        let eips: Vec<u32> = eips.iter().map(|e| 0x40_0000 | e).collect();
+        for (i, &eip) in eips[..32].iter().enumerate() {
+            Predictions::insert(&mut mem, eip, TC_BASE + 16 * i as u64);
+        }
+        // The live ways and the ring's top, stored into the evaluator's
+        // (otherwise seeded) memory; returns the number of stores.
+        let preset = |sink: &mut Sink, tos: u64| {
+            let mut words = vec![(SHADOW_TOS, tos)];
+            for slot in (LOOKUP_BASE..SHADOW_BASE).step_by(16) {
+                let (key, entry) = Predictions::pair(&mem, slot);
+                if Predictions::is_live(key) {
+                    words.extend([(slot, key), (slot + 8, entry)]);
+                }
+            }
+            for &(addr, val) in &words {
+                let (a, v) = (sink.vg(), sink.vg());
+                sink.mov_imm(a, addr);
+                sink.mov_imm(v, val);
+                sink.emit(Op::St {
+                    sz: 8,
+                    addr: a,
+                    val: v,
+                });
+            }
+            words.len()
+        };
+        let mut hits = [0; LOOKUP_WAYS as usize + 1];
+        for (seed, &eip) in eips.iter().enumerate() {
+            let way = Predictions::predicting(&mem, eip, std::iter::empty())
+                .first()
+                .copied();
+            hits[way.map_or(2, |s| ((s - LOOKUP_BASE) / 16 % 2) as usize)] += 1;
+            let (key, entry) = way.map_or((LOOKUP_EMPTY_KEY, 0), |s| Predictions::pair(&mem, s));
+
+            let mut sink = Sink::new();
+            preset(&mut sink, 0);
+            let r = sink.vg();
+            sink.mov_imm(r, eip as u64);
+            Predictions::emit_table_probe2(&mut sink, r, 0);
+            let run = eval::run(&insts(&sink), seed as u64);
+            let first = run.events.iter().find_map(|e| match e.1 {
+                EventKind::Left(to) => Some(to),
+                _ => None,
+            });
+            let want = way.map_or(StubKind::IndirectMiss.addr(), |_| entry);
+            assert_eq!(first, Some(want), "the emitted probe of {eip:#x}");
+
+            let tos = seed as u64 % SHADOW_ENTRIES;
+            let mut sink = Sink::new();
+            let preset_stores = preset(&mut sink, tos);
+            Predictions::emit_shadow_push(&mut sink, eip);
+            let run = eval::run(&insts(&sink), seed as u64);
+            let slot = SHADOW_BASE + tos * SHADOW_ENTRY_SIZE;
+            let pushed = [
+                (SHADOW_TOS, 8, (tos + 1) % SHADOW_ENTRIES),
+                (slot, 8, key),
+                (slot + 8, 8, entry),
+            ];
+            assert_eq!(run.stores[preset_stores..], pushed, "the push of {eip:#x}");
+        }
+        assert!(hits.iter().all(|&n| n > 0), "way 0, way 1, miss: {hits:?}");
     }
 
     #[test]

@@ -149,14 +149,7 @@ pub fn fnv64(bytes: &[u8]) -> u64 {
 pub fn fingerprint(cfg: &Config) -> u64 {
     let mut bytes = Vec::with_capacity(128);
     bytes.extend_from_slice(&VERSION.to_le_bytes());
-    for c in [
-        layout::TC_BASE,
-        layout::STUB_BASE,
-        layout::LOOKUP_BASE,
-        layout::SHADOW_BASE,
-        layout::COUNTERS_BASE,
-        layout::PROFILE_BASE,
-    ] {
+    for c in layout::FINGERPRINTED {
         bytes.extend_from_slice(&c.to_le_bytes());
     }
     bytes.extend_from_slice(&cfg.heat_threshold.to_le_bytes());

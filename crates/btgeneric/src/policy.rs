@@ -22,7 +22,7 @@ pub const MEGAMORPHIC_DEMOTE_USES: u64 = 32;
 
 /// Shadow-stack pop misses (dispatcher round-trips) tolerated per ret
 /// block before it is demoted to the plain table probe.
-pub const SHADOW_DEMOTE_MISSES: u32 = 8;
+pub const POP_DEMOTE_MISSES: u32 = 8;
 
 /// Degradation-ladder failures tolerated per block before it is demoted
 /// (hot) or evicted (cold) and its EIP blacklisted.

@@ -296,7 +296,7 @@ impl crate::engine::Engine {
     /// slow way from `blocks`, the arena and the three prediction
     /// tables in guest memory. Names the first one that does not hold.
     pub(crate) fn audit(&self) -> Result<(), String> {
-        use crate::layout;
+        use crate::layout::{self, Predictions};
         let (r, blocks, arena) = (&self.registry, &self.blocks, &self.machine.arena);
         let unevicted = |id: u32| blocks.get(id as usize).is_some_and(|b| !b.evicted);
 
@@ -445,28 +445,15 @@ impl crate::engine::Engine {
         // a live key targets freed arena space.
         // (Nothing is freed while the free list is empty: a flush
         // truncates the arena and empties all three tables with it.)
-        let tables = (layout::LOOKUP_ENTRIES + layout::SHADOW_ENTRIES) as usize * 16;
-        let cells = match free.is_empty() {
+        let pairs = match free.is_empty() {
             true => Vec::new(),
-            false => self
-                .mem
-                .read_bytes(layout::LOOKUP_BASE, tables)
-                .map_err(|_| "predictions: the lookup table is unmapped".to_string())?,
+            false => Predictions::pairs(&self.mem, self.ic_slots()),
         };
-        let word = |bytes: &[u8]| u64::from_le_bytes(bytes.try_into().expect("8 bytes"));
-        let table = cells
-            .chunks_exact(16)
-            .filter(|c| c[..8] != [0xFF; 8])
-            .map(|c| (word(&c[..8]), word(&c[8..])));
-        let ic = self.ic_slots().filter(|_| !free.is_empty()).map(|s| {
-            let cell = |a: u64| self.mem.read(a, 8).unwrap_or(0);
-            (cell(s), cell(s + 8))
-        });
-        for (key, target) in table.chain(ic) {
+        for (key, target) in pairs {
             let in_cache = target >= arena.base() && target < layout::STUB_BASE;
             check!(
                 "predictions",
-                !(layout::is_live_key(key) && in_cache && !allocated(target)),
+                !in_cache || allocated(target),
                 "{key:#x} -> {target:#x} predicts freed arena space"
             );
         }

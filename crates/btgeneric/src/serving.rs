@@ -139,8 +139,9 @@ impl Namespace {
     }
 
     fn shard_index(&self, eip: u32) -> usize {
-        // Same XOR-fold spirit as `layout::lookup_hash`: keep
-        // page-aligned EIPs from piling into one shard.
+        // Same XOR-fold spirit as the indirect-branch lookup table's
+        // set index (`layout::Predictions`): keep page-aligned EIPs
+        // from piling into one shard.
         let e = eip as u64;
         ((e ^ (e >> 12)) % self.shards.len() as u64) as usize
     }
