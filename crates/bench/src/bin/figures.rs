@@ -414,16 +414,16 @@ fn print_trace(div: u32) {
 
 fn print_warmstart(div: u32) {
     let ws = warm_start(div);
-    println!("== Warm start: persistent translation cache + pre-translation (scale_div {div}) ==");
+    println!("== Warm start: persistent translation cache (scale_div {div}) ==");
     println!("(cold-vs-warm simulated cycles to the first N native slots; warm runs load a");
-    println!(" saved image and statically pre-translate the entry CFG before first dispatch)");
+    println!(" saved image before first dispatch)");
     println!(
-        "  {:<10} {:>12} {:>14} {:>14} {:>7}   {:>6} {:>6} {:>6}",
-        "workload", "budget", "cold cycles", "warm cycles", "ratio", "loaded", "reject", "pre"
+        "  {:<10} {:>12} {:>14} {:>14} {:>7}   {:>6} {:>6}",
+        "workload", "budget", "cold cycles", "warm cycles", "ratio", "loaded", "reject"
     );
     for k in &ws.kernels {
         println!(
-            "  {:<10} {:>12} {:>14} {:>14} {:>6.2}x   {:>6} {:>6} {:>6}{}",
+            "  {:<10} {:>12} {:>14} {:>14} {:>6.2}x   {:>6} {:>6}{}",
             k.name,
             k.budget_slots,
             k.cold_cycles,
@@ -431,7 +431,6 @@ fn print_warmstart(div: u32) {
             k.ratio,
             k.blocks_loaded,
             k.blocks_rejected,
-            k.pretranslated,
             if k.oracle_ok { "" } else { "  ORACLE MISMATCH" }
         );
     }
@@ -455,7 +454,7 @@ fn print_warmstart(div: u32) {
             format!(
                 "    {{\"name\": \"{}\", \"budget_slots\": {}, \"cold_cycles\": {}, \
                  \"warm_cycles\": {}, \"ratio\": {:.4}, \"oracle_ok\": {}, \
-                 \"blocks_loaded\": {}, \"blocks_rejected\": {}, \"pretranslated\": {}}}",
+                 \"blocks_loaded\": {}, \"blocks_rejected\": {}}}",
                 k.name,
                 k.budget_slots,
                 k.cold_cycles,
@@ -463,8 +462,7 @@ fn print_warmstart(div: u32) {
                 k.ratio,
                 k.oracle_ok,
                 k.blocks_loaded,
-                k.blocks_rejected,
-                k.pretranslated
+                k.blocks_rejected
             )
         })
         .collect();

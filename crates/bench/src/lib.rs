@@ -980,9 +980,6 @@ pub struct WarmKernel {
     pub blocks_loaded: u64,
     /// Image records rejected in the warm run (should be 0 here).
     pub blocks_rejected: u64,
-    /// Blocks added by the static pre-translation pass (measured in
-    /// the warm full run, where pre-translation is enabled).
-    pub pretranslated: u64,
 }
 
 /// One image-corruption leg: a warm run against a deliberately damaged
@@ -1137,11 +1134,10 @@ pub fn warm_start(scale_div: u32) -> WarmStart {
         };
         let warm = run_budgeted(&w, scale, warm_run_cfg, budget);
 
-        // Warm full run: image + static pre-translation merged, checked
-        // end to end against the oracle.
+        // Warm full run from the image, checked end to end against the
+        // oracle.
         let full_cfg = Config {
             load_image: Some(path.clone()),
-            pretranslate: true,
             ..warm_cfg()
         };
         let img = build_image(&w, scale);
@@ -1160,7 +1156,6 @@ pub fn warm_start(scale_div: u32) -> WarmStart {
             oracle_ok: completed && wf_result == oracle,
             blocks_loaded: warm.engine.stats.image_blocks_loaded,
             blocks_rejected: warm.engine.stats.image_blocks_rejected,
-            pretranslated: wf.engine.stats.pretranslated_blocks,
         });
         if w.name == "gcc" {
             gcc_image = std::fs::read(&path).expect("gcc image readable");

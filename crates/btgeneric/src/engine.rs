@@ -97,10 +97,6 @@ pub struct Config {
     /// wholesale) to ordinary on-demand translation — it never aborts
     /// the run.
     pub load_image: Option<std::path::PathBuf>,
-    /// Statically pre-translate the guest CFG reachable from the entry
-    /// point before the first dispatch, merging with any loaded image
-    /// (already-installed blocks are skipped).
-    pub pretranslate: bool,
     /// Restore persisted hot-phase profiles (heat/edge counters,
     /// inline-cache hints) when loading a warm-start image or
     /// importing from a shared namespace. On (the default), a warm
@@ -131,7 +127,6 @@ impl Default for Config {
             trace: TraceConfig::default(),
             save_image: None,
             load_image: None,
-            pretranslate: false,
             restore_profiles: true,
         }
     }
@@ -264,9 +259,6 @@ pub(crate) fn src_checksum(mem: &GuestMem, range: (u32, u32)) -> u64 {
 pub(crate) enum XlateOrigin {
     /// Ordinary on-demand translation at dispatch time.
     Demand,
-    /// Static pre-translation pass before first dispatch (full cold
-    /// cost, paid up front).
-    Pretranslate,
     /// Materialization of a validated record — from a warm-start
     /// image, or published to the shared multi-tenant namespace
     /// ([`crate::serving`]) by a peer tenant: reuse the saved FP
@@ -775,9 +767,6 @@ impl Engine {
                 self.stats.cold_blocks += 1;
                 self.stats.cold_ia32_insts += gen.ia32_insts as u64;
                 self.stats.cold_native_insts += gen.native_insts as u64;
-                if matches!(origin, XlateOrigin::Pretranslate) {
-                    self.stats.pretranslated_blocks += 1;
-                }
             }
         }
         // The block's record, still naming what stood here before — a
@@ -895,14 +884,12 @@ impl Engine {
     /// On the first call this performs the warm-boot sequence: load a
     /// warm-start image if [`Config::load_image`] is set (a stale or
     /// damaged image degrades to on-demand translation, it never aborts
-    /// the run), then statically pre-translate the CFG reachable from
-    /// the entry point if [`Config::pretranslate`] is set. On a clean
-    /// exit (`Halted`/`Exited`), the translation cache is serialized to
+    /// the run). On a clean exit (`Halted`/`Exited`), the translation cache is serialized to
     /// [`Config::save_image`] if set.
     pub fn run(&mut self, os: &mut dyn BtOs, cpu: Cpu, max_slots: u64) -> Outcome {
         if !self.warm_booted {
             self.warm_booted = true;
-            // Install the entry state first so pre-translation sees the
+            // Install the entry state first so loaded blocks see the
             // same FP speculation seeds the first dispatch would.
             state::cpu_to_machine(&cpu, &mut self.machine);
             if let Some(path) = self.cfg.load_image.clone() {
@@ -916,9 +903,6 @@ impl Engine {
                         self.stats.image_rejects += 1;
                     }
                 }
-            }
-            if self.cfg.pretranslate {
-                crate::persist::pretranslate(self, os, cpu.eip);
             }
         }
         let out = self.run_loop(os, Some(cpu), max_slots);

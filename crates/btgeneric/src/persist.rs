@@ -13,8 +13,7 @@
 //!   before first dispatch (`Config::load_image`).
 //! * [`pretranslate`] walks the guest binary's static CFG from the
 //!   entry point and translates every reachable block ahead of the
-//!   first dispatch (`Config::pretranslate`), merging with whatever the
-//!   image already installed.
+//!   first dispatch, merging with whatever an image already installed.
 //!
 //! # What is serialized — metadata, not machine code
 //!
@@ -655,9 +654,9 @@ impl Engine {
 const PRETRANSLATE_CAP: usize = 4096;
 
 /// Statically pre-translates the guest CFG reachable from `entry`
-/// before first dispatch (called by [`Engine::run`] during warm boot
-/// when `Config::pretranslate` is set). Returns the number of blocks
-/// translated.
+/// ahead of first dispatch. Returns the number of blocks translated.
+/// The engine never calls it; it is the cold phase's translation work
+/// without execution, for timing the translator.
 ///
 /// The walk reuses the cold phase's own discovery
 /// ([`crate::cold::discover`]): each discovered region contributes its
@@ -698,7 +697,7 @@ pub fn pretranslate(engine: &mut Engine, os: &mut dyn BtOs, entry: u32) -> u64 {
                     BlockKind::ColdV1,
                     false,
                     HashMap::new(),
-                    XlateOrigin::Pretranslate,
+                    XlateOrigin::Demand,
                 )
                 .is_ok()
         {

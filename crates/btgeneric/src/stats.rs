@@ -177,9 +177,6 @@ pub struct Stats {
     pub image_saves: u64,
     /// Blocks serialized into saved images.
     pub image_blocks_saved: u64,
-    /// Blocks translated by the static pre-translation pass (full cold
-    /// cost, paid before first dispatch).
-    pub pretranslated_blocks: u64,
     /// Blocks whose persisted profile heat / edge counters were written
     /// back into live profile slots (warm-start image load or shared
     /// namespace import) — the re-heat-without-re-profiling counter.

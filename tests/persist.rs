@@ -441,15 +441,13 @@ fn warm_boot_restores_profile_and_reheats() {
 fn pretranslation_covers_the_static_cfg() {
     let img = chain_image();
     let want = oracle(&img);
-    let cfg = Config {
-        pretranslate: true,
-        ..base_cfg()
-    };
-    let mut p = Process::launch_with(&img, SimOs::new(), cfg).expect("launch");
-    assert!(matches!(p.run(u64::MAX / 2), Outcome::Halted(_)));
-    assert_eq!(guest_result(&p), want);
+    let mut p = Process::launch_with(&img, SimOs::new(), base_cfg()).expect("launch");
+    let entry = p.cpu.eip;
+    let translated = btgeneric::persist::pretranslate(&mut p.engine, &mut p.os, entry);
     assert!(
-        p.engine.stats.pretranslated_blocks > 0,
+        translated > 0,
         "the static walk must translate ahead of execution"
     );
+    assert!(matches!(p.run(u64::MAX / 2), Outcome::Halted(_)));
+    assert_eq!(guest_result(&p), want);
 }
