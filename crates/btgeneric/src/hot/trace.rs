@@ -565,10 +565,14 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
 
 /// What every step of a trace is emitted under: the FP/XMM tracking
 /// state and alignment cache the templates update in place, the
-/// misalignment plan, and flag liveness per cold block, analyzed the
-/// first time a step of that block asks.
+/// misalignment plan, the ablation knobs cold generation honours too
+/// (`Config::enable_fusion`, `enable_flag_liveness`; `enable_fp_spec`
+/// is `fp.inline_checks`), and flag liveness per cold block, analyzed
+/// the first time a step of that block asks.
 struct Emission<'e> {
     mem: &'e ia32::mem::GuestMem,
+    fuse: bool,
+    flag_liveness: bool,
     live: HashMap<u32, Liveness>,
     fp: FpCtx,
     xmm: XmmCtx,
@@ -582,13 +586,17 @@ impl Emission<'_> {
     /// at `block` (the instruction itself, or the Jcc fused into it).
     /// A `guarded` instruction — inside an if-converted hammock — keeps
     /// every live flag in the home, so the flag thunk is never written
-    /// under a predicate.
+    /// under a predicate. Without flag liveness every flag is live and
+    /// read, as in cold code.
     fn ctx(&mut self, ip: u32, len: u8, block: u32, idx: usize, guarded: bool) -> EmitCtx<'_> {
-        let live = self
-            .live
-            .entry(block)
-            .or_insert_with(|| analyze(&discover(self.mem, block)));
-        let (live_flags, read_flags) = live.flags_after(block, idx);
+        let (live_flags, read_flags) = if self.flag_liveness {
+            let live = self.live.entry(block);
+            let live = live.or_insert_with(|| analyze(&discover(self.mem, block)));
+            live.flags_after(block, idx)
+        } else {
+            let all = ia32::flags::STATUS | ia32::flags::DF;
+            (all, all)
+        };
         EmitCtx {
             ip,
             next_ip: ip + len as u32,
@@ -614,8 +622,11 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     let mut fp = FpCtx::new(spec.tos, true);
     fp.entry_mmx = crate::cold::gen::entry_mmx(straight);
     fp.cur_mmx = fp.entry_mmx;
+    fp.inline_checks = !engine.cfg.enable_fp_spec;
     let mut em = Emission {
         mem: &engine.mem,
+        fuse: engine.cfg.enable_fusion,
+        flag_liveness: engine.cfg.enable_flag_liveness,
         live: HashMap::new(),
         fp,
         xmm: XmmCtx::new(spec.xmm_fmt),
@@ -672,7 +683,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 }) = trace.steps.get(i + 1)
                 {
                     let reads = cond.flags_read();
-                    if !*guarded && inst.props().flags_must & reads == reads {
+                    if em.fuse && !*guarded && inst.props().flags_must & reads == reads {
                         let mut ctx = em.ctx(*ip, *len, *jb, *jidx, false);
                         if let Some(pt) =
                             templates::emit_fused_cmp_jcc(&mut body, inst, *cond, &mut ctx)

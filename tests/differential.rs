@@ -571,3 +571,54 @@ fn word_size_arithmetic() {
         a.hlt();
     });
 }
+
+/// The ablation knobs reach the hot phase, not only cold code: a
+/// promoted `cmp; jne` loop with an x87 load, add and store must
+/// compile to more hot code per IA-32 instruction with compare and
+/// branch fusion off (no fused compare), with flag liveness off (every
+/// flag materialized) and with FP speculation off (per-access tag
+/// checks) than with all three on — and still match the oracle.
+#[test]
+fn ablation_knobs_reach_the_hot_phase() {
+    let img = image(|a| {
+        a.mov_ri(EAX, 0);
+        a.mov_ri(ECX, 2000);
+        a.mov_mi(Addr::abs(DATA), 0);
+        a.mov_mi(Addr::abs(DATA + 4), 0);
+        a.mov_mi(Addr::abs(DATA + 8), 0);
+        a.mov_mi(Addr::abs(DATA + 12), 0x3FF0_0000);
+        let top = a.label();
+        a.bind(top);
+        a.inst(Inst::Fld {
+            src: FpOperand::M64(Addr::abs(DATA)),
+        });
+        a.inst(Inst::Farith {
+            op: FpArithOp::Add,
+            form: FpArithForm::St0Mem(Size2::D, Addr::abs(DATA + 8)),
+        });
+        a.inst(Inst::Fst {
+            dst: FpOperand::M64(Addr::abs(DATA)),
+            pop: true,
+        });
+        a.alu_rr(AluOp::Add, EAX, ECX);
+        a.dec(ECX);
+        a.cmp_ri(ECX, 0);
+        a.jcc(Cond::Ne, top);
+        a.mov_store(Addr::abs(DATA + 16), EAX);
+        a.hlt();
+    });
+    let native_per_inst = |cfg, what: &str| {
+        let p = differential(&img, cfg, &[(DATA, 0x20)], what);
+        let s = &p.engine.stats;
+        assert!(s.hot_traces > 0, "{what}: the loop never became hot");
+        s.hot_native_insts as f64 / s.hot_ia32_insts as f64
+    };
+    let all_on = native_per_inst(hot_config(), "ablation/all-on");
+    for (knob, cfg) in ablations(hot_config()) {
+        let off = native_per_inst(cfg, &format!("ablation/{knob}"));
+        assert!(
+            off > all_on,
+            "{knob}: {off:.3} hot ops per IA-32 instruction, {all_on:.3} with every knob on"
+        );
+    }
+}
