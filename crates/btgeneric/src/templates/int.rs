@@ -24,15 +24,6 @@ fn read_rm(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rm: &Rm, size: Size) -> Gr {
     }
 }
 
-/// Reads an ALU source, keeping immediates symbolic so the imm-form
-/// Itanium ops can be used.
-fn read_alu_src(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -> Src {
-    match rmi {
-        RmI::Imm(v) => Src::Imm(size.trunc(*v as u32) as i64),
-        other => Src::Reg(read_rmi(sink, ctx, other, size)),
-    }
-}
-
 /// Reads a register, memory, or immediate operand.
 fn read_rmi(sink: &mut Sink, ctx: &mut EmitCtx<'_>, rmi: &RmI, size: Size) -> Gr {
     match rmi {
@@ -289,24 +280,22 @@ pub(super) fn emit_int(
         I32::Alu { op, size, dst, src } => {
             let a = read_rm(sink, ctx, dst, *size);
             // Immediate fast path: fold into the Itanium imm-form op.
-            if live == 0 && op.writes_dst() {
-                if let Src::Imm(imm) = read_alu_src(sink, ctx, src, *size) {
-                    if matches!(
-                        op,
-                        AluOp::Add | AluOp::Sub | AluOp::And | AluOp::Or | AluOp::Xor
-                    ) {
-                        let (d, b) = (sink.vg(), a);
-                        let a = Src::Imm(if *op == AluOp::Sub { -imm } else { imm });
-                        sink.emit(match op {
-                            AluOp::And => Op::And { d, a, b },
-                            AluOp::Or => Op::Or { d, a, b },
-                            AluOp::Xor => Op::Xor { d, a, b },
-                            _ => Op::Add { d, a, b },
-                        });
-                        write_rm(sink, ctx, dst, *size, d);
-                        return Ok(None);
-                    }
-                }
+            let imm_form = matches!(
+                op,
+                AluOp::Add | AluOp::Sub | AluOp::And | AluOp::Or | AluOp::Xor
+            );
+            if let (RmI::Imm(v), 0, true) = (src, live, imm_form) {
+                let imm = size.trunc(*v as u32) as i64;
+                let (d, b) = (sink.vg(), a);
+                let a = Src::Imm(if *op == AluOp::Sub { -imm } else { imm });
+                sink.emit(match op {
+                    AluOp::And => Op::And { d, a, b },
+                    AluOp::Or => Op::Or { d, a, b },
+                    AluOp::Xor => Op::Xor { d, a, b },
+                    _ => Op::Add { d, a, b },
+                });
+                write_rm(sink, ctx, dst, *size, d);
+                return Ok(None);
             }
             let b = read_rmi(sink, ctx, src, *size);
             emit_alu(sink, ctx, *op, *size, a, b, Some(dst), live);

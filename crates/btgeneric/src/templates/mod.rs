@@ -732,6 +732,38 @@ mod tests {
         assert_eq!(x.used, 0b1000);
     }
 
+    /// A word ALU op with dead flags reads its register source once.
+    /// The immediate fast path used to read any source, drop it when it
+    /// was no immediate, and leave the general path to read it again.
+    #[test]
+    fn alu_with_dead_flags_reads_a_register_source_once() {
+        use ia32::inst::{AluOp, Rm, RmI};
+        use ia32::regs::{EAX, ECX};
+        let inst = Ia32Inst::Alu {
+            op: AluOp::Add,
+            size: ia32::Size::W,
+            dst: Rm::Reg(EAX),
+            src: RmI::Reg(ECX),
+        };
+        let (mut fp, mut xmm) = (FpCtx::new(0, false), XmmCtx::new(0));
+        let plan = MisalignPlan::uniform(AccessMode::Fast, 0);
+        let mut ctx = EmitCtx {
+            ip: 0x1000,
+            next_ip: 0x1003,
+            live_flags: 0,
+            read_flags: 0,
+            fp: &mut fp,
+            xmm: &mut xmm,
+            misalign: &plan,
+            align: &mut AlignCache::default(),
+        };
+        let mut s = Sink::new();
+        emit(&mut s, &inst, &mut ctx).expect("a word ADD translates");
+        let ecx = state::guest_gpr(ECX.num());
+        let reads_ecx = |i: &&IlItem| matches!(i, IlItem::Inst(e) if matches!(e.inst.op, Op::Xt { a, .. } if a == ecx));
+        assert_eq!(s.items.iter().filter(reads_ecx).count(), 1);
+    }
+
     #[test]
     fn spec_checks_emit_branches() {
         let mut body = Sink::new();
