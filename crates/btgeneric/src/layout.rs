@@ -10,7 +10,7 @@ use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1};
 use crate::templates::Sink;
 use ia32::mem::GuestMem;
 use ipf::inst::{CmpRel, Op, ShiftKind, Src, Target};
-use ipf::regs::{Br, Gr, Pr, R0};
+use ipf::regs::{Br, Gr, Pr, P0, R0};
 
 /// Base of the translation cache (code arena).
 pub const TC_BASE: u64 = 0x8000_0000_0000;
@@ -427,8 +427,12 @@ impl Predictions {
         let ways = match stale {
             Stale::Eip(eip) | Stale::Code(eip, _) => Self::set(eip).to_vec(),
             Stale::All => {
+                // Every way and ring entry goes: empty them wholesale
+                // (entries too), which a fresh engine pays per launch.
+                let table_and_ring = (SHADOW_TOS - LOOKUP_BASE) as usize;
+                mem.write_forced(LOOKUP_BASE, &vec![0xFF; table_and_ring]);
                 let _ = mem.write(SHADOW_TOS, 8, 0);
-                (LOOKUP_BASE..SHADOW_BASE).step_by(16).collect()
+                Vec::new()
             }
         };
         let ring = (SHADOW_BASE..SHADOW_TOS).step_by(SHADOW_ENTRY_SIZE as usize);
@@ -457,8 +461,9 @@ impl Predictions {
     /// Every live-keyed `(key, entry)` pair: the table's ways, the
     /// ring's entries, then the inline caches at `ic_slots`.
     pub(crate) fn pairs(mem: &GuestMem, ic_slots: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
-        let table = (LOOKUP_BASE..SHADOW_TOS).step_by(16);
-        let pairs = table.chain(ic_slots).map(|s| Self::pair(mem, s));
+        // The ring follows the table, and its entries are ways' size.
+        let table_and_ring = (LOOKUP_BASE..SHADOW_TOS).step_by(LOOKUP_ENTRY_SIZE as usize);
+        let pairs = table_and_ring.chain(ic_slots).map(|s| Self::pair(mem, s));
         pairs.filter(|&(key, _)| Self::is_live(key)).collect()
     }
 
@@ -477,11 +482,10 @@ impl Predictions {
     pub(crate) fn ret_miss_block(payload1: u64) -> Option<u32> {
         (payload1 & RET_MISS_TAG != 0).then_some(payload1 as u32)
     }
-}
 
-/// The code the predictions' users emit: every probe of the table, the
-/// ring and an inline cache, and every bump of an event cell.
-impl Predictions {
+    // The code the predictions' users emit: every probe of the table,
+    // the ring and an inline cache, and every bump of an event cell.
+
     /// Emits the load of the ring's top-of-stack index: `(its cell's
     /// address, the index)`.
     fn emit_tos(sink: &mut Sink) -> (Gr, Gr) {
@@ -521,6 +525,36 @@ impl Predictions {
             b: off,
         });
         ea
+    }
+
+    /// Emits, under `qp`, the store of the pair `(key, entry)` at the
+    /// address in `slot`.
+    fn emit_train(sink: &mut Sink, qp: Pr, slot: Gr, key: Gr, entry: Gr) {
+        sink.emit_pred(
+            qp,
+            Op::St {
+                sz: 8,
+                addr: slot,
+                val: key,
+            },
+        );
+        let entry_at = sink.vg();
+        sink.emit_pred(
+            qp,
+            Op::Add {
+                d: entry_at,
+                a: Src::Imm(8),
+                b: slot,
+            },
+        );
+        sink.emit_pred(
+            qp,
+            Op::St {
+                sz: 8,
+                addr: entry_at,
+                val: entry,
+            },
+        );
     }
 
     /// Emits the probe of way `way` of the set whose way 0 is at `set`:
@@ -632,22 +666,7 @@ impl Predictions {
                 },
             );
         }
-        sink.emit(Op::St {
-            sz: 8,
-            addr: ea,
-            val: key,
-        });
-        let ea8 = sink.vg();
-        sink.emit(Op::Add {
-            d: ea8,
-            a: Src::Imm(8),
-            b: ea,
-        });
-        sink.emit(Op::St {
-            sz: 8,
-            addr: ea8,
-            val: tg,
-        });
+        Self::emit_train(sink, P0, ea, key, tg);
     }
 
     /// Pops the shadow ring and guard-compares the recorded return EIP
@@ -897,31 +916,7 @@ impl Predictions {
                 },
             );
             if let Some(ics) = ics {
-                sink.emit_pred(
-                    p_hit,
-                    Op::St {
-                        sz: 8,
-                        addr: ics,
-                        val: eip,
-                    },
-                );
-                let ics8 = sink.vg();
-                sink.emit_pred(
-                    p_hit,
-                    Op::Add {
-                        d: ics8,
-                        a: Src::Imm(8),
-                        b: ics,
-                    },
-                );
-                sink.emit_pred(
-                    p_hit,
-                    Op::St {
-                        sz: 8,
-                        addr: ics8,
-                        val: tg,
-                    },
-                );
+                Self::emit_train(sink, p_hit, ics, eip, tg);
             }
             sink.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tg });
             sink.emit_pred(p_hit, Op::BrRet { b: Br(1) });
@@ -1278,6 +1273,7 @@ mod tests {
     fn shadow_region_disjoint_from_table_and_counters() {
         const { assert!(SHADOW_BASE >= LOOKUP_BASE + LOOKUP_SETS * LOOKUP_WAYS * LOOKUP_ENTRY_SIZE) };
         const { assert!(SHADOW_TOS == SHADOW_BASE + SHADOW_ENTRIES * SHADOW_ENTRY_SIZE) };
+        const { assert!(SHADOW_ENTRY_SIZE == LOOKUP_ENTRY_SIZE) };
         const { assert!(COUNTERS_BASE > CELL_DEVIRT_FAILS) };
         const { assert!(COUNTERS_BASE < PROFILE_BASE + PROFILE_SIZE) };
     }
