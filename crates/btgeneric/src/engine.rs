@@ -884,8 +884,8 @@ impl Engine {
     /// On the first call this performs the warm-boot sequence: load a
     /// warm-start image if [`Config::load_image`] is set (a stale or
     /// damaged image degrades to on-demand translation, it never aborts
-    /// the run). On a clean exit (`Halted`/`Exited`), the translation cache is serialized to
-    /// [`Config::save_image`] if set.
+    /// the run). On a clean exit (`Halted`/`Exited`), the translation
+    /// cache is serialized to [`Config::save_image`] if set.
     pub fn run(&mut self, os: &mut dyn BtOs, cpu: Cpu, max_slots: u64) -> Outcome {
         if !self.warm_booted {
             self.warm_booted = true;

@@ -483,9 +483,6 @@ impl Predictions {
         (payload1 & RET_MISS_TAG != 0).then_some(payload1 as u32)
     }
 
-    // The code the predictions' users emit: every probe of the table,
-    // the ring and an inline cache, and every bump of an event cell.
-
     /// Emits the load of the ring's top-of-stack index: `(its cell's
     /// address, the index)`.
     fn emit_tos(sink: &mut Sink) -> (Gr, Gr) {
@@ -557,9 +554,10 @@ impl Predictions {
         );
     }
 
-    /// Emits the probe of way `way` of the set whose way 0 is at `set`:
-    /// loads its key and compares it with `eip`. Returns the way's
-    /// address and the hit predicate.
+    /// Emits the probe of way `way` of the set whose way 0 is at `set`
+    /// (an inline cache is a set of one way): loads its key and
+    /// compares it with `eip`. Returns the way's address and the hit
+    /// predicate.
     fn emit_way(sink: &mut Sink, set: Gr, way: u64, eip: Gr) -> (Gr, Pr) {
         let slot = if way == 0 {
             set
@@ -773,21 +771,8 @@ impl Predictions {
     pub(crate) fn emit_ic_probe(sink: &mut Sink, eip: Gr, ic_slot: u64) {
         let s = sink.vg();
         sink.emit(Op::Movl { d: s, imm: ic_slot });
-        let pk = sink.vg();
-        sink.emit(Op::Ld {
-            sz: 8,
-            d: pk,
-            addr: s,
-            spec: false,
-        });
-        let (p_ic, p_icm) = (sink.vp(), sink.vp());
-        sink.emit(Op::Cmp {
-            rel: CmpRel::Eq,
-            pt: p_ic,
-            pf: p_icm,
-            a: Src::Reg(pk),
-            b: eip,
-        });
+        // The cache opens with a pair laid out like a way.
+        let (_, p_ic) = Self::emit_way(sink, s, 0, eip);
         let s3 = sink.vg();
         sink.emit(Op::Add {
             d: s3,
