@@ -501,6 +501,29 @@ impl Predictions {
         (sb, tos)
     }
 
+    /// Emits the move of the ring's top by `step` entries (modulo the
+    /// ring) from index `tos`, stored to its cell at `sb`; returns the
+    /// new index.
+    fn emit_step_tos(sink: &mut Sink, sb: Gr, tos: Gr, step: u64) -> Gr {
+        let t2 = sink.vg();
+        sink.emit(Op::Add {
+            d: t2,
+            a: Src::Imm(step as i64),
+            b: tos,
+        });
+        sink.emit(Op::And {
+            d: t2,
+            a: Src::Imm((SHADOW_ENTRIES - 1) as i64),
+            b: t2,
+        });
+        sink.emit(Op::St {
+            sz: 8,
+            addr: sb,
+            val: t2,
+        });
+        t2
+    }
+
     /// Emits the address of the ring entry whose index is in `index`.
     fn emit_ring_slot(sink: &mut Sink, index: Gr) -> Gr {
         let shb = sink.vg();
@@ -597,22 +620,7 @@ impl Predictions {
     pub(crate) fn emit_shadow_push(sink: &mut Sink, ret: u32) {
         let (sb, tos) = Self::emit_tos(sink);
         let ea = Self::emit_ring_slot(sink, tos);
-        let t2 = sink.vg();
-        sink.emit(Op::Add {
-            d: t2,
-            a: Src::Imm(1),
-            b: tos,
-        });
-        sink.emit(Op::And {
-            d: t2,
-            a: Src::Imm((SHADOW_ENTRIES - 1) as i64),
-            b: t2,
-        });
-        sink.emit(Op::St {
-            sz: 8,
-            addr: sb,
-            val: t2,
-        });
+        Self::emit_step_tos(sink, sb, tos, 1);
         // Probe both ways of the return EIP's lookup set for a prediction.
         let s0 = sink.vg();
         sink.emit(Op::Movl {
@@ -621,9 +629,8 @@ impl Predictions {
         });
         let rr = sink.vg();
         sink.mov_imm(rr, ret as u64);
-        let ways: Vec<(Gr, Pr)> = (0..LOOKUP_WAYS)
-            .map(|w| Self::emit_way(sink, s0, w, rr))
-            .collect();
+        let ways: [(Gr, Pr); LOOKUP_WAYS as usize] =
+            std::array::from_fn(|w| Self::emit_way(sink, s0, w as u64, rr));
         // Default: empty pair; a way hit overwrites both halves.
         let key = sink.vg();
         sink.emit(Op::Movl {
@@ -677,23 +684,8 @@ impl Predictions {
     /// per-block pop misses and demote the block.
     pub(crate) fn emit_shadow_pop(sink: &mut Sink, eip: Gr, block_id: u32) {
         let (sb, tos) = Self::emit_tos(sink);
-        let t2 = sink.vg();
-        sink.emit(Op::Add {
-            d: t2,
-            a: Src::Imm(SHADOW_ENTRIES as i64 - 1),
-            b: tos,
-        });
-        sink.emit(Op::And {
-            d: t2,
-            a: Src::Imm((SHADOW_ENTRIES - 1) as i64),
-            b: t2,
-        });
-        sink.emit(Op::St {
-            sz: 8,
-            addr: sb,
-            val: t2,
-        });
-        let ea = Self::emit_ring_slot(sink, t2);
+        let top = Self::emit_step_tos(sink, sb, tos, SHADOW_ENTRIES - 1);
+        let ea = Self::emit_ring_slot(sink, top);
         let k = sink.vg();
         sink.emit(Op::Ld {
             sz: 8,
