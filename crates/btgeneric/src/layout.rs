@@ -460,6 +460,7 @@ impl Predictions {
 
     /// Every live-keyed `(key, entry)` pair: the table's ways, the
     /// ring's entries, then the inline caches at `ic_slots`.
+    #[cfg(any(test, debug_assertions))]
     pub(crate) fn pairs(mem: &GuestMem, ic_slots: impl Iterator<Item = u64>) -> Vec<(u64, u64)> {
         // The ring follows the table, and its entries are ways' size.
         let table_and_ring = (LOOKUP_BASE..SHADOW_TOS).step_by(LOOKUP_ENTRY_SIZE as usize);
