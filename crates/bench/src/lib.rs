@@ -8,6 +8,7 @@
 use btgeneric::btos::{BtOs, SyscallOutcome};
 use btgeneric::chaos::{FaultKind, FaultPlan, NUM_KINDS};
 use btgeneric::engine::{Config, Outcome};
+use btgeneric::features::Features;
 use btgeneric::stats::{DispatchHist, Stats, TimeDistribution};
 use btgeneric::trace::{EventMask, TraceConfig};
 use btlib::{Process, SignalPlan, SimOs, SimOsFaults};
@@ -200,7 +201,10 @@ pub fn misalign_speedup(scale_div: u32) -> (u64, u64, f64) {
     let w = workloads::misalign_heavy();
     let scale = (w.scale / scale_div).max(512);
     let off = Config {
-        enable_misalign_avoidance: false,
+        features: Features {
+            misalign_avoidance: false,
+            ..Features::default()
+        },
         ..Config::default()
     };
     let without = run_el(&w, scale, off).cycles;

@@ -5,13 +5,11 @@
 //! IA-32 state register updates that make cold exceptions precise.
 
 use super::discover::{BlockEnd, Region};
-use super::liveness::Liveness;
 use super::lower::{lower, LowerError};
+use crate::features::{Emission, Features, Loc, Scope};
 use crate::layout::{Predictions, Profile, StubKind};
 use crate::state::{GR_PAYLOAD0, GR_STATE};
-use crate::templates::{
-    self, emit_spec_checks, AlignCache, EmitCtx, FpCtx, IndKind, MisalignPlan, Sink, Term, XmmCtx,
-};
+use crate::templates::{self, emit_spec_checks, IndKind, MisalignPlan, Sink, Term};
 use ia32::inst::{Class, Inst as I32};
 use ipf::asm::{CodeBuilder, Relocatable};
 use ipf::inst::{CmpRel, Op, Src, Target};
@@ -34,8 +32,6 @@ pub struct SpecSeed {
 pub struct ColdGenInput<'a> {
     /// The discovered region containing the block.
     pub region: &'a Region,
-    /// Flag liveness over the region.
-    pub liveness: &'a Liveness,
     /// The block to generate.
     pub entry: u32,
     /// Block id (payload for instrumentation exits).
@@ -49,12 +45,11 @@ pub struct ColdGenInput<'a> {
     pub misalign: MisalignPlan,
     /// Speculation seeds.
     pub spec: SpecSeed,
-    /// Enable EFlags liveness (off = materialize everything).
-    pub flag_liveness: bool,
-    /// Enable compare+branch fusion.
-    pub fuse: bool,
-    /// Emit inline (per-access) FP tag checks — the post-TagFix variant.
-    pub inline_fp_checks: bool,
+    /// The ablation knobs.
+    pub features: Features,
+    /// Emit inline (per-access) FP tag checks whatever
+    /// `features.fp_spec` says — the post-TagFix variant.
+    pub inline_fp: bool,
     /// Self-modifying-code prologue: the words of the block's source
     /// span to compare on entry (empty: no prologue).
     pub smc_check: Vec<SourceWord>,
@@ -172,6 +167,23 @@ pub(crate) fn emit_counter_inc(
     c
 }
 
+/// Points the IA-32 state register at `ip`, given the address it last
+/// held (`None`: nothing yet in this block).
+fn set_state_ip(sink: &mut Sink, last: Option<u32>, ip: u32) {
+    match last {
+        None => sink.emit(Op::Movl {
+            d: GR_STATE,
+            imm: ip as u64,
+        }),
+        Some(prev) if prev != ip => sink.emit(Op::Add {
+            d: GR_STATE,
+            a: Src::Imm(ip as i64 - prev as i64),
+            b: GR_STATE,
+        }),
+        _ => {}
+    }
+}
+
 /// Generates the cold translation of one basic block.
 ///
 /// # Errors
@@ -186,12 +198,14 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     let insts = input.region.insts(blk);
 
     let entry_mmx = entry_mmx(insts.iter().map(|(_, inst, _)| inst));
-    let mut fp = FpCtx::new(input.spec.tos, false);
-    fp.entry_mmx = entry_mmx;
-    fp.cur_mmx = entry_mmx;
-    fp.inline_checks = input.inline_fp_checks;
-    let mut xmm = XmmCtx::new(input.spec.xmm_fmt);
-    let mut align = AlignCache::default();
+    let mut em = Emission::new(
+        input.features,
+        Scope::Cold(input.region),
+        &input.misalign,
+        input.spec,
+        entry_mmx,
+        input.inline_fp,
+    );
 
     let mut body = Sink::new();
     let mut term: Option<Term> = None;
@@ -204,81 +218,42 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     let mut i = 0;
     while i < insts.len() {
         let (ip, inst, len) = insts[i];
-        let next_ip = ip + len as u32;
-        term_ip = next_ip;
-        let flags_after = |i| {
-            if input.flag_liveness {
-                input.liveness.flags_after(blk.start, i)
-            } else {
-                let all = ia32::flags::STATUS | ia32::flags::DF;
-                (all, all)
-            }
+        let at = Loc {
+            ip,
+            len,
+            block: blk.start,
+            idx: i,
         };
-        let (live_flags, read_flags) = flags_after(i);
+        term_ip = ip + len as u32;
 
         // Update the IA-32 state register before faulting instructions.
-        let props = inst.props();
-        if props.can_fault {
-            match last_state_ip {
-                None => body.emit(Op::Movl {
-                    d: GR_STATE,
-                    imm: ip as u64,
-                }),
-                Some(prev) if prev != ip => body.emit(Op::Add {
-                    d: GR_STATE,
-                    a: Src::Imm(ip as i64 - prev as i64),
-                    b: GR_STATE,
-                }),
-                _ => {}
-            }
+        if inst.props().can_fault {
+            set_state_ip(&mut body, last_state_ip, ip);
             last_state_ip = Some(ip);
         }
 
         // Compare+branch fusion (paper: EFlags elimination).
-        if input.fuse && i + 1 < insts.len() {
-            if let (_, I32::Jcc { cond, target }, jlen) = insts[i + 1] {
-                let reads = cond.flags_read();
-                if props.flags_must & reads == reads {
-                    let jcc_ip = insts[i + 1].0;
-                    let j_next = jcc_ip + jlen as u32;
-                    let (live_flags, read_flags) = flags_after(i + 1);
-                    let mut ctx = EmitCtx {
-                        ip,
-                        next_ip,
-                        live_flags,
-                        read_flags,
-                        fp: &mut fp,
-                        xmm: &mut xmm,
-                        misalign: &input.misalign,
-                        align: &mut align,
-                    };
-                    if let Some(pt) =
-                        templates::emit_fused_cmp_jcc(&mut body, &inst, cond, &mut ctx)
-                    {
-                        ia32_count += 2;
-                        term = Some(Term::CondJump {
-                            taken_pred: pt,
-                            taken: target,
-                            fallthrough: j_next,
-                        });
-                        term_ip = j_next;
-                        break;
-                    }
-                }
+        if let Some(&(jcc_ip, I32::Jcc { cond, target }, jlen)) = insts.get(i + 1) {
+            let jcc = Loc {
+                ip: jcc_ip,
+                len: jlen,
+                idx: i + 1,
+                ..at
+            };
+            if let Some(pt) = em.fuse(&mut body, &inst, at, cond, jcc) {
+                let j_next = jcc_ip + jlen as u32;
+                ia32_count += 2;
+                term = Some(Term::CondJump {
+                    taken_pred: pt,
+                    taken: target,
+                    fallthrough: j_next,
+                });
+                term_ip = j_next;
+                break;
             }
         }
 
-        let mut ctx = EmitCtx {
-            ip,
-            next_ip,
-            live_flags,
-            read_flags,
-            fp: &mut fp,
-            xmm: &mut xmm,
-            misalign: &input.misalign,
-            align: &mut align,
-        };
-        match templates::emit(&mut body, &inst, &mut ctx) {
+        match templates::emit(&mut body, &inst, &mut em.ctx(at, false)) {
             Ok(t) => {
                 ia32_count += 1;
                 if let Some(t) = t {
@@ -354,7 +329,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
             );
         }
     }
-    emit_spec_checks(&mut head, &fp, &xmm, input.block_id);
+    emit_spec_checks(&mut head, &em.fp, &em.xmm, input.block_id);
     // Use counter + heating trigger at every multiple of the threshold
     // (gives the paper's "registered twice" signal for free).
     if input.heat_threshold > 0 {
@@ -400,7 +375,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
     // allocated in the same lowering pass.
     let mut tail = body;
     tail.set_ip(term_ip);
-    templates::emit_fp_epilogue(&mut tail, &fp, &xmm);
+    templates::emit_fp_epilogue(&mut tail, &em.fp, &em.xmm);
     // Trampolines for untranslated targets, emitted after the main exit.
     let mut tramp_reqs: Vec<(u32, u32)> = Vec::new(); // (eip, local label)
     let branch_to = |tail: &mut Sink, eip: u32, tramp_reqs: &mut Vec<(u32, u32)>| {
@@ -412,18 +387,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
         (_, Some(ip)) => {
             // Single-step escape: state register points at the
             // instruction; the engine interprets it and re-dispatches.
-            match last_state_ip {
-                None => tail.emit(Op::Movl {
-                    d: GR_STATE,
-                    imm: ip as u64,
-                }),
-                Some(prev) if prev != ip => tail.emit(Op::Add {
-                    d: GR_STATE,
-                    a: Src::Imm(ip as i64 - prev as i64),
-                    b: GR_STATE,
-                }),
-                _ => {}
-            }
+            set_state_ip(&mut tail, last_state_ip, ip);
             tail.emit(Op::Br {
                 target: Target::Abs(StubKind::InterpStep.addr()),
             });
@@ -569,7 +533,6 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
 #[cfg(test)]
 mod tests {
     use super::super::discover::discover;
-    use super::super::liveness::analyze;
     use super::*;
     use crate::templates::AccessMode;
     use ia32::asm::Asm;
@@ -585,19 +548,16 @@ mod tests {
         mem.map(0x1000, code.len().max(1) as u64, Prot::rx());
         mem.write_forced(0x1000, &code);
         let region = discover(&mem, 0x1000);
-        let liveness = analyze(&region);
         let input = ColdGenInput {
             region: &region,
-            liveness: &liveness,
             entry: 0x1000,
             block_id: 1,
             profile: Profile::OVERFLOW,
             heat_threshold: 1024,
             misalign: MisalignPlan::uniform(AccessMode::Probe, 1),
             spec: SpecSeed::default(),
-            flag_liveness: true,
-            fuse: true,
-            inline_fp_checks: false,
+            features: Features::default(),
+            inline_fp: false,
             smc_check: Vec::new(),
             plain: false,
         };
@@ -651,19 +611,20 @@ mod tests {
         mem.map(0x1000, code.len() as u64, Prot::rx());
         mem.write_forced(0x1000, &code);
         let region = discover(&mem, 0x1000);
-        let liveness = analyze(&region);
+        let (_, no_fusion) = Features::ablations()
+            .into_iter()
+            .find(|&(knob, _)| knob == "no-fusion")
+            .unwrap();
         let input = ColdGenInput {
             region: &region,
-            liveness: &liveness,
             entry: 0x1000,
             block_id: 1,
             profile: Profile::OVERFLOW,
             heat_threshold: 1024,
             misalign: MisalignPlan::uniform(AccessMode::Probe, 1),
             spec: SpecSeed::default(),
-            flag_liveness: true,
-            fuse: false,
-            inline_fp_checks: false,
+            features: no_fusion,
+            inline_fp: false,
             smc_check: Vec::new(),
             plain: false,
         };
@@ -703,19 +664,16 @@ mod tests {
         mem.map(0x1000, code.len() as u64, Prot::rx());
         mem.write_forced(0x1000, &code);
         let region = discover(&mem, 0x1000);
-        let liveness = analyze(&region);
         let mk = |smc: Vec<SourceWord>| ColdGenInput {
             region: &region,
-            liveness: &liveness,
             entry: 0x1000,
             block_id: 1,
             profile: Profile::OVERFLOW,
             heat_threshold: 0,
             misalign: MisalignPlan::uniform(AccessMode::Fast, 1),
             spec: SpecSeed::default(),
-            flag_liveness: true,
-            fuse: true,
-            inline_fp_checks: false,
+            features: Features::default(),
+            inline_fp: false,
             smc_check: smc,
             plain: false,
         };

@@ -6,8 +6,8 @@ use crate::btos::{BtOs, GuestException, SyscallOutcome};
 use crate::chaos::{FaultKind, FaultPlan};
 use crate::cold::discover::discover;
 use crate::cold::gen::{generate, ColdGenInput, SpecSeed};
-use crate::cold::liveness::analyze;
 use crate::cost;
+use crate::features::Features;
 use crate::layout::{self, region, Predictions, Profile, StubKind};
 use crate::policy;
 use crate::registry::Registry;
@@ -48,15 +48,8 @@ pub struct Config {
     /// Optimization session trigger: this many registered candidates
     /// (or one block registering twice) starts hot translation.
     pub hot_candidates: usize,
-    /// EFlags liveness analysis (ablation knob).
-    pub enable_flag_liveness: bool,
-    /// Compare+branch fusion (ablation knob).
-    pub enable_fusion: bool,
-    /// Misalignment detection and avoidance (ablation knob; off = every
-    /// misaligned access takes the OS-handled fault).
-    pub enable_misalign_avoidance: bool,
-    /// FP TOS/tag/mode/format speculation (off = inline checks).
-    pub enable_fp_spec: bool,
+    /// The paper's ablation knobs (all on by default).
+    pub features: Features,
     /// Machine timing parameters.
     pub timing: ipf::Timing,
     /// Translation-cache capacity in bundles. 0 = unbounded. Exceeding
@@ -113,10 +106,7 @@ impl Default for Config {
         Config {
             heat_threshold: 1024,
             hot_candidates: 4,
-            enable_flag_liveness: true,
-            enable_fusion: true,
-            enable_misalign_avoidance: true,
-            enable_fp_spec: true,
+            features: Features::default(),
             timing: ipf::Timing::default(),
             max_cache_bundles: 0,
             enable_eviction: true,
@@ -674,7 +664,6 @@ impl Engine {
         };
         let src_range = (eip, disc.end_ip());
         let src_fnv = src_checksum(&self.mem, src_range);
-        let liveness = analyze(&region_g);
         let (id, profile, prev, indirect_plain, pop_misses) = match self.live_block(eip) {
             Some(b) => (
                 b.id,
@@ -699,16 +688,10 @@ impl Engine {
             // byte-identical in shape to what was validated and
             // saved/published.
             XlateOrigin::Record { spec, .. } => spec,
-            _ if self.cfg.enable_fp_spec => self.current_spec(),
-            _ => SpecSeed::default(),
-        };
-        let default_mode = match kind {
-            BlockKind::ColdV1 if self.cfg.enable_misalign_avoidance => AccessMode::Probe,
-            BlockKind::ColdV2 => AccessMode::DetectAvoid,
-            _ => AccessMode::Fast,
+            _ => self.cfg.features.spec_seed(self.current_spec()),
         };
         let misalign = MisalignPlan {
-            default: default_mode,
+            default: self.cfg.features.access_mode(kind),
             overrides: overrides.clone(),
             profile,
             block_id: id,
@@ -722,16 +705,14 @@ impl Engine {
         };
         let input = ColdGenInput {
             region: &region_g,
-            liveness: &liveness,
             entry: eip,
             block_id: id,
             profile,
             heat_threshold: self.cfg.heat_threshold,
             misalign,
             spec,
-            flag_liveness: self.cfg.enable_flag_liveness,
-            fuse: self.cfg.enable_fusion,
-            inline_fp_checks: inline_fp || !self.cfg.enable_fp_spec,
+            features: self.cfg.features,
+            inline_fp,
             smc_check,
             plain: indirect_plain,
         };

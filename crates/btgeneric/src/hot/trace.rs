@@ -9,15 +9,13 @@ use super::opt;
 use super::regalloc;
 use super::sched;
 use crate::cold::discover::{discover, BlockEnd};
-use crate::cold::liveness::{analyze, Liveness};
 use crate::cost;
-use crate::engine::Engine;
+use crate::engine::{BlockKind, Engine};
+use crate::features::{Emission, Loc, Scope};
 use crate::layout::{region, Predictions, StubKind};
 use crate::policy;
 use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1, GR_XMMFMT};
-use crate::templates::{
-    self, AccessMode, AlignCache, EmitCtx, FpCtx, IlItem, MisalignPlan, Sink, Term, XmmCtx,
-};
+use crate::templates::{self, AccessMode, IlItem, MisalignPlan, Sink, Term};
 use crate::trace::EventData;
 use ia32::inst::{Flow, Inst as I32};
 use ipf::inst::{CmpRel, Op, Src, Target};
@@ -28,16 +26,10 @@ use std::collections::{HashMap, HashSet};
 pub(super) enum Step {
     /// A straight-line instruction.
     Inst {
-        /// Instruction address.
-        ip: u32,
+        /// Where the instruction sits.
+        at: Loc,
         /// The instruction.
         inst: I32,
-        /// Encoded length.
-        len: u8,
-        /// Start of the containing basic block (liveness lookup).
-        block: u32,
-        /// Index within the block (liveness lookup).
-        idx: usize,
         /// Executes under the preceding [`Step::Guard`]'s predicate.
         guarded: bool,
     },
@@ -57,16 +49,10 @@ pub(super) enum Step {
     /// target against `predicted`, with a side exit to the
     /// inline-cache retrain path on mismatch.
     Terminator {
-        /// Instruction address.
-        ip: u32,
+        /// Where the terminator sits.
+        at: Loc,
         /// The terminator instruction.
         inst: I32,
-        /// Encoded length.
-        len: u8,
-        /// Start of the containing basic block (liveness lookup).
-        block: u32,
-        /// Index within the block (liveness lookup).
-        idx: usize,
         /// Predicted continuation EIP (exact for direct calls).
         predicted: u32,
         /// Per-site inline-cache slot to retrain on guard failure
@@ -87,16 +73,10 @@ pub(super) enum Step {
     /// otherwise fail the devirt gate, fail promotion, and churn
     /// through demotion.
     IndirectEnd {
-        /// Instruction address.
-        ip: u32,
+        /// Where the terminator sits.
+        at: Loc,
         /// The terminator instruction.
         inst: I32,
-        /// Encoded length.
-        len: u8,
-        /// Start of the containing basic block (liveness lookup).
-        block: u32,
-        /// Index within the block (liveness lookup).
-        idx: usize,
         /// Per-site inline-cache slot (unused for `ret`).
         ic_slot: u64,
         /// Site goes straight to the plain 2-way table probe (demoted
@@ -109,12 +89,8 @@ pub(super) enum Step {
         cond: ia32::Cond,
         /// Off-trace target.
         target: u32,
-        /// Containing block (liveness).
-        block: u32,
-        /// Index of the Jcc within its block.
-        idx: usize,
-        /// Address of the Jcc.
-        ip: u32,
+        /// Where the Jcc sits.
+        at: Loc,
     },
 }
 
@@ -140,9 +116,9 @@ impl Trace {
             .map(|&id| engine.block(id).src_range)
             .collect();
         spans.extend(self.steps.iter().filter_map(|s| match *s {
-            Step::Inst { ip, len, .. }
-            | Step::Terminator { ip, len, .. }
-            | Step::IndirectEnd { ip, len, .. } => Some((ip, ip + len as u32)),
+            Step::Inst { at, .. } | Step::Terminator { at, .. } | Step::IndirectEnd { at, .. } => {
+                Some((at.ip, at.ip + at.len as u32))
+            }
             Step::Guard { .. } | Step::SideExit { .. } => None,
         }));
         spans.sort_unstable();
@@ -260,6 +236,12 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
         blocks.push(info.id);
         let n = blk.len();
         for (i, (ip, inst, len)) in region_g.insts(blk).iter().enumerate() {
+            let at = Loc {
+                ip: *ip,
+                len: *len,
+                block: blk.start,
+                idx: i,
+            };
             if total >= budget || trace_hostile(inst) {
                 main_exit = *ip;
                 break 'outer;
@@ -279,9 +261,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             steps.push(Step::SideExit {
                                 cond: cond.negate(),
                                 target: next,
-                                block: blk.start,
-                                idx: i,
-                                ip: *ip,
+                                at,
                             });
                             total += 1;
                             cur = *target;
@@ -290,9 +270,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             steps.push(Step::SideExit {
                                 cond: *cond,
                                 target: *target,
-                                block: blk.start,
-                                idx: i,
-                                ip: *ip,
+                                at,
                             });
                             total += 1;
                             cur = next;
@@ -311,12 +289,15 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                 });
                                 total += 1;
                                 for (j, (gip, ginst, glen)) in hammock.iter().enumerate() {
-                                    steps.push(Step::Inst {
+                                    let at = Loc {
                                         ip: *gip,
-                                        inst: *ginst,
                                         len: *glen,
                                         block: next,
                                         idx: j,
+                                    };
+                                    steps.push(Step::Inst {
+                                        at,
+                                        inst: *ginst,
                                         guarded: true,
                                     });
                                     total += 1;
@@ -339,9 +320,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             steps.push(Step::SideExit {
                                 cond: cond_away,
                                 target: away,
-                                block: blk.start,
-                                idx: i,
-                                ip: *ip,
+                                at,
                             });
                             total += 1;
                             cur = on_trace;
@@ -393,11 +372,8 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                         };
                         if let Some((predicted, ic_slot)) = devirt {
                             steps.push(Step::Terminator {
-                                ip: *ip,
+                                at,
                                 inst: *inst,
-                                len: *len,
-                                block: blk.start,
-                                idx: i,
                                 predicted,
                                 ic_slot,
                             });
@@ -429,11 +405,8 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                             };
                             let plain = info.indirect_plain || megamorphic;
                             steps.push(Step::IndirectEnd {
-                                ip: *ip,
+                                at,
                                 inst: *inst,
-                                len: *len,
-                                block: blk.start,
-                                idx: i,
                                 ic_slot: info.profile.ic_addr(),
                                 plain,
                             });
@@ -447,11 +420,8 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                 }
             }
             steps.push(Step::Inst {
-                ip: *ip,
+                at,
                 inst: *inst,
-                len: *len,
-                block: blk.start,
-                idx: i,
                 guarded: false,
             });
             total += 1;
@@ -563,81 +533,30 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
     build_and_install(engine, block_id, &trace).is_some()
 }
 
-/// What every step of a trace is emitted under: the FP/XMM tracking
-/// state and alignment cache the templates update in place, the
-/// misalignment plan, the ablation knobs cold generation honours too
-/// (`Config::enable_fusion`, `enable_flag_liveness`; `enable_fp_spec`
-/// is `fp.inline_checks`), and flag liveness per cold block, analyzed
-/// the first time a step of that block asks.
-struct Emission<'e> {
-    mem: &'e ia32::mem::GuestMem,
-    fuse: bool,
-    flag_liveness: bool,
-    live: HashMap<u32, Liveness>,
-    fp: FpCtx,
-    xmm: XmmCtx,
-    align: AlignCache,
-    plan: MisalignPlan,
-}
-
-impl Emission<'_> {
-    /// The emission context of the `len`-byte instruction at `ip`,
-    /// with the flags live after instruction `idx` of the cold block
-    /// at `block` (the instruction itself, or the Jcc fused into it).
-    /// A `guarded` instruction — inside an if-converted hammock — keeps
-    /// every live flag in the home, so the flag thunk is never written
-    /// under a predicate. Without flag liveness every flag is live and
-    /// read, as in cold code.
-    fn ctx(&mut self, ip: u32, len: u8, block: u32, idx: usize, guarded: bool) -> EmitCtx<'_> {
-        let (live_flags, read_flags) = if self.flag_liveness {
-            let live = self.live.entry(block);
-            let live = live.or_insert_with(|| analyze(&discover(self.mem, block)));
-            live.flags_after(block, idx)
-        } else {
-            let all = ia32::flags::STATUS | ia32::flags::DF;
-            (all, all)
-        };
-        EmitCtx {
-            ip,
-            next_ip: ip + len as u32,
-            live_flags,
-            read_flags: if guarded { live_flags } else { read_flags },
-            fp: &mut self.fp,
-            xmm: &mut self.xmm,
-            misalign: &self.plan,
-            align: &mut self.align,
-        }
-    }
-}
-
 #[allow(clippy::too_many_lines)]
 fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Option<()> {
     let spec = engine.block(block_id).spec;
-
+    let features = engine.cfg.features;
+    let plan = MisalignPlan {
+        default: features.access_mode(BlockKind::Hot),
+        overrides: misalign_overrides(engine, trace),
+        profile: engine.block(block_id).profile,
+        block_id,
+    };
     // FP context: pre-scan the trace for the entry mode.
     let straight = trace.steps.iter().filter_map(|s| match s {
         Step::Inst { inst, .. } => Some(inst),
         _ => None,
     });
-    let mut fp = FpCtx::new(spec.tos, true);
-    fp.entry_mmx = crate::cold::gen::entry_mmx(straight);
-    fp.cur_mmx = fp.entry_mmx;
-    fp.inline_checks = !engine.cfg.enable_fp_spec;
-    let mut em = Emission {
-        mem: &engine.mem,
-        fuse: engine.cfg.enable_fusion,
-        flag_liveness: engine.cfg.enable_flag_liveness,
-        live: HashMap::new(),
-        fp,
-        xmm: XmmCtx::new(spec.xmm_fmt),
-        align: AlignCache::default(),
-        plan: MisalignPlan {
-            default: AccessMode::Fast,
-            overrides: misalign_overrides(engine, trace),
-            profile: engine.block(block_id).profile,
-            block_id,
-        },
-    };
+    let entry_mmx = crate::cold::gen::entry_mmx(straight);
+    let mut em = Emission::new(
+        features,
+        Scope::Hot(&engine.mem),
+        &plan,
+        spec,
+        entry_mmx,
+        false,
+    );
 
     let mut body = Sink::new();
     let mut exits: Vec<ExitInfo> = Vec::new();
@@ -660,55 +579,44 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 ia32_count += 1;
                 i += 1;
             }
-            Step::Inst {
-                ip,
-                inst,
-                len,
-                block,
-                idx,
-                guarded,
-            } => {
+            Step::Inst { at, inst, guarded } => {
                 if !*guarded {
                     guard = None;
                 }
-                perm_by_ip.insert(*ip, em.fp.perm);
+                perm_by_ip.insert(at.ip, em.fp.perm);
                 // Try fusing with a following side exit.
                 if let Some(Step::SideExit {
                     cond,
                     target,
-                    block: jb,
-                    idx: jidx,
-                    ip: jip,
-                    ..
+                    at: jcc,
                 }) = trace.steps.get(i + 1)
                 {
-                    let reads = cond.flags_read();
-                    if em.fuse && !*guarded && inst.props().flags_must & reads == reads {
-                        let mut ctx = em.ctx(*ip, *len, *jb, *jidx, false);
-                        if let Some(pt) =
-                            templates::emit_fused_cmp_jcc(&mut body, inst, *cond, &mut ctx)
-                        {
-                            let label = body.local_label();
-                            body.emit_pred(
-                                pt,
-                                Op::Br {
-                                    target: Target::Label(label),
-                                },
-                            );
-                            exits.push(ExitInfo {
-                                label,
-                                target: *target,
-                                perm: em.fp.perm,
-                                xmm_fmt: em.xmm.fmt,
-                            });
-                            perm_by_ip.insert(*jip, em.fp.perm);
-                            ia32_count += 2;
-                            i += 2;
-                            continue;
-                        }
+                    let fused = if *guarded {
+                        None
+                    } else {
+                        em.fuse(&mut body, inst, *at, *cond, *jcc)
+                    };
+                    if let Some(pt) = fused {
+                        let label = body.local_label();
+                        body.emit_pred(
+                            pt,
+                            Op::Br {
+                                target: Target::Label(label),
+                            },
+                        );
+                        exits.push(ExitInfo {
+                            label,
+                            target: *target,
+                            perm: em.fp.perm,
+                            xmm_fmt: em.xmm.fmt,
+                        });
+                        perm_by_ip.insert(jcc.ip, em.fp.perm);
+                        ia32_count += 2;
+                        i += 2;
+                        continue;
                     }
                 }
-                let mut ctx = em.ctx(*ip, *len, *block, *idx, *guarded);
+                let mut ctx = em.ctx(*at, *guarded);
                 let before = body.items.len();
                 match templates::emit(&mut body, inst, &mut ctx) {
                     Ok(None) => {}
@@ -732,17 +640,14 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 i += 1;
             }
             Step::Terminator {
-                ip,
+                at,
                 inst,
-                len,
-                block,
-                idx,
                 predicted,
                 ic_slot,
             } => {
                 guard = None;
-                perm_by_ip.insert(*ip, em.fp.perm);
-                let mut ctx = em.ctx(*ip, *len, *block, *idx, false);
+                perm_by_ip.insert(at.ip, em.fp.perm);
+                let mut ctx = em.ctx(*at, false);
                 match templates::emit(&mut body, inst, &mut ctx) {
                     // Direct call: the template already pushed the
                     // return address; the trace just falls through into
@@ -797,16 +702,13 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 i += 1;
             }
             Step::IndirectEnd {
-                ip,
+                at,
                 inst,
-                len,
-                block,
-                idx,
                 ic_slot,
                 plain,
             } => {
                 guard = None;
-                perm_by_ip.insert(*ip, em.fp.perm);
+                perm_by_ip.insert(at.ip, em.fp.perm);
                 // The inline dispatch hands control to arbitrary
                 // translated entries, so speculative FP/XMM state must
                 // sit at its canonical entry configuration. Otherwise
@@ -820,7 +722,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 {
                     break;
                 }
-                let mut ctx = em.ctx(*ip, *len, *block, *idx, false);
+                let mut ctx = em.ctx(*at, false);
                 let Ok(Some(Term::Indirect { eip, kind })) =
                     templates::emit(&mut body, inst, &mut ctx)
                 else {
@@ -830,7 +732,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 // paths branch straight to translated entries, the miss
                 // path leaves through the IndirectMiss stub with the
                 // payload registers loaded.
-                body.set_ip(*ip);
+                body.set_ip(at.ip);
                 // Every call — even a plain (megamorphic) one — seeds
                 // the shadow stack: its callees' rets may still be cold
                 // and popping, and chronic underflow would demote them
@@ -857,13 +759,11 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                 ia32_count += 1;
                 i += 1;
             }
-            Step::SideExit {
-                cond, target, ip, ..
-            } => {
+            Step::SideExit { cond, target, at } => {
                 guard = None;
                 // Unfused side exit: read the materialized flags.
-                body.set_ip(*ip);
-                perm_by_ip.insert(*ip, em.fp.perm);
+                body.set_ip(at.ip);
+                perm_by_ip.insert(at.ip, em.fp.perm);
                 let (pt, _) = templates::emit_cond_pred(&mut body, *cond);
                 let label = body.local_label();
                 body.emit_pred(

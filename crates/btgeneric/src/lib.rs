@@ -26,6 +26,7 @@ pub mod cold;
 pub mod cost;
 pub mod engine;
 mod extents;
+pub mod features;
 pub mod hot;
 pub mod layout;
 pub mod persist;

@@ -152,14 +152,7 @@ pub fn fingerprint(cfg: &Config) -> u64 {
         bytes.extend_from_slice(&c.to_le_bytes());
     }
     bytes.extend_from_slice(&cfg.heat_threshold.to_le_bytes());
-    for flag in [
-        cfg.enable_flag_liveness,
-        cfg.enable_fusion,
-        cfg.enable_misalign_avoidance,
-        cfg.enable_fp_spec,
-    ] {
-        bytes.push(flag as u8);
-    }
+    bytes.extend(cfg.features.bytes());
     fnv64(&bytes)
 }
 
@@ -935,9 +928,13 @@ mod tests {
     #[test]
     fn fingerprint_tracks_codegen_knobs() {
         let a = Config::default();
-        let mut b = Config::default();
-        b.enable_fusion = !b.enable_fusion;
-        assert_ne!(fingerprint(&a), fingerprint(&b));
+        for (knob, features) in crate::features::Features::ablations() {
+            let b = Config {
+                features,
+                ..Config::default()
+            };
+            assert_ne!(fingerprint(&a), fingerprint(&b), "{knob}");
+        }
         let mut c = Config::default();
         c.blacklist_backoff_cycles += 1; // timing-only knob: same code shape
         assert_eq!(fingerprint(&a), fingerprint(&c));

@@ -376,28 +376,7 @@ pub(super) fn emit_int(
             Rm::Mem(_) => return Err(Unsupported("pop to memory")),
         },
         I32::IncDec { inc, size, dst } => {
-            let a = read_rm(sink, ctx, dst, *size);
-            let a = if live != 0 { snapshot(sink, a) } else { a };
-            let res64 = sink.vg();
-            sink.emit(Op::Add {
-                d: res64,
-                a: Src::Imm(if *inc { 1 } else { -1 }),
-                b: a,
-            });
-            let res = trunc(sink, res64, *size);
-            write_rm(sink, ctx, dst, *size, res);
-            arith_flags(
-                sink,
-                ctx,
-                if *inc { ArithKind::Inc } else { ArithKind::Dec },
-                a,
-                GR_ONE,
-                res64,
-                res,
-                *size,
-                live,
-                true,
-            );
+            emit_inc_dec(sink, ctx, *inc, *size, dst, live);
         }
         I32::Neg { size, dst } => {
             let a = read_rm(sink, ctx, dst, *size);
@@ -646,6 +625,31 @@ fn emit_alu(
     }
     let carry_in = matches!(op, AluOp::Adc | AluOp::Sbb);
     arith_flags(sink, ctx, kind, a, b, res64, res, size, live, !carry_in);
+}
+
+/// INC/DEC of `dst` with the `live` flags; returns the truncated
+/// result.
+fn emit_inc_dec(
+    sink: &mut Sink,
+    ctx: &mut EmitCtx<'_>,
+    inc: bool,
+    size: Size,
+    dst: &Rm,
+    live: u32,
+) -> Gr {
+    let a = read_rm(sink, ctx, dst, size);
+    let a = if live != 0 { snapshot(sink, a) } else { a };
+    let res64 = sink.vg();
+    sink.emit(Op::Add {
+        d: res64,
+        a: Src::Imm(if inc { 1 } else { -1 }),
+        b: a,
+    });
+    let res = trunc(sink, res64, size);
+    write_rm(sink, ctx, dst, size, res);
+    let kind = if inc { ArithKind::Inc } else { ArithKind::Dec };
+    arith_flags(sink, ctx, kind, a, GR_ONE, res64, res, size, live, true);
+    res
 }
 
 /// The Itanium op for `d = a <op> b`; ADC adds and SBB subtracts (their
@@ -1435,30 +1439,7 @@ pub(super) fn try_fuse(
             if cond.flags_read() & flags::CF != 0 {
                 return None; // INC/DEC do not write CF
             }
-            let a = read_rm(sink, ctx, dst, *size);
-            let a = if live != 0 { snapshot(sink, a) } else { a };
-            let res64 = sink.vg();
-            sink.emit(Op::Add {
-                d: res64,
-                a: Src::Imm(if *inc { 1 } else { -1 }),
-                b: a,
-            });
-            let res = trunc(sink, res64, *size);
-            write_rm(sink, ctx, dst, *size, res);
-            if live != 0 {
-                arith_flags(
-                    sink,
-                    ctx,
-                    if *inc { ArithKind::Inc } else { ArithKind::Dec },
-                    a,
-                    GR_ONE,
-                    res64,
-                    res,
-                    *size,
-                    live,
-                    true,
-                );
-            }
+            let res = emit_inc_dec(sink, ctx, *inc, *size, dst, live);
             Some(result_cond(sink, res, *size, cond))
         }
         // sub/and/or/xor + result-based conditions: emit the ALU in full

@@ -485,39 +485,59 @@ fn record_misalign(sink: &mut Sink, ctx: &EmitCtx<'_>, qp: Pr, addr: Gr, acc: u1
     );
 }
 
-/// Emits a guest data load of `size` bytes at `addr` (a 32-bit EA in a
-/// 64-bit register), honoring the block's misalignment plan. Returns
-/// the zero-extended value.
-pub(super) fn guest_load(
+/// A guest data access: a load into, or a store of, a register.
+#[derive(Clone, Copy)]
+enum Access {
+    Load(Gr),
+    Store(Gr),
+}
+
+impl Access {
+    /// The whole access as one op of `size` bytes.
+    fn op(self, addr: Gr, size: u8) -> Op {
+        match self {
+            Access::Load(d) => Op::Ld {
+                sz: size,
+                d,
+                addr,
+                spec: false,
+            },
+            Access::Store(val) => Op::St {
+                sz: size,
+                addr,
+                val,
+            },
+        }
+    }
+
+    /// The access in `gran`-byte parts, predicated on `qp`.
+    fn split(self, sink: &mut Sink, qp: Pr, addr: Gr, size: u8, gran: u8) {
+        match self {
+            Access::Load(d) => split_load(sink, qp, addr, size, gran, d),
+            Access::Store(val) => split_store(sink, qp, addr, size, gran, val),
+        }
+    }
+}
+
+/// Emits a guest data access of `size` bytes at `addr` (a 32-bit EA in
+/// a 64-bit register) as the block's misalignment plan says. A byte
+/// access cannot be misaligned.
+fn guest_access(
     sink: &mut Sink,
     ctx: &mut EmitCtx<'_>,
     addr: Gr,
     addr_expr: Option<&Addr>,
     size: u8,
-) -> Gr {
-    let d = sink.vg();
-    if size == 1 {
-        let acc = sink.begin_access();
-        let _ = acc;
-        sink.emit(Op::Ld {
-            sz: 1,
-            d,
-            addr,
-            spec: false,
-        });
-        sink.end_access();
-        return d;
-    }
+    access: Access,
+) {
     let acc = sink.begin_access();
-    match ctx.misalign.mode_of(acc) {
-        AccessMode::Fast => {
-            sink.emit(Op::Ld {
-                sz: size,
-                d,
-                addr,
-                spec: false,
-            });
-        }
+    let whole = access.op(addr, size);
+    let mode = match size {
+        1 => AccessMode::Fast,
+        _ => ctx.misalign.mode_of(acc),
+    };
+    match mode {
+        AccessMode::Fast => sink.emit(whole),
         AccessMode::Probe => {
             let (_, p_mis) = align_preds(sink, ctx, addr, None, size);
             sink.emit_pred(
@@ -534,42 +554,34 @@ pub(super) fn guest_load(
                     target: Target::Abs(StubKind::MisalignRetrain.addr()),
                 },
             );
-            sink.emit(Op::Ld {
-                sz: size,
-                d,
-                addr,
-                spec: false,
-            });
+            sink.emit(whole);
         }
         AccessMode::DetectAvoid => {
             let (p_al, p_mis) = align_preds(sink, ctx, addr, None, size);
-            sink.emit_pred(
-                p_al,
-                Op::Ld {
-                    sz: size,
-                    d,
-                    addr,
-                    spec: false,
-                },
-            );
+            sink.emit_pred(p_al, whole);
             record_misalign(sink, ctx, p_mis, addr, acc, size);
-            split_load(sink, p_mis, addr, size, 1, d);
+            access.split(sink, p_mis, addr, size, 1);
         }
         AccessMode::AvoidKnown { gran } => {
             let (p_al, p_mis) = align_preds(sink, ctx, addr, addr_expr, size);
-            sink.emit_pred(
-                p_al,
-                Op::Ld {
-                    sz: size,
-                    d,
-                    addr,
-                    spec: false,
-                },
-            );
-            split_load(sink, p_mis, addr, size, gran.min(size), d);
+            sink.emit_pred(p_al, whole);
+            access.split(sink, p_mis, addr, size, gran.min(size));
         }
     }
     sink.end_access();
+}
+
+/// Emits a guest data load of `size` bytes at `addr`, honoring the
+/// block's misalignment plan. Returns the zero-extended value.
+pub(super) fn guest_load(
+    sink: &mut Sink,
+    ctx: &mut EmitCtx<'_>,
+    addr: Gr,
+    addr_expr: Option<&Addr>,
+    size: u8,
+) -> Gr {
+    let d = sink.vg();
+    guest_access(sink, ctx, addr, addr_expr, size, Access::Load(d));
     d
 }
 
@@ -583,69 +595,7 @@ pub(super) fn guest_store(
     size: u8,
     val: Gr,
 ) {
-    let acc = sink.begin_access();
-    if size == 1 {
-        sink.emit(Op::St { sz: 1, addr, val });
-        sink.end_access();
-        return;
-    }
-    match ctx.misalign.mode_of(acc) {
-        AccessMode::Fast => {
-            sink.emit(Op::St {
-                sz: size,
-                addr,
-                val,
-            });
-        }
-        AccessMode::Probe => {
-            let (_, p_mis) = align_preds(sink, ctx, addr, None, size);
-            sink.emit_pred(
-                p_mis,
-                Op::Add {
-                    d: GR_PAYLOAD0,
-                    a: Src::Imm(ctx.misalign.block_id as i64),
-                    b: R0,
-                },
-            );
-            sink.emit_pred(
-                p_mis,
-                Op::Br {
-                    target: Target::Abs(StubKind::MisalignRetrain.addr()),
-                },
-            );
-            sink.emit(Op::St {
-                sz: size,
-                addr,
-                val,
-            });
-        }
-        AccessMode::DetectAvoid => {
-            let (p_al, p_mis) = align_preds(sink, ctx, addr, None, size);
-            sink.emit_pred(
-                p_al,
-                Op::St {
-                    sz: size,
-                    addr,
-                    val,
-                },
-            );
-            record_misalign(sink, ctx, p_mis, addr, acc, size);
-            split_store(sink, p_mis, addr, size, 1, val);
-        }
-        AccessMode::AvoidKnown { gran } => {
-            let (p_al, p_mis) = align_preds(sink, ctx, addr, addr_expr, size);
-            sink.emit_pred(
-                p_al,
-                Op::St {
-                    sz: size,
-                    addr,
-                    val,
-                },
-            );
-            split_store(sink, p_mis, addr, size, gran.min(size), val);
-        }
-    }
-    sink.end_access();
+    guest_access(sink, ctx, addr, addr_expr, size, Access::Store(val));
 }
 
 #[cfg(test)]

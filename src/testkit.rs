@@ -2,6 +2,7 @@
 //! reference interpreter and the translator, and compare outcomes.
 
 use btgeneric::engine::{Config, Outcome};
+use btgeneric::features::Features;
 use btlib::{Process, SimOs};
 use ia32::asm::Image;
 use ia32::cpu::Cpu;
@@ -134,20 +135,17 @@ pub fn hot_config() -> Config {
     }
 }
 
-/// `base` with each ablation knob off in turn: flag liveness, compare
-/// and branch fusion, FP speculation. Each pair is the knob's name and
-/// its configuration.
-pub fn ablations(base: Config) -> [(&'static str, Config); 3] {
-    let off = |knob: fn(&mut Config)| {
-        let mut cfg = base.clone();
-        knob(&mut cfg);
-        cfg
-    };
-    [
-        ("no-flag-liveness", off(|c| c.enable_flag_liveness = false)),
-        ("no-fusion", off(|c| c.enable_fusion = false)),
-        ("no-fp-spec", off(|c| c.enable_fp_spec = false)),
-    ]
+/// `base` with each ablation knob off in turn ([`Features::ablations`]):
+/// flag liveness, compare and branch fusion, misalignment avoidance, FP
+/// speculation. Each pair is the knob's name and its configuration.
+pub fn ablations(base: Config) -> [(&'static str, Config); 4] {
+    Features::ablations().map(|(knob, features)| {
+        let cfg = Config {
+            features,
+            ..base.clone()
+        };
+        (knob, cfg)
+    })
 }
 
 /// Asserts that two CPU states are architecturally equivalent.

@@ -4,6 +4,7 @@
 //! speculation.
 
 use btgeneric::engine::Config;
+use btgeneric::features::Features;
 use ia32::asm::{Asm, Image};
 use ia32::inst::*;
 use ia32::regs::*;
@@ -25,7 +26,10 @@ fn check(name: &str, f: impl Fn(&mut Asm)) {
     differential(&img, hot_config(), &[(DATA, 0x400)], &format!("{name}/hot"));
     // The ablation knobs' off-states must translate correctly too.
     let cold_no_fp_spec = Config {
-        enable_fp_spec: false,
+        features: Features {
+            fp_spec: false,
+            ..Features::default()
+        },
         ..cold_config()
     };
     differential(

@@ -67,7 +67,7 @@ fn avoidance_off_pays_fault_penalty() {
     // the paper's 1236 s -> 133 s observation in miniature.
     let img = image(|a| misaligned_loop(a, 400));
     let mut no_avoid = cold_config();
-    no_avoid.enable_misalign_avoidance = false;
+    no_avoid.features.misalign_avoidance = false;
     let (_ra, pa) = run_translated(&img, no_avoid, 400_000_000);
     let (_rb, pb) = run_translated(&img, cold_config(), 400_000_000);
     let cycles_without = pa.engine.machine.cycles;

@@ -197,7 +197,6 @@ fn config_fingerprint_mismatch_rejects_wholesale() {
     // Save under one code shape...
     let cfg = Config {
         save_image: Some(path.clone()),
-        enable_fusion: true,
         ..base_cfg()
     };
     let mut p = Process::launch_with(&img, SimOs::new(), cfg).expect("launch");
@@ -205,11 +204,11 @@ fn config_fingerprint_mismatch_rejects_wholesale() {
     assert!(p.engine.stats.image_saves > 0);
 
     // ...load under another: the image must be refused wholesale.
-    let cfg = Config {
+    let mut cfg = Config {
         load_image: Some(path.clone()),
-        enable_fusion: false,
         ..base_cfg()
     };
+    cfg.features.fusion = false;
     let mut p = Process::launch_with(&img, SimOs::new(), cfg).expect("launch");
     assert!(matches!(p.run(u64::MAX / 2), Outcome::Halted(_)));
     assert_eq!(guest_result(&p), want);
@@ -256,10 +255,10 @@ fn image_with_the_old_seven_flag_fingerprint_is_rejected_wholesale() {
     }
     recipe.extend_from_slice(&cfg.heat_threshold.to_le_bytes());
     let new_flags = [
-        cfg.enable_flag_liveness,
-        cfg.enable_fusion,
-        cfg.enable_misalign_avoidance,
-        cfg.enable_fp_spec,
+        cfg.features.flag_liveness,
+        cfg.features.fusion,
+        cfg.features.misalign_avoidance,
+        cfg.features.fp_spec,
     ];
     let mut new_recipe = recipe.clone();
     new_recipe.extend(new_flags.map(u8::from));
