@@ -90,12 +90,14 @@ impl Features {
 
     /// How a `kind` block generates an access with no recorded
     /// override: stage 1 probes, stage 2 detects and avoids, hot code
-    /// takes the plain access.
+    /// takes the plain access. Without avoidance every stage takes the
+    /// plain access.
     pub(crate) fn access_mode(self, kind: BlockKind) -> AccessMode {
         match kind {
-            BlockKind::ColdV1 if self.misalign_avoidance => AccessMode::Probe,
+            _ if !self.misalign_avoidance => AccessMode::Fast,
+            BlockKind::ColdV1 => AccessMode::Probe,
             BlockKind::ColdV2 => AccessMode::DetectAvoid,
-            _ => AccessMode::Fast,
+            BlockKind::Hot => AccessMode::Fast,
         }
     }
 }

@@ -64,19 +64,26 @@ fn stage1_probe_triggers_regeneration() {
 fn avoidance_off_pays_fault_penalty() {
     // The ablation knob: without avoidance every misaligned access takes
     // the multi-thousand-cycle fault; with it the cost collapses —
-    // the paper's 1236 s -> 133 s observation in miniature.
+    // the paper's 1236 s -> 133 s observation in miniature. Off means
+    // off on every stage: under the hot configuration the loop heats,
+    // takes enough faults to be demoted, and must keep faulting in the
+    // stage-2 block the demotion rebuilds and in the trace promoted
+    // from it.
     let img = image(|a| misaligned_loop(a, 400));
-    let mut no_avoid = cold_config();
-    no_avoid.features.misalign_avoidance = false;
-    let (_ra, pa) = run_translated(&img, no_avoid, 400_000_000);
-    let (_rb, pb) = run_translated(&img, cold_config(), 400_000_000);
-    let cycles_without = pa.engine.machine.cycles;
-    let cycles_with = pb.engine.machine.cycles;
-    assert!(
-        cycles_without > cycles_with * 3,
-        "avoidance must give a large speedup: {cycles_without} vs {cycles_with}"
-    );
-    assert!(pa.engine.stats.misalign_faults > 300);
+    for (what, base) in [("cold", cold_config()), ("hot", hot_config())] {
+        let mut no_avoid = base.clone();
+        no_avoid.features.misalign_avoidance = false;
+        let (_ra, pa) = run_translated(&img, no_avoid, 400_000_000);
+        let (_rb, pb) = run_translated(&img, base, 400_000_000);
+        let cycles_without = pa.engine.machine.cycles;
+        let cycles_with = pb.engine.machine.cycles;
+        assert!(
+            cycles_without > cycles_with * 3,
+            "{what}: avoidance must give a large speedup: {cycles_without} vs {cycles_with}"
+        );
+        let faults = pa.engine.stats.misalign_faults;
+        assert!(faults > 300, "{what}: avoidance off took {faults} faults");
+    }
 }
 
 #[test]
