@@ -237,7 +237,6 @@ impl Engine {
             if w == c {
                 continue;
             }
-            self.stats.xmm_conversions += 1;
             if w {
                 // packed -> scalar
                 let lo = self.machine.fr[state::xmm_lo_fr(n).0 as usize];

@@ -80,8 +80,6 @@ pub struct Stats {
     pub mmx_fixes: u64,
     /// XMM format fixes (engine side).
     pub xmm_fixes: u64,
-    /// XMM format conversions performed by fix-ups.
-    pub xmm_conversions: u64,
     /// Single-stepped instructions (escape hatch).
     pub interp_steps: u64,
     /// System calls serviced.
