@@ -47,8 +47,8 @@ pub struct ColdGenInput<'a> {
     pub spec: SpecSeed,
     /// The ablation knobs.
     pub features: Features,
-    /// Emit inline (per-access) FP tag checks whatever
-    /// `features.fp_spec` says — the post-TagFix variant.
+    /// Emit inline (per-access) FP tag checks even with FP speculation
+    /// on — the post-TagFix variant.
     pub inline_fp: bool,
     /// Self-modifying-code prologue: the words of the block's source
     /// span to compare on entry (empty: no prologue).

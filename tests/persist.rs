@@ -221,10 +221,38 @@ fn config_fingerprint_mismatch_rejects_wholesale() {
     let _ = std::fs::remove_file(&path);
 }
 
+/// The four ablation knobs moved from separate `Config` fields into
+/// one `Features` value without changing a fingerprint: images saved
+/// by builds with the separate fields still load. Pinned for the
+/// default configuration and for each knob off alone (the values
+/// follow `persist::VERSION` and the layout constants too, so a change
+/// to either must update them).
+#[test]
+fn fingerprints_survive_the_features_regrouping() {
+    use btgeneric::features::Features;
+    use btgeneric::persist::fingerprint;
+
+    assert_eq!(fingerprint(&Config::default()), 0xcbe1_91c2_99e1_4f05);
+    let pinned = [
+        ("no-flag-liveness", 0x5a90_11ca_e64c_d12c),
+        ("no-fusion", 0xc33e_e0c2_94ff_1346),
+        ("no-misalign-avoidance", 0xcbe4_f5c2_99e4_2ec8),
+        ("no-fp-spec", 0xcbe1_90c2_99e1_4d52),
+    ];
+    for ((knob, features), (name, want)) in Features::ablations().into_iter().zip(pinned) {
+        assert_eq!(knob, name);
+        let cfg = Config {
+            features,
+            ..Config::default()
+        };
+        assert_eq!(fingerprint(&cfg), want, "{knob}");
+    }
+}
+
 /// Images written by builds that still had the indirect-acceleration
 /// and learned-superinstruction switches hashed seven codegen flag
-/// bytes into their fingerprint (the two sat after `enable_fp_spec`, in
-/// that order); this build hashes five. Those builds also wrote format
+/// bytes into their fingerprint (the two sat after the FP speculation
+/// flag, in that order); this build hashes five. Those builds also wrote format
 /// version 3, whose header counts a mined-idiom section (13 bytes an
 /// idiom plus an FNV trailer) that sits before the records. An
 /// otherwise intact image carrying the old fingerprint, or stamped
