@@ -178,16 +178,16 @@ impl<'e> Emission<'e> {
     /// predicate. Without flag liveness every status flag and DF is
     /// live and read.
     pub(crate) fn ctx(&mut self, at: Loc, guarded: bool) -> EmitCtx<'_> {
-        let all = ia32::flags::STATUS | ia32::flags::DF;
-        let (live_flags, read_flags) = match &self.scope {
-            _ if !self.features.flag_liveness => (all, all),
-            scope => {
-                let live = self.live.entry(at.block).or_insert_with(|| match scope {
-                    Scope::Cold(region) => analyze(region),
-                    Scope::Hot(mem) => analyze(&discover(mem, at.block)),
-                });
-                live.flags_after(at.block, at.idx)
-            }
+        let (live_flags, read_flags) = if self.features.flag_liveness {
+            let scope = &self.scope;
+            let live = self.live.entry(at.block).or_insert_with(|| match scope {
+                Scope::Cold(region) => analyze(region),
+                Scope::Hot(mem) => analyze(&discover(mem, at.block)),
+            });
+            live.flags_after(at.block, at.idx)
+        } else {
+            let all = ia32::flags::STATUS | ia32::flags::DF;
+            (all, all)
         };
         EmitCtx {
             ip: at.ip,
