@@ -18,8 +18,9 @@ use super::discover::{BlockEnd, DiscBlock, Region};
 use ia32::flags::{DF, STATUS};
 use std::ops::Range;
 
-/// All bits treated as conservatively live at unknown edges.
-const ALL: u32 = STATUS | DF;
+/// All bits treated as conservatively live at unknown edges (and
+/// everywhere without flag liveness).
+pub(crate) const ALL: u32 = STATUS | DF;
 
 /// Flags at one point: `(live, read)` — those anyone may observe, and
 /// of them those translated code may read.

@@ -3,12 +3,12 @@
 //! says what each [`Features`] knob means: the engine asks it for a
 //! block's FP speculation seed and default access mode, and cold
 //! generation and hot trace building emit every instruction through an
-//! [`Emission`], which owns the flag-liveness lookup, the inline-FP-check
+//! `Emission`, which owns the flag-liveness lookup, the inline-FP-check
 //! choice and the fusion test.
 
 use crate::cold::discover::{discover, Region};
 use crate::cold::gen::SpecSeed;
-use crate::cold::liveness::{analyze, Liveness};
+use crate::cold::liveness::{analyze, Liveness, ALL};
 use crate::engine::BlockKind;
 use crate::templates::{self, AccessMode, AlignCache, EmitCtx, FpCtx, MisalignPlan, Sink, XmmCtx};
 use ia32::inst::Inst as I32;
@@ -186,8 +186,7 @@ impl<'e> Emission<'e> {
             });
             live.flags_after(at.block, at.idx)
         } else {
-            let all = ia32::flags::STATUS | ia32::flags::DF;
-            (all, all)
+            (ALL, ALL)
         };
         EmitCtx {
             ip: at.ip,
