@@ -527,7 +527,7 @@ fn print_warmstart(div: u32) {
 
 /// The multi-tenant serving acceptance run: N concurrent sessions over
 /// the 15 INT kernels share per-kernel translation namespaces through
-/// the sharded cache and a cooperative scheduler. Fatal gates: shared
+/// the shared cache and a cooperative scheduler. Fatal gates: shared
 /// throughput >= 1.5x the N-isolated baseline at 500 sessions, dedup
 /// ratio <= 1.1, shared p99 dispatch latency <= 3x single-tenant, and
 /// zero cross-tenant divergence from the interpreter oracle.
@@ -542,7 +542,7 @@ fn print_serving(div: u32) {
         &[100, 500, 2000]
     };
     let sv = serving(sd, counts);
-    println!("== Multi-tenant serving: shared sharded translation cache (scale_div {sd}) ==");
+    println!("== Multi-tenant serving: shared translation cache (scale_div {sd}) ==");
     println!("(N sessions over 15 kernels; same-kernel cohorts share a namespace; the");
     println!(" isolated baseline gives every session a private cache)");
     println!(
@@ -571,8 +571,8 @@ fn print_serving(div: u32) {
             if p.oracle_ok { "" } else { "  ORACLE MISMATCH" }
         );
         println!(
-            "           gen rejects {}, stale rejects {}, lock contention {}, unique EIPs {}",
-            p.gen_rejects, p.stale_rejects, p.lock_contention, p.unique_eips
+            "           gen rejects {}, stale rejects {}, unique EIPs {}",
+            p.gen_rejects, p.stale_rejects, p.unique_eips
         );
     }
     let rows_json: Vec<String> = sv
@@ -585,7 +585,7 @@ fn print_serving(div: u32) {
                  \"dedup\": {:.4}, \"organic_cold\": {}, \"shared_installs\": {}, \
                  \"unique_eips\": {}, \"p99_shared\": {}, \"p99_isolated\": {}, \
                  \"p50_shared\": {}, \"gen_rejects\": {}, \"stale_rejects\": {}, \
-                 \"lock_contention\": {}, \"oracle_ok\": {}, \"rounds\": {}}}",
+                 \"oracle_ok\": {}, \"rounds\": {}}}",
                 p.sessions,
                 p.shared_slots,
                 p.shared_cycles,
@@ -601,7 +601,6 @@ fn print_serving(div: u32) {
                 p.hist.percentile(50.0),
                 p.gen_rejects,
                 p.stale_rejects,
-                p.lock_contention,
                 p.oracle_ok,
                 p.rounds
             )

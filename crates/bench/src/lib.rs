@@ -1240,12 +1240,10 @@ pub struct ServingPoint {
     pub shared_installs: u64,
     /// Unique EIPs published across all namespaces (dedup denominator).
     pub unique_eips: u64,
-    /// Consults rejected by a stale generation tag or a denied page.
+    /// Consults refused because the EIP's page is denied.
     pub gen_rejects: u64,
     /// Imports rejected by the source-bytes recheck.
     pub stale_rejects: u64,
-    /// Shard lock acquisitions that had to block.
-    pub lock_contention: u64,
     /// Merged dispatch-latency histogram of the shared fleet.
     pub hist: DispatchHist,
     /// Merged (count-weighted) histogram of the isolated baseline.
@@ -1419,7 +1417,6 @@ fn serving_point(bases: &[ServingKernel], n: usize, cfg: &Config) -> ServingPoin
     let mut shared_installs = 0u64;
     let mut gen_rejects = 0u64;
     let mut stale_rejects = 0u64;
-    let mut lock_contention = 0u64;
     let mut hist = DispatchHist::default();
     loop {
         // Lazy admission: never materialize more than the live cap of
@@ -1447,7 +1444,6 @@ fn serving_point(bases: &[ServingKernel], n: usize, cfg: &Config) -> ServingPoin
             shared_installs += p.engine.stats.shared_installs;
             gen_rejects += p.engine.stats.shared_gen_rejects;
             stale_rejects += p.engine.stats.shared_stale_rejects;
-            lock_contention += p.engine.stats.shared_lock_contention;
             hist.merge(&p.engine.stats.dispatch_hist);
             done += 1;
         }
@@ -1479,7 +1475,6 @@ fn serving_point(bases: &[ServingKernel], n: usize, cfg: &Config) -> ServingPoin
         unique_eips: shared.unique_eips(),
         gen_rejects,
         stale_rejects,
-        lock_contention,
         hist,
         iso_hist,
         oracle_ok,
@@ -1502,10 +1497,11 @@ pub struct ServingChaos {
     /// Two runs of the same fleet produced byte-identical per-session
     /// results, cycle counts, and statistics.
     pub deterministic: bool,
-    /// Shared-namespace generation bumps (cross-tenant invalidations
-    /// must actually fire for the storm to mean anything).
-    pub gen_bumps: u64,
-    /// Consults rejected by generation tags or denied pages.
+    /// Records pulled from shared namespaces (cross-tenant
+    /// invalidations must actually fire for the storm to mean
+    /// anything).
+    pub pulls: u64,
+    /// Consults refused because the EIP's page is denied.
     pub gen_rejects: u64,
     /// Translations imported from shared namespaces despite the storm.
     pub shared_installs: u64,
@@ -1615,7 +1611,7 @@ pub fn serving_chaos(scale_div: u32, seed: u64) -> ServingChaos {
         survived: survived_a && survived_b,
         oracle_ok,
         deterministic: a == b,
-        gen_bumps: agg(|s| s.shared_gen_bumps),
+        pulls: agg(|s| s.shared_pulls),
         gen_rejects: agg(|s| s.shared_gen_rejects),
         shared_installs: agg(|s| s.shared_installs),
         faults,
@@ -1886,9 +1882,9 @@ mod tests {
         for seed in [0xA11CE, 0xB0B, 0xCAB1E] {
             let sc = serving_chaos(400, seed);
             eprintln!(
-                "serving_chaos seed {seed:#x}: {} sessions, faults {}, gen bumps {}, \
+                "serving_chaos seed {seed:#x}: {} sessions, faults {}, pulls {}, \
                  gen rejects {}, imports {}",
-                sc.sessions, sc.faults, sc.gen_bumps, sc.gen_rejects, sc.shared_installs
+                sc.sessions, sc.faults, sc.pulls, sc.gen_rejects, sc.shared_installs
             );
             assert!(sc.survived, "seed {seed:#x}: a tenant died");
             assert!(
@@ -1900,7 +1896,7 @@ mod tests {
                 "seed {seed:#x}: the fleet failed to replay byte-identically"
             );
             assert!(
-                sc.gen_bumps > 0,
+                sc.pulls > 0,
                 "seed {seed:#x}: no cross-tenant invalidation ever fired"
             );
             assert!(

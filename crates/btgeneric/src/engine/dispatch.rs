@@ -473,8 +473,8 @@ impl Engine {
         self.stats.evictions += 1;
         self.stats.evicted_bundles += freed;
         // Tell the shared namespace: peers must never import a record
-        // whose publisher has reclaimed the backing extents (gen bump).
-        self.shared_notify(|ns, c| ns.invalidate(eip, c) as u64);
+        // whose publisher has reclaimed the backing extents.
+        self.shared_notify(|ns| ns.pull(eip) as u64);
         self.trace_emit(EventData::BlockEvicted {
             id,
             eip,
@@ -502,10 +502,9 @@ impl Engine {
         // counters.
         let ic_slots = self.ic_slots();
         Predictions::purge(&mut self.mem, Stale::All, ic_slots);
-        // A flush drops every local translation at once: bump every
-        // shard generation so peers re-validate (conservatively) and
-        // this tenant's re-publishes re-seed the namespace.
-        self.shared_notify(|ns, c| ns.bump_all(c));
+        // A flush drops every local translation at once: pull every
+        // record, and this tenant's re-publishes re-seed the namespace.
+        self.shared_notify(|ns| ns.pull_all());
         self.audited();
     }
 

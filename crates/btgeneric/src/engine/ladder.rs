@@ -215,9 +215,9 @@ impl Engine {
         let until = self.ladder.blacklist.strike(eip, self.machine.cycles);
         let strikes = self.ladder.blacklist.strikes(eip);
         // A ladder strike means this EIP's published record is suspect
-        // (repeated faults under it): pull it and bump the generation
-        // until a clean retranslation re-publishes.
-        self.shared_notify(|ns, c| ns.invalidate(eip, c) as u64);
+        // (repeated faults under it): pull it until a clean
+        // retranslation re-publishes.
+        self.shared_notify(|ns| ns.pull(eip) as u64);
         self.trace_emit(EventData::BlockDemoted { id, eip, strikes });
         self.trace_emit(EventData::Blacklisted { eip, until });
         if self.live_block(eip).is_some_and(|b| b.id == id) {

@@ -204,9 +204,8 @@ impl Engine {
     /// bytes changed.
     pub(super) fn smc_invalidate_extents(&mut self, page: u32) -> Vec<(u32, u32)> {
         // The guest rewrote this page: whatever any tenant published
-        // for it is stale. Sweep the namespace first so a peer racing
-        // this invalidation sees the generation bump.
-        self.shared_notify(|ns, c| ns.invalidate_page(page, c));
+        // for it is stale.
+        self.shared_notify(|ns| ns.pull_page(page));
         let mut changed = Vec::new();
         for id in self.registry.on_page(page).to_vec() {
             let b = &self.blocks[id as usize];
@@ -265,7 +264,7 @@ impl Engine {
             }
             // Peers must not import translations of code this guest is
             // busy rewriting.
-            self.shared_notify(|ns, c| ns.deny_page(page, c));
+            self.shared_notify(|ns| ns.deny_page(page));
         }
         true
     }

@@ -188,20 +188,21 @@ pub struct Stats {
     pub shared_installs: u64,
     /// Translations this tenant published to the shared namespace.
     pub shared_publishes: u64,
-    /// Shard-generation bumps this tenant caused in the shared
-    /// namespace (eviction, SMC page invalidation, governor blacklist,
-    /// cache flush).
-    pub shared_gen_bumps: u64,
-    /// Shared-namespace consults rejected by the generation-tag or
-    /// page-denial gate (a peer invalidated in that shard after
-    /// publish).
+    /// Records this tenant pulled from the shared namespace (eviction,
+    /// ladder strike, SMC page invalidation, governor blacklist, cache
+    /// flush).
+    pub shared_pulls: u64,
+    /// Shared-namespace consults refused because the EIP's page is
+    /// denied (a peer's SMC-thrash governor blacklisted it). The name
+    /// is older than the meaning: the frozen `benchmark/` sums it.
     pub shared_gen_rejects: u64,
     /// Shared-namespace hits rejected by the source-checksum gate (the
     /// record does not match this tenant's guest bytes) or whose
     /// regeneration failed.
     pub shared_stale_rejects: u64,
-    /// Shard-lock acquisitions that found the lock already held
-    /// (opportunistic try-lock fell back to blocking).
+    /// Always zero: the shared namespace is one single-owner map, but
+    /// the frozen `benchmark/` still reads this. It goes when the
+    /// benchmark drops it with the `superinst_*` fields below.
     pub shared_lock_contention: u64,
     /// Always zero: the learned-superinstruction subsystem is gone, but
     /// the frozen `benchmark/` still reads these three. The next

@@ -1,4 +1,4 @@
-//! Cross-tenant coherence for the shared, sharded translation cache:
+//! Cross-tenant coherence for the shared translation cache:
 //! tenants attached to the same namespace must reuse each other's
 //! translations, and one tenant's invalidation traffic — SMC, cache
 //! eviction, the SMC-thrash governor — must never hand a peer a stale
@@ -21,7 +21,7 @@ const DATA: u32 = 0x50_0000;
 const ENTRY: u32 = 0x40_0000;
 
 /// An outer loop over a chain of tiny blocks: enough distinct EIPs
-/// that sharing, eviction, and per-shard generation churn are all
+/// that sharing, eviction, and the records they pull are all
 /// observable.
 fn chain_image() -> Image {
     let mut a = Asm::new(ENTRY);
@@ -166,22 +166,19 @@ fn generation_bump_rejects_stale_entries() {
     assert!(matches!(a.run(u64::MAX / 2), Outcome::Halted(_)));
     assert!(a.engine.stats.shared_publishes > 0);
 
-    // Every shard generation moves past the published tags — as after
-    // a peer's full cache flush.
+    // Every record is pulled — as after a peer's full cache flush.
     let ns = cache.namespace(key);
-    let g0 = ns.shard_gen(ENTRY);
-    let mut cont = 0;
-    assert_eq!(ns.bump_all(&mut cont), DEFAULT_SHARDS as u64);
-    assert_eq!(ns.shard_gen(ENTRY), g0 + 1);
-    assert_eq!(ns.unique_eips(), 0, "all entries are now stale-tagged");
+    let published = ns.unique_eips();
+    assert!(published > 0);
+    assert_eq!(ns.pull_all(), published);
+    assert_eq!(ns.unique_eips(), 0, "every record is pulled");
 
-    // A stale tag must reject, never import; the tenant falls back to
-    // organic translation and re-publishes under the new generation.
+    // Nothing is left to import; the tenant falls back to organic
+    // translation and re-publishes.
     let mut b = launch_tenant(&img, &cfg, &cache, 2);
     assert!(matches!(b.run(u64::MAX / 2), Outcome::Halted(_)));
     assert_eq!(guest_result(&b), want);
-    assert!(b.engine.stats.shared_gen_rejects > 0, "stale tags reject");
-    assert_eq!(b.engine.stats.shared_installs, 0, "no stale imports");
+    assert_eq!(b.engine.stats.shared_installs, 0, "no pulled imports");
     assert!(b.engine.stats.shared_publishes > 0, "re-publish expected");
 
     // The re-published records serve the next tenant again.
@@ -203,7 +200,7 @@ fn smc_invalidation_mid_run_stays_coherent() {
 
     // Two tenants of the same self-patching binary, interleaved on a
     // short quantum: each one's SMC invalidations land mid-run while
-    // the other is dispatching into the same shards.
+    // the other is dispatching into the same namespace.
     let mut sched = Scheduler::new(500, 2);
     for tag in 0..2 {
         sched.admit(tag, launch_tenant(&img, &cfg, &cache, 3), u64::MAX / 2);
@@ -212,17 +209,14 @@ fn smc_invalidation_mid_run_stays_coherent() {
     let done = sched.take_completed();
     assert_eq!(done.len(), 2);
 
-    let mut gen_bumps = 0;
+    let mut pulls = 0;
     for (tag, p, out) in &done {
         assert!(matches!(out, Outcome::Halted(_)), "tenant {tag}: {out:?}");
         assert_eq!(guest_result(p), want, "tenant {tag} must match oracle");
         assert!(p.engine.stats.smc_events > 0, "SMC must fire per tenant");
-        gen_bumps += p.engine.stats.shared_gen_bumps;
+        pulls += p.engine.stats.shared_pulls;
     }
-    assert!(
-        gen_bumps > 0,
-        "SMC invalidations must bump shared generations"
-    );
+    assert!(pulls > 0, "SMC invalidations must pull shared records");
     assert!(
         sched.slices() > done.len() as u64,
         "the quantum must actually interleave the tenants"
@@ -235,7 +229,7 @@ fn eviction_pressure_keeps_peers_correct() {
     let want = oracle(&img);
     // A cache too small for the working set: translations are evicted
     // and re-made throughout the run, and every eviction must pull the
-    // shared record and bump its shard.
+    // shared record.
     let cfg = Config {
         max_cache_bundles: 48,
         ..base_cfg()
@@ -247,7 +241,7 @@ fn eviction_pressure_keeps_peers_correct() {
     assert_eq!(guest_result(&a), want);
     assert!(a.engine.stats.evictions > 0, "pressure must evict");
     assert!(
-        a.engine.stats.shared_gen_bumps > 0,
+        a.engine.stats.shared_pulls > 0,
         "evictions must invalidate the shared records"
     );
 
@@ -275,7 +269,7 @@ fn governor_blacklist_denies_page_for_peers() {
     assert!(matches!(a.run(u64::MAX / 2), Outcome::Halted(_)));
     assert_eq!(guest_result(&a), want);
     assert!(a.engine.stats.smc_blacklists > 0, "governor must trip");
-    assert!(a.engine.stats.shared_gen_bumps > 0, "denial bumps shards");
+    assert!(a.engine.stats.shared_pulls > 0, "denial pulls the page");
 
     // A later tenant of the same binary is told not to import from the
     // page the guest keeps rewriting: consults are denied, nothing is
@@ -290,7 +284,7 @@ fn governor_blacklist_denies_page_for_peers() {
 #[test]
 fn same_key_different_bytes_is_checksum_rejected() {
     // Two different binaries forced into one namespace (a caller
-    // passing the same binary id): the generation tag says "current",
+    // passing the same binary id): the namespace offers the record,
     // but the per-record source checksum is the true gate.
     let img_a = variant_image(3, 0x1111);
     let img_b = variant_image(7, 0x2222);
