@@ -28,6 +28,7 @@ impl Engine {
                     b.misalign_faults += 1;
                     if b.kind == BlockKind::Hot
                         && b.misalign_faults > policy::HOT_MISALIGN_TOLERANCE
+                        && self.cfg.features.rebuild_avoids_misalignment()
                     {
                         // Discard the hot block; regenerate everything
                         // with detection and avoidance (paper §5 stage 3

@@ -100,6 +100,13 @@ impl Features {
             BlockKind::Hot => AccessMode::Fast,
         }
     }
+
+    /// Whether regenerating a block that keeps faulting on misaligned
+    /// accesses would avoid anything: without avoidance the rebuilt
+    /// block takes the same faults.
+    pub(crate) fn rebuild_avoids_misalignment(self) -> bool {
+        self.misalign_avoidance
+    }
 }
 
 /// Where an instruction sits: its address and encoded length, and its

@@ -65,10 +65,9 @@ fn avoidance_off_pays_fault_penalty() {
     // The ablation knob: without avoidance every misaligned access takes
     // the multi-thousand-cycle fault; with it the cost collapses —
     // the paper's 1236 s -> 133 s observation in miniature. Off means
-    // off on every stage: under the hot configuration the loop heats,
-    // takes enough faults to be demoted, and must keep faulting in the
-    // stage-2 block the demotion rebuilds and in the trace promoted
-    // from it.
+    // off on every stage: under the hot configuration the loop heats
+    // and keeps faulting in its trace, which is not demoted, since a
+    // rebuild would fault the same way.
     let img = image(|a| misaligned_loop(a, 400));
     for (what, base) in [("cold", cold_config()), ("hot", hot_config())] {
         let mut no_avoid = base.clone();
@@ -83,6 +82,8 @@ fn avoidance_off_pays_fault_penalty() {
         );
         let faults = pa.engine.stats.misalign_faults;
         assert!(faults > 300, "{what}: avoidance off took {faults} faults");
+        let demotions = pa.engine.stats.demotions;
+        assert_eq!(demotions, 0, "{what}: a rebuild cannot avoid the faults");
     }
 }
 
