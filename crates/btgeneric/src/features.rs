@@ -6,13 +6,12 @@
 //! `Emission`, which owns the flag-liveness lookup, the inline-FP-check
 //! choice and the fusion test.
 
-use crate::cold::discover::{discover, Region};
+use crate::cold::discover::Region;
 use crate::cold::gen::SpecSeed;
 use crate::cold::liveness::{analyze, Liveness, ALL};
 use crate::engine::BlockKind;
 use crate::templates::{self, AccessMode, AlignCache, EmitCtx, FpCtx, MisalignPlan, Sink, XmmCtx};
 use ia32::inst::Inst as I32;
-use ia32::mem::GuestMem;
 use ipf::regs::Pr;
 use std::collections::HashMap;
 
@@ -128,10 +127,10 @@ pub(crate) struct Loc {
 pub(crate) enum Scope<'e> {
     /// One cold block of this discovered region.
     Cold(&'e Region),
-    /// A hot trace over this guest memory: it spans cold blocks, each
-    /// discovered from its start, and eliminates FXCHG through the
-    /// register permutation.
-    Hot(&'e GuestMem),
+    /// A hot trace over these regions, each discovered from the start
+    /// of a cold block the trace spans: it eliminates FXCHG through
+    /// the register permutation.
+    Hot(&'e HashMap<u32, Region>),
 }
 
 /// The per-instruction emission front end of both phases: the FP/XMM
@@ -189,7 +188,7 @@ impl<'e> Emission<'e> {
             let scope = &self.scope;
             let live = self.live.entry(at.block).or_insert_with(|| match scope {
                 Scope::Cold(region) => analyze(region),
-                Scope::Hot(mem) => analyze(&discover(mem, at.block)),
+                Scope::Hot(regions) => analyze(&regions[&at.block]),
             });
             live.flags_after(at.block, at.idx)
         } else {

@@ -8,7 +8,7 @@ use super::ir;
 use super::opt;
 use super::regalloc;
 use super::sched;
-use crate::cold::discover::{discover, BlockEnd};
+use crate::cold::discover::{discover, BlockEnd, Region};
 use crate::cost;
 use crate::engine::{BlockKind, Engine};
 use crate::features::{Emission, Loc, Scope};
@@ -102,6 +102,9 @@ pub(super) struct Trace {
     pub main_exit: u32,
     /// Cold blocks the trace covers, in order (misalignment data).
     pub blocks: Vec<u32>,
+    /// The region discovered from each block start a step's [`Loc`]
+    /// names, hammock bodies included (flag liveness).
+    pub regions: HashMap<u32, Region>,
 }
 
 impl Trace {
@@ -199,6 +202,10 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
     let budget = policy::MAX_TRACE_INSTS;
     let mut steps = Vec::new();
     let mut blocks = Vec::new();
+    let mut regions = HashMap::new();
+    // If-converted hammock bodies, discovered once the loop lets go of
+    // `regions`.
+    let mut hammocks = Vec::new();
     let mut visited = HashSet::new();
     let mut cur = start;
     let mut total = 0usize;
@@ -219,7 +226,9 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
             main_exit = cur;
             break;
         };
-        let region_g = discover(&engine.mem, cur);
+        let region_g = &*regions
+            .entry(cur)
+            .or_insert_with(|| discover(&engine.mem, cur));
         let Some(blk) = region_g.block_at(cur) else {
             main_exit = cur;
             break;
@@ -288,6 +297,7 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
                                     ip: *ip,
                                 });
                                 total += 1;
+                                hammocks.push(next);
                                 for (j, (gip, ginst, glen)) in hammock.iter().enumerate() {
                                     let at = Loc {
                                         ip: *gip,
@@ -450,10 +460,16 @@ pub(super) fn select(engine: &Engine, block_id: u32) -> Option<Trace> {
         steps.extend(copy);
         blocks.extend(bcopy);
     }
+    for start in hammocks {
+        regions
+            .entry(start)
+            .or_insert_with(|| discover(&engine.mem, start));
+    }
     Some(Trace {
         steps,
         main_exit,
         blocks,
+        regions,
     })
 }
 
@@ -551,7 +567,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     let entry_mmx = crate::cold::gen::entry_mmx(straight);
     let mut em = Emission::new(
         features,
-        Scope::Hot(&engine.mem),
+        Scope::Hot(&trace.regions),
         &plan,
         spec,
         entry_mmx,
