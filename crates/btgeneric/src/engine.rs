@@ -50,8 +50,6 @@ pub struct Config {
     pub hot_candidates: usize,
     /// The paper's ablation knobs (all on by default).
     pub features: Features,
-    /// Machine timing parameters.
-    pub timing: ipf::Timing,
     /// Translation-cache capacity in bundles. 0 = unbounded. Exceeding
     /// it evicts cold, low-use blocks incrementally (see
     /// `enable_eviction`), falling back to a full flush when nothing is
@@ -107,7 +105,6 @@ impl Default for Config {
             heat_threshold: 1024,
             hot_candidates: 4,
             features: Features::default(),
-            timing: ipf::Timing::default(),
             max_cache_bundles: 0,
             enable_eviction: true,
             verify_on_dispatch: false,
@@ -340,7 +337,7 @@ impl Engine {
     pub fn new(mut mem: GuestMem, cfg: Config) -> Engine {
         let dispatch = Dispatch::new(&mut mem);
         let arena = CodeArena::new(layout::TC_BASE);
-        let machine = Machine::new(arena, cfg.timing);
+        let machine = Machine::new(arena, ipf::Timing::default());
         let tracer = Tracer::new(cfg.trace);
         Engine {
             mem,

@@ -451,8 +451,6 @@ pub struct XmmCtx {
     pub fmt: u8,
     /// XMM registers whose entry format the block head must check.
     pub used: u8,
-    /// Conversions emitted (for the <0.2% statistic).
-    pub conversions: u32,
 }
 
 impl XmmCtx {
@@ -462,7 +460,6 @@ impl XmmCtx {
             entry_fmt,
             fmt: entry_fmt,
             used: 0,
-            conversions: 0,
         }
     }
 

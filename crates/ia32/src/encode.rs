@@ -7,7 +7,6 @@
 
 use crate::flags::Size;
 use crate::inst::*;
-use crate::regs::Gpr;
 
 /// Errors from encoding an instruction.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -656,11 +655,6 @@ pub fn encode_to_vec(inst: &Inst, addr: u32) -> Result<Vec<u8>> {
 /// Same as [`encode`].
 pub fn encoded_len(inst: &Inst, addr: u32) -> Result<usize> {
     Ok(encode_to_vec(inst, addr)?.len())
-}
-
-#[allow(unused)]
-fn gpr(n: u8) -> Gpr {
-    Gpr::new(n)
 }
 
 #[cfg(test)]
