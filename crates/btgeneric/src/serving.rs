@@ -127,7 +127,10 @@ impl Namespace {
         }
         match records.by_eip.get(&eip) {
             Some(b) => {
-                debug_assert!(!records.denies(b.src_range), "stored record on a denied page");
+                debug_assert!(
+                    !records.denies(b.src_range),
+                    "stored record on a denied page"
+                );
                 Consult::Hit(b.clone())
             }
             None => Consult::Miss,
@@ -436,7 +439,10 @@ mod tests {
         ns.publish(rec(0x40_0000));
         assert!(ns.refresh_profile(0x40_0000, 100, (5, 7), (0x50_0000, 9)));
         assert!(ns.refresh_profile(0x40_0000, 40, (2, 11), (0x60_0000, 3)));
-        assert!(!ns.refresh_profile(0x40_0100, 1, (0, 0), (0, 0)), "unpublished");
+        assert!(
+            !ns.refresh_profile(0x40_0100, 1, (0, 0), (0, 0)),
+            "unpublished"
+        );
         match ns.consult(0x40_0000, &mut c) {
             Consult::Hit(b) => {
                 assert_eq!(b.heat, 100);
