@@ -240,7 +240,7 @@ pub fn generate(input: &ColdGenInput<'_>) -> Result<ColdBlock, ColdGenError> {
                 idx: i + 1,
                 ..at
             };
-            if let Some(pt) = em.fuse(&mut body, &inst, at, cond, jcc) {
+            if let Some((pt, _)) = em.fuse(&mut body, &inst, at, cond, jcc) {
                 let j_next = jcc_ip + jlen as u32;
                 ia32_count += 2;
                 term = Some(Term::CondJump {

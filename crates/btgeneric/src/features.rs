@@ -207,9 +207,10 @@ impl<'e> Emission<'e> {
     }
 
     /// Emits the flag setter at `at` fused with the `Jcc` on `cond` at
-    /// `jcc` after it and returns the taken predicate — if fusion is
-    /// on, the setter writes every flag the branch reads and its
-    /// template fuses. `None`: nothing was emitted; emit the two apart.
+    /// `jcc` after it and returns the predicates `(taken, not_taken)` —
+    /// if fusion is on, the setter writes every flag the branch reads
+    /// and its template fuses. `None`: nothing was emitted; emit the two
+    /// apart.
     pub(crate) fn fuse(
         &mut self,
         sink: &mut Sink,
@@ -217,7 +218,7 @@ impl<'e> Emission<'e> {
         at: Loc,
         cond: ia32::Cond,
         jcc: Loc,
-    ) -> Option<Pr> {
+    ) -> Option<(Pr, Pr)> {
         let reads = cond.flags_read();
         if !self.features.fusion || setter.props().flags_must & reads != reads {
             return None;

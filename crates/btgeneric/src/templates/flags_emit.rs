@@ -437,9 +437,10 @@ pub(super) fn cond_from_flags(sink: &mut Sink, cond: ia32::Cond) -> (Pr, Pr) {
     }
 }
 
-/// The predicate of `cond` — E, NE, S or NS — taken from the `size`-bit
-/// result `res` itself rather than from EFLAGS: a fused ALU + `Jcc`.
-pub(super) fn result_cond(sink: &mut Sink, res: Gr, size: Size, cond: ia32::Cond) -> Pr {
+/// The predicates `(taken, not_taken)` of `cond` — E, NE, S or NS —
+/// taken from the `size`-bit result `res` itself rather than from
+/// EFLAGS: a fused ALU + `Jcc`.
+pub(super) fn result_cond(sink: &mut Sink, res: Gr, size: Size, cond: ia32::Cond) -> (Pr, Pr) {
     use ia32::Cond as C;
     let (pt, pf) = match cond {
         C::E | C::Ne => result_zf(sink, res),
@@ -447,9 +448,9 @@ pub(super) fn result_cond(sink: &mut Sink, res: Gr, size: Size, cond: ia32::Cond
         _ => unreachable!("{cond:?} is not a condition on the result"),
     };
     if matches!(cond, C::E | C::S) {
-        pt
+        (pt, pf)
     } else {
-        pf
+        (pf, pt)
     }
 }
 
@@ -942,17 +943,19 @@ mod tests {
                         for (a, b) in pairs(size) {
                             cases.set(state::guest_gpr(EAX.num()), a);
                             cases.set(state::guest_gpr(ECX.num()), b);
-                            let p = with_ctx(0, |ctx| {
+                            let (t, nt) = with_ctx(0, |ctx| {
                                 emit_fused_cmp_jcc(&mut cases.sink, &inst, cond, ctx)
                             })
                             .expect("the pair fuses");
-                            let taken = cases.pred_bits(&[p]);
+                            // Bit 0 the taken predicate, bit 1 the other.
+                            let taken = cases.pred_bits(&[t, nt]);
                             let want = cond.eval(flags::logic(res(a, b), size));
+                            let want = if want { 1 } else { 2 };
                             let what = format!(
                                 "result_cond `{inst}` + j{cond:?}: size {size:?}, \
                                  eax {a:#x}, ecx {b:#x}"
                             );
-                            cases.check(taken, want as u64, what);
+                            cases.check(taken, want, what);
                         }
                     }
                     cases.run();

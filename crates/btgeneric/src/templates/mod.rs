@@ -518,8 +518,9 @@ pub fn emit(
 /// Fuses a flag-setting instruction with a following conditional branch:
 /// emits the ALU instruction (with `live_flags` already excluding the
 /// branch's bits) plus a direct predicate computation, returning the
-/// taken-predicate. Returns `None` when the pattern isn't fusable; the
-/// caller then translates the two instructions separately.
+/// predicates `(taken, not_taken)`. Returns `None` when the pattern
+/// isn't fusable; the caller then translates the two instructions
+/// separately.
 ///
 /// This is where the paper's EFlags-elimination pays off: the common
 /// `cmp`+`jcc` pair becomes a single Itanium `cmp` and a predicated
@@ -529,7 +530,7 @@ pub fn emit_fused_cmp_jcc(
     alu: &Ia32Inst,
     cond: ia32::Cond,
     ctx: &mut EmitCtx<'_>,
-) -> Option<Pr> {
+) -> Option<(Pr, Pr)> {
     int::try_fuse(sink, alu, cond, ctx)
 }
 
