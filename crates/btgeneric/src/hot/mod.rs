@@ -37,11 +37,11 @@ pub fn promote(engine: &mut Engine, block_id: u32) -> bool {
 }
 
 /// Test hook: from now on, a debug build of this thread's hot compiler
-/// runs every trace before and after each of guest-state forwarding and
-/// dead-code elimination on the reference evaluator and panics, naming
-/// the pass, unless registers, stores and exit states agree. Returns how
-/// many traces it has checked so far (always 0 in a release build,
-/// which has no evaluator).
+/// runs every trace before and after each of guest-state forwarding,
+/// value numbering and dead-code elimination on the reference evaluator
+/// and panics, naming the pass, unless registers, stores and exit states
+/// agree. Returns how many traces it has checked so far (always 0 in a
+/// release build, which has no evaluator).
 #[doc(hidden)]
 pub fn validate_passes() -> u64 {
     #[cfg(debug_assertions)]

@@ -1,5 +1,6 @@
-//! Translation validation of the hot phase's guest-state forwarding
-//! and dead-code elimination (`hot/opt.rs::{forward_state, dead_code}`).
+//! Translation validation of the hot phase's guest-state forwarding,
+//! local value numbering and dead-code elimination
+//! (`hot/opt.rs::{forward_state, lvn, dead_code}`).
 //!
 //! Once `hot::validate_passes` has asked for it, a debug build of the
 //! hot compiler runs every trace body before and after each pass on a
@@ -7,7 +8,9 @@
 //! zero-extended-home invariant, and panics, naming the pass, unless
 //! every store, the final registers (the guest homes and the EFLAGS
 //! home among them), the registers at every side exit and the
-//! architectural state before every op that can fault agree. These
+//! architectural state before every op that can fault agree (an op a
+//! pass deleted is no commit point, but a fault it would take must
+//! still be taken). These
 //! tests drive that check over the traces it matters for — every trace
 //! selected on the 15 `sim_golden` kernels, and 200 seeded straight-line
 //! loop bodies made of what forwarding reasons about: partial-register
