@@ -299,21 +299,26 @@ impl Engine {
             return;
         };
         // Misalignment storm: push a victim over its fault tolerance.
+        // Without avoidance a rebuilt victim would take the same
+        // faults, so the faults are counted and charged and the victim
+        // stays as it is (as the fault handler does).
         if plan.roll(FaultKind::MisalignStorm) {
             if let Some(victim) = self.pick_victim(&mut plan, true) {
                 self.note_injected(FaultKind::MisalignStorm);
-                self.stats.ladder_recoveries += 1;
                 let n = policy::HOT_MISALIGN_TOLERANCE + 1;
                 self.stats.misalign_faults += n as u64;
                 self.machine
                     .charge(region::OTHER, cost::MISALIGN_FAULT_CYCLES * n as u64);
                 self.blocks[victim as usize].misalign_faults += n;
-                if self.blocks[victim as usize].kind == BlockKind::Hot {
-                    self.demote_block(os, victim);
-                } else {
-                    // Retrain: regenerate with detection and avoidance.
-                    self.stats.misalign_retrains += 1;
-                    self.retranslate(os, victim, BlockKind::ColdV2, false);
+                if self.cfg.features.rebuild_avoids_misalignment() {
+                    self.stats.ladder_recoveries += 1;
+                    if self.blocks[victim as usize].kind == BlockKind::Hot {
+                        self.demote_block(os, victim);
+                    } else {
+                        // Retrain: regenerate with detection and avoidance.
+                        self.stats.misalign_retrains += 1;
+                        self.retranslate(os, victim, BlockKind::ColdV2, false);
+                    }
                 }
             }
         }

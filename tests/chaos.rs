@@ -6,6 +6,7 @@
 
 use btgeneric::chaos::{self, FaultKind, FaultPlan};
 use btgeneric::engine::{BlockKind, Config, Outcome};
+use btgeneric::features::Features;
 use btlib::{Process, SimOs, SimOsFaults};
 use ia32::asm::{Asm, Image};
 use ia32::inst::{Addr, AluOp};
@@ -349,6 +350,57 @@ fn guest_retries_transient_syscall_failures() {
         p.os.stdout_string(),
         "ok\n",
         "the retried write must land once"
+    );
+}
+
+/// A misalignment storm rebuilds its victims only where the rebuild can
+/// avoid something: with avoidance on, a hot victim is demoted or a
+/// cold one retrained; with it off, the rebuilt block would take the
+/// same faults, so the injected faults are counted and charged and
+/// nothing is rebuilt. Both runs stay oracle-correct.
+#[test]
+fn misalign_storms_rebuild_nothing_with_avoidance_off() {
+    let img = image(|a| {
+        a.mov_ri(EAX, 0);
+        a.mov_ri(ECX, 4_000);
+        let top = a.label();
+        a.bind(top);
+        a.alu_ri(AluOp::Add, EAX, 7);
+        a.alu_ri(AluOp::Xor, EAX, 0x5A5A);
+        a.dec(ECX);
+        a.jcc(Cond::Ne, top);
+        a.mov_store(Addr::abs(DATA), EAX);
+        a.hlt();
+    });
+    let want = oracle(&img);
+    let run = |misalign_avoidance: bool| {
+        let cfg = Config {
+            features: Features {
+                misalign_avoidance,
+                ..Features::default()
+            },
+            ..Config::default()
+        };
+        let mut p = Process::launch_with(&img, SimOs::new(), cfg).expect("launch");
+        p.engine.chaos = Some(FaultPlan::new(5).with(FaultKind::MisalignStorm, 1000, 6));
+        assert!(matches!(p.run(200_000_000), Outcome::Halted(_)));
+        assert_eq!(guest_result(&p), want, "avoidance {misalign_avoidance}");
+        p.engine.stats.clone()
+    };
+    let on = run(true);
+    assert!(
+        on.misalign_retrains + on.demotions > 0,
+        "the storm must reach a victim: {on:?}"
+    );
+    let off = run(false);
+    assert!(
+        off.faults_injected > 0 && off.misalign_faults > 0,
+        "{off:?}"
+    );
+    assert_eq!(
+        (off.misalign_retrains, off.demotions),
+        (0, 0),
+        "nothing to rebuild without avoidance"
     );
 }
 
