@@ -628,3 +628,224 @@ fn ablation_knobs_reach_the_hot_phase() {
         );
     }
 }
+
+/// The flag setters that fuse with a following `Jcc`, each on EAX and
+/// EDX, with every condition it fuses on and the flags it computes.
+#[allow(clippy::type_complexity)]
+fn fusing_setters() -> Vec<(Inst, &'static [Cond], fn(u32, u32) -> u32)> {
+    use ia32::flags;
+    const RESULT: &[Cond] = &[Cond::E, Cond::Ne, Cond::S, Cond::Ns];
+    const ORDER: &[Cond] = &[
+        Cond::E,
+        Cond::Ne,
+        Cond::B,
+        Cond::Ae,
+        Cond::A,
+        Cond::Be,
+        Cond::L,
+        Cond::Ge,
+        Cond::G,
+        Cond::Le,
+    ];
+    let alu = |op| Inst::Alu {
+        op,
+        size: Size::D,
+        dst: Rm::Reg(EAX),
+        src: RmI::Reg(EDX),
+    };
+    let incdec = |inc| Inst::IncDec {
+        inc,
+        size: Size::D,
+        dst: Rm::Reg(EAX),
+    };
+    vec![
+        (alu(AluOp::Cmp), ORDER, |a, b| flags::sub(a, b, Size::D)),
+        (
+            Inst::Test {
+                size: Size::D,
+                a: Rm::Reg(EAX),
+                b: RmI::Reg(EDX),
+            },
+            RESULT,
+            |a, b| flags::logic(a & b, Size::D),
+        ),
+        (alu(AluOp::Sub), RESULT, |a, b| flags::sub(a, b, Size::D)),
+        (alu(AluOp::And), RESULT, |a, b| flags::logic(a & b, Size::D)),
+        (alu(AluOp::Or), RESULT, |a, b| flags::logic(a | b, Size::D)),
+        (alu(AluOp::Xor), RESULT, |a, b| flags::logic(a ^ b, Size::D)),
+        (incdec(true), RESULT, |a, _| flags::inc(a, Size::D)),
+        (incdec(false), RESULT, |a, _| flags::dec(a, Size::D)),
+    ]
+}
+
+/// Every fusing setter, with every condition it fuses on, closing an
+/// if-converted hammock on a hot trace, in two shapes. In one the body
+/// stores and runs an `adc` that reads the setter's CF (an INC or DEC
+/// leaves the CF of the `and` before it); in the other it stores and
+/// runs a `lea`, and after the join `setcc` reads every status flag but
+/// AF. The two do not combine: a flag a guarded instruction leaves live
+/// needs predicated ops of its template's own, and such a hammock is not
+/// converted, so the `adc`'s flags die after the join. Each iteration takes its operands from a table of eight
+/// pairs, four on which the branch is taken and four on which it falls
+/// through, so selection neither leaves the trace there nor follows one
+/// side.
+#[test]
+fn setters_fused_into_a_hammock_guard_match_the_interpreter() {
+    const VALUES: [u32; 8] = [
+        0,
+        1,
+        2,
+        0x7FFF_FFFF,
+        0x8000_0000,
+        0xFFFF_FFFF,
+        0x1234_5678,
+        0x8765_4321,
+    ];
+    const TABLE: u32 = DATA + 0x100;
+    for (setter, conds, eflags) in fusing_setters() {
+        for &cond in conds {
+            let taken = |&(a, b): &(u32, u32)| cond.eval(eflags(a, b));
+            let pool = VALUES.iter().flat_map(|&a| VALUES.map(|b| (a, b)));
+            let (yes, no): (Vec<_>, Vec<_>) = pool.partition(taken);
+            assert!(!yes.is_empty() && !no.is_empty(), "{setter} j{cond:?}");
+            // `or` is zero on one pair only: repeat what there is.
+            let (yes, no) = (yes.iter().cycle(), no.iter().cycle());
+            let pairs = yes.zip(no).take(4).flat_map(|(&y, &n)| [y, n]);
+            for adc_body in [true, false] {
+                let img = image(|a| {
+                    for (k, (x, y)) in pairs.clone().enumerate() {
+                        a.mov_mi(Addr::abs(TABLE + 8 * k as u32), x as i32);
+                        a.mov_mi(Addr::abs(TABLE + 8 * k as u32 + 4), y as i32);
+                    }
+                    a.mov_ri(ESI, DATA as i32);
+                    a.mov_ri(ECX, 200);
+                    a.mov_ri(EDI, 0);
+                    a.mov_ri(EBP, 0);
+                    let (top, skip) = (a.label(), a.label());
+                    a.bind(top);
+                    a.mov_rr(EBX, ECX);
+                    a.alu_ri(AluOp::And, EBX, 7);
+                    a.mov_load(EAX, Addr::base_index(ESI, EBX, 8, 0x100));
+                    a.mov_load(EDX, Addr::base_index(ESI, EBX, 8, 0x104));
+                    a.inst(setter);
+                    a.jcc(cond, skip);
+                    if adc_body {
+                        a.alu_rr(AluOp::Adc, EDI, EDX);
+                    } else {
+                        a.lea(EDI, Addr::base_index(EDI, EAX, 2, 1));
+                    }
+                    a.mov_store(Addr::base_index(ESI, EBX, 4, 0), EDI);
+                    a.bind(skip);
+                    if !adc_body {
+                        for read in [Cond::O, Cond::B, Cond::E, Cond::S, Cond::P] {
+                            // Byte register 2 is DL.
+                            a.inst(Inst::Setcc {
+                                cond: read,
+                                dst: Rm::Reg(EDX),
+                            });
+                            a.lea(EBP, Addr::base_index(EBP, EDX, 2, 0));
+                        }
+                    }
+                    // Kill CF before the back edge: the liveness window of
+                    // the hammock does not reach the loop head, so CF
+                    // would be live after the `adc`.
+                    a.alu_rr(AluOp::Xor, EBX, EBX);
+                    a.dec(ECX);
+                    a.jcc(Cond::Ne, top);
+                    a.mov_store(Addr::abs(DATA + 0x40), EDI);
+                    a.mov_store(Addr::abs(DATA + 0x44), EBP);
+                    a.hlt();
+                });
+                let body = if adc_body { "adc" } else { "lea" };
+                let what = format!("{setter} ; j{cond:?} guarding a hammock with {body}");
+                let p = differential(&img, hot_config(), &[(DATA, 0x200)], &what);
+                assert!(p.engine.stats.hot_traces > 0, "{what}: never hot");
+            }
+        }
+    }
+}
+
+/// The two- and three-operand `imul`, cold and hot, with OF and CF
+/// dead and with them read by `jo`, `jc`, `setc` and `adc`, on operands
+/// whose full product overflows the low half in every way:
+/// `0x8000_0000 × −1`, `0xFFFF × 0x1_0001`, `−7 × 3`, and an immediate
+/// with bit 31 set.
+#[test]
+fn imul_low_halves_and_overflow_flags_match_the_interpreter() {
+    const PAIRS: [(i32, i32); 4] = [
+        (0x8000_0000u32 as i32, -1),
+        (0xFFFF, 0x1_0001),
+        (-7, 3),
+        (0x1234_5679, 0x8000_0003u32 as i32),
+    ];
+    // How OF/CF are read after each multiply: not at all (both dead),
+    // or by one reader.
+    #[derive(Clone, Copy, Debug)]
+    enum Reader {
+        Dead,
+        Jo,
+        Jc,
+        Setc,
+        Adc,
+    }
+    for reader in [
+        Reader::Dead,
+        Reader::Jo,
+        Reader::Jc,
+        Reader::Setc,
+        Reader::Adc,
+    ] {
+        check(&format!("imul/{reader:?}"), |a| {
+            a.mov_ri(ESI, DATA as i32);
+            a.mov_ri(ECX, 40);
+            a.mov_ri(EDI, 0);
+            let top = a.label();
+            a.bind(top);
+            for (k, &(x, y)) in PAIRS.iter().enumerate() {
+                for three_operand in [false, true] {
+                    a.mov_ri(EAX, x);
+                    a.mov_ri(EBX, y);
+                    if three_operand {
+                        a.inst(Inst::ImulRmImm {
+                            dst: EAX,
+                            src: Rm::Reg(EAX),
+                            imm: y,
+                        });
+                    } else {
+                        a.imul_rr(EAX, EBX);
+                    }
+                    match reader {
+                        // The next writer of OF and CF kills both.
+                        Reader::Dead => a.alu_ri(AluOp::Add, EDI, 1),
+                        Reader::Jo | Reader::Jc => {
+                            let cond = if matches!(reader, Reader::Jo) {
+                                Cond::O
+                            } else {
+                                Cond::B
+                            };
+                            let skip = a.label();
+                            a.jcc(cond, skip);
+                            a.alu_ri(AluOp::Add, EDI, 3);
+                            a.bind(skip);
+                        }
+                        Reader::Setc => {
+                            // Byte register 3 is BL.
+                            a.inst(Inst::Setcc {
+                                cond: Cond::B,
+                                dst: Rm::Reg(EBX),
+                            });
+                            a.alu_rr(AluOp::Add, EDI, EBX);
+                        }
+                        Reader::Adc => a.alu_rr(AluOp::Adc, EDI, EAX),
+                    }
+                    let slot = 8 * k as i32 + 4 * three_operand as i32;
+                    a.mov_store(Addr::base_disp(ESI, slot), EAX);
+                }
+            }
+            a.mov_store(Addr::base_disp(ESI, 0x40), EDI);
+            a.dec(ECX);
+            a.jcc(Cond::Ne, top);
+            a.hlt();
+        });
+    }
+}
