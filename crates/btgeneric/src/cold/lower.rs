@@ -191,6 +191,9 @@ pub fn lower(sink: &Sink, cb: &mut CodeBuilder) -> Result<Vec<Label>, LowerError
                     cb.stop();
                 }
                 cb.push_inst(inst);
+                if let Some(tap) = e.meta.tap {
+                    cb.tap(tap);
+                }
                 if stop_after {
                     cb.stop();
                 }

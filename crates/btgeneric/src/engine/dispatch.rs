@@ -579,15 +579,16 @@ impl Engine {
         Profile::handed_out(self.dispatch.cursor).map(Profile::ic_addr)
     }
 
-    /// Harvests the indirect-acceleration memory cells into the
-    /// statistics. Idempotent like [`Engine::collect_hot_exit_stats`]:
-    /// every counter is *assigned* from its cell, and the inline-cache
-    /// hit total is an order-independent sum over all site slots.
+    /// Harvests the indirect-acceleration counters — the inline caches'
+    /// hit words and the machine's taps — into the statistics.
+    /// Idempotent like [`Engine::collect_hot_exit_stats`]: every counter
+    /// is *assigned* from its source, and the inline-cache hit total is
+    /// an order-independent sum over all site slots.
     pub fn collect_indirect_stats(&mut self) {
         let profiles = Profile::handed_out(self.dispatch.cursor);
         let hits = profiles.map(|p| self.mem.read(p.ic_hits_addr(), 8).unwrap_or(0));
         self.stats.ic_hits = hits.sum();
-        Predictions::harvest(&self.mem, &mut self.stats);
+        Predictions::harvest(&self.machine.taps, &mut self.stats);
     }
 }
 

@@ -1,5 +1,6 @@
 //! A reference evaluator for hot IR, and the translation validation of
 //! the hot passes ([`opt::forward_state`](super::opt::forward_state),
+//! [`opt::demanded_bits`](super::opt::demanded_bits),
 //! [`opt::lvn`](super::opt::lvn), [`opt::dead_code`](super::opt::dead_code))
 //! and of the backend's group ordering built on it.
 //!

@@ -26,6 +26,8 @@ pub(super) struct IrInst {
     pub ia32_ip: u32,
     /// Recovery index (assigned to faulty ops before allocation).
     pub rec: Option<u32>,
+    /// The event the op's execution counts, if it is tapped.
+    pub tap: Option<ipf::Tap>,
 }
 
 impl IrInst {
@@ -35,6 +37,7 @@ impl IrInst {
             inst,
             ia32_ip,
             rec: None,
+            tap: None,
         }
     }
 }
@@ -114,7 +117,10 @@ pub(super) fn collect(body: &Sink, exit_labels: &HashSet<u32>) -> Option<Vec<IrI
                 }
             }
         }
-        irs.push(IrInst::new(e.inst, ip));
+        irs.push(IrInst {
+            tap: e.meta.tap,
+            ..IrInst::new(e.inst, ip)
+        });
     }
     Some(irs)
 }

@@ -1,5 +1,6 @@
 //! Hot IR optimizations (paper §2 hot-phase list): guest-state
 //! forwarding (register-value tracking and the one copy propagation),
+//! the demanded-bits bypass of `zxt`s whose high bits nothing reads,
 //! local value numbering (compound-address CSE and redundant-load
 //! elimination), and one dead-code pass that also removes the EFLAGS
 //! and guest-register writes nothing observes.
@@ -7,8 +8,8 @@
 use super::ir::{is_state_prealloc, IrInst};
 use super::liveness::{virt_key, VirtKey};
 use crate::state::{Eflags, GR_GUEST};
-use ipf::inst::{Op, Reg, ShiftKind, Src};
-use ipf::regs::{Gr, P0};
+use ipf::inst::{FXfer, Op, Reg, ShiftKind, Src};
+use ipf::regs::{Gr, P0, R0};
 use std::collections::{HashMap, HashSet};
 
 /// Local value numbering over the trace. Pure integer ops (and loads,
@@ -340,6 +341,157 @@ pub(super) fn forward_state(irs: &mut [IrInst]) {
     }
 }
 
+/// How many low bits of register `r` `op` reads to compute the low
+/// `result` bits of what it defines: 64 — all of them — unless `op` is
+/// one of the few whose low result bits depend on low operand bits
+/// only. `constant` names the value of a virtual known to hold one.
+fn read_width(op: &Op, r: Reg, result: u8, constant: impl Fn(Gr) -> Option<u64>) -> u8 {
+    // The bits an `and` reads of one operand under a mask in the other.
+    let masked = |mask: Option<u64>| match mask {
+        Some(m) => {
+            let low = if result >= 64 {
+                m
+            } else {
+                m & ((1 << result) - 1)
+            };
+            64 - low.leading_zeros() as u8
+        }
+        None => result,
+    };
+    let is = |g: Gr| r == Reg::G(g);
+    match *op {
+        // A store of `sz` bytes reads that many of its value, all of
+        // its address.
+        Op::St { sz, addr, .. } if !is(addr) => 8 * sz,
+        Op::Xt { size, .. } => 8 * size,
+        Op::And { a, b, .. } => {
+            let of_a = match a {
+                Src::Imm(m) => Some(m as u64),
+                Src::Reg(g) => constant(g),
+            };
+            let from_a = match a {
+                Src::Reg(g) if is(g) => masked(constant(b)),
+                _ => 0,
+            };
+            let from_b = if is(b) { masked(of_a) } else { 0 };
+            from_a.max(from_b)
+        }
+        Op::Add { .. }
+        | Op::Sub { .. }
+        | Op::Or { .. }
+        | Op::Xor { .. }
+        | Op::AndCm { .. }
+        | Op::Shladd { .. } => result,
+        Op::Shift {
+            kind: ShiftKind::Shl,
+            count: Src::Imm(n),
+            ..
+        } => result.saturating_sub(n.clamp(0, 64) as u8),
+        Op::Setf {
+            kind: FXfer::Sig, ..
+        }
+        | Op::Getf {
+            kind: FXfer::Sig, ..
+        }
+        | Op::Xma { high: false, .. } => result,
+        _ => 64,
+    }
+}
+
+/// Demanded bits (ROADMAP item 2(d)). A trace keeps every guest value
+/// zero-extended, so a 32-bit chain runs `add`, then `zxt4`, then the
+/// next op — yet most consumers read only the low bits the `zxt4` left
+/// alone. One backward walk finds, per op, how many low bits of its
+/// result anything reads: a store reads the bytes it stores, a `zxt`
+/// or `sxt` of size k the low 8k bits, an `and` the bits under its
+/// mask; an `add`, `sub`, `or`, `xor`, `andcm`, `shladd`, left shift
+/// by an immediate, `setf.sig`, `xma.l` or `getf.sig` reads of its
+/// operands only as many low bits as its own readers read of it; every
+/// other use, and every physical register's value — a home, the
+/// EFLAGS home, anything an exit or the trace end observes — reads all
+/// 64. One forward walk then lets each use that reads at most the low
+/// 8k bits of an unpredicated `Xt` of size k read the `Xt`'s source
+/// instead, while neither has been redefined. The `Xt` itself stays —
+/// a home write keeps its `zxt4` — and [`dead_code`] drops it once
+/// nothing reads it. Returns whether any use was rewritten.
+///
+/// Every op then computes the same low bits of its result as before,
+/// which are all the bits anything reads of it.
+pub(super) fn demanded_bits(irs: &mut [IrInst]) -> bool {
+    let single = single_defs(irs);
+    let mut constants: HashMap<u16, u64> = HashMap::new();
+    for x in irs.iter() {
+        let value = match x.inst.op {
+            Op::Add {
+                d,
+                a: Src::Imm(imm),
+                b: R0,
+            } => Some((d, imm as u64)),
+            Op::Movl { d, imm } => Some((d, imm)),
+            _ => None,
+        };
+        if let Some((d, imm)) = value.filter(|(d, _)| single.contains(&d.0)) {
+            constants.insert(d.0, imm);
+        }
+    }
+    let constant = |g: Gr| constants.get(&g.0).copied();
+    // Backward: the low bits of each op's result that something reads.
+    let mut need: HashMap<VirtKey, u8> = HashMap::new();
+    let mut result = vec![64u8; irs.len()];
+    for (i, x) in irs.iter().enumerate().rev() {
+        let op = &x.inst.op;
+        let mut bits = 0;
+        op.visit_regs(|r, is_def| {
+            if is_def && matches!(r, Reg::G(_) | Reg::F(_)) {
+                bits = bits.max(virt_key(r).map_or(64, |k| need.get(&k).copied().unwrap_or(0)));
+            }
+        });
+        result[i] = bits;
+        if x.inst.qp == P0 {
+            op.visit_regs(|r, is_def| {
+                if let (true, Some(k)) = (is_def, virt_key(r)) {
+                    need.remove(&k);
+                }
+            });
+        }
+        op.visit_regs(|r, is_def| {
+            if let (false, Some(k)) = (is_def, virt_key(r)) {
+                let w = read_width(op, r, bits, constant);
+                let n = need.entry(k).or_default();
+                *n = (*n).max(w);
+            }
+        });
+    }
+    // Forward: per register an unpredicated `Xt` defined and nothing
+    // has redefined since, the `Xt`'s source and size.
+    let mut narrow: HashMap<u16, (Gr, u8)> = HashMap::new();
+    let mut changed = false;
+    for (x, &bits) in irs.iter_mut().zip(&result) {
+        let op = x.inst.op;
+        x.inst.op.map_regs(|r, is_def| match r {
+            Reg::G(g) if !is_def => match narrow.get(&g.0) {
+                Some(&(src, size)) if read_width(&op, r, bits, constant) <= 8 * size => {
+                    changed = true;
+                    Reg::G(src)
+                }
+                _ => r,
+            },
+            _ => r,
+        });
+        x.inst.op.visit_regs(|r, is_def| {
+            if let (true, Reg::G(d)) = (is_def, r) {
+                narrow.retain(|&g, &mut (src, _)| g != d.0 && src != d);
+            }
+        });
+        if let Op::Xt { d, a, size, .. } = x.inst.op {
+            if x.inst.qp == P0 && a != d {
+                narrow.insert(d.0, (a, size));
+            }
+        }
+    }
+    changed
+}
+
 /// Dead-code elimination, the paper's EFLAGS elimination and dead
 /// guest-register writes included: one backward walk with one live set
 /// of virtual registers, the eight guest GPR homes and the EFLAGS home
@@ -408,7 +560,7 @@ mod tests {
     use super::*;
     use crate::state::guest_gpr;
     use crate::templates::Sink;
-    use ipf::regs::{Pr, R0};
+    use ipf::regs::Pr;
 
     const EFLAGS: Gr = Eflags::HOMES[0];
 
@@ -989,6 +1141,234 @@ mod tests {
             &[sum(v1), inc, sum(v2), st4(v1, v2)],
             &[sum(v1), inc, st4(v1, v1)],
             &[0, 1, 3],
+        );
+    }
+
+    // ---- demanded_bits -------------------------------------------------
+
+    /// `demanded_bits` over `ops`, checked against them on the reference
+    /// evaluator.
+    fn narrowed(ops: &[ipf::Inst]) -> Vec<ipf::Inst> {
+        let mut irs: Vec<IrInst> = ops.iter().map(|&i| il(i)).collect();
+        demanded_bits(&mut irs);
+        let out: Vec<ipf::Inst> = irs.iter().map(|x| x.inst).collect();
+        eval::assert_preserves("demanded_bits", ops, &out, &Vec::from_iter(0..ops.len()));
+        out
+    }
+
+    fn add(d: Gr, a: Gr, b: Gr) -> ipf::Inst {
+        ipf::Inst::new(Op::Add {
+            d,
+            a: Src::Reg(a),
+            b,
+        })
+    }
+
+    fn and_imm(d: Gr, mask: i64, b: Gr) -> ipf::Inst {
+        ipf::Inst::new(Op::And {
+            d,
+            a: Src::Imm(mask),
+            b,
+        })
+    }
+
+    #[test]
+    fn a_multiply_and_a_masked_index_read_past_the_zxt4() {
+        let (eax, ecx, edx, esi) = (guest_gpr(0), guest_gpr(1), guest_gpr(2), guest_gpr(6));
+        let (v, w) = (Gr(300), Gr(301));
+        let (f0, f1, f2) = (ipf::regs::Fr(300), ipf::regs::Fr(301), ipf::regs::Fr(302));
+        // `add edi, ebx ; imul edi, ebx`: the `setf.sig` of the new EAX
+        // reads the sum, not the home's `zxt4` of it, because `xma.l`
+        // and `getf.sig` pass on only the low bits the final `zxt4`
+        // reads. The home write keeps its `zxt4`.
+        let multiply = [
+            add(v, eax, ecx),
+            zxt(4, eax, v),
+            ipf::Inst::new(Op::Setf {
+                kind: FXfer::Sig,
+                f: f0,
+                r: eax,
+            }),
+            ipf::Inst::new(Op::Setf {
+                kind: FXfer::Sig,
+                f: f1,
+                r: ecx,
+            }),
+            ipf::Inst::new(Op::Xma {
+                d: f2,
+                a: f0,
+                b: f1,
+                c: ipf::regs::F0,
+                high: false,
+            }),
+            ipf::Inst::new(Op::Getf {
+                kind: FXfer::Sig,
+                d: w,
+                f: f2,
+            }),
+            zxt(4, eax, w),
+        ];
+        let out = narrowed(&multiply);
+        assert_eq!(out[1], multiply[1], "the home write keeps its zxt4");
+        assert_eq!(
+            out[2],
+            ipf::Inst::new(Op::Setf {
+                kind: FXfer::Sig,
+                f: f0,
+                r: v,
+            })
+        );
+        assert_eq!(out[3..], multiply[3..]);
+        // `dec ecx` then `and eax, 0x3fff` and a 32-bit store: the `and`
+        // (under an immediate mask or a register holding one) and the
+        // store's value read the difference.
+        let (k, m, n) = (Gr(302), Gr(303), Gr(304));
+        let ops = [
+            ipf::Inst::new(Op::Add {
+                d: v,
+                a: Src::Imm(-1),
+                b: ecx,
+            }),
+            zxt(4, w, v),
+            and_imm(k, 0x3FFF, w),
+            movi(m, 1),
+            ipf::Inst::new(Op::And {
+                d: n,
+                a: Src::Reg(w),
+                b: m,
+            }),
+            ipf::Inst::new(Op::Shladd {
+                d: k,
+                a: k,
+                count: 2,
+                b: esi,
+            }),
+            st4(k, w),
+            st4(edx, n),
+        ];
+        let out = narrowed(&ops);
+        assert_eq!(out[2], and_imm(k, 0x3FFF, v));
+        assert_eq!(
+            out[4],
+            ipf::Inst::new(Op::And {
+                d: n,
+                a: Src::Reg(v),
+                b: m,
+            })
+        );
+        assert_eq!(out[6], st4(k, v));
+        // The `and`'s result forms an address, which reads all of it.
+        assert_eq!(out[5], ops[5]);
+    }
+
+    #[test]
+    fn a_use_that_reads_the_high_bits_keeps_reading_the_zxt4() {
+        let (eax, ecx, edx) = (guest_gpr(0), guest_gpr(1), guest_gpr(2));
+        let (v, w, x) = (Gr(300), Gr(301), Gr(302));
+        let p = Pr(400);
+        let head = [add(v, eax, ecx), zxt(4, w, v)];
+        let readers = [
+            // A compare reads all 64 bits.
+            cmp_eq(p, w, R0),
+            // So do an address and the shifted-out bits of a right shift.
+            ipf::Inst::new(Op::Ld {
+                sz: 4,
+                d: x,
+                addr: w,
+                spec: false,
+            }),
+            st4(w, edx),
+            ipf::Inst::new(Op::Shift {
+                kind: ShiftKind::ShrU,
+                d: x,
+                a: w,
+                count: Src::Imm(3),
+            }),
+            // A home, or any physical register, keeps what it is given.
+            mov(edx, w),
+            add(edx, w, ecx),
+            // A sum whose own reader reads all of it.
+            add(x, w, ecx),
+        ];
+        for reader in readers {
+            let mut ops = [&head[..], &[reader]].concat();
+            if matches!(reader.op, Op::Shift { .. } | Op::Add { d: Gr(302), .. }) {
+                ops.push(st4(edx, x));
+                ops.push(cmp_eq(p, x, R0));
+            }
+            assert_eq!(narrowed(&ops), ops, "{reader}");
+        }
+        // A predicated `Xt` may leave the old value.
+        let ops = [
+            add(v, eax, ecx),
+            cmp_eq(p, ecx, edx),
+            ipf::Inst::pred(p, zxt(4, w, v).op),
+            st4(edx, w),
+        ];
+        assert_eq!(narrowed(&ops), ops);
+        // Nor once the source changed after the `Xt`.
+        let ops = [zxt(4, w, eax), movi(eax, 7), st4(edx, w)];
+        assert_eq!(narrowed(&ops), ops);
+        let ops = [
+            zxt(4, w, eax),
+            cmp_eq(p, ecx, edx),
+            ipf::Inst::pred(p, movi(eax, 7).op),
+            st4(edx, w),
+        ];
+        assert_eq!(narrowed(&ops), ops);
+        // A `zxt1` covers a byte store only.
+        let ops = [zxt(1, w, eax), st4(edx, w)];
+        assert_eq!(narrowed(&ops), ops);
+        let st1 = ipf::Inst::new(Op::St {
+            sz: 1,
+            addr: edx,
+            val: w,
+        });
+        let out = narrowed(&[zxt(1, w, eax), st1]);
+        assert_eq!(
+            out[1],
+            ipf::Inst::new(Op::St {
+                sz: 1,
+                addr: edx,
+                val: eax,
+            })
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "demanded_bits changed what the trace computes")]
+    fn the_validation_catches_a_bypass_into_a_compare() {
+        // What a `demanded_bits` that let a compare read past the `zxt4`
+        // makes of `v = 0xffffffff + eax ; w = zxt4 v ; cmp.ltu w, k`:
+        // `v` carries into bit 32, so the compare flips.
+        let (eax, edx) = (guest_gpr(0), guest_gpr(2));
+        let (k, v, w) = (Gr(300), Gr(301), Gr(302));
+        let p = Pr(400);
+        let cmp = |a| {
+            ipf::Inst::new(Op::Cmp {
+                rel: ipf::inst::CmpRel::Ltu,
+                pt: p,
+                pf: P0,
+                a: Src::Reg(a),
+                b: k,
+            })
+        };
+        let head = [
+            ipf::Inst::new(Op::Movl {
+                d: k,
+                imm: 0xFFFF_FFFF,
+            }),
+            add(v, k, eax),
+            zxt(4, w, v),
+        ];
+        let tail = [ipf::Inst::pred(p, movi(edx, 1).op), st4(edx, edx)];
+        let before = [&head[..], &[cmp(w)], &tail].concat();
+        let after = [&head[..], &[cmp(v)], &tail].concat();
+        eval::assert_preserves(
+            "demanded_bits",
+            &before,
+            &after,
+            &Vec::from_iter(0..before.len()),
         );
     }
 

@@ -259,16 +259,19 @@ pub(super) fn schedule_ir(insts: &[ipf::Inst]) -> Vec<usize> {
 /// the good schedule.
 ///
 /// The ordering is a heuristic; when it would cost the trace a cycle or
-/// a `nop` ([`cost`]), the allocator's order stays.
-pub(super) fn schedule_allocated(alloc: &[super::regalloc::AllocInst]) -> Vec<Slot> {
+/// a `nop` ([`cost`]), the allocator's order stays. Returns the code
+/// kept and what it costs.
+pub(super) fn schedule_allocated(
+    alloc: &[super::regalloc::AllocInst],
+) -> (Vec<Slot>, (u64, usize)) {
     let stopped = insert_stops(alloc);
     let mut ordered = stopped.clone();
     order_groups(&mut ordered);
-    let ((was, was_nops), (is, is_nops)) = (cost(&stopped), cost(&ordered));
-    if is <= was && is_nops <= was_nops {
-        ordered
+    let (was, is) = (cost(&stopped), cost(&ordered));
+    if is.0 <= was.0 && is.1 <= was.1 {
+        (ordered, is)
     } else {
-        stopped
+        (stopped, was)
     }
 }
 
@@ -502,7 +505,7 @@ mod tests {
         let traces = kernel_traces();
         let (mut cheaper, mut fewer_nops) = (0, 0);
         for alloc in traces {
-            let (unordered, ordered) = (insert_stops(alloc), schedule_allocated(alloc));
+            let (unordered, (ordered, _)) = (insert_stops(alloc), schedule_allocated(alloc));
             let (was, is) = (static_cost(&unordered), static_cost(&ordered));
             assert!(is <= was, "ordering cost {was} -> {is} cycles");
             let (was_nops, is_nops) = (nops(&unordered), nops(&ordered));

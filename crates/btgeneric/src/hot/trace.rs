@@ -643,17 +643,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
                     Ok(Some(_)) | Err(_) => return None,
                 }
                 if *guarded {
-                    let g = guard?;
-                    // Predicate the whole expansion; templates that emit
-                    // their own predicates cannot be if-converted.
-                    for item in &mut body.items[before..] {
-                        if let IlItem::Inst(e) = item {
-                            if e.inst.qp != ipf::regs::P0 {
-                                return None;
-                            }
-                            e.inst.qp = g;
-                        }
-                    }
+                    guard_expansion(&mut body, before, guard?, at.ip)?;
                 }
                 ia32_count += 1;
                 i += 1;
@@ -850,12 +840,15 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         .chain(devirt_exits.iter().map(|e| e.label))
         .map(|l| (l, cb.label()))
         .collect();
-    for (inst, stop, _) in &compiled {
+    for (inst, stop, _, tap) in &compiled {
         let mut inst = *inst;
         if let Some(Target::Label(l)) = inst.op.target() {
             inst.op.set_target(Target::Label(exit_labels[&l].0));
         }
         cb.push_inst(inst);
+        if let Some(tap) = *tap {
+            cb.tap(tap);
+        }
         if *stop {
             cb.stop();
         }
@@ -888,18 +881,18 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         emit_exit_counter(&mut cb, exit_counter);
         emit_exit(engine, &mut cb, e.target, e.perm, e.xmm_fmt, spec.xmm_fmt);
     }
-    // Devirtualization-guard failures: count them (as premature exits
-    // and as guard fails), restore FP/XMM state, then leave through the
-    // IndirectMiss stub — GR_PAYLOAD0/1 were loaded on the guarded
-    // path, so the dispatcher retrains the site's inline cache.
+    // Devirtualization-guard failures: count them (as premature exits,
+    // and tap them as guard fails), restore FP/XMM state, then leave
+    // through the IndirectMiss stub — GR_PAYLOAD0/1 were loaded on the
+    // guarded path, so the dispatcher retrains the site's inline cache.
     for e in &devirt_exits {
         cb.bind(exit_labels[&e.label]);
         emit_exit_counter(&mut cb, exit_counter);
-        Predictions::emit_devirt_fail(&mut cb);
         emit_exit_prologue(&mut cb, e.perm, e.xmm_fmt, spec.xmm_fmt);
         cb.push(Op::Br {
             target: Target::Abs(StubKind::IndirectMiss.addr()),
         });
+        Predictions::tap_devirt_fail(&mut cb);
         cb.stop();
     }
 
@@ -912,7 +905,7 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
         by_slot: HashMap::new(),
         spans: trace.source_spans(engine),
     };
-    for (k, (_, _, rec)) in compiled.iter().enumerate() {
+    for (k, (_, _, rec, _)) in compiled.iter().enumerate() {
         if let Some(rec) = *rec {
             let (bidx, slot) = code.placements[head_len + k];
             if bidx != usize::MAX {
@@ -932,6 +925,58 @@ fn build_and_install(engine: &mut Engine, block_id: u32, trace: &Trace) -> Optio
     engine.stats.hot_native_insts += compiled.len() as u64;
     engine.stats.hot_commit_points += hot.recovery.len() as u64;
     engine.install_hot(block_id, code, hot, ia32_count as usize);
+    Some(())
+}
+
+/// Runs the template expansion of a hammock body instruction — the
+/// ops of `body` from `from` on — under the guard `g`: an unpredicated
+/// op under `g`, and one the template predicates itself (a flag recipe
+/// ORs its bits in under a compare's predicate) under `g` and its own
+/// predicate. For that, each predicate the expansion reads is cleared
+/// before it: its defs now run under `g`, so with the guard off it
+/// stays false. `None` if the expansion reads a predicate it does not
+/// define, which no clear could make follow the guard.
+fn guard_expansion(body: &mut Sink, from: usize, g: ipf::regs::Pr, ip: u32) -> Option<()> {
+    let ops = || {
+        body.items[from..].iter().filter_map(|item| match item {
+            IlItem::Inst(e) => Some(e.inst),
+            IlItem::Bind(_) => None,
+        })
+    };
+    let mut read: Vec<ipf::regs::Pr> = Vec::new();
+    for inst in ops() {
+        if inst.qp != ipf::regs::P0 && !read.contains(&inst.qp) {
+            read.push(inst.qp);
+        }
+    }
+    let defined = |p: ipf::regs::Pr| ops().any(|i| i.op.defs().contains(&ipf::inst::Reg::P(p)));
+    if !read.iter().all(|&p| p.is_virtual() && defined(p)) {
+        return None;
+    }
+    for item in &mut body.items[from..] {
+        if let IlItem::Inst(e) = item {
+            if e.inst.qp == ipf::regs::P0 {
+                e.inst.qp = g;
+            }
+        }
+    }
+    let clears = read.into_iter().map(|p| {
+        IlItem::Inst(templates::IlEntry {
+            inst: ipf::Inst::new(Op::Cmp {
+                rel: CmpRel::Ne,
+                pt: p,
+                pf: ipf::regs::P0,
+                a: Src::Reg(ipf::regs::R0),
+                b: ipf::regs::R0,
+            }),
+            meta: templates::IlMeta {
+                ia32_ip: ip,
+                acc: None,
+                tap: None,
+            },
+        })
+    });
+    body.items.splice(from..from, clears);
     Some(())
 }
 
@@ -962,8 +1007,8 @@ fn assign_recovery(irs: &mut [ir::IrInst], perm_by_ip: &HashMap<u32, [u8; 8]>) -
 }
 
 /// Fully lowered trace code: one `(instruction, stop bit, recovery
-/// index)` triple per emitted slot.
-type CompiledCode = Vec<(ipf::Inst, bool, Option<u32>)>;
+/// index, tap)` per emitted slot.
+type CompiledCode = Vec<(ipf::Inst, bool, Option<u32>, Option<ipf::Tap>)>;
 
 #[cfg(test)]
 thread_local! {
@@ -973,13 +1018,19 @@ thread_local! {
         const { std::cell::RefCell::new(None) };
 }
 
-/// The hot compiler, one pipeline: guest-state forwarding, LVN,
-/// dead-code elimination (EFLAGS and guest-register writes included),
-/// recovery assignment, list scheduling of the virtual code, per-op
-/// liveness with constraint-driven allocation (spilling under
-/// general-register pressure), and the backend pass over the allocated
-/// code (stop bits, then each group ordered for the templates). `None`
-/// when a constraint cannot be satisfied.
+/// The hot compiler, one pipeline: guest-state forwarding, the
+/// demanded-bits bypass, LVN, dead-code elimination (EFLAGS and
+/// guest-register writes included), recovery assignment, list
+/// scheduling of the virtual code, per-op liveness with
+/// constraint-driven allocation (spilling under general-register
+/// pressure), and the backend pass over the allocated code (stop bits,
+/// then each group ordered for the templates). `None` when a constraint
+/// cannot be satisfied.
+///
+/// A bypass shortens a chain but lengthens the live range of the value
+/// it reads through, and the scheduler may group the result worse, so a
+/// trace it changes is compiled both ways and the one the backend's cost
+/// function prices lower is kept (the bypassed one on a tie).
 fn compile_ir(
     mut irs: Vec<ir::IrInst>,
     perm_by_ip: &HashMap<u32, [u8; 8]>,
@@ -988,10 +1039,45 @@ fn compile_ir(
         opt::forward_state(irs);
         (0..irs.len()).collect()
     });
-    checked("lvn", &mut irs, opt::lvn);
-    checked("dead_code", &mut irs, opt::dead_code);
+    let mut narrowed = irs.clone();
+    let mut bypassed = false;
+    checked("demanded_bits", &mut narrowed, |irs| {
+        bypassed = opt::demanded_bits(irs);
+        (0..irs.len()).collect()
+    });
+    let narrow = bypassed.then(|| backend(narrowed, perm_by_ip)).flatten();
+    let wide = match &narrow {
+        Some(n) => backend(irs, perm_by_ip).filter(|w| w.cost < n.cost),
+        None => backend(irs, perm_by_ip),
+    };
+    let chosen = wide.or(narrow)?;
     #[cfg(debug_assertions)]
     super::eval::trace_validated();
+    #[cfg(test)]
+    ALLOCATED.with_borrow_mut(|seen| {
+        if let Some(seen) = seen {
+            seen.push(chosen.alloc.clone());
+        }
+    });
+    Some((chosen.code, chosen.recovery))
+}
+
+/// One way of compiling a trace, priced.
+struct Compiled {
+    #[cfg(test)]
+    alloc: Vec<regalloc::AllocInst>,
+    code: CompiledCode,
+    recovery: Vec<RecEntry>,
+    /// What the code costs on the issue model: cycles, then `nop`s
+    /// (`sched::schedule_allocated`).
+    cost: (u64, usize),
+}
+
+/// The passes after the bypass: value numbering, dead code, recovery
+/// assignment, scheduling and allocation.
+fn backend(mut irs: Vec<ir::IrInst>, perm_by_ip: &HashMap<u32, [u8; 8]>) -> Option<Compiled> {
+    checked("lvn", &mut irs, opt::lvn);
+    checked("dead_code", &mut irs, opt::dead_code);
     let recovery = assign_recovery(&mut irs, perm_by_ip);
     // Reorder while still virtual (no false dependences), then allocate
     // in the scheduled order — the new program order for liveness and
@@ -1000,17 +1086,21 @@ fn compile_ir(
     let order = sched::schedule_ir(&insts);
     let irs: Vec<ir::IrInst> = order.iter().map(|&k| irs[k].clone()).collect();
     let alloc = regalloc::allocate(&irs)?;
-    #[cfg(test)]
-    ALLOCATED.with_borrow_mut(|seen| {
-        if let Some(seen) = seen {
-            seen.push(alloc.clone());
-        }
-    });
-    let out = sched::schedule_allocated(&alloc)
+    let (slots, cost) = sched::schedule_allocated(&alloc);
+    let code = slots
         .into_iter()
-        .map(|(inst, stop, src)| (inst, stop, src.and_then(|s| irs[s].rec)))
+        .map(|(inst, stop, src)| {
+            let ir = src.map(|s| &irs[s]);
+            (inst, stop, ir.and_then(|x| x.rec), ir.and_then(|x| x.tap))
+        })
         .collect();
-    Some((out, recovery))
+    Some(Compiled {
+        #[cfg(test)]
+        alloc,
+        code,
+        recovery,
+        cost,
+    })
 }
 
 /// Runs one pass over the IR; `pass` returns, per op it leaves, that
@@ -1036,7 +1126,7 @@ fn checked(
 }
 
 /// Emits a side-exit counter increment (uses caller-saved hot scratch).
-pub(crate) fn emit_exit_counter(cb: &mut ipf::asm::CodeBuilder, slot: u64) {
+fn emit_exit_counter(cb: &mut ipf::asm::CodeBuilder, slot: u64) {
     use ipf::regs::Gr;
     let (a, c) = (
         Gr(crate::state::GR_SCRATCH),

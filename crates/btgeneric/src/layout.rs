@@ -5,7 +5,6 @@
 //! space; the IA-32 application owns the low 4 GiB, and everything the
 //! translator allocates sits above it.
 
-use crate::cold::gen::emit_counter_inc;
 use crate::state::{GR_PAYLOAD0, GR_PAYLOAD1};
 use crate::templates::Sink;
 use ia32::mem::GuestMem;
@@ -65,29 +64,20 @@ pub const SHADOW_ENTRY_SIZE: u64 = 16;
 /// Top-of-stack ring index cell (one u64).
 pub const SHADOW_TOS: u64 = SHADOW_BASE + SHADOW_ENTRIES * SHADOW_ENTRY_SIZE;
 
-/// Memory cells bumped by emitted code on indirect events; harvested
-/// into `Stats` by `Engine::collect_indirect_stats`. Kept adjacent to
-/// `SHADOW_TOS` so the shadow pop sequence reaches them with one add.
-pub const CELL_SHADOW_HITS: u64 = SHADOW_TOS + 8;
-/// Shadow pops that found an empty (consumed or never-seeded) slot.
-pub const CELL_SHADOW_UNDERFLOWS: u64 = SHADOW_TOS + 16;
-/// Shadow pops whose recorded return EIP did not match the actual one.
-pub const CELL_SHADOW_MISPREDICTS: u64 = SHADOW_TOS + 24;
-/// Inline-cache misses (site fell through to the shared table probe).
-pub const CELL_IC_MISSES: u64 = SHADOW_TOS + 32;
-/// Hot-trace devirtualization guard failures (side exits taken).
-pub const CELL_DEVIRT_FAILS: u64 = SHADOW_TOS + 40;
-
 /// Base of the hot-phase register-allocator spill area: a small block
 /// of always-mapped u64 slots the constraint-driven allocator spills
 /// general registers to under pressure (`hot/regalloc.rs`).
+///
+/// The 40 bytes after the ring's top-of-stack word stay unused, so that
+/// [`COUNTERS_BASE`], which warm-start images fingerprint, does not
+/// move.
 pub const SPILL_BASE: u64 = SHADOW_TOS + 48;
 
 /// Number of spill slots. Traces needing more stay cold.
 pub const SPILL_SLOTS: u64 = 16;
 
 /// Start of per-block profile slots (counters), after the lookup table,
-/// shadow stack, event cells, and the spill area.
+/// shadow stack and the spill area.
 pub const COUNTERS_BASE: u64 = SPILL_BASE + SPILL_SLOTS * 8;
 
 /// The address-space layout a warm-start image is generated under, in
@@ -298,7 +288,7 @@ impl Profile {
 
 /// The indirect-branch predictions (paper §5.2): the shared 2-way
 /// lookup table, the return-address shadow ring with its top-of-stack
-/// word, the event cells the emitted probes bump, and — for reading,
+/// word, the events the emitted probes tap, and — for reading,
 /// training and emptying — the `(key, entry)` pair that opens each
 /// [`Profile`]'s inline cache. This type is the only code that knows
 /// their layout, on the Rust side and in the code it emits:
@@ -308,7 +298,6 @@ impl Profile {
 /// | [`LOOKUP_BASE`] | [`LOOKUP_SETS`] sets of [`LOOKUP_WAYS`] `(eip, entry)` ways |
 /// | [`SHADOW_BASE`] | a ring of [`SHADOW_ENTRIES`] `(ret_eip, entry)` pairs |
 /// | [`SHADOW_TOS`] | the ring's top-of-stack index |
-/// | `CELL_*` | hit and miss counters, harvested by [`Predictions::harvest`] |
 ///
 /// Its invariant (DESIGN §10, "Coherence"): every pair with a live key
 /// names a live translated entry. [`Predictions::purge`] is the one
@@ -468,14 +457,15 @@ impl Predictions {
         pairs.filter(|&(key, _)| Self::is_live(key)).collect()
     }
 
-    /// Assigns the event cells' counts to `stats`.
-    pub(crate) fn harvest(mem: &GuestMem, stats: &mut crate::stats::Stats) {
-        let cell = |a: u64| mem.read(a, 8).unwrap_or(0);
-        stats.ic_misses = cell(CELL_IC_MISSES);
-        stats.shadow_hits = cell(CELL_SHADOW_HITS);
-        stats.shadow_underflows = cell(CELL_SHADOW_UNDERFLOWS);
-        stats.shadow_mispredicts = cell(CELL_SHADOW_MISPREDICTS);
-        stats.devirt_guard_fails = cell(CELL_DEVIRT_FAILS);
+    /// Assigns the counts of the events the probes tap, out of the
+    /// machine's `taps`, to `stats`.
+    pub(crate) fn harvest(taps: &[u64; ipf::Tap::EVENTS], stats: &mut crate::stats::Stats) {
+        let count = |e: Event| taps[e as usize];
+        stats.ic_misses = count(Event::IcMiss);
+        stats.shadow_hits = count(Event::ShadowHit);
+        stats.shadow_underflows = count(Event::ShadowUnderflow);
+        stats.shadow_mispredicts = count(Event::ShadowMispredict);
+        stats.devirt_guard_fails = count(Event::DevirtFail);
     }
 
     /// The ret block a shadow-pop miss's `IndirectMiss` payload1 names,
@@ -679,7 +669,7 @@ impl Predictions {
     /// against the actual one in `eip`; a hit branches straight to the
     /// recorded translated entry. The popped entry is consumed (emptied)
     /// either way so an evicted target can never be re-entered through a
-    /// stale slot. A miss bumps the underflow/mispredict cells and drains
+    /// stale slot. A miss, tapped as an underflow or a mispredict, drains
     /// to the `IndirectMiss` stub with payload1 naming block `block_id`
     /// ([`Predictions::ret_miss_block`]), so the dispatcher can count
     /// per-block pop misses and demote the block.
@@ -712,7 +702,6 @@ impl Predictions {
             a: Src::Reg(k),
             b: eip,
         });
-        emit_counter_inc(sink, Some(p_hit), CELL_SHADOW_HITS);
         let ea8 = sink.vg();
         sink.emit(Op::Add {
             d: ea8,
@@ -731,17 +720,17 @@ impl Predictions {
         );
         sink.emit_pred(p_hit, Op::MovToBr { b: Br(1), r: tg });
         sink.emit_pred(p_hit, Op::BrRet { b: Br(1) });
-        // Only reached on a miss: attribute it.
-        let (p_u, p_mp) = (sink.vp(), sink.vp());
+        sink.tap(Event::ShadowHit.tap(true));
+        // Only reached on a miss: an empty slot underflowed, any other
+        // mispredicted.
+        let p_u = sink.vp();
         sink.emit(Op::Cmp {
             rel: CmpRel::Eq,
             pt: p_u,
-            pf: p_mp,
+            pf: P0,
             a: Src::Reg(k),
             b: emp,
         });
-        emit_counter_inc(sink, Some(p_u), CELL_SHADOW_UNDERFLOWS);
-        emit_counter_inc(sink, Some(p_mp), CELL_SHADOW_MISPREDICTS);
         sink.emit(Op::Add {
             d: GR_PAYLOAD0,
             a: Src::Imm(0),
@@ -751,9 +740,13 @@ impl Predictions {
             d: GR_PAYLOAD1,
             imm: RET_MISS_TAG | block_id as u64,
         });
-        sink.emit(Op::Br {
+        let miss = Op::Br {
             target: Target::Abs(StubKind::IndirectMiss.addr()),
-        });
+        };
+        sink.emit_pred(p_u, miss);
+        sink.tap(Event::ShadowUnderflow.tap(true));
+        sink.emit(miss);
+        sink.tap(Event::ShadowMispredict.tap(true));
     }
 
     /// Per-site monomorphic inline cache at `ic_slot`: guard-compare the
@@ -816,8 +809,8 @@ impl Predictions {
         );
         sink.emit_pred(p_ic, Op::MovToBr { b: Br(1), r: pe });
         sink.emit_pred(p_ic, Op::BrRet { b: Br(1) });
-        // Only reached on a miss.
-        emit_counter_inc(sink, None, CELL_IC_MISSES);
+        // Its predicate off, the branch is a miss.
+        sink.tap(Event::IcMiss.tap(false));
     }
 
     /// Probes `eip`'s lookup set (the hash of [`Predictions::set`],
@@ -921,10 +914,39 @@ impl Predictions {
         });
     }
 
-    /// Emits the bump of the devirtualization-guard failure cell, on a
-    /// hot trace's guard exit.
-    pub(crate) fn emit_devirt_fail(cb: &mut ipf::asm::CodeBuilder) {
-        crate::hot::emit_exit_counter(cb, CELL_DEVIRT_FAILS);
+    /// Taps the branch just pushed, a hot trace's devirtualization-guard
+    /// exit, as a guard failure.
+    pub(crate) fn tap_devirt_fail(cb: &mut ipf::asm::CodeBuilder) {
+        cb.tap(Event::DevirtFail.tap(true));
+    }
+}
+
+/// The events the emitted probes tap ([`ipf::Tap`]): each is one of
+/// `Machine::taps`, harvested into `Stats` by [`Predictions::harvest`].
+/// Nothing in translated code reads them, so translated code does not
+/// pay for them.
+#[derive(Clone, Copy)]
+enum Event {
+    /// A shadow-ring pop whose recorded return EIP matched.
+    ShadowHit,
+    /// A shadow-ring pop that found its slot empty.
+    ShadowUnderflow,
+    /// A shadow-ring pop whose recorded return EIP did not match.
+    ShadowMispredict,
+    /// An inline-cache probe that missed and fell through to the table.
+    IcMiss,
+    /// A hot trace's devirtualization guard that failed.
+    DevirtFail,
+}
+
+impl Event {
+    /// The tap that counts this event on a slot executing with its
+    /// predicate equal to `when`.
+    fn tap(self, when: bool) -> ipf::Tap {
+        ipf::Tap {
+            event: self as u8,
+            when,
+        }
     }
 }
 
@@ -1252,7 +1274,7 @@ mod tests {
         const { assert!(SHADOW_BASE >= LOOKUP_BASE + LOOKUP_SETS * LOOKUP_WAYS * LOOKUP_ENTRY_SIZE) };
         const { assert!(SHADOW_TOS == SHADOW_BASE + SHADOW_ENTRIES * SHADOW_ENTRY_SIZE) };
         const { assert!(SHADOW_ENTRY_SIZE == LOOKUP_ENTRY_SIZE) };
-        const { assert!(COUNTERS_BASE > CELL_DEVIRT_FAILS) };
+        const { assert!(SPILL_BASE > SHADOW_TOS) };
         const { assert!(COUNTERS_BASE < PROFILE_BASE + PROFILE_SIZE) };
     }
 

@@ -47,6 +47,8 @@ pub struct IlMeta {
     /// Memory-access index within the block (for misalignment
     /// profiling), if this op is a guest data access.
     pub acc: Option<u16>,
+    /// The event this op's execution counts, if it is tapped.
+    pub tap: Option<ipf::Tap>,
 }
 
 /// A sink item: an instruction or a local-label bind point.
@@ -173,8 +175,17 @@ impl Sink {
             meta: IlMeta {
                 ia32_ip: self.cur_ip,
                 acc: self.cur_acc,
+                tap: None,
             },
         }));
+    }
+
+    /// Taps the op emitted last: the machine counts its executions
+    /// ([`ipf::Tap`]), cold or hot.
+    pub fn tap(&mut self, tap: ipf::Tap) {
+        if let Some(IlItem::Inst(e)) = self.items.last_mut() {
+            e.meta.tap = Some(tap);
+        }
     }
 
     /// Emits `mov d = imm` choosing `adds`/`movl` by range.

@@ -8,6 +8,7 @@
 
 use crate::bundle::{Bundle, SlotKind, Template};
 use crate::inst::{Inst, Op, Reg, Target, Unit};
+use crate::machine::Tap;
 use crate::regs::P0;
 
 /// A label naming a (future) bundle address.
@@ -16,7 +17,11 @@ pub struct Label(pub u32);
 
 #[derive(Clone, Debug)]
 enum Item {
-    Inst { inst: Inst, stop_after: bool },
+    Inst {
+        inst: Inst,
+        stop_after: bool,
+        tap: Option<Tap>,
+    },
     Bind(Label),
 }
 
@@ -63,6 +68,8 @@ pub struct Relocatable {
     pub labels: LabelAddrs,
     /// Where each pushed instruction landed.
     pub placements: Placements,
+    /// `(bundle index, slot, tap)` of every tapped slot.
+    pub(crate) taps: Vec<(u32, u8, Tap)>,
 }
 
 impl Relocatable {
@@ -132,6 +139,7 @@ impl CodeBuilder {
         self.items.push(Item::Inst {
             inst: Inst::new(op),
             stop_after: false,
+            tap: None,
         });
     }
 
@@ -140,6 +148,7 @@ impl CodeBuilder {
         self.items.push(Item::Inst {
             inst: Inst::pred(qp, op),
             stop_after: false,
+            tap: None,
         });
     }
 
@@ -148,6 +157,7 @@ impl CodeBuilder {
         self.items.push(Item::Inst {
             inst,
             stop_after: false,
+            tap: None,
         });
     }
 
@@ -155,6 +165,15 @@ impl CodeBuilder {
     pub fn stop(&mut self) {
         if let Some(Item::Inst { stop_after, .. }) = self.items.last_mut() {
             *stop_after = true;
+        }
+    }
+
+    /// Marks the most recent instruction with `tap`: wherever it lands,
+    /// the arena it is installed into counts its executions
+    /// ([`Tap`]).
+    pub fn tap(&mut self, tap: Tap) {
+        if let Some(Item::Inst { tap: t, .. }) = self.items.last_mut() {
+            *t = Some(tap);
         }
     }
 
@@ -196,6 +215,7 @@ impl CodeBuilder {
         let offset_of = |idx: usize| idx as u64 * Bundle::SIZE;
         let mut pending_binds: Vec<Label> = Vec::new();
         let mut seq = 0usize;
+        let mut tapped: Vec<(usize, Tap)> = Vec::new();
 
         for item in &self.items {
             match item {
@@ -203,13 +223,20 @@ impl CodeBuilder {
                     packer.flush(&mut bundles);
                     pending_binds.push(*l);
                 }
-                Item::Inst { inst, stop_after } => {
+                Item::Inst {
+                    inst,
+                    stop_after,
+                    tap,
+                } => {
                     // A binding lands on the *next* bundle started.
                     debug_assert!(pending_binds.is_empty() || !packer.has_partial());
                     for l in pending_binds.drain(..) {
                         labels.0[l.0 as usize] = offset_of(bundles.len());
                     }
                     packer.add_tracked(*inst, *stop_after, seq, &mut bundles);
+                    if let Some(tap) = *tap {
+                        tapped.push((seq, tap));
+                    }
                     seq += 1;
                 }
             }
@@ -234,11 +261,19 @@ impl CodeBuilder {
         for p in packer.placements.drain(..) {
             placements[p.0] = (p.1, p.2);
         }
+        let taps = tapped
+            .into_iter()
+            .map(|(seq, tap)| {
+                let (bundle, slot) = placements[seq];
+                (bundle as u32, slot, tap)
+            })
+            .collect();
         Relocatable {
             bundles,
             label_slots,
             labels,
             placements,
+            taps,
         }
     }
 }

@@ -48,6 +48,6 @@ pub mod regs;
 pub use bundle::{Bundle, Template};
 pub use inst::{Inst, LatClass, Op, SlotMeta, Target, Unit};
 pub use machine::{
-    Bus, BusError, CodeArena, CycleSplit, IssueModel, MachFault, Machine, StopReason, Timing,
+    Bus, BusError, CodeArena, CycleSplit, IssueModel, MachFault, Machine, StopReason, Tap, Timing,
 };
 pub use regs::{Br, Fr, Gr, Pr};

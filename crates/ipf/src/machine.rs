@@ -14,7 +14,7 @@
 use crate::asm::Relocatable;
 use crate::bundle::Bundle;
 use crate::inst::{
-    FFmt, FXfer, FmaKind, Inst, LatClass, Op, ShiftKind, SlotMeta, Src, Target, Unit, SB_LEN,
+    FFmt, FXfer, FmaKind, Inst, LatClass, Op, Reg, ShiftKind, SlotMeta, Src, Target, Unit, SB_LEN,
     SB_NONE,
 };
 use crate::regs::{NUM_BR, NUM_FR, NUM_GR, NUM_PR};
@@ -285,6 +285,8 @@ pub(crate) struct GroupSummary {
     slots: u8,
     /// Of those, `nop`s.
     nops: u8,
+    /// Whether any of its slots carries a [`Tap`].
+    tapped: bool,
 }
 
 impl Hash for GroupSummary {
@@ -298,7 +300,14 @@ impl Hash for GroupSummary {
             state.write_u64(four.iter().fold(0, |k, &(w, _)| k << 16 | w as u64));
         }
         let lats = self.writes.iter().fold(0, |k, &(_, l)| k << 3 | l as u64);
-        let counts = [self.nreads, self.nwrites, self.width, self.slots, self.nops];
+        let counts = [
+            self.nreads,
+            self.nwrites,
+            self.width,
+            self.slots,
+            self.nops,
+            self.tapped as u8,
+        ];
         state.write_u64(counts.iter().fold(lats, |k, &c| k << 8 | c as u64));
     }
 }
@@ -348,6 +357,51 @@ struct BundleTag {
     /// Per slot, the id in the [`GroupTable`] of the issue group that
     /// *starts* there, [`GROUP_UNKNOWN`] or [`GROUP_NONE`].
     group: [u16; 3],
+    /// Per slot, its [`Tap`] as [`Tap::code`] stores it (0: none).
+    taps: [u8; 3],
+}
+
+/// A tap: the slot it marks counts `event` in [`Machine::taps`] each
+/// time it executes with its qualifying predicate equal to `when` —
+/// host-side, at no simulated cost: the slot issues exactly as it would
+/// untapped. The translator counts this way what only a report reads,
+/// instead of emitting a load, an add and a store that translated code
+/// would pay for.
+///
+/// A tapped slot ends its issue group (a branch does) and writes no
+/// predicate it reads, so the machine looks only at the last slot of a
+/// group that carries a tap, after the group has run. A tap is
+/// installed with its code ([`crate::asm::CodeBuilder::tap`]), goes
+/// when the slot is released or truncated away, and stays when
+/// [`CodeArena::patch_slot`] retargets the slot.
+#[derive(Clone, Copy, PartialEq, Eq, Debug)]
+pub struct Tap {
+    /// Which counter of [`Machine::taps`].
+    pub event: u8,
+    /// The predicate value that counts.
+    pub when: bool,
+}
+
+impl Tap {
+    /// Counters a machine keeps.
+    pub const EVENTS: usize = 8;
+
+    /// The tap as a slot's tag stores it: never 0.
+    fn code(self) -> u8 {
+        assert!(
+            (self.event as usize) < Self::EVENTS,
+            "tap event out of range"
+        );
+        1 + (self.event << 1 | self.when as u8)
+    }
+
+    /// The tap a non-zero [`Tap::code`] stores.
+    fn decode(code: u8) -> Tap {
+        Tap {
+            event: (code - 1) >> 1,
+            when: (code - 1) & 1 != 0,
+        }
+    }
 }
 
 /// Tags per page of a [`TagTable`].
@@ -466,6 +520,7 @@ impl CodeArena {
                 region,
                 meta,
                 group: [GROUP_UNKNOWN; 3],
+                taps: [0; 3],
             });
         }
         self.bundles.extend(bundles);
@@ -475,11 +530,30 @@ impl CodeArena {
     /// Installs position-independent code tagged with `region` where
     /// there is room — the smallest free extent that holds it, else the
     /// end — rebased to that address, which is returned.
-    pub fn install(&mut self, code: Relocatable, region: u32) -> u64 {
-        match self.alloc(code.len()) {
+    pub fn install(&mut self, mut code: Relocatable, region: u32) -> u64 {
+        let taps = std::mem::take(&mut code.taps);
+        let addr = match self.alloc(code.len()) {
             Some(hole) => self.place(hole, code.at(hole).0, region),
             None => self.append(code.at(self.end()).0, region),
+        };
+        let idx = self.index_of(addr).unwrap_or(0);
+        for (bundle, slot, tap) in taps {
+            let (i, s) = (idx + bundle as usize, slot as usize);
+            let inst = &self.bundles[i].slots[s];
+            assert!(
+                self.bundles[i].stops[s] && !inst.op.defs().contains(&Reg::P(inst.qp)),
+                "a tap must end its issue group and not write its own predicate: {inst}"
+            );
+            self.tags[i].taps[s] = tap.code();
         }
+        addr
+    }
+
+    /// The tap on `slot` of the bundle at `addr`, if it has one.
+    #[cfg(test)]
+    fn tap_at(&self, addr: u64, slot: usize) -> Option<Tap> {
+        let code = self.tags[self.index_of(addr)?].taps[slot];
+        (code != 0).then(|| Tap::decode(code))
     }
 
     /// Truncates the arena back to `addr` (translation-cache flush).
@@ -519,6 +593,7 @@ impl CodeArena {
             region: 0,
             meta: self.metas.intern_bundle(&nops),
             group: [GROUP_UNKNOWN; 3],
+            taps: [0; 3],
         };
         for i in idx..idx + count {
             self.tags[i] = freed;
@@ -588,6 +663,7 @@ impl CodeArena {
                 region,
                 meta,
                 group: [GROUP_UNKNOWN; 3],
+                taps: [0; 3],
             };
             self.bundles[idx + k] = b;
         }
@@ -709,6 +785,9 @@ impl CodeArena {
             }
             ports.add(&meta);
             if stop {
+                let start = idx * 3 + slot;
+                let tapped = (start..start + ports.slots as usize)
+                    .any(|p| self.tags[p / 3].taps[p % 3] != 0);
                 return Ok(GroupSummary {
                     reads,
                     writes: ports.writes,
@@ -717,6 +796,7 @@ impl CodeArena {
                     width: ports.width() as u8,
                     slots: ports.slots as u8,
                     nops: ports.nops as u8,
+                    tapped,
                 });
             }
         }
@@ -1136,6 +1216,8 @@ pub struct Machine {
     /// fault, the instruction limit or the arena's end, or without a
     /// summary.
     pub replayed_groups: u64,
+    /// Per [`Tap::event`], the tapped slots' executions it counted.
+    pub taps: [u64; Tap::EVENTS],
     timing: Timing,
     issue: IssueModel,
     /// The region of the groups issued since the issue model's split
@@ -1177,6 +1259,7 @@ impl Machine {
             summary_groups: 0,
             summary_slots: 0,
             replayed_groups: 0,
+            taps: [0; Tap::EVENTS],
             timing,
             issue: IssueModel::new(&timing),
             region_pending: 0,
@@ -1304,7 +1387,8 @@ impl Machine {
             };
             let region = self.arena.tags[idx].region;
             self.enter_region(region);
-            let (booked_to, _) = match self.arena.groups.get(id) {
+            // Whether the group may carry a tap: its summary knows.
+            let ((booked_to, _), tapped) = match self.arena.groups.get(id) {
                 Some(group) if whole => {
                     debug_assert_eq!(group.slots as u64, n, "stale group summary");
                     self.summary_groups += 1;
@@ -1327,14 +1411,19 @@ impl Machine {
                             "group summary at {idx}.{slot} disagrees with per-slot accounting"
                         );
                     }
-                    spent
+                    (spent, group.tapped)
                 }
                 _ => {
                     self.replayed_groups += 1;
                     self.arena.replay(&mut self.issue, idx, slot, n);
-                    self.issue.close(bubble)
+                    (self.issue.close(bubble), true)
                 }
             };
+            // A tap ends its group, so in a group that may carry one only
+            // the last slot that ran (and did not fault) can be a tap.
+            if tapped && !matches!(end, GroupEnd::Fault(_)) {
+                self.count_tap(idx * 3 + slot + n as usize - 1);
+            }
             debug_assert_eq!(
                 booked_to, region,
                 "a group's cycles belong to its first slot"
@@ -1365,6 +1454,21 @@ impl Machine {
     /// emulates a misaligned access and resumes.
     pub fn skip_slot(&mut self) {
         next_slot(&mut self.ip, &mut self.slot);
+    }
+
+    /// Counts the tap on the slot at position `pos` (bundle index × 3 +
+    /// slot), the last of its group to run, if it has one and ran with
+    /// the tap's predicate value. The slot ended its group and writes no
+    /// predicate it reads (`CodeArena::install` checks both), so its
+    /// predicate still holds the value it ran with.
+    fn count_tap(&mut self, pos: usize) {
+        let (idx, slot) = (pos / 3, pos % 3);
+        let code = self.arena.tags[idx].taps[slot];
+        if code != 0 {
+            let tap = Tap::decode(code);
+            let qp = self.arena.bundles[idx].slots[slot].qp;
+            self.taps[tap.event as usize] += u64::from(self.pr[qp.phys()] == tap.when);
+        }
     }
 }
 
@@ -2913,6 +3017,7 @@ mod tests {
                         label_slots: Vec::new(),
                         labels: LabelAddrs(Vec::new()),
                         placements: Vec::new(),
+                        taps: Vec::new(),
                     };
                     live.push((arena.install(code, step as u32), n));
                 }
@@ -3026,6 +3131,121 @@ mod tests {
             pushed.push(Err(l));
         }
         (cb, pushed)
+    }
+
+    /// A tapped slot counts its event each time it executes with its
+    /// predicate equal to the tap's `when` — here p1 under `when` true
+    /// and false, p2 under true, each op ending its group as a tap must
+    /// — and the machine spends on the tapped code exactly what it
+    /// spends on the same code untapped.
+    #[test]
+    fn a_tap_counts_under_its_predicate_and_costs_no_cycle() {
+        let code = |tapped: bool| {
+            let mut cb = CodeBuilder::new();
+            cb.push(Op::Cmp {
+                rel: CmpRel::Eq,
+                pt: Pr(1),
+                pf: Pr(2),
+                a: Src::Reg(Gr(32)),
+                b: Gr(33),
+            });
+            cb.stop();
+            let taps = [(Pr(1), 0, true), (Pr(2), 1, true), (Pr(1), 2, false)];
+            for (k, (qp, event, when)) in taps.into_iter().enumerate() {
+                let d = Gr(40 + k as u16);
+                cb.push_pred(
+                    qp,
+                    Op::Add {
+                        d,
+                        a: Src::Imm(1),
+                        b: d,
+                    },
+                );
+                if tapped {
+                    cb.tap(Tap { event, when });
+                }
+                cb.stop();
+            }
+            cb.push(Op::Br {
+                target: Target::Abs(0xDEAD0000),
+            });
+            cb.stop();
+            cb.assemble_relocatable()
+        };
+        let run_from = |code: Relocatable, equal: bool| {
+            let mut arena = CodeArena::new(BASE);
+            let entry = arena.install(code, 0);
+            let mut m = Machine::new(arena, Timing::default());
+            m.gr[32] = 5;
+            m.gr[33] = if equal { 5 } else { 6 };
+            m.set_ip(entry, 0);
+            assert!(matches!(run(&mut m), StopReason::ExternalBranch { .. }));
+            m
+        };
+        for equal in [true, false] {
+            let (with, without) = (run_from(code(true), equal), run_from(code(false), equal));
+            let (p1, p2) = (equal as u64, !equal as u64);
+            assert_eq!(with.taps[..3], [p1, p2, p2], "p1 is {equal}");
+            assert_eq!(with.taps[3..], [0; Tap::EVENTS - 3]);
+            assert_eq!(without.taps, [0; Tap::EVENTS]);
+            assert_eq!(with.gr, without.gr);
+            assert_eq!(
+                (with.cycles, with.inst_count, &with.region_split),
+                (without.cycles, without.inst_count, &without.region_split)
+            );
+        }
+    }
+
+    /// A tap lives and dies with its slot: `patch_slot` retargets the
+    /// slot and keeps it, `release` and `truncate` drop it, and code
+    /// installed where tapped code was carries only its own taps.
+    #[test]
+    fn taps_follow_release_truncate_and_patch_slot() {
+        let tap = Tap {
+            event: 4,
+            when: true,
+        };
+        let exit = |tapped: bool| {
+            let mut cb = CodeBuilder::new();
+            cb.push(Op::Br {
+                target: Target::Abs(0xDEAD0000),
+            });
+            if tapped {
+                cb.tap(tap);
+            }
+            cb.stop();
+            cb.assemble_relocatable()
+        };
+        let (bundle, slot) = exit(true).placements[0];
+        let slot = slot as usize;
+        assert_eq!(bundle, 0);
+        let size = exit(true).len() as u64 * Bundle::SIZE;
+        let mut arena = CodeArena::new(BASE);
+        let a = arena.install(exit(true), 0);
+        let b = arena.install(exit(true), 0);
+        assert_eq!(arena.tap_at(a, slot), Some(tap));
+        assert_eq!(arena.tap_at(b, slot), Some(tap));
+        let other = (0..3).filter(|&s| s != slot);
+        assert!(other.clone().all(|s| arena.tap_at(a, s).is_none()));
+        arena.patch_slot(
+            a,
+            slot,
+            Op::Br {
+                target: Target::Abs(0xBEEF0000),
+            },
+        );
+        assert_eq!(arena.tap_at(a, slot), Some(tap), "patched");
+        arena.release(a, a + size);
+        assert_eq!(arena.tap_at(a, slot), None, "released");
+        assert_eq!(arena.install(exit(false), 0), a, "into the hole");
+        assert_eq!(arena.tap_at(a, slot), None, "untapped code in the hole");
+        arena.release(a, a + size);
+        assert_eq!(arena.install(exit(true), 0), a);
+        assert_eq!(arena.tap_at(a, slot), Some(tap), "tapped code in the hole");
+        arena.truncate(b);
+        assert_eq!(arena.tap_at(b, slot), None, "truncated");
+        assert_eq!(arena.append(exit(false).bundles, 0), b);
+        assert_eq!(arena.tap_at(b, slot), None, "appended where it was");
     }
 
     /// `install` is `assemble(addr)` + `place`/`append` at the address

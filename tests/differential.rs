@@ -683,9 +683,8 @@ fn fusing_setters() -> Vec<(Inst, &'static [Cond], fn(u32, u32) -> u32)> {
 /// stores and runs an `adc` that reads the setter's CF (an INC or DEC
 /// leaves the CF of the `and` before it); in the other it stores and
 /// runs a `lea`, and after the join `setcc` reads every status flag but
-/// AF. The two do not combine: a flag a guarded instruction leaves live
-/// needs predicated ops of its template's own, and such a hammock is not
-/// converted, so the `adc`'s flags die after the join. Each iteration takes its operands from a table of eight
+/// AF; `a_hammock_body_that_leaves_flags_live_is_if_converted` combines
+/// the two. Each iteration takes its operands from a table of eight
 /// pairs, four on which the branch is taken and four on which it falls
 /// through, so selection neither leaves the trace there nor follows one
 /// side.
@@ -762,6 +761,60 @@ fn setters_fused_into_a_hammock_guard_match_the_interpreter() {
                 assert!(p.engine.stats.hot_traces > 0, "{what}: never hot");
             }
         }
+    }
+}
+
+/// A hammock whose body leaves flags live: an `adc` under `cmp ; je`,
+/// with CF or ZF read after the join (by `setc`, `sete` or the next
+/// `adc`). The `adc`'s flag recipe ORs its bits in under predicates of
+/// its own, which run under the guard and their own predicate, so the
+/// hammock is if-converted and the loop promoted; before, each such
+/// body failed the promotion, and the loop re-fired heat events and
+/// stayed cold.
+#[test]
+fn a_hammock_body_that_leaves_flags_live_is_if_converted() {
+    for name in ["setc", "sete", "adc"] {
+        let img = image(|a| {
+            a.mov_ri(ESI, DATA as i32);
+            a.mov_ri(ECX, 300);
+            a.mov_ri(EDI, 0x7FFF_FFF0);
+            a.mov_ri(EBP, 0);
+            let (top, skip) = (a.label(), a.label());
+            a.bind(top);
+            a.mov_rr(EAX, ECX);
+            a.alu_ri(AluOp::And, EAX, 1);
+            a.mov_ri(EDX, 0x3000_0001);
+            a.alu_ri(AluOp::Cmp, EAX, 0);
+            a.jcc(Cond::E, skip);
+            a.alu_rr(AluOp::Adc, EDI, EDX);
+            a.mov_store(Addr::base_disp(ESI, 0), EDI);
+            a.bind(skip);
+            a.mov_ri(EBX, 0);
+            a.mov_ri(EDX, 0);
+            match name {
+                "setc" | "sete" => a.inst(Inst::Setcc {
+                    cond: if name == "setc" { Cond::B } else { Cond::E },
+                    dst: Rm::Reg(EDX),
+                }),
+                _ => a.alu_rr(AluOp::Adc, EDX, EBX),
+            }
+            a.lea(EBP, Addr::base_index(EBP, EDX, 2, 0));
+            a.dec(ECX);
+            a.jcc(Cond::Ne, top);
+            a.mov_store(Addr::abs(DATA + 0x40), EDI);
+            a.mov_store(Addr::abs(DATA + 0x44), EBP);
+            a.hlt();
+        });
+        let what = format!("adc in a hammock body, {name} after the join");
+        let p = differential(&img, hot_config(), &[(DATA, 0x100)], &what);
+        let stats = &p.engine.stats;
+        assert!(stats.hot_traces > 0, "{what}: never hot");
+        assert!(
+            stats.heat_events <= stats.hot_traces + 1,
+            "{what}: {} heat events for {} traces",
+            stats.heat_events,
+            stats.hot_traces
+        );
     }
 }
 

@@ -1,6 +1,7 @@
 //! Translation validation of the hot phase's guest-state forwarding,
-//! local value numbering and dead-code elimination
-//! (`hot/opt.rs::{forward_state, lvn, dead_code}`).
+//! demanded-bits bypass, local value numbering and dead-code
+//! elimination (`hot/opt.rs::{forward_state, demanded_bits, lvn,
+//! dead_code}`).
 //!
 //! Once `hot::validate_passes` has asked for it, a debug build of the
 //! hot compiler runs every trace body before and after each pass on a
