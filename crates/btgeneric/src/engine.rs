@@ -181,8 +181,9 @@ pub struct BlockInfo {
     /// Shadow-stack pop misses observed by the dispatcher for this
     /// (ret-terminated) block.
     pub pop_misses: u32,
-    /// Number of indexed accesses.
-    pub accesses: u16,
+    /// The IA-32 instruction each indexed access belongs to, by access
+    /// index.
+    pub access_ips: Box<[u32]>,
     /// Speculation seeds used at translation time.
     pub spec: SpecSeed,
     /// Speculated FP/MMX entry mode.
@@ -690,6 +691,7 @@ impl Engine {
         let misalign = MisalignPlan {
             default: self.cfg.features.access_mode(kind),
             overrides: overrides.clone(),
+            by_ip: HashMap::new(),
             profile,
             block_id: id,
         };
@@ -769,7 +771,7 @@ impl Engine {
             profile,
             indirect_plain,
             pop_misses,
-            accesses: gen.accesses,
+            access_ips: gen.access_ips,
             spec,
             entry_mmx: gen.entry_mmx,
             inline_fp,
