@@ -178,7 +178,15 @@ fn an_alignment_check_under_a_hammock_guard_stays_in_the_body() {
         &regions,
         "misalign/hammock misaligned body",
     );
-    assert!(p.engine.stats.hot_traces > 0, "never hot");
+    let stats = &p.engine.stats;
+    assert!(stats.hot_traces > 0, "never hot");
+    // The body's cold block is one the trace covers, so the store's
+    // recorded misalignment reaches stage 3: no fault, no demotion.
+    assert_eq!(
+        (stats.misalign_faults, stats.demotions),
+        (0, 0),
+        "misalignment faults and demotions on the trace"
+    );
 }
 
 #[test]
