@@ -406,19 +406,21 @@ impl Engine {
         out
     }
 
-    /// Harvests the hot side-exit counters into the statistics (call
-    /// after a run; the counters live in translator memory).
+    /// Harvests the hot side exits and trace ends the machine tapped
+    /// into the statistics (call after a run).
     ///
-    /// Idempotent: the counters are *assigned*, not accumulated, so the
+    /// Idempotent: the counts are *assigned*, not accumulated, so the
     /// bench harness may call this any number of times without
     /// double-counting `hot_side_exits`.
     pub fn collect_hot_exit_stats(&mut self) {
-        let hot = self
-            .blocks
-            .iter()
-            .filter(|b| b.kind == BlockKind::Hot && !b.evicted);
-        let side = hot.map(|b| self.mem.read(b.profile.hot_exits_addr(), 8).unwrap_or(0));
-        self.stats.hot_side_exits = side.sum();
+        Predictions::harvest(&self.machine.taps, &mut self.stats);
+    }
+
+    /// The branches into hot traces' exit blocks a debug build tapped:
+    /// each entry of an exit block, counted where the trace body leaves.
+    #[cfg(debug_assertions)]
+    pub fn exit_block_entries(&self) -> u64 {
+        Predictions::exits_taken(&self.machine.taps)
     }
 
     /// Every live hot trace's recovery map, keyed by the trace's guest

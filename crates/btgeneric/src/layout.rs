@@ -214,13 +214,6 @@ impl Profile {
         self.0 + Self::FALL
     }
 
-    /// Address of the hot exit counter a trace's side exits bump. It is
-    /// the same word as [`Profile::taken_addr`]: a promoted block's
-    /// taken count is its cold taken edges plus its hot side exits.
-    pub(crate) fn hot_exits_addr(self) -> u64 {
-        self.taken_addr()
-    }
-
     /// Address of the misalignment word of indexed access `i`.
     pub(crate) fn misalign_addr(self, i: u16) -> u64 {
         self.0 + Self::MISALIGN + i as u64 * 8
@@ -466,6 +459,15 @@ impl Predictions {
         stats.shadow_underflows = count(Event::ShadowUnderflow);
         stats.shadow_mispredicts = count(Event::ShadowMispredict);
         stats.devirt_guard_fails = count(Event::DevirtFail);
+        stats.hot_side_exits = count(Event::HotExit);
+        stats.hot_trace_ends = count(Event::TraceEnd);
+    }
+
+    /// Branches into a hot trace's exit blocks that `taps` counted; a
+    /// debug build taps them ([`Event::ExitTaken`]).
+    #[cfg(debug_assertions)]
+    pub(crate) fn exits_taken(taps: &[u64; ipf::Tap::EVENTS]) -> u64 {
+        taps[Event::ExitTaken as usize]
     }
 
     /// The ret block a shadow-pop miss's `IndirectMiss` payload1 names,
@@ -921,12 +923,12 @@ impl Predictions {
     }
 }
 
-/// The events the emitted probes tap ([`ipf::Tap`]): each is one of
+/// The events translated code taps ([`ipf::Tap`]): each is one of
 /// `Machine::taps`, harvested into `Stats` by [`Predictions::harvest`].
 /// Nothing in translated code reads them, so translated code does not
 /// pay for them.
 #[derive(Clone, Copy)]
-enum Event {
+pub(crate) enum Event {
     /// A shadow-ring pop whose recorded return EIP matched.
     ShadowHit,
     /// A shadow-ring pop that found its slot empty.
@@ -937,12 +939,24 @@ enum Event {
     IcMiss,
     /// A hot trace's devirtualization guard that failed.
     DevirtFail,
+    /// A hot trace's conditional side exit taken: its exit block's
+    /// branch.
+    HotExit,
+    /// A hot trace run that reached the branch closing the trace: the
+    /// loop's back edge or the main exit block's branch. A trace that
+    /// ends in an inline dispatch has no such branch.
+    TraceEnd,
+    /// A branch of a hot trace's body into one of its exit blocks,
+    /// tapped in debug builds only, where it checks that the exit
+    /// blocks' own taps miss no entry.
+    #[cfg_attr(not(debug_assertions), allow(dead_code))]
+    ExitTaken,
 }
 
 impl Event {
     /// The tap that counts this event on a slot executing with its
     /// predicate equal to `when`.
-    fn tap(self, when: bool) -> ipf::Tap {
+    pub(crate) fn tap(self, when: bool) -> ipf::Tap {
         ipf::Tap {
             event: self as u8,
             when,
@@ -1140,7 +1154,6 @@ mod tests {
         // The last misalignment word ends where the inline cache starts.
         let p = Profile::OVERFLOW.next();
         assert_eq!(p.misalign_addr(Profile::MISALIGN_WORDS), p.ic_addr());
-        assert_eq!(p.hot_exits_addr(), p.taken_addr());
         assert!(p.next().base() <= PROFILE_BASE + PROFILE_SIZE);
     }
 

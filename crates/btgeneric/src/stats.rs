@@ -30,8 +30,14 @@ pub struct Stats {
     pub hot_native_insts: u64,
     /// Commit points recorded in hot code.
     pub hot_commit_points: u64,
-    /// Side exits taken from hot traces (premature exits).
+    /// Conditional side exits taken from hot traces (premature exits),
+    /// tapped on their exit blocks. Devirtualization-guard failures are
+    /// `devirt_guard_fails`.
     pub hot_side_exits: u64,
+    /// Hot trace runs that reached the branch closing the trace (the
+    /// loop's back edge or the main exit's branch); a run of a trace
+    /// ending in an inline dispatch is not counted.
+    pub hot_trace_ends: u64,
     /// Heating-threshold triggers.
     pub heat_events: u64,
     /// Indirect-branch lookup misses handled.
