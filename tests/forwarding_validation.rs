@@ -61,6 +61,35 @@ fn every_trace_of_the_golden_kernels_is_validated() {
     assert!(traces >= 30, "only {traces} traces on the 15 kernels");
 }
 
+/// A loop whose trace begins by adding 1 to a home and leaving when the
+/// sum is zero. From the evaluator's boundary register file, where every
+/// home holds `0xFFFF_FFFF`, the sum carries out of the low half and its
+/// `zxt4` is zero while the sum is not: a demanded-bits bypass that let
+/// the compare read the sum past its `zxt4` would stay on the trace
+/// there, and the validation must say so.
+#[test]
+fn an_increment_that_carries_out_is_compared_after_its_zxt4() {
+    let mut a = Asm::new(0x40_0000);
+    a.mov_ri(ECX, 3000);
+    a.mov_ri(EAX, 0);
+    let (top, out) = (a.label(), a.label());
+    a.bind(top);
+    a.alu_ri(AluOp::Add, EAX, 1);
+    a.jcc(Cond::E, out);
+    a.dec(ECX);
+    a.jcc(Cond::Ne, top);
+    a.bind(out);
+    a.mov_store(Addr::abs(DATA), EAX);
+    a.hlt();
+    let img = Image::from_asm(&a).with_bss(DATA, 0x100);
+    let before = validate_passes();
+    let p = differential(&img, hot_config(), &[(DATA, 4)], "increment to zero");
+    assert!(p.engine.stats.hot_ir_traces > 0, "never hot");
+    if cfg!(debug_assertions) {
+        assert!(validate_passes() > before, "no trace validated");
+    }
+}
+
 const DATA: u32 = 0x50_0000;
 
 /// xorshift64 step.
