@@ -45,6 +45,11 @@ struct KernelRun {
     summary_slots: u64,
     /// Slots the machine retired.
     slots: u64,
+    /// The hot side exits and devirtualization-guard failures the exit
+    /// blocks' taps counted, and the branches into exit blocks a debug
+    /// build tapped in the trace bodies.
+    #[cfg(debug_assertions)]
+    exits: (u64, u64),
 }
 
 /// The 15 kernels under the default `Config`, run once for all the
@@ -104,11 +109,21 @@ fn run_kernel(w: &workloads::Workload) -> KernelRun {
     writeln!(golden, "regions={regions:?}").unwrap();
     writeln!(golden, "split={split:?}").unwrap();
     writeln!(golden, "stats={:?}", p.engine.stats).unwrap();
+    let (summary_slots, slots) = (m.summary_slots, m.inst_count);
+    p.engine.collect_hot_exit_stats();
+    #[cfg(debug_assertions)]
+    let exits = {
+        let s = &p.engine.stats;
+        let tapped = s.hot_side_exits + s.devirt_guard_fails;
+        (tapped, p.engine.exit_block_entries())
+    };
     KernelRun {
         name: w.name,
         golden,
-        summary_slots: m.summary_slots,
-        slots: m.inst_count,
+        summary_slots,
+        slots,
+        #[cfg(debug_assertions)]
+        exits,
     }
 }
 
@@ -213,4 +228,23 @@ fn nearly_every_slot_retires_through_a_group_summary() {
         summarized * 100 >= all * 99,
         "only {summarized} of {all} slots retired through group summaries"
     );
+}
+
+/// On every kernel, the exit blocks' taps count each entry of an exit
+/// block: the hot side exits and devirtualization-guard failures they
+/// count equal the branches into exit blocks that a debug build taps
+/// where the trace bodies leave.
+#[cfg(debug_assertions)]
+#[test]
+fn exit_taps_count_every_exit_block_entry() {
+    for run in kernel_runs() {
+        let (tapped, entered) = run.exits;
+        assert_eq!(
+            tapped, entered,
+            "{}: exit taps against exit-block entries",
+            run.name
+        );
+    }
+    let taken: u64 = kernel_runs().iter().map(|r| r.exits.0).sum();
+    assert!(taken > 0, "no kernel left a hot trace early");
 }
