@@ -41,6 +41,7 @@
 
 pub mod asm;
 pub mod bundle;
+pub mod hash;
 pub mod inst;
 pub mod machine;
 pub mod regs;

@@ -20,7 +20,7 @@ use crate::inst::{
 use crate::regs::{NUM_BR, NUM_FR, NUM_GR, NUM_PR};
 use std::collections::HashMap;
 use std::fmt::Write as _;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{Hash, Hasher};
 
 /// Errors a [`Bus`] access can produce.
 #[derive(Clone, Copy, PartialEq, Eq, Debug)]
@@ -169,29 +169,6 @@ impl Timing {
     }
 }
 
-/// Hashes an already well-spread [`SlotMeta::key`] with one multiply.
-#[derive(Default)]
-struct KeyHasher(u64);
-
-impl Hasher for KeyHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for &b in bytes {
-            self.write_u64(b as u64);
-        }
-    }
-
-    fn write_u64(&mut self, k: u64) {
-        // Fold the high half down: the table indexes by the low bits,
-        // where a bare multiply carries nothing of the key's top fields.
-        let h = (self.0 ^ k).wrapping_mul(0x9E37_79B9_7F4A_7C15);
-        self.0 = h ^ (h >> 32);
-    }
-
-    fn finish(&self) -> u64 {
-        self.0
-    }
-}
-
 /// Id a slot carries once the intern table is full: its metadata is
 /// derived when needed instead of looked up.
 const META_UNINTERNED: u16 = u16::MAX;
@@ -203,7 +180,7 @@ const META_UNINTERNED: u16 = u16::MAX;
 #[derive(Debug, Default)]
 struct MetaTable {
     metas: Vec<SlotMeta>,
-    ids: HashMap<u64, u16, BuildHasherDefault<KeyHasher>>,
+    ids: crate::hash::HashMap<u64, u16>,
 }
 
 impl MetaTable {
@@ -318,7 +295,7 @@ impl Hash for GroupSummary {
 #[derive(Debug, Default)]
 struct GroupTable {
     groups: Vec<GroupSummary>,
-    ids: HashMap<GroupSummary, u16, BuildHasherDefault<KeyHasher>>,
+    ids: crate::hash::HashMap<GroupSummary, u16>,
 }
 
 impl GroupTable {
