@@ -318,6 +318,16 @@ impl BundleCursor {
         self.len == 3
     }
 
+    /// The slots of the open bundle still free: the `nop`s closing it
+    /// now would cost (0 when none is open).
+    pub fn gaps(&self) -> usize {
+        if self.is_empty() {
+            0
+        } else {
+            3 - self.len as usize
+        }
+    }
+
     /// Whether an op of `unit` takes the next slot of the open bundle
     /// as it is — no `nop` before it, the bundle not closed first: some
     /// template still possible accepts `unit` in that slot. An empty
