@@ -19,6 +19,7 @@
 //! | `r64`-`r95` | hot-code renaming / backup pool |
 //! | `r96`-`r103` | MMX `MM0`-`MM7` (when in MMX mode) |
 //! | `r104`-`r106` | the flag thunk, owned by `Eflags`: the operands and kinds of the last deferred setters |
+//! | `r108`-`r111` | the cold profile bank: the profile words a cold block loads in its head and stores at its exit |
 //! | `r14`, `r15` | exit-stub payload |
 //! | `f8`-`f15` | x87 *physical* registers `R0`-`R7` |
 //! | `f16+3i`, `f17+3i`, `f18+3i` | `XMMi` scalar / lanes 0-1 / lanes 2-3 |
@@ -73,6 +74,11 @@ pub const GR_POOL: u16 = 64;
 pub const NUM_POOL: u16 = 32;
 /// First MMX home GR.
 pub const GR_MMX: u16 = 96;
+/// The cold profile bank: the words of its profile record a cold block
+/// loads in its head and stores at its exit (`layout::Profile::emit_head_loads`).
+/// No lowering allocates them, so they live through the block's body;
+/// nothing reads them across blocks.
+pub(crate) const PROFILE_BANK: [Gr; 4] = [Gr(108), Gr(109), Gr(110), Gr(111)];
 /// Exit-stub payload register 0.
 pub const GR_PAYLOAD0: Gr = Gr(14);
 /// Exit-stub payload register 1.
